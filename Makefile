@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build lint lint-update-baseline test test-norace race cover bench experiments fuzz fuzz-smoke clean
+.PHONY: all build lint lint-update-baseline test test-norace race cover bench bench-selftest experiments fuzz fuzz-smoke clean
 
 all: build lint test
 
@@ -37,6 +37,11 @@ cover:
 
 bench:
 	go test -bench=. -benchmem ./...
+
+# bench/ is a module of its own (bench/go.mod), so `go test ./...` at the
+# root never sees the performance gate's self-tests; this runs them.
+bench-selftest:
+	go -C bench test ./...
 
 # Regenerate every paper table/figure (EXPERIMENTS.md documents them).
 experiments:

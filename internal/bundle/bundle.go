@@ -24,41 +24,36 @@ import (
 )
 
 // Member is one record inside a bundle together with its token difference
-// from the bundle core.
+// from the bundle core. Only what every probe reads lives here (hot); the
+// cached bitset forms sit behind cold. A Member exists only while its
+// record is in the window: eviction returns it to the index's free list
+// (see arena.go).
 type Member struct {
 	Rec   *record.Record
 	Delta []tokens.Rank // Rec.Tokens \ Core, ascending
-	dead  bool
-
-	// Cached bitset forms for the kernelized verify path (see kernels.go).
-	// full packs Rec.Tokens, delta packs Delta; the OK flags distinguish
-	// "not packed under this kernel config" from "packed and current".
-	// Maintained only by the single-writer insert/evict phases.
-	full    similarity.Packed
-	fullOK  bool
-	deltaP  similarity.Packed
-	deltaOK bool
+	// cold caches the packed forms of Rec.Tokens (slotFull) and Delta
+	// (slotDelta); nil until the kernel config first asks for one.
+	cold *packs
 }
 
 // Bundle groups records that joined with one another. Invariants:
 // Core ⊆ member.Rec.Tokens for every member; member.Delta = member tokens
 // minus Core; Union ⊇ member tokens for every member (Union may be a strict
 // superset after evictions, which is safe because it is only used as an
-// upper bound).
+// upper bound). Members holds exactly the live members — eviction removes
+// a member at once — so an empty Members marks a dead bundle.
 type Bundle struct {
-	ID      uint64
 	Core    []tokens.Rank
 	Union   []tokens.Rank
 	Members []*Member
 
-	// posted tracks the tokens this bundle already has postings under so
-	// member additions do not duplicate postings. Prefixes are short, so a
-	// small slice with linear dedup beats a map (profiled: the map was the
-	// top allocation site).
+	// posted tracks the tokens this bundle has postings under so member
+	// additions do not duplicate postings. Prefixes are short, so a small
+	// slice with linear dedup beats a map (profiled: the map was the top
+	// allocation site). Once the bundle is dead only the length matters:
+	// it counts the postings still referencing the bundle, and the bundle
+	// is recycled when the last one is dropped (see Index.dropDead).
 	posted []tokens.Rank
-	// peak tracks the max member count since the last shrink rebuild.
-	peak int
-	live int
 
 	// lastSeen is the probe sequence number of the last collectCandidates
 	// call that visited this bundle — the per-probe dedup stamp that
@@ -66,13 +61,18 @@ type Bundle struct {
 	// candidate posting).
 	lastSeen uint64
 
-	// Cached bitset forms of Core and Union plus their validity flags,
-	// rebuilt by the single-writer insert/evict phases whenever the
-	// underlying slice changes (see kernels.go).
-	coreP   similarity.Packed
-	coreOK  bool
-	unionP  similarity.Packed
-	unionOK bool
+	// cold caches the packed forms of Core (slotCore) and Union
+	// (slotUnion), rebuilt by the single-writer insert/evict phases
+	// whenever the underlying slice changes; nil until the kernel config
+	// first asks for one.
+	cold *packs
+
+	// minLen and maxLen are the member length extremes (0 when empty),
+	// kept current by add and remove so the per-candidate bundle filters
+	// never walk Members.
+	minLen, maxLen int32
+	// peak tracks the max member count since the last shrink rebuild.
+	peak int32
 	// unionOwned reports whether Union's backing array belongs to this
 	// bundle. A singleton aliases its record's immutable token slice, so
 	// in-place union growth must first copy into owned storage.
@@ -89,33 +89,14 @@ func (b *Bundle) hasPosted(tok tokens.Rank) bool {
 }
 
 // Live reports the number of unevicted members.
-func (b *Bundle) Live() int { return b.live }
+func (b *Bundle) Live() int { return len(b.Members) }
 
 // MinLen and MaxLen return the live member length extremes; both return 0
 // when the bundle is empty.
-func (b *Bundle) MinLen() int {
-	min := 0
-	for _, m := range b.Members {
-		if m.dead {
-			continue
-		}
-		if min == 0 || m.Rec.Len() < min {
-			min = m.Rec.Len()
-		}
-	}
-	return min
-}
+func (b *Bundle) MinLen() int { return int(b.minLen) }
 
 // MaxLen returns the largest live member length.
-func (b *Bundle) MaxLen() int {
-	max := 0
-	for _, m := range b.Members {
-		if !m.dead && m.Rec.Len() > max {
-			max = m.Rec.Len()
-		}
-	}
-	return max
-}
+func (b *Bundle) MaxLen() int { return int(b.maxLen) }
 
 // intersect returns a ∩ b (both ascending).
 func intersect(a, b []tokens.Rank) []tokens.Rank {
@@ -283,92 +264,111 @@ func (b *Bundle) unionAdd(t []tokens.Rank) {
 // caller already computed it for the grouping check, so add reuses it
 // instead of re-merging; it may alias caller scratch (add copies before
 // keeping it) and is ignored for the first member. Members and deltas come
-// out of al's slabs, and every token set whose slice changed gets its
-// cached bitset form rebuilt under kern. add returns the tokens of r's
-// prefix that were not yet posted for this bundle so the caller can extend
-// the posting lists.
+// out of al's free list and slabs, and every token set whose slice changed
+// gets its cached bitset form rebuilt under kern. add returns the tokens of
+// r's first prefixLen tokens that were not yet posted for this bundle so
+// the caller can extend the posting lists; the result aliases b.posted and
+// is valid until the next add.
 func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, prefixLen int, newCore []tokens.Rank) (newPostings []tokens.Rank) {
-	if b.live == 0 {
+	m := al.member()
+	m.Rec = r
+	ln := int32(r.Len())
+	if len(b.Members) == 0 {
 		// Records are immutable, so a singleton bundle can alias the
 		// record's token slice; every later mutation path copies before
 		// writing (unionAdd checks unionOwned, core shrink reallocates).
 		b.Core = r.Tokens
 		b.Union = r.Tokens
 		b.unionOwned = false
-		m := al.member()
-		m.Rec = r
-		b.Members = append(b.Members, m)
-		packIf(kern, &m.full, &m.fullOK, r.Tokens)
+		b.minLen, b.maxLen = ln, ln
+		if cap(b.posted) < prefixLen {
+			b.posted = make([]tokens.Rank, 0, prefixLen)
+		}
+		packIf(kern, &m.cold, slotFull, r.Tokens)
 	} else {
 		if len(newCore) != len(b.Core) {
 			released := similarity.GetRanks()
 			*released = similarity.SubtractInto(*released, b.Core, newCore)
-			for _, m := range b.Members {
-				if m.dead {
-					continue
-				}
-				buf := al.grab(len(m.Delta) + len(*released))
-				m.Delta = unionInto(buf, m.Delta, *released)
-				al.commit(len(m.Delta))
-				packIf(kern, &m.deltaP, &m.deltaOK, m.Delta)
+			for _, o := range b.Members {
+				buf := al.grab(len(o.Delta) + len(*released))
+				o.Delta = unionInto(buf, o.Delta, *released)
+				al.commit(len(o.Delta))
+				packIf(kern, &o.cold, slotDelta, o.Delta)
 			}
 			b.Core = append(make([]tokens.Rank, 0, len(newCore)), newCore...)
 			similarity.PutRanks(released)
 		}
 		b.unionAdd(r.Tokens)
-		m := al.member()
-		m.Rec = r
 		buf := al.grab(r.Len())
 		m.Delta = similarity.SubtractInto(buf, r.Tokens, b.Core)
 		al.commit(len(m.Delta))
-		b.Members = append(b.Members, m)
-		packIf(kern, &m.full, &m.fullOK, r.Tokens)
-		packIf(kern, &m.deltaP, &m.deltaOK, m.Delta)
+		if ln < b.minLen {
+			b.minLen = ln
+		}
+		if ln > b.maxLen {
+			b.maxLen = ln
+		}
+		packIf(kern, &m.cold, slotFull, r.Tokens)
+		packIf(kern, &m.cold, slotDelta, m.Delta)
 		// Core and Union now serve the shared-verification identity (the
 		// singleton fast path never consults them), so (re)pack both: the
 		// union always grew, and the core cache may predate this member or
 		// the shrink above.
-		packIf(kern, &b.coreP, &b.coreOK, b.Core)
-		packIf(kern, &b.unionP, &b.unionOK, b.Union)
+		packIf(kern, &b.cold, slotCore, b.Core)
+		packIf(kern, &b.cold, slotUnion, b.Union)
 	}
-	b.live++
-	if b.live > b.peak {
-		b.peak = b.live
+	b.Members = append(b.Members, m)
+	if n := int32(len(b.Members)); n > b.peak {
+		b.peak = n
 	}
+	n0 := len(b.posted)
 	for i := 0; i < prefixLen && i < r.Len(); i++ {
-		tok := r.Tokens[i]
-		if !b.hasPosted(tok) {
+		if tok := r.Tokens[i]; !b.hasPosted(tok) {
 			b.posted = append(b.posted, tok)
-			newPostings = append(newPostings, tok)
 		}
 	}
-	return newPostings
+	return b.posted[n0:]
 }
 
-// removeDead drops dead members and, when the bundle has shrunk to half its
-// peak, rebuilds Union from the survivors (refreshing its cached bitset
-// form under kern).
-func (b *Bundle) removeDead(kern similarity.KernelConfig) {
+// remove drops the evicted member m, recomputes the length extremes over
+// the survivors and, when the bundle has shrunk to half its peak, rebuilds
+// Union from them (refreshing its cached bitset form under kern). Removing
+// the last member leaves the bundle dead: it lets go of Core and Union at
+// once and keeps, besides reusable capacity, only posted, whose length
+// counts the postings that still reference it.
+func (b *Bundle) remove(kern similarity.KernelConfig, m *Member) {
 	w := 0
-	for _, m := range b.Members {
-		if !m.dead {
-			b.Members[w] = m
-			w++
+	b.minLen, b.maxLen = 0, 0
+	for _, o := range b.Members {
+		if o == m {
+			continue
+		}
+		b.Members[w] = o
+		w++
+		ln := int32(o.Rec.Len())
+		if b.minLen == 0 || ln < b.minLen {
+			b.minLen = ln
+		}
+		if ln > b.maxLen {
+			b.maxLen = ln
 		}
 	}
+	clear(b.Members[w:])
 	b.Members = b.Members[:w]
-	if b.live == 0 || w == 0 {
+	if w == 0 {
+		b.cold.invalidate()
+		*b = Bundle{Members: b.Members, posted: b.posted, cold: b.cold}
 		return
 	}
-	if w*2 <= b.peak {
+	if int32(w)*2 <= b.peak {
 		u := append([]tokens.Rank(nil), b.Members[0].Rec.Tokens...)
-		for _, m := range b.Members[1:] {
-			u = union(u, m.Rec.Tokens)
+		for _, o := range b.Members[1:] {
+			u = union(u, o.Rec.Tokens)
 		}
 		b.Union = u
 		b.unionOwned = true
-		b.peak = w
-		packIf(kern, &b.unionP, &b.unionOK, b.Union)
+		b.peak = int32(w)
+		packIf(kern, &b.cold, slotUnion, b.Union)
 	}
 }
 

@@ -3,6 +3,7 @@ package bundle
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/filter"
@@ -47,32 +48,39 @@ func TestOverlapSteps(t *testing.T) {
 	}
 }
 
-// checkInvariants asserts the core/delta/union algebra of a bundle.
-func checkInvariants(t *testing.T, b *Bundle) {
+// checkBundle asserts the core/delta/union algebra of a bundle and that
+// its cached length extremes equal a recount over the members.
+func checkBundle(t *testing.T, b *Bundle) {
 	t.Helper()
+	lo, hi := 0, 0
 	for _, m := range b.Members {
-		if m.dead {
-			continue
+		if l := m.Rec.Len(); lo == 0 || l < lo {
+			lo = l
+		}
+		if l := m.Rec.Len(); l > hi {
+			hi = l
 		}
 		// Core ⊆ member tokens.
-		if got := intersect(b.Core, m.Rec.Tokens); len(got) != len(b.Core) {
+		if similarity.IntersectSize(b.Core, m.Rec.Tokens) != len(b.Core) {
 			t.Fatalf("core not subset of member %d: core=%v tokens=%v",
 				m.Rec.ID, b.Core, m.Rec.Tokens)
 		}
 		// Core ∪ Delta == member tokens exactly.
-		recon := merge(b.Core, m.Delta)
-		if !reflect.DeepEqual(recon, m.Rec.Tokens) {
+		if recon := merge(b.Core, m.Delta); !slices.Equal(recon, m.Rec.Tokens) {
 			t.Fatalf("core+delta != tokens for member %d: %v vs %v",
 				m.Rec.ID, recon, m.Rec.Tokens)
 		}
 		// Core ∩ Delta == ∅.
-		if len(intersect(b.Core, m.Delta)) != 0 {
+		if similarity.IntersectSize(b.Core, m.Delta) != 0 {
 			t.Fatalf("core and delta overlap for member %d", m.Rec.ID)
 		}
 		// Member ⊆ Union.
-		if got := intersect(b.Union, m.Rec.Tokens); len(got) != len(m.Rec.Tokens) {
+		if similarity.IntersectSize(b.Union, m.Rec.Tokens) != len(m.Rec.Tokens) {
 			t.Fatalf("member %d not subset of union", m.Rec.ID)
 		}
+	}
+	if b.MinLen() != lo || b.MaxLen() != hi {
+		t.Fatalf("cached length range [%d,%d], recount [%d,%d]", b.MinLen(), b.MaxLen(), lo, hi)
 	}
 }
 
@@ -88,7 +96,7 @@ func addRec(b *Bundle, r *record.Record, prefixLen int) []tokens.Rank {
 }
 
 func TestBundleAddMaintainsInvariants(t *testing.T) {
-	b := &Bundle{ID: 1}
+	b := &Bundle{}
 	recs := []*record.Record{
 		rec(0, 1, 2, 3, 4, 5),
 		rec(1, 1, 2, 3, 4, 6),
@@ -97,7 +105,7 @@ func TestBundleAddMaintainsInvariants(t *testing.T) {
 	}
 	for _, r := range recs {
 		addRec(b, r, 2)
-		checkInvariants(t, b)
+		checkBundle(t, b)
 	}
 	// Core must be the intersection of all four: {2,3}
 	if !reflect.DeepEqual(b.Core, []tokens.Rank{2, 3}) {
@@ -106,7 +114,7 @@ func TestBundleAddMaintainsInvariants(t *testing.T) {
 }
 
 func TestBundleAddReportsOnlyNewPostings(t *testing.T) {
-	b := &Bundle{ID: 1}
+	b := &Bundle{}
 	first := addRec(b, rec(0, 1, 2, 3, 4), 2)
 	if !reflect.DeepEqual(first, []tokens.Rank{1, 2}) {
 		t.Fatalf("first postings: %v", first)
@@ -309,20 +317,19 @@ func TestBundlingReducesPostings(t *testing.T) {
 	}
 }
 
-func TestRemoveDeadRebuildsUnion(t *testing.T) {
-	b := &Bundle{ID: 1}
+func TestRemoveRebuildsUnion(t *testing.T) {
+	b := &Bundle{}
 	addRec(b, rec(0, 1, 2, 3), 1)
 	addRec(b, rec(1, 1, 2, 4), 1)
 	addRec(b, rec(2, 1, 2, 5), 1)
 	addRec(b, rec(3, 1, 2, 6), 1)
 	// kill 3 of 4 → shrink rebuild must fire
-	for _, m := range b.Members[:3] {
-		m.dead = true
-		b.live--
+	for _, m := range append([]*Member(nil), b.Members[:3]...) {
+		b.remove(similarity.KernelConfig{}.WithDefaults(), m)
+		checkBundle(t, b)
 	}
-	b.removeDead(similarity.KernelConfig{}.WithDefaults())
 	if len(b.Members) != 1 {
-		t.Fatalf("members after removeDead: %d", len(b.Members))
+		t.Fatalf("members after remove: %d", len(b.Members))
 	}
 	if !reflect.DeepEqual(b.Union, []tokens.Rank{1, 2, 6}) {
 		t.Fatalf("union not rebuilt: %v", b.Union)

@@ -1,6 +1,8 @@
 package bundle
 
 import (
+	"cmp"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/filter"
@@ -59,6 +61,11 @@ type Match struct {
 	Rec     *record.Record
 	Overlap int
 	Sim     float64
+
+	// id is Rec.ID, copied by the verifier that emitted the match (it has
+	// the record in cache) so the canonical sort compares keys in the
+	// buffer instead of chasing Rec.
+	id record.ID
 }
 
 // Stats counts the work the bundle index performed.
@@ -66,7 +73,7 @@ type Stats struct {
 	Records        uint64 // records processed
 	Bundles        uint64 // bundles created
 	Appends        uint64 // records appended to an existing bundle
-	Postings       uint64 // live posting entries
+	Postings       uint64 // entries currently in the posting lists (live and dead bundles)
 	Scanned        uint64 // bundle postings visited
 	BundleCands    uint64 // distinct candidate bundles per probe, summed
 	BundleLenSkip  uint64 // bundles skipped entirely by the length range
@@ -78,15 +85,15 @@ type Stats struct {
 	VerifySteps    uint64 // merge iterations spent verifying (core+delta or full)
 	CoreSteps      uint64 // portion of VerifySteps spent on shared cores
 	Evicted        uint64 // members evicted
-	LiveBundles    uint64
+	LiveBundles    uint64 // bundles with at least one member (gauge)
 	LiveMembers    uint64
 	MaxBundleSize  uint64
 	UnionOverlaps  uint64 // union-overlap computations (bundle-level filter)
 	UnionSteps     uint64 // merge iterations spent on union bounds
 	CoreOverlaps   uint64 // distinct core-overlap computations
 	SingletonFast  uint64 // singleton bundles verified directly
-	RebuildSweeps  uint64 // posting sweeps triggered
-	DeadPostSkips  uint64 // dead bundle postings compacted
+	RebuildSweeps  uint64 // whole-index dead-posting sweeps (see Index.sweep)
+	DeadPostSkips  uint64 // dead bundle postings dropped, by a probe's compaction or a sweep
 	GroupRejectLen uint64 // memberships rejected by MaxMembers/MinCoreFrac
 
 	KernelLinear    uint64 // verification merges run by the linear kernel
@@ -120,10 +127,15 @@ type Index struct {
 	win    window.Policy
 	cfg    Config
 
-	posts  map[tokens.Rank][]*Bundle
-	fifo   []fifoEntry
-	head   int
-	nextID uint64
+	posts map[tokens.Rank][]*Bundle
+	fifo  []fifoEntry
+	head  int
+	// deadPosts counts the postings in posts that reference dead bundles:
+	// up on a bundle's death, down as probes and sweeps drop them. It is
+	// the sweep trigger, and postsPeak (the most keys posts has held since
+	// it was last rebuilt) is the map's own shrink trigger.
+	deadPosts uint64
+	postsPeak int
 
 	stats Stats
 	live  *LiveStats // optional atomic mirror, see PublishLive
@@ -134,11 +146,12 @@ type Index struct {
 	// probeSeq is the monotonic probe counter stamped into Bundle.lastSeen
 	// for per-probe candidate dedup (replaces a per-probe map).
 	probeSeq uint64
-	// probeP is the probe record's packed form, built once per probe in
+	// probeP is the probe record's packed form (nil when the kernel
+	// config wants none), built into probeBuf once per probe in
 	// collectCandidates (single-writer phase) and read-only during the —
 	// possibly fanned — verify phase.
-	probeP  similarity.Packed
-	probeOK bool
+	probeBuf similarity.Packed
+	probeP   *similarity.Packed
 	// trial is insert-path scratch for the candidate core intersection
 	// (single-writer like the rest of the index, so a plain reused slice
 	// beats pooling here; pooled buffers cover the shared helpers in
@@ -167,12 +180,21 @@ type Index struct {
 }
 
 // walkRef is one prefix token's posting list in the selectivity-ordered
-// walk: pos is the token's prefix position, n the list length at sort
-// time.
+// walk: pos is the token's prefix position, list the posting list as
+// looked up at sort time (its length is the sort key).
 type walkRef struct {
-	pos int32
-	n   int32
+	pos  int
+	list []*Bundle
 }
+
+const (
+	// sweepFloor is the dead-posting count below which no sweep runs, so
+	// a near-empty index does not sweep on every other eviction.
+	sweepFloor = 64
+	// emitSortCutover is the match count up to which emitCanonical sorts
+	// by insertion; longer buffers go to slices.SortFunc.
+	emitSortCutover = 12
+)
 
 // New returns an empty bundle index.
 func New(p filter.Params, w window.Policy, cfg Config) *Index {
@@ -279,6 +301,9 @@ func (bx *Index) Process(r *record.Record, emit func(Match)) {
 }
 
 // Evict expires members outside the window relative to (nowSeq, nowTime).
+// An evicted member leaves its bundle, the tree and the fifo at once and
+// is recycled; a bundle that loses its last member dies (see retire). Any
+// Insertion obtained before the call is invalid after it.
 func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
 	for bx.head < len(bx.fifo) {
 		fe := bx.fifo[bx.head]
@@ -286,8 +311,6 @@ func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
 		if bx.win.Live(rec.ID, rec.Time, nowSeq, nowTime) {
 			break
 		}
-		fe.m.dead = true
-		fe.b.live--
 		if bx.maintainTree() {
 			l := rec.Len()
 			p := bx.params.PrefixLen(l)
@@ -296,7 +319,11 @@ func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
 			}
 			bx.treeRemove(fe.m, rec.Tokens[:p])
 		}
-		fe.b.removeDead(bx.cfg.Kernel)
+		fe.b.remove(bx.cfg.Kernel, fe.m)
+		bx.al.freeMember(fe.m)
+		if len(fe.b.Members) == 0 {
+			bx.retire(fe.b)
+		}
 		bx.fifo[bx.head] = fifoEntry{}
 		bx.head++
 		bx.stats.Evicted++
@@ -304,6 +331,80 @@ func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
 	if bx.head > 64 && bx.head*2 > len(bx.fifo) {
 		bx.fifo = append(bx.fifo[:0], bx.fifo[bx.head:]...)
 		bx.head = 0
+	}
+	if bx.deadPosts > sweepFloor && bx.deadPosts*2 > bx.stats.Postings {
+		bx.sweep()
+	}
+}
+
+// retire takes a bundle that just lost its last member out of the live
+// set. Its postings stay in the lists — finding them would cost a lookup
+// per posted token — and are counted as dead; the bundle is recycled when
+// the last of them is dropped, which is immediately when it has none
+// (tree-only mode posts nothing).
+func (bx *Index) retire(b *Bundle) {
+	bx.stats.LiveBundles--
+	if len(b.posted) == 0 {
+		bx.al.freeBundle(b)
+		return
+	}
+	bx.deadPosts += uint64(len(b.posted))
+}
+
+// dropDead accounts for one posting of dead bundle b leaving the lists
+// (the caller removes the list entry) and recycles b once none is left.
+//
+// hotpath: zero-alloc — called from collectCandidates' compaction; the
+// free-list push is an amortised self-append.
+func (bx *Index) dropDead(b *Bundle) {
+	bx.stats.DeadPostSkips++
+	bx.stats.Postings--
+	bx.deadPosts--
+	b.posted = b.posted[:len(b.posted)-1]
+	if len(b.posted) == 0 {
+		bx.al.freeBundle(b)
+	}
+}
+
+// sweep drops every dead posting in one pass over the posting lists and
+// so recycles every dead bundle. Evict calls it when dead postings
+// outnumber live ones (beyond sweepFloor): the pass costs O(all
+// postings) and removes more than half of them, so sweeping is amortised
+// O(1) per posting ever inserted, and between sweeps dead postings never
+// exceed live postings + sweepFloor — the index's memory follows the
+// window, not the stream. Lazy compaction in collectCandidates still
+// drops the dead postings a probe happens to walk; the sweep bounds the
+// ones no probe walks. The map itself is rebuilt when it has shrunk to a
+// quarter of its peak, because a Go map never returns buckets on delete.
+func (bx *Index) sweep() {
+	bx.stats.RebuildSweeps++
+	for tok, list := range bx.posts {
+		w := 0
+		for _, b := range list {
+			if len(b.Members) == 0 {
+				bx.dropDead(b)
+				continue
+			}
+			list[w] = b
+			w++
+		}
+		if w == len(list) {
+			continue
+		}
+		clear(list[w:])
+		if w == 0 {
+			delete(bx.posts, tok)
+		} else {
+			bx.posts[tok] = list[:w]
+		}
+	}
+	if n := len(bx.posts); n*4 < bx.postsPeak {
+		posts := make(map[tokens.Rank][]*Bundle, n)
+		for tok, list := range bx.posts {
+			posts[tok] = list
+		}
+		bx.posts = posts
+		bx.postsPeak = n
 	}
 }
 
@@ -335,22 +436,33 @@ func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok b
 // partner-ID order — the canonical emission order shared by collect,
 // tree, serial, and pooled probes, which is what makes the four paths
 // byte-interchangeable. Each partner appears at most once per probe
-// (one member per record), so the order is total. The buffer is the
-// concatenation of short sorted runs (per-bundle member order, or DFS
-// leaf order), which insertion sort exploits.
+// (one member per record), so the order is total and any correct sort
+// yields the same sequence. The sort key is the partner ID carried in
+// the match, so comparing never leaves the buffer. Short buffers — the
+// concatenation of a few sorted runs (per-bundle member order, or DFS
+// leaf order) — are insertion-sorted in line; long ones go to the
+// library sort, which has no quadratic tail.
 //
 // hotpath: zero-alloc — runs once per probe over the reused buffer.
 func (bx *Index) emitCanonical(emit func(Match)) {
 	ms := bx.emitBuf
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j].Rec.ID < ms[j-1].Rec.ID; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
+	if len(ms) <= emitSortCutover {
+		for i := 1; i < len(ms); i++ {
+			for j := i; j > 0 && ms[j].id < ms[j-1].id; j-- {
+				ms[j], ms[j-1] = ms[j-1], ms[j]
+			}
 		}
+	} else {
+		slices.SortFunc(ms, cmpMatchID)
 	}
 	for i := range ms {
 		emit(ms[i])
 	}
 }
+
+// cmpMatchID orders matches by partner ID. Package-level so that handing
+// it to slices.SortFunc allocates no closure.
+func cmpMatchID(a, b Match) int { return cmp.Compare(a.id, b.id) }
 
 // collectCandidates walks the posting lists of r's prefix tokens in
 // ascending posting-list-length order (rarest token first), compacts dead
@@ -374,35 +486,30 @@ func (bx *Index) emitCanonical(emit func(Match)) {
 func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 	cands := bx.cands[:0]
 	bx.probeSeq++
-	packIf(bx.cfg.Kernel, &bx.probeP, &bx.probeOK, r.Tokens)
+	bx.packProbe(r)
 	p := bx.params.PrefixLen(r.Len())
 	walk := bx.walk[:0]
 	for i := 0; i < p; i++ {
-		list, have := bx.posts[r.Tokens[i]]
-		if !have {
-			continue
+		if list, have := bx.posts[r.Tokens[i]]; have {
+			walk = append(walk, walkRef{pos: i, list: list})
 		}
-		walk = append(walk, walkRef{pos: int32(i), n: int32(len(list))})
 	}
 	// Insertion sort by (length, prefix position): prefixes are short and
 	// mostly sorted run-to-run, so this beats sort.Slice and allocates
 	// nothing.
 	for i := 1; i < len(walk); i++ {
-		for j := i; j > 0 && (walk[j].n < walk[j-1].n ||
-			(walk[j].n == walk[j-1].n && walk[j].pos < walk[j-1].pos)); j-- {
+		for j := i; j > 0 && (len(walk[j].list) < len(walk[j-1].list) ||
+			(len(walk[j].list) == len(walk[j-1].list) && walk[j].pos < walk[j-1].pos)); j-- {
 			walk[j], walk[j-1] = walk[j-1], walk[j]
 		}
 	}
-	bx.walk = walk
 	for _, wr := range walk {
-		tok := r.Tokens[wr.pos]
-		list := bx.posts[tok]
+		list := wr.list
 		w := 0
 		for _, b := range list {
-			if b.live == 0 {
-				bx.stats.DeadPostSkips++
-				bx.stats.Postings--
-				continue // compact dead bundle posting
+			if len(b.Members) == 0 {
+				bx.dropDead(b) // compact dead bundle posting
+				continue
 			}
 			list[w] = b
 			w++
@@ -414,12 +521,21 @@ func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 			bx.stats.BundleCands++
 			cands = append(cands, b)
 		}
-		if w == 0 {
+		if w == len(list) {
+			continue
+		}
+		// Zero the vacated tail so the list's spare capacity keeps no
+		// dead bundle reachable.
+		clear(list[w:])
+		if tok := r.Tokens[wr.pos]; w == 0 {
 			delete(bx.posts, tok)
-		} else if w != len(list) {
+		} else {
 			bx.posts[tok] = list[:w]
 		}
 	}
+	// The scratch must not pin posting lists the map has since let go of.
+	clear(walk)
+	bx.walk = walk[:0]
 	bx.cands = cands
 	return cands
 }
@@ -467,18 +583,15 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 
 	// Singleton fast path: the union is the member, so a single
 	// early-terminating merge both filters and verifies.
-	if b.live == 1 {
-		m := firstLive(b)
-		if m == nil {
-			return Insertion{}, false
-		}
+	if len(b.Members) == 1 {
+		m := b.Members[0]
 		lb := m.Rec.Len()
 		if lb < lo || lb > hi {
 			return Insertion{}, false
 		}
 		st.MemberChecks++
 		req := bx.params.RequiredOverlap(la, lb)
-		o, steps, ok := bx.overlapKernelBounded(st, r.Tokens, &bx.probeP, bx.probeOK, m.Rec.Tokens, &m.full, m.fullOK, req)
+		o, steps, ok := bx.overlapKernelBounded(st, r.Tokens, bx.probeP, m.Rec.Tokens, m.cold.at(slotFull), req)
 		st.SingletonFast++
 		st.VerifySteps += uint64(steps)
 		st.Verified++
@@ -487,7 +600,7 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 		}
 		sim := similarity.FromOverlap(bx.params.Func, o, la, lb)
 		st.Results++
-		emit(Match{Rec: m.Rec, Overlap: o, Sim: sim})
+		emit(Match{Rec: m.Rec, Overlap: o, Sim: sim, id: m.Rec.ID})
 		return Insertion{Bundle: b, Sim: sim, At: m.Rec.ID}, true
 	}
 
@@ -511,7 +624,7 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 	// Bundle-level union upper bound: overlap(r, y) <= overlap(r, Union)
 	// for every member y. One early-terminating merge prunes the whole
 	// bundle; on success the overlap is exact and reused per member.
-	unionO, usteps, uok := bx.overlapKernelBounded(st, r.Tokens, &bx.probeP, bx.probeOK, b.Union, &b.unionP, b.unionOK, reqMin)
+	unionO, usteps, uok := bx.overlapKernelBounded(st, r.Tokens, bx.probeP, b.Union, b.cold.at(slotUnion), reqMin)
 	st.UnionOverlaps++
 	st.UnionSteps += uint64(usteps)
 	if !uok {
@@ -527,9 +640,6 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 		found     bool
 	)
 	for _, m := range b.Members {
-		if m.dead {
-			continue
-		}
 		lb := m.Rec.Len()
 		if lb < lo || lb > hi {
 			continue
@@ -547,11 +657,11 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 		var o int
 		if bx.cfg.OneByOneVerify {
 			var steps int
-			o, steps = bx.overlapKernel(st, r.Tokens, &bx.probeP, bx.probeOK, m.Rec.Tokens, &m.full, m.fullOK)
+			o, steps = bx.overlapKernel(st, r.Tokens, bx.probeP, m.Rec.Tokens, m.cold.at(slotFull))
 			st.VerifySteps += uint64(steps)
 		} else {
 			if !haveCore {
-				coreO, coreSteps = bx.overlapKernel(st, r.Tokens, &bx.probeP, bx.probeOK, b.Core, &b.coreP, b.coreOK)
+				coreO, coreSteps = bx.overlapKernel(st, r.Tokens, bx.probeP, b.Core, b.cold.at(slotCore))
 				haveCore = true
 				st.CoreOverlaps++
 				st.CoreSteps += uint64(coreSteps)
@@ -573,7 +683,7 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 			// Bounded delta merge: when it fails the member cannot match
 			// (no emission, so the exact size is not needed); when it
 			// passes dO is exact and o below is the true overlap.
-			dO, dSteps, dok := bx.overlapKernelBounded(st, r.Tokens, &bx.probeP, bx.probeOK, m.Delta, &m.deltaP, m.deltaOK, req-coreO)
+			dO, dSteps, dok := bx.overlapKernelBounded(st, r.Tokens, bx.probeP, m.Delta, m.cold.at(slotDelta), req-coreO)
 			st.VerifySteps += uint64(dSteps)
 			if !dok {
 				st.Verified++
@@ -587,7 +697,7 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 		}
 		sim := similarity.FromOverlap(bx.params.Func, o, la, lb)
 		st.Results++
-		emit(Match{Rec: m.Rec, Overlap: o, Sim: sim})
+		emit(Match{Rec: m.Rec, Overlap: o, Sim: sim, id: m.Rec.ID})
 		if !found || betterIns(Insertion{Sim: sim, At: m.Rec.ID}, best) {
 			best, found = Insertion{Bundle: b, Sim: sim, At: m.Rec.ID}, true
 		}
@@ -630,24 +740,10 @@ func (s *Stats) mergeVerify(o *Stats) {
 // stops the walk.
 func (bx *Index) Dump(visit func(*record.Record) bool) {
 	for i := bx.head; i < len(bx.fifo); i++ {
-		fe := bx.fifo[i]
-		if fe.m == nil || fe.m.dead {
-			continue
-		}
-		if !visit(fe.m.Rec) {
+		if !visit(bx.fifo[i].m.Rec) {
 			return
 		}
 	}
-}
-
-// firstLive returns the first live member (nil when none).
-func firstLive(b *Bundle) *Member {
-	for _, m := range b.Members {
-		if !m.dead {
-			return m
-		}
-	}
-	return nil
 }
 
 // minRequired returns the smallest required overlap over member lengths in
@@ -670,16 +766,20 @@ func (bx *Index) InsertSingleton(r *record.Record) {
 
 // Insert places r into best's bundle when grouping conditions hold,
 // otherwise into a fresh singleton bundle, and extends the posting lists
-// with the record's unposted prefix tokens.
+// with the record's unposted prefix tokens. best must come from a Probe
+// with no Evict in between: eviction recycles bundles.
 func (bx *Index) Insert(r *record.Record, best Insertion) {
 	p := bx.params.PrefixLen(r.Len())
+	if p > r.Len() {
+		p = r.Len()
+	}
 	var (
 		target  *Bundle
 		newCore []tokens.Rank
 	)
 	if best.Bundle != nil && best.Sim >= bx.cfg.GroupThreshold-1e-12 {
 		b := best.Bundle
-		if b.live < bx.cfg.MaxMembers {
+		if len(b.Members) < bx.cfg.MaxMembers {
 			// Trial intersection in reused scratch: add() consumes it when
 			// the membership is accepted, so the merge runs exactly once
 			// and the rejected case allocates nothing.
@@ -695,33 +795,33 @@ func (bx *Index) Insert(r *record.Record, best Insertion) {
 		}
 	}
 	if target == nil {
-		bx.nextID++
 		target = bx.al.bundle()
-		target.ID = bx.nextID
 		bx.stats.Bundles++
 		bx.stats.LiveBundles++
 	} else {
 		bx.stats.Appends++
 	}
-	newPosts := target.add(&bx.al, bx.cfg.Kernel, r, p, newCore)
-	if bx.cfg.VerifyMode != VerifyTree {
-		// Pure tree mode never reads posting lists — and never compacts
-		// them (compaction lives in collectCandidates), so extending them
-		// would leak dead postings. Auto maintains both structures.
-		for _, tok := range newPosts {
-			bx.posts[tok] = append(bx.posts[tok], target)
-		}
-		bx.stats.Postings += uint64(len(newPosts))
+	// Pure tree mode never reads posting lists, so it posts nothing (a
+	// bundle with no postings is recycled the moment it dies). Auto
+	// maintains both structures.
+	posted := p
+	if bx.cfg.VerifyMode == VerifyTree {
+		posted = 0
 	}
+	newPosts := target.add(&bx.al, bx.cfg.Kernel, r, posted, newCore)
+	for _, tok := range newPosts {
+		bx.posts[tok] = append(bx.posts[tok], target)
+	}
+	bx.stats.Postings += uint64(len(newPosts))
+	if len(bx.posts) > bx.postsPeak {
+		bx.postsPeak = len(bx.posts)
+	}
+	m := target.Members[len(target.Members)-1]
 	if bx.maintainTree() {
-		pl := p
-		if pl > r.Len() {
-			pl = r.Len()
-		}
-		bx.treeInsert(target, target.Members[len(target.Members)-1], r.Tokens[:pl])
+		bx.treeInsert(target, m, r.Tokens[:p])
 	}
-	if uint64(target.live) > bx.stats.MaxBundleSize {
-		bx.stats.MaxBundleSize = uint64(target.live)
+	if n := uint64(len(target.Members)); n > bx.stats.MaxBundleSize {
+		bx.stats.MaxBundleSize = n
 	}
-	bx.fifo = append(bx.fifo, fifoEntry{b: target, m: target.Members[len(target.Members)-1]})
+	bx.fifo = append(bx.fifo, fifoEntry{b: target, m: m})
 }

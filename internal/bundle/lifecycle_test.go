@@ -1,0 +1,450 @@
+package bundle
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+	"unsafe"
+
+	"repro/internal/record"
+	"repro/internal/tokens"
+	"repro/internal/window"
+	"repro/internal/workload"
+)
+
+// checkInvariants asserts the index's object lifecycle — live → dead →
+// recycled — over the whole index: every live bundle's algebra and cached
+// length range, posting counts against the counters that gate the sweep,
+// and that nothing on a free list is still reachable or still holds state.
+func checkInvariants(t *testing.T, bx *Index) {
+	t.Helper()
+
+	liveB := make(map[*Bundle]bool)
+	liveM := make(map[*Member]bool)
+	for i, fe := range bx.fifo {
+		if i < bx.head {
+			if fe != (fifoEntry{}) {
+				t.Fatalf("fifo[%d] before head not cleared", i)
+			}
+			continue
+		}
+		if liveM[fe.m] {
+			t.Fatalf("member %d queued twice", fe.m.Rec.ID)
+		}
+		liveM[fe.m], liveB[fe.b] = true, true
+	}
+	members := 0
+	for b := range liveB {
+		checkBundle(t, b)
+		for _, m := range b.Members {
+			if !liveM[m] {
+				t.Fatalf("bundle holds member %d that the window does not", m.Rec.ID)
+			}
+		}
+		members += len(b.Members)
+	}
+	if members != len(liveM) {
+		t.Fatalf("bundles hold %d members, window holds %d", members, len(liveM))
+	}
+	if got := bx.stats.LiveBundles; got != uint64(len(liveB)) {
+		t.Fatalf("LiveBundles %d, recount %d", got, len(liveB))
+	}
+
+	// Every posting belongs to a live bundle that lists its token, or to a
+	// dead bundle that only counts it; spare list capacity is zeroed.
+	perBundle := make(map[*Bundle]int)
+	var total, dead uint64
+	for tok, list := range bx.posts {
+		if len(list) == 0 {
+			t.Fatalf("empty posting list kept under token %d", tok)
+		}
+		for _, b := range list {
+			total++
+			perBundle[b]++
+			switch {
+			case len(b.Members) == 0:
+				dead++
+			case !liveB[b]:
+				t.Fatalf("posting under token %d references a bundle outside the window", tok)
+			case !b.hasPosted(tok):
+				t.Fatalf("live bundle posted under token %d without recording it", tok)
+			}
+		}
+		for _, b := range list[len(list):cap(list)] {
+			if b != nil {
+				t.Fatalf("posting list %d keeps a bundle reachable through spare capacity", tok)
+			}
+		}
+	}
+	if total != bx.stats.Postings || dead != bx.deadPosts {
+		t.Fatalf("postings %d (dead %d), counters say %d (dead %d)", total, dead, bx.stats.Postings, bx.deadPosts)
+	}
+	if dead > total-dead+sweepFloor {
+		t.Fatalf("%d dead postings against %d live: the sweep bound does not hold", dead, total-dead)
+	}
+	for b := range liveB {
+		perBundle[b] += 0 // a live bundle may have no posting at all (tree-only mode)
+	}
+	for b, n := range perBundle {
+		if n != len(b.posted) {
+			t.Fatalf("bundle has %d postings, posted counts %d", n, len(b.posted))
+		}
+	}
+	if bx.cfg.VerifyMode == VerifyTree && total != 0 {
+		t.Fatalf("tree-only index holds %d postings", total)
+	}
+
+	// Free lists: zero apart from retained capacity, unreachable.
+	treeB := make(map[*Bundle]bool)
+	treeM := make(map[*Member]bool)
+	if bx.root != nil {
+		var walk func(n *treeNode)
+		walk = func(n *treeNode) {
+			for _, le := range n.leaf {
+				treeB[le.b], treeM[le.m] = true, true
+			}
+			for _, c := range n.children {
+				walk(c)
+			}
+		}
+		walk(bx.root)
+	}
+	for _, m := range bx.al.freeM {
+		if m.Rec != nil || m.Delta != nil || (m.cold != nil && m.cold.ok != [2]bool{}) {
+			t.Fatalf("recycled member not reset: %+v", *m)
+		}
+		if liveM[m] || treeM[m] {
+			t.Fatal("free-listed member still reachable")
+		}
+	}
+	for _, b := range bx.al.freeB {
+		if len(b.Members) != 0 || len(b.posted) != 0 || b.Core != nil || b.Union != nil ||
+			b.lastSeen != 0 || b.minLen != 0 || b.maxLen != 0 || b.peak != 0 || b.unionOwned ||
+			(b.cold != nil && b.cold.ok != [2]bool{}) {
+			t.Fatalf("recycled bundle not reset: %+v", *b)
+		}
+		for _, m := range b.Members[:cap(b.Members)] {
+			if m != nil {
+				t.Fatal("recycled bundle keeps a member reachable through spare capacity")
+			}
+		}
+		if liveB[b] || treeB[b] || perBundle[b] != 0 {
+			t.Fatal("free-listed bundle still reachable")
+		}
+	}
+}
+
+// wideStream is duplicateHeavyStream over a universe so wide that a probe
+// rarely walks the list a dead posting sits in: the shape on which dead
+// postings pile up and only the sweep can bound them.
+func wideStream(seed int64, n int) []*record.Record {
+	return duplicateHeavyStream(rand.New(rand.NewSource(seed)), n, 6000)
+}
+
+// TestLifecycleSmallWindow runs every verify mode, sequential and pooled,
+// over a window small enough that every object is recycled many times,
+// checking the lifecycle invariants after every step, the match stream
+// against the collect reference, and that recycling and sweeping actually
+// happened.
+func TestLifecycleSmallWindow(t *testing.T) {
+	const win = 140 // above autoTreeMinLive, so auto probes through the tree
+	stream := wideStream(101, 1500)
+	want, _ := runSequential(stream, 0.6, window.Count{N: win}, Config{})
+	if len(want) == 0 {
+		t.Fatal("degenerate workload: no matches")
+	}
+	for _, mode := range []VerifyMode{VerifyCollect, VerifyTree, VerifyAuto} {
+		for _, p := range []int{1, 3} {
+			label := fmt.Sprintf("mode=%v P=%d", mode, p)
+			bx := New(params(0.6), window.Count{N: win}, Config{VerifyMode: mode})
+			pool := NewPool(p)
+			var got []emitted
+			var peak uint64 // bundles in use: live, plus dead ones awaiting their last posting
+			for _, r := range stream {
+				processPar(bx, pool, r, func(m Match) {
+					got = append(got, emitted{r.ID, m.Rec.ID, m.Overlap, m.Sim})
+				})
+				checkInvariants(t, bx)
+				if n := bx.stats.LiveBundles + bx.deadPosts; n > peak {
+					peak = n
+				}
+			}
+			pool.Close()
+			requireStreams(t, label, got, want, Stats{}, Stats{})
+
+			// Inserts are served from the free lists: the slabs cover the
+			// most objects ever in use at once, not the stream.
+			st := bx.Stats()
+			if carved := uint64(bx.al.bundleChunks * bundleChunk); bx.al.memberChunks != 1 || carved > peak+bundleChunk {
+				t.Fatalf("%s: %d member chunks; %d bundles carved, at most %d in use at once",
+					label, bx.al.memberChunks, carved, peak)
+			}
+			if st.LiveBundles == 0 || st.LiveBundles > win+1 || st.LiveBundles >= st.Bundles {
+				t.Fatalf("%s: LiveBundles=%d of %d ever created", label, st.LiveBundles, st.Bundles)
+			}
+			if mode == VerifyTree {
+				if st.Postings != 0 || st.DeadPostSkips != 0 || st.RebuildSweeps != 0 {
+					t.Fatalf("%s: tree-only index touched posting lists: %+v", label, st)
+				}
+				continue
+			}
+			if st.RebuildSweeps == 0 || st.DeadPostSkips == 0 {
+				t.Fatalf("%s: sweeps=%d dead postings dropped=%d", label, st.RebuildSweeps, st.DeadPostSkips)
+			}
+		}
+	}
+}
+
+// TestSweepAfterBurst evicts a whole burst at once under a time window:
+// one sweep must return the index — posting lists, the map behind them,
+// every bundle and member — to the size of what is live.
+func TestSweepAfterBurst(t *testing.T) {
+	const burst = 3000
+	bx := New(params(0.6), window.Time{Span: 10}, Config{})
+	for i, r := range wideStream(113, burst) {
+		r.Time = int64(i) / burst // all of the burst inside one span
+		bx.Process(r, func(Match) {})
+	}
+	checkInvariants(t, bx)
+	keys, st := len(bx.posts), bx.Stats()
+	if st.RebuildSweeps != 0 || st.LiveMembers != burst || keys < burst/2 {
+		t.Fatalf("burst not resident: sweeps=%d members=%d keys=%d", st.RebuildSweeps, st.LiveMembers, keys)
+	}
+	late := rec(burst, 1, 2, 3)
+	late.Time = 1000
+	bx.Process(late, func(Match) {})
+	checkInvariants(t, bx)
+	st = bx.Stats()
+	if st.RebuildSweeps != 1 || st.LiveMembers != 1 || st.LiveBundles != 1 || st.Postings != uint64(len(bx.posts)) {
+		t.Fatalf("after the burst expired: %+v", st)
+	}
+	if bx.postsPeak != len(bx.posts) {
+		t.Fatalf("posting map not rebuilt: %d keys, peak still %d", len(bx.posts), bx.postsPeak)
+	}
+	if free := len(bx.al.freeB) + 1; free != bx.al.bundleChunks*bundleChunk-len(bx.al.bundles) {
+		t.Fatalf("%d bundles free or live, %d carved", free, bx.al.bundleChunks*bundleChunk-len(bx.al.bundles))
+	}
+}
+
+// emitByRecID is the insertion sort emitCanonical used before matches
+// carried their key, kept as the order reference.
+func emitByRecID(ms []Match) {
+	for i := 1; i < len(ms); i++ {
+		for j := i; j > 0 && ms[j].Rec.ID < ms[j-1].Rec.ID; j-- {
+			ms[j], ms[j-1] = ms[j-1], ms[j]
+		}
+	}
+}
+
+// matchRuns fills a probe buffer the way verification does: n matches with
+// distinct partner IDs, as a concatenation of short ascending runs.
+func matchRuns(rng *rand.Rand, n int) []Match {
+	ms := make([]Match, n)
+	for i, id := range rng.Perm(n) {
+		r := &record.Record{ID: record.ID(id)}
+		ms[i] = Match{Rec: r, Overlap: id, Sim: float64(id), id: r.ID}
+	}
+	for lo := 0; lo < n; {
+		hi := min(n, lo+1+rng.Intn(6))
+		emitByRecID(ms[lo:hi])
+		lo = hi
+	}
+	return ms
+}
+
+// TestEmitCanonicalOrder pins the emission order on both sides of the
+// sort cut-over against the reference sort.
+func TestEmitCanonicalOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	for _, n := range []int{1, emitSortCutover, emitSortCutover + 1, 1000} {
+		bx := New(params(0.8), window.Unbounded{}, Config{})
+		bx.emitBuf = matchRuns(rng, n)
+		want := append([]Match(nil), bx.emitBuf...)
+		emitByRecID(want)
+		var got []Match
+		bx.emitCanonical(func(m Match) { got = append(got, m) })
+		if len(got) != n {
+			t.Fatalf("n=%d: emitted %d", n, len(got))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: position %d is partner %d, want %d", n, i, got[i].Rec.ID, want[i].Rec.ID)
+			}
+		}
+	}
+}
+
+// heapInuse is the Go heap in use after a collection.
+func heapInuse() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapInuse
+}
+
+// TestIndexStateBoundedByWindow is the memory bound: after a stream many
+// windows long the index holds state for the window, not for the stream.
+// Every assertion but the last is on a deterministic count.
+func TestIndexStateBoundedByWindow(t *testing.T) {
+	// Tree probes cost tens of times a collect probe, so the modes that
+	// maintain the tree get a smaller window; every stream is still 20 or
+	// more windows long.
+	cases := []struct {
+		mode    VerifyMode
+		pool    int
+		win     int
+		records int
+	}{
+		{VerifyCollect, 1, 2000, 200_000},
+		{VerifyCollect, 3, 2000, 40_000},
+		{VerifyTree, 1, 500, 10_000},
+		{VerifyTree, 3, 500, 10_000},
+		{VerifyAuto, 1, 500, 10_000},
+		{VerifyAuto, 3, 500, 10_000},
+	}
+	for _, tc := range cases {
+		label := fmt.Sprintf("mode=%v P=%d", tc.mode, tc.pool)
+		p := params(0.8)
+		bx := New(p, window.Count{N: int64(tc.win)}, Config{VerifyMode: tc.mode})
+		pool := NewPool(tc.pool)
+		gen := workload.NewGenerator(workload.TweetLike(42))
+		var peakLive, heapEarly uint64
+		for i := 0; i < tc.records; i++ {
+			processPar(bx, pool, gen.Next(), func(Match) {})
+			if bx.stats.LiveBundles > peakLive {
+				peakLive = bx.stats.LiveBundles
+			}
+			if i+1 == tc.records/4 {
+				heapEarly = heapInuse()
+			}
+		}
+		pool.Close()
+		heapEnd := heapInuse()
+
+		// The same window in an index that never saw the rest of the stream.
+		fresh := New(p, window.Unbounded{}, Config{VerifyMode: tc.mode})
+		bx.Dump(func(r *record.Record) bool {
+			best, _ := fresh.Probe(r, func(Match) {})
+			fresh.Insert(r, best)
+			return true
+		})
+		st, fst := bx.Stats(), fresh.Stats()
+		if st.LiveMembers != fst.LiveMembers || st.LiveMembers < uint64(tc.win) {
+			t.Fatalf("%s: window holds %d members, reload %d", label, st.LiveMembers, fst.LiveMembers)
+		}
+		t.Logf("%s: postings %d/%d tokens %d/%d (index/reload), bundles carved %d peak live %d, members carved %d, heap %d -> %d KiB, sweeps %d",
+			label, st.Postings, fst.Postings, len(bx.posts), len(fresh.posts), bx.al.bundleChunks*bundleChunk, peakLive,
+			bx.al.memberChunks*memberChunk, heapEarly>>10, heapEnd>>10, st.RebuildSweeps)
+		if st.Postings > 3*fst.Postings || len(bx.posts) > 3*len(fresh.posts) {
+			t.Errorf("%s: %d postings under %d tokens; the live window alone needs %d under %d",
+				label, st.Postings, len(bx.posts), fst.Postings, len(fresh.posts))
+		}
+		if carved := bx.al.bundleChunks * bundleChunk; uint64(carved) > 3*peakLive+bundleChunk {
+			t.Errorf("%s: %d bundles carved, peak live %d", label, carved, peakLive)
+		}
+		if carved := bx.al.memberChunks * memberChunk; carved > tc.win+memberChunk {
+			t.Errorf("%s: %d members carved for a window of %d", label, carved, tc.win)
+		}
+		if heapEnd*2 > heapEarly*3 {
+			t.Errorf("%s: heap in use %d KiB after %d records, %d KiB after %d",
+				label, heapEnd>>10, tc.records, heapEarly>>10, tc.records/4)
+		}
+	}
+}
+
+// wideBundles builds an index of n bundles, each grown to per members
+// (AOL-like short records around a shared core), and returns it with
+// probes that hit them.
+func wideBundles(n, per int) (*Index, []*record.Record) {
+	rng := rand.New(rand.NewSource(107))
+	bx := New(params(0.6), window.Unbounded{}, Config{MaxMembers: per})
+	var probes []*record.Record
+	id := record.ID(0)
+	for b := 0; b < n; b++ {
+		base := tokens.Rank(b * 16)
+		for k := 0; k < per; k++ {
+			// Four shared tokens plus one of four variable ones: lengths 4–5,
+			// pairwise Jaccard >= 4/6.
+			set := []tokens.Rank{base, base + 1, base + 2, base + 3}
+			if k > 0 {
+				set = append(set, base+4+tokens.Rank(rng.Intn(4)))
+			}
+			bx.Process(&record.Record{ID: id, Time: int64(id), Tokens: set}, func(Match) {})
+			id++
+		}
+		probes = append(probes, &record.Record{ID: id, Time: int64(id), Tokens: []tokens.Rank{base, base + 1, base + 2, base + 3, base + 8}})
+		id++
+	}
+	return bx, probes
+}
+
+// BenchmarkProbeWideBundles probes bundles at the member cap: the
+// per-candidate bundle filters must not walk the members, and the probe
+// path (collect, filter, verify, canonical emit) must not allocate.
+func BenchmarkProbeWideBundles(b *testing.B) {
+	bx, probes := wideBundles(64, 64)
+	if bx.Stats().MaxBundleSize != 64 {
+		b.Fatalf("bundles grew to %d members, want 64", bx.Stats().MaxBundleSize)
+	}
+	results := 0
+	emit := func(Match) { results++ }
+	for _, r := range probes { // warm the scratch buffers
+		bx.Probe(r, emit)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bx.Probe(probes[i%len(probes)], emit)
+	}
+	if results == 0 {
+		b.Fatal("probes matched nothing")
+	}
+}
+
+// BenchmarkEmitCanonical sorts and flushes one probe's matches on both
+// sides of the sort cut-over; 0 allocs/op is gated in CI.
+func BenchmarkEmitCanonical(b *testing.B) {
+	for _, n := range []int{8, 64, 1024} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			bx := New(params(0.8), window.Unbounded{}, Config{})
+			src := matchRuns(rand.New(rand.NewSource(109)), n)
+			emit := func(Match) {}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bx.emitBuf = append(bx.emitBuf[:0], src...)
+				bx.emitCanonical(emit)
+			}
+		})
+	}
+}
+
+// BenchmarkInsertEvictSteadyState streams tweet-like records through a
+// full 2 000-record window: every op is one eviction, one probe and one
+// insert. allocs/op shows what the recycled path still allocates.
+func BenchmarkInsertEvictSteadyState(b *testing.B) {
+	const win = 2000
+	bx := New(params(0.8), window.Count{N: win}, Config{})
+	gen := workload.NewGenerator(workload.TweetLike(42))
+	for i := 0; i < 5*win; i++ {
+		bx.Process(gen.Next(), func(Match) {})
+	}
+	recs := gen.Generate(b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, r := range recs {
+		bx.Process(r, func(Match) {})
+	}
+}
+
+// TestHotStructSizes pins the hot/cold split: a slab of members or bundles
+// is what a probe walks, so their size is cache lines per candidate and
+// bytes per record (the packed caches are behind a pointer for this).
+func TestHotStructSizes(t *testing.T) {
+	if m, b := unsafe.Sizeof(Member{}), unsafe.Sizeof(Bundle{}); m > 48 || b > 160 {
+		t.Fatalf("Member is %d B (limit 48), Bundle %d B (limit 160)", m, b)
+	} else {
+		t.Logf("Member %d B, Bundle %d B, Match %d B", m, b, unsafe.Sizeof(Match{}))
+	}
+}

@@ -234,7 +234,7 @@ func (bx *Index) treeInsert(b *Bundle, m *Member, prefix []tokens.Rank) {
 // treeRemove detaches m's leaf entry, decrementing counts up the path,
 // dropping emptied nodes, and rebuilding aggregates of any node whose
 // live count fell to half its peak (the same shrink heuristic as
-// Bundle.removeDead — amortized O(subtree) over a halving).
+// Bundle.remove — amortized O(subtree) over a halving).
 func (bx *Index) treeRemove(m *Member, prefix []tokens.Rank) {
 	bx.treeRemoveAt(bx.root, m, prefix)
 }
@@ -457,13 +457,7 @@ func (w *treeWalk) verifyLeaf(le *leafEntry, jr, acc, depth int, matched bool) {
 		return
 	}
 	kern := w.bx.cfg.Kernel
-	ap, bp := &w.bx.probeP, &y.full
-	if !w.bx.probeOK {
-		ap = nil
-	}
-	if !y.fullOK {
-		bp = nil
-	}
+	ap, bp := w.bx.probeP, y.cold.at(slotFull)
 	var (
 		o, steps int
 		ok       bool
@@ -493,7 +487,7 @@ func (w *treeWalk) verifyLeaf(le *leafEntry, jr, acc, depth int, matched bool) {
 	}
 	sim := similarity.FromOverlap(w.bx.params.Func, o, w.la, ly)
 	w.st.Results++
-	w.collect(Match{Rec: y.Rec, Overlap: o, Sim: sim})
+	w.collect(Match{Rec: y.Rec, Overlap: o, Sim: sim, id: y.Rec.ID})
 	if !w.found || betterIns(Insertion{Sim: sim, At: y.Rec.ID}, w.best) {
 		w.best = Insertion{Bundle: le.b, Sim: sim, At: y.Rec.ID}
 		w.found = true
@@ -526,7 +520,7 @@ func (w *treeWalk) expandRoot(dst []*treeNode) []*treeNode {
 // tree already verified.
 func (bx *Index) probeTree(r *record.Record, emit func(Match)) (best Insertion, ok bool) {
 	bx.stats.TreeProbes++
-	packIf(bx.cfg.Kernel, &bx.probeP, &bx.probeOK, r.Tokens)
+	bx.packProbe(r)
 	w := &bx.tw
 	w.prep(bx, r)
 	w.st, w.collect = &bx.stats, bx.emitAppend

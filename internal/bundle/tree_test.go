@@ -120,10 +120,7 @@ func checkTree(t *testing.T, bx *Index) {
 	}
 	live := make(map[*Member]bool)
 	for i := bx.head; i < len(bx.fifo); i++ {
-		fe := bx.fifo[i]
-		if fe.m != nil && !fe.m.dead {
-			live[fe.m] = true
-		}
+		live[bx.fifo[i].m] = true
 	}
 	seen := make(map[*Member]bool)
 	var nodes uint64
@@ -195,35 +192,58 @@ func checkTree(t *testing.T, bx *Index) {
 
 // TestTreeMaintenanceEvictionHeavy churns the tree with a tiny sliding
 // window — every record inserts one path and evicts roughly one member —
-// while probing continuously, then checks full structural invariants at
-// several points. Run under -race in CI, it also exercises the
-// fanned-descent happens-before edges.
+// while probing continuously, checking the lifecycle invariants of both
+// indexes after every step and full tree structure at several points. Run
+// under -race in CI, it also exercises the fanned-descent happens-before
+// edges. The narrow universe keeps every posting list hot, so probes
+// compact dead postings themselves; the wide one leaves them to the sweep.
 func TestTreeMaintenanceEvictionHeavy(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	stream := duplicateHeavyStream(rng, 1200, 35)
-	for _, p := range []int{1, 3} {
-		bxTree := New(params(0.6), window.Count{N: 40}, Config{VerifyMode: VerifyTree})
-		bxColl := New(params(0.6), window.Count{N: 40}, Config{})
-		pool := NewPool(p)
-		var treeOut, collOut []emitted
-		for i, r := range stream {
-			processPar(bxTree, pool, r, func(m Match) {
-				treeOut = append(treeOut, emitted{r.ID, m.Rec.ID, m.Overlap, m.Sim})
-			})
-			bxColl.Process(r, func(m Match) {
-				collOut = append(collOut, emitted{r.ID, m.Rec.ID, m.Overlap, m.Sim})
-			})
-			if i%250 == 0 || i == len(stream)-1 {
-				checkTree(t, bxTree)
+	for _, universe := range []int{35, 6000} {
+		rng := rand.New(rand.NewSource(79))
+		stream := duplicateHeavyStream(rng, 1200, universe)
+		for _, p := range []int{1, 3} {
+			label := fmt.Sprintf("eviction-heavy universe=%d P=%d", universe, p)
+			bxTree := New(params(0.6), window.Count{N: 40}, Config{VerifyMode: VerifyTree})
+			bxColl := New(params(0.6), window.Count{N: 40}, Config{})
+			pool := NewPool(p)
+			var treeOut, collOut []emitted
+			for i, r := range stream {
+				processPar(bxTree, pool, r, func(m Match) {
+					treeOut = append(treeOut, emitted{r.ID, m.Rec.ID, m.Overlap, m.Sim})
+				})
+				bxColl.Process(r, func(m Match) {
+					collOut = append(collOut, emitted{r.ID, m.Rec.ID, m.Overlap, m.Sim})
+				})
+				checkInvariants(t, bxTree)
+				checkInvariants(t, bxColl)
+				if i%250 == 0 || i == len(stream)-1 {
+					checkTree(t, bxTree)
+				}
 			}
-		}
-		pool.Close()
-		requireStreams(t, fmt.Sprintf("eviction-heavy P=%d", p), treeOut, collOut, Stats{}, Stats{})
-		if bxTree.stats.Evicted == 0 {
-			t.Fatal("window never evicted")
-		}
-		if bxTree.stats.TreeSubtreesPruned == 0 {
-			t.Fatal("tree never pruned a subtree")
+			pool.Close()
+			requireStreams(t, label, treeOut, collOut, Stats{}, Stats{})
+			if bxTree.stats.Evicted == 0 {
+				t.Fatal("window never evicted")
+			}
+			if universe == 35 && bxTree.stats.TreeSubtreesPruned == 0 {
+				t.Fatal("tree never pruned a subtree")
+			}
+
+			// checkInvariants recounted LiveBundles and Postings at every
+			// step; what is left is that the counters moved, and how.
+			ct, tt := bxColl.Stats(), bxTree.Stats()
+			if ct.LiveBundles == 0 || ct.LiveBundles > 41 || ct.LiveBundles != tt.LiveBundles {
+				t.Fatalf("%s: LiveBundles collect=%d tree=%d in a 40-record window", label, ct.LiveBundles, tt.LiveBundles)
+			}
+			if tt.Postings != 0 || tt.DeadPostSkips != 0 || tt.RebuildSweeps != 0 {
+				t.Fatalf("%s: tree-only index touched posting lists: %+v", label, tt)
+			}
+			if ct.Postings == 0 || ct.DeadPostSkips == 0 {
+				t.Fatalf("%s: Postings=%d DeadPostSkips=%d", label, ct.Postings, ct.DeadPostSkips)
+			}
+			if universe == 6000 && ct.RebuildSweeps == 0 {
+				t.Fatalf("%s: dead postings no probe walks were never swept", label)
+			}
 		}
 	}
 }

@@ -4,7 +4,10 @@
 // self-append idiom, and suppression.
 package allocfix
 
-import "strconv"
+import (
+	"slices"
+	"strconv"
+)
 
 // grow appends into a new variable: a growth allocation.
 //
@@ -42,6 +45,17 @@ func viaCall(n int) []int {
 func external(v int) string {
 	return strconv.Itoa(v) // want "not verified alloc-free"
 }
+
+// sortsInPlace uses the one allowlisted function of package slices with a
+// declared comparator; the rest of the package stays unverified.
+//
+// hotpath: zero-alloc
+func sortsInPlace(xs []int) []int {
+	slices.SortFunc(xs, cmpInt)
+	return slices.Clone(xs) // want "not verified alloc-free"
+}
+
+func cmpInt(a, b int) int { return a - b }
 
 // closes builds a closure on the hot path.
 //
