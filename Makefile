@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build lint lint-update-baseline test test-norace race cover bench bench-selftest experiments fuzz fuzz-smoke clean
+.PHONY: all build lint lint-update-baseline test test-norace race cover bench bench-selftest bench-pairs experiments fuzz fuzz-smoke clean
 
 all: build lint test
 
@@ -42,6 +42,14 @@ bench:
 # root never sees the performance gate's self-tests; this runs them.
 bench-selftest:
 	go -C bench test ./...
+
+# Judge a change against its parent: N alternating parent/change runs of
+# the whole benchmark, the -compare table and the per-pair win counts.
+#   make bench-pairs PARENT=HEAD~1 N=10 [WORKLOADS="tweet_text_local"]
+N ?= 10
+bench-pairs:
+	@test -n "$(PARENT)" || { echo "usage: make bench-pairs PARENT=<rev> [N=10] [WORKLOADS=...]" >&2; exit 2; }
+	bash scripts/bench-pairs.sh $(PARENT) $(N) $(WORKLOADS)
 
 # Regenerate every paper table/figure (EXPERIMENTS.md documents them).
 experiments:

@@ -38,6 +38,12 @@ func (b *BiStream) add(tokenSet []uint32, left bool) (uint64, []Match) {
 	set := make([]tokens.Rank, len(tokenSet))
 	copy(set, tokenSet)
 	r := &record.Record{ID: b.nextID, Time: b.tick, Tokens: tokens.Dedup(set)}
+	return b.addRecord(r, left)
+}
+
+// addRecord joins r, which already carries the next ID and tick and a
+// sorted, deduplicated token set it owns, against the other side.
+func (b *BiStream) addRecord(r *record.Record, left bool) (uint64, []Match) {
 	b.nextID++
 	b.tick++
 	b.scratch = b.scratch[:0]

@@ -31,8 +31,8 @@ import (
 // and are trusted (their signatures are still checked for boxing at the
 // call site); the benchmark remains the gate for those. Calls into the
 // standard library are allowed only for packages known alloc-free on
-// these paths (sync, sync/atomic, time, math, math/bits, errors.Is);
-// anything else is reported as unverifiable.
+// these paths (sync, sync/atomic, time, math, math/bits, unicode,
+// unicode/utf8); anything else is reported as unverifiable.
 var AllocCheck = &Analyzer{
 	Name: "allocheck",
 	Doc:  "functions marked `// hotpath: zero-alloc` (and their call trees) must not allocate",
@@ -88,13 +88,17 @@ type allocSummary struct {
 
 // allocSafeStdlib lists standard-library packages whose functions are
 // trusted not to allocate on the paths hot code uses (sync.Pool recycles,
-// atomics and time reads are value-returning).
+// atomics and time reads are value-returning, the unicode predicates and
+// UTF-8 codecs are table lookups and arithmetic; utf8.AppendRune grows its
+// argument the way the allowed `x = append(x, ...)` does).
 var allocSafeStdlib = map[string]bool{
-	"sync":        true,
-	"sync/atomic": true,
-	"time":        true,
-	"math":        true,
-	"math/bits":   true,
+	"sync":         true,
+	"sync/atomic":  true,
+	"time":         true,
+	"math":         true,
+	"math/bits":    true,
+	"unicode":      true,
+	"unicode/utf8": true,
 }
 
 // allocSafeStdlibFuncs lists single functions of packages that cannot be

@@ -7,6 +7,8 @@ package allocfix
 import (
 	"slices"
 	"strconv"
+	"unicode"
+	"unicode/utf8"
 )
 
 // grow appends into a new variable: a growth allocation.
@@ -56,6 +58,22 @@ func sortsInPlace(xs []int) []int {
 }
 
 func cmpInt(a, b int) int { return a - b }
+
+// lowers decodes, classifies and re-encodes runes: unicode and
+// unicode/utf8 are allowlisted, and AppendRune in the self-assign form
+// grows its argument like append.
+//
+// hotpath: zero-alloc
+func lowers(dst []byte, s string) []byte {
+	for i := 0; i < len(s); {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if !unicode.IsSpace(r) {
+			dst = utf8.AppendRune(dst, unicode.ToLower(r))
+		}
+		i += size
+	}
+	return dst
+}
 
 // closes builds a closure on the hot path.
 //

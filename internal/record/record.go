@@ -52,42 +52,45 @@ func (r *Record) Overlap(s *Record) int {
 	return o
 }
 
-// Builder converts raw text into Records: tokenize, intern, observe
-// frequencies, map to ranks, dedup, and stamp with the next ID. A Builder
-// owns its dictionary and ordering; it is not safe for concurrent use.
+// Builder converts raw text into Records in one pass per text: scan,
+// intern, count document frequency, map to ranks, sort, and stamp with the
+// next ID. A Builder owns its dictionary and ordering; it is not safe for
+// concurrent use. Its scratch buffers are reused from text to text, so in
+// steady state a record costs the one allocation of its rank slice.
 type Builder struct {
 	Dict     *tokens.Dictionary
-	Order    *tokens.Ordering
+	Order    *tokens.Ordering // nil while only counting (BuildOrderingFromSample)
 	Tok      tokens.Tokenizer
 	nextID   ID
 	nextTime int64
+
+	onToken func(tok []byte) // b.token, bound once so a scan allocates no closure
+	text    []byte           // tokenizer scratch
+	ranks   []tokens.Rank    // ranks of the current text's distinct tokens
+	// seen[t] == epoch marks token t as already met in the current text.
+	// It is indexed by token id, so it never outgrows the dictionary, and
+	// is cleared only when epoch wraps around.
+	seen  []uint32
+	epoch uint32
 }
 
 // NewBuilder returns a Builder over an already-frozen ordering. Use
 // BuildOrderingFromSample to produce dict and order from a text sample.
 func NewBuilder(dict *tokens.Dictionary, order *tokens.Ordering, tok tokens.Tokenizer) *Builder {
-	return &Builder{Dict: dict, Order: order, Tok: tok}
+	b := &Builder{Dict: dict, Order: order, Tok: tok}
+	b.onToken = b.token
+	return b
 }
 
 // BuildOrderingFromSample interns and counts every token of every sample
 // text, then freezes a frequency ordering. It is the offline bootstrapping
 // step: streams built afterwards map unseen tokens to post-frozen ranks.
 func BuildOrderingFromSample(tok tokens.Tokenizer, sample []string) (*tokens.Dictionary, *tokens.Ordering) {
-	dict := tokens.NewDictionary()
+	b := NewBuilder(tokens.NewDictionary(), nil, tok)
 	for _, text := range sample {
-		seen := make(map[tokens.Token]struct{})
-		var set []tokens.Token
-		for _, w := range tok.Tokenize(text) {
-			id := dict.Intern(w)
-			if _, dup := seen[id]; dup {
-				continue
-			}
-			seen[id] = struct{}{}
-			set = append(set, id)
-		}
-		dict.Observe(set)
+		b.scan(text)
 	}
-	return dict, tokens.NewOrdering(dict)
+	return b.Dict, tokens.NewOrdering(b.Dict)
 }
 
 // SetCursor positions the builder's ID and time counters; the snapshot
@@ -98,30 +101,47 @@ func (b *Builder) SetCursor(nextID ID, nextTime int64) {
 	b.nextTime = nextTime
 }
 
+// scan runs text through the tokenizer and token. Afterwards the
+// dictionary has counted each distinct token of text once and, when there
+// is an ordering, b.ranks holds their ranks in order of first appearance.
+func (b *Builder) scan(text string) {
+	b.epoch++
+	if b.epoch == 0 {
+		clear(b.seen)
+		b.epoch = 1
+	}
+	b.ranks = b.ranks[:0]
+	b.text = b.Tok.Scan(text, b.text, b.onToken)
+}
+
+// token takes one scanned token: intern it and, the first time the current
+// text shows it, count it and rank it.
+func (b *Builder) token(tok []byte) {
+	id := b.Dict.InternBytes(tok)
+	for int(id) >= len(b.seen) {
+		b.seen = append(b.seen, 0)
+	}
+	if b.seen[id] == b.epoch {
+		return
+	}
+	b.seen[id] = b.epoch
+	b.Dict.ObserveOne(id)
+	if b.Order != nil {
+		b.ranks = append(b.ranks, b.Order.RankOf(id))
+	}
+}
+
 // FromText builds the next record from raw text, accruing document
 // frequencies in the dictionary as it goes (the frozen ordering is
 // unaffected until an explicit refresh rebuilds it from the accumulated
 // counts). Empty token sets yield a record with zero length; callers
-// typically drop those.
+// typically drop those. The record owns its token slice and keeps no
+// reference to text.
 func (b *Builder) FromText(text string) Record {
-	words := b.Tok.Tokenize(text)
-	ids := make([]tokens.Token, 0, len(words))
-	seen := make(map[tokens.Token]struct{}, len(words))
-	for _, w := range words {
-		id := b.Dict.Intern(w)
-		if _, dup := seen[id]; dup {
-			continue
-		}
-		seen[id] = struct{}{}
-		ids = append(ids, id)
-	}
-	b.Dict.Observe(ids)
-	ranks := make([]tokens.Rank, 0, len(ids))
-	for _, id := range ids {
-		ranks = append(ranks, b.Order.RankOf(id))
-	}
-	ranks = tokens.Dedup(ranks)
-	r := Record{ID: b.nextID, Time: b.nextTime, Tokens: ranks}
+	b.scan(text)
+	ranks := tokens.Dedup(b.ranks)
+	r := Record{ID: b.nextID, Time: b.nextTime, Tokens: make([]tokens.Rank, len(ranks))}
+	copy(r.Tokens, ranks)
 	b.nextID++
 	b.nextTime++
 	return r

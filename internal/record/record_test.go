@@ -103,3 +103,22 @@ func TestBuildOrderingFromSampleCountsDocFreqNotTermFreq(t *testing.T) {
 			order.RankOf(a), order.RankOf(bb))
 	}
 }
+
+func TestFromTextDedupsAcrossEpochWrap(t *testing.T) {
+	b := buildTestBuilder([]string{"a b c"})
+	b.FromText("a b")
+	// The text after 2^32 - 1 others: marks left by earlier texts must not
+	// read as "already seen" once the counter starts over.
+	b.epoch = ^uint32(0)
+	for _, c := range []struct {
+		text string
+		want int
+	}{{"a a b", 2}, {"a b b c", 3}, {"c c", 1}} {
+		if r := b.FromText(c.text); len(r.Tokens) != c.want {
+			t.Fatalf("%q after the wrap: %d tokens, want %d", c.text, len(r.Tokens), c.want)
+		}
+	}
+	if f := b.Dict.Frequency(b.Dict.Intern("a")); f != 1+1+2 {
+		t.Fatalf("freq(a) = %d, want 4 (sample, then three texts)", f)
+	}
+}

@@ -32,6 +32,11 @@ func TestMonitorCountsSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Run returns on the worker's last frame; the worker counts the session
+	// finished when its handler returns, a moment later.
+	for deadline := time.Now().Add(5 * time.Second); mon.SessionsFinished.Load() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	snap := mon.Snapshot()
 	if snap["sessions_started"] != 1 || snap["sessions_finished"] != 1 || snap["sessions_failed"] != 0 {
 		t.Fatalf("session counters: %v", snap)

@@ -64,7 +64,7 @@ func LoadDictionary(r io.ByteReader) (*Dictionary, error) {
 			}
 			buf[j] = b
 		}
-		id := d.Intern(string(buf))
+		id := d.InternBytes(buf)
 		f, err := binary.ReadUvarint(r)
 		if err != nil {
 			return nil, fmt.Errorf("tokens: word %d freq: %w", i, err)
@@ -75,8 +75,9 @@ func LoadDictionary(r io.ByteReader) (*Dictionary, error) {
 }
 
 // Save serializes the ordering: the frozen rank table and the stable
-// post-frozen assignments, so restored pipelines map every known token to
-// the exact rank it had — which stored records depend on.
+// post-frozen assignments in ascending token order, so restored pipelines
+// map every known token to the exact rank it had — which stored records
+// depend on — and two saves of one state are byte-identical.
 func (o *Ordering) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var tmp [binary.MaxVarintLen64]byte
@@ -93,11 +94,20 @@ func (o *Ordering) Save(w io.Writer) error {
 			return err
 		}
 	}
-	if err := put(uint64(len(o.extra))); err != nil {
+	assigned := 0
+	for _, r := range o.extra {
+		if r != unassigned {
+			assigned++
+		}
+	}
+	if err := put(uint64(assigned)); err != nil {
 		return err
 	}
-	for tok, r := range o.extra {
-		if err := put(uint64(tok)); err != nil {
+	for k, r := range o.extra {
+		if r == unassigned {
+			continue
+		}
+		if err := put(uint64(o.frozen + k)); err != nil {
 			return err
 		}
 		if err := put(uint64(r)); err != nil {
@@ -110,7 +120,9 @@ func (o *Ordering) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadOrdering reads an ordering written by Save, binding it to dict.
+// LoadOrdering reads an ordering written by Save, binding it to dict, which
+// must already hold every token the ordering ranks. Post-frozen
+// assignments may come in any order.
 func LoadOrdering(r io.ByteReader, dict *Dictionary) (*Ordering, error) {
 	frozen, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -123,7 +135,6 @@ func LoadOrdering(r io.ByteReader, dict *Dictionary) (*Ordering, error) {
 		dict:   dict,
 		rank:   make([]Rank, frozen),
 		frozen: int(frozen),
-		extra:  make(map[Token]Rank),
 	}
 	for i := range o.rank {
 		v, err := binary.ReadUvarint(r)
@@ -148,7 +159,13 @@ func LoadOrdering(r io.ByteReader, dict *Dictionary) (*Ordering, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tokens: extra rank: %w", err)
 		}
-		o.extra[Token(tok)] = Rank(rk)
+		if tok < frozen || tok >= uint64(dict.Size()) {
+			return nil, fmt.Errorf("tokens: extra token %d outside post-frozen range [%d, %d)", tok, frozen, dict.Size())
+		}
+		if rk >= uint64(unassigned) {
+			return nil, fmt.Errorf("tokens: absurd extra rank %d", rk)
+		}
+		*o.slot(Token(tok)) = Rank(rk)
 	}
 	next, err := binary.ReadUvarint(r)
 	if err != nil {

@@ -3,6 +3,9 @@ package tokens
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -95,5 +98,95 @@ func TestLoadOrderingRejectsGarbage(t *testing.T) {
 	d := NewDictionary()
 	if _, err := LoadOrdering(bufio.NewReader(strings.NewReader("")), d); err == nil {
 		t.Fatal("empty accepted")
+	}
+}
+
+// lateOrdering returns a dictionary of 4 frozen and n later tokens whose
+// post-frozen ranks were assigned in an order unrelated to token order.
+func lateOrdering(n int) (*Dictionary, *Ordering) {
+	d := NewDictionary()
+	for _, w := range []string{"a", "b", "c", "d"} {
+		d.Observe([]Token{d.Intern(w)})
+	}
+	o := NewOrdering(d)
+	late := make([]Token, n)
+	for i := range late {
+		late[i] = d.Intern("late" + strconv.Itoa(i))
+	}
+	rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { late[i], late[j] = late[j], late[i] })
+	for _, id := range late[:n-n/8] { // some tokens stay unranked: holes in the table
+		o.RankOf(id)
+	}
+	return d, o
+}
+
+func TestOrderingSaveDeterministic(t *testing.T) {
+	_, o := lateOrdering(64)
+	var first, second bytes.Buffer
+	if err := o.Save(&first); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Save(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatal("two saves of one ordering differ")
+	}
+}
+
+// TestLoadOrderingAcceptsAnyExtraOrder: Save used to write post-frozen
+// assignments in map order, so snapshots exist with any permutation.
+func TestLoadOrderingAcceptsAnyExtraOrder(t *testing.T) {
+	d, o := lateOrdering(64)
+	type extra struct{ tok, rank uint64 }
+	var extras []extra
+	o.DumpRanks(func(id Token, r Rank) {
+		if int(id) >= 4 {
+			extras = append(extras, extra{uint64(id), uint64(r)})
+		}
+	})
+	if len(extras) != 56 {
+		t.Fatalf("%d post-frozen assignments, want 56", len(extras))
+	}
+
+	var section []byte
+	put := func(v uint64) { section = binary.AppendUvarint(section, v) }
+	put(4)
+	for id := Token(0); id < 4; id++ {
+		put(uint64(o.RankOf(id)))
+	}
+	put(uint64(len(extras)))
+	for i := len(extras) - 1; i >= 0; i-- { // descending token order
+		put(extras[i].tok)
+		put(extras[i].rank)
+	}
+	put(uint64(o.Universe()))
+
+	got, err := LoadOrdering(bytes.NewReader(section), d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, have bytes.Buffer
+	if err := o.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Save(&have); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(have.Bytes(), want.Bytes()) {
+		t.Fatal("an ordering loaded from descending extras saves differently from its source")
+	}
+}
+
+func TestLoadOrderingRejectsExtrasOutsideTheDictionary(t *testing.T) {
+	d, _ := lateOrdering(8)
+	for name, tok := range map[string]uint64{"frozen token": 3, "beyond the dictionary": uint64(d.Size())} {
+		var section []byte
+		for _, v := range []uint64{4, 0, 1, 2, 3, 1, tok, 4, 5} {
+			section = binary.AppendUvarint(section, v)
+		}
+		if _, err := LoadOrdering(bytes.NewReader(section), d); err == nil {
+			t.Errorf("%s accepted as a post-frozen assignment", name)
+		}
 	}
 }

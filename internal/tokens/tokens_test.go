@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDictionaryInternIsIdempotent(t *testing.T) {
@@ -235,4 +237,46 @@ func TestDedupPropertySortedUnique(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestInternCopiesItsArgument: a stored word must never alias the caller's
+// memory — a substring would pin its whole source line for the life of the
+// dictionary, and a reused buffer would corrupt the map key.
+func TestInternCopiesItsArgument(t *testing.T) {
+	line := strings.Repeat("x", 1<<20) + "apple"
+	d := NewDictionary()
+	id := d.Intern(line[len(line)-5:])
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(line)))
+	if p := uintptr(unsafe.Pointer(unsafe.StringData(d.Word(id)))); p >= lo && p < lo+uintptr(len(line)) {
+		t.Fatal("the stored word is a view into the 1 MiB source string")
+	}
+
+	buf := []byte("banana")
+	id = d.InternBytes(buf)
+	copy(buf, "cherry")
+	if w := d.Word(id); w != "banana" {
+		t.Fatalf("stored word changed to %q when the caller reused its buffer", w)
+	}
+	if got, ok := d.Lookup("banana"); !ok || got != id {
+		t.Fatalf("lookup after the buffer was reused: (%d,%v), want (%d,true)", got, ok, id)
+	}
+	if again := d.InternBytes([]byte("banana")); again != id || d.Size() != 2 {
+		t.Fatalf("re-intern: id %d size %d, want id %d size 2", again, d.Size(), id)
+	}
+	// AllocsPerRun's warm-up call interns "cherry"; the measured ones hit.
+	if n := testing.AllocsPerRun(100, func() { d.InternBytes(buf) }); n != 0 {
+		t.Fatalf("interning a known word allocates %v times", n)
+	}
+}
+
+func TestRankOfPanicsBeyondDictionary(t *testing.T) {
+	d := NewDictionary()
+	d.Intern("only")
+	o := NewOrdering(d)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RankOf of a token the dictionary never issued did not panic")
+		}
+	}()
+	o.RankOf(Token(1 << 30))
 }

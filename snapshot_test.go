@@ -2,6 +2,11 @@ package ssjoin
 
 import (
 	"bytes"
+	"math/rand"
+	"os"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -126,4 +131,109 @@ func TestRestoreTextStreamRejectsBadInput(t *testing.T) {
 	if _, err := RestoreTextStream(bytes.NewReader(buf.Bytes()), Config{Threshold: 0.8}, Tokenization(9)); err == nil {
 		t.Fatal("bad tokenization accepted")
 	}
+}
+
+// snapshotTexts is a deterministic stream for the text snapshot tests: a
+// skewed vocabulary so texts match each other, a tail of words the
+// bootstrap sample never saw so the ordering keeps assigning post-frozen
+// ranks, and casing and punctuation for the tokenizer to undo.
+func snapshotTexts(n int) []string {
+	rng := rand.New(rand.NewSource(14))
+	texts := make([]string, n)
+	for i := range texts {
+		var sb strings.Builder
+		for k, words := 0, 3+rng.Intn(6); k < words; k++ {
+			w := rng.Intn(12)
+			if rng.Intn(4) == 0 {
+				w = 12 + rng.Intn(40+i) // the vocabulary grows with the stream
+			}
+			word := "w" + strconv.Itoa(w)
+			switch rng.Intn(5) {
+			case 0:
+				word = strings.ToUpper(word)
+			case 1:
+				word = "(" + word + "),"
+			}
+			sb.WriteString(word)
+			sb.WriteByte(' ')
+		}
+		texts[i] = sb.String()
+	}
+	return texts
+}
+
+// continueBoth feeds texts to both streams and requires identical IDs and
+// identical matches, in order.
+func continueBoth(t *testing.T, a, b *TextStream, texts []string) {
+	t.Helper()
+	matched := 0
+	for _, text := range texts {
+		idA, msA := a.Add(text)
+		gotA := append([]Match(nil), msA...)
+		idB, msB := b.Add(text)
+		if idA != idB || !slices.Equal(gotA, msB) {
+			t.Fatalf("divergence on %q: (%d,%v) vs (%d,%v)", text, idA, gotA, idB, msB)
+		}
+		matched += len(gotA)
+	}
+	if matched == 0 {
+		t.Fatal("the continuation matched nothing, so it compared nothing")
+	}
+}
+
+// TestTextStreamSnapshotMidStream: a stream restored from a snapshot taken
+// mid-stream continues exactly as the uninterrupted one — same IDs, same
+// matches — and snapshotting one state twice gives the same bytes.
+func TestTextStreamSnapshotMidStream(t *testing.T) {
+	cfg := Config{Threshold: 0.6, WindowRecords: 64}
+	texts := snapshotTexts(600)
+	for _, tok := range []Tokenization{Words, QGrams} {
+		ts, err := NewTextStream(cfg, tok, texts[:50])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, text := range texts[:300] {
+			ts.Add(text)
+		}
+		var first, second bytes.Buffer
+		if err := ts.WriteSnapshot(&first); err != nil {
+			t.Fatal(err)
+		}
+		if err := ts.WriteSnapshot(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("two snapshots of one state differ")
+		}
+		restored, err := RestoreTextStream(bytes.NewReader(first.Bytes()), cfg, tok)
+		if err != nil {
+			t.Fatal(err)
+		}
+		continueBoth(t, ts, restored, texts[300:])
+	}
+}
+
+// TestRestoreTextStreamFromPR13Snapshot restores a snapshot written by the
+// commit before the dense post-frozen rank table (its extras are in map
+// order) and continues beside a stream that ingested the same 300 texts
+// under the current code.
+func TestRestoreTextStreamFromPR13Snapshot(t *testing.T) {
+	cfg := Config{Threshold: 0.6, WindowRecords: 64}
+	texts := snapshotTexts(600)
+	ts, err := NewTextStream(cfg, Words, texts[:50])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, text := range texts[:300] {
+		ts.Add(text)
+	}
+	snap, err := os.ReadFile("testdata/textstream_pr13.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreTextStream(bytes.NewReader(snap), cfg, Words)
+	if err != nil {
+		t.Fatal(err)
+	}
+	continueBoth(t, ts, restored, texts[300:])
 }

@@ -207,27 +207,17 @@ func NewTextBiStream(cfg Config, tok Tokenization, sample []string) (*TextBiStre
 	}, nil
 }
 
-func (t *TextBiStream) add(text string, right bool) (uint64, []Match) {
-	r := t.builder.FromText(text)
-	// The builder and BiStream each assign sequential IDs from zero, so
-	// they stay in lock step; tokens come from the shared builder.
-	set := make([]uint32, len(r.Tokens))
-	copy(set, r.Tokens)
-	if right {
-		return t.bi.AddRight(set)
-	}
-	return t.bi.AddLeft(set)
-}
-
 // AddLeft ingests one left-source text record and returns its matches
 // among stored right-source records.
 func (t *TextBiStream) AddLeft(text string) (id uint64, matches []Match) {
-	return t.add(text, false)
+	r := t.builder.FromText(text)
+	return t.bi.addRecord(&r, true)
 }
 
 // AddRight ingests one right-source text record symmetrically.
 func (t *TextBiStream) AddRight(text string) (id uint64, matches []Match) {
-	return t.add(text, true)
+	r := t.builder.FromText(text)
+	return t.bi.addRecord(&r, false)
 }
 
 // SizeLeft and SizeRight report stored records per source.
