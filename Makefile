@@ -64,8 +64,11 @@ fuzz:
 	go test -fuzz FuzzJoinMatchesBruteForce -fuzztime 15s ./internal/offline/
 	go test -fuzz FuzzIntersectKernels -fuzztime 15s ./internal/similarity/
 	go test -fuzz FuzzTreeVsCollect -fuzztime 15s ./internal/bundle/
+	go test -run '^$$' -fuzz FuzzSigBoundSound -fuzztime 15s ./internal/bundle/
+	go test -run '^$$' -fuzz FuzzIndexVsBruteForce -fuzztime 15s ./internal/bundle/
 
-# ~10s fuzz sanity pass for CI.
+# ~20s fuzz sanity pass for CI. The two signature targets skip the package's
+# unit tests (-run '^$$'), which the test step has already run.
 fuzz-smoke:
 	go test -fuzz FuzzReaderNeverPanics -fuzztime 2s ./internal/wire/
 	go test -fuzz FuzzRecordRoundTrip -fuzztime 2s ./internal/wire/
@@ -74,6 +77,8 @@ fuzz-smoke:
 	go test -fuzz FuzzJoinMatchesBruteForce -fuzztime 2s ./internal/offline/
 	go test -fuzz FuzzIntersectKernels -fuzztime 2s ./internal/similarity/
 	go test -fuzz FuzzTreeVsCollect -fuzztime 2s ./internal/bundle/
+	go test -run '^$$' -fuzz FuzzSigBoundSound -fuzztime 2s ./internal/bundle/
+	go test -run '^$$' -fuzz FuzzIndexVsBruteForce -fuzztime 2s ./internal/bundle/
 
 clean:
 	rm -rf internal/*/testdata/fuzz

@@ -14,23 +14,37 @@ import "repro/internal/tokens"
 // bound) and a steady-state insert allocates neither. Delta slices are
 // carved from rank chunks that the collector reclaims once every delta in
 // a chunk has been dropped. Owned by the single-writer index goroutine.
+//
+// Every bundle has a slot id — chunk index × bundleChunk + offset in the
+// chunk — fixed when it is carved and kept across death and recycling.
+// Posting lists hold slot ids instead of pointers (half the bytes, nothing
+// for the collector to scan, no write barrier on compaction), and per-bundle
+// side tables such as the signatures are addressed by it.
 type alloc struct {
 	members []Member
-	bundles []Bundle
+	bundles []Bundle // uncarved tail of the newest bundle chunk
 	freeM   []*Member
 	freeB   []*Bundle
 	chunk   []tokens.Rank
 	used    int
 
-	// memberChunks and bundleChunks count the slab chunks carved so far:
-	// the allocator's whole footprint in objects, which the window-bound
-	// test asserts on.
-	memberChunks, bundleChunks int
+	// bchunks is the bundle chunk directory, indexed by slot >> bundleShift.
+	// sigs runs parallel to it: the signatures of a chunk's bundles, nil
+	// until one of them takes a signature (see Bundle.add), so an index of
+	// short records never pays the 32 B per bundle.
+	bchunks []*[bundleChunk]Bundle
+	sigs    []*[bundleChunk]sig
+
+	// memberChunks counts the member slab chunks carved so far (len(bchunks)
+	// is the same for bundles): the allocator's whole footprint in objects,
+	// which the window-bound test asserts on.
+	memberChunks int
 }
 
 const (
 	memberChunk = 256
-	bundleChunk = 128
+	bundleShift = 7
+	bundleChunk = 1 << bundleShift
 	rankChunk   = 8192
 )
 
@@ -67,12 +81,39 @@ func (al *alloc) bundle() *Bundle {
 		return b
 	}
 	if len(al.bundles) == 0 {
-		al.bundles = make([]Bundle, bundleChunk)
-		al.bundleChunks++
+		c := new([bundleChunk]Bundle)
+		al.bchunks = append(al.bchunks, c)
+		al.sigs = append(al.sigs, nil)
+		al.bundles = c[:]
 	}
 	b := &al.bundles[0]
+	b.slot = uint32(len(al.bchunks)*bundleChunk - len(al.bundles))
 	al.bundles = al.bundles[1:]
 	return b
+}
+
+// at resolves a slot id to its bundle.
+//
+// hotpath: zero-alloc — once per posting scanned.
+func (al *alloc) at(slot uint32) *Bundle {
+	return &al.bchunks[slot>>bundleShift][slot&(bundleChunk-1)]
+}
+
+// sigAt returns the signature cell of a bundle that has one (hasSig); the
+// verify phase only ever reads it.
+//
+// hotpath: zero-alloc — once per signature check.
+func (al *alloc) sigAt(slot uint32) *sig {
+	return &al.sigs[slot>>bundleShift][slot&(bundleChunk-1)]
+}
+
+// sigCell is sigAt for the insert path, which gives a bundle its signature:
+// it allocates the chunk's signature block on first use.
+func (al *alloc) sigCell(slot uint32) *sig {
+	if c := slot >> bundleShift; al.sigs[c] == nil {
+		al.sigs[c] = new([bundleChunk]sig)
+	}
+	return al.sigAt(slot)
 }
 
 // freeBundle recycles a dead bundle (Bundle.remove already reset it) that

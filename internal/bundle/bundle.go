@@ -17,6 +17,8 @@
 package bundle
 
 import (
+	"math/bits"
+
 	"repro/internal/tokens"
 
 	"repro/internal/record"
@@ -43,29 +45,20 @@ type Member struct {
 // upper bound). Members holds exactly the live members — eviction removes
 // a member at once — so an empty Members marks a dead bundle.
 type Bundle struct {
-	Core    []tokens.Rank
-	Union   []tokens.Rank
+	// The first cache line holds everything collectCandidates reads per
+	// posting — liveness, the dedup stamp, the length range, the signature
+	// flag and slot, the dead-posting count — so a candidate the bundle
+	// filters reject costs one line; Core, Union and cold follow it.
 	Members []*Member
 
-	// posted tracks the tokens this bundle has postings under so member
-	// additions do not duplicate postings. Prefixes are short, so a small
-	// slice with linear dedup beats a map (profiled: the map was the top
-	// allocation site). Once the bundle is dead only the length matters:
-	// it counts the postings still referencing the bundle, and the bundle
-	// is recycled when the last one is dropped (see Index.dropDead).
-	posted []tokens.Rank
-
 	// lastSeen is the probe sequence number of the last collectCandidates
-	// call that visited this bundle — the per-probe dedup stamp that
-	// replaced the old seen map (an epoch check beats a map insert per
-	// candidate posting).
-	lastSeen uint64
-
-	// cold caches the packed forms of Core (slotCore) and Union
-	// (slotUnion), rebuilt by the single-writer insert/evict phases
-	// whenever the underlying slice changes; nil until the kernel config
-	// first asks for one.
-	cold *packs
+	// call that visited this bundle — the per-probe dedup stamp (an epoch
+	// check beats a map insert per candidate posting). 32 bits: the index
+	// resets every live stamp when probeSeq wraps.
+	lastSeen uint32
+	// slot is the bundle's address in the allocator's chunk directory (see
+	// alloc), assigned when the bundle is carved and kept for good.
+	slot uint32
 
 	// minLen and maxLen are the member length extremes (0 when empty),
 	// kept current by add and remove so the per-candidate bundle filters
@@ -77,6 +70,89 @@ type Bundle struct {
 	// bundle. A singleton aliases its record's immutable token slice, so
 	// in-place union growth must first copy into owned storage.
 	unionOwned bool
+	// hasSig reports that the allocator's signature cell for slot is
+	// current: set when the first member has at least sigMinLen tokens,
+	// cleared by death.
+	hasSig bool
+
+	// posted tracks the tokens this bundle has postings under so member
+	// additions do not duplicate postings. Prefixes are short, so a small
+	// slice with linear dedup beats a map (profiled: the map was the top
+	// allocation site). Once the bundle is dead only the length matters:
+	// it counts the postings still referencing the bundle, and the bundle
+	// is recycled when the last one is dropped (see Index.dropDead).
+	posted []tokens.Rank
+
+	Core  []tokens.Rank
+	Union []tokens.Rank
+
+	// cold caches the packed forms of Core (slotCore) and Union
+	// (slotUnion), rebuilt by the single-writer insert/evict phases
+	// whenever the underlying slice changes; nil until the kernel config
+	// first asks for one.
+	cold *packs
+}
+
+// sig is a 256-bit token-hash signature of a token set: the bit a token
+// hashes to (see add) is set for every token of the set. Kept per bundle
+// (over the tokens of every member since the last rebuild — a superset
+// after evictions, like Union) in the allocator's side table, and built
+// per probe. It yields a one-sided bound: a bit set in sig(r) and clear in
+// sig(b) has at least one token of r hashing to it, and that token is in no
+// member of b; distinct bits witness distinct tokens, so for every member y
+// of b
+//
+//	|r ∩ y| <= |r ∩ Union(b)| <= |r| - popcount(sig(r) &^ sig(b)).
+//
+// A bundle is skipped only when that bound is below the smallest overlap
+// any of its members would need, so the gate drops nothing verification
+// would have kept. DESIGN.md § "Signature gate" records the measurements
+// behind the width, the hash and sigMinLen.
+type sig [sigWords]uint64
+
+const (
+	// sigWords × 64 is the signature width, sigShift what is left of a
+	// 32-bit hash after keeping log2(width) bits.
+	sigWords = 4
+	sigShift = 32 - 8
+	// sigMinLen is the first-member length from which a bundle carries a
+	// signature, and the probe length from which one is built: below it
+	// the verification the gate could save is a merge of a dozen steps,
+	// cheaper than hashing, and 32 B per bundle is real money on an index
+	// of 3-token records.
+	sigMinLen = 16
+	// sigHashMul spreads dense ranks over the bits (Fibonacci hashing: the
+	// top bits of the 32-bit product).
+	sigHashMul = 0x9E3779B1
+)
+
+// set makes s the signature of exactly ts.
+//
+// hotpath: zero-alloc — once per probe, founding member and rebuild.
+func (s *sig) set(ts []tokens.Rank) {
+	*s = sig{}
+	s.add(ts)
+}
+
+// add sets the bit of every token of ts.
+//
+// hotpath: zero-alloc — once per inserted member.
+func (s *sig) add(ts []tokens.Rank) {
+	for _, t := range ts {
+		h := t * sigHashMul >> sigShift
+		s[h>>6] |= 1 << (h & 63)
+	}
+}
+
+// missing counts the bits of s that b lacks, each of which witnesses a
+// distinct token of s's set outside b's.
+//
+// hotpath: zero-alloc — once per signature check.
+func (s *sig) missing(b *sig) (n int) {
+	for i := range s {
+		n += bits.OnesCount64(s[i] &^ b[i])
+	}
+	return n
 }
 
 func (b *Bundle) hasPosted(tok tokens.Rank) bool {
@@ -135,32 +211,6 @@ func subtract(a, b []tokens.Rank) []tokens.Rank {
 	}
 	return out
 }
-
-// union returns a ∪ b (both ascending).
-func union(a, b []tokens.Rank) []tokens.Rank {
-	out := make([]tokens.Rank, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		default:
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// merge returns a ∪ b assuming a ∩ b = ∅ (used to reconstitute member
-// token sets from core+delta in tests).
-func merge(a, b []tokens.Rank) []tokens.Rank { return union(a, b) }
 
 // overlapSteps computes |a∩b| and the number of merge iterations spent, the
 // unit the experiment harness uses to compare batch and one-by-one
@@ -284,6 +334,10 @@ func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, 
 		if cap(b.posted) < prefixLen {
 			b.posted = make([]tokens.Rank, 0, prefixLen)
 		}
+		if ln >= sigMinLen {
+			al.sigCell(b.slot).set(r.Tokens)
+			b.hasSig = true
+		}
 		packIf(kern, &m.cold, slotFull, r.Tokens)
 	} else {
 		if len(newCore) != len(b.Core) {
@@ -299,6 +353,10 @@ func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, 
 			similarity.PutRanks(released)
 		}
 		b.unionAdd(r.Tokens)
+		if b.hasSig {
+			// Whatever r's length: the signature must cover every member.
+			al.sigAt(b.slot).add(r.Tokens)
+		}
 		buf := al.grab(r.Len())
 		m.Delta = similarity.SubtractInto(buf, r.Tokens, b.Core)
 		al.commit(len(m.Delta))
@@ -332,11 +390,12 @@ func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, 
 
 // remove drops the evicted member m, recomputes the length extremes over
 // the survivors and, when the bundle has shrunk to half its peak, rebuilds
-// Union from them (refreshing its cached bitset form under kern). Removing
-// the last member leaves the bundle dead: it lets go of Core and Union at
-// once and keeps, besides reusable capacity, only posted, whose length
-// counts the postings that still reference it.
-func (b *Bundle) remove(kern similarity.KernelConfig, m *Member) {
+// Union — and the signature with it — from them (refreshing the cached
+// bitset form under kern). Removing the last member leaves the bundle dead:
+// it lets go of Core and Union at once and keeps, besides its slot and
+// reusable capacity, only posted, whose length counts the postings that
+// still reference it.
+func (b *Bundle) remove(al *alloc, kern similarity.KernelConfig, m *Member) {
 	w := 0
 	b.minLen, b.maxLen = 0, 0
 	for _, o := range b.Members {
@@ -357,18 +416,38 @@ func (b *Bundle) remove(kern similarity.KernelConfig, m *Member) {
 	b.Members = b.Members[:w]
 	if w == 0 {
 		b.cold.invalidate()
-		*b = Bundle{Members: b.Members, posted: b.posted, cold: b.cold}
+		*b = Bundle{Members: b.Members, posted: b.posted, cold: b.cold, slot: b.slot}
 		return
 	}
 	if int32(w)*2 <= b.peak {
-		u := append([]tokens.Rank(nil), b.Members[0].Rec.Tokens...)
-		for _, o := range b.Members[1:] {
-			u = union(u, o.Rec.Tokens)
-		}
-		b.Union = u
-		b.unionOwned = true
+		b.rebuildUnion(al)
 		b.peak = int32(w)
 		packIf(kern, &b.cold, slotUnion, b.Union)
+	}
+}
+
+// rebuildUnion recomputes Union as exactly the union of the live members'
+// tokens, and the signature as exactly its bits. A lone survivor aliases
+// its record like a fresh singleton; otherwise the fold ping-pongs between
+// two pooled buffers and the result is copied once into storage of its
+// exact size.
+func (b *Bundle) rebuildUnion(al *alloc) {
+	if len(b.Members) == 1 {
+		b.Union, b.unionOwned = b.Members[0].Rec.Tokens, false
+	} else {
+		acc, next := similarity.GetRanks(), similarity.GetRanks()
+		*acc = append(*acc, b.Members[0].Rec.Tokens...)
+		for _, o := range b.Members[1:] {
+			*next = unionInto((*next)[:0], *acc, o.Rec.Tokens)
+			acc, next = next, acc
+		}
+		b.Union = append(make([]tokens.Rank, 0, len(*acc)), *acc...)
+		b.unionOwned = true
+		similarity.PutRanks(acc)
+		similarity.PutRanks(next)
+	}
+	if b.hasSig {
+		al.sigAt(b.slot).set(b.Union)
 	}
 }
 

@@ -30,10 +30,10 @@ func TestSetOps(t *testing.T) {
 	if got := subtract(a, b); !reflect.DeepEqual(got, []tokens.Rank{1, 7}) {
 		t.Fatalf("subtract: %v", got)
 	}
-	if got := union(a, b); !reflect.DeepEqual(got, []tokens.Rank{1, 3, 4, 5, 7}) {
+	if got := unionInto(nil, a, b); !reflect.DeepEqual(got, []tokens.Rank{1, 3, 4, 5, 7}) {
 		t.Fatalf("union: %v", got)
 	}
-	if got := union(nil, b); !reflect.DeepEqual(got, b) {
+	if got := unionInto(nil, nil, b); !reflect.DeepEqual(got, b) {
 		t.Fatalf("union nil: %v", got)
 	}
 }
@@ -66,7 +66,7 @@ func checkBundle(t *testing.T, b *Bundle) {
 				m.Rec.ID, b.Core, m.Rec.Tokens)
 		}
 		// Core ∪ Delta == member tokens exactly.
-		if recon := merge(b.Core, m.Delta); !slices.Equal(recon, m.Rec.Tokens) {
+		if recon := unionInto(nil, b.Core, m.Delta); !slices.Equal(recon, m.Rec.Tokens) {
 			t.Fatalf("core+delta != tokens for member %d: %v vs %v",
 				m.Rec.ID, recon, m.Rec.Tokens)
 		}
@@ -203,6 +203,20 @@ func TestEvictionRemovesMembers(t *testing.T) {
 // grouping configs.
 func TestBundleJoinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	matchesBruteForce(t, func() []*record.Record { return duplicateHeavyStream(rng, 220, 50) }, false)
+}
+
+// TestBruteForceLongRecords repeats it on records long enough to carry
+// signatures, so every configuration runs with the gate engaged.
+func TestBruteForceLongRecords(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	matchesBruteForce(t, func() []*record.Record { return longDuplicateStream(rng, 160) }, true)
+}
+
+// matchesBruteForce checks the bundle joiner against the quadratic scan on a
+// fresh stream per configuration; wantSigSkip additionally requires the
+// signature gate to have rejected candidates in every run.
+func matchesBruteForce(t *testing.T, next func() []*record.Record, wantSigSkip bool) {
 	configs := []Config{
 		{},
 		{OneByOneVerify: true},
@@ -214,7 +228,7 @@ func TestBundleJoinMatchesBruteForce(t *testing.T) {
 		for _, win := range []window.Policy{window.Unbounded{}, window.Count{N: 25}} {
 			for ci, cfg := range configs {
 				bx := New(params(tau), win, cfg)
-				stream := duplicateHeavyStream(rng, 220, 50)
+				stream := next()
 				got := make(map[record.Pair]bool)
 				for _, r := range stream {
 					bx.Process(r, func(m Match) {
@@ -234,6 +248,10 @@ func TestBundleJoinMatchesBruteForce(t *testing.T) {
 					if !got[pr] {
 						t.Fatalf("τ=%v win=%v cfg#%d: missing %v", tau, win, ci, pr)
 					}
+				}
+				if wantSigSkip && (bx.stats.BundleSigSkip == 0 || len(want) == 0) {
+					t.Fatalf("τ=%v win=%v cfg#%d: %d pairs, signature gate skipped %d bundles",
+						tau, win, ci, len(want), bx.stats.BundleSigSkip)
 				}
 			}
 		}
@@ -258,6 +276,37 @@ func duplicateHeavyStream(rng *rand.Rand, n, universe int) []*record.Record {
 			m := 3 + rng.Intn(10)
 			for len(set) < m {
 				set = append(set, tokens.Rank(rng.Intn(universe)))
+			}
+			protos = append(protos, set)
+		}
+		stream = append(stream, rec(record.ID(i), set...))
+	}
+	return stream
+}
+
+// longDuplicateStream is the long-record counterpart: Enron-like records of
+// 40–160 draws from a Zipf universe of 6 000 ranks (rare tokens low, as
+// under the global ordering), half of them near-duplicates of one of the
+// last 30 originals with 5–15 % of the tokens redrawn — long enough that
+// every bundle carries a signature, similar enough that bundles form and
+// shrink their cores, recent enough that small windows still see them.
+func longDuplicateStream(rng *rand.Rand, n int) []*record.Record {
+	const universe = 6000
+	zipf := rand.NewZipf(rng, 1.1, 1, universe-1)
+	draw := func() tokens.Rank { return tokens.Rank(universe - 1 - zipf.Uint64()) }
+	var stream []*record.Record
+	var protos [][]tokens.Rank
+	for i := 0; i < n; i++ {
+		var set []tokens.Rank
+		if len(protos) > 0 && rng.Float64() < 0.5 {
+			proto := protos[len(protos)-1-rng.Intn(min(len(protos), 30))]
+			set = append(set, proto...)
+			for k := len(set) * (5 + rng.Intn(11)) / 100; k > 0; k-- {
+				set[rng.Intn(len(set))] = draw()
+			}
+		} else {
+			for m := 40 + rng.Intn(121); len(set) < m; {
+				set = append(set, draw())
 			}
 			protos = append(protos, set)
 		}
@@ -325,7 +374,7 @@ func TestRemoveRebuildsUnion(t *testing.T) {
 	addRec(b, rec(3, 1, 2, 6), 1)
 	// kill 3 of 4 → shrink rebuild must fire
 	for _, m := range append([]*Member(nil), b.Members[:3]...) {
-		b.remove(similarity.KernelConfig{}.WithDefaults(), m)
+		b.remove(&alloc{}, similarity.KernelConfig{}.WithDefaults(), m)
 		checkBundle(t, b)
 	}
 	if len(b.Members) != 1 {

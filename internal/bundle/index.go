@@ -77,6 +77,7 @@ type Stats struct {
 	Scanned        uint64 // bundle postings visited
 	BundleCands    uint64 // distinct candidate bundles per probe, summed
 	BundleLenSkip  uint64 // bundles skipped entirely by the length range
+	BundleSigSkip  uint64 // bundles skipped entirely by the signature bound
 	BundleUBSkip   uint64 // bundles skipped entirely by the union bound
 	MemberChecks   uint64 // member upper-bound evaluations
 	MemberUBSkip   uint64 // members skipped by the min(unionO, |y|) bound
@@ -107,13 +108,16 @@ type Stats struct {
 	TreeSubtreesPruned uint64 // subtrees cut by candidacy/length/position bounds
 	TreeCandsAvoided   uint64 // members skipped with no per-member work at all
 	TreeLeafUBSkip     uint64 // anchored members cut by the position bound
+	TreeSigSkip        uint64 // anchored members cut by their bundle's signature bound
 	TreeSuffixSkip     uint64 // anchored members cut by the suffix filter
 	TreeNodes          uint64 // live tree nodes, excluding the root (gauge)
 }
 
-// Pruned sums the candidates the kernel-tier upper bounds discarded
-// before any verification merge ran.
-func (s Stats) Pruned() uint64 { return s.BundleQuickSkip + s.MemberDeltaSkip }
+// Pruned sums the candidates the signature and kernel-tier upper bounds
+// discarded before any verification merge ran.
+func (s Stats) Pruned() uint64 {
+	return s.BundleSigSkip + s.TreeSigSkip + s.BundleQuickSkip + s.MemberDeltaSkip
+}
 
 type fifoEntry struct {
 	b *Bundle
@@ -127,7 +131,9 @@ type Index struct {
 	win    window.Policy
 	cfg    Config
 
-	posts map[tokens.Rank][]*Bundle
+	// posts maps a token to the slot ids (see alloc) of the bundles posted
+	// under it.
+	posts map[tokens.Rank][]uint32
 	fifo  []fifoEntry
 	head  int
 	// deadPosts counts the postings in posts that reference dead bundles:
@@ -143,15 +149,21 @@ type Index struct {
 	// probe scratch
 	cands []*Bundle
 	walk  []walkRef
-	// probeSeq is the monotonic probe counter stamped into Bundle.lastSeen
-	// for per-probe candidate dedup (replaces a per-probe map).
-	probeSeq uint64
-	// probeP is the probe record's packed form (nil when the kernel
-	// config wants none), built into probeBuf once per probe in
-	// collectCandidates (single-writer phase) and read-only during the —
-	// possibly fanned — verify phase.
-	probeBuf similarity.Packed
-	probeP   *similarity.Packed
+	// probeSeq is the probe counter stamped into Bundle.lastSeen for
+	// per-probe candidate dedup (replaces a per-probe map); collectCandidates
+	// restarts it at 1 when it wraps.
+	probeSeq uint32
+	// The per-probe invariants, set once per probe by bindProbe in the
+	// single-writer phase and read-only during the — possibly fanned —
+	// verify phase: the compatible partner length range, the probe's packed
+	// form (probeP, nil when the kernel config wants none, built into
+	// probeBuf) and its signature (valid when probeHasSig: the probe has at
+	// least sigMinLen tokens).
+	probeLo, probeHi int
+	probeBuf         similarity.Packed
+	probeP           *similarity.Packed
+	probeSig         sig
+	probeHasSig      bool
 	// trial is insert-path scratch for the candidate core intersection
 	// (single-writer like the rest of the index, so a plain reused slice
 	// beats pooling here; pooled buffers cover the shared helpers in
@@ -184,7 +196,7 @@ type Index struct {
 // looked up at sort time (its length is the sort key).
 type walkRef struct {
 	pos  int
-	list []*Bundle
+	list []uint32
 }
 
 const (
@@ -202,7 +214,7 @@ func New(p filter.Params, w window.Policy, cfg Config) *Index {
 		params: p,
 		win:    w,
 		cfg:    cfg.withDefaults(p.Threshold),
-		posts:  make(map[tokens.Rank][]*Bundle),
+		posts:  make(map[tokens.Rank][]uint32),
 	}
 	if bx.cfg.VerifyMode != VerifyCollect {
 		bx.root = &treeNode{}
@@ -319,7 +331,7 @@ func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
 			}
 			bx.treeRemove(fe.m, rec.Tokens[:p])
 		}
-		fe.b.remove(bx.cfg.Kernel, fe.m)
+		fe.b.remove(&bx.al, bx.cfg.Kernel, fe.m)
 		bx.al.freeMember(fe.m)
 		if len(fe.b.Members) == 0 {
 			bx.retire(fe.b)
@@ -380,18 +392,17 @@ func (bx *Index) sweep() {
 	bx.stats.RebuildSweeps++
 	for tok, list := range bx.posts {
 		w := 0
-		for _, b := range list {
-			if len(b.Members) == 0 {
+		for _, slot := range list {
+			if b := bx.al.at(slot); len(b.Members) == 0 {
 				bx.dropDead(b)
 				continue
 			}
-			list[w] = b
+			list[w] = slot
 			w++
 		}
 		if w == len(list) {
 			continue
 		}
-		clear(list[w:])
 		if w == 0 {
 			delete(bx.posts, tok)
 		} else {
@@ -399,7 +410,7 @@ func (bx *Index) sweep() {
 		}
 	}
 	if n := len(bx.posts); n*4 < bx.postsPeak {
-		posts := make(map[tokens.Rank][]*Bundle, n)
+		posts := make(map[tokens.Rank][]uint32, n)
 		for tok, list := range bx.posts {
 			posts[tok] = list
 		}
@@ -464,30 +475,83 @@ func (bx *Index) emitCanonical(emit func(Match)) {
 // it to slices.SortFunc allocates no closure.
 func cmpMatchID(a, b Match) int { return cmp.Compare(a.id, b.id) }
 
+// bindProbe fixes the per-probe invariants every filter of this probe
+// reads: the compatible partner length range, the packed form, and — for a
+// probe long enough for the gate to pay — the signature. Every probe path
+// calls it exactly once, in its single-writer phase.
+//
+// hotpath: zero-alloc — once per probe.
+func (bx *Index) bindProbe(r *record.Record) {
+	bx.probeLo, bx.probeHi = bx.params.LengthBounds(r.Len())
+	bx.packProbe(r)
+	bx.probeHasSig = r.Len() >= sigMinLen
+	if bx.probeHasSig {
+		bx.probeSig.set(r.Tokens)
+	}
+}
+
+// sigBound returns the signature's upper bound on the overlap of the bound
+// probe (la tokens) with any member of b (see sig); it is la itself, which
+// excludes nothing, when either side carries no signature.
+//
+// parcheck: runs on the verifier pool (tree leaves). Reads the probe and
+// bundle signatures; writes nothing.
+//
+// hotpath: zero-alloc — once per candidate bundle, or per tree leaf.
+func (bx *Index) sigBound(b *Bundle, la int) int {
+	if !bx.probeHasSig || !b.hasSig {
+		return la
+	}
+	return la - bx.probeSig.missing(bx.al.sigAt(b.slot))
+}
+
+// resetStamps clears the dedup stamp of every live bundle and restarts the
+// probe counter at 1: without it, a bundle last visited exactly 2^32 probes
+// ago would look already seen. Dead and free-listed bundles need no visit —
+// death zeroes the stamp, and a dead posting is dropped before its stamp is
+// read.
+func (bx *Index) resetStamps() {
+	for _, fe := range bx.fifo[bx.head:] {
+		fe.b.lastSeen = 0
+	}
+	bx.probeSeq = 1
+}
+
 // collectCandidates walks the posting lists of r's prefix tokens in
 // ascending posting-list-length order (rarest token first), compacts dead
-// postings in place, and returns the distinct candidate bundles in that
-// discovery order. Rarest-first is the tree-style selectivity heuristic:
-// the bundles sharing a rare token are the likeliest (and, sharing more
-// with the probe, typically heaviest) candidates, so they front-load the
-// verify order — which also hands the pool's work-stealing loop its
-// biggest items first. The order is a deterministic function of index
-// state (list length, then prefix position), so parallel and serial runs
-// still see identical candidate sequences. Dedup is an epoch stamp on the
-// bundle (lastSeen vs probeSeq) instead of a per-probe map. This is the
-// single-writer half of the probe path: every posting-list mutation and
-// the probe's packed form happen here, before verification starts, so the
-// verify phase that follows — serial in Probe, fanned out in ProbePar —
-// reads an index nobody is writing. The returned slice is scratch owned
-// by the index and valid until the next collectCandidates call.
+// postings in place, and returns the distinct candidate bundles that pass
+// the bundle-level length and signature filters, in that discovery order.
+// Rarest-first is the tree-style selectivity heuristic: the bundles sharing
+// a rare token are the likeliest (and, sharing more with the probe,
+// typically heaviest) candidates, so they front-load the verify order —
+// which also hands the pool's work-stealing loop its biggest items first.
+// The order is a deterministic function of index state (list length, then
+// prefix position), so parallel and serial runs still see identical
+// candidate sequences. Dedup is an epoch stamp on the bundle (lastSeen vs
+// probeSeq) instead of a per-probe map, and both filters run on a newly
+// stamped bundle while the cache line that holds the stamp is loaded: the
+// length range against the bounds hoisted by bindProbe, then the signature
+// bound against the smallest overlap any member would need. This is the
+// single-writer half of the probe path: every posting-list mutation, the
+// probe's invariants and every counter these filters bump happen here,
+// before verification starts, so the verify phase that follows — serial in
+// Probe, fanned out in ProbePar — reads an index nobody is writing. The
+// returned slice is scratch owned by the index and valid until the next
+// collectCandidates call.
 //
 // hotpath: zero-alloc — runs once per probe; the one posts-map write is
 // the compaction store of an existing key (baselined).
 func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 	cands := bx.cands[:0]
 	bx.probeSeq++
-	bx.packProbe(r)
-	p := bx.params.PrefixLen(r.Len())
+	if bx.probeSeq == 0 {
+		bx.resetStamps()
+	}
+	seq := bx.probeSeq
+	bx.bindProbe(r)
+	la := r.Len()
+	lo, hi := bx.probeLo, bx.probeHi
+	p := bx.params.PrefixLen(la)
 	walk := bx.walk[:0]
 	for i := 0; i < p; i++ {
 		if list, have := bx.posts[r.Tokens[i]]; have {
@@ -506,27 +570,37 @@ func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 	for _, wr := range walk {
 		list := wr.list
 		w := 0
-		for _, b := range list {
+		for _, slot := range list {
+			b := bx.al.at(slot)
 			if len(b.Members) == 0 {
 				bx.dropDead(b) // compact dead bundle posting
 				continue
 			}
-			list[w] = b
+			list[w] = slot
 			w++
 			bx.stats.Scanned++
-			if b.lastSeen == bx.probeSeq {
+			if b.lastSeen == seq {
 				continue
 			}
-			b.lastSeen = bx.probeSeq
+			b.lastSeen = seq
 			bx.stats.BundleCands++
+			bmin := int(b.minLen)
+			if int(b.maxLen) < lo || bmin > hi {
+				bx.stats.BundleLenSkip++
+				continue
+			}
+			// A bound of la excludes nothing (no member needs more than
+			// the whole probe), so bundles without a signature never
+			// reach the requirement arithmetic.
+			if ub := bx.sigBound(b, la); ub < la && ub < bx.minRequired(la, bmin, lo) {
+				bx.stats.BundleSigSkip++
+				continue
+			}
 			cands = append(cands, b)
 		}
 		if w == len(list) {
 			continue
 		}
-		// Zero the vacated tail so the list's spare capacity keeps no
-		// dead bundle reachable.
-		clear(list[w:])
 		if tok := r.Tokens[wr.pos]; w == 0 {
 			delete(bx.posts, tok)
 		} else {
@@ -558,8 +632,9 @@ func betterIns(a, b Insertion) bool {
 	return a.Sim > b.Sim || (a.Sim == b.Sim && a.At < b.At)
 }
 
-// probeBundle filters and verifies r against one candidate bundle, emitting
-// matches and returning the best-match insertion hint. Work counters go to
+// probeBundle filters and verifies r against one candidate bundle that
+// passed collectCandidates' length and signature filters, emitting matches
+// and returning the best-match insertion hint. Work counters go to
 // st — &bx.stats on the serial path, a per-goroutine VerifyCtx on the pool
 // path — so concurrent verifiers never share a counter cache line.
 //
@@ -572,26 +647,19 @@ func betterIns(a, b Insertion) bool {
 // are emitted as value structs through the emit callback.
 func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(Match)) (Insertion, bool) {
 	la := r.Len()
-	// Bundle-level length range check.
-	lo, hi := bx.params.LengthBounds(la)
+	lo, hi := bx.probeLo, bx.probeHi
 	bmin, bmax := b.MinLen(), b.MaxLen()
-	if bmax < lo || bmin > hi {
-		st.BundleLenSkip++
-		return Insertion{}, false
-	}
-	reqMin := bx.minRequired(la, bmin, bmax, lo, hi)
+	reqMin := bx.minRequired(la, bmin, lo)
 
 	// Singleton fast path: the union is the member, so a single
-	// early-terminating merge both filters and verifies.
+	// early-terminating merge both filters and verifies. The member's
+	// length is the bundle's whole range, which already passed the length
+	// check, so its own requirement is reqMin.
 	if len(b.Members) == 1 {
 		m := b.Members[0]
-		lb := m.Rec.Len()
-		if lb < lo || lb > hi {
-			return Insertion{}, false
-		}
+		lb := bmin
 		st.MemberChecks++
-		req := bx.params.RequiredOverlap(la, lb)
-		o, steps, ok := bx.overlapKernelBounded(st, r.Tokens, bx.probeP, m.Rec.Tokens, m.cold.at(slotFull), req)
+		o, steps, ok := bx.overlapKernelBounded(st, r.Tokens, bx.probeP, m.Rec.Tokens, m.cold.at(slotFull), reqMin)
 		st.SingletonFast++
 		st.VerifySteps += uint64(steps)
 		st.Verified++
@@ -706,13 +774,13 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 }
 
 // mergeVerify folds the verify-phase counters a VerifyCtx accumulated into
-// s. Only the counters probeBundle writes are listed: everything else in
-// Stats belongs to the single-writer collect/insert/evict path and never
-// appears in a per-goroutine context. All listed counters are commutative
-// sums, so the fold order across contexts cannot change the totals — a
-// parallel run reports exactly the sequential numbers.
+// s. Only the counters probeBundle and the tree walk write are listed:
+// everything else in Stats belongs to the single-writer
+// collect/insert/evict path and never appears in a per-goroutine context.
+// All listed counters are commutative sums, so the fold order across
+// contexts cannot change the totals — a parallel run reports exactly the
+// sequential numbers.
 func (s *Stats) mergeVerify(o *Stats) {
-	s.BundleLenSkip += o.BundleLenSkip
 	s.BundleUBSkip += o.BundleUBSkip
 	s.MemberChecks += o.MemberChecks
 	s.MemberUBSkip += o.MemberUBSkip
@@ -733,6 +801,7 @@ func (s *Stats) mergeVerify(o *Stats) {
 	s.TreeSubtreesPruned += o.TreeSubtreesPruned
 	s.TreeCandsAvoided += o.TreeCandsAvoided
 	s.TreeLeafUBSkip += o.TreeLeafUBSkip
+	s.TreeSigSkip += o.TreeSigSkip
 	s.TreeSuffixSkip += o.TreeSuffixSkip
 }
 
@@ -746,11 +815,14 @@ func (bx *Index) Dump(visit func(*record.Record) bool) {
 	}
 }
 
-// minRequired returns the smallest required overlap over member lengths in
-// [max(bmin,lo), min(bmax,hi)]. For all supported functions the required
-// overlap is nondecreasing in partner length, so the minimum is at the
-// smallest compatible length.
-func (bx *Index) minRequired(la, bmin, bmax, lo, hi int) int {
+// minRequired returns the smallest overlap a probe of la tokens needs with
+// any member of a bundle whose shortest member has bmin tokens, lo being the
+// shortest compatible partner length. For all supported functions the
+// required overlap is nondecreasing in partner length, so the minimum is at
+// the smallest compatible length.
+//
+// hotpath: zero-alloc — arithmetic only.
+func (bx *Index) minRequired(la, bmin, lo int) int {
 	l := bmin
 	if lo > l {
 		l = lo
@@ -810,7 +882,7 @@ func (bx *Index) Insert(r *record.Record, best Insertion) {
 	}
 	newPosts := target.add(&bx.al, bx.cfg.Kernel, r, posted, newCore)
 	for _, tok := range newPosts {
-		bx.posts[tok] = append(bx.posts[tok], target)
+		bx.posts[tok] = append(bx.posts[tok], target.slot)
 	}
 	bx.stats.Postings += uint64(len(newPosts))
 	if len(bx.posts) > bx.postsPeak {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/record"
 	"repro/internal/similarity"
 	"repro/internal/window"
 )
@@ -28,8 +29,18 @@ var kernelMatrix = []similarity.KernelConfig{
 // within one kernel config, serial-vs-parallel counter parity is covered
 // by requireStreams below.
 func TestKernelParityMatchStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	stream := duplicateHeavyStream(rng, 500, 40)
+	stream := duplicateHeavyStream(rand.New(rand.NewSource(71)), 500, 40)
+	kernelParity(t, stream, []int{2, 8}, false)
+}
+
+// TestKernelParityLongRecords runs the matrix behind the signature gate:
+// the kernels see only the candidates it lets through, and must still agree.
+func TestKernelParityLongRecords(t *testing.T) {
+	stream := longDuplicateStream(rand.New(rand.NewSource(75)), 500)
+	kernelParity(t, stream, []int{3}, true)
+}
+
+func kernelParity(t *testing.T, stream []*record.Record, pools []int, wantSigSkip bool) {
 	for _, tau := range []float64{0.5, 0.8} {
 		want, _ := runSequential(stream, tau, window.Count{N: 80}, Config{Kernel: similarity.KernelConfig{Mode: similarity.KernelLinear}})
 		if tau == 0.5 && len(want) == 0 {
@@ -42,7 +53,10 @@ func TestKernelParityMatchStream(t *testing.T) {
 				t.Fatalf("τ=%v kernel#%d (%v): sequential stream diverges from linear (lengths %d vs %d)",
 					tau, ki, kern.Mode, len(got), len(want))
 			}
-			for _, p := range []int{2, 8} {
+			if wantSigSkip && gotStats.BundleSigSkip == 0 {
+				t.Fatalf("τ=%v kernel#%d (%v): the signature gate never skipped a bundle", tau, ki, kern.Mode)
+			}
+			for _, p := range pools {
 				gotP, statsP := runParallel(stream, tau, window.Count{N: 80}, cfg, p)
 				requireStreams(t, fmt.Sprintf("τ=%v kernel#%d P=%d", tau, ki, p),
 					gotP, want, statsP, gotStats)

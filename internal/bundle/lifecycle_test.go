@@ -37,9 +37,18 @@ func checkInvariants(t *testing.T, bx *Index) {
 	members := 0
 	for b := range liveB {
 		checkBundle(t, b)
+		if bx.al.at(b.slot) != b {
+			t.Fatalf("live bundle is not the one its slot %d resolves to", b.slot)
+		}
 		for _, m := range b.Members {
 			if !liveM[m] {
 				t.Fatalf("bundle holds member %d that the window does not", m.Rec.ID)
+			}
+			// The signature covers every member, whatever joined or left.
+			var ms sig
+			ms.add(m.Rec.Tokens)
+			if b.hasSig && ms.missing(bx.al.sigAt(b.slot)) != 0 {
+				t.Fatalf("signature of bundle %d lacks bits of member %d", b.slot, m.Rec.ID)
 			}
 		}
 		members += len(b.Members)
@@ -51,15 +60,20 @@ func checkInvariants(t *testing.T, bx *Index) {
 		t.Fatalf("LiveBundles %d, recount %d", got, len(liveB))
 	}
 
-	// Every posting belongs to a live bundle that lists its token, or to a
-	// dead bundle that only counts it; spare list capacity is zeroed.
+	// Every posting names a slot the allocator carved, and belongs to a
+	// live bundle that lists its token or to a dead bundle that only counts
+	// it.
 	perBundle := make(map[*Bundle]int)
 	var total, dead uint64
 	for tok, list := range bx.posts {
 		if len(list) == 0 {
 			t.Fatalf("empty posting list kept under token %d", tok)
 		}
-		for _, b := range list {
+		for _, slot := range list {
+			b := bx.al.at(slot)
+			if b.slot != slot {
+				t.Fatalf("slot %d resolves to a bundle that believes it is slot %d", slot, b.slot)
+			}
 			total++
 			perBundle[b]++
 			switch {
@@ -69,11 +83,6 @@ func checkInvariants(t *testing.T, bx *Index) {
 				t.Fatalf("posting under token %d references a bundle outside the window", tok)
 			case !b.hasPosted(tok):
 				t.Fatalf("live bundle posted under token %d without recording it", tok)
-			}
-		}
-		for _, b := range list[len(list):cap(list)] {
-			if b != nil {
-				t.Fatalf("posting list %d keeps a bundle reachable through spare capacity", tok)
 			}
 		}
 	}
@@ -120,7 +129,8 @@ func checkInvariants(t *testing.T, bx *Index) {
 	}
 	for _, b := range bx.al.freeB {
 		if len(b.Members) != 0 || len(b.posted) != 0 || b.Core != nil || b.Union != nil ||
-			b.lastSeen != 0 || b.minLen != 0 || b.maxLen != 0 || b.peak != 0 || b.unionOwned ||
+			b.lastSeen != 0 || b.minLen != 0 || b.maxLen != 0 || b.peak != 0 || b.unionOwned || b.hasSig ||
+			bx.al.at(b.slot) != b ||
 			(b.cold != nil && b.cold.ok != [2]bool{}) {
 			t.Fatalf("recycled bundle not reset: %+v", *b)
 		}
@@ -148,8 +158,19 @@ func wideStream(seed int64, n int) []*record.Record {
 // against the collect reference, and that recycling and sweeping actually
 // happened.
 func TestLifecycleSmallWindow(t *testing.T) {
+	lifecycleSmallWindow(t, wideStream(101, 1500), false)
+}
+
+// TestLifecycleLongRecords recycles bundles that carry signatures: a slot's
+// signature cell is reused by whichever bundle the slot holds next, so a
+// stale or unreset signature would surface as a lost match or a broken
+// superset invariant.
+func TestLifecycleLongRecords(t *testing.T) {
+	lifecycleSmallWindow(t, longDuplicateStream(rand.New(rand.NewSource(105)), 600), true)
+}
+
+func lifecycleSmallWindow(t *testing.T, stream []*record.Record, wantSigSkip bool) {
 	const win = 140 // above autoTreeMinLive, so auto probes through the tree
-	stream := wideStream(101, 1500)
 	want, _ := runSequential(stream, 0.6, window.Count{N: win}, Config{})
 	if len(want) == 0 {
 		t.Fatal("degenerate workload: no matches")
@@ -176,12 +197,15 @@ func TestLifecycleSmallWindow(t *testing.T) {
 			// Inserts are served from the free lists: the slabs cover the
 			// most objects ever in use at once, not the stream.
 			st := bx.Stats()
-			if carved := uint64(bx.al.bundleChunks * bundleChunk); bx.al.memberChunks != 1 || carved > peak+bundleChunk {
+			if carved := uint64(len(bx.al.bchunks) * bundleChunk); bx.al.memberChunks != 1 || carved > peak+bundleChunk {
 				t.Fatalf("%s: %d member chunks; %d bundles carved, at most %d in use at once",
 					label, bx.al.memberChunks, carved, peak)
 			}
 			if st.LiveBundles == 0 || st.LiveBundles > win+1 || st.LiveBundles >= st.Bundles {
 				t.Fatalf("%s: LiveBundles=%d of %d ever created", label, st.LiveBundles, st.Bundles)
+			}
+			if wantSigSkip && st.BundleSigSkip+st.TreeSigSkip == 0 {
+				t.Fatalf("%s: the signature bound never pruned anything", label)
 			}
 			if mode == VerifyTree {
 				if st.Postings != 0 || st.DeadPostSkips != 0 || st.RebuildSweeps != 0 {
@@ -222,8 +246,8 @@ func TestSweepAfterBurst(t *testing.T) {
 	if bx.postsPeak != len(bx.posts) {
 		t.Fatalf("posting map not rebuilt: %d keys, peak still %d", len(bx.posts), bx.postsPeak)
 	}
-	if free := len(bx.al.freeB) + 1; free != bx.al.bundleChunks*bundleChunk-len(bx.al.bundles) {
-		t.Fatalf("%d bundles free or live, %d carved", free, bx.al.bundleChunks*bundleChunk-len(bx.al.bundles))
+	if free := len(bx.al.freeB) + 1; free != len(bx.al.bchunks)*bundleChunk-len(bx.al.bundles) {
+		t.Fatalf("%d bundles free or live, %d carved", free, len(bx.al.bchunks)*bundleChunk-len(bx.al.bundles))
 	}
 }
 
@@ -334,13 +358,13 @@ func TestIndexStateBoundedByWindow(t *testing.T) {
 			t.Fatalf("%s: window holds %d members, reload %d", label, st.LiveMembers, fst.LiveMembers)
 		}
 		t.Logf("%s: postings %d/%d tokens %d/%d (index/reload), bundles carved %d peak live %d, members carved %d, heap %d -> %d KiB, sweeps %d",
-			label, st.Postings, fst.Postings, len(bx.posts), len(fresh.posts), bx.al.bundleChunks*bundleChunk, peakLive,
+			label, st.Postings, fst.Postings, len(bx.posts), len(fresh.posts), len(bx.al.bchunks)*bundleChunk, peakLive,
 			bx.al.memberChunks*memberChunk, heapEarly>>10, heapEnd>>10, st.RebuildSweeps)
 		if st.Postings > 3*fst.Postings || len(bx.posts) > 3*len(fresh.posts) {
 			t.Errorf("%s: %d postings under %d tokens; the live window alone needs %d under %d",
 				label, st.Postings, len(bx.posts), fst.Postings, len(fresh.posts))
 		}
-		if carved := bx.al.bundleChunks * bundleChunk; uint64(carved) > 3*peakLive+bundleChunk {
+		if carved := len(bx.al.bchunks) * bundleChunk; uint64(carved) > 3*peakLive+bundleChunk {
 			t.Errorf("%s: %d bundles carved, peak live %d", label, carved, peakLive)
 		}
 		if carved := bx.al.memberChunks * memberChunk; carved > tc.win+memberChunk {
@@ -442,8 +466,8 @@ func BenchmarkInsertEvictSteadyState(b *testing.B) {
 // is what a probe walks, so their size is cache lines per candidate and
 // bytes per record (the packed caches are behind a pointer for this).
 func TestHotStructSizes(t *testing.T) {
-	if m, b := unsafe.Sizeof(Member{}), unsafe.Sizeof(Bundle{}); m > 48 || b > 160 {
-		t.Fatalf("Member is %d B (limit 48), Bundle %d B (limit 160)", m, b)
+	if m, b := unsafe.Sizeof(Member{}), unsafe.Sizeof(Bundle{}); m > 48 || b > 128 {
+		t.Fatalf("Member is %d B (limit 48), Bundle %d B (limit 128)", m, b)
 	} else {
 		t.Logf("Member %d B, Bundle %d B, Match %d B", m, b, unsafe.Sizeof(Match{}))
 	}

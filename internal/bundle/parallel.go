@@ -265,7 +265,7 @@ func (p *Pool) verify(bx *Index, r *record.Record, cands []*Bundle) (best Insert
 // expand/prune/descend code, so counter totals match the serial path.
 func (p *Pool) probeTreePar(bx *Index, r *record.Record, emit func(Match)) (best Insertion, ok bool) {
 	bx.stats.TreeProbes++
-	bx.packProbe(r)
+	bx.bindProbe(r)
 	w := &bx.tw
 	w.prep(bx, r)
 	w.st, w.collect = &bx.stats, bx.emitAppend

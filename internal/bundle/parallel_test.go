@@ -86,15 +86,29 @@ func requireStreams(t *testing.T, label string, got, want []emitted, gotStats, w
 // same similarity bytes — and accumulate the exact same work counters, so
 // insertion decisions (and therefore index evolution) are identical too.
 func TestParallelParityMatchStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	stream := duplicateHeavyStream(rng, 500, 40)
+	stream := duplicateHeavyStream(rand.New(rand.NewSource(47)), 500, 40)
+	parallelParity(t, stream, []int{1, 2, 4, 8}, false)
+}
+
+// TestParallelParityLongRecords is the same gate with the signature filter
+// engaged: its counters are bumped in the single-writer phase, so they too
+// must come out identical at every pool size.
+func TestParallelParityLongRecords(t *testing.T) {
+	stream := longDuplicateStream(rand.New(rand.NewSource(49)), 600)
+	parallelParity(t, stream, []int{1, 3}, true)
+}
+
+func parallelParity(t *testing.T, stream []*record.Record, pools []int, wantSigSkip bool) {
 	for _, tau := range []float64{0.5, 0.8} {
 		for _, win := range []window.Policy{window.Unbounded{}, window.Count{N: 60}} {
 			want, wantStats := runSequential(stream, tau, win, Config{})
 			if tau == 0.5 && len(want) == 0 {
 				t.Fatal("degenerate workload: sequential run found no matches")
 			}
-			for _, p := range []int{1, 2, 4, 8} {
+			if wantSigSkip && wantStats.BundleSigSkip == 0 {
+				t.Fatalf("τ=%v win=%v: the signature gate never skipped a bundle", tau, win)
+			}
+			for _, p := range pools {
 				got, gotStats := runParallel(stream, tau, win, Config{}, p)
 				requireStreams(t, fmt.Sprintf("τ=%v win=%v P=%d", tau, win, p),
 					got, want, gotStats, wantStats)

@@ -323,7 +323,7 @@ func (w *treeWalk) prep(bx *Index, r *record.Record) {
 	if w.pa > w.la {
 		w.pa = w.la
 	}
-	w.lo, w.hi = bx.params.LengthBounds(w.la)
+	w.lo, w.hi = bx.probeLo, bx.probeHi
 	w.maxPre = 0
 	if w.pa > 0 {
 		w.maxPre = w.rt[w.pa-1]
@@ -446,6 +446,13 @@ func (w *treeWalk) verifyLeaf(le *leafEntry, jr, acc, depth int, matched bool) {
 	}
 	w.st.MemberChecks++
 	req := w.bx.params.RequiredOverlap(w.la, ly)
+	// The bundle's signature bound holds for each of its members, so the
+	// tree gets collect mode's gate, here against the member's own
+	// requirement.
+	if w.bx.sigBound(le.b, w.la) < req {
+		w.st.TreeSigSkip++
+		return
+	}
 	if acc+min(w.la-jr, ly-depth) < req {
 		w.st.TreeLeafUBSkip++
 		return
@@ -520,7 +527,7 @@ func (w *treeWalk) expandRoot(dst []*treeNode) []*treeNode {
 // tree already verified.
 func (bx *Index) probeTree(r *record.Record, emit func(Match)) (best Insertion, ok bool) {
 	bx.stats.TreeProbes++
-	bx.packProbe(r)
+	bx.bindProbe(r)
 	w := &bx.tw
 	w.prep(bx, r)
 	w.st, w.collect = &bx.stats, bx.emitAppend

@@ -33,17 +33,31 @@ func TestVerifyModeParseString(t *testing.T) {
 // streams are compared across modes; stats equality within a mode is
 // covered by TestTreeStatsParitySerialParallel.
 func TestVerifyModeParityMatchStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	stream := duplicateHeavyStream(rng, 500, 40)
+	stream := duplicateHeavyStream(rand.New(rand.NewSource(67)), 500, 40)
 	kernels := []similarity.Kernel{
 		similarity.KernelAuto, similarity.KernelLinear,
 		similarity.KernelGallop, similarity.KernelBitset,
 	}
+	verifyModeParity(t, stream, kernels, []int{1, 2, 4, 8}, false)
+}
+
+// TestVerifyModeParityLongRecords checks that the signature bound prunes
+// the same join in every mode: collect applies it per bundle, the tree per
+// anchored member, auto both.
+func TestVerifyModeParityLongRecords(t *testing.T) {
+	stream := longDuplicateStream(rand.New(rand.NewSource(69)), 500)
+	verifyModeParity(t, stream, []similarity.Kernel{similarity.KernelAuto}, []int{1, 3}, true)
+}
+
+func verifyModeParity(t *testing.T, stream []*record.Record, kernels []similarity.Kernel, pools []int, wantSigSkip bool) {
 	for _, tau := range []float64{0.5, 0.8} {
 		for _, win := range []window.Policy{window.Unbounded{}, window.Count{N: 60}} {
-			want, _ := runSequential(stream, tau, win, Config{})
+			want, wantStats := runSequential(stream, tau, win, Config{})
 			if tau == 0.5 && len(want) == 0 {
 				t.Fatal("degenerate workload: collect run found no matches")
+			}
+			if wantSigSkip && wantStats.BundleSigSkip == 0 {
+				t.Fatalf("τ=%v win=%v: collect's signature gate never skipped a bundle", tau, win)
 			}
 			for _, mode := range []VerifyMode{VerifyTree, VerifyAuto} {
 				for _, kern := range kernels {
@@ -51,10 +65,18 @@ func TestVerifyModeParityMatchStream(t *testing.T) {
 						VerifyMode: mode,
 						Kernel:     similarity.KernelConfig{Mode: kern},
 					}
-					for _, p := range []int{1, 2, 4, 8} {
-						got, _ := runParallel(stream, tau, win, cfg, p)
+					for _, p := range pools {
+						got, st := runParallel(stream, tau, win, cfg, p)
 						label := fmt.Sprintf("τ=%v win=%v mode=%v kern=%v P=%d", tau, win, mode, kern, p)
 						requireStreams(t, label, got, want, Stats{}, Stats{})
+						// Under the 60-record window auto never reaches
+						// autoTreeMinLive and prunes through collect's gate.
+						if wantSigSkip && st.TreeSigSkip+st.BundleSigSkip == 0 {
+							t.Fatalf("%s: the signature bound never pruned anything", label)
+						}
+						if wantSigSkip && mode == VerifyTree && st.BundleSigSkip != 0 {
+							t.Fatalf("%s: tree-only probes went through collect's gate", label)
+						}
 					}
 				}
 			}
@@ -336,20 +358,35 @@ func FuzzTreeVsCollect(f *testing.F) {
 
 // TestAdaptiveMinLenNeverChangesResults pins satellite guarantee: kernel
 // adaptation moves BitsetMinLen (within its clamps) but can never change
-// the match stream. The dense small-universe stream packs heavily, so
-// the bitset share is high and the cutoff is driven downward.
+// the match stream. The stream is near-duplicates of long dense records
+// over a narrow universe: unrelated records of that shape are rejected by
+// the signature gate before any kernel runs, so only pairs similar enough
+// to pass it — here mostly a duplicate probing its original's singleton
+// bundle, both sides packed — feed the kernel mix. The bitset share is
+// high and the cutoff is driven downward.
 func TestAdaptiveMinLenNeverChangesResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	// Long dense records over a narrow universe: packed forms everywhere.
 	var stream []*record.Record
+	var protos [][]tokens.Rank
 	for i := 0; i < 2*adaptInterval+50; i++ {
 		var set []tokens.Rank
-		for len(set) < 70 {
-			set = append(set, tokens.Rank(rng.Intn(160)))
+		if len(protos) > 0 && rng.Float64() < 0.4 {
+			set = append(set, protos[len(protos)-1-rng.Intn(min(len(protos), 40))]...)
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				set[rng.Intn(len(set))] = tokens.Rank(rng.Intn(160))
+			}
+		} else {
+			for len(set) < 90 {
+				set = append(set, tokens.Rank(rng.Intn(160)))
+			}
+			protos = append(protos, set)
 		}
 		stream = append(stream, rec(record.ID(i), set...))
 	}
 	want, _ := runSequential(stream, 0.5, window.Count{N: 200}, Config{})
+	if len(want) == 0 {
+		t.Fatal("degenerate workload: no matches")
+	}
 	cfgA := Config{Kernel: similarity.KernelConfig{AdaptiveMinLen: true}}
 	bx := New(params(0.5), window.Count{N: 200}, cfgA)
 	var got []emitted
@@ -364,6 +401,8 @@ func TestAdaptiveMinLenNeverChangesResults(t *testing.T) {
 		t.Fatalf("adapted cutoff %d outside clamps", cut)
 	}
 	if cut == 64 {
-		t.Fatalf("cutoff never adapted on a bitset-heavy stream: %d", cut)
+		st := bx.Stats()
+		t.Fatalf("cutoff never adapted on a bitset-heavy stream: %d (linear %d gallop %d bitset %d)",
+			cut, st.KernelLinear, st.KernelGallop, st.KernelBitset)
 	}
 }

@@ -21,13 +21,15 @@ import (
 // perf comparison is wrapped around a hard parity assertion, like E21's
 // kernel sweep. The "vs-collect" column is the verified-candidate
 // reduction the filter-and-verification tree achieves by pruning whole
-// subtrees (pruned/avoided columns) before any member is materialized.
+// subtrees (pruned/avoided columns) before any member is materialized;
+// "sig-skipped" counts what the signature bound rejected before any merge —
+// candidate bundles in collect probes, anchored members in tree probes.
 func E23(sc Scale) *Table {
 	t := &Table{
 		ID:      "E23",
 		Title:   "Candidate-free verification: collect vs tree vs auto (extension)",
-		Columns: []string{"profile", "verify", "rec/s", "checks", "verified", "vs-collect", "pruned", "avoided", "results"},
-		Notes:   "bundle joiner, single worker; match streams are hashed in emission order and must be identical across modes (the run panics otherwise); vs-collect is the reduction in verified candidates; pruned counts subtrees discarded by tree-node filters, avoided the candidate members inside them",
+		Columns: []string{"profile", "verify", "rec/s", "checks", "verified", "vs-collect", "sig-skipped", "pruned", "avoided", "results"},
+		Notes:   "bundle joiner, single worker; match streams are hashed in emission order and must be identical across modes (the run panics otherwise); vs-collect is the reduction in verified candidates; sig-skipped counts bundles (collect probes) and anchored members (tree probes) rejected by the signature bound; pruned counts subtrees discarded by tree-node filters, avoided the candidate members inside them",
 	}
 	profiles := []struct {
 		name string
@@ -83,7 +85,7 @@ func E23(sc Scale) *Table {
 				vs = fmt.Sprintf("-%.1f%%", 100*(1-float64(st.Verified)/float64(baseVerified)))
 			}
 			t.AddRow(pr.name, vm.String(), float64(len(recs))/elapsed.Seconds(),
-				st.MemberChecks, st.Verified, vs,
+				st.MemberChecks, st.Verified, vs, st.BundleSigSkip+st.TreeSigSkip,
 				st.TreeSubtreesPruned, st.TreeCandsAvoided, results)
 		}
 	}
