@@ -355,7 +355,7 @@ func (c *allocChecker) callExpr(call *ast.CallExpr, selfAppends map[*ast.CallExp
 	}
 	// Conversions: T(x) where T is a type.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-		if types.IsInterface(tv.Type) && len(call.Args) == 1 && !types.IsInterface(info.TypeOf(call.Args[0])) {
+		if types.IsInterface(tv.Type) && len(call.Args) == 1 && boxes(info.TypeOf(call.Args[0])) {
 			site(call.Pos(), "conversion to interface type (boxing)")
 		}
 		return
@@ -388,7 +388,7 @@ func (c *allocChecker) boxingArgs(call *ast.CallExpr, sig *types.Signature, site
 			continue
 		}
 		at := info.TypeOf(arg)
-		if at == nil || !types.IsInterface(pt) || types.IsInterface(at) {
+		if !types.IsInterface(pt) || !boxes(at) {
 			continue
 		}
 		if isUntypedNil(info, arg) {
@@ -411,10 +411,26 @@ func (c *allocChecker) boxingAssign(x *ast.AssignStmt, site func(token.Pos, stri
 		if lt == nil || rt == nil {
 			continue
 		}
-		if types.IsInterface(lt) && !types.IsInterface(rt) && !isUntypedNil(info, x.Rhs[i]) {
+		if types.IsInterface(lt) && boxes(rt) && !isUntypedNil(info, x.Rhs[i]) {
 			site(x.Rhs[i].Pos(), "interface conversion in assignment (boxing)")
 		}
 	}
+}
+
+// boxes reports whether storing a value of type t in an interface copies it
+// to the heap. An interface value is stored as it is, and a pointer-shaped
+// value (pointer, channel, map, func) is the interface's data word itself.
+func boxes(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Interface, *types.Pointer, *types.Chan, *types.Map, *types.Signature:
+		return false
+	case *types.Basic:
+		return u.Kind() != types.UnsafePointer
+	}
+	return true
 }
 
 // builtinName resolves a call to a builtin's name.
@@ -436,7 +452,8 @@ func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 }
 
 // staticCalleeOf resolves a call's static callee function, nil for
-// dynamic calls.
+// dynamic calls: func values and interface methods, whichever package
+// declares the interface.
 func staticCalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := call.Fun.(type) {
@@ -448,6 +465,11 @@ func staticCalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	fn, _ := info.Uses[id].(*types.Func)
+	if fn != nil {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			return nil
+		}
+	}
 	return fn
 }
 

@@ -1,11 +1,13 @@
 // Observability wiring for the stream engine. WithRegistry attaches an
 // obs.Registry to a topology; Run then binds scrape-time callbacks for
 // every edge and task and switches on per-batch timing. The instrumented
-// costs stay off the per-tuple path: edge counters were already atomic,
-// queue depth and batch occupancy are read at scrape time, and latency
-// observation happens twice per transport batch (batch age at dequeue,
-// batch processing time), not per tuple. With no registry attached the
-// emit and dispatch paths are byte-for-byte the uninstrumented ones.
+// costs stay off the per-tuple path: edge and task counters are published
+// per batch whether or not anyone scrapes them (so a live series trails the
+// truth by less than one batch per producer), queue depth and batch
+// occupancy are read at scrape time, and latency observation happens twice
+// per transport batch (batch age at dequeue, batch processing time), not
+// per tuple. With no registry attached the emit and dispatch paths are
+// byte-for-byte the uninstrumented ones.
 package stream
 
 import (
@@ -67,10 +69,10 @@ func (tp *Topology) registerMetrics(report *Report, tasks map[string][]*taskRun,
 	for key, ec := range report.Edges {
 		ec := ec
 		label := key.From + "->" + key.To
-		tuples.SetFunc(label, func() float64 { return float64(ec.Tuples.Load()) }) // obscheck: bounded — one series per edge/task, fixed at wiring time
-		bytes.SetFunc(label, func() float64 { return float64(ec.Bytes.Load()) }) // obscheck: bounded — one series per edge/task, fixed at wiring time
+		tuples.SetFunc(label, func() float64 { return float64(ec.Tuples.Load()) })   // obscheck: bounded — one series per edge/task, fixed at wiring time
+		bytes.SetFunc(label, func() float64 { return float64(ec.Bytes.Load()) })     // obscheck: bounded — one series per edge/task, fixed at wiring time
 		batches.SetFunc(label, func() float64 { return float64(ec.Batches.Load()) }) // obscheck: bounded — one series per edge/task, fixed at wiring time
-		occ.SetFunc(label, ec.Occupancy) // obscheck: bounded — one series per edge/task, fixed at wiring time
+		occ.SetFunc(label, ec.Occupancy)                                             // obscheck: bounded — one series per edge/task, fixed at wiring time
 	}
 
 	executed := reg.CounterVec("stream_task_executed_total",
@@ -88,12 +90,12 @@ func (tp *Topology) registerMetrics(report *Report, tasks map[string][]*taskRun,
 			tr := tr
 			label := fmt.Sprintf("%s/%d", name, tr.idx)
 			executed.SetFunc(label, func() float64 { return float64(tr.counters.Executed.Load()) }) // obscheck: bounded — one series per edge/task, fixed at wiring time
-			emitted.SetFunc(label, func() float64 { return float64(tr.counters.Emitted.Load()) }) // obscheck: bounded — one series per edge/task, fixed at wiring time
+			emitted.SetFunc(label, func() float64 { return float64(tr.counters.Emitted.Load()) })   // obscheck: bounded — one series per edge/task, fixed at wiring time
 			if tr.in != nil {
 				tr.obs = &taskObs{}
 				depth.SetFunc(label, func() float64 { return float64(len(tr.in)) }) // obscheck: bounded — one series per edge/task, fixed at wiring time
-				procH.SetFunc(label, tr.obs.process.Snapshot) // obscheck: bounded — one series per edge/task, fixed at wiring time
-				waitH.SetFunc(label, tr.obs.wait.Snapshot) // obscheck: bounded — one series per edge/task, fixed at wiring time
+				procH.SetFunc(label, tr.obs.process.Snapshot)                       // obscheck: bounded — one series per edge/task, fixed at wiring time
+				waitH.SetFunc(label, tr.obs.wait.Snapshot)                          // obscheck: bounded — one series per edge/task, fixed at wiring time
 			}
 		}
 	}

@@ -33,6 +33,9 @@ type taskRun struct {
 
 	outs []*edgeOut
 	pool *sync.Pool // shared batch pool for the whole run
+	// foldEvery is how many pulls a spout task counts locally before it
+	// publishes them: the topology's batch size, the same lag a bolt has.
+	foldEvery uint64
 
 	counters *TaskCounters
 	bolt     Bolt
@@ -53,6 +56,10 @@ type edgeOut struct {
 	batchSize int
 	stamp     bool     // instrumented run: stamp batch creation time
 	pending   []*batch // one accumulating batch per destination, nil when empty
+	// tuples and bytes count what this producer sent on the edge since it
+	// last folded them into counters: plain fields, so the per-tuple path
+	// touches no cache line another producer writes.
+	tuples, bytes uint64
 	// Admission control (nil adm = plain blocking sends, the zero-cost-off
 	// default). pressure and sampled are producer-local, no locking.
 	adm      *admission
@@ -83,12 +90,27 @@ func (o *edgeOut) send(d int, t Tuple, pool *sync.Pool) {
 	if len(b.items) >= o.batchSize {
 		o.pending[d] = nil
 		o.counters.Batches.Add(1)
+		o.fold()
 		if o.adm == nil {
 			o.dests[d].in <- b
 		} else {
 			o.deliver(d, b)
 		}
 	}
+}
+
+// fold adds the producer-local tuple and byte counts to the edge's shared
+// counters. It runs before a batch is handed to the consumer, so the shared
+// counters never trail what consumers and shed policies have seen.
+//
+// hotpath: zero-alloc — two atomic adds per shipped batch, none per tuple.
+func (o *edgeOut) fold() {
+	if o.tuples == 0 {
+		return
+	}
+	o.counters.Tuples.Add(o.tuples)
+	o.counters.Bytes.Add(o.bytes)
+	o.tuples, o.bytes = 0, 0
 }
 
 // flush ships every non-empty pending batch. Call when the producer task
@@ -108,12 +130,14 @@ func (o *edgeOut) flush() {
 	}
 }
 
-// emitter implements Emitter for one producer task.
+// emitter implements Emitter for one producer task. executed and emitted
+// are the task's work since the last fold, owned by the task's goroutine.
 type emitter struct {
-	outs     []*edgeOut
-	counters *TaskCounters
-	buf      []int
-	pool     *sync.Pool
+	outs              []*edgeOut
+	counters          *TaskCounters
+	buf               []int
+	pool              *sync.Pool
+	executed, emitted uint64
 }
 
 // Emit routes t on the default stream.
@@ -126,7 +150,7 @@ func (e *emitter) Emit(t Tuple) { e.EmitTo(DefaultStream, t) }
 // hotpath: zero-alloc — selection reuses e.buf, batching reuses pooled
 // batches; BenchmarkEmitPath pins the dynamic side of this contract.
 func (e *emitter) EmitTo(stream string, t Tuple) {
-	e.counters.Emitted.Add(1)
+	e.emitted++
 	// SizeBytes is computed lazily: only once a subscribed edge selects at
 	// least one destination. Emits to unsubscribed streams and selections
 	// that route nowhere skip both the size call and all counter updates.
@@ -143,16 +167,30 @@ func (e *emitter) EmitTo(stream string, t Tuple) {
 		if size < 0 {
 			size = t.SizeBytes()
 		}
-		out.counters.Tuples.Add(uint64(n))
-		out.counters.Bytes.Add(uint64(size) * uint64(n))
+		out.tuples += uint64(n)
+		out.bytes += uint64(size) * uint64(n)
 		for _, d := range e.buf {
 			out.send(d, t, e.pool)
 		}
 	}
 }
 
-// flush ships every pending batch on every edge of this producer.
+// fold publishes the task's and its edges' producer-local counts. The
+// executor calls it once per input batch, so a live scrape trails the truth
+// by less than one batch per producer.
+func (e *emitter) fold() {
+	e.counters.Executed.Add(e.executed)
+	e.counters.Emitted.Add(e.emitted)
+	e.executed, e.emitted = 0, 0
+	for _, out := range e.outs {
+		out.fold()
+	}
+}
+
+// flush ships every pending batch on every edge of this producer and
+// publishes its remaining counts.
 func (e *emitter) flush() {
+	e.fold()
 	for _, out := range e.outs {
 		out.flush()
 	}
@@ -212,7 +250,7 @@ func (tp *Topology) Run() (*Report, error) {
 		runs := make([]*taskRun, c.par)
 		counters := make([]*TaskCounters, c.par)
 		for i := 0; i < c.par; i++ {
-			tr := &taskRun{comp: c, idx: i, counters: &TaskCounters{}, pool: pool}
+			tr := &taskRun{comp: c, idx: i, counters: &TaskCounters{}, pool: pool, foldEvery: uint64(batchSize)}
 			if c.boltF != nil {
 				tr.in = make(chan *batch, tp.queueCap)
 				tr.bolt = c.boltF(i)
@@ -243,13 +281,17 @@ func (tp *Topology) Run() (*Report, error) {
 			if streamName == "" {
 				streamName = DefaultStream
 			}
+			edgeBatch := batchSize
+			if in.batchSize > 0 {
+				edgeBatch = in.batchSize
+			}
 			for _, prod := range tasks[in.from] {
 				out := &edgeOut{
 					stream:    streamName,
 					sel:       in.grouping.NewSelector(len(dests)),
 					dests:     dests,
 					counters:  ec,
-					batchSize: batchSize,
+					batchSize: edgeBatch,
 					pending:   make([]*batch, len(dests)),
 				}
 				if adm != nil {
@@ -370,7 +412,8 @@ func (t *taskRun) run() (err error) {
 // loop is the executor body: spouts pull, bolts drain their queue; both
 // flush pending batches on completion (so the explicit flush, not batch
 // fill, is what guarantees delivery of the tail) and then notify
-// downstream.
+// downstream. Work is counted in the emitter and published once per input
+// batch (per batchSize pulls for a spout), never per tuple.
 func (t *taskRun) loop() {
 	em := &emitter{outs: t.outs, counters: t.counters, pool: t.pool}
 	if t.spout != nil {
@@ -379,8 +422,11 @@ func (t *taskRun) loop() {
 			if !ok {
 				break
 			}
-			t.counters.Executed.Add(1)
+			em.executed++
 			em.Emit(tu)
+			if em.executed >= t.foldEvery {
+				em.fold()
+			}
 		}
 	} else {
 		bb, batched := t.bolt.(BatchBolt)
@@ -393,8 +439,8 @@ func (t *taskRun) loop() {
 				}
 				pstart = time.Now()
 			}
+			em.executed += uint64(len(b.items))
 			if batched {
-				t.counters.Executed.Add(uint64(len(b.items)))
 				bb.ExecuteBatch(b.items, em)
 				for i := range b.items {
 					b.items[i] = nil // drop refs so pooled batches don't pin tuples
@@ -402,12 +448,12 @@ func (t *taskRun) loop() {
 			} else {
 				for i, tu := range b.items {
 					b.items[i] = nil // drop the ref so pooled batches don't pin tuples
-					t.counters.Executed.Add(1)
 					t.bolt.Execute(tu, em)
 				}
 			}
 			b.items = b.items[:0]
 			t.pool.Put(b)
+			em.fold()
 			if t.obs != nil {
 				t.obs.process.Observe(time.Since(pstart))
 			}

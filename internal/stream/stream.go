@@ -207,6 +207,9 @@ type inputDecl struct {
 	from     string
 	stream   string
 	grouping Grouping
+	// batchSize replaces the topology's batch size on this subscription
+	// when positive (SubscribeUnbatched sets 1).
+	batchSize int
 }
 
 type component struct {
@@ -282,11 +285,24 @@ func (c *ComponentRef) SubscribeTo(from string, g Grouping) *ComponentRef {
 
 // SubscribeToStream consumes a named output stream of component from.
 func (c *ComponentRef) SubscribeToStream(from, stream string, g Grouping) *ComponentRef {
+	return c.subscribe(inputDecl{from: from, stream: stream, grouping: g})
+}
+
+// SubscribeUnbatched consumes the default output stream of component from
+// with every tuple shipped the moment it is emitted, whatever the
+// topology's batch size. It is for producers whose tuples are already
+// batches (the join's result slabs): accumulating those again would only
+// delay them and keep that many more of them in flight.
+func (c *ComponentRef) SubscribeUnbatched(from string, g Grouping) *ComponentRef {
+	return c.subscribe(inputDecl{from: from, stream: DefaultStream, grouping: g, batchSize: 1})
+}
+
+func (c *ComponentRef) subscribe(in inputDecl) *ComponentRef {
 	if c.comp.spoutF != nil {
-		c.tp.err = fmt.Errorf("stream: spout %q cannot subscribe to %q", c.comp.name, from)
+		c.tp.err = fmt.Errorf("stream: spout %q cannot subscribe to %q", c.comp.name, in.from)
 		return c
 	}
-	c.comp.inputs = append(c.comp.inputs, inputDecl{from: from, stream: stream, grouping: g})
+	c.comp.inputs = append(c.comp.inputs, in)
 	return c
 }
 
@@ -350,6 +366,13 @@ type EdgeKey struct {
 // EdgeCounters counts traffic over one edge; this is the simulated network
 // bill. Batches counts channel sends, so Tuples/Batches is the realized
 // batch occupancy — how much synchronization the transport amortized.
+//
+// Each producer task counts Tuples and Bytes in fields of its own and adds
+// them here when it ships a batch on the edge and at the end of each of its
+// input batches, so the counters are exact once Run returns and a live read
+// trails the truth by less than one batch per producer. Tuples still
+// pending in a producer that panicked are dropped with its batches and are
+// not counted as shipped.
 type EdgeCounters struct {
 	Tuples  atomic.Uint64
 	Bytes   atomic.Uint64
@@ -369,7 +392,9 @@ func (e *EdgeCounters) Occupancy() float64 {
 	return float64(e.Tuples.Load()) / float64(b)
 }
 
-// TaskCounters counts per-task work.
+// TaskCounters counts per-task work. The task publishes both counts once
+// per input batch (a spout once per batch-size pulls) and when it finishes:
+// exact once Run returns, less than one batch behind while it runs.
 type TaskCounters struct {
 	Executed atomic.Uint64
 	Emitted  atomic.Uint64

@@ -12,10 +12,13 @@ import (
 // aggressive tracer and checks the full surface: results are unchanged,
 // worker latency histograms carry one observation per record, bundle live
 // counters agree with the harvested joiner costs, and sampled traces chain
-// emit → dispatch → queue → process with deliver spans for result tuples.
+// emit → dispatch → queue → process with deliver spans for result pairs.
+// The stream ends in the slab ladder, so the most recent traces belong to
+// records with hundreds of matches: their lineages cross slab boundaries
+// and ride slabs the sink has already recycled.
 func TestRunWithObservability(t *testing.T) {
 	p := params(0.6)
-	recs := genStream(800, 11)
+	recs := withSlabLadder(genStream(800, 11))
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(8, 64)
 	cfg := Config{
@@ -72,14 +75,17 @@ func TestRunWithObservability(t *testing.T) {
 		t.Fatal("engine metrics missing from registry")
 	}
 
-	if tracer.Sampled() != 800/8 {
+	if tracer.Sampled() != uint64(len(recs))/8 {
 		t.Fatalf("sampled %d traces", tracer.Sampled())
 	}
 	stages := map[string]int{}
 	deliverParentOK := true
+	mostVerified := 0
 	for _, ts := range tracer.Recent() {
+		perTrace := map[string]int{}
 		for i, sp := range ts.Spans {
 			stages[sp.Stage]++
+			perTrace[sp.Stage]++
 			if sp.Parent < -1 || sp.Parent >= i {
 				t.Fatalf("trace %d span %d: bad parent %d", ts.ID, i, sp.Parent)
 			}
@@ -90,6 +96,29 @@ func TestRunWithObservability(t *testing.T) {
 		}
 		if ts.Spans[0].Stage != "emit" {
 			t.Fatalf("trace %d does not start at emit: %+v", ts.ID, ts.Spans[0])
+		}
+		// Every verified pair is delivered exactly once: a lineage lost at a
+		// slab boundary would leave a verify span without its deliver span, a
+		// stale one left in a recycled slab would deliver twice.
+		if perTrace["deliver"] != perTrace["verify"] {
+			t.Fatalf("trace %d: %d verify spans, %d deliver spans", ts.ID, perTrace["verify"], perTrace["deliver"])
+		}
+		if perTrace["verify"] > mostVerified {
+			mostVerified = perTrace["verify"]
+		}
+	}
+	if mostVerified <= slabPairs {
+		t.Fatalf("no sampled record had more than %d matches (most: %d): no lineage crossed a slab boundary", slabPairs, mostVerified)
+	}
+	for _, b := range res.Report.Bolts["worker"] {
+		w := b.(*workerBolt)
+		for len(w.free) > 0 {
+			s := <-w.free
+			for _, l := range s.lineages[:cap(s.lineages)] {
+				if l.trace != nil {
+					t.Fatalf("worker %d: a recycled slab still holds trace %d", w.task, l.trace.ID())
+				}
+			}
 		}
 	}
 	for _, stage := range []string{"emit", "dispatch", "queue", "process"} {

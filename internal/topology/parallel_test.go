@@ -1,9 +1,11 @@
 package topology
 
 import (
+	"fmt"
+	"testing"
+
 	"repro/internal/local"
 	"repro/internal/record"
-	"testing"
 )
 
 // TestParallelParityTopology is the engine-level parity matrix the CI
@@ -15,7 +17,7 @@ import (
 // order is enforced by the bundle- and local-level parity tests.
 func TestParallelParityTopology(t *testing.T) {
 	p := params(0.6)
-	recs := genStream(700, 29)
+	recs := withSlabLadder(genStream(700, 29)) // probes of up to 519 matches: pooled verification feeding full slabs
 	want := bruteCount(recs, p, nil)
 	if len(want) == 0 {
 		t.Fatal("degenerate workload: no brute-force pairs")
@@ -34,22 +36,7 @@ func TestParallelParityTopology(t *testing.T) {
 			if err != nil {
 				t.Fatalf("batch=%d P=%d: %v", batch, par, err)
 			}
-			got := make(map[record.Pair]bool)
-			for _, pr := range res.Pairs {
-				key := record.Pair{First: pr.First, Second: pr.Second}
-				if got[key] {
-					t.Fatalf("batch=%d P=%d: duplicate pair %v", batch, par, key)
-				}
-				got[key] = true
-			}
-			if len(got) != len(want) {
-				t.Fatalf("batch=%d P=%d: got %d pairs want %d", batch, par, len(got), len(want))
-			}
-			for pr := range want {
-				if !got[pr] {
-					t.Fatalf("batch=%d P=%d: missing %v", batch, par, pr)
-				}
-			}
+			checkPairs(t, fmt.Sprintf("batch=%d P=%d", batch, par), res.Pairs, want)
 		}
 	}
 }

@@ -9,7 +9,6 @@ package topology
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/bundle"
@@ -61,26 +60,42 @@ func (s *recSlab) get() *RecTuple {
 	return rt
 }
 
-// ResultTuple carries one verified join pair from a worker to the sink. It
-// travels as a pointer recycled through resultPool: the sink returns each
-// tuple after reading it, so result-heavy joins do not allocate per pair.
-type ResultTuple struct {
-	Pair record.Pair
-	Enq  time.Time
-	// Trace and ParentSpan carry the sampled lineage (if any) from the
-	// worker that verified the pair to the sink; the sink clears both
-	// before recycling the tuple.
-	Trace      *obs.Trace
-	ParentSpan int
+// resultSlab carries a run of verified join pairs from one worker to the
+// sink: one tuple, one channel send and one update of the edge counters
+// per slab, not per pair (at 24 results a record the per-pair costs were a
+// third of a worker's time). The owning worker appends pairs up to
+// slabPairs, emits the slab, and must not touch it again; the sink reads
+// it, empties it and hands it back on home.
+type resultSlab struct {
+	pairs []record.Pair
+	// lineages lists the sampled pairs among pairs. Untraced pairs (all of
+	// them on an untraced run) carry no trace words at all.
+	lineages []lineage
+	// home is the owning worker's ring of free slabs.
+	home chan *resultSlab
 }
 
-// SizeBytes implements stream.Tuple.
-func (*ResultTuple) SizeBytes() int { return 24 }
+// lineage is the sampled trace of one result pair on its way to the sink:
+// the deliver span the sink writes hangs off the worker's verify span.
+type lineage struct {
+	trace      *obs.Trace
+	verifySpan int
+}
 
-// resultPool recycles ResultTuples between the worker bolts (Get) and the
-// sink (Put). sync.Pool is internally synchronized, so concurrent workers
-// and the sink need no further locking.
-var resultPool = sync.Pool{New: func() interface{} { return new(ResultTuple) }}
+// SizeBytes implements stream.Tuple: 24 bytes a pair, as a tuple per pair
+// cost, so the worker → sink byte counter reads the same.
+func (s *resultSlab) SizeBytes() int { return 24 * len(s.pairs) }
+
+const (
+	// slabPairs is the fixed capacity of a result slab, so appending a pair
+	// never grows it.
+	slabPairs = 256
+	// slabShipMark is the fill at which the end of an input batch ships a
+	// partial slab: one channel send per 64 results, the cadence of the
+	// engine's default transport batch, so a sparse result stream does not
+	// wake the sink for every few pairs.
+	slabShipMark = 64
+)
 
 // Config specifies one join topology run.
 type Config struct {
@@ -299,10 +314,40 @@ type workerBolt struct {
 	// so the fields need no locking.
 	emitFn       func(local.Match)
 	curRec       *record.Record
-	curEnq       time.Time
 	curTrace     *obs.Trace
 	curQueueSpan int
 	curEm        stream.Emitter
+	// slab is the result slab being filled (nil between slabs). free is the
+	// ring the sink returns emptied slabs on; it holds everything that can
+	// be in flight at once — the sink's queue, the slab the sink is reading
+	// and the one being filled — so the steady state allocates nothing, and
+	// neither side ever blocks on it: the worker makes a slab when the ring
+	// is empty, the sink drops one when it is full. A sink that died and
+	// returns nothing therefore costs allocations, never a deadlock.
+	slab *resultSlab
+	free chan *resultSlab
+	// newSlab makes a slab when the ring is empty. It is a function value so
+	// that the allocation stays off takeSlab's static zero-alloc call graph;
+	// slabsMade counts its calls.
+	newSlab   func() *resultSlab
+	slabsMade int
+}
+
+// newWorkerBolt returns a worker without a joiner; sinkQueueCap sizes its
+// slab ring.
+func newWorkerBolt(task, k int, strat dispatch.Strategy, sinkQueueCap int) *workerBolt {
+	w := &workerBolt{
+		task:  task,
+		k:     k,
+		strat: strat,
+		free:  make(chan *resultSlab, sinkQueueCap+2), // queue + one at the sink + one being filled
+	}
+	w.emitFn = w.emitMatch
+	w.newSlab = func() *resultSlab {
+		w.slabsMade++
+		return &resultSlab{pairs: make([]record.Pair, 0, slabPairs), home: w.free}
+	}
+	return w
 }
 
 // burn spins the CPU for roughly d, standing in for per-tuple network and
@@ -316,11 +361,31 @@ func burn(d time.Duration) {
 	}
 }
 
-// Execute implements stream.Bolt: probe (always), store when the strategy
-// assigns the record here, and emit deduplicated results. With parallel
+// Execute implements stream.Bolt for a lone tuple: a transport batch of
+// one record.
+func (w *workerBolt) Execute(t stream.Tuple, em stream.Emitter) {
+	w.step(t, em)
+	w.shipSlab(em, slabShipMark)
+}
+
+// ExecuteBatch implements stream.BatchBolt: a whole transport batch of
+// records streams through the worker in one call, in order. This is the
+// engine→pool handoff: the verifier pool sees back-to-back records
+// without a per-tuple trip through the executor loop, so its helpers
+// stay warm across a batch. The batch's results leave with it once they
+// are worth a channel send.
+func (w *workerBolt) ExecuteBatch(ts []stream.Tuple, em stream.Emitter) {
+	for _, t := range ts {
+		w.step(t, em)
+	}
+	w.shipSlab(em, slabShipMark)
+}
+
+// step joins one record: probe (always), store when the strategy assigns
+// the record here, and emit deduplicated results. With parallel
 // dispatchers the record first passes the reorder buffer so the joiner
 // always sees nondecreasing sequence numbers.
-func (w *workerBolt) Execute(t stream.Tuple, em stream.Emitter) {
+func (w *workerBolt) step(t stream.Tuple, em stream.Emitter) {
 	rt := t.(*RecTuple)
 	if w.wirePerB > 0 {
 		d := time.Duration(w.wirePerB * rt.SizeBytes())
@@ -334,42 +399,64 @@ func (w *workerBolt) Execute(t stream.Tuple, em stream.Emitter) {
 	w.process(rt, em)
 }
 
-// ExecuteBatch implements stream.BatchBolt: a whole transport batch of
-// records streams through the worker in one call, in order. This is the
-// engine→pool handoff: the verifier pool sees back-to-back records
-// without a per-tuple trip through the executor loop, so its helpers
-// stay warm across a batch.
-func (w *workerBolt) ExecuteBatch(ts []stream.Tuple, em stream.Emitter) {
-	for _, t := range ts {
-		w.Execute(t, em)
-	}
-}
-
-// Flush drains the reorder buffer at stream end.
+// Flush drains the reorder buffer at stream end, then ships whatever the
+// last slab holds.
 func (w *workerBolt) Flush(em stream.Emitter) {
 	if w.reorder != nil {
 		w.reorder.Flush(func(ordered *RecTuple) { w.process(ordered, em) })
 	}
+	w.shipSlab(em, 1)
 }
 
 // emitMatch is the joiner's per-match callback: strategy arbitration, then
-// a pooled ResultTuple to the sink. It reads the record under probe from
-// the cur* fields process() binds, so the same bound method value serves
-// every record without a per-record closure allocation.
+// the pair goes into the current slab, which ships when full. It reads the
+// record under probe from the cur* fields process() binds, so the same
+// bound method value serves every record without a per-record closure
+// allocation.
+//
+// hotpath: zero-alloc — one call per result pair; the slab has fixed
+// capacity and comes from the ring.
 func (w *workerBolt) emitMatch(m local.Match) {
 	if !w.strat.Emits(w.curRec, m.Rec, w.task, w.k) {
 		return
 	}
 	w.results++
-	out := resultPool.Get().(*ResultTuple)
-	out.Pair = record.NewPair(w.curRec.ID, m.Rec.ID, m.Sim)
-	out.Enq = w.curEnq
+	s := w.slab
+	if s == nil {
+		s = w.takeSlab()
+		w.slab = s
+	}
+	s.pairs = append(s.pairs, record.NewPair(w.curRec.ID, m.Rec.ID, m.Sim))
 	if w.curTrace != nil {
 		now := time.Now()
-		out.Trace = w.curTrace
-		out.ParentSpan = w.curTrace.Append("verify", "worker", w.task, w.curQueueSpan, now, now)
+		span := w.curTrace.Append("verify", "worker", w.task, w.curQueueSpan, now, now)
+		s.lineages = append(s.lineages, lineage{trace: w.curTrace, verifySpan: span})
 	}
-	w.curEm.Emit(out)
+	if len(s.pairs) == slabPairs {
+		w.shipSlab(w.curEm, slabPairs)
+	}
+}
+
+// takeSlab returns an empty slab: one the sink handed back if there is
+// one, a fresh one otherwise. It never waits for the sink.
+//
+// hotpath: zero-alloc — the ring covers everything in flight, so newSlab
+// runs only while the ring fills up at the start of a run.
+func (w *workerBolt) takeSlab() *resultSlab {
+	select {
+	case s := <-w.free:
+		return s
+	default:
+		return w.newSlab()
+	}
+}
+
+// shipSlab emits the current slab if it holds at least min pairs.
+func (w *workerBolt) shipSlab(em stream.Emitter, min int) {
+	if s := w.slab; s != nil && len(s.pairs) >= min {
+		w.slab = nil
+		em.Emit(s)
+	}
 }
 
 func (w *workerBolt) process(rt *RecTuple, em stream.Emitter) {
@@ -387,7 +474,7 @@ func (w *workerBolt) process(rt *RecTuple, em stream.Emitter) {
 		pstart = time.Now()
 		queueSpan = rt.Trace.Append("queue", "worker", w.task, parent, prev, pstart)
 	}
-	w.curRec, w.curEnq, w.curTrace, w.curQueueSpan, w.curEm = r, rt.Enq, rt.Trace, queueSpan, em
+	w.curRec, w.curTrace, w.curQueueSpan, w.curEm = r, rt.Trace, queueSpan, em
 	if w.bi != nil {
 		w.bi.StepSide(r, rt.Right, store, w.emitFn)
 	} else {
@@ -518,22 +605,32 @@ type sinkBolt struct {
 	pairs   []record.Pair
 }
 
-// Execute implements stream.Bolt: read the pair, then recycle the tuple.
-// Traced results get their terminal deliver span; the trace reference must
-// be cleared before pooling so recycled tuples do not resurrect lineages.
+// Execute implements stream.Bolt: read the slab, empty it and hand it back
+// to its worker. Traced pairs get their terminal deliver span; the lineage
+// entries must be cleared before the slab goes home so a recycled slab does
+// not resurrect (or pin) a trace.
+//
+// hotpath: zero-alloc — one call per slab; the hand-back never blocks, a
+// full ring just drops the slab.
 func (s *sinkBolt) Execute(t stream.Tuple, _ stream.Emitter) {
-	rt := t.(*ResultTuple)
-	s.count++
+	slab := t.(*resultSlab)
+	s.count += uint64(len(slab.pairs))
 	if s.collect {
-		s.pairs = append(s.pairs, rt.Pair)
+		s.pairs = append(s.pairs, slab.pairs...)
 	}
-	if rt.Trace != nil {
+	if len(slab.lineages) > 0 {
 		now := time.Now()
-		rt.Trace.Append("deliver", "sink", 0, rt.ParentSpan, now, now)
-		rt.Trace = nil
-		rt.ParentSpan = 0
+		for _, l := range slab.lineages {
+			l.trace.Append("deliver", "sink", 0, l.verifySpan, now, now)
+		}
+		clear(slab.lineages)
+		slab.lineages = slab.lineages[:0]
 	}
-	resultPool.Put(rt)
+	slab.pairs = slab.pairs[:0]
+	select {
+	case slab.home <- slab:
+	default:
+	}
 }
 
 // Run executes one self-join over the record slice and returns the
@@ -651,13 +748,8 @@ func run(cfg Config, nrecs uint64, spoutF func(int) stream.Spout, bi bool, cur c
 		slack = uint64(cfg.Dispatchers)*perDispatcher + 64
 	}
 	tp.AddBolt("worker", func(task int) stream.Bolt {
-		w := &workerBolt{
-			task:     task,
-			k:        k,
-			strat:    cfg.Strategy,
-			wirePerB: cfg.WireNsPerByte,
-		}
-		w.emitFn = w.emitMatch
+		w := newWorkerBolt(task, k, cfg.Strategy, queueCap)
+		w.wirePerB = cfg.WireNsPerByte
 		switch {
 		case bi:
 			w.bi = local.NewBi(cfg.Algorithm, jopts)
@@ -684,9 +776,10 @@ func run(cfg Config, nrecs uint64, spoutF func(int) stream.Spout, bi bool, cur c
 		return w
 	}, k).SubscribeTo("dispatcher", routeGrouping)
 
+	// A result slab is already a batch: it ships when the worker emits it.
 	tp.AddBolt("sink", func(int) stream.Bolt {
 		return &sinkBolt{collect: cfg.CollectPairs}
-	}, 1).SubscribeTo("worker", stream.Shuffle{})
+	}, 1).SubscribeUnbatched("worker", stream.Shuffle{})
 
 	rep, err := tp.Run()
 	if err != nil {
@@ -740,10 +833,7 @@ func run(cfg Config, nrecs uint64, spoutF func(int) stream.Spout, bi bool, cur c
 			res.LateDrops += w.reorder.Late()
 		}
 	}
-	for _, b := range rep.Bolts["sink"] {
-		s := b.(*sinkBolt)
-		res.Results += s.count
-		res.Pairs = append(res.Pairs, s.pairs...)
-	}
+	sink := rep.Bolts["sink"][0].(*sinkBolt) // the topology has one sink task
+	res.Results, res.Pairs = sink.count, sink.pairs
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dispatch"
@@ -9,6 +10,8 @@ import (
 	"repro/internal/partition"
 	"repro/internal/record"
 	"repro/internal/similarity"
+	"repro/internal/stream"
+	"repro/internal/tokens"
 	"repro/internal/window"
 	"repro/internal/workload"
 )
@@ -58,6 +61,79 @@ func bruteCount(recs []*record.Record, p filter.Params, win window.Policy) map[r
 	return out
 }
 
+// withSlabLadder appends groups of identical records to recs, interleaved
+// so that several workers fill result slabs at once. Record i of a group
+// matches the i records of the group before it, so the probes of the
+// largest group return every count from 0 to 519 — among them 0, 1, 63,
+// 64, 255, 256, 257 and more than two slabs' worth — and a slab fills in
+// the middle of a probe, exactly at a probe's end, and is shipped both
+// below and above the 64-pair mark. Groups differ in length, so a
+// length-based plan can put them on different workers.
+func withSlabLadder(recs []*record.Record) []*record.Record {
+	groups := []struct{ size, length int }{{520, 3}, {258, 6}, {65, 10}, {2, 16}}
+	out := append([]*record.Record(nil), recs...)
+	for i := 0; i < groups[0].size; i++ {
+		for g, grp := range groups {
+			if i >= grp.size {
+				continue
+			}
+			set := make([]tokens.Rank, grp.length)
+			for j := range set {
+				set[j] = tokens.Rank(1_000_000 + 100*g + j)
+			}
+			id := record.ID(len(out))
+			if n := len(out); n > 0 {
+				id = out[n-1].ID + 1
+			}
+			out = append(out, &record.Record{ID: id, Time: int64(id), Tokens: set})
+		}
+	}
+	return out
+}
+
+// tagSides turns a stream into a two-sided one: every second record is a
+// right record, so each ladder group is split evenly.
+func tagSides(recs []*record.Record) []BiRecord {
+	out := make([]BiRecord, len(recs))
+	for i, r := range recs {
+		out[i] = BiRecord{Rec: r, Right: i%2 == 1}
+	}
+	return out
+}
+
+// bruteCountBi is bruteCount for a two-sided stream: cross-side pairs only.
+func bruteCountBi(recs []BiRecord, p filter.Params) map[record.Pair]bool {
+	out := make(map[record.Pair]bool)
+	for i, r := range recs {
+		for _, s := range recs[:i] {
+			if r.Right != s.Right && similarity.Of(p.Func, r.Rec.Tokens, s.Rec.Tokens) >= p.Threshold-1e-12 {
+				out[record.NewPair(r.Rec.ID, s.Rec.ID, 0)] = true
+			}
+		}
+	}
+	return out
+}
+
+// checkPairs fails unless got is exactly want as a multiset: no pair
+// missing, none extra, none twice.
+func checkPairs(t *testing.T, label string, got []record.Pair, want map[record.Pair]bool) {
+	t.Helper()
+	seen := make(map[record.Pair]bool, len(got))
+	for _, pr := range got {
+		key := record.Pair{First: pr.First, Second: pr.Second}
+		if seen[key] {
+			t.Fatalf("%s: duplicate pair %v", label, key)
+		}
+		if !want[key] {
+			t.Fatalf("%s: unexpected pair %v", label, key)
+		}
+		seen[key] = true
+	}
+	if len(seen) != len(want) {
+		t.Fatalf("%s: got %d pairs want %d", label, len(seen), len(want))
+	}
+}
+
 // TestAllTopologiesMatchBruteForce is the system-level correctness gate:
 // every (strategy × algorithm × worker-count) combination must produce
 // exactly the brute-force pair set.
@@ -78,23 +154,7 @@ func TestAllTopologiesMatchBruteForce(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s k=%d: %v", strat.Name(), alg, k, err)
 				}
-				got := make(map[record.Pair]bool)
-				for _, pr := range res.Pairs {
-					key := record.Pair{First: pr.First, Second: pr.Second}
-					if got[key] {
-						t.Fatalf("%s/%s k=%d: duplicate pair %v", strat.Name(), alg, k, pr)
-					}
-					got[key] = true
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s/%s k=%d: got %d pairs want %d",
-						strat.Name(), alg, k, len(got), len(want))
-				}
-				for pr := range want {
-					if !got[pr] {
-						t.Fatalf("%s/%s k=%d: missing %v", strat.Name(), alg, k, pr)
-					}
-				}
+				checkPairs(t, fmt.Sprintf("%s/%s k=%d", strat.Name(), alg, k), res.Pairs, want)
 			}
 		}
 	}
@@ -416,22 +476,7 @@ func TestDistributedBiJoinMatchesLocal(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", strat.Name(), k, err)
 			}
-			got := make(map[record.Pair]bool)
-			for _, pr := range res.Pairs {
-				key := record.Pair{First: pr.First, Second: pr.Second}
-				if got[key] {
-					t.Fatalf("%s k=%d: duplicate %v", strat.Name(), k, key)
-				}
-				got[key] = true
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s k=%d: got %d pairs want %d", strat.Name(), k, len(got), len(want))
-			}
-			for pr := range want {
-				if !got[pr] {
-					t.Fatalf("%s k=%d: missing %v", strat.Name(), k, pr)
-				}
-			}
+			checkPairs(t, fmt.Sprintf("%s k=%d", strat.Name(), k), res.Pairs, want)
 		}
 	}
 	if len(want) == 0 {
@@ -441,51 +486,83 @@ func TestDistributedBiJoinMatchesLocal(t *testing.T) {
 
 // TestBatchSizeParity checks the E7-style equality contract of the batched
 // transport: every batch size (including 1 = unbatched and sizes larger
-// than any queue) must produce the identical result-pair set, and the
-// transport must report batch counts consistent with the tuple counts.
+// than any queue) must produce exactly the brute-force pair multiset, and
+// the transport must report batch counts consistent with the tuple counts.
+// The stream ends in the slab ladder, so the same runs cover the result
+// edge: slabs that fill mid-probe and at a probe's end, results emitted
+// from ExecuteBatch (one dispatcher) and from Flush (three dispatchers put
+// the whole stream through the reorder buffer), one worker and several,
+// self-join and two-stream.
 func TestBatchSizeParity(t *testing.T) {
 	p := params(0.6)
-	recs := genStream(600, 17)
-	var want map[record.Pair]bool
-	for _, bs := range []int{1, 7, 64, 4096} {
-		for _, strat := range strategies(p, recs, 4) {
-			res, err := Run(recs, Config{
-				Workers:      4,
+	recs := withSlabLadder(genStream(600, 17))
+	want := bruteCount(recs, p, nil)
+	sided := tagSides(recs)
+	wantBi := bruteCountBi(sided, p)
+	if len(want) < 2*slabPairs || len(wantBi) < 2*slabPairs {
+		t.Fatalf("degenerate test: %d and %d result pairs", len(want), len(wantBi))
+	}
+	type shape struct{ batch, workers, dispatchers int }
+	shapes := []shape{{7, 4, 1}, {4096, 4, 1}}
+	for _, bs := range []int{1, 64} {
+		for _, k := range []int{1, 2, 4} {
+			for _, d := range []int{1, 3} {
+				shapes = append(shapes, shape{bs, k, d})
+			}
+		}
+	}
+	for _, sh := range shapes {
+		strats := strategies(p, recs, sh.workers)
+		if sh.dispatchers > 1 || sh.workers < 4 {
+			strats = strats[:1] // the replicating baselines ride the Workers-4, one-dispatcher shapes
+		}
+		for _, strat := range strats {
+			label := fmt.Sprintf("batch %d k=%d d=%d %s", sh.batch, sh.workers, sh.dispatchers, strat.Name())
+			cfg := Config{
+				Workers:      sh.workers,
+				Dispatchers:  sh.dispatchers,
 				Strategy:     strat,
 				Algorithm:    local.Bundled,
 				Params:       p,
-				BatchSize:    bs,
+				BatchSize:    sh.batch,
 				CollectPairs: true,
-			})
+			}
+			res, err := Run(recs, cfg)
 			if err != nil {
-				t.Fatalf("batch %d %s: %v", bs, strat.Name(), err)
+				t.Fatalf("%s: %v", label, err)
 			}
-			got := make(map[record.Pair]bool)
-			for _, pr := range res.Pairs {
-				got[record.Pair{First: pr.First, Second: pr.Second}] = true
-			}
-			if want == nil {
-				want = got
-				if len(want) == 0 {
-					t.Fatal("degenerate test: no result pairs")
-				}
-				continue
-			}
-			if len(got) != len(want) {
-				t.Fatalf("batch %d %s: got %d pairs want %d", bs, strat.Name(), len(got), len(want))
-			}
-			for pr := range want {
-				if !got[pr] {
-					t.Fatalf("batch %d %s: missing %v", bs, strat.Name(), pr)
-				}
+			checkPairs(t, label, res.Pairs, want)
+			if res.Results != uint64(len(want)) || res.LateDrops != 0 {
+				t.Fatalf("%s: Results %d for %d pairs, %d late drops", label, res.Results, len(want), res.LateDrops)
 			}
 			batches := res.Report.EdgeBatches("dispatcher", "worker")
 			tuples := res.Report.EdgeTuples("dispatcher", "worker")
 			if batches == 0 || batches > tuples {
-				t.Fatalf("batch %d %s: implausible batch count %d for %d tuples",
-					bs, strat.Name(), batches, tuples)
+				t.Fatalf("%s: implausible batch count %d for %d tuples", label, batches, tuples)
+			}
+			// The result edge carries slabs, counted at 24 bytes a pair.
+			edge := res.Report.Edges[stream.EdgeKey{From: "worker", To: "sink"}]
+			if got := edge.Bytes.Load(); got != 24*res.Results {
+				t.Fatalf("%s: worker->sink bytes %d, want %d", label, got, 24*res.Results)
+			}
+			if slabs := edge.Tuples.Load(); slabs*slabPairs < res.Results || slabs != edge.Batches.Load() {
+				t.Fatalf("%s: %d slabs in %d sends for %d pairs", label, slabs, edge.Batches.Load(), res.Results)
 			}
 		}
+		label := fmt.Sprintf("bi batch %d k=%d d=%d", sh.batch, sh.workers, sh.dispatchers)
+		res, err := RunBi(sided, Config{
+			Workers:      sh.workers,
+			Dispatchers:  sh.dispatchers,
+			Strategy:     strategies(p, recs, sh.workers)[0],
+			Algorithm:    local.Bundled,
+			Params:       p,
+			BatchSize:    sh.batch,
+			CollectPairs: true,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		checkPairs(t, label, res.Pairs, wantBi)
 	}
 }
 

@@ -3,13 +3,15 @@
 #
 #   scripts/bench-pairs.sh PARENT_REV N [workload...]
 #
-# checks PARENT_REV out into a temporary git worktree, runs bench/run.sh N
-# times on it and N times on this working tree (seeds 101, 102, ...; the
-# side that goes first alternates from pair to pair), keeps every run file
-# under .bench_build/pairs/, and prints bench's -compare table followed, for
-# each (workload, metric), by how many of the N same-seed pairs the change
-# won. Without workload names every workload runs (-all). Exits 1 when
-# -compare finds a metric worse than its bound. Needs jq.
+# checks PARENT_REV out into a temporary git worktree — or, where `git
+# worktree add` fails, unpacks `git archive PARENT_REV` into the same
+# directory — runs bench/run.sh N times on it and N times on this working
+# tree (seeds 101, 102, ...; the side that goes first alternates from pair
+# to pair), keeps every run file under .bench_build/pairs/, and prints
+# bench's -compare table followed, for each (workload, metric), by how many
+# of the N same-seed pairs the change won. Without workload names every
+# workload runs (-all). Exits 1 when -compare finds a metric worse than its
+# bound. Needs jq.
 set -euo pipefail
 
 if [ $# -lt 2 ] || ! [ "$2" -gt 0 ] 2>/dev/null; then
@@ -24,9 +26,11 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 out="$root/.bench_build/pairs"
 tree="$out/parent"
 
+# drop_tree removes the parent tree in either form: a registered worktree or
+# a plain directory unpacked from an archive.
 drop_tree() {
 	git -C "$root" worktree remove --force "$tree" 2>/dev/null || rm -rf "$tree"
-	git -C "$root" worktree prune
+	git -C "$root" worktree prune 2>/dev/null || true
 }
 drop_tree # one left behind by a killed run
 trap drop_tree EXIT
@@ -34,7 +38,15 @@ trap 'exit 130' INT TERM # so that the EXIT trap runs on a signal too
 
 mkdir -p "$out"
 rm -f "$out"/parent-*.json "$out"/change-*.json
-git -C "$root" worktree add --quiet --detach "$tree" "$parent_rev"
+# An unpacked archive is not a checkout: go's VCS stamping finds this
+# repository around it, so the parent's run files carry HEAD's commit, not
+# PARENT_REV's. The table header below prints the rev in both forms.
+if ! git -C "$root" worktree add --quiet --detach "$tree" "$parent_rev"; then
+	echo "git worktree add failed; unpacking git archive $parent_rev instead" >&2
+	drop_tree
+	mkdir -p "$tree"
+	git -C "$root" archive "$parent_rev" | tar -x -C "$tree"
+fi
 
 # run_side NAME CHECKOUT SEED
 run_side() {
