@@ -63,7 +63,6 @@ fuzz:
 	go test -fuzz FuzzQGramTokenizer -fuzztime 10s ./internal/tokens/
 	go test -fuzz FuzzJoinMatchesBruteForce -fuzztime 15s ./internal/offline/
 	go test -fuzz FuzzIntersectKernels -fuzztime 15s ./internal/similarity/
-	go test -fuzz FuzzTreeVsCollect -fuzztime 15s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzSigBoundSound -fuzztime 15s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzIndexVsBruteForce -fuzztime 15s ./internal/bundle/
 
@@ -76,7 +75,6 @@ fuzz-smoke:
 	go test -fuzz FuzzQGramTokenizer -fuzztime 2s ./internal/tokens/
 	go test -fuzz FuzzJoinMatchesBruteForce -fuzztime 2s ./internal/offline/
 	go test -fuzz FuzzIntersectKernels -fuzztime 2s ./internal/similarity/
-	go test -fuzz FuzzTreeVsCollect -fuzztime 2s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzSigBoundSound -fuzztime 2s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzIndexVsBruteForce -fuzztime 2s ./internal/bundle/
 

@@ -56,7 +56,6 @@ func main() {
 		workers = flag.Int("workers", 4, "worker parallelism")
 		par     = flag.Int("parallel", runtime.GOMAXPROCS(0), "verifier goroutines per worker (bundle algorithm, in-process runs): candidate verification fans out across cores with deterministic output; 1 disables, 0 auto-sizes from GOMAXPROCS with a measured-scaling clamp")
 		kernel  = flag.String("kernel", "auto", "verification intersection kernel: auto, linear, gallop, bitset (bundle algorithm; results are identical for every choice)")
-		verify  = flag.String("verify", "collect", "verification organization: collect, tree, auto (bundle algorithm, in-process runs; results are identical for every choice)")
 		win     = flag.Int64("window", 0, "count window (0 = unbounded)")
 		pairs   = flag.Bool("pairs", false, "print result pairs")
 		asJSON  = flag.Bool("json", false, "print the run summary as JSON on stdout")
@@ -182,7 +181,6 @@ func main() {
 	cfg.Threshold = *tau
 	cfg.WindowRecords = *win
 	cfg.Kernel = *kernel
-	cfg.VerifyMode = *verify
 	if cfg.Function, err = parseFunc(*fn); err != nil {
 		fatal(err)
 	}

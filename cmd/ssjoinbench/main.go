@@ -61,7 +61,6 @@ type jsonReport struct {
 	Parallel           int         `json:"parallel"`
 	ParallelAuto       bool        `json:"parallel_auto,omitempty"`
 	Kernel             string      `json:"kernel"`
-	VerifyMode         string      `json:"verify_mode"`
 	DegenerateParallel bool        `json:"degenerate_parallel"`
 	TraceEvery         int         `json:"trace_every,omitempty"`
 	TracesSampled      uint64      `json:"traces_sampled,omitempty"`
@@ -77,7 +76,6 @@ func main() {
 		batch   = flag.Int("batch", 0, "transport batch size (0 = engine default, 1 = unbatched)")
 		par     = flag.Int("parallel", 1, "verifier goroutines per worker (bundle algorithm): >1 fans candidate verification across cores with deterministic results; 0 auto-sizes from GOMAXPROCS with a measured-scaling clamp")
 		kernel  = flag.String("kernel", "auto", "verification intersection kernel: auto, linear, gallop, bitset (bundle algorithm; results are identical for every choice)")
-		verify  = flag.String("verify", "collect", "verification organization: collect, tree, auto (bundle algorithm; results are identical for every choice)")
 		adaptML = flag.Bool("adaptive-minlen", false, "adapt the bitset packing cutoff to the observed kernel mix (auto kernel only; never changes results)")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		format  = flag.String("format", "text", "output format: text or csv")
@@ -148,10 +146,6 @@ func main() {
 		os.Exit(1)
 	}
 	scale.Kernel = similarity.KernelConfig{Mode: kern, AdaptiveMinLen: *adaptML}
-	if scale.VerifyMode, err = bundle.ParseVerifyMode(*verify); err != nil {
-		fmt.Fprintln(os.Stderr, "ssjoinbench:", err)
-		os.Exit(1)
-	}
 
 	// A verifier pool larger than the core budget cannot parallelize
 	// anything: every P>1 row degenerates to sequential throughput plus
@@ -211,8 +205,8 @@ func main() {
 	}
 
 	if *format == "text" {
-		fmt.Printf("scale: records=%d workers=%d seed=%d batch=%d parallel=%d kernel=%s verify=%s gomaxprocs=%d\n\n",
-			scale.Records, scale.Workers, scale.Seed, scale.Batch, scale.ParallelOrOne(), kern, scale.VerifyMode, runtime.GOMAXPROCS(0))
+		fmt.Printf("scale: records=%d workers=%d seed=%d batch=%d parallel=%d kernel=%s gomaxprocs=%d\n\n",
+			scale.Records, scale.Workers, scale.Seed, scale.Batch, scale.ParallelOrOne(), kern, runtime.GOMAXPROCS(0))
 	}
 	report := jsonReport{
 		Records: scale.Records, Workers: scale.Workers,
@@ -222,7 +216,6 @@ func main() {
 		Parallel:           scale.ParallelOrOne(),
 		ParallelAuto:       autoPar,
 		Kernel:             kern.String(),
-		VerifyMode:         scale.VerifyMode.String(),
 		DegenerateParallel: degenerate,
 	}
 	var ms runtime.MemStats

@@ -44,17 +44,11 @@ func run() int {
 		ckptIvl    = flag.Duration("checkpoint-interval", 0, "minimum spacing between periodic window checkpoints (0: checkpoint only on unclean session exit)")
 		par        = flag.Int("parallel", runtime.GOMAXPROCS(0), "verifier goroutines per session (bundle algorithm): candidate verification fans out across cores with deterministic output; 1 disables, 0 auto-sizes from GOMAXPROCS with a measured-scaling clamp")
 		kernel     = flag.String("kernel", "auto", "verification intersection kernel: auto, linear, gallop, bitset (bundle algorithm; worker-local, results are identical for every choice)")
-		verify     = flag.String("verify", "collect", "verification organization: collect, tree, auto (bundle algorithm; worker-local, results are identical for every choice)")
 		healthSpec = flag.String("health-rules", "", "health/SLO rule file evaluated against the worker's own signals (empty: built-in defaults; see docs/OBSERVABILITY.md)")
 		healthIvl  = flag.Duration("health-interval", 5*time.Second, "health rule evaluation period (requires -http)")
 	)
 	flag.Parse()
 	kern, err := similarity.ParseKernel(*kernel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ssjoinworker:", err)
-		return 1
-	}
-	vm, err := bundle.ParseVerifyMode(*verify)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ssjoinworker:", err)
 		return 1
@@ -153,7 +147,6 @@ func run() int {
 		CheckpointInterval: *ckptIvl,
 		Parallelism:        *par,
 		Kernel:             similarity.KernelConfig{Mode: kern},
-		VerifyMode:         vm,
 		Frags:              frags,
 		Journal:            journal,
 	})

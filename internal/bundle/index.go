@@ -35,11 +35,6 @@ type Config struct {
 	// so this setting never changes the emitted matches — it is therefore
 	// worker-local and deliberately kept off the wire protocol.
 	Kernel similarity.KernelConfig
-	// VerifyMode selects collect (posting-list candidates, then verify),
-	// tree (candidate-free filter-and-verification tree), or auto (per
-	// probe). Every mode emits the byte-identical match stream, so like
-	// Kernel it is worker-local and kept off the wire protocol.
-	VerifyMode VerifyMode
 }
 
 func (c Config) withDefaults(tau float64) Config {
@@ -102,21 +97,12 @@ type Stats struct {
 	KernelBitset    uint64 // verification merges run by the bitset kernel
 	BundleQuickSkip uint64 // bundles skipped by the pre-merge size bound
 	MemberDeltaSkip uint64 // members skipped by the core+|delta| bound
-
-	TreeProbes         uint64 // probes answered by the verification tree
-	TreeNodesVisited   uint64 // tree nodes descended
-	TreeSubtreesPruned uint64 // subtrees cut by candidacy/length/position bounds
-	TreeCandsAvoided   uint64 // members skipped with no per-member work at all
-	TreeLeafUBSkip     uint64 // anchored members cut by the position bound
-	TreeSigSkip        uint64 // anchored members cut by their bundle's signature bound
-	TreeSuffixSkip     uint64 // anchored members cut by the suffix filter
-	TreeNodes          uint64 // live tree nodes, excluding the root (gauge)
 }
 
 // Pruned sums the candidates the signature and kernel-tier upper bounds
 // discarded before any verification merge ran.
 func (s Stats) Pruned() uint64 {
-	return s.BundleSigSkip + s.TreeSigSkip + s.BundleQuickSkip + s.MemberDeltaSkip
+	return s.BundleSigSkip + s.BundleQuickSkip + s.MemberDeltaSkip
 }
 
 type fifoEntry struct {
@@ -172,15 +158,8 @@ type Index struct {
 	// al slab-allocates members, bundles and deltas on the insert path.
 	al alloc
 
-	// root anchors the filter-and-verification tree; nil in collect mode
-	// (auto maintains both structures). tw and frontier are the serial
-	// descent's reusable walk state and root-fanout scratch.
-	root     *treeNode
-	tw       treeWalk
-	frontier []*treeNode
-
-	// emitBuf buffers one probe's matches so every mode and pool size can
-	// flush them in the canonical per-probe order (ascending partner ID);
+	// emitBuf buffers one probe's matches so every pool size can flush
+	// them in the canonical per-probe order (ascending partner ID);
 	// emitAppend is the prebuilt append closure handed to verifiers.
 	emitBuf    []Match
 	emitAppend func(Match)
@@ -216,9 +195,6 @@ func New(p filter.Params, w window.Policy, cfg Config) *Index {
 		cfg:    cfg.withDefaults(p.Threshold),
 		posts:  make(map[tokens.Rank][]uint32),
 	}
-	if bx.cfg.VerifyMode != VerifyCollect {
-		bx.root = &treeNode{}
-	}
 	bx.emitAppend = func(m Match) { bx.emitBuf = append(bx.emitBuf, m) }
 	return bx
 }
@@ -253,13 +229,6 @@ type LiveStats struct {
 	KernelGallop atomic.Uint64
 	KernelBitset atomic.Uint64
 	Pruned       atomic.Uint64
-
-	// Tree-mode probe work (verify_tree_* in /metrics).
-	TreeProbes         atomic.Uint64
-	TreeNodesVisited   atomic.Uint64
-	TreeSubtreesPruned atomic.Uint64
-	TreeCandsAvoided   atomic.Uint64
-	TreeNodes          atomic.Uint64
 }
 
 // PublishLive makes the index mirror its counters into ls after every
@@ -282,11 +251,6 @@ func (bx *Index) publish() {
 	bx.live.KernelGallop.Store(bx.stats.KernelGallop)
 	bx.live.KernelBitset.Store(bx.stats.KernelBitset)
 	bx.live.Pruned.Store(bx.stats.Pruned())
-	bx.live.TreeProbes.Store(bx.stats.TreeProbes)
-	bx.live.TreeNodesVisited.Store(bx.stats.TreeNodesVisited)
-	bx.live.TreeSubtreesPruned.Store(bx.stats.TreeSubtreesPruned)
-	bx.live.TreeCandsAvoided.Store(bx.stats.TreeCandsAvoided)
-	bx.live.TreeNodes.Store(bx.stats.TreeNodes)
 }
 
 // finishProbe is the per-probe epilogue every probe path runs exactly
@@ -313,7 +277,7 @@ func (bx *Index) Process(r *record.Record, emit func(Match)) {
 }
 
 // Evict expires members outside the window relative to (nowSeq, nowTime).
-// An evicted member leaves its bundle, the tree and the fifo at once and
+// An evicted member leaves its bundle and the fifo at once and
 // is recycled; a bundle that loses its last member dies (see retire). Any
 // Insertion obtained before the call is invalid after it.
 func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
@@ -322,14 +286,6 @@ func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
 		rec := fe.m.Rec
 		if bx.win.Live(rec.ID, rec.Time, nowSeq, nowTime) {
 			break
-		}
-		if bx.maintainTree() {
-			l := rec.Len()
-			p := bx.params.PrefixLen(l)
-			if p > l {
-				p = l
-			}
-			bx.treeRemove(fe.m, rec.Tokens[:p])
 		}
 		fe.b.remove(&bx.al, bx.cfg.Kernel, fe.m)
 		bx.al.freeMember(fe.m)
@@ -352,8 +308,9 @@ func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
 // retire takes a bundle that just lost its last member out of the live
 // set. Its postings stay in the lists — finding them would cost a lookup
 // per posted token — and are counted as dead; the bundle is recycled when
-// the last of them is dropped, which is immediately when it has none
-// (tree-only mode posts nothing).
+// the last of them is dropped, which is immediately when it has none: a
+// zero-token record (TextStream.Add keeps texts that tokenize to the empty
+// set) has an empty prefix, so its singleton bundle posts nothing.
 func (bx *Index) retire(b *Bundle) {
 	bx.stats.LiveBundles--
 	if len(b.posted) == 0 {
@@ -424,11 +381,8 @@ func (bx *Index) sweep() {
 // match's bundle together with the best similarity (ok=false when there
 // is no match). Verification is exact; emitted overlaps are true
 // intersection sizes. The match stream and the insertion hint are
-// identical for every VerifyMode, Kernel, and pool size.
+// identical for every Kernel and pool size.
 func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok bool) {
-	if bx.useTree() {
-		return bx.probeTree(r, emit)
-	}
 	cands := bx.collectCandidates(r)
 	bx.emitBuf = bx.emitBuf[:0]
 	for _, b := range cands {
@@ -444,15 +398,14 @@ func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok b
 }
 
 // emitCanonical flushes the probe's buffered matches in ascending
-// partner-ID order — the canonical emission order shared by collect,
-// tree, serial, and pooled probes, which is what makes the four paths
-// byte-interchangeable. Each partner appears at most once per probe
-// (one member per record), so the order is total and any correct sort
-// yields the same sequence. The sort key is the partner ID carried in
-// the match, so comparing never leaves the buffer. Short buffers — the
-// concatenation of a few sorted runs (per-bundle member order, or DFS
-// leaf order) — are insertion-sorted in line; long ones go to the
-// library sort, which has no quadratic tail.
+// partner-ID order — the canonical emission order shared by serial and
+// pooled probes, which is what makes the two paths byte-interchangeable.
+// Each partner appears at most once per probe (one member per record), so
+// the order is total and any correct sort yields the same sequence. The
+// sort key is the partner ID carried in the match, so comparing never
+// leaves the buffer. Short buffers — the concatenation of a few sorted
+// runs (per-bundle member order) — are insertion-sorted in line; long ones
+// go to the library sort, which has no quadratic tail.
 //
 // hotpath: zero-alloc — runs once per probe over the reused buffer.
 func (bx *Index) emitCanonical(emit func(Match)) {
@@ -494,10 +447,7 @@ func (bx *Index) bindProbe(r *record.Record) {
 // probe (la tokens) with any member of b (see sig); it is la itself, which
 // excludes nothing, when either side carries no signature.
 //
-// parcheck: runs on the verifier pool (tree leaves). Reads the probe and
-// bundle signatures; writes nothing.
-//
-// hotpath: zero-alloc — once per candidate bundle, or per tree leaf.
+// hotpath: zero-alloc — once per candidate bundle.
 func (bx *Index) sigBound(b *Bundle, la int) int {
 	if !bx.probeHasSig || !b.hasSig {
 		return la
@@ -521,8 +471,8 @@ func (bx *Index) resetStamps() {
 // ascending posting-list-length order (rarest token first), compacts dead
 // postings in place, and returns the distinct candidate bundles that pass
 // the bundle-level length and signature filters, in that discovery order.
-// Rarest-first is the tree-style selectivity heuristic: the bundles sharing
-// a rare token are the likeliest (and, sharing more with the probe,
+// Rarest-first is a selectivity heuristic: the bundles sharing a rare
+// token are the likeliest (and, sharing more with the probe,
 // typically heaviest) candidates, so they front-load the verify order —
 // which also hands the pool's work-stealing loop its biggest items first.
 // The order is a deterministic function of index state (list length, then
@@ -617,8 +567,8 @@ func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 // Insertion names the bundle an incoming record should join. At is the
 // record ID of the best match backing the hint: the canonical rule —
 // maximum similarity, ties to the smallest partner ID — makes the pick a
-// pure function of the match set, so every verify mode, kernel, and pool
-// size drives the identical grouping evolution.
+// pure function of the match set, so every kernel and pool size drives the
+// identical grouping evolution.
 type Insertion struct {
 	Bundle *Bundle
 	Sim    float64
@@ -774,7 +724,7 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 }
 
 // mergeVerify folds the verify-phase counters a VerifyCtx accumulated into
-// s. Only the counters probeBundle and the tree walk write are listed:
+// s. Only the counters probeBundle writes are listed:
 // everything else in Stats belongs to the single-writer
 // collect/insert/evict path and never appears in a per-goroutine context.
 // All listed counters are commutative sums, so the fold order across
@@ -797,12 +747,6 @@ func (s *Stats) mergeVerify(o *Stats) {
 	s.KernelBitset += o.KernelBitset
 	s.BundleQuickSkip += o.BundleQuickSkip
 	s.MemberDeltaSkip += o.MemberDeltaSkip
-	s.TreeNodesVisited += o.TreeNodesVisited
-	s.TreeSubtreesPruned += o.TreeSubtreesPruned
-	s.TreeCandsAvoided += o.TreeCandsAvoided
-	s.TreeLeafUBSkip += o.TreeLeafUBSkip
-	s.TreeSigSkip += o.TreeSigSkip
-	s.TreeSuffixSkip += o.TreeSuffixSkip
 }
 
 // Dump visits every live member record in arrival order; returning false
@@ -873,14 +817,7 @@ func (bx *Index) Insert(r *record.Record, best Insertion) {
 	} else {
 		bx.stats.Appends++
 	}
-	// Pure tree mode never reads posting lists, so it posts nothing (a
-	// bundle with no postings is recycled the moment it dies). Auto
-	// maintains both structures.
-	posted := p
-	if bx.cfg.VerifyMode == VerifyTree {
-		posted = 0
-	}
-	newPosts := target.add(&bx.al, bx.cfg.Kernel, r, posted, newCore)
+	newPosts := target.add(&bx.al, bx.cfg.Kernel, r, p, newCore)
 	for _, tok := range newPosts {
 		bx.posts[tok] = append(bx.posts[tok], target.slot)
 	}
@@ -889,9 +826,6 @@ func (bx *Index) Insert(r *record.Record, best Insertion) {
 		bx.postsPeak = len(bx.posts)
 	}
 	m := target.Members[len(target.Members)-1]
-	if bx.maintainTree() {
-		bx.treeInsert(target, m, r.Tokens[:p])
-	}
 	if n := uint64(len(target.Members)); n > bx.stats.MaxBundleSize {
 		bx.stats.MaxBundleSize = n
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/record"
 	"repro/internal/similarity"
+	"repro/internal/tokens"
 	"repro/internal/window"
 )
 
@@ -107,5 +108,56 @@ func TestKernelCountersFire(t *testing.T) {
 	}
 	if st.Pruned() == 0 {
 		t.Fatalf("no candidate was ever pruned pre-verify: %+v", st)
+	}
+}
+
+// TestAdaptiveMinLenNeverChangesResults pins satellite guarantee: kernel
+// adaptation moves BitsetMinLen (within its clamps) but can never change
+// the match stream. The stream is near-duplicates of long dense records
+// over a narrow universe: unrelated records of that shape are rejected by
+// the signature gate before any kernel runs, so only pairs similar enough
+// to pass it — here mostly a duplicate probing its original's singleton
+// bundle, both sides packed — feed the kernel mix. The bitset share is
+// high and the cutoff is driven downward.
+func TestAdaptiveMinLenNeverChangesResults(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	var stream []*record.Record
+	var protos [][]tokens.Rank
+	for i := 0; i < 2*adaptInterval+50; i++ {
+		var set []tokens.Rank
+		if len(protos) > 0 && rng.Float64() < 0.4 {
+			set = append(set, protos[len(protos)-1-rng.Intn(min(len(protos), 40))]...)
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				set[rng.Intn(len(set))] = tokens.Rank(rng.Intn(160))
+			}
+		} else {
+			for len(set) < 90 {
+				set = append(set, tokens.Rank(rng.Intn(160)))
+			}
+			protos = append(protos, set)
+		}
+		stream = append(stream, rec(record.ID(i), set...))
+	}
+	want, _ := runSequential(stream, 0.5, window.Count{N: 200}, Config{})
+	if len(want) == 0 {
+		t.Fatal("degenerate workload: no matches")
+	}
+	cfgA := Config{Kernel: similarity.KernelConfig{AdaptiveMinLen: true}}
+	bx := New(params(0.5), window.Count{N: 200}, cfgA)
+	var got []emitted
+	for _, r := range stream {
+		bx.Process(r, func(m Match) {
+			got = append(got, emitted{r.ID, m.Rec.ID, m.Overlap, m.Sim})
+		})
+	}
+	requireStreams(t, "adaptive", got, want, Stats{}, Stats{})
+	cut := bx.Config().Kernel.BitsetMinLen
+	if cut < adaptMinLen || cut > adaptMaxLen {
+		t.Fatalf("adapted cutoff %d outside clamps", cut)
+	}
+	if cut == 64 {
+		st := bx.Stats()
+		t.Fatalf("cutoff never adapted on a bitset-heavy stream: %d (linear %d gallop %d bitset %d)",
+			cut, st.KernelLinear, st.KernelGallop, st.KernelBitset)
 	}
 }

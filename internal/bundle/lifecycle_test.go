@@ -93,37 +93,20 @@ func checkInvariants(t *testing.T, bx *Index) {
 		t.Fatalf("%d dead postings against %d live: the sweep bound does not hold", dead, total-dead)
 	}
 	for b := range liveB {
-		perBundle[b] += 0 // a live bundle may have no posting at all (tree-only mode)
+		perBundle[b] += 0 // a live bundle may have no posting at all (a zero-token record's singleton)
 	}
 	for b, n := range perBundle {
 		if n != len(b.posted) {
 			t.Fatalf("bundle has %d postings, posted counts %d", n, len(b.posted))
 		}
 	}
-	if bx.cfg.VerifyMode == VerifyTree && total != 0 {
-		t.Fatalf("tree-only index holds %d postings", total)
-	}
 
 	// Free lists: zero apart from retained capacity, unreachable.
-	treeB := make(map[*Bundle]bool)
-	treeM := make(map[*Member]bool)
-	if bx.root != nil {
-		var walk func(n *treeNode)
-		walk = func(n *treeNode) {
-			for _, le := range n.leaf {
-				treeB[le.b], treeM[le.m] = true, true
-			}
-			for _, c := range n.children {
-				walk(c)
-			}
-		}
-		walk(bx.root)
-	}
 	for _, m := range bx.al.freeM {
 		if m.Rec != nil || m.Delta != nil || (m.cold != nil && m.cold.ok != [2]bool{}) {
 			t.Fatalf("recycled member not reset: %+v", *m)
 		}
-		if liveM[m] || treeM[m] {
+		if liveM[m] {
 			t.Fatal("free-listed member still reachable")
 		}
 	}
@@ -139,9 +122,14 @@ func checkInvariants(t *testing.T, bx *Index) {
 				t.Fatal("recycled bundle keeps a member reachable through spare capacity")
 			}
 		}
-		if liveB[b] || treeB[b] || perBundle[b] != 0 {
+		if liveB[b] || perBundle[b] != 0 {
 			t.Fatal("free-listed bundle still reachable")
 		}
+	}
+	// Census: a carved bundle is live, dead with postings still to drop, or
+	// free — anything else has leaked out of the lifecycle.
+	if carved := len(bx.al.bchunks)*bundleChunk - len(bx.al.bundles); len(perBundle)+len(bx.al.freeB) != carved {
+		t.Fatalf("%d bundles carved: %d live or dead-posted, %d free", carved, len(perBundle), len(bx.al.freeB))
 	}
 }
 
@@ -152,13 +140,18 @@ func wideStream(seed int64, n int) []*record.Record {
 	return duplicateHeavyStream(rand.New(rand.NewSource(seed)), n, 6000)
 }
 
-// TestLifecycleSmallWindow runs every verify mode, sequential and pooled,
-// over a window small enough that every object is recycled many times,
-// checking the lifecycle invariants after every step, the match stream
-// against the collect reference, and that recycling and sweeping actually
-// happened.
+// TestLifecycleSmallWindow runs the index, sequential and pooled, over a
+// window small enough that every object is recycled many times, checking
+// the lifecycle invariants after every step, the match stream against the
+// sequential reference, and that recycling and sweeping actually happened.
 func TestLifecycleSmallWindow(t *testing.T) {
-	lifecycleSmallWindow(t, wideStream(101, 1500), false)
+	stream := wideStream(101, 1500)
+	// A zero-token record founds a bundle that posts nothing, which retire
+	// must recycle the moment it dies.
+	for i := 50; i < len(stream); i += 100 {
+		stream[i].Tokens = nil
+	}
+	lifecycleSmallWindow(t, stream, false)
 }
 
 // TestLifecycleLongRecords recycles bundles that carry signatures: a slot's
@@ -170,52 +163,44 @@ func TestLifecycleLongRecords(t *testing.T) {
 }
 
 func lifecycleSmallWindow(t *testing.T, stream []*record.Record, wantSigSkip bool) {
-	const win = 140 // above autoTreeMinLive, so auto probes through the tree
+	const win = 140
 	want, _ := runSequential(stream, 0.6, window.Count{N: win}, Config{})
 	if len(want) == 0 {
 		t.Fatal("degenerate workload: no matches")
 	}
-	for _, mode := range []VerifyMode{VerifyCollect, VerifyTree, VerifyAuto} {
-		for _, p := range []int{1, 3} {
-			label := fmt.Sprintf("mode=%v P=%d", mode, p)
-			bx := New(params(0.6), window.Count{N: win}, Config{VerifyMode: mode})
-			pool := NewPool(p)
-			var got []emitted
-			var peak uint64 // bundles in use: live, plus dead ones awaiting their last posting
-			for _, r := range stream {
-				processPar(bx, pool, r, func(m Match) {
-					got = append(got, emitted{r.ID, m.Rec.ID, m.Overlap, m.Sim})
-				})
-				checkInvariants(t, bx)
-				if n := bx.stats.LiveBundles + bx.deadPosts; n > peak {
-					peak = n
-				}
+	for _, p := range []int{1, 3} {
+		label := fmt.Sprintf("P=%d", p)
+		bx := New(params(0.6), window.Count{N: win}, Config{})
+		pool := NewPool(p)
+		var got []emitted
+		var peak uint64 // bundles in use: live, plus dead ones awaiting their last posting
+		for _, r := range stream {
+			processPar(bx, pool, r, func(m Match) {
+				got = append(got, emitted{r.ID, m.Rec.ID, m.Overlap, m.Sim})
+			})
+			checkInvariants(t, bx)
+			if n := bx.stats.LiveBundles + bx.deadPosts; n > peak {
+				peak = n
 			}
-			pool.Close()
-			requireStreams(t, label, got, want, Stats{}, Stats{})
+		}
+		pool.Close()
+		requireStreams(t, label, got, want, Stats{}, Stats{})
 
-			// Inserts are served from the free lists: the slabs cover the
-			// most objects ever in use at once, not the stream.
-			st := bx.Stats()
-			if carved := uint64(len(bx.al.bchunks) * bundleChunk); bx.al.memberChunks != 1 || carved > peak+bundleChunk {
-				t.Fatalf("%s: %d member chunks; %d bundles carved, at most %d in use at once",
-					label, bx.al.memberChunks, carved, peak)
-			}
-			if st.LiveBundles == 0 || st.LiveBundles > win+1 || st.LiveBundles >= st.Bundles {
-				t.Fatalf("%s: LiveBundles=%d of %d ever created", label, st.LiveBundles, st.Bundles)
-			}
-			if wantSigSkip && st.BundleSigSkip+st.TreeSigSkip == 0 {
-				t.Fatalf("%s: the signature bound never pruned anything", label)
-			}
-			if mode == VerifyTree {
-				if st.Postings != 0 || st.DeadPostSkips != 0 || st.RebuildSweeps != 0 {
-					t.Fatalf("%s: tree-only index touched posting lists: %+v", label, st)
-				}
-				continue
-			}
-			if st.RebuildSweeps == 0 || st.DeadPostSkips == 0 {
-				t.Fatalf("%s: sweeps=%d dead postings dropped=%d", label, st.RebuildSweeps, st.DeadPostSkips)
-			}
+		// Inserts are served from the free lists: the slabs cover the
+		// most objects ever in use at once, not the stream.
+		st := bx.Stats()
+		if carved := uint64(len(bx.al.bchunks) * bundleChunk); bx.al.memberChunks != 1 || carved > peak+bundleChunk {
+			t.Fatalf("%s: %d member chunks; %d bundles carved, at most %d in use at once",
+				label, bx.al.memberChunks, carved, peak)
+		}
+		if st.LiveBundles == 0 || st.LiveBundles > win+1 || st.LiveBundles >= st.Bundles {
+			t.Fatalf("%s: LiveBundles=%d of %d ever created", label, st.LiveBundles, st.Bundles)
+		}
+		if wantSigSkip && st.BundleSigSkip == 0 {
+			t.Fatalf("%s: the signature bound never pruned anything", label)
+		}
+		if st.RebuildSweeps == 0 || st.DeadPostSkips == 0 {
+			t.Fatalf("%s: sweeps=%d dead postings dropped=%d", label, st.RebuildSweeps, st.DeadPostSkips)
 		}
 	}
 }
@@ -311,26 +296,18 @@ func heapInuse() uint64 {
 // windows long the index holds state for the window, not for the stream.
 // Every assertion but the last is on a deterministic count.
 func TestIndexStateBoundedByWindow(t *testing.T) {
-	// Tree probes cost tens of times a collect probe, so the modes that
-	// maintain the tree get a smaller window; every stream is still 20 or
-	// more windows long.
 	cases := []struct {
-		mode    VerifyMode
 		pool    int
 		win     int
 		records int
 	}{
-		{VerifyCollect, 1, 2000, 200_000},
-		{VerifyCollect, 3, 2000, 40_000},
-		{VerifyTree, 1, 500, 10_000},
-		{VerifyTree, 3, 500, 10_000},
-		{VerifyAuto, 1, 500, 10_000},
-		{VerifyAuto, 3, 500, 10_000},
+		{1, 2000, 200_000},
+		{3, 2000, 40_000},
 	}
 	for _, tc := range cases {
-		label := fmt.Sprintf("mode=%v P=%d", tc.mode, tc.pool)
+		label := fmt.Sprintf("P=%d", tc.pool)
 		p := params(0.8)
-		bx := New(p, window.Count{N: int64(tc.win)}, Config{VerifyMode: tc.mode})
+		bx := New(p, window.Count{N: int64(tc.win)}, Config{})
 		pool := NewPool(tc.pool)
 		gen := workload.NewGenerator(workload.TweetLike(42))
 		var peakLive, heapEarly uint64
@@ -347,7 +324,7 @@ func TestIndexStateBoundedByWindow(t *testing.T) {
 		heapEnd := heapInuse()
 
 		// The same window in an index that never saw the rest of the stream.
-		fresh := New(p, window.Unbounded{}, Config{VerifyMode: tc.mode})
+		fresh := New(p, window.Unbounded{}, Config{})
 		bx.Dump(func(r *record.Record) bool {
 			best, _ := fresh.Probe(r, func(Match) {})
 			fresh.Insert(r, best)

@@ -1,24 +1,22 @@
 // Parallel probe/verify: a per-index pool of verifier goroutines fans
-// verification out across cores — candidate bundles in collect mode,
-// root subtrees of the filter-and-verification tree in tree mode — and
+// the verification of a probe's candidate bundles out across cores and
 // merges the results back into the canonical per-probe emission order
 // (ascending partner ID), so a parallel probe emits the exact byte
-// sequence the sequential Probe emits — for any pool size and mode.
+// sequence the sequential Probe emits — for any pool size.
 //
 // The determinism argument rests on the phase split collectCandidates
-// introduced: collect/expand (single-writer, mutates postings or walks
-// the root) → verify (read-only, fanned out) → merge (single-writer,
-// canonical order) → insert (single-writer). During the verify phase no
-// goroutine writes the index or the tree, so verifiers need no locks and
-// no snapshots; each works out of its own VerifyCtx (stats + match arena
-// + tree walk), and the WaitGroup barrier plus the job channel sends
-// give the happens-before edges that make the whole exchange
-// race-detector clean. Matches land in per-context arenas tagged with
-// (context, offset, count) per work unit; the merge gathers every range
-// into the probe buffer and flushes it canonically sorted — the same
-// order the sequential paths produce. The best-insertion pick applies
-// the canonical (max similarity, min partner ID) rule, a pure function
-// of the match set, so grouping decisions (and therefore index
+// introduced: collect (single-writer, mutates postings) → verify
+// (read-only, fanned out) → merge (single-writer, canonical order) →
+// insert (single-writer). During the verify phase no goroutine writes
+// the index, so verifiers need no locks and no snapshots; each works out
+// of its own VerifyCtx (stats + match arena), and the WaitGroup barrier
+// plus the job channel sends give the happens-before edges that make the
+// whole exchange race-detector clean. Matches land in per-context arenas
+// tagged with (context, offset, count) per candidate; the merge gathers
+// every range into the probe buffer and flushes it canonically sorted —
+// the same order the sequential path produces. The best-insertion pick
+// applies the canonical (max similarity, min partner ID) rule, a pure
+// function of the match set, so grouping decisions (and therefore index
 // evolution) are identical too.
 package bundle
 
@@ -36,24 +34,20 @@ import (
 const fanoutMin = 4
 
 // claimChunk is how many candidates a verifier claims per atomic cursor
-// bump in collect mode. Chunking cuts cursor contention roughly 8× on
-// candidate-heavy probes; determinism is free because results are
-// indexed by candidate position, not claim order. Tree subtrees are
-// claimed singly — they are far coarser units, and chunking them would
-// let one helper hoard several heavy subtrees.
+// bump. Chunking cuts cursor contention roughly 8× on candidate-heavy
+// probes; determinism is free because results are indexed by candidate
+// position, not claim order.
 const claimChunk = 8
 
 // VerifyCtx is the goroutine-local state of one verifier: private work
-// counters (folded into Index.Stats at the barrier via mergeVerify), a
-// match arena (gathered at merge), and a tree walk for tree-mode
-// descents. Contexts are created once per pool and reused for every
-// record, so the steady-state probe path allocates nothing beyond
-// amortized arena growth.
+// counters (folded into Index.Stats at the barrier via mergeVerify) and a
+// match arena (gathered at merge). Contexts are created once per pool and
+// reused for every record, so the steady-state probe path allocates
+// nothing beyond amortized arena growth.
 type VerifyCtx struct {
 	id      int
 	stats   Stats
 	arena   []Match
-	walk    treeWalk
 	collect func(Match) // appends to arena; built once to avoid a per-record closure
 
 	// verified counts candidates this context verified over the pool's
@@ -62,8 +56,8 @@ type VerifyCtx struct {
 	verified atomic.Uint64
 }
 
-// candResult records where one work unit's matches landed: an arena
-// range in ctx's VerifyCtx plus the unit's best-insertion hint. The
+// candResult records where one candidate's matches landed: an arena
+// range in ctx's VerifyCtx plus the candidate's best-insertion hint. The
 // merge phase gathers the ranges and flushes them canonically sorted.
 type candResult struct {
 	ctx    int
@@ -72,18 +66,15 @@ type candResult struct {
 	found  bool
 }
 
-// probeJob is the unit handed to helper goroutines: one record's work
-// list — candidate bundles (collect mode) or pruned root subtrees (tree
-// mode; exactly one of cands/tree is set). Helpers claim units by
-// atomically advancing next (work stealing over a shared cursor, so an
-// unlucky split cannot stall the round) and write disjoint entries of
-// res. One probe runs at a time per pool, so the pool reuses a single
-// job value.
+// probeJob is the unit handed to helper goroutines: one record's
+// candidate bundles. Helpers claim candidates by atomically advancing
+// next (work stealing over a shared cursor, so an unlucky split cannot
+// stall the round) and write disjoint entries of res. One probe runs at a
+// time per pool, so the pool reuses a single job value.
 type probeJob struct {
 	bx    *Index
 	r     *record.Record
 	cands []*Bundle
-	tree  []*treeNode
 	res   []candResult
 	next  atomic.Int64
 	wg    sync.WaitGroup
@@ -161,48 +152,31 @@ func (p *Pool) helper(c *VerifyCtx) {
 	}
 }
 
-// runStint verifies work units for one job out of context c until the
-// shared cursor is exhausted: candidate bundles claimed claimChunk at a
-// time, or tree subtrees claimed singly.
+// runStint verifies candidate bundles for one job out of context c,
+// claimChunk at a time, until the shared cursor is exhausted.
 //
 // parcheck: runs on the verifier pool. Everything it writes is local to c
 // or a disjoint res entry; the index is read-only here.
 //
-// hotpath: zero-alloc — the claim loop runs once per chunk or subtree;
-// match payloads land in the per-context arena, not fresh slices.
+// hotpath: zero-alloc — the claim loop runs once per chunk; match
+// payloads land in the per-context arena, not fresh slices.
 func (p *Pool) runStint(j *probeJob, c *VerifyCtx) {
 	worked := false
-	if j.tree != nil {
-		w := &c.walk
-		for {
-			i := int(j.next.Add(1)) - 1
-			if i >= len(j.tree) {
-				break
-			}
-			worked = true
-			off := len(c.arena)
-			w.best, w.found = Insertion{}, false
-			w.descend(j.tree[i], 0, 0, 0, false)
-			j.res[i] = candResult{ctx: c.id, off: off, n: len(c.arena) - off, best: w.best, found: w.found}
-			c.verified.Add(1)
+	for {
+		base := int(j.next.Add(claimChunk)) - claimChunk
+		if base >= len(j.cands) {
+			break
 		}
-	} else {
-		for {
-			base := int(j.next.Add(claimChunk)) - claimChunk
-			if base >= len(j.cands) {
-				break
-			}
-			end := base + claimChunk
-			if end > len(j.cands) {
-				end = len(j.cands)
-			}
-			worked = true
-			for i := base; i < end; i++ {
-				off := len(c.arena)
-				ins, found := j.bx.probeBundle(j.r, j.cands[i], &c.stats, c.collect)
-				j.res[i] = candResult{ctx: c.id, off: off, n: len(c.arena) - off, best: ins, found: found}
-				c.verified.Add(1)
-			}
+		end := base + claimChunk
+		if end > len(j.cands) {
+			end = len(j.cands)
+		}
+		worked = true
+		for i := base; i < end; i++ {
+			off := len(c.arena)
+			ins, found := j.bx.probeBundle(j.r, j.cands[i], &c.stats, c.collect)
+			j.res[i] = candResult{ctx: c.id, off: off, n: len(c.arena) - off, best: ins, found: found}
+			c.verified.Add(1)
 		}
 	}
 	if !worked {
@@ -210,17 +184,13 @@ func (p *Pool) runStint(j *probeJob, c *VerifyCtx) {
 	}
 }
 
-// ProbePar is Probe with verification fanned out over pool — candidate
-// bundles in collect mode, root subtrees in tree mode. It emits the
-// byte-identical match stream and returns the identical insertion hint
-// for any pool size, including nil (sequential), and for any mode. The
-// caller must be the pool's owning goroutine.
+// ProbePar is Probe with the verification of the candidate bundles fanned
+// out over pool. It emits the byte-identical match stream and returns the
+// identical insertion hint for any pool size, including nil (sequential).
+// The caller must be the pool's owning goroutine.
 func (bx *Index) ProbePar(pool *Pool, r *record.Record, emit func(Match)) (best Insertion, ok bool) {
 	if pool == nil || len(pool.ctxs) == 1 {
 		return bx.Probe(r, emit)
-	}
-	if bx.useTree() {
-		return pool.probeTreePar(bx, r, emit)
 	}
 	cands := bx.collectCandidates(r)
 	bx.emitBuf = bx.emitBuf[:0]
@@ -241,82 +211,29 @@ func (bx *Index) ProbePar(pool *Pool, r *record.Record, emit func(Match)) (best 
 	return best, ok
 }
 
-// verify runs one fanned collect-mode round: reset contexts, wake
-// helpers, verify from the caller's own context, wait the barrier out,
-// then fold stats and gather matches into the probe buffer (the caller
-// flushes it canonically).
+// verify runs one fanned round: reset the per-context arenas, wake enough
+// helpers for the candidates, verify from the caller's own context, wait
+// the barrier out, then fold the per-context stats into the index, gather
+// every result range into the probe buffer (the caller flushes it
+// canonically) and reduce the best-insertion hints under the canonical
+// rule — a pure function of the match set, so reduction order cannot
+// matter.
 func (p *Pool) verify(bx *Index, r *record.Record, cands []*Bundle) (best Insertion, ok bool) {
 	p.roundsParallel.Add(1)
 	p.fanned.Add(uint64(len(cands)))
-	res := p.prepRound(len(cands))
+	if cap(p.res) < len(cands) {
+		p.res = make([]candResult, len(cands))
+	}
+	res := p.res[:len(cands)]
+	for _, c := range p.ctxs {
+		c.arena = c.arena[:0]
+	}
 	j := &p.job
 	j.bx, j.r, j.cands, j.res = bx, r, cands, res
 	j.next.Store(0)
-	p.runRound(j, len(cands))
-	best, ok = p.mergeRound(bx, res, best, false)
-	j.bx, j.r, j.cands, j.res = nil, nil, nil, nil
-	return best, ok
-}
 
-// probeTreePar is the pooled tree probe: the caller expands the root
-// (prunes counted in the index stats, exactly as the serial descent
-// does), then helpers claim surviving subtrees. Below fanoutMin the
-// descent stays on the caller — both branches run the identical
-// expand/prune/descend code, so counter totals match the serial path.
-func (p *Pool) probeTreePar(bx *Index, r *record.Record, emit func(Match)) (best Insertion, ok bool) {
-	bx.stats.TreeProbes++
-	bx.bindProbe(r)
-	w := &bx.tw
-	w.prep(bx, r)
-	w.st, w.collect = &bx.stats, bx.emitAppend
-	bx.emitBuf = bx.emitBuf[:0]
-	if w.pa > 0 {
-		bx.frontier = w.expandRoot(bx.frontier[:0])
-		if len(bx.frontier) < fanoutMin {
-			p.roundsSerial.Add(1)
-			for _, c := range bx.frontier {
-				w.descend(c, 0, 0, 0, false)
-			}
-			best, ok = w.best, w.found
-		} else {
-			p.roundsParallel.Add(1)
-			p.fanned.Add(uint64(len(bx.frontier)))
-			res := p.prepRound(len(bx.frontier))
-			for _, c := range p.ctxs {
-				c.walk.prep(bx, r)
-				c.walk.st, c.walk.collect = &c.stats, c.collect
-			}
-			j := &p.job
-			j.bx, j.r, j.tree, j.res = bx, r, bx.frontier, res
-			j.next.Store(0)
-			p.runRound(j, len(bx.frontier))
-			best, ok = p.mergeRound(bx, res, w.best, w.found)
-			j.bx, j.r, j.tree, j.res = nil, nil, nil, nil
-		}
-	}
-	w.release()
-	bx.emitCanonical(emit)
-	bx.finishProbe()
-	return best, ok
-}
-
-// prepRound sizes the result table and resets the per-context arenas for
-// one fanned round.
-func (p *Pool) prepRound(units int) []candResult {
-	if cap(p.res) < units {
-		p.res = make([]candResult, units)
-	}
-	for i := range p.ctxs {
-		p.ctxs[i].arena = p.ctxs[i].arena[:0]
-	}
-	return p.res[:units]
-}
-
-// runRound wakes enough helpers for units work items, runs the caller's
-// own stint, and waits the barrier out.
-func (p *Pool) runRound(j *probeJob, units int) {
 	helpers := len(p.ctxs) - 1
-	if n := units - 1; helpers > n {
+	if n := len(cands) - 1; helpers > n {
 		helpers = n
 	}
 	j.wg.Add(helpers)
@@ -325,17 +242,11 @@ func (p *Pool) runRound(j *probeJob, units int) {
 	}
 	p.runStint(j, p.ctxs[0])
 	j.wg.Wait()
-}
+	j.bx, j.r, j.cands, j.res = nil, nil, nil, nil
 
-// mergeRound folds per-context stats into the index, gathers every
-// result range into the probe buffer, releases the context walks, and
-// reduces the best-insertion hints under the canonical rule (a pure
-// function of the match set, so reduction order cannot matter).
-func (p *Pool) mergeRound(bx *Index, res []candResult, best Insertion, ok bool) (Insertion, bool) {
 	for _, c := range p.ctxs {
 		bx.stats.mergeVerify(&c.stats)
 		c.stats = Stats{}
-		c.walk.release()
 	}
 	for i := range res {
 		cr := &res[i]

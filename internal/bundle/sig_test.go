@@ -148,9 +148,9 @@ func FuzzSigBoundSound(f *testing.F) {
 	})
 }
 
-// longRecs encodes a FuzzIndexVsBruteForce input: window byte, threshold
-// byte, then per record a length byte (16 + b%65 tokens) and one byte per
-// token.
+// longRecs encodes a FuzzIndexVsBruteForce input of the long shape: window
+// byte, threshold byte (selector bit clear), then per record a length byte
+// (16 + b%65 tokens) and one byte per token.
 func longRecs(win, tau byte, recs ...[]tokens.Rank) []byte {
 	out := []byte{win, tau}
 	for _, ts := range recs {
@@ -162,48 +162,64 @@ func longRecs(win, tau byte, recs ...[]tokens.Rank) []byte {
 	return out
 }
 
-// FuzzIndexVsBruteForce checks the whole index, gate included, against the
-// quadratic scan on long records over a one-byte universe, where hash
-// collisions and saturated signatures are the rule.
+// FuzzIndexVsBruteForce checks the whole index, gate included, serial and
+// on a 3-goroutine pool, against the quadratic scan. Bit 7 of the threshold
+// byte selects the record shape: clear, long records (16–80 tokens) over a
+// one-byte universe with a count window of 0–63, where hash collisions and
+// saturated signatures are the rule; set, short records (1–12 tokens) over
+// 48 ranks with a count window of 0–255, which never reach the gate and
+// pile many members into few bundles.
 func FuzzIndexVsBruteForce(f *testing.F) {
 	f.Add(longRecs(0, 4, span(0, 40), span(5, 40), span(100, 30), span(3, 42), span(101, 31)))
 	f.Add(longRecs(3, 0, span(0, 80), span(40, 80), span(80, 80), span(120, 80), span(160, 80)))
 	f.Add(longRecs(8, 9, span(7, 16), span(7, 17), span(8, 16), span(7, 16), span(200, 16)))
+	f.Add([]byte{8, 0x80 | 6, 1, 2, 3, 4, 0, 3, 1, 2, 5, 0, 3, 2, 3, 4})
+	f.Add([]byte{40, 0x80 | 0, 9, 9, 9, 9, 9, 0})
+	f.Add([]byte{0, 0x80 | 8, 7, 1, 7, 3, 0, 4, 1, 3, 7, 9, 0, 2, 7, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 4096 {
 			t.Skip()
 		}
+		short := data[1]&0x80 != 0
+		minLen, lenSpan, universe, maxWin := 16, 65, 256, 64
+		if short {
+			minLen, lenSpan, universe, maxWin = 1, 12, 48, 256
+		}
 		var win window.Policy = window.Unbounded{}
-		if n := int64(data[0] % 64); n > 0 {
+		if n := int64(int(data[0]) % maxWin); n > 0 {
 			win = window.Count{N: n}
 		}
-		tau := 0.5 + float64(data[1]%10)*0.05
+		tau := 0.5 + float64((data[1]&0x7f)%10)*0.05
 		var stream []*record.Record
 		for i := 2; i < len(data); {
-			n := 16 + int(data[i]%65)
+			n := minLen + int(data[i])%lenSpan
 			i++
 			var ranks []tokens.Rank
 			for ; n > 0 && i < len(data); n-- {
-				ranks = append(ranks, tokens.Rank(data[i]))
+				ranks = append(ranks, tokens.Rank(int(data[i])%universe))
 				i++
 			}
 			if len(ranks) > 0 {
 				stream = append(stream, rec(record.ID(len(stream)), ranks...))
 			}
 		}
-		bx := New(params(tau), win, Config{})
-		got := make(map[record.Pair]bool)
-		for _, r := range stream {
-			bx.Process(r, func(m Match) { got[record.NewPair(r.ID, m.Rec.ID, 0)] = true })
-		}
 		want := bruteForce(stream, tau, win)
-		for pr := range want {
-			if !got[pr] {
-				t.Fatalf("τ=%v win=%v: missing %v (%d of %d pairs found)", tau, win, pr, len(got), len(want))
+		for _, p := range []int{1, 3} {
+			bx := New(params(tau), win, Config{})
+			pool := NewPool(p)
+			got := make(map[record.Pair]bool)
+			for _, r := range stream {
+				processPar(bx, pool, r, func(m Match) { got[record.NewPair(r.ID, m.Rec.ID, 0)] = true })
 			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("τ=%v win=%v: %d pairs, brute force finds %d", tau, win, len(got), len(want))
+			pool.Close()
+			for pr := range want {
+				if !got[pr] {
+					t.Fatalf("τ=%v win=%v P=%d: missing %v (%d of %d pairs found)", tau, win, p, pr, len(got), len(want))
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("τ=%v win=%v P=%d: %d pairs, brute force finds %d", tau, win, p, len(got), len(want))
+			}
 		}
 	})
 }

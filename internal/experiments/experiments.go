@@ -37,10 +37,6 @@ type Scale struct {
 	// Every kernel computes exact overlaps, so results are identical at any
 	// setting; only the work profile changes.
 	Kernel similarity.KernelConfig
-	// VerifyMode selects the verification organization for bundle runs
-	// (collect / tree / auto). Every mode emits byte-identical results;
-	// only the candidate workload changes. E23 sweeps it explicitly.
-	VerifyMode bundle.VerifyMode
 	// Registry, when set, receives live metrics from every topology run an
 	// experiment performs (ssjoinbench -http / -json).
 	Registry *obs.Registry
@@ -94,7 +90,6 @@ func All() []Experiment {
 		{"E20", "Intra-worker parallel verification scaling (extension)", E20},
 		{"E21", "Verification kernel sweep (extension)", E21},
 		{"E22", "Distributed tracing overhead (extension)", E22},
-		{"E23", "Candidate-free verification: collect vs tree vs auto (extension)", E23},
 	}
 }
 
@@ -153,7 +148,7 @@ func runTopology(sc Scale, recs []*record.Record, strat dispatch.Strategy, p fil
 		Window:      win,
 		BatchSize:   sc.Batch,
 		Parallelism: sc.Parallel,
-		Bundle:      bundle.Config{Kernel: sc.Kernel, VerifyMode: sc.VerifyMode},
+		Bundle:      bundle.Config{Kernel: sc.Kernel},
 		Registry:    sc.Registry,
 		Tracer:      sc.Tracer,
 	})

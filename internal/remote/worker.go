@@ -52,11 +52,6 @@ type WorkerOpts struct {
 	// choice cannot change a session's results — a fleet may freely mix
 	// kernel settings per machine.
 	Kernel similarity.KernelConfig
-	// VerifyMode selects this worker's verification organization
-	// (collect / tree / auto; bundle algorithm only). Worker-local and
-	// off the wire for the same reason as Kernel: every mode emits
-	// byte-identical results, so a fleet may mix modes per machine.
-	VerifyMode bundle.VerifyMode
 	// Frags receives span fragments for traced records (wire v3 trace
 	// annotation); nil disables worker-side span recording entirely —
 	// untraced records never touch it either way.
@@ -241,7 +236,6 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		Parallelism: o.Parallelism,
 	}
 	opts.Bundle.Kernel = o.Kernel
-	opts.Bundle.VerifyMode = o.VerifyMode
 	var (
 		joiner local.Joiner
 		bi     *local.BiJoiner

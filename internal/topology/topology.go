@@ -540,21 +540,6 @@ func (w *workerBolt) registerJoinerMetrics(reg *obs.Registry, task int) {
 	reg.CounterVec("verify_candidates_pruned_total",
 		"Candidates discarded by upper-bound checks before any kernel ran.", "task").
 		SetFunc(label, func() float64 { return float64(ls.Pruned.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
-	reg.CounterVec("verify_tree_probes_total",
-		"Probes answered by the filter-and-verification tree (tree/auto verify mode).", "task").
-		SetFunc(label, func() float64 { return float64(ls.TreeProbes.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
-	reg.CounterVec("verify_tree_nodes_visited_total",
-		"Tree nodes expanded while answering tree-mode probes.", "task").
-		SetFunc(label, func() float64 { return float64(ls.TreeNodesVisited.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
-	reg.CounterVec("verify_tree_subtrees_pruned_total",
-		"Whole subtrees discarded by tree-node filters before any member was touched.", "task").
-		SetFunc(label, func() float64 { return float64(ls.TreeSubtreesPruned.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
-	reg.CounterVec("verify_tree_cands_avoided_total",
-		"Candidate members never materialized thanks to tree-level pruning.", "task").
-		SetFunc(label, func() float64 { return float64(ls.TreeCandsAvoided.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
-	reg.GaugeVec("verify_tree_nodes",
-		"Nodes currently in the filter-and-verification tree.", "task").
-		SetFunc(label, func() float64 { return float64(ls.TreeNodes.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
 }
 
 // registerPoolMetrics publishes the worker's verifier-pool counters to

@@ -132,15 +132,6 @@ type Config struct {
 	// exact overlaps, so the choice never changes results — only the work
 	// profile. Ignored unless Algorithm is Bundle.
 	Kernel string
-	// VerifyMode selects how candidate verification is organized:
-	// "collect" (the default) gathers candidate members from the prefix
-	// index and verifies them one by one; "tree" probes a prefix-ordered
-	// filter-and-verification tree that prunes whole candidate subtrees
-	// with length/position/suffix filters before any member is touched;
-	// "auto" switches per probe by live index size. Every mode emits
-	// byte-identical results — only the candidate workload differs.
-	// Ignored unless Algorithm is Bundle.
-	VerifyMode string
 }
 
 func (c Config) build() (filter.Params, window.Policy, local.Algorithm, bundle.Config, error) {
@@ -174,16 +165,11 @@ func (c Config) build() (filter.Params, window.Policy, local.Algorithm, bundle.C
 	if err != nil {
 		return filter.Params{}, nil, 0, bundle.Config{}, fmt.Errorf("ssjoin: %w", err)
 	}
-	vm, err := bundle.ParseVerifyMode(c.VerifyMode)
-	if err != nil {
-		return filter.Params{}, nil, 0, bundle.Config{}, fmt.Errorf("ssjoin: %w", err)
-	}
 	params := filter.Params{Func: f, Threshold: c.Threshold}
 	bcfg := bundle.Config{
 		GroupThreshold: c.GroupThreshold,
 		MaxMembers:     c.MaxBundle,
 		Kernel:         similarity.KernelConfig{Mode: kern},
-		VerifyMode:     vm,
 	}
 	return params, win, alg, bcfg, nil
 }
