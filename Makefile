@@ -20,8 +20,7 @@ lint:
 lint-update-baseline:
 	go run ./cmd/repolint -baseline lint.baseline.json -update-baseline ./...
 
-# The race detector is the default test path; the only race-sensitive test
-# (topology timing, see internal/topology/race_on_test.go) skips itself.
+# The race detector is the default test path.
 test:
 	go test -race ./...
 
@@ -65,8 +64,9 @@ fuzz:
 	go test -fuzz FuzzIntersectKernels -fuzztime 15s ./internal/similarity/
 	go test -run '^$$' -fuzz FuzzSigBoundSound -fuzztime 15s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzIndexVsBruteForce -fuzztime 15s ./internal/bundle/
+	go test -run '^$$' -fuzz FuzzPostTableVsMap -fuzztime 15s ./internal/bundle/
 
-# ~20s fuzz sanity pass for CI. The two signature targets skip the package's
+# ~20s fuzz sanity pass for CI. The three bundle targets skip the package's
 # unit tests (-run '^$$'), which the test step has already run.
 fuzz-smoke:
 	go test -fuzz FuzzReaderNeverPanics -fuzztime 2s ./internal/wire/
@@ -77,6 +77,7 @@ fuzz-smoke:
 	go test -fuzz FuzzIntersectKernels -fuzztime 2s ./internal/similarity/
 	go test -run '^$$' -fuzz FuzzSigBoundSound -fuzztime 2s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzIndexVsBruteForce -fuzztime 2s ./internal/bundle/
+	go test -run '^$$' -fuzz FuzzPostTableVsMap -fuzztime 2s ./internal/bundle/
 
 clean:
 	rm -rf internal/*/testdata/fuzz

@@ -17,9 +17,9 @@ import "repro/internal/tokens"
 //
 // Every bundle has a slot id — chunk index × bundleChunk + offset in the
 // chunk — fixed when it is carved and kept across death and recycling.
-// Posting lists hold slot ids instead of pointers (half the bytes, nothing
-// for the collector to scan, no write barrier on compaction), and per-bundle
-// side tables such as the signatures are addressed by it.
+// Postings hold slot ids instead of pointers (half the bytes, nothing for the
+// collector to scan, no write barrier on compaction), and the per-bundle side
+// tables — the hot entries and the signatures — are addressed by it.
 type alloc struct {
 	members []Member
 	bundles []Bundle // uncarved tail of the newest bundle chunk
@@ -28,11 +28,12 @@ type alloc struct {
 	chunk   []tokens.Rank
 	used    int
 
-	// bchunks is the bundle chunk directory, indexed by slot >> bundleShift.
-	// sigs runs parallel to it: the signatures of a chunk's bundles, nil
-	// until one of them takes a signature (see Bundle.add), so an index of
-	// short records never pays the 32 B per bundle.
+	// bchunks is the bundle chunk directory, indexed by slot >> bundleShift;
+	// hots (see hot) and sigs run parallel to it. sigs holds the signatures
+	// of a chunk's bundles, nil until one of them takes a signature (see
+	// Bundle.add), so an index of short records never pays the 32 B per bundle.
 	bchunks []*[bundleChunk]Bundle
+	hots    []*[bundleChunk]hot
 	sigs    []*[bundleChunk]sig
 
 	// memberChunks counts the member slab chunks carved so far (len(bchunks)
@@ -46,6 +47,25 @@ const (
 	bundleShift = 7
 	bundleChunk = 1 << bundleShift
 	rankChunk   = 8192
+)
+
+// hot is the 8 bytes of a bundle the posting walk reads per posting, so the
+// 98 % of postings the stamp, the length band or the signature reject never
+// load the 128-byte Bundle; mirror keeps it current.
+type hot struct {
+	// seen is the probe sequence number of the last collectCandidates call
+	// that visited the bundle: the per-probe dedup stamp (see resetStamps).
+	seen uint32
+	// lo and hi copy Bundle.minLen and maxLen into their low 15 bits,
+	// saturating at hotLenMax — exact below it, at it only ever too small.
+	// lo carries hotSig (Bundle.hasSig), hi carries hotLive: hi == 0 is dead.
+	lo, hi uint16
+}
+
+const (
+	hotLenMax = 1<<15 - 1
+	hotSig    = 1 << 15 // in hot.lo
+	hotLive   = 1 << 15 // in hot.hi
 )
 
 // member hands out a zeroed *Member (apart from a retained, invalidated
@@ -83,6 +103,7 @@ func (al *alloc) bundle() *Bundle {
 	if len(al.bundles) == 0 {
 		c := new([bundleChunk]Bundle)
 		al.bchunks = append(al.bchunks, c)
+		al.hots = append(al.hots, new([bundleChunk]hot))
 		al.sigs = append(al.sigs, nil)
 		al.bundles = c[:]
 	}
@@ -94,9 +115,30 @@ func (al *alloc) bundle() *Bundle {
 
 // at resolves a slot id to its bundle.
 //
-// hotpath: zero-alloc — once per posting scanned.
+// hotpath: zero-alloc — once per candidate and per dead posting dropped.
 func (al *alloc) at(slot uint32) *Bundle {
 	return &al.bchunks[slot>>bundleShift][slot&(bundleChunk-1)]
+}
+
+// hotAt resolves a slot id to its hot entry.
+//
+// hotpath: zero-alloc — once per posting scanned.
+func (al *alloc) hotAt(slot uint32) *hot {
+	return &al.hots[slot>>bundleShift][slot&(bundleChunk-1)]
+}
+
+// mirror brings b's hot entry up to date after Bundle.add or remove; death
+// zeroes it, stamp included.
+func (al *alloc) mirror(b *Bundle) {
+	h := al.hotAt(b.slot)
+	if len(b.Members) == 0 {
+		*h = hot{}
+		return
+	}
+	h.lo, h.hi = uint16(min(b.minLen, hotLenMax)), hotLive|uint16(min(b.maxLen, hotLenMax))
+	if b.hasSig {
+		h.lo |= hotSig
+	}
 }
 
 // sigAt returns the signature cell of a bundle that has one (hasSig); the

@@ -45,24 +45,19 @@ type Member struct {
 // upper bound). Members holds exactly the live members — eviction removes
 // a member at once — so an empty Members marks a dead bundle.
 type Bundle struct {
-	// The first cache line holds everything collectCandidates reads per
-	// posting — liveness, the dedup stamp, the length range, the signature
-	// flag and slot, the dead-posting count — so a candidate the bundle
-	// filters reject costs one line; Core, Union and cold follow it.
+	// The posting walk does not read a Bundle: what it needs per posting is
+	// mirrored in the slot's 8-byte hot entry (see hot), and only a candidate
+	// that survives the bundle filters, or a dead posting being dropped,
+	// loads these two lines.
 	Members []*Member
 
-	// lastSeen is the probe sequence number of the last collectCandidates
-	// call that visited this bundle — the per-probe dedup stamp (an epoch
-	// check beats a map insert per candidate posting). 32 bits: the index
-	// resets every live stamp when probeSeq wraps.
-	lastSeen uint32
 	// slot is the bundle's address in the allocator's chunk directory (see
 	// alloc), assigned when the bundle is carved and kept for good.
 	slot uint32
 
-	// minLen and maxLen are the member length extremes (0 when empty),
-	// kept current by add and remove so the per-candidate bundle filters
-	// never walk Members.
+	// minLen and maxLen are the exact member length extremes (0 when
+	// empty), kept current by add and remove so probeBundle's bounds never
+	// walk Members; the hot entry's band is a saturating copy of them.
 	minLen, maxLen int32
 	// peak tracks the max member count since the last shrink rebuild.
 	peak int32
@@ -316,9 +311,9 @@ func (b *Bundle) unionAdd(t []tokens.Rank) {
 // keeping it) and is ignored for the first member. Members and deltas come
 // out of al's free list and slabs, and every token set whose slice changed
 // gets its cached bitset form rebuilt under kern. add returns the tokens of
-// r's first prefixLen tokens that were not yet posted for this bundle so
-// the caller can extend the posting lists; the result aliases b.posted and
-// is valid until the next add.
+// r's first prefixLen tokens (at most r.Len(), the caller clamps) that were
+// not yet posted for this bundle so the caller can extend the posting table;
+// the result aliases b.posted and is valid until the next add.
 func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, prefixLen int, newCore []tokens.Rank) (newPostings []tokens.Rank) {
 	m := al.member()
 	m.Rec = r
@@ -331,9 +326,6 @@ func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, 
 		b.Union = r.Tokens
 		b.unionOwned = false
 		b.minLen, b.maxLen = ln, ln
-		if cap(b.posted) < prefixLen {
-			b.posted = make([]tokens.Rank, 0, prefixLen)
-		}
 		if ln >= sigMinLen {
 			al.sigCell(b.slot).set(r.Tokens)
 			b.hasSig = true
@@ -380,8 +372,12 @@ func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, 
 		b.peak = n
 	}
 	n0 := len(b.posted)
-	for i := 0; i < prefixLen && i < r.Len(); i++ {
-		if tok := r.Tokens[i]; !b.hasPosted(tok) {
+	if n0 == 0 { // a record's tokens are distinct: nothing to dedup against
+		b.posted = append(b.posted, r.Tokens[:prefixLen]...)
+		return b.posted
+	}
+	for _, tok := range r.Tokens[:prefixLen] {
+		if !b.hasPosted(tok) {
 			b.posted = append(b.posted, tok)
 		}
 	}
@@ -449,11 +445,4 @@ func (b *Bundle) rebuildUnion(al *alloc) {
 	if b.hasSig {
 		al.sigAt(b.slot).set(b.Union)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -68,7 +68,7 @@ type Stats struct {
 	Records        uint64 // records processed
 	Bundles        uint64 // bundles created
 	Appends        uint64 // records appended to an existing bundle
-	Postings       uint64 // entries currently in the posting lists (live and dead bundles)
+	Postings       uint64 // entries currently in the posting table (live and dead bundles)
 	Scanned        uint64 // bundle postings visited
 	BundleCands    uint64 // distinct candidate bundles per probe, summed
 	BundleLenSkip  uint64 // bundles skipped entirely by the length range
@@ -117,17 +117,15 @@ type Index struct {
 	win    window.Policy
 	cfg    Config
 
-	// posts maps a token to the slot ids (see alloc) of the bundles posted
-	// under it.
-	posts map[tokens.Rank][]uint32
+	// posts holds one posting per (token, bundle posted under it), naming
+	// the bundle by slot id (see alloc).
+	posts postTable
 	fifo  []fifoEntry
 	head  int
 	// deadPosts counts the postings in posts that reference dead bundles:
 	// up on a bundle's death, down as probes and sweeps drop them. It is
-	// the sweep trigger, and postsPeak (the most keys posts has held since
-	// it was last rebuilt) is the map's own shrink trigger.
+	// the sweep trigger.
 	deadPosts uint64
-	postsPeak int
 
 	stats Stats
 	live  *LiveStats // optional atomic mirror, see PublishLive
@@ -135,9 +133,9 @@ type Index struct {
 	// probe scratch
 	cands []*Bundle
 	walk  []walkRef
-	// probeSeq is the probe counter stamped into Bundle.lastSeen for
-	// per-probe candidate dedup (replaces a per-probe map); collectCandidates
-	// restarts it at 1 when it wraps.
+	// probeSeq is the probe counter stamped into hot.seen for per-probe
+	// candidate dedup (replaces a per-probe map); collectCandidates restarts
+	// it at 1 when it wraps.
 	probeSeq uint32
 	// The per-probe invariants, set once per probe by bindProbe in the
 	// single-writer phase and read-only during the — possibly fanned —
@@ -170,13 +168,10 @@ type Index struct {
 	adaptMark   struct{ linear, gallop, bitset uint64 }
 }
 
-// walkRef is one prefix token's posting list in the selectivity-ordered
-// walk: pos is the token's prefix position, list the posting list as
-// looked up at sort time (its length is the sort key).
-type walkRef struct {
-	pos  int
-	list []uint32
-}
+// walkRef is one prefix token in the selectivity-ordered walk: pos is the
+// token's prefix position, n its posting count as the count pass read it
+// (the sort key).
+type walkRef struct{ pos, n int }
 
 const (
 	// sweepFloor is the dead-posting count below which no sweep runs, so
@@ -193,8 +188,8 @@ func New(p filter.Params, w window.Policy, cfg Config) *Index {
 		params: p,
 		win:    w,
 		cfg:    cfg.withDefaults(p.Threshold),
-		posts:  make(map[tokens.Rank][]uint32),
 	}
+	bx.posts.rebuild(postMinBits)
 	bx.emitAppend = func(m Match) { bx.emitBuf = append(bx.emitBuf, m) }
 	return bx
 }
@@ -208,6 +203,7 @@ func (bx *Index) Config() Config { return bx.cfg }
 // Stats snapshots the work counters.
 func (bx *Index) Stats() Stats {
 	s := bx.stats
+	s.Postings = uint64(bx.posts.n)
 	s.LiveMembers = uint64(len(bx.fifo) - bx.head)
 	return s
 }
@@ -288,6 +284,7 @@ func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
 			break
 		}
 		fe.b.remove(&bx.al, bx.cfg.Kernel, fe.m)
+		bx.al.mirror(fe.b)
 		bx.al.freeMember(fe.m)
 		if len(fe.b.Members) == 0 {
 			bx.retire(fe.b)
@@ -300,14 +297,15 @@ func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
 		bx.fifo = append(bx.fifo[:0], bx.fifo[bx.head:]...)
 		bx.head = 0
 	}
-	if bx.deadPosts > sweepFloor && bx.deadPosts*2 > bx.stats.Postings {
+	if bx.deadPosts > sweepFloor && bx.deadPosts*2 > uint64(bx.posts.n) {
 		bx.sweep()
+		bx.posts.fit()
 	}
 }
 
 // retire takes a bundle that just lost its last member out of the live
-// set. Its postings stay in the lists — finding them would cost a lookup
-// per posted token — and are counted as dead; the bundle is recycled when
+// set. Its postings stay in the table — finding them would cost a bucket
+// walk per posted token — and are counted as dead; the bundle is recycled when
 // the last of them is dropped, which is immediately when it has none: a
 // zero-token record (TextStream.Add keeps texts that tokenize to the empty
 // set) has an empty prefix, so its singleton bundle posts nothing.
@@ -320,14 +318,13 @@ func (bx *Index) retire(b *Bundle) {
 	bx.deadPosts += uint64(len(b.posted))
 }
 
-// dropDead accounts for one posting of dead bundle b leaving the lists
-// (the caller removes the list entry) and recycles b once none is left.
+// dropDead accounts for one posting of dead bundle b leaving the table
+// (the caller's compaction removes the entry) and recycles b once none is left.
 //
 // hotpath: zero-alloc — called from collectCandidates' compaction; the
 // free-list push is an amortised self-append.
 func (bx *Index) dropDead(b *Bundle) {
 	bx.stats.DeadPostSkips++
-	bx.stats.Postings--
 	bx.deadPosts--
 	b.posted = b.posted[:len(b.posted)-1]
 	if len(b.posted) == 0 {
@@ -335,44 +332,35 @@ func (bx *Index) dropDead(b *Bundle) {
 	}
 }
 
-// sweep drops every dead posting in one pass over the posting lists and
-// so recycles every dead bundle. Evict calls it when dead postings
-// outnumber live ones (beyond sweepFloor): the pass costs O(all
-// postings) and removes more than half of them, so sweeping is amortised
-// O(1) per posting ever inserted, and between sweeps dead postings never
-// exceed live postings + sweepFloor — the index's memory follows the
-// window, not the stream. Lazy compaction in collectCandidates still
-// drops the dead postings a probe happens to walk; the sweep bounds the
-// ones no probe walks. The map itself is rebuilt when it has shrunk to a
-// quarter of its peak, because a Go map never returns buckets on delete.
+// sweep drops every dead posting in one pass over the table and so
+// recycles every dead bundle. Evict calls it when dead postings outnumber
+// live ones (beyond sweepFloor): the pass costs O(all postings) and removes
+// more than half of them, so sweeping is amortised O(1) per posting ever
+// inserted, and between sweeps dead postings never exceed live postings +
+// sweepFloor — the index's memory follows the window, not the stream. (A
+// probe's walk drops the dead postings it meets; the sweep bounds the ones
+// no probe walks.) It compacts in place: a steady window sweeps every few
+// hundred records, and a table re-made each time would be its largest
+// allocation; Evict lets an emptied table shrink afterwards (postTable.fit).
+//
+// hotpath: zero-alloc — O(postings), allocates nothing.
 func (bx *Index) sweep() {
 	bx.stats.RebuildSweeps++
-	for tok, list := range bx.posts {
-		w := 0
-		for _, slot := range list {
-			if b := bx.al.at(slot); len(b.Members) == 0 {
-				bx.dropDead(b)
+	for k := range bx.posts.buckets {
+		b := &bx.posts.buckets[k]
+		ov, n, w := bx.posts.overflow(b), b.n, uint32(0)
+		for i := uint32(0); i < n; i++ {
+			p := b.at(ov, i)
+			if bx.al.hotAt(p.slot).hi == 0 {
+				bx.dropDead(bx.al.at(p.slot))
 				continue
 			}
-			list[w] = slot
+			if w != i {
+				b.set(ov, w, p)
+			}
 			w++
 		}
-		if w == len(list) {
-			continue
-		}
-		if w == 0 {
-			delete(bx.posts, tok)
-		} else {
-			bx.posts[tok] = list[:w]
-		}
-	}
-	if n := len(bx.posts); n*4 < bx.postsPeak {
-		posts := make(map[tokens.Rank][]uint32, n)
-		for tok, list := range bx.posts {
-			posts[tok] = list
-		}
-		bx.posts = posts
-		bx.postsPeak = n
+		bx.posts.truncate(b, ov, w)
 	}
 }
 
@@ -443,54 +431,41 @@ func (bx *Index) bindProbe(r *record.Record) {
 	}
 }
 
-// sigBound returns the signature's upper bound on the overlap of the bound
-// probe (la tokens) with any member of b (see sig); it is la itself, which
-// excludes nothing, when either side carries no signature.
-//
-// hotpath: zero-alloc — once per candidate bundle.
-func (bx *Index) sigBound(b *Bundle, la int) int {
-	if !bx.probeHasSig || !b.hasSig {
-		return la
-	}
-	return la - bx.probeSig.missing(bx.al.sigAt(b.slot))
-}
-
-// resetStamps clears the dedup stamp of every live bundle and restarts the
-// probe counter at 1: without it, a bundle last visited exactly 2^32 probes
-// ago would look already seen. Dead and free-listed bundles need no visit —
-// death zeroes the stamp, and a dead posting is dropped before its stamp is
-// read.
+// resetStamps clears every slot's dedup stamp and restarts the probe counter
+// at 1: without it, a bundle last visited exactly 2^32 probes ago would look
+// already seen.
 func (bx *Index) resetStamps() {
-	for _, fe := range bx.fifo[bx.head:] {
-		fe.b.lastSeen = 0
+	for _, c := range bx.al.hots {
+		for i := range c {
+			c[i].seen = 0
+		}
 	}
 	bx.probeSeq = 1
 }
 
-// collectCandidates walks the posting lists of r's prefix tokens in
-// ascending posting-list-length order (rarest token first), compacts dead
-// postings in place, and returns the distinct candidate bundles that pass
-// the bundle-level length and signature filters, in that discovery order.
-// Rarest-first is a selectivity heuristic: the bundles sharing a rare
-// token are the likeliest (and, sharing more with the probe,
-// typically heaviest) candidates, so they front-load the verify order —
-// which also hands the pool's work-stealing loop its biggest items first.
-// The order is a deterministic function of index state (list length, then
-// prefix position), so parallel and serial runs still see identical
-// candidate sequences. Dedup is an epoch stamp on the bundle (lastSeen vs
-// probeSeq) instead of a per-probe map, and both filters run on a newly
-// stamped bundle while the cache line that holds the stamp is loaded: the
-// length range against the bounds hoisted by bindProbe, then the signature
-// bound against the smallest overlap any member would need. This is the
-// single-writer half of the probe path: every posting-list mutation, the
-// probe's invariants and every counter these filters bump happen here,
-// before verification starts, so the verify phase that follows — serial in
-// Probe, fanned out in ProbePar — reads an index nobody is writing. The
-// returned slice is scratch owned by the index and valid until the next
-// collectCandidates call.
+// collectCandidates walks the postings of r's prefix tokens in ascending
+// posting-count order (rarest token first), compacts dead postings in place,
+// and returns the distinct candidate bundles that pass the bundle-level
+// length and signature filters, in that discovery order. Rarest-first is a
+// selectivity heuristic: the bundles sharing a rare token are the likeliest
+// (and typically heaviest) candidates, so they front-load the verify order
+// and hand the pool's work-stealing loop its biggest items first. A count
+// pass reads each prefix token's bucket once for the sort key; the order is
+// a deterministic function of index state (count, then prefix position), so
+// parallel and serial runs see identical candidate sequences. The walk reads,
+// per posting of the token, only the slot's hot entry: dead mark, dedup stamp
+// (seen vs probeSeq, an epoch instead of a per-probe map), the length band
+// against the bounds hoisted by bindProbe, then the signature bound against
+// the smallest overlap any member would need; the Bundle is addressed only
+// for a candidate or a dead posting. A saturated band errs towards keeping:
+// lenLo is clamped so a saturated hi never skips, and a saturated lo only
+// lowers the requirement. This is the single-writer half of the probe path:
+// every posting-table mutation and every counter these filters bump happen
+// here, so the verify phase that follows — serial in Probe, fanned out in
+// ProbePar — reads an index nobody is writing. The returned slice is scratch
+// owned by the index, valid until the next call.
 //
-// hotpath: zero-alloc — runs once per probe; the one posts-map write is
-// the compaction store of an existing key (baselined).
+// hotpath: zero-alloc — runs once per probe.
 func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 	cands := bx.cands[:0]
 	bx.probeSeq++
@@ -501,64 +476,66 @@ func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 	bx.bindProbe(r)
 	la := r.Len()
 	lo, hi := bx.probeLo, bx.probeHi
-	p := bx.params.PrefixLen(la)
+	lenLo := min(lo, hotLenMax)
 	walk := bx.walk[:0]
-	for i := 0; i < p; i++ {
-		if list, have := bx.posts[r.Tokens[i]]; have {
-			walk = append(walk, walkRef{pos: i, list: list})
+	for i, tok := range r.Tokens[:bx.params.PrefixLen(la)] {
+		if n := bx.posts.count(tok); n > 0 {
+			walk = append(walk, walkRef{pos: i, n: n})
 		}
 	}
-	// Insertion sort by (length, prefix position): prefixes are short and
+	// Insertion sort by (count, prefix position): prefixes are short and
 	// mostly sorted run-to-run, so this beats sort.Slice and allocates
 	// nothing.
 	for i := 1; i < len(walk); i++ {
-		for j := i; j > 0 && (len(walk[j].list) < len(walk[j-1].list) ||
-			(len(walk[j].list) == len(walk[j-1].list) && walk[j].pos < walk[j-1].pos)); j-- {
+		for j := i; j > 0 && (walk[j].n < walk[j-1].n ||
+			(walk[j].n == walk[j-1].n && walk[j].pos < walk[j-1].pos)); j-- {
 			walk[j], walk[j-1] = walk[j-1], walk[j]
 		}
 	}
 	for _, wr := range walk {
-		list := wr.list
-		w := 0
-		for _, slot := range list {
-			b := bx.al.at(slot)
-			if len(b.Members) == 0 {
-				bx.dropDead(b) // compact dead bundle posting
-				continue
+		tok := r.Tokens[wr.pos]
+		b := bx.posts.bucket(tok)
+		ov, n, w := bx.posts.overflow(b), b.n, uint32(0)
+		for i := uint32(0); i < n; i++ {
+			p := b.at(ov, i)
+			var h *hot
+			if p.tok == tok {
+				if h = bx.al.hotAt(p.slot); h.hi == 0 {
+					bx.dropDead(bx.al.at(p.slot)) // compact dead bundle posting
+					continue
+				}
 			}
-			list[w] = slot
+			if w != i {
+				b.set(ov, w, p)
+			}
 			w++
+			if h == nil {
+				continue // a neighbour sharing the line
+			}
 			bx.stats.Scanned++
-			if b.lastSeen == seq {
+			if h.seen == seq {
 				continue
 			}
-			b.lastSeen = seq
+			h.seen = seq
 			bx.stats.BundleCands++
-			bmin := int(b.minLen)
-			if int(b.maxLen) < lo || bmin > hi {
+			bmin := int(h.lo &^ hotSig)
+			if int(h.hi&^hotLive) < lenLo || bmin > hi {
 				bx.stats.BundleLenSkip++
 				continue
 			}
-			// A bound of la excludes nothing (no member needs more than
-			// the whole probe), so bundles without a signature never
-			// reach the requirement arithmetic.
-			if ub := bx.sigBound(b, la); ub < la && ub < bx.minRequired(la, bmin, lo) {
-				bx.stats.BundleSigSkip++
-				continue
+			// The signature's bound on the overlap with any member (see
+			// sig); a bound of la excludes nothing, so it skips the
+			// requirement arithmetic.
+			if bx.probeHasSig && h.lo&hotSig != 0 {
+				if ub := la - bx.probeSig.missing(bx.al.sigAt(p.slot)); ub < la && ub < bx.minRequired(la, bmin, lo) {
+					bx.stats.BundleSigSkip++
+					continue
+				}
 			}
-			cands = append(cands, b)
+			cands = append(cands, bx.al.at(p.slot))
 		}
-		if w == len(list) {
-			continue
-		}
-		if tok := r.Tokens[wr.pos]; w == 0 {
-			delete(bx.posts, tok)
-		} else {
-			bx.posts[tok] = list[:w]
-		}
+		bx.posts.truncate(b, ov, w)
 	}
-	// The scratch must not pin posting lists the map has since let go of.
-	clear(walk)
 	bx.walk = walk[:0]
 	bx.cands = cands
 	return cands
@@ -781,7 +758,7 @@ func (bx *Index) InsertSingleton(r *record.Record) {
 }
 
 // Insert places r into best's bundle when grouping conditions hold,
-// otherwise into a fresh singleton bundle, and extends the posting lists
+// otherwise into a fresh singleton bundle, and extends the posting table
 // with the record's unposted prefix tokens. best must come from a Probe
 // with no Evict in between: eviction recycles bundles.
 func (bx *Index) Insert(r *record.Record, best Insertion) {
@@ -817,14 +794,10 @@ func (bx *Index) Insert(r *record.Record, best Insertion) {
 	} else {
 		bx.stats.Appends++
 	}
-	newPosts := target.add(&bx.al, bx.cfg.Kernel, r, p, newCore)
-	for _, tok := range newPosts {
-		bx.posts[tok] = append(bx.posts[tok], target.slot)
+	for _, tok := range target.add(&bx.al, bx.cfg.Kernel, r, p, newCore) {
+		bx.posts.add(posting{tok, target.slot})
 	}
-	bx.stats.Postings += uint64(len(newPosts))
-	if len(bx.posts) > bx.postsPeak {
-		bx.postsPeak = len(bx.posts)
-	}
+	bx.al.mirror(target)
 	m := target.Members[len(target.Members)-1]
 	if n := uint64(len(target.Members)); n > bx.stats.MaxBundleSize {
 		bx.stats.MaxBundleSize = n

@@ -65,29 +65,25 @@ func checkInvariants(t *testing.T, bx *Index) {
 	// it.
 	perBundle := make(map[*Bundle]int)
 	var total, dead uint64
-	for tok, list := range bx.posts {
-		if len(list) == 0 {
-			t.Fatalf("empty posting list kept under token %d", tok)
+	for _, p := range tableCensus(t, &bx.posts) {
+		tok, slot := p.tok, p.slot
+		b := bx.al.at(slot)
+		if b.slot != slot {
+			t.Fatalf("slot %d resolves to a bundle that believes it is slot %d", slot, b.slot)
 		}
-		for _, slot := range list {
-			b := bx.al.at(slot)
-			if b.slot != slot {
-				t.Fatalf("slot %d resolves to a bundle that believes it is slot %d", slot, b.slot)
-			}
-			total++
-			perBundle[b]++
-			switch {
-			case len(b.Members) == 0:
-				dead++
-			case !liveB[b]:
-				t.Fatalf("posting under token %d references a bundle outside the window", tok)
-			case !b.hasPosted(tok):
-				t.Fatalf("live bundle posted under token %d without recording it", tok)
-			}
+		total++
+		perBundle[b]++
+		switch {
+		case len(b.Members) == 0:
+			dead++
+		case !liveB[b]:
+			t.Fatalf("posting under token %d references a bundle outside the window", tok)
+		case !b.hasPosted(tok):
+			t.Fatalf("live bundle posted under token %d without recording it", tok)
 		}
 	}
-	if total != bx.stats.Postings || dead != bx.deadPosts {
-		t.Fatalf("postings %d (dead %d), counters say %d (dead %d)", total, dead, bx.stats.Postings, bx.deadPosts)
+	if total != uint64(bx.posts.n) || dead != bx.deadPosts {
+		t.Fatalf("postings %d (dead %d), counters say %d (dead %d)", total, dead, bx.posts.n, bx.deadPosts)
 	}
 	if dead > total-dead+sweepFloor {
 		t.Fatalf("%d dead postings against %d live: the sweep bound does not hold", dead, total-dead)
@@ -112,7 +108,7 @@ func checkInvariants(t *testing.T, bx *Index) {
 	}
 	for _, b := range bx.al.freeB {
 		if len(b.Members) != 0 || len(b.posted) != 0 || b.Core != nil || b.Union != nil ||
-			b.lastSeen != 0 || b.minLen != 0 || b.maxLen != 0 || b.peak != 0 || b.unionOwned || b.hasSig ||
+			*bx.al.hotAt(b.slot) != (hot{}) || b.minLen != 0 || b.maxLen != 0 || b.peak != 0 || b.unionOwned || b.hasSig ||
 			bx.al.at(b.slot) != b ||
 			(b.cold != nil && b.cold.ok != [2]bool{}) {
 			t.Fatalf("recycled bundle not reset: %+v", *b)
@@ -128,8 +124,22 @@ func checkInvariants(t *testing.T, bx *Index) {
 	}
 	// Census: a carved bundle is live, dead with postings still to drop, or
 	// free — anything else has leaked out of the lifecycle.
-	if carved := len(bx.al.bchunks)*bundleChunk - len(bx.al.bundles); len(perBundle)+len(bx.al.freeB) != carved {
+	carved := len(bx.al.bchunks)*bundleChunk - len(bx.al.bundles)
+	if len(perBundle)+len(bx.al.freeB) != carved {
 		t.Fatalf("%d bundles carved: %d live or dead-posted, %d free", carved, len(perBundle), len(bx.al.freeB))
+	}
+	// The hot entry of every carved slot mirrors its bundle: dead iff no
+	// member, the signature bit, and a band that contains the exact one and
+	// equals it below the saturation point.
+	for slot := uint32(0); slot < uint32(carved); slot++ {
+		b, h := bx.al.at(slot), *bx.al.hotAt(slot)
+		lo, hi := int(h.lo&^hotSig), int(h.hi&^hotLive)
+		switch {
+		case (h.hi == 0) != (len(b.Members) == 0), (h.lo&hotSig != 0) != b.hasSig:
+			t.Fatalf("slot %d: hot %+v against %d members, hasSig=%v", slot, h, len(b.Members), b.hasSig)
+		case lo != min(b.MinLen(), hotLenMax) || hi != min(b.MaxLen(), hotLenMax):
+			t.Fatalf("slot %d: hot band [%d,%d], bundle [%d,%d]", slot, lo, hi, b.MinLen(), b.MaxLen())
+		}
 	}
 }
 
@@ -206,8 +216,8 @@ func lifecycleSmallWindow(t *testing.T, stream []*record.Record, wantSigSkip boo
 }
 
 // TestSweepAfterBurst evicts a whole burst at once under a time window:
-// one sweep must return the index — posting lists, the map behind them,
-// every bundle and member — to the size of what is live.
+// one sweep must return the index — the posting table, every bundle and
+// member — to the size of what is live.
 func TestSweepAfterBurst(t *testing.T) {
 	const burst = 3000
 	bx := New(params(0.6), window.Time{Span: 10}, Config{})
@@ -216,20 +226,20 @@ func TestSweepAfterBurst(t *testing.T) {
 		bx.Process(r, func(Match) {})
 	}
 	checkInvariants(t, bx)
-	keys, st := len(bx.posts), bx.Stats()
-	if st.RebuildSweeps != 0 || st.LiveMembers != burst || keys < burst/2 {
-		t.Fatalf("burst not resident: sweeps=%d members=%d keys=%d", st.RebuildSweeps, st.LiveMembers, keys)
+	buckets, st := len(bx.posts.buckets), bx.Stats()
+	if st.RebuildSweeps != 0 || st.LiveMembers != burst || st.Postings < burst/2 || buckets*4 < burst/2 {
+		t.Fatalf("burst not resident: sweeps=%d members=%d postings=%d buckets=%d", st.RebuildSweeps, st.LiveMembers, st.Postings, buckets)
 	}
 	late := rec(burst, 1, 2, 3)
 	late.Time = 1000
 	bx.Process(late, func(Match) {})
 	checkInvariants(t, bx)
 	st = bx.Stats()
-	if st.RebuildSweeps != 1 || st.LiveMembers != 1 || st.LiveBundles != 1 || st.Postings != uint64(len(bx.posts)) {
+	if st.RebuildSweeps != 1 || st.LiveMembers != 1 || st.LiveBundles != 1 || st.Postings != uint64(bx.params.PrefixLen(late.Len())) {
 		t.Fatalf("after the burst expired: %+v", st)
 	}
-	if bx.postsPeak != len(bx.posts) {
-		t.Fatalf("posting map not rebuilt: %d keys, peak still %d", len(bx.posts), bx.postsPeak)
+	if n := len(bx.posts.buckets); n != 1<<postMinBits || len(bx.posts.over) != 0 {
+		t.Fatalf("posting table not back at its minimum: %d buckets, %d overflow lists", n, len(bx.posts.over))
 	}
 	if free := len(bx.al.freeB) + 1; free != len(bx.al.bchunks)*bundleChunk-len(bx.al.bundles) {
 		t.Fatalf("%d bundles free or live, %d carved", free, len(bx.al.bchunks)*bundleChunk-len(bx.al.bundles))
@@ -334,12 +344,12 @@ func TestIndexStateBoundedByWindow(t *testing.T) {
 		if st.LiveMembers != fst.LiveMembers || st.LiveMembers < uint64(tc.win) {
 			t.Fatalf("%s: window holds %d members, reload %d", label, st.LiveMembers, fst.LiveMembers)
 		}
-		t.Logf("%s: postings %d/%d tokens %d/%d (index/reload), bundles carved %d peak live %d, members carved %d, heap %d -> %d KiB, sweeps %d",
-			label, st.Postings, fst.Postings, len(bx.posts), len(fresh.posts), len(bx.al.bchunks)*bundleChunk, peakLive,
+		t.Logf("%s: postings %d/%d buckets %d/%d (index/reload), bundles carved %d peak live %d, members carved %d, heap %d -> %d KiB, sweeps %d",
+			label, st.Postings, fst.Postings, len(bx.posts.buckets), len(fresh.posts.buckets), len(bx.al.bchunks)*bundleChunk, peakLive,
 			bx.al.memberChunks*memberChunk, heapEarly>>10, heapEnd>>10, st.RebuildSweeps)
-		if st.Postings > 3*fst.Postings || len(bx.posts) > 3*len(fresh.posts) {
-			t.Errorf("%s: %d postings under %d tokens; the live window alone needs %d under %d",
-				label, st.Postings, len(bx.posts), fst.Postings, len(fresh.posts))
+		if st.Postings > 3*fst.Postings || len(bx.posts.buckets) > 4*len(fresh.posts.buckets) {
+			t.Errorf("%s: %d postings in %d buckets; the live window alone needs %d in %d",
+				label, st.Postings, len(bx.posts.buckets), fst.Postings, len(fresh.posts.buckets))
 		}
 		if carved := len(bx.al.bchunks) * bundleChunk; uint64(carved) > 3*peakLive+bundleChunk {
 			t.Errorf("%s: %d bundles carved, peak live %d", label, carved, peakLive)
@@ -447,5 +457,9 @@ func TestHotStructSizes(t *testing.T) {
 		t.Fatalf("Member is %d B (limit 48), Bundle %d B (limit 128)", m, b)
 	} else {
 		t.Logf("Member %d B, Bundle %d B, Match %d B", m, b, unsafe.Sizeof(Match{}))
+	}
+	// One cache line per prefix token, eight hot entries per line.
+	if pb, h := unsafe.Sizeof(pbucket{}), unsafe.Sizeof(hot{}); pb != 64 || h != 8 {
+		t.Fatalf("pbucket is %d B (want 64), hot %d B (want 8)", pb, h)
 	}
 }

@@ -224,8 +224,8 @@ func FuzzIndexVsBruteForce(f *testing.F) {
 	})
 }
 
-// TestProbeStampWrap drives the 32-bit probe counter across its wrap on a
-// populated index. A twin index that is nowhere near the wrap is the
+// TestProbeStampWrap drives the 32-bit probe counter, and with it the hot
+// entries' stamps, across its wrap on a populated index. A twin index that is nowhere near the wrap is the
 // reference: matches, insertion decisions and every counter must agree.
 // Three islands, whose tokens nothing else in the stream shares, hold the
 // stamps that matter: C's bundle is never visited (stamp 0, which probe
@@ -265,6 +265,63 @@ func TestProbeStampWrap(t *testing.T) {
 	requireStreams(t, "across the wrap", got, want, near.Stats(), ref.Stats())
 	if near.probeSeq != 3 {
 		t.Fatalf("probe counter at %d after wrapping, want 3", near.probeSeq)
+	}
+	for slot := uint32(0); int(slot) < len(near.al.hots)*bundleChunk; slot++ {
+		if seen := near.al.hotAt(slot).seen; seen > 3 {
+			t.Fatalf("slot %d still stamped %d: a stamp from before the wrap survived the reset", slot, seen)
+		}
+	}
+}
+
+// TestHotBandSaturation is the soundness of the saturating length mirror:
+// around each founder length at and beyond hotLenMax the stream holds a
+// partner on either side — short enough that the probe's upper bound falls
+// inside the saturated range, long enough that its lower bound exceeds
+// hotLenMax while a member still reaches it — and every pair the exact band
+// admits must be found.
+func TestHotBandSaturation(t *testing.T) {
+	const tau = 0.95 // short prefixes: Bundle.add's posted-token dedup is quadratic in them
+	var stream []*record.Record
+	for i, l := range []int{32766, 32767, 32768, 70000} {
+		off := i * 200_000 // disjoint universes: one bundle family per length
+		for _, n := range []int{l, l * 96 / 100, l * 100 / 96, l*96/100 + 1, l * 102 / 100} {
+			stream = append(stream, rec(record.ID(len(stream)), span(off, n)...))
+		}
+	}
+	want := bruteForce(stream, tau, window.Unbounded{})
+	bx := New(params(tau), window.Unbounded{}, Config{})
+	got := make(map[record.Pair]bool)
+	for _, r := range stream {
+		bx.Process(r, func(m Match) { got[record.NewPair(r.ID, m.Rec.ID, 0)] = true })
+	}
+	checkInvariants(t, bx)
+	if len(want) < 20 {
+		t.Fatalf("degenerate stream: brute force finds %d pairs", len(want))
+	}
+	for pr := range want {
+		if !got[pr] {
+			t.Errorf("missing %v", pr)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d pairs, brute force finds %d", len(got), len(want))
+	}
+	var satLo, satHi, mixed int
+	for slot := uint32(0); slot < uint32(bx.Stats().Bundles); slot++ {
+		h := bx.al.hotAt(slot)
+		lo, hi := h.lo&^hotSig, h.hi&^hotLive
+		if lo == hotLenMax {
+			satLo++
+		}
+		if hi == hotLenMax {
+			satHi++
+		}
+		if lo < hotLenMax && bx.al.at(slot).MaxLen() > hotLenMax {
+			mixed++
+		}
+	}
+	if satLo == 0 || satHi == 0 || mixed == 0 {
+		t.Fatalf("saturation not exercised: %d bundles with a saturated lo, %d with a saturated hi, %d straddling", satLo, satHi, mixed)
 	}
 }
 

@@ -2,6 +2,7 @@ package ssjoin
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -101,6 +102,24 @@ func TestMatchesSliceIsReused(t *testing.T) {
 	}
 }
 
+// streamPairs feeds sets to a fresh Stream and returns the (earlier, later)
+// ID pairs it matched, with the stream so a caller can keep it alive.
+func streamPairs(t *testing.T, cfg Config, sets [][]uint32) (map[[2]uint64]bool, *Stream) {
+	t.Helper()
+	s, err := NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[[2]uint64]bool)
+	for _, set := range sets {
+		id, ms := s.Add(set)
+		for _, m := range ms {
+			out[[2]uint64{m.ID, id}] = true
+		}
+	}
+	return out, s
+}
+
 func TestAllAlgorithmsAgreeViaPublicAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	sets := make([][]uint32, 400)
@@ -112,24 +131,9 @@ func TestAllAlgorithmsAgreeViaPublicAPI(t *testing.T) {
 		}
 		sets[i] = set
 	}
-	type pair struct{ a, b uint64 }
-	run := func(alg Algorithm) map[pair]bool {
-		s, err := NewStream(Config{Threshold: 0.7, Algorithm: alg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make(map[pair]bool)
-		for _, set := range sets {
-			id, ms := s.Add(set)
-			for _, m := range ms {
-				out[pair{m.ID, id}] = true
-			}
-		}
-		return out
-	}
-	want := run(Naive)
+	want, _ := streamPairs(t, Config{Threshold: 0.7, Algorithm: Naive}, sets)
 	for _, alg := range []Algorithm{Bundle, Prefix} {
-		got := run(alg)
+		got, _ := streamPairs(t, Config{Threshold: 0.7, Algorithm: alg}, sets)
 		if len(got) != len(want) {
 			t.Fatalf("%v: %d pairs vs %d", alg, len(got), len(want))
 		}
@@ -138,6 +142,66 @@ func TestAllAlgorithmsAgreeViaPublicAPI(t *testing.T) {
 				t.Fatalf("%v: missing %v", alg, p)
 			}
 		}
+	}
+}
+
+// TestHostileTokens feeds Stream.Add what only a caller outside
+// tokens.Ordering can: the largest uint32, sparse powers of two, and 10 000
+// distinct tokens chosen to share one bucket of the bundle index's posting
+// table (their products with its hash multiplier agree in the top 16 bits).
+// At τ 0.25 a 4-token record's prefix is the whole record, so every token
+// ingested is a live posting. Matches must equal the naive joiner's, and the
+// heap must grow with the postings, not with the largest token: the bound,
+// 1 KiB per posting, is one a token-indexed directory misses by four orders
+// of magnitude for a single 0xFFFFFFFF.
+func TestHostileTokens(t *testing.T) {
+	const hashMul = 0x9E3779B1 // bundle.sigHashMul
+	inv := uint32(hashMul)     // its inverse mod 2^32, by Newton's iteration
+	for i := 0; i < 5; i++ {
+		inv *= 2 - hashMul*inv
+	}
+	var sets [][]uint32
+	for k := 0; k < 10_000; k += 4 {
+		set := make([]uint32, 4)
+		for j := range set {
+			set[j] = (0xABCD<<16 | uint32(k+j)) * inv
+		}
+		sets = append(sets, set)
+	}
+	for i := 0; i < 28; i++ {
+		sets = append(sets, []uint32{0xFFFFFFFF, 1 << (i + 4), 1 << (i + 3), 1 << (i + 2)})
+	}
+	postings := 4 * len(sets)
+	for i := 0; i < len(sets)-28; i += 10 { // near-duplicates: three of four tokens shared
+		sets = append(sets, append([]uint32{0}, sets[i][:3]...))
+	}
+	sets = append(sets, []uint32{0xFFFFFFFF, 1 << 31, 1 << 30, 1 << 29}, []uint32{0, 0xFFFFFFFF})
+
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
+	}
+	want, _ := streamPairs(t, Config{Threshold: 0.25, Algorithm: Naive}, sets)
+	before := heap()
+	got, s := streamPairs(t, Config{Threshold: 0.25, Algorithm: Bundle}, sets)
+	grown := heap() - before
+	runtime.KeepAlive(s)
+	if len(want) < 250 {
+		t.Fatalf("degenerate stream: the naive joiner finds %d pairs", len(want))
+	}
+	for p := range want {
+		if !got[p] {
+			t.Fatalf("missing %v", p)
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d pairs, the naive joiner finds %d", len(got), len(want))
+	}
+	t.Logf("%d records, %d postings, heap grew %d KiB", len(sets), postings, grown>>10)
+	if grown > uint64(postings)<<10 {
+		t.Fatalf("heap grew %d KiB for %d postings", grown>>10, postings)
 	}
 }
 
