@@ -64,9 +64,10 @@ fuzz:
 	go test -fuzz FuzzIntersectKernels -fuzztime 15s ./internal/similarity/
 	go test -run '^$$' -fuzz FuzzSigBoundSound -fuzztime 15s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzIndexVsBruteForce -fuzztime 15s ./internal/bundle/
+	go test -run '^$$' -fuzz FuzzWideSigVsBruteForce -fuzztime 15s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzPostTableVsMap -fuzztime 15s ./internal/bundle/
 
-# ~20s fuzz sanity pass for CI. The three bundle targets skip the package's
+# ~25s fuzz sanity pass for CI. The four bundle targets skip the package's
 # unit tests (-run '^$$'), which the test step has already run.
 fuzz-smoke:
 	go test -fuzz FuzzReaderNeverPanics -fuzztime 2s ./internal/wire/
@@ -77,6 +78,7 @@ fuzz-smoke:
 	go test -fuzz FuzzIntersectKernels -fuzztime 2s ./internal/similarity/
 	go test -run '^$$' -fuzz FuzzSigBoundSound -fuzztime 2s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzIndexVsBruteForce -fuzztime 2s ./internal/bundle/
+	go test -run '^$$' -fuzz FuzzWideSigVsBruteForce -fuzztime 2s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzPostTableVsMap -fuzztime 2s ./internal/bundle/
 
 clean:

@@ -114,8 +114,13 @@ type DistributedResult struct {
 	// StoredCopies counts index entries across workers; equal to Records
 	// means no replication.
 	StoredCopies uint64
-	// LoadImbalance is max/mean per-worker verification work (1.0 = perfectly
-	// balanced).
+	// LoadImbalance is max/mean over the workers of the merge steps spent
+	// (verification and union bounds) plus the postings walked, 1.0 being
+	// perfectly balanced. Counts, so it repeats exactly per input — and only
+	// a proxy for time: a step and a posting are not the same nanoseconds,
+	// and what a worker pays per result or per cache miss is not in it (on
+	// the Enron-like benchmark stream the cut that balances the two workers'
+	// time read 1.45 in this unit before the signature widths were scaled).
 	LoadImbalance float64
 	// LatencyMeanNs / LatencyP99Ns summarize per-record processing latency.
 	LatencyMeanNs, LatencyP99Ns int64

@@ -29,12 +29,23 @@ type alloc struct {
 	used    int
 
 	// bchunks is the bundle chunk directory, indexed by slot >> bundleShift;
-	// hots (see hot) and sigs run parallel to it. sigs holds the signatures
-	// of a chunk's bundles, nil until one of them takes a signature (see
-	// Bundle.add), so an index of short records never pays the 32 B per bundle.
+	// hots (see hot), sigs and wide run parallel to it. sigs holds the
+	// base-width signatures of a chunk's bundles and wide, for a bundle with a
+	// wider one (Bundle.wideSig), the reference of its cell in wslab; each is
+	// nil until a bundle of the chunk needs it (see Bundle.add), so an index
+	// of short records pays neither the 32 B nor the 4 B per bundle.
 	bchunks []*[bundleChunk]Bundle
 	hots    []*[bundleChunk]hot
-	sigs    []*[bundleChunk]sig
+	sigs    []*[bundleChunk]sigBlock
+	wide    []*[bundleChunk]uint32
+
+	// wslab is the slab of wide cells — sigMaxBlocks blocks each, of which a
+	// 512-bit signature uses half — wideLeft of them uncarved in the newest
+	// chunk; a reference is (cell + 1) << 1 | 1 for 1 024 bits. freeW holds the
+	// cells (+ 1) of dead bundles: the pool covers the window's peak, no more.
+	wslab    []*[sigMaxBlocks << wideShift]sigBlock
+	wideLeft int
+	freeW    []uint32
 
 	// memberChunks counts the member slab chunks carved so far (len(bchunks)
 	// is the same for bundles): the allocator's whole footprint in objects,
@@ -47,6 +58,7 @@ const (
 	bundleShift = 7
 	bundleChunk = 1 << bundleShift
 	rankChunk   = 8192
+	wideShift   = 5 // log2 cells per wslab chunk: 4 KiB
 )
 
 // hot is the 8 bytes of a bundle the posting walk reads per posting, so the
@@ -56,15 +68,17 @@ type hot struct {
 	// seen is the probe sequence number of the last collectCandidates call
 	// that visited the bundle: the per-probe dedup stamp (see resetStamps).
 	seen uint32
-	// lo and hi copy Bundle.minLen and maxLen into their low 15 bits,
-	// saturating at hotLenMax — exact below it, at it only ever too small.
-	// lo carries hotSig (Bundle.hasSig), hi carries hotLive: hi == 0 is dead.
+	// lo and hi copy Bundle.minLen and maxLen, saturating at hotLoMax and
+	// hotLenMax — exact below the cap, at it only ever too small. lo carries
+	// hotSig and hotWide (Bundle.hasSig, wideSig), hi hotLive: hi == 0 is dead.
 	lo, hi uint16
 }
 
 const (
 	hotLenMax = 1<<15 - 1
+	hotLoMax  = 1<<14 - 1
 	hotSig    = 1 << 15 // in hot.lo
+	hotWide   = 1 << 14 // in hot.lo
 	hotLive   = 1 << 15 // in hot.hi
 )
 
@@ -105,6 +119,7 @@ func (al *alloc) bundle() *Bundle {
 		al.bchunks = append(al.bchunks, c)
 		al.hots = append(al.hots, new([bundleChunk]hot))
 		al.sigs = append(al.sigs, nil)
+		al.wide = append(al.wide, nil)
 		al.bundles = c[:]
 	}
 	b := &al.bundles[0]
@@ -135,27 +150,66 @@ func (al *alloc) mirror(b *Bundle) {
 		*h = hot{}
 		return
 	}
-	h.lo, h.hi = uint16(min(b.minLen, hotLenMax)), hotLive|uint16(min(b.maxLen, hotLenMax))
+	h.lo, h.hi = uint16(min(b.minLen, hotLoMax)), hotLive|uint16(min(b.maxLen, hotLenMax))
 	if b.hasSig {
 		h.lo |= hotSig
 	}
-}
-
-// sigAt returns the signature cell of a bundle that has one (hasSig); the
-// verify phase only ever reads it.
-//
-// hotpath: zero-alloc — once per signature check.
-func (al *alloc) sigAt(slot uint32) *sig {
-	return &al.sigs[slot>>bundleShift][slot&(bundleChunk-1)]
-}
-
-// sigCell is sigAt for the insert path, which gives a bundle its signature:
-// it allocates the chunk's signature block on first use.
-func (al *alloc) sigCell(slot uint32) *sig {
-	if c := slot >> bundleShift; al.sigs[c] == nil {
-		al.sigs[c] = new([bundleChunk]sig)
+	if b.wideSig {
+		h.lo |= hotWide
 	}
-	return al.sigAt(slot)
+}
+
+// sigAt returns the signature of a bundle that has one (hasSig), at its own
+// width (wide: its wideSig); the verify phase only ever reads it.
+//
+// hotpath: zero-alloc — once per check of a wide signature.
+func (al *alloc) sigAt(slot uint32, wide bool) sig {
+	c, i := slot>>bundleShift, slot&(bundleChunk-1)
+	if !wide {
+		return al.sigs[c][i : i+1]
+	}
+	ref := al.wide[c][i]
+	cell := int(ref>>1 - 1)
+	off := cell & (1<<wideShift - 1) * sigMaxBlocks
+	return al.wslab[cell>>wideShift][off : off+2<<(ref&1)]
+}
+
+// sigCell is sigAt for the insert path, which gives a bundle its signature,
+// n blocks wide: it allocates the chunk's side table on first use and, for
+// n > 1, takes a free wide cell or carves one; the caller clears it.
+func (al *alloc) sigCell(slot uint32, n int) sig {
+	c, i := slot>>bundleShift, slot&(bundleChunk-1)
+	if n == 1 {
+		if al.sigs[c] == nil {
+			al.sigs[c] = new([bundleChunk]sigBlock)
+		}
+		return al.sigAt(slot, false)
+	}
+	if al.wide[c] == nil {
+		al.wide[c] = new([bundleChunk]uint32)
+	}
+	var cell uint32
+	if f := len(al.freeW); f > 0 { // the steady state: allocates nothing
+		cell, al.freeW = al.freeW[f-1], al.freeW[:f-1]
+	} else {
+		if al.wideLeft == 0 {
+			al.wslab = append(al.wslab, new([sigMaxBlocks << wideShift]sigBlock))
+			al.wideLeft = 1 << wideShift
+		}
+		cell = uint32(len(al.wslab)<<wideShift - al.wideLeft + 1)
+		al.wideLeft--
+	}
+	al.wide[c][i] = cell<<1 | uint32(n/sigMaxBlocks)
+	return al.sigAt(slot, true)
+}
+
+// freeWide takes back the wide cell of a bundle that just died.
+//
+// hotpath: zero-alloc — the free-list push is an amortised self-append.
+func (al *alloc) freeWide(slot uint32) {
+	ref := &al.wide[slot>>bundleShift][slot&(bundleChunk-1)]
+	al.freeW = append(al.freeW, *ref>>1)
+	*ref = 0
 }
 
 // freeBundle recycles a dead bundle (Bundle.remove already reset it) that

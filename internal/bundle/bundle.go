@@ -67,8 +67,8 @@ type Bundle struct {
 	unionOwned bool
 	// hasSig reports that the allocator's signature cell for slot is
 	// current: set when the first member has at least sigMinLen tokens,
-	// cleared by death.
-	hasSig bool
+	// cleared by death; wideSig, that it is a pooled one (alloc.wslab).
+	hasSig, wideSig bool
 
 	// posted tracks the tokens this bundle has postings under so member
 	// additions do not duplicate postings. Prefixes are short, so a small
@@ -88,66 +88,118 @@ type Bundle struct {
 	cold *packs
 }
 
-// sig is a 256-bit token-hash signature of a token set: the bit a token
-// hashes to (see add) is set for every token of the set. Kept per bundle
-// (over the tokens of every member since the last rebuild — a superset
-// after evictions, like Union) in the allocator's side table, and built
-// per probe. It yields a one-sided bound: a bit set in sig(r) and clear in
-// sig(b) has at least one token of r hashing to it, and that token is in no
-// member of b; distinct bits witness distinct tokens, so for every member y
-// of b
+// sig is a token-hash signature of a token set, len(sig) 256-bit blocks wide:
+// the bit a token hashes to (see add) is set for every token of the set. Kept
+// per bundle (over the tokens of every member since the last rebuild — a
+// superset after evictions, like Union) in the allocator's side tables, and
+// built per probe. It yields a one-sided bound: a bit set in sig(r) and clear
+// in sig(b) has at least one token of r hashing to it, which is in no member of
+// b; distinct bits witness distinct tokens, so for every member y of b
 //
 //	|r ∩ y| <= |r ∩ Union(b)| <= |r| - popcount(sig(r) &^ sig(b)).
 //
 // A bundle is skipped only when that bound is below the smallest overlap
 // any of its members would need, so the gate drops nothing verification
-// would have kept. DESIGN.md § "Signature gate" records the measurements
-// behind the width, the hash and sigMinLen.
-type sig [sigWords]uint64
+// would have kept. A bitmap saturates once the set outgrows it, so a bundle's
+// width follows its founding member's length (sigWidth), for life; the widths
+// nest — a token's bit at one width is its bit at the next less the top index
+// bit — so a probe hashes once and folds (probeSig). DESIGN.md § "Signature
+// gate" has the measurements behind the widths, the hash and sigMinLen.
+type sig []sigBlock
+
+// sigBlock is 256 bits of a signature, the whole of a base-width one.
+type sigBlock [sigWords]uint64
 
 const (
-	// sigWords × 64 is the signature width, sigShift what is left of a
-	// 32-bit hash after keeping log2(width) bits.
-	sigWords = 4
-	sigShift = 32 - 8
+	// sigWords × 64 bits is a block, the base width; sigMaxBlocks the widest.
+	sigWords     = 4
+	sigMaxBlocks = 4
 	// sigMinLen is the first-member length from which a bundle carries a
 	// signature, and the probe length from which one is built: below it
 	// the verification the gate could save is a merge of a dozen steps,
-	// cheaper than hashing, and 32 B per bundle is real money on an index
-	// of 3-token records.
-	sigMinLen = 16
+	// cheaper than hashing, and 32 B per bundle is real money on 3-token records.
+	// From sigLen512 and sigLen1024 it is 512 and 1 024 bits: over 4/3 bits a token.
+	sigMinLen  = 16
+	sigLen512  = 192
+	sigLen1024 = 384
 	// sigHashMul spreads dense ranks over the bits (Fibonacci hashing: the
 	// top bits of the 32-bit product).
 	sigHashMul = 0x9E3779B1
 )
 
-// set makes s the signature of exactly ts.
+// sigWidth returns the blocks in the signature of a bundle founded at n tokens.
+func sigWidth(n int) int {
+	if n < sigLen512 {
+		return 1
+	} else if n < sigLen1024 {
+		return 2
+	}
+	return sigMaxBlocks
+}
+
+// set makes s the signature of exactly ts: add sets the bit of every token,
+// at a 10-bit index — the product's top byte below its next two bits —
+// masked to s's width.
 //
-// hotpath: zero-alloc — once per probe, founding member and rebuild.
-func (s *sig) set(ts []tokens.Rank) {
-	*s = sig{}
+// hotpath: zero-alloc — once per probe, inserted member and rebuild.
+func (s sig) set(ts []tokens.Rank) {
+	clear(s)
 	s.add(ts)
 }
 
-// add sets the bit of every token of ts.
-//
-// hotpath: zero-alloc — once per inserted member.
-func (s *sig) add(ts []tokens.Rank) {
+func (s sig) add(ts []tokens.Rank) {
+	mask := uint32(len(s))<<8 - 1
 	for _, t := range ts {
-		h := t * sigHashMul >> sigShift
-		s[h>>6] |= 1 << (h & 63)
+		h := t * sigHashMul
+		h = (h>>24 | h>>22<<8) & mask
+		s[h>>8][h>>6&3] |= 1 << (h & 63)
 	}
 }
 
-// missing counts the bits of s that b lacks, each of which witnesses a
-// distinct token of s's set outside b's.
+// missing counts the bits of s that b, no wider than s, lacks; each witnesses
+// a distinct token of s's set outside b's.
 //
-// hotpath: zero-alloc — once per signature check.
-func (s *sig) missing(b *sig) (n int) {
-	for i := range s {
-		n += bits.OnesCount64(s[i] &^ b[i])
+// hotpath: zero-alloc — once per check of a wide signature.
+func (s sig) missing(b sig) (n int) {
+	s = s[:len(b)]
+	for k := range b {
+		n += s[k].missing(&b[k])
 	}
 	return n
+}
+
+// missing is sig.missing on one block.
+//
+// hotpath: zero-alloc — once per signature check.
+func (p *sigBlock) missing(q *sigBlock) int {
+	return bits.OnesCount64(p[0]&^q[0]) + bits.OnesCount64(p[1]&^q[1]) +
+		bits.OnesCount64(p[2]&^q[2]) + bits.OnesCount64(p[3]&^q[3])
+}
+
+// probeSig is a probe's signature at every width, widest first, each the OR
+// of the halves of the one before.
+type probeSig [2*sigMaxBlocks - 1]sigBlock
+
+// set makes p the signature of exactly ts at every width.
+//
+// hotpath: zero-alloc — once per probe.
+func (p *probeSig) set(ts []tokens.Rank) {
+	sig(p[:sigMaxBlocks]).set(ts)
+	for src, n := 0, sigMaxBlocks/2; n >= 1; src, n = src+2*n, n/2 {
+		for i, dst := 0, src+2*n; i < n; i++ {
+			for w := range p[dst+i] {
+				p[dst+i][w] = p[src+i][w] | p[src+n+i][w]
+			}
+		}
+	}
+}
+
+// at returns p at the width of n blocks.
+//
+// hotpath: zero-alloc — once per check of a wide signature.
+func (p *probeSig) at(n int) sig {
+	off := 2 * (sigMaxBlocks - n)
+	return p[off : off+n]
 }
 
 func (b *Bundle) hasPosted(tok tokens.Rank) bool {
@@ -327,8 +379,9 @@ func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, 
 		b.unionOwned = false
 		b.minLen, b.maxLen = ln, ln
 		if ln >= sigMinLen {
-			al.sigCell(b.slot).set(r.Tokens)
-			b.hasSig = true
+			s := al.sigCell(b.slot, sigWidth(r.Len()))
+			s.set(r.Tokens)
+			b.hasSig, b.wideSig = true, len(s) > 1
 		}
 		packIf(kern, &m.cold, slotFull, r.Tokens)
 	} else {
@@ -347,7 +400,7 @@ func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, 
 		b.unionAdd(r.Tokens)
 		if b.hasSig {
 			// Whatever r's length: the signature must cover every member.
-			al.sigAt(b.slot).add(r.Tokens)
+			al.sigAt(b.slot, b.wideSig).add(r.Tokens)
 		}
 		buf := al.grab(r.Len())
 		m.Delta = similarity.SubtractInto(buf, r.Tokens, b.Core)
@@ -388,9 +441,9 @@ func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, 
 // the survivors and, when the bundle has shrunk to half its peak, rebuilds
 // Union — and the signature with it — from them (refreshing the cached
 // bitset form under kern). Removing the last member leaves the bundle dead:
-// it lets go of Core and Union at once and keeps, besides its slot and
-// reusable capacity, only posted, whose length counts the postings that
-// still reference it.
+// it lets go of Core, Union and a wide signature cell at once and keeps,
+// besides its slot and reusable capacity, only posted, whose length counts
+// the postings that still reference it.
 func (b *Bundle) remove(al *alloc, kern similarity.KernelConfig, m *Member) {
 	w := 0
 	b.minLen, b.maxLen = 0, 0
@@ -411,6 +464,9 @@ func (b *Bundle) remove(al *alloc, kern similarity.KernelConfig, m *Member) {
 	clear(b.Members[w:])
 	b.Members = b.Members[:w]
 	if w == 0 {
+		if b.wideSig {
+			al.freeWide(b.slot)
+		}
 		b.cold.invalidate()
 		*b = Bundle{Members: b.Members, posted: b.posted, cold: b.cold, slot: b.slot}
 		return
@@ -443,6 +499,6 @@ func (b *Bundle) rebuildUnion(al *alloc) {
 		similarity.PutRanks(next)
 	}
 	if b.hasSig {
-		al.sigAt(b.slot).set(b.Union)
+		al.sigAt(b.slot, b.wideSig).set(b.Union)
 	}
 }

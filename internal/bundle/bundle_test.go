@@ -291,6 +291,12 @@ func duplicateHeavyStream(rng *rand.Rand, n, universe int) []*record.Record {
 // every bundle carries a signature, similar enough that bundles form and
 // shrink their cores, recent enough that small windows still see them.
 func longDuplicateStream(rng *rand.Rand, n int) []*record.Record {
+	return longStream(rng, n, 121)
+}
+
+// longStream is longDuplicateStream with originals of 40 to 39+span draws: a
+// span of several hundred founds bundles at every signature width.
+func longStream(rng *rand.Rand, n, span int) []*record.Record {
 	const universe = 6000
 	zipf := rand.NewZipf(rng, 1.1, 1, universe-1)
 	draw := func() tokens.Rank { return tokens.Rank(universe - 1 - zipf.Uint64()) }
@@ -305,7 +311,7 @@ func longDuplicateStream(rng *rand.Rand, n int) []*record.Record {
 				set[rng.Intn(len(set))] = draw()
 			}
 		} else {
-			for m := 40 + rng.Intn(121); len(set) < m; {
+			for m := 40 + rng.Intn(span); len(set) < m; {
 				set = append(set, draw())
 			}
 			protos = append(protos, set)

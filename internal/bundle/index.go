@@ -141,12 +141,12 @@ type Index struct {
 	// single-writer phase and read-only during the — possibly fanned —
 	// verify phase: the compatible partner length range, the probe's packed
 	// form (probeP, nil when the kernel config wants none, built into
-	// probeBuf) and its signature (valid when probeHasSig: the probe has at
-	// least sigMinLen tokens).
+	// probeBuf) and its signature at every width (valid when probeHasSig: the
+	// probe has at least sigMinLen tokens).
 	probeLo, probeHi int
 	probeBuf         similarity.Packed
 	probeP           *similarity.Packed
-	probeSig         sig
+	probeSig         probeSig
 	probeHasSig      bool
 	// trial is insert-path scratch for the candidate core intersection
 	// (single-writer like the rest of the index, so a plain reused slice
@@ -518,16 +518,23 @@ func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 			}
 			h.seen = seq
 			bx.stats.BundleCands++
-			bmin := int(h.lo &^ hotSig)
+			bmin := int(h.lo & hotLoMax)
 			if int(h.hi&^hotLive) < lenLo || bmin > hi {
 				bx.stats.BundleLenSkip++
 				continue
 			}
-			// The signature's bound on the overlap with any member (see
-			// sig); a bound of la excludes nothing, so it skips the
-			// requirement arithmetic.
+			// The signature's bound on the overlap with any member, at the
+			// bundle's width (see sig; the base width, one block, in line); a
+			// bound of la excludes nothing: it skips the requirement arithmetic.
 			if bx.probeHasSig && h.lo&hotSig != 0 {
-				if ub := la - bx.probeSig.missing(bx.al.sigAt(p.slot)); ub < la && ub < bx.minRequired(la, bmin, lo) {
+				miss := 0
+				if h.lo&hotWide == 0 {
+					miss = bx.probeSig[len(bx.probeSig)-1].missing(&bx.al.sigs[p.slot>>bundleShift][p.slot&(bundleChunk-1)])
+				} else {
+					bs := bx.al.sigAt(p.slot, true)
+					miss = bx.probeSig.at(len(bs)).missing(bs)
+				}
+				if ub := la - miss; ub < la && ub < bx.minRequired(la, bmin, lo) {
 					bx.stats.BundleSigSkip++
 					continue
 				}

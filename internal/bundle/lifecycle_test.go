@@ -34,9 +34,12 @@ func checkInvariants(t *testing.T, bx *Index) {
 		}
 		liveM[fe.m], liveB[fe.b] = true, true
 	}
-	members := 0
+	members, wide := 0, 0
 	for b := range liveB {
 		checkBundle(t, b)
+		if b.wideSig {
+			wide++
+		}
 		if bx.al.at(b.slot) != b {
 			t.Fatalf("live bundle is not the one its slot %d resolves to", b.slot)
 		}
@@ -44,11 +47,13 @@ func checkInvariants(t *testing.T, bx *Index) {
 			if !liveM[m] {
 				t.Fatalf("bundle holds member %d that the window does not", m.Rec.ID)
 			}
-			// The signature covers every member, whatever joined or left.
-			var ms sig
-			ms.add(m.Rec.Tokens)
-			if b.hasSig && ms.missing(bx.al.sigAt(b.slot)) != 0 {
-				t.Fatalf("signature of bundle %d lacks bits of member %d", b.slot, m.Rec.ID)
+			// The signature covers every member, whatever joined or left,
+			// at the bundle's own width: the base cell or a wide one.
+			if b.hasSig {
+				bs := bx.al.sigAt(b.slot, b.wideSig)
+				if (len(bs) > 1) != b.wideSig || sigOf(len(bs), m.Rec.Tokens).missing(bs) != 0 {
+					t.Fatalf("%d-bit signature of bundle %d (wideSig=%v) lacks bits of member %d", len(bs)*256, b.slot, b.wideSig, m.Rec.ID)
+				}
 			}
 		}
 		members += len(b.Members)
@@ -59,6 +64,8 @@ func checkInvariants(t *testing.T, bx *Index) {
 	if got := bx.stats.LiveBundles; got != uint64(len(liveB)) {
 		t.Fatalf("LiveBundles %d, recount %d", got, len(liveB))
 	}
+	// Wide cells: one per live wide bundle, every other one on a free list.
+	checkWidePool(t, &bx.al, wide)
 
 	// Every posting names a slot the allocator carved, and belongs to a
 	// live bundle that lists its token or to a dead bundle that only counts
@@ -108,7 +115,7 @@ func checkInvariants(t *testing.T, bx *Index) {
 	}
 	for _, b := range bx.al.freeB {
 		if len(b.Members) != 0 || len(b.posted) != 0 || b.Core != nil || b.Union != nil ||
-			*bx.al.hotAt(b.slot) != (hot{}) || b.minLen != 0 || b.maxLen != 0 || b.peak != 0 || b.unionOwned || b.hasSig ||
+			*bx.al.hotAt(b.slot) != (hot{}) || b.minLen != 0 || b.maxLen != 0 || b.peak != 0 || b.unionOwned || b.hasSig || b.wideSig ||
 			bx.al.at(b.slot) != b ||
 			(b.cold != nil && b.cold.ok != [2]bool{}) {
 			t.Fatalf("recycled bundle not reset: %+v", *b)
@@ -129,15 +136,15 @@ func checkInvariants(t *testing.T, bx *Index) {
 		t.Fatalf("%d bundles carved: %d live or dead-posted, %d free", carved, len(perBundle), len(bx.al.freeB))
 	}
 	// The hot entry of every carved slot mirrors its bundle: dead iff no
-	// member, the signature bit, and a band that contains the exact one and
-	// equals it below the saturation point.
+	// member, the signature bits, and a band that contains the exact one and
+	// equals it below the saturation points.
 	for slot := uint32(0); slot < uint32(carved); slot++ {
 		b, h := bx.al.at(slot), *bx.al.hotAt(slot)
-		lo, hi := int(h.lo&^hotSig), int(h.hi&^hotLive)
+		lo, hi := int(h.lo&hotLoMax), int(h.hi&^hotLive)
 		switch {
-		case (h.hi == 0) != (len(b.Members) == 0), (h.lo&hotSig != 0) != b.hasSig:
-			t.Fatalf("slot %d: hot %+v against %d members, hasSig=%v", slot, h, len(b.Members), b.hasSig)
-		case lo != min(b.MinLen(), hotLenMax) || hi != min(b.MaxLen(), hotLenMax):
+		case (h.hi == 0) != (len(b.Members) == 0), (h.lo&hotSig != 0) != b.hasSig, (h.lo&hotWide != 0) != b.wideSig:
+			t.Fatalf("slot %d: hot %+v against %d members, hasSig=%v wideSig=%v", slot, h, len(b.Members), b.hasSig, b.wideSig)
+		case lo != min(b.MinLen(), hotLoMax) || hi != min(b.MaxLen(), hotLenMax):
 			t.Fatalf("slot %d: hot band [%d,%d], bundle [%d,%d]", slot, lo, hi, b.MinLen(), b.MaxLen())
 		}
 	}
@@ -170,6 +177,32 @@ func TestLifecycleSmallWindow(t *testing.T) {
 // superset invariant.
 func TestLifecycleLongRecords(t *testing.T) {
 	lifecycleSmallWindow(t, longDuplicateStream(rand.New(rand.NewSource(105)), 600), true)
+}
+
+// TestLifecycleWideSignatures takes the fat tail through a window of 20:
+// slots pass between bundles of all three signature widths, and the wide
+// cells of both sizes are carved for the window's peak and then handed on
+// (checkInvariants audits the pool after every step).
+func TestLifecycleWideSignatures(t *testing.T) {
+	bx := New(params(0.6), window.Count{N: 20}, Config{})
+	founded := make(map[int]int) // signature blocks → bundles founded
+	for _, r := range longStream(rand.New(rand.NewSource(127)), 220, 1500) {
+		before := bx.stats.Bundles
+		bx.Process(r, func(Match) {})
+		checkInvariants(t, bx)
+		if b := bx.fifo[len(bx.fifo)-1].b; bx.stats.Bundles > before && b.hasSig {
+			founded[len(bx.al.sigAt(b.slot, b.wideSig))]++
+			if want := widthFor(r.Len()); len(bx.al.sigAt(b.slot, b.wideSig)) != want {
+				t.Fatalf("record %d of %d tokens founded a %d-bit bundle, want %d bits", r.ID, r.Len(), len(bx.al.sigAt(b.slot, b.wideSig))*256, want*256)
+			}
+		}
+	}
+	carved := len(bx.al.wslab)<<wideShift - bx.al.wideLeft
+	if founded[1] < 20 || founded[2] < 20 || founded[4] < 20 || len(bx.al.freeB) == 0 || len(bx.al.bchunks) > 2 ||
+		carved > 21 || len(bx.al.freeW) == 0 {
+		t.Fatalf("founded by width %v in %d bundle chunk(s), %d free bundles; %d wide cells carved, %d free",
+			founded, len(bx.al.bchunks), len(bx.al.freeB), carved, len(bx.al.freeW))
+	}
 }
 
 func lifecycleSmallWindow(t *testing.T, stream []*record.Record, wantSigSkip bool) {
@@ -217,15 +250,22 @@ func lifecycleSmallWindow(t *testing.T, stream []*record.Record, wantSigSkip boo
 
 // TestSweepAfterBurst evicts a whole burst at once under a time window:
 // one sweep must return the index — the posting table, every bundle and
-// member — to the size of what is live.
+// member, and the wide signature cells every twentieth record founds — to
+// the size of what is live.
 func TestSweepAfterBurst(t *testing.T) {
 	const burst = 3000
 	bx := New(params(0.6), window.Time{Span: 10}, Config{})
 	for i, r := range wideStream(113, burst) {
+		if i%20 == 0 { // a long record: 200 to 573 ranks of its own
+			r.Tokens = span(10000+600*i, 200+i/8)
+		}
 		r.Time = int64(i) / burst // all of the burst inside one span
 		bx.Process(r, func(Match) {})
 	}
 	checkInvariants(t, bx)
+	if held := len(bx.al.wslab)<<wideShift - bx.al.wideLeft; held != burst/20 || len(bx.al.freeW) != 0 {
+		t.Fatalf("burst not resident: %d wide cells for %d long records", held, burst/20)
+	}
 	buckets, st := len(bx.posts.buckets), bx.Stats()
 	if st.RebuildSweeps != 0 || st.LiveMembers != burst || st.Postings < burst/2 || buckets*4 < burst/2 {
 		t.Fatalf("burst not resident: sweeps=%d members=%d postings=%d buckets=%d", st.RebuildSweeps, st.LiveMembers, st.Postings, buckets)
@@ -243,6 +283,11 @@ func TestSweepAfterBurst(t *testing.T) {
 	}
 	if free := len(bx.al.freeB) + 1; free != len(bx.al.bchunks)*bundleChunk-len(bx.al.bundles) {
 		t.Fatalf("%d bundles free or live, %d carved", free, len(bx.al.bchunks)*bundleChunk-len(bx.al.bundles))
+	}
+	// The pool is back at its floor: every wide cell on a free list (the
+	// checkInvariants above found none held and none leaked).
+	if free := len(bx.al.freeW); free != burst/20 {
+		t.Fatalf("%d wide cells free after %d wide bundles died", free, burst/20)
 	}
 }
 
@@ -310,16 +355,18 @@ func TestIndexStateBoundedByWindow(t *testing.T) {
 		pool    int
 		win     int
 		records int
+		profile workload.Profile
 	}{
-		{1, 2000, 200_000},
-		{3, 2000, 40_000},
+		{1, 2000, 200_000, workload.TweetLike(42)},
+		{3, 2000, 40_000, workload.TweetLike(42)},
+		{1, 100, 600, workload.EnronLike(42)}, // the one that founds wide signatures
 	}
 	for _, tc := range cases {
-		label := fmt.Sprintf("P=%d", tc.pool)
+		label := fmt.Sprintf("%s P=%d", tc.profile.Name, tc.pool)
 		p := params(0.8)
 		bx := New(p, window.Count{N: int64(tc.win)}, Config{})
 		pool := NewPool(tc.pool)
-		gen := workload.NewGenerator(workload.TweetLike(42))
+		gen := workload.NewGenerator(tc.profile)
 		var peakLive, heapEarly uint64
 		for i := 0; i < tc.records; i++ {
 			processPar(bx, pool, gen.Next(), func(Match) {})
@@ -356,6 +403,21 @@ func TestIndexStateBoundedByWindow(t *testing.T) {
 		}
 		if carved := bx.al.memberChunks * memberChunk; carved > tc.win+memberChunk {
 			t.Errorf("%s: %d members carved for a window of %d", label, carved, tc.win)
+		}
+		// Wide cells: one per live wide bundle (checkWidePool: none leaked,
+		// the rest free), and together no more than the window ever needed
+		// at once — a cell is carved only when none of its size is free.
+		wide := make(map[*Bundle]bool)
+		for _, fe := range bx.fifo[bx.head:] {
+			if fe.b.wideSig {
+				wide[fe.b] = true
+			}
+		}
+		checkWidePool(t, &bx.al, len(wide))
+		cells := len(wide) + len(bx.al.freeW)
+		if uint64(cells) > peakLive || (tc.profile.Name == "ENRON-like") != (cells > 0) {
+			t.Errorf("%s: %d wide cells (%d held, %d free), peak live bundles %d", label,
+				cells, len(wide), len(bx.al.freeW), peakLive)
 		}
 		if heapEnd*2 > heapEarly*3 {
 			t.Errorf("%s: heap in use %d KiB after %d records, %d KiB after %d",

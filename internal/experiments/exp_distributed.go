@@ -228,8 +228,8 @@ func E5(sc Scale) *Table {
 	t := &Table{
 		ID:      "E5",
 		Title:   fmt.Sprintf("Length-partitioner imbalance (max/mean load), τ=0.8, k=%d", sc.Workers),
-		Columns: []string{"profile", "partitioner", "est. imbalance", "realized imbalance"},
-		Notes:   "paper shape: load-aware ≈ 1; even-length and even-frequency degrade on skewed lengths",
+		Columns: []string{"profile", "partitioner", "est. imbalance", "realized imbalance", "comm tup/rec"},
+		Notes:   "paper shape: load-aware ≈ 1; even-length and even-frequency degrade on skewed lengths; narrow intervals pay in probe fan-out (comm tup/rec)",
 	}
 	p := jaccard(0.8)
 	for _, prof := range []workload.Profile{workload.TweetLike(sc.Seed), workload.EnronLike(sc.Seed)} {
@@ -251,7 +251,7 @@ func E5(sc Scale) *Table {
 				loads[i] = float64(c.VerifySteps)
 			}
 			realized := metrics.SummarizeLoads(loads).Imbalance
-			t.AddRow(prof.Name, name, est, realized)
+			t.AddRow(prof.Name, name, est, realized, float64(res.CommTuples)/float64(len(recs)))
 		}
 	}
 	return t
@@ -262,8 +262,8 @@ func E6(sc Scale) *Table {
 	t := &Table{
 		ID:      "E6",
 		Title:   fmt.Sprintf("Throughput by length partitioner, ENRON-like, τ=0.8, k=%d", sc.Workers),
-		Columns: []string{"partitioner", "throughput rec/s", "imbalance"},
-		Notes:   "paper shape: load-aware highest throughput because the slowest worker bounds the pipeline",
+		Columns: []string{"partitioner", "throughput rec/s", "imbalance", "comm tup/rec"},
+		Notes:   "paper shape: load-aware highest throughput because the slowest worker bounds the pipeline; imbalance and comm tup/rec are counts, rec/s one short run",
 	}
 	recs := genProfile(workload.EnronLike(sc.Seed), sc.Records/2)
 	p := jaccard(0.8)
@@ -280,7 +280,7 @@ func E6(sc Scale) *Table {
 	for _, pp := range parts {
 		res := runTopology(sc, recs, lengthWith(p, pp.part), p, sc.Workers, local.Bundled, nil)
 		t.AddRow(pp.name, res.Throughput().PerSecond(),
-			metrics.SummarizeLoads(workerLoads(res)).Imbalance)
+			metrics.SummarizeLoads(workerLoads(res)).Imbalance, float64(res.CommTuples)/float64(len(recs)))
 	}
 	return t
 }

@@ -53,54 +53,31 @@ func (h *Histogram) MaxLen() int {
 	return 0
 }
 
-// CostModel estimates the local join cost each stored-record length
-// contributes under the length-based framework. A stored record of length
-// l' is probed by every future record of a compatible length l, and each
-// such probe costs about l+l' merge steps; with f the length frequency,
+// CostModel estimates the local join cost each record length contributes
+// under the length-based framework. What the bundle index pays for a record
+// — prefix lookups, posting writes, signature and union maintenance — is
+// linear in its length, and the signature gate discards nearly every
+// length-compatible pair before any merge runs (DESIGN.md § "Signature
+// gate": probe time is a straight line in the record's length), so with f
+// the length frequency the cost of a length is its token mass,
 //
-//	w(l') = f(l') · Σ_{l compatible with l'} f(l) · (l + l')
+//	w(l) = f(l) · l
 //
-// which collapses to two prefix sums. Per-worker cost is then the sum of
-// w over the worker's interval, so minimizing the maximum interval sum
-// balances the load.
+// records × tokens. Per-worker cost is then the sum of w over the worker's
+// interval, so minimizing the maximum interval sum balances the load. The
+// model sees lengths only: what a short record's results cost, and what a
+// probe pays for fanning out over narrow intervals, stay outside it. Params
+// is no longer consulted — no join parameter enters a per-record cost — and
+// stays for the call sites that fill it.
 type CostModel struct {
 	Params filter.Params
 }
 
 // Weights returns w indexed by length 1..h.MaxLen() (index 0 unused).
 func (m CostModel) Weights(h *Histogram) []float64 {
-	maxLen := h.MaxLen()
-	w := make([]float64, maxLen+1)
-	if maxLen == 0 {
-		return w
-	}
-	// prefix sums of f and l·f
-	s0 := make([]float64, maxLen+2)
-	s1 := make([]float64, maxLen+2)
-	for l := 1; l <= maxLen; l++ {
-		f := float64(h.Count(l))
-		s0[l+1] = s0[l] + f
-		s1[l+1] = s1[l] + float64(l)*f
-	}
-	sum := func(s []float64, lo, hi int) float64 { // inclusive range
-		if lo < 1 {
-			lo = 1
-		}
-		if hi > maxLen {
-			hi = maxLen
-		}
-		if lo > hi {
-			return 0
-		}
-		return s[hi+1] - s[lo]
-	}
-	for lp := 1; lp <= maxLen; lp++ {
-		f := float64(h.Count(lp))
-		if f == 0 {
-			continue
-		}
-		lo, hi := m.Params.LengthBounds(lp)
-		w[lp] = f * (sum(s1, lo, hi) + float64(lp)*sum(s0, lo, hi))
+	w := make([]float64, h.MaxLen()+1)
+	for l := 1; l < len(w); l++ {
+		w[l] = float64(h.Count(l)) * float64(l)
 	}
 	return w
 }

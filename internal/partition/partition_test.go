@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -90,29 +91,40 @@ func TestEvenFrequencyBalancesCounts(t *testing.T) {
 	}
 }
 
+// TestCostModelWeightsMatchDirectComputation pins the cost model to token
+// mass: a length's weight is the number of tokens in the records of that
+// length, counted here one record at a time, whatever the join parameters.
 func TestCostModelWeightsMatchDirectComputation(t *testing.T) {
-	params := filter.Params{Func: similarity.Jaccard, Threshold: 0.8}
 	var h Histogram
 	rng := rand.New(rand.NewSource(3))
+	direct := make([]float64, 41)
+	var tokens float64
 	for i := 0; i < 500; i++ {
-		h.Add(1 + rng.Intn(40))
+		l := 1 + rng.Intn(40)
+		h.Add(l)
+		direct[l] += float64(l)
+		tokens += float64(l)
 	}
-	m := CostModel{Params: params}
-	w := m.Weights(&h)
-	maxLen := h.MaxLen()
-	for lp := 1; lp <= maxLen; lp++ {
-		var direct float64
-		f := float64(h.Count(lp))
-		if f > 0 {
-			lo, hi := params.LengthBounds(lp)
-			for l := lo; l <= hi && l <= maxLen; l++ {
-				direct += float64(h.Count(l)) * float64(l+lp)
-			}
-			direct *= f
+	w := CostModel{Params: filter.Params{Func: similarity.Jaccard, Threshold: 0.8}}.Weights(&h)
+	if len(w) != h.MaxLen()+1 || w[0] != 0 {
+		t.Fatalf("weights indexed 0..%d with w[0]=%v, want 0..%d and 0", len(w)-1, w[0], h.MaxLen())
+	}
+	var sum float64
+	for l := 1; l < len(w); l++ {
+		if w[l] != direct[l] {
+			t.Fatalf("weight mismatch at l=%d: got %v want %v", l, w[l], direct[l])
 		}
-		if math.Abs(w[lp]-direct) > 1e-6*(1+direct) {
-			t.Fatalf("weight mismatch at l=%d: got %v want %v", lp, w[lp], direct)
-		}
+		sum += w[l]
+	}
+	if sum != tokens {
+		t.Fatalf("weights sum to %v, the sample holds %v tokens", sum, tokens)
+	}
+	loose := CostModel{Params: filter.Params{Func: similarity.Cosine, Threshold: 0.5}}.Weights(&h)
+	if !slices.Equal(w, loose) {
+		t.Fatal("weights depend on the join parameters")
+	}
+	if w := (CostModel{}).Weights(new(Histogram)); len(w) != 1 {
+		t.Fatalf("empty histogram: %v", w)
 	}
 }
 
