@@ -54,8 +54,7 @@ func main() {
 		dist    = flag.String("dist", "length", "distribution: length, prefix, broadcast")
 		part    = flag.String("part", "load-aware", "length partitioner: load-aware, even-length, even-frequency")
 		workers = flag.Int("workers", 4, "worker parallelism")
-		par     = flag.Int("parallel", runtime.GOMAXPROCS(0), "verifier goroutines per worker (bundle algorithm, in-process runs): candidate verification fans out across cores with deterministic output; 1 disables, 0 auto-sizes from GOMAXPROCS with a measured-scaling clamp")
-		kernel  = flag.String("kernel", "auto", "verification intersection kernel: auto, linear, gallop, bitset (bundle algorithm; results are identical for every choice)")
+		par     = flag.Int("parallel", runtime.GOMAXPROCS(0), "verifier goroutines per worker (bundle algorithm, in-process runs): candidate verification fans out across cores with deterministic output; 1 disables, 0 or less means the default")
 		win     = flag.Int64("window", 0, "count window (0 = unbounded)")
 		pairs   = flag.Bool("pairs", false, "print result pairs")
 		asJSON  = flag.Bool("json", false, "print the run summary as JSON on stdout")
@@ -86,8 +85,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if *par == 0 {
-		*par = bundle.AutoPoolSize()
+	if *par <= 0 {
+		*par = runtime.GOMAXPROCS(0)
 	}
 
 	if *monitor != "" {
@@ -180,7 +179,6 @@ func main() {
 	}
 	cfg.Threshold = *tau
 	cfg.WindowRecords = *win
-	cfg.Kernel = *kernel
 	if cfg.Function, err = parseFunc(*fn); err != nil {
 		fatal(err)
 	}

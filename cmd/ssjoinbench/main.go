@@ -26,10 +26,8 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"repro/internal/bundle"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/similarity"
 )
 
 // runRecord is one experiment's table plus measurement metadata, the unit
@@ -59,8 +57,6 @@ type jsonReport struct {
 	GOMAXPROCS         int         `json:"gomaxprocs"`
 	NumCPU             int         `json:"num_cpu"`
 	Parallel           int         `json:"parallel"`
-	ParallelAuto       bool        `json:"parallel_auto,omitempty"`
-	Kernel             string      `json:"kernel"`
 	DegenerateParallel bool        `json:"degenerate_parallel"`
 	TraceEvery         int         `json:"trace_every,omitempty"`
 	TracesSampled      uint64      `json:"traces_sampled,omitempty"`
@@ -74,9 +70,7 @@ func main() {
 		workers = flag.Int("workers", 0, "worker parallelism (default: experiment default)")
 		seed    = flag.Int64("seed", 0, "workload seed (default: experiment default)")
 		batch   = flag.Int("batch", 0, "transport batch size (0 = engine default, 1 = unbatched)")
-		par     = flag.Int("parallel", 1, "verifier goroutines per worker (bundle algorithm): >1 fans candidate verification across cores with deterministic results; 0 auto-sizes from GOMAXPROCS with a measured-scaling clamp")
-		kernel  = flag.String("kernel", "auto", "verification intersection kernel: auto, linear, gallop, bitset (bundle algorithm; results are identical for every choice)")
-		adaptML = flag.Bool("adaptive-minlen", false, "adapt the bitset packing cutoff to the observed kernel mix (auto kernel only; never changes results)")
+		par     = flag.Int("parallel", 1, "verifier goroutines per worker (bundle algorithm): >1 fans candidate verification across cores with deterministic results")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		format  = flag.String("format", "text", "output format: text or csv")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -84,15 +78,8 @@ func main() {
 		jsonOut = flag.String("json", "", "also write machine-readable results to this file")
 		httpAd  = flag.String("http", "", "serve /metrics, /debug/traces, and /debug/pprof on this address during the run")
 		traceN  = flag.Int("trace", 0, "sample one tuple lineage every N tuples (0 = tracing off)")
-		minP    = flag.Int("min-procs", 0, "refuse to run when GOMAXPROCS is below this (CI guard: parallel sweeps on a single core measure nothing)")
 	)
 	flag.Parse()
-
-	if *minP > 0 && runtime.GOMAXPROCS(0) < *minP {
-		fmt.Fprintf(os.Stderr, "ssjoinbench: GOMAXPROCS=%d below -min-procs %d; a parallel sweep needs real cores\n",
-			runtime.GOMAXPROCS(0), *minP)
-		os.Exit(1)
-	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
@@ -128,24 +115,9 @@ func main() {
 	if *batch > 0 {
 		scale.Batch = *batch
 	}
-	// -parallel=0 asks for auto-sizing: GOMAXPROCS capped and clamped by
-	// bundle.AutoPoolSize's measured-scaling probe. The chosen value is
-	// what lands in the JSON report, with parallel_auto marking it.
-	autoPar := *par == 0
-	if autoPar {
-		*par = bundle.AutoPoolSize()
-		fmt.Fprintf(os.Stderr, "ssjoinbench: -parallel=0 auto-sized verifier pool to %d (gomaxprocs=%d)\n",
-			*par, runtime.GOMAXPROCS(0))
-	}
 	if *par > 1 {
 		scale.Parallel = *par
 	}
-	kern, err := similarity.ParseKernel(*kernel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ssjoinbench:", err)
-		os.Exit(1)
-	}
-	scale.Kernel = similarity.KernelConfig{Mode: kern, AdaptiveMinLen: *adaptML}
 
 	// A verifier pool larger than the core budget cannot parallelize
 	// anything: every P>1 row degenerates to sequential throughput plus
@@ -205,8 +177,8 @@ func main() {
 	}
 
 	if *format == "text" {
-		fmt.Printf("scale: records=%d workers=%d seed=%d batch=%d parallel=%d kernel=%s gomaxprocs=%d\n\n",
-			scale.Records, scale.Workers, scale.Seed, scale.Batch, scale.ParallelOrOne(), kern, runtime.GOMAXPROCS(0))
+		fmt.Printf("scale: records=%d workers=%d seed=%d batch=%d parallel=%d gomaxprocs=%d\n\n",
+			scale.Records, scale.Workers, scale.Seed, scale.Batch, scale.ParallelOrOne(), runtime.GOMAXPROCS(0))
 	}
 	report := jsonReport{
 		Records: scale.Records, Workers: scale.Workers,
@@ -214,8 +186,6 @@ func main() {
 		GOMAXPROCS:         runtime.GOMAXPROCS(0),
 		NumCPU:             runtime.NumCPU(),
 		Parallel:           scale.ParallelOrOne(),
-		ParallelAuto:       autoPar,
-		Kernel:             kern.String(),
 		DegenerateParallel: degenerate,
 	}
 	var ms runtime.MemStats

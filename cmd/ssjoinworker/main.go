@@ -26,10 +26,8 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bundle"
 	"repro/internal/obs"
 	"repro/internal/remote"
-	"repro/internal/similarity"
 )
 
 func main() {
@@ -42,19 +40,13 @@ func run() int {
 		httpAddr   = flag.String("http", "", "optional HTTP address serving /healthz, /stats, /metrics, /debug/traces, /debug/events, and /debug/pprof")
 		ckptDir    = flag.String("checkpoint-dir", "", "directory for fault-tolerant session checkpoints (empty disables persistence; FT sessions then resume from scratch)")
 		ckptIvl    = flag.Duration("checkpoint-interval", 0, "minimum spacing between periodic window checkpoints (0: checkpoint only on unclean session exit)")
-		par        = flag.Int("parallel", runtime.GOMAXPROCS(0), "verifier goroutines per session (bundle algorithm): candidate verification fans out across cores with deterministic output; 1 disables, 0 auto-sizes from GOMAXPROCS with a measured-scaling clamp")
-		kernel     = flag.String("kernel", "auto", "verification intersection kernel: auto, linear, gallop, bitset (bundle algorithm; worker-local, results are identical for every choice)")
+		par        = flag.Int("parallel", runtime.GOMAXPROCS(0), "verifier goroutines per session (bundle algorithm): candidate verification fans out across cores with deterministic output; 1 disables, 0 or less means the default")
 		healthSpec = flag.String("health-rules", "", "health/SLO rule file evaluated against the worker's own signals (empty: built-in defaults; see docs/OBSERVABILITY.md)")
 		healthIvl  = flag.Duration("health-interval", 5*time.Second, "health rule evaluation period (requires -http)")
 	)
 	flag.Parse()
-	kern, err := similarity.ParseKernel(*kernel)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ssjoinworker:", err)
-		return 1
-	}
-	if *par == 0 {
-		*par = bundle.AutoPoolSize()
+	if *par <= 0 {
+		*par = runtime.GOMAXPROCS(0)
 	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
@@ -146,7 +138,6 @@ func run() int {
 		CheckpointDir:      *ckptDir,
 		CheckpointInterval: *ckptIvl,
 		Parallelism:        *par,
-		Kernel:             similarity.KernelConfig{Mode: kern},
 		Frags:              frags,
 		Journal:            journal,
 	})

@@ -82,8 +82,7 @@ const (
 	hotLive   = 1 << 15 // in hot.hi
 )
 
-// member hands out a zeroed *Member (apart from a retained, invalidated
-// pack cache), recycled when possible.
+// member hands out a zeroed *Member, recycled when possible.
 func (al *alloc) member() *Member {
 	if n := len(al.freeM); n > 0 {
 		m := al.freeM[n-1]
@@ -101,13 +100,12 @@ func (al *alloc) member() *Member {
 
 // freeMember recycles an evicted member nothing references any more.
 func (al *alloc) freeMember(m *Member) {
-	m.cold.invalidate()
-	*m = Member{cold: m.cold}
+	*m = Member{}
 	al.freeM = append(al.freeM, m)
 }
 
 // bundle hands out a zeroed *Bundle (apart from retained Members/posted
-// capacity and an invalidated pack cache), recycled when possible.
+// capacity), recycled when possible.
 func (al *alloc) bundle() *Bundle {
 	if n := len(al.freeB); n > 0 {
 		b := al.freeB[n-1]

@@ -26,16 +26,11 @@ import (
 )
 
 // Member is one record inside a bundle together with its token difference
-// from the bundle core. Only what every probe reads lives here (hot); the
-// cached bitset forms sit behind cold. A Member exists only while its
-// record is in the window: eviction returns it to the index's free list
-// (see arena.go).
+// from the bundle core. A Member exists only while its record is in the
+// window: eviction returns it to the index's free list (see arena.go).
 type Member struct {
 	Rec   *record.Record
 	Delta []tokens.Rank // Rec.Tokens \ Core, ascending
-	// cold caches the packed forms of Rec.Tokens (slotFull) and Delta
-	// (slotDelta); nil until the kernel config first asks for one.
-	cold *packs
 }
 
 // Bundle groups records that joined with one another. Invariants:
@@ -80,12 +75,6 @@ type Bundle struct {
 
 	Core  []tokens.Rank
 	Union []tokens.Rank
-
-	// cold caches the packed forms of Core (slotCore) and Union
-	// (slotUnion), rebuilt by the single-writer insert/evict phases
-	// whenever the underlying slice changes; nil until the kernel config
-	// first asks for one.
-	cold *packs
 }
 
 // sig is a token-hash signature of a token set, len(sig) 256-bit blocks wide:
@@ -361,12 +350,11 @@ func (b *Bundle) unionAdd(t []tokens.Rank) {
 // caller already computed it for the grouping check, so add reuses it
 // instead of re-merging; it may alias caller scratch (add copies before
 // keeping it) and is ignored for the first member. Members and deltas come
-// out of al's free list and slabs, and every token set whose slice changed
-// gets its cached bitset form rebuilt under kern. add returns the tokens of
-// r's first prefixLen tokens (at most r.Len(), the caller clamps) that were
-// not yet posted for this bundle so the caller can extend the posting table;
-// the result aliases b.posted and is valid until the next add.
-func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, prefixLen int, newCore []tokens.Rank) (newPostings []tokens.Rank) {
+// out of al's free list and slabs. add returns the tokens of r's first
+// prefixLen tokens (at most r.Len(), the caller clamps) that were not yet
+// posted for this bundle so the caller can extend the posting table; the
+// result aliases b.posted and is valid until the next add.
+func (b *Bundle) add(al *alloc, r *record.Record, prefixLen int, newCore []tokens.Rank) (newPostings []tokens.Rank) {
 	m := al.member()
 	m.Rec = r
 	ln := int32(r.Len())
@@ -383,7 +371,6 @@ func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, 
 			s.set(r.Tokens)
 			b.hasSig, b.wideSig = true, len(s) > 1
 		}
-		packIf(kern, &m.cold, slotFull, r.Tokens)
 	} else {
 		if len(newCore) != len(b.Core) {
 			released := similarity.GetRanks()
@@ -392,7 +379,6 @@ func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, 
 				buf := al.grab(len(o.Delta) + len(*released))
 				o.Delta = unionInto(buf, o.Delta, *released)
 				al.commit(len(o.Delta))
-				packIf(kern, &o.cold, slotDelta, o.Delta)
 			}
 			b.Core = append(make([]tokens.Rank, 0, len(newCore)), newCore...)
 			similarity.PutRanks(released)
@@ -411,14 +397,6 @@ func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, 
 		if ln > b.maxLen {
 			b.maxLen = ln
 		}
-		packIf(kern, &m.cold, slotFull, r.Tokens)
-		packIf(kern, &m.cold, slotDelta, m.Delta)
-		// Core and Union now serve the shared-verification identity (the
-		// singleton fast path never consults them), so (re)pack both: the
-		// union always grew, and the core cache may predate this member or
-		// the shrink above.
-		packIf(kern, &b.cold, slotCore, b.Core)
-		packIf(kern, &b.cold, slotUnion, b.Union)
 	}
 	b.Members = append(b.Members, m)
 	if n := int32(len(b.Members)); n > b.peak {
@@ -439,12 +417,11 @@ func (b *Bundle) add(al *alloc, kern similarity.KernelConfig, r *record.Record, 
 
 // remove drops the evicted member m, recomputes the length extremes over
 // the survivors and, when the bundle has shrunk to half its peak, rebuilds
-// Union — and the signature with it — from them (refreshing the cached
-// bitset form under kern). Removing the last member leaves the bundle dead:
-// it lets go of Core, Union and a wide signature cell at once and keeps,
-// besides its slot and reusable capacity, only posted, whose length counts
-// the postings that still reference it.
-func (b *Bundle) remove(al *alloc, kern similarity.KernelConfig, m *Member) {
+// Union — and the signature with it — from them. Removing the last member
+// leaves the bundle dead: it lets go of Core, Union and a wide signature
+// cell at once and keeps, besides its slot and reusable capacity, only
+// posted, whose length counts the postings that still reference it.
+func (b *Bundle) remove(al *alloc, m *Member) {
 	w := 0
 	b.minLen, b.maxLen = 0, 0
 	for _, o := range b.Members {
@@ -467,14 +444,12 @@ func (b *Bundle) remove(al *alloc, kern similarity.KernelConfig, m *Member) {
 		if b.wideSig {
 			al.freeWide(b.slot)
 		}
-		b.cold.invalidate()
-		*b = Bundle{Members: b.Members, posted: b.posted, cold: b.cold, slot: b.slot}
+		*b = Bundle{Members: b.Members, posted: b.posted, slot: b.slot}
 		return
 	}
 	if int32(w)*2 <= b.peak {
 		b.rebuildUnion(al)
 		b.peak = int32(w)
-		packIf(kern, &b.cold, slotUnion, b.Union)
 	}
 }
 

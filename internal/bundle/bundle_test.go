@@ -92,7 +92,7 @@ func addRec(b *Bundle, r *record.Record, prefixLen int) []tokens.Rank {
 		newCore = intersect(b.Core, r.Tokens)
 	}
 	var al alloc
-	return b.add(&al, similarity.KernelConfig{}.WithDefaults(), r, prefixLen, newCore)
+	return b.add(&al, r, prefixLen, newCore)
 }
 
 func TestBundleAddMaintainsInvariants(t *testing.T) {
@@ -380,7 +380,7 @@ func TestRemoveRebuildsUnion(t *testing.T) {
 	addRec(b, rec(3, 1, 2, 6), 1)
 	// kill 3 of 4 → shrink rebuild must fire
 	for _, m := range append([]*Member(nil), b.Members[:3]...) {
-		b.remove(&alloc{}, similarity.KernelConfig{}.WithDefaults(), m)
+		b.remove(&alloc{}, m)
 		checkBundle(t, b)
 	}
 	if len(b.Members) != 1 {

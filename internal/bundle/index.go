@@ -30,11 +30,6 @@ type Config struct {
 	// verified by a full merge of the probe against the member's complete
 	// token set. Used by the E8 ablation.
 	OneByOneVerify bool
-	// Kernel selects the verification intersection kernel and its cutoffs
-	// (see similarity.KernelConfig). Every kernel computes exact overlaps,
-	// so this setting never changes the emitted matches — it is therefore
-	// worker-local and deliberately kept off the wire protocol.
-	Kernel similarity.KernelConfig
 }
 
 func (c Config) withDefaults(tau float64) Config {
@@ -47,7 +42,6 @@ func (c Config) withDefaults(tau float64) Config {
 	if c.MinCoreFrac == 0 {
 		c.MinCoreFrac = 0.5
 	}
-	c.Kernel = c.Kernel.WithDefaults()
 	return c
 }
 
@@ -94,7 +88,7 @@ type Stats struct {
 
 	KernelLinear    uint64 // verification merges run by the linear kernel
 	KernelGallop    uint64 // verification merges run by the galloping kernel
-	KernelBitset    uint64 // verification merges run by the bitset kernel
+	KernelBitset    uint64 // never written: the kernel is gone, bench/layers.go still reads the field
 	BundleQuickSkip uint64 // bundles skipped by the pre-merge size bound
 	MemberDeltaSkip uint64 // members skipped by the core+|delta| bound
 }
@@ -139,13 +133,10 @@ type Index struct {
 	probeSeq uint32
 	// The per-probe invariants, set once per probe by bindProbe in the
 	// single-writer phase and read-only during the — possibly fanned —
-	// verify phase: the compatible partner length range, the probe's packed
-	// form (probeP, nil when the kernel config wants none, built into
-	// probeBuf) and its signature at every width (valid when probeHasSig: the
-	// probe has at least sigMinLen tokens).
+	// verify phase: the compatible partner length range and the probe's
+	// signature at every width (valid when probeHasSig: the probe has at
+	// least sigMinLen tokens).
 	probeLo, probeHi int
-	probeBuf         similarity.Packed
-	probeP           *similarity.Packed
 	probeSig         probeSig
 	probeHasSig      bool
 	// trial is insert-path scratch for the candidate core intersection
@@ -161,11 +152,6 @@ type Index struct {
 	// emitAppend is the prebuilt append closure handed to verifiers.
 	emitBuf    []Match
 	emitAppend func(Match)
-
-	// adaptProbes/adaptMark drive the optional periodic BitsetMinLen
-	// re-estimation (see adaptTick).
-	adaptProbes uint64
-	adaptMark   struct{ linear, gallop, bitset uint64 }
 }
 
 // walkRef is one prefix token in the selectivity-ordered walk: pos is the
@@ -223,7 +209,6 @@ type LiveStats struct {
 	// (verify_kernel_* / verify_candidates_pruned_total in /metrics).
 	KernelLinear atomic.Uint64
 	KernelGallop atomic.Uint64
-	KernelBitset atomic.Uint64
 	Pruned       atomic.Uint64
 }
 
@@ -245,15 +230,7 @@ func (bx *Index) publish() {
 	bx.live.Members.Store(uint64(len(bx.fifo) - bx.head))
 	bx.live.KernelLinear.Store(bx.stats.KernelLinear)
 	bx.live.KernelGallop.Store(bx.stats.KernelGallop)
-	bx.live.KernelBitset.Store(bx.stats.KernelBitset)
 	bx.live.Pruned.Store(bx.stats.Pruned())
-}
-
-// finishProbe is the per-probe epilogue every probe path runs exactly
-// once: refresh the live mirror, then give the kernel adapter its tick.
-func (bx *Index) finishProbe() {
-	bx.publish()
-	bx.adaptTick()
 }
 
 // Process runs one full streaming step for r: evict expired members, probe
@@ -283,7 +260,7 @@ func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
 		if bx.win.Live(rec.ID, rec.Time, nowSeq, nowTime) {
 			break
 		}
-		fe.b.remove(&bx.al, bx.cfg.Kernel, fe.m)
+		fe.b.remove(&bx.al, fe.m)
 		bx.al.mirror(fe.b)
 		bx.al.freeMember(fe.m)
 		if len(fe.b.Members) == 0 {
@@ -369,7 +346,7 @@ func (bx *Index) sweep() {
 // match's bundle together with the best similarity (ok=false when there
 // is no match). Verification is exact; emitted overlaps are true
 // intersection sizes. The match stream and the insertion hint are
-// identical for every Kernel and pool size.
+// identical for every pool size.
 func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok bool) {
 	cands := bx.collectCandidates(r)
 	bx.emitBuf = bx.emitBuf[:0]
@@ -381,7 +358,7 @@ func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok b
 		}
 	}
 	bx.emitCanonical(emit)
-	bx.finishProbe()
+	bx.publish()
 	return best, ok
 }
 
@@ -417,14 +394,13 @@ func (bx *Index) emitCanonical(emit func(Match)) {
 func cmpMatchID(a, b Match) int { return cmp.Compare(a.id, b.id) }
 
 // bindProbe fixes the per-probe invariants every filter of this probe
-// reads: the compatible partner length range, the packed form, and — for a
-// probe long enough for the gate to pay — the signature. Every probe path
-// calls it exactly once, in its single-writer phase.
+// reads: the compatible partner length range and — for a probe long enough
+// for the gate to pay — the signature. Every probe path calls it exactly
+// once, in its single-writer phase.
 //
 // hotpath: zero-alloc — once per probe.
 func (bx *Index) bindProbe(r *record.Record) {
 	bx.probeLo, bx.probeHi = bx.params.LengthBounds(r.Len())
-	bx.packProbe(r)
 	bx.probeHasSig = r.Len() >= sigMinLen
 	if bx.probeHasSig {
 		bx.probeSig.set(r.Tokens)
@@ -551,7 +527,7 @@ func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 // Insertion names the bundle an incoming record should join. At is the
 // record ID of the best match backing the hint: the canonical rule —
 // maximum similarity, ties to the smallest partner ID — makes the pick a
-// pure function of the match set, so every kernel and pool size drives the
+// pure function of the match set, so every pool size drives the
 // identical grouping evolution.
 type Insertion struct {
 	Bundle *Bundle
@@ -593,7 +569,7 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 		m := b.Members[0]
 		lb := bmin
 		st.MemberChecks++
-		o, steps, ok := bx.overlapKernelBounded(st, r.Tokens, bx.probeP, m.Rec.Tokens, m.cold.at(slotFull), reqMin)
+		o, steps, ok := overlapKernelBounded(st, r.Tokens, m.Rec.Tokens, reqMin)
 		st.SingletonFast++
 		st.VerifySteps += uint64(steps)
 		st.Verified++
@@ -626,7 +602,7 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 	// Bundle-level union upper bound: overlap(r, y) <= overlap(r, Union)
 	// for every member y. One early-terminating merge prunes the whole
 	// bundle; on success the overlap is exact and reused per member.
-	unionO, usteps, uok := bx.overlapKernelBounded(st, r.Tokens, bx.probeP, b.Union, b.cold.at(slotUnion), reqMin)
+	unionO, usteps, uok := overlapKernelBounded(st, r.Tokens, b.Union, reqMin)
 	st.UnionOverlaps++
 	st.UnionSteps += uint64(usteps)
 	if !uok {
@@ -659,11 +635,11 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 		var o int
 		if bx.cfg.OneByOneVerify {
 			var steps int
-			o, steps = bx.overlapKernel(st, r.Tokens, bx.probeP, m.Rec.Tokens, m.cold.at(slotFull))
+			o, steps = overlapKernel(st, r.Tokens, m.Rec.Tokens)
 			st.VerifySteps += uint64(steps)
 		} else {
 			if !haveCore {
-				coreO, coreSteps = bx.overlapKernel(st, r.Tokens, bx.probeP, b.Core, b.cold.at(slotCore))
+				coreO, coreSteps = overlapKernel(st, r.Tokens, b.Core)
 				haveCore = true
 				st.CoreOverlaps++
 				st.CoreSteps += uint64(coreSteps)
@@ -685,7 +661,7 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 			// Bounded delta merge: when it fails the member cannot match
 			// (no emission, so the exact size is not needed); when it
 			// passes dO is exact and o below is the true overlap.
-			dO, dSteps, dok := bx.overlapKernelBounded(st, r.Tokens, bx.probeP, m.Delta, m.cold.at(slotDelta), req-coreO)
+			dO, dSteps, dok := overlapKernelBounded(st, r.Tokens, m.Delta, req-coreO)
 			st.VerifySteps += uint64(dSteps)
 			if !dok {
 				st.Verified++
@@ -728,7 +704,6 @@ func (s *Stats) mergeVerify(o *Stats) {
 	s.SingletonFast += o.SingletonFast
 	s.KernelLinear += o.KernelLinear
 	s.KernelGallop += o.KernelGallop
-	s.KernelBitset += o.KernelBitset
 	s.BundleQuickSkip += o.BundleQuickSkip
 	s.MemberDeltaSkip += o.MemberDeltaSkip
 }
@@ -801,7 +776,7 @@ func (bx *Index) Insert(r *record.Record, best Insertion) {
 	} else {
 		bx.stats.Appends++
 	}
-	for _, tok := range target.add(&bx.al, bx.cfg.Kernel, r, p, newCore) {
+	for _, tok := range target.add(&bx.al, r, p, newCore) {
 		bx.posts.add(posting{tok, target.slot})
 	}
 	bx.al.mirror(target)

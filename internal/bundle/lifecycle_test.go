@@ -106,7 +106,7 @@ func checkInvariants(t *testing.T, bx *Index) {
 
 	// Free lists: zero apart from retained capacity, unreachable.
 	for _, m := range bx.al.freeM {
-		if m.Rec != nil || m.Delta != nil || (m.cold != nil && m.cold.ok != [2]bool{}) {
+		if m.Rec != nil || m.Delta != nil {
 			t.Fatalf("recycled member not reset: %+v", *m)
 		}
 		if liveM[m] {
@@ -116,8 +116,7 @@ func checkInvariants(t *testing.T, bx *Index) {
 	for _, b := range bx.al.freeB {
 		if len(b.Members) != 0 || len(b.posted) != 0 || b.Core != nil || b.Union != nil ||
 			*bx.al.hotAt(b.slot) != (hot{}) || b.minLen != 0 || b.maxLen != 0 || b.peak != 0 || b.unionOwned || b.hasSig || b.wideSig ||
-			bx.al.at(b.slot) != b ||
-			(b.cold != nil && b.cold.ok != [2]bool{}) {
+			bx.al.at(b.slot) != b {
 			t.Fatalf("recycled bundle not reset: %+v", *b)
 		}
 		for _, m := range b.Members[:cap(b.Members)] {
@@ -511,12 +510,11 @@ func BenchmarkInsertEvictSteadyState(b *testing.B) {
 	}
 }
 
-// TestHotStructSizes pins the hot/cold split: a slab of members or bundles
-// is what a probe walks, so their size is cache lines per candidate and
-// bytes per record (the packed caches are behind a pointer for this).
+// TestHotStructSizes pins the structs a probe walks: a slab of members or
+// bundles is cache lines per candidate and bytes per record.
 func TestHotStructSizes(t *testing.T) {
-	if m, b := unsafe.Sizeof(Member{}), unsafe.Sizeof(Bundle{}); m > 48 || b > 128 {
-		t.Fatalf("Member is %d B (limit 48), Bundle %d B (limit 128)", m, b)
+	if m, b := unsafe.Sizeof(Member{}), unsafe.Sizeof(Bundle{}); m != 32 || b > 120 {
+		t.Fatalf("Member is %d B (want 32), Bundle %d B (limit 120)", m, b)
 	} else {
 		t.Logf("Member %d B, Bundle %d B, Match %d B", m, b, unsafe.Sizeof(Match{}))
 	}

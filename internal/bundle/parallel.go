@@ -207,7 +207,7 @@ func (bx *Index) ProbePar(pool *Pool, r *record.Record, emit func(Match)) (best 
 		best, ok = pool.verify(bx, r, cands)
 	}
 	bx.emitCanonical(emit)
-	bx.finishProbe()
+	bx.publish()
 	return best, ok
 }
 

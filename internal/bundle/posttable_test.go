@@ -232,7 +232,7 @@ func TestSweepAllocatesNothing(t *testing.T) {
 			if i%2 == 0 {
 				continue
 			}
-			fe.b.remove(&bx.al, bx.cfg.Kernel, fe.m)
+			fe.b.remove(&bx.al, fe.m)
 			bx.al.mirror(fe.b)
 			if len(fe.b.Members) == 0 {
 				bx.retire(fe.b)

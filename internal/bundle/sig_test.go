@@ -181,7 +181,6 @@ func FuzzSigBoundSound(f *testing.F) {
 		}
 
 		var al alloc
-		kern := similarity.KernelConfig{}.WithDefaults()
 		b := al.bundle()
 		firstLen := 0 // length of the member that founded the current incarnation
 		for id := record.ID(0); i < len(data); id++ {
@@ -194,7 +193,7 @@ func FuzzSigBoundSound(f *testing.F) {
 					continue
 				}
 				peak := b.peak
-				b.remove(&al, kern, b.Members[int(op>>2)%len(b.Members)])
+				b.remove(&al, b.Members[int(op>>2)%len(b.Members)])
 				n := int32(len(b.Members))
 				rebuilt = n > 0 && n*2 <= peak
 			case i < len(data):
@@ -208,7 +207,7 @@ func FuzzSigBoundSound(f *testing.F) {
 				} else {
 					core = intersect(b.Core, ts)
 				}
-				b.add(&al, kern, &record.Record{ID: id, Tokens: ts}, 1, core)
+				b.add(&al, &record.Record{ID: id, Tokens: ts}, 1, core)
 			}
 
 			if len(b.Members) == 0 {
@@ -267,11 +266,10 @@ func FuzzSigBoundSound(f *testing.F) {
 // bits, exactly the founder's, and its cell is back in the pool at death.
 func TestSigWidthByFoundingLength(t *testing.T) {
 	var al alloc
-	kern := similarity.KernelConfig{}.WithDefaults()
 	b := al.bundle()
 	for _, n := range []int{15, 16, 191, 192, 383, 384, 100_000, 1_000_000} {
 		r := &record.Record{Tokens: span(7, n)}
-		b.add(&al, kern, r, 1, nil)
+		b.add(&al, r, 1, nil)
 		want := widthFor(n)
 		if b.hasSig != (want > 0) {
 			t.Fatalf("founded at %d tokens: hasSig=%v", n, b.hasSig)
@@ -286,7 +284,7 @@ func TestSigWidthByFoundingLength(t *testing.T) {
 			wide = 1
 		}
 		checkWidePool(t, &al, wide)
-		b.remove(&al, kern, b.Members[0])
+		b.remove(&al, b.Members[0])
 		checkWidePool(t, &al, 0)
 	}
 	// Four wide incarnations, one after the other: one cell carved, then reused.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/bundle"
 	"repro/internal/dispatch"
 	"repro/internal/filter"
 	"repro/internal/local"
@@ -33,10 +32,6 @@ type Scale struct {
 	// (bundle algorithm): 0 or 1 keeps workers single-threaded. Results
 	// are identical at any value; only throughput changes.
 	Parallel int
-	// Kernel selects the verification intersection kernel for bundle runs.
-	// Every kernel computes exact overlaps, so results are identical at any
-	// setting; only the work profile changes.
-	Kernel similarity.KernelConfig
 	// Registry, when set, receives live metrics from every topology run an
 	// experiment performs (ssjoinbench -http / -json).
 	Registry *obs.Registry
@@ -88,7 +83,6 @@ func All() []Experiment {
 		{"E18", "Dispatcher parallelism with reorder buffers (extension)", E18},
 		{"E19", "Token-ordering refresh under vocabulary drift (extension)", E19},
 		{"E20", "Intra-worker parallel verification scaling (extension)", E20},
-		{"E21", "Verification kernel sweep (extension)", E21},
 		{"E22", "Distributed tracing overhead (extension)", E22},
 	}
 }
@@ -148,7 +142,6 @@ func runTopology(sc Scale, recs []*record.Record, strat dispatch.Strategy, p fil
 		Window:      win,
 		BatchSize:   sc.Batch,
 		Parallelism: sc.Parallel,
-		Bundle:      bundle.Config{Kernel: sc.Kernel},
 		Registry:    sc.Registry,
 		Tracer:      sc.Tracer,
 	})

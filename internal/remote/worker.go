@@ -18,7 +18,6 @@ import (
 	"repro/internal/local"
 	"repro/internal/obs"
 	"repro/internal/record"
-	"repro/internal/similarity"
 	"repro/internal/wire"
 )
 
@@ -46,12 +45,6 @@ type WorkerOpts struct {
 	// 0 or 1 keeps sessions single-threaded. Concurrent sessions each get
 	// their own pool.
 	Parallelism int
-	// Kernel selects this worker's verification intersection kernel
-	// (bundle algorithm only). Worker-local and deliberately not part of
-	// the wire protocol: every kernel computes exact overlaps, so the
-	// choice cannot change a session's results — a fleet may freely mix
-	// kernel settings per machine.
-	Kernel similarity.KernelConfig
 	// Frags receives span fragments for traced records (wire v3 trace
 	// annotation); nil disables worker-side span recording entirely —
 	// untraced records never touch it either way.
@@ -235,7 +228,6 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		Bundle:      sess.Bundle,
 		Parallelism: o.Parallelism,
 	}
-	opts.Bundle.Kernel = o.Kernel
 	var (
 		joiner local.Joiner
 		bi     *local.BiJoiner
@@ -631,10 +623,10 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		}
 		if bs, ok := joiner.(interface{ BundleStats() bundle.Stats }); ok && joiner != nil {
 			st := bs.BundleStats()
-			if st.KernelLinear+st.KernelGallop+st.KernelBitset > 0 {
+			if st.KernelLinear+st.KernelGallop > 0 {
 				o.Journal.Append("kernel_mix", comp,
-					fmt.Sprintf("session %016x verify kernels: linear=%d gallop=%d bitset=%d",
-						h.SessionID, st.KernelLinear, st.KernelGallop, st.KernelBitset))
+					fmt.Sprintf("session %016x verify kernels: linear=%d gallop=%d",
+						h.SessionID, st.KernelLinear, st.KernelGallop))
 			}
 		}
 		status := "clean"

@@ -1,181 +1,35 @@
-// Verification kernels: interchangeable set-intersection routines behind
-// one dispatch configuration. The linear merge in similarity.go is the
-// reference; this file adds
-//
-//   - a galloping (exponential-search) merge for skewed length ratios,
-//     where the short side drives binary probes into the long side, and
-//   - a word-packed bitset intersection over a sparse block
-//     representation (Packed), where 64 ranks are tested per AND+popcount,
-//
-// together with KernelConfig, which picks a kernel per merge shape. Every
-// kernel computes the exact intersection size, so the join's emitted
-// matches are byte-identical for any kernel choice — only the work
-// profile changes. The bounded variants share VerifyOverlap's contract:
-// ok reports whether the requirement was met, and the returned overlap is
-// exact when ok and a meaningless lower bound when !ok.
+// Verification kernels: two set-intersection routines and the rule that
+// picks between them. The linear merge in similarity.go is the reference;
+// this file adds a galloping (exponential-search) merge for skewed length
+// ratios, where the short side drives binary probes into the long side,
+// and Gallops, which chooses per merge from the two lengths alone. Both
+// kernels compute the exact intersection size, so the join's emitted
+// matches do not depend on the choice — only the work profile does. The
+// bounded variants share VerifyOverlap's contract: ok reports whether the
+// requirement was met, and the returned overlap is exact when ok and a
+// meaningless lower bound when !ok. DESIGN.md § "Why there is no bitset
+// kernel" has the trial that retired the third, word-packed kernel.
 package similarity
 
-import (
-	"fmt"
-	"math/bits"
+import "repro/internal/tokens"
 
-	"repro/internal/tokens"
-)
+// gallopMinRatio is the len(long)/len(short) ratio from which the
+// galloping merge runs. It costs O(short · log(long/short)); below the
+// ratio the linear merge's branch-predictable scan wins.
+const gallopMinRatio = 8
 
-// Kernel selects an intersection routine.
-type Kernel uint8
-
-const (
-	// KernelAuto picks per merge: galloping when the length ratio reaches
-	// GallopRatio, bitset when both sides carry a Packed form dense
-	// enough for the word merge to beat the element merge, linear
-	// otherwise. The default.
-	KernelAuto Kernel = iota
-	// KernelLinear forces the reference linear merge.
-	KernelLinear
-	// KernelGallop forces the galloping merge.
-	KernelGallop
-	// KernelBitset forces the word-packed bitset intersection (falling
-	// back to linear when a side has no Packed form).
-	KernelBitset
-)
-
-// String implements fmt.Stringer.
-func (k Kernel) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelLinear:
-		return "linear"
-	case KernelGallop:
-		return "gallop"
-	case KernelBitset:
-		return "bitset"
-	default:
-		return fmt.Sprintf("Kernel(%d)", int(k))
-	}
-}
-
-// ParseKernel converts a name produced by String back into a Kernel.
-func ParseKernel(name string) (Kernel, error) {
-	switch name {
-	case "", "auto":
-		return KernelAuto, nil
-	case "linear":
-		return KernelLinear, nil
-	case "gallop":
-		return KernelGallop, nil
-	case "bitset":
-		return KernelBitset, nil
-	default:
-		return 0, fmt.Errorf("similarity: unknown kernel %q", name)
-	}
-}
-
-// KernelConfig tunes kernel dispatch. The zero value means auto with
-// default cutoffs; WithDefaults materializes them.
-type KernelConfig struct {
-	// Mode selects the kernel (KernelAuto by default).
-	Mode Kernel
-	// GallopRatio is the minimum len(long)/len(short) ratio at which auto
-	// dispatch prefers the galloping merge (default 8). The galloping
-	// merge costs O(short · log(long/short)); below the ratio the linear
-	// merge's branch-predictable scan wins.
-	GallopRatio int
-	// BitsetMinLen is the minimum set length at which a Packed bitset
-	// representation is built and cached in auto mode (default 64).
-	// Below it the packing overhead exceeds the popcount advantage.
-	// Length is necessary but not sufficient: auto additionally
-	// requires the set's rank span to prove density (see ShouldPack).
-	BitsetMinLen int
-	// AdaptiveMinLen lets the joiner re-estimate BitsetMinLen
-	// periodically from the realized kernel mix instead of keeping the
-	// static cutoff (see bundle.Index's adaptTick). Off by default.
-	// Adaptation moves packing eligibility only — every kernel computes
-	// exact overlaps — so it never changes the emitted matches.
-	AdaptiveMinLen bool
-}
-
-// WithDefaults fills zero fields with the default cutoffs.
-func (k KernelConfig) WithDefaults() KernelConfig {
-	if k.GallopRatio == 0 {
-		k.GallopRatio = 8
-	}
-	if k.BitsetMinLen == 0 {
-		k.BitsetMinLen = 64
-	}
-	return k
-}
-
-// ShouldPack reports whether set (ascending, deduplicated ranks) should
-// carry a cached Packed form under this configuration: always in forced
-// bitset mode, never in linear/gallop mode. Auto mode packs only when
-// the set is long enough (BitsetMinLen) AND provably dense: the rank
-// span bounds the occupied block count from above, so span ≤ 32·n
-// guarantees an average of at least two set bits per word. Sets over a
-// wide vocabulary (span ≫ 32·n) can never win the word merge, and
-// skipping the pack keeps the insert path — where unions are repacked on
-// every member add — free of maintenance cost the verify phase would
-// never repay (E21, Enron-like: packing alone cost ~15% throughput).
-func (k KernelConfig) ShouldPack(set []tokens.Rank) bool {
-	n := len(set)
-	switch k.Mode {
-	case KernelBitset:
-		return n > 0
-	case KernelAuto:
-		if n < k.BitsetMinLen {
-			return false
-		}
-		span := int(set[n-1]) - int(set[0])
-		return span <= 32*n
-	default:
-		return false
-	}
-}
-
-// Choose picks the kernel for one merge of an la-element set against an
-// lb-element set; ap/bp are the sides' cached Packed forms, nil when a
-// side has none.
-//
-// Auto dispatch consults density, not just availability: the block merge
-// runs up to len(ap.Words)+len(bp.Words) iterations, each heavier than a
-// linear merge step (word loads, AND, and — in the bounded variant — two
-// popcounts for the remaining-overlap bound). On sparse rank sets, where
-// nearly every rank sits in its own block, that is the same iteration
-// count as the linear merge at roughly twice the per-step cost, and the
-// bitset kernel measures ~1.5× *slower* end-to-end (E21, Enron-like).
-// Auto therefore takes the bitset path only when the merge averages at
-// least two set bits per occupied word across both sides — i.e. the word
-// walk is at most half as long as the element walk. Forced bitset mode
-// skips the guard so sweeps and parity tests can pin the kernel.
+// Gallops reports whether a merge of an la-element set against an
+// lb-element set runs the galloping kernel (the linear merge otherwise).
+// An empty side always gallops: the merge is over before it starts.
 //
 // hotpath: zero-alloc — runs once per verification merge.
-func (k KernelConfig) Choose(la, lb int, ap, bp *Packed) Kernel {
-	switch k.Mode {
-	case KernelLinear:
-		return KernelLinear
-	case KernelGallop:
-		return KernelGallop
-	case KernelBitset:
-		if ap != nil && bp != nil {
-			return KernelBitset
-		}
-		return KernelLinear
-	}
+func Gallops(la, lb int) bool {
 	short, long := la, lb
 	if short > long {
 		short, long = long, short
 	}
-	if long >= short*k.GallopRatio {
-		return KernelGallop
-	}
-	if ap != nil && bp != nil && len(ap.Words)+len(bp.Words) <= (la+lb)/4 {
-		return KernelBitset
-	}
-	return KernelLinear
+	return long >= short*gallopMinRatio
 }
-
-// ---------------------------------------------------------------- gallop --
 
 // gallopTo returns the smallest index i >= from with b[i] >= x, probing
 // exponentially from `from` and binary-searching the final window. probes
@@ -259,140 +113,4 @@ func VerifyOverlapGallop(a, b []tokens.Rank, required int) (o, probes int, ok bo
 		}
 	}
 	return o, probes, o >= required
-}
-
-// ---------------------------------------------------------------- bitset --
-
-// Packed is the word-packed bitset form of an ascending rank slice: Words
-// holds the 64-rank block indices (rank >> 6) that contain at least one
-// member, ascending and deduplicated, and Bits holds the matching
-// occupancy words (bit k of Bits[i] set iff rank Words[i]*64 + k is
-// present). N caches the total popcount, i.e. the set size. For clustered
-// rank sets the representation tests up to 64 ranks per AND+popcount; in
-// the worst case (every rank in its own block) it degrades to a merge
-// with one popcount per element, which still matches the linear kernel's
-// asymptotics.
-type Packed struct {
-	Words []uint32
-	Bits  []uint64
-	N     int
-}
-
-// PackInto overwrites p with the packed form of set (ascending,
-// deduplicated ranks), reusing p's backing slices. The amortized cost is
-// one pass over set with no allocation once the slices have grown.
-func PackInto(p *Packed, set []tokens.Rank) {
-	p.Words = p.Words[:0]
-	p.Bits = p.Bits[:0]
-	p.N = len(set)
-	for _, r := range set {
-		w := uint32(r >> 6)
-		bit := uint64(1) << (r & 63)
-		if n := len(p.Words); n > 0 && p.Words[n-1] == w {
-			p.Bits[n-1] |= bit
-			continue
-		}
-		p.Words = append(p.Words, w)
-		p.Bits = append(p.Bits, bit)
-	}
-}
-
-// IntersectSizePacked computes |a∩b| by merging the block lists and
-// popcounting matching words. words counts merge iterations, the bitset
-// kernel's unit of work (a word batch counts its width, so totals are
-// identical to the unbatched merge).
-//
-// Dense sets take the word-batched fast path: Words is strictly
-// ascending, so equal endpoints spanning exactly 3 blocks prove both
-// runs are the contiguous w..w+3 — four AND+popcounts with no per-word
-// branching. Clustered rank sets (the ones auto dispatch packs) spend
-// most of the merge there.
-//
-// hotpath: zero-alloc — verification inner loop.
-func IntersectSizePacked(a, b *Packed) (o, words int) {
-	i, j := 0, 0
-	for i < len(a.Words) && j < len(b.Words) {
-		if i+3 < len(a.Words) && j+3 < len(b.Words) &&
-			a.Words[i] == b.Words[j] && a.Words[i+3] == b.Words[j+3] &&
-			a.Words[i+3]-a.Words[i] == 3 {
-			o += bits.OnesCount64(a.Bits[i]&b.Bits[j]) +
-				bits.OnesCount64(a.Bits[i+1]&b.Bits[j+1]) +
-				bits.OnesCount64(a.Bits[i+2]&b.Bits[j+2]) +
-				bits.OnesCount64(a.Bits[i+3]&b.Bits[j+3])
-			words += 4
-			i += 4
-			j += 4
-			continue
-		}
-		words++
-		switch {
-		case a.Words[i] == b.Words[j]:
-			o += bits.OnesCount64(a.Bits[i] & b.Bits[j])
-			i++
-			j++
-		case a.Words[i] < b.Words[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return o, words
-}
-
-// VerifyOverlapPacked decides |a∩b| >= required over packed forms with
-// early termination: remaining popcounts bound the reachable overlap
-// exactly, so the scan aborts as soon as the requirement is out of reach
-// (VerifyOverlap's contract: exact overlap when ok).
-//
-// Contiguous equal runs take the same word-batched popcount fast path
-// as IntersectSizePacked: the infeasibility bound is tested once per
-// batch instead of once per word, which may delay an abort by at most
-// three words but never changes the decision — ok remains exactly
-// |a∩b| >= required.
-//
-// hotpath: zero-alloc — verification inner loop.
-func VerifyOverlapPacked(a, b *Packed, required int) (o, words int, ok bool) {
-	remA, remB := a.N, b.N
-	i, j := 0, 0
-	for i < len(a.Words) && j < len(b.Words) {
-		rest := remA
-		if remB < rest {
-			rest = remB
-		}
-		if o+rest < required {
-			return o, words, false
-		}
-		if i+3 < len(a.Words) && j+3 < len(b.Words) &&
-			a.Words[i] == b.Words[j] && a.Words[i+3] == b.Words[j+3] &&
-			a.Words[i+3]-a.Words[i] == 3 {
-			o += bits.OnesCount64(a.Bits[i]&b.Bits[j]) +
-				bits.OnesCount64(a.Bits[i+1]&b.Bits[j+1]) +
-				bits.OnesCount64(a.Bits[i+2]&b.Bits[j+2]) +
-				bits.OnesCount64(a.Bits[i+3]&b.Bits[j+3])
-			remA -= bits.OnesCount64(a.Bits[i]) + bits.OnesCount64(a.Bits[i+1]) +
-				bits.OnesCount64(a.Bits[i+2]) + bits.OnesCount64(a.Bits[i+3])
-			remB -= bits.OnesCount64(b.Bits[j]) + bits.OnesCount64(b.Bits[j+1]) +
-				bits.OnesCount64(b.Bits[j+2]) + bits.OnesCount64(b.Bits[j+3])
-			words += 4
-			i += 4
-			j += 4
-			continue
-		}
-		words++
-		switch {
-		case a.Words[i] == b.Words[j]:
-			o += bits.OnesCount64(a.Bits[i] & b.Bits[j])
-			remA -= bits.OnesCount64(a.Bits[i])
-			remB -= bits.OnesCount64(b.Bits[j])
-			i++
-			j++
-		case a.Words[i] < b.Words[j]:
-			remA -= bits.OnesCount64(a.Bits[i])
-			i++
-		default:
-			remB -= bits.OnesCount64(b.Bits[j])
-			j++
-		}
-	}
-	return o, words, o >= required
 }

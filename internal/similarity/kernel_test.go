@@ -25,12 +25,11 @@ func genSorted(rng *rand.Rand, n, universe int) []tokens.Rank {
 	return out
 }
 
-// TestKernelsAgreeRandomized drives every kernel against the linear
-// reference across random set shapes, including heavy skew (the gallop
-// target) and clustered ranks (the bitset target).
+// TestKernelsAgreeRandomized drives the galloping kernel against the
+// linear reference across random set shapes, including heavy skew (the
+// gallop target) and clustered ranks.
 func TestKernelsAgreeRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	var pa, pb Packed
 	for i := 0; i < 2000; i++ {
 		la, lb := rng.Intn(80), rng.Intn(80)
 		if i%3 == 0 { // force skew
@@ -44,14 +43,6 @@ func TestKernelsAgreeRandomized(t *testing.T) {
 		if got, _ := IntersectSizeGallop(a, b); got != want {
 			t.Fatalf("iter %d: gallop=%d want %d (a=%v b=%v)", i, got, want, a, b)
 		}
-		PackInto(&pa, a)
-		PackInto(&pb, b)
-		if pa.N != len(a) || pb.N != len(b) {
-			t.Fatalf("iter %d: PackInto N mismatch: %d/%d want %d/%d", i, pa.N, pb.N, len(a), len(b))
-		}
-		if got, _ := IntersectSizePacked(&pa, &pb); got != want {
-			t.Fatalf("iter %d: bitset=%d want %d (a=%v b=%v)", i, got, want, a, b)
-		}
 
 		// Bounded variants must agree with VerifyOverlap on the ok
 		// decision for every requirement, and return the exact overlap
@@ -61,15 +52,12 @@ func TestKernelsAgreeRandomized(t *testing.T) {
 			if o, _, ok := VerifyOverlapGallop(a, b, req); ok != wantOK || (ok && o != want) {
 				t.Fatalf("iter %d req %d: gallop verify (%d,%v) want (%d,%v)", i, req, o, ok, want, wantOK)
 			}
-			if o, _, ok := VerifyOverlapPacked(&pa, &pb, req); ok != wantOK || (ok && o != want) {
-				t.Fatalf("iter %d req %d: bitset verify (%d,%v) want (%d,%v)", i, req, o, ok, want, wantOK)
-			}
 		}
 	}
 }
 
 // TestKernelEdgeShapes pins the boundary shapes: empty sides, identical
-// sets, disjoint sets, single elements at block boundaries.
+// sets, disjoint sets, single elements at the ends of the other side.
 func TestKernelEdgeShapes(t *testing.T) {
 	cases := []struct{ a, b []tokens.Rank }{
 		{nil, nil},
@@ -77,92 +65,46 @@ func TestKernelEdgeShapes(t *testing.T) {
 		{ranks(5), nil},
 		{ranks(1, 2, 3), ranks(1, 2, 3)},
 		{ranks(1, 2, 3), ranks(4, 5, 6)},
-		{ranks(63, 64, 127, 128), ranks(63, 128)}, // 64-rank block boundaries
+		{ranks(63, 64, 127, 128), ranks(63, 128)},
 		{ranks(0), ranks(0)},
 		{ranks(1 << 20), ranks(1<<20-1, 1<<20, 1<<20+1)},
 	}
-	var pa, pb Packed
 	for i, c := range cases {
 		want := IntersectSize(c.a, c.b)
 		if got, _ := IntersectSizeGallop(c.a, c.b); got != want {
 			t.Fatalf("case %d: gallop=%d want %d", i, got, want)
 		}
-		PackInto(&pa, c.a)
-		PackInto(&pb, c.b)
-		if got, _ := IntersectSizePacked(&pa, &pb); got != want {
-			t.Fatalf("case %d: bitset=%d want %d", i, got, want)
+		if o, _, ok := VerifyOverlapGallop(c.a, c.b, want); !ok || o != want {
+			t.Fatalf("case %d: gallop verify (%d,%v) want (%d,true)", i, o, ok, want)
 		}
 	}
 }
 
-// TestKernelConfigDispatch pins the auto-dispatch decisions the bundle
-// hot path relies on.
+// TestKernelConfigDispatch pins the one dispatch rule the bundle hot path
+// relies on: gallop iff long >= 8·short, whichever operand is the long one.
 func TestKernelConfigDispatch(t *testing.T) {
-	k := KernelConfig{}.WithDefaults()
-	if k.GallopRatio != 8 || k.BitsetMinLen != 64 {
-		t.Fatalf("defaults: %+v", k)
+	cases := []struct {
+		la, lb int
+		gallop bool
+	}{
+		{100, 100, false},
+		{10, 70, false}, // 7:1
+		{10, 79, false},
+		{10, 80, true}, // 8:1
+		{10, 90, true}, // 9:1
+		{1, 7, false},
+		{1, 8, true},
+		{0, 0, true}, // an empty side gallops: the merge is over at once
+		{0, 1, true},
+		{0, 500, true},
 	}
-	packOf := func(set []tokens.Rank) *Packed {
-		p := &Packed{}
-		PackInto(p, set)
-		return p
-	}
-	dense := make([]tokens.Rank, 100) // ranks 0..99: two blocks, 50 bits/word
-	sparse := make([]tokens.Rank, 100)
-	for i := range dense {
-		dense[i] = tokens.Rank(i)
-		sparse[i] = tokens.Rank(i * 64) // one block per rank: 1 bit/word
-	}
-	dp, sp := packOf(dense), packOf(sparse)
-	if got := k.Choose(10, 100, nil, nil); got != KernelGallop {
-		t.Fatalf("skewed unpacked: %v", got)
-	}
-	if got := k.Choose(100, 10, nil, nil); got != KernelGallop {
-		t.Fatalf("skew is symmetric: %v", got)
-	}
-	if got := k.Choose(100, 100, dp, dp); got != KernelBitset {
-		t.Fatalf("near-equal dense packed: %v", got)
-	}
-	if got := k.Choose(100, 100, sp, sp); got != KernelLinear {
-		t.Fatalf("sparse packed must not dispatch to bitset: %v", got)
-	}
-	if got := k.Choose(100, 100, dp, nil); got != KernelLinear {
-		t.Fatalf("near-equal half-packed: %v", got)
-	}
-	forced := (KernelConfig{Mode: KernelBitset}).WithDefaults()
-	if got := forced.Choose(100, 100, sp, sp); got != KernelBitset {
-		t.Fatalf("forced bitset must skip the density guard: %v", got)
-	}
-	if got := forced.Choose(3, 5, nil, sp); got != KernelLinear {
-		t.Fatalf("forced bitset without packed forms must fall back: %v", got)
-	}
-	for _, mode := range []Kernel{KernelAuto, KernelLinear, KernelGallop, KernelBitset} {
-		back, err := ParseKernel(mode.String())
-		if err != nil || back != mode {
-			t.Fatalf("round trip %v: %v %v", mode, back, err)
+	for _, c := range cases {
+		if got := Gallops(c.la, c.lb); got != c.gallop {
+			t.Errorf("Gallops(%d, %d) = %v, want %v", c.la, c.lb, got, c.gallop)
 		}
-	}
-	if _, err := ParseKernel("simd"); err == nil {
-		t.Fatal("unknown kernel name must error")
-	}
-	seq := func(n, stride int) []tokens.Rank {
-		s := make([]tokens.Rank, n)
-		for i := range s {
-			s[i] = tokens.Rank(i * stride)
+		if got := Gallops(c.lb, c.la); got != c.gallop {
+			t.Errorf("Gallops(%d, %d) = %v, want %v (operand order must not matter)", c.lb, c.la, got, c.gallop)
 		}
-		return s
-	}
-	if !(KernelConfig{Mode: KernelBitset}).WithDefaults().ShouldPack(seq(1, 1)) {
-		t.Fatal("forced bitset packs everything")
-	}
-	if k.ShouldPack(seq(63, 1)) || !k.ShouldPack(seq(64, 1)) {
-		t.Fatal("auto packs dense sets at BitsetMinLen")
-	}
-	if k.ShouldPack(seq(64, 64)) {
-		t.Fatal("auto must not pack a sparse set (one rank per block)")
-	}
-	if (KernelConfig{Mode: KernelLinear}).WithDefaults().ShouldPack(seq(1000, 1)) {
-		t.Fatal("linear mode never packs")
 	}
 }
 
@@ -179,9 +121,9 @@ func fuzzRanks(data []byte) []tokens.Rank {
 	return out
 }
 
-// FuzzIntersectKernels differentially tests the galloping and bitset
-// kernels (and the scratch Into ops under the documented dst = a[:0]
-// aliasing contract) against the linear-merge reference.
+// FuzzIntersectKernels differentially tests the galloping kernel (and the
+// scratch Into ops under the documented dst = a[:0] aliasing contract)
+// against the linear-merge reference.
 func FuzzIntersectKernels(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4}, uint8(2))
 	f.Add([]byte{}, []byte{5}, uint8(0))
@@ -197,16 +139,6 @@ func FuzzIntersectKernels(f *testing.F) {
 		}
 		if o, _, ok := VerifyOverlapGallop(a, b, req); ok != (want >= req) || (ok && o != want) {
 			t.Fatalf("gallop verify req=%d: (%d,%v) want (%d,%v)", req, o, ok, want, want >= req)
-		}
-
-		var pa, pb Packed
-		PackInto(&pa, a)
-		PackInto(&pb, b)
-		if got, _ := IntersectSizePacked(&pa, &pb); got != want {
-			t.Fatalf("bitset=%d want %d", got, want)
-		}
-		if o, _, ok := VerifyOverlapPacked(&pa, &pb, req); ok != (want >= req) || (ok && o != want) {
-			t.Fatalf("bitset verify req=%d: (%d,%v) want (%d,%v)", req, o, ok, want, want >= req)
 		}
 
 		// Scratch ops under the in-place aliasing contract.
@@ -247,15 +179,12 @@ func benchSets(short, long int) (a, b []tokens.Rank) {
 	return a, b
 }
 
-// The BenchmarkIntersect* family measures each kernel across the size
-// ratios that drive dispatch (1:1, 1:16, 1:256). CI asserts 0 allocs/op
-// on all of them: the packed variants reuse pre-built Packed forms, the
-// way the bundle index caches them.
+// The BenchmarkIntersect* family measures each kernel, plain and bounded,
+// across the size ratios that drive dispatch (1:1, 1:16, 1:256). CI asserts
+// 0 allocs/op on all of them.
 func benchmarkKernels(b *testing.B, short, long int) {
 	sa, sb := benchSets(short, long)
-	var pa, pb Packed
-	PackInto(&pa, sa)
-	PackInto(&pb, sb)
+	req := short / 2
 	b.Run("linear", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -268,80 +197,18 @@ func benchmarkKernels(b *testing.B, short, long int) {
 			sink, _ = IntersectSizeGallop(sa, sb)
 		}
 	})
-	b.Run("bitset", func(b *testing.B) {
+	b.Run("linear-verify", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sink, _ = IntersectSizePacked(&pa, &pb)
+			sink, _ = VerifyOverlap(sa, sb, req)
 		}
 	})
-	b.Run("pack-reuse", func(b *testing.B) {
+	b.Run("gallop-verify", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			PackInto(&pa, sa)
+			sink, _, _ = VerifyOverlapGallop(sa, sb, req)
 		}
 	})
-}
-
-// TestPackedBatchDense pins the word-batched popcount fast path against
-// the scalar reference on contiguous runs: aligned, misaligned (word
-// lists equal but offset in rank space), and tails shorter than one
-// batch. words totals must match the unbatched definition (one unit per
-// merged word) so kernel step accounting is batch-invariant.
-func TestPackedBatchDense(t *testing.T) {
-	shapes := []struct {
-		name   string
-		sa, sb []tokens.Rank
-	}{
-		{"aligned-full", contigRanks(0, 512), contigRanks(0, 512)},
-		{"half-overlap", contigRanks(0, 512), contigRanks(256, 512)},
-		{"word-misaligned", contigRanks(0, 512), contigRanks(7, 512)},
-		{"short-tail", contigRanks(0, 200), contigRanks(64, 200)},
-		{"sub-batch", contigRanks(0, 128), contigRanks(64, 128)},
-		{"disjoint-runs", append(contigRanks(0, 128), contigRanks(1024, 128)...), append(contigRanks(64, 128), contigRanks(1024+64, 128)...)},
-	}
-	for _, s := range shapes {
-		var pa, pb Packed
-		PackInto(&pa, s.sa)
-		PackInto(&pb, s.sb)
-		want := IntersectSize(s.sa, s.sb)
-		got, words := IntersectSizePacked(&pa, &pb)
-		if got != want {
-			t.Fatalf("%s: IntersectSizePacked = %d, want %d", s.name, got, want)
-		}
-		// Equal-word merges advance both lists together, so the word
-		// total is the merge length regardless of batching.
-		if wantWords := mergeWords(pa.Words, pb.Words); words != wantWords {
-			t.Fatalf("%s: words = %d, want %d", s.name, words, wantWords)
-		}
-		for _, req := range []int{0, 1, want, want + 1, len(s.sa)} {
-			o, _, ok := VerifyOverlapPacked(&pa, &pb, req)
-			if ok != (want >= req) {
-				t.Fatalf("%s: VerifyOverlapPacked(req=%d) ok = %v, want %v", s.name, req, ok, want >= req)
-			}
-			if ok && o != want {
-				t.Fatalf("%s: VerifyOverlapPacked(req=%d) overlap = %d, want %d", s.name, req, o, want)
-			}
-		}
-	}
-}
-
-// mergeWords is the scalar reference for the packed kernels' words
-// counter: one unit per merge iteration of the word lists.
-func mergeWords(a, b []uint32) int {
-	i, j, n := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		n++
-		switch {
-		case a[i] == b[j]:
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return n
 }
 
 var sink int
@@ -349,46 +216,3 @@ var sink int
 func BenchmarkIntersectEven(b *testing.B)    { benchmarkKernels(b, 1024, 1024) }
 func BenchmarkIntersectSkew16(b *testing.B)  { benchmarkKernels(b, 64, 1024) }
 func BenchmarkIntersectSkew256(b *testing.B) { benchmarkKernels(b, 16, 4096) }
-
-// contigRanks returns n consecutive ranks starting at base: every 64-rank
-// block is fully populated, so the packed form's word list is one
-// contiguous run and the bitset kernel's word-batched fast path fires on
-// every merge step.
-func contigRanks(base, n int) []tokens.Rank {
-	s := make([]tokens.Rank, n)
-	for i := range s {
-		s[i] = tokens.Rank(base + i)
-	}
-	return s
-}
-
-// BenchmarkIntersectDense pits the bitset kernel against fully
-// contiguous rank runs with 50% overlap — the shape where the 4-word
-// popcount batch carries the whole merge. Kept under the same 0
-// allocs/op CI gate as the sparse BenchmarkIntersect* cases.
-func BenchmarkIntersectDense(b *testing.B) {
-	const n = 4096
-	sa := contigRanks(0, n)
-	sb := contigRanks(n/2, n)
-	var pa, pb Packed
-	PackInto(&pa, sa)
-	PackInto(&pb, sb)
-	b.Run("bitset", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sink, _ = IntersectSizePacked(&pa, &pb)
-		}
-	})
-	b.Run("bitset-verify", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sink, _, _ = VerifyOverlapPacked(&pa, &pb, n/2)
-		}
-	})
-	b.Run("gallop", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sink, _ = IntersectSizeGallop(sa, sb)
-		}
-	})
-}

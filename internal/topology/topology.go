@@ -534,9 +534,6 @@ func (w *workerBolt) registerJoinerMetrics(reg *obs.Registry, task int) {
 	reg.CounterVec("verify_kernel_gallop_total",
 		"Verification merges run by the galloping intersection kernel.", "task").
 		SetFunc(label, func() float64 { return float64(ls.KernelGallop.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
-	reg.CounterVec("verify_kernel_bitset_total",
-		"Verification merges run by the word-packed bitset kernel.", "task").
-		SetFunc(label, func() float64 { return float64(ls.KernelBitset.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
 	reg.CounterVec("verify_candidates_pruned_total",
 		"Candidates discarded by upper-bound checks before any kernel ran.", "task").
 		SetFunc(label, func() float64 { return float64(ls.Pruned.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count

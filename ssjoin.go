@@ -127,11 +127,6 @@ type Config struct {
 	// MaxBundle caps bundle membership (default 64). Ignored unless
 	// Algorithm is Bundle.
 	MaxBundle int
-	// Kernel selects the verification intersection kernel: "auto" (the
-	// default), "linear", "gallop", or "bitset". Every kernel computes
-	// exact overlaps, so the choice never changes results — only the work
-	// profile. Ignored unless Algorithm is Bundle.
-	Kernel string
 }
 
 func (c Config) build() (filter.Params, window.Policy, local.Algorithm, bundle.Config, error) {
@@ -161,15 +156,10 @@ func (c Config) build() (filter.Params, window.Policy, local.Algorithm, bundle.C
 	} else if c.WindowTicks > 0 {
 		win = window.Time{Span: c.WindowTicks}
 	}
-	kern, err := similarity.ParseKernel(c.Kernel)
-	if err != nil {
-		return filter.Params{}, nil, 0, bundle.Config{}, fmt.Errorf("ssjoin: %w", err)
-	}
 	params := filter.Params{Func: f, Threshold: c.Threshold}
 	bcfg := bundle.Config{
 		GroupThreshold: c.GroupThreshold,
 		MaxMembers:     c.MaxBundle,
-		Kernel:         similarity.KernelConfig{Mode: kern},
 	}
 	return params, win, alg, bcfg, nil
 }
