@@ -14,6 +14,8 @@ import (
 // are never reported. The canonical use is data integration — two sources
 // feeding one matcher. IDs are assigned from one shared counter, so
 // windows span both sides (WindowRecords counts arrivals on either side).
+// The order of matches within one call is unspecified; sort by ID if you
+// need one.
 type BiStream struct {
 	cfg     Config
 	bi      *local.BiJoiner
@@ -49,7 +51,7 @@ func (b *BiStream) addRecord(r *record.Record, left bool) (uint64, []Match) {
 	b.scratch = b.scratch[:0]
 	emit := func(m local.Match) {
 		b.scratch = append(b.scratch, Match{
-			ID:         uint64(m.Rec.ID),
+			ID:         uint64(m.ID),
 			Overlap:    m.Overlap,
 			Similarity: m.Sim,
 		})

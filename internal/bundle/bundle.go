@@ -31,6 +31,10 @@ import (
 type Member struct {
 	Rec   *record.Record
 	Delta []tokens.Rank // Rec.Tokens \ Core, ascending
+	// id and ln copy Rec.ID and Rec.Len() (records are immutable), so the
+	// verify loop filters, bounds and pairs a member without loading Rec.
+	id record.ID
+	ln int
 }
 
 // Bundle groups records that joined with one another. Invariants:
@@ -43,8 +47,10 @@ type Bundle struct {
 	// The posting walk does not read a Bundle: what it needs per posting is
 	// mirrored in the slot's 8-byte hot entry (see hot), and only a candidate
 	// that survives the bundle filters, or a dead posting being dropped,
-	// loads these two lines.
+	// loads these two lines. What probeBundle reads before its first merge —
+	// and, for a singleton, all it reads — sits on the first.
 	Members []*Member
+	Union   []tokens.Rank
 
 	// slot is the bundle's address in the allocator's chunk directory (see
 	// alloc), assigned when the bundle is carved and kept for good.
@@ -73,8 +79,7 @@ type Bundle struct {
 	// is recycled when the last one is dropped (see Index.dropDead).
 	posted []tokens.Rank
 
-	Core  []tokens.Rank
-	Union []tokens.Rank
+	Core []tokens.Rank
 }
 
 // sig is a token-hash signature of a token set, len(sig) 256-bit blocks wide:
@@ -356,8 +361,8 @@ func (b *Bundle) unionAdd(t []tokens.Rank) {
 // result aliases b.posted and is valid until the next add.
 func (b *Bundle) add(al *alloc, r *record.Record, prefixLen int, newCore []tokens.Rank) (newPostings []tokens.Rank) {
 	m := al.member()
-	m.Rec = r
-	ln := int32(r.Len())
+	m.Rec, m.id, m.ln = r, r.ID, r.Len()
+	ln := int32(m.ln)
 	if len(b.Members) == 0 {
 		// Records are immutable, so a singleton bundle can alias the
 		// record's token slice; every later mutation path copies before
@@ -430,7 +435,7 @@ func (b *Bundle) remove(al *alloc, m *Member) {
 		}
 		b.Members[w] = o
 		w++
-		ln := int32(o.Rec.Len())
+		ln := int32(o.ln)
 		if b.minLen == 0 || ln < b.minLen {
 			b.minLen = ln
 		}

@@ -60,6 +60,9 @@ func checkBundle(t *testing.T, b *Bundle) {
 		if l := m.Rec.Len(); l > hi {
 			hi = l
 		}
+		if m.id != m.Rec.ID || m.ln != m.Rec.Len() {
+			t.Fatalf("member %d of %d tokens carries id %d, length %d", m.Rec.ID, m.Rec.Len(), m.id, m.ln)
+		}
 		// Core ⊆ member tokens.
 		if similarity.IntersectSize(b.Core, m.Rec.Tokens) != len(b.Core) {
 			t.Fatalf("core not subset of member %d: core=%v tokens=%v",

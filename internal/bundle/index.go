@@ -1,8 +1,6 @@
 package bundle
 
 import (
-	"cmp"
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/filter"
@@ -47,14 +45,12 @@ func (c Config) withDefaults(tau float64) Config {
 
 // Match is a verified join result.
 type Match struct {
-	Rec     *record.Record
+	Rec *record.Record
+	// ID is Rec.ID, copied from the Member the verifier already holds so a
+	// consumer that only pairs IDs never loads the partner record.
+	ID      record.ID
 	Overlap int
 	Sim     float64
-
-	// id is Rec.ID, copied by the verifier that emitted the match (it has
-	// the record in cache) so the canonical sort compares keys in the
-	// buffer instead of chasing Rec.
-	id record.ID
 }
 
 // Stats counts the work the bundle index performed.
@@ -146,12 +142,6 @@ type Index struct {
 	trial []tokens.Rank
 	// al slab-allocates members, bundles and deltas on the insert path.
 	al alloc
-
-	// emitBuf buffers one probe's matches so every pool size can flush
-	// them in the canonical per-probe order (ascending partner ID);
-	// emitAppend is the prebuilt append closure handed to verifiers.
-	emitBuf    []Match
-	emitAppend func(Match)
 }
 
 // walkRef is one prefix token in the selectivity-ordered walk: pos is the
@@ -159,14 +149,9 @@ type Index struct {
 // (the sort key).
 type walkRef struct{ pos, n int }
 
-const (
-	// sweepFloor is the dead-posting count below which no sweep runs, so
-	// a near-empty index does not sweep on every other eviction.
-	sweepFloor = 64
-	// emitSortCutover is the match count up to which emitCanonical sorts
-	// by insertion; longer buffers go to slices.SortFunc.
-	emitSortCutover = 12
-)
+// sweepFloor is the dead-posting count below which no sweep runs, so a
+// near-empty index does not sweep on every other eviction.
+const sweepFloor = 64
 
 // New returns an empty bundle index.
 func New(p filter.Params, w window.Policy, cfg Config) *Index {
@@ -176,7 +161,6 @@ func New(p filter.Params, w window.Policy, cfg Config) *Index {
 		cfg:    cfg.withDefaults(p.Threshold),
 	}
 	bx.posts.rebuild(postMinBits)
-	bx.emitAppend = func(m Match) { bx.emitBuf = append(bx.emitBuf, m) }
 	return bx
 }
 
@@ -341,57 +325,31 @@ func (bx *Index) sweep() {
 	}
 }
 
-// Probe finds all live records similar to r, emits them in the canonical
-// per-probe order (ascending partner record ID), and returns the best
-// match's bundle together with the best similarity (ok=false when there
-// is no match). Verification is exact; emitted overlaps are true
-// intersection sizes. The match stream and the insertion hint are
-// identical for every pool size.
+// Probe finds all live records similar to r, emits each as it is verified
+// — candidate bundles in collectCandidates' order, members in bundle order:
+// a deterministic function of index state, not sorted by anything — and
+// returns the best match's bundle together with the best similarity
+// (ok=false when there is no match). Verification is exact; emitted
+// overlaps are true intersection sizes. The match stream and the insertion
+// hint are identical for every pool size.
 func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok bool) {
-	cands := bx.collectCandidates(r)
-	bx.emitBuf = bx.emitBuf[:0]
-	for _, b := range cands {
-		if m, found := bx.probeBundle(r, b, &bx.stats, bx.emitAppend); found {
-			if !ok || betterIns(m, best) {
-				best, ok = m, true
-			}
-		}
-	}
-	bx.emitCanonical(emit)
+	best, ok = bx.verifySerial(r, bx.collectCandidates(r), emit)
 	bx.publish()
 	return best, ok
 }
 
-// emitCanonical flushes the probe's buffered matches in ascending
-// partner-ID order — the canonical emission order shared by serial and
-// pooled probes, which is what makes the two paths byte-interchangeable.
-// Each partner appears at most once per probe (one member per record), so
-// the order is total and any correct sort yields the same sequence. The
-// sort key is the partner ID carried in the match, so comparing never
-// leaves the buffer. Short buffers — the concatenation of a few sorted
-// runs (per-bundle member order) — are insertion-sorted in line; long ones
-// go to the library sort, which has no quadratic tail.
+// verifySerial verifies cands on the calling goroutine, emitting straight
+// to the caller.
 //
-// hotpath: zero-alloc — runs once per probe over the reused buffer.
-func (bx *Index) emitCanonical(emit func(Match)) {
-	ms := bx.emitBuf
-	if len(ms) <= emitSortCutover {
-		for i := 1; i < len(ms); i++ {
-			for j := i; j > 0 && ms[j].id < ms[j-1].id; j-- {
-				ms[j], ms[j-1] = ms[j-1], ms[j]
-			}
+// hotpath: zero-alloc — runs once per probe.
+func (bx *Index) verifySerial(r *record.Record, cands []*Bundle, emit func(Match)) (best Insertion, ok bool) {
+	for _, b := range cands {
+		if m, found := bx.probeBundle(r, b, &bx.stats, emit); found && (!ok || betterIns(m, best)) {
+			best, ok = m, true
 		}
-	} else {
-		slices.SortFunc(ms, cmpMatchID)
 	}
-	for i := range ms {
-		emit(ms[i])
-	}
+	return best, ok
 }
-
-// cmpMatchID orders matches by partner ID. Package-level so that handing
-// it to slices.SortFunc allocates no closure.
-func cmpMatchID(a, b Match) int { return cmp.Compare(a.id, b.id) }
 
 // bindProbe fixes the per-probe invariants every filter of this probe
 // reads: the compatible partner length range and — for a probe long enough
@@ -525,18 +483,18 @@ func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 }
 
 // Insertion names the bundle an incoming record should join. At is the
-// record ID of the best match backing the hint: the canonical rule —
-// maximum similarity, ties to the smallest partner ID — makes the pick a
-// pure function of the match set, so every pool size drives the
-// identical grouping evolution.
+// record ID of the best match backing the hint: the rule — maximum
+// similarity, ties to the smallest partner ID — makes the pick a pure
+// function of the match set, whatever order the matches were found in, so
+// every pool size drives the identical grouping evolution.
 type Insertion struct {
 	Bundle *Bundle
 	Sim    float64
 	At     record.ID
 }
 
-// betterIns reports whether insertion hint a beats b under the canonical
-// rule. Similarities are computed from identical (overlap, length)
+// betterIns reports whether insertion hint a beats b under that rule.
+// Similarities are computed from identical (overlap, length)
 // inputs on every path, so ties compare bitwise-equal floats.
 func betterIns(a, b Insertion) bool {
 	return a.Sim > b.Sim || (a.Sim == b.Sim && a.At < b.At)
@@ -561,25 +519,31 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 	bmin, bmax := b.MinLen(), b.MaxLen()
 	reqMin := bx.minRequired(la, bmin, lo)
 
-	// Singleton fast path: the union is the member, so a single
-	// early-terminating merge both filters and verifies. The member's
-	// length is the bundle's whole range, which already passed the length
-	// check, so its own requirement is reqMin.
+	// Singleton fast path: a single early-terminating merge both filters
+	// and verifies. The member's length is the bundle's whole range, which
+	// already passed the length check, so its own requirement is reqMin.
+	// Union ⊇ the member's tokens, so at equal size it is the member's token
+	// set (add and rebuildUnion alias the very slice): the merge reads it
+	// off the Bundle's first line, and the Member behind Members[0] is
+	// loaded only for a match.
 	if len(b.Members) == 1 {
-		m := b.Members[0]
-		lb := bmin
+		toks := b.Union
+		if len(toks) != bmin {
+			toks = b.Members[0].Rec.Tokens
+		}
 		st.MemberChecks++
-		o, steps, ok := overlapKernelBounded(st, r.Tokens, m.Rec.Tokens, reqMin)
+		o, steps, ok := overlapKernelBounded(st, r.Tokens, toks, reqMin)
 		st.SingletonFast++
 		st.VerifySteps += uint64(steps)
 		st.Verified++
 		if !ok {
 			return Insertion{}, false
 		}
-		sim := similarity.FromOverlap(bx.params.Func, o, la, lb)
+		m := b.Members[0]
+		sim := similarity.FromOverlap(bx.params.Func, o, la, bmin)
 		st.Results++
-		emit(Match{Rec: m.Rec, Overlap: o, Sim: sim, id: m.Rec.ID})
-		return Insertion{Bundle: b, Sim: sim, At: m.Rec.ID}, true
+		emit(Match{Rec: m.Rec, ID: m.id, Overlap: o, Sim: sim})
+		return Insertion{Bundle: b, Sim: sim, At: m.id}, true
 	}
 
 	// Quick size bound before any merge: overlap(r, y) <= min(la, ly,
@@ -616,14 +580,19 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 		haveCore  bool
 		best      Insertion
 		found     bool
+		// req is the overlap a member of reqLen tokens needs: float
+		// arithmetic a run of equal-length members pays once.
+		reqLen, req = -1, 0
 	)
 	for _, m := range b.Members {
-		lb := m.Rec.Len()
+		lb := m.ln
 		if lb < lo || lb > hi {
 			continue
 		}
 		st.MemberChecks++
-		req := bx.params.RequiredOverlap(la, lb)
+		if lb != reqLen {
+			reqLen, req = lb, bx.params.RequiredOverlap(la, lb)
+		}
 		ub := unionO
 		if lb < ub {
 			ub = lb
@@ -675,9 +644,9 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 		}
 		sim := similarity.FromOverlap(bx.params.Func, o, la, lb)
 		st.Results++
-		emit(Match{Rec: m.Rec, Overlap: o, Sim: sim, id: m.Rec.ID})
-		if !found || betterIns(Insertion{Sim: sim, At: m.Rec.ID}, best) {
-			best, found = Insertion{Bundle: b, Sim: sim, At: m.Rec.ID}, true
+		emit(Match{Rec: m.Rec, ID: m.id, Overlap: o, Sim: sim})
+		if !found || betterIns(Insertion{Sim: sim, At: m.id}, best) {
+			best, found = Insertion{Bundle: b, Sim: sim, At: m.id}, true
 		}
 	}
 	return best, found

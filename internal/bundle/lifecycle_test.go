@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -290,50 +291,129 @@ func TestSweepAfterBurst(t *testing.T) {
 	}
 }
 
-// emitByRecID is the insertion sort emitCanonical used before matches
-// carried their key, kept as the order reference.
-func emitByRecID(ms []Match) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j].Rec.ID < ms[j-1].Rec.ID; j-- {
-			ms[j], ms[j-1] = ms[j-1], ms[j]
+// TestEmitOrderIsDiscoveryOrder pins the emission contract: matches leave a
+// probe in the order verification finds them — candidate order, then member
+// order — which is a function of index state alone. So the serial probe and
+// the pooled one at every size emit the same sequence with the same counters,
+// a second index fed the same records emits it again, and per probe it is a
+// permutation of the brute-force partner set.
+func TestEmitOrderIsDiscoveryOrder(t *testing.T) {
+	cases := []struct {
+		profile workload.Profile
+		n       int
+		tau     float64
+		win     window.Count
+		fans    bool // probes reach fanoutMin candidates
+	}{
+		{workload.AOLLike(42), 6000, 0.8, window.Count{N: 1500}, true},
+		{workload.EnronLike(42), 1200, 0.7, window.Count{N: 300}, false},
+	}
+	unsorted := 0
+	for _, tc := range cases {
+		stream := workload.NewGenerator(tc.profile).Generate(tc.n)
+		want, wantStats := runSequential(stream, tc.tau, tc.win, Config{})
+		if wantStats.Evicted == 0 || wantStats.Appends == 0 {
+			t.Fatalf("%s: degenerate stream: %+v", tc.profile.Name, wantStats)
 		}
-	}
-}
-
-// matchRuns fills a probe buffer the way verification does: n matches with
-// distinct partner IDs, as a concatenation of short ascending runs.
-func matchRuns(rng *rand.Rand, n int) []Match {
-	ms := make([]Match, n)
-	for i, id := range rng.Perm(n) {
-		r := &record.Record{ID: record.ID(id)}
-		ms[i] = Match{Rec: r, Overlap: id, Sim: float64(id), id: r.ID}
-	}
-	for lo := 0; lo < n; {
-		hi := min(n, lo+1+rng.Intn(6))
-		emitByRecID(ms[lo:hi])
-		lo = hi
-	}
-	return ms
-}
-
-// TestEmitCanonicalOrder pins the emission order on both sides of the
-// sort cut-over against the reference sort.
-func TestEmitCanonicalOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(103))
-	for _, n := range []int{1, emitSortCutover, emitSortCutover + 1, 1000} {
-		bx := New(params(0.8), window.Unbounded{}, Config{})
-		bx.emitBuf = matchRuns(rng, n)
-		want := append([]Match(nil), bx.emitBuf...)
-		emitByRecID(want)
-		var got []Match
-		bx.emitCanonical(func(m Match) { got = append(got, m) })
-		if len(got) != n {
-			t.Fatalf("n=%d: emitted %d", n, len(got))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: position %d is partner %d, want %d", n, i, got[i].Rec.ID, want[i].Rec.ID)
+		// P=1 is Probe itself on a second index: the determinism check.
+		for _, p := range []int{1, 2, 4} {
+			label := fmt.Sprintf("%s P=%d", tc.profile.Name, p)
+			bx := New(params(tc.tau), tc.win, Config{})
+			pool := NewPool(p)
+			var got []emitted
+			for _, r := range stream {
+				processPar(bx, pool, r, func(m Match) {
+					if m.ID != m.Rec.ID {
+						t.Fatalf("%s: match carries ID %d for record %d", label, m.ID, m.Rec.ID)
+					}
+					got = append(got, emitted{r.ID, m.Rec.ID, m.Overlap, m.Sim})
+				})
 			}
+			pool.Close()
+			requireStreams(t, label, got, want, bx.Stats(), wantStats)
+			if ps := pool.Snapshot(); p > 1 && tc.fans && ps.RoundsParallel == 0 {
+				t.Fatalf("%s: no probe was fanned out: %+v", label, ps)
+			}
+		}
+
+		// Per probe, the emitted partners are exactly the brute-force ones,
+		// each once.
+		truth := bruteForce(stream, tc.tau, tc.win)
+		if len(want) != len(truth) {
+			t.Fatalf("%s: %d matches emitted, brute force finds %d", tc.profile.Name, len(want), len(truth))
+		}
+		seen := make(map[record.Pair]bool, len(want))
+		for i, e := range want {
+			pr := record.NewPair(e.Probe, e.Partner, 0)
+			if !truth[pr] || seen[pr] {
+				t.Fatalf("%s: match %v is wrong or emitted twice", tc.profile.Name, e)
+			}
+			seen[pr] = true
+			if i > 0 && want[i-1].Probe == e.Probe && want[i-1].Partner > e.Partner {
+				unsorted++
+			}
+		}
+	}
+	// Not a requirement, a guard on the test: streams whose discovery order
+	// happened to be ascending partner ID would pin nothing.
+	if unsorted == 0 {
+		t.Fatal("every probe emitted in ascending partner order")
+	}
+}
+
+// TestSingletonUnionIsMember pins what the singleton fast path relies on to
+// verify against Union without loading the member: whatever a bundle grew to,
+// once evictions leave it one member its Union is that member's token set.
+// The fast path checks the lengths itself, so a remove that stopped
+// rebuilding would cost a load, not a wrong result — the table below forces
+// that case.
+func TestSingletonUnionIsMember(t *testing.T) {
+	bx := New(params(0.6), window.Count{N: 40}, Config{})
+	grown := make(map[*Bundle]int) // live bundle → most members it has had
+	shrunk := 0                    // lone survivors of bundles that had >= 3
+	for _, r := range duplicateHeavyStream(rand.New(rand.NewSource(131)), 2000, 40) {
+		bx.Evict(r.ID, r.Time)
+		live := make(map[*Bundle]bool)
+		for _, fe := range bx.fifo[bx.head:] {
+			live[fe.b] = true
+		}
+		for b := range grown {
+			if !live[b] {
+				delete(grown, b) // died: its slot may found another bundle
+			}
+		}
+		for b := range live {
+			grown[b] = max(grown[b], len(b.Members))
+			if len(b.Members) != 1 {
+				continue
+			}
+			if len(b.Union) != b.MinLen() || !slices.Equal(b.Union, b.Members[0].Rec.Tokens) {
+				t.Fatalf("record %d: lone member %v of a bundle that had %d, Union %v",
+					r.ID, b.Members[0].Rec.Tokens, grown[b], b.Union)
+			}
+			if grown[b] >= 3 {
+				shrunk++
+			}
+		}
+		best, _ := bx.Probe(r, func(Match) {})
+		bx.Insert(r, best)
+	}
+	if shrunk == 0 || bx.Stats().MaxBundleSize < 3 {
+		t.Fatalf("no bundle of >= 3 members shrank to one (max size %d)", bx.Stats().MaxBundleSize)
+	}
+
+	for _, union := range [][]tokens.Rank{nil, {1, 2, 3, 4, 9}} { // nil: leave the alias
+		bx := New(params(0.6), window.Unbounded{}, Config{})
+		bx.Process(rec(0, 1, 2, 3, 4), func(Match) {})
+		if union != nil {
+			b := bx.fifo[0].b
+			b.Union, b.unionOwned = union, true
+		}
+		var got []Match
+		bx.Probe(rec(1, 1, 2, 3, 9), func(m Match) { got = append(got, m) })
+		if len(got) != 1 || got[0].ID != 0 || got[0].Overlap != 3 || got[0].Sim != 0.6 || bx.Stats().SingletonFast != 1 {
+			t.Fatalf("Union %v: got %+v (singleton fast path ran %d times), want overlap 3 at 0.6",
+				union, got, bx.Stats().SingletonFast)
 		}
 	}
 }
@@ -453,7 +533,7 @@ func wideBundles(n, per int) (*Index, []*record.Record) {
 
 // BenchmarkProbeWideBundles probes bundles at the member cap: the
 // per-candidate bundle filters must not walk the members, and the probe
-// path (collect, filter, verify, canonical emit) must not allocate.
+// path (collect, filter, verify, emit) must not allocate.
 func BenchmarkProbeWideBundles(b *testing.B) {
 	bx, probes := wideBundles(64, 64)
 	if bx.Stats().MaxBundleSize != 64 {
@@ -471,24 +551,6 @@ func BenchmarkProbeWideBundles(b *testing.B) {
 	}
 	if results == 0 {
 		b.Fatal("probes matched nothing")
-	}
-}
-
-// BenchmarkEmitCanonical sorts and flushes one probe's matches on both
-// sides of the sort cut-over; 0 allocs/op is gated in CI.
-func BenchmarkEmitCanonical(b *testing.B) {
-	for _, n := range []int{8, 64, 1024} {
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			bx := New(params(0.8), window.Unbounded{}, Config{})
-			src := matchRuns(rand.New(rand.NewSource(109)), n)
-			emit := func(Match) {}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bx.emitBuf = append(bx.emitBuf[:0], src...)
-				bx.emitCanonical(emit)
-			}
-		})
 	}
 }
 
@@ -511,12 +573,26 @@ func BenchmarkInsertEvictSteadyState(b *testing.B) {
 }
 
 // TestHotStructSizes pins the structs a probe walks: a slab of members or
-// bundles is cache lines per candidate and bytes per record.
+// bundles is cache lines per candidate and bytes per record, and a Match is
+// copied once per result.
 func TestHotStructSizes(t *testing.T) {
-	if m, b := unsafe.Sizeof(Member{}), unsafe.Sizeof(Bundle{}); m != 32 || b > 120 {
-		t.Fatalf("Member is %d B (want 32), Bundle %d B (limit 120)", m, b)
-	} else {
-		t.Logf("Member %d B, Bundle %d B, Match %d B", m, b, unsafe.Sizeof(Match{}))
+	m, b, r := unsafe.Sizeof(Member{}), unsafe.Sizeof(Bundle{}), unsafe.Sizeof(Match{})
+	if m != 48 || b > 120 || r > 32 {
+		t.Fatalf("Member is %d B (want 48), Bundle %d B (limit 120), Match %d B (limit 32)", m, b, r)
+	}
+	// What probeBundle reads of a bundle before its first merge ends within
+	// the struct's first 64 bytes.
+	var z Bundle
+	for name, end := range map[string]uintptr{
+		"Members": unsafe.Offsetof(z.Members) + unsafe.Sizeof(z.Members),
+		"Union":   unsafe.Offsetof(z.Union) + unsafe.Sizeof(z.Union),
+		"slot":    unsafe.Offsetof(z.slot) + unsafe.Sizeof(z.slot),
+		"minLen":  unsafe.Offsetof(z.minLen) + unsafe.Sizeof(z.minLen),
+		"maxLen":  unsafe.Offsetof(z.maxLen) + unsafe.Sizeof(z.maxLen),
+	} {
+		if end > 64 {
+			t.Errorf("Bundle.%s ends at byte %d, past the first line", name, end)
+		}
 	}
 	// One cache line per prefix token, eight hot entries per line.
 	if pb, h := unsafe.Sizeof(pbucket{}), unsafe.Sizeof(hot{}); pb != 64 || h != 8 {

@@ -1,23 +1,23 @@
 // Parallel probe/verify: a per-index pool of verifier goroutines fans
 // the verification of a probe's candidate bundles out across cores and
-// merges the results back into the canonical per-probe emission order
-// (ascending partner ID), so a parallel probe emits the exact byte
-// sequence the sequential Probe emits — for any pool size.
+// emits the results in candidate order, so a parallel probe emits the
+// exact sequence the sequential Probe emits — for any pool size.
 //
 // The determinism argument rests on the phase split collectCandidates
 // introduced: collect (single-writer, mutates postings) → verify
-// (read-only, fanned out) → merge (single-writer, canonical order) →
+// (read-only, fanned out) → emit (single-writer, candidate order) →
 // insert (single-writer). During the verify phase no goroutine writes
 // the index, so verifiers need no locks and no snapshots; each works out
 // of its own VerifyCtx (stats + match arena), and the WaitGroup barrier
 // plus the job channel sends give the happens-before edges that make the
 // whole exchange race-detector clean. Matches land in per-context arenas
-// tagged with (context, offset, count) per candidate; the merge gathers
-// every range into the probe buffer and flushes it canonically sorted —
-// the same order the sequential path produces. The best-insertion pick
-// applies the canonical (max similarity, min partner ID) rule, a pure
-// function of the match set, so grouping decisions (and therefore index
-// evolution) are identical too.
+// tagged with (context, offset, count) per candidate *position*; after the
+// barrier the caller walks the positions in order and emits each range
+// straight out of its arena — which context verified a candidate decides
+// where its matches sit, never when they are emitted. The best-insertion
+// pick applies betterIns (max similarity, min partner ID), a pure function
+// of the match set, so grouping decisions (and therefore index evolution)
+// are identical too.
 package bundle
 
 import (
@@ -30,7 +30,7 @@ import (
 // fanoutMin is the candidate count below which a pooled probe stays on the
 // calling goroutine: waking helpers for a couple of bundles costs more than
 // the verification itself. Determinism does not depend on the cutoff — the
-// serial path and the fanned path emit identical streams.
+// serial path and the fanned path emit identical sequences.
 const fanoutMin = 4
 
 // claimChunk is how many candidates a verifier claims per atomic cursor
@@ -41,9 +41,9 @@ const claimChunk = 8
 
 // VerifyCtx is the goroutine-local state of one verifier: private work
 // counters (folded into Index.Stats at the barrier via mergeVerify) and a
-// match arena (gathered at merge). Contexts are created once per pool and
-// reused for every record, so the steady-state probe path allocates
-// nothing beyond amortized arena growth.
+// match arena (emitted from after the barrier). Contexts are created once
+// per pool and reused for every record, so the steady-state probe path
+// allocates nothing beyond amortized arena growth.
 type VerifyCtx struct {
 	id      int
 	stats   Stats
@@ -57,8 +57,8 @@ type VerifyCtx struct {
 }
 
 // candResult records where one candidate's matches landed: an arena
-// range in ctx's VerifyCtx plus the candidate's best-insertion hint. The
-// merge phase gathers the ranges and flushes them canonically sorted.
+// range in ctx's VerifyCtx plus the candidate's best-insertion hint.
+// Pool.verify emits the ranges in candidate order.
 type candResult struct {
 	ctx    int
 	off, n int
@@ -185,7 +185,7 @@ func (p *Pool) runStint(j *probeJob, c *VerifyCtx) {
 }
 
 // ProbePar is Probe with the verification of the candidate bundles fanned
-// out over pool. It emits the byte-identical match stream and returns the
+// out over pool. It emits the identical match sequence and returns the
 // identical insertion hint for any pool size, including nil (sequential).
 // The caller must be the pool's owning goroutine.
 func (bx *Index) ProbePar(pool *Pool, r *record.Record, emit func(Match)) (best Insertion, ok bool) {
@@ -193,32 +193,25 @@ func (bx *Index) ProbePar(pool *Pool, r *record.Record, emit func(Match)) (best 
 		return bx.Probe(r, emit)
 	}
 	cands := bx.collectCandidates(r)
-	bx.emitBuf = bx.emitBuf[:0]
 	if len(cands) < fanoutMin {
 		pool.roundsSerial.Add(1)
-		for _, b := range cands {
-			if m, found := bx.probeBundle(r, b, &bx.stats, bx.emitAppend); found {
-				if !ok || betterIns(m, best) {
-					best, ok = m, true
-				}
-			}
-		}
+		best, ok = bx.verifySerial(r, cands, emit)
 	} else {
-		best, ok = pool.verify(bx, r, cands)
+		best, ok = pool.verify(bx, r, cands, emit)
 	}
-	bx.emitCanonical(emit)
 	bx.publish()
 	return best, ok
 }
 
 // verify runs one fanned round: reset the per-context arenas, wake enough
 // helpers for the candidates, verify from the caller's own context, wait
-// the barrier out, then fold the per-context stats into the index, gather
-// every result range into the probe buffer (the caller flushes it
-// canonically) and reduce the best-insertion hints under the canonical
-// rule — a pure function of the match set, so reduction order cannot
-// matter.
-func (p *Pool) verify(bx *Index, r *record.Record, cands []*Bundle) (best Insertion, ok bool) {
+// the barrier out, then fold the per-context stats into the index, emit
+// every candidate's arena range in candidate order — res is indexed by
+// candidate position, so that is the order the serial loop finds them in,
+// whichever context verified what — and reduce the best-insertion hints
+// under betterIns, a pure function of the match set, so reduction order
+// cannot matter.
+func (p *Pool) verify(bx *Index, r *record.Record, cands []*Bundle, emit func(Match)) (best Insertion, ok bool) {
 	p.roundsParallel.Add(1)
 	p.fanned.Add(uint64(len(cands)))
 	if cap(p.res) < len(cands) {
@@ -250,9 +243,8 @@ func (p *Pool) verify(bx *Index, r *record.Record, cands []*Bundle) (best Insert
 	}
 	for i := range res {
 		cr := &res[i]
-		if cr.n > 0 {
-			arena := p.ctxs[cr.ctx].arena
-			bx.emitBuf = append(bx.emitBuf, arena[cr.off:cr.off+cr.n]...)
+		for _, m := range p.ctxs[cr.ctx].arena[cr.off : cr.off+cr.n] {
+			emit(m)
 		}
 		if cr.found && (!ok || betterIns(cr.best, best)) {
 			best, ok = cr.best, true

@@ -101,14 +101,6 @@ var allocSafeStdlib = map[string]bool{
 	"unicode/utf8": true,
 }
 
-// allocSafeStdlibFuncs lists single functions of packages that cannot be
-// trusted wholesale. slices.SortFunc sorts in place (pdqsort, no scratch
-// buffer); handing it a declared function — a closure is its own finding
-// at the call site — allocates nothing.
-var allocSafeStdlibFuncs = map[string]bool{
-	"slices.SortFunc": true,
-}
-
 func runAllocCheck(pass *Pass) error {
 	c := &allocChecker{pass: pass, summaries: make(map[*types.Func]*allocSummary)}
 	var order []*types.Func
@@ -229,7 +221,7 @@ type allocChecker struct {
 // count as allocating — unverifiable is a finding, not a pass.
 func (c *allocChecker) externalAllocates(callee *types.Func) (what string, bad bool) {
 	pkg := callee.Pkg()
-	if pkg == nil || allocSafeStdlib[pkg.Path()] || allocSafeStdlibFuncs[pkg.Path()+"."+callee.Name()] {
+	if pkg == nil || allocSafeStdlib[pkg.Path()] {
 		return "", false
 	}
 	var af AllocFact

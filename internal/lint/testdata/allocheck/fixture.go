@@ -6,7 +6,6 @@ package allocfix
 
 import (
 	"io"
-	"slices"
 	"strconv"
 	"unicode"
 	"unicode/utf8"
@@ -48,17 +47,6 @@ func viaCall(n int) []int {
 func external(v int) string {
 	return strconv.Itoa(v) // want "not verified alloc-free"
 }
-
-// sortsInPlace uses the one allowlisted function of package slices with a
-// declared comparator; the rest of the package stays unverified.
-//
-// hotpath: zero-alloc
-func sortsInPlace(xs []int) []int {
-	slices.SortFunc(xs, cmpInt)
-	return slices.Clone(xs) // want "not verified alloc-free"
-}
-
-func cmpInt(a, b int) int { return a - b }
 
 // lowers decodes, classifies and re-encodes runes: unicode and
 // unicode/utf8 are allowlisted, and AppendRune in the self-assign form

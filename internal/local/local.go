@@ -21,12 +21,11 @@ import (
 	"repro/internal/window"
 )
 
-// Match is a verified join result emitted by a Joiner.
-type Match struct {
-	Rec     *record.Record
-	Overlap int
-	Sim     float64
-}
+// Match is a verified join result emitted by a Joiner: the bundle index's
+// own match type, so the Bundled joiner hands the caller's emit straight to
+// the probe. ID is always Rec.ID; a consumer that only pairs IDs reads it
+// and leaves the partner record alone.
+type Match = bundle.Match
 
 // Cost summarizes the work a joiner performed, in comparable units across
 // algorithms. The load-aware partitioner and the experiment harness consume
@@ -198,7 +197,7 @@ func (n *naiveJoiner) Step(r *record.Record, store bool, emit func(Match)) {
 		n.cost.Verified++
 		if o >= req {
 			n.cost.Results++
-			emit(Match{Rec: s, Overlap: o,
+			emit(Match{Rec: s, ID: s.ID, Overlap: o,
 				Sim: similarity.FromOverlap(n.params.Func, o, r.Len(), s.Len())})
 		}
 	}
@@ -285,7 +284,7 @@ func (p *prefixJoiner) Step(r *record.Record, store bool, emit func(Match)) {
 		p.cost.Verified++
 		if o >= req {
 			p.cost.Results++
-			emit(Match{Rec: c.Rec, Overlap: o,
+			emit(Match{Rec: c.Rec, ID: c.Rec.ID, Overlap: o,
 				Sim: similarity.FromOverlap(p.params.Func, o, la, c.Rec.Len())})
 		}
 	})
@@ -380,9 +379,7 @@ func (b *bundledJoiner) Cost() Cost {
 func (b *bundledJoiner) Step(r *record.Record, store bool, emit func(Match)) {
 	b.probes++
 	b.bx.Evict(r.ID, r.Time)
-	best, _ := b.bx.ProbePar(b.pool, r, func(m bundle.Match) {
-		emit(Match{Rec: m.Rec, Overlap: m.Overlap, Sim: m.Sim})
-	})
+	best, _ := b.bx.ProbePar(b.pool, r, emit)
 	if store {
 		b.bx.Insert(r, best)
 		b.stored++

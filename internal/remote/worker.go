@@ -340,7 +340,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 			if !strat.Emits(r, m.Rec, task, workers) {
 				return
 			}
-			a, b := r.ID, m.Rec.ID
+			a, b := r.ID, m.ID
 			if a > b {
 				a, b = b, a
 			}

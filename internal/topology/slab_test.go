@@ -127,7 +127,7 @@ func BenchmarkResultEdge(b *testing.B) {
 	probe := &record.Record{ID: 1 << 40}
 	joiner := &fanJoiner{matches: make([]local.Match, pairsPerRec)}
 	for i := range joiner.matches {
-		joiner.matches[i] = local.Match{Rec: &record.Record{ID: record.ID(i)}, Sim: 1}
+		joiner.matches[i] = local.Match{Rec: &record.Record{ID: record.ID(i)}, ID: record.ID(i), Sim: 1}
 	}
 	sink := &sinkBolt{}
 	tp := resultEdge(16, &repeatSpout{t: &RecTuple{Rec: probe}, n: b.N}, joiner, sink)

@@ -426,7 +426,7 @@ func (w *workerBolt) emitMatch(m local.Match) {
 		s = w.takeSlab()
 		w.slab = s
 	}
-	s.pairs = append(s.pairs, record.NewPair(w.curRec.ID, m.Rec.ID, m.Sim))
+	s.pairs = append(s.pairs, record.NewPair(w.curRec.ID, m.ID, m.Sim))
 	if w.curTrace != nil {
 		now := time.Now()
 		span := w.curTrace.Append("verify", "worker", w.task, w.curQueueSpan, now, now)

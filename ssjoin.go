@@ -234,7 +234,8 @@ func (s *Stream) freshJoiner() local.Joiner {
 // Add ingests the next record given as a token multiset (any order,
 // duplicates ignored), returning the record's assigned ID and all matches
 // among earlier in-window records. The returned slice is reused by the next
-// Add call; copy it if you keep it.
+// Add call; copy it if you keep it. The order of matches within one call is
+// unspecified; sort by ID if you need one.
 func (s *Stream) Add(tokenSet []uint32) (id uint64, matches []Match) {
 	set := make([]tokens.Rank, len(tokenSet))
 	copy(set, tokenSet)
@@ -255,7 +256,7 @@ func (s *Stream) addRecord(r *record.Record) (uint64, []Match) {
 	s.scratch = s.scratch[:0]
 	s.joiner.Step(r, true, func(m local.Match) {
 		s.scratch = append(s.scratch, Match{
-			ID:         uint64(m.Rec.ID),
+			ID:         uint64(m.ID),
 			Overlap:    m.Overlap,
 			Similarity: m.Sim,
 		})

@@ -56,7 +56,8 @@ func NewTextStream(cfg Config, tok Tokenization, sample []string) (*TextStream, 
 }
 
 // Add ingests one text record and returns its ID and matches. Texts that
-// tokenize to the empty set get an ID but never match anything.
+// tokenize to the empty set get an ID but never match anything. The order of
+// matches within one call is unspecified; sort by ID if you need one.
 func (t *TextStream) Add(text string) (id uint64, matches []Match) {
 	r := t.builder.FromText(text)
 	return t.stream.addRecord(&r)
