@@ -61,7 +61,7 @@ func main() {
 		rmt     = flag.String("remote", "", "comma-separated ssjoinworker addresses; replaces the in-process engine")
 		monitor = flag.String("monitor", "", "comma-separated worker HTTP (-http) addresses: scrape /metrics, print a cluster table, exit")
 
-		traceN     = flag.Int("trace", 0, "with -remote: sample 1 in N records for distributed tracing (0 disables; sampled records carry trace context to workers as the wire v3 annotation)")
+		traceN     = flag.Int("trace", 0, "with -remote: sample 1 in N records for distributed tracing (0 disables; sampled records carry trace context to workers as the wire trace annotation)")
 		scrape     = flag.String("scrape", "", "with -remote -trace: comma-separated worker HTTP (-http) addresses to collect span fragments and events from")
 		coordHTTP  = flag.String("http", "", "with -remote: coordinator HTTP address serving /metrics, /debug/traces (stitched), /debug/events, and /healthz")
 		linger     = flag.Duration("linger", 0, "with -remote -http: keep serving (and re-collecting) the debug endpoints this long after the run")

@@ -58,7 +58,7 @@ type Opts struct {
 	Snapshot bool
 	// Tracer samples distributed traces at the dispatch loop: a sampled
 	// record gets emit and wire spans in a coordinator-rooted trace and
-	// carries (trace id, wire span index) to the worker as the wire v3
+	// carries (trace id, wire span index) to the worker as the wire
 	// trace annotation. Nil (or a disabled tracer) keeps the dispatch path
 	// and the wire encoding byte-identical to an untraced run.
 	Tracer *obs.Tracer

@@ -8,7 +8,7 @@
 // and re-send their unacknowledged result tails, so the final result set
 // is exactly the uninterrupted run's.
 //
-// Result-acknowledgement protocol (wire v4 Credit frames, coordinator →
+// Result-acknowledgement protocol (wire Credit frames, coordinator →
 // worker): the reader goroutine counts, per connection, each *distinct*
 // result received while durable mode is on (new results are appended to
 // the results log first; re-sent ones are already there). The write loop
@@ -27,7 +27,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/record"
 	"repro/internal/wal"
@@ -265,39 +264,3 @@ func ReadResultsLog(stateDir string) ([]wire.Result, error) {
 		out = append(out, res)
 	}
 }
-
-// SessionControl pauses and resumes a fault-tolerant run's record streams
-// from outside: Pause makes every worker's write loop send a wire Pause
-// frame and park (heartbeats and result acknowledgements keep flowing, so
-// a paused fleet still drains its unacked buffers), Resume releases them.
-// Attach one via FT.Control. All methods are safe for concurrent use and
-// nil-safe.
-type SessionControl struct {
-	paused atomic.Bool
-	r      atomic.Pointer[ftRunner]
-}
-
-// Pause parks every record stream. Idempotent.
-func (c *SessionControl) Pause() {
-	if c == nil || c.paused.Swap(true) {
-		return
-	}
-	if f := c.r.Load(); f != nil {
-		f.journal.Append("pause_all", "coordinator", "record streams paused by session control")
-		f.kickAll()
-	}
-}
-
-// Resume releases a Pause. Idempotent.
-func (c *SessionControl) Resume() {
-	if c == nil || !c.paused.Swap(false) {
-		return
-	}
-	if f := c.r.Load(); f != nil {
-		f.journal.Append("resume_all", "coordinator", "record streams resumed by session control")
-		f.kickAll()
-	}
-}
-
-// Paused reports the current control state.
-func (c *SessionControl) Paused() bool { return c != nil && c.paused.Load() }

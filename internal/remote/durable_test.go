@@ -13,7 +13,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/faultwire"
 	"repro/internal/local"
-	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/window"
 	"repro/internal/wire"
@@ -301,7 +300,7 @@ func TestWorkerRejectsPlanMismatch(t *testing.T) {
 				ackDone <- errors.New("unexpected frame type")
 				return
 			}
-			_, _, _, err = rd.ReadResumeAckCredit()
+			_, _, err = rd.ReadResumeAck()
 			ackDone <- err
 		}()
 		select {
@@ -328,90 +327,6 @@ func TestWorkerRejectsPlanMismatch(t *testing.T) {
 	}
 	if errors.Is(sessErr, checkpoint.ErrPlanMismatch) {
 		t.Errorf("matching plan hash rejected: %v", sessErr)
-	}
-}
-
-// TestSessionControlPauseHoldsFleet pins the PauseAll mechanism: with the
-// control pre-paused, a running session's workers must see zero records
-// and the coordinator journal must stay quiet across observation rounds —
-// the paused fleet neither streams nor accumulates anything — then Resume
-// releases the run to full parity.
-func TestSessionControlPauseHoldsFleet(t *testing.T) {
-	recs := workload.NewGenerator(workload.UniformSmall(41)).Generate(400)
-	const tau = 0.7
-	k := 2
-	sess := testSession(tau, "broadcast", nil)
-	want := chaosBaseline(t, k, sess, recs)
-
-	workers := make([]*ftWorker, k)
-	for i := range workers {
-		workers[i] = startFTWorker(t, t.TempDir(), 2*time.Millisecond)
-	}
-	jr := obs.NewJournal(256)
-	ctl := &SessionControl{}
-	ctl.Pause() // before launch: deterministic — no record may ever flow
-
-	ft := fastFT(0x9A5E)
-	ft.Control = ctl
-	type result struct {
-		sum *RunSummary
-		err error
-	}
-	done := make(chan result, 1)
-	go func() {
-		sum, err := RunFT(context.Background(),
-			tcpDialer(func(task int) string { return workers[task].addr }),
-			k, sess, recs, Opts{CollectPairs: true, Journal: jr}, ft)
-		done <- result{sum, err}
-	}()
-
-	// Wait for every worker to complete its handshake, then observe.
-	deadline := time.Now().Add(5 * time.Second)
-	started := func() bool {
-		for _, w := range workers {
-			if w.mon.SessionsStarted.Load() == 0 {
-				return false
-			}
-		}
-		return true
-	}
-	for !started() && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if !started() {
-		t.Fatal("workers never handshook")
-	}
-	events := jr.Appended()
-	for round := 0; round < 3; round++ {
-		time.Sleep(30 * time.Millisecond)
-		for i, w := range workers {
-			if n := w.mon.RecordsSeen.Load(); n != 0 {
-				t.Fatalf("round %d: paused worker %d saw %d records", round, i, n)
-			}
-		}
-		if n := jr.Appended(); n != events {
-			t.Fatalf("round %d: journal grew from %d to %d events while paused", round, events, n)
-		}
-	}
-
-	ctl.Resume()
-	select {
-	case r := <-done:
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		requireParity(t, r.sum.Pairs, want, "pause-resume")
-	case <-time.After(30 * time.Second):
-		t.Fatal("run did not complete after resume")
-	}
-	var sawResume bool
-	for _, ev := range jr.Recent(256) {
-		if ev.Type == "resume_all" {
-			sawResume = true
-		}
-	}
-	if !sawResume {
-		t.Error("journal holds no resume_all event")
 	}
 }
 

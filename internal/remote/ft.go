@@ -65,9 +65,6 @@ type FT struct {
 	// manifest under Durable.StateDir) making the run resumable after a
 	// coordinator crash. Requires a non-zero SessionID.
 	Durable *Durable
-	// Control, when non-nil, lets the caller pause and resume the record
-	// streams mid-run (admission control against a backlogged fleet).
-	Control *SessionControl
 }
 
 // errEpochChanged aborts an attempt whose worker log was rebuilt (the
@@ -85,14 +82,6 @@ type ftEntry struct {
 	store      bool
 	traceID    uint64
 	parentSpan int
-}
-
-// resumeAck is the decoded handshake answer: the worker's resume cursor
-// and whether the peer speaks wire v4 (it appended an initial record
-// credit to the ack).
-type resumeAck struct {
-	next uint64
-	v4   bool
 }
 
 // ftMetrics holds the coordinator-side fault instruments. All fields are
@@ -335,9 +324,6 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		if merr := f.saveManifest(); merr != nil {
 			return nil, merr
 		}
-	}
-	if ft.Control != nil {
-		ft.Control.r.Store(f)
 	}
 
 	for i := 0; i < workers; i++ {
@@ -655,7 +641,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 	}
 
 	// Per-attempt flow-control state shared between the reader goroutine
-	// and the write loop. Credits are per-connection by design (wire v4):
+	// and the write loop. Credits are per-connection by design:
 	// every handshake resets them, so nothing here survives the attempt.
 	var (
 		recCredit    atomic.Int64  // records the worker will currently accept
@@ -663,7 +649,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 		workerPaused atomic.Bool   // worker-requested pause (unacked watermark)
 	)
 
-	ackCh := make(chan resumeAck, 1)
+	ackCh := make(chan uint64, 1) // the worker's resume cursor
 	statsCh := make(chan wire.Stats, 1)
 	readErrCh := make(chan error, 1)
 	var aw sync.WaitGroup
@@ -689,7 +675,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 			// wire-dispatch: coordinator
 			switch typ {
 			case wire.TypeResumeAck:
-				next, credit, hasCredit, rerr := rd.ReadResumeAckCredit()
+				next, credit, rerr := rd.ReadResumeAck()
 				if rerr != nil {
 					readErrCh <- rerr
 					return
@@ -698,10 +684,8 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 					continue // duplicate ack frame (fault injection); drop
 				}
 				ackSeen = true
-				if hasCredit {
-					recCredit.Store(int64(credit))
-				}
-				ackCh <- resumeAck{next: next, v4: hasCredit}
+				recCredit.Store(int64(credit))
+				ackCh <- next
 			case wire.TypeResult:
 				res, rerr := rd.ReadResult()
 				if rerr != nil {
@@ -803,15 +787,14 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 		aw.Wait()
 	}()
 
-	var ack resumeAck
+	var next uint64
 	select {
-	case ack = <-ackCh:
+	case next = <-ackCh:
 	case rerr := <-readErrCh:
 		return false, rerr
 	case <-ctx.Done():
 		return false, fmt.Errorf("remote: %w", ctx.Err())
 	}
-	v4 := ack.v4
 
 	// Handshake complete: locate the replay position and reset bookkeeping.
 	f.st.mu.Lock()
@@ -821,7 +804,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 	}
 	f.st.rebuilt[task] = false
 	log := f.st.logs[task]
-	pos := sort.Search(len(log), func(i int) bool { return uint64(log[i].rec.ID) >= ack.next })
+	pos := sort.Search(len(log), func(i int) bool { return uint64(log[i].rec.ID) >= next })
 	if prev := f.st.sentPos[task]; prev > pos {
 		n := uint64(prev - pos)
 		f.replayed.Add(n)
@@ -839,7 +822,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 			f.met.recovery.Observe(time.Since(failSince))
 		}
 		f.journal.Append("reconnect", "coordinator",
-			fmt.Sprintf("worker %d reconnected, resuming from id %d", task, ack.next))
+			fmt.Sprintf("worker %d reconnected, resuming from id %d", task, next))
 	}
 
 	// drainReader parks until the reader goroutine is done after a write
@@ -859,8 +842,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 	ping := time.NewTicker(f.hbInterval)
 	defer ping.Stop()
 	eofSent := false
-	var credited uint64  // result credits granted on this connection
-	toldPaused := false  // coordinator-side pause state the worker was told
+	var credited uint64 // result credits granted on this connection
 	for {
 		f.st.mu.Lock()
 		if f.st.epoch[task] != epoch {
@@ -876,7 +858,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 		// regardless of pause state, or a paused worker's unacked buffer
 		// could never drain. The sync makes every credited result durable
 		// whatever the WAL's background fsync policy says.
-		if v4 && f.durable != nil {
+		if f.durable != nil {
 			if d := resDurable.Load(); d > credited {
 				if serr := f.durable.results.Sync(); serr != nil {
 					drainReader()
@@ -890,35 +872,16 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 			}
 		}
 
-		// Coordinator-side admission control: tell a v4 worker about pause
-		// transitions so it can journal and relax its own pacing; the actual
-		// gate is below and applies to any peer version.
-		ctlPaused := f.ft.Control.Paused()
-		if v4 && ctlPaused != toldPaused {
-			var werr error
-			if ctlPaused {
-				werr = w.WritePause()
-			} else {
-				werr = w.WriteResume()
-			}
-			if werr != nil {
-				drainReader()
-				return true, fmt.Errorf("remote: pause/resume to worker %d: %w", task, werr)
-			}
-			toldPaused = ctlPaused
-		}
-		paused := ctlPaused || workerPaused.Load()
+		paused := workerPaused.Load()
 
 		if pos < end && !paused {
+			// Credit-gated: send at most what the worker granted. Out of
+			// credit, park below until a Credit frame replenishes.
 			n := end - pos
-			if v4 {
-				// Credit-gated: send at most what the worker granted. Out of
-				// credit, park below until a Credit frame replenishes.
-				if avail := recCredit.Load(); avail <= 0 {
-					n = 0
-				} else if int64(n) > avail {
-					n = int(avail)
-				}
+			if avail := recCredit.Load(); avail <= 0 {
+				n = 0
+			} else if int64(n) > avail {
+				n = int(avail)
 			}
 			if n > 0 {
 				for _, e := range log[pos : pos+n] {
@@ -932,9 +895,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 					return true, fmt.Errorf("remote: flush to worker %d: %w", task, werr)
 				}
 				f.tuples.Add(uint64(n))
-				if v4 {
-					recCredit.Add(-int64(n))
-				}
+				recCredit.Add(-int64(n))
 				pos += n
 				f.st.mu.Lock()
 				if pos > f.st.sentPos[task] {

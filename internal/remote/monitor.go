@@ -13,7 +13,7 @@ import (
 
 // Monitor aggregates worker-process counters and serves them over HTTP —
 // the operational surface a deployed worker needs. Wire it with
-// ServeWorkerMonitored and mount Handler on any mux; RegisterMetrics
+// WorkerOpts.Mon and mount Handler on any mux; RegisterMetrics
 // additionally exposes everything through an obs.Registry for /metrics
 // scraping and the coordinator's cluster table.
 type Monitor struct {

@@ -19,7 +19,7 @@ func TestMonitorCountsSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go ServeWorkerMonitored(context.Background(), ln, silentLogf, &mon) //nolint:errcheck
+	go ServeWorkerOpts(context.Background(), ln, WorkerOpts{Logf: silentLogf, Mon: &mon}) //nolint:errcheck
 
 	recs := workload.NewGenerator(workload.UniformSmall(1)).Generate(150)
 	conn, err := net.Dial("tcp", ln.Addr().String())
@@ -92,7 +92,7 @@ func TestMonitorCountsFailedSessions(t *testing.T) {
 	defer ln.Close()
 	done := make(chan struct{})
 	go func() {
-		ServeWorkerMonitored(context.Background(), ln, func(string, ...interface{}) {}, &mon) //nolint:errcheck
+		ServeWorkerOpts(context.Background(), ln, WorkerOpts{Logf: func(string, ...interface{}) {}, Mon: &mon}) //nolint:errcheck
 		close(done)
 	}()
 

@@ -88,7 +88,7 @@ func (s Session) hello(task, workers int) (wire.Hello, error) {
 
 // PlanHash fingerprints the launch configuration: worker count, strategy,
 // partition bounds, similarity parameters, window, bundle knobs and
-// bi-stream mode. Coordinators stamp it into v4 hellos and session
+// bi-stream mode. Coordinators stamp it into hellos and session
 // manifests; workers persist it in checkpoints so a resume against a
 // *different* plan (stale checkpoint directory, edited bounds) is rejected
 // instead of silently producing wrong results. FNV-1a over the canonical

@@ -45,7 +45,7 @@ type WorkerOpts struct {
 	// 0 or 1 keeps sessions single-threaded. Concurrent sessions each get
 	// their own pool.
 	Parallelism int
-	// Frags receives span fragments for traced records (wire v3 trace
+	// Frags receives span fragments for traced records (wire trace
 	// annotation); nil disables worker-side span recording entirely —
 	// untraced records never touch it either way.
 	Frags *obs.Fragments
@@ -68,12 +68,6 @@ func (o WorkerOpts) logf(format string, args ...interface{}) {
 // the listener was closed; in-flight sessions are drained before return.
 func ServeWorker(ctx context.Context, ln net.Listener, logf func(format string, args ...interface{})) error {
 	return ServeWorkerOpts(ctx, ln, WorkerOpts{Logf: logf})
-}
-
-// ServeWorkerMonitored behaves like ServeWorker and additionally feeds the
-// monitor's counters (mon may be nil).
-func ServeWorkerMonitored(ctx context.Context, ln net.Listener, logf func(format string, args ...interface{}), mon *Monitor) error {
-	return ServeWorkerOpts(ctx, ln, WorkerOpts{Logf: logf, Mon: mon})
 }
 
 // ServeWorkerOpts is ServeWorker with the full option set, including
@@ -128,17 +122,12 @@ func HandleSession(ctx context.Context, r io.Reader, w io.Writer) error {
 	return HandleSessionOpts(ctx, r, w, WorkerOpts{})
 }
 
-// HandleSessionMonitored is HandleSession with optional monitor counters.
-func HandleSessionMonitored(ctx context.Context, r io.Reader, w io.Writer, mon *Monitor) error {
-	return HandleSessionOpts(ctx, r, w, WorkerOpts{Mon: mon})
-}
-
 // checkpointPath names the checkpoint file for one FT session/task pair.
 func checkpointPath(dir string, sessionID uint64, task int) string {
 	return filepath.Join(dir, fmt.Sprintf("ckpt-%016x-t%03d.ckpt", sessionID, task))
 }
 
-// Worker-side flow-control parameters (wire v4).
+// Worker-side flow-control parameters of fault-tolerant sessions.
 const (
 	// workerRecordWindow is the per-connection record credit granted in the
 	// resume ack; half of it is the replenishment batch.
@@ -184,7 +173,8 @@ func writeCheckpointFile(path string, cur checkpoint.Cursor, j local.Joiner, met
 //
 //   - a ResumeAck frame answers the hello, carrying the next record ID the
 //     worker expects — restored from its checkpoint when the hello asked
-//     to resume (and one exists), zero otherwise;
+//     to resume (and one exists), zero otherwise — plus the initial record
+//     credit, replenished with Credit frames as records are consumed;
 //   - a hello with FT set but Resume clear discards any stale checkpoint
 //     for the session: the coordinator is rebuilding this worker's state
 //     from scratch and a later resume must not revive pre-rebuild state;
@@ -264,9 +254,6 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		unacked    []wire.Result
 		selfPaused bool
 	)
-	// v4 gates the flow-control frames: both peers speak wire v4 and the
-	// session is fault-tolerant (a plain coordinator has no credit loop).
-	v4 := h.Version >= 4 && h.FT
 	if h.FT {
 		next := uint64(0)
 		if h.Resume && ckptPath != "" {
@@ -313,11 +300,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		if next > 0 {
 			lastID, haveLast = next-1, true
 		}
-		if v4 {
-			if err := wr.WriteResumeAckCredit(next, workerRecordWindow); err != nil {
-				return fmt.Errorf("remote: writing resume ack: %w", err)
-			}
-		} else if err := wr.WriteResumeAck(next); err != nil {
+		if err := wr.WriteResumeAck(next, workerRecordWindow); err != nil {
 			return fmt.Errorf("remote: writing resume ack: %w", err)
 		}
 	}
@@ -330,43 +313,45 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	// emitted counts results written this session; the record loop diffs it
 	// around a traced Step to decide whether a "deliver" span exists. Step
 	// merges parallel-verifier results on the calling goroutine, so the
-	// counter needs no synchronization.
-	var emitted uint64
-	emit := func(r *record.Record) func(local.Match) {
-		return func(m local.Match) {
-			if writeErr != nil {
-				return
-			}
-			if !strat.Emits(r, m.Rec, task, workers) {
-				return
-			}
-			a, b := r.ID, m.ID
-			if a > b {
-				a, b = b, a
-			}
+	// counter needs no synchronization — and neither does cur, the record
+	// being stepped, which lets one emit closure serve the whole session.
+	var (
+		emitted uint64
+		cur     *record.Record
+	)
+	emit := func(m local.Match) {
+		if writeErr != nil {
+			return
+		}
+		if !strat.Emits(cur, m.Rec, task, workers) {
+			return
+		}
+		a, b := cur.ID, m.ID
+		if a > b {
+			a, b = b, a
+		}
+		if mon != nil {
+			mon.ResultsEmitted.Add(1)
+		}
+		emitted++
+		res := wire.Result{A: a, B: b, Sim: m.Sim}
+		writeErr = wr.WriteResult(res)
+		if h.Durable {
+			unacked = append(unacked, res)
 			if mon != nil {
-				mon.ResultsEmitted.Add(1)
+				mon.UnackedResults.Add(1)
 			}
-			emitted++
-			res := wire.Result{A: a, B: b, Sim: m.Sim}
-			writeErr = wr.WriteResult(res)
-			if h.Durable {
-				unacked = append(unacked, res)
+			if h.FT && !selfPaused && len(unacked) >= unackedPauseHigh {
+				// Ask the coordinator to hold records until the credit
+				// stream drains the buffer below the low watermark.
+				selfPaused = true
 				if mon != nil {
-					mon.UnackedResults.Add(1)
+					mon.PausedSessions.Add(1)
 				}
-				if v4 && !selfPaused && len(unacked) >= unackedPauseHigh {
-					// Ask the coordinator to hold records until the credit
-					// stream drains the buffer below the low watermark.
-					selfPaused = true
-					if mon != nil {
-						mon.PausedSessions.Add(1)
-					}
-					o.Journal.Append("flow_pause", comp,
-						fmt.Sprintf("session %016x paused the record stream: %d unacked results", h.SessionID, len(unacked)))
-					if werr := wr.WritePause(); werr != nil && writeErr == nil {
-						writeErr = werr
-					}
+				o.Journal.Append("flow_pause", comp,
+					fmt.Sprintf("session %016x paused the record stream: %d unacked results", h.SessionID, len(unacked)))
+				if werr := wr.WritePause(); werr != nil && writeErr == nil {
+					writeErr = werr
 				}
 			}
 		}
@@ -434,7 +419,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	lastCkpt := time.Now()
 	first := true
 	var dups uint64
-	var consumed uint64 // records since the last credit replenishment (v4)
+	var consumed uint64 // records since the last credit replenishment (FT)
 	loop := func() error {
 		for {
 			if err := ctx.Err(); err != nil {
@@ -471,7 +456,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 				if err != nil {
 					return err
 				}
-				if v4 {
+				if h.FT {
 					// Replenish the coordinator's record credit in half-window
 					// batches. Duplicates count too: the coordinator spent
 					// credit on every frame it sent.
@@ -505,10 +490,11 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 					mon.InFlightRecords.Add(1)
 				}
 				eBefore := emitted
+				cur = rt.Rec
 				if bi != nil {
-					bi.StepSide(rt.Rec, rt.Right, rt.Store, emit(rt.Rec))
+					bi.StepSide(rt.Rec, rt.Right, rt.Store, emit)
 				} else {
-					joiner.Step(rt.Rec, rt.Store, emit(rt.Rec))
+					joiner.Step(rt.Rec, rt.Store, emit)
 				}
 				if mon != nil || traced {
 					stepEnd := time.Now()
@@ -571,14 +557,6 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 						return fmt.Errorf("remote: writing resume: %w", werr)
 					}
 				}
-			case wire.TypePause:
-				// Coordinator-side admission control parked the record
-				// stream; keep serving pings and credits.
-				o.Journal.Append("paused", comp,
-					fmt.Sprintf("session %016x paused by coordinator", h.SessionID))
-			case wire.TypeResume:
-				o.Journal.Append("resumed", comp,
-					fmt.Sprintf("session %016x resumed by coordinator", h.SessionID))
 			case wire.TypeEOF:
 				return sendStats()
 			case wire.TypeSnapshotReq:

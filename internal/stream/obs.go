@@ -42,22 +42,8 @@ type taskObs struct {
 // registerMetrics binds every edge counter and task gauge/histogram of this
 // run to the topology's registry and enables batch stamping so consumers
 // can measure batch age at dequeue.
-func (tp *Topology) registerMetrics(report *Report, tasks map[string][]*taskRun, adm *admission) {
+func (tp *Topology) registerMetrics(report *Report, tasks map[string][]*taskRun) {
 	reg := tp.reg
-	if adm != nil {
-		reg.CounterFunc("admission_shed_total",
-			"Tuples dropped by the admission policy under full queues.",
-			func() float64 { return float64(adm.shedTuples.Load()) })
-		reg.CounterFunc("admission_shed_batches_total",
-			"Transport batches dropped by the admission policy.",
-			func() float64 { return float64(adm.shedBatches.Load()) })
-		reg.GaugeFunc("stream_pressure_links",
-			"Producer-to-destination links currently above the pressure high watermark.",
-			func() float64 { return float64(adm.pressured.Load()) })
-		reg.CounterFunc("stream_pressure_transitions_total",
-			"Pressure watermark transitions (engage plus release) across all links.",
-			func() float64 { return float64(adm.transitions.Load()) })
-	}
 	tuples := reg.CounterVec("stream_edge_tuples_total",
 		"Tuples shipped over a topology edge.", "edge")
 	bytes := reg.CounterVec("stream_edge_bytes_total",

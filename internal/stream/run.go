@@ -60,27 +60,18 @@ type edgeOut struct {
 	// last folded them into counters: plain fields, so the per-tuple path
 	// touches no cache line another producer writes.
 	tuples, bytes uint64
-	// Admission control (nil adm = plain blocking sends, the zero-cost-off
-	// default). pressure and sampled are producer-local, no locking.
-	adm      *admission
-	pressure []bool // per-destination watermark state
-	sampled  uint64 // shed-sampled: full-queue batches seen
-	spare    *batch // last shed batch, emptied, kept for reuse
 }
 
 // send appends t to destination d's pending batch, shipping the batch when
-// it reaches batchSize.
+// it reaches batchSize. A full destination queue blocks the producer: the
+// bounded channel is the engine's only backpressure, and it is lossless.
 //
 // hotpath: zero-alloc — one call per (tuple, destination); batches come
 // from the pool and items grow by amortized self-append only.
 func (o *edgeOut) send(d int, t Tuple, pool *sync.Pool) {
 	b := o.pending[d]
 	if b == nil {
-		if b = o.spare; b != nil {
-			o.spare = nil
-		} else {
-			b = pool.Get().(*batch)
-		}
+		b = pool.Get().(*batch)
 		if o.stamp {
 			b.enq = time.Now()
 		}
@@ -91,17 +82,13 @@ func (o *edgeOut) send(d int, t Tuple, pool *sync.Pool) {
 		o.pending[d] = nil
 		o.counters.Batches.Add(1)
 		o.fold()
-		if o.adm == nil {
-			o.dests[d].in <- b
-		} else {
-			o.deliver(d, b)
-		}
+		o.dests[d].in <- b
 	}
 }
 
 // fold adds the producer-local tuple and byte counts to the edge's shared
 // counters. It runs before a batch is handed to the consumer, so the shared
-// counters never trail what consumers and shed policies have seen.
+// counters never trail what consumers have seen.
 //
 // hotpath: zero-alloc — two atomic adds per shipped batch, none per tuple.
 func (o *edgeOut) fold() {
@@ -115,8 +102,7 @@ func (o *edgeOut) fold() {
 
 // flush ships every non-empty pending batch. Call when the producer task
 // finishes so no tuple is stranded in an accumulation buffer. Flushes
-// bypass shedding (they ship the tail of the stream, not overload) but
-// still block, so they stay lossless.
+// block like every send, so they stay lossless.
 func (o *edgeOut) flush() {
 	for d, b := range o.pending {
 		if b == nil {
@@ -220,22 +206,6 @@ func (tp *Topology) Run() (*Report, error) {
 		Bolts:    make(map[string][]Bolt),
 	}
 
-	var adm *admission
-	if tp.adm != nil {
-		adm = newAdmission(*tp.adm, tp.queueCap)
-		if tp.journal != nil {
-			journal, name := tp.journal, tp.name
-			adm.onTransition = func(dest *taskRun, engaged bool) {
-				state := "released"
-				if engaged {
-					state = "engaged"
-				}
-				journal.Append("pressure", "stream/"+name,
-					fmt.Sprintf("%s on %s[%d] queue", state, dest.comp.name, dest.idx))
-			}
-		}
-	}
-
 	// One batch pool per run: batches have uniform capacity, so any task
 	// can recycle any producer's batch.
 	batchSize := tp.batchSize
@@ -286,19 +256,14 @@ func (tp *Topology) Run() (*Report, error) {
 				edgeBatch = in.batchSize
 			}
 			for _, prod := range tasks[in.from] {
-				out := &edgeOut{
+				prod.outs = append(prod.outs, &edgeOut{
 					stream:    streamName,
 					sel:       in.grouping.NewSelector(len(dests)),
 					dests:     dests,
 					counters:  ec,
 					batchSize: edgeBatch,
 					pending:   make([]*batch, len(dests)),
-				}
-				if adm != nil {
-					out.adm = adm
-					out.pressure = make([]bool, len(dests))
-				}
-				prod.outs = append(prod.outs, out)
+				})
 			}
 			for _, d := range dests {
 				d.producers.Add(int64(len(tasks[in.from])))
@@ -307,7 +272,7 @@ func (tp *Topology) Run() (*Report, error) {
 	}
 
 	if tp.reg != nil {
-		tp.registerMetrics(report, tasks, adm)
+		tp.registerMetrics(report, tasks)
 	}
 	taskCount := 0
 	for _, name := range tp.order {
@@ -334,15 +299,6 @@ func (tp *Topology) Run() (*Report, error) {
 	}
 	wg.Wait()
 	report.Elapsed = time.Since(start)
-	if adm != nil {
-		report.Admission = adm.stats()
-		if report.Admission.ShedTuples > 0 {
-			tp.journal.Append("admission", "stream/"+tp.name,
-				fmt.Sprintf("shed %d tuples in %d batches (%d pressure transitions)",
-					report.Admission.ShedTuples, report.Admission.ShedBatches,
-					report.Admission.Transitions))
-		}
-	}
 	if err := rec.err(); err != nil {
 		tp.journal.Append("run_end", "stream/"+tp.name, "failed: "+err.Error())
 		return report, err

@@ -176,7 +176,6 @@ type Topology struct {
 	err       error
 	reg       *obs.Registry
 	journal   *obs.Journal
-	adm       *AdmissionConfig // nil = plain blocking sends
 }
 
 // Option tunes a Topology at construction time.
@@ -411,9 +410,6 @@ type Report struct {
 	// Bolts exposes the bolt instances after the run so callers can read
 	// back operator state (e.g. join statistics), keyed by component.
 	Bolts map[string][]Bolt
-	// Admission is the shed/pressure accounting of the run; all-zero
-	// unless WithAdmission enabled a shed policy or pressure engaged.
-	Admission AdmissionStats
 }
 
 // TotalTuples sums tuple counts over all edges.

@@ -24,6 +24,11 @@ func FuzzReaderNeverPanics(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{TypeRecord, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add([]byte{})
+	// Flow-control frames: a two-field ack, a cursor-only ack (must fail to
+	// decode) and a credit grant.
+	f.Add([]byte{TypeResumeAck, 3, 0x80, 0x01, 0x10})
+	f.Add([]byte{TypeResumeAck, 1, 0x2A})
+	f.Add([]byte{TypeCredit, 2, 0x80, 0x20})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
@@ -41,6 +46,10 @@ func FuzzReaderNeverPanics(f *testing.F) {
 				_, _ = r.ReadResult()
 			case TypeStats:
 				_, _ = r.ReadStats()
+			case TypeResumeAck:
+				_, _, _ = r.ReadResumeAck()
+			case TypeCredit:
+				_, _ = r.ReadCredit()
 			case TypeEOF:
 				return
 			default:

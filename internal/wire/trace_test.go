@@ -9,7 +9,7 @@ import (
 	"repro/internal/tokens"
 )
 
-// TestTracedRecordRoundTrip covers the wire v3 trace annotation: trace id
+// TestTracedRecordRoundTrip covers the wire trace annotation: trace id
 // and parent span index survive the trip, and untraced records decode
 // with both zeroed.
 func TestTracedRecordRoundTrip(t *testing.T) {

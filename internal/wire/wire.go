@@ -10,9 +10,9 @@
 // The protocol is request/response-free on the data path: the coordinator
 // streams Hello, Record... , EOF; the worker streams Result..., Stats, and
 // closes. Both sides therefore run one reader and one writer goroutine
-// with no locking. Fault-tolerant sessions (Hello flag FT, protocol v2)
-// add three control frames outside the data path: Ping/Pong liveness
-// probes and the ResumeAck cursor answer to a resuming Hello.
+// with no locking. Fault-tolerant sessions (Hello flag FT) add control
+// frames outside the data path: Ping/Pong liveness probes, the ResumeAck
+// answer to the Hello, and the Credit/Pause/Resume flow-control frames.
 package wire
 
 import (
@@ -54,27 +54,23 @@ const (
 	// TypePong is the worker's payload-free answer to TypePing, likewise
 	// flushed immediately. handled-by: coordinator
 	TypePong
-	// TypeResumeAck answers a resuming Hello (flag bit 2): the worker
-	// reports the stream cursor it restored from its checkpoint so the
-	// coordinator can replay only the tail. Payload is one uvarint — the
-	// next record ID the worker expects (0 = nothing restored, replay all).
-	// A v4 worker appends a second uvarint, its initial record-credit
-	// window; its presence is how the coordinator learns the peer speaks
-	// v4 (see ReadResumeAckCredit). handled-by: coordinator
+	// TypeResumeAck answers an FT Hello: the worker reports the stream
+	// cursor it restored from its checkpoint so the coordinator can replay
+	// only the tail, and grants its initial record credit. Payload is two
+	// uvarints — the next record ID the worker expects (0 = nothing
+	// restored, replay all) and the credit window. handled-by: coordinator
 	TypeResumeAck
-	// TypePause (v4) is a payload-free flow-control notice, valid in both
-	// directions once a v4 FT session is negotiated. Worker→coordinator it
-	// means "my unacknowledged-result buffer crossed its high watermark;
-	// hold the record stream". Coordinator→worker it parks the session:
-	// the worker keeps answering pings but should expect no records until
-	// Resume. Flushed immediately, like Ping.
-	// handled-by: coordinator,worker
+	// TypePause is a payload-free worker→coordinator flow-control notice:
+	// "my unacknowledged-result buffer crossed its high watermark; hold the
+	// record stream". The worker keeps answering pings and consuming
+	// credits meanwhile. Flushed immediately, like Ping.
+	// handled-by: coordinator
 	TypePause
-	// TypeResume (v4) is the payload-free counterpart of TypePause: the
-	// sender's pressure dropped below its low watermark and the stream may
-	// flow again. handled-by: coordinator,worker
+	// TypeResume is the payload-free counterpart of TypePause: the worker's
+	// unacked buffer dropped below its low watermark and the record stream
+	// may flow again. handled-by: coordinator
 	TypeResume
-	// TypeCredit (v4) grants flow-control credit; payload is one uvarint
+	// TypeCredit grants flow-control credit; payload is one uvarint
 	// delta. Worker→coordinator it means "I processed n more records; send
 	// n more". Coordinator→worker it acknowledges n more results as
 	// durable (persisted to the results log), letting the worker drop them
@@ -83,27 +79,14 @@ const (
 	TypeCredit
 )
 
-// Version is the protocol version carried in Hello. Version 2 added the
-// fault-tolerance handshake: Hello carries a session ID plus FT/Resume
-// flags, and the Ping, Pong and ResumeAck frame types exist. Version 3
-// added the optional trace-context annotation on Record frames (flags
-// bit 4: trace id + parent span index appended after the token list);
-// untraced records encode byte-identically to version 2, so the
-// annotation costs nothing off the sampled path. Version 4 added flow
-// control and durable recovery: the Pause/Resume/Credit frames, a
-// partition-plan hash appended to Hello, the Durable hello flag, and an
-// initial-credit field on ResumeAck.
-//
-// Negotiation is asymmetric by design: a peer accepts any version in
-// [MinVersion, Version] (ReadHello), and the v4 additions appear on the
-// wire only when the Hello that opened the session carried version >= 4 —
-// a session pinned at version 2 or 3 encodes byte-identically to the old
-// protocol, so new coordinators interoperate with old workers by sending
-// the older version.
+// Version is the protocol version carried in Hello, and the only one a
+// peer accepts (ReadHello rejects any other). It covers the FT handshake
+// (session ID, FT/Resume/Durable flags, the partition-plan hash, the
+// two-field ResumeAck), the Ping/Pong/Credit/Pause/Resume frames, and the
+// optional trace annotation on Record frames (flags bit 4: trace id +
+// parent span index after the token list); untraced records carry no
+// annotation bytes, so tracing costs nothing off the sampled path.
 const Version = 4
-
-// MinVersion is the oldest Hello version a peer still accepts.
-const MinVersion = 2
 
 // MaxFrame bounds a frame payload; larger frames indicate corruption.
 const MaxFrame = 1 << 24
@@ -143,16 +126,16 @@ type Hello struct {
 	// SessionID names the run across reconnects; FT checkpoints are keyed
 	// by it. Zero for non-FT sessions.
 	SessionID uint64
-	// Durable (v4, flags bit 16) marks a session whose results are
+	// Durable (flags bit 16) marks a session whose results are
 	// persisted coordinator-side: the worker must buffer results until the
 	// coordinator acknowledges them with Credit frames, and re-send the
 	// unacknowledged tail after a resume.
 	Durable bool
-	// PlanHash (v4) fingerprints the session's launch configuration
-	// (partition plan, strategy, similarity parameters). A resuming worker
-	// compares it against its checkpoint and rejects a mismatch — the
-	// checkpoint belongs to a different plan and would replay wrong-range
-	// records. Encoded only when Version >= 4.
+	// PlanHash fingerprints the session's launch configuration (partition
+	// plan, strategy, similarity parameters). A resuming worker compares it
+	// against its checkpoint and rejects a mismatch — the checkpoint belongs
+	// to a different plan and would replay wrong-range records. Zero when
+	// the coordinator has no plan to pin (non-durable runs).
 	PlanHash uint64
 }
 
@@ -260,9 +243,7 @@ func (w *Writer) WriteHello(h Hello) error {
 	}
 	w.buf = append(w.buf, flags)
 	w.putUvarint(h.SessionID)
-	if h.Version >= 4 {
-		w.putUvarint(h.PlanHash)
-	}
+	w.putUvarint(h.PlanHash)
 	return w.flushFrame(TypeHello)
 }
 
@@ -278,7 +259,7 @@ func (w *Writer) WriteRecordSide(store, right bool, r *record.Record) error {
 }
 
 // WriteRecordTraced is WriteRecordSide carrying a trace context. A zero
-// traceID writes the exact untraced v2 encoding — the annotation (flags
+// traceID writes the plain untraced encoding — the annotation (flags
 // bit 4 plus two trailing varints) exists on the wire only for sampled
 // tuples, keeping the unsampled path byte-identical and branch-cheap.
 func (w *Writer) WriteRecordTraced(store, right bool, r *record.Record, traceID uint64, parentSpan int) error {
@@ -371,23 +352,11 @@ func (w *Writer) WritePong() error {
 	return w.Flush()
 }
 
-// WriteResumeAck reports the restored stream cursor of a resuming session:
-// nextID is the first record ID the worker has NOT yet seen (0 when no
-// checkpoint was found). Flushed so the coordinator can start its replay
-// without waiting for buffer pressure. This is the v2/v3 form; v4 workers
-// answer with WriteResumeAckCredit instead.
-func (w *Writer) WriteResumeAck(nextID uint64) error {
-	w.putUvarint(nextID)
-	if err := w.flushFrame(TypeResumeAck); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// WriteResumeAckCredit is the v4 ResumeAck: the cursor plus the worker's
-// initial record-credit window. The extra field is what tells the
-// coordinator the worker speaks v4 and flow control is in effect.
-func (w *Writer) WriteResumeAckCredit(nextID, credit uint64) error {
+// WriteResumeAck answers an FT Hello: nextID is the first record ID the
+// worker has NOT yet seen (0 when no checkpoint was restored) and credit
+// the initial record-credit window. Flushed so the coordinator can start
+// its replay without waiting for buffer pressure.
+func (w *Writer) WriteResumeAck(nextID, credit uint64) error {
 	w.putUvarint(nextID)
 	w.putUvarint(credit)
 	if err := w.flushFrame(TypeResumeAck); err != nil {
@@ -569,40 +538,27 @@ func (r *Reader) ReadHello() (Hello, error) {
 	if h.SessionID, err = p.uvarint(); err != nil {
 		return h, err
 	}
-	if h.Version < MinVersion || h.Version > Version {
-		return h, fmt.Errorf("wire: protocol version %d, want %d..%d", h.Version, MinVersion, Version)
+	if h.Version != Version {
+		return h, fmt.Errorf("wire: protocol version %d, want %d", h.Version, Version)
 	}
-	if h.Version >= 4 {
-		if h.PlanHash, err = p.uvarint(); err != nil {
-			return h, err
-		}
+	if h.PlanHash, err = p.uvarint(); err != nil {
+		return h, err
 	}
 	return h, nil
 }
 
 // ReadResumeAck decodes a staged ResumeAck frame into the worker's next
-// expected record ID, ignoring the v4 credit field if present.
-func (r *Reader) ReadResumeAck() (uint64, error) {
-	p := payload{b: r.buf}
-	return p.uvarint()
-}
-
-// ReadResumeAckCredit decodes a staged ResumeAck frame including the v4
-// initial-credit field. hasCredit reports whether the field was present —
-// false means the peer answered with the v2/v3 form and flow control is
-// not in effect on this connection.
-func (r *Reader) ReadResumeAckCredit() (nextID, credit uint64, hasCredit bool, err error) {
+// expected record ID and its initial record credit. A payload missing
+// either field is a decode error.
+func (r *Reader) ReadResumeAck() (nextID, credit uint64, err error) {
 	p := payload{b: r.buf}
 	if nextID, err = p.uvarint(); err != nil {
-		return 0, 0, false, err
-	}
-	if p.i >= len(p.b) {
-		return nextID, 0, false, nil
+		return 0, 0, err
 	}
 	if credit, err = p.uvarint(); err != nil {
-		return 0, 0, false, err
+		return 0, 0, err
 	}
-	return nextID, credit, true, nil
+	return nextID, credit, nil
 }
 
 // ReadCredit decodes a staged Credit frame's delta.

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -73,7 +74,12 @@ func TestControlFramesRoundTrip(t *testing.T) {
 		if err := w.WritePong(); err != nil {
 			return err
 		}
-		return w.WriteResumeAck(123456789)
+		if err := w.WriteResumeAck(123456789, 4096); err != nil {
+			return err
+		}
+		// A cursor-only ack: the credit field is mandatory.
+		w.putUvarint(77)
+		return w.flushFrame(TypeResumeAck)
 	})
 	for _, want := range []byte{TypePing, TypePong} {
 		typ, err := r.Next()
@@ -85,56 +91,64 @@ func TestControlFramesRoundTrip(t *testing.T) {
 	if err != nil || typ != TypeResumeAck {
 		t.Fatalf("resume-ack frame: %v %v", typ, err)
 	}
-	next, err := r.ReadResumeAck()
-	if err != nil || next != 123456789 {
-		t.Fatalf("resume-ack cursor: %d %v", next, err)
+	next, credit, err := r.ReadResumeAck()
+	if err != nil || next != 123456789 || credit != 4096 {
+		t.Fatalf("resume-ack decoded as (%d, %d, %v)", next, credit, err)
+	}
+	typ, err = r.Next()
+	if err != nil || typ != TypeResumeAck {
+		t.Fatalf("cursor-only resume-ack frame: %v %v", typ, err)
+	}
+	if next, credit, err := r.ReadResumeAck(); err == nil {
+		t.Fatalf("cursor-only resume-ack decoded as (%d, %d)", next, credit)
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("want clean EOF, got %v", err)
 	}
 }
 
-func TestHelloVersionRejected(t *testing.T) {
-	h := Hello{Version: Version + 1, Bounds: []int{}}
-	r := roundTripFrames(t, func(w *Writer) error { return w.WriteHello(h) })
+func TestResumeAckCreditForms(t *testing.T) {
+	// A zero credit is a closed window, not "flow control off": it is a
+	// two-field ack like any other, and the extremes of both fields survive.
+	for _, c := range []struct{ next, credit uint64 }{
+		{77, 0}, {0, 512}, {math.MaxUint64, math.MaxUint64},
+	} {
+		r := roundTripFrames(t, func(w *Writer) error { return w.WriteResumeAck(c.next, c.credit) })
+		if _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+		next, credit, err := r.ReadResumeAck()
+		if err != nil || next != c.next || credit != c.credit {
+			t.Fatalf("ack (%d, %d) decoded as (%d, %d, %v)", c.next, c.credit, next, credit, err)
+		}
+	}
+	// An empty payload carries neither field.
+	r := roundTripFrames(t, func(w *Writer) error { return w.flushFrame(TypeResumeAck) })
 	if _, err := r.Next(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadHello(); err == nil {
-		t.Fatal("version mismatch accepted")
+	if next, credit, err := r.ReadResumeAck(); err == nil {
+		t.Fatalf("empty resume-ack decoded as (%d, %d)", next, credit)
 	}
 }
 
-func TestHelloOldVersionsAccepted(t *testing.T) {
-	// A v4 peer must keep accepting v2/v3 hellos (version negotiation);
-	// anything below MinVersion stays rejected.
-	for v := MinVersion; v <= Version; v++ {
+func TestHelloVersionRejected(t *testing.T) {
+	// One protocol version: older and newer hellos are both refused.
+	for _, v := range []int{0, Version - 1, Version + 1} {
 		h := Hello{Version: v, Task: 1, Workers: 2, Threshold: 0.6, Bounds: []int{}}
 		r := roundTripFrames(t, func(w *Writer) error { return w.WriteHello(h) })
 		if _, err := r.Next(); err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.ReadHello()
-		if err != nil {
-			t.Fatalf("version %d rejected: %v", v, err)
+		if _, err := r.ReadHello(); err == nil {
+			t.Fatalf("version %d accepted", v)
 		}
-		if got.Version != v {
-			t.Fatalf("version %d decoded as %d", v, got.Version)
-		}
-	}
-	h := Hello{Version: MinVersion - 1, Bounds: []int{}}
-	r := roundTripFrames(t, func(w *Writer) error { return w.WriteHello(h) })
-	if _, err := r.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.ReadHello(); err == nil {
-		t.Fatalf("version %d accepted", MinVersion-1)
 	}
 }
 
 func TestHelloV4FieldsRoundTrip(t *testing.T) {
 	h := Hello{
-		Version: 4, Task: 2, Workers: 4, Threshold: 0.8, Bounds: []int{10, 20},
+		Version: Version, Task: 2, Workers: 4, Threshold: 0.8, Bounds: []int{10, 20},
 		FT: true, Durable: true, SessionID: 42, PlanHash: 0xFEEDFACE12345678,
 	}
 	r := roundTripFrames(t, func(w *Writer) error { return w.WriteHello(h) })
@@ -147,29 +161,6 @@ func TestHelloV4FieldsRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, h) {
 		t.Fatalf("v4 hello mismatch:\ngot  %+v\nwant %+v", got, h)
-	}
-}
-
-func TestHelloV3EncodingUnchanged(t *testing.T) {
-	// A hello pinned at version 3 must encode byte-identically whether or
-	// not the v4-only fields are populated: old peers see the old bytes.
-	base := Hello{Version: 3, Task: 1, Workers: 2, Threshold: 0.7, Bounds: []int{5}, FT: true, SessionID: 9}
-	withV4 := base
-	withV4.PlanHash = 0xABCDEF
-
-	encode := func(h Hello) []byte {
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		if err := w.WriteHello(h); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	if !bytes.Equal(encode(base), encode(withV4)) {
-		t.Fatal("PlanHash leaked into a v3 hello encoding")
 	}
 }
 
@@ -201,34 +192,6 @@ func TestFlowControlFramesRoundTrip(t *testing.T) {
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("want clean EOF, got %v", err)
-	}
-}
-
-func TestResumeAckCreditForms(t *testing.T) {
-	// v2/v3 form: no credit field.
-	r := roundTripFrames(t, func(w *Writer) error { return w.WriteResumeAck(77) })
-	if _, err := r.Next(); err != nil {
-		t.Fatal(err)
-	}
-	next, credit, has, err := r.ReadResumeAckCredit()
-	if err != nil || next != 77 || has || credit != 0 {
-		t.Fatalf("plain ack decoded as (%d, %d, %v, %v)", next, credit, has, err)
-	}
-	// v4 form: credit present; legacy ReadResumeAck still sees the cursor.
-	r = roundTripFrames(t, func(w *Writer) error { return w.WriteResumeAckCredit(77, 512) })
-	if _, err := r.Next(); err != nil {
-		t.Fatal(err)
-	}
-	next, credit, has, err = r.ReadResumeAckCredit()
-	if err != nil || next != 77 || !has || credit != 512 {
-		t.Fatalf("v4 ack decoded as (%d, %d, %v, %v)", next, credit, has, err)
-	}
-	r = roundTripFrames(t, func(w *Writer) error { return w.WriteResumeAckCredit(33, 8) })
-	if _, err := r.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if next, err := r.ReadResumeAck(); err != nil || next != 33 {
-		t.Fatalf("legacy decode of v4 ack: %d %v", next, err)
 	}
 }
 
