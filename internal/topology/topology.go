@@ -137,9 +137,9 @@ type Config struct {
 	// Dispatchers parallelizes the routing stage (default 1). With more
 	// than one dispatcher, records can reach a worker slightly out of
 	// order; each worker then runs a watermark reorder buffer whose slack
-	// covers the maximum in-flight skew (Dispatchers × queue capacity), so
-	// join semantics are unchanged. Result.LateDrops reports records that
-	// exceeded even that slack (0 in practice).
+	// is sized for the expected in-flight skew (Dispatchers × queue
+	// capacity). A record later than the slack is dropped, together with
+	// its results, and counted in Result.LateDrops, which can be non-zero.
 	Dispatchers int
 	// Registry, when set, receives the run's live metrics: engine edge and
 	// task series plus per-worker record latency and joiner statistics.
@@ -196,7 +196,7 @@ type Result struct {
 	// (enqueue at source to completion of the record's probe).
 	Latency metrics.Latency
 	// LateDrops counts records that arrived at a worker beyond the reorder
-	// slack (only possible with Dispatchers > 1; expected 0).
+	// slack and were dropped (only possible with Dispatchers > 1).
 	LateDrops uint64
 	// Report is the raw engine report.
 	Report *stream.Report

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/partition"
 	"repro/internal/record"
@@ -170,6 +171,10 @@ func ProfileByName(name string, seed int64) (Profile, error) {
 // Token ranks are assigned so that ascending rank means ascending expected
 // frequency, exactly the global ordering prefix filtering assumes: the
 // Zipf sample k (0 = most frequent) maps to rank Vocab-1-k.
+//
+// Next costs O(n) draws plus one sort for a record of n tokens: a fresh
+// record checks each drawn rank against a membership stamp and sorts once
+// at the end.
 type Generator struct {
 	prof Profile
 	rng  *rand.Rand
@@ -177,6 +182,10 @@ type Generator struct {
 	// reservoir of recent records to derive near-duplicates from
 	recent []*record.Record
 	next   record.ID
+	// seen[t] == stamp marks rank t as drawn for the fresh record being
+	// built; bumping stamp unmarks every rank at once.
+	seen  []uint32
+	stamp uint32
 }
 
 // NewGenerator returns a generator for the profile.
@@ -192,6 +201,7 @@ func NewGenerator(p Profile) *Generator {
 		prof: p,
 		rng:  rng,
 		zipf: rand.NewZipf(rng, p.ZipfS, 1, uint64(p.Vocab-1)),
+		seen: make([]uint32, p.Vocab),
 	}
 }
 
@@ -220,11 +230,19 @@ func (g *Generator) Next() *record.Record {
 		if n < 1 {
 			n = 1
 		}
+		g.stamp++
+		if g.stamp == 0 { // wrapped: unmarked and old marks would read as drawn
+			clear(g.seen)
+			g.stamp = 1
+		}
 		set = make([]tokens.Rank, 0, n)
 		for attempts := 0; len(set) < n && attempts < 20*n; attempts++ {
-			set = append(set, g.sampleToken())
-			set = tokens.Dedup(set)
+			if t := g.sampleToken(); g.seen[t] != g.stamp {
+				g.seen[t] = g.stamp
+				set = append(set, t)
+			}
 		}
+		slices.Sort(set)
 	}
 	r := &record.Record{ID: g.next, Time: int64(g.next), Tokens: set}
 	g.next++

@@ -2,14 +2,109 @@ package workload
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/record"
 	"repro/internal/similarity"
 )
+
+// streamHash is SHA-256 over the first n records of p's stream, each
+// written as its length followed by its ranks, all little-endian uint32.
+func streamHash(p Profile, n int) string {
+	h := sha256.New()
+	g := NewGenerator(p)
+	var buf []byte
+	for i := 0; i < n; i++ {
+		r := g.Next()
+		buf = binary.LittleEndian.AppendUint32(buf[:0], uint32(r.Len()))
+		for _, t := range r.Tokens {
+			buf = binary.LittleEndian.AppendUint32(buf, t)
+		}
+		h.Write(buf)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGeneratorStreamPinned pins the first 5 000 records of every profile
+// at two seeds to the bytes the generator produced when it still sorted
+// after every draw: a change to the draw order, the stop rule or the
+// dedup fails here instead of silently shifting every benchmark's pinned
+// result counts.
+func TestGeneratorStreamPinned(t *testing.T) {
+	want := map[string]string{
+		"AOL-like/42":   "7af4aa170a5bc50d4ccc1cc190a70fa7b860ff17c71a6dfce4559f43da98b73a",
+		"TWEET-like/42": "845e55ad97f93e136cb39220ffd64fb45bfd52e6a45880dfc3c94f5b7f89a055",
+		"ENRON-like/42": "5e23cc4b926c1325bfe8af5a6b6ba748f23468d2a3f34b84a5fc25c3656fae63",
+		"UNIFORM/42":    "380a5784388359e3aaaa8e62db793f72ff20fc6628cbb8a36463bd975e2779f5",
+		"AOL-like/7":    "cc47e26da52ea14db21fece614c1cc2ae04b09254aee02b8aea5ed9bb1b439ed",
+		"TWEET-like/7":  "caff26c5726fffafafd495c7e5205e3dd02b7b43e88f21d4d7ed6b29feee9c8f",
+		"ENRON-like/7":  "55932fbdfbdb1419266fd6cce1ce9c7cb62c0a98a749d59046452340497d4719",
+		"UNIFORM/7":     "28db9a0717e6148ab25fdc20fe68648ef365bb9a03de1e1c949e27f5222d88f6",
+	}
+	for _, seed := range []int64{42, 7} {
+		for _, p := range Profiles(seed) {
+			key := p.Name + "/" + strconv.FormatInt(seed, 10)
+			if got := streamHash(p, 5000); got != want[key] {
+				t.Errorf("%s: stream hash %s, want %s", key, got, want[key])
+			}
+		}
+	}
+}
+
+// TestGeneratorStampWrap drives the membership stamp through its wrap to
+// zero mid-stream: the records after it must be valid sets and equal an
+// unwrapped generator's, i.e. no rank drawn before the wrap may still
+// read as drawn after it.
+func TestGeneratorStampWrap(t *testing.T) {
+	for _, p := range []Profile{UniformSmall(3), EnronLike(3)} {
+		ref := NewGenerator(p).Generate(300)
+		g := NewGenerator(p)
+		got := g.Generate(100)
+		g.stamp = math.MaxUint32 - 1
+		got = append(got, g.Generate(200)...)
+		if g.stamp > 200 {
+			t.Fatalf("%s: stamp %d, want it wrapped", p.Name, g.stamp)
+		}
+		for i, r := range got {
+			if r.Len() == 0 || !slices.IsSorted(r.Tokens) || len(slices.Compact(slices.Clone(r.Tokens))) != r.Len() {
+				t.Fatalf("%s: record %d is not a non-empty sorted set: %v", p.Name, i, r.Tokens)
+			}
+			if !slices.Equal(r.Tokens, ref[i].Tokens) {
+				t.Fatalf("%s: record %d differs from the unwrapped stream:\n got %v\nwant %v", p.Name, i, r.Tokens, ref[i].Tokens)
+			}
+		}
+	}
+}
+
+var sinkRecord *record.Record
+
+// BenchmarkGeneratorNext times one record of a running stream. The two
+// allocations per op are the record's token slice and the Record itself.
+func BenchmarkGeneratorNext(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		prof Profile
+	}{{"aol", AOLLike(42)}, {"tweet", TweetLike(42)}, {"enron", EnronLike(42)}} {
+		b.Run(c.name, func(b *testing.B) {
+			g := NewGenerator(c.prof)
+			g.Generate(1024) // fill the near-duplicate reservoir
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkRecord = g.Next()
+			}
+		})
+	}
+}
 
 func TestGeneratorIsReproducible(t *testing.T) {
 	a := NewGenerator(UniformSmall(42)).Generate(100)
