@@ -60,6 +60,7 @@ fuzz:
 	go test -fuzz FuzzRecordRoundTrip -fuzztime 15s ./internal/wire/
 	go test -fuzz FuzzWordTokenizer -fuzztime 10s ./internal/tokens/
 	go test -fuzz FuzzQGramTokenizer -fuzztime 10s ./internal/tokens/
+	go test -run '^$$' -fuzz FuzzDictionaryVsMap -fuzztime 10s ./internal/tokens/
 	go test -fuzz FuzzJoinMatchesBruteForce -fuzztime 15s ./internal/offline/
 	go test -fuzz FuzzIntersectKernels -fuzztime 15s ./internal/similarity/
 	go test -run '^$$' -fuzz FuzzSigBoundSound -fuzztime 15s ./internal/bundle/
@@ -67,13 +68,15 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzWideSigVsBruteForce -fuzztime 15s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzPostTableVsMap -fuzztime 15s ./internal/bundle/
 
-# ~25s fuzz sanity pass for CI. The four bundle targets skip the package's
-# unit tests (-run '^$$'), which the test step has already run.
+# ~27s fuzz sanity pass for CI. The four bundle targets and the dictionary
+# target skip the package's unit tests (-run '^$$'), which the test step
+# has already run.
 fuzz-smoke:
 	go test -fuzz FuzzReaderNeverPanics -fuzztime 2s ./internal/wire/
 	go test -fuzz FuzzRecordRoundTrip -fuzztime 2s ./internal/wire/
 	go test -fuzz FuzzWordTokenizer -fuzztime 2s ./internal/tokens/
 	go test -fuzz FuzzQGramTokenizer -fuzztime 2s ./internal/tokens/
+	go test -run '^$$' -fuzz FuzzDictionaryVsMap -fuzztime 2s ./internal/tokens/
 	go test -fuzz FuzzJoinMatchesBruteForce -fuzztime 2s ./internal/offline/
 	go test -fuzz FuzzIntersectKernels -fuzztime 2s ./internal/similarity/
 	go test -run '^$$' -fuzz FuzzSigBoundSound -fuzztime 2s ./internal/bundle/

@@ -177,22 +177,60 @@ var sinkRecord record.Record
 
 // BenchmarkFromText is the CI allocation gate for the ingest path: with
 // every word known, a record costs exactly one allocation — the rank
-// slice it owns.
+// slice it owns. The dictionary of 20 000 texts mostly stays in cache;
+// words-400k runs the whole benchmark stream, whose 186 686 words do not.
 func BenchmarkFromText(b *testing.B) {
-	texts := tweetTexts(20_000)
+	small, full := tweetTexts(20_000), tweetTexts(400_000)
 	for _, c := range []struct {
-		name string
-		tok  tokens.Tokenizer
+		name  string
+		tok   tokens.Tokenizer
+		texts []string
 	}{
-		{"words", tokens.WordTokenizer{}},
-		{"qgrams", tokens.QGramTokenizer{Q: 3, Pad: true}},
+		{"words", tokens.WordTokenizer{}, small},
+		{"qgrams", tokens.QGramTokenizer{Q: 3, Pad: true}, small},
+		{"words-400k", tokens.WordTokenizer{}, full},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			builder := warmBuilder(c.tok, texts)
+			builder := warmBuilder(c.tok, c.texts)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sinkRecord = builder.FromText(texts[i%len(texts)])
+				sinkRecord = builder.FromText(c.texts[i%len(c.texts)])
+			}
+		})
+	}
+}
+
+var sinkToken tokens.Token
+
+// BenchmarkInternKnown times Dictionary.InternBytes alone on words it
+// already holds, in the order the stream meets them: at 20k texts the
+// dictionary mostly stays in cache, at 400k (186 686 words) a lookup
+// mostly misses it. A known word must cost no allocation.
+func BenchmarkInternKnown(b *testing.B) {
+	for _, n := range []int{20_000, 400_000} {
+		b.Run(strconv.Itoa(n/1000)+"k", func(b *testing.B) {
+			dict := tokens.NewDictionary()
+			var stream []byte // every token of every text, back to back
+			var ends []int    // token k ends at ends[k]
+			for _, text := range tweetTexts(n) {
+				tokens.WordTokenizer{}.Scan(text, nil, func(tok []byte) {
+					dict.InternBytes(tok)
+					stream = append(stream, tok...)
+					ends = append(ends, len(stream))
+				})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, k := 0, 0; i < b.N; i, k = i+1, k+1 {
+				if k == len(ends) {
+					k = 0
+				}
+				start := 0
+				if k > 0 {
+					start = ends[k-1]
+				}
+				sinkToken = dict.InternBytes(stream[start:ends[k]])
 			}
 		})
 	}

@@ -173,32 +173,34 @@ func (ds *durableState) seedResults(coll *ftCollector) (int, error) {
 	}
 }
 
-func decodeRecordFrame(payload []byte) (*record.Record, error) {
-	rd := wire.NewReader(bytes.NewReader(payload))
-	typ, err := rd.Next()
+// decodeRecordFrame decodes one ingest log entry, a whole Record frame, in
+// place: the record's token slice and the Record are all it allocates.
+func decodeRecordFrame(entry []byte) (*record.Record, error) {
+	typ, payload, err := wire.Frame(entry)
 	if err != nil {
 		return nil, fmt.Errorf("remote: ingest log frame: %w", err)
 	}
 	if typ != wire.TypeRecord {
 		return nil, fmt.Errorf("remote: ingest log holds frame type %d, want record", typ)
 	}
-	rt, err := rd.ReadRecord()
+	rt, err := wire.DecodeRecord(payload)
 	if err != nil {
 		return nil, fmt.Errorf("remote: ingest log frame: %w", err)
 	}
 	return rt.Rec, nil
 }
 
-func decodeResultFrame(payload []byte) (wire.Result, error) {
-	rd := wire.NewReader(bytes.NewReader(payload))
-	typ, err := rd.Next()
+// decodeResultFrame decodes one results log entry, a whole Result frame,
+// in place and without allocating.
+func decodeResultFrame(entry []byte) (wire.Result, error) {
+	typ, payload, err := wire.Frame(entry)
 	if err != nil {
 		return wire.Result{}, fmt.Errorf("remote: results log frame: %w", err)
 	}
 	if typ != wire.TypeResult {
 		return wire.Result{}, fmt.Errorf("remote: results log holds frame type %d, want result", typ)
 	}
-	res, err := rd.ReadResult()
+	res, err := wire.DecodeResult(payload)
 	if err != nil {
 		return wire.Result{}, fmt.Errorf("remote: results log frame: %w", err)
 	}

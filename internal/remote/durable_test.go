@@ -1,11 +1,13 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net"
 	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -327,6 +329,61 @@ func TestWorkerRejectsPlanMismatch(t *testing.T) {
 	}
 	if errors.Is(sessErr, checkpoint.ErrPlanMismatch) {
 		t.Errorf("matching plan hash rejected: %v", sessErr)
+	}
+}
+
+// TestLogEntryDecodeAllocs: a log replay decodes each entry in place. A
+// record entry costs its token slice and the Record, a result entry
+// nothing — not a 64 KiB buffered reader per entry, which made replaying
+// a 200 000-record ingest log allocate ~13 GB.
+func TestLogEntryDecodeAllocs(t *testing.T) {
+	rec := &record.Record{ID: 7, Time: 9, Tokens: []uint32{2, 3, 5, 8, 13}}
+	res := wire.Result{A: 4, B: 11, Sim: 0.75}
+	var buf bytes.Buffer
+	enc := wire.NewWriter(&buf)
+	if err := enc.WriteRecord(false, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	recEntry := bytes.Clone(buf.Bytes())
+	buf.Reset()
+	if err := enc.WriteResult(res); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	resEntry := bytes.Clone(buf.Bytes())
+
+	got, err := decodeRecordFrame(recEntry)
+	if err != nil || !reflect.DeepEqual(got, rec) {
+		t.Fatalf("record entry decodes to %+v, %v; want %+v", got, err, rec)
+	}
+	if got, err := decodeResultFrame(resEntry); err != nil || got != res {
+		t.Fatalf("result entry decodes to %+v, %v; want %+v", got, err, res)
+	}
+	if n := testing.AllocsPerRun(100, func() { decodeRecordFrame(recEntry) }); n > 2 {
+		t.Errorf("decoding a record entry: %v allocs, want at most 2", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { decodeResultFrame(resEntry) }); n != 0 {
+		t.Errorf("decoding a result entry: %v allocs, want 0", n)
+	}
+
+	for name, entry := range map[string][]byte{
+		"empty":           nil,
+		"truncated":       recEntry[:len(recEntry)-1],
+		"trailing byte":   append(bytes.Clone(recEntry), 0),
+		"a result frame":  resEntry,
+		"length overflow": {wire.TypeRecord, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+	} {
+		if _, err := decodeRecordFrame(entry); err == nil {
+			t.Errorf("a record entry that is %s decoded without error", name)
+		}
+	}
+	if _, err := decodeResultFrame(recEntry); err == nil {
+		t.Error("a record frame decoded as a results log entry")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Save serializes the dictionary (words in id order with their document
@@ -18,17 +19,18 @@ func (d *Dictionary) Save(w io.Writer) error {
 		_, err := bw.Write(tmp[:n])
 		return err
 	}
-	if err := put(uint64(len(d.words))); err != nil {
+	if err := put(uint64(d.Size())); err != nil {
 		return err
 	}
-	for i, word := range d.words {
+	for id := range Token(d.Size()) {
+		word := d.bytes(id)
 		if err := put(uint64(len(word))); err != nil {
 			return err
 		}
-		if _, err := bw.WriteString(word); err != nil {
+		if _, err := bw.Write(word); err != nil {
 			return err
 		}
-		if err := put(d.freq[i]); err != nil {
+		if err := put(d.freq[id]); err != nil {
 			return err
 		}
 	}
@@ -48,6 +50,7 @@ func LoadDictionary(r io.ByteReader) (*Dictionary, error) {
 		return nil, fmt.Errorf("tokens: absurd dictionary size %d", n)
 	}
 	d := NewDictionary()
+	var buf []byte
 	for i := uint64(0); i < n; i++ {
 		wl, err := binary.ReadUvarint(r)
 		if err != nil {
@@ -56,13 +59,16 @@ func LoadDictionary(r io.ByteReader) (*Dictionary, error) {
 		if wl > 1<<20 {
 			return nil, fmt.Errorf("tokens: absurd word length %d", wl)
 		}
-		buf := make([]byte, wl)
-		for j := range buf {
+		if uint64(len(d.arena))+wl > math.MaxUint32 {
+			return nil, fmt.Errorf("tokens: word %d overflows the 4 GiB dictionary arena", i)
+		}
+		buf = buf[:0]
+		for range wl {
 			b, err := r.ReadByte()
 			if err != nil {
 				return nil, fmt.Errorf("tokens: word %d bytes: %w", i, err)
 			}
-			buf[j] = b
+			buf = append(buf, b)
 		}
 		id := d.InternBytes(buf)
 		f, err := binary.ReadUvarint(r)

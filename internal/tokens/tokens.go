@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"unicode"
 	"unicode/utf8"
 	"unsafe"
@@ -24,88 +23,6 @@ type Token uint32
 // document frequency (rarer token). Records are stored as ascending rank
 // sequences; see Ordering.
 type Rank = uint32
-
-// Dictionary interns token strings and tracks per-token document frequency.
-// The zero value is not usable; call NewDictionary. Dictionary is not safe
-// for concurrent mutation; wrap it or shard it upstream if needed.
-type Dictionary struct {
-	ids   map[string]Token
-	words []string
-	freq  []uint64
-}
-
-// NewDictionary returns an empty dictionary.
-func NewDictionary() *Dictionary {
-	return &Dictionary{ids: make(map[string]Token)}
-}
-
-// Intern returns the Token for word, creating it with zero frequency when
-// unseen. The dictionary stores a private copy: a new word never keeps the
-// caller's string (often a view into a whole input line) alive.
-func (d *Dictionary) Intern(word string) Token {
-	if id, ok := d.ids[word]; ok {
-		return id
-	}
-	return d.add(strings.Clone(word))
-}
-
-// InternBytes is Intern for a token held in a byte slice the caller goes
-// on to reuse. A known word costs one map probe and no allocation; only a
-// new word is copied.
-func (d *Dictionary) InternBytes(word []byte) Token {
-	if id, ok := d.LookupBytes(word); ok {
-		return id
-	}
-	return d.add(string(word))
-}
-
-// add appends word, which the dictionary now owns, as the next token.
-func (d *Dictionary) add(word string) Token {
-	id := Token(len(d.words))
-	d.ids[word] = id
-	d.words = append(d.words, word)
-	d.freq = append(d.freq, 0)
-	return id
-}
-
-// Lookup returns the Token for word without creating it.
-func (d *Dictionary) Lookup(word string) (Token, bool) {
-	id, ok := d.ids[word]
-	return id, ok
-}
-
-// LookupBytes is Lookup for a token held in a byte slice. The compiler
-// elides the conversion in the map index, so nothing is copied.
-//
-// hotpath: zero-alloc
-func (d *Dictionary) LookupBytes(word []byte) (Token, bool) {
-	id, ok := d.ids[string(word)]
-	return id, ok
-}
-
-// Word returns the string for id. It panics if id was never interned, which
-// indicates a programming error (ids only come from this dictionary).
-func (d *Dictionary) Word(id Token) string {
-	return d.words[id]
-}
-
-// Size reports the number of distinct tokens interned so far.
-func (d *Dictionary) Size() int { return len(d.words) }
-
-// Observe records one document-frequency observation for each distinct token
-// in set. Call it once per record with the record's deduplicated tokens.
-func (d *Dictionary) Observe(set []Token) {
-	for _, t := range set {
-		d.freq[t]++
-	}
-}
-
-// ObserveOne records one document-frequency observation for id: Observe
-// for callers that meet a record's distinct tokens one at a time.
-func (d *Dictionary) ObserveOne(id Token) { d.freq[id]++ }
-
-// Frequency returns the number of observations that included id.
-func (d *Dictionary) Frequency(id Token) uint64 { return d.freq[id] }
 
 // Ordering maps tokens to ranks such that ascending rank means ascending
 // document frequency at the time the ordering was built. Tokens interned
@@ -281,6 +198,12 @@ func (w WordTokenizer) Tokenize(text string) []string { return collect(w, text) 
 func (w WordTokenizer) Scan(text string, scratch []byte, yield func(tok []byte)) []byte {
 	src := bytesOf(text)
 	fold := !w.KeepCase
+	// A plain byte is ASCII, not space, not punctuation and not rewritten
+	// by lower-casing: a word's run of them needs no per-rune bookkeeping.
+	notPlain := byte(classSpace | classPunct)
+	if fold {
+		notPlain |= classFold
+	}
 	i := 0
 	for i < len(text) {
 		// Between words: spaces separate fields and punctuation before a
@@ -304,6 +227,17 @@ func (w WordTokenizer) Scan(text string, scratch []byte, yield func(tok []byte))
 		rewritten := false
 		scratch = scratch[:0]
 		for i < len(text) {
+			// Until a rewrite, a run of plain bytes only moves the end.
+			if !rewritten {
+				j := i
+				for j < len(text) && text[j] < utf8.RuneSelf && asciiClass[text[j]]&notPlain == 0 {
+					j++
+				}
+				if j > i {
+					i, end = j, j
+					continue
+				}
+			}
 			class, lower, size := byte(0), rune(0), 1
 			if c := text[i]; c < utf8.RuneSelf {
 				class, lower = asciiClass[c], rune(asciiLower[c])

@@ -567,9 +567,35 @@ func (r *Reader) ReadCredit() (uint64, error) {
 	return p.uvarint()
 }
 
+// Frame splits one whole frame held in memory, as a Writer framed it, into
+// its type and payload, a view of frame. A log of frames replays through
+// it and the Decode* functions without a buffered Reader per entry.
+func Frame(frame []byte) (typ byte, body []byte, err error) {
+	if len(frame) == 0 {
+		return 0, nil, io.ErrUnexpectedEOF
+	}
+	n, k := binary.Uvarint(frame[1:])
+	if k <= 0 {
+		return 0, nil, errors.New("wire: truncated frame length")
+	}
+	if n > MaxFrame {
+		return 0, nil, ErrFrameTooLarge
+	}
+	body = frame[1+k:]
+	if uint64(len(body)) != n {
+		return 0, nil, fmt.Errorf("wire: frame declares %d payload bytes, holds %d", n, len(body))
+	}
+	return frame[0], body, nil
+}
+
 // ReadRecord decodes a staged Record frame.
 func (r *Reader) ReadRecord() (Record, error) {
-	p := payload{b: r.buf}
+	return DecodeRecord(r.buf)
+}
+
+// DecodeRecord decodes the payload of a Record frame.
+func DecodeRecord(body []byte) (Record, error) {
+	p := payload{b: body}
 	st, err := p.byte()
 	if err != nil {
 		return Record{}, err
@@ -622,7 +648,12 @@ func (r *Reader) ReadRecord() (Record, error) {
 
 // ReadResult decodes a staged Result frame.
 func (r *Reader) ReadResult() (Result, error) {
-	p := payload{b: r.buf}
+	return DecodeResult(r.buf)
+}
+
+// DecodeResult decodes the payload of a Result frame.
+func DecodeResult(body []byte) (Result, error) {
+	p := payload{b: body}
 	a, err := p.uvarint()
 	if err != nil {
 		return Result{}, err
