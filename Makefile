@@ -37,8 +37,9 @@ cover:
 bench:
 	go test -bench=. -benchmem ./...
 
-# bench/ is a module of its own (bench/go.mod), so `go test ./...` at the
-# root never sees the performance gate's self-tests; this runs them.
+# bench/ is a module of its own (bench/go.mod). The root `go test ./...`
+# runs its vet and self-tests through TestBenchModuleCompiles; this runs
+# the self-tests alone.
 bench-selftest:
 	go -C bench test ./...
 
@@ -58,6 +59,7 @@ experiments:
 fuzz:
 	go test -fuzz FuzzReaderNeverPanics -fuzztime 15s ./internal/wire/
 	go test -fuzz FuzzRecordRoundTrip -fuzztime 15s ./internal/wire/
+	go test -run '^$$' -fuzz FuzzResultBatchRoundTrip -fuzztime 15s ./internal/wire/
 	go test -fuzz FuzzWordTokenizer -fuzztime 10s ./internal/tokens/
 	go test -fuzz FuzzQGramTokenizer -fuzztime 10s ./internal/tokens/
 	go test -run '^$$' -fuzz FuzzDictionaryVsMap -fuzztime 10s ./internal/tokens/
@@ -68,12 +70,13 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzWideSigVsBruteForce -fuzztime 15s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzPostTableVsMap -fuzztime 15s ./internal/bundle/
 
-# ~27s fuzz sanity pass for CI. The four bundle targets and the dictionary
-# target skip the package's unit tests (-run '^$$'), which the test step
-# has already run.
+# ~29s fuzz sanity pass for CI. The four bundle targets, the dictionary
+# target and the result-batch target skip the package's unit tests
+# (-run '^$$'), which the test step has already run.
 fuzz-smoke:
 	go test -fuzz FuzzReaderNeverPanics -fuzztime 2s ./internal/wire/
 	go test -fuzz FuzzRecordRoundTrip -fuzztime 2s ./internal/wire/
+	go test -run '^$$' -fuzz FuzzResultBatchRoundTrip -fuzztime 2s ./internal/wire/
 	go test -fuzz FuzzWordTokenizer -fuzztime 2s ./internal/tokens/
 	go test -fuzz FuzzQGramTokenizer -fuzztime 2s ./internal/tokens/
 	go test -run '^$$' -fuzz FuzzDictionaryVsMap -fuzztime 2s ./internal/tokens/

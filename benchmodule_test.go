@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// TestBenchModuleCompiles vets bench/, the module of its own that
+// TestBenchModuleCompiles vets and tests bench/, the module of its own that
 // BENCHMARK.json runs: it is compiled against internal/*, so a change there
-// can break it while `go build ./... && go test ./...` stays green. This is
-// compile-only; the module's self-tests are `make bench-selftest`.
+// can break it, or break what its self-tests check of the judge, while the
+// root `go build ./... && go test ./...` would otherwise stay green. The
+// self-tests take a few seconds; `make bench-selftest` runs them alone.
 func TestBenchModuleCompiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to the go tool")
@@ -17,7 +18,10 @@ func TestBenchModuleCompiles(t *testing.T) {
 	if err != nil {
 		t.Skip("no go tool on PATH")
 	}
-	if out, err := exec.Command(goTool, "-C", "bench", "vet", "./...").CombinedOutput(); err != nil {
-		t.Fatalf("go -C bench vet ./...: %v\n%s", err, out)
+	for _, args := range [][]string{{"vet", "./..."}, {"test", "./..."}} {
+		cmd := exec.Command(goTool, append([]string{"-C", "bench"}, args...)...)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go -C bench %s %s: %v\n%s", args[0], args[1], err, out)
+		}
 	}
 }

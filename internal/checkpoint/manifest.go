@@ -9,8 +9,11 @@ import (
 	"repro/internal/wire"
 )
 
-// ManifestSchema is the current manifest format version.
-const ManifestSchema = 1
+// ManifestSchema is the current manifest format version. It also versions
+// the results log beside the manifest: schema 2 logs hold wire version 5
+// Result frames (probe ID, count, partner distance), schema 1 logs the
+// earlier (A, B) pair frames, which no longer decode.
+const ManifestSchema = 2
 
 // TaskCursor is the coordinator's last persisted replay position for one
 // worker task: how many entries of that task's dispatch log had been sent
@@ -95,7 +98,7 @@ func LoadManifest(path string) (*Manifest, error) {
 		return nil, fmt.Errorf("checkpoint: decoding manifest %s: %w", path, err)
 	}
 	if m.Schema != ManifestSchema {
-		return nil, fmt.Errorf("checkpoint: manifest schema %d, want %d", m.Schema, ManifestSchema)
+		return nil, fmt.Errorf("checkpoint: manifest schema %d, want %d: the state directory was written by an incompatible release and cannot be resumed", m.Schema, ManifestSchema)
 	}
 	if m.SessionID == 0 {
 		return nil, fmt.Errorf("checkpoint: manifest %s has no session id", path)

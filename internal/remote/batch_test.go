@@ -1,0 +1,333 @@
+package remote
+
+import (
+	"context"
+	"encoding/binary"
+	"io"
+	"net"
+	"os"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/faultwire"
+	"repro/internal/local"
+	"repro/internal/obs"
+	"repro/internal/record"
+	"repro/internal/window"
+	"repro/internal/wire"
+	"repro/internal/workload"
+)
+
+// readResultFrames reads a worker's frames in the background and hands
+// over the pairs of each Result frame, one receive per frame. The channel
+// closes at the Stats frame or when the connection ends.
+func readResultFrames(t *testing.T, r io.Reader) <-chan []wire.Result {
+	ch := make(chan []wire.Result, 16)
+	go func() {
+		defer close(ch)
+		rd := wire.NewReader(r)
+		for {
+			typ, err := rd.Next()
+			if err != nil || typ == wire.TypeStats {
+				return
+			}
+			if typ != wire.TypeResult {
+				continue
+			}
+			rs, err := rd.ReadResults(nil)
+			if err != nil {
+				t.Errorf("result frame: %v", err)
+				return
+			}
+			ch <- rs
+		}
+	}()
+	return ch
+}
+
+// checkFrame requires frame to be probe's frame with exactly the given
+// partners, in any order.
+func checkFrame(t *testing.T, frame []wire.Result, probe record.ID, partners ...record.ID) {
+	t.Helper()
+	want := make(map[record.Pair]bool, len(partners))
+	for _, p := range partners {
+		want[record.Pair{First: minID(probe, p), Second: maxID(probe, p)}] = true
+	}
+	got := make(map[record.Pair]bool, len(frame))
+	for _, res := range frame {
+		got[record.Pair{First: res.A, Second: res.B}] = true
+	}
+	if len(frame) != len(partners) || len(got) != len(want) {
+		t.Fatalf("probe %d: frame holds %v, want one pair with each of %v", probe, frame, partners)
+	}
+	for p := range want {
+		if !got[p] {
+			t.Fatalf("probe %d: frame holds %v, want one pair with each of %v", probe, frame, partners)
+		}
+	}
+}
+
+var (
+	matchToks = []uint32{1, 2, 3} // every record with these tokens matches every other
+	aloneToks = []uint32{7, 8, 9} // matches nothing else in these streams
+)
+
+// TestOneResultFramePerProbe pins the worker's result framing: a record
+// with k partners yields exactly one Result frame holding k pairs, a
+// record with no match yields none, and a durable session re-sends its
+// restored unacked pairs before the next record's frame.
+func TestOneResultFramePerProbe(t *testing.T) {
+	// session runs one worker session over io.Pipe: it sends h, the
+	// records (through send) and EOF, and returns every Result frame.
+	session := func(t *testing.T, h wire.Hello, send func(w *wire.Writer) error) [][]wire.Result {
+		cr, ww := io.Pipe()
+		wr, cw := io.Pipe()
+		done := make(chan error, 1)
+		go func() { done <- HandleSession(context.Background(), wr, ww) }()
+		frames := readResultFrames(t, cr)
+		w := wire.NewWriter(cw)
+		if err := w.WriteHello(h); err != nil {
+			t.Fatal(err)
+		}
+		if err := send(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteEOF(); err != nil {
+			t.Fatal(err)
+		}
+		var got [][]wire.Result
+		for fr := range frames {
+			got = append(got, fr)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("session: %v", err)
+		}
+		return got
+	}
+
+	t.Run("single stream", func(t *testing.T) {
+		h, err := testSession(0.9, "broadcast", nil).hello(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := session(t, h, func(w *wire.Writer) error {
+			for id, toks := range [][]uint32{matchToks, matchToks, matchToks, aloneToks, matchToks} {
+				if err := w.WriteRecord(true, &record.Record{ID: record.ID(id), Time: int64(id), Tokens: toks}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if len(got) != 3 {
+			t.Fatalf("%d result frames %v, want 3: records 0 and 3 match nothing", len(got), got)
+		}
+		checkFrame(t, got[0], 1, 0)
+		checkFrame(t, got[1], 2, 0, 1)
+		checkFrame(t, got[2], 4, 0, 1, 2)
+	})
+
+	t.Run("bi", func(t *testing.T) {
+		sess := testSession(0.9, "broadcast", nil)
+		sess.Bi = true
+		h, err := sess.hello(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := session(t, h, func(w *wire.Writer) error {
+			for id, rec := range []struct {
+				right bool
+				toks  []uint32
+			}{{false, matchToks}, {false, matchToks}, {true, matchToks}, {false, aloneToks}, {true, matchToks}} {
+				r := &record.Record{ID: record.ID(id), Time: int64(id), Tokens: rec.toks}
+				if err := w.WriteRecordSide(true, rec.right, r); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		// Record 1 only meets its own side, record 4 only the left records.
+		if len(got) != 2 {
+			t.Fatalf("%d result frames %v, want 2", len(got), got)
+		}
+		checkFrame(t, got[0], 2, 0, 1)
+		checkFrame(t, got[1], 4, 0, 1)
+	})
+
+	t.Run("durable unacked tail", func(t *testing.T) {
+		dir := t.TempDir()
+		h, err := testSession(0.9, "broadcast", nil).hello(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.FT, h.Durable, h.SessionID, h.PlanHash = true, true, 0xBA7C4, 0xBA7C4
+		// open starts an FT session over net.Pipe: the worker checkpoints
+		// after every record, which flushes its frames as it goes.
+		open := func(h wire.Hello) (net.Conn, *wire.Writer, <-chan []wire.Result, <-chan error) {
+			srv, cli := net.Pipe()
+			done := make(chan error, 1)
+			go func() {
+				defer srv.Close()
+				done <- HandleSessionOpts(context.Background(), srv, srv,
+					WorkerOpts{Logf: silentLogf, CheckpointDir: dir, CheckpointInterval: time.Nanosecond})
+			}()
+			frames := readResultFrames(t, cli)
+			w := wire.NewWriter(cli)
+			if err := w.WriteHello(h); err != nil {
+				t.Fatal(err)
+			}
+			return cli, w, frames, done
+		}
+		send := func(w *wire.Writer, ids ...record.ID) {
+			for _, id := range ids {
+				if err := w.WriteRecord(true, &record.Record{ID: id, Time: int64(id), Tokens: matchToks}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// First connection: three records, two frames, no credit; then the
+		// coordinator vanishes and all three pairs stay unacked.
+		cli, w, frames, done := open(h)
+		send(w, 0, 1, 2)
+		checkFrame(t, <-frames, 1, 0)
+		checkFrame(t, <-frames, 2, 0, 1)
+		cli.Close()
+		if err := <-done; err == nil {
+			t.Fatal("a severed session ended cleanly")
+		}
+		if fr, ok := <-frames; ok {
+			t.Fatalf("an extra frame %v on the severed connection", fr)
+		}
+		if _, err := os.Stat(checkpointPath(dir, h.SessionID, 0)); err != nil {
+			t.Fatalf("no checkpoint after the unclean end: %v", err)
+		}
+
+		// Resume: the three unacked pairs come back first, then record 3's
+		// frame.
+		h.Resume = true
+		cli, w, frames, done = open(h)
+		defer cli.Close()
+		send(w, 3)
+		if err := w.WriteEOF(); err != nil {
+			t.Fatal(err)
+		}
+		var got [][]wire.Result
+		for fr := range frames {
+			got = append(got, fr)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("resumed session: %v", err)
+		}
+		if len(got) == 0 {
+			t.Fatal("no result frames after the resume")
+		}
+		resent := make(map[record.Pair]int)
+		for _, fr := range got[:len(got)-1] {
+			for _, res := range fr {
+				resent[record.Pair{First: res.A, Second: res.B}]++
+			}
+		}
+		want := []record.Pair{{First: 0, Second: 1}, {First: 0, Second: 2}, {First: 1, Second: 2}}
+		if len(resent) != len(want) {
+			t.Fatalf("re-sent %v before the new frame, want each of %v once", resent, want)
+		}
+		for _, p := range want {
+			if resent[p] != 1 {
+				t.Fatalf("re-sent %v before the new frame, want each of %v once", resent, want)
+			}
+		}
+		checkFrame(t, got[len(got)-1], 3, 0, 1, 2)
+	})
+}
+
+// creditTap counts the result credit a coordinator grants over conn.
+// faultwire writes it one whole frame at a time and never duplicates a
+// Credit frame.
+type creditTap struct {
+	net.Conn
+	credit *atomic.Uint64
+}
+
+func (c creditTap) Write(p []byte) (int, error) {
+	if typ, body, err := wire.Frame(p); err == nil && typ == wire.TypeCredit {
+		if n, k := binary.Uvarint(body); k > 0 {
+			c.credit.Add(n)
+		}
+	}
+	return c.Conn.Write(p)
+}
+
+// TestRunFTDuplicatedResultFramesCountOnce: with every Result frame
+// duplicated in transit, a durable FT run counts each pair once, logs it
+// once and credits it at most once — a pair credited twice would let a
+// worker drop an unacked result the coordinator never persisted.
+func TestRunFTDuplicatedResultFramesCountOnce(t *testing.T) {
+	// More records per worker than its 4 096-record credit window, so the
+	// coordinator waits for record credit mid-stream and grants result
+	// credit while it does.
+	recs := workload.NewGenerator(workload.UniformSmall(61)).Generate(10_000)
+	const tau = 0.7
+	k := 2
+	sess := testSession(tau, "length", boundsFor(recs, tau, k))
+	sess.Algorithm = local.Bundled
+	sess.Window = window.Count{N: 1000}
+	want := chaosBaseline(t, k, sess, recs)
+	if len(want) == 0 {
+		t.Fatal("degenerate: no pairs")
+	}
+
+	workers := make([]*ftWorker, k)
+	for i := range workers {
+		workers[i] = startFTWorker(t, t.TempDir(), 0)
+	}
+	var credit atomic.Uint64
+	dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
+		var d net.Dialer
+		c, err := d.DialContext(ctx, "tcp", workers[task].addr)
+		if err != nil {
+			return nil, err
+		}
+		return faultwire.Wrap(creditTap{Conn: c, credit: &credit}, faultwire.Config{
+			Seed:        0xD0B ^ uint64(task),
+			DupPerMille: 1000, // every record and result frame, both ways
+		}), nil
+	}
+	reg := obs.NewRegistry()
+	state := t.TempDir()
+	ft := fastFT(0xD0B1)
+	ft.HeartbeatTimeout = 5 * time.Second
+	ft.Registry = reg
+	ft.Durable = &Durable{StateDir: state}
+	sum, err := RunFT(context.Background(), dial, k, sess, recs, Opts{CollectPairs: true}, ft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireParity(t, sum.Pairs, want, "duplicated frames")
+	if sum.Results != uint64(len(want)) {
+		t.Errorf("results = %d, want %d", sum.Results, len(want))
+	}
+	if sum.Reconnects != 0 {
+		t.Fatalf("%d reconnects: the exact counts below assume one connection per worker", sum.Reconnects)
+	}
+	// Every pair arrived twice, so every pair was dropped as a duplicate once.
+	if dups := reg.Counter("coord_duplicate_results_total", "").Value(); dups != uint64(len(want)) {
+		t.Errorf("%d duplicate pairs dropped, want %d", dups, len(want))
+	}
+	logRes, err := ReadResultsLog(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(logRes) != len(want) {
+		t.Errorf("results log holds %d entries, want %d", len(logRes), len(want))
+	}
+	// Credit trails the last frames of a connection, so it may fall short
+	// of the pairs; it may never exceed them.
+	t.Logf("%d pairs, %d credited", len(want), credit.Load())
+	if c := credit.Load(); c == 0 || c > uint64(len(want)) {
+		t.Errorf("%d pairs credited for %d distinct pairs", c, len(want))
+	}
+}

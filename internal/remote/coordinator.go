@@ -143,32 +143,12 @@ func RunWithOpts(ctx context.Context, conns []io.ReadWriter, sess Session, recs 
 	return runSession(ctx, conns, sess, birecs, opts)
 }
 
-// collector accumulates the result traffic arriving concurrently from all
-// worker reader goroutines.
-type collector struct {
-	collectPairs bool
-	mu           sync.Mutex
-	results      uint64        // guarded by mu
-	pairs        []record.Pair // guarded by mu
-}
-
-// add records one result frame.
-func (c *collector) add(res wire.Result) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.results++
-	if c.collectPairs {
-		c.pairs = append(c.pairs, record.Pair{First: res.A, Second: res.B, Sim: res.Sim})
-	}
-}
-
-// drain moves the accumulated totals into the summary. Call it only after
-// every reader goroutine has finished.
-func (c *collector) drain(sum *RunSummary) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sum.Results = c.results
-	sum.Pairs = c.pairs
+// received is one reader goroutine's share of the result traffic; the
+// shares are summed once every reader has finished, so no lock is taken
+// per frame.
+type received struct {
+	results uint64
+	pairs   []record.Pair
 }
 
 func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs []BiRecord, opts Opts) (*RunSummary, error) {
@@ -220,7 +200,7 @@ func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs [
 	if opts.Snapshot {
 		sum.Snapshots = make([][]byte, k)
 	}
-	coll := &collector{collectPairs: opts.CollectPairs}
+	recv := make([]received, k)
 	var (
 		wg      sync.WaitGroup
 		readErr = make(chan error, k)
@@ -241,6 +221,13 @@ func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs [
 		go func(task int, r io.Reader) {
 			defer wg.Done()
 			rd := wire.NewReader(r)
+			// Counted in a local and stored once: readers writing
+			// neighbouring recv slots per frame would share a cache line.
+			var (
+				got   received
+				batch []wire.Result
+			)
+			defer func() { recv[task] = got }()
 			for {
 				typ, err := rd.Next()
 				if err != nil {
@@ -250,12 +237,17 @@ func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs [
 				// wire-dispatch: coordinator
 				switch typ {
 				case wire.TypeResult:
-					res, err := rd.ReadResult()
+					batch, err = rd.ReadResults(batch[:0])
 					if err != nil {
 						readErr <- err
 						return
 					}
-					coll.add(res)
+					got.results += uint64(len(batch))
+					if opts.CollectPairs {
+						for _, res := range batch {
+							got.pairs = append(got.pairs, record.Pair{First: res.A, Second: res.B, Sim: res.Sim})
+						}
+					}
 				case wire.TypeStats:
 					st, err := rd.ReadStats()
 					if err != nil {
@@ -361,7 +353,10 @@ func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs [
 			return nil, err
 		}
 	}
-	coll.drain(sum)
+	for _, got := range recv {
+		sum.Results += got.results
+		sum.Pairs = append(sum.Pairs, got.pairs...)
+	}
 	sum.Elapsed = time.Since(start)
 	sum.TuplesSent = tuples
 	for _, cw := range counters {

@@ -155,6 +155,7 @@ func (ds *durableState) seedResults(coll *ftCollector) (int, error) {
 	}
 	defer it.Close()
 	n := 0
+	var fresh []bool
 	for {
 		_, payload, err := it.Next()
 		if errors.Is(err, io.EOF) {
@@ -167,7 +168,7 @@ func (ds *durableState) seedResults(coll *ftCollector) (int, error) {
 		if err != nil {
 			return n, err
 		}
-		if coll.add(res) {
+		if fresh = coll.add([]wire.Result{res}, fresh[:0]); fresh[0] {
 			n++
 		}
 	}

@@ -10,7 +10,7 @@
 // Exactness: a resumed worker restores its window from the checkpoint and
 // replays the ID-ordered log tail after the cursor, so its window state is
 // identical to an uninterrupted run. Replayed records the worker already
-// processed are dropped by its duplicate filter; result frames replayed
+// processed are dropped by its duplicate filter; result pairs replayed
 // across reconnects are dropped by the coordinator's result dedup. The
 // final result multiset therefore matches a fault-free run.
 package remote
@@ -107,7 +107,7 @@ func newFTMetrics(reg *obs.Registry) ftMetrics {
 		replayed: reg.Counter("coord_replayed_records_total",
 			"Log entries re-sent to workers during recovery."),
 		dupResults: reg.Counter("coord_duplicate_results_total",
-			"Result frames dropped by the coordinator's replay dedup."),
+			"Result pairs dropped by the coordinator's replay dedup."),
 		dead: reg.Gauge("coord_dead_workers",
 			"Workers declared dead after exhausting the retry budget."),
 		recovery: reg.Histogram("coord_recovery_seconds",
@@ -115,9 +115,9 @@ func newFTMetrics(reg *obs.Registry) ftMetrics {
 	}
 }
 
-// ftCollector accumulates results like collector, but drops duplicates: a
-// worker replaying its log tail after resume legally re-emits result pairs
-// it produced before the crash.
+// ftCollector accumulates the result pairs of every worker connection and
+// drops duplicates: a worker replaying its log tail after resume legally
+// re-emits result pairs it produced before the crash.
 type ftCollector struct {
 	collectPairs bool
 	mu           sync.Mutex
@@ -126,20 +126,25 @@ type ftCollector struct {
 	seen         map[[2]record.ID]bool // guarded by mu
 }
 
-// add records one result frame, reporting whether it was new.
-func (c *ftCollector) add(res wire.Result) bool {
-	key := [2]record.ID{res.A, res.B}
+// add records the pairs of one result frame under one lock, appending to
+// fresh whether each pair was new.
+func (c *ftCollector) add(rs []wire.Result, fresh []bool) []bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.seen[key] {
-		return false
+	for _, res := range rs {
+		key := [2]record.ID{res.A, res.B}
+		isNew := !c.seen[key]
+		fresh = append(fresh, isNew)
+		if !isNew {
+			continue
+		}
+		c.seen[key] = true
+		c.results++
+		if c.collectPairs {
+			c.pairs = append(c.pairs, record.Pair{First: res.A, Second: res.B, Sim: res.Sim})
+		}
 	}
-	c.seen[key] = true
-	c.results++
-	if c.collectPairs {
-		c.pairs = append(c.pairs, record.Pair{First: res.A, Second: res.B, Sim: res.Sim})
-	}
-	return true
+	return fresh
 }
 
 func (c *ftCollector) drain(sum *RunSummary) {
@@ -220,6 +225,17 @@ func (f *ftRunner) kickRun() {
 	case f.runCh <- struct{}{}:
 	default:
 	}
+}
+
+// abort fails the whole run with err; the first fatal error wins.
+func (f *ftRunner) abort(err error) {
+	f.st.mu.Lock()
+	if f.st.fatal == nil {
+		f.st.fatal = err
+	}
+	f.st.mu.Unlock()
+	f.cancel()
+	f.kickRun()
 }
 
 // setConn registers worker task's live transport so declareDead can sever
@@ -658,13 +674,17 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 		defer aw.Done()
 		rd := wire.NewReader(conn)
 		ackSeen := false
-		// connSeen dedups result frames within this connection so a frame
-		// duplicated by a flaky transport is never credited twice — the
-		// soundness condition of count-based acknowledgement.
+		// connSeen dedups result pairs within this connection so a pair in
+		// a frame duplicated by a flaky transport is never credited twice —
+		// the soundness condition of count-based acknowledgement.
 		var connSeen map[[2]record.ID]bool
 		if f.durable != nil {
 			connSeen = make(map[[2]record.ID]bool)
 		}
+		var (
+			batch []wire.Result
+			fresh []bool
+		)
 		for {
 			typ, rerr := rd.Next()
 			if rerr != nil {
@@ -687,30 +707,47 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 				recCredit.Store(int64(credit))
 				ackCh <- next
 			case wire.TypeResult:
-				res, rerr := rd.ReadResult()
-				if rerr != nil {
+				var rerr error
+				if batch, rerr = rd.ReadResults(batch[:0]); rerr != nil {
 					readErrCh <- rerr
 					return
 				}
-				isNew := f.coll.add(res)
-				if !isNew && f.met.dupResults != nil {
-					f.met.dupResults.Inc()
-				}
-				if f.durable != nil {
-					key := [2]record.ID{res.A, res.B}
-					if !connSeen[key] {
-						connSeen[key] = true
-						if isNew {
-							if aerr := f.durable.appendResult(res); aerr != nil {
-								readErrCh <- fmt.Errorf("remote: results log append: %w", aerr)
-								return
-							}
+				fresh = f.coll.add(batch, fresh[:0])
+				if f.met.dupResults != nil {
+					for _, isNew := range fresh {
+						if !isNew {
+							f.met.dupResults.Inc()
 						}
-						// New or re-sent, the result is now (or already was)
-						// in the results log: creditable once synced.
-						resDurable.Add(1)
-						f.kick(task)
 					}
+				}
+				if f.durable == nil {
+					continue
+				}
+				var credit uint64
+				for i, res := range batch {
+					key := [2]record.ID{res.A, res.B}
+					if connSeen[key] {
+						continue
+					}
+					connSeen[key] = true
+					if fresh[i] {
+						if aerr := f.durable.appendResult(res); aerr != nil {
+							// Fatal, not retried: the frame's later pairs are
+							// marked seen but unlogged, so a re-send would be
+							// credited without ever reaching the log.
+							aerr = fmt.Errorf("remote: results log append: %w", aerr)
+							f.abort(aerr)
+							readErrCh <- aerr
+							return
+						}
+					}
+					// New or re-sent, the result is now (or already was) in
+					// the results log: creditable once synced.
+					credit++
+				}
+				if credit > 0 {
+					resDurable.Add(credit)
+					f.kick(task)
 				}
 			case wire.TypeCredit:
 				n, rerr := rd.ReadCredit()
@@ -857,8 +894,11 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 		// Result acknowledgements flow before anything else — and crucially
 		// regardless of pause state, or a paused worker's unacked buffer
 		// could never drain. The sync makes every credited result durable
-		// whatever the WAL's background fsync policy says.
-		if f.durable != nil {
+		// whatever the WAL's background fsync policy says. None flow after
+		// EOF: the worker answers it with Stats and closes without reading
+		// further, so a late credit would hit a closed connection and fail
+		// an attempt that has in fact finished.
+		if f.durable != nil && !eofSent {
 			if d := resDurable.Load(); d > credited {
 				if serr := f.durable.results.Sync(); serr != nil {
 					drainReader()

@@ -309,20 +309,16 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	}
 
 	task, workers := h.Task, h.Workers
-	var writeErr error
-	// emitted counts results written this session; the record loop diffs it
-	// around a traced Step to decide whether a "deliver" span exists. Step
-	// merges parallel-verifier results on the calling goroutine, so the
-	// counter needs no synchronization — and neither does cur, the record
-	// being stepped, which lets one emit closure serve the whole session.
+	// emitted counts results written this session. Step merges
+	// parallel-verifier results on the calling goroutine, so neither it nor
+	// cur, the record being stepped, nor batch, its pairs so far, needs
+	// synchronization — which lets one emit closure serve the whole session.
 	var (
 		emitted uint64
 		cur     *record.Record
+		batch   []wire.Result
 	)
 	emit := func(m local.Match) {
-		if writeErr != nil {
-			return
-		}
 		if !strat.Emits(cur, m.Rec, task, workers) {
 			return
 		}
@@ -330,16 +326,21 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		if a > b {
 			a, b = b, a
 		}
+		batch = append(batch, wire.Result{A: a, B: b, Sim: m.Sim})
+	}
+	// sendBatch writes the stepped record's pairs as one Result frame and,
+	// in a durable session, buffers them unacked pair by pair.
+	sendBatch := func() error {
+		n := len(batch)
+		emitted += uint64(n)
 		if mon != nil {
-			mon.ResultsEmitted.Add(1)
+			mon.ResultsEmitted.Add(uint64(n))
 		}
-		emitted++
-		res := wire.Result{A: a, B: b, Sim: m.Sim}
-		writeErr = wr.WriteResult(res)
+		err := wr.WriteResults(cur.ID, batch)
 		if h.Durable {
-			unacked = append(unacked, res)
+			unacked = append(unacked, batch...)
 			if mon != nil {
-				mon.UnackedResults.Add(1)
+				mon.UnackedResults.Add(int64(n))
 			}
 			if h.FT && !selfPaused && len(unacked) >= unackedPauseHigh {
 				// Ask the coordinator to hold records until the credit
@@ -350,11 +351,13 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 				}
 				o.Journal.Append("flow_pause", comp,
 					fmt.Sprintf("session %016x paused the record stream: %d unacked results", h.SessionID, len(unacked)))
-				if werr := wr.WritePause(); werr != nil && writeErr == nil {
-					writeErr = werr
+				if werr := wr.WritePause(); werr != nil && err == nil {
+					err = werr
 				}
 			}
 		}
+		batch = batch[:0]
+		return err
 	}
 
 	// Re-send the restored unacked tail: the previous coordinator may have
@@ -489,15 +492,24 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 					mon.RecordsSeen.Add(1)
 					mon.InFlightRecords.Add(1)
 				}
-				eBefore := emitted
 				cur = rt.Rec
 				if bi != nil {
 					bi.StepSide(rt.Rec, rt.Right, rt.Store, emit)
 				} else {
 					joiner.Step(rt.Rec, rt.Store, emit)
 				}
+				var stepEnd time.Time
 				if mon != nil || traced {
-					stepEnd := time.Now()
+					stepEnd = time.Now()
+				}
+				// One frame per probe with matches, written before the cursor
+				// advances so a checkpoint never covers unsent results.
+				pairs := len(batch)
+				var writeErr error
+				if pairs > 0 {
+					writeErr = sendBatch()
+				}
+				if mon != nil || traced {
 					if mon != nil {
 						mon.RecordLatency.Observe(stepEnd.Sub(rstart))
 						mon.InFlightRecords.Add(-1)
@@ -509,7 +521,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 						// trace reads the same across deployment modes.
 						qi := o.Frags.Append(rt.TraceID, rt.ParentSpan, "queue", comp, h.Task, -1, rstart, rstart)
 						pi := o.Frags.Append(rt.TraceID, rt.ParentSpan, "process", comp, h.Task, qi, rstart, stepEnd)
-						if emitted > eBefore {
+						if pairs > 0 {
 							o.Frags.Append(rt.TraceID, rt.ParentSpan, "deliver", comp, h.Task, pi, stepEnd, time.Now())
 						}
 						if mon != nil {

@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"math"
 	"testing"
 
 	"repro/internal/record"
@@ -29,6 +31,14 @@ func FuzzReaderNeverPanics(f *testing.F) {
 	f.Add([]byte{TypeResumeAck, 3, 0x80, 0x01, 0x10})
 	f.Add([]byte{TypeResumeAck, 1, 0x2A})
 	f.Add([]byte{TypeCredit, 2, 0x80, 0x20})
+	// Result frames: a probe's batch, then every hostile payload as a frame.
+	buf.Reset()
+	_ = w.WriteResults(100, []Result{{A: 99, B: 100, Sim: 0.9}, {A: 40, B: 100, Sim: 0.8}, {A: 100, B: 101, Sim: 1}})
+	_ = w.Flush()
+	f.Add(bytes.Clone(buf.Bytes()))
+	for _, body := range hostileResultPayloads {
+		f.Add(append([]byte{TypeResult, byte(len(body))}, body...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
@@ -43,7 +53,14 @@ func FuzzReaderNeverPanics(f *testing.F) {
 			case TypeRecord:
 				_, _ = r.ReadRecord()
 			case TypeResult:
-				_, _ = r.ReadResult()
+				one, oneErr := r.ReadResult()
+				rs, err := r.ReadResults(nil)
+				if err == nil && len(rs) > len(r.buf)/minPairBytes {
+					t.Fatalf("%d pairs out of a %d-byte payload", len(rs), len(r.buf))
+				}
+				if oneErr == nil && (err != nil || len(rs) != 1 || !sameResult(rs[0], one)) {
+					t.Fatalf("ReadResult %+v disagrees with ReadResults %+v, %v", one, rs, err)
+				}
 			case TypeStats:
 				_, _ = r.ReadStats()
 			case TypeResumeAck:
@@ -57,6 +74,79 @@ func FuzzReaderNeverPanics(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzResultBatchRoundTrip checks encode→decode identity for the pairs of
+// one probe. Each 10-byte chunk of raw is one partner: a mode byte, 8 bytes
+// u, and the similarity's low byte. Mode picks the partner u mod 2^16 above
+// or below the probe (wrapping past the ID range, which the encoder must
+// refuse) or u itself. A batch whose every distance fits an int64 must come
+// back pair for pair; any other batch must be refused whole.
+func FuzzResultBatchRoundTrip(f *testing.F) {
+	f.Add(uint64(100), []byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 7, 1, 9, 0, 0, 0, 0, 0, 0, 0, 200})
+	f.Add(uint64(1<<63), []byte{2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0})
+	f.Add(uint64(3), []byte{1, 9, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, probe uint64, raw []byte) {
+		var rs []Result
+		fits := true
+		for ; len(raw) >= 10; raw = raw[10:] {
+			u := binary.LittleEndian.Uint64(raw[1:9])
+			partner := u
+			switch raw[0] % 3 {
+			case 0:
+				partner = probe + u%(1<<16)
+			case 1:
+				partner = probe - u%(1<<16)
+			}
+			if partner >= probe {
+				fits = fits && partner-probe <= math.MaxInt64
+			} else {
+				fits = fits && probe-partner <= 1<<63
+			}
+			a, b := min(probe, partner), max(probe, partner)
+			rs = append(rs, Result{A: record.ID(a), B: record.ID(b), Sim: math.Float64frombits(u&^0xff | uint64(raw[9]))})
+		}
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		err := w.WriteResults(record.ID(probe), rs)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !fits {
+			if err == nil || buf.Len() != 0 {
+				t.Fatalf("a batch with an out-of-reach partner: err %v, %d bytes written", err, buf.Len())
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := NewReader(&buf)
+		if typ, err := r.Next(); err != nil || typ != TypeResult {
+			t.Fatalf("frame %v %v", typ, err)
+		}
+		got, err := r.ReadResults(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(rs) {
+			t.Fatalf("%d pairs back, sent %d", len(got), len(rs))
+		}
+		for i := range rs {
+			if !sameResult(got[i], rs[i]) {
+				t.Fatalf("pair %d: %+v, sent %+v", i, got[i], rs[i])
+			}
+		}
+		if _, err := r.Next(); err != io.EOF {
+			t.Fatalf("trailing garbage: %v", err)
+		}
+	})
+}
+
+// sameResult compares two pairs with the similarity by its bits, so NaN
+// equals itself.
+func sameResult(a, b Result) bool {
+	return a.A == b.A && a.B == b.B && math.Float64bits(a.Sim) == math.Float64bits(b.Sim)
 }
 
 // FuzzRecordRoundTrip checks encode→decode identity for arbitrary token

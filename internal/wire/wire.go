@@ -82,11 +82,12 @@ const (
 // Version is the protocol version carried in Hello, and the only one a
 // peer accepts (ReadHello rejects any other). It covers the FT handshake
 // (session ID, FT/Resume/Durable flags, the partition-plan hash, the
-// two-field ResumeAck), the Ping/Pong/Credit/Pause/Resume frames, and the
+// two-field ResumeAck), the Ping/Pong/Credit/Pause/Resume frames, the
 // optional trace annotation on Record frames (flags bit 4: trace id +
-// parent span index after the token list); untraced records carry no
-// annotation bytes, so tracing costs nothing off the sampled path.
-const Version = 4
+// parent span index after the token list; untraced records carry no
+// annotation bytes, so tracing costs nothing off the sampled path), and
+// Result frames that carry every pair of one probe (version 5).
+const Version = 5
 
 // MaxFrame bounds a frame payload; larger frames indicate corruption.
 const MaxFrame = 1 << 24
@@ -152,7 +153,10 @@ type Record struct {
 	Rec        *record.Record
 }
 
-// Result is one verified pair.
+// Result is one verified pair. A Result frame carries the pairs of one
+// probe: the probe's ID, then each partner as its distance from it, so a
+// decoded pair names its IDs in ascending order (A ≤ B) whichever was the
+// probe.
 type Result struct {
 	A, B record.ID
 	Sim  float64
@@ -289,12 +293,106 @@ func (w *Writer) WriteRecordTraced(store, right bool, r *record.Record, traceID 
 	return w.flushFrame(TypeRecord)
 }
 
-// WriteResult sends one verified pair.
+// WriteResult sends one verified pair: the one-pair case of WriteResults,
+// with A as the probe.
 func (w *Writer) WriteResult(res Result) error {
-	w.putUvarint(uint64(res.A))
-	w.putUvarint(uint64(res.B))
-	w.putFloat(res.Sim)
-	return w.flushFrame(TypeResult)
+	return w.WriteResults(res.A, []Result{res})
+}
+
+// WriteResults sends the pairs one probe produced as one Result frame, or
+// as several when there are more than one frame holds (framePairs); a
+// reader adds the frames up either way. Every pair must hold probe as its
+// A or its B; a partner more than 2^63 IDs away from probe is an error,
+// and the frame that would hold it is not sent.
+func (w *Writer) WriteResults(probe record.ID, rs []Result) error {
+	for {
+		chunk := rs[:min(len(rs), framePairs)]
+		var err error
+		if w.buf, err = appendResults(w.buf, probe, chunk); err != nil {
+			w.buf = w.buf[:0]
+			return err
+		}
+		if err := w.flushFrame(TypeResult); err != nil {
+			return err
+		}
+		if rs = rs[len(chunk):]; len(rs) == 0 {
+			return nil
+		}
+	}
+}
+
+// Result-frame decode errors. They are values, not built per call, so the
+// decode loop allocates nothing even on hostile bytes.
+var (
+	errResultTruncated = errors.New("wire: truncated result frame")
+	errResultCount     = errors.New("wire: result pair count exceeds the payload")
+	errResultTrailing  = errors.New("wire: bytes after the last result pair")
+	errResultNotOne    = errors.New("wire: result frame does not hold exactly one pair")
+	errPartnerRange    = errors.New("wire: result partner ID outside the ID range")
+)
+
+// minPairBytes is the smallest encoded pair: a one-byte distance and the
+// similarity.
+const minPairBytes = 1 + 8
+
+// maxPairBytes is the largest encoded pair: a ten-byte distance and the
+// similarity.
+const maxPairBytes = binary.MaxVarintLen64 + 8
+
+// framePairs caps the pairs of one Result frame so that its payload stays
+// within MaxFrame even at maxPairBytes a pair behind a ten-byte probe and
+// count. A variable only so that tests can split a probe's pairs without
+// a million of them.
+var framePairs = (MaxFrame - 2*binary.MaxVarintLen64) / maxPairBytes
+
+// appendResults appends a Result payload to b: probe and the pair count as
+// uvarints, then per pair the zigzag distance from probe to the partner and
+// the similarity as 8 little-endian bytes.
+//
+// hotpath: zero-alloc
+func appendResults(b []byte, probe record.ID, rs []Result) ([]byte, error) {
+	b = appendUvarint(b, uint64(probe))
+	b = appendUvarint(b, uint64(len(rs)))
+	for _, r := range rs {
+		partner := r.B
+		if partner == probe {
+			partner = r.A
+		}
+		// Zigzag: distance d ≥ 0 is 2d, distance −m is 2m − 1 (which wraps
+		// to 2^64 − 1 for m = 2^63, the farthest partner below).
+		var zz uint64
+		if partner >= probe {
+			d := uint64(partner - probe)
+			if d > math.MaxInt64 {
+				return b, errPartnerRange
+			}
+			zz = d << 1
+		} else {
+			m := uint64(probe - partner)
+			if m > 1<<63 {
+				return b, errPartnerRange
+			}
+			zz = m<<1 - 1
+		}
+		b = appendUvarint(b, zz)
+		u := math.Float64bits(r.Sim)
+		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
+			byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
+	}
+	return b, nil
+}
+
+// appendUvarint appends v as a uvarint, the encoding binary.PutUvarint
+// writes.
+//
+// hotpath: zero-alloc
+func appendUvarint(b []byte, v uint64) []byte {
+	for v >= 0x80 {
+		b = append(b, byte(v)|0x80)
+		v >>= 7
+	}
+	b = append(b, byte(v))
+	return b
 }
 
 // WriteEOF signals end of stream.
@@ -422,7 +520,9 @@ func (r *Reader) Next() (byte, error) {
 		return 0, ErrFrameTooLarge
 	}
 	if cap(r.buf) < int(n) {
-		r.buf = make([]byte, n)
+		// Grow geometrically: frames of rising size (a probe's pairs) would
+		// otherwise reallocate at every new largest frame.
+		r.buf = make([]byte, n, min(max(int(n), 2*cap(r.buf)), MaxFrame))
 	}
 	r.buf = r.buf[:n]
 	if _, err := io.ReadFull(r.r, r.buf); err != nil {
@@ -646,27 +746,124 @@ func DecodeRecord(body []byte) (Record, error) {
 	return rec, nil
 }
 
-// ReadResult decodes a staged Result frame.
+// ReadResult decodes a staged Result frame that holds exactly one pair.
 func (r *Reader) ReadResult() (Result, error) {
 	return DecodeResult(r.buf)
 }
 
-// DecodeResult decodes the payload of a Result frame.
+// ReadResults appends the pairs of a staged Result frame to dst.
+func (r *Reader) ReadResults(dst []Result) ([]Result, error) {
+	return decodeResults(dst, r.buf)
+}
+
+// DecodeResult decodes the payload of a Result frame that holds exactly
+// one pair; any other count is an error.
 func DecodeResult(body []byte) (Result, error) {
-	p := payload{b: body}
-	a, err := p.uvarint()
+	if _, n, _, err := resultHeader(body); err == nil && n != 1 {
+		return Result{}, errResultNotOne
+	}
+	var one [1]Result
+	rs, err := decodeResults(one[:0], body)
 	if err != nil {
 		return Result{}, err
 	}
-	b, err := p.uvarint()
+	return rs[0], nil
+}
+
+// decodeResults appends the pairs of a Result payload to dst. On an error
+// dst comes back at its original length.
+//
+// hotpath: zero-alloc
+func decodeResults(dst []Result, body []byte) ([]Result, error) {
+	probe, n, i, err := resultHeader(body)
 	if err != nil {
-		return Result{}, err
+		return dst, err
 	}
-	sim, err := p.float()
-	if err != nil {
-		return Result{}, err
+	start := len(dst)
+	for ; n > 0; n-- {
+		var res Result
+		if res, i, err = resultPair(body, i, probe); err != nil {
+			return dst[:start], err
+		}
+		dst = append(dst, res)
 	}
-	return Result{A: record.ID(a), B: record.ID(b), Sim: sim}, nil
+	if i != len(body) {
+		return dst[:start], errResultTrailing
+	}
+	return dst, nil
+}
+
+// resultHeader reads a Result payload's probe ID and pair count, and the
+// offset of its first pair. A count the remaining bytes cannot hold is an
+// error here, before anything is sized by it.
+//
+// hotpath: zero-alloc
+func resultHeader(body []byte) (uint64, int, int, error) {
+	probe, i, ok := uvarintAt(body, 0)
+	if !ok {
+		return 0, 0, 0, errResultTruncated
+	}
+	count, i, ok := uvarintAt(body, i)
+	if !ok {
+		return 0, 0, 0, errResultTruncated
+	}
+	if count > uint64((len(body)-i)/minPairBytes) {
+		return 0, 0, 0, errResultCount
+	}
+	return probe, int(count), i, nil
+}
+
+// resultPair decodes the pair at body[i:] of probe's frame and returns the
+// offset after it. A distance that lands outside [0, 2^64) is an error.
+//
+// hotpath: zero-alloc
+func resultPair(body []byte, i int, probe uint64) (Result, int, error) {
+	zz, i, ok := uvarintAt(body, i)
+	if !ok || len(body)-i < 8 {
+		return Result{}, i, errResultTruncated
+	}
+	var partner uint64
+	if zz&1 == 0 {
+		partner = probe + zz>>1
+		if partner < probe {
+			return Result{}, i, errPartnerRange
+		}
+	} else {
+		m := zz>>1 + 1
+		if m > probe {
+			return Result{}, i, errPartnerRange
+		}
+		partner = probe - m
+	}
+	f := body[i : i+8]
+	u := uint64(f[0]) | uint64(f[1])<<8 | uint64(f[2])<<16 | uint64(f[3])<<24 |
+		uint64(f[4])<<32 | uint64(f[5])<<40 | uint64(f[6])<<48 | uint64(f[7])<<56
+	a, b := probe, partner
+	if b < a {
+		a, b = b, a
+	}
+	return Result{A: record.ID(a), B: record.ID(b), Sim: math.Float64frombits(u)}, i + 8, nil
+}
+
+// uvarintAt decodes the uvarint at b[i:] and returns it with the offset
+// after it; ok is false when b ends first or the value overflows 64 bits,
+// where binary.Uvarint fails too.
+//
+// hotpath: zero-alloc
+func uvarintAt(b []byte, i int) (uint64, int, bool) {
+	var v uint64
+	for s := uint(0); i < len(b); s += 7 {
+		c := b[i]
+		i++
+		if s == 63 && c > 1 {
+			return 0, i, false
+		}
+		if c < 0x80 {
+			return v | uint64(c)<<s, i, true
+		}
+		v |= uint64(c&0x7f) << s
+	}
+	return 0, i, false
 }
 
 // ReadSnapshot returns a copy of a staged Snapshot frame's blob.
