@@ -1,39 +1,21 @@
 // Command repolint runs the repo-specific static analysis suite
-// (internal/lint) over Go packages. It has two modes:
-//
-// Standalone, the `make lint` gate — whole-program: all packages are
+// (internal/lint) over Go packages, whole-program: all packages are
 // analyzed together in dependency order with a shared fact store, so the
 // interprocedural analyzers (lockorder, allocheck, wirestate) see across
 // package boundaries and their whole-repo Finish checks run:
 //
 //	repolint ./...
 //	repolint -run lockorder,allocheck ./...
-//	repolint -baseline lint.baseline.json ./...
-//	repolint -sarif lint.sarif ./...
 //
-// Vet tool, speaking the cmd/go vet protocol so the suite can ride the
-// build cache; facts are serialized into the .vetx files the protocol
-// caches, but whole-program Finish checks are skipped (cmd/go feeds one
-// package at a time), so the standalone mode is the authoritative gate:
-//
-//	go vet -vettool=$(go env GOPATH)/bin/repolint ./...
-//
-// With -baseline, only findings absent from the baseline file fail the
-// run; -update-baseline rewrites the file from the current findings.
 // Exit status: 0 clean, 1 findings, 2 usage or internal error.
 // docs/LINTING.md describes every analyzer and the suppression syntax.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/importer"
-	"go/token"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/lint"
@@ -46,53 +28,25 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("repolint", flag.ExitOnError)
 	var (
-		version  = fs.String("V", "", "print version and exit (vet tool protocol)")
-		flagsOut = fs.Bool("flags", false, "print supported flags as JSON and exit (vet tool protocol)")
-		checks   = fs.String("checks", "", "comma-separated analyzer subset (default: all)")
-		runSel   = fs.String("run", "", "comma-separated analyzer subset (alias of -checks)")
-		list     = fs.Bool("list", false, "list analyzers and exit")
-		jsonOut  = fs.Bool("json", false, "emit diagnostics as JSON")
-		sarifOut = fs.String("sarif", "", "write SARIF 2.1.0 output to this file (\"-\" for stdout)")
-		baseline = fs.String("baseline", "", "baseline file: fail only on findings not recorded in it")
-		updateBl = fs.Bool("update-baseline", false, "rewrite the -baseline file from the current findings and exit clean")
-		dir      = fs.String("C", "", "change to dir before loading packages")
+		runSel = fs.String("run", "", "comma-separated analyzer subset (default: all)")
+		list   = fs.Bool("list", false, "list analyzers and exit")
+		dir    = fs.String("C", "", "change to dir before loading packages")
 	)
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
-	if *version != "" {
-		// cmd/go hashes this line to identify the tool build.
-		fmt.Println("repolint version repro-v2")
-		return 0
-	}
-	if *flagsOut {
-		return printFlags(fs)
-	}
 	if *list {
 		for _, a := range lint.All() {
 			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
 		}
 		return 0
 	}
-	sel := *checks
-	if *runSel != "" {
-		if sel != "" && sel != *runSel {
-			fmt.Fprintln(os.Stderr, "repolint: -run and -checks disagree; use one")
-			return 2
-		}
-		sel = *runSel
-	}
-	analyzers, err := lint.ByName(sel)
+	analyzers, err := lint.ByName(*runSel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return runVetTool(rest[0], analyzers)
-	}
-
-	patterns := rest
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -107,43 +61,18 @@ func run(args []string) int {
 		return 2
 	}
 	relativize(diags, *dir)
-
-	if *sarifOut != "" {
-		if err := writeSARIFFile(*sarifOut, diags, analyzers); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
+	for _, d := range diags {
+		fmt.Fprintln(os.Stderr, d)
 	}
-	if *updateBl {
-		if *baseline == "" {
-			fmt.Fprintln(os.Stderr, "repolint: -update-baseline requires -baseline <file>")
-			return 2
-		}
-		if err := lint.WriteBaseline(*baseline, diags); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		fmt.Fprintf(os.Stderr, "repolint: baseline %s updated with %d finding(s)\n", *baseline, len(diags))
-		return 0
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "repolint: %d finding(s)\n", len(diags))
+		return 1
 	}
-	if *baseline != "" {
-		known, err := lint.ReadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		fresh := lint.NewFindings(diags, known)
-		if n := len(diags) - len(fresh); n > 0 {
-			fmt.Fprintf(os.Stderr, "repolint: %d baselined finding(s) suppressed (see %s)\n", n, *baseline)
-		}
-		diags = fresh
-	}
-	return report(diags, *jsonOut)
+	return 0
 }
 
 // relativize rewrites absolute diagnostic paths relative to the working
-// directory (or -C dir), so baselines and SARIF artifacts are stable
-// across checkouts.
+// directory (or -C dir), so findings read the same in every checkout.
 func relativize(diags []lint.Diagnostic, dir string) {
 	base := dir
 	if base == "" {
@@ -163,169 +92,4 @@ func relativize(diags []lint.Diagnostic, dir string) {
 		}
 		diags[i].Pos.Filename = filepath.ToSlash(rel)
 	}
-}
-
-// writeSARIFFile renders diags as SARIF to path, "-" meaning stdout.
-func writeSARIFFile(path string, diags []lint.Diagnostic, analyzers []*lint.Analyzer) error {
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return lint.WriteSARIF(w, diags, analyzers)
-}
-
-// printFlags emits the flag descriptions cmd/go requests before running a
-// vet tool, so it knows which vet flags the tool accepts.
-func printFlags(fs *flag.FlagSet) int {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var out []jsonFlag
-	fs.VisitAll(func(f *flag.Flag) {
-		b, ok := f.Value.(interface{ IsBoolFlag() bool })
-		out = append(out, jsonFlag{Name: f.Name, Bool: ok && b.IsBoolFlag(), Usage: f.Usage})
-	})
-	if err := json.NewEncoder(os.Stdout).Encode(out); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	return 0
-}
-
-// report prints diagnostics and converts them to an exit status.
-func report(diags []lint.Diagnostic, jsonOut bool) int {
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
-		}
-	}
-	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "repolint: %d finding(s)\n", len(diags))
-		return 1
-	}
-	return 0
-}
-
-// vetConfig is the JSON cmd/go hands a vet tool for one package.
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetTool analyzes one package described by a vet .cfg file: parse the
-// listed sources, type-check against the export data cmd/go already built,
-// import the dependencies' facts from their .vetx files, run the suite's
-// per-package phase, and write this package's serialized facts to
-// VetxOutput so dependents can consume them. Whole-program Finish checks
-// do not run in this mode.
-func runVetTool(cfgPath string, analyzers []*lint.Analyzer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "repolint: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-
-	fset := token.NewFileSet()
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("repolint: no export data for %q", path)
-		}
-		return os.Open(file)
-	}
-	filenames := make([]string, len(cfg.GoFiles))
-	for i, f := range cfg.GoFiles {
-		if !filepath.IsAbs(f) {
-			f = filepath.Join(cfg.Dir, f)
-		}
-		filenames[i] = f
-	}
-	pkg, err := lint.TypecheckFiles(fset, cfg.ImportPath, filenames,
-		importer.ForCompiler(fset, "gc", lookup))
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-
-	// Dependencies' facts ride the vet cache: one .vetx file per direct
-	// dependency (each already folds in its own dependencies' facts).
-	var depFacts [][]byte
-	for _, vetxFile := range sortedValues(cfg.PackageVetx) {
-		facts, err := os.ReadFile(vetxFile)
-		if err != nil {
-			// A dependency without facts (stale cache entry) degrades the
-			// interprocedural checks but must not fail the build.
-			continue
-		}
-		depFacts = append(depFacts, facts)
-	}
-	diags, facts, err := lint.RunModular(pkg, analyzers, depFacts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, facts, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
-	}
-	if len(diags) > 0 {
-		return 2 // vet protocol: nonzero fails the go vet invocation
-	}
-	return 0
-}
-
-// sortedValues returns m's values ordered by key, for deterministic fact
-// loading.
-func sortedValues(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]string, len(keys))
-	for i, k := range keys {
-		out[i] = m[k]
-	}
-	return out
 }

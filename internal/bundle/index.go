@@ -506,7 +506,7 @@ func betterIns(a, b Insertion) bool {
 // st — &bx.stats on the serial path, a per-goroutine VerifyCtx on the pool
 // path — so concurrent verifiers never share a counter cache line.
 //
-// parcheck: runs on the verifier pool. It must only read the index (params,
+// Runs on the verifier pool. It must only read the index (params,
 // cfg, postings, bundles): any index mutation belongs in collectCandidates
 // or the insert/evict path, which run strictly before and after the fanned
 // verify phase.

@@ -18,7 +18,7 @@ import (
 // same Stats columns, so step counts of the two kernels add up but are not
 // the same unit.
 //
-// parcheck: runs on the verifier pool. All writes go to st.
+// Runs on the verifier pool. All writes go to st.
 //
 // hotpath: zero-alloc — one call per verification merge.
 func overlapKernel(st *Stats, a, b []tokens.Rank) (o, steps int) {
@@ -35,7 +35,7 @@ func overlapKernel(st *Stats, a, b []tokens.Rank) (o, steps int) {
 // exact when ok. The ok decision equals |a∩b| >= required for both
 // kernels.
 //
-// parcheck: runs on the verifier pool. All writes go to st.
+// Runs on the verifier pool. All writes go to st.
 //
 // hotpath: zero-alloc — one call per verification merge.
 func overlapKernelBounded(st *Stats, a, b []tokens.Rank, required int) (o, steps int, ok bool) {

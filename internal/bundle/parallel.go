@@ -155,7 +155,7 @@ func (p *Pool) helper(c *VerifyCtx) {
 // runStint verifies candidate bundles for one job out of context c,
 // claimChunk at a time, until the shared cursor is exhausted.
 //
-// parcheck: runs on the verifier pool. Everything it writes is local to c
+// Runs on the verifier pool. Everything it writes is local to c
 // or a disjoint res entry; the index is read-only here.
 //
 // hotpath: zero-alloc — the claim loop runs once per chunk; match

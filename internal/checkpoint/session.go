@@ -79,8 +79,9 @@ func ReadSessionHeader(r io.Reader) (meta SessionMeta, body io.Reader, v2 bool, 
 	if count > 1<<24 {
 		return meta, nil, true, fmt.Errorf("checkpoint: absurd unacked count %d", count)
 	}
-	meta.Unacked = make([]wire.Result, count)
-	for i := range meta.Unacked {
+	// Append as results decode: the count is outside input, and a header
+	// cut short must not have sized an allocation first.
+	for i := uint64(0); i < count; i++ {
 		a, err := binary.ReadUvarint(br)
 		if err != nil {
 			return meta, nil, true, fmt.Errorf("checkpoint: reading unacked result %d: %w", i, err)
@@ -93,11 +94,11 @@ func ReadSessionHeader(r io.Reader) (meta SessionMeta, body io.Reader, v2 bool, 
 		if _, err := io.ReadFull(r, f[:]); err != nil {
 			return meta, nil, true, fmt.Errorf("checkpoint: reading unacked result %d: %w", i, err)
 		}
-		meta.Unacked[i] = wire.Result{
+		meta.Unacked = append(meta.Unacked, wire.Result{
 			A:   record.ID(a),
 			B:   record.ID(b),
 			Sim: math.Float64frombits(binary.LittleEndian.Uint64(f[:])),
-		}
+		})
 	}
 	return meta, r, true, nil
 }

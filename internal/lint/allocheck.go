@@ -45,17 +45,13 @@ var AllocCheck = &Analyzer{
 // across a package boundary.
 type AllocFact struct {
 	// Allocates reports whether any path through the function allocates.
-	Allocates bool `json:"allocates"`
+	Allocates bool
 	// What describes the first allocation site when Allocates is true.
-	What string `json:"what,omitempty"`
+	What string
 }
 
 // AFact marks AllocFact as a fact.
 func (*AllocFact) AFact() {}
-
-func init() {
-	RegisterFact(func() Fact { return new(AllocFact) })
-}
 
 // hotpathMarker is the doc-comment annotation that opts a function into
 // static zero-alloc verification.
@@ -212,13 +208,10 @@ type allocChecker struct {
 }
 
 // externalAllocates resolves a cross-package callee: the stdlib
-// allowlist first, then its AllocFact when one was exported (dependency
-// packages run first). The allowlist takes precedence because it encodes
-// an amortization judgment facts cannot express — under the vet
-// protocol, facts get computed for stdlib dependencies too, and a
-// literal scan of sync.Pool.Get sees its one-time pinSlow allocation
-// even though the steady-state path is alloc-free. Unknown externals
-// count as allocating — unverifiable is a finding, not a pass.
+// allowlist first (the loader analyzes no standard-library source, so
+// those packages have no facts), then its AllocFact when one was exported
+// (dependency packages run first). Unknown externals count as
+// allocating — unverifiable is a finding, not a pass.
 func (c *allocChecker) externalAllocates(callee *types.Func) (what string, bad bool) {
 	pkg := callee.Pkg()
 	if pkg == nil || allocSafeStdlib[pkg.Path()] {

@@ -4,9 +4,8 @@
 // over dependent packages — analyzed later, in dependency order — import
 // those facts to reason across package boundaries without re-reading the
 // dependency's source. The mechanism mirrors golang.org/x/tools/go/analysis
-// facts, built on the standard library alone: facts are plain structs,
-// serialized as JSON so the vet-tool mode can persist them alongside the
-// export data cmd/go already caches (the .vetx files of the vet protocol).
+// facts, built on the standard library alone; facts are plain structs held
+// in memory for the length of one session.
 //
 // Whole-program checks that cannot be phrased package-at-a-time (cycle
 // detection over the merged lock graph, protocol-coverage accounting) run
@@ -15,54 +14,29 @@
 package lint
 
 import (
-	"encoding/json"
-	"fmt"
-	"go/token"
 	"go/types"
 	"reflect"
 	"sort"
 )
 
 // Fact is the marker interface every fact type implements. A fact must be
-// a pointer to a JSON-serializable struct and must be registered with
-// RegisterFact before any store decodes it.
+// a pointer to a struct.
 type Fact interface {
 	// AFact marks the type as a lint fact; it is never called.
 	AFact()
 }
 
-// factProtos maps registered fact type names to constructors, so Decode
-// can materialize facts read back from serialized form.
-var factProtos = map[string]func() Fact{}
-
-// RegisterFact makes a fact type known to the serializer under its struct
-// type name. Call it from an init function next to the fact declaration.
-func RegisterFact(proto func() Fact) {
-	factProtos[factName(proto())] = proto
-}
-
-// factName returns the bare struct type name of a fact value.
-func factName(f Fact) string {
-	t := reflect.TypeOf(f)
-	for t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	return t.Name()
-}
-
 // factKey addresses one fact: the declaring package's import path, the
-// object's path within it ("" for a package-level fact), and the fact
-// type's registered name.
+// object's path within it ("" for a package-level fact), and the fact's
+// type.
 type factKey struct {
 	pkg string
 	obj string
-	typ string
+	typ reflect.Type
 }
 
-// FactStore accumulates the facts of one analysis session. It is shared
-// by every pass of a RunAll invocation; the standalone runner threads one
-// store through all packages in dependency order, the vet-tool mode
-// persists and reloads it per package.
+// FactStore accumulates the facts of one analysis session. One store is
+// threaded through every pass of a RunAll invocation, in dependency order.
 type FactStore struct {
 	m map[factKey]Fact
 }
@@ -107,123 +81,40 @@ func recvTypeName(t types.Type) string {
 
 // set stores f under the key, replacing any previous fact of the same type.
 func (s *FactStore) set(pkg, obj string, f Fact) {
-	s.m[factKey{pkg: pkg, obj: obj, typ: factName(f)}] = f
+	s.m[factKey{pkg: pkg, obj: obj, typ: reflect.TypeOf(f)}] = f
 }
 
 // get copies the stored fact for the key into target (which selects the
-// fact type) and reports whether one was found.
+// fact type) and reports whether one was found. The copy is shallow:
+// callers may reassign target's fields but must not mutate the slices or
+// maps it shares with the store.
 func (s *FactStore) get(pkg, obj string, target Fact) bool {
-	stored, ok := s.m[factKey{pkg: pkg, obj: obj, typ: factName(target)}]
-	if !ok {
-		return false
+	stored, ok := s.m[factKey{pkg: pkg, obj: obj, typ: reflect.TypeOf(target)}]
+	if ok {
+		reflect.ValueOf(target).Elem().Set(reflect.ValueOf(stored).Elem())
 	}
-	// Copy through JSON so callers can mutate their view freely.
-	data, err := json.Marshal(stored)
-	if err != nil {
-		return false
-	}
-	return json.Unmarshal(data, target) == nil
+	return ok
 }
-
-// encodedFact is the serialized form of one store entry.
-type encodedFact struct {
-	Pkg  string          `json:"pkg"`
-	Obj  string          `json:"obj,omitempty"`
-	Type string          `json:"type"`
-	Data json.RawMessage `json:"data"`
-}
-
-// Encode serializes the store deterministically (sorted by key) so fact
-// files are byte-stable across runs.
-func (s *FactStore) Encode() ([]byte, error) {
-	out := make([]encodedFact, 0, len(s.m))
-	for k, f := range s.m {
-		data, err := json.Marshal(f)
-		if err != nil {
-			return nil, fmt.Errorf("lint: encoding fact %s for %s.%s: %w", k.typ, k.pkg, k.obj, err)
-		}
-		out = append(out, encodedFact{Pkg: k.pkg, Obj: k.obj, Type: k.typ, Data: data})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.Obj != b.Obj {
-			return a.Obj < b.Obj
-		}
-		return a.Type < b.Type
-	})
-	return json.Marshal(out)
-}
-
-// Decode merges serialized facts into the store. Facts of unregistered
-// types are an error: a version skew between producer and consumer should
-// fail loudly, not drop invariants.
-func (s *FactStore) Decode(data []byte) error {
-	var in []encodedFact
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("lint: decoding fact stream: %w", err)
-	}
-	for _, e := range in {
-		proto, ok := factProtos[e.Type]
-		if !ok {
-			return fmt.Errorf("lint: unknown fact type %q (missing RegisterFact?)", e.Type)
-		}
-		f := proto()
-		if err := json.Unmarshal(e.Data, f); err != nil {
-			return fmt.Errorf("lint: decoding fact %s for %s.%s: %w", e.Type, e.Pkg, e.Obj, err)
-		}
-		s.set(e.Pkg, e.Obj, f)
-	}
-	return nil
-}
-
-// Len reports the number of stored facts.
-func (s *FactStore) Len() int { return len(s.m) }
 
 // ExportObjectFact attaches f to obj, making it visible to later passes
 // over packages that import this one. obj must be addressable by a stable
 // path (package-level declaration or method); other objects are ignored.
 func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
-	if p.facts == nil || obj == nil || obj.Pkg() == nil {
-		return
+	if path := objectPath(obj); path != "" {
+		p.facts.set(obj.Pkg().Path(), path, f)
 	}
-	path := objectPath(obj)
-	if path == "" {
-		return
-	}
-	p.facts.set(obj.Pkg().Path(), path, f)
 }
 
 // ImportObjectFact copies the fact of f's type attached to obj into f and
 // reports whether one was found.
 func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
-	if p.facts == nil || obj == nil || obj.Pkg() == nil {
-		return false
-	}
 	path := objectPath(obj)
-	if path == "" {
-		return false
-	}
-	return p.facts.get(obj.Pkg().Path(), path, f)
+	return path != "" && p.facts.get(obj.Pkg().Path(), path, f)
 }
 
 // ExportPackageFact attaches f to the package under analysis.
 func (p *Pass) ExportPackageFact(f Fact) {
-	if p.facts == nil {
-		return
-	}
 	p.facts.set(p.Pkg.Path(), "", f)
-}
-
-// ImportPackageFact copies the package-level fact of f's type for the
-// package with the given import path into f.
-func (p *Pass) ImportPackageFact(path string, f Fact) bool {
-	if p.facts == nil {
-		return false
-	}
-	return p.facts.get(path, "", f)
 }
 
 // StoredFact is one fact together with its address, as returned by the
@@ -240,7 +131,7 @@ type StoredFact struct {
 // allFacts returns every stored fact of proto's type, sorted by package
 // path then object path, so Finish hooks iterate deterministically.
 func (s *FactStore) allFacts(proto Fact) []StoredFact {
-	want := factName(proto)
+	want := reflect.TypeOf(proto)
 	var out []StoredFact
 	for k, f := range s.m {
 		if k.typ == want {
@@ -254,24 +145,4 @@ func (s *FactStore) allFacts(proto Fact) []StoredFact {
 		return out[i].Obj < out[j].Obj
 	})
 	return out
-}
-
-// FactPos is a serializable source position embedded in facts, so Finish
-// hooks can report diagnostics at positions recorded in other packages.
-type FactPos struct {
-	// File is the source file path as the loader saw it.
-	File string `json:"file"`
-	// Line and Col locate the fact's subject within File.
-	Line int `json:"line"`
-	Col  int `json:"col"`
-}
-
-// factPos converts a resolved token position.
-func factPos(pos token.Position) FactPos {
-	return FactPos{File: pos.Filename, Line: pos.Line, Col: pos.Column}
-}
-
-// Position converts back to the token form diagnostics use.
-func (fp FactPos) Position() token.Position {
-	return token.Position{Filename: fp.File, Line: fp.Line, Column: fp.Col}
 }

@@ -1,28 +1,20 @@
 package lint
 
 import (
-	"bytes"
-	"encoding/json"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
 // testFact is a fact type private to the tests.
 type testFact struct {
-	N int    `json:"n"`
-	S string `json:"s,omitempty"`
+	N int
+	S string
 }
 
 // AFact marks testFact as a fact.
 func (*testFact) AFact() {}
 
-func init() {
-	RegisterFact(func() Fact { return new(testFact) })
-}
-
-// TestFactStoreRoundtrip exercises set/get copy semantics and the
-// deterministic Encode/Decode cycle.
+// TestFactStoreRoundtrip exercises set/get copy semantics.
 func TestFactStoreRoundtrip(t *testing.T) {
 	s := NewFactStore()
 	s.set("pkg/a", "F", &testFact{N: 1, S: "x"})
@@ -42,48 +34,19 @@ func TestFactStoreRoundtrip(t *testing.T) {
 	if s.get("pkg/a", "G", &again) {
 		t.Fatal("get reported a fact that was never set")
 	}
-
-	enc1, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc2, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc1, enc2) {
-		t.Fatal("Encode is not deterministic")
-	}
-
-	s2 := NewFactStore()
-	if err := s2.Decode(enc1); err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != s.Len() {
-		t.Fatalf("decoded %d facts, want %d", s2.Len(), s.Len())
-	}
 	var m testFact
-	if !s2.get("pkg/b", "T.M", &m) || m.N != 3 {
-		t.Fatalf("decoded store missing pkg/b.T.M: %+v", m)
+	if !s.get("pkg/b", "T.M", &m) || m.N != 3 {
+		t.Fatalf("get pkg/b.T.M = %+v", m)
+	}
+	// The fact type is part of the key.
+	var af AllocFact
+	if s.get("pkg/a", "F", &af) {
+		t.Fatal("get matched a fact of another type")
 	}
 }
 
-// TestFactStoreDecodeUnknownType checks that version skew fails loudly.
-func TestFactStoreDecodeUnknownType(t *testing.T) {
-	raw, _ := json.Marshal([]encodedFact{{
-		Pkg: "p", Obj: "F", Type: "NoSuchFact", Data: json.RawMessage(`{}`),
-	}})
-	err := NewFactStore().Decode(raw)
-	if err == nil || !strings.Contains(err.Error(), "NoSuchFact") {
-		t.Fatalf("Decode unknown fact type: err = %v", err)
-	}
-	if err := NewFactStore().Decode([]byte("not json")); err == nil {
-		t.Fatal("Decode accepted garbage")
-	}
-}
-
-// TestSessionFactAccessors checks the package/object split of the Finish
-// hook accessors and their deterministic order.
+// TestSessionFactAccessors checks that the Finish hook accessor returns
+// package-level facts only, in deterministic order.
 func TestSessionFactAccessors(t *testing.T) {
 	s := NewSession()
 	s.facts.set("pkg/b", "", &testFact{N: 1})
@@ -94,63 +57,8 @@ func TestSessionFactAccessors(t *testing.T) {
 	if len(pf) != 2 || pf[0].Pkg != "pkg/a" || pf[1].Pkg != "pkg/b" {
 		t.Fatalf("AllPackageFacts = %+v", pf)
 	}
-	of := s.AllObjectFacts(&testFact{})
-	if len(of) != 1 || of[0].Obj != "F" || of[0].Fact.(*testFact).N != 3 {
-		t.Fatalf("AllObjectFacts = %+v", of)
-	}
-}
-
-// TestRunModularFacts runs the per-package vet-tool entry point over the
-// wirestate fixture and checks that (a) Finish diagnostics are absent —
-// modular mode cannot judge whole-program coverage — and (b) the
-// serialized facts round-trip and contain the fixture's wire enum.
-func TestRunModularFacts(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "wirestate"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, facts, err := RunModular(pkg, []*Analyzer{WireState}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		if strings.Contains(d.Message, "dispatch handles it") || strings.Contains(d.Message, "encode arm") {
-			t.Errorf("Finish-style diagnostic leaked into modular mode: %s", d)
-		}
-	}
-	// The missing-marker check is per-package and must still fire.
-	foundMarker := false
-	for _, d := range diags {
-		if strings.Contains(d.Message, "has no handled-by marker") {
-			foundMarker = true
-		}
-	}
-	if !foundMarker {
-		t.Error("modular run lost the per-package missing-marker diagnostic")
-	}
-
-	store := NewFactStore()
-	if err := store.Decode(facts); err != nil {
-		t.Fatal(err)
-	}
-	var enum WireEnumFact
-	if !store.get(pkg.Path, "", &enum) {
-		t.Fatal("modular facts missing the WireEnumFact")
-	}
-	if len(enum.Consts) != 6 {
-		t.Fatalf("WireEnumFact has %d consts, want 6", len(enum.Consts))
-	}
-	var disp WireDispatchFact
-	if !store.get(pkg.Path, "", &disp) {
-		t.Fatal("modular facts missing the WireDispatchFact")
-	}
-	if got := disp.Handled["worker"]; len(got) != 3 {
-		t.Fatalf("worker dispatch arms = %v, want 3 (TypeA, TypeD, TypeF)", got)
-	}
-
-	// Feeding the facts back as a dependency store must decode cleanly.
-	if _, _, err := RunModular(pkg, []*Analyzer{WireState}, [][]byte{facts}); err != nil {
-		t.Fatal(err)
+	if pf[0].Fact.(*testFact).N != 2 {
+		t.Fatalf("AllPackageFacts returned %+v for pkg/a", pf[0].Fact)
 	}
 }
 

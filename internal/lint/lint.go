@@ -38,9 +38,7 @@ type Analyzer struct {
 	// Finish, when non-nil, runs once after every package's Run completed,
 	// with access to the accumulated fact store through the Session. It is
 	// where whole-program checks live: cycle detection over the merged
-	// lock graph, protocol-coverage accounting. The vet-tool mode, which
-	// analyzes one package at a time, never calls Finish — the standalone
-	// runner (make lint) is the authoritative whole-repo gate.
+	// lock graph, protocol-coverage accounting.
 	Finish func(s *Session) error
 }
 
@@ -78,14 +76,8 @@ func (d Diagnostic) String() string {
 }
 
 // Reportf records a finding at pos unless an ignore comment covers it.
-// Test files are exempt wholesale: the standalone loader never sees them,
-// and when the suite runs under `go vet -vettool` (which does feed them)
-// the two modes must agree on what is checked.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 	position := p.Fset.Position(pos)
-	if strings.HasSuffix(position.Filename, "_test.go") {
-		return
-	}
 	if p.ignores.covers(position, p.Analyzer.Name) {
 		return
 	}
@@ -118,14 +110,11 @@ func buildIgnoreIndex(fset *token.FileSet, files []*ast.File, diags *[]Diagnosti
 				m := ignoreRe.FindStringSubmatch(c.Text)
 				if m == nil {
 					if ignorePrefixRe.MatchString(c.Text) && diags != nil {
-						pos := fset.Position(c.Pos())
-						if !strings.HasSuffix(pos.Filename, "_test.go") {
-							*diags = append(*diags, Diagnostic{
-								Pos:      pos,
-								Analyzer: "lint",
-								Message:  "malformed //lint:ignore directive: need an analyzer list and a reason (//lint:ignore <analyzer>[,<analyzer>...] reason)",
-							})
-						}
+						*diags = append(*diags, Diagnostic{
+							Pos:      fset.Position(c.Pos()),
+							Analyzer: "lint",
+							Message:  "malformed //lint:ignore directive: need an analyzer list and a reason (//lint:ignore <analyzer>[,<analyzer>...] reason)",
+						})
 					}
 					continue
 				}
@@ -175,9 +164,6 @@ func NewSession() *Session {
 	return &Session{facts: NewFactStore(), ignores: make(ignoreIndex)}
 }
 
-// Facts exposes the session's fact store (vet-tool mode serializes it).
-func (s *Session) Facts() *FactStore { return s.facts }
-
 // AllPackageFacts returns every package-level fact of proto's type,
 // sorted by package path.
 func (s *Session) AllPackageFacts(proto Fact) []StoredFact {
@@ -190,26 +176,11 @@ func (s *Session) AllPackageFacts(proto Fact) []StoredFact {
 	return out
 }
 
-// AllObjectFacts returns every object-level fact of proto's type, sorted
-// by package path then object path.
-func (s *Session) AllObjectFacts(proto Fact) []StoredFact {
-	var out []StoredFact
-	for _, sf := range s.facts.allFacts(proto) {
-		if sf.Obj != "" {
-			out = append(out, sf)
-		}
-	}
-	return out
-}
-
 // Reportf records a finding from a Finish hook at an explicit position,
-// honoring the same test-file exemption and suppression index as
-// Pass.Reportf. The analyzer is named by string so Finish hooks avoid an
-// initialization cycle with their own Analyzer variable.
+// honoring the same suppression index as Pass.Reportf. The analyzer is
+// named by string so Finish hooks avoid an initialization cycle with their
+// own Analyzer variable.
 func (s *Session) Reportf(analyzer string, pos token.Position, format string, args ...interface{}) {
-	if strings.HasSuffix(pos.Filename, "_test.go") {
-		return
-	}
 	if s.ignores.covers(pos, analyzer) {
 		return
 	}
@@ -260,14 +231,8 @@ func (s *Session) finish(analyzers []*Analyzer) ([]Diagnostic, error) {
 			return nil, fmt.Errorf("lint: %s finish: %w", a.Name, err)
 		}
 	}
-	sortDiagnostics(s.diags)
-	return s.diags, nil
-}
-
-// sortDiagnostics orders findings by position for stable output.
-func sortDiagnostics(diags []Diagnostic) {
-	sort.Slice(diags, func(i, j int) bool {
-		a, b := diags[i].Pos, diags[j].Pos
+	sort.Slice(s.diags, func(i, j int) bool {
+		a, b := s.diags[i].Pos, s.diags[j].Pos
 		if a.Filename != b.Filename {
 			return a.Filename < b.Filename
 		}
@@ -276,6 +241,7 @@ func sortDiagnostics(diags []Diagnostic) {
 		}
 		return a.Column < b.Column
 	})
+	return s.diags, nil
 }
 
 // dependencyOrder sorts packages so every package follows all of its
@@ -319,8 +285,8 @@ func dependencyOrder(pkgs []*Package) []*Package {
 
 // RunAll executes the analyzers over all packages in dependency order with
 // a shared fact store, runs the Finish hooks, and returns the surviving
-// diagnostics sorted by position. This is the whole-program entry point
-// the standalone runner and the repo-wide test gate use.
+// diagnostics sorted by position. This is the entry point repolint and the
+// repo-wide test gate use.
 func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	s := NewSession()
 	for _, pkg := range dependencyOrder(pkgs) {
@@ -339,45 +305,15 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return RunAll([]*Package{pkg}, analyzers)
 }
 
-// RunModular executes only the analyzers' Run phase over one package, with
-// facts imported from the serialized stores of its dependencies — the
-// vet-tool mode, where cmd/go drives one package at a time and persists
-// facts in the build cache. Finish hooks are skipped: whole-program checks
-// need the full package set. Returns the diagnostics and this package's
-// serialized facts (dependencies' facts included, so transitive consumers
-// need only their direct dependencies' files).
-func RunModular(pkg *Package, analyzers []*Analyzer, depFacts [][]byte) ([]Diagnostic, []byte, error) {
-	s := NewSession()
-	for _, data := range depFacts {
-		if len(data) == 0 {
-			continue
-		}
-		if err := s.facts.Decode(data); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := s.runPackage(pkg, analyzers); err != nil {
-		return nil, nil, err
-	}
-	sortDiagnostics(s.diags)
-	encoded, err := s.facts.Encode()
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.diags, encoded, nil
-}
-
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
 		LockCheck,
 		GoroutineCheck,
-		WireCheck,
 		CtxCheck,
 		DetCheck,
 		ObsCheck,
 		RetryCheck,
-		ParCheck,
 		LockOrder,
 		AllocCheck,
 		WireState,

@@ -106,10 +106,9 @@ func newInfo() *types.Info {
 	}
 }
 
-// TypecheckFiles parses and type-checks one package from explicit source
-// files, resolving imports through imp. The standalone loader and the vet
-// tool mode both build on it.
-func TypecheckFiles(fset *token.FileSet, path string, filenames []string, imp types.Importer) (*Package, error) {
+// typecheckFiles parses and type-checks one package from explicit source
+// files, resolving imports through imp. Load and LoadDir both build on it.
+func typecheckFiles(fset *token.FileSet, path string, filenames []string, imp types.Importer) (*Package, error) {
 	var files []*ast.File
 	for _, fn := range filenames {
 		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments)
@@ -159,7 +158,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		for i, f := range p.GoFiles {
 			filenames[i] = filepath.Join(p.Dir, f)
 		}
-		pkg, err := TypecheckFiles(fset, p.ImportPath, filenames, imp)
+		pkg, err := typecheckFiles(fset, p.ImportPath, filenames, imp)
 		if err != nil {
 			return nil, err
 		}
@@ -189,5 +188,5 @@ func LoadDir(dir string) (*Package, error) {
 	sort.Strings(filenames)
 	fset := token.NewFileSet()
 	imp := importer.ForCompiler(fset, "source", nil)
-	return TypecheckFiles(fset, filepath.Base(dir), filenames, imp)
+	return typecheckFiles(fset, filepath.Base(dir), filenames, imp)
 }

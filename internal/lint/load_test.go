@@ -59,8 +59,8 @@ func TestTypecheckFilesMissingExport(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	imp := newExportImporter(fset, map[string]string{}) // no export data at all
-	if _, err := TypecheckFiles(fset, "p", []string{src}, imp); err == nil {
-		t.Error("TypecheckFiles resolved an import with no export data")
+	if _, err := typecheckFiles(fset, "p", []string{src}, imp); err == nil {
+		t.Error("typecheckFiles resolved an import with no export data")
 	}
 }
 
@@ -98,7 +98,7 @@ var x = 1
 			t.Errorf("directive line not covered for %s", a)
 		}
 	}
-	if idx.covers(pos, "wirecheck") {
+	if idx.covers(pos, "wirestate") {
 		t.Error("unlisted analyzer suppressed")
 	}
 	if idx.covers(token.Position{Filename: "ignore.go", Line: 5}, "lockcheck") {

@@ -27,8 +27,7 @@ import (
 // for sync.Mutex). Function literals and go statements start with an
 // empty held set — a spawned goroutine does not inherit its creator's
 // locks. Cycles are reported by the Finish hook once the whole repo's
-// graph is merged; the vet-tool mode (one package at a time) only exports
-// facts.
+// graph is merged.
 var LockOrder = &Analyzer{
 	Name:   "lockorder",
 	Doc:    "cross-package lock acquisition order must be acyclic (deadlock freedom)",
@@ -42,7 +41,7 @@ var LockOrder = &Analyzer{
 // edges through cross-package calls.
 type LocksFact struct {
 	// Acquires lists lock classes ("pkg/path.Type.field"), sorted.
-	Acquires []string `json:"acquires"`
+	Acquires []string
 }
 
 // AFact marks LocksFact as a fact.
@@ -53,7 +52,7 @@ func (*LocksFact) AFact() {}
 // into the global graph.
 type LockGraphFact struct {
 	// Edges are the package's lock-order edges, sorted by (From, To).
-	Edges []LockEdge `json:"edges"`
+	Edges []LockEdge
 }
 
 // AFact marks LockGraphFact as a fact.
@@ -62,21 +61,16 @@ func (*LockGraphFact) AFact() {}
 // LockEdge is one acquired-while-held observation.
 type LockEdge struct {
 	// From is the lock class held at the acquisition site.
-	From string `json:"from"`
+	From string
 	// To is the lock class being acquired.
-	To string `json:"to"`
+	To string
 	// Pos locates the acquisition site.
-	Pos FactPos `json:"pos"`
+	Pos token.Position
 	// Fn names the function containing the site.
-	Fn string `json:"fn"`
+	Fn string
 	// Via names the callee whose LocksFact contributed To, when the
 	// acquisition is indirect; empty for a literal nested Lock call.
-	Via string `json:"via,omitempty"`
-}
-
-func init() {
-	RegisterFact(func() Fact { return new(LocksFact) })
-	RegisterFact(func() Fact { return new(LockGraphFact) })
+	Via string
 }
 
 // heldLock is one entry of the walker's held-locks state: the class plus
@@ -277,7 +271,7 @@ func (c *orderChecker) edge(from, to string, pos token.Pos, via string) {
 	c.edges[key] = LockEdge{
 		From: from,
 		To:   to,
-		Pos:  factPos(c.pass.Fset.Position(pos)),
+		Pos:  c.pass.Fset.Position(pos),
 		Fn:   c.curFn,
 		Via:  via,
 	}
@@ -511,7 +505,7 @@ func finishLockOrder(s *Session) error {
 		var names, sites []string
 		for _, e := range cycle {
 			names = append(names, displayClass(e.From))
-			site := fmt.Sprintf("%s:%d in %s", e.Pos.File, e.Pos.Line, e.Fn)
+			site := fmt.Sprintf("%s:%d in %s", e.Pos.Filename, e.Pos.Line, e.Fn)
 			if e.Via != "" {
 				site += " via " + e.Via
 			}
@@ -519,7 +513,7 @@ func finishLockOrder(s *Session) error {
 				displayClass(e.To), displayClass(e.From), site))
 		}
 		names = append(names, displayClass(cycle[0].From))
-		s.Reportf("lockorder", cycle[0].Pos.Position(),
+		s.Reportf("lockorder", cycle[0].Pos,
 			"potential deadlock: lock ordering cycle %s (%s)",
 			strings.Join(names, " -> "), strings.Join(sites, "; "))
 	}

@@ -1,8 +1,8 @@
 // Package wire is a miniature frame protocol exercising wirestate:
 // handled-by declarations on frame constants, dispatch-switch and inline
-// handler annotations, three-arm (encode/decode/handler) coverage, and
-// suppression. The package must be named "wire" for its Type* constants
-// to count as frame types.
+// handler annotations, three-arm (encode/decode/handler) coverage,
+// default-or-exhaustive opcode switches, and suppression. The package
+// must be named "wire" for its Type* constants to count as frame types.
 package wire
 
 // Frame types under test.
@@ -24,6 +24,12 @@ const (
 	// TypeF is consumed outside any switch, via a wire-handled marker.
 	// handled-by: worker
 	TypeF
+	// TypeG closes the stream; payload-free, nothing to decode.
+	// handled-by: worker
+	TypeG
+	// TypeH is missing its decode arm: no ReadH, and it carries a payload.
+	// handled-by: worker
+	TypeH // want "has no decode arm"
 )
 
 // Writer encodes frames.
@@ -39,6 +45,8 @@ func (w *Writer) WriteAll() {
 	w.flushFrame(TypeC)
 	w.flushFrame(TypeE)
 	w.flushFrame(TypeF)
+	w.flushFrame(TypeG)
+	w.flushFrame(TypeH)
 }
 
 // Reader decodes frames.
@@ -66,7 +74,7 @@ func (r *Reader) ReadF() {}
 func handle(t byte) {
 	// wire-dispatch: worker
 	switch t {
-	case TypeA, TypeD:
+	case TypeA, TypeD, TypeG, TypeH:
 	default:
 	}
 }
@@ -75,4 +83,37 @@ func handle(t byte) {
 func drainF(t byte) bool {
 	// wire-handled: worker TypeF
 	return t == TypeF
+}
+
+func goodSwitchWithDefault(t byte) int {
+	switch t {
+	case TypeA:
+		return 1
+	default:
+		return 0
+	}
+}
+
+func goodExhaustiveSwitch(t byte) int {
+	switch t {
+	case TypeA, TypeB, TypeC, TypeD, TypeE, TypeF, TypeG, TypeH:
+		return 1
+	}
+	return 0
+}
+
+func badPartialSwitch(t byte) int {
+	switch t { // want "misses wire.TypeB, wire.TypeC, wire.TypeD, wire.TypeE, wire.TypeF, wire.TypeG, wire.TypeH"
+	case TypeA:
+		return 1
+	}
+	return 0
+}
+
+func unrelatedSwitchIsFine(n int) int {
+	switch n {
+	case 1:
+		return 1
+	}
+	return 0
 }

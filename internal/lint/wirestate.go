@@ -1,32 +1,45 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
+	"go/constant"
+	"go/token"
+	"go/types"
 	"regexp"
 	"sort"
 	"strings"
 )
 
-// WireState closes the wire protocol over its *handlers*, the dimension
-// wirecheck (encoder/decoder coverage, switch defaults) cannot see: every
-// frame-type constant in a package named "wire" declares who consumes it
-// with a `handled-by: <role>[,<role>]` marker (roles: coordinator,
-// worker), and the Finish hook verifies that each declared role actually
-// handles the frame somewhere in the repo — as a case arm in a switch
-// annotated `// wire-dispatch: <role>`, or at an out-of-switch handling
-// site marked `// wire-handled: <role> <Const>` (handshake reads, inline
-// type checks). Encode and decode arms are re-verified from the same
-// collected facts, so a new constant with any of its three arms missing
-// is a build break even when the gap and the constant live in different
-// packages.
+// WireState closes the wire protocol over its three arms. Every frame-type
+// constant in a package named "wire" (a package-level constant named
+// Type*) must
 //
-// Dispatch arms are collected per package and exported as facts; the
-// whole-program union runs in Finish, so a role may split its dispatch
-// over several switches (the plain and fault-tolerant coordinator loops)
-// and several packages.
+//   - reach the encoder: appear as an argument of a flushFrame call;
+//   - be decodable: the Reader declares a matching Read<Suffix> method, or
+//     the constant carries a "payload-free" comment marking a frame with
+//     no body to decode;
+//   - declare who consumes it with a `handled-by: <role>[,<role>]` marker
+//     (roles: coordinator, worker), and each declared role must actually
+//     handle the frame somewhere in the repo — as a case arm in a switch
+//     annotated `// wire-dispatch: <role>`, or at an out-of-switch
+//     handling site marked `// wire-handled: <role> <Const>` (handshake
+//     reads, inline type checks).
+//
+// The wire package exports its constants and their encode/decode status
+// as a fact, every package exports its dispatch arms, and the Finish hook
+// judges the union, so a new constant with any of its three arms missing
+// is a build break even when the gap and the constant live in different
+// packages, and a role may split its dispatch over several switches (the
+// plain and fault-tolerant coordinator loops) and several packages.
+//
+// Independently, in every package, a switch whose cases compare against
+// wire frame-type constants must either list all of them or carry a
+// default clause, so an unexpected opcode is handled explicitly instead of
+// falling through silently.
 var WireState = &Analyzer{
 	Name:   "wirestate",
-	Doc:    "every wire frame constant needs encode, decode, and per-role handler arms",
+	Doc:    "every wire frame constant needs encode, decode, and per-role handler arms; opcode switches need default or exhaustive cases",
 	Run:    runWireState,
 	Finish: finishWireState,
 }
@@ -36,7 +49,7 @@ var WireState = &Analyzer{
 // encode/decode status.
 type WireEnumFact struct {
 	// Consts lists the package's frame-type constants, sorted by name.
-	Consts []WireConst `json:"consts"`
+	Consts []WireConst
 }
 
 // AFact marks WireEnumFact as a fact.
@@ -45,15 +58,15 @@ func (*WireEnumFact) AFact() {}
 // WireConst describes one frame-type constant.
 type WireConst struct {
 	// Name is the constant's identifier (TypeHello, ...).
-	Name string `json:"name"`
+	Name string
 	// Roles are the declared handler roles from the handled-by marker.
-	Roles []string `json:"roles"`
+	Roles []string
 	// Encoded reports a flushFrame encode arm in the wire package.
-	Encoded bool `json:"encoded"`
+	Encoded bool
 	// Decoded reports a Read* decoder method or a payload-free marker.
-	Decoded bool `json:"decoded"`
+	Decoded bool
 	// Pos locates the constant's declaration.
-	Pos FactPos `json:"pos"`
+	Pos token.Position
 }
 
 // WireDispatchFact is the package fact any package exports when it
@@ -61,16 +74,11 @@ type WireConst struct {
 // of frame constants each role handles here.
 type WireDispatchFact struct {
 	// Handled maps role -> sorted constant names handled in this package.
-	Handled map[string][]string `json:"handled"`
+	Handled map[string][]string
 }
 
 // AFact marks WireDispatchFact as a fact.
 func (*WireDispatchFact) AFact() {}
-
-func init() {
-	RegisterFact(func() Fact { return new(WireEnumFact) })
-	RegisterFact(func() Fact { return new(WireDispatchFact) })
-}
 
 var (
 	handledByRe    = regexp.MustCompile(`handled-by:[ \t]*([a-z][a-z, \t]*)`)
@@ -86,7 +94,18 @@ func runWireState(pass *Pass) error {
 		collectWireEnum(pass)
 	}
 	collectWireDispatch(pass)
+	checkOpcodeSwitches(pass)
 	return nil
+}
+
+// wireTypeConst reports whether obj is a frame-type enum constant: a
+// package-level constant named Type* declared in a package named wire.
+func wireTypeConst(obj types.Object) bool {
+	c, ok := obj.(*types.Const)
+	if !ok || c.Pkg() == nil || c.Pkg().Name() != "wire" {
+		return false
+	}
+	return strings.HasPrefix(c.Name(), "Type") && c.Parent() == c.Pkg().Scope()
 }
 
 // collectWireEnum gathers the wire package's frame constants, their
@@ -95,6 +114,7 @@ func runWireState(pass *Pass) error {
 // package's WireEnumFact.
 func collectWireEnum(pass *Pass) {
 	var consts []WireConst
+	payloadFree := make(map[string]bool)
 
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -119,9 +139,10 @@ func collectWireEnum(pass *Pass) {
 					if obj == nil || !wireTypeConst(obj) {
 						continue
 					}
+					payloadFree[name.Name] = strings.Contains(text, "payload-free")
 					wc := WireConst{
 						Name: name.Name,
-						Pos:  factPos(pass.Fset.Position(name.Pos())),
+						Pos:  pass.Fset.Position(name.Pos()),
 					}
 					if m := handledByRe.FindStringSubmatch(text); m != nil {
 						for _, role := range strings.Split(m[1], ",") {
@@ -152,31 +173,15 @@ func collectWireEnum(pass *Pass) {
 		return
 	}
 
-	// Local encode/decode arms, collected the way wirecheck does: encode =
-	// the constant reaches a flushFrame call; decode = a Read<Suffix>
-	// method exists or the constant is marked payload-free.
+	// Local encode/decode arms: encode = the constant reaches a flushFrame
+	// call; decode = a Read<Suffix> method exists or the constant is marked
+	// payload-free.
 	encoded := make(map[string]bool)
 	readers := make(map[string]bool)
-	payloadFree := make(map[string]bool)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Recv != nil && strings.HasPrefix(d.Name.Name, "Read") {
-					readers[d.Name.Name] = true
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					if commentContains(vs.Doc, "payload-free") || commentContains(vs.Comment, "payload-free") {
-						for _, name := range vs.Names {
-							payloadFree[name.Name] = true
-						}
-					}
-				}
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && strings.HasPrefix(fd.Name.Name, "Read") {
+				readers[fd.Name.Name] = true
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -201,6 +206,26 @@ func collectWireEnum(pass *Pass) {
 	pass.ExportPackageFact(&WireEnumFact{Consts: consts})
 }
 
+// calleeNamed reports whether call invokes a plain or method identifier
+// with the given name.
+func calleeNamed(call *ast.CallExpr, name string) bool {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return fun.Name == name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name == name
+	}
+	return false
+}
+
+// constIdent returns the name of the constant an expression resolves to.
+func constIdent(pass *Pass, e ast.Expr) string {
+	if obj, ok := switchCaseObj(pass, e).(*types.Const); ok {
+		return obj.Name()
+	}
+	return ""
+}
+
 // collectWireDispatch gathers, in any package, the case arms of switches
 // annotated `// wire-dispatch: <role>` plus inline `// wire-handled:
 // <role> <Const>` markers, and exports the per-role union.
@@ -222,13 +247,9 @@ func collectWireDispatch(pass *Pass) {
 		dispatchAt := make(map[int]string)
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				pos := pass.Fset.Position(c.Pos())
-				if strings.HasSuffix(pos.Filename, "_test.go") {
-					continue
-				}
 				if m := wireDispatchRe.FindStringSubmatch(c.Text); m != nil {
 					if wireRoles[m[1]] {
-						dispatchAt[pos.Line] = m[1]
+						dispatchAt[pass.Fset.Position(c.Pos()).Line] = m[1]
 					} else {
 						pass.Reportf(c.Pos(), "wire-dispatch marker names unknown role %q (want coordinator or worker)", m[1])
 					}
@@ -281,6 +302,87 @@ func collectWireDispatch(pass *Pass) {
 	pass.ExportPackageFact(fact)
 }
 
+// checkOpcodeSwitches enforces default-or-exhaustive on switches over wire
+// frame types, in whatever package they appear.
+func checkOpcodeSwitches(pass *Pass) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			sw, ok := n.(*ast.SwitchStmt)
+			if !ok || sw.Body == nil {
+				return true
+			}
+			covered := make(map[string]bool)
+			var enumPkg *types.Package
+			hasDefault := false
+			usesWireEnum := false
+			for _, cl := range sw.Body.List {
+				cc := cl.(*ast.CaseClause)
+				if cc.List == nil {
+					hasDefault = true
+					continue
+				}
+				for _, e := range cc.List {
+					obj := switchCaseObj(pass, e)
+					if obj != nil && wireTypeConst(obj) {
+						usesWireEnum = true
+						covered[obj.Name()] = true
+						enumPkg = obj.Pkg()
+					}
+				}
+			}
+			if !usesWireEnum || hasDefault {
+				return true
+			}
+			missing := missingEnumConsts(enumPkg, covered)
+			if len(missing) > 0 {
+				pass.Reportf(sw.Pos(),
+					"switch over wire frame types has no default and misses %s: handle them or add a default clause",
+					strings.Join(missing, ", "))
+			}
+			return true
+		})
+	}
+}
+
+// switchCaseObj resolves a case expression to its constant object.
+func switchCaseObj(pass *Pass, e ast.Expr) types.Object {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return pass.Info.Uses[x]
+	case *ast.SelectorExpr:
+		return pass.Info.Uses[x.Sel]
+	}
+	return nil
+}
+
+// missingEnumConsts lists the wire frame-type constants of pkg absent from
+// covered, sorted by enum value.
+func missingEnumConsts(pkg *types.Package, covered map[string]bool) []string {
+	if pkg == nil {
+		return nil
+	}
+	type entry struct {
+		name string
+		val  uint64
+	}
+	var missing []entry
+	scope := pkg.Scope()
+	for _, name := range scope.Names() {
+		obj := scope.Lookup(name)
+		if !wireTypeConst(obj) || covered[name] {
+			continue
+		}
+		val, _ := constant.Uint64Val(constant.ToInt(obj.(*types.Const).Val()))
+		missing = append(missing, entry{name: name, val: val})
+	}
+	sort.Slice(missing, func(i, j int) bool { return missing[i].val < missing[j].val })
+	out := make([]string, len(missing))
+	for i, m := range missing {
+		out[i] = fmt.Sprintf("%s.%s", pkg.Name(), m.name)
+	}
+	return out
+}
+
 // finishWireState unions every package's dispatch arms and verifies each
 // frame constant's three arms: encode, decode, and a handler per declared
 // role.
@@ -302,19 +404,18 @@ func finishWireState(s *Session) error {
 	for _, sf := range s.AllPackageFacts(&WireEnumFact{}) {
 		ef := sf.Fact.(*WireEnumFact)
 		for _, wc := range ef.Consts {
-			pos := wc.Pos.Position()
 			if !wc.Encoded {
-				s.Reportf("wirestate", pos,
+				s.Reportf("wirestate", wc.Pos,
 					"wire constant %s has no encode arm: no Writer method passes it to flushFrame", wc.Name)
 			}
 			if !wc.Decoded {
-				s.Reportf("wirestate", pos,
+				s.Reportf("wirestate", wc.Pos,
 					"wire constant %s has no decode arm: declare Read%s on Reader or mark the constant payload-free",
 					wc.Name, strings.TrimPrefix(wc.Name, "Type"))
 			}
 			for _, role := range wc.Roles {
 				if !handled[role][wc.Name] {
-					s.Reportf("wirestate", pos,
+					s.Reportf("wirestate", wc.Pos,
 						"wire constant %s declares handled-by: %s but no %s dispatch handles it: add a case in a `// wire-dispatch: %s` switch or a `// wire-handled: %s %s` marker",
 						wc.Name, role, role, role, role, wc.Name)
 				}

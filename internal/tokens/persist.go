@@ -137,17 +137,15 @@ func LoadOrdering(r io.ByteReader, dict *Dictionary) (*Ordering, error) {
 	if frozen > 1<<28 {
 		return nil, fmt.Errorf("tokens: absurd frozen count %d", frozen)
 	}
-	o := &Ordering{
-		dict:   dict,
-		rank:   make([]Rank, frozen),
-		frozen: int(frozen),
-	}
-	for i := range o.rank {
+	o := &Ordering{dict: dict, frozen: int(frozen)}
+	// Append as ranks decode: the count is outside input, and a snapshot
+	// cut short must not have sized an allocation first.
+	for i := uint64(0); i < frozen; i++ {
 		v, err := binary.ReadUvarint(r)
 		if err != nil {
 			return nil, fmt.Errorf("tokens: rank %d: %w", i, err)
 		}
-		o.rank[i] = Rank(v)
+		o.rank = append(o.rank, Rank(v))
 	}
 	ne, err := binary.ReadUvarint(r)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -99,6 +100,67 @@ func TestLoadOrderingRejectsGarbage(t *testing.T) {
 	if _, err := LoadOrdering(bufio.NewReader(strings.NewReader("")), d); err == nil {
 		t.Fatal("empty accepted")
 	}
+}
+
+// TestLoadOrderingHostileCountIsRejectedUnallocated: 5 bytes that declare
+// 2^28 frozen ranks and carry none must not size an allocation first.
+func TestLoadOrderingHostileCountIsRejectedUnallocated(t *testing.T) {
+	snap := binary.AppendUvarint(nil, 1<<28)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadOrdering(bytes.NewReader(snap), NewDictionary())
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("an ordering declaring 2^28 missing ranks accepted")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+		t.Fatalf("LoadOrdering allocated %d bytes for a %d-byte snapshot", n, len(snap))
+	}
+}
+
+// FuzzLoadOrdering feeds arbitrary bytes to LoadOrdering: a corrupt
+// snapshot must produce an error, never a panic, and any ordering it
+// accepts must survive Save→Load unchanged. The seed, a real Save, must
+// come back byte for byte.
+func FuzzLoadOrdering(f *testing.F) {
+	d, o := lateOrdering(16)
+	var snap, back bytes.Buffer
+	if err := o.Save(&snap); err != nil {
+		f.Fatal(err)
+	}
+	loaded, err := LoadOrdering(bytes.NewReader(snap.Bytes()), d)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := loaded.Save(&back); err != nil {
+		f.Fatal(err)
+	}
+	if !bytes.Equal(back.Bytes(), snap.Bytes()) {
+		f.Fatal("a saved ordering loads and saves differently")
+	}
+	f.Add(snap.Bytes())
+	f.Add(binary.AppendUvarint(nil, 1<<28))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := LoadOrdering(bytes.NewReader(data), d)
+		if err != nil {
+			return
+		}
+		var first bytes.Buffer
+		if err := got.Save(&first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := LoadOrdering(bytes.NewReader(first.Bytes()), d)
+		if err != nil {
+			t.Fatalf("reloading a saved ordering: %v", err)
+		}
+		var second bytes.Buffer
+		if err := again.Save(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("Save→Load→Save is not a fixed point")
+		}
+	})
 }
 
 // lateOrdering returns a dictionary of 4 frozen and n later tokens whose

@@ -612,8 +612,10 @@ func (r *Reader) ReadHello() (Hello, error) {
 	if err != nil {
 		return h, err
 	}
-	if nb < 0 || nb > 1<<20 {
-		return h, fmt.Errorf("wire: absurd bounds count %d", nb)
+	// Each bound takes at least one byte: a count the payload cannot hold
+	// must not size an allocation.
+	if nb < 0 || nb > len(p.b)-p.i {
+		return h, fmt.Errorf("wire: bounds count %d exceeds the %d bytes left", nb, len(p.b)-p.i)
 	}
 	h.Bounds = make([]int, nb)
 	for i := range h.Bounds {
@@ -712,8 +714,10 @@ func DecodeRecord(body []byte) (Record, error) {
 	if err != nil {
 		return Record{}, err
 	}
-	if n > MaxFrame {
-		return Record{}, fmt.Errorf("wire: absurd token count %d", n)
+	// Each token delta takes at least one byte: a count the payload cannot
+	// hold must not size an allocation.
+	if n > uint64(len(p.b)-p.i) {
+		return Record{}, fmt.Errorf("wire: token count %d exceeds the %d bytes left", n, len(p.b)-p.i)
 	}
 	toks := make([]tokens.Rank, n)
 	prev := uint64(0)

@@ -2,10 +2,12 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -383,6 +385,54 @@ func TestGarbagePayloadRejected(t *testing.T) {
 	}
 	if _, err := r.ReadRecord(); err == nil {
 		t.Fatal("garbage record accepted")
+	}
+}
+
+// allocBytes returns the bytes the heap handed out while f ran.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestHostileCountsAreRejectedUnallocated: a count that the bytes left in
+// its payload cannot back — every item takes at least one byte — is
+// refused before it sizes an allocation.
+func TestHostileCountsAreRejectedUnallocated(t *testing.T) {
+	// 7 bytes: flags, ID, time, then MaxFrame tokens and none of them.
+	rec := binary.AppendUvarint([]byte{1, 0, 0}, MaxFrame)
+	// A Hello whose bounds count is 2^20, with no bounds behind it:
+	// version, task, workers, func, threshold, algorithm, window kind,
+	// window n, strategy, bounds count.
+	hello := append([]byte{0, 0, 0, 0}, make([]byte, 8)...)
+	hello = append(hello, 0, 0, 0, 0)
+	hello = binary.AppendUvarint(hello, 1<<20)
+	helloFrame := binary.AppendUvarint([]byte{TypeHello}, uint64(len(hello)))
+	helloFrame = append(helloFrame, hello...)
+
+	for name, decode := range map[string]func() error{
+		"DecodeRecord": func() error {
+			_, err := DecodeRecord(rec)
+			return err
+		},
+		"ReadHello": func() error {
+			r := NewReader(bytes.NewReader(helloFrame))
+			if _, err := r.Next(); err != nil {
+				t.Fatal(err)
+			}
+			_, err := r.ReadHello()
+			return err
+		},
+	} {
+		var err error
+		if n := allocBytes(func() { err = decode() }); n >= 1<<20 {
+			t.Errorf("%s allocated %d bytes for a hostile count", name, n)
+		}
+		if err == nil {
+			t.Errorf("%s accepted a count its payload cannot hold", name)
+		}
 	}
 }
 
