@@ -64,11 +64,13 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzIndexVsBruteForce -fuzztime 15s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzWideSigVsBruteForce -fuzztime 15s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzPostTableVsMap -fuzztime 15s ./internal/bundle/
+	go test -run '^$$' -fuzz FuzzParseExposition -fuzztime 15s ./internal/obs/
 
-# Fuzz sanity pass for CI: 14 targets at 2s each, ~46s in all on a 2-vCPU
-# box with a warm build cache. The four bundle targets, the dictionary, ordering
-# and checkpoint targets and the result-batch target skip the package's
-# unit tests (-run '^$$'), which the test step has already run.
+# Fuzz sanity pass for CI: 15 targets at 2s each, ~50s in all on a 2-vCPU
+# box with a warm build cache. The four bundle targets, the dictionary,
+# ordering, checkpoint and exposition targets and the result-batch target
+# skip the package's unit tests (-run '^$$'), which the test step has
+# already run.
 fuzz-smoke:
 	go test -fuzz FuzzReaderNeverPanics -fuzztime 2s ./internal/wire/
 	go test -fuzz FuzzRecordRoundTrip -fuzztime 2s ./internal/wire/
@@ -84,6 +86,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzIndexVsBruteForce -fuzztime 2s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzWideSigVsBruteForce -fuzztime 2s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzPostTableVsMap -fuzztime 2s ./internal/bundle/
+	go test -run '^$$' -fuzz FuzzParseExposition -fuzztime 2s ./internal/obs/
 
 clean:
 	rm -rf internal/*/testdata/fuzz

@@ -1,28 +1,20 @@
 // Command promcheck validates Prometheus text exposition (format 0.0.4) as
-// served by the /metrics endpoints of ssjoinworker and ssjoinbench. It reads
-// a file argument or stdin, parses it with the same parser the coordinator
-// uses for cluster scrapes (obs.ParseExposition), and exits non-zero on
-// malformed input. CI pipes a live worker scrape through it to keep the
-// exposition contract honest without a Prometheus dependency.
+// served by the /metrics endpoints of ssjoinworker, ssjoinbench and the
+// ssjoin coordinator. It reads a file argument or stdin, parses it with
+// obs.ParseExposition, and exits non-zero on malformed input. CI pipes a
+// live worker scrape through it to keep the exposition contract honest
+// without a Prometheus dependency.
 //
 //	curl -s http://worker:8080/metrics | promcheck
 //	promcheck -min-series 5 scrape.txt
-//	promcheck -selftest
-//
-// -selftest skips the input and instead drives the writer/parser pair
-// through its own hardest cases: escaped label values, non-finite sample
-// values, and exemplar suffixes.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sort"
-	"strings"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -35,13 +27,8 @@ func run() int {
 	var (
 		minSeries = flag.Int("min-series", 1, "fail unless at least this many samples parse")
 		verbose   = flag.Bool("v", false, "list parsed families")
-		selftest  = flag.Bool("selftest", false, "round-trip escaped labels, non-finite values, and exemplars through the writer/parser pair instead of reading input")
 	)
 	flag.Parse()
-
-	if *selftest {
-		return runSelftest()
-	}
 
 	var r io.Reader = os.Stdin
 	name := "<stdin>"
@@ -79,75 +66,5 @@ func run() int {
 		}
 	}
 	fmt.Printf("promcheck: %s: ok (%d families, %d samples)\n", name, len(pm), samples)
-	return 0
-}
-
-// runSelftest round-trips the exposition edge cases the coordinator's
-// cluster scrape depends on. Each check writes through the registry and
-// reads back through obs.ParseExposition — the same pair of code paths a
-// live scrape exercises.
-func runSelftest() int {
-	fail := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "promcheck: selftest: "+format+"\n", args...)
-		return 1
-	}
-
-	// Escaped label values: backslash, quote, newline, and exposition
-	// syntax bytes inside values.
-	nasty := []string{`back\slash`, `qu"ote`, "new\nline", `brace}inside`, `hash#inside`, `comma,inside`}
-	reg := obs.NewRegistry()
-	vec := reg.GaugeVec("selftest_gauge", "escape round-trip", "case")
-	for i, v := range nasty {
-		vec.With(v).Set(float64(i + 1)) // obscheck: bounded — fixed selftest table
-	}
-	h := reg.Histogram("selftest_seconds", "exemplar round-trip")
-	h.Observe(50 * time.Millisecond)
-	reg.ExemplarsFor("selftest_seconds").Observe(0.050, 0xfeedface)
-
-	var sb strings.Builder
-	if err := reg.WriteExposition(&sb); err != nil {
-		return fail("write: %v", err)
-	}
-	pm, err := obs.ParseExposition(strings.NewReader(sb.String()))
-	if err != nil {
-		return fail("parse of own output: %v\n%s", err, sb.String())
-	}
-	got := map[string]float64{}
-	for _, s := range pm["selftest_gauge"].Samples {
-		got[s.Labels["case"]] = s.Value
-	}
-	for i, v := range nasty {
-		if got[v] != float64(i+1) {
-			return fail("label %q round-tripped to %v, want %d", v, got[v], i+1)
-		}
-	}
-	var exemplarOK bool
-	for _, s := range pm["selftest_seconds_bucket"].Samples {
-		if s.Exemplar != nil && s.Exemplar.TraceID() == 0xfeedface && s.Exemplar.Value == 0.050 {
-			exemplarOK = true
-		}
-	}
-	if !exemplarOK {
-		return fail("exemplar lost in round trip:\n%s", sb.String())
-	}
-
-	// Non-finite sample values in both spellings of +Inf.
-	pm, err = obs.ParseExposition(strings.NewReader("pos +Inf\nalso_pos Inf\nneg -Inf\nnan NaN\n"))
-	if err != nil {
-		return fail("non-finite parse: %v", err)
-	}
-	if !math.IsInf(pm.Value("pos", 0), 1) || !math.IsInf(pm.Value("also_pos", 0), 1) ||
-		!math.IsInf(pm.Value("neg", 0), -1) || !math.IsNaN(pm.Value("nan", 0)) {
-		return fail("non-finite values mangled")
-	}
-
-	// The parser must still reject malformed lines.
-	for _, bad := range []string{`m{l="unterminated} 1`, `m{l=unquoted} 1`, `m 1 # notbrace 2`} {
-		if _, err := obs.ParseExposition(strings.NewReader(bad + "\n")); err == nil {
-			return fail("accepted malformed line %q", bad)
-		}
-	}
-
-	fmt.Println("promcheck: selftest: ok (escaped labels, non-finite values, exemplars)")
 	return 0
 }

@@ -59,15 +59,8 @@ func main() {
 		pairs   = flag.Bool("pairs", false, "print result pairs")
 		asJSON  = flag.Bool("json", false, "print the run summary as JSON on stdout")
 		rmt     = flag.String("remote", "", "comma-separated ssjoinworker addresses; replaces the in-process engine")
-		monitor = flag.String("monitor", "", "comma-separated worker HTTP (-http) addresses: scrape /metrics, print a cluster table, exit")
 
-		traceN     = flag.Int("trace", 0, "with -remote: sample 1 in N records for distributed tracing (0 disables; sampled records carry trace context to workers as the wire trace annotation)")
-		scrape     = flag.String("scrape", "", "with -remote -trace: comma-separated worker HTTP (-http) addresses to collect span fragments and events from")
-		coordHTTP  = flag.String("http", "", "with -remote: coordinator HTTP address serving /metrics, /debug/traces (stitched), /debug/events, and /healthz")
-		linger     = flag.Duration("linger", 0, "with -remote -http: keep serving (and re-collecting) the debug endpoints this long after the run")
-		traces     = flag.Bool("traces", false, "with -monitor: collect /debug/traces from each address and render stitched trace trees")
-		watch      = flag.Duration("watch", 0, "with -monitor: re-scrape at this interval, evaluating health rules with hysteresis (0: scrape once and exit)")
-		healthSpec = flag.String("health-rules", "", "health/SLO rule file for -monitor and the coordinator /healthz (empty: built-in defaults; see docs/OBSERVABILITY.md)")
+		coordHTTP = flag.String("http", "", "with -remote: coordinator HTTP address serving /metrics, /debug/events, /debug/pprof, and /healthz for the length of the run")
 
 		ft        = flag.Bool("ft", false, "fault-tolerant remote run: heartbeats, retry with backoff, checkpointed resume (requires -remote)")
 		retries   = flag.Int("retries", 4, "FT: consecutive failed reconnect attempts before a worker is declared dead")
@@ -87,13 +80,6 @@ func main() {
 
 	if *par <= 0 {
 		*par = runtime.GOMAXPROCS(0)
-	}
-
-	if *monitor != "" {
-		if err := runMonitor(*monitor, *traces, *watch, *healthSpec); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	if *resume && *stateDir == "" {
@@ -118,25 +104,8 @@ func main() {
 				Degraded:          *degraded,
 			}
 		}
-		rules, err := loadHealthRules(*healthSpec)
-		if err != nil {
-			fatal(err)
-		}
-		oc := obsConfig{
-			trace:    *traceN,
-			httpAddr: *coordHTTP,
-			linger:   *linger,
-			rules:    rules,
-			// Fold the workload identity into trace ids, shifted to leave
-			// the low bits for the per-record counter, so ids stay unique
-			// across coordinator restarts of the same session.
-			idBase: (uint64(*seed)*0x9e3779b97f4a7c15 + uint64(*n)) << 20,
-		}
-		if *scrape != "" {
-			oc.scrape = strings.Split(*scrape, ",")
-		}
 		if *resume {
-			if err := runResume(*stateDir, *rmt, *pairs, ftCfg, oc, *walFsync, *walSegment); err != nil {
+			if err := runResume(*stateDir, *rmt, *pairs, ftCfg, *coordHTTP, *walFsync, *walSegment); err != nil {
 				fatal(err)
 			}
 			return
@@ -157,7 +126,7 @@ func main() {
 				Workers:      strings.Split(*rmt, ","),
 			}
 		}
-		if err := runRemote(*rmt, recs, *tau, *fn, *alg, *dist, *win, *pairs, ftCfg, oc); err != nil {
+		if err := runRemote(*rmt, recs, *tau, *fn, *alg, *dist, *win, *pairs, ftCfg, *coordHTTP); err != nil {
 			fatal(err)
 		}
 		return
@@ -290,10 +259,9 @@ func parsePart(s string) (ssjoin.Partitioner, error) {
 // runRemote executes the join on external workers over TCP. Ctrl-C cancels
 // the run: dials abort and worker connections close. With ftCfg set the
 // run goes through the fault-tolerant coordinator: each worker is dialed
-// (and re-dialed) on demand instead of up front. oc configures the
-// observability surface (tracing, event journal, coordinator debug
-// endpoints); the zero value turns all of it off.
-func runRemote(addrList string, recs []*record.Record, tau float64, fn, alg, dist string, win int64, pairs bool, ftCfg *remote.FT, oc obsConfig) error {
+// (and re-dialed) on demand instead of up front. A non-empty httpAddr
+// serves the coordinator's debug endpoints during the run.
+func runRemote(addrList string, recs []*record.Record, tau float64, fn, alg, dist string, win int64, pairs bool, ftCfg *remote.FT, httpAddr string) error {
 	addrs := strings.Split(addrList, ",")
 
 	f, err := similarity.ParseFunc(fn)
@@ -322,7 +290,7 @@ func runRemote(addrList string, recs []*record.Record, tau float64, fn, alg, dis
 		w := partition.CostModel{Params: params}.Weights(&h)
 		sess.Bounds = partition.LoadAware(w, len(addrs)).Bounds
 	}
-	return execRemote(addrs, sess, recs, pairs, ftCfg, oc)
+	return execRemote(addrs, sess, recs, pairs, ftCfg, httpAddr)
 }
 
 // runResume relaunches a durable session purely from its state directory:
@@ -331,7 +299,7 @@ func runRemote(addrList string, recs []*record.Record, tau float64, fn, alg, dis
 // the coordinator's dedup so completed work is not re-reported. addrList,
 // when non-empty, overrides the manifest's worker addresses (a moved
 // fleet).
-func runResume(stateDir, addrList string, pairs bool, ftCfg *remote.FT, oc obsConfig, fsync string, segBytes int64) error {
+func runResume(stateDir, addrList string, pairs bool, ftCfg *remote.FT, httpAddr, fsync string, segBytes int64) error {
 	m, err := checkpoint.LoadManifest(filepath.Join(stateDir, checkpoint.ManifestPath))
 	if err != nil {
 		return err
@@ -364,21 +332,20 @@ func runResume(stateDir, addrList string, pairs bool, ftCfg *remote.FT, oc obsCo
 		Resume:       true,
 		Workers:      addrs,
 	}
-	// Trace ids must stay unique across incarnations of one session.
-	oc.idBase = m.SessionID << 20
 	fmt.Fprintf(os.Stderr, "remote: resuming session %016x: %d records in ingest log, %d workers\n",
 		m.SessionID, len(recs), len(addrs))
-	return execRemote(addrs, sess, recs, pairs, ftCfg, oc)
+	return execRemote(addrs, sess, recs, pairs, ftCfg, httpAddr)
 }
 
 // execRemote is the shared tail of runRemote and runResume: dial, run,
 // report.
-func execRemote(addrs []string, sess remote.Session, recs []*record.Record, pairs bool, ftCfg *remote.FT, oc obsConfig) error {
+func execRemote(addrs []string, sess remote.Session, recs []*record.Record, pairs bool, ftCfg *remote.FT, httpAddr string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	co := newCoordObs(oc)
+	journal, stopDebug := serveDebug(httpAddr)
+	defer stopDebug()
 
-	opts := remote.Opts{CollectPairs: pairs, Tracer: co.tracer, Journal: co.journal}
+	opts := remote.Opts{CollectPairs: pairs, Journal: journal}
 	var err error
 	var sum *remote.RunSummary
 	if ftCfg != nil {
@@ -421,10 +388,6 @@ func execRemote(addrs []string, sess remote.Session, recs []*record.Record, pair
 			"remote: ft: retries=%d reconnects=%d replayed=%d degraded=%v dead=%v\n",
 			sum.Retries, sum.Reconnects, sum.ReplayedRecords, sum.Degraded, sum.DeadWorkers)
 	}
-	if co.tracer.Enabled() || len(oc.scrape) > 0 {
-		co.report(ctx, os.Stderr)
-	}
-	co.finish(ctx)
 	return nil
 }
 

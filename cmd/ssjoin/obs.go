@@ -1,310 +1,48 @@
-// Coordinator-side observability for ssjoin: the -trace/-scrape/-http
-// surface of remote runs (distributed tracing, event journal, coordinator
-// debug endpoints) and the -monitor fleet view with -watch health-rule
-// evaluation and -traces stitched-trace rendering. Everything here is
-// off unless the matching flag is set; an untraced remote run builds no
-// tracer and dispatches byte-identical wire traffic.
+// The coordinator's -http surface for remote runs: /metrics (process and
+// journal counters), /debug/events (the coordinator's journal),
+// /debug/traces, /debug/pprof and a plain /healthz, served for the length
+// of the run.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"os/signal"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/remote"
 )
 
-// maxRenderedTraces bounds the trace trees printed after a run or per
-// -monitor round so a 1/8-sampled big run doesn't flood the terminal.
-const maxRenderedTraces = 5
-
-// obsConfig carries the observability flags into runRemote.
-type obsConfig struct {
-	trace    int      // sample 1 in N dispatched records (0: tracing off)
-	idBase   uint64   // trace-id base folding the session identity in
-	scrape   []string // worker HTTP addresses for fragment/event collection
-	httpAddr string   // coordinator debug server address ("": none)
-	linger   time.Duration
-	rules    []obs.HealthRule
-}
-
-// loadHealthRules reads a rule file, or returns the built-in defaults for
-// an empty path.
-func loadHealthRules(path string) ([]obs.HealthRule, error) {
-	if path == "" {
-		return obs.DefaultHealthRules(), nil
+// serveDebug starts the coordinator's debug server on addr. It returns
+// the journal the run writes its lifecycle events to and a function that
+// shuts the server down. An empty addr serves nothing: the journal is nil
+// (a no-op sink) and stop returns at once.
+func serveDebug(addr string) (journal *obs.Journal, stop func()) {
+	if addr == "" {
+		return nil, func() {}
 	}
-	text, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return obs.ParseHealthRules(string(text))
-}
-
-// coordObs is the coordinator-side observability state of one remote run:
-// the tracer minting trace ids, the journal of coordinator events, the
-// stitcher assembling cluster-wide traces from worker scrapes, and the
-// optional debug HTTP server exposing all of it.
-type coordObs struct {
-	cfg      obsConfig
-	tracer   *obs.Tracer
-	journal  *obs.Journal
-	stitcher *obs.Stitcher
-	health   *obs.HealthEngine
-	srv      *http.Server
-	srvDone  chan struct{}
-	prev     []remote.WorkerStatus
-}
-
-// newCoordObs builds the run's observability state and, when cfg.httpAddr
-// is set, starts the coordinator debug server. Returns a value usable even
-// when every feature is off (all methods no-op gracefully).
-func newCoordObs(cfg obsConfig) *coordObs {
-	o := &coordObs{cfg: cfg, journal: obs.NewJournal(0)}
-	if cfg.trace > 0 {
-		o.tracer = obs.NewTracer(cfg.trace, 256)
-		o.tracer.SetIDBase(cfg.idBase)
-		o.stitcher = obs.NewStitcher(256)
-	}
-	o.health = obs.NewHealthEngine(cfg.rules, o.journal)
-	if cfg.httpAddr != "" {
-		reg := obs.NewRegistry()
-		obs.RegisterProcessMetrics(reg)
-		o.journal.RegisterMetrics(reg)
-		mux := http.NewServeMux()
-		obs.AttachDebugOpts(mux, obs.DebugOptions{
-			Registry: reg,
-			Tracer:   o.tracer,
-			Stitcher: o.stitcher,
-			Journal:  o.journal,
-		})
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
-			if req.URL.Query().Get("detail") == "" {
-				fmt.Fprintln(w, "ok")
-				return
-			}
-			st := o.health.Status()
-			w.Header().Set("Content-Type", "application/json")
-			if !st.Healthy {
-				w.WriteHeader(http.StatusServiceUnavailable)
-			}
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(st) //nolint:errcheck — best effort over HTTP
-		})
-		o.srv = &http.Server{Addr: cfg.httpAddr, Handler: mux}
-		o.srvDone = make(chan struct{})
-		go func() {
-			defer close(o.srvDone)
-			if err := o.srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "ssjoin: debug server:", err)
-			}
-		}()
-	}
-	return o
-}
-
-// collect runs one observation round: pull trace fragments from the
-// scrape targets into the stitcher and evaluate health rules over fresh
-// worker snapshots. Failed scrapes degrade to stale carry-forward rows
-// rather than aborting the round.
-func (o *coordObs) collect(ctx context.Context) {
-	if len(o.cfg.scrape) == 0 {
-		return
-	}
-	if o.stitcher != nil {
-		for addr, err := range remote.CollectTraces(ctx, nil, o.stitcher, o.tracer, o.cfg.scrape, 0) {
-			fmt.Fprintf(os.Stderr, "ssjoin: trace scrape %s: %v\n", addr, err)
+	journal = obs.NewJournal(0)
+	reg := obs.NewRegistry()
+	obs.RegisterProcessMetrics(reg)
+	journal.RegisterMetrics(reg)
+	mux := http.NewServeMux()
+	obs.AttachDebug(mux, obs.DebugOptions{Registry: reg, Journal: journal})
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprintln(w, "ok")
+	})
+	srv := &http.Server{Addr: addr, Handler: mux}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			fmt.Fprintln(os.Stderr, "ssjoin: debug server:", err)
 		}
-	}
-	cur := remote.ScrapeCluster(ctx, nil, o.cfg.scrape, 0)
-	merged := remote.MergeStatuses(o.prev, cur)
-	o.prev = merged
-	var exemplar uint64
-	if rs := o.tracer.Recent(); len(rs) > 0 {
-		exemplar = rs[0].ID
-	}
-	for _, st := range merged {
-		o.health.Eval(st.Addr, remote.SignalsFrom(st), exemplar)
-	}
-	o.health.Eval("cluster", remote.ClusterSignals(merged), exemplar)
-}
-
-// report collects once more, then prints the stitched traces and the
-// merged cluster event timeline to w.
-func (o *coordObs) report(ctx context.Context, w io.Writer) {
-	o.collect(ctx)
-	if o.stitcher != nil {
-		snap := o.stitcher.Snapshot()
-		fmt.Fprintf(w, "traces: sampled=%d stitched=%d orphan-fragments=%d\n",
-			o.tracer.Sampled(), len(snap.Traces), snap.OrphanFragments)
-		for i, tr := range snap.Traces {
-			if i == maxRenderedTraces {
-				fmt.Fprintf(w, "... %d more traces on /debug/traces\n", len(snap.Traces)-i)
-				break
-			}
-			remote.RenderTraceTree(w, tr) //nolint:errcheck — terminal output
-		}
-	}
-	events := remote.CollectEvents(ctx, nil, o.journal.Snapshot(), o.cfg.scrape, 0)
-	if len(events) > 0 {
-		fmt.Fprintf(w, "events: %d across %d sources\n", len(events), 1+len(o.cfg.scrape))
-		printEvents(w, events)
-	}
-}
-
-// finish serves the linger window (re-collecting so late scrapers see
-// fresh stitched traces and health state), then shuts the debug server
-// down.
-func (o *coordObs) finish(ctx context.Context) {
-	if o.srv != nil && o.cfg.linger > 0 {
-		fmt.Fprintf(os.Stderr, "ssjoin: serving debug endpoints on %s for %s\n",
-			o.cfg.httpAddr, o.cfg.linger)
-		deadline := time.After(o.cfg.linger)
-		tick := time.NewTicker(2 * time.Second)
-		defer tick.Stop()
-	linger:
-		for {
-			select {
-			case <-ctx.Done():
-				break linger
-			case <-deadline:
-				break linger
-			case <-tick.C:
-				o.collect(ctx)
-			}
-		}
-	}
-	if o.srv != nil {
-		//lint:ignore ctxcheck shutdown must run even after Ctrl-C cancels the run ctx
+	}()
+	return journal, func() {
 		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		o.srv.Shutdown(sctx) //nolint:errcheck
-		<-o.srvDone
-	}
-}
-
-// printEvents renders a merged event timeline, one line per event.
-func printEvents(w io.Writer, events []obs.Event) {
-	for _, ev := range events {
-		ts := time.Unix(0, ev.UnixNs).Format("15:04:05.000")
-		trace := ""
-		if ev.TraceID != 0 {
-			trace = fmt.Sprintf(" trace=%016x", ev.TraceID)
-		}
-		fmt.Fprintf(w, "  %s %-14s %-12s %s: %s%s\n",
-			ts, ev.Source, ev.Type, ev.Component, ev.Msg, trace)
-	}
-}
-
-// printHealth renders the firing subset of a health status (or an all-clear
-// line) for the -monitor loop.
-func printHealth(w io.Writer, st obs.HealthStatus) {
-	if st.Healthy {
-		fmt.Fprintf(w, "health: ok (%d rule states tracked)\n", len(st.Rules))
-		return
-	}
-	fmt.Fprintf(w, "health: %d firing\n", st.Firing)
-	for _, r := range st.Rules {
-		if !r.Firing {
-			continue
-		}
-		line := fmt.Sprintf("  FIRING %s on %s: %s %s %g (value %.3g, since %s)",
-			r.Rule, r.Target, r.Signal, r.Op, r.Threshold, r.Value,
-			time.Unix(0, r.SinceUnixNs).Format("15:04:05"))
-		if r.ExemplarTraceID != 0 {
-			line += fmt.Sprintf(" exemplar trace %016x", r.ExemplarTraceID)
-		}
-		fmt.Fprintln(w, line)
-	}
-}
-
-// runMonitor scrapes each worker's /metrics endpoint (the HTTP address
-// given to ssjoinworker -http, not the TCP join port) and renders the
-// cluster status table. With -watch it loops, carrying forward the last
-// good reading of any worker whose scrape fails (marked stale) and
-// evaluating health rules with hysteresis across rounds; -traces adds
-// stitched trace trees assembled from every address's /debug/traces.
-func runMonitor(addrList string, showTraces bool, watch time.Duration, rulesPath string) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	addrs := strings.Split(addrList, ",")
-	rules, err := loadHealthRules(rulesPath)
-	if err != nil {
-		return err
-	}
-	engine := obs.NewHealthEngine(rules, obs.NewJournal(0))
-	var prev []remote.WorkerStatus
-	for {
-		cur := remote.ScrapeCluster(ctx, nil, addrs, 0)
-		merged := remote.MergeStatuses(prev, cur)
-		prev = merged
-		if watch > 0 {
-			fmt.Printf("-- %s --\n", time.Now().Format(time.RFC3339))
-		}
-		if err := remote.ClusterTable(os.Stdout, merged); err != nil {
-			return err
-		}
-		for _, st := range merged {
-			engine.Eval(st.Addr, remote.SignalsFrom(st), 0)
-		}
-		engine.Eval("cluster", remote.ClusterSignals(merged), 0)
-		printHealth(os.Stdout, engine.Status())
-		if showTraces {
-			renderScrapedTraces(ctx, os.Stdout, addrs)
-		}
-		if watch <= 0 {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-time.After(watch):
-		}
-	}
-}
-
-// renderScrapedTraces pulls /debug/traces from every address and prints
-// trace trees: pre-stitched traces from any coordinator endpoint directly,
-// plus whatever can be assembled here from scraped roots and fragments.
-func renderScrapedTraces(ctx context.Context, w io.Writer, addrs []string) {
-	st := obs.NewStitcher(256)
-	var pre []obs.StitchedTrace
-	for _, addr := range addrs {
-		doc, err := remote.ScrapeTraces(ctx, nil, addr)
-		if err != nil {
-			fmt.Fprintf(w, "traces %s: %v\n", addr, err)
-			continue
-		}
-		for _, tr := range doc.Traces {
-			st.AddRoot(tr)
-		}
-		for _, f := range doc.Fragments {
-			st.AddFragment(addr, f)
-		}
-		if doc.Stitched != nil {
-			pre = append(pre, doc.Stitched.Traces...)
-		}
-	}
-	local := st.Snapshot()
-	seen := map[uint64]bool{}
-	rendered := 0
-	for _, tr := range append(pre, local.Traces...) {
-		if seen[tr.ID] || rendered == maxRenderedTraces {
-			continue
-		}
-		seen[tr.ID] = true
-		rendered++
-		remote.RenderTraceTree(w, tr) //nolint:errcheck — terminal output
-	}
-	if rendered == 0 {
-		fmt.Fprintln(w, "traces: none collected")
+		srv.Shutdown(sctx) //nolint:errcheck
+		<-done
 	}
 }

@@ -153,7 +153,7 @@ func main() {
 		journal := obs.NewJournal(0)
 		journal.RegisterMetrics(reg)
 		mux := http.NewServeMux()
-		obs.AttachDebugOpts(mux, obs.DebugOptions{Registry: reg, Tracer: tracer, Journal: journal})
+		obs.AttachDebug(mux, obs.DebugOptions{Registry: reg, Tracer: tracer, Journal: journal})
 		srv := &http.Server{Addr: *httpAd, Handler: mux}
 		go func() {
 			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {

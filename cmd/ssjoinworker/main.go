@@ -36,13 +36,11 @@ func main() {
 
 func run() int {
 	var (
-		listen     = flag.String("listen", ":7401", "TCP address to listen on")
-		httpAddr   = flag.String("http", "", "optional HTTP address serving /healthz, /stats, /metrics, /debug/traces, /debug/events, and /debug/pprof")
-		ckptDir    = flag.String("checkpoint-dir", "", "directory for fault-tolerant session checkpoints (empty disables persistence; FT sessions then resume from scratch)")
-		ckptIvl    = flag.Duration("checkpoint-interval", 0, "minimum spacing between periodic window checkpoints (0: checkpoint only on unclean session exit)")
-		par        = flag.Int("parallel", runtime.GOMAXPROCS(0), "verifier goroutines per session (bundle algorithm): candidate verification fans out across cores with deterministic output; 1 disables, 0 or less means the default")
-		healthSpec = flag.String("health-rules", "", "health/SLO rule file evaluated against the worker's own signals (empty: built-in defaults; see docs/OBSERVABILITY.md)")
-		healthIvl  = flag.Duration("health-interval", 5*time.Second, "health rule evaluation period (requires -http)")
+		listen   = flag.String("listen", ":7401", "TCP address to listen on")
+		httpAddr = flag.String("http", "", "optional HTTP address serving /healthz, /stats, /metrics, /debug/traces, /debug/events, and /debug/pprof")
+		ckptDir  = flag.String("checkpoint-dir", "", "directory for fault-tolerant session checkpoints (empty disables persistence; FT sessions then resume from scratch)")
+		ckptIvl  = flag.Duration("checkpoint-interval", 0, "minimum spacing between periodic window checkpoints (0: checkpoint only on unclean session exit)")
+		par      = flag.Int("parallel", runtime.GOMAXPROCS(0), "verifier goroutines per session (bundle algorithm): candidate verification fans out across cores with deterministic output; 1 disables, 0 or less means the default")
 	)
 	flag.Parse()
 	if *par <= 0 {
@@ -65,51 +63,18 @@ func run() int {
 	}
 
 	var mon remote.Monitor
-	frags := obs.NewFragments(0)
 	journal := obs.NewJournal(0)
 	monDone := make(chan struct{})
 	if *httpAddr != "" {
-		rules := obs.DefaultHealthRules()
-		if *healthSpec != "" {
-			text, err := os.ReadFile(*healthSpec)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ssjoinworker:", err)
-				return 1
-			}
-			if rules, err = obs.ParseHealthRules(string(text)); err != nil {
-				fmt.Fprintln(os.Stderr, "ssjoinworker:", err)
-				return 1
-			}
-		}
 		reg := obs.NewRegistry()
 		obs.RegisterProcessMetrics(reg)
 		mon.RegisterMetrics(reg)
-		frags.RegisterMetrics(reg)
 		journal.RegisterMetrics(reg)
-		mon.Health = obs.NewHealthEngine(rules, journal)
 		mux := http.NewServeMux()
 		mux.Handle("/healthz", mon.Handler())
 		mux.Handle("/stats", mon.Handler())
-		obs.AttachDebugOpts(mux, obs.DebugOptions{
-			Registry:  reg,
-			Fragments: frags,
-			Journal:   journal,
-		})
+		obs.AttachDebug(mux, obs.DebugOptions{Registry: reg, Journal: journal})
 		srv := &http.Server{Addr: *httpAddr, Handler: mux}
-		healthDone := make(chan struct{})
-		go func() {
-			defer close(healthDone)
-			tick := time.NewTicker(*healthIvl)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-					mon.Health.Eval("self", mon.HealthSignals(), mon.LastTraceID.Load())
-				}
-			}
-		}()
 		go func() {
 			defer close(monDone)
 			log.Printf("ssjoinworker: monitoring on http://%s/stats", *httpAddr)
@@ -122,7 +87,6 @@ func run() int {
 			defer cancel()
 			srv.Shutdown(sctx) //nolint:errcheck
 			<-monDone
-			<-healthDone
 		}()
 	} else {
 		close(monDone)
@@ -138,7 +102,6 @@ func run() int {
 		CheckpointDir:      *ckptDir,
 		CheckpointInterval: *ckptIvl,
 		Parallelism:        *par,
-		Frags:              frags,
 		Journal:            journal,
 	})
 	if err != nil {

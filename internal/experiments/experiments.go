@@ -83,7 +83,6 @@ func All() []Experiment {
 		{"E18", "Dispatcher parallelism with reorder buffers (extension)", E18},
 		{"E19", "Token-ordering refresh under vocabulary drift (extension)", E19},
 		{"E20", "Intra-worker parallel verification scaling (extension)", E20},
-		{"E22", "Distributed tracing overhead (extension)", E22},
 	}
 }
 

@@ -1,9 +1,9 @@
 // Live introspection endpoints. AttachDebug mounts the observability
 // surface onto any mux: /metrics (Prometheus text exposition),
-// /debug/traces (recent sampled tuple lineages as JSON), and the standard
-// net/http/pprof handlers under /debug/pprof/. Both ssjoinworker and
-// ssjoinbench serve this mux, and the coordinator's cluster table scrapes
-// /metrics.
+// /debug/traces (recent sampled tuple lineages as JSON), /debug/events
+// (the journal) and the standard net/http/pprof handlers under
+// /debug/pprof/. ssjoinworker, ssjoinbench and the ssjoin coordinator
+// serve this mux with -http.
 package obs
 
 import (
@@ -15,35 +15,26 @@ import (
 	"time"
 )
 
-// DebugOptions selects what AttachDebugOpts mounts. Registry is
-// mandatory; everything else is optional and nil-safe.
+// DebugOptions selects what AttachDebug mounts. Registry is mandatory;
+// Tracer and Journal are optional and nil-safe.
 type DebugOptions struct {
 	// Registry backs /metrics.
 	Registry *Registry
-	// Tracer contributes locally rooted traces to /debug/traces.
+	// Tracer backs /debug/traces.
 	Tracer *Tracer
-	// Fragments contributes this process's remote-trace span fragments to
-	// /debug/traces (the worker side of distributed tracing).
-	Fragments *Fragments
-	// Stitcher contributes the stitched cluster trace view to
-	// /debug/traces (the coordinator side).
-	Stitcher *Stitcher
 	// Journal backs /debug/events.
 	Journal *Journal
 }
 
-// TraceDoc is the /debug/traces JSON document: whichever of the three
-// trace surfaces the process owns.
+// TraceDoc is the /debug/traces JSON document.
 type TraceDoc struct {
-	Sampled   uint64             `json:"sampled_total"`
-	Traces    []TraceSnapshot    `json:"traces"`
-	Fragments []FragmentSnapshot `json:"fragments,omitempty"`
-	Stitched  *StitchSnapshot    `json:"stitched,omitempty"`
+	Sampled uint64          `json:"sampled_total"`
+	Traces  []TraceSnapshot `json:"traces"`
 }
 
-// AttachDebugOpts mounts /metrics, /debug/traces, /debug/events, and
+// AttachDebug mounts /metrics, /debug/traces, /debug/events, and
 // /debug/pprof/* on mux according to o.
-func AttachDebugOpts(mux *http.ServeMux, o DebugOptions) {
+func AttachDebug(mux *http.ServeMux, o DebugOptions) {
 	reg, tracer := o.Registry, o.Tracer
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", ExpositionContentType)
@@ -51,23 +42,12 @@ func AttachDebugOpts(mux *http.ServeMux, o DebugOptions) {
 	})
 	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		limit := 0
-		if s := req.URL.Query().Get("n"); s != "" {
-			limit, _ = strconv.Atoi(s)
-		}
-		doc := TraceDoc{Sampled: tracer.Sampled(), Traces: tracer.Recent(), Fragments: o.Fragments.Snapshot()}
-		if limit > 0 && limit < len(doc.Traces) {
-			doc.Traces = doc.Traces[:limit]
+		doc := TraceDoc{Sampled: tracer.Sampled(), Traces: tracer.Recent()}
+		if n, _ := strconv.Atoi(req.URL.Query().Get("n")); n > 0 && n < len(doc.Traces) {
+			doc.Traces = doc.Traces[:n]
 		}
 		if doc.Traces == nil {
 			doc.Traces = []TraceSnapshot{}
-		}
-		if o.Stitcher != nil {
-			snap := o.Stitcher.Snapshot()
-			if limit > 0 && limit < len(snap.Traces) {
-				snap.Traces = snap.Traces[:limit]
-			}
-			doc.Stitched = &snap
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -76,10 +56,8 @@ func AttachDebugOpts(mux *http.ServeMux, o DebugOptions) {
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		snap := o.Journal.Snapshot()
-		if s := req.URL.Query().Get("n"); s != "" {
-			if n, _ := strconv.Atoi(s); n > 0 && n < len(snap.Events) {
-				snap.Events = snap.Events[len(snap.Events)-n:]
-			}
+		if n, _ := strconv.Atoi(req.URL.Query().Get("n")); n > 0 && n < len(snap.Events) {
+			snap.Events = snap.Events[len(snap.Events)-n:]
 		}
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
@@ -90,20 +68,6 @@ func AttachDebugOpts(mux *http.ServeMux, o DebugOptions) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// AttachDebug mounts the classic surface: /metrics, /debug/traces, and
-// /debug/pprof/*. reg may not be nil; tracer may be nil (traces endpoint
-// serves an empty list).
-func AttachDebug(mux *http.ServeMux, reg *Registry, tracer *Tracer) {
-	AttachDebugOpts(mux, DebugOptions{Registry: reg, Tracer: tracer})
-}
-
-// NewDebugMux returns a fresh mux with the debug surface mounted.
-func NewDebugMux(reg *Registry, tracer *Tracer) *http.ServeMux {
-	mux := http.NewServeMux()
-	AttachDebug(mux, reg, tracer)
-	return mux
 }
 
 // RegisterProcessMetrics adds process-wide runtime gauges (goroutines,

@@ -1,10 +1,10 @@
 // Prometheus text exposition: writing (WriteExposition), parsing
-// (ParseExposition — the scrape client used by the coordinator's cluster
-// table and the promcheck validator), and the JSON-friendly Snapshot the
-// bench harness embeds in its artifacts. Format reference: the Prometheus
-// text format 0.0.4 — `# HELP`/`# TYPE` comments followed by
-// `name{label="value"} number` sample lines; histograms expose cumulative
-// `_bucket{le="..."}` series plus `_sum` and `_count`.
+// (ParseExposition — what the promcheck validator reads a live /metrics
+// with), and the JSON-friendly Snapshot the bench harness embeds in its
+// artifacts. Format reference: the Prometheus text format 0.0.4 —
+// `# HELP`/`# TYPE` comments followed by `name{label="value"} number`
+// sample lines; histograms expose cumulative `_bucket{le="..."}` series
+// plus `_sum` and `_count`.
 package obs
 
 import (
@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -58,20 +57,13 @@ func writeSeries(w io.Writer, name string, pairs [][2]string, value string) erro
 
 // WriteExposition renders the registry in Prometheus text format, families
 // sorted by name, label values sorted within a family. Histogram bucket
-// bounds are emitted in seconds; when a family has an exemplar store,
-// bucket lines gain OpenMetrics-style `# {trace_id="..."} value ts`
-// suffixes, each exemplar attached to the first bucket that covers it.
+// bounds are emitted in seconds.
 func (r *Registry) WriteExposition(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, fam := range r.Gather() {
 		if _, err := fmt.Fprintf(bw, "# HELP %s %s\n# TYPE %s %s\n",
 			fam.Desc.Name, fam.Desc.Help, fam.Desc.Name, fam.Kind); err != nil {
 			return err
-		}
-		var exs []Exemplar
-		if fam.Kind == KindHistogram {
-			exs = r.exemplarsOf(fam.Desc.Name).Snapshot()
-			sort.Slice(exs, func(i, j int) bool { return exs[i].Value < exs[j].Value })
 		}
 		for _, s := range fam.Samples {
 			var base [][2]string
@@ -84,7 +76,7 @@ func (r *Registry) WriteExposition(w io.Writer) error {
 				}
 				continue
 			}
-			if err := writeHistogram(bw, fam.Desc.Name, base, s.Hist, &exs); err != nil {
+			if err := writeHistogram(bw, fam.Desc.Name, base, s.Hist); err != nil {
 				return err
 			}
 		}
@@ -92,41 +84,22 @@ func (r *Registry) WriteExposition(w io.Writer) error {
 	return bw.Flush()
 }
 
-// exemplarSuffix renders (and consumes) the first pending exemplar inside
-// (lo, hi]; "" when none fits.
-func exemplarSuffix(exs *[]Exemplar, lo, hi float64) string {
-	for i, e := range *exs {
-		if e.Value > lo && (e.Value <= hi || math.IsInf(hi, 1)) {
-			*exs = append((*exs)[:i], (*exs)[i+1:]...)
-			return fmt.Sprintf(" # {trace_id=\"%016x\"} %s %s",
-				e.TraceID, formatValue(e.Value),
-				strconv.FormatFloat(float64(e.UnixNs)/1e9, 'f', 3, 64))
-		}
-	}
-	return ""
-}
-
 // writeHistogram renders one histogram sample as cumulative buckets plus
 // _sum and _count, bounds in seconds.
-func writeHistogram(w io.Writer, name string, base [][2]string, h *metrics.Latency, exs *[]Exemplar) error {
+func writeHistogram(w io.Writer, name string, base [][2]string, h *metrics.Latency) error {
 	var cum uint64
-	prevHi := 0.0
 	for _, b := range h.Buckets() {
 		if b.Hi == time.Duration(math.MaxInt64) {
 			continue // folded into the trailing +Inf bucket
 		}
 		cum += b.Count
-		hi := b.Hi.Seconds()
-		pairs := append(append([][2]string(nil), base...), [2]string{"le", formatValue(hi)})
-		v := strconv.FormatUint(cum, 10) + exemplarSuffix(exs, prevHi, hi)
-		if err := writeSeries(w, name+"_bucket", pairs, v); err != nil {
+		pairs := append(append([][2]string(nil), base...), [2]string{"le", formatValue(b.Hi.Seconds())})
+		if err := writeSeries(w, name+"_bucket", pairs, strconv.FormatUint(cum, 10)); err != nil {
 			return err
 		}
-		prevHi = hi
 	}
 	pairs := append(append([][2]string(nil), base...), [2]string{"le", "+Inf"})
-	v := strconv.FormatUint(h.Count(), 10) + exemplarSuffix(exs, prevHi, math.Inf(1))
-	if err := writeSeries(w, name+"_bucket", pairs, v); err != nil {
+	if err := writeSeries(w, name+"_bucket", pairs, strconv.FormatUint(h.Count(), 10)); err != nil {
 		return err
 	}
 	if err := writeSeries(w, name+"_sum", base, formatValue(h.Sum().Seconds())); err != nil {
@@ -138,37 +111,12 @@ func writeHistogram(w io.Writer, name string, base [][2]string, h *metrics.Laten
 // ------------------------------------------------------------- parsing --
 
 // ParsedSample is one scraped series: its labels and value, plus the
-// optional exemplar and timestamp carried on the line.
+// optional timestamp carried on the line.
 type ParsedSample struct {
 	Labels map[string]string
 	Value  float64
 	// TimestampMs is the optional sample timestamp (0 when absent).
 	TimestampMs int64
-	// Exemplar is the optional `# {...} value ts` exemplar (nil when
-	// absent).
-	Exemplar *ParsedExemplar
-}
-
-// ParsedExemplar is one scraped exemplar.
-type ParsedExemplar struct {
-	Labels map[string]string
-	Value  float64
-	// TimestampS is the optional exemplar timestamp in unix seconds (0
-	// when absent).
-	TimestampS float64
-}
-
-// TraceID returns the trace id an exemplar links to (0 when absent or
-// malformed). The writer emits 16 hex digits under the trace_id key.
-func (e *ParsedExemplar) TraceID() uint64 {
-	if e == nil {
-		return 0
-	}
-	id, err := strconv.ParseUint(e.Labels["trace_id"], 16, 64)
-	if err != nil {
-		return 0
-	}
-	return id
 }
 
 // ParsedFamily is one scraped metric family.
@@ -262,10 +210,10 @@ func familyFor(out ParsedMetrics, name string) *ParsedFamily {
 	return fam
 }
 
-// parseSample parses `name{k="v",...} value [timestamp] [# {...} v [ts]]`
-// into its family. The label set is scanned quote-aware — values may
-// contain escaped quotes, backslashes, newlines, and even `}` or `#` —
-// so the scan never confuses a byte inside a quoted value with syntax.
+// parseSample parses `name{k="v",...} value [timestamp]` into its family.
+// The label set is scanned quote-aware — values may contain escaped
+// quotes, backslashes, newlines, and even `}` or `#` — so the scan never
+// confuses a byte inside a quoted value with syntax.
 func parseSample(line string, out ParsedMetrics) error {
 	name := line
 	labels := map[string]string{}
@@ -289,17 +237,6 @@ func parseSample(line string, out ParsedMetrics) error {
 		return fmt.Errorf("metric name %q is not snake_case", name)
 	}
 	sample := ParsedSample{Labels: labels}
-	// Split off the exemplar section; '#' cannot occur in a value or
-	// timestamp, which is all that precedes it.
-	if i := strings.IndexByte(rest, '#'); i >= 0 {
-		exPart := strings.TrimSpace(rest[i+1:])
-		rest = strings.TrimSpace(rest[:i])
-		ex, err := parseExemplar(exPart)
-		if err != nil {
-			return fmt.Errorf("%w in %q", err, line)
-		}
-		sample.Exemplar = ex
-	}
 	fields := strings.Fields(rest)
 	switch len(fields) {
 	case 1:
@@ -320,31 +257,6 @@ func parseSample(line string, out ParsedMetrics) error {
 	fam := familyFor(out, name)
 	fam.Samples = append(fam.Samples, sample)
 	return nil
-}
-
-// parseExemplar parses `{k="v",...} value [ts]` (the part after `# `).
-func parseExemplar(s string) (*ParsedExemplar, error) {
-	if len(s) == 0 || s[0] != '{' {
-		return nil, fmt.Errorf("exemplar %q does not start with a label set", s)
-	}
-	labels, rest, err := scanLabelSet(s)
-	if err != nil {
-		return nil, err
-	}
-	fields := strings.Fields(rest)
-	if len(fields) < 1 || len(fields) > 2 {
-		return nil, fmt.Errorf("exemplar %q needs a value and optional timestamp", s)
-	}
-	ex := &ParsedExemplar{Labels: labels}
-	if ex.Value, err = parseNumber(fields[0]); err != nil {
-		return nil, fmt.Errorf("bad exemplar value %q: %w", fields[0], err)
-	}
-	if len(fields) == 2 {
-		if ex.TimestampS, err = strconv.ParseFloat(fields[1], 64); err != nil {
-			return nil, fmt.Errorf("bad exemplar timestamp %q: %w", fields[1], err)
-		}
-	}
-	return ex, nil
 }
 
 // parseNumber accepts Go floats plus the exposition spellings of infinity.
@@ -422,60 +334,6 @@ func scanQuoted(s string) (val, rest string, err error) {
 		}
 	}
 	return "", "", fmt.Errorf("unterminated quoted string in %q", s)
-}
-
-// HistogramQuantile estimates the q-quantile in seconds from the
-// cumulative `_bucket` samples of one histogram series (optionally
-// filtered by a label pair). It mirrors metrics.Latency.Quantile on the
-// scraped representation: interpolate within the first bucket whose
-// cumulative count reaches the target.
-func HistogramQuantile(buckets []ParsedSample, q float64) float64 {
-	type bound struct {
-		le    float64
-		count float64
-	}
-	bs := make([]bound, 0, len(buckets))
-	for _, s := range buckets {
-		le, err := parseNumber(s.Labels["le"])
-		if err != nil {
-			continue
-		}
-		bs = append(bs, bound{le: le, count: s.Value})
-	}
-	sort.Slice(bs, func(i, j int) bool { return bs[i].le < bs[j].le })
-	if len(bs) == 0 {
-		return 0
-	}
-	total := bs[len(bs)-1].count
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := q * total
-	prevCount, prevLe := 0.0, 0.0
-	for _, b := range bs {
-		if b.count >= target {
-			if math.IsInf(b.le, 1) {
-				return prevLe
-			}
-			frac := 0.5
-			if b.count > prevCount {
-				frac = (target - prevCount) / (b.count - prevCount)
-			}
-			return prevLe + (b.le-prevLe)*frac
-		}
-		prevCount, prevLe = b.count, b.le
-	}
-	last := bs[len(bs)-1].le
-	if math.IsInf(last, 1) {
-		return prevLe
-	}
-	return last
 }
 
 // ------------------------------------------------------------ snapshot --

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestExpositionEscapedLabelRoundTrip drives nasty label values through
@@ -94,67 +93,6 @@ func TestExpositionSampleTimestamps(t *testing.T) {
 	}
 }
 
-// TestExpositionExemplarParsing covers the OpenMetrics exemplar suffix:
-// labels, value, optional timestamp, and trace-id extraction.
-func TestExpositionExemplarParsing(t *testing.T) {
-	text := `rt_seconds_bucket{le="0.1"} 3 # {trace_id="00000000000000ab"} 0.053 1712345678.123
-rt_seconds_bucket{le="+Inf"} 4
-`
-	pm, err := ParseExposition(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := pm["rt_seconds_bucket"].Samples
-	ex := samples[0].Exemplar
-	if ex == nil {
-		t.Fatal("exemplar not parsed")
-	}
-	if ex.TraceID() != 0xab {
-		t.Fatalf("TraceID = %#x, want 0xab", ex.TraceID())
-	}
-	if ex.Value != 0.053 || ex.TimestampS != 1712345678.123 {
-		t.Fatalf("exemplar = %+v", ex)
-	}
-	if samples[1].Exemplar != nil {
-		t.Fatal("bucket without exemplar must parse with nil exemplar")
-	}
-}
-
-// TestExpositionExemplarWriteReadLoop drives an exemplar through the
-// registry: observe a traced latency, write the exposition, parse it, and
-// find the trace id attached to a covering bucket.
-func TestExpositionExemplarWriteReadLoop(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("loop_seconds", "histogram with exemplars")
-	h.Observe(50 * time.Millisecond)
-	h.Observe(2 * time.Millisecond)
-	reg.ExemplarsFor("loop_seconds").Observe(0.050, 0xdeadbeef)
-
-	var sb strings.Builder
-	if err := reg.WriteExposition(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `trace_id="00000000deadbeef"`) {
-		t.Fatalf("exposition lacks the exemplar:\n%s", sb.String())
-	}
-	pm, err := ParseExposition(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatalf("parse of own output failed: %v\n%s", err, sb.String())
-	}
-	var found bool
-	for _, s := range pm["loop_seconds_bucket"].Samples {
-		if s.Exemplar.TraceID() == 0xdeadbeef {
-			found = true
-			if s.Exemplar.Value != 0.050 {
-				t.Fatalf("exemplar value = %v", s.Exemplar.Value)
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("no bucket carried the exemplar:\n%s", sb.String())
-	}
-}
-
 // TestExpositionMalformedLinesRejected pins down the failure modes the
 // hardened parser must still reject.
 func TestExpositionMalformedLinesRejected(t *testing.T) {
@@ -171,33 +109,6 @@ func TestExpositionMalformedLinesRejected(t *testing.T) {
 	} {
 		if _, err := ParseExposition(strings.NewReader(bad + "\n")); err == nil {
 			t.Errorf("ParseExposition accepted %q", bad)
-		}
-	}
-}
-
-// TestExemplarStoreRing covers the bounded exemplar ring itself.
-func TestExemplarStoreRing(t *testing.T) {
-	var nilStore *ExemplarStore
-	nilStore.Observe(1, 1) // nil-safe
-	if len(nilStore.Snapshot()) != 0 {
-		t.Fatal("nil store must be empty")
-	}
-	reg := NewRegistry()
-	st := reg.ExemplarsFor("ring_seconds")
-	if st != reg.ExemplarsFor("ring_seconds") {
-		t.Fatal("ExemplarsFor must return the same store per family")
-	}
-	st.Observe(1, 0) // trace id 0 is "not traced" and must be ignored
-	for i := 1; i <= 20; i++ {
-		st.Observe(float64(i), uint64(i))
-	}
-	snap := st.Snapshot()
-	if len(snap) != 8 {
-		t.Fatalf("ring holds %d exemplars, want 8", len(snap))
-	}
-	for _, e := range snap {
-		if e.TraceID < 13 {
-			t.Fatalf("ring kept stale exemplar %+v", e)
 		}
 	}
 }

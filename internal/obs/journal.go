@@ -1,15 +1,11 @@
-// A bounded structured event log for lifecycle events: checkpoints,
-// resumes, rebalances, retries, degraded-mode entries, kernel-mix shifts,
-// and health rule transitions. Events are cheap fixed-shape structs in a
-// ring buffer — the journal never allocates per Append beyond the ring —
-// and each event can carry a trace id, linking "what happened" to "which
-// tuple saw it". Workers expose their journal at /debug/events; the
-// coordinator merges scraped journals into one session timeline with
-// MergeEvents.
+// A bounded structured event log for lifecycle events: session start and
+// end, checkpoints, resumes, rebalances, retries, degraded-mode entries
+// and kernel-mix shifts. Events are cheap fixed-shape structs in a ring
+// buffer — the journal never allocates per Append beyond the ring. Each
+// process serves its own journal at /debug/events.
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,18 +18,13 @@ type Event struct {
 	// UnixNs is the wall-clock stamp.
 	UnixNs int64 `json:"unix_ns"`
 	// Type is the lifecycle event kind: checkpoint, resume, rebalance,
-	// retry, reconnect, degraded, worker_dead, kernel_mix, health_fire,
-	// health_resolve, session_start, session_end, ...
+	// retry, reconnect, degraded, worker_dead, kernel_mix, session_start,
+	// session_end, ...
 	Type string `json:"type"`
 	// Component locates the emitter (e.g. "worker/2", "coordinator").
 	Component string `json:"component"`
 	// Msg is a short human-readable detail line.
 	Msg string `json:"msg"`
-	// TraceID links the event to a sampled trace (0 = none).
-	TraceID uint64 `json:"trace_id,omitempty"`
-	// Source names the process the event was scraped from; filled by
-	// MergeEvents coordinator-side, empty locally.
-	Source string `json:"source,omitempty"`
 }
 
 // Journal is a bounded ring of events, safe for concurrent appenders.
@@ -60,11 +51,6 @@ func NewJournal(capacity int) *Journal {
 
 // Append records one event. Nil-safe no-op.
 func (j *Journal) Append(typ, component, msg string) {
-	j.AppendTrace(typ, component, msg, 0)
-}
-
-// AppendTrace records one event linked to a trace id. Nil-safe no-op.
-func (j *Journal) AppendTrace(typ, component, msg string, traceID uint64) {
 	if j == nil {
 		return
 	}
@@ -72,7 +58,7 @@ func (j *Journal) AppendTrace(typ, component, msg string, traceID uint64) {
 	now := time.Now().UnixNano()
 	j.mu.Lock()
 	j.seq++
-	ev := Event{Seq: j.seq, UnixNs: now, Type: typ, Component: component, Msg: msg, TraceID: traceID}
+	ev := Event{Seq: j.seq, UnixNs: now, Type: typ, Component: component, Msg: msg}
 	if len(j.ring) < cap(j.ring) {
 		j.ring = append(j.ring, ev)
 	} else {
@@ -146,32 +132,4 @@ func (j *Journal) RegisterMetrics(reg *Registry) {
 			defer j.mu.Unlock()
 			return float64(j.dropped)
 		})
-}
-
-// MergeEvents merges per-process journal snapshots into one timeline,
-// stamping each event's Source and ordering by wall clock (sequence
-// breaks ties from the same source). Sources map snapshot index to a
-// name; a short sources slice leaves the remainder unstamped.
-func MergeEvents(snaps []JournalSnapshot, sources []string) []Event {
-	var out []Event
-	for i, s := range snaps {
-		src := ""
-		if i < len(sources) {
-			src = sources[i]
-		}
-		for _, ev := range s.Events {
-			ev.Source = src
-			out = append(out, ev)
-		}
-	}
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].UnixNs != out[b].UnixNs {
-			return out[a].UnixNs < out[b].UnixNs
-		}
-		if out[a].Source != out[b].Source {
-			return out[a].Source < out[b].Source
-		}
-		return out[a].Seq < out[b].Seq
-	})
-	return out
 }

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -45,19 +48,9 @@ func TestJournalRecentTail(t *testing.T) {
 	}
 }
 
-func TestJournalTraceLinkage(t *testing.T) {
-	j := NewJournal(8)
-	j.AppendTrace("health_fire", "w0", "p99 breached", 0xabc)
-	ev := j.Recent(1)[0]
-	if ev.TraceID != 0xabc {
-		t.Fatalf("TraceID = %#x, want 0xabc", ev.TraceID)
-	}
-}
-
 func TestJournalNilSafe(t *testing.T) {
 	var j *Journal
 	j.Append("e", "c", "m") // must not panic
-	j.AppendTrace("e", "c", "m", 1)
 	if j.Appended() != 0 || len(j.Recent(5)) != 0 {
 		t.Fatal("nil journal must be empty")
 	}
@@ -67,26 +60,37 @@ func TestJournalNilSafe(t *testing.T) {
 	}
 }
 
-func TestMergeEventsTimeline(t *testing.T) {
-	a := NewJournal(8)
-	b := NewJournal(8)
-	a.Append("first", "coordinator", "m1")
-	b.Append("second", "worker/0", "m2")
-	a.Append("third", "coordinator", "m3")
-	merged := MergeEvents([]JournalSnapshot{a.Snapshot(), b.Snapshot()}, []string{"coord", "w0"})
-	if len(merged) != 3 {
-		t.Fatalf("merged %d events, want 3", len(merged))
-	}
-	for i := 1; i < len(merged); i++ {
-		if merged[i].UnixNs < merged[i-1].UnixNs {
-			t.Fatalf("merged timeline out of order at %d", i)
+// TestDebugEventsEndpoint reads the journal the way an operator does:
+// /debug/events serves the snapshot, and ?n= keeps the newest n events.
+func TestDebugEventsEndpoint(t *testing.T) {
+	j := NewJournal(8)
+	j.Append("session_start", "worker/0", "a")
+	j.Append("checkpoint", "worker/0", "b")
+	j.Append("session_end", "worker/0", "c")
+	mux := http.NewServeMux()
+	AttachDebug(mux, DebugOptions{Registry: NewRegistry(), Journal: j})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	get := func(path string) JournalSnapshot {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer resp.Body.Close()
+		var snap JournalSnapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap
 	}
-	srcs := map[string]bool{}
-	for _, ev := range merged {
-		srcs[ev.Source] = true
+	all := get("/debug/events")
+	if all.Appended != 3 || len(all.Events) != 3 || all.Events[0].Type != "session_start" {
+		t.Fatalf("/debug/events = %+v", all)
 	}
-	if !srcs["coord"] || !srcs["w0"] {
-		t.Fatalf("merged events missing source stamps: %v", srcs)
+	tail := get("/debug/events?n=1")
+	if len(tail.Events) != 1 || tail.Events[0].Type != "session_end" {
+		t.Fatalf("/debug/events?n=1 = %+v", tail)
 	}
 }

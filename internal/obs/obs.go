@@ -94,8 +94,7 @@ var nameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 // Registry holds the collectors of one process (or one engine run).
 type Registry struct {
 	mu sync.Mutex
-	cs map[string]Collector      // guarded by mu
-	ex map[string]*ExemplarStore // guarded by mu; histogram exemplars by family
+	cs map[string]Collector // guarded by mu
 }
 
 // NewRegistry returns an empty registry.
@@ -175,7 +174,6 @@ func (r *Registry) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.cs = make(map[string]Collector)
-	r.ex = nil
 }
 
 // Gather snapshots every family, sorted by name.

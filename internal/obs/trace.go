@@ -86,9 +86,6 @@ type SpanSnapshot struct {
 	Parent     int     `json:"parent"`
 	StartUs    float64 `json:"start_us"`
 	DurationUs float64 `json:"duration_us"`
-	// Origin names the process the span came from in a stitched cluster
-	// trace ("coordinator" or a scrape source); empty on local snapshots.
-	Origin string `json:"origin,omitempty"`
 }
 
 // TraceSnapshot is a completed (or in-flight) trace in JSON form.
@@ -121,8 +118,7 @@ func (t *Trace) snapshot() TraceSnapshot {
 type Tracer struct {
 	every   uint64
 	n       atomic.Uint64
-	nextID  atomic.Uint64
-	sampled atomic.Uint64
+	sampled atomic.Uint64 // traces started; the last one's id
 
 	mu   sync.Mutex
 	ring []*Trace // guarded by mu
@@ -146,17 +142,6 @@ func NewTracer(every, ring int) *Tracer {
 // Enabled reports whether the tracer can ever sample. Safe on nil.
 func (t *Tracer) Enabled() bool { return t != nil && t.every > 0 }
 
-// SetIDBase offsets all future trace ids by base. Trace ids are otherwise
-// a process-local counter; a coordinator folds its session id in so that
-// ids stay meaningful across the fleet (worker fragments key on them) and
-// across coordinator restarts. Safe on nil; call before sampling starts.
-func (t *Tracer) SetIDBase(base uint64) {
-	if t == nil {
-		return
-	}
-	t.nextID.Store(base)
-}
-
 // Sample returns a fresh trace for 1 in every N calls and nil otherwise.
 // The nil path is one atomic add — no allocation — and a nil Tracer always
 // returns nil, so the spout can call it unconditionally.
@@ -167,8 +152,7 @@ func (t *Tracer) Sample() *Trace {
 	if t.n.Add(1)%t.every != 0 {
 		return nil
 	}
-	t.sampled.Add(1)
-	tr := &Trace{id: t.nextID.Add(1), start: time.Now()}
+	tr := &Trace{id: t.sampled.Add(1), start: time.Now()}
 	t.mu.Lock()
 	if len(t.ring) < cap(t.ring) {
 		t.ring = append(t.ring, tr)
@@ -180,8 +164,7 @@ func (t *Tracer) Sample() *Trace {
 	return tr
 }
 
-// Sampled returns how many traces have been started. (Distinct from the
-// id counter: SetIDBase offsets ids without counting as samples.)
+// Sampled returns how many traces have been started.
 func (t *Tracer) Sampled() uint64 {
 	if t == nil {
 		return 0

@@ -56,12 +56,6 @@ type Opts struct {
 	// Snapshot asks every worker to return its window state after the
 	// stream; the blobs land in RunSummary.Snapshots.
 	Snapshot bool
-	// Tracer samples distributed traces at the dispatch loop: a sampled
-	// record gets emit and wire spans in a coordinator-rooted trace and
-	// carries (trace id, wire span index) to the worker as the wire
-	// trace annotation. Nil (or a disabled tracer) keeps the dispatch path
-	// and the wire encoding byte-identical to an untraced run.
-	Tracer *obs.Tracer
 	// Journal receives coordinator lifecycle events; nil disables.
 	Journal *obs.Journal
 }
@@ -282,36 +276,16 @@ func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs [
 	// Dispatch loop.
 	var tuples uint64
 	buf := make([]int, 0, k)
-	tracer := opts.Tracer
 	dispatchErr := func() error {
 		for _, br := range recs {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("remote: %w", err)
 			}
 			r := br.Rec
-			// Sample() is nil for untraced records (and a nil tracer), and
-			// every traced branch below keys off tr, so the untraced path
-			// does no tracing work beyond one atomic add inside Sample.
-			tr := tracer.Sample()
-			var emitIdx int
-			if tr != nil {
-				now := time.Now()
-				emitIdx = tr.Append("emit", "coordinator", 0, -1, now, now)
-			}
 			buf = strat.Route(r, k, buf[:0])
 			for _, dst := range buf {
-				store := strat.Stores(r, dst, k)
-				if tr == nil {
-					if err := writers[dst].WriteRecordSide(store, br.Right, r); err != nil {
-						return fmt.Errorf("remote: record to worker %d: %w", dst, err)
-					}
-				} else {
-					wstart := time.Now()
-					wireIdx := tr.Append("wire", "coordinator", dst, emitIdx, wstart, wstart)
-					err := writers[dst].WriteRecordTraced(store, br.Right, r, tr.ID(), wireIdx)
-					if err != nil {
-						return fmt.Errorf("remote: record to worker %d: %w", dst, err)
-					}
+				if err := writers[dst].WriteRecordSide(strat.Stores(r, dst, k), br.Right, r); err != nil {
+					return fmt.Errorf("remote: record to worker %d: %w", dst, err)
 				}
 				tuples++
 			}

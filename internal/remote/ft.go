@@ -73,15 +73,10 @@ type FT struct {
 // charged.
 var errEpochChanged = errors.New("remote: worker log rebuilt during attempt")
 
-// ftEntry is one dispatched record in a worker's replay log. Traced
-// entries keep their wire trace annotation so a replay re-sends it — the
-// worker-side fragment then shows the retry as duplicate spans, which the
-// stitcher surfaces as DuplicateSpans instead of hiding.
+// ftEntry is one dispatched record in a worker's replay log.
 type ftEntry struct {
-	rec        *record.Record
-	store      bool
-	traceID    uint64
-	parentSpan int
+	rec   *record.Record
+	store bool
 }
 
 // ftMetrics holds the coordinator-side fault instruments. All fields are
@@ -180,7 +175,6 @@ type ftRunner struct {
 	ft         FT
 	dial       Dialer
 	met        ftMetrics
-	tracer     *obs.Tracer
 	journal    *obs.Journal
 	coll       *ftCollector
 	hbInterval time.Duration
@@ -284,7 +278,6 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		ft:         ft,
 		dial:       dial,
 		met:        newFTMetrics(ft.Registry),
-		tracer:     opts.Tracer,
 		journal:    opts.Journal,
 		coll:       &ftCollector{collectPairs: opts.CollectPairs, seen: make(map[[2]record.ID]bool)},
 		hbInterval: ft.HeartbeatInterval,
@@ -426,12 +419,6 @@ func (f *ftRunner) dispatch(ctx context.Context, recs []*record.Record) error {
 			f.st.mu.Unlock()
 			return err
 		}
-		tr := f.tracer.Sample()
-		var emitIdx int
-		if tr != nil {
-			now := time.Now()
-			emitIdx = tr.Append("emit", "coordinator", 0, -1, now, now)
-		}
 		buf = f.st.strat.Route(r, f.k, buf[:0])
 		for _, dst := range buf {
 			// Dead workers keep empty intervals after rebalance, but the
@@ -440,13 +427,7 @@ func (f *ftRunner) dispatch(ctx context.Context, recs []*record.Record) error {
 			if !f.st.alive[dst] {
 				continue
 			}
-			e := ftEntry{rec: r, store: f.st.strat.Stores(r, dst, f.k)}
-			if tr != nil {
-				now := time.Now()
-				e.traceID = tr.ID()
-				e.parentSpan = tr.Append("wire", "coordinator", dst, emitIdx, now, now)
-			}
-			f.st.logs[dst] = append(f.st.logs[dst], e)
+			f.st.logs[dst] = append(f.st.logs[dst], ftEntry{rec: r, store: f.st.strat.Stores(r, dst, f.k)})
 			touched = append(touched, dst)
 		}
 		f.st.mu.Unlock()
@@ -925,7 +906,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 			}
 			if n > 0 {
 				for _, e := range log[pos : pos+n] {
-					if werr := w.WriteRecordTraced(e.store, false, e.rec, e.traceID, e.parentSpan); werr != nil {
+					if werr := w.WriteRecord(e.store, e.rec); werr != nil {
 						drainReader()
 						return true, fmt.Errorf("remote: record to worker %d: %w", task, werr)
 					}
@@ -1080,9 +1061,7 @@ func mergeFTLogs(a, b []ftEntry) []ftEntry {
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i].rec.ID == b[j].rec.ID:
-			e := a[i] // keeps a's trace annotation, if any
-			e.store = a[i].store || b[j].store
-			out = append(out, e)
+			out = append(out, ftEntry{rec: a[i].rec, store: a[i].store || b[j].store})
 			i++
 			j++
 		case a[i].rec.ID < b[j].rec.ID:

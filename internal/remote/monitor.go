@@ -14,8 +14,7 @@ import (
 // Monitor aggregates worker-process counters and serves them over HTTP —
 // the operational surface a deployed worker needs. Wire it with
 // WorkerOpts.Mon and mount Handler on any mux; RegisterMetrics
-// additionally exposes everything through an obs.Registry for /metrics
-// scraping and the coordinator's cluster table.
+// additionally exposes everything through an obs.Registry on /metrics.
 type Monitor struct {
 	SessionsStarted  atomic.Uint64
 	SessionsFinished atomic.Uint64
@@ -47,26 +46,13 @@ type Monitor struct {
 	// RecordLatency tracks per-record processing time (read to step
 	// completion) across sessions.
 	RecordLatency metrics.SyncLatency
-	// LastTraceID remembers the most recent traced record's trace id —
-	// the exemplar the health engine attaches to firing rules.
-	LastTraceID atomic.Uint64
-	// Health, when set, backs /healthz?detail=1 with rule states.
-	Health *obs.HealthEngine
-	// RecordExemplars receives (latency, trace id) exemplars for traced
-	// records; bound to the worker_record_seconds family by
-	// RegisterMetrics, nil (and ignored) before that.
-	RecordExemplars *obs.ExemplarStore
 
 	lastCkptNs atomic.Int64 // unix ns of the newest checkpoint write
 
-	// rate state for Load and HealthSignals, guarded by rateMu. The two
-	// windows are independent: the /metrics scrape and the health loop
-	// each see the rate since their own previous reading.
-	rateMu     sync.Mutex
-	lastCount  uint64    // guarded by rateMu
-	lastTime   time.Time // guarded by rateMu
-	hLastCount uint64    // guarded by rateMu
-	hLastTime  time.Time // guarded by rateMu
+	// rate state for Load: the reading of its previous call.
+	rateMu    sync.Mutex
+	lastCount uint64    // guarded by rateMu
+	lastTime  time.Time // guarded by rateMu
 }
 
 // Load returns the record throughput (records/second) since the previous
@@ -91,8 +77,7 @@ func (m *Monitor) Load() float64 {
 }
 
 // MarkCheckpoint stamps the time of the newest checkpoint write; the
-// worker_checkpoint_age_seconds gauge and the checkpoint_lag_s health
-// signal measure from this stamp.
+// worker_checkpoint_age_seconds gauge measures from this stamp.
 func (m *Monitor) MarkCheckpoint() {
 	m.lastCkptNs.Store(time.Now().UnixNano())
 }
@@ -107,78 +92,15 @@ func (m *Monitor) CheckpointAge() float64 {
 	return time.Since(time.Unix(0, ns)).Seconds()
 }
 
-// ObserveTraced records a traced record's latency exemplar and remembers
-// its trace id for health-rule linkage. The latency itself is observed
-// through RecordLatency by the caller; this only adds the trace-id side.
-func (m *Monitor) ObserveTraced(d time.Duration, traceID uint64) {
-	if traceID == 0 {
-		return
-	}
-	m.LastTraceID.Store(traceID)
-	m.RecordExemplars.Observe(d.Seconds(), traceID)
-}
-
-// HealthSignals returns the signal map a HealthEngine evaluates for this
-// worker: instantaneous queue depth, record rate since the previous
-// HealthSignals call (a window independent of Load's scrape window),
-// latency quantiles in milliseconds, and checkpoint lag in seconds
-// (omitted until a first checkpoint exists, so the rule stays silent on
-// non-FT workers).
-func (m *Monitor) HealthSignals() map[string]float64 {
-	inflight := m.InFlightRecords.Load()
-	if inflight < 0 {
-		inflight = 0
-	}
-	m.rateMu.Lock()
-	now := time.Now()
-	count := m.RecordsSeen.Load()
-	var rate float64
-	if !m.hLastTime.IsZero() {
-		if dt := now.Sub(m.hLastTime).Seconds(); dt > 0 {
-			rate = float64(count-m.hLastCount) / dt
-		}
-	}
-	m.hLastTime, m.hLastCount = now, count
-	m.rateMu.Unlock()
-	rlat := m.RecordLatency.Snapshot()
-	started := m.SessionsStarted.Load()
-	done := m.SessionsFinished.Load() + m.SessionsFailed.Load()
-	sig := map[string]float64{
-		"queue":   float64(inflight),
-		"load":    rate,
-		"p50_ms":  float64(rlat.Quantile(0.5).Microseconds()) / 1e3,
-		"p99_ms":  float64(rlat.Quantile(0.99).Microseconds()) / 1e3,
-		"records": float64(count),
-		"results": float64(m.ResultsEmitted.Load()),
-		"sessions_active": func() float64 {
-			if started < done {
-				return 0
-			}
-			return float64(started - done)
-		}(),
-	}
-	if age := m.CheckpointAge(); age >= 0 {
-		sig["checkpoint_lag_s"] = age
-	}
-	unacked := m.UnackedResults.Load()
-	if unacked < 0 {
-		unacked = 0
-	}
-	sig["unacked"] = float64(unacked)
-	paused := m.PausedSessions.Load()
-	if paused < 0 {
-		paused = 0
-	}
-	sig["paused"] = float64(paused)
-	return sig
-}
-
 // Snapshot returns the current counter values. Session latency quantiles
 // are reported in microseconds.
 func (m *Monitor) Snapshot() map[string]uint64 {
-	started := m.SessionsStarted.Load()
+	// Ends load before starts: a session counts its start before its end,
+	// so every end read here has its start in the later read, and
+	// sessions_active cannot underflow however sessions race the loads.
 	finished := m.SessionsFinished.Load()
 	failed := m.SessionsFailed.Load()
+	started := m.SessionsStarted.Load()
 	lat := m.SessionLatency.Snapshot()
 	rlat := m.RecordLatency.Snapshot()
 	inflight := m.InFlightRecords.Load()
@@ -215,7 +137,7 @@ func (m *Monitor) Snapshot() map[string]uint64 {
 
 // RegisterMetrics exposes the monitor through reg: the session/record
 // counters, the in-flight queue-depth gauge, the scrape-to-scrape load
-// gauge, and the latency histograms the cluster table reads p50/p99 from.
+// gauge, and the session and record latency histograms.
 func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("worker_sessions_started_total",
 		"Join sessions accepted by this worker.",
@@ -280,27 +202,13 @@ func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("worker_checkpoint_age_seconds",
 		"Seconds since the last checkpoint write; -1 before the first.",
 		m.CheckpointAge)
-	// Traced records land latency exemplars here; WriteExposition attaches
-	// them to worker_record_seconds _bucket lines.
-	m.RecordExemplars = reg.ExemplarsFor("worker_record_seconds")
 }
 
 // Handler serves GET /stats (JSON counters, keys sorted) and GET /healthz
 // ("ok").
 func (m *Monitor) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("detail") == "1" {
-			st := m.Health.Status() // nil-safe: empty, healthy status
-			w.Header().Set("Content-Type", "application/json")
-			if !st.Healthy {
-				w.WriteHeader(http.StatusServiceUnavailable)
-			}
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			enc.Encode(st) //nolint:errcheck — best effort over HTTP
-			return
-		}
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write([]byte("ok\n")) //nolint:errcheck
 	})

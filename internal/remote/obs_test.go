@@ -1,14 +1,13 @@
 package remote
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,339 +16,207 @@ import (
 	"repro/internal/workload"
 )
 
-// newUpWorkerServer serves a registry-backed /metrics for one fake worker.
-func newUpWorkerServer(t *testing.T, records float64) *httptest.Server {
-	t.Helper()
-	var mon Monitor
-	mon.RecordsSeen.Add(uint64(records))
-	mon.SessionsStarted.Add(1)
-	reg := obs.NewRegistry()
-	mon.RegisterMetrics(reg)
-	mux := http.NewServeMux()
-	obs.AttachDebug(mux, reg, nil)
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
-}
-
-// TestScrapeClusterPartialFailure is the regression test for the monitor's
-// graceful degradation: when one worker of the fleet stops answering
-// scrapes mid-run, the cluster view must keep the healthy rows live and
-// carry the failed worker forward as a stale row rather than blanking it.
-func TestScrapeClusterPartialFailure(t *testing.T) {
-	good := newUpWorkerServer(t, 1000)
-	flaky := newUpWorkerServer(t, 500)
-
-	addrs := []string{good.URL, flaky.URL}
-	ctx := context.Background()
-	prev := ScrapeCluster(ctx, nil, addrs, time.Second)
-	for i, st := range prev {
-		if !st.Up {
-			t.Fatalf("baseline scrape %d failed: %v", i, st.Err)
-		}
-	}
-
-	// The flaky worker dies mid-fleet.
-	flaky.Close()
-	cur := ScrapeCluster(ctx, nil, addrs, time.Second)
-	if !cur[0].Up {
-		t.Fatalf("healthy worker reported down: %v", cur[0].Err)
-	}
-	if cur[1].Up || cur[1].Err == nil {
-		t.Fatalf("dead worker must come back Up=false with the error, got %+v", cur[1])
-	}
-
-	merged := MergeStatuses(prev, cur)
-	if !merged[0].Up || merged[0].Stale {
-		t.Fatalf("healthy row degraded by merge: %+v", merged[0])
-	}
-	st := merged[1]
-	if !st.Up || !st.Stale {
-		t.Fatalf("failed row must carry forward stale, got %+v", st)
-	}
-	if st.Records != 500 {
-		t.Fatalf("stale row lost its last reading: %+v", st)
-	}
-	if st.Err == nil {
-		t.Fatal("stale row must keep the fresh scrape error")
-	}
-	if st.LastSeen.IsZero() {
-		t.Fatal("stale row must keep its LastSeen stamp")
-	}
-
-	// The table renders the whole fleet: one up row, one stale row.
-	var buf bytes.Buffer
-	if err := ClusterTable(&buf, merged); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "stale") {
-		t.Fatalf("table lacks the stale row:\n%s", out)
-	}
-	if !strings.Contains(out, "up") || !strings.Contains(out, "TOTAL") {
-		t.Fatalf("table lost healthy rows:\n%s", out)
-	}
-
-	// A worker that never scraped successfully stays a plain down row.
-	neverUp := MergeStatuses(nil, cur)
-	if neverUp[1].Up || neverUp[1].Stale {
-		t.Fatalf("never-seen worker must stay down, got %+v", neverUp[1])
-	}
-}
-
-// TestHealthzDetailEndpoint pins the machine-readable health contract:
-// detail=1 serves the engine's JSON (503 when firing), the plain endpoint
-// stays "ok".
-func TestHealthzDetailEndpoint(t *testing.T) {
-	var mon Monitor
-	rules, err := obs.ParseHealthRules("q: queue > 1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon.Health = obs.NewHealthEngine(rules, nil)
-	srv := httptest.NewServer(mon.Handler())
-	defer srv.Close()
-
-	get := func(path string) (int, []byte) {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, body
-	}
-
-	code, body := get("/healthz?detail=1")
-	if code != http.StatusOK {
-		t.Fatalf("healthy detail status = %d", code)
-	}
-	var st obs.HealthStatus
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatalf("detail body is not HealthStatus JSON: %v\n%s", err, body)
-	}
-	if !st.Healthy {
-		t.Fatalf("engine with no evaluations must be healthy: %+v", st)
-	}
-
-	mon.Health.Eval("self", map[string]float64{"queue": 10}, 0xfeed)
-	code, body = get("/healthz?detail=1")
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("firing detail status = %d, want 503", code)
-	}
-	if err := json.Unmarshal(body, &st); err != nil || st.Healthy || st.Firing != 1 {
-		t.Fatalf("firing detail = %+v (%v)", st, err)
-	}
-	if st.Rules[0].ExemplarTraceID != 0xfeed {
-		t.Fatalf("rule lost its exemplar: %+v", st.Rules[0])
-	}
-
-	if code, body := get("/healthz"); code != http.StatusOK || string(body) != "ok\n" {
-		t.Fatalf("plain healthz changed: %d %q", code, body)
-	}
-}
-
-// TestMonitorHealthSignals checks the worker-side signal map wiring,
-// including the checkpoint-lag signal appearing only after a checkpoint.
-func TestMonitorHealthSignals(t *testing.T) {
-	var mon Monitor
-	mon.InFlightRecords.Add(3)
-	mon.RecordsSeen.Add(100)
-	mon.RecordLatency.Observe(5 * time.Millisecond)
-	sig := mon.HealthSignals()
-	if sig["queue"] != 3 {
-		t.Fatalf("queue signal = %v", sig["queue"])
-	}
-	if _, ok := sig["checkpoint_lag_s"]; ok {
-		t.Fatal("checkpoint_lag_s must be absent before the first checkpoint")
-	}
-	if sig["p99_ms"] <= 0 {
-		t.Fatalf("p99_ms signal = %v", sig["p99_ms"])
-	}
-	mon.MarkCheckpoint()
-	sig = mon.HealthSignals()
-	if lag, ok := sig["checkpoint_lag_s"]; !ok || lag < 0 || lag > 60 {
-		t.Fatalf("checkpoint_lag_s = %v (%v)", lag, ok)
-	}
-}
-
-// TestClusterSignals checks the fleet-derived health inputs.
-func TestClusterSignals(t *testing.T) {
-	sts := []WorkerStatus{
-		{Addr: "a", Up: true, Load: 300},
-		{Addr: "b", Up: true, Load: 100},
-		{Addr: "c", Up: false},
-	}
-	sig := ClusterSignals(sts)
-	if sig["workers_down"] != 1 {
-		t.Fatalf("workers_down = %v", sig["workers_down"])
-	}
-	if sig["imbalance"] != 1.5 {
-		t.Fatalf("imbalance = %v, want 300/200", sig["imbalance"])
-	}
-	if per := SignalsFrom(sts[2]); per["up"] != 0 || len(per) != 1 {
-		t.Fatalf("down row signals = %v", per)
-	}
-	if per := SignalsFrom(sts[0]); per["up"] != 1 || per["load"] != 300 {
-		t.Fatalf("up row signals = %v", per)
-	}
-}
-
-// TestDistributedTraceEndToEnd is the tentpole acceptance test: a real
-// 2-worker distributed session over TCP with tracing on, worker fragments
-// scraped over HTTP, and the stitcher producing an end-to-end trace with
-// spans from both the coordinator and a worker process.
-func TestDistributedTraceEndToEnd(t *testing.T) {
+// TestWorkerJournalSessionEvents runs a 2-worker session over TCP and
+// reads each worker's journal directly: every worker journals the
+// session's start and end, and so does the coordinator.
+func TestWorkerJournalSessionEvents(t *testing.T) {
 	const k = 2
-	frags := make([]*obs.Fragments, k)
 	journals := make([]*obs.Journal, k)
 	conns := make([]net.Conn, 0, k)
-	debugURLs := make([]string, k)
 	for i := 0; i < k; i++ {
-		frags[i] = obs.NewFragments(0)
 		journals[i] = obs.NewJournal(0)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		go ServeWorkerOpts(context.Background(), ln, WorkerOpts{ //nolint:errcheck
-			Logf:    silentLogf,
-			Frags:   frags[i],
-			Journal: journals[i],
-		})
+		go ServeWorkerOpts(context.Background(), ln, WorkerOpts{Logf: silentLogf, Journal: journals[i]}) //nolint:errcheck
 		c, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close(); ln.Close() })
 		conns = append(conns, c)
-
-		mux := http.NewServeMux()
-		obs.AttachDebugOpts(mux, obs.DebugOptions{
-			Registry:  obs.NewRegistry(),
-			Fragments: frags[i],
-			Journal:   journals[i],
-		})
-		srv := httptest.NewServer(mux)
-		t.Cleanup(srv.Close)
-		debugURLs[i] = srv.URL
 	}
 
-	tracer := obs.NewTracer(1, 256) // trace every record
-	tracer.SetIDBase(0x77000000)
 	journal := obs.NewJournal(0)
 	recs := workload.NewGenerator(workload.UniformSmall(7)).Generate(100)
-	sess := testSession(0.7, "broadcast", nil)
-	sum, err := RunWithOpts(context.Background(), asRW(conns), sess, recs,
-		Opts{CollectPairs: true, Tracer: tracer, Journal: journal})
+	sum, err := RunWithOpts(context.Background(), asRW(conns), testSession(0.7, "broadcast", nil), recs,
+		Opts{Journal: journal})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := singleNodePairs(recs, 0.7, window.Unbounded{})
-	if int(sum.Results) != len(want) {
-		t.Fatalf("tracing changed results: got %d, want %d", sum.Results, len(want))
+	if want := singleNodePairs(recs, 0.7, window.Unbounded{}); int(sum.Results) != len(want) {
+		t.Fatalf("results: got %d, want %d", sum.Results, len(want))
 	}
 
-	stitcher := obs.NewStitcher(256)
-	errs := CollectTraces(context.Background(), nil, stitcher, tracer, debugURLs, time.Second)
-	if len(errs) != 0 {
-		t.Fatalf("trace scrape errors: %v", errs)
-	}
-	snap := stitcher.Snapshot()
-	if len(snap.Traces) == 0 {
-		t.Fatal("no stitched traces")
-	}
-
-	var full *obs.StitchedTrace
-	for i := range snap.Traces {
-		if len(snap.Traces[i].Origins) >= 2 {
-			full = &snap.Traces[i]
-			break
+	types := func(j *obs.Journal) map[string]int {
+		byType := map[string]int{}
+		for _, ev := range j.Snapshot().Events {
+			byType[ev.Type]++
 		}
+		return byType
 	}
-	if full == nil {
-		t.Fatalf("no trace stitched spans from more than one process; first trace: %+v", snap.Traces[0])
+	if got := types(journal); got["session_start"] != 1 || got["session_end"] != 1 {
+		t.Fatalf("coordinator journal: %v", got)
 	}
-	var coordSpans, workerSpans, wireParents int
-	stages := map[string]bool{}
-	for _, sp := range full.Spans {
-		stages[sp.Stage] = true
-		switch sp.Origin {
-		case "coordinator":
-			coordSpans++
-		default:
-			workerSpans++
-			if sp.Stage == "queue" {
-				if sp.Parent < 0 || sp.Parent >= len(full.Spans) || full.Spans[sp.Parent].Stage != "wire" {
-					t.Fatalf("queue span not parented at a wire span: %+v", sp)
-				}
-				wireParents++
-			}
+	for i, j := range journals {
+		// Run returns on the worker's Stats frame; the worker journals the
+		// session's end a moment later.
+		for deadline := time.Now().Add(5 * time.Second); types(j)["session_end"] == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
 		}
-	}
-	if coordSpans == 0 || workerSpans == 0 {
-		t.Fatalf("stitched trace lacks both sides: coord=%d worker=%d", coordSpans, workerSpans)
-	}
-	if wireParents == 0 {
-		t.Fatal("no worker queue span attached to a coordinator wire span")
-	}
-	for _, stage := range []string{"emit", "wire", "queue", "process"} {
-		if !stages[stage] {
-			t.Fatalf("stitched trace missing %q stage; stages: %v", stage, stages)
+		if got := types(j); got["session_start"] != 1 || got["session_end"] != 1 {
+			t.Fatalf("worker %d journal: %v", i, got)
 		}
-	}
-	if full.ID < 0x77000000 {
-		t.Fatalf("trace id %#x ignores the session id base", full.ID)
-	}
-
-	// The tree renderer handles a real stitched trace.
-	var tree bytes.Buffer
-	if err := RenderTraceTree(&tree, *full); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tree.String(), "emit") || !strings.Contains(tree.String(), "queue") {
-		t.Fatalf("rendered tree:\n%s", tree.String())
-	}
-
-	// Worker journals recorded the session lifecycle, and CollectEvents
-	// merges them with the coordinator timeline.
-	events := CollectEvents(context.Background(), nil, journal.Snapshot(), debugURLs, time.Second)
-	byType := map[string]int{}
-	bySource := map[string]bool{}
-	for _, ev := range events {
-		byType[ev.Type]++
-		bySource[ev.Source] = true
-	}
-	if byType["session_start"] < k+1 || byType["session_end"] < k+1 {
-		t.Fatalf("merged timeline missing lifecycle events: %v", byType)
-	}
-	if !bySource["coordinator"] || len(bySource) < 2 {
-		t.Fatalf("merged timeline sources: %v", bySource)
 	}
 }
 
-// TestTracingDetachedLeavesWireUntouched checks the zero-cost-off gate at
-// the protocol level: a run without a tracer produces byte-identical
-// frames to one with a nil tracer explicitly set, and traced runs produce
-// identical results.
-func TestTracingDetachedLeavesWireUntouched(t *testing.T) {
-	recs := workload.NewGenerator(workload.UniformSmall(3)).Generate(50)
-	run := func(tracer *obs.Tracer) uint64 {
-		conns := startWorkers(t, 2)
-		sum, err := RunWithOpts(context.Background(), asRW(conns), testSession(0.7, "broadcast", nil), recs,
-			Opts{Tracer: tracer})
-		if err != nil {
-			t.Fatal(err)
+// TestMonitorHandlerContentTypes pins the HTTP contract: /healthz and
+// /stats declare their media types, and /stats renders keys in sorted
+// order so scrapes diff cleanly.
+func TestMonitorHandlerContentTypes(t *testing.T) {
+	var mon Monitor
+	mon.SessionsStarted.Add(2)
+	mon.SessionsFinished.Add(2)
+	mon.RecordsSeen.Add(10)
+	srv := httptest.NewServer(mon.Handler())
+	defer srv.Close()
+
+	resp, err := srv.Client().Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "text/plain; charset=utf-8" {
+		t.Fatalf("healthz content type: %q", ct)
+	}
+	if string(body) != "ok\n" {
+		t.Fatalf("healthz body: %q", body)
+	}
+
+	resp, err = srv.Client().Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("stats content type: %q", ct)
+	}
+	// Keys must appear in sorted order in the raw JSON text.
+	var prev string
+	rest := string(raw)
+	for {
+		i := strings.IndexByte(rest, '"')
+		if i < 0 {
+			break
 		}
-		return sum.BytesSent
+		rest = rest[i+1:]
+		j := strings.IndexByte(rest, '"')
+		if j < 0 {
+			break
+		}
+		key := rest[:j]
+		rest = rest[j+1:]
+		if prev != "" && key < prev {
+			t.Fatalf("stats keys out of order: %q after %q in %s", key, prev, raw)
+		}
+		prev = key
 	}
-	off := run(nil)
-	disabled := run(obs.NewTracer(0, 0)) // attached but sampling disabled
-	if off != disabled {
-		t.Fatalf("disabled tracer changed wire bytes: %d vs %d", off, disabled)
+	if !strings.Contains(string(raw), `"records_seen":10`) {
+		t.Fatalf("stats body: %s", raw)
 	}
-	on := run(obs.NewTracer(1, 16))
-	if on <= off {
-		t.Fatalf("traced run should carry annotations: %d vs %d", on, off)
+}
+
+// TestMonitorMetricsExposition serves the monitor's registry the way
+// ssjoinworker -http does and reads /metrics back with the parser
+// promcheck uses: every counter and the record histogram arrive intact.
+func TestMonitorMetricsExposition(t *testing.T) {
+	var mon Monitor
+	mon.SessionsStarted.Add(3)
+	mon.SessionsFinished.Add(2)
+	mon.RecordsSeen.Add(1000)
+	mon.ResultsEmitted.Add(40)
+	mon.InFlightRecords.Add(5)
+	for i := 0; i < 100; i++ {
+		mon.RecordLatency.Observe(2 * time.Millisecond)
+	}
+	reg := obs.NewRegistry()
+	mon.RegisterMetrics(reg)
+	mux := http.NewServeMux()
+	obs.AttachDebug(mux, obs.DebugOptions{Registry: reg})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	pm, err := obs.ParseExposition(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]float64{
+		"worker_sessions_started_total":  3,
+		"worker_sessions_finished_total": 2,
+		"worker_records_total":           1000,
+		"worker_results_total":           40,
+		"worker_inflight_records":        5,
+		"worker_record_seconds_count":    100,
+	} {
+		if got := pm.Value(name, -1); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+}
+
+// TestMonitorLoadRate checks the scrape-to-scrape throughput gauge.
+func TestMonitorLoadRate(t *testing.T) {
+	var mon Monitor
+	if mon.Load() != 0 {
+		t.Fatal("first Load() should prime and return 0")
+	}
+	mon.RecordsSeen.Add(500)
+	time.Sleep(20 * time.Millisecond)
+	rate := mon.Load()
+	if rate <= 0 {
+		t.Fatalf("rate: %v", rate)
+	}
+}
+
+// TestMonitorSnapshotActiveNeverUnderflows races sessions that start and
+// end against Snapshot: sessions_active is started minus ended, and a
+// session that started and ended between two of Snapshot's loads must not
+// make it wrap around.
+func TestMonitorSnapshotActiveNeverUnderflows(t *testing.T) {
+	var mon Monitor
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mon.SessionsStarted.Add(1)
+				mon.SessionsFinished.Add(1)
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	for i := 0; i < 100_000; i++ {
+		snap := mon.Snapshot()
+		if snap["sessions_active"] > snap["sessions_started"] {
+			t.Fatalf("call %d: sessions_active %d > sessions_started %d", i, snap["sessions_active"], snap["sessions_started"])
+		}
 	}
 }

@@ -45,10 +45,6 @@ type WorkerOpts struct {
 	// 0 or 1 keeps sessions single-threaded. Concurrent sessions each get
 	// their own pool.
 	Parallelism int
-	// Frags receives span fragments for traced records (wire trace
-	// annotation); nil disables worker-side span recording entirely —
-	// untraced records never touch it either way.
-	Frags *obs.Fragments
 	// Journal receives worker lifecycle events (session start/end,
 	// checkpoint, resume, duplicate summaries, kernel mix); nil disables.
 	Journal *obs.Journal
@@ -480,15 +476,9 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 					dups++
 					continue
 				}
-				// The wire trace annotation decodes to a zero TraceID on
-				// untraced records, so this branch costs one comparison on
-				// the untraced hot path.
-				traced := rt.TraceID != 0 && o.Frags != nil
 				var rstart time.Time
-				if mon != nil || traced {
-					rstart = time.Now()
-				}
 				if mon != nil {
+					rstart = time.Now()
 					mon.RecordsSeen.Add(1)
 					mon.InFlightRecords.Add(1)
 				}
@@ -498,36 +488,17 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 				} else {
 					joiner.Step(rt.Rec, rt.Store, emit)
 				}
-				var stepEnd time.Time
-				if mon != nil || traced {
-					stepEnd = time.Now()
+				if mon != nil {
+					mon.RecordLatency.Observe(time.Since(rstart))
 				}
 				// One frame per probe with matches, written before the cursor
 				// advances so a checkpoint never covers unsent results.
-				pairs := len(batch)
 				var writeErr error
-				if pairs > 0 {
+				if len(batch) > 0 {
 					writeErr = sendBatch()
 				}
-				if mon != nil || traced {
-					if mon != nil {
-						mon.RecordLatency.Observe(stepEnd.Sub(rstart))
-						mon.InFlightRecords.Add(-1)
-					}
-					if traced {
-						// Mirror the in-process chain: queue (frame decoded,
-						// attaches at the wire parent) -> process (the join
-						// step) -> deliver (results written), so a stitched
-						// trace reads the same across deployment modes.
-						qi := o.Frags.Append(rt.TraceID, rt.ParentSpan, "queue", comp, h.Task, -1, rstart, rstart)
-						pi := o.Frags.Append(rt.TraceID, rt.ParentSpan, "process", comp, h.Task, qi, rstart, stepEnd)
-						if pairs > 0 {
-							o.Frags.Append(rt.TraceID, rt.ParentSpan, "deliver", comp, h.Task, pi, stepEnd, time.Now())
-						}
-						if mon != nil {
-							mon.ObserveTraced(stepEnd.Sub(rstart), rt.TraceID)
-						}
-					}
+				if mon != nil {
+					mon.InFlightRecords.Add(-1)
 				}
 				if writeErr != nil {
 					return fmt.Errorf("remote: writing result: %w", writeErr)

@@ -39,6 +39,9 @@ func FuzzReaderNeverPanics(f *testing.F) {
 	for _, body := range hostileResultPayloads {
 		f.Add(append([]byte{TypeResult, byte(len(body))}, body...))
 	}
+	for _, body := range hostileRecordPayloads {
+		f.Add(append([]byte{TypeRecord, byte(len(body))}, body...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))

@@ -82,12 +82,11 @@ const (
 // Version is the protocol version carried in Hello, and the only one a
 // peer accepts (ReadHello rejects any other). It covers the FT handshake
 // (session ID, FT/Resume/Durable flags, the partition-plan hash, the
-// two-field ResumeAck), the Ping/Pong/Credit/Pause/Resume frames, the
-// optional trace annotation on Record frames (flags bit 4: trace id +
-// parent span index after the token list; untraced records carry no
-// annotation bytes, so tracing costs nothing off the sampled path), and
-// Result frames that carry every pair of one probe (version 5).
-const Version = 5
+// two-field ResumeAck), the Ping/Pong/Credit/Pause/Resume frames, Result
+// frames that carry every pair of one probe (version 5), and Record frames
+// whose flags are the store and side bits alone (version 6: the trace
+// annotation is gone, and a decoder refuses any other bit).
+const Version = 6
 
 // MaxFrame bounds a frame payload; larger frames indicate corruption.
 const MaxFrame = 1 << 24
@@ -141,17 +140,18 @@ type Hello struct {
 }
 
 // Record is a routed record copy with its storage role and, for
-// two-stream sessions, its side. TraceID and ParentSpan carry the
-// distributed-tracing context of a sampled tuple (TraceID 0 = untraced):
-// the worker records its span fragments under TraceID, parented at span
-// index ParentSpan of the coordinator's root trace.
+// two-stream sessions, its side.
 type Record struct {
-	Store      bool
-	Right      bool
-	TraceID    uint64
-	ParentSpan int
-	Rec        *record.Record
+	Store bool
+	Right bool
+	Rec   *record.Record
 }
+
+// The Record frame's flag bits; a decoder refuses any other.
+const (
+	recordStore byte = 1 << iota
+	recordRight
+)
 
 // Result is one verified pair. A Result frame carries the pairs of one
 // probe: the probe's ID, then each partner as its distance from it, so a
@@ -259,23 +259,12 @@ func (w *Writer) WriteRecord(store bool, r *record.Record) error {
 
 // WriteRecordSide is WriteRecord with the two-stream side flag.
 func (w *Writer) WriteRecordSide(store, right bool, r *record.Record) error {
-	return w.WriteRecordTraced(store, right, r, 0, 0)
-}
-
-// WriteRecordTraced is WriteRecordSide carrying a trace context. A zero
-// traceID writes the plain untraced encoding — the annotation (flags
-// bit 4 plus two trailing varints) exists on the wire only for sampled
-// tuples, keeping the unsampled path byte-identical and branch-cheap.
-func (w *Writer) WriteRecordTraced(store, right bool, r *record.Record, traceID uint64, parentSpan int) error {
 	var flags byte
 	if store {
-		flags |= 1
+		flags |= recordStore
 	}
 	if right {
-		flags |= 2
-	}
-	if traceID != 0 {
-		flags |= 4
+		flags |= recordRight
 	}
 	w.buf = append(w.buf, flags)
 	w.putUvarint(uint64(r.ID))
@@ -285,10 +274,6 @@ func (w *Writer) WriteRecordTraced(store, right bool, r *record.Record, traceID 
 	for _, t := range r.Tokens {
 		w.putUvarint(uint64(t) - prev)
 		prev = uint64(t)
-	}
-	if traceID != 0 {
-		w.putUvarint(traceID)
-		w.putVarint(int64(parentSpan))
 	}
 	return w.flushFrame(TypeRecord)
 }
@@ -695,12 +680,16 @@ func (r *Reader) ReadRecord() (Record, error) {
 	return DecodeRecord(r.buf)
 }
 
-// DecodeRecord decodes the payload of a Record frame.
+// DecodeRecord decodes the payload of a Record frame. Flag bits other
+// than store and side, and bytes after the last token, are errors.
 func DecodeRecord(body []byte) (Record, error) {
 	p := payload{b: body}
 	st, err := p.byte()
 	if err != nil {
 		return Record{}, err
+	}
+	if st&^(recordStore|recordRight) != 0 {
+		return Record{}, fmt.Errorf("wire: record flags %#02x set an unknown bit", st)
 	}
 	id, err := p.uvarint()
 	if err != nil {
@@ -732,22 +721,14 @@ func DecodeRecord(body []byte) (Record, error) {
 		}
 		toks[i] = tokens.Rank(prev)
 	}
-	rec := Record{
-		Store: st&1 != 0,
-		Right: st&2 != 0,
+	if p.i != len(p.b) {
+		return Record{}, fmt.Errorf("wire: %d bytes after the last token", len(p.b)-p.i)
+	}
+	return Record{
+		Store: st&recordStore != 0,
+		Right: st&recordRight != 0,
 		Rec:   &record.Record{ID: record.ID(id), Time: t, Tokens: toks},
-	}
-	if st&4 != 0 {
-		if rec.TraceID, err = p.uvarint(); err != nil {
-			return Record{}, err
-		}
-		ps, err := p.varint()
-		if err != nil {
-			return Record{}, err
-		}
-		rec.ParentSpan = int(ps)
-	}
-	return rec, nil
+	}, nil
 }
 
 // ReadResult decodes a staged Result frame that holds exactly one pair.
