@@ -58,6 +58,7 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzDictionaryVsMap -fuzztime 10s ./internal/tokens/
 	go test -run '^$$' -fuzz FuzzLoadOrdering -fuzztime 10s ./internal/tokens/
 	go test -run '^$$' -fuzz FuzzCheckpointRead -fuzztime 15s ./internal/checkpoint/
+	go test -run '^$$' -fuzz FuzzWALReplay -fuzztime 15s ./internal/wal/
 	go test -fuzz FuzzJoinMatchesBruteForce -fuzztime 15s ./internal/offline/
 	go test -fuzz FuzzIntersectKernels -fuzztime 15s ./internal/similarity/
 	go test -run '^$$' -fuzz FuzzSigBoundSound -fuzztime 15s ./internal/bundle/
@@ -66,11 +67,11 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzPostTableVsMap -fuzztime 15s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzParseExposition -fuzztime 15s ./internal/obs/
 
-# Fuzz sanity pass for CI: 15 targets at 2s each, ~50s in all on a 2-vCPU
+# Fuzz sanity pass for CI: 16 targets at 2s each, ~55s in all on a 2-vCPU
 # box with a warm build cache. The four bundle targets, the dictionary,
-# ordering, checkpoint and exposition targets and the result-batch target
-# skip the package's unit tests (-run '^$$'), which the test step has
-# already run.
+# ordering, checkpoint, WAL and exposition targets and the result-batch
+# target skip the package's unit tests (-run '^$$'), which the test step
+# has already run.
 fuzz-smoke:
 	go test -fuzz FuzzReaderNeverPanics -fuzztime 2s ./internal/wire/
 	go test -fuzz FuzzRecordRoundTrip -fuzztime 2s ./internal/wire/
@@ -80,6 +81,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDictionaryVsMap -fuzztime 2s ./internal/tokens/
 	go test -run '^$$' -fuzz FuzzLoadOrdering -fuzztime 2s ./internal/tokens/
 	go test -run '^$$' -fuzz FuzzCheckpointRead -fuzztime 2s ./internal/checkpoint/
+	go test -run '^$$' -fuzz FuzzWALReplay -fuzztime 2s ./internal/wal/
 	go test -fuzz FuzzJoinMatchesBruteForce -fuzztime 2s ./internal/offline/
 	go test -fuzz FuzzIntersectKernels -fuzztime 2s ./internal/similarity/
 	go test -run '^$$' -fuzz FuzzSigBoundSound -fuzztime 2s ./internal/bundle/

@@ -71,10 +71,9 @@ func main() {
 		degraded  = flag.Bool("degraded", false, "FT: on a worker death, rebalance its length ranges onto survivors instead of failing (length distribution only)")
 		sessionID = flag.Uint64("session-id", 0, "FT: checkpoint key for resume across coordinator restarts (0: derived from the workload seed)")
 
-		stateDir   = flag.String("state-dir", "", "durable session state directory (manifest + ingest/results logs) making the run resumable with -resume after a coordinator crash; implies -ft, requires -remote")
-		resume     = flag.Bool("resume", false, "relaunch a killed durable run from -state-dir: session configuration, input stream, and completed results all come from the state directory (-in/-profile are ignored)")
-		walFsync   = flag.String("wal-fsync", "interval", "with -state-dir: WAL fsync policy: always, interval, never (acknowledged results are synced before each ack regardless)")
-		walSegment = flag.Int64("wal-segment", 0, "with -state-dir: WAL segment rotation threshold in bytes (0: library default)")
+		stateDir = flag.String("state-dir", "", "durable session state directory (manifest + ingest/results logs) making the run resumable with -resume after a coordinator crash; implies -ft, requires -remote")
+		resume   = flag.Bool("resume", false, "relaunch a killed durable run from -state-dir: session configuration, input stream, and completed results all come from the state directory (-in/-profile are ignored)")
+		walFsync = flag.String("wal-fsync", "interval", "with -state-dir: WAL fsync policy: always, interval, never (acknowledged results are synced before each ack regardless)")
 	)
 	flag.Parse()
 
@@ -105,7 +104,7 @@ func main() {
 			}
 		}
 		if *resume {
-			if err := runResume(*stateDir, *rmt, *pairs, ftCfg, *coordHTTP, *walFsync, *walSegment); err != nil {
+			if err := runResume(*stateDir, *rmt, *pairs, ftCfg, *coordHTTP, *walFsync); err != nil {
 				fatal(err)
 			}
 			return
@@ -120,10 +119,9 @@ func main() {
 				fatal(err)
 			}
 			ftCfg.Durable = &remote.Durable{
-				StateDir:     *stateDir,
-				Sync:         pol,
-				SegmentBytes: *walSegment,
-				Workers:      strings.Split(*rmt, ","),
+				StateDir: *stateDir,
+				Sync:     pol,
+				Workers:  strings.Split(*rmt, ","),
 			}
 		}
 		if err := runRemote(*rmt, recs, *tau, *fn, *alg, *dist, *win, *pairs, ftCfg, *coordHTTP); err != nil {
@@ -299,7 +297,7 @@ func runRemote(addrList string, recs []*record.Record, tau float64, fn, alg, dis
 // the coordinator's dedup so completed work is not re-reported. addrList,
 // when non-empty, overrides the manifest's worker addresses (a moved
 // fleet).
-func runResume(stateDir, addrList string, pairs bool, ftCfg *remote.FT, httpAddr, fsync string, segBytes int64) error {
+func runResume(stateDir, addrList string, pairs bool, ftCfg *remote.FT, httpAddr, fsync string) error {
 	m, err := checkpoint.LoadManifest(filepath.Join(stateDir, checkpoint.ManifestPath))
 	if err != nil {
 		return err
@@ -326,11 +324,10 @@ func runResume(stateDir, addrList string, pairs bool, ftCfg *remote.FT, httpAddr
 	ftCfg.SessionID = m.SessionID
 	ftCfg.Retry.Seed = m.SessionID
 	ftCfg.Durable = &remote.Durable{
-		StateDir:     stateDir,
-		Sync:         pol,
-		SegmentBytes: segBytes,
-		Resume:       true,
-		Workers:      addrs,
+		StateDir: stateDir,
+		Sync:     pol,
+		Resume:   true,
+		Workers:  addrs,
 	}
 	fmt.Fprintf(os.Stderr, "remote: resuming session %016x: %d records in ingest log, %d workers\n",
 		m.SessionID, len(recs), len(addrs))

@@ -15,23 +15,14 @@ import (
 // earlier (A, B) pair frames, which no longer decode.
 const ManifestSchema = 2
 
-// TaskCursor is the coordinator's last persisted replay position for one
-// worker task: how many entries of that task's dispatch log had been sent
-// when the manifest was written. Advisory only — on resume the worker's
-// live ResumeAck cursor is authoritative; this value just bounds how much
-// progress a crash can appear to lose in status output.
-type TaskCursor struct {
-	Task    int    `json:"task"`
-	SentPos uint64 `json:"sent_pos"`
-}
-
-// Manifest is the coordinator's session checkpoint: everything a fresh
-// coordinator process needs to re-run the session — the full launch
-// configuration (as the wire Hello it would send, minus per-task fields),
-// the worker fleet, and the WAL positions. It deliberately stores the
-// *launch* partition plan even for sessions that later degraded: plan
-// hash must stay stable so surviving workers accept the resume, and the
-// degraded bounds are carried separately.
+// Manifest is the coordinator's session checkpoint: what a fresh
+// coordinator process needs, beside the ingest and results logs, to re-run
+// the session — the full launch configuration (as the wire Hello it would
+// send, minus per-task fields) and the worker fleet. It is written once,
+// when the run starts, so it holds the *launch* partition plan even for
+// sessions that later degraded: the plan hash must stay stable so
+// surviving workers accept the resume. Manifests of earlier releases carry
+// more fields; LoadManifest ignores them.
 type Manifest struct {
 	Schema    int    `json:"schema"`
 	SessionID uint64 `json:"session_id"`
@@ -40,12 +31,6 @@ type Manifest struct {
 	// meaningless here and left zero).
 	Hello   wire.Hello `json:"hello"`
 	Workers []string   `json:"workers"`
-	// Bounds is the *current* length partition (differs from Hello.Bounds
-	// after a degraded-mode rebalance).
-	Bounds      []int        `json:"bounds,omitempty"`
-	IngestNext  uint64       `json:"ingest_next"`  // ingest WAL: next record index
-	ResultsNext uint64       `json:"results_next"` // results WAL: next entry index
-	Cursors     []TaskCursor `json:"cursors,omitempty"`
 }
 
 // ManifestPath is the manifest file name inside a session state

@@ -128,17 +128,13 @@ func TestManifestRoundTrip(t *testing.T) {
 			Bounds: []int{10, 20, 30}, FT: true, Durable: true,
 			SessionID: 0xBEEF, PlanHash: 12345,
 		},
-		Workers:     []string{"a:1", "b:2", "c:3"},
-		Bounds:      []int{10, 20, 30},
-		IngestNext:  500,
-		ResultsNext: 77,
-		Cursors:     []TaskCursor{{Task: 0, SentPos: 100}, {Task: 2, SentPos: 90}},
+		Workers: []string{"a:1", "b:2", "c:3"},
 	}
 	if err := SaveManifest(path, m); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite in place: atomic save must replace, not append.
-	m.IngestNext = 600
+	m.Workers = []string{"a:1", "d:4"}
 	if err := SaveManifest(path, m); err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +149,28 @@ func TestManifestRoundTrip(t *testing.T) {
 	entries, _ := os.ReadDir(dir)
 	if len(entries) != 1 {
 		t.Fatalf("session dir has %d entries, want just the manifest", len(entries))
+	}
+}
+
+// TestManifestLoadsEarlierFields: a schema-2 manifest written by an earlier
+// release also carries the current bounds, the log positions and per-task
+// send cursors, rewritten during the run; they are ignored on load.
+func TestManifestLoadsEarlierFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), ManifestPath)
+	old := `{"schema": 2, "session_id": 48879, "plan_hash": 12345,
+		"hello": {"Version": 6, "Threshold": 0.7, "Bounds": [10, 20]},
+		"workers": ["a:1", "b:2"], "bounds": [10, 10],
+		"ingest_next": 500, "results_next": 77,
+		"cursors": [{"task": 0, "sent_pos": 100}]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := LoadManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.SessionID != 48879 || m.PlanHash != 12345 || len(m.Workers) != 2 || len(m.Hello.Bounds) != 2 {
+		t.Fatalf("earlier manifest loads as %+v", m)
 	}
 }
 

@@ -21,10 +21,7 @@ package remote
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"sync"
 
@@ -39,6 +36,9 @@ import (
 //	<StateDir>/manifest.json   session manifest (checkpoint.Manifest)
 //	<StateDir>/ingest/         WAL of dispatched records, one frame each
 //	<StateDir>/results/        WAL of distinct results, one frame each
+//
+// The manifest is written once, when the run starts; each WAL directory
+// holds the one file wal.FileName.
 type Durable struct {
 	// StateDir roots the session's persistent state. Created if missing.
 	StateDir string
@@ -47,9 +47,6 @@ type Durable struct {
 	// grant regardless, so the durability of *acknowledged* results never
 	// depends on this knob.
 	Sync wal.SyncPolicy
-	// SegmentBytes is the WAL segment rotation threshold (wal default when
-	// zero).
-	SegmentBytes int64
 	// Resume marks this run as a restart: the ingest log already holds the
 	// record stream (the caller re-read it from there), the results log
 	// seeds the coordinator's dedup, and workers are asked to resume.
@@ -81,19 +78,12 @@ type durableState struct {
 }
 
 func openDurable(cfg Durable) (*durableState, error) {
-	idir := filepath.Join(cfg.StateDir, ingestLogDir)
-	rdir := filepath.Join(cfg.StateDir, resultsLogDir)
-	for _, d := range []string{idir, rdir} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("remote: creating state dir: %w", err)
-		}
-	}
-	o := wal.Options{Sync: cfg.Sync, SegmentBytes: cfg.SegmentBytes}
-	ing, err := wal.Open(idir, o)
+	o := wal.Options{Sync: cfg.Sync}
+	ing, err := wal.Open(filepath.Join(cfg.StateDir, ingestLogDir), o)
 	if err != nil {
 		return nil, fmt.Errorf("remote: opening ingest log: %w", err)
 	}
-	res, err := wal.Open(rdir, o)
+	res, err := wal.Open(filepath.Join(cfg.StateDir, resultsLogDir), o)
 	if err != nil {
 		ing.Close()
 		return nil, fmt.Errorf("remote: opening results log: %w", err)
@@ -149,29 +139,19 @@ func (ds *durableState) appendResult(res wire.Result) error {
 // seedResults replays the results log into the collector — the restart
 // path's dedup seed. Returns how many distinct results were recovered.
 func (ds *durableState) seedResults(coll *ftCollector) (int, error) {
-	it, err := ds.results.Iter(ds.results.Begin())
-	if err != nil {
-		return 0, err
-	}
-	defer it.Close()
 	n := 0
 	var fresh []bool
-	for {
-		_, payload, err := it.Next()
-		if errors.Is(err, io.EOF) {
-			return n, nil
-		}
+	err := wal.Replay(filepath.Join(ds.cfg.StateDir, resultsLogDir), func(entry []byte) error {
+		res, err := decodeResultFrame(entry)
 		if err != nil {
-			return n, fmt.Errorf("remote: replaying results log: %w", err)
-		}
-		res, err := decodeResultFrame(payload)
-		if err != nil {
-			return n, err
+			return err
 		}
 		if fresh = coll.add([]wire.Result{res}, fresh[:0]); fresh[0] {
 			n++
 		}
-	}
+		return nil
+	})
+	return n, err
 }
 
 // decodeRecordFrame decodes one ingest log entry, a whole Record frame, in
@@ -209,61 +189,29 @@ func decodeResultFrame(entry []byte) (wire.Result, error) {
 }
 
 // ReadIngestLog replays the persisted record stream of a durable session
-// state directory — the input a resumed run feeds back into RunFT.
+// state directory — the input a resumed run feeds back into RunFT. It
+// changes nothing on disk, and a missing log is an error.
 func ReadIngestLog(stateDir string) ([]*record.Record, error) {
-	lg, err := wal.Open(filepath.Join(stateDir, ingestLogDir), wal.Options{Sync: wal.SyncNever})
-	if err != nil {
-		return nil, fmt.Errorf("remote: opening ingest log: %w", err)
-	}
-	defer lg.Close()
-	it, err := lg.Iter(lg.Begin())
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	var out []*record.Record
-	for {
-		_, payload, err := it.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("remote: replaying ingest log: %w", err)
-		}
-		r, err := decodeRecordFrame(payload)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
+	return readLog(filepath.Join(stateDir, ingestLogDir), decodeRecordFrame)
 }
 
 // ReadResultsLog replays the persisted distinct results of a durable
-// session state directory, in append order.
+// session state directory, in append order. Like ReadIngestLog it only
+// reads.
 func ReadResultsLog(stateDir string) ([]wire.Result, error) {
-	lg, err := wal.Open(filepath.Join(stateDir, resultsLogDir), wal.Options{Sync: wal.SyncNever})
-	if err != nil {
-		return nil, fmt.Errorf("remote: opening results log: %w", err)
-	}
-	defer lg.Close()
-	it, err := lg.Iter(lg.Begin())
+	return readLog(filepath.Join(stateDir, resultsLogDir), decodeResultFrame)
+}
+
+// readLog decodes every entry of the log in dir.
+func readLog[T any](dir string, decode func([]byte) (T, error)) ([]T, error) {
+	var out []T
+	err := wal.Replay(dir, func(entry []byte) error {
+		v, err := decode(entry)
+		out = append(out, v)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer it.Close()
-	var out []wire.Result
-	for {
-		_, payload, err := it.Next()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("remote: replaying results log: %w", err)
-		}
-		res, err := decodeResultFrame(payload)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
+	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/faultwire"
 	"repro/internal/local"
 	"repro/internal/record"
+	"repro/internal/wal"
 	"repro/internal/window"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -89,7 +91,7 @@ func TestRunFTDurableRoundTrip(t *testing.T) {
 		}
 	}
 
-	// Manifest: identity, plan hash, cursors, and a hello that round-trips.
+	// Manifest: identity, plan hash, and a hello that round-trips.
 	m, err := checkpoint.LoadManifest(filepath.Join(state, checkpoint.ManifestPath))
 	if err != nil {
 		t.Fatal(err)
@@ -99,12 +101,6 @@ func TestRunFTDurableRoundTrip(t *testing.T) {
 	}
 	if m.PlanHash != sess.PlanHash(k) {
 		t.Errorf("manifest plan hash %016x, want %016x", m.PlanHash, sess.PlanHash(k))
-	}
-	if m.IngestNext != uint64(len(recs)) {
-		t.Errorf("manifest ingest cursor %d, want %d", m.IngestNext, len(recs))
-	}
-	if m.ResultsNext != uint64(len(want)) {
-		t.Errorf("manifest results cursor %d, want %d", m.ResultsNext, len(want))
 	}
 	if len(m.Workers) != k {
 		t.Fatalf("manifest workers %v, want %d addresses", m.Workers, k)
@@ -123,6 +119,59 @@ func TestRunFTDurableRoundTrip(t *testing.T) {
 	}
 	if sess2.PlanHash(k) != m.PlanHash {
 		t.Errorf("round-tripped session plan hash %016x, manifest %016x", sess2.PlanHash(k), m.PlanHash)
+	}
+}
+
+// TestDurableStateLayout pins what a durable run leaves on disk and what
+// reading it back does: each log is one file, the manifest is written when
+// the run starts and not after its first append, and reading a state
+// directory that does not exist is an error that creates nothing.
+func TestDurableStateLayout(t *testing.T) {
+	recs := workload.NewGenerator(workload.UniformSmall(61)).Generate(300)
+	const k = 2
+	sess := testSession(0.7, "length", boundsFor(recs, 0.7, k))
+	addrs := make([]string, k)
+	for i := range addrs {
+		addrs[i] = startFTWorker(t, t.TempDir(), time.Millisecond).addr
+	}
+	state := t.TempDir()
+	ft := fastFT(0x1A70)
+	ft.Durable = &Durable{StateDir: state, Workers: addrs}
+	if _, err := RunFT(context.Background(), tcpDialer(func(task int) string { return addrs[task] }),
+		k, sess, recs, Opts{}, ft); err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []string{ingestLogDir, resultsLogDir} {
+		entries, err := os.ReadDir(filepath.Join(state, sub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != wal.FileName {
+			t.Errorf("%s/ holds %d entries, want just %s", sub, len(entries), wal.FileName)
+		}
+	}
+	manifest, err := os.Stat(filepath.Join(state, checkpoint.ManifestPath))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest, err := os.Stat(filepath.Join(state, ingestLogDir, wal.FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if manifest.ModTime().After(ingest.ModTime()) {
+		t.Errorf("manifest written at %v, after the ingest log's last append at %v",
+			manifest.ModTime(), ingest.ModTime())
+	}
+
+	missing := filepath.Join(t.TempDir(), "typo")
+	if recs, err := ReadIngestLog(missing); err == nil {
+		t.Errorf("ReadIngestLog of a missing state directory = %d records, want an error", len(recs))
+	}
+	if res, err := ReadResultsLog(missing); err == nil {
+		t.Errorf("ReadResultsLog of a missing state directory = %d results, want an error", len(res))
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("reading a missing state directory created it: %v", err)
 	}
 }
 

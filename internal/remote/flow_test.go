@@ -1,0 +1,375 @@
+package remote
+
+import (
+	"context"
+	"fmt"
+	"io"
+	"net"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/checkpoint"
+	"repro/internal/local"
+	"repro/internal/record"
+	"repro/internal/tokens"
+	"repro/internal/window"
+	"repro/internal/wire"
+)
+
+// flowWorkload returns n identical records under a count window of 4, so
+// that every record past the fourth emits 4 results, and how many results
+// a session emits for each record, counted by a local replay.
+func flowWorkload(n int) (Session, []*record.Record, []int) {
+	sess := testSession(0.7, "broadcast", nil)
+	sess.Window = window.Count{N: 4}
+	recs := make([]*record.Record, n)
+	for i := range recs {
+		recs[i] = &record.Record{ID: record.ID(i), Time: int64(i), Tokens: []tokens.Rank{1, 2, 3}}
+	}
+	j := local.New(sess.Algorithm, local.Options{Params: sess.Params, Window: sess.Window})
+	defer local.CloseJoiner(j)
+	per := make([]int, n)
+	for i, r := range recs {
+		j.Step(r, true, func(local.Match) { per[i]++ })
+	}
+	return sess, recs, per
+}
+
+// fakeCoord is the coordinator end of one worker session over net.Pipe:
+// it sends what the test tells it to and acknowledges nothing on its own.
+type fakeCoord struct {
+	w       *wire.Writer
+	acks    chan [2]uint64 // ResumeAck: next ID, credit
+	grants  chan uint64    // each record-credit grant
+	results chan int       // the pair count of each Result frame
+	stats   chan struct{}
+	session chan error // the worker session's return
+}
+
+// startFlowSession runs HandleSessionOpts on one end of a pipe and sends h
+// from the other.
+func startFlowSession(t *testing.T, h wire.Hello, o WorkerOpts) *fakeCoord {
+	t.Helper()
+	srv, cli := net.Pipe()
+	// The reader must never block on the test: a blocked reader stops the
+	// pipe, and with it the worker. The tests send at most 40 000 records,
+	// so there are fewer grants than 1<<10 and Result frames than 1<<16.
+	c := &fakeCoord{
+		w:       wire.NewWriter(cli),
+		acks:    make(chan [2]uint64, 1),
+		grants:  make(chan uint64, 1<<10),
+		results: make(chan int, 1<<16),
+		stats:   make(chan struct{}, 1),
+		session: make(chan error, 1),
+	}
+	go func() {
+		err := HandleSessionOpts(context.Background(), srv, srv, o)
+		srv.Close()
+		c.session <- err
+	}()
+	readDone := make(chan struct{})
+	go func() {
+		defer close(readDone)
+		rd := wire.NewReader(cli)
+		var batch []wire.Result
+		for {
+			typ, err := rd.Next()
+			if err != nil {
+				return
+			}
+			switch typ {
+			case wire.TypeResumeAck:
+				next, credit, err := rd.ReadResumeAck()
+				if err != nil {
+					return
+				}
+				c.acks <- [2]uint64{next, credit}
+			case wire.TypeCredit:
+				n, err := rd.ReadCredit()
+				if err != nil {
+					return
+				}
+				c.grants <- n
+			case wire.TypeResult:
+				if batch, err = rd.ReadResults(batch[:0]); err != nil {
+					return
+				}
+				c.results <- len(batch)
+			case wire.TypeStats:
+				c.stats <- struct{}{}
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		cli.Close()
+		srv.Close()
+		<-readDone
+	})
+	if err := c.w.WriteHello(h); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// durableHello is the hello of a durable FT session over sess.
+func durableHello(t *testing.T, sess Session, resume bool) wire.Hello {
+	t.Helper()
+	h, err := sess.hello(0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.FT, h.Durable, h.Resume = true, true, resume
+	h.SessionID = 0xF10
+	h.PlanHash = sess.PlanHash(1)
+	return h
+}
+
+func (c *fakeCoord) resumeAck(t *testing.T) (next, credit uint64) {
+	t.Helper()
+	select {
+	case a := <-c.acks:
+		return a[0], a[1]
+	case err := <-c.session:
+		t.Fatalf("session ended before its resume ack: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("no resume ack")
+	}
+	return 0, 0
+}
+
+// awaitResults adds up Result frames until want pairs have arrived.
+func (c *fakeCoord) awaitResults(t *testing.T, got *int, want int, why string) {
+	t.Helper()
+	for *got < want {
+		select {
+		case n := <-c.results:
+			*got += n
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d results on the wire: %s", *got, want, why)
+		}
+	}
+}
+
+// awaitGrant returns the next record-credit grant, or false when none
+// arrives within d.
+func (c *fakeCoord) awaitGrant(d time.Duration) (uint64, bool) {
+	select {
+	case g := <-c.grants:
+		return g, true
+	case <-time.After(d):
+		return 0, false
+	}
+}
+
+// finish ends the record stream and requires a clean session end.
+func (c *fakeCoord) finish(t *testing.T) {
+	t.Helper()
+	if err := c.w.WriteEOF(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-c.stats:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no stats after EOF")
+	}
+	if err := <-c.session; err != nil {
+		t.Fatalf("session: %v", err)
+	}
+}
+
+// TestUnackedBufferBound tries to overrun a durable session's unacked
+// buffer: the coordinator spends every record credit it gets and never
+// acknowledges a result. The worker must stop granting credit, consume at
+// most workerRecordWindow records once its buffer reaches unackedHigh, and
+// have flushed every result, so that one acknowledgement brings the
+// withheld window back without a heartbeat.
+func TestUnackedBufferBound(t *testing.T) {
+	const limit = 40000
+	sess, recs, per := flowWorkload(limit)
+	cum := make([]int, limit+1) // cum[n]: results of the first n records
+	maxPer, cross := 0, 0
+	for i, n := range per {
+		cum[i+1] = cum[i] + n
+		maxPer = max(maxPer, n)
+		if cross == 0 && cum[i+1] >= unackedHigh {
+			cross = i + 1
+		}
+	}
+	mon := &Monitor{}
+	c := startFlowSession(t, durableHello(t, sess, false), WorkerOpts{Mon: mon, Logf: silentLogf})
+	_, credit := c.resumeAck(t)
+	if credit != workerRecordWindow {
+		t.Fatalf("fresh session granted %d records, want %d", credit, workerRecordWindow)
+	}
+
+	sent, received := 0, 0
+	for {
+		for drained := false; !drained; {
+			select {
+			case g := <-c.grants:
+				credit += g
+			default:
+				drained = true
+			}
+		}
+		if n := min(int(credit), limit-sent); n > 0 {
+			for _, r := range recs[sent : sent+n] {
+				if err := c.w.WriteRecord(true, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			credit -= uint64(n)
+			sent += n
+			continue
+		}
+		if sent == limit {
+			t.Fatalf("the worker granted credit for all %d records: it never withheld", limit)
+		}
+		c.awaitResults(t, &received, cum[sent], "a worker out of grants must have flushed its results")
+		g, ok := c.awaitGrant(300 * time.Millisecond)
+		if !ok {
+			break
+		}
+		credit += g
+	}
+
+	if sent-cross > workerRecordWindow {
+		t.Errorf("the worker consumed %d records after its buffer reached %d, want at most %d",
+			sent-cross, unackedHigh, workerRecordWindow)
+	}
+	bound := unackedHigh + workerRecordWindow*maxPer
+	t.Logf("%d records sent, buffer at %d after record %d, %d results unacked of a bound of %d",
+		sent, unackedHigh, cross, cum[sent], bound)
+	if peak := mon.UnackedResults.Load(); peak != int64(cum[sent]) || peak > int64(bound) {
+		t.Errorf("unacked gauge peaked at %d (results emitted %d), want at most %d", peak, cum[sent], bound)
+	}
+
+	// One acknowledgement of everything received: the worker is back under
+	// unackedLow and returns the whole withheld window at once.
+	if err := c.w.WriteCredit(uint64(received)); err != nil {
+		t.Fatal(err)
+	}
+	g, ok := c.awaitGrant(10 * time.Second)
+	if !ok {
+		t.Fatal("no credit grant after acknowledging every result")
+	}
+	if g != workerRecordWindow {
+		t.Errorf("grant after the acknowledgement = %d, want the withheld %d", g, workerRecordWindow)
+	}
+	if n := mon.UnackedResults.Load(); n != 0 {
+		t.Errorf("unacked gauge %d after acknowledging every result", n)
+	}
+	c.finish(t)
+}
+
+// TestResumeAtUnackedBoundGrantsNoCredit: a session restored with
+// unackedHigh unacked results answers the resume with zero record credit,
+// flushes the re-sent results, and grants the window once they are
+// acknowledged; one result fewer gets the full window.
+func TestResumeAtUnackedBoundGrantsNoCredit(t *testing.T) {
+	sess, _, _ := flowWorkload(0)
+	for _, tc := range []struct {
+		unacked int
+		credit  uint64
+	}{{unackedHigh - 1, workerRecordWindow}, {unackedHigh, 0}} {
+		t.Run(fmt.Sprint(tc.unacked), func(t *testing.T) {
+			dir := t.TempDir()
+			h := durableHello(t, sess, true)
+			unacked := make([]wire.Result, tc.unacked)
+			for i := range unacked {
+				unacked[i] = wire.Result{A: record.ID(i), B: record.ID(i + 1), Sim: 1}
+			}
+			j := local.New(sess.Algorithm, local.Options{Params: sess.Params, Window: sess.Window})
+			err := writeCheckpointFile(checkpointPath(dir, h.SessionID, 0), checkpoint.Cursor{NextID: 10, NextTime: 10}, j,
+				&checkpoint.SessionMeta{PlanHash: h.PlanHash, Unacked: unacked})
+			local.CloseJoiner(j)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mon := &Monitor{}
+			c := startFlowSession(t, h, WorkerOpts{Mon: mon, Logf: silentLogf, CheckpointDir: dir})
+			next, credit := c.resumeAck(t)
+			if next != 10 || credit != tc.credit {
+				t.Fatalf("resume ack = (next %d, credit %d), want (10, %d)", next, credit, tc.credit)
+			}
+			received := 0
+			if tc.credit == 0 {
+				c.awaitResults(t, &received, tc.unacked, "a session withholding credit must flush its re-sent results")
+				if err := c.w.WriteCredit(uint64(received)); err != nil {
+					t.Fatal(err)
+				}
+				if g, ok := c.awaitGrant(10 * time.Second); !ok || g != workerRecordWindow {
+					t.Fatalf("grant after acknowledging the re-sent results = %d (%v), want %d", g, ok, workerRecordWindow)
+				}
+			}
+			c.finish(t)
+			if mon.SessionsResumed.Load() != 1 {
+				t.Error("the session did not resume from the checkpoint")
+			}
+		})
+	}
+}
+
+// TestRetiredFlowFramesFailTheSession: frame types 11 and 12, the Pause
+// and Resume of protocol version 6, are unknown to both roles.
+func TestRetiredFlowFramesFailTheSession(t *testing.T) {
+	sess := testSession(0.7, "broadcast", nil)
+	for _, typ := range []byte{11, 12} {
+		t.Run(fmt.Sprintf("worker/%d", typ), func(t *testing.T) {
+			srv, cli := net.Pipe()
+			defer cli.Close()
+			done := make(chan error, 1)
+			go func() {
+				done <- HandleSessionOpts(context.Background(), srv, srv, WorkerOpts{Logf: silentLogf})
+				srv.Close()
+			}()
+			go io.Copy(io.Discard, cli) //nolint:errcheck
+			w := wire.NewWriter(cli)
+			if err := w.WriteHello(durableHello(t, sess, false)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			cli.Write([]byte{typ, 0}) //nolint:errcheck
+			if err := <-done; err == nil || !strings.Contains(err.Error(), fmt.Sprintf("frame type %d", typ)) {
+				t.Fatalf("worker session after a type-%d frame: %v", typ, err)
+			}
+		})
+		t.Run(fmt.Sprintf("coordinator/%d", typ), func(t *testing.T) {
+			dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
+				srv, cli := net.Pipe()
+				go func() {
+					defer srv.Close()
+					rd := wire.NewReader(srv)
+					if _, err := rd.Next(); err != nil {
+						return
+					}
+					w := wire.NewWriter(srv)
+					if w.WriteResumeAck(0, workerRecordWindow) != nil {
+						return
+					}
+					if _, err := srv.Write([]byte{typ, 0}); err != nil {
+						return
+					}
+					io.Copy(io.Discard, srv) //nolint:errcheck
+				}()
+				return cli, nil
+			}
+			ft := fastFT(0xF11)
+			ft.Retry.MaxAttempts = 0
+			recs := []*record.Record{{ID: 0, Tokens: []tokens.Rank{1, 2}}}
+			_, err := RunFT(context.Background(), dial, 1, sess, recs, Opts{}, ft)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("frame type %d", typ)) {
+				t.Fatalf("coordinator after a type-%d frame: %v", typ, err)
+			}
+		})
+	}
+}

@@ -361,13 +361,10 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 	close(f.finalCh)
 	f.wg.Wait()
 	if f.durable != nil {
-		// Final manifest: cursors at end-of-log, both WALs synced so the
-		// state directory is complete on disk before the summary returns.
+		// Both WALs synced so the state directory is complete on disk
+		// before the summary returns.
 		f.durable.ingest.Sync()
 		f.durable.results.Sync()
-		if merr := f.saveManifest(); merr != nil {
-			return nil, merr
-		}
 	}
 
 	sum := &RunSummary{Records: uint64(len(recs))}
@@ -440,13 +437,10 @@ func (f *ftRunner) dispatch(ctx context.Context, recs []*record.Record) error {
 	f.st.mu.Unlock()
 	f.kickAll()
 	if f.durable != nil {
-		// Ingest complete: sync the log and stamp the manifest so a crash
-		// from here on can replay the full record stream.
+		// Ingest complete: sync the log so a crash from here on can replay
+		// the full record stream.
 		if err := f.durable.ingest.Sync(); err != nil {
 			return fmt.Errorf("remote: ingest log sync: %w", err)
-		}
-		if err := f.saveManifest(); err != nil {
-			return err
 		}
 		f.journal.Append("ingest_sealed", "coordinator",
 			fmt.Sprintf("ingest log sealed at %d records", f.durable.ingest.Next()))
@@ -454,13 +448,10 @@ func (f *ftRunner) dispatch(ctx context.Context, recs []*record.Record) error {
 	return nil
 }
 
-// saveManifest atomically writes the session manifest: launch hello, plan
-// hash, current (possibly rebalanced) bounds, WAL positions and advisory
-// per-task send cursors.
+// saveManifest atomically writes the session manifest, once, at the start
+// of a durable run: the launch hello, plan hash and worker fleet a resume
+// reads. Everything else a resume needs is in the two logs.
 func (f *ftRunner) saveManifest() error {
-	if f.durable == nil {
-		return nil
-	}
 	h, err := f.sess.hello(0, f.k)
 	if err != nil {
 		return err
@@ -476,15 +467,6 @@ func (f *ftRunner) saveManifest() error {
 		Hello:     h,
 		Workers:   append([]string(nil), f.durable.cfg.Workers...),
 	}
-	f.st.mu.Lock()
-	m.Bounds = append([]int(nil), f.st.bounds...)
-	m.Cursors = make([]checkpoint.TaskCursor, f.k)
-	for i := 0; i < f.k; i++ {
-		m.Cursors[i] = checkpoint.TaskCursor{Task: i, SentPos: uint64(f.st.sentPos[i])}
-	}
-	f.st.mu.Unlock()
-	m.IngestNext = f.durable.ingest.Next()
-	m.ResultsNext = f.durable.results.Next()
 	return checkpoint.SaveManifest(filepath.Join(f.durable.cfg.StateDir, checkpoint.ManifestPath), m)
 }
 
@@ -641,9 +623,8 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 	// and the write loop. Credits are per-connection by design:
 	// every handshake resets them, so nothing here survives the attempt.
 	var (
-		recCredit    atomic.Int64  // records the worker will currently accept
-		resDurable   atomic.Uint64 // distinct durable results received on this connection
-		workerPaused atomic.Bool   // worker-requested pause (unacked watermark)
+		recCredit  atomic.Int64  // records the worker will currently accept
+		resDurable atomic.Uint64 // distinct durable results received on this connection
 	)
 
 	ackCh := make(chan uint64, 1) // the worker's resume cursor
@@ -737,15 +718,6 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 					return
 				}
 				recCredit.Add(int64(n))
-				f.kick(task)
-			case wire.TypePause:
-				workerPaused.Store(true)
-				f.journal.Append("worker_pause", "coordinator",
-					fmt.Sprintf("worker %d asked to pause: unacked results over watermark", task))
-			case wire.TypeResume:
-				workerPaused.Store(false)
-				f.journal.Append("worker_resume", "coordinator",
-					fmt.Sprintf("worker %d released its pause", task))
 				f.kick(task)
 			case wire.TypePong:
 				// Stamp above is the whole point.
@@ -873,12 +845,12 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 		f.st.mu.Unlock()
 
 		// Result acknowledgements flow before anything else — and crucially
-		// regardless of pause state, or a paused worker's unacked buffer
-		// could never drain. The sync makes every credited result durable
-		// whatever the WAL's background fsync policy says. None flow after
-		// EOF: the worker answers it with Stats and closes without reading
-		// further, so a late credit would hit a closed connection and fail
-		// an attempt that has in fact finished.
+		// regardless of record credit, or a worker withholding credit could
+		// never drain its unacked buffer. The sync makes every credited
+		// result durable whatever the WAL's background fsync policy says.
+		// None flow after EOF: the worker answers it with Stats and closes
+		// without reading further, so a late credit would hit a closed
+		// connection and fail an attempt that has in fact finished.
 		if f.durable != nil && !eofSent {
 			if d := resDurable.Load(); d > credited {
 				if serr := f.durable.results.Sync(); serr != nil {
@@ -893,9 +865,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 			}
 		}
 
-		paused := workerPaused.Load()
-
-		if pos < end && !paused {
+		if pos < end {
 			// Credit-gated: send at most what the worker granted. Out of
 			// credit, park below until a Credit frame replenishes.
 			n := end - pos
@@ -927,7 +897,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 			}
 		}
 
-		if closed && !eofSent && pos == end && !paused {
+		if closed && !eofSent && pos == end {
 			// Flush while the watchdog still enforces the deadline, then
 			// relax it: post-EOF stats can legitimately take a while with
 			// nothing on the wire.
@@ -1035,14 +1005,6 @@ func (f *ftRunner) declareDead(task, failures int, cause error) {
 	}
 	f.journal.Append("rebalance", "coordinator",
 		fmt.Sprintf("worker %d ranges rebalanced onto heir %d, heir log rebuilt", task, heir))
-	if f.durable != nil {
-		// Manifest keeps the launch hello (plan hash must stay stable) but
-		// records the rebalanced bounds for status tooling.
-		if merr := f.saveManifest(); merr != nil {
-			f.journal.Append("manifest_error", "coordinator",
-				fmt.Sprintf("manifest save after rebalance failed: %v", merr))
-		}
-	}
 	if heirConn != nil {
 		// Interrupt the heir's in-flight attempt; its manager reconnects
 		// with the rebuilt log without charging the retry budget.

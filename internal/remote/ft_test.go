@@ -6,7 +6,6 @@ import (
 	"io"
 	"net"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -441,43 +440,6 @@ func TestDialClosesPartialConns(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("first address was never dialed")
 	}
-}
-
-// TestDialRetryEventuallyConnects starts the listener only after the first
-// attempts fail, proving the backoff loop retries rather than giving up.
-func TestDialRetryEventuallyConnects(t *testing.T) {
-	// Reserve an address, then free it so the first dial fails.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		time.Sleep(50 * time.Millisecond)
-		ln2, lerr := net.Listen("tcp", addr)
-		if lerr != nil {
-			return // port raced away; the dial side will fail the test
-		}
-		c, aerr := ln2.Accept()
-		if aerr == nil {
-			c.Close()
-		}
-		ln2.Close()
-	}()
-	policy := RetryPolicy{MaxAttempts: 40, Base: 10 * time.Millisecond, Cap: 50 * time.Millisecond}
-	conns, err := DialRetry(context.Background(), []string{addr}, time.Second, policy)
-	if err != nil {
-		t.Fatalf("DialRetry never connected: %v", err)
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	wg.Wait()
 }
 
 // TestRetryPolicyBackoff pins the backoff envelope: exponential growth

@@ -35,11 +35,10 @@ type Monitor struct {
 	DuplicateRecords atomic.Uint64
 	// UnackedResults gauges results buffered by durable sessions awaiting a
 	// coordinator durability acknowledgement — the worker-side backpressure
-	// signal. Grows without bound if the coordinator stops acking.
+	// signal. A session at 8192 or more withholds record credit, so one
+	// session's buffer stays within 8192 + 4096 × (the most results one
+	// record emits), even if the coordinator stops acking.
 	UnackedResults atomic.Int64
-	// PausedSessions gauges sessions that asked their coordinator to pause
-	// the record stream (unacked buffer over the high watermark).
-	PausedSessions atomic.Int64
 	// SessionLatency tracks wall time per completed session (failures
 	// included).
 	SessionLatency metrics.SyncLatency
@@ -111,10 +110,6 @@ func (m *Monitor) Snapshot() map[string]uint64 {
 	if unacked < 0 {
 		unacked = 0
 	}
-	paused := m.PausedSessions.Load()
-	if paused < 0 {
-		paused = 0
-	}
 	return map[string]uint64{
 		"sessions_started":  started,
 		"sessions_finished": finished,
@@ -122,7 +117,6 @@ func (m *Monitor) Snapshot() map[string]uint64 {
 		"sessions_active":   started - finished - failed,
 		"sessions_resumed":  m.SessionsResumed.Load(),
 		"unacked_results":   uint64(unacked),
-		"paused_sessions":   uint64(paused),
 		"records_seen":      m.RecordsSeen.Load(),
 		"results_emitted":   m.ResultsEmitted.Load(),
 		"inflight_records":  uint64(inflight),
@@ -176,15 +170,6 @@ func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 		"Results buffered by durable sessions awaiting coordinator acknowledgement.",
 		func() float64 {
 			n := m.UnackedResults.Load()
-			if n < 0 {
-				n = 0
-			}
-			return float64(n)
-		})
-	reg.GaugeFunc("worker_paused_sessions",
-		"Sessions that asked the coordinator to pause the record stream.",
-		func() float64 {
-			n := m.PausedSessions.Load()
 			if n < 0 {
 				n = 0
 			}

@@ -2,8 +2,6 @@ package remote
 
 import (
 	"context"
-	"fmt"
-	"net"
 	"time"
 )
 
@@ -22,12 +20,6 @@ type RetryPolicy struct {
 	// Seed drives the deterministic jitter so retry storms decorrelate
 	// without nondeterminism in tests. Zero is a valid seed.
 	Seed uint64
-}
-
-// DefaultRetryPolicy is a sensible starting point: four retries from 50ms
-// doubling to a 2s ceiling.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 4, Base: 50 * time.Millisecond, Cap: 2 * time.Second}
 }
 
 // splitmix is splitmix64 — the jitter PRNG. Deterministic in (seed,
@@ -82,36 +74,4 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	case <-t.C:
 		return nil
 	}
-}
-
-// DialRetry connects to every worker address like Dial, but retries each
-// failing address under the policy before giving up. On final failure all
-// already-opened connections are closed — no partially-open fleet escapes.
-func DialRetry(ctx context.Context, addrs []string, timeout time.Duration, policy RetryPolicy) ([]net.Conn, error) {
-	d := net.Dialer{Timeout: timeout}
-	conns := make([]net.Conn, 0, len(addrs))
-	for ai, a := range addrs {
-		var (
-			c   net.Conn
-			err error
-		)
-		for attempt := 0; ; attempt++ {
-			c, err = d.DialContext(ctx, "tcp", a)
-			if err == nil || attempt >= policy.MaxAttempts || ctx.Err() != nil {
-				break
-			}
-			if serr := sleepCtx(ctx, policy.backoff(attempt+1, uint64(ai))); serr != nil {
-				err = serr
-				break
-			}
-		}
-		if err != nil {
-			for _, done := range conns {
-				done.Close()
-			}
-			return nil, fmt.Errorf("remote: dialing %s: %w", a, err)
-		}
-		conns = append(conns, c)
-	}
-	return conns, nil
 }

@@ -128,11 +128,15 @@ const (
 	// workerRecordWindow is the per-connection record credit granted in the
 	// resume ack; half of it is the replenishment batch.
 	workerRecordWindow = 4096
-	// unackedPauseHigh/-Low are the unacked-result watermarks at which a
-	// durable session asks the coordinator to pause and resume the record
-	// stream.
-	unackedPauseHigh = 8192
-	unackedPauseLow  = 4096
+	// A durable session withholds record credit while its unacked buffer
+	// holds unackedHigh results or more, and grants what it withheld once
+	// acknowledgements bring the buffer to unackedLow or below. The
+	// coordinator can send at most workerRecordWindow records past the
+	// crossing, so the buffer holds at most unackedHigh +
+	// workerRecordWindow × (the most results one record emits), across
+	// reconnects too.
+	unackedHigh = 8192
+	unackedLow  = 4096
 )
 
 // writeCheckpointFile atomically replaces path with a fresh checkpoint of
@@ -171,6 +175,8 @@ func writeCheckpointFile(path string, cur checkpoint.Cursor, j local.Joiner, met
 //     worker expects — restored from its checkpoint when the hello asked
 //     to resume (and one exists), zero otherwise — plus the initial record
 //     credit, replenished with Credit frames as records are consumed;
+//   - a durable session withholds that replenishment while its unacked
+//     result buffer is at unackedHigh, which bounds the buffer;
 //   - a hello with FT set but Resume clear discards any stale checkpoint
 //     for the session: the coordinator is rebuilding this worker's state
 //     from scratch and a later resume must not revive pre-rebuild state;
@@ -247,8 +253,12 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		// not yet acknowledged as durable by a coordinator Credit frame, in
 		// emission order. Restored from the checkpoint's v2 envelope on
 		// resume and re-sent after the ack.
-		unacked    []wire.Result
-		selfPaused bool
+		unacked []wire.Result
+		// withholding is set while a durable session keeps the record
+		// credit of consumed records back (unackedHigh); consumed counts
+		// the records whose credit is not yet returned.
+		withholding bool
+		consumed    uint64
 	)
 	if h.FT {
 		next := uint64(0)
@@ -296,7 +306,13 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		if next > 0 {
 			lastID, haveLast = next-1, true
 		}
-		if err := wr.WriteResumeAck(next, workerRecordWindow); err != nil {
+		credit := uint64(workerRecordWindow)
+		if len(unacked) >= unackedHigh {
+			// A restored buffer at the bound: the whole window stays back
+			// until the re-sent tail is acknowledged.
+			credit, consumed, withholding = 0, workerRecordWindow, true
+		}
+		if err := wr.WriteResumeAck(next, credit); err != nil {
 			return fmt.Errorf("remote: writing resume ack: %w", err)
 		}
 	}
@@ -338,17 +354,13 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 			if mon != nil {
 				mon.UnackedResults.Add(int64(n))
 			}
-			if h.FT && !selfPaused && len(unacked) >= unackedPauseHigh {
-				// Ask the coordinator to hold records until the credit
-				// stream drains the buffer below the low watermark.
-				selfPaused = true
-				if mon != nil {
-					mon.PausedSessions.Add(1)
-				}
-				o.Journal.Append("flow_pause", comp,
-					fmt.Sprintf("session %016x paused the record stream: %d unacked results", h.SessionID, len(unacked)))
-				if werr := wr.WritePause(); werr != nil && err == nil {
-					err = werr
+			// At the bound, withhold record credit. While withholding, flush
+			// every batch: the coordinator can only acknowledge results it
+			// has, and only acknowledgements end the withholding.
+			withholding = withholding || len(unacked) >= unackedHigh
+			if withholding {
+				if ferr := wr.Flush(); ferr != nil && err == nil {
+					err = ferr
 				}
 			}
 		}
@@ -361,6 +373,11 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	// already has and acknowledges all of them either way.
 	for _, res := range unacked {
 		if err := wr.WriteResult(res); err != nil {
+			return fmt.Errorf("remote: re-sending unacked result: %w", err)
+		}
+	}
+	if withholding {
+		if err := wr.Flush(); err != nil {
 			return fmt.Errorf("remote: re-sending unacked result: %w", err)
 		}
 	}
@@ -418,7 +435,6 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	lastCkpt := time.Now()
 	first := true
 	var dups uint64
-	var consumed uint64 // records since the last credit replenishment (FT)
 	loop := func() error {
 		for {
 			if err := ctx.Err(); err != nil {
@@ -455,18 +471,6 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 				if err != nil {
 					return err
 				}
-				if h.FT {
-					// Replenish the coordinator's record credit in half-window
-					// batches. Duplicates count too: the coordinator spent
-					// credit on every frame it sent.
-					consumed++
-					if consumed >= workerRecordWindow/2 {
-						if cerr := wr.WriteCredit(consumed); cerr != nil {
-							return fmt.Errorf("remote: writing credit: %w", cerr)
-						}
-						consumed = 0
-					}
-				}
 				if h.FT && haveLast && uint64(rt.Rec.ID) <= lastID {
 					// Replay overlap or an injected duplicate frame: the
 					// window already holds this record.
@@ -474,39 +478,53 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 						mon.DuplicateRecords.Add(1)
 					}
 					dups++
-					continue
-				}
-				var rstart time.Time
-				if mon != nil {
-					rstart = time.Now()
-					mon.RecordsSeen.Add(1)
-					mon.InFlightRecords.Add(1)
-				}
-				cur = rt.Rec
-				if bi != nil {
-					bi.StepSide(rt.Rec, rt.Right, rt.Store, emit)
 				} else {
-					joiner.Step(rt.Rec, rt.Store, emit)
+					var rstart time.Time
+					if mon != nil {
+						rstart = time.Now()
+						mon.RecordsSeen.Add(1)
+						mon.InFlightRecords.Add(1)
+					}
+					cur = rt.Rec
+					if bi != nil {
+						bi.StepSide(rt.Rec, rt.Right, rt.Store, emit)
+					} else {
+						joiner.Step(rt.Rec, rt.Store, emit)
+					}
+					if mon != nil {
+						mon.RecordLatency.Observe(time.Since(rstart))
+					}
+					// One frame per probe with matches, written before the cursor
+					// advances so a checkpoint never covers unsent results.
+					var writeErr error
+					if len(batch) > 0 {
+						writeErr = sendBatch()
+					}
+					if mon != nil {
+						mon.InFlightRecords.Add(-1)
+					}
+					if writeErr != nil {
+						return fmt.Errorf("remote: writing result: %w", writeErr)
+					}
+					lastID, lastTime, haveLast = uint64(rt.Rec.ID), rt.Rec.Time, true
+					if ckptPath != "" && o.CheckpointInterval > 0 && time.Since(lastCkpt) >= o.CheckpointInterval {
+						saveCheckpoint()
+						lastCkpt = time.Now()
+					}
 				}
-				if mon != nil {
-					mon.RecordLatency.Observe(time.Since(rstart))
-				}
-				// One frame per probe with matches, written before the cursor
-				// advances so a checkpoint never covers unsent results.
-				var writeErr error
-				if len(batch) > 0 {
-					writeErr = sendBatch()
-				}
-				if mon != nil {
-					mon.InFlightRecords.Add(-1)
-				}
-				if writeErr != nil {
-					return fmt.Errorf("remote: writing result: %w", writeErr)
-				}
-				lastID, lastTime, haveLast = uint64(rt.Rec.ID), rt.Rec.Time, true
-				if ckptPath != "" && o.CheckpointInterval > 0 && time.Since(lastCkpt) >= o.CheckpointInterval {
-					saveCheckpoint()
-					lastCkpt = time.Now()
+				if h.FT {
+					// Return the coordinator's record credit in half-window
+					// batches, after the step, so that no grant follows a
+					// record that brought the buffer to unackedHigh.
+					// Duplicates count too: the coordinator spent credit on
+					// every frame it sent.
+					consumed++
+					if !withholding && consumed >= workerRecordWindow/2 {
+						if cerr := wr.WriteCredit(consumed); cerr != nil {
+							return fmt.Errorf("remote: writing credit: %w", cerr)
+						}
+						consumed = 0
+					}
 				}
 			case wire.TypeCredit:
 				// Coordinator acknowledgement: the first n results of the
@@ -529,15 +547,14 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 						mon.UnackedResults.Add(-int64(d))
 					}
 				}
-				if selfPaused && len(unacked) <= unackedPauseLow {
-					selfPaused = false
-					if mon != nil {
-						mon.PausedSessions.Add(-1)
-					}
-					o.Journal.Append("flow_resume", comp,
-						fmt.Sprintf("session %016x resumed the record stream: %d unacked results", h.SessionID, len(unacked)))
-					if werr := wr.WriteResume(); werr != nil {
-						return fmt.Errorf("remote: writing resume: %w", werr)
+				if withholding && len(unacked) <= unackedLow {
+					// Back under the bound: grant the withheld credit at once.
+					withholding = false
+					if consumed > 0 {
+						if werr := wr.WriteCredit(consumed); werr != nil {
+							return fmt.Errorf("remote: writing credit: %w", werr)
+						}
+						consumed = 0
 					}
 				}
 			case wire.TypeEOF:
@@ -564,9 +581,6 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		// The session's live buffer is gone either way; what survives a
 		// crash lives in the checkpoint, not the gauge.
 		mon.UnackedResults.Add(-int64(len(unacked)))
-		if selfPaused {
-			mon.PausedSessions.Add(-1)
-		}
 	}
 	if ckptPath != "" {
 		if err != nil {

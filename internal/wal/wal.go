@@ -1,24 +1,23 @@
-// Package wal is the coordinator's persistent ingest/replay log: an
-// append-only sequence of binary records split across segment files, each
-// record framed as
+// Package wal is the coordinator's persistent ingest/replay log: one
+// append-only file per log directory, each record framed as
 //
 //	[payload length: uvarint][crc32c of payload: 4 bytes LE][payload]
 //
-// Records are addressed by a dense index (0, 1, 2, ...) assigned at
-// append. Segment files are named wal-<start index, hex>.seg, so the
-// record index doubles as a durable replay cursor: an iterator can
-// re-drive a session from any retained offset, which is what makes a
-// coordinator restart recoverable — the session's input is on disk, not
-// in the dead process.
+// Records are numbered densely from 0 in append order, and a log is read
+// back whole, from record 0, by Replay. That is what makes a coordinator
+// restart recoverable: the session's input is on disk, not in the dead
+// process.
 //
 // Durability is a policy knob (always / interval / never), because fsync
 // cost dominates ingest throughput. Open tolerates a torn final record —
-// the tail a crash mid-write leaves behind — by truncating it; any other
-// framing or checksum damage is corruption and is reported with the
-// segment, record index and byte offset rather than silently skipped.
+// the tail a crash mid-write leaves behind — by truncating it; Replay
+// skips it and changes nothing. Any other framing or checksum damage is
+// corruption and is reported with the file, record index and byte offset
+// rather than silently skipped.
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,8 +25,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -35,10 +32,12 @@ import (
 // MaxRecord bounds one payload; larger frames indicate corruption.
 const MaxRecord = 1 << 24
 
-const (
-	defaultSegmentBytes = 8 << 20
-	defaultSyncEvery    = 256
-)
+// FileName is the one file of a log directory. Open refuses a directory
+// holding any other wal-*.seg file.
+const FileName = "wal-0000000000000000.seg"
+
+// syncEvery is the append count between fsyncs under SyncInterval.
+const syncEvery = 256
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -49,8 +48,8 @@ var ErrClosed = errors.New("wal: log is closed")
 type SyncPolicy int
 
 const (
-	// SyncInterval fsyncs every Options.SyncEvery appends, on rotation,
-	// and on Close — the default: bounded loss window, amortized cost.
+	// SyncInterval fsyncs every 256 appends and on Close — the default:
+	// bounded loss window, amortized cost.
 	SyncInterval SyncPolicy = iota
 	// SyncAlways fsyncs after every append: no acknowledged record is
 	// ever lost, at one fsync per record.
@@ -86,192 +85,147 @@ func (p SyncPolicy) String() string {
 
 // Options configures a log. The zero value is usable.
 type Options struct {
-	// SegmentBytes caps a segment file; the next append rotates to a new
-	// segment. Default 8 MiB.
-	SegmentBytes int64
 	// Sync is the fsync policy.
 	Sync SyncPolicy
-	// SyncEvery is the append count between fsyncs under SyncInterval.
-	// Default 256.
-	SyncEvery int
-	// Retain caps the number of *sealed* segments kept after a rotation;
-	// older segments are deleted, making their record range unreplayable.
-	// 0 keeps everything — the right setting while a session must stay
-	// fully re-drivable.
-	Retain int
-}
-
-func (o Options) withDefaults() Options {
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = defaultSegmentBytes
-	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = defaultSyncEvery
-	}
-	return o
 }
 
 // CorruptError reports an unreadable record that is not a torn tail:
 // the log's contents past this point cannot be trusted.
 type CorruptError struct {
-	Segment string // segment file path
+	Segment string // log file path
 	Index   uint64 // record index of the damaged record
-	Offset  int64  // byte offset of the record's frame inside the segment
+	Offset  int64  // byte offset of the record's frame inside the file
 	Reason  string
 }
 
-// Error formats the damage site: record index, segment, byte offset.
+// Error formats the damage site: record index, file, byte offset.
 func (e *CorruptError) Error() string {
 	return fmt.Sprintf("wal: corrupt record %d at %s+%d: %s", e.Index, e.Segment, e.Offset, e.Reason)
-}
-
-// segment is one sealed, immutable segment file.
-type segment struct {
-	start uint64 // index of the segment's first record
-	path  string
 }
 
 // logState is the mutable state of a Log. It is owned wholesale by the
 // Log's mutex — methods on logState assume the caller holds it.
 type logState struct {
-	dir         string
-	o           Options
-	sealed      []segment
-	active      *os.File
-	activePath  string
-	activeStart uint64
-	activeBytes int64
-	next        uint64 // index of the next record
-	unsynced    int    // appends since the last fsync
-	closed      bool
+	f        *os.File
+	o        Options
+	next     uint64 // index of the next record
+	unsynced int    // appends since the last fsync
+	closed   bool
 }
 
-// Log is an append-only segmented record log. Safe for concurrent use;
-// iterators read a consistent snapshot taken at Iter time.
+// Log is an append-only record log in one file. Safe for concurrent use.
 type Log struct {
 	mu sync.Mutex
 	s  logState // guarded by mu
 }
 
-func segName(start uint64) string { return fmt.Sprintf("wal-%016x.seg", start) }
+// logPath names the log file of dir, refusing a directory that holds any
+// other wal-*.seg file: a log is one file.
+func logPath(dir string) (string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return "", fmt.Errorf("wal: %w", err)
+	}
+	var segs []string
+	foreign := false
+	for _, e := range entries {
+		name := e.Name()
+		if strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg") {
+			segs = append(segs, name)
+			foreign = foreign || name != FileName
+		}
+	}
+	if foreign {
+		return "", fmt.Errorf("wal: %s holds %s: a log is the one file %s", dir, strings.Join(segs, ", "), FileName)
+	}
+	return filepath.Join(dir, FileName), nil
+}
 
-// Open opens (or creates) the log in dir. The final segment's torn tail,
-// if any, is truncated; a checksum or framing error anywhere before the
-// tail fails the open with a CorruptError.
+// Open opens (or creates) the log in dir, creating dir if needed. A torn
+// final record is truncated; a checksum or framing error anywhere before
+// the tail fails the open with a CorruptError.
 func Open(dir string, o Options) (*Log, error) {
-	o = o.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	var segs []segment
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".seg") {
-			continue
-		}
-		start, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg"), 16, 64)
-		if perr != nil {
-			return nil, fmt.Errorf("wal: segment %s has an unparseable start index", name)
-		}
-		segs = append(segs, segment{start: start, path: filepath.Join(dir, name)})
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].start < segs[j].start })
-
-	st := logState{dir: dir, o: o}
-	if len(segs) == 0 {
-		if err := st.openActive(0); err != nil {
-			return nil, err
-		}
-		return &Log{s: st}, nil
-	}
-	// Sealed segments are immutable; only the last one can hold a torn
-	// tail from a crash mid-append.
-	last := segs[len(segs)-1]
-	n, valid, err := scanSegment(last.path, last.start, true)
+	path, err := logPath(dir)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(last.path, os.O_RDWR, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	if fi, serr := f.Stat(); serr == nil && fi.Size() > valid {
-		if terr := f.Truncate(valid); terr != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", last.path, terr)
+	n, valid, size, err := scan(f, nil)
+	if err == nil && size > valid {
+		if err = f.Truncate(valid); err != nil {
+			err = fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
 		}
 	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
+	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
+		return nil, err
 	}
-	st.sealed = segs[:len(segs)-1]
-	st.active = f
-	st.activePath = last.path
-	st.activeStart = last.start
-	st.activeBytes = valid
-	st.next = last.start + n
-	return &Log{s: st}, nil
+	return &Log{s: logState{f: f, o: o, next: n}}, nil
 }
 
-// openActive creates a fresh active segment whose first record is start.
-func (s *logState) openActive(start uint64) error {
-	path := filepath.Join(s.dir, segName(start))
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+// Replay hands the payload of every whole record of the log in dir to fn,
+// in append order, and changes nothing on disk: a missing directory or log
+// file is an error, and a torn tail ends the replay without being
+// truncated. The payload is valid only until fn returns; an error from fn
+// stops the replay and is returned. Records appended while Replay runs are
+// not read.
+func Replay(dir string, fn func(payload []byte) error) error {
+	path, err := logPath(dir)
+	if err != nil {
+		return err
+	}
+	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	s.active = f
-	s.activePath = path
-	s.activeStart = start
-	s.activeBytes = 0
-	s.next = start
-	return nil
+	defer f.Close()
+	_, _, _, err = scan(f, fn)
+	return err
 }
 
-// countingByteReader counts consumed bytes so scan and iteration can
-// report exact offsets.
-type countingByteReader struct {
-	r io.Reader
+// countingReader counts consumed bytes so scan can report exact offsets.
+type countingReader struct {
+	r *bufio.Reader
 	n int64
 }
 
-func (c *countingByteReader) ReadByte() (byte, error) {
-	var one [1]byte
-	n, err := c.r.Read(one[:])
-	if n == 1 {
-		c.n++
-		return one[0], nil
-	}
+func (c *countingReader) ReadByte() (byte, error) {
+	b, err := c.r.ReadByte()
 	if err == nil {
-		err = io.ErrUnexpectedEOF
+		c.n++
 	}
-	return 0, err
+	return b, err
 }
 
-func (c *countingByteReader) Read(p []byte) (int, error) {
+func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
 	c.n += int64(n)
 	return n, err
 }
 
-// readFrame reads one record frame from c into buf (grown as needed),
-// verifying length bounds and the checksum. It returns the payload or an
-// io.EOF/io.ErrUnexpectedEOF/crc error; the caller classifies torn vs
-// corrupt.
 var errCRC = errors.New("checksum mismatch")
 
-func readFrame(c *countingByteReader, buf []byte) ([]byte, error) {
+// readFrame reads one record frame from c into buf (grown as needed),
+// verifying length bounds and the checksum; size is the file length. It
+// returns the payload or an io.EOF/io.ErrUnexpectedEOF/crc error; the
+// caller classifies torn vs corrupt. A frame the file ends inside is
+// io.ErrUnexpectedEOF before its declared length sizes anything.
+func readFrame(c *countingReader, buf []byte, size int64) ([]byte, error) {
 	length, err := binary.ReadUvarint(c)
 	if err != nil {
 		return nil, err
 	}
 	if length > MaxRecord {
 		return nil, fmt.Errorf("absurd record length %d", length)
+	}
+	if int64(length)+4 > size-c.n {
+		return nil, io.ErrUnexpectedEOF
 	}
 	var crcb [4]byte
 	if _, err := io.ReadFull(c, crcb[:]); err != nil {
@@ -290,41 +244,39 @@ func readFrame(c *countingByteReader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// scanSegment walks a segment, returning its record count and the byte
-// size of its valid prefix. With truncateTorn, an incomplete final frame
-// (or a checksum mismatch on the very last frame) counts as a torn tail
-// and simply ends the valid prefix; otherwise — and for any damage that
-// is not at the tail — a CorruptError is returned.
-func scanSegment(path string, start uint64, truncateTorn bool) (n uint64, validSize int64, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
+// scan reads the log file f from its start through a buffered reader,
+// handing each record's payload to fn when it is non-nil. It returns the
+// record count, the byte size of the whole-record prefix and the file
+// size. An incomplete final frame, or a checksum mismatch on the very
+// last frame, is a torn tail and ends the prefix; any other damage is a
+// CorruptError.
+func scan(f *os.File, fn func([]byte) error) (n uint64, valid, size int64, err error) {
 	st, err := f.Stat()
 	if err != nil {
-		return 0, 0, fmt.Errorf("wal: %w", err)
+		return 0, 0, 0, fmt.Errorf("wal: %w", err)
 	}
-	size := st.Size()
-	c := &countingByteReader{r: f}
+	size = st.Size()
+	c := &countingReader{r: bufio.NewReaderSize(io.LimitReader(f, size), 64<<10)}
 	var buf []byte
-	idx := start
 	for {
-		frameStart := c.n
-		payload, rerr := readFrame(c, buf)
-		if rerr == io.EOF && c.n == frameStart {
-			return idx - start, frameStart, nil // clean segment end
+		start := c.n
+		payload, rerr := readFrame(c, buf, size)
+		if rerr == io.EOF && c.n == start {
+			return n, start, size, nil // clean end
 		}
 		if rerr != nil {
-			torn := rerr == io.EOF || rerr == io.ErrUnexpectedEOF ||
-				(rerr == errCRC && c.n == size)
-			if torn && truncateTorn {
-				return idx - start, frameStart, nil
+			if rerr == io.EOF || rerr == io.ErrUnexpectedEOF || (rerr == errCRC && c.n == size) {
+				return n, start, size, nil
 			}
-			return 0, 0, &CorruptError{Segment: path, Index: idx, Offset: frameStart, Reason: rerr.Error()}
+			return n, start, size, &CorruptError{Segment: f.Name(), Index: n, Offset: start, Reason: rerr.Error()}
+		}
+		if fn != nil {
+			if err := fn(payload); err != nil {
+				return n, start, size, err
+			}
 		}
 		buf = payload
-		idx++
+		n++
 	}
 }
 
@@ -340,49 +292,36 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	if s.closed {
 		return 0, ErrClosed
 	}
-	if s.activeBytes >= s.o.SegmentBytes && s.activeBytes > 0 {
-		if err := s.rotate(); err != nil {
-			return 0, err
-		}
-	}
 	var hdr [binary.MaxVarintLen64 + 4]byte
 	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[n:], crc32.Checksum(payload, castagnoli))
 	n += 4
-	if _, err := s.active.Write(hdr[:n]); err != nil {
+	if _, err := s.f.Write(hdr[:n]); err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
-	if _, err := s.active.Write(payload); err != nil {
+	if _, err := s.f.Write(payload); err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
 	idx := s.next
 	s.next++
-	s.activeBytes += int64(n + len(payload))
 	s.unsynced++
-	switch s.o.Sync {
-	case SyncAlways:
+	if s.o.Sync == SyncAlways || (s.o.Sync == SyncInterval && s.unsynced >= syncEvery) {
 		if err := s.sync(); err != nil {
 			return 0, err
-		}
-	case SyncInterval:
-		if s.unsynced >= s.o.SyncEvery {
-			if err := s.sync(); err != nil {
-				return 0, err
-			}
 		}
 	}
 	return idx, nil
 }
 
 func (s *logState) sync() error {
-	if err := s.active.Sync(); err != nil {
+	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	s.unsynced = 0
 	return nil
 }
 
-// Sync forces the active segment to stable storage.
+// Sync forces the log to stable storage.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -392,84 +331,12 @@ func (l *Log) Sync() error {
 	return l.s.sync()
 }
 
-// Rotate seals the active segment and starts a new one, applying the
-// retention cap to sealed segments. Rotating an empty active segment is
-// a no-op: the new segment would carry the same start index (and hence
-// the same file name), so there is nothing to seal.
-func (l *Log) Rotate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.s.closed {
-		return ErrClosed
-	}
-	return l.s.rotate()
-}
-
-func (s *logState) rotate() error {
-	if s.activeBytes == 0 {
-		return nil
-	}
-	if err := s.sync(); err != nil {
-		return err
-	}
-	if err := s.active.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	s.sealed = append(s.sealed, segment{start: s.activeStart, path: s.activePath})
-	if s.o.Retain > 0 {
-		for len(s.sealed) > s.o.Retain {
-			if err := os.Remove(s.sealed[0].path); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("wal: retiring %s: %w", s.sealed[0].path, err)
-			}
-			s.sealed = s.sealed[1:]
-		}
-	}
-	return s.openActive(s.next)
-}
-
-// Next returns the index the next appended record will get — i.e. the
-// count of records ever appended (including retired ones).
+// Next returns the index the next appended record will get — the count of
+// records in the log.
 func (l *Log) Next() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.s.next
-}
-
-// Begin returns the first replayable index (0 until retention retires a
-// segment).
-func (l *Log) Begin() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.s.sealed) > 0 {
-		return l.s.sealed[0].start
-	}
-	return l.s.activeStart
-}
-
-// TrimBefore deletes sealed segments whose every record is below index,
-// reclaiming space once a durable checkpoint covers them. The active
-// segment is never trimmed.
-func (l *Log) TrimBefore(index uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	s := &l.s
-	if s.closed {
-		return ErrClosed
-	}
-	for len(s.sealed) > 0 {
-		end := s.activeStart
-		if len(s.sealed) > 1 {
-			end = s.sealed[1].start
-		}
-		if end > index {
-			break
-		}
-		if err := os.Remove(s.sealed[0].path); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("wal: trimming %s: %w", s.sealed[0].path, err)
-		}
-		s.sealed = s.sealed[1:]
-	}
-	return nil
 }
 
 // Close syncs and closes the log.
@@ -482,129 +349,10 @@ func (l *Log) Close() error {
 	}
 	s.closed = true
 	if s.o.Sync != SyncNever {
-		if err := s.active.Sync(); err != nil {
-			s.active.Close()
+		if err := s.f.Sync(); err != nil {
+			s.f.Close()
 			return fmt.Errorf("wal: %w", err)
 		}
 	}
-	return s.active.Close()
-}
-
-// Iterator replays records in index order from a snapshot of the log
-// taken at Iter time: records appended afterwards are not visible.
-type Iterator struct {
-	segs  []segment // every segment as of the snapshot, active included
-	limit uint64    // first index beyond the snapshot
-	seg   int       // next segs entry to open
-	f     *os.File
-	c     *countingByteReader
-	buf   []byte
-	idx   uint64 // index of the next record Next returns
-	skip  uint64 // records to discard after opening the next segment
-	err   error
-}
-
-// Iter returns an iterator positioned at index from. An index below
-// Begin() (retired by retention) is an error; an index at or past Next()
-// yields an immediately-exhausted iterator.
-func (l *Log) Iter(from uint64) (*Iterator, error) {
-	l.mu.Lock()
-	if l.s.closed {
-		l.mu.Unlock()
-		return nil, ErrClosed
-	}
-	// Appends land in the file before next moves, so bounding the
-	// iterator by the snapshot limit guarantees every frame it reads is
-	// fully written even while appends continue.
-	segs := append([]segment(nil), l.s.sealed...)
-	segs = append(segs, segment{start: l.s.activeStart, path: l.s.activePath})
-	limit := l.s.next
-	begin := l.s.activeStart
-	if len(l.s.sealed) > 0 {
-		begin = l.s.sealed[0].start
-	}
-	l.mu.Unlock()
-
-	if from < begin {
-		return nil, fmt.Errorf("wal: index %d already retired (log begins at %d)", from, begin)
-	}
-	it := &Iterator{segs: segs, limit: limit, idx: from}
-	if from >= limit {
-		it.seg = len(segs)
-		return it, nil
-	}
-	// Locate the segment containing from: the last one starting at or
-	// below it.
-	it.seg = sort.Search(len(segs), func(i int) bool { return segs[i].start > from })
-	it.seg--
-	it.skip = from - segs[it.seg].start
-	return it, nil
-}
-
-// Next returns the next record's index and payload. The payload is only
-// valid until the following Next call. io.EOF signals the end of the
-// snapshot; a CorruptError signals unreadable data.
-func (it *Iterator) Next() (uint64, []byte, error) {
-	if it.err != nil {
-		return 0, nil, it.err
-	}
-	for {
-		if it.idx >= it.limit {
-			it.fail(io.EOF)
-			return 0, nil, io.EOF
-		}
-		if it.f == nil {
-			if it.seg >= len(it.segs) {
-				it.fail(io.EOF)
-				return 0, nil, io.EOF
-			}
-			f, err := os.Open(it.segs[it.seg].path)
-			if err != nil {
-				it.fail(fmt.Errorf("wal: %w", err))
-				return 0, nil, it.err
-			}
-			it.f = f
-			it.c = &countingByteReader{r: f}
-		}
-		frameStart := it.c.n
-		payload, rerr := readFrame(it.c, it.buf)
-		if rerr == io.EOF && it.c.n == frameStart {
-			// Clean end of this segment: move on.
-			it.f.Close()
-			it.f = nil
-			it.seg++
-			continue
-		}
-		if rerr != nil {
-			it.fail(&CorruptError{Segment: it.segs[it.seg].path, Index: it.idx, Offset: frameStart, Reason: rerr.Error()})
-			return 0, nil, it.err
-		}
-		it.buf = payload
-		if it.skip > 0 {
-			it.skip--
-			continue
-		}
-		idx := it.idx
-		it.idx++
-		return idx, payload, nil
-	}
-}
-
-func (it *Iterator) fail(err error) {
-	it.err = err
-	if it.f != nil {
-		it.f.Close()
-		it.f = nil
-	}
-}
-
-// Close releases the iterator's open file.
-func (it *Iterator) Close() {
-	if it.f != nil {
-		it.f.Close()
-		it.f = nil
-	}
-	if it.err == nil {
-		it.err = ErrClosed
-	}
+	return s.f.Close()
 }

@@ -3,10 +3,9 @@ package wal
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -19,29 +18,36 @@ func appendAll(t *testing.T, l *Log, payloads ...string) {
 	}
 }
 
+// drain replays the directory of l and returns the payloads of records
+// from on.
 func drain(t *testing.T, l *Log, from uint64) []string {
 	t.Helper()
-	it, err := l.Iter(from)
-	if err != nil {
-		t.Fatalf("Iter(%d): %v", from, err)
-	}
-	defer it.Close()
+	l.mu.Lock()
+	dir := filepath.Dir(l.s.f.Name())
+	l.mu.Unlock()
 	var out []string
-	want := from
-	for {
-		idx, payload, err := it.Next()
-		if err == io.EOF {
-			return out
+	idx := uint64(0)
+	err := Replay(dir, func(payload []byte) error {
+		if idx >= from {
+			out = append(out, string(payload))
 		}
-		if err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-		if idx != want {
-			t.Fatalf("Next returned index %d, want %d", idx, want)
-		}
-		want++
-		out = append(out, string(payload))
+		idx++
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
 	}
+	return out
+}
+
+// replayAll returns every payload Replay hands over, and its error.
+func replayAll(dir string) ([]string, error) {
+	var out []string
+	err := Replay(dir, func(payload []byte) error {
+		out = append(out, string(payload))
+		return nil
+	})
+	return out, err
 }
 
 func TestAppendIterRoundTrip(t *testing.T) {
@@ -94,71 +100,6 @@ func TestReopenContinuesIndexing(t *testing.T) {
 	got := drain(t, l, 0)
 	if len(got) != 4 || got[3] != "d" {
 		t.Fatalf("replay after reopen = %q", got)
-	}
-}
-
-func TestRotationAndMultiSegmentReplay(t *testing.T) {
-	dir := t.TempDir()
-	// Tiny segments: every record rotates.
-	l, err := Open(dir, Options{SegmentBytes: 1, Sync: SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, l, "one", "two", "three", "four")
-	got := drain(t, l, 0)
-	if len(got) != 4 || got[0] != "one" || got[3] != "four" {
-		t.Fatalf("multi-segment replay = %q", got)
-	}
-	if got := drain(t, l, 3); len(got) != 1 || got[0] != "four" {
-		t.Fatalf("Iter(3) across segments = %q", got)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
-	if len(segs) < 4 {
-		t.Fatalf("expected >=4 segment files, found %d", len(segs))
-	}
-	l, err = Open(dir, Options{SegmentBytes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	if n := l.Next(); n != 4 {
-		t.Fatalf("Next after multi-segment reopen = %d, want 4", n)
-	}
-}
-
-func TestEmptySegmentRotation(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rotate with zero records: seals an empty segment, and the new
-	// active segment reuses the same start index.
-	if err := l.Rotate(); err != nil {
-		t.Fatalf("Rotate on empty log: %v", err)
-	}
-	appendAll(t, l, "after")
-	if err := l.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Rotate(); err != nil { // empty again, mid-log
-		t.Fatal(err)
-	}
-	appendAll(t, l, "last")
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	l, err = Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("reopen with empty segments: %v", err)
-	}
-	defer l.Close()
-	got := drain(t, l, 0)
-	if len(got) != 2 || got[0] != "after" || got[1] != "last" {
-		t.Fatalf("replay with empty segments = %q, want [after last]", got)
 	}
 }
 
@@ -254,99 +195,120 @@ func TestCorruptMidSegmentRejectedWithOffset(t *testing.T) {
 	}
 }
 
+// TestIteratorReportsCorruption: damage that is not a torn tail stops a
+// replay with a CorruptError, after the records before it.
 func TestIteratorReportsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 1, Sync: SyncNever})
+	l, err := Open(dir, Options{Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer l.Close()
 	appendAll(t, l, "aaaa", "bbbb", "cccc")
-	// Corrupt the middle (sealed) segment after open: Open never
-	// re-scans sealed segments, so only the iterator sees it.
-	flipByteAt(t, filepath.Join(dir, segName(1)), 6)
-	it, err := l.Iter(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	if _, _, err := it.Next(); err != nil {
-		t.Fatalf("record 0 should be readable: %v", err)
-	}
-	_, _, err = it.Next()
+	// Corrupt record 1's payload after open: Open has already scanned the
+	// file, so only the replay sees it. Record 1's frame starts at 9.
+	flipByteAt(t, onlySegment(t, dir), 9+5+1)
+	got, err := replayAll(dir)
 	var ce *CorruptError
-	if !errors.As(err, &ce) || ce.Index != 1 {
-		t.Fatalf("iterating corrupt segment: got %v, want CorruptError at index 1", err)
+	if !errors.As(err, &ce) || ce.Index != 1 || ce.Offset != 9 {
+		t.Fatalf("replaying a corrupt log: got %v, want CorruptError at index 1, offset 9", err)
 	}
-	l.Close()
-}
-
-func TestRetention(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 1, Retain: 2, Sync: SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	for i := 0; i < 6; i++ {
-		appendAll(t, l, fmt.Sprintf("rec-%d", i))
-	}
-	if b := l.Begin(); b == 0 {
-		t.Fatal("Begin still 0: retention never fired")
-	}
-	if _, err := l.Iter(0); err == nil {
-		t.Fatal("Iter(0) succeeded on a retired index")
-	}
-	got := drain(t, l, l.Begin())
-	if len(got) == 0 || got[len(got)-1] != "rec-5" {
-		t.Fatalf("replay from Begin = %q", got)
+	if len(got) != 1 || got[0] != "aaaa" {
+		t.Fatalf("replay before the damage = %q, want [aaaa]", got)
 	}
 }
 
-func TestTrimBefore(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 1, Sync: SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	appendAll(t, l, "a", "b", "c", "d")
-	if err := l.TrimBefore(2); err != nil {
-		t.Fatal(err)
-	}
-	if b := l.Begin(); b != 2 {
-		t.Fatalf("Begin after TrimBefore(2) = %d, want 2", b)
-	}
-	got := drain(t, l, 2)
-	if len(got) != 2 || got[0] != "c" {
-		t.Fatalf("replay after trim = %q", got)
-	}
-	// Trimming never touches the active segment.
-	if err := l.TrimBefore(1 << 20); err != nil {
-		t.Fatal(err)
-	}
-	if got := drain(t, l, l.Begin()); len(got) == 0 {
-		t.Fatal("active segment was trimmed away")
-	}
-}
-
+// TestIteratorSnapshotIsolation: a replay reads the records the file held
+// when it started, not those appended while it runs.
 func TestIteratorSnapshotIsolation(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Sync: SyncNever})
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Sync: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	appendAll(t, l, "before")
-	it, err := l.Iter(0)
+	var got []string
+	err = Replay(dir, func(payload []byte) error {
+		got = append(got, string(payload))
+		appendAll(t, l, "after")
+		return nil
+	})
+	if err != nil || len(got) != 1 || got[0] != "before" {
+		t.Fatalf("replay during appends = %q, %v; want [before]", got, err)
+	}
+}
+
+// TestOpenRefusesSeveralFiles: a log is one file, so a directory holding
+// another wal-*.seg (a segment of a rotated log) is refused by name, by
+// Open and by Replay alike.
+func TestOpenRefusesSeveralFiles(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer it.Close()
-	appendAll(t, l, "after")
-	if _, _, err := it.Next(); err != nil {
+	appendAll(t, l, "a")
+	l.Close()
+	const extra = "wal-0000000000000001.seg"
+	if err := os.WriteFile(filepath.Join(dir, extra), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := it.Next(); err != io.EOF {
-		t.Fatalf("snapshot iterator saw post-snapshot append: err=%v", err)
+	_, oerr := Open(dir, Options{})
+	_, rerr := replayAll(dir)
+	for name, err := range map[string]error{"Open": oerr, "Replay": rerr} {
+		if err == nil || !strings.Contains(err.Error(), extra) || !strings.Contains(err.Error(), FileName) {
+			t.Errorf("%s of a two-file directory = %v, want an error naming both files", name, err)
+		}
+	}
+}
+
+// TestReplayChangesNothing: reading a log creates no directory, truncates
+// no torn tail and needs no write access.
+func TestReplayChangesNothing(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "no-such-log")
+	if got, err := replayAll(missing); err == nil {
+		t.Fatalf("Replay of a missing directory = %q, want an error", got)
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Replay of a missing directory created it: %v", err)
+	}
+
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, l, "keep-0", "keep-1", "doomed")
+	l.Close()
+	seg := onlySegment(t, dir)
+	st, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := st.Size() - 3
+	if err := os.Truncate(seg, torn); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path string
+		mode os.FileMode
+	}{{seg, 0o444}, {dir, 0o555}} {
+		if err := os.Chmod(c.path, c.mode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Cleanup(func() { os.Chmod(dir, 0o755) }) //nolint:errcheck
+	got, err := replayAll(dir)
+	if err != nil || len(got) != 2 || got[1] != "keep-1" {
+		t.Fatalf("Replay of a read-only torn log = %q, %v; want [keep-0 keep-1]", got, err)
+	}
+	st, err = os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() != torn {
+		t.Fatalf("Replay changed the log file: size %d, want %d", st.Size(), torn)
 	}
 }
 
@@ -391,8 +353,8 @@ func TestClosedLogRejectsOps(t *testing.T) {
 	if _, err := l.Append([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close = %v, want ErrClosed", err)
 	}
-	if _, err := l.Iter(0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Iter after Close = %v, want ErrClosed", err)
+	if err := l.Sync(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Sync after Close = %v, want ErrClosed", err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("double Close = %v", err)

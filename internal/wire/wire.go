@@ -12,7 +12,7 @@
 // closes. Both sides therefore run one reader and one writer goroutine
 // with no locking. Fault-tolerant sessions (Hello flag FT) add control
 // frames outside the data path: Ping/Pong liveness probes, the ResumeAck
-// answer to the Hello, and the Credit/Pause/Resume flow-control frames.
+// answer to the Hello, and the Credit flow-control frame.
 package wire
 
 import (
@@ -60,16 +60,11 @@ const (
 	// uvarints — the next record ID the worker expects (0 = nothing
 	// restored, replay all) and the credit window. handled-by: coordinator
 	TypeResumeAck
-	// TypePause is a payload-free worker→coordinator flow-control notice:
-	// "my unacknowledged-result buffer crossed its high watermark; hold the
-	// record stream". The worker keeps answering pings and consuming
-	// credits meanwhile. Flushed immediately, like Ping.
-	// handled-by: coordinator
-	TypePause
-	// TypeResume is the payload-free counterpart of TypePause: the worker's
-	// unacked buffer dropped below its low watermark and the record stream
-	// may flow again. handled-by: coordinator
-	TypeResume
+	// Values 11 and 12 were the Pause and Resume frames of protocol
+	// version 6, retired in version 7: record credit is the only flow
+	// control, and a peer that sends either fails the session.
+	_
+	_
 	// TypeCredit grants flow-control credit; payload is one uvarint
 	// delta. Worker→coordinator it means "I processed n more records; send
 	// n more". Coordinator→worker it acknowledges n more results as
@@ -82,11 +77,12 @@ const (
 // Version is the protocol version carried in Hello, and the only one a
 // peer accepts (ReadHello rejects any other). It covers the FT handshake
 // (session ID, FT/Resume/Durable flags, the partition-plan hash, the
-// two-field ResumeAck), the Ping/Pong/Credit/Pause/Resume frames, Result
-// frames that carry every pair of one probe (version 5), and Record frames
-// whose flags are the store and side bits alone (version 6: the trace
-// annotation is gone, and a decoder refuses any other bit).
-const Version = 6
+// two-field ResumeAck), the Ping/Pong/Credit frames, Result frames that
+// carry every pair of one probe (version 5), Record frames whose flags are
+// the store and side bits alone (version 6: the trace annotation is gone,
+// and a decoder refuses any other bit), and credit as the only flow
+// control (version 7: the Pause and Resume frames are gone).
+const Version = 7
 
 // MaxFrame bounds a frame payload; larger frames indicate corruption.
 const MaxFrame = 1 << 24
@@ -443,23 +439,6 @@ func (w *Writer) WriteResumeAck(nextID, credit uint64) error {
 	w.putUvarint(nextID)
 	w.putUvarint(credit)
 	if err := w.flushFrame(TypeResumeAck); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// WritePause sends the payload-free flow-control pause notice; flushed
-// immediately like WritePing so pressure propagates without delay.
-func (w *Writer) WritePause() error {
-	if err := w.flushFrame(TypePause); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// WriteResume lifts a pause; flushed like WritePause.
-func (w *Writer) WriteResume() error {
-	if err := w.flushFrame(TypeResume); err != nil {
 		return err
 	}
 	return w.Flush()
