@@ -14,6 +14,8 @@ package main
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -69,7 +71,6 @@ func main() {
 		hbIvl     = flag.Duration("hb-interval", time.Second, "FT: heartbeat ping interval on idle connections")
 		hbTimeout = flag.Duration("hb-timeout", 0, "FT: silence span declaring a connection hung (0: 5x interval)")
 		degraded  = flag.Bool("degraded", false, "FT: on a worker death, rebalance its length ranges onto survivors instead of failing (length distribution only)")
-		sessionID = flag.Uint64("session-id", 0, "FT: checkpoint key for resume across coordinator restarts (0: derived from the workload seed)")
 
 		stateDir = flag.String("state-dir", "", "durable session state directory (manifest + ingest/results logs) making the run resumable with -resume after a coordinator crash; implies -ft, requires -remote")
 		resume   = flag.Bool("resume", false, "relaunch a killed durable run from -state-dir: session configuration, input stream, and completed results all come from the state directory (-in/-profile are ignored)")
@@ -91,10 +92,16 @@ func main() {
 	if *rmt != "" || *resume {
 		var ftCfg *remote.FT
 		if *ft || *stateDir != "" {
-			id := *sessionID
-			if id == 0 {
-				id = uint64(*seed)*0x9e3779b97f4a7c15 + uint64(*n)
+			// A fresh run draws a random non-zero ID, which keys worker
+			// checkpoints no earlier run wrote; -resume replaces it with the
+			// manifest's.
+			var b [8]byte
+			for binary.LittleEndian.Uint64(b[:]) == 0 {
+				if _, err := rand.Read(b[:]); err != nil {
+					fatal(fmt.Errorf("drawing a session id: %w", err))
+				}
 			}
+			id := binary.LittleEndian.Uint64(b[:])
 			ftCfg = &remote.FT{
 				Retry:             remote.RetryPolicy{MaxAttempts: *retries, Base: *retryBase, Cap: *retryCap, Seed: id},
 				HeartbeatInterval: *hbIvl,

@@ -8,6 +8,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -31,6 +32,21 @@ type Cursor struct {
 
 // Write serializes the cursor and the joiner's live records to w.
 func Write(w io.Writer, cur Cursor, j local.Joiner) error {
+	return write(w, cur, func(visit func(*record.Record, bool) bool) {
+		j.Dump(func(r *record.Record) bool { return visit(r, false) })
+	})
+}
+
+// WriteBi serializes a two-stream joiner's windows (both sides, with side
+// flags on the wire records).
+func WriteBi(w io.Writer, cur Cursor, bi *local.BiJoiner) error {
+	return write(w, cur, bi.DumpSides)
+}
+
+// write is the one checkpoint body: magic, cursor, then every record dump
+// visits as a stored Record frame with its side flag, closed by an EOF
+// frame.
+func write(w io.Writer, cur Cursor, dump func(visit func(r *record.Record, right bool) bool)) error {
 	if _, err := w.Write(magic); err != nil {
 		return fmt.Errorf("checkpoint: writing magic: %w", err)
 	}
@@ -42,12 +58,9 @@ func Write(w io.Writer, cur Cursor, j local.Joiner) error {
 	}
 	ww := wire.NewWriter(w)
 	var werr error
-	j.Dump(func(r *record.Record) bool {
-		if err := ww.WriteRecord(true, r); err != nil {
-			werr = err
-			return false
-		}
-		return true
+	dump(func(r *record.Record, right bool) bool {
+		werr = ww.WriteRecordSide(true, right, r)
+		return werr == nil
 	})
 	if werr != nil {
 		return fmt.Errorf("checkpoint: writing record: %w", werr)
@@ -72,14 +85,24 @@ func (b byteReaderAdapter) ReadByte() (byte, error) {
 // with the same join configuration) and returns the saved cursor and the
 // number of records loaded.
 func Read(r io.Reader, j local.Joiner) (Cursor, int, error) {
+	return read(r, func(rec *record.Record, _ bool) { j.Load(rec) })
+}
+
+// ReadBi restores a checkpoint written by WriteBi into bi (freshly
+// constructed with the same configuration).
+func ReadBi(r io.Reader, bi *local.BiJoiner) (Cursor, int, error) {
+	return read(r, bi.LoadSide)
+}
+
+// read decodes a checkpoint body, handing every record to load with its
+// side flag.
+func read(r io.Reader, load func(rec *record.Record, right bool)) (Cursor, int, error) {
 	got := make([]byte, len(magic))
 	if _, err := io.ReadFull(r, got); err != nil {
 		return Cursor{}, 0, fmt.Errorf("checkpoint: reading magic: %w", err)
 	}
-	for i, b := range magic {
-		if got[i] != b {
-			return Cursor{}, 0, errors.New("checkpoint: bad magic (not a checkpoint or wrong version)")
-		}
+	if !bytes.Equal(got, magic) {
+		return Cursor{}, 0, errors.New("checkpoint: bad magic (not a checkpoint or wrong version)")
 	}
 	br := byteReaderAdapter{r: r}
 	nextID, err := binary.ReadUvarint(br)
@@ -105,82 +128,7 @@ func Read(r io.Reader, j local.Joiner) (Cursor, int, error) {
 			if err != nil {
 				return cur, count, fmt.Errorf("checkpoint: decoding record: %w", err)
 			}
-			j.Load(rt.Rec)
-			count++
-		case wire.TypeEOF:
-			return cur, count, nil
-		default:
-			return cur, count, fmt.Errorf("checkpoint: unexpected frame type %d", typ)
-		}
-	}
-}
-
-// WriteBi serializes a two-stream joiner's windows (both sides, with side
-// flags on the wire records).
-func WriteBi(w io.Writer, cur Cursor, bi *local.BiJoiner) error {
-	if _, err := w.Write(magic); err != nil {
-		return fmt.Errorf("checkpoint: writing magic: %w", err)
-	}
-	var hdr [2 * binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], cur.NextID)
-	n += binary.PutVarint(hdr[n:], cur.NextTime)
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return fmt.Errorf("checkpoint: writing cursor: %w", err)
-	}
-	ww := wire.NewWriter(w)
-	var werr error
-	bi.DumpSides(func(r *record.Record, right bool) bool {
-		if err := ww.WriteRecordSide(true, right, r); err != nil {
-			werr = err
-			return false
-		}
-		return true
-	})
-	if werr != nil {
-		return fmt.Errorf("checkpoint: writing record: %w", werr)
-	}
-	if err := ww.WriteEOF(); err != nil {
-		return fmt.Errorf("checkpoint: writing eof: %w", err)
-	}
-	return nil
-}
-
-// ReadBi restores a checkpoint written by WriteBi into bi (freshly
-// constructed with the same configuration).
-func ReadBi(r io.Reader, bi *local.BiJoiner) (Cursor, int, error) {
-	cur, count := Cursor{}, 0
-	got := make([]byte, len(magic))
-	if _, err := io.ReadFull(r, got); err != nil {
-		return cur, 0, fmt.Errorf("checkpoint: reading magic: %w", err)
-	}
-	for i, b := range magic {
-		if got[i] != b {
-			return cur, 0, errors.New("checkpoint: bad magic (not a checkpoint or wrong version)")
-		}
-	}
-	br := byteReaderAdapter{r: r}
-	nextID, err := binary.ReadUvarint(br)
-	if err != nil {
-		return cur, 0, fmt.Errorf("checkpoint: reading cursor id: %w", err)
-	}
-	nextTime, err := binary.ReadVarint(br)
-	if err != nil {
-		return cur, 0, fmt.Errorf("checkpoint: reading cursor time: %w", err)
-	}
-	cur = Cursor{NextID: nextID, NextTime: nextTime}
-	rd := wire.NewReader(r)
-	for {
-		typ, err := rd.Next()
-		if err != nil {
-			return cur, count, fmt.Errorf("checkpoint: reading frame: %w", err)
-		}
-		switch typ {
-		case wire.TypeRecord:
-			rt, err := rd.ReadRecord()
-			if err != nil {
-				return cur, count, fmt.Errorf("checkpoint: decoding record: %w", err)
-			}
-			bi.LoadSide(rt.Rec, rt.Right)
+			load(rt.Rec, rt.Right)
 			count++
 		case wire.TypeEOF:
 			return cur, count, nil

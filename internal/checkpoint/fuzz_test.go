@@ -13,9 +13,9 @@ import (
 	"repro/internal/workload"
 )
 
-// hostileHeader is a 13-byte v2 envelope that declares 2^24 unacked
-// results and carries none.
-var hostileHeader = binary.AppendUvarint(append(append([]byte{}, magic2...), 0), 1<<24)
+// hostileHeader is a 16-byte envelope whose one Result frame declares
+// 2^24 unacked results and carries none.
+var hostileHeader = binary.AppendUvarint(append(append([]byte{}, magic2...), 0, wire.TypeResult, 5, 0), 1<<24)
 
 // TestHostileUnackedCountIsRejectedUnallocated: a snapshot is outside
 // input, so the unacked count it declares must not size an allocation
@@ -23,7 +23,7 @@ var hostileHeader = binary.AppendUvarint(append(append([]byte{}, magic2...), 0),
 func TestHostileUnackedCountIsRejectedUnallocated(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, _, err := ReadSessionHeader(bytes.NewReader(hostileHeader))
+	_, _, err := ReadSessionHeader(bytes.NewReader(hostileHeader))
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("a header declaring 2^24 missing results accepted")
@@ -61,7 +61,7 @@ func FuzzCheckpointRead(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, alg := range []local.Algorithm{local.Naive, local.Prefix, local.Bundled} {
-			_, rd, _, err := ReadSessionHeader(bytes.NewReader(data))
+			_, rd, err := ReadSessionHeader(bytes.NewReader(data))
 			if err != nil {
 				return
 			}

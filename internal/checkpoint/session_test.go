@@ -14,8 +14,8 @@ import (
 	"repro/internal/record"
 	"repro/internal/similarity"
 	"repro/internal/tokens"
-	"repro/internal/wire"
 	"repro/internal/window"
+	"repro/internal/wire"
 )
 
 func sessionJoiner(t *testing.T) local.Joiner {
@@ -45,15 +45,15 @@ func TestSessionEnvelopeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, body, v2, err := ReadSessionHeader(&buf)
+	got, body, err := ReadSessionHeader(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v2 {
-		t.Fatal("v2 envelope not detected")
-	}
-	if !reflect.DeepEqual(got, meta) {
-		t.Fatalf("meta mismatch:\ngot  %+v\nwant %+v", got, meta)
+	// The unacked results travel as wire Result frames, which name a
+	// pair's IDs in ascending order.
+	want := SessionMeta{PlanHash: meta.PlanHash, Unacked: []wire.Result{{A: 1, B: 2, Sim: 0.75}, {A: 4, B: 9, Sim: 1}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("meta mismatch:\ngot  %+v\nwant %+v", got, want)
 	}
 	j2 := sessionJoiner(t)
 	cur, n, err := Read(body, j2)
@@ -65,27 +65,22 @@ func TestSessionEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSessionHeaderPassesThroughV1(t *testing.T) {
-	j := sessionJoiner(t)
-	j.Load(&record.Record{ID: 7, Tokens: []tokens.Rank{4, 5}})
-	var buf bytes.Buffer
-	if err := Write(&buf, Cursor{NextID: 8}, j); err != nil {
+// TestSessionHeaderRefusesOtherFormats: a bare checkpoint body and an
+// envelope of an earlier version are both errors, which a worker answers
+// by starting the session fresh.
+func TestSessionHeaderRefusesOtherFormats(t *testing.T) {
+	var body bytes.Buffer
+	if err := Write(&body, Cursor{NextID: 8}, sessionJoiner(t)); err != nil {
 		t.Fatal(err)
 	}
-	meta, body, v2, err := ReadSessionHeader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2 || meta.PlanHash != 0 || meta.Unacked != nil {
-		t.Fatalf("v1 file misread as v2: %+v", meta)
-	}
-	j2 := sessionJoiner(t)
-	cur, n, err := Read(body, j2)
-	if err != nil {
-		t.Fatalf("v1 body unreadable after pass-through: %v", err)
-	}
-	if cur.NextID != 8 || n != 1 {
-		t.Fatalf("v1 body: cur=%+v n=%d", cur, n)
+	older := append([]byte("SSJCKPT\x02"), 0, 0) // plan hash 0, no unacked results
+	for name, data := range map[string][]byte{
+		"bare body":      body.Bytes(),
+		"older envelope": append(older, body.Bytes()...),
+	} {
+		if meta, _, err := ReadSessionHeader(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s read as an envelope: %+v", name, meta)
+		}
 	}
 }
 
@@ -107,9 +102,9 @@ func TestSessionHeaderEmptyUnacked(t *testing.T) {
 	if err := WriteSessionHeader(&buf, SessionMeta{PlanHash: 3}); err != nil {
 		t.Fatal(err)
 	}
-	meta, _, v2, err := ReadSessionHeader(&buf)
-	if err != nil || !v2 {
-		t.Fatalf("empty-unacked header: %v v2=%v", err, v2)
+	meta, _, err := ReadSessionHeader(&buf)
+	if err != nil {
+		t.Fatalf("empty-unacked header: %v", err)
 	}
 	if meta.PlanHash != 3 || len(meta.Unacked) != 0 {
 		t.Fatalf("meta = %+v", meta)
@@ -125,7 +120,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		PlanHash:  12345,
 		Hello: wire.Hello{
 			Version: wire.Version, Func: 1, Threshold: 0.7, Strategy: 0,
-			Bounds: []int{10, 20, 30}, FT: true, Durable: true,
+			Bounds: []int{10, 20, 30}, FT: true,
 			SessionID: 0xBEEF, PlanHash: 12345,
 		},
 		Workers: []string{"a:1", "b:2", "c:3"},

@@ -25,8 +25,7 @@ import (
 
 // ErrSevered is returned by Write after the wrapper cut the connection.
 // Reads keep draining frames the peer already sent until the transport
-// reports EOF — the orderly-close delivery model the FT layer's
-// flush-consistent checkpoints rely on.
+// reports EOF — the orderly-close delivery model.
 var ErrSevered = errors.New("faultwire: connection severed by fault injection")
 
 // Config selects which faults to inject. Probabilities are per frame in
@@ -102,9 +101,9 @@ func splitmix(x uint64) uint64 {
 }
 
 // decide picks the fault for frame n of type typ in the direction salted
-// by dir. Severs only fire on the write path: retroactively dropping
-// frames the peer's application already believes delivered would model a
-// transport no checkpoint scheme can be exact over.
+// by dir. Severs only fire on the write path; dropping frames the peer
+// already flushed, as a TCP reset does, is left to a test wrapper in
+// internal/remote.
 func (c *Conn) decide(dir uint64, n int, typ byte) action {
 	if dir == saltWrite && c.cfg.SeverAfterFrames > 0 && n+1 >= c.cfg.SeverAfterFrames {
 		return actSever

@@ -122,7 +122,12 @@ func RunBi(ctx context.Context, conns []io.ReadWriter, sess Session, recs []BiRe
 	if opts.Snapshot || len(opts.Seed) > 0 {
 		return nil, fmt.Errorf("remote: snapshots unsupported for bi sessions")
 	}
-	return runSession(ctx, conns, sess, recs, opts)
+	rs := make([]*record.Record, len(recs))
+	right := make([]bool, len(recs))
+	for i, br := range recs {
+		rs[i], right[i] = br.Rec, br.Right
+	}
+	return runSession(ctx, conns, sess, rs, right, opts)
 }
 
 // RunWithOpts is Run with snapshot seeding and collection.
@@ -130,11 +135,7 @@ func RunWithOpts(ctx context.Context, conns []io.ReadWriter, sess Session, recs 
 	if sess.Bi {
 		return nil, fmt.Errorf("remote: use RunBi for bi sessions")
 	}
-	birecs := make([]BiRecord, len(recs))
-	for i, r := range recs {
-		birecs[i] = BiRecord{Rec: r}
-	}
-	return runSession(ctx, conns, sess, birecs, opts)
+	return runSession(ctx, conns, sess, recs, nil, opts)
 }
 
 // received is one reader goroutine's share of the result traffic; the
@@ -145,7 +146,9 @@ type received struct {
 	pairs   []record.Pair
 }
 
-func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs []BiRecord, opts Opts) (*RunSummary, error) {
+// runSession dispatches recs; right, when non-nil, holds each record's
+// side in a bi session.
+func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs []*record.Record, right []bool, opts Opts) (*RunSummary, error) {
 	k := len(conns)
 	if k == 0 {
 		return nil, fmt.Errorf("remote: no workers")
@@ -277,14 +280,14 @@ func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs [
 	var tuples uint64
 	buf := make([]int, 0, k)
 	dispatchErr := func() error {
-		for _, br := range recs {
+		for i, r := range recs {
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("remote: %w", err)
 			}
-			r := br.Rec
+			side := right != nil && right[i]
 			buf = strat.Route(r, k, buf[:0])
 			for _, dst := range buf {
-				if err := writers[dst].WriteRecordSide(strat.Stores(r, dst, k), br.Right, r); err != nil {
+				if err := writers[dst].WriteRecordSide(strat.Stores(r, dst, k), side, r); err != nil {
 					return fmt.Errorf("remote: record to worker %d: %w", dst, err)
 				}
 				tuples++

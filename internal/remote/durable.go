@@ -8,15 +8,13 @@
 // and re-send their unacknowledged result tails, so the final result set
 // is exactly the uninterrupted run's.
 //
-// Result-acknowledgement protocol (wire Credit frames, coordinator →
-// worker): the reader goroutine counts, per connection, each *distinct*
-// result received while durable mode is on (new results are appended to
-// the results log first; re-sent ones are already there). The write loop
-// syncs the results log and grants the outstanding count as credit. A
-// worker drops acknowledged results from its unacked buffer in emission
-// order — sound because a connection delivers frames in order with only
-// tail loss, so by the time any credit arrives, every result at the front
-// of the worker's buffer has been received and persisted.
+// Every FT run acknowledges results (wire Credit frames, coordinator →
+// worker; see ftRunner.attempt); a durable run adds the results log to
+// that protocol: a new result is appended before it counts as received,
+// and the write loop syncs the log before it grants the count, so every
+// acknowledged result is on disk. A nil *durableState is the sink of a run
+// without a state directory, and its methods do nothing: this file is the
+// only code that knows whether a run is durable.
 package remote
 
 import (
@@ -25,6 +23,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/wal"
 	"repro/internal/wire"
@@ -49,7 +48,8 @@ type Durable struct {
 	Sync wal.SyncPolicy
 	// Resume marks this run as a restart: the ingest log already holds the
 	// record stream (the caller re-read it from there), the results log
-	// seeds the coordinator's dedup, and workers are asked to resume.
+	// seeds the coordinator's dedup, and each task's first hello asks its
+	// worker to resume, which a fresh run's never does.
 	Resume bool
 	// Workers records the worker addresses in the manifest so a resuming
 	// process knows the fleet. Informational — dialing stays the caller's
@@ -93,10 +93,14 @@ func openDurable(cfg Durable) (*durableState, error) {
 	return ds, nil
 }
 
+// close syncs and closes both logs, so that the state directory is
+// complete on disk when RunFT returns, whatever the sync policy.
 func (ds *durableState) close() {
 	if ds == nil {
 		return
 	}
+	ds.ingest.Sync()
+	ds.results.Sync()
 	ds.ingest.Close()
 	ds.results.Close()
 }
@@ -105,7 +109,7 @@ func (ds *durableState) close() {
 // below the resume skip point are already on disk (the records themselves
 // came from the log) and are not re-appended.
 func (ds *durableState) appendRecord(idx uint64, r *record.Record) error {
-	if idx < ds.skip {
+	if ds == nil || idx < ds.skip {
 		return nil
 	}
 	ds.mu.Lock()
@@ -123,6 +127,9 @@ func (ds *durableState) appendRecord(idx uint64, r *record.Record) error {
 
 // appendResult persists one distinct result frame.
 func (ds *durableState) appendResult(res wire.Result) error {
+	if ds == nil {
+		return nil
+	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	ds.buf.Reset()
@@ -134,6 +141,28 @@ func (ds *durableState) appendResult(res wire.Result) error {
 	}
 	_, err := ds.results.Append(ds.buf.Bytes())
 	return err
+}
+
+// syncResults makes every appended result durable before it is
+// acknowledged, whatever the sync policy says.
+func (ds *durableState) syncResults() error {
+	if ds == nil {
+		return nil
+	}
+	return ds.results.Sync()
+}
+
+// sealIngest syncs the ingest log once the record stream is complete, so
+// that a crash from here on can replay all of it.
+func (ds *durableState) sealIngest(j *obs.Journal) error {
+	if ds == nil {
+		return nil
+	}
+	if err := ds.ingest.Sync(); err != nil {
+		return fmt.Errorf("remote: ingest log sync: %w", err)
+	}
+	j.Append("ingest_sealed", "coordinator", fmt.Sprintf("ingest log sealed at %d records", ds.ingest.Next()))
+	return nil
 }
 
 // seedResults replays the results log into the collector — the restart

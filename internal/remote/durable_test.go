@@ -319,7 +319,6 @@ func TestWorkerRejectsPlanMismatch(t *testing.T) {
 		h.FT = true
 		h.Resume = true
 		h.SessionID = sid
-		h.Durable = true
 		h.PlanHash = planHash
 		return h
 	}

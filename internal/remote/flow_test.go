@@ -115,14 +115,16 @@ func startFlowSession(t *testing.T, h wire.Hello, o WorkerOpts) *fakeCoord {
 	return c
 }
 
-// durableHello is the hello of a durable FT session over sess.
+// durableHello is the hello of an FT session over sess, which buffers its
+// results until they are acknowledged as a durable one did before protocol
+// version 8.
 func durableHello(t *testing.T, sess Session, resume bool) wire.Hello {
 	t.Helper()
 	h, err := sess.hello(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.FT, h.Durable, h.Resume = true, true, resume
+	h.FT, h.Resume = true, resume
 	h.SessionID = 0xF10
 	h.PlanHash = sess.PlanHash(1)
 	return h

@@ -9,10 +9,13 @@
 //
 // Exactness: a resumed worker restores its window from the checkpoint and
 // replays the ID-ordered log tail after the cursor, so its window state is
-// identical to an uninterrupted run. Replayed records the worker already
-// processed are dropped by its duplicate filter; result pairs replayed
-// across reconnects are dropped by the coordinator's result dedup. The
-// final result multiset therefore matches a fault-free run.
+// identical to an uninterrupted run. The checkpoint also holds every
+// result the coordinator had not acknowledged, which the worker re-sends,
+// so a result lost with a broken connection is never lost for good.
+// Replayed records the worker already processed are dropped by its
+// duplicate filter; result pairs re-sent across reconnects are dropped by
+// the coordinator's result dedup. The final result multiset therefore
+// matches a fault-free run.
 package remote
 
 import (
@@ -51,15 +54,20 @@ type FT struct {
 	// considered hung and severed (progress on either direction counts as
 	// life). Zero defaults to five heartbeat intervals.
 	HeartbeatTimeout time.Duration
-	// SessionID keys worker-side checkpoints. Reconnects under the same ID
-	// resume from the checkpoint; callers must pick an ID not used by a
-	// previous unrelated run on the same workers.
+	// SessionID keys worker-side checkpoints. Reconnects within the run
+	// resume from them; a task's first hello asks to resume only under
+	// Durable.Resume, so a fresh run never restores a checkpoint an earlier
+	// run left under the same ID. Runs sharing the workers at the same time
+	// need distinct IDs.
 	SessionID uint64
 	// Degraded allows the run to continue after a worker is declared dead
 	// by rebalancing its length ranges onto a surviving heir (length
 	// strategy only). Off, a dead worker fails the run.
 	Degraded bool
-	// Registry receives coordinator fault metrics when non-nil.
+	// Registry receives the coordinator's fault metrics; nil keeps them
+	// private to the run. The summary's Retries, Reconnects and
+	// ReplayedRecords are read from these counters, so runs sharing a
+	// registry at the same time report their combined counts.
 	Registry *obs.Registry
 	// Durable enables persistent session state (ingest/results logs plus a
 	// manifest under Durable.StateDir) making the run resumable after a
@@ -79,8 +87,8 @@ type ftEntry struct {
 	store bool
 }
 
-// ftMetrics holds the coordinator-side fault instruments. All fields are
-// nil when no registry was supplied.
+// ftMetrics holds the coordinator-side fault instruments, the one count of
+// each fault event.
 type ftMetrics struct {
 	retries    *obs.Counter
 	reconnects *obs.Counter
@@ -92,7 +100,7 @@ type ftMetrics struct {
 
 func newFTMetrics(reg *obs.Registry) ftMetrics {
 	if reg == nil {
-		return ftMetrics{}
+		reg = obs.NewRegistry()
 	}
 	return ftMetrics{
 		retries: reg.Counter("coord_retries_total",
@@ -108,6 +116,11 @@ func newFTMetrics(reg *obs.Registry) ftMetrics {
 		recovery: reg.Histogram("coord_recovery_seconds",
 			"Time from first failure to successful reconnection."),
 	}
+}
+
+// counts reads the retries, reconnects and replayed records counted so far.
+func (m ftMetrics) counts() [3]uint64 {
+	return [3]uint64{m.retries.Value(), m.reconnects.Value(), m.replayed.Value()}
 }
 
 // ftCollector accumulates the result pairs of every worker connection and
@@ -156,16 +169,19 @@ type ftState struct {
 	sentPos  []int             // guarded by mu
 	alive    []bool            // guarded by mu
 	finished []bool            // guarded by mu
-	rebuilt  []bool            // guarded by mu
 	epoch    []uint64          // guarded by mu
 	conns    []io.Closer       // guarded by mu
 	stats    []wire.Stats      // guarded by mu
 	bounds   []int             // guarded by mu
 	strat    dispatch.Strategy // guarded by mu
 	deadList []int             // guarded by mu
-	closed   bool              // guarded by mu
-	degraded bool              // guarded by mu
-	fatal    error             // guarded by mu
+	// startOver marks tasks whose next hello must not ask to resume: the
+	// run's first hello (unless Durable.Resume), and the first after a
+	// rebuild of the task's log.
+	startOver []bool // guarded by mu
+	closed    bool   // guarded by mu
+	degraded  bool   // guarded by mu
+	fatal     error  // guarded by mu
 }
 
 // ftRunner owns one RunFT invocation.
@@ -191,12 +207,9 @@ type ftRunner struct {
 	runCh   chan struct{}   // completion-watcher wakeup, capacity 1
 	finalCh chan struct{}   // closed when the run is complete
 
-	wg         sync.WaitGroup
-	tuples     atomic.Uint64
-	bytes      atomic.Uint64
-	retries    atomic.Uint64
-	reconnects atomic.Uint64
-	replayed   atomic.Uint64
+	wg     sync.WaitGroup
+	tuples atomic.Uint64
+	bytes  atomic.Uint64
 }
 
 // kick wakes worker task's manager without blocking.
@@ -285,26 +298,29 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		canDegrade: ft.Degraded && sess.Strategy == "length",
 		origBounds: append([]int(nil), sess.Bounds...),
 		start:      time.Now(),
+		planHash:   sess.PlanHash(workers),
 		cancel:     cancel,
 		notify:     make([]chan struct{}, workers),
 		runCh:      make(chan struct{}, 1),
 		finalCh:    make(chan struct{}),
 	}
+	resume := ft.Durable != nil && ft.Durable.Resume
 	alive := make([]bool, workers)
+	startOver := make([]bool, workers)
 	for i := range alive {
-		alive[i] = true
+		alive[i], startOver[i] = true, !resume
 	}
 	f.st = ftState{
-		logs:     make([][]ftEntry, workers),
-		sentPos:  make([]int, workers),
-		alive:    alive,
-		finished: make([]bool, workers),
-		rebuilt:  make([]bool, workers),
-		epoch:    make([]uint64, workers),
-		conns:    make([]io.Closer, workers),
-		stats:    make([]wire.Stats, workers),
-		bounds:   append([]int(nil), sess.Bounds...),
-		strat:    strat,
+		logs:      make([][]ftEntry, workers),
+		sentPos:   make([]int, workers),
+		alive:     alive,
+		finished:  make([]bool, workers),
+		startOver: startOver,
+		epoch:     make([]uint64, workers),
+		conns:     make([]io.Closer, workers),
+		stats:     make([]wire.Stats, workers),
+		bounds:    append([]int(nil), sess.Bounds...),
+		strat:     strat,
 	}
 	for i := range f.notify {
 		f.notify[i] = make(chan struct{}, 1)
@@ -320,8 +336,7 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		}
 		defer ds.close()
 		f.durable = ds
-		f.planHash = sess.PlanHash(workers)
-		if ft.Durable.Resume {
+		if resume {
 			n, serr := ds.seedResults(f.coll)
 			if serr != nil {
 				return nil, serr
@@ -335,6 +350,7 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		}
 	}
 
+	base := f.met.counts()
 	for i := 0; i < workers; i++ {
 		f.wg.Add(1)
 		go func(task int) {
@@ -348,6 +364,7 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		err = f.await(rctx)
 	}
 	if err != nil {
+		// A fatal error cancels the run; report it, not the cancellation.
 		cancel()
 		f.wg.Wait()
 		f.st.mu.Lock()
@@ -360,12 +377,6 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 	}
 	close(f.finalCh)
 	f.wg.Wait()
-	if f.durable != nil {
-		// Both WALs synced so the state directory is complete on disk
-		// before the summary returns.
-		f.durable.ingest.Sync()
-		f.durable.results.Sync()
-	}
 
 	sum := &RunSummary{Records: uint64(len(recs))}
 	f.st.mu.Lock()
@@ -380,9 +391,8 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 	sum.Elapsed = time.Since(f.start)
 	sum.TuplesSent = f.tuples.Load()
 	sum.BytesSent = f.bytes.Load()
-	sum.Retries = f.retries.Load()
-	sum.Reconnects = f.reconnects.Load()
-	sum.ReplayedRecords = f.replayed.Load()
+	c := f.met.counts()
+	sum.Retries, sum.Reconnects, sum.ReplayedRecords = c[0]-base[0], c[1]-base[1], c[2]-base[2]
 	return sum, nil
 }
 
@@ -393,29 +403,16 @@ func (f *ftRunner) dispatch(ctx context.Context, recs []*record.Record) error {
 	touched := make([]int, 0, f.k)
 	for i, r := range recs {
 		if err := ctx.Err(); err != nil {
-			f.st.mu.Lock()
-			fatal := f.st.fatal
-			f.st.mu.Unlock()
-			if fatal != nil {
-				return fatal
-			}
 			return fmt.Errorf("remote: %w", err)
 		}
-		if f.durable != nil {
-			// Persist before routing: a record is only ever sent to a worker
-			// after it is in the ingest log, so a restart can always re-drive
-			// everything any worker might have partially processed.
-			if err := f.durable.appendRecord(uint64(i), r); err != nil {
-				return fmt.Errorf("remote: ingest log append: %w", err)
-			}
+		// Persist before routing: a record is only ever sent to a worker
+		// after it is in the ingest log, so a restart can always re-drive
+		// everything any worker might have partially processed.
+		if err := f.durable.appendRecord(uint64(i), r); err != nil {
+			return fmt.Errorf("remote: ingest log append: %w", err)
 		}
 		touched = touched[:0]
 		f.st.mu.Lock()
-		if f.st.fatal != nil {
-			err := f.st.fatal
-			f.st.mu.Unlock()
-			return err
-		}
 		buf = f.st.strat.Route(r, f.k, buf[:0])
 		for _, dst := range buf {
 			// Dead workers keep empty intervals after rebalance, but the
@@ -436,16 +433,7 @@ func (f *ftRunner) dispatch(ctx context.Context, recs []*record.Record) error {
 	f.st.closed = true
 	f.st.mu.Unlock()
 	f.kickAll()
-	if f.durable != nil {
-		// Ingest complete: sync the log so a crash from here on can replay
-		// the full record stream.
-		if err := f.durable.ingest.Sync(); err != nil {
-			return fmt.Errorf("remote: ingest log sync: %w", err)
-		}
-		f.journal.Append("ingest_sealed", "coordinator",
-			fmt.Sprintf("ingest log sealed at %d records", f.durable.ingest.Next()))
-	}
-	return nil
+	return f.durable.sealIngest(f.journal)
 }
 
 // saveManifest atomically writes the session manifest, once, at the start
@@ -458,7 +446,6 @@ func (f *ftRunner) saveManifest() error {
 	}
 	h.FT = true
 	h.SessionID = f.ft.SessionID
-	h.Durable = true
 	h.PlanHash = f.planHash
 	m := &checkpoint.Manifest{
 		Schema:    checkpoint.ManifestSchema,
@@ -471,36 +458,21 @@ func (f *ftRunner) saveManifest() error {
 }
 
 // await blocks until every alive worker has finished its full log, or the
-// run fails.
+// run is cancelled, which a fatal error does too.
 func (f *ftRunner) await(ctx context.Context) error {
 	for {
 		f.st.mu.Lock()
-		fatal := f.st.fatal
-		done := fatal == nil
-		if done {
-			for i := 0; i < f.k; i++ {
-				if f.st.alive[i] && !f.st.finished[i] {
-					done = false
-					break
-				}
-			}
+		done := f.st.fatal == nil
+		for i := 0; done && i < f.k; i++ {
+			done = !f.st.alive[i] || f.st.finished[i]
 		}
 		f.st.mu.Unlock()
-		if fatal != nil {
-			return fatal
-		}
 		if done {
 			return nil
 		}
 		select {
 		case <-f.runCh:
 		case <-ctx.Done():
-			f.st.mu.Lock()
-			fatal = f.st.fatal
-			f.st.mu.Unlock()
-			if fatal != nil {
-				return fatal
-			}
 			return fmt.Errorf("remote: %w", ctx.Err())
 		}
 	}
@@ -520,7 +492,7 @@ func (f *ftRunner) manage(ctx context.Context, task int) {
 		f.st.mu.Lock()
 		alive := f.st.alive[task]
 		epoch := f.st.epoch[task]
-		resume := !f.st.rebuilt[task]
+		resume := !f.st.startOver[task]
 		parked := f.st.closed && f.st.finished[task]
 		f.st.mu.Unlock()
 		if !alive {
@@ -556,10 +528,7 @@ func (f *ftRunner) manage(ctx context.Context, task int) {
 		if failSince.IsZero() {
 			failSince = time.Now()
 		}
-		f.retries.Add(1)
-		if f.met.retries != nil {
-			f.met.retries.Inc()
-		}
+		f.met.retries.Inc()
 		f.journal.Append("retry", "coordinator",
 			fmt.Sprintf("worker %d attempt %d failed: %v", task, failures, err))
 		if failures > f.ft.Retry.MaxAttempts {
@@ -608,7 +577,6 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 	h.FT = true
 	h.Resume = resume
 	h.SessionID = f.ft.SessionID
-	h.Durable = f.durable != nil
 	h.PlanHash = f.planHash
 	if err := w.WriteHello(h); err != nil {
 		conn.Close()
@@ -623,8 +591,8 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 	// and the write loop. Credits are per-connection by design:
 	// every handshake resets them, so nothing here survives the attempt.
 	var (
-		recCredit  atomic.Int64  // records the worker will currently accept
-		resDurable atomic.Uint64 // distinct durable results received on this connection
+		recCredit   atomic.Int64  // records the worker will currently accept
+		resReceived atomic.Uint64 // distinct results received on this connection
 	)
 
 	ackCh := make(chan uint64, 1) // the worker's resume cursor
@@ -637,12 +605,9 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 		rd := wire.NewReader(conn)
 		ackSeen := false
 		// connSeen dedups result pairs within this connection so a pair in
-		// a frame duplicated by a flaky transport is never credited twice —
-		// the soundness condition of count-based acknowledgement.
-		var connSeen map[[2]record.ID]bool
-		if f.durable != nil {
-			connSeen = make(map[[2]record.ID]bool)
-		}
+		// a frame duplicated by a flaky transport is never acknowledged
+		// twice — the soundness condition of count-based acknowledgement.
+		connSeen := make(map[[2]record.ID]bool)
 		var (
 			batch []wire.Result
 			fresh []bool
@@ -675,18 +640,11 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 					return
 				}
 				fresh = f.coll.add(batch, fresh[:0])
-				if f.met.dupResults != nil {
-					for _, isNew := range fresh {
-						if !isNew {
-							f.met.dupResults.Inc()
-						}
-					}
-				}
-				if f.durable == nil {
-					continue
-				}
-				var credit uint64
+				var n uint64
 				for i, res := range batch {
+					if !fresh[i] {
+						f.met.dupResults.Inc()
+					}
 					key := [2]record.ID{res.A, res.B}
 					if connSeen[key] {
 						continue
@@ -696,19 +654,19 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 						if aerr := f.durable.appendResult(res); aerr != nil {
 							// Fatal, not retried: the frame's later pairs are
 							// marked seen but unlogged, so a re-send would be
-							// credited without ever reaching the log.
+							// acknowledged without ever reaching the log.
 							aerr = fmt.Errorf("remote: results log append: %w", aerr)
 							f.abort(aerr)
 							readErrCh <- aerr
 							return
 						}
 					}
-					// New or re-sent, the result is now (or already was) in
-					// the results log: creditable once synced.
-					credit++
+					// New or re-sent, the result is collected (and, in a
+					// durable run, logged): acknowledgeable.
+					n++
 				}
-				if credit > 0 {
-					resDurable.Add(credit)
+				if n > 0 {
+					resReceived.Add(n)
 					f.kick(task)
 				}
 			case wire.TypeCredit:
@@ -792,23 +750,16 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 		f.st.mu.Unlock()
 		return false, errEpochChanged
 	}
-	f.st.rebuilt[task] = false
+	f.st.startOver[task] = false
 	log := f.st.logs[task]
 	pos := sort.Search(len(log), func(i int) bool { return uint64(log[i].rec.ID) >= next })
 	if prev := f.st.sentPos[task]; prev > pos {
-		n := uint64(prev - pos)
-		f.replayed.Add(n)
-		if f.met.replayed != nil {
-			f.met.replayed.Add(n)
-		}
+		f.met.replayed.Add(uint64(prev - pos))
 	}
 	f.st.mu.Unlock()
 	if isReconnect {
-		f.reconnects.Add(1)
-		if f.met.reconnects != nil {
-			f.met.reconnects.Inc()
-		}
-		if !failSince.IsZero() && f.met.recovery != nil {
+		f.met.reconnects.Inc()
+		if !failSince.IsZero() {
 			f.met.recovery.Observe(time.Since(failSince))
 		}
 		f.journal.Append("reconnect", "coordinator",
@@ -832,7 +783,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 	ping := time.NewTicker(f.hbInterval)
 	defer ping.Stop()
 	eofSent := false
-	var credited uint64 // result credits granted on this connection
+	var acked uint64 // results acknowledged on this connection
 	for {
 		f.st.mu.Lock()
 		if f.st.epoch[task] != epoch {
@@ -846,22 +797,26 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 
 		// Result acknowledgements flow before anything else — and crucially
 		// regardless of record credit, or a worker withholding credit could
-		// never drain its unacked buffer. The sync makes every credited
-		// result durable whatever the WAL's background fsync policy says.
-		// None flow after EOF: the worker answers it with Stats and closes
-		// without reading further, so a late credit would hit a closed
-		// connection and fail an attempt that has in fact finished.
-		if f.durable != nil && !eofSent {
-			if d := resDurable.Load(); d > credited {
-				if serr := f.durable.results.Sync(); serr != nil {
+		// never drain its unacked buffer. A worker drops acknowledged
+		// results from the front of its unacked buffer: sound because a
+		// connection delivers frames in order with only tail loss, so the
+		// results counted here are that front. In a durable run the sync
+		// makes every acknowledged result durable whatever the WAL's
+		// background fsync policy says. None flow after EOF: the worker
+		// answers it with Stats and closes without reading further, so a
+		// late credit would hit a closed connection and fail an attempt
+		// that has in fact finished.
+		if !eofSent {
+			if d := resReceived.Load(); d > acked {
+				if serr := f.durable.syncResults(); serr != nil {
 					drainReader()
 					return true, fmt.Errorf("remote: results log sync: %w", serr)
 				}
-				if werr := w.WriteCredit(d - credited); werr != nil {
+				if werr := w.WriteCredit(d - acked); werr != nil {
 					drainReader()
 					return true, fmt.Errorf("remote: credit to worker %d: %w", task, werr)
 				}
-				credited = d
+				acked = d
 			}
 		}
 
@@ -955,9 +910,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 // degraded mode its log merges into the heir's and the partition
 // rebalances; otherwise the run fails.
 func (f *ftRunner) declareDead(task, failures int, cause error) {
-	if f.met.dead != nil {
-		f.met.dead.Add(1)
-	}
+	f.met.dead.Add(1)
 	f.journal.Append("worker_dead", "coordinator",
 		fmt.Sprintf("worker %d declared dead after %d attempts: %v", task, failures, cause))
 	var (
@@ -987,7 +940,7 @@ func (f *ftRunner) declareDead(task, failures int, cause error) {
 		f.st.logs[heir] = mergeFTLogs(f.st.logs[heir], f.st.logs[task])
 		f.st.logs[task] = nil
 		f.st.sentPos[heir] = 0
-		f.st.rebuilt[heir] = true
+		f.st.startOver[heir] = true
 		f.st.epoch[heir]++
 		f.st.finished[heir] = false
 		f.st.degraded = true

@@ -33,9 +33,8 @@ type Monitor struct {
 	// DuplicateRecords counts records dropped by the FT replay/duplicate
 	// filter (ID at or below the resume cursor).
 	DuplicateRecords atomic.Uint64
-	// UnackedResults gauges results buffered by durable sessions awaiting a
-	// coordinator durability acknowledgement — the worker-side backpressure
-	// signal. A session at 8192 or more withholds record credit, so one
+	// UnackedResults gauges results buffered by FT sessions awaiting a
+	// coordinator acknowledgement — the worker-side backpressure signal. A session at 8192 or more withholds record credit, so one
 	// session's buffer stays within 8192 + 4096 × (the most results one
 	// record emits), even if the coordinator stops acking.
 	UnackedResults atomic.Int64
@@ -167,7 +166,7 @@ func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 		"Records dropped by the FT replay/duplicate filter.",
 		func() float64 { return float64(m.DuplicateRecords.Load()) })
 	reg.GaugeFunc("worker_unacked_results",
-		"Results buffered by durable sessions awaiting coordinator acknowledgement.",
+		"Results buffered by FT sessions awaiting coordinator acknowledgement.",
 		func() float64 {
 			n := m.UnackedResults.Load()
 			if n < 0 {

@@ -128,7 +128,7 @@ const (
 	// workerRecordWindow is the per-connection record credit granted in the
 	// resume ack; half of it is the replenishment batch.
 	workerRecordWindow = 4096
-	// A durable session withholds record credit while its unacked buffer
+	// An FT session withholds record credit while its unacked buffer
 	// holds unackedHigh results or more, and grants what it withheld once
 	// acknowledgements bring the buffer to unackedLow or below. The
 	// coordinator can send at most workerRecordWindow records past the
@@ -140,27 +140,22 @@ const (
 )
 
 // writeCheckpointFile atomically replaces path with a fresh checkpoint of
-// j at cursor cur (write to a temp file, then rename). A non-nil meta
-// prepends the v2 session envelope (plan hash, unacked results).
+// j at cursor cur behind the session envelope meta (plan hash, unacked
+// results): write to a temp file, then rename.
 func writeCheckpointFile(path string, cur checkpoint.Cursor, j local.Joiner, meta *checkpoint.SessionMeta) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if meta != nil {
-		if err := checkpoint.WriteSessionHeader(f, *meta); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
+	err = checkpoint.WriteSessionHeader(f, *meta)
+	if err == nil {
+		err = checkpoint.Write(f, cur, j)
 	}
-	if err := checkpoint.Write(f, cur, j); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
@@ -175,17 +170,20 @@ func writeCheckpointFile(path string, cur checkpoint.Cursor, j local.Joiner, met
 //     worker expects — restored from its checkpoint when the hello asked
 //     to resume (and one exists), zero otherwise — plus the initial record
 //     credit, replenished with Credit frames as records are consumed;
-//   - a durable session withholds that replenishment while its unacked
-//     result buffer is at unackedHigh, which bounds the buffer;
+//   - every result stays in an unacked buffer until a coordinator Credit
+//     frame acknowledges it, and the session withholds record credit
+//     while that buffer is at unackedHigh, which bounds it;
 //   - a hello with FT set but Resume clear discards any stale checkpoint
-//     for the session: the coordinator is rebuilding this worker's state
-//     from scratch and a later resume must not revive pre-rebuild state;
+//     for the session: the coordinator starts this worker's state from
+//     scratch (a fresh run, or a rebuilt log) and a later resume must not
+//     revive older state;
 //   - Ping frames are answered with a flushed Pong;
 //   - records with IDs at or below the resume cursor are dropped as
 //     duplicates (the coordinator replays at least the lost tail, and the
 //     fault-injection harness can duplicate frames outright);
 //   - the window is checkpointed periodically (CheckpointInterval) and on
-//     any unclean exit, and the checkpoint is removed on a clean EOF.
+//     any unclean exit, behind an envelope holding the plan hash and the
+//     unacked buffer, and the checkpoint is removed on a clean EOF.
 func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOpts) error {
 	mon := o.Mon
 	wr := wire.NewWriter(w)
@@ -249,14 +247,14 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		lastID   uint64
 		lastTime int64
 		haveLast bool
-		// unacked is the durable-mode result buffer: everything emitted but
-		// not yet acknowledged as durable by a coordinator Credit frame, in
-		// emission order. Restored from the checkpoint's v2 envelope on
-		// resume and re-sent after the ack.
+		// unacked is the FT result buffer: everything emitted but not yet
+		// acknowledged by a coordinator Credit frame, in emission order.
+		// Restored from the checkpoint's envelope on resume and re-sent
+		// after the ack.
 		unacked []wire.Result
-		// withholding is set while a durable session keeps the record
-		// credit of consumed records back (unackedHigh); consumed counts
-		// the records whose credit is not yet returned.
+		// withholding is set while the session keeps the record credit of
+		// consumed records back (unackedHigh); consumed counts the records
+		// whose credit is not yet returned.
 		withholding bool
 		consumed    uint64
 	)
@@ -271,10 +269,10 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 					local.CloseJoiner(joiner)
 					joiner = local.New(sess.Algorithm, opts)
 				}
-				meta, body, isV2, herr := checkpoint.ReadSessionHeader(bytes.NewReader(blob))
+				meta, body, herr := checkpoint.ReadSessionHeader(bytes.NewReader(blob))
 				if herr != nil {
 					startFresh(herr)
-				} else if isV2 && h.PlanHash != 0 && meta.PlanHash != 0 && meta.PlanHash != h.PlanHash {
+				} else if meta.PlanHash != h.PlanHash {
 					// The checkpoint belongs to a different launch plan —
 					// a stale state directory reused under the same session
 					// id. Resuming it would replay wrong-range records, so
@@ -341,7 +339,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		batch = append(batch, wire.Result{A: a, B: b, Sim: m.Sim})
 	}
 	// sendBatch writes the stepped record's pairs as one Result frame and,
-	// in a durable session, buffers them unacked pair by pair.
+	// in an FT session, buffers them unacked pair by pair.
 	sendBatch := func() error {
 		n := len(batch)
 		emitted += uint64(n)
@@ -349,7 +347,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 			mon.ResultsEmitted.Add(uint64(n))
 		}
 		err := wr.WriteResults(cur.ID, batch)
-		if h.Durable {
+		if h.FT {
 			unacked = append(unacked, batch...)
 			if mon != nil {
 				mon.UnackedResults.Add(int64(n))
@@ -368,9 +366,10 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		return err
 	}
 
-	// Re-send the restored unacked tail: the previous coordinator may have
-	// died before persisting these; the new one's dedup drops any it
-	// already has and acknowledges all of them either way.
+	// Re-send the restored unacked tail: the previous connection may have
+	// lost these, or the previous coordinator died before persisting them;
+	// the new one's dedup drops any it already has and acknowledges all of
+	// them either way.
 	for _, res := range unacked {
 		if err := wr.WriteResult(res); err != nil {
 			return fmt.Errorf("remote: re-sending unacked result: %w", err)
@@ -385,13 +384,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	sendStats := func() error {
 		var c local.Cost
 		if bi != nil {
-			cl, cr := bi.CostLeft(), bi.CostRight()
-			c = local.Cost{
-				Probes: cl.Probes + cr.Probes, Stored: cl.Stored + cr.Stored,
-				Scanned: cl.Scanned + cr.Scanned, Candidates: cl.Candidates + cr.Candidates,
-				Verified: cl.Verified + cr.Verified, Results: cl.Results + cr.Results,
-				VerifySteps: cl.VerifySteps + cr.VerifySteps, Postings: cl.Postings + cr.Postings,
-			}
+			c = bi.Cost()
 		} else {
 			c = joiner.Cost()
 		}
@@ -407,19 +400,14 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		if ckptPath == "" || !haveLast {
 			return
 		}
-		// Flush-consistency: a checkpoint's cursor may only cover records
-		// whose results are on the wire, or a resume would skip replaying
-		// them and their results would be lost with the dead connection.
-		// When the flush fails the connection is broken and the previous
-		// (flush-consistent) checkpoint stays in place.
-		if err := wr.Flush(); err != nil {
-			return
-		}
+		// The envelope's unacked buffer holds every result of a record the
+		// cursor covers that the coordinator has not acknowledged, so the
+		// checkpoint is sound whether or not those results reached it. The
+		// flush only lets the coordinator acknowledge them sooner; on a
+		// broken connection it fails, and the checkpoint is saved anyway.
+		_ = wr.Flush()
 		cur := checkpoint.Cursor{NextID: lastID + 1, NextTime: lastTime + 1}
-		var meta *checkpoint.SessionMeta
-		if h.Durable || h.PlanHash != 0 {
-			meta = &checkpoint.SessionMeta{PlanHash: h.PlanHash, Unacked: unacked}
-		}
+		meta := &checkpoint.SessionMeta{PlanHash: h.PlanHash, Unacked: unacked}
 		if err := writeCheckpointFile(ckptPath, cur, joiner, meta); err != nil {
 			o.logf("remote worker: checkpoint write failed: %v", err)
 			return
@@ -527,9 +515,10 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 					}
 				}
 			case wire.TypeCredit:
-				// Coordinator acknowledgement: the first n results of the
-				// unacked buffer are durable in its results log. Clamp n —
-				// counts are advisory, the buffer is the truth.
+				// Coordinator acknowledgement: it holds the first n results
+				// of the unacked buffer (in a durable run, in its results
+				// log). Clamp n — counts are advisory, the buffer is the
+				// truth.
 				n, cerr := rd.ReadCredit()
 				if cerr != nil {
 					return cerr

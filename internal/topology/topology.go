@@ -790,17 +790,7 @@ func run(cfg Config, nrecs uint64, spoutF func(int) stream.Spout, bi bool, cur c
 			res.Checkpoints[i] = buf.Bytes()
 		}
 		if w.bi != nil {
-			cl, cr := w.bi.CostLeft(), w.bi.CostRight()
-			res.WorkerCosts = append(res.WorkerCosts, local.Cost{
-				Probes:      cl.Probes + cr.Probes,
-				Stored:      cl.Stored + cr.Stored,
-				Scanned:     cl.Scanned + cr.Scanned,
-				Candidates:  cl.Candidates + cr.Candidates,
-				Verified:    cl.Verified + cr.Verified,
-				Results:     cl.Results + cr.Results,
-				VerifySteps: cl.VerifySteps + cr.VerifySteps,
-				Postings:    cl.Postings + cr.Postings,
-			})
+			res.WorkerCosts = append(res.WorkerCosts, w.bi.Cost())
 		} else {
 			res.WorkerCosts = append(res.WorkerCosts, w.joiner.Cost())
 		}

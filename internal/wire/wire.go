@@ -68,21 +68,24 @@ const (
 	// TypeCredit grants flow-control credit; payload is one uvarint
 	// delta. Worker→coordinator it means "I processed n more records; send
 	// n more". Coordinator→worker it acknowledges n more results as
-	// durable (persisted to the results log), letting the worker drop them
-	// from its unacknowledged-result buffer. Credits are per-connection
-	// and reset at each handshake. handled-by: coordinator,worker
+	// received (and, in a durable run, persisted to the results log),
+	// letting the worker drop them from its unacknowledged-result buffer.
+	// Credits are per-connection and reset at each handshake.
+	// handled-by: coordinator,worker
 	TypeCredit
 )
 
 // Version is the protocol version carried in Hello, and the only one a
 // peer accepts (ReadHello rejects any other). It covers the FT handshake
-// (session ID, FT/Resume/Durable flags, the partition-plan hash, the
-// two-field ResumeAck), the Ping/Pong/Credit frames, Result frames that
-// carry every pair of one probe (version 5), Record frames whose flags are
-// the store and side bits alone (version 6: the trace annotation is gone,
-// and a decoder refuses any other bit), and credit as the only flow
-// control (version 7: the Pause and Resume frames are gone).
-const Version = 7
+// (session ID, FT/Resume flags, the partition-plan hash, the two-field
+// ResumeAck), the Ping/Pong/Credit frames, Result frames that carry every
+// pair of one probe (version 5), Record frames whose flags are the store
+// and side bits alone (version 6: the trace annotation is gone, and a
+// decoder refuses any other bit), credit as the only flow control
+// (version 7: the Pause and Resume frames are gone), and one FT protocol
+// (version 8: every FT session acknowledges its results, the Durable flag
+// is gone, and a decoder refuses any Hello flag bit it does not know).
+const Version = 8
 
 // MaxFrame bounds a frame payload; larger frames indicate corruption.
 const MaxFrame = 1 << 24
@@ -122,18 +125,22 @@ type Hello struct {
 	// SessionID names the run across reconnects; FT checkpoints are keyed
 	// by it. Zero for non-FT sessions.
 	SessionID uint64
-	// Durable (flags bit 16) marks a session whose results are
-	// persisted coordinator-side: the worker must buffer results until the
-	// coordinator acknowledges them with Credit frames, and re-send the
-	// unacknowledged tail after a resume.
-	Durable bool
 	// PlanHash fingerprints the session's launch configuration (partition
 	// plan, strategy, similarity parameters). A resuming worker compares it
 	// against its checkpoint and rejects a mismatch — the checkpoint belongs
-	// to a different plan and would replay wrong-range records. Zero when
-	// the coordinator has no plan to pin (non-durable runs).
+	// to a different plan and would replay wrong-range records. Zero for
+	// non-FT sessions.
 	PlanHash uint64
 }
+
+// The Hello flag bits; a decoder refuses any other. Bit 4 (16) was the
+// Durable flag of protocol version 7.
+const (
+	helloOneByOne byte = 1 << iota
+	helloBi
+	helloFT
+	helloResume
+)
 
 // Record is a routed record copy with its storage role and, for
 // two-stream sessions, its side.
@@ -227,19 +234,16 @@ func (w *Writer) WriteHello(h Hello) error {
 	w.putUvarint(uint64(h.MaxMembers))
 	var flags byte
 	if h.OneByOne {
-		flags |= 1
+		flags |= helloOneByOne
 	}
 	if h.Bi {
-		flags |= 2
+		flags |= helloBi
 	}
 	if h.FT {
-		flags |= 4
+		flags |= helloFT
 	}
 	if h.Resume {
-		flags |= 8
-	}
-	if h.Durable {
-		flags |= 16
+		flags |= helloResume
 	}
 	w.buf = append(w.buf, flags)
 	w.putUvarint(h.SessionID)
@@ -495,6 +499,11 @@ func (r *Reader) Next() (byte, error) {
 	return typ, nil
 }
 
+// Rest returns the stream after the last frame Next read: the bytes the
+// Reader buffered ahead, then the rest of the source. It lets frames
+// prefix a stream that another decoder reads on.
+func (r *Reader) Rest() io.Reader { return r.r }
+
 // frameErr converts an EOF mid-frame into ErrUnexpectedEOF so that callers
 // can distinguish clean stream end (io.EOF from Next's first byte) from a
 // truncated frame.
@@ -596,16 +605,18 @@ func (r *Reader) ReadHello() (Hello, error) {
 	if err != nil {
 		return h, err
 	}
-	h.OneByOne = ob&1 != 0
-	h.Bi = ob&2 != 0
-	h.FT = ob&4 != 0
-	h.Resume = ob&8 != 0
-	h.Durable = ob&16 != 0
+	h.OneByOne = ob&helloOneByOne != 0
+	h.Bi = ob&helloBi != 0
+	h.FT = ob&helloFT != 0
+	h.Resume = ob&helloResume != 0
 	if h.SessionID, err = p.uvarint(); err != nil {
 		return h, err
 	}
 	if h.Version != Version {
 		return h, fmt.Errorf("wire: protocol version %d, want %d", h.Version, Version)
+	}
+	if ob&^(helloOneByOne|helloBi|helloFT|helloResume) != 0 {
+		return h, fmt.Errorf("wire: hello flags %#02x set an unknown bit", ob)
 	}
 	if h.PlanHash, err = p.uvarint(); err != nil {
 		return h, err

@@ -151,7 +151,7 @@ func TestHelloVersionRejected(t *testing.T) {
 func TestHelloV4FieldsRoundTrip(t *testing.T) {
 	h := Hello{
 		Version: Version, Task: 2, Workers: 4, Threshold: 0.8, Bounds: []int{10, 20},
-		FT: true, Durable: true, SessionID: 42, PlanHash: 0xFEEDFACE12345678,
+		FT: true, SessionID: 42, PlanHash: 0xFEEDFACE12345678,
 	}
 	r := roundTripFrames(t, func(w *Writer) error { return w.WriteHello(h) })
 	if _, err := r.Next(); err != nil {
@@ -163,6 +163,37 @@ func TestHelloV4FieldsRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, h) {
 		t.Fatalf("v4 hello mismatch:\ngot  %+v\nwant %+v", got, h)
+	}
+}
+
+// TestHelloRejectsUnknownFlagBits: bit 4, the Durable flag of version 7,
+// and every bit above it are refused, as DecodeRecord refuses unknown
+// record flags.
+func TestHelloRejectsUnknownFlagBits(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.WriteHello(Hello{Version: Version, Threshold: 0.7, FT: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	frame := buf.Bytes()
+	// The flags byte precedes the one-byte session ID and plan hash.
+	flags := len(frame) - 3
+	if frame[flags] != helloFT {
+		t.Fatalf("flags byte %#02x at %d, want the FT bit alone", frame[flags], flags)
+	}
+	for bit := 4; bit < 8; bit++ {
+		bad := bytes.Clone(frame)
+		bad[flags] |= 1 << bit
+		r := NewReader(bytes.NewReader(bad))
+		if _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if h, err := r.ReadHello(); err == nil {
+			t.Errorf("hello with flag bit %d decoded as %+v", bit, h)
+		}
 	}
 }
 
