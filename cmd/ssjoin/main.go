@@ -59,18 +59,17 @@ func main() {
 		par     = flag.Int("parallel", runtime.GOMAXPROCS(0), "verifier goroutines per worker (bundle algorithm, in-process runs): candidate verification fans out across cores with deterministic output; 1 disables, 0 or less means the default")
 		win     = flag.Int64("window", 0, "count window (0 = unbounded)")
 		pairs   = flag.Bool("pairs", false, "print result pairs")
-		asJSON  = flag.Bool("json", false, "print the run summary as JSON on stdout")
+		asJSON  = flag.Bool("json", false, "print the in-process run summary as JSON on stdout (not with -remote or -resume)")
 		rmt     = flag.String("remote", "", "comma-separated ssjoinworker addresses; replaces the in-process engine")
 
 		coordHTTP = flag.String("http", "", "with -remote: coordinator HTTP address serving /metrics, /debug/events, /debug/pprof, and /healthz for the length of the run")
 
 		ft        = flag.Bool("ft", false, "fault-tolerant remote run: heartbeats, retry with backoff, checkpointed resume (requires -remote)")
-		retries   = flag.Int("retries", 4, "FT: consecutive failed reconnect attempts before a worker is declared dead")
+		retries   = flag.Int("retries", 4, "FT: consecutive failed reconnect attempts before a worker is declared dead and the run fails")
 		retryBase = flag.Duration("retry-base", 50*time.Millisecond, "FT: first-retry backoff delay")
 		retryCap  = flag.Duration("retry-cap", 2*time.Second, "FT: backoff delay ceiling")
 		hbIvl     = flag.Duration("hb-interval", time.Second, "FT: heartbeat ping interval on idle connections")
 		hbTimeout = flag.Duration("hb-timeout", 0, "FT: silence span declaring a connection hung (0: 5x interval)")
-		degraded  = flag.Bool("degraded", false, "FT: on a worker death, rebalance its length ranges onto survivors instead of failing (length distribution only)")
 
 		stateDir = flag.String("state-dir", "", "durable session state directory (manifest + ingest/results logs) making the run resumable with -resume after a coordinator crash; implies -ft, requires -remote")
 		resume   = flag.Bool("resume", false, "relaunch a killed durable run from -state-dir: session configuration, input stream, and completed results all come from the state directory (-in/-profile are ignored)")
@@ -87,6 +86,12 @@ func main() {
 	}
 	if *stateDir != "" && *rmt == "" && !*resume {
 		fatal(errors.New("-state-dir requires -remote"))
+	}
+	if *ft && *rmt == "" && !*resume {
+		fatal(errors.New("-ft requires -remote"))
+	}
+	if *asJSON && (*rmt != "" || *resume) {
+		fatal(errors.New("-json applies to in-process runs only, not -remote or -resume"))
 	}
 
 	if *rmt != "" || *resume {
@@ -107,7 +112,6 @@ func main() {
 				HeartbeatInterval: *hbIvl,
 				HeartbeatTimeout:  *hbTimeout,
 				SessionID:         id,
-				Degraded:          *degraded,
 			}
 		}
 		if *resume {
@@ -387,10 +391,9 @@ func execRemote(addrs []string, sess remote.Session, recs []*record.Record, pair
 		"remote: workers=%d records=%d results=%d elapsed=%v throughput=%.0f rec/s sent=%d tuples (%d bytes)\n",
 		len(addrs), sum.Records, sum.Results, sum.Elapsed,
 		float64(sum.Records)/sum.Elapsed.Seconds(), sum.TuplesSent, sum.BytesSent)
-	if ftCfg != nil && (sum.Retries > 0 || sum.Reconnects > 0 || sum.Degraded) {
-		fmt.Fprintf(os.Stderr,
-			"remote: ft: retries=%d reconnects=%d replayed=%d degraded=%v dead=%v\n",
-			sum.Retries, sum.Reconnects, sum.ReplayedRecords, sum.Degraded, sum.DeadWorkers)
+	if ftCfg != nil && (sum.Retries > 0 || sum.Reconnects > 0) {
+		fmt.Fprintf(os.Stderr, "remote: ft: retries=%d reconnects=%d replayed=%d\n",
+			sum.Retries, sum.Reconnects, sum.ReplayedRecords)
 	}
 	return nil
 }

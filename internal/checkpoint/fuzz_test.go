@@ -13,9 +13,9 @@ import (
 	"repro/internal/workload"
 )
 
-// hostileHeader is a 16-byte envelope whose one Result frame declares
+// hostileHeader is an 18-byte envelope whose one Result frame declares
 // 2^24 unacked results and carries none.
-var hostileHeader = binary.AppendUvarint(append(append([]byte{}, magic2...), 0, wire.TypeResult, 5, 0), 1<<24)
+var hostileHeader = binary.AppendUvarint(append(append([]byte{}, magic2...), 0, 0, wire.TypeResult, 6, 0, 0), 1<<24)
 
 // TestHostileUnackedCountIsRejectedUnallocated: a snapshot is outside
 // input, so the unacked count it declares must not size an allocation
@@ -54,9 +54,25 @@ func FuzzCheckpointRead(f *testing.F) {
 		f.Fatal(err)
 	}
 	env.Write(body.Bytes())
+	// Results 12–14, one probe's pairs split over two frames, as a worker
+	// whose acknowledged count fell between them keeps them.
+	var split bytes.Buffer
+	split.Write(binary.AppendUvarint(binary.AppendUvarint(bytes.Clone(magic2), 7), 15))
+	ww := wire.NewWriter(&split)
+	ww.SetResultNumber(12)
+	for _, rs := range [][]wire.Result{{{A: 1, B: 9, Sim: 0.8}, {A: 4, B: 9, Sim: 0.9}}, {{A: 6, B: 9, Sim: 1}}} {
+		if err := ww.WriteResults(9, rs); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := ww.WriteEOF(); err != nil {
+		f.Fatal(err)
+	}
+	split.Write(body.Bytes())
 	f.Add(body.Bytes())
 	f.Add(env.Bytes())
 	f.Add(hostileHeader)
+	f.Add(split.Bytes())
 	tail := recs[30:33]
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -10,18 +10,19 @@ import (
 )
 
 // ManifestSchema is the current manifest format version. It also versions
-// the results log beside the manifest: schema 2 logs hold wire version 5
-// Result frames (probe ID, count, partner distance), schema 1 logs the
-// earlier (A, B) pair frames, which no longer decode.
-const ManifestSchema = 2
+// the results log beside the manifest: schema 3 logs hold one entry per
+// received Result frame, its task then its wire version 9 payload (first
+// result number, probe ID, count, partner distances); schema 2 logs held
+// one unnumbered pair per entry and schema 1 logs (A, B) pair frames,
+// neither of which decodes any more.
+const ManifestSchema = 3
 
 // Manifest is the coordinator's session checkpoint: what a fresh
 // coordinator process needs, beside the ingest and results logs, to re-run
 // the session — the full launch configuration (as the wire Hello it would
 // send, minus per-task fields) and the worker fleet. It is written once,
-// when the run starts, so it holds the *launch* partition plan even for
-// sessions that later degraded: the plan hash must stay stable so
-// surviving workers accept the resume. Manifests of earlier releases carry
+// when the run starts; the plan hash it holds is the one every worker's
+// checkpoint must match to be resumed. Manifests of earlier releases carry
 // more fields; LoadManifest ignores them.
 type Manifest struct {
 	Schema    int    `json:"schema"`

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -74,14 +75,63 @@ func TestSessionHeaderRefusesOtherFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 	older := append([]byte("SSJCKPT\x02"), 0, 0) // plan hash 0, no unacked results
+	unnumbered := append([]byte("SSJCKPT\x03"), 0, wire.TypeEOF, 0)
 	for name, data := range map[string][]byte{
-		"bare body":      body.Bytes(),
-		"older envelope": append(older, body.Bytes()...),
+		"bare body":           body.Bytes(),
+		"older envelope":      append(older, body.Bytes()...),
+		"unnumbered envelope": append(unnumbered, body.Bytes()...),
 	} {
 		if meta, _, err := ReadSessionHeader(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s read as an envelope: %+v", name, meta)
 		}
 	}
+}
+
+// TestSessionHeaderNumbersUnacked: the envelope keeps the number of the
+// first unacknowledged result, and refuses results whose numbers leave a
+// gap or stop short of the next result number it declares.
+func TestSessionHeaderNumbersUnacked(t *testing.T) {
+	meta := SessionMeta{PlanHash: 5, Acked: 40, Unacked: []wire.Result{{A: 1, B: 9, Sim: 1}, {A: 2, B: 9, Sim: 1}, {A: 3, B: 11, Sim: 1}}}
+	var buf bytes.Buffer
+	if err := WriteSessionHeader(&buf, meta); err != nil {
+		t.Fatal(err)
+	}
+	if got, _, err := ReadSessionHeader(bytes.NewReader(buf.Bytes())); err != nil || !reflect.DeepEqual(got, meta) {
+		t.Fatalf("read back %+v, %v; want %+v", got, err, meta)
+	}
+	if got, _, err := ReadSessionHeader(bytes.NewReader(appendEnvelope(5, 7))); err != nil || got.Acked != 7 || len(got.Unacked) != 0 {
+		t.Fatalf("an envelope with nothing unacked reads back as %+v, %v", got, err)
+	}
+	for name, frames := range map[string][][2]uint64{
+		"gap":         {{40, 1}, {42, 1}}, // [first, pairs] per frame
+		"short":       {{40, 1}},
+		"past next":   {{40, 3}},
+		"before next": {{38, 1}, {39, 1}},
+	} {
+		if got, _, err := ReadSessionHeader(bytes.NewReader(appendEnvelope(5, 42, frames...))); err == nil {
+			t.Errorf("%s: read as %+v", name, got)
+		}
+	}
+}
+
+// appendEnvelope returns an envelope whose next result number is next and
+// whose Result frames are numbered and sized as frames says, each one
+// probe's pairs.
+func appendEnvelope(planHash, next uint64, frames ...[2]uint64) []byte {
+	var buf bytes.Buffer
+	buf.Write(binary.AppendUvarint(binary.AppendUvarint(bytes.Clone(magic2), planHash), next))
+	w := wire.NewWriter(&buf)
+	for i, fr := range frames {
+		probe := record.ID(100 + i)
+		rs := make([]wire.Result, fr[1])
+		for j := range rs {
+			rs[j] = wire.Result{A: record.ID(j), B: probe, Sim: 1}
+		}
+		w.SetResultNumber(fr[0])
+		w.WriteResults(probe, rs) //nolint:errcheck
+	}
+	w.WriteEOF() //nolint:errcheck
+	return buf.Bytes()
 }
 
 func TestV1ReaderRejectsV2File(t *testing.T) {
@@ -147,12 +197,12 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestLoadsEarlierFields: a schema-2 manifest written by an earlier
-// release also carries the current bounds, the log positions and per-task
-// send cursors, rewritten during the run; they are ignored on load.
+// TestManifestLoadsEarlierFields: the fields schema-2 manifests of earlier
+// releases also carried — the current bounds, the log positions and
+// per-task send cursors, rewritten during the run — are ignored on load.
 func TestManifestLoadsEarlierFields(t *testing.T) {
 	path := filepath.Join(t.TempDir(), ManifestPath)
-	old := `{"schema": 2, "session_id": 48879, "plan_hash": 12345,
+	old := `{"schema": 3, "session_id": 48879, "plan_hash": 12345,
 		"hello": {"Version": 6, "Threshold": 0.7, "Bounds": [10, 20]},
 		"workers": ["a:1", "b:2"], "bounds": [10, 10],
 		"ingest_next": 500, "results_next": 77,

@@ -7,11 +7,14 @@ import (
 	"io"
 	"net"
 	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/faultwire"
+	"repro/internal/obs"
+	"repro/internal/record"
 	"repro/internal/window"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -217,4 +220,117 @@ func TestRunFTFreshRunIgnoresStaleCheckpoint(t *testing.T) {
 			}
 		})
 	}
+}
+
+// fakeWorker is one connection, over net.Pipe, to a worker that answers
+// the hello (an FT one with a resume ack from scratch), writes the Result
+// frames send writes, and then hangs up if hangUp is set, or else drops
+// whatever the coordinator sends until the coordinator hangs up.
+func fakeWorker(send func(w *wire.Writer), hangUp bool) io.ReadWriteCloser {
+	srv, cli := net.Pipe()
+	go func() {
+		defer srv.Close()
+		rd := wire.NewReader(srv)
+		if typ, err := rd.Next(); err != nil || typ != wire.TypeHello {
+			return
+		}
+		h, err := rd.ReadHello()
+		if err != nil {
+			return
+		}
+		drained := make(chan struct{})
+		go func() {
+			defer close(drained)
+			io.Copy(io.Discard, rd.Rest()) //nolint:errcheck
+		}()
+		w := wire.NewWriter(srv)
+		if h.FT {
+			w.WriteResumeAck(0, workerRecordWindow) //nolint:errcheck
+		}
+		send(w)
+		if w.Flush() == nil && !hangUp {
+			<-drained
+		}
+	}()
+	return cli
+}
+
+// probeResults writes probe's pairs with each partner, numbered from first.
+func probeResults(w *wire.Writer, first uint64, probe record.ID, partners ...record.ID) {
+	rs := make([]wire.Result, len(partners))
+	for i, p := range partners {
+		rs[i] = wire.Result{A: p, B: probe, Sim: 1}
+	}
+	w.SetResultNumber(first)
+	w.WriteResults(probe, rs) //nolint:errcheck
+}
+
+// TestResultNumberGapFailsTheSession: a Result frame numbered past the
+// next result its connection owes fails plain Run and an FT attempt.
+func TestResultNumberGapFailsTheSession(t *testing.T) {
+	checkNoLeaks(t)
+	sess := testSession(0.7, "broadcast", nil)
+	recs := []*record.Record{{ID: 0, Tokens: []uint32{1, 2}}, {ID: 1, Time: 1, Tokens: []uint32{1, 2}}}
+	gap := func(w *wire.Writer) {
+		probeResults(w, 0, 1, 0)
+		probeResults(w, 5, 2, 0)
+	}
+	const want = "numbered from 5, want 1"
+	t.Run("plain", func(t *testing.T) {
+		conn := fakeWorker(gap, false)
+		defer conn.Close()
+		if _, err := Run(context.Background(), []io.ReadWriter{conn}, sess, recs, false); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("plain run over a numbering gap: %v, want %q", err, want)
+		}
+	})
+	t.Run("ft", func(t *testing.T) {
+		dial := func(context.Context, int) (io.ReadWriteCloser, error) { return fakeWorker(gap, false), nil }
+		ft := fastFT(0x6A9)
+		ft.Retry.MaxAttempts = 0
+		if _, err := RunFT(context.Background(), dial, 1, sess, recs, Opts{}, ft); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("ft run over a numbering gap: %v, want %q", err, want)
+		}
+	})
+}
+
+// TestResultStraddlingHaveFailsTheAttempt: a reconnected worker's frame
+// that starts below the results its task has collected and ends above them
+// cannot come from the task's one result sequence, and fails the attempt.
+func TestResultStraddlingHaveFailsTheAttempt(t *testing.T) {
+	checkNoLeaks(t)
+	var attempts atomic.Int64
+	dial := func(context.Context, int) (io.ReadWriteCloser, error) {
+		switch attempts.Add(1) {
+		case 1: // results 0 and 1, then the connection breaks
+			return fakeWorker(func(w *wire.Writer) { probeResults(w, 0, 2, 0, 1) }, true), nil
+		case 2: // results 1 to 3: one collected, two not
+			return fakeWorker(func(w *wire.Writer) { probeResults(w, 1, 3, 0, 1) }, false), nil
+		}
+		return nil, errors.New("injected: worker gone")
+	}
+	recs := make([]*record.Record, 4)
+	for i := range recs {
+		recs[i] = &record.Record{ID: record.ID(i), Time: int64(i), Tokens: []uint32{1, 2}}
+	}
+	journal := obs.NewJournal(64)
+	ft := fastFT(0x57AD)
+	ft.Retry.MaxAttempts = 1
+	// Bounded: a coordinator that took the frame would wait for Stats from
+	// attempt 2's worker forever.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := RunFT(ctx, dial, 1, testSession(0.7, "broadcast", nil), recs, Opts{Journal: journal}, ft); err == nil {
+		t.Fatal("the run finished")
+	}
+	const want = "sent results 1 to 3, 2 collected"
+	var retries []string
+	for _, ev := range journal.Recent(64) {
+		if ev.Type == "retry" {
+			if strings.Contains(ev.Msg, want) {
+				return
+			}
+			retries = append(retries, ev.Msg)
+		}
+	}
+	t.Fatalf("no attempt failed with %q; retries: %q", want, retries)
 }

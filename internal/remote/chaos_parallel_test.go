@@ -17,6 +17,7 @@ import (
 // the chaos variant for intra-worker parallelism.
 func startParallelFTWorker(t *testing.T, dir string, interval time.Duration, par int) *ftWorker {
 	t.Helper()
+	checkNoLeaks(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

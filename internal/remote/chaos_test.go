@@ -109,55 +109,3 @@ func TestChaosSeededFaultParity(t *testing.T) {
 		})
 	}
 }
-
-// TestChaosDegradedParity combines chaos with permanent loss: worker 0's
-// transport fails for good partway through, degradation rebalances onto
-// survivors, and the result set must still match the fault-free baseline.
-// Unbounded windows: a merged replay log interleaves two workers' streams,
-// which is only order-insensitive without eviction.
-func TestChaosDegradedParity(t *testing.T) {
-	recs := workload.NewGenerator(workload.UniformSmall(89)).Generate(800)
-	const tau = 0.7
-	k := 3
-	sess := testSession(tau, "length", boundsFor(recs, tau, k))
-	want := chaosBaseline(t, k, sess, recs)
-
-	workers := make([]*ftWorker, k)
-	for i := range workers {
-		workers[i] = startFTWorker(t, t.TempDir(), 2*time.Millisecond)
-	}
-	var attempts [3]atomic.Int64
-	dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
-		n := attempts[task].Add(1)
-		if task == 0 && n > 1 {
-			return nil, io.ErrClosedPipe // worker 0 never comes back
-		}
-		var d net.Dialer
-		c, err := d.DialContext(ctx, "tcp", workers[task].addr)
-		if err != nil {
-			return nil, err
-		}
-		if task == 0 {
-			return faultwire.Wrap(c, faultwire.Config{SeverAfterFrames: 50}), nil
-		}
-		return faultwire.Wrap(c, faultwire.Config{
-			Seed:        0xDE64 ^ uint64(task)<<16 ^ uint64(n),
-			DupPerMille: 15,
-		}), nil
-	}
-	ft := FT{
-		Retry:             RetryPolicy{MaxAttempts: 2, Base: time.Millisecond, Cap: 10 * time.Millisecond},
-		HeartbeatInterval: 10 * time.Millisecond,
-		HeartbeatTimeout:  500 * time.Millisecond,
-		SessionID:         0xDE64,
-		Degraded:          true,
-	}
-	sum, err := RunFT(context.Background(), dial, k, sess, recs, Opts{CollectPairs: true}, ft)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireParity(t, sum.Pairs, want, "chaos-degraded")
-	if !sum.Degraded || len(sum.DeadWorkers) != 1 || sum.DeadWorkers[0] != 0 {
-		t.Errorf("degraded=%v dead=%v, want degraded with worker 0 dead", sum.Degraded, sum.DeadWorkers)
-	}
-}

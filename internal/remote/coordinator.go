@@ -30,15 +30,6 @@ type RunSummary struct {
 	// Snapshots holds each worker's window checkpoint when requested via
 	// Opts.Snapshot, indexed by task.
 	Snapshots [][]byte
-	// Degraded reports that a fault-tolerant run declared at least one
-	// worker dead and rebalanced its length ranges onto survivors instead
-	// of failing.
-	Degraded bool
-	// DeadWorkers lists the tasks declared dead, in death order (FT runs).
-	DeadWorkers []int
-	// RebalancedBounds is the post-degradation length partition, when the
-	// run degraded.
-	RebalancedBounds []int
 	// Retries counts failed connection attempts, Reconnects successful
 	// recoveries, and ReplayedRecords the log entries re-sent during those
 	// recoveries (FT runs).
@@ -234,7 +225,12 @@ func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs [
 				// wire-dispatch: coordinator
 				switch typ {
 				case wire.TypeResult:
-					batch, err = rd.ReadResults(batch[:0])
+					// A worker numbers its results from 0 without a gap.
+					var first uint64
+					first, batch, err = rd.ReadNumberedResults(batch[:0])
+					if err == nil && first != got.results {
+						err = fmt.Errorf("remote: worker %d sent results numbered from %d, want %d", task, first, got.results)
+					}
 					if err != nil {
 						readErr <- err
 						return

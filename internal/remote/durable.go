@@ -1,16 +1,16 @@
 // Durable session state for fault-tolerant runs: a persistent ingest log
-// (every dispatched record), a persistent results log (every distinct
-// result, appended before it is acknowledged to the worker), and the
-// session manifest tying them to the launch configuration. Together they
-// make the *coordinator* restartable: a fresh process loads the manifest,
-// re-reads the ingest log, seeds its result dedup from the results log,
-// and re-drives the session — workers resume from their own checkpoints
-// and re-send their unacknowledged result tails, so the final result set
-// is exactly the uninterrupted run's.
+// (every dispatched record), a persistent results log (every Result frame
+// a task collected, appended before it is acknowledged to the worker), and
+// the session manifest tying them to the launch configuration. Together
+// they make the *coordinator* restartable: a fresh process loads the
+// manifest, re-reads the ingest log, rebuilds each task's have counter
+// from the results log, and re-drives the session — workers resume from
+// their own checkpoints and re-send their unacknowledged result tails, so
+// the final result set is exactly the uninterrupted run's.
 //
 // Every FT run acknowledges results (wire Credit frames, coordinator →
 // worker; see ftRunner.attempt); a durable run adds the results log to
-// that protocol: a new result is appended before it counts as received,
+// that protocol: a new frame is appended before it counts as received,
 // and the write loop syncs the log before it grants the count, so every
 // acknowledged result is on disk. A nil *durableState is the sink of a run
 // without a state directory, and its methods do nothing: this file is the
@@ -19,6 +19,7 @@ package remote
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -34,7 +35,8 @@ import (
 //
 //	<StateDir>/manifest.json   session manifest (checkpoint.Manifest)
 //	<StateDir>/ingest/         WAL of dispatched records, one frame each
-//	<StateDir>/results/        WAL of distinct results, one frame each
+//	<StateDir>/results/        WAL of collected results, one Result frame
+//	                           each: its task, then its payload
 //
 // The manifest is written once, when the run starts; each WAL directory
 // holds the one file wal.FileName.
@@ -48,8 +50,8 @@ type Durable struct {
 	Sync wal.SyncPolicy
 	// Resume marks this run as a restart: the ingest log already holds the
 	// record stream (the caller re-read it from there), the results log
-	// seeds the coordinator's dedup, and each task's first hello asks its
-	// worker to resume, which a fresh run's never does.
+	// holds each task's collected results, and each task's first hello asks
+	// its worker to resume, which a fresh run's never does.
 	Resume bool
 	// Workers records the worker addresses in the manifest so a resuming
 	// process knows the fleet. Informational — dialing stays the caller's
@@ -63,7 +65,7 @@ const (
 )
 
 // durableState is the runtime handle on a durable session's two logs plus
-// a shared frame encoder.
+// the buffers their entries are built in.
 type durableState struct {
 	cfg     Durable
 	ingest  *wal.Log
@@ -72,9 +74,10 @@ type durableState struct {
 	// incarnation: dispatch skips appending record indices below it.
 	skip uint64
 
-	mu  sync.Mutex
-	buf bytes.Buffer
-	enc *wire.Writer
+	mu    sync.Mutex
+	buf   bytes.Buffer
+	enc   *wire.Writer
+	entry []byte
 }
 
 func openDurable(cfg Durable) (*durableState, error) {
@@ -125,21 +128,15 @@ func (ds *durableState) appendRecord(idx uint64, r *record.Record) error {
 	return err
 }
 
-// appendResult persists one distinct result frame.
-func (ds *durableState) appendResult(res wire.Result) error {
+// appendResults persists the payload of one Result frame task collected.
+func (ds *durableState) appendResults(task int, payload []byte) error {
 	if ds == nil {
 		return nil
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	ds.buf.Reset()
-	if err := ds.enc.WriteResult(res); err != nil {
-		return err
-	}
-	if err := ds.enc.Flush(); err != nil {
-		return err
-	}
-	_, err := ds.results.Append(ds.buf.Bytes())
+	ds.entry = append(binary.AppendUvarint(ds.entry[:0], uint64(task)), payload...)
+	_, err := ds.results.Append(ds.entry)
 	return err
 }
 
@@ -165,18 +162,30 @@ func (ds *durableState) sealIngest(j *obs.Journal) error {
 	return nil
 }
 
-// seedResults replays the results log into the collector — the restart
-// path's dedup seed. Returns how many distinct results were recovered.
-func (ds *durableState) seedResults(coll *ftCollector) (int, error) {
-	n := 0
-	var fresh []bool
+// seedResults replays the results log into recv, each task's results —
+// the restart path's have counters, and its pairs when collect is set.
+// Returns how many results were recovered.
+func (ds *durableState) seedResults(recv []received, collect bool) (uint64, error) {
+	var (
+		n     uint64
+		batch []wire.Result
+	)
 	err := wal.Replay(filepath.Join(ds.cfg.StateDir, resultsLogDir), func(entry []byte) error {
-		res, err := decodeResultFrame(entry)
+		task, first, rs, err := decodeResultEntry(entry, batch[:0])
 		if err != nil {
 			return err
 		}
-		if fresh = coll.add([]wire.Result{res}, fresh[:0]); fresh[0] {
-			n++
+		batch = rs
+		if task >= uint64(len(recv)) || first != recv[task].results {
+			return fmt.Errorf("remote: results log entry of task %d numbered from %d does not follow the log before it", task, first)
+		}
+		got := &recv[task]
+		got.results += uint64(len(rs))
+		n += uint64(len(rs))
+		if collect {
+			for _, res := range rs {
+				got.pairs = append(got.pairs, record.Pair{First: res.A, Second: res.B, Sim: res.Sim})
+			}
 		}
 		return nil
 	})
@@ -200,43 +209,42 @@ func decodeRecordFrame(entry []byte) (*record.Record, error) {
 	return rt.Rec, nil
 }
 
-// decodeResultFrame decodes one results log entry, a whole Result frame,
-// in place and without allocating.
-func decodeResultFrame(entry []byte) (wire.Result, error) {
-	typ, payload, err := wire.Frame(entry)
-	if err != nil {
-		return wire.Result{}, fmt.Errorf("remote: results log frame: %w", err)
+// decodeResultEntry decodes one results log entry in place: its task, and
+// the number of its first result and its results, appended to dst.
+func decodeResultEntry(entry []byte, dst []wire.Result) (task, first uint64, rs []wire.Result, err error) {
+	task, k := binary.Uvarint(entry)
+	if k <= 0 {
+		return 0, 0, dst, fmt.Errorf("remote: results log entry: truncated task")
 	}
-	if typ != wire.TypeResult {
-		return wire.Result{}, fmt.Errorf("remote: results log holds frame type %d, want result", typ)
+	if first, rs, err = wire.DecodeResults(dst, entry[k:]); err != nil {
+		return 0, 0, rs, fmt.Errorf("remote: results log entry: %w", err)
 	}
-	res, err := wire.DecodeResult(payload)
-	if err != nil {
-		return wire.Result{}, fmt.Errorf("remote: results log frame: %w", err)
-	}
-	return res, nil
+	return task, first, rs, nil
 }
 
 // ReadIngestLog replays the persisted record stream of a durable session
 // state directory — the input a resumed run feeds back into RunFT. It
 // changes nothing on disk, and a missing log is an error.
 func ReadIngestLog(stateDir string) ([]*record.Record, error) {
-	return readLog(filepath.Join(stateDir, ingestLogDir), decodeRecordFrame)
+	var out []*record.Record
+	err := wal.Replay(filepath.Join(stateDir, ingestLogDir), func(entry []byte) error {
+		r, err := decodeRecordFrame(entry)
+		out = append(out, r)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// ReadResultsLog replays the persisted distinct results of a durable
-// session state directory, in append order. Like ReadIngestLog it only
-// reads.
+// ReadResultsLog replays the persisted results of a durable session state
+// directory, in append order. Like ReadIngestLog it only reads.
 func ReadResultsLog(stateDir string) ([]wire.Result, error) {
-	return readLog(filepath.Join(stateDir, resultsLogDir), decodeResultFrame)
-}
-
-// readLog decodes every entry of the log in dir.
-func readLog[T any](dir string, decode func([]byte) (T, error)) ([]T, error) {
-	var out []T
-	err := wal.Replay(dir, func(entry []byte) error {
-		v, err := decode(entry)
-		out = append(out, v)
+	var out []wire.Result
+	err := wal.Replay(filepath.Join(stateDir, resultsLogDir), func(entry []byte) error {
+		var err error
+		_, _, out, err = decodeResultEntry(entry, out)
 		return err
 	})
 	if err != nil {

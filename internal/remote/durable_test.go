@@ -298,6 +298,7 @@ func TestRunFTCoordinatorKillResume(t *testing.T) {
 // with checkpoint.ErrPlanMismatch instead of silently replaying
 // wrong-range records, while a matching hash resumes normally.
 func TestWorkerRejectsPlanMismatch(t *testing.T) {
+	checkNoLeaks(t)
 	const sid = 0xBADB1A
 	sess := testSession(0.7, "broadcast", nil)
 	dir := t.TempDir()
@@ -385,8 +386,9 @@ func TestWorkerRejectsPlanMismatch(t *testing.T) {
 // nothing — not a 64 KiB buffered reader per entry, which made replaying
 // a 200 000-record ingest log allocate ~13 GB.
 func TestLogEntryDecodeAllocs(t *testing.T) {
+	checkNoLeaks(t)
 	rec := &record.Record{ID: 7, Time: 9, Tokens: []uint32{2, 3, 5, 8, 13}}
-	res := wire.Result{A: 4, B: 11, Sim: 0.75}
+	res := []wire.Result{{A: 4, B: 11, Sim: 0.75}, {A: 6, B: 11, Sim: 0.5}}
 	var buf bytes.Buffer
 	enc := wire.NewWriter(&buf)
 	if err := enc.WriteRecord(false, rec); err != nil {
@@ -397,25 +399,31 @@ func TestLogEntryDecodeAllocs(t *testing.T) {
 	}
 	recEntry := bytes.Clone(buf.Bytes())
 	buf.Reset()
-	if err := enc.WriteResult(res); err != nil {
+	enc.SetResultNumber(30)
+	if err := enc.WriteResults(11, res); err != nil {
 		t.Fatal(err)
 	}
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	resEntry := bytes.Clone(buf.Bytes())
+	_, payload, err := wire.Frame(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resEntry := append([]byte{2}, payload...) // task 2's frame
 
 	got, err := decodeRecordFrame(recEntry)
 	if err != nil || !reflect.DeepEqual(got, rec) {
 		t.Fatalf("record entry decodes to %+v, %v; want %+v", got, err, rec)
 	}
-	if got, err := decodeResultFrame(resEntry); err != nil || got != res {
-		t.Fatalf("result entry decodes to %+v, %v; want %+v", got, err, res)
+	dst := make([]wire.Result, 0, len(res))
+	if task, first, got, err := decodeResultEntry(resEntry, dst); err != nil || task != 2 || first != 30 || !reflect.DeepEqual(got, res) {
+		t.Fatalf("result entry decodes to task %d, %d, %+v, %v; want task 2, 30, %+v", task, first, got, err, res)
 	}
 	if n := testing.AllocsPerRun(100, func() { decodeRecordFrame(recEntry) }); n > 2 {
 		t.Errorf("decoding a record entry: %v allocs, want at most 2", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { decodeResultFrame(resEntry) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { decodeResultEntry(resEntry, dst) }); n != 0 {
 		t.Errorf("decoding a result entry: %v allocs, want 0", n)
 	}
 
@@ -423,14 +431,14 @@ func TestLogEntryDecodeAllocs(t *testing.T) {
 		"empty":           nil,
 		"truncated":       recEntry[:len(recEntry)-1],
 		"trailing byte":   append(bytes.Clone(recEntry), 0),
-		"a result frame":  resEntry,
+		"a result entry":  resEntry,
 		"length overflow": {wire.TypeRecord, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
 	} {
 		if _, err := decodeRecordFrame(entry); err == nil {
 			t.Errorf("a record entry that is %s decoded without error", name)
 		}
 	}
-	if _, err := decodeResultFrame(recEntry); err == nil {
+	if _, _, _, err := decodeResultEntry(recEntry, nil); err == nil {
 		t.Error("a record frame decoded as a results log entry")
 	}
 }
@@ -439,6 +447,7 @@ func TestLogEntryDecodeAllocs(t *testing.T) {
 // fingerprint: stable across identical sessions, sensitive to every knob
 // that changes which records a task owns or how they are compared.
 func TestPlanHashProperties(t *testing.T) {
+	checkNoLeaks(t)
 	base := testSession(0.7, "length", []int{0, 10, 20})
 	if base.PlanHash(3) != base.PlanHash(3) {
 		t.Error("plan hash unstable across calls")

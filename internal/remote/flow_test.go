@@ -51,6 +51,7 @@ type fakeCoord struct {
 // from the other.
 func startFlowSession(t *testing.T, h wire.Hello, o WorkerOpts) *fakeCoord {
 	t.Helper()
+	checkNoLeaks(t)
 	srv, cli := net.Pipe()
 	// The reader must never block on the test: a blocked reader stops the
 	// pipe, and with it the worker. The tests send at most 40 000 records,
@@ -120,6 +121,7 @@ func startFlowSession(t *testing.T, h wire.Hello, o WorkerOpts) *fakeCoord {
 // version 8.
 func durableHello(t *testing.T, sess Session, resume bool) wire.Hello {
 	t.Helper()
+	checkNoLeaks(t)
 	h, err := sess.hello(0, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -2,25 +2,46 @@
 // worker crashes, hangs and flaky transports. Each worker gets a manager
 // goroutine owning its connection lifecycle: heartbeat-based failure
 // detection, bounded reconnection with exponential backoff, and resume
-// from the worker's checkpoint cursor. Workers that exhaust the retry
-// budget are declared dead; in degraded mode (length strategy only) their
-// length ranges rebalance onto a surviving heir, which replays the merged
-// log from scratch.
+// from the worker's checkpoint cursor. A worker that exhausts the retry
+// budget is declared dead, and the run fails.
 //
 // Exactness: a resumed worker restores its window from the checkpoint and
 // replays the ID-ordered log tail after the cursor, so its window state is
-// identical to an uninterrupted run. The checkpoint also holds every
+// identical to an uninterrupted run, and its duplicate filter drops the
+// replayed records it already processed. The checkpoint also holds every
 // result the coordinator had not acknowledged, which the worker re-sends,
 // so a result lost with a broken connection is never lost for good.
-// Replayed records the worker already processed are dropped by its
-// duplicate filter; result pairs re-sent across reconnects are dropped by
-// the coordinator's result dedup. The final result multiset therefore
-// matches a fault-free run.
+//
+// Result dedup is one counter per task, because a task's results are one
+// fixed sequence however often its worker is interrupted:
+//
+//   - A self-join pair (A, B) is emitted while probing B = max(A, B); RunFT
+//     refuses bi sessions.
+//   - Restores are exact, so the task's record log fixes the pairs of every
+//     probe, hence each probe's pair count and its frames. A probe is one
+//     Result frame or, past the frame cap, its pairs sorted by partner and
+//     cut at the cap (wire.Writer.WriteResults), whatever order the index
+//     found them in.
+//   - The worker numbers its pairs 0, 1, 2, … per session ID and task, in
+//     emission order and across connections; a frame carries the number of
+//     its first pair.
+//   - The coordinator acknowledges whole frames, so the worker's acked count
+//     always falls on a frame boundary, and its unacked tail, re-sent and
+//     checkpointed one probe's pairs to a frame (wire.Writer.WriteProbes),
+//     splits into the frames first sent.
+//
+// So a connection's first frame is numbered at the worker's acked count,
+// and sets the connection's expected counter, which every later frame must
+// match; a frame wholly below it is a duplicate the transport injected and
+// is dropped. The task's have counter counts the pairs collected: an
+// in-order frame below it is a replay, acknowledged but not collected, and
+// one that starts at it is new. A frame that skips past expected, or that
+// straddles or skips past have, breaks the argument above and fails the
+// attempt.
 package remote
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -32,7 +53,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/dispatch"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/record"
 	"repro/internal/wire"
 )
@@ -60,10 +80,6 @@ type FT struct {
 	// run left under the same ID. Runs sharing the workers at the same time
 	// need distinct IDs.
 	SessionID uint64
-	// Degraded allows the run to continue after a worker is declared dead
-	// by rebalancing its length ranges onto a surviving heir (length
-	// strategy only). Off, a dead worker fails the run.
-	Degraded bool
 	// Registry receives the coordinator's fault metrics; nil keeps them
 	// private to the run. The summary's Retries, Reconnects and
 	// ReplayedRecords are read from these counters, so runs sharing a
@@ -74,12 +90,6 @@ type FT struct {
 	// coordinator crash. Requires a non-zero SessionID.
 	Durable *Durable
 }
-
-// errEpochChanged aborts an attempt whose worker log was rebuilt (the
-// worker inherited a dead peer's records) while the attempt was live. The
-// manager reconnects immediately with a fresh session; no retry budget is
-// charged.
-var errEpochChanged = errors.New("remote: worker log rebuilt during attempt")
 
 // ftEntry is one dispatched record in a worker's replay log.
 type ftEntry struct {
@@ -110,7 +120,7 @@ func newFTMetrics(reg *obs.Registry) ftMetrics {
 		replayed: reg.Counter("coord_replayed_records_total",
 			"Log entries re-sent to workers during recovery."),
 		dupResults: reg.Counter("coord_duplicate_results_total",
-			"Result pairs dropped by the coordinator's replay dedup."),
+			"Result pairs received again and not collected: replays and transport duplicates."),
 		dead: reg.Gauge("coord_dead_workers",
 			"Workers declared dead after exhausting the retry budget."),
 		recovery: reg.Histogram("coord_recovery_seconds",
@@ -123,89 +133,39 @@ func (m ftMetrics) counts() [3]uint64 {
 	return [3]uint64{m.retries.Value(), m.reconnects.Value(), m.replayed.Value()}
 }
 
-// ftCollector accumulates the result pairs of every worker connection and
-// drops duplicates: a worker replaying its log tail after resume legally
-// re-emits result pairs it produced before the crash.
-type ftCollector struct {
-	collectPairs bool
-	mu           sync.Mutex
-	results      uint64                // guarded by mu
-	pairs        []record.Pair         // guarded by mu
-	seen         map[[2]record.ID]bool // guarded by mu
-}
-
-// add records the pairs of one result frame under one lock, appending to
-// fresh whether each pair was new.
-func (c *ftCollector) add(rs []wire.Result, fresh []bool) []bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, res := range rs {
-		key := [2]record.ID{res.A, res.B}
-		isNew := !c.seen[key]
-		fresh = append(fresh, isNew)
-		if !isNew {
-			continue
-		}
-		c.seen[key] = true
-		c.results++
-		if c.collectPairs {
-			c.pairs = append(c.pairs, record.Pair{First: res.A, Second: res.B, Sim: res.Sim})
-		}
-	}
-	return fresh
-}
-
-func (c *ftCollector) drain(sum *RunSummary) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sum.Results = c.results
-	sum.Pairs = c.pairs
-}
-
 // ftState is the shared run state managers and the dispatch loop mutate.
 type ftState struct {
 	mu       sync.Mutex
-	logs     [][]ftEntry       // guarded by mu
-	sentPos  []int             // guarded by mu
-	alive    []bool            // guarded by mu
-	finished []bool            // guarded by mu
-	epoch    []uint64          // guarded by mu
-	conns    []io.Closer       // guarded by mu
-	stats    []wire.Stats      // guarded by mu
-	bounds   []int             // guarded by mu
-	strat    dispatch.Strategy // guarded by mu
-	deadList []int             // guarded by mu
-	// startOver marks tasks whose next hello must not ask to resume: the
-	// run's first hello (unless Durable.Resume), and the first after a
-	// rebuild of the task's log.
-	startOver []bool // guarded by mu
-	closed    bool   // guarded by mu
-	degraded  bool   // guarded by mu
-	fatal     error  // guarded by mu
+	logs     [][]ftEntry  // guarded by mu
+	sentPos  []int        // guarded by mu
+	finished []bool       // guarded by mu
+	stats    []wire.Stats // guarded by mu
+	closed   bool         // guarded by mu
+	fatal    error        // guarded by mu
 }
 
 // ftRunner owns one RunFT invocation.
 type ftRunner struct {
-	k          int
-	sess       Session
-	ft         FT
-	dial       Dialer
-	met        ftMetrics
-	journal    *obs.Journal
-	coll       *ftCollector
-	hbInterval time.Duration
-	hbTimeout  time.Duration
-	canDegrade bool
-	origBounds []int
-	start      time.Time
-	cancel     context.CancelFunc
-	durable    *durableState
-	planHash   uint64
+	k        int
+	sess     Session
+	strat    dispatch.Strategy
+	ft       FT
+	dial     Dialer
+	met      ftMetrics
+	journal  *obs.Journal
+	collect  bool
+	start    time.Time
+	cancel   context.CancelFunc
+	durable  *durableState
+	planHash uint64
 
-	st      ftState
-	notify  []chan struct{} // per-worker wakeups, capacity 1
-	runCh   chan struct{}   // completion-watcher wakeup, capacity 1
-	finalCh chan struct{}   // closed when the run is complete
+	st     ftState
+	notify []chan struct{} // per-worker wakeups, capacity 1
+	runCh  chan struct{}   // completion-watcher wakeup, capacity 1
+	// recv holds each task's results: its have counter and, when
+	// collecting, its pairs. Only the reader of the task's current attempt
+	// touches them, and an attempt waits for its reader before it returns.
+	recv []received
 
 	wg     sync.WaitGroup
 	tuples atomic.Uint64
@@ -245,14 +205,6 @@ func (f *ftRunner) abort(err error) {
 	f.kickRun()
 }
 
-// setConn registers worker task's live transport so declareDead can sever
-// a busy heir mid-attempt.
-func (f *ftRunner) setConn(task int, c io.Closer) {
-	f.st.mu.Lock()
-	f.st.conns[task] = c
-	f.st.mu.Unlock()
-}
-
 // RunFT executes a join session with fault tolerance: dial is invoked per
 // connection attempt, failures are retried under ft.Retry, hung
 // connections are severed by the heartbeat watchdog, and reconnected
@@ -286,46 +238,32 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 	defer cancel()
 
 	f := &ftRunner{
-		k:          workers,
-		sess:       sess,
-		ft:         ft,
-		dial:       dial,
-		met:        newFTMetrics(ft.Registry),
-		journal:    opts.Journal,
-		coll:       &ftCollector{collectPairs: opts.CollectPairs, seen: make(map[[2]record.ID]bool)},
-		hbInterval: ft.HeartbeatInterval,
-		hbTimeout:  ft.HeartbeatTimeout,
-		canDegrade: ft.Degraded && sess.Strategy == "length",
-		origBounds: append([]int(nil), sess.Bounds...),
-		start:      time.Now(),
-		planHash:   sess.PlanHash(workers),
-		cancel:     cancel,
-		notify:     make([]chan struct{}, workers),
-		runCh:      make(chan struct{}, 1),
-		finalCh:    make(chan struct{}),
-	}
-	resume := ft.Durable != nil && ft.Durable.Resume
-	alive := make([]bool, workers)
-	startOver := make([]bool, workers)
-	for i := range alive {
-		alive[i], startOver[i] = true, !resume
+		k:        workers,
+		sess:     sess,
+		strat:    strat,
+		ft:       ft,
+		dial:     dial,
+		met:      newFTMetrics(ft.Registry),
+		journal:  opts.Journal,
+		collect:  opts.CollectPairs,
+		start:    time.Now(),
+		planHash: sess.PlanHash(workers),
+		cancel:   cancel,
+		notify:   make([]chan struct{}, workers),
+		runCh:    make(chan struct{}, 1),
+		recv:     make([]received, workers),
 	}
 	f.st = ftState{
-		logs:      make([][]ftEntry, workers),
-		sentPos:   make([]int, workers),
-		alive:     alive,
-		finished:  make([]bool, workers),
-		startOver: startOver,
-		epoch:     make([]uint64, workers),
-		conns:     make([]io.Closer, workers),
-		stats:     make([]wire.Stats, workers),
-		bounds:    append([]int(nil), sess.Bounds...),
-		strat:     strat,
+		logs:     make([][]ftEntry, workers),
+		sentPos:  make([]int, workers),
+		finished: make([]bool, workers),
+		stats:    make([]wire.Stats, workers),
 	}
 	for i := range f.notify {
 		f.notify[i] = make(chan struct{}, 1)
 	}
 
+	resume := ft.Durable != nil && ft.Durable.Resume
 	if ft.Durable != nil {
 		if ft.SessionID == 0 {
 			return nil, fmt.Errorf("remote: durable runs need a non-zero session id")
@@ -337,7 +275,7 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		defer ds.close()
 		f.durable = ds
 		if resume {
-			n, serr := ds.seedResults(f.coll)
+			n, serr := ds.seedResults(f.recv, f.collect)
 			if serr != nil {
 				return nil, serr
 			}
@@ -355,7 +293,7 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		f.wg.Add(1)
 		go func(task int) {
 			defer f.wg.Done()
-			f.manage(rctx, task)
+			f.manage(rctx, task, resume)
 		}(i)
 	}
 
@@ -375,19 +313,16 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		}
 		return nil, err
 	}
-	close(f.finalCh)
 	f.wg.Wait()
 
 	sum := &RunSummary{Records: uint64(len(recs))}
 	f.st.mu.Lock()
 	sum.WorkerStats = f.st.stats
-	sum.Degraded = f.st.degraded
-	sum.DeadWorkers = f.st.deadList
-	if f.st.degraded {
-		sum.RebalancedBounds = f.st.bounds
-	}
 	f.st.mu.Unlock()
-	f.coll.drain(sum)
+	for _, got := range f.recv {
+		sum.Results += got.results
+		sum.Pairs = append(sum.Pairs, got.pairs...)
+	}
 	sum.Elapsed = time.Since(f.start)
 	sum.TuplesSent = f.tuples.Load()
 	sum.BytesSent = f.bytes.Load()
@@ -396,11 +331,11 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 	return sum, nil
 }
 
-// dispatch routes every record into the per-worker replay logs, re-reading
-// the strategy each record so a degradation mid-stream redirects the tail.
+// dispatch routes every record into the per-worker replay logs. The
+// strategy is fixed for the run, so only the appends take the lock.
 func (f *ftRunner) dispatch(ctx context.Context, recs []*record.Record) error {
-	buf := make([]int, 0, f.k)
-	touched := make([]int, 0, f.k)
+	dsts := make([]int, 0, f.k)
+	stores := make([]bool, 0, f.k)
 	for i, r := range recs {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("remote: %w", err)
@@ -411,21 +346,17 @@ func (f *ftRunner) dispatch(ctx context.Context, recs []*record.Record) error {
 		if err := f.durable.appendRecord(uint64(i), r); err != nil {
 			return fmt.Errorf("remote: ingest log append: %w", err)
 		}
-		touched = touched[:0]
+		dsts = f.strat.Route(r, f.k, dsts[:0])
+		stores = stores[:0]
+		for _, dst := range dsts {
+			stores = append(stores, f.strat.Stores(r, dst, f.k))
+		}
 		f.st.mu.Lock()
-		buf = f.st.strat.Route(r, f.k, buf[:0])
-		for _, dst := range buf {
-			// Dead workers keep empty intervals after rebalance, but the
-			// route range can still brush them; their records belong to the
-			// heir, which the rebalanced strategy already targets.
-			if !f.st.alive[dst] {
-				continue
-			}
-			f.st.logs[dst] = append(f.st.logs[dst], ftEntry{rec: r, store: f.st.strat.Stores(r, dst, f.k)})
-			touched = append(touched, dst)
+		for j, dst := range dsts {
+			f.st.logs[dst] = append(f.st.logs[dst], ftEntry{rec: r, store: stores[j]})
 		}
 		f.st.mu.Unlock()
-		for _, dst := range touched {
+		for _, dst := range dsts {
 			f.kick(dst)
 		}
 	}
@@ -457,14 +388,14 @@ func (f *ftRunner) saveManifest() error {
 	return checkpoint.SaveManifest(filepath.Join(f.durable.cfg.StateDir, checkpoint.ManifestPath), m)
 }
 
-// await blocks until every alive worker has finished its full log, or the
-// run is cancelled, which a fatal error does too.
+// await blocks until every worker has finished its full log, or the run is
+// cancelled, which a fatal error does too.
 func (f *ftRunner) await(ctx context.Context) error {
 	for {
 		f.st.mu.Lock()
 		done := f.st.fatal == nil
 		for i := 0; done && i < f.k; i++ {
-			done = !f.st.alive[i] || f.st.finished[i]
+			done = f.st.finished[i]
 		}
 		f.st.mu.Unlock()
 		if done {
@@ -481,47 +412,17 @@ func (f *ftRunner) await(ctx context.Context) error {
 // manage owns worker task for the whole run: it connects, streams, and on
 // failure retries under the policy until the worker finishes or is
 // declared dead. The consecutive-failure count resets on every successful
-// handshake.
-func (f *ftRunner) manage(ctx context.Context, task int) {
+// handshake. The task's first hello asks to resume only when resume is
+// set; every hello after a successful handshake asks.
+func (f *ftRunner) manage(ctx context.Context, task int, resume bool) {
 	failures := 0
 	var failSince time.Time
 	for {
-		if ctx.Err() != nil {
-			return
-		}
-		f.st.mu.Lock()
-		alive := f.st.alive[task]
-		epoch := f.st.epoch[task]
-		resume := !f.st.startOver[task]
-		parked := f.st.closed && f.st.finished[task]
-		f.st.mu.Unlock()
-		if !alive {
-			return
-		}
-		if parked {
-			// Done — but stay reachable: a later death may rebuild this
-			// worker's log and un-finish it.
-			select {
-			case <-f.finalCh:
-				return
-			case <-f.notify[task]:
-			case <-ctx.Done():
-				return
-			}
-			continue
-		}
-		handshook, err := f.attempt(ctx, task, epoch, resume, failures > 0 || !failSince.IsZero(), failSince)
+		handshook, err := f.attempt(ctx, task, resume, failSince)
 		if handshook {
-			failures = 0
-			failSince = time.Time{}
+			failures, failSince, resume = 0, time.Time{}, true
 		}
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, errEpochChanged) {
-			continue
-		}
-		if ctx.Err() != nil {
+		if err == nil || ctx.Err() != nil {
 			return
 		}
 		failures++
@@ -544,14 +445,13 @@ func (f *ftRunner) manage(ctx context.Context, task int) {
 // attempt runs one connection's full lifecycle: dial, FT handshake with
 // resume ack, log replay/stream, EOF, stats. handshook reports whether the
 // handshake completed (resetting the manager's failure budget) regardless
-// of how the attempt ended.
-func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, isReconnect bool, failSince time.Time) (handshook bool, err error) {
+// of how the attempt ended. A zero failSince marks the task's first
+// connection or one after a finished attempt; any other is a reconnect.
+func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince time.Time) (handshook bool, err error) {
 	conn, err := f.dial(ctx, task)
 	if err != nil {
 		return false, fmt.Errorf("remote: dialing worker %d: %w", task, err)
 	}
-	f.setConn(task, conn)
-	defer f.setConn(task, nil)
 
 	// Liveness stamps: nanoseconds since run start of the last inbound
 	// frame and the last completed outbound write. Progress on either
@@ -565,11 +465,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 	defer func() { f.bytes.Add(cw.n.Load()) }()
 	w := wire.NewWriter(cw)
 
-	f.st.mu.Lock()
-	sess := f.sess
-	sess.Bounds = f.st.bounds
-	f.st.mu.Unlock()
-	h, err := sess.hello(task, f.k)
+	h, err := f.sess.hello(task, f.k)
 	if err != nil {
 		conn.Close()
 		return false, err
@@ -592,7 +488,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 	// every handshake resets them, so nothing here survives the attempt.
 	var (
 		recCredit   atomic.Int64  // records the worker will currently accept
-		resReceived atomic.Uint64 // distinct results received on this connection
+		resReceived atomic.Uint64 // results received in order on this connection
 	)
 
 	ackCh := make(chan uint64, 1) // the worker's resume cursor
@@ -604,13 +500,14 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 		defer aw.Done()
 		rd := wire.NewReader(conn)
 		ackSeen := false
-		// connSeen dedups result pairs within this connection so a pair in
-		// a frame duplicated by a flaky transport is never acknowledged
-		// twice — the soundness condition of count-based acknowledgement.
-		connSeen := make(map[[2]record.ID]bool)
+		// expected is the number of the result this connection delivers
+		// next, set by its first Result frame (started); got is the task's
+		// results, whose count is its have counter.
 		var (
-			batch []wire.Result
-			fresh []bool
+			batch    []wire.Result
+			expected uint64
+			started  bool
+			got      = &f.recv[task]
 		)
 		for {
 			typ, rerr := rd.Next()
@@ -634,41 +531,49 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 				recCredit.Store(int64(credit))
 				ackCh <- next
 			case wire.TypeResult:
-				var rerr error
-				if batch, rerr = rd.ReadResults(batch[:0]); rerr != nil {
+				first, rs, rerr := rd.ReadNumberedResults(batch[:0])
+				if rerr != nil {
 					readErrCh <- rerr
 					return
 				}
-				fresh = f.coll.add(batch, fresh[:0])
-				var n uint64
-				for i, res := range batch {
-					if !fresh[i] {
-						f.met.dupResults.Inc()
+				batch = rs
+				n := uint64(len(rs))
+				switch {
+				case started && first+n <= expected:
+					// A duplicate of a frame this connection delivered.
+					f.met.dupResults.Add(n)
+					continue
+				case started && first != expected:
+					rerr = fmt.Errorf("remote: worker %d sent results numbered from %d, want %d", task, first, expected)
+				case first+n <= got.results:
+					// A replay of collected results: acknowledged, not kept.
+					f.met.dupResults.Add(n)
+				case first != got.results:
+					rerr = fmt.Errorf("remote: worker %d sent results %d to %d, %d collected", task, first, first+n, got.results)
+				default:
+					if aerr := f.durable.appendResults(task, rd.Payload()); aerr != nil {
+						// Fatal, not retried: a torn append may leave the log
+						// unfit for the next one.
+						rerr = fmt.Errorf("remote: results log append: %w", aerr)
+						f.abort(rerr)
+						break
 					}
-					key := [2]record.ID{res.A, res.B}
-					if connSeen[key] {
-						continue
-					}
-					connSeen[key] = true
-					if fresh[i] {
-						if aerr := f.durable.appendResult(res); aerr != nil {
-							// Fatal, not retried: the frame's later pairs are
-							// marked seen but unlogged, so a re-send would be
-							// acknowledged without ever reaching the log.
-							aerr = fmt.Errorf("remote: results log append: %w", aerr)
-							f.abort(aerr)
-							readErrCh <- aerr
-							return
+					got.results += n
+					if f.collect {
+						for _, res := range rs {
+							got.pairs = append(got.pairs, record.Pair{First: res.A, Second: res.B, Sim: res.Sim})
 						}
 					}
-					// New or re-sent, the result is collected (and, in a
-					// durable run, logged): acknowledgeable.
-					n++
 				}
-				if n > 0 {
-					resReceived.Add(n)
-					f.kick(task)
+				if rerr != nil {
+					readErrCh <- rerr
+					return
 				}
+				// In order, a new frame (collected and, in a durable run,
+				// logged) or a replay is acknowledgeable.
+				started, expected = true, first+n
+				resReceived.Add(n)
+				f.kick(task)
 			case wire.TypeCredit:
 				n, rerr := rd.ReadCredit()
 				if rerr != nil {
@@ -702,7 +607,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 	aw.Add(1)
 	go func() {
 		defer aw.Done()
-		t := time.NewTicker(f.hbInterval)
+		t := time.NewTicker(f.ft.HeartbeatInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -722,7 +627,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 				if o := lastOut.Load(); o > last {
 					last = o
 				}
-				if time.Duration(now()-last) > f.hbTimeout {
+				if time.Duration(now()-last) > f.ft.HeartbeatTimeout {
 					conn.Close()
 					return
 				}
@@ -744,24 +649,17 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 		return false, fmt.Errorf("remote: %w", ctx.Err())
 	}
 
-	// Handshake complete: locate the replay position and reset bookkeeping.
+	// Handshake complete: locate the replay position.
 	f.st.mu.Lock()
-	if f.st.epoch[task] != epoch {
-		f.st.mu.Unlock()
-		return false, errEpochChanged
-	}
-	f.st.startOver[task] = false
 	log := f.st.logs[task]
 	pos := sort.Search(len(log), func(i int) bool { return uint64(log[i].rec.ID) >= next })
 	if prev := f.st.sentPos[task]; prev > pos {
 		f.met.replayed.Add(uint64(prev - pos))
 	}
 	f.st.mu.Unlock()
-	if isReconnect {
+	if !failSince.IsZero() {
 		f.met.reconnects.Inc()
-		if !failSince.IsZero() {
-			f.met.recovery.Observe(time.Since(failSince))
-		}
+		f.met.recovery.Observe(time.Since(failSince))
 		f.journal.Append("reconnect", "coordinator",
 			fmt.Sprintf("worker %d reconnected, resuming from id %d", task, next))
 	}
@@ -780,16 +678,12 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 		}
 	}
 
-	ping := time.NewTicker(f.hbInterval)
+	ping := time.NewTicker(f.ft.HeartbeatInterval)
 	defer ping.Stop()
 	eofSent := false
 	var acked uint64 // results acknowledged on this connection
 	for {
 		f.st.mu.Lock()
-		if f.st.epoch[task] != epoch {
-			f.st.mu.Unlock()
-			return true, errEpochChanged
-		}
 		log = f.st.logs[task]
 		end := len(log)
 		closed := f.st.closed
@@ -872,10 +766,6 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 			select {
 			case st := <-statsCh:
 				f.st.mu.Lock()
-				if f.st.epoch[task] != epoch {
-					f.st.mu.Unlock()
-					return true, errEpochChanged
-				}
 				f.st.stats[task] = st
 				f.st.finished[task] = true
 				f.st.mu.Unlock()
@@ -883,12 +773,9 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 				return true, nil
 			case rerr := <-readErrCh:
 				return true, rerr
-			case <-f.notify[task]:
-				// Possibly an epoch bump; the loop re-checks.
 			case <-ctx.Done():
 				return true, fmt.Errorf("remote: %w", ctx.Err())
 			}
-			continue
 		}
 
 		select {
@@ -906,88 +793,10 @@ func (f *ftRunner) attempt(ctx context.Context, task int, epoch uint64, resume, 
 	}
 }
 
-// declareDead marks worker task dead after its retry budget ran out. In
-// degraded mode its log merges into the heir's and the partition
-// rebalances; otherwise the run fails.
+// declareDead fails the run: worker task ran out of its retry budget.
 func (f *ftRunner) declareDead(task, failures int, cause error) {
 	f.met.dead.Add(1)
 	f.journal.Append("worker_dead", "coordinator",
 		fmt.Sprintf("worker %d declared dead after %d attempts: %v", task, failures, cause))
-	var (
-		heir        int
-		heirConn    io.Closer
-		rescued     bool
-		wasDegraded bool
-	)
-	f.st.mu.Lock()
-	wasDegraded = f.st.degraded
-	f.st.alive[task] = false
-	f.st.deadList = append(f.st.deadList, task)
-	if !f.canDegrade {
-		why := "degraded mode off"
-		if f.ft.Degraded {
-			why = fmt.Sprintf("strategy %q cannot rebalance", f.sess.Strategy)
-		}
-		f.st.fatal = fmt.Errorf("remote: worker %d dead after %d attempts (%s): %w", task, failures, why, cause)
-	} else if h, ok := partition.Heir(f.st.alive, task); !ok {
-		f.st.fatal = fmt.Errorf("remote: all workers dead: %w", cause)
-	} else if np, err := partition.Rebalance(partition.Partition{Bounds: f.origBounds}, f.st.alive); err != nil {
-		f.st.fatal = fmt.Errorf("remote: rebalancing after worker %d death: %w", task, err)
-	} else {
-		heir, rescued = h, true
-		f.st.bounds = np.Bounds
-		f.st.strat = dispatch.NewLengthBased(f.sess.Params, np)
-		f.st.logs[heir] = mergeFTLogs(f.st.logs[heir], f.st.logs[task])
-		f.st.logs[task] = nil
-		f.st.sentPos[heir] = 0
-		f.st.startOver[heir] = true
-		f.st.epoch[heir]++
-		f.st.finished[heir] = false
-		f.st.degraded = true
-		heirConn = f.st.conns[heir]
-	}
-	f.st.mu.Unlock()
-	if !rescued {
-		f.cancel()
-		f.kickRun()
-		return
-	}
-	if !wasDegraded {
-		f.journal.Append("degraded", "coordinator",
-			"entering degraded mode: continuing on survivors with rebalanced ranges")
-	}
-	f.journal.Append("rebalance", "coordinator",
-		fmt.Sprintf("worker %d ranges rebalanced onto heir %d, heir log rebuilt", task, heir))
-	if heirConn != nil {
-		// Interrupt the heir's in-flight attempt; its manager reconnects
-		// with the rebuilt log without charging the retry budget.
-		heirConn.Close()
-	}
-	f.kick(heir)
-	f.kickRun()
-}
-
-// mergeFTLogs merges two ID-sorted replay logs. A record present in both
-// (routed to both workers pre-death) keeps a single entry whose store flag
-// is the OR — it must be stored if either owner would have stored it.
-func mergeFTLogs(a, b []ftEntry) []ftEntry {
-	out := make([]ftEntry, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].rec.ID == b[j].rec.ID:
-			out = append(out, ftEntry{rec: a[i].rec, store: a[i].store || b[j].store})
-			i++
-			j++
-		case a[i].rec.ID < b[j].rec.ID:
-			out = append(out, a[i])
-			i++
-		default:
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	f.abort(fmt.Errorf("remote: worker %d dead after %d attempts: %w", task, failures, cause))
 }

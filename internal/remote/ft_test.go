@@ -37,6 +37,7 @@ type ftWorker struct {
 
 func startFTWorker(t *testing.T, dir string, interval time.Duration) *ftWorker {
 	t.Helper()
+	checkNoLeaks(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -123,9 +124,9 @@ func TestRunFTMatchesSingleNode(t *testing.T) {
 			t.Fatalf("%s: %v", strat, err)
 		}
 		requireParity(t, sum.Pairs, want, strat)
-		if sum.Retries != 0 || sum.Reconnects != 0 || sum.Degraded {
-			t.Errorf("%s: clean run reported retries=%d reconnects=%d degraded=%v",
-				strat, sum.Retries, sum.Reconnects, sum.Degraded)
+		if sum.Retries != 0 || sum.Reconnects != 0 {
+			t.Errorf("%s: clean run reported retries=%d reconnects=%d",
+				strat, sum.Retries, sum.Reconnects)
 		}
 		if sum.Records != uint64(len(recs)) {
 			t.Errorf("%s: records = %d, want %d", strat, sum.Records, len(recs))
@@ -178,15 +179,13 @@ func TestRunFTReconnectResume(t *testing.T) {
 	if resumed == 0 {
 		t.Error("no worker session resumed from a checkpoint")
 	}
-	if sum.Degraded {
-		t.Error("recovered run reported degraded")
-	}
 }
 
 // TestRunFTHeartbeatDetectsHang connects to a worker that accepts the
 // connection and then goes silent. The watchdog must sever it and, with no
-// retry budget and degradation off, fail the run promptly.
+// retry budget, fail the run promptly.
 func TestRunFTHeartbeatDetectsHang(t *testing.T) {
+	checkNoLeaks(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -224,64 +223,10 @@ func TestRunFTHeartbeatDetectsHang(t *testing.T) {
 	}
 }
 
-// TestRunFTDegradedRebalance kills worker 1 permanently mid-run with
-// degradation on: the run must complete on the survivors with the exact
-// result set and report the rebalanced partition.
-func TestRunFTDegradedRebalance(t *testing.T) {
-	recs := workload.NewGenerator(workload.UniformSmall(29)).Generate(600)
-	const tau = 0.7
-	want := make(map[record.Pair]bool)
-	for p := range singleNodePairs(recs, tau, window.Unbounded{}) {
-		want[record.Pair{First: p.First, Second: p.Second}] = true
-	}
-	k := 3
-	sess := testSession(tau, "length", boundsFor(recs, tau, k))
-	workers := make([]*ftWorker, k)
-	for i := range workers {
-		workers[i] = startFTWorker(t, t.TempDir(), time.Millisecond)
-	}
-	var attempts [3]atomic.Int64
-	dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
-		if task == 1 && attempts[task].Add(1) > 1 {
-			return nil, errors.New("injected: worker 1 is gone")
-		}
-		var d net.Dialer
-		c, err := d.DialContext(ctx, "tcp", workers[task].addr)
-		if err != nil {
-			return nil, err
-		}
-		if task == 1 {
-			return faultwire.Wrap(c, faultwire.Config{SeverAfterFrames: 40}), nil
-		}
-		return c, nil
-	}
-	ft := fastFT(0xDE6)
-	ft.Retry.MaxAttempts = 2
-	ft.Degraded = true
-	sum, err := RunFT(context.Background(), dial, k, sess, recs, Opts{CollectPairs: true}, ft)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireParity(t, sum.Pairs, want, "degraded")
-	if !sum.Degraded {
-		t.Error("run did not report degraded")
-	}
-	if len(sum.DeadWorkers) != 1 || sum.DeadWorkers[0] != 1 {
-		t.Errorf("dead workers = %v, want [1]", sum.DeadWorkers)
-	}
-	if len(sum.RebalancedBounds) != k {
-		t.Errorf("rebalanced bounds = %v, want %d entries", sum.RebalancedBounds, k)
-	}
-	// Worker 1's interval must have collapsed onto a survivor: its bound
-	// equals its left neighbour's.
-	if len(sum.RebalancedBounds) == k && sum.RebalancedBounds[1] != sum.RebalancedBounds[0] {
-		t.Errorf("dead worker keeps a non-empty interval: bounds %v", sum.RebalancedBounds)
-	}
-}
-
-// TestRunFTDeadWorkerWithoutDegradedFails mirrors the degraded test with
-// degradation off: the run must fail and name the dead worker.
+// TestRunFTDeadWorkerWithoutDegradedFails: a worker that stays
+// unreachable past its retry budget fails the run, which names it dead.
 func TestRunFTDeadWorkerWithoutDegradedFails(t *testing.T) {
+	checkNoLeaks(t)
 	recs := workload.NewGenerator(workload.UniformSmall(3)).Generate(100)
 	sess := testSession(0.7, "broadcast", nil)
 	dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
@@ -368,6 +313,7 @@ func TestRunFTKilledWorkerRejoins(t *testing.T) {
 
 // TestRunFTValidation covers the rejected configurations.
 func TestRunFTValidation(t *testing.T) {
+	checkNoLeaks(t)
 	dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
 		return nil, errors.New("must not dial")
 	}
@@ -406,6 +352,7 @@ func TestRunFTValidation(t *testing.T) {
 // failure path: when a later address fails, connections already opened
 // must be closed, not leaked.
 func TestDialClosesPartialConns(t *testing.T) {
+	checkNoLeaks(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -446,6 +393,7 @@ func TestDialClosesPartialConns(t *testing.T) {
 // from Base, jitter within [d/2, d), capped at Cap, deterministic per
 // (seed, attempt, seq).
 func TestRetryPolicyBackoff(t *testing.T) {
+	checkNoLeaks(t)
 	p := RetryPolicy{MaxAttempts: 5, Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond, Seed: 7}
 	for attempt := 1; attempt <= 6; attempt++ {
 		raw := p.Base * (1 << (attempt - 1))

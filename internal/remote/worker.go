@@ -170,13 +170,15 @@ func writeCheckpointFile(path string, cur checkpoint.Cursor, j local.Joiner, met
 //     worker expects — restored from its checkpoint when the hello asked
 //     to resume (and one exists), zero otherwise — plus the initial record
 //     credit, replenished with Credit frames as records are consumed;
+//   - results are numbered per session ID and task, across connections:
+//     the checkpoint keeps the number of the first unacknowledged one;
 //   - every result stays in an unacked buffer until a coordinator Credit
 //     frame acknowledges it, and the session withholds record credit
 //     while that buffer is at unackedHigh, which bounds it;
 //   - a hello with FT set but Resume clear discards any stale checkpoint
 //     for the session: the coordinator starts this worker's state from
-//     scratch (a fresh run, or a rebuilt log) and a later resume must not
-//     revive older state;
+//     scratch (a fresh run) and a later resume must not revive older
+//     state;
 //   - Ping frames are answered with a flushed Pong;
 //   - records with IDs at or below the resume cursor are dropped as
 //     duplicates (the coordinator replays at least the lost tail, and the
@@ -248,9 +250,11 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		lastTime int64
 		haveLast bool
 		// unacked is the FT result buffer: everything emitted but not yet
-		// acknowledged by a coordinator Credit frame, in emission order.
-		// Restored from the checkpoint's envelope on resume and re-sent
-		// after the ack.
+		// acknowledged by a coordinator Credit frame, in emission order,
+		// which is the session's results numbered acked onwards. Restored
+		// from the checkpoint's envelope on resume and re-sent after the
+		// ack.
+		acked   uint64
 		unacked []wire.Result
 		// withholding is set while the session keeps the record credit of
 		// consumed records back (unackedHigh); consumed counts the records
@@ -287,7 +291,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 				} else {
 					next = cur.NextID
 					lastTime = cur.NextTime - 1
-					unacked = meta.Unacked
+					acked, unacked = meta.Acked, meta.Unacked
 					if mon != nil {
 						mon.SessionsResumed.Add(1)
 					}
@@ -366,14 +370,13 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		return err
 	}
 
-	// Re-send the restored unacked tail: the previous connection may have
-	// lost these, or the previous coordinator died before persisting them;
-	// the new one's dedup drops any it already has and acknowledges all of
-	// them either way.
-	for _, res := range unacked {
-		if err := wr.WriteResult(res); err != nil {
-			return fmt.Errorf("remote: re-sending unacked result: %w", err)
-		}
+	// Re-send the restored unacked tail, numbered from acked and framed as
+	// it was first sent: the previous connection may have lost these, or
+	// the previous coordinator died before persisting them; the new one
+	// skips any it already has and acknowledges all of them either way.
+	wr.SetResultNumber(acked)
+	if err := wr.WriteProbes(unacked); err != nil {
+		return fmt.Errorf("remote: re-sending unacked result: %w", err)
 	}
 	if withholding {
 		if err := wr.Flush(); err != nil {
@@ -407,7 +410,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		// broken connection it fails, and the checkpoint is saved anyway.
 		_ = wr.Flush()
 		cur := checkpoint.Cursor{NextID: lastID + 1, NextTime: lastTime + 1}
-		meta := &checkpoint.SessionMeta{PlanHash: h.PlanHash, Unacked: unacked}
+		meta := &checkpoint.SessionMeta{PlanHash: h.PlanHash, Acked: acked, Unacked: unacked}
 		if err := writeCheckpointFile(ckptPath, cur, joiner, meta); err != nil {
 			o.logf("remote worker: checkpoint write failed: %v", err)
 			return
@@ -528,6 +531,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 					d = int(n)
 				}
 				if d > 0 {
+					acked += uint64(d)
 					unacked = unacked[d:]
 					if len(unacked) == 0 {
 						unacked = nil // release the drained backing array

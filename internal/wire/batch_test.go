@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/record"
@@ -124,6 +125,40 @@ func TestWriteResultsSplitsOversizedProbes(t *testing.T) {
 	}
 }
 
+// TestSplitProbeFramesIgnorePairOrder: a probe split over frames makes the
+// same frames, numbered alike, whatever order its pairs come in — the
+// order a restored index finds them in differs from an uninterrupted one's.
+func TestSplitProbeFramesIgnorePairOrder(t *testing.T) {
+	defer SetFramePairs(3)()
+	const probe = 100
+	frames := func(partners ...record.ID) (out [][]Result) {
+		r := roundTripFrames(t, func(w *Writer) error {
+			w.SetResultNumber(40)
+			return w.WriteResults(probe, probePairs(probe, partners...))
+		})
+		for want := uint64(40); ; {
+			if typ, err := r.Next(); err == io.EOF {
+				return out
+			} else if err != nil || typ != TypeResult {
+				t.Fatalf("frame %d: %v %v", len(out), typ, err)
+			}
+			first, rs, err := r.ReadNumberedResults(nil)
+			if err != nil || first != want {
+				t.Fatalf("frame %d: numbered %d, %v; want %d", len(out), first, err, want)
+			}
+			want += uint64(len(rs))
+			for i := range rs {
+				rs[i].Sim = 0 // probePairs numbers the similarity by position
+			}
+			out = append(out, rs)
+		}
+	}
+	in, shuffled := frames(1, 2, 3, 50, 99, 101, 7000), frames(7000, 99, 2, 101, 1, 50, 3)
+	if len(in) != 3 || !reflect.DeepEqual(in, shuffled) {
+		t.Fatalf("pairs in order make frames %v, shuffled %v", in, shuffled)
+	}
+}
+
 // TestResultFrameFitsMaxFrame: framePairs pairs at their largest encoding
 // (a ten-byte probe, every partner 2^63 below it) fit one frame, and one
 // pair more spills into a second frame instead of failing the write.
@@ -154,26 +189,31 @@ func TestResultFrameFitsMaxFrame(t *testing.T) {
 
 // hostileResultPayloads are Result payloads a decoder must refuse: a count
 // no payload of that size can hold, a truncated similarity, distances that
-// leave the ID range, trailing bytes and an overlong varint.
+// leave the ID range, pair numbers that wrap, trailing bytes and overlong
+// varints.
 var hostileResultPayloads = map[string][]byte{
 	"empty":                {},
-	"count only":           {5},
-	"count 2^64-1":         {5, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 2, 0, 0, 0, 0, 0, 0, 0, 0},
-	"count 2, one pair":    {5, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0},
-	"truncated similarity": {5, 1, 2, 0, 0, 0, 0, 0, 0, 0},
-	"truncated distance":   {5, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80},
-	"partner below zero":   {5, 1, 11, 0, 0, 0, 0, 0, 0, 0, 0}, // zigzag 11 = −6
-	"partner past 2^64-1": {0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+	"number only":          {0},
+	"count only":           {0, 5},
+	"count 2^64-1":         {0, 5, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 2, 0, 0, 0, 0, 0, 0, 0, 0},
+	"count 2, one pair":    {0, 5, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0},
+	"truncated similarity": {0, 5, 1, 2, 0, 0, 0, 0, 0, 0, 0},
+	"truncated distance":   {0, 5, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80},
+	"partner below zero":   {0, 5, 1, 11, 0, 0, 0, 0, 0, 0, 0, 0}, // zigzag 11 = −6
+	"partner past 2^64-1": {0, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
 		1, 4, 0, 0, 0, 0, 0, 0, 0, 0}, // probe 2^64 − 2, distance +2
-	"trailing byte":    {5, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0},
-	"overlong probe":   {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0},
-	"overlong partner": {5, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0, 0, 0, 0, 0, 0, 0, 0},
+	"numbers past 2^64-1": {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+		5, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0}, // pair 2^64 − 1 leaves no number for the next
+	"trailing byte":    {0, 5, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	"overlong number":  {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 5, 0},
+	"overlong probe":   {0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0},
+	"overlong partner": {0, 5, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02, 0, 0, 0, 0, 0, 0, 0, 0},
 }
 
 func TestResultBatchRejectsHostileBytes(t *testing.T) {
 	for name, body := range hostileResultPayloads {
 		dst := make([]Result, 1, 4)
-		got, err := decodeResults(dst, body)
+		_, got, err := DecodeResults(dst, body)
 		if err == nil {
 			t.Errorf("%s: decoded to %+v", name, got)
 		}
@@ -184,14 +224,14 @@ func TestResultBatchRejectsHostileBytes(t *testing.T) {
 			t.Errorf("%s: DecodeResult accepted it", name)
 		}
 		// Refusing costs nothing either: no buffer is sized by the count.
-		if n := testing.AllocsPerRun(20, func() { decodeResults(dst[:0], body) }); n != 0 {
+		if n := testing.AllocsPerRun(20, func() { DecodeResults(dst[:0], body) }); n != 0 {
 			t.Errorf("%s: refusing it allocates %v times", name, n)
 		}
 	}
 	// A count of exactly what the bytes hold is fine; one more is not.
-	fits := []byte{5, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}
-	if rs, err := decodeResults(nil, fits); err != nil || len(rs) != 2 || rs[0].B != 6 || rs[1].A != 4 {
-		t.Fatalf("two-pair payload decoded to %+v, %v", rs, err)
+	fits := []byte{9, 5, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}
+	if first, rs, err := DecodeResults(nil, fits); err != nil || first != 9 || len(rs) != 2 || rs[0].B != 6 || rs[1].A != 4 {
+		t.Fatalf("two-pair payload decoded to %d, %+v, %v", first, rs, err)
 	}
 }
 

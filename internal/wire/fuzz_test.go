@@ -80,16 +80,24 @@ func FuzzReaderNeverPanics(f *testing.F) {
 }
 
 // FuzzResultBatchRoundTrip checks encode→decode identity for the pairs of
-// one probe. Each 10-byte chunk of raw is one partner: a mode byte, 8 bytes
-// u, and the similarity's low byte. Mode picks the partner u mod 2^16 above
-// or below the probe (wrapping past the ID range, which the encoder must
-// refuse) or u itself. A batch whose every distance fits an int64 must come
-// back pair for pair; any other batch must be refused whole.
+// one probe, numbered from first, over frames of at most four pairs. Each
+// 10-byte chunk of raw is one partner: a mode byte, 8 bytes u, and the
+// similarity's low byte. Mode picks the partner u mod 2^16 above or below
+// the probe (wrapping past the ID range, which the encoder must refuse) or
+// u itself. A batch whose every distance fits an int64 must come back pair
+// for pair in the order it was written, which is by partner when it takes
+// more than one frame, and numbered from first without a gap; any other
+// batch must be refused, a one-frame batch whole.
 func FuzzResultBatchRoundTrip(f *testing.F) {
-	f.Add(uint64(100), []byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 7, 1, 9, 0, 0, 0, 0, 0, 0, 0, 200})
-	f.Add(uint64(1<<63), []byte{2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0})
-	f.Add(uint64(3), []byte{1, 9, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, probe uint64, raw []byte) {
+	f.Add(uint64(0), uint64(100), []byte{0, 1, 0, 0, 0, 0, 0, 0, 0, 7, 1, 9, 0, 0, 0, 0, 0, 0, 0, 200})
+	f.Add(uint64(0), uint64(1<<63), []byte{2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0})
+	f.Add(uint64(0), uint64(3), []byte{1, 9, 0, 0, 0, 0, 0, 0, 0, 0})
+	// A numbered probe of six partners, out of order, split over two frames.
+	f.Add(uint64(1<<40), uint64(500), []byte{
+		1, 9, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 0, 0, 0, 0, 0, 0, 0, 2, 1, 40, 0, 0, 0, 0, 0, 0, 0, 3,
+		1, 7, 0, 0, 0, 0, 0, 0, 0, 4, 1, 1, 0, 0, 0, 0, 0, 0, 0, 5, 1, 30, 0, 0, 0, 0, 0, 0, 0, 6})
+	f.Fuzz(func(t *testing.T, first, probe uint64, raw []byte) {
+		defer SetFramePairs(4)()
 		var rs []Result
 		fits := true
 		for ; len(raw) >= 10; raw = raw[10:] {
@@ -109,14 +117,16 @@ func FuzzResultBatchRoundTrip(f *testing.F) {
 			a, b := min(probe, partner), max(probe, partner)
 			rs = append(rs, Result{A: record.ID(a), B: record.ID(b), Sim: math.Float64frombits(u&^0xff | uint64(raw[9]))})
 		}
+		first = min(first, math.MaxUint64-uint64(len(rs)))
 		var buf bytes.Buffer
 		w := NewWriter(&buf)
+		w.SetResultNumber(first)
 		err := w.WriteResults(record.ID(probe), rs)
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		if !fits {
-			if err == nil || buf.Len() != 0 {
+			if err == nil || len(rs) <= framePairs && buf.Len() != 0 {
 				t.Fatalf("a batch with an out-of-reach partner: err %v, %d bytes written", err, buf.Len())
 			}
 			return
@@ -125,12 +135,20 @@ func FuzzResultBatchRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		r := NewReader(&buf)
-		if typ, err := r.Next(); err != nil || typ != TypeResult {
-			t.Fatalf("frame %v %v", typ, err)
-		}
-		got, err := r.ReadResults(nil)
-		if err != nil {
-			t.Fatal(err)
+		var got []Result
+		for {
+			typ, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil || typ != TypeResult {
+				t.Fatalf("frame %v %v", typ, err)
+			}
+			want := first + uint64(len(got))
+			var at uint64
+			if at, got, err = r.ReadNumberedResults(got); err != nil || at != want {
+				t.Fatalf("frame numbered %d, %v; want %d", at, err, want)
+			}
 		}
 		if len(got) != len(rs) {
 			t.Fatalf("%d pairs back, sent %d", len(got), len(rs))
@@ -139,9 +157,9 @@ func FuzzResultBatchRoundTrip(f *testing.F) {
 			if !sameResult(got[i], rs[i]) {
 				t.Fatalf("pair %d: %+v, sent %+v", i, got[i], rs[i])
 			}
-		}
-		if _, err := r.Next(); err != io.EOF {
-			t.Fatalf("trailing garbage: %v", err)
+			if len(rs) > framePairs && i > 0 && partner(rs[i], record.ID(probe)) < partner(rs[i-1], record.ID(probe)) {
+				t.Fatalf("pair %d of a split probe is out of partner order: %+v after %+v", i, rs[i], rs[i-1])
+			}
 		}
 	})
 }

@@ -17,11 +17,13 @@ package wire
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/record"
 	"repro/internal/tokens"
@@ -31,9 +33,9 @@ import (
 // marker; the wirestate analyzer verifies that every declared role has a
 // matching arm in an annotated dispatch switch (or a wire-handled site).
 const (
-	TypeHello byte = iota + 1 // handled-by: worker
-	TypeRecord                // handled-by: worker
-	TypeResult                // handled-by: coordinator
+	TypeHello  byte = iota + 1 // handled-by: worker
+	TypeRecord                 // handled-by: worker
+	TypeResult                 // handled-by: coordinator
 	// TypeEOF ends the coordinator's record stream; payload-free, the
 	// worker reacts to the frame type alone. handled-by: worker
 	TypeEOF
@@ -84,8 +86,10 @@ const (
 // decoder refuses any other bit), credit as the only flow control
 // (version 7: the Pause and Resume frames are gone), and one FT protocol
 // (version 8: every FT session acknowledges its results, the Durable flag
-// is gone, and a decoder refuses any Hello flag bit it does not know).
-const Version = 8
+// is gone, and a decoder refuses any Hello flag bit it does not know), and
+// numbered results (version 9: a Result frame carries the number of its
+// first pair in the session's result sequence).
+const Version = 9
 
 // MaxFrame bounds a frame payload; larger frames indicate corruption.
 const MaxFrame = 1 << 24
@@ -157,9 +161,10 @@ const (
 )
 
 // Result is one verified pair. A Result frame carries the pairs of one
-// probe: the probe's ID, then each partner as its distance from it, so a
-// decoded pair names its IDs in ascending order (A ≤ B) whichever was the
-// probe.
+// probe: the number of its first pair (a session numbers its pairs 0, 1,
+// 2, … in the order it writes them), the probe's ID, then each partner as
+// its distance from it, so a decoded pair names its IDs in ascending order
+// (A ≤ B) whichever was the probe.
 type Result struct {
 	A, B record.ID
 	Sim  float64
@@ -173,9 +178,10 @@ type Stats struct {
 // Writer frames and buffers outbound messages. Not safe for concurrent
 // use.
 type Writer struct {
-	w   *bufio.Writer
-	buf []byte
-	tmp [binary.MaxVarintLen64]byte
+	w       *bufio.Writer
+	buf     []byte
+	tmp     [binary.MaxVarintLen64]byte
+	results uint64 // the number of the next result pair WriteResults writes
 }
 
 // NewWriter wraps w.
@@ -284,26 +290,61 @@ func (w *Writer) WriteResult(res Result) error {
 	return w.WriteResults(res.A, []Result{res})
 }
 
+// SetResultNumber sets the number WriteResults gives the next pair it
+// writes; a Writer starts at 0.
+func (w *Writer) SetResultNumber(n uint64) { w.results = n }
+
 // WriteResults sends the pairs one probe produced as one Result frame, or
 // as several when there are more than one frame holds (framePairs); a
-// reader adds the frames up either way. Every pair must hold probe as its
-// A or its B; a partner more than 2^63 IDs away from probe is an error,
-// and the frame that would hold it is not sent.
+// reader adds the frames up either way. A probe split over frames is first
+// sorted in place by partner ID, so that its frames hold the same pairs
+// whatever order they came in. Every pair must hold probe as its A or its
+// B; a partner more than 2^63 IDs away from probe is an error, and the
+// frame that would hold it is not sent.
 func (w *Writer) WriteResults(probe record.ID, rs []Result) error {
+	if len(rs) > framePairs {
+		slices.SortFunc(rs, func(x, y Result) int { return cmp.Compare(partner(x, probe), partner(y, probe)) })
+	}
 	for {
 		chunk := rs[:min(len(rs), framePairs)]
 		var err error
-		if w.buf, err = appendResults(w.buf, probe, chunk); err != nil {
+		if w.buf, err = appendResults(w.buf, w.results, probe, chunk); err != nil {
 			w.buf = w.buf[:0]
 			return err
 		}
 		if err := w.flushFrame(TypeResult); err != nil {
 			return err
 		}
+		w.results += uint64(len(chunk))
 		if rs = rs[len(chunk):]; len(rs) == 0 {
 			return nil
 		}
 	}
+}
+
+// WriteProbes sends rs, the pairs of successive probes of a self-join, as
+// WriteResults sends each probe's: a probe's pairs are a run of pairs with
+// the same B, since a pair is found while probing its later record.
+func (w *Writer) WriteProbes(rs []Result) error {
+	for len(rs) > 0 {
+		n := 1
+		for n < len(rs) && rs[n].B == rs[0].B {
+			n++
+		}
+		if err := w.WriteResults(rs[0].B, rs[:n]); err != nil {
+			return err
+		}
+		rs = rs[n:]
+	}
+	return nil
+}
+
+// partner is the ID r pairs with probe.
+func partner(r Result, probe record.ID) record.ID {
+	if r.B == probe {
+		return r.A
+	}
+	return r.B
 }
 
 // Result-frame decode errors. They are values, not built per call, so the
@@ -313,6 +354,7 @@ var (
 	errResultCount     = errors.New("wire: result pair count exceeds the payload")
 	errResultTrailing  = errors.New("wire: bytes after the last result pair")
 	errResultNotOne    = errors.New("wire: result frame does not hold exactly one pair")
+	errResultNumber    = errors.New("wire: result numbers past 2^64-1")
 	errPartnerRange    = errors.New("wire: result partner ID outside the ID range")
 )
 
@@ -325,24 +367,23 @@ const minPairBytes = 1 + 8
 const maxPairBytes = binary.MaxVarintLen64 + 8
 
 // framePairs caps the pairs of one Result frame so that its payload stays
-// within MaxFrame even at maxPairBytes a pair behind a ten-byte probe and
-// count. A variable only so that tests can split a probe's pairs without
-// a million of them.
-var framePairs = (MaxFrame - 2*binary.MaxVarintLen64) / maxPairBytes
+// within MaxFrame even at maxPairBytes a pair behind a ten-byte number,
+// probe and count. A variable only so that tests can split a probe's pairs
+// without a million of them.
+var framePairs = (MaxFrame - 3*binary.MaxVarintLen64) / maxPairBytes
 
-// appendResults appends a Result payload to b: probe and the pair count as
-// uvarints, then per pair the zigzag distance from probe to the partner and
-// the similarity as 8 little-endian bytes.
+// appendResults appends a Result payload to b: first (the number of the
+// first pair), probe and the pair count as uvarints, then per pair the
+// zigzag distance from probe to the partner and the similarity as 8
+// little-endian bytes.
 //
 // hotpath: zero-alloc
-func appendResults(b []byte, probe record.ID, rs []Result) ([]byte, error) {
+func appendResults(b []byte, first uint64, probe record.ID, rs []Result) ([]byte, error) {
+	b = appendUvarint(b, first)
 	b = appendUvarint(b, uint64(probe))
 	b = appendUvarint(b, uint64(len(rs)))
 	for _, r := range rs {
-		partner := r.B
-		if partner == probe {
-			partner = r.A
-		}
+		partner := partner(r, probe)
 		// Zigzag: distance d ≥ 0 is 2d, distance −m is 2m − 1 (which wraps
 		// to 2^64 − 1 for m = 2^63, the farthest partner below).
 		var zz uint64
@@ -728,64 +769,83 @@ func (r *Reader) ReadResult() (Result, error) {
 
 // ReadResults appends the pairs of a staged Result frame to dst.
 func (r *Reader) ReadResults(dst []Result) ([]Result, error) {
-	return decodeResults(dst, r.buf)
+	_, dst, err := DecodeResults(dst, r.buf)
+	return dst, err
 }
+
+// ReadNumberedResults appends the pairs of a staged Result frame to dst
+// and returns the number of its first pair too.
+func (r *Reader) ReadNumberedResults(dst []Result) (uint64, []Result, error) {
+	return DecodeResults(dst, r.buf)
+}
+
+// Payload returns the staged frame's payload. It is a view of the Reader's
+// buffer, valid until the next call to Next.
+func (r *Reader) Payload() []byte { return r.buf }
 
 // DecodeResult decodes the payload of a Result frame that holds exactly
 // one pair; any other count is an error.
 func DecodeResult(body []byte) (Result, error) {
-	if _, n, _, err := resultHeader(body); err == nil && n != 1 {
+	if _, _, n, _, err := resultHeader(body); err == nil && n != 1 {
 		return Result{}, errResultNotOne
 	}
 	var one [1]Result
-	rs, err := decodeResults(one[:0], body)
+	_, rs, err := DecodeResults(one[:0], body)
 	if err != nil {
 		return Result{}, err
 	}
 	return rs[0], nil
 }
 
-// decodeResults appends the pairs of a Result payload to dst. On an error
-// dst comes back at its original length.
+// DecodeResults appends the pairs of a Result payload to dst and returns
+// the number of its first pair. On an error dst comes back at its original
+// length.
 //
 // hotpath: zero-alloc
-func decodeResults(dst []Result, body []byte) ([]Result, error) {
-	probe, n, i, err := resultHeader(body)
+func DecodeResults(dst []Result, body []byte) (uint64, []Result, error) {
+	first, probe, n, i, err := resultHeader(body)
 	if err != nil {
-		return dst, err
+		return 0, dst, err
 	}
 	start := len(dst)
 	for ; n > 0; n-- {
 		var res Result
 		if res, i, err = resultPair(body, i, probe); err != nil {
-			return dst[:start], err
+			return 0, dst[:start], err
 		}
 		dst = append(dst, res)
 	}
 	if i != len(body) {
-		return dst[:start], errResultTrailing
+		return 0, dst[:start], errResultTrailing
 	}
-	return dst, nil
+	return first, dst, nil
 }
 
-// resultHeader reads a Result payload's probe ID and pair count, and the
-// offset of its first pair. A count the remaining bytes cannot hold is an
-// error here, before anything is sized by it.
+// resultHeader reads a Result payload's first number, probe ID and pair
+// count, and the offset of its first pair. A count the remaining bytes
+// cannot hold, or one that numbers a pair past 2^64 − 1, is an error here,
+// before anything is sized by it.
 //
 // hotpath: zero-alloc
-func resultHeader(body []byte) (uint64, int, int, error) {
-	probe, i, ok := uvarintAt(body, 0)
+func resultHeader(body []byte) (first, probe uint64, n, i int, err error) {
+	first, i, ok := uvarintAt(body, 0)
 	if !ok {
-		return 0, 0, 0, errResultTruncated
+		return 0, 0, 0, 0, errResultTruncated
+	}
+	if probe, i, ok = uvarintAt(body, i); !ok {
+		return 0, 0, 0, 0, errResultTruncated
 	}
 	count, i, ok := uvarintAt(body, i)
 	if !ok {
-		return 0, 0, 0, errResultTruncated
+		return 0, 0, 0, 0, errResultTruncated
 	}
 	if count > uint64((len(body)-i)/minPairBytes) {
-		return 0, 0, 0, errResultCount
+		return 0, 0, 0, 0, errResultCount
 	}
-	return probe, int(count), i, nil
+	if count > math.MaxUint64-first {
+		return 0, 0, 0, 0, errResultNumber
+	}
+	return first, probe, int(count), i, nil
 }
 
 // resultPair decodes the pair at body[i:] of probe's frame and returns the
