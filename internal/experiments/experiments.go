@@ -80,7 +80,7 @@ func All() []Experiment {
 		{"E15", "Streaming vs offline join (extension)", E15},
 		{"E16", "Throughput vs simulated network cost (extension)", E16},
 		{"E17", "Exact prefix join vs MinHash-LSH (extension)", E17},
-		{"E18", "Dispatcher parallelism with reorder buffers (extension)", E18},
+		{"E18", "Dispatcher parallelism, one dispatcher per worker (extension)", E18},
 		{"E19", "Token-ordering refresh under vocabulary drift (extension)", E19},
 		{"E20", "Intra-worker parallel verification scaling (extension)", E20},
 	}

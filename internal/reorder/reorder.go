@@ -1,8 +1,10 @@
 // Package reorder restores arrival order for streams that cross parallel
-// paths: with several dispatchers, records can reach a worker slightly out
-// of sequence order, which breaks windowed join semantics (eviction
-// assumes nondecreasing sequence numbers). A Buffer holds items until a
-// watermark — the highest sequence seen minus an allowed lateness
+// paths, where records can reach a consumer slightly out of sequence
+// order, which breaks windowed join semantics (eviction assumes
+// nondecreasing sequence numbers). Nothing in the module imports it: the
+// topology gives every worker exactly one dispatcher instead, because no
+// slack bounds how long a partial batch can wait. A Buffer holds items
+// until a watermark — the highest sequence seen minus an allowed lateness
 // (slack) — passes them, then releases in ascending order. Items arriving
 // later than the slack cannot be ordered anymore; they are counted and
 // dropped, the standard allowed-lateness contract of stream processors.

@@ -236,7 +236,8 @@ func (tp *Topology) Run() (*Report, error) {
 	}
 
 	// Wire edges: for each consumer input, every producer task gets an
-	// edgeOut with its own selector; consumers count their producers.
+	// edgeOut with its own selector (a ProducerGrouping's, given the
+	// producer's index); consumers count their producers.
 	for _, name := range tp.order {
 		c := tp.comps[name]
 		for _, in := range c.inputs {
@@ -255,10 +256,17 @@ func (tp *Topology) Run() (*Report, error) {
 			if in.batchSize > 0 {
 				edgeBatch = in.batchSize
 			}
-			for _, prod := range tasks[in.from] {
+			pg, perProducer := in.grouping.(ProducerGrouping)
+			for j, prod := range tasks[in.from] {
+				var sel Selector
+				if perProducer {
+					sel = pg.NewProducerSelector(j, len(dests))
+				} else {
+					sel = in.grouping.NewSelector(len(dests))
+				}
 				prod.outs = append(prod.outs, &edgeOut{
 					stream:    streamName,
-					sel:       in.grouping.NewSelector(len(dests)),
+					sel:       sel,
 					dests:     dests,
 					counters:  ec,
 					batchSize: edgeBatch,

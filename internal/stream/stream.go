@@ -88,6 +88,14 @@ type Grouping interface {
 	NewSelector(ntasks int) Selector
 }
 
+// ProducerGrouping is an optional Grouping extension for routing that
+// depends on which producer task a selector serves; Run prefers it when it
+// wires an edge.
+type ProducerGrouping interface {
+	Grouping
+	NewProducerSelector(producer, ntasks int) Selector
+}
+
 // Selector routes one tuple to zero or more of the ntasks downstream
 // instances. Implementations append to buf and return it to avoid
 // per-tuple allocation.
