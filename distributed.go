@@ -266,19 +266,16 @@ func RunDistributedBi(stream []SideSet, cfg DistributedConfig) (*DistributedResu
 		cfg.SampleSize = 10000
 	}
 	sets := make([][]uint32, len(stream))
+	right := make([]bool, len(stream))
 	for i, s := range stream {
-		sets[i] = s.Tokens
+		sets[i], right[i] = s.Tokens, s.Right
 	}
 	recs := toRecords(sets)
-	birecs := make([]topology.BiRecord, len(recs))
-	for i, r := range recs {
-		birecs[i] = topology.BiRecord{Rec: r, Right: stream[i].Right}
-	}
 	strat, err := buildStrategy(cfg, params, recs)
 	if err != nil {
 		return nil, err
 	}
-	res, err := topology.RunBi(birecs, topology.Config{
+	res, err := topology.RunBi(recs, right, topology.Config{
 		Workers:      cfg.Workers,
 		Strategy:     strat,
 		Algorithm:    alg,

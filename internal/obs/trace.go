@@ -63,6 +63,35 @@ func (t *Trace) Append(stage, component string, task, parent int, start, end tim
 	return len(t.spans) - 1
 }
 
+// AppendOnce appends a span of stage chained to the trace's tail, as Tail
+// then Append would, unless the trace already holds a span of that stage.
+// Executors that run one stage in parallel on the same tuple record it
+// once, and whichever returns first finds it in the trace. Safe on a nil
+// trace.
+func (t *Trace) AppendOnce(stage, component string, task int, end time.Time) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, s := range t.spans {
+		if s.Stage == stage {
+			return
+		}
+	}
+	parent, start := -1, t.start
+	if n := len(t.spans); n > 0 {
+		parent, start = n-1, t.spans[n-1].End
+	}
+	if end.Before(start) {
+		end = start
+	}
+	t.spans = append(t.spans, Span{
+		Stage: stage, Component: component, Task: task,
+		Parent: parent, Start: start, End: end,
+	})
+}
+
 // Tail returns the index and end time of the most recently appended span
 // (-1 and the trace start when empty) — the chaining point for the next
 // sequential stage. Safe on a nil trace.

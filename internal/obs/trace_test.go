@@ -140,6 +140,33 @@ func TestTracerDisabledZeroCost(t *testing.T) {
 	}
 }
 
+// TestTraceAppendOnce: executors racing to record one stage leave exactly
+// one span of it, chained to the span before, and every span appended after
+// any of them returns lands behind it.
+func TestTraceAppendOnce(t *testing.T) {
+	tracer := NewTracer(1, 4)
+	tr := tracer.Sample()
+	now := time.Now()
+	tr.Append("emit", "source", 0, -1, now, now)
+	var wg sync.WaitGroup
+	for task := 0; task < 4; task++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr.AppendOnce("dispatch", "dispatcher", task, time.Now())
+			parent, end := tr.Tail()
+			tr.Append("queue", "worker", task, parent, end, time.Now())
+		}()
+	}
+	wg.Wait()
+	spans := tracer.Recent()[0].Spans
+	if len(spans) != 6 || spans[1].Stage != "dispatch" || spans[1].Parent != 0 {
+		t.Fatalf("want emit, dispatch, then four queue spans: %+v", spans)
+	}
+	var nilTrace *Trace
+	nilTrace.AppendOnce("dispatch", "dispatcher", 0, now)
+}
+
 func TestTraceAppendClampsEnd(t *testing.T) {
 	tracer := NewTracer(1, 4)
 	tr := tracer.Sample()

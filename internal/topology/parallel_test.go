@@ -48,12 +48,12 @@ func TestParallelParityTopology(t *testing.T) {
 func TestParallelParityBiJoin(t *testing.T) {
 	p := params(0.7)
 	base := genStream(500, 41)
-	recs := make([]BiRecord, len(base))
-	for i, r := range base {
-		recs[i] = BiRecord{Rec: r, Right: i%3 == 0}
+	right := make([]bool, len(base))
+	for i := range right {
+		right[i] = i%3 == 0
 	}
 	run := func(par int) map[record.Pair]bool {
-		res, err := RunBi(recs, Config{
+		res, err := RunBi(base, right, Config{
 			Workers: 2, Strategy: strategies(p, base, 2)[0],
 			Algorithm: local.Bundled, Params: p,
 			Parallelism: par, CollectPairs: true,
