@@ -54,8 +54,8 @@ func main() {
 		fn      = flag.String("func", "jaccard", "similarity: jaccard, cosine, dice, overlap")
 		alg     = flag.String("alg", "bundle", "local algorithm: bundle, prefix, naive")
 		dist    = flag.String("dist", "length", "distribution: length, prefix, broadcast")
-		part    = flag.String("part", "load-aware", "length partitioner: load-aware, even-length, even-frequency")
-		workers = flag.Int("workers", 4, "worker parallelism")
+		part    = flag.String("part", "load-aware", "length partitioner, in-process runs: load-aware, even-length, even-frequency (-remote plans load-aware)")
+		workers = flag.Int("workers", 4, "worker parallelism, in-process runs (-remote runs one worker per address)")
 		par     = flag.Int("parallel", runtime.GOMAXPROCS(0), "verifier goroutines per worker (bundle algorithm, in-process runs): candidate verification fans out across cores with deterministic output; 1 disables, 0 or less means the default")
 		win     = flag.Int64("window", 0, "count window (0 = unbounded)")
 		pairs   = flag.Bool("pairs", false, "print result pairs")
@@ -92,6 +92,14 @@ func main() {
 	}
 	if *asJSON && (*rmt != "" || *resume) {
 		fatal(errors.New("-json applies to in-process runs only, not -remote or -resume"))
+	}
+	if *rmt != "" || *resume {
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "part", "workers", "parallel":
+				fatal(fmt.Errorf("-%s applies to in-process runs only, not -remote or -resume", f.Name))
+			}
+		})
 	}
 
 	if *rmt != "" || *resume {
@@ -265,6 +273,11 @@ func parsePart(s string) (ssjoin.Partitioner, error) {
 	return 0, fmt.Errorf("unknown partitioner %q", s)
 }
 
+// planSample is how many leading records the length plan of a remote run is
+// fitted to: DistributedConfig.SampleSize's default, so the in-process and
+// the remote runtime plan one input alike.
+const planSample = 10000
+
 // runRemote executes the join on external workers over TCP. Ctrl-C cancels
 // the run: dials abort and worker connections close. With ftCfg set the
 // run goes through the fault-tolerant coordinator: each worker is dialed
@@ -293,7 +306,7 @@ func runRemote(addrList string, recs []*record.Record, tau float64, fn, alg, dis
 	}
 	if dist == "length" {
 		var h partition.Histogram
-		for _, r := range recs {
+		for _, r := range recs[:min(len(recs), planSample)] {
 			h.Add(r.Len())
 		}
 		w := partition.CostModel{Params: params}.Weights(&h)

@@ -1,7 +1,7 @@
 // Span-style tuple-lineage tracing. A Tracer samples 1 in every N tuples
 // at the spout; a sampled tuple carries its *Trace down the topology, and
 // each stage appends one Span (emit, queue wait, dispatch, process,
-// verify, deliver) with wall-clock bounds and the component/task that ran
+// verify) with wall-clock bounds and the component/task that ran
 // it. Completed traces sit in a fixed ring buffer, served as JSON by
 // /debug/traces. The unsampled path costs one atomic increment and carries
 // a nil pointer — zero allocations — which is what keeps tracing
@@ -18,7 +18,7 @@ import (
 // Span is one timed stage of a tuple's journey.
 type Span struct {
 	// Stage names the lifecycle step: emit, queue, dispatch, process,
-	// verify, deliver.
+	// verify.
 	Stage string
 	// Component and Task locate the executor that ran the stage.
 	Component string

@@ -129,31 +129,6 @@ func TestBatchCountersAndOccupancy(t *testing.T) {
 	}
 }
 
-// TestSubscribeUnbatchedShipsEveryTuple: the batch size is a property of
-// the subscription. One channel send per tuple on the unbatched edge, the
-// topology's batches on the other, in the same run.
-func TestSubscribeUnbatchedShipsEveryTuple(t *testing.T) {
-	const n, bs = 1000, 8
-	tp := New("unbatched", 16, WithBatchSize(bs))
-	tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: ints(n)} }, 1)
-	tp.AddBolt("mid", func(int) Bolt { return doubleBolt{} }, 1).SubscribeTo("src", Shuffle{})
-	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 1).
-		SubscribeUnbatched("mid", Shuffle{})
-	rep, err := tp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.EdgeBatches("src", "mid"); got != n/bs {
-		t.Fatalf("src->mid: %d sends for %d tuples, want %d", got, n, n/bs)
-	}
-	if got := rep.EdgeBatches("mid", "sink"); got != n || rep.EdgeTuples("mid", "sink") != n {
-		t.Fatalf("mid->sink: %d sends, %d tuples, want %d of each", got, rep.EdgeTuples("mid", "sink"), n)
-	}
-	if got := len(rep.Bolts["sink"][0].(*collectBolt).got); got != n {
-		t.Fatalf("sink saw %d tuples", got)
-	}
-}
-
 // TestWithQueueCapOption checks the option overrides the positional
 // argument and the topology still drains under a tiny queue.
 func TestWithQueueCapOption(t *testing.T) {

@@ -252,10 +252,6 @@ func (tp *Topology) Run() (*Report, error) {
 			if streamName == "" {
 				streamName = DefaultStream
 			}
-			edgeBatch := batchSize
-			if in.batchSize > 0 {
-				edgeBatch = in.batchSize
-			}
 			pg, perProducer := in.grouping.(ProducerGrouping)
 			for j, prod := range tasks[in.from] {
 				var sel Selector
@@ -269,7 +265,7 @@ func (tp *Topology) Run() (*Report, error) {
 					sel:       sel,
 					dests:     dests,
 					counters:  ec,
-					batchSize: edgeBatch,
+					batchSize: batchSize,
 					pending:   make([]*batch, len(dests)),
 				})
 			}

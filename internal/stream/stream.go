@@ -214,9 +214,6 @@ type inputDecl struct {
 	from     string
 	stream   string
 	grouping Grouping
-	// batchSize replaces the topology's batch size on this subscription
-	// when positive (SubscribeUnbatched sets 1).
-	batchSize int
 }
 
 type component struct {
@@ -293,15 +290,6 @@ func (c *ComponentRef) SubscribeTo(from string, g Grouping) *ComponentRef {
 // SubscribeToStream consumes a named output stream of component from.
 func (c *ComponentRef) SubscribeToStream(from, stream string, g Grouping) *ComponentRef {
 	return c.subscribe(inputDecl{from: from, stream: stream, grouping: g})
-}
-
-// SubscribeUnbatched consumes the default output stream of component from
-// with every tuple shipped the moment it is emitted, whatever the
-// topology's batch size. It is for producers whose tuples are already
-// batches (the join's result slabs): accumulating those again would only
-// delay them and keep that many more of them in flight.
-func (c *ComponentRef) SubscribeUnbatched(from string, g Grouping) *ComponentRef {
-	return c.subscribe(inputDecl{from: from, stream: DefaultStream, grouping: g, batchSize: 1})
 }
 
 func (c *ComponentRef) subscribe(in inputDecl) *ComponentRef {

@@ -11,13 +11,12 @@ import (
 // TestParallelParityTopology is the engine-level parity matrix the CI
 // bench-smoke job runs under -race: every (batch size × verifier-pool
 // size) combination must produce exactly the sequential run's result-pair
-// set, which itself must equal brute force. Pairs are compared as sets —
-// worker outputs interleave nondeterministically at the collecting sink
-// regardless of parallelism — while the per-worker byte-identical stream
-// order is enforced by the bundle- and local-level parity tests.
+// set, which itself must equal brute force. Pairs are compared as sets;
+// the per-worker byte-identical stream order is enforced by the bundle-
+// and local-level parity tests and by TestRunPairsInWorkerOrder.
 func TestParallelParityTopology(t *testing.T) {
 	p := params(0.6)
-	recs := withSlabLadder(genStream(700, 29)) // probes of up to 519 matches: pooled verification feeding full slabs
+	recs := withMatchLadder(genStream(700, 29)) // probes of up to 519 matches through pooled verification
 	want := bruteCount(recs, p, nil)
 	if len(want) == 0 {
 		t.Fatal("degenerate workload: no brute-force pairs")

@@ -1,9 +1,9 @@
 // Package topology assembles the distributed streaming set-similarity join:
 // a source spout replaying the record stream, a dispatcher bolt applying a
-// distribution strategy, worker bolts hosting local joiners, and a sink
-// collecting result pairs and latency. It is the glue between the stream
-// engine substrate and the join algorithms, and the unit the experiment
-// harness runs.
+// distribution strategy, and worker bolts hosting local joiners, each of
+// which keeps its own result pairs and latency. It is the glue between the
+// stream engine substrate and the join algorithms, and the unit the
+// experiment harness runs.
 package topology
 
 import (
@@ -59,43 +59,6 @@ func (s *recSlab) get() *RecTuple {
 	return rt
 }
 
-// resultSlab carries a run of verified join pairs from one worker to the
-// sink: one tuple, one channel send and one update of the edge counters
-// per slab, not per pair (at 24 results a record the per-pair costs were a
-// third of a worker's time). The owning worker appends pairs up to
-// slabPairs, emits the slab, and must not touch it again; the sink reads
-// it, empties it and hands it back on home.
-type resultSlab struct {
-	pairs []record.Pair
-	// lineages lists the sampled pairs among pairs. Untraced pairs (all of
-	// them on an untraced run) carry no trace words at all.
-	lineages []lineage
-	// home is the owning worker's ring of free slabs.
-	home chan *resultSlab
-}
-
-// lineage is the sampled trace of one result pair on its way to the sink:
-// the deliver span the sink writes hangs off the worker's verify span.
-type lineage struct {
-	trace      *obs.Trace
-	verifySpan int
-}
-
-// SizeBytes implements stream.Tuple: 24 bytes a pair, as a tuple per pair
-// cost, so the worker → sink byte counter reads the same.
-func (s *resultSlab) SizeBytes() int { return 24 * len(s.pairs) }
-
-const (
-	// slabPairs is the fixed capacity of a result slab, so appending a pair
-	// never grows it.
-	slabPairs = 256
-	// slabShipMark is the fill at which the end of an input batch ships a
-	// partial slab: one channel send per 64 results, the cadence of the
-	// engine's default transport batch, so a sparse result stream does not
-	// wake the sink for every few pairs.
-	slabShipMark = 64
-)
-
 // Config specifies one join topology run.
 type Config struct {
 	// Workers is the joiner parallelism (required, >= 1).
@@ -117,7 +80,7 @@ type Config struct {
 	// destination before a channel send (default 64; 1 disables batching).
 	BatchSize int
 	// CollectPairs keeps every result pair in memory (tests and small
-	// runs); otherwise the sink only counts.
+	// runs); otherwise the workers only count.
 	CollectPairs bool
 	// WireNsPerByte simulates cluster network cost: every worker burns
 	// this many nanoseconds of CPU per received tuple byte before
@@ -144,7 +107,7 @@ type Config struct {
 	// task series plus per-worker record latency and joiner statistics.
 	Registry *obs.Registry
 	// Tracer, when set and enabled, samples tuple lineages end to end
-	// (emit → dispatch → queue → process/verify → deliver).
+	// (emit → dispatch → queue → process/verify).
 	Tracer *obs.Tracer
 	// Journal, when set, receives run lifecycle events from the stream
 	// engine (run_start/run_end). Nil keeps the run silent.
@@ -178,7 +141,10 @@ func (c Config) validate() error {
 type Result struct {
 	// Results is the number of verified pairs emitted.
 	Results uint64
-	// Pairs holds the result pairs when Config.CollectPairs was set.
+	// Pairs holds the result pairs when Config.CollectPairs was set: worker
+	// 0's pairs, then worker 1's, and so on, each in the order its worker
+	// found them (probe order), so two runs of one configuration return
+	// the same slice.
 	Pairs []record.Pair
 	// Records is the number of source records processed.
 	Records uint64
@@ -287,8 +253,9 @@ func (g *ownedRoute) NewProducerSelector(j, ntasks int) stream.Selector {
 	}).NewSelector(ntasks)
 }
 
-// workerBolt hosts one local joiner and applies the strategy's store and
-// emit arbitration.
+// workerBolt hosts one local joiner, applies the strategy's store and emit
+// arbitration, and keeps its own results: it emits nothing downstream, and
+// run reads its counts and pairs once the topology has finished.
 type workerBolt struct {
 	task   int
 	k      int
@@ -312,38 +279,10 @@ type workerBolt struct {
 	curRec       *record.Record
 	curTrace     *obs.Trace
 	curQueueSpan int
-	curEm        stream.Emitter
-	// slab is the result slab being filled (nil between slabs). free is the
-	// ring the sink returns emptied slabs on; it holds everything that can
-	// be in flight at once — the sink's queue, the slab the sink is reading
-	// and the one being filled — so the steady state allocates nothing, and
-	// neither side ever blocks on it: the worker makes a slab when the ring
-	// is empty, the sink drops one when it is full. A sink that died and
-	// returns nothing therefore costs allocations, never a deadlock.
-	slab *resultSlab
-	free chan *resultSlab
-	// newSlab makes a slab when the ring is empty. It is a function value so
-	// that the allocation stays off takeSlab's static zero-alloc call graph;
-	// slabsMade counts its calls.
-	newSlab   func() *resultSlab
-	slabsMade int
-}
-
-// newWorkerBolt returns a worker without a joiner; sinkQueueCap sizes its
-// slab ring.
-func newWorkerBolt(task, k int, strat dispatch.Strategy, sinkQueueCap int) *workerBolt {
-	w := &workerBolt{
-		task:  task,
-		k:     k,
-		strat: strat,
-		free:  make(chan *resultSlab, sinkQueueCap+2), // queue + one at the sink + one being filled
-	}
-	w.emitFn = w.emitMatch
-	w.newSlab = func() *resultSlab {
-		w.slabsMade++
-		return &resultSlab{pairs: make([]record.Pair, 0, slabPairs), home: w.free}
-	}
-	return w
+	// pairs keeps the worker's results in the order it found them when
+	// collect is set.
+	collect bool
+	pairs   []record.Pair
 }
 
 // burn spins the CPU for roughly d, standing in for per-tuple network and
@@ -359,92 +298,50 @@ func burn(d time.Duration) {
 
 // Execute implements stream.Bolt for a lone tuple: a transport batch of
 // one record.
-func (w *workerBolt) Execute(t stream.Tuple, em stream.Emitter) {
-	w.step(t, em)
-	w.shipSlab(em, slabShipMark)
-}
+func (w *workerBolt) Execute(t stream.Tuple, _ stream.Emitter) { w.step(t.(*RecTuple)) }
 
 // ExecuteBatch implements stream.BatchBolt: a whole transport batch of
 // records streams through the worker in one call, in order. This is the
 // engine→pool handoff: the verifier pool sees back-to-back records
 // without a per-tuple trip through the executor loop, so its helpers
-// stay warm across a batch. The batch's results leave with it once they
-// are worth a channel send.
-func (w *workerBolt) ExecuteBatch(ts []stream.Tuple, em stream.Emitter) {
+// stay warm across a batch.
+func (w *workerBolt) ExecuteBatch(ts []stream.Tuple, _ stream.Emitter) {
 	for _, t := range ts {
-		w.step(t, em)
+		w.step(t.(*RecTuple))
 	}
-	w.shipSlab(em, slabShipMark)
 }
-
-// step joins one record: probe (always), store when the strategy assigns
-// the record here, and emit deduplicated results. The worker's one
-// dispatcher delivers records in ID order, as eviction and the probe need.
-func (w *workerBolt) step(t stream.Tuple, em stream.Emitter) {
-	rt := t.(*RecTuple)
-	if w.wirePerB > 0 {
-		d := time.Duration(w.wirePerB * rt.SizeBytes())
-		burn(d)
-		w.wireBurnt += d
-	}
-	w.process(rt, em)
-}
-
-// Flush ships whatever the last slab holds at stream end.
-func (w *workerBolt) Flush(em stream.Emitter) { w.shipSlab(em, 1) }
 
 // emitMatch is the joiner's per-match callback: strategy arbitration, then
-// the pair goes into the current slab, which ships when full. It reads the
-// record under probe from the cur* fields process() binds, so the same
-// bound method value serves every record without a per-record closure
-// allocation.
+// the worker counts the pair and, when collecting, keeps it. It reads the
+// record under probe from the cur* fields step binds, so the same bound
+// method value serves every record without a per-record closure
+// allocation. A sampled record's lineage ends at its verify spans.
 //
-// hotpath: zero-alloc — one call per result pair; the slab has fixed
-// capacity and comes from the ring.
+// hotpath: zero-alloc — one call per result pair; a collecting worker's
+// pairs grow by amortized self-append only.
 func (w *workerBolt) emitMatch(m local.Match) {
 	if !w.strat.Emits(w.curRec, m.Rec, w.task, w.k) {
 		return
 	}
 	w.results++
-	s := w.slab
-	if s == nil {
-		s = w.takeSlab()
-		w.slab = s
+	if w.collect {
+		w.pairs = append(w.pairs, record.NewPair(w.curRec.ID, m.ID, m.Sim))
 	}
-	s.pairs = append(s.pairs, record.NewPair(w.curRec.ID, m.ID, m.Sim))
 	if w.curTrace != nil {
 		now := time.Now()
-		span := w.curTrace.Append("verify", "worker", w.task, w.curQueueSpan, now, now)
-		s.lineages = append(s.lineages, lineage{trace: w.curTrace, verifySpan: span})
-	}
-	if len(s.pairs) == slabPairs {
-		w.shipSlab(w.curEm, slabPairs)
+		w.curTrace.Append("verify", "worker", w.task, w.curQueueSpan, now, now)
 	}
 }
 
-// takeSlab returns an empty slab: one the sink handed back if there is
-// one, a fresh one otherwise. It never waits for the sink.
-//
-// hotpath: zero-alloc — the ring covers everything in flight, so newSlab
-// runs only while the ring fills up at the start of a run.
-func (w *workerBolt) takeSlab() *resultSlab {
-	select {
-	case s := <-w.free:
-		return s
-	default:
-		return w.newSlab()
+// step joins one record: probe (always), store when the strategy assigns
+// the record here, and count deduplicated results. The worker's one
+// dispatcher delivers records in ID order, as eviction and the probe need.
+func (w *workerBolt) step(rt *RecTuple) {
+	if w.wirePerB > 0 {
+		d := time.Duration(w.wirePerB * rt.SizeBytes())
+		burn(d)
+		w.wireBurnt += d
 	}
-}
-
-// shipSlab emits the current slab if it holds at least min pairs.
-func (w *workerBolt) shipSlab(em stream.Emitter, min int) {
-	if s := w.slab; s != nil && len(s.pairs) >= min {
-		w.slab = nil
-		em.Emit(s)
-	}
-}
-
-func (w *workerBolt) process(rt *RecTuple, em stream.Emitter) {
 	r := rt.Rec
 	store := w.strat.Stores(r, w.task, w.k)
 	if store {
@@ -459,7 +356,7 @@ func (w *workerBolt) process(rt *RecTuple, em stream.Emitter) {
 		pstart = time.Now()
 		queueSpan = rt.Trace.Append("queue", "worker", w.task, parent, prev, pstart)
 	}
-	w.curRec, w.curTrace, w.curQueueSpan, w.curEm = r, rt.Trace, queueSpan, em
+	w.curRec, w.curTrace, w.curQueueSpan = r, rt.Trace, queueSpan
 	if w.bi != nil {
 		w.bi.StepSide(r, rt.Right, store, w.emitFn)
 	} else {
@@ -499,7 +396,7 @@ func (w *workerBolt) registerJoinerMetrics(reg *obs.Registry, task int) {
 		"Candidates fully verified by a worker's bundle index.", "task").
 		SetFunc(label, func() float64 { return float64(ls.Verified.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
 	reg.CounterVec("bundle_results_total",
-		"Matches emitted by a worker's bundle index.", "task").
+		"Matches found by a worker's bundle index, before the strategy's emit arbitration.", "task").
 		SetFunc(label, func() float64 { return float64(ls.Results.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
 	reg.GaugeVec("bundle_live_members",
 		"Records currently indexed by a worker's bundle index.", "task").
@@ -562,41 +459,6 @@ func (w *workerBolt) registerPoolMetrics(reg *obs.Registry, task int) {
 		i := i
 		verified.SetFunc(fmt.Sprintf("%s/ctx/%d", label, i), // obscheck: bounded — one series per verifier context, capped by pool size
 			func() float64 { return float64(pool.CtxVerified(i)) })
-	}
-}
-
-// sinkBolt counts (and optionally keeps) result pairs.
-type sinkBolt struct {
-	collect bool
-	count   uint64
-	pairs   []record.Pair
-}
-
-// Execute implements stream.Bolt: read the slab, empty it and hand it back
-// to its worker. Traced pairs get their terminal deliver span; the lineage
-// entries must be cleared before the slab goes home so a recycled slab does
-// not resurrect (or pin) a trace.
-//
-// hotpath: zero-alloc — one call per slab; the hand-back never blocks, a
-// full ring just drops the slab.
-func (s *sinkBolt) Execute(t stream.Tuple, _ stream.Emitter) {
-	slab := t.(*resultSlab)
-	s.count += uint64(len(slab.pairs))
-	if s.collect {
-		s.pairs = append(s.pairs, slab.pairs...)
-	}
-	if len(slab.lineages) > 0 {
-		now := time.Now()
-		for _, l := range slab.lineages {
-			l.trace.Append("deliver", "sink", 0, l.verifySpan, now, now)
-		}
-		clear(slab.lineages)
-		slab.lineages = slab.lineages[:0]
-	}
-	slab.pairs = slab.pairs[:0]
-	select {
-	case slab.home <- slab:
-	default:
 	}
 }
 
@@ -705,8 +567,8 @@ func run(cfg Config, recs []*record.Record, right []bool, cur checkpoint.Cursor)
 		}
 	}
 	tp.AddBolt("worker", func(task int) stream.Bolt {
-		w := newWorkerBolt(task, k, cfg.Strategy, queueCap)
-		w.wirePerB = cfg.WireNsPerByte
+		w := &workerBolt{task: task, k: k, strat: cfg.Strategy, wirePerB: cfg.WireNsPerByte, collect: cfg.CollectPairs}
+		w.emitFn = w.emitMatch
 		switch {
 		case bi:
 			w.bi = local.NewBi(cfg.Algorithm, jopts)
@@ -729,11 +591,6 @@ func run(cfg Config, recs []*record.Record, right []bool, cur checkpoint.Cursor)
 		}
 		return w
 	}, k).SubscribeTo("dispatcher", route)
-
-	// A result slab is already a batch: it ships when the worker emits it.
-	tp.AddBolt("sink", func(int) stream.Bolt {
-		return &sinkBolt{collect: cfg.CollectPairs}
-	}, 1).SubscribeUnbatched("worker", stream.Shuffle{})
 
 	rep, err := tp.Run()
 	if err != nil {
@@ -767,6 +624,8 @@ func run(cfg Config, recs []*record.Record, right []bool, cur checkpoint.Cursor)
 			res.WorkerCosts = append(res.WorkerCosts, w.joiner.Cost())
 		}
 		res.StoredCopies += w.stored
+		res.Results += w.results
+		res.Pairs = append(res.Pairs, w.pairs...)
 		if w.slat != nil {
 			snap := w.slat.Snapshot()
 			res.Latency.Merge(&snap)
@@ -774,7 +633,5 @@ func run(cfg Config, recs []*record.Record, right []bool, cur checkpoint.Cursor)
 			res.Latency.Merge(&w.lat)
 		}
 	}
-	sink := rep.Bolts["sink"][0].(*sinkBolt) // the topology has one sink task
-	res.Results, res.Pairs = sink.count, sink.pairs
 	return res, nil
 }

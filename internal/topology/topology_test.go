@@ -12,7 +12,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/record"
 	"repro/internal/similarity"
-	"repro/internal/stream"
 	"repro/internal/tokens"
 	"repro/internal/window"
 	"repro/internal/workload"
@@ -63,15 +62,12 @@ func bruteCount(recs []*record.Record, p filter.Params, win window.Policy) map[r
 	return out
 }
 
-// withSlabLadder appends groups of identical records to recs, interleaved
-// so that several workers fill result slabs at once. Record i of a group
+// withMatchLadder appends groups of identical records to recs, interleaved
+// so that several workers produce results at once. Record i of a group
 // matches the i records of the group before it, so the probes of the
-// largest group return every count from 0 to 519 — among them 0, 1, 63,
-// 64, 255, 256, 257 and more than two slabs' worth — and a slab fills in
-// the middle of a probe, exactly at a probe's end, and is shipped both
-// below and above the 64-pair mark. Groups differ in length, so a
-// length-based plan can put them on different workers.
-func withSlabLadder(recs []*record.Record) []*record.Record {
+// largest group return every count from 0 to 519. Groups differ in length,
+// so a length-based plan can put them on different workers.
+func withMatchLadder(recs []*record.Record) []*record.Record {
 	groups := []struct{ size, length int }{{520, 3}, {258, 6}, {65, 10}, {2, 16}}
 	out := append([]*record.Record(nil), recs...)
 	for i := 0; i < groups[0].size; i++ {
@@ -499,17 +495,16 @@ func TestDistributedBiJoinMatchesLocal(t *testing.T) {
 // transport: every batch size (including 1 = unbatched and sizes larger
 // than any queue) must produce exactly the brute-force pair multiset, and
 // the transport must report batch counts consistent with the tuple counts.
-// The stream ends in the slab ladder, so the same runs cover the result
-// edge: slabs that fill mid-probe and at a probe's end, slabs shipped from
-// ExecuteBatch and the last one from Flush, one dispatcher and several (up
-// to one per worker), one worker and several, self-join and two-stream.
+// The stream ends in the match ladder, so the same runs cover probes of
+// hundreds of results under one dispatcher and several (up to one per
+// worker), one worker and several, self-join and two-stream.
 func TestBatchSizeParity(t *testing.T) {
 	p := params(0.6)
-	recs := withSlabLadder(genStream(600, 17))
+	recs := withMatchLadder(genStream(600, 17))
 	want := bruteCount(recs, p, nil)
 	sides := tagSides(len(recs))
 	wantBi := bruteCountBi(recs, sides, p)
-	if len(want) < 2*slabPairs || len(wantBi) < 2*slabPairs {
+	if len(want) < 512 || len(wantBi) < 512 {
 		t.Fatalf("degenerate test: %d and %d result pairs", len(want), len(wantBi))
 	}
 	type shape struct{ batch, workers, dispatchers int }
@@ -550,14 +545,6 @@ func TestBatchSizeParity(t *testing.T) {
 			if batches == 0 || batches > tuples {
 				t.Fatalf("%s: implausible batch count %d for %d tuples", label, batches, tuples)
 			}
-			// The result edge carries slabs, counted at 24 bytes a pair.
-			edge := res.Report.Edges[stream.EdgeKey{From: "worker", To: "sink"}]
-			if got := edge.Bytes.Load(); got != 24*res.Results {
-				t.Fatalf("%s: worker->sink bytes %d, want %d", label, got, 24*res.Results)
-			}
-			if slabs := edge.Tuples.Load(); slabs*slabPairs < res.Results || slabs != edge.Batches.Load() {
-				t.Fatalf("%s: %d slabs in %d sends for %d pairs", label, slabs, edge.Batches.Load(), res.Results)
-			}
 		}
 		label := fmt.Sprintf("bi batch %d k=%d d=%d", sh.batch, sh.workers, sh.dispatchers)
 		res, err := RunBi(recs, sides, Config{
@@ -573,6 +560,49 @@ func TestBatchSizeParity(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		checkPairs(t, label, res.Pairs, wantBi)
+	}
+}
+
+// TestRunPairsInWorkerOrder: Result.Pairs is each worker's results in task
+// order, every share in the order its worker probed the records, so two
+// runs of one configuration return the same slice. Prefix routing sends a
+// ladder record to several workers and the verifier pools fan its probe
+// out; neither may reorder a worker's share.
+func TestRunPairsInWorkerOrder(t *testing.T) {
+	p := params(0.6)
+	recs := withMatchLadder(genStream(600, 23))
+	cfg := Config{
+		Workers: 4, Strategy: dispatch.PrefixBased{Params: p},
+		Algorithm: local.Bundled, Params: p, Parallelism: 2, CollectPairs: true,
+	}
+	first, err := Run(recs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPairs(t, "first run", first.Pairs, bruteCount(recs, p, nil))
+	again, err := Run(recs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(again.Pairs) != len(first.Pairs) {
+		t.Fatalf("second run returned %d pairs, first %d", len(again.Pairs), len(first.Pairs))
+	}
+	for i := range first.Pairs {
+		if again.Pairs[i] != first.Pairs[i] {
+			t.Fatalf("pair %d differs between runs: %v, then %v", i, first.Pairs[i], again.Pairs[i])
+		}
+	}
+	share := first.Pairs
+	for _, b := range first.Report.Bolts["worker"] {
+		w := b.(*workerBolt)
+		mine := share[:w.results]
+		share = share[w.results:]
+		for i := 1; i < len(mine); i++ {
+			// The probe is the later record of a pair: its Second.
+			if mine[i].Second < mine[i-1].Second {
+				t.Fatalf("worker %d: pair %d probes %d after %d", w.task, i, mine[i].Second, mine[i-1].Second)
+			}
+		}
 	}
 }
 
