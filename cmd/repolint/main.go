@@ -1,11 +1,11 @@
 // Command repolint runs the repo-specific static analysis suite
 // (internal/lint) over Go packages, whole-program: all packages are
-// analyzed together in dependency order with a shared fact store, so the
-// interprocedural analyzers (lockorder, allocheck, wirestate) see across
-// package boundaries and their whole-repo Finish checks run:
+// analyzed in one session with a shared fact store, so wirestate's
+// whole-repo Finish check sees every package's wire frames and dispatch
+// arms:
 //
 //	repolint ./...
-//	repolint -run lockorder,allocheck ./...
+//	repolint -run lockcheck,wirestate ./...
 //
 // Exit status: 0 clean, 1 findings, 2 usage or internal error.
 // docs/LINTING.md describes every analyzer and the suppression syntax.

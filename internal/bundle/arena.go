@@ -128,14 +128,14 @@ func (al *alloc) bundle() *Bundle {
 
 // at resolves a slot id to its bundle.
 //
-// hotpath: zero-alloc — once per candidate and per dead posting dropped.
+// Once per candidate and per dead posting dropped.
 func (al *alloc) at(slot uint32) *Bundle {
 	return &al.bchunks[slot>>bundleShift][slot&(bundleChunk-1)]
 }
 
 // hotAt resolves a slot id to its hot entry.
 //
-// hotpath: zero-alloc — once per posting scanned.
+// Once per posting scanned.
 func (al *alloc) hotAt(slot uint32) *hot {
 	return &al.hots[slot>>bundleShift][slot&(bundleChunk-1)]
 }
@@ -160,7 +160,7 @@ func (al *alloc) mirror(b *Bundle) {
 // sigAt returns the signature of a bundle that has one (hasSig), at its own
 // width (wide: its wideSig); the verify phase only ever reads it.
 //
-// hotpath: zero-alloc — once per check of a wide signature.
+// Once per check of a wide signature.
 func (al *alloc) sigAt(slot uint32, wide bool) sig {
 	c, i := slot>>bundleShift, slot&(bundleChunk-1)
 	if !wide {
@@ -203,7 +203,7 @@ func (al *alloc) sigCell(slot uint32, n int) sig {
 
 // freeWide takes back the wide cell of a bundle that just died.
 //
-// hotpath: zero-alloc — the free-list push is an amortised self-append.
+// The free-list push is an amortised self-append.
 func (al *alloc) freeWide(slot uint32) {
 	ref := &al.wide[slot>>bundleShift][slot&(bundleChunk-1)]
 	al.freeW = append(al.freeW, *ref>>1)

@@ -135,7 +135,7 @@ func sigWidth(n int) int {
 // at a 10-bit index — the product's top byte below its next two bits —
 // masked to s's width.
 //
-// hotpath: zero-alloc — once per probe, inserted member and rebuild.
+// Once per probe, inserted member and rebuild.
 func (s sig) set(ts []tokens.Rank) {
 	clear(s)
 	s.add(ts)
@@ -153,7 +153,7 @@ func (s sig) add(ts []tokens.Rank) {
 // missing counts the bits of s that b, no wider than s, lacks; each witnesses
 // a distinct token of s's set outside b's.
 //
-// hotpath: zero-alloc — once per check of a wide signature.
+// Once per check of a wide signature.
 func (s sig) missing(b sig) (n int) {
 	s = s[:len(b)]
 	for k := range b {
@@ -164,7 +164,7 @@ func (s sig) missing(b sig) (n int) {
 
 // missing is sig.missing on one block.
 //
-// hotpath: zero-alloc — once per signature check.
+// Once per signature check.
 func (p *sigBlock) missing(q *sigBlock) int {
 	return bits.OnesCount64(p[0]&^q[0]) + bits.OnesCount64(p[1]&^q[1]) +
 		bits.OnesCount64(p[2]&^q[2]) + bits.OnesCount64(p[3]&^q[3])
@@ -176,7 +176,7 @@ type probeSig [2*sigMaxBlocks - 1]sigBlock
 
 // set makes p the signature of exactly ts at every width.
 //
-// hotpath: zero-alloc — once per probe.
+// Once per probe.
 func (p *probeSig) set(ts []tokens.Rank) {
 	sig(p[:sigMaxBlocks]).set(ts)
 	for src, n := 0, sigMaxBlocks/2; n >= 1; src, n = src+2*n, n/2 {
@@ -190,7 +190,7 @@ func (p *probeSig) set(ts []tokens.Rank) {
 
 // at returns p at the width of n blocks.
 //
-// hotpath: zero-alloc — once per check of a wide signature.
+// Once per check of a wide signature.
 func (p *probeSig) at(n int) sig {
 	off := 2 * (sigMaxBlocks - n)
 	return p[off : off+n]

@@ -282,8 +282,8 @@ func (bx *Index) retire(b *Bundle) {
 // dropDead accounts for one posting of dead bundle b leaving the table
 // (the caller's compaction removes the entry) and recycles b once none is left.
 //
-// hotpath: zero-alloc — called from collectCandidates' compaction; the
-// free-list push is an amortised self-append.
+// Called from collectCandidates' compaction; the free-list push is an
+// amortised self-append.
 func (bx *Index) dropDead(b *Bundle) {
 	bx.stats.DeadPostSkips++
 	bx.deadPosts--
@@ -304,7 +304,7 @@ func (bx *Index) dropDead(b *Bundle) {
 // hundred records, and a table re-made each time would be its largest
 // allocation; Evict lets an emptied table shrink afterwards (postTable.fit).
 //
-// hotpath: zero-alloc — O(postings), allocates nothing.
+// O(postings), allocates nothing.
 func (bx *Index) sweep() {
 	bx.stats.RebuildSweeps++
 	for k := range bx.posts.buckets {
@@ -341,7 +341,7 @@ func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok b
 // verifySerial verifies cands on the calling goroutine, emitting straight
 // to the caller.
 //
-// hotpath: zero-alloc — runs once per probe.
+// Runs once per probe.
 func (bx *Index) verifySerial(r *record.Record, cands []*Bundle, emit func(Match)) (best Insertion, ok bool) {
 	for _, b := range cands {
 		if m, found := bx.probeBundle(r, b, &bx.stats, emit); found && (!ok || betterIns(m, best)) {
@@ -356,7 +356,7 @@ func (bx *Index) verifySerial(r *record.Record, cands []*Bundle, emit func(Match
 // for the gate to pay — the signature. Every probe path calls it exactly
 // once, in its single-writer phase.
 //
-// hotpath: zero-alloc — once per probe.
+// Once per probe.
 func (bx *Index) bindProbe(r *record.Record) {
 	bx.probeLo, bx.probeHi = bx.params.LengthBounds(r.Len())
 	bx.probeHasSig = r.Len() >= sigMinLen
@@ -399,7 +399,7 @@ func (bx *Index) resetStamps() {
 // ProbePar — reads an index nobody is writing. The returned slice is scratch
 // owned by the index, valid until the next call.
 //
-// hotpath: zero-alloc — runs once per probe.
+// Runs once per probe.
 func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 	cands := bx.cands[:0]
 	bx.probeSeq++
@@ -511,8 +511,8 @@ func betterIns(a, b Insertion) bool {
 // or the insert/evict path, which run strictly before and after the fanned
 // verify phase.
 //
-// hotpath: zero-alloc — runs once per candidate bundle per probe; matches
-// are emitted as value structs through the emit callback.
+// Runs once per candidate bundle per probe; matches are emitted as value
+// structs through the emit callback.
 func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(Match)) (Insertion, bool) {
 	la := r.Len()
 	lo, hi := bx.probeLo, bx.probeHi
@@ -693,7 +693,7 @@ func (bx *Index) Dump(visit func(*record.Record) bool) {
 // required overlap is nondecreasing in partner length, so the minimum is at
 // the smallest compatible length.
 //
-// hotpath: zero-alloc — arithmetic only.
+// Arithmetic only.
 func (bx *Index) minRequired(la, bmin, lo int) int {
 	l := bmin
 	if lo > l {

@@ -20,7 +20,7 @@ import (
 //
 // Runs on the verifier pool. All writes go to st.
 //
-// hotpath: zero-alloc — one call per verification merge.
+// One call per verification merge.
 func overlapKernel(st *Stats, a, b []tokens.Rank) (o, steps int) {
 	if similarity.Gallops(len(a), len(b)) {
 		st.KernelGallop++
@@ -37,7 +37,7 @@ func overlapKernel(st *Stats, a, b []tokens.Rank) (o, steps int) {
 //
 // Runs on the verifier pool. All writes go to st.
 //
-// hotpath: zero-alloc — one call per verification merge.
+// One call per verification merge.
 func overlapKernelBounded(st *Stats, a, b []tokens.Rank, required int) (o, steps int, ok bool) {
 	if similarity.Gallops(len(a), len(b)) {
 		st.KernelGallop++

@@ -158,8 +158,8 @@ func (p *Pool) helper(c *VerifyCtx) {
 // Runs on the verifier pool. Everything it writes is local to c
 // or a disjoint res entry; the index is read-only here.
 //
-// hotpath: zero-alloc — the claim loop runs once per chunk; match
-// payloads land in the per-context arena, not fresh slices.
+// The claim loop runs once per chunk; match payloads land in the
+// per-context arena, not fresh slices.
 func (p *Pool) runStint(j *probeJob, c *VerifyCtx) {
 	worked := false
 	for {

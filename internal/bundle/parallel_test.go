@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/record"
 	"repro/internal/window"
+	"repro/internal/workload"
 )
 
 // processPar mirrors Index.Process with the probe fanned over pool — the
@@ -252,5 +253,39 @@ func BenchmarkParallelVerify(b *testing.B) {
 				processPar(bx, pool, r, func(Match) {})
 			}
 		})
+	}
+}
+
+// TestVerifyPoolStintAllocs: a fanned probe allocates nothing once the
+// pool's result slice and per-context arenas have grown — the stint loop
+// each verifier runs claims candidates and writes matches into its own
+// arena. Only probes that fan out are measured, so every run enters the
+// stint loop; AllocsPerRun counts the helpers' allocations too.
+func TestVerifyPoolStintAllocs(t *testing.T) {
+	stream := workload.NewGenerator(workload.AOLLike(42)).Generate(2000)
+	bx := New(params(0.8), window.Count{N: 1500}, Config{})
+	pool := NewPool(2)
+	defer pool.Close()
+	emit := func(Match) {}
+	for _, r := range stream[:1500] {
+		processPar(bx, pool, r, emit)
+	}
+	var fanned []*record.Record
+	for _, r := range stream[1500:] { // also grows the result slice and the arenas
+		before := pool.Snapshot().RoundsParallel
+		bx.ProbePar(pool, r, emit)
+		if pool.Snapshot().RoundsParallel > before {
+			fanned = append(fanned, r)
+		}
+	}
+	if len(fanned) < 10 {
+		t.Fatalf("only %d of 500 probes fanned out", len(fanned))
+	}
+	i := 0
+	if n := testing.AllocsPerRun(len(fanned), func() {
+		bx.ProbePar(pool, fanned[i%len(fanned)], emit)
+		i++
+	}); n != 0 {
+		t.Fatalf("a fanned probe allocates %v times", n)
 	}
 }

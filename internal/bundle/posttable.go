@@ -81,8 +81,8 @@ func (t *postTable) truncate(b *pbucket, ov []posting, w uint32) {
 
 // count returns the number of postings under tok, dead ones included.
 //
-// hotpath: zero-alloc — the count pass of collectCandidates: the loads of
-// successive tokens are independent, so their misses overlap.
+// The count pass of collectCandidates: the loads of successive tokens are
+// independent, so their misses overlap.
 func (t *postTable) count(tok tokens.Rank) (c int) {
 	b := t.bucket(tok)
 	ov := t.overflow(b)

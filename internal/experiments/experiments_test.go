@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -8,6 +9,34 @@ import (
 
 func tinyScale() Scale { return Scale{Records: 600, Workers: 3, Seed: 5} }
 
+// timedColumns names, per experiment, the columns that hold a wall-clock
+// time or a rate derived from one. Every other cell is a count, a ratio of
+// counts or a parameter, and must repeat byte for byte on a second run
+// with the same seed.
+var timedColumns = map[string][]string{
+	"E1":  {"length", "prefix", "broadcast", "length/broadcast", "length/prefix"},
+	"E2":  {"length", "prefix", "broadcast"},
+	"E6":  {"throughput rec/s"},
+	"E7":  {"throughput rec/s"},
+	"E8":  {"throughput rec/s"},
+	"E9":  {"throughput rec/s"},
+	"E9b": {"throughput rec/s"},
+	"E10": {"mean", "p50", "p99", "max"},
+	"E11": {"throughput rec/s"},
+	"E12": {"throughput rec/s"},
+	"E13": {"throughput rec/s"},
+	"E14": {"throughput rec/s"},
+	"E15": {"throughput rec/s"},
+	"E16": {"length", "prefix", "broadcast", "length/broadcast"},
+	"E17": {"throughput rec/s"},
+	"E18": {"throughput rec/s"},
+	"E19": {"throughput rec/s"},
+	"E20": {"rec/s", "speedup"},
+}
+
+// TestAllExperimentsRunAndProduceTables runs every experiment twice at the
+// same scale and seed: each table must be well formed, and every cell
+// outside timedColumns must match between the two runs.
 func TestAllExperimentsRunAndProduceTables(t *testing.T) {
 	for _, e := range All() {
 		e := e
@@ -27,6 +56,25 @@ func TestAllExperimentsRunAndProduceTables(t *testing.T) {
 			out := tab.Format()
 			if !strings.Contains(out, tab.Title) {
 				t.Fatal("formatted output missing title")
+			}
+
+			timed := make(map[string]bool)
+			for _, c := range timedColumns[e.ID] {
+				if !slices.Contains(tab.Columns, c) {
+					t.Errorf("timedColumns names %q, which the table does not have", c)
+				}
+				timed[c] = true
+			}
+			again := e.Run(tinyScale())
+			if len(again.Rows) != len(tab.Rows) {
+				t.Fatalf("second run has %d rows, first %d", len(again.Rows), len(tab.Rows))
+			}
+			for i, row := range tab.Rows {
+				for j, cell := range row {
+					if !timed[tab.Columns[j]] && again.Rows[i][j] != cell {
+						t.Errorf("row %d column %q: %q then %q on the same seed", i, tab.Columns[j], cell, again.Rows[i][j])
+					}
+				}
 			}
 		})
 	}

@@ -36,9 +36,9 @@ type Analyzer struct {
 	// Run inspects the package and reports findings through pass.Report.
 	Run func(pass *Pass) error
 	// Finish, when non-nil, runs once after every package's Run completed,
-	// with access to the accumulated fact store through the Session. It is
-	// where whole-program checks live: cycle detection over the merged
-	// lock graph, protocol-coverage accounting.
+	// with access to every package's facts through the Session. It is
+	// where whole-program checks live: wirestate's protocol-coverage
+	// accounting.
 	Finish func(s *Session) error
 }
 
@@ -150,8 +150,8 @@ func (idx ignoreIndex) covers(pos token.Position, analyzer string) bool {
 }
 
 // Session is the shared state of one whole-program analysis: the fact
-// store every pass reads and writes, the merged suppression index, and
-// the accumulated diagnostics. Finish hooks receive it after the last
+// store every pass writes, the merged suppression index, and the
+// accumulated diagnostics. Finish hooks receive it after the last
 // package's Run.
 type Session struct {
 	facts   *FactStore
@@ -164,16 +164,10 @@ func NewSession() *Session {
 	return &Session{facts: NewFactStore(), ignores: make(ignoreIndex)}
 }
 
-// AllPackageFacts returns every package-level fact of proto's type,
-// sorted by package path.
+// AllPackageFacts returns every package fact of proto's type, sorted by
+// package path.
 func (s *Session) AllPackageFacts(proto Fact) []StoredFact {
-	var out []StoredFact
-	for _, sf := range s.facts.allFacts(proto) {
-		if sf.Obj == "" {
-			out = append(out, sf)
-		}
-	}
-	return out
+	return s.facts.allFacts(proto)
 }
 
 // Reportf records a finding from a Finish hook at an explicit position,
@@ -244,52 +238,13 @@ func (s *Session) finish(analyzers []*Analyzer) ([]Diagnostic, error) {
 	return s.diags, nil
 }
 
-// dependencyOrder sorts packages so every package follows all of its
-// (transitive) dependencies that are themselves in the set — the order
-// fact producers must run before fact consumers.
-func dependencyOrder(pkgs []*Package) []*Package {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.Path] = p
-	}
-	sorted := make([]*Package, len(pkgs))
-	copy(sorted, pkgs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Path < sorted[j].Path })
-
-	out := make([]*Package, 0, len(pkgs))
-	seen := make(map[string]bool, len(pkgs))
-	var visit func(p *Package)
-	visit = func(p *Package) {
-		if seen[p.Path] {
-			return
-		}
-		seen[p.Path] = true
-		imports := p.Types.Imports()
-		paths := make([]string, 0, len(imports))
-		for _, imp := range imports {
-			paths = append(paths, imp.Path())
-		}
-		sort.Strings(paths)
-		for _, ip := range paths {
-			if dep, ok := byPath[ip]; ok {
-				visit(dep)
-			}
-		}
-		out = append(out, p)
-	}
-	for _, p := range sorted {
-		visit(p)
-	}
-	return out
-}
-
-// RunAll executes the analyzers over all packages in dependency order with
-// a shared fact store, runs the Finish hooks, and returns the surviving
-// diagnostics sorted by position. This is the entry point repolint and the
-// repo-wide test gate use.
+// RunAll executes the analyzers over all packages with a shared fact
+// store, runs the Finish hooks, and returns the surviving diagnostics
+// sorted by position. This is the entry point repolint and the repo-wide
+// test gate use.
 func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	s := NewSession()
-	for _, pkg := range dependencyOrder(pkgs) {
+	for _, pkg := range pkgs {
 		if err := s.runPackage(pkg, analyzers); err != nil {
 			return nil, err
 		}
@@ -299,8 +254,8 @@ func RunAll(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // Run executes the analyzers (Run and Finish phases) over one loaded
 // package and returns the surviving diagnostics sorted by position. The
-// fixture harness builds on it; whole-repo callers use RunAll so facts
-// flow between packages.
+// fixture harness builds on it; whole-repo callers use RunAll so Finish
+// hooks see every package's facts.
 func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return RunAll([]*Package{pkg}, analyzers)
 }
@@ -311,11 +266,6 @@ func All() []*Analyzer {
 		LockCheck,
 		GoroutineCheck,
 		CtxCheck,
-		DetCheck,
-		ObsCheck,
-		RetryCheck,
-		LockOrder,
-		AllocCheck,
 		WireState,
 	}
 }

@@ -76,7 +76,7 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q) = %v, err %v", a.Name, got, err)
 		}
 	}
-	two, err := ByName("lockcheck, detcheck")
+	two, err := ByName("lockcheck, ctxcheck")
 	if err != nil || len(two) != 2 {
 		t.Fatalf("ByName pair = %d analyzers, err %v", len(two), err)
 	}
@@ -88,9 +88,8 @@ func TestByName(t *testing.T) {
 // TestSuiteCleanOnRepo runs the full suite over the whole module — the
 // same gate `make lint` applies — and requires zero findings, so the tree
 // cannot drift from its own invariants between lint runs. The
-// whole-program RunAll entry point matters here: the interprocedural
-// analyzers need every package's facts before their Finish hooks judge
-// the repo.
+// whole-program RunAll entry point matters here: wirestate needs every
+// package's facts before its Finish hook judges the repo.
 func TestSuiteCleanOnRepo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")

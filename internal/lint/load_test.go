@@ -81,7 +81,7 @@ func parseOne(t *testing.T, src string) (*token.FileSet, []*ast.File) {
 func TestIgnoreIndexMultiAnalyzer(t *testing.T) {
 	fset, files := parseOne(t, `package p
 
-//lint:ignore lockcheck,allocheck documented reason
+//lint:ignore lockcheck,ctxcheck documented reason
 var x = 1
 `)
 	var diags []Diagnostic
@@ -90,7 +90,7 @@ var x = 1
 		t.Fatalf("well-formed directive reported: %v", diags)
 	}
 	pos := token.Position{Filename: "ignore.go", Line: 4}
-	for _, a := range []string{"lockcheck", "allocheck"} {
+	for _, a := range []string{"lockcheck", "ctxcheck"} {
 		if !idx.covers(pos, a) {
 			t.Errorf("line 4 not covered for %s", a)
 		}

@@ -22,7 +22,7 @@ func TestExpositionEscapedLabelRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	vec := reg.GaugeVec("escape_test_gauge", "escape torture", "edge")
 	for i, v := range nasty {
-		vec.With(v).Set(float64(i + 1)) // obscheck: bounded — fixed test table
+		vec.With(v).Set(float64(i + 1))
 	}
 	var sb strings.Builder
 	if err := reg.WriteExposition(&sb); err != nil {

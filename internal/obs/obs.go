@@ -21,9 +21,10 @@
 //
 // Metric names are snake_case with a unit suffix where applicable
 // (`_total` for counters, `_seconds` for histograms, bare nouns for
-// gauges); the obscheck analyzer (internal/lint) machine-checks the naming
-// convention and that every metric carries a help string. See
-// docs/OBSERVABILITY.md for the catalogue.
+// gauges); registration rejects a name that breaks the convention or a
+// metric without a help string, and TestEveryComponentRegistersItsMetrics
+// (internal/remote) registers every component's metrics to prove none
+// does. See docs/OBSERVABILITY.md for the catalogue.
 package obs
 
 import (
@@ -52,7 +53,7 @@ const (
 type Desc struct {
 	// Name is the snake_case metric name.
 	Name string
-	// Help is a one-line description (mandatory; obscheck enforces it).
+	// Help is a one-line description (mandatory; registration enforces it).
 	Help string
 	// Label is the single optional label key of the family ("" when
 	// unlabeled). One key is enough for this system's per-edge and
@@ -87,8 +88,7 @@ type Family struct {
 	Samples []Sample
 }
 
-// nameRe is the snake_case naming convention obscheck enforces statically
-// and Register enforces at runtime.
+// nameRe is the snake_case naming convention registration enforces.
 var nameRe = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 
 // Registry holds the collectors of one process (or one engine run).

@@ -74,6 +74,10 @@ type durableState struct {
 	// incarnation: dispatch skips appending record indices below it.
 	skip uint64
 
+	// mu serialises the shared encode buffers. Lock order: mu, then the
+	// lock wal.Log.Append takes inside. wal never calls back into remote
+	// and no caller holds another lock when it takes mu, so the order
+	// cannot invert; keep it that way.
 	mu    sync.Mutex
 	buf   bytes.Buffer
 	enc   *wire.Writer
@@ -115,7 +119,7 @@ func (ds *durableState) appendRecord(idx uint64, r *record.Record) error {
 	if ds == nil || idx < ds.skip {
 		return nil
 	}
-	ds.mu.Lock()
+	ds.mu.Lock() // before the wal.Log lock Append takes; see mu
 	defer ds.mu.Unlock()
 	ds.buf.Reset()
 	if err := ds.enc.WriteRecord(false, r); err != nil {

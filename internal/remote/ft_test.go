@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/faultwire"
+	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/window"
 	"repro/internal/workload"
@@ -410,5 +412,70 @@ func TestRetryPolicyBackoff(t *testing.T) {
 	}
 	if (RetryPolicy{}).backoff(1, 0) != 0 {
 		t.Error("zero policy should not pause")
+	}
+
+	// Cap 0 means no cap: the doubling must stop before it overflows, so
+	// every late attempt still pauses, and no longer than the one before.
+	uncapped := RetryPolicy{MaxAttempts: 100, Base: 50 * time.Millisecond, Seed: 7}
+	var prevFloor time.Duration
+	for attempt := 1; attempt <= 70; attempt++ {
+		d := uncapped.backoff(attempt, 3)
+		if d <= 0 {
+			t.Fatalf("uncapped attempt %d: backoff %v, want > 0", attempt, d)
+		}
+		floor := uncapped.Base
+		for i := 1; i < attempt && floor <= math.MaxInt64/2; i++ {
+			floor *= 2
+		}
+		floor /= 2
+		if d < floor || floor < prevFloor {
+			t.Fatalf("uncapped attempt %d: backoff %v, floor %v after %v", attempt, d, floor, prevFloor)
+		}
+		prevFloor = floor
+	}
+}
+
+// TestRunFTCancelDuringBackoff requires a cancelled run to stop waiting
+// out its retry backoff: every dial fails, the first backoff lasts at
+// least Base/2 (30 s), and cancelling the context once the manager has
+// journaled the failed attempt — the last thing it does before it waits —
+// must make RunFT return context.Canceled before half that backoff, a
+// bound no interruptible wait comes near and no uninterruptible one meets.
+func TestRunFTCancelDuringBackoff(t *testing.T) {
+	checkNoLeaks(t)
+	dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
+		return nil, errors.New("connection refused")
+	}
+	ft := FT{Retry: RetryPolicy{MaxAttempts: 100, Base: time.Minute, Cap: 2 * time.Minute, Seed: 1}}
+	journal := obs.NewJournal(0)
+	recs := workload.NewGenerator(workload.UniformSmall(3)).Generate(50)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunFT(ctx, dial, 1, testSession(0.7, "broadcast", nil), recs, Opts{Journal: journal}, ft)
+		done <- err
+	}()
+	retried := func() bool {
+		for _, ev := range journal.Snapshot().Events {
+			if ev.Type == "retry" {
+				return true
+			}
+		}
+		return false
+	}
+	for deadline := time.Now().Add(5 * time.Second); !retried(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no failed attempt journaled within 5s")
+		}
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("RunFT = %v, want context.Canceled", err)
+		}
+	case <-time.After(ft.Retry.Base / 4):
+		t.Fatal("RunFT still running Base/4 after cancel; the backoff was not interrupted")
 	}
 }

@@ -2,16 +2,26 @@ package remote
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/dispatch"
+	"repro/internal/filter"
+	"repro/internal/local"
 	"repro/internal/obs"
+	"repro/internal/partition"
+	"repro/internal/similarity"
+	"repro/internal/topology"
 	"repro/internal/window"
 	"repro/internal/workload"
 )
@@ -218,5 +228,117 @@ func TestMonitorSnapshotActiveNeverUnderflows(t *testing.T) {
 		if snap["sessions_active"] > snap["sessions_started"] {
 			t.Fatalf("call %d: sessions_active %d > sessions_started %d", i, snap["sessions_active"], snap["sessions_started"])
 		}
+	}
+}
+
+// TestEveryComponentRegistersItsMetrics puts the metrics of every
+// component on the registries the binaries build: the process, journal,
+// partition tracker, FT coordinator and an instrumented engine run with its
+// stream runtime share one, as in ssjoin and ssjoinbench; the worker
+// monitor gets the worker process's own, as in ssjoinworker. The two
+// cannot share one: both define worker_record_seconds, per task in the
+// engine and per process in the worker. Registration panics on a name
+// collision across kinds, a name that is not snake_case or an empty help
+// string; the scrape must also show non-blank help on every family. The
+// per-task and per-edge families are bound at wiring time, one child per
+// task, edge or verifier context: a k-worker run must leave exactly that
+// label set in each of them, never one child per record or per result.
+func TestEveryComponentRegistersItsMetrics(t *testing.T) {
+	const k, dispatchers, par = 3, 2, 2
+	reg, workerReg := obs.NewRegistry(), obs.NewRegistry()
+	for _, r := range []*obs.Registry{reg, workerReg} {
+		obs.RegisterProcessMetrics(r)
+		obs.NewJournal(0).RegisterMetrics(r)
+	}
+	(&Monitor{}).RegisterMetrics(workerReg)
+	tau := filter.Params{Func: similarity.Jaccard, Threshold: 0.7}
+	partition.NewTracker(tau, 100).RegisterMetrics(reg)
+	newFTMetrics(reg)
+	recs := workload.NewGenerator(workload.AOLLike(9)).Generate(400)
+	res, err := topology.Run(recs, topology.Config{
+		Workers:     k,
+		Dispatchers: dispatchers,
+		Parallelism: par,
+		Strategy:    dispatch.PrefixBased{Params: tau},
+		Algorithm:   local.Bundled,
+		Params:      tau,
+		Registry:    reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Results == 0 {
+		t.Fatal("the run found no matches; the per-result paths went unexercised")
+	}
+
+	tasks := func(name string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("%s/%d", name, i)
+		}
+		return out
+	}
+	workers := tasks("worker", k)
+	queued := append(tasks("dispatcher", dispatchers), workers...)
+	var contexts []string
+	for _, w := range workers {
+		contexts = append(contexts, tasks(w+"/ctx", par)...)
+	}
+	want := map[string][]string{
+		"stream_edge_tuples_total":            {"dispatcher->worker", "source->dispatcher"},
+		"stream_edge_bytes_total":             {"dispatcher->worker", "source->dispatcher"},
+		"stream_edge_batches_total":           {"dispatcher->worker", "source->dispatcher"},
+		"stream_edge_batch_occupancy":         {"dispatcher->worker", "source->dispatcher"},
+		"stream_task_executed_total":          append([]string{"source/0"}, queued...),
+		"stream_task_emitted_total":           append([]string{"source/0"}, queued...),
+		"stream_queue_depth_batches":          queued,
+		"stream_process_seconds":              queued,
+		"stream_queue_wait_seconds":           queued,
+		"worker_record_seconds":               workers,
+		"bundle_records_total":                workers,
+		"bundle_candidates_total":             workers,
+		"bundle_verified_total":               workers,
+		"bundle_results_total":                workers,
+		"bundle_live_members":                 workers,
+		"bundle_verify_hit_rate":              workers,
+		"verify_kernel_linear_total":          workers,
+		"verify_kernel_gallop_total":          workers,
+		"verify_candidates_pruned_total":      workers,
+		"verify_pool_size":                    workers,
+		"verify_pool_parallel_rounds_total":   workers,
+		"verify_pool_serial_rounds_total":     workers,
+		"verify_pool_fanned_candidates_total": workers,
+		"verify_pool_idle_stints_total":       workers,
+		"verify_pool_ctx_verified_total":      contexts,
+	}
+
+	snake := regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+	for _, f := range append(reg.Gather(), workerReg.Gather()...) {
+		if !snake.MatchString(f.Desc.Name) {
+			t.Errorf("metric %q is not snake_case", f.Desc.Name)
+		}
+		if strings.TrimSpace(f.Desc.Help) == "" {
+			t.Errorf("metric %q has blank help", f.Desc.Name)
+		}
+		if f.Desc.Label == "" {
+			continue
+		}
+		wantLabels, ok := want[f.Desc.Name]
+		if !ok {
+			t.Errorf("labeled family %q has no expected label set in this test", f.Desc.Name)
+			continue
+		}
+		delete(want, f.Desc.Name)
+		var got []string
+		for _, s := range f.Samples {
+			got = append(got, s.Label)
+		}
+		sort.Strings(wantLabels)
+		if !slices.Equal(got, wantLabels) {
+			t.Errorf("%s: children %q, want one per task, edge or context: %q", f.Desc.Name, got, wantLabels)
+		}
+	}
+	for name := range want {
+		t.Errorf("labeled family %s was not registered", name)
 	}
 }

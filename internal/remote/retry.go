@@ -2,6 +2,7 @@ package remote
 
 import (
 	"context"
+	"math"
 	"time"
 )
 
@@ -15,7 +16,8 @@ type RetryPolicy struct {
 	// Base is the backoff before the first retry; each further retry
 	// doubles it up to Cap.
 	Base time.Duration
-	// Cap bounds the backoff growth. Zero means no cap.
+	// Cap bounds the backoff growth. Zero means no cap: the backoff then
+	// doubles until one more doubling would overflow a Duration.
 	Cap time.Duration
 	// Seed drives the deterministic jitter so retry storms decorrelate
 	// without nondeterminism in tests. Zero is a valid seed.
@@ -39,7 +41,7 @@ func (p RetryPolicy) backoff(attempt int, seq uint64) time.Duration {
 		return 0
 	}
 	d := p.Base
-	for i := 1; i < attempt; i++ {
+	for i := 1; i < attempt && d <= math.MaxInt64/2; i++ {
 		d *= 2
 		if p.Cap > 0 && d >= p.Cap {
 			d = p.Cap
@@ -61,7 +63,8 @@ func (p RetryPolicy) backoff(attempt int, seq uint64) time.Duration {
 
 // sleepCtx pauses for d or until ctx is cancelled, returning the ctx error
 // in the latter case. This is the cancellation-aware sleep every retry
-// loop must use (retrycheck flags bare time.Sleep in such loops).
+// loop must use: TestRunFTCancelDuringBackoff fails when manage's backoff
+// outlives a cancelled run.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()

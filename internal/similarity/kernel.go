@@ -22,7 +22,7 @@ const gallopMinRatio = 8
 // lb-element set runs the galloping kernel (the linear merge otherwise).
 // An empty side always gallops: the merge is over before it starts.
 //
-// hotpath: zero-alloc — runs once per verification merge.
+// Runs once per verification merge.
 func Gallops(la, lb int) bool {
 	short, long := la, lb
 	if short > long {
@@ -35,7 +35,7 @@ func Gallops(la, lb int) bool {
 // exponentially from `from` and binary-searching the final window. probes
 // counts comparisons, the galloping merge's unit of work.
 //
-// hotpath: zero-alloc — runs once per short-side element.
+// Runs once per short-side element.
 func gallopTo(b []tokens.Rank, from int, x tokens.Rank) (idx, probes int) {
 	n := len(b)
 	if from >= n || b[from] >= x {
@@ -69,7 +69,7 @@ func gallopTo(b []tokens.Rank, from int, x tokens.Rank) (idx, probes int) {
 // IntersectSizeGallop computes |a∩b| by galloping the shorter side
 // through the longer. Both slices must be ascending.
 //
-// hotpath: zero-alloc — verification inner loop.
+// Verification inner loop.
 func IntersectSizeGallop(a, b []tokens.Rank) (o, probes int) {
 	if len(a) > len(b) {
 		a, b = b, a
@@ -90,7 +90,7 @@ func IntersectSizeGallop(a, b []tokens.Rank) (o, probes int) {
 // VerifyOverlapGallop decides |a∩b| >= required by galloping merge with
 // early termination (VerifyOverlap's contract: exact overlap when ok).
 //
-// hotpath: zero-alloc — verification inner loop.
+// Verification inner loop.
 func VerifyOverlapGallop(a, b []tokens.Rank, required int) (o, probes int, ok bool) {
 	if len(a) > len(b) {
 		a, b = b, a

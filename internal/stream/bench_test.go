@@ -12,37 +12,49 @@ type ptrTuple struct{ v int }
 
 func (*ptrTuple) SizeBytes() int { return 8 }
 
+// emitPath wires an emitter to one batched edge with a live consumer that
+// recycles every batch into the pool, as a running topology does. stop
+// flushes the emitter and waits for the consumer.
+func emitPath(bs int) (em *emitter, stop func()) {
+	pool := &sync.Pool{New: func() interface{} {
+		return &batch{items: make([]Tuple, 0, bs)}
+	}}
+	dest := &taskRun{in: make(chan *batch, 64), pool: pool}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for ba := range dest.in {
+			for i := range ba.items {
+				ba.items[i] = nil
+			}
+			ba.items = ba.items[:0]
+			pool.Put(ba)
+		}
+	}()
+	out := &edgeOut{
+		stream:    DefaultStream,
+		sel:       Shuffle{}.NewSelector(1),
+		dests:     []*taskRun{dest},
+		counters:  &EdgeCounters{},
+		batchSize: bs,
+		pending:   make([]*batch, 1),
+	}
+	em = &emitter{outs: []*edgeOut{out}, counters: &TaskCounters{}, pool: pool}
+	return em, func() {
+		em.flush()
+		close(dest.in)
+		wg.Wait()
+	}
+}
+
 // BenchmarkEmitPath measures the steady-state cost of one EmitTo through a
 // batched edge with a live consumer: batching plus the pooled batches keep
 // it allocation-flat (~0 allocs/op).
 func BenchmarkEmitPath(b *testing.B) {
 	for _, bs := range []int{1, 64} {
 		b.Run(fmt.Sprintf("batch-%d", bs), func(b *testing.B) {
-			pool := &sync.Pool{New: func() interface{} {
-				return &batch{items: make([]Tuple, 0, bs)}
-			}}
-			dest := &taskRun{in: make(chan *batch, 64), pool: pool}
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ba := range dest.in {
-					for i := range ba.items {
-						ba.items[i] = nil
-					}
-					ba.items = ba.items[:0]
-					pool.Put(ba)
-				}
-			}()
-			out := &edgeOut{
-				stream:    DefaultStream,
-				sel:       Shuffle{}.NewSelector(1),
-				dests:     []*taskRun{dest},
-				counters:  &EdgeCounters{},
-				batchSize: bs,
-				pending:   make([]*batch, 1),
-			}
-			em := &emitter{outs: []*edgeOut{out}, counters: &TaskCounters{}, pool: pool}
+			em, stop := emitPath(bs)
 			tu := &ptrTuple{v: 7}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -51,8 +63,7 @@ func BenchmarkEmitPath(b *testing.B) {
 			}
 			em.flush()
 			b.StopTimer()
-			close(dest.in)
-			wg.Wait()
+			stop()
 		})
 	}
 }

@@ -55,10 +55,10 @@ func (tp *Topology) registerMetrics(report *Report, tasks map[string][]*taskRun)
 	for key, ec := range report.Edges {
 		ec := ec
 		label := key.From + "->" + key.To
-		tuples.SetFunc(label, func() float64 { return float64(ec.Tuples.Load()) })   // obscheck: bounded — one series per edge/task, fixed at wiring time
-		bytes.SetFunc(label, func() float64 { return float64(ec.Bytes.Load()) })     // obscheck: bounded — one series per edge/task, fixed at wiring time
-		batches.SetFunc(label, func() float64 { return float64(ec.Batches.Load()) }) // obscheck: bounded — one series per edge/task, fixed at wiring time
-		occ.SetFunc(label, ec.Occupancy)                                             // obscheck: bounded — one series per edge/task, fixed at wiring time
+		tuples.SetFunc(label, func() float64 { return float64(ec.Tuples.Load()) })
+		bytes.SetFunc(label, func() float64 { return float64(ec.Bytes.Load()) })
+		batches.SetFunc(label, func() float64 { return float64(ec.Batches.Load()) })
+		occ.SetFunc(label, ec.Occupancy)
 	}
 
 	executed := reg.CounterVec("stream_task_executed_total",
@@ -75,13 +75,13 @@ func (tp *Topology) registerMetrics(report *Report, tasks map[string][]*taskRun)
 		for _, tr := range runs {
 			tr := tr
 			label := fmt.Sprintf("%s/%d", name, tr.idx)
-			executed.SetFunc(label, func() float64 { return float64(tr.counters.Executed.Load()) }) // obscheck: bounded — one series per edge/task, fixed at wiring time
-			emitted.SetFunc(label, func() float64 { return float64(tr.counters.Emitted.Load()) })   // obscheck: bounded — one series per edge/task, fixed at wiring time
+			executed.SetFunc(label, func() float64 { return float64(tr.counters.Executed.Load()) })
+			emitted.SetFunc(label, func() float64 { return float64(tr.counters.Emitted.Load()) })
 			if tr.in != nil {
 				tr.obs = &taskObs{}
-				depth.SetFunc(label, func() float64 { return float64(len(tr.in)) }) // obscheck: bounded — one series per edge/task, fixed at wiring time
-				procH.SetFunc(label, tr.obs.process.Snapshot)                       // obscheck: bounded — one series per edge/task, fixed at wiring time
-				waitH.SetFunc(label, tr.obs.wait.Snapshot)                          // obscheck: bounded — one series per edge/task, fixed at wiring time
+				depth.SetFunc(label, func() float64 { return float64(len(tr.in)) })
+				procH.SetFunc(label, tr.obs.process.Snapshot)
+				waitH.SetFunc(label, tr.obs.wait.Snapshot)
 			}
 		}
 	}

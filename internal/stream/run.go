@@ -66,8 +66,8 @@ type edgeOut struct {
 // it reaches batchSize. A full destination queue blocks the producer: the
 // bounded channel is the engine's only backpressure, and it is lossless.
 //
-// hotpath: zero-alloc — one call per (tuple, destination); batches come
-// from the pool and items grow by amortized self-append only.
+// One call per (tuple, destination); batches come from the pool and items
+// grow by amortized self-append only.
 func (o *edgeOut) send(d int, t Tuple, pool *sync.Pool) {
 	b := o.pending[d]
 	if b == nil {
@@ -90,7 +90,7 @@ func (o *edgeOut) send(d int, t Tuple, pool *sync.Pool) {
 // counters. It runs before a batch is handed to the consumer, so the shared
 // counters never trail what consumers have seen.
 //
-// hotpath: zero-alloc — two atomic adds per shipped batch, none per tuple.
+// Two atomic adds per shipped batch, none per tuple.
 func (o *edgeOut) fold() {
 	if o.tuples == 0 {
 		return
@@ -128,13 +128,13 @@ type emitter struct {
 
 // Emit routes t on the default stream.
 //
-// hotpath: zero-alloc — the per-tuple fast path of every task.
+// The per-tuple fast path of every task.
 func (e *emitter) Emit(t Tuple) { e.EmitTo(DefaultStream, t) }
 
 // EmitTo routes t on the named stream to every subscribed edge.
 //
-// hotpath: zero-alloc — selection reuses e.buf, batching reuses pooled
-// batches; BenchmarkEmitPath pins the dynamic side of this contract.
+// Selection reuses e.buf, batching reuses pooled batches; BenchmarkEmitPath
+// pins the dynamic side of this contract.
 func (e *emitter) EmitTo(stream string, t Tuple) {
 	e.emitted++
 	// SizeBytes is computed lazily: only once a subscribed edge selects at

@@ -114,8 +114,6 @@ func (d *Dictionary) rehash(size int) {
 // id+1 of the word, or the index of the empty slot that ends its probe
 // sequence and 0. A slot matches only on equal length and equal bytes, so
 // words that pad to the same head ("a", "a\x00") stay distinct.
-//
-// hotpath: zero-alloc
 func (d *Dictionary) find(word []byte, head uint64) (uint64, uint32) {
 	mask := uint64(len(d.slots) - 1)
 	for i := d.hash(word, head) & mask; ; i = (i + 1) & mask {
@@ -138,8 +136,6 @@ const (
 // hash mixes the dictionary's seed, word's head and length and, past 8
 // bytes, every further 8-byte chunk: one 64×64→128-bit multiply each,
 // folded. Its low bits index the table.
-//
-// hotpath: zero-alloc
 func (d *Dictionary) hash(word []byte, head uint64) uint64 {
 	h := mix(head^d.seed, uint64(len(word))^mulLen)
 	for rest := word[min(len(word), 8):]; len(rest) > 0; rest = rest[min(len(rest), 8):] {
@@ -149,8 +145,6 @@ func (d *Dictionary) hash(word []byte, head uint64) uint64 {
 }
 
 // mix multiplies a by b and folds the 128-bit product.
-//
-// hotpath: zero-alloc
 func mix(a, b uint64) uint64 {
 	hi, lo := bits.Mul64(a, b)
 	return hi ^ lo
@@ -159,8 +153,6 @@ func mix(a, b uint64) uint64 {
 // head8 returns b's first 8 bytes as a little-endian uint64, zero-padded
 // when b is shorter. A short b is read in at most three loads that may
 // overlap, not byte by byte.
-//
-// hotpath: zero-alloc
 func head8(b []byte) uint64 {
 	switch n := len(b); {
 	case n >= 8:
@@ -180,8 +172,6 @@ func head8(b []byte) uint64 {
 }
 
 // bytes returns word id as a view of the arena.
-//
-// hotpath: zero-alloc
 func (d *Dictionary) bytes(id Token) []byte {
 	start := uint32(0)
 	if id > 0 {
@@ -198,8 +188,6 @@ func (d *Dictionary) Lookup(word string) (Token, bool) {
 
 // LookupBytes is Lookup for a token held in a byte slice; nothing is
 // copied.
-//
-// hotpath: zero-alloc
 func (d *Dictionary) LookupBytes(word []byte) (Token, bool) {
 	if _, id1 := d.find(word, head8(word)); id1 != 0 {
 		return Token(id1 - 1), true

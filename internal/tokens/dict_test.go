@@ -191,3 +191,21 @@ func FuzzDictionaryVsMap(f *testing.F) {
 		checkDict(t, d, words)
 	})
 }
+
+// TestLookupBytesAllocs: a lookup allocates nothing, whether it hits a
+// short word, hits a word longer than the 8-byte head, or misses.
+func TestLookupBytesAllocs(t *testing.T) {
+	d := NewDictionary()
+	d.Intern("cat")
+	d.Intern("encyclopaedia")
+	for _, w := range [][]byte{[]byte("cat"), []byte("encyclopaedia"), []byte("dog")} {
+		want := string(w) != "dog"
+		if n := testing.AllocsPerRun(100, func() {
+			if _, ok := d.LookupBytes(w); ok != want {
+				t.Fatalf("LookupBytes(%q) found = %v, want %v", w, ok, want)
+			}
+		}); n != 0 {
+			t.Fatalf("LookupBytes(%q) allocates %v times", w, n)
+		}
+	}
+}

@@ -193,8 +193,6 @@ func (w WordTokenizer) Tokenize(text string) []string { return collect(w, text) 
 // Scan implements Tokenizer: split, trim and lower-case in one left-to-right
 // pass. A word that needs no rewriting is yielded as a view of text; scratch
 // is written only from the first rune of a word that lower-casing changes.
-//
-// hotpath: zero-alloc
 func (w WordTokenizer) Scan(text string, scratch []byte, yield func(tok []byte)) []byte {
 	src := bytesOf(text)
 	fold := !w.KeepCase
@@ -296,8 +294,6 @@ func (q QGramTokenizer) Scan(text string, scratch []byte, yield func(tok []byte)
 }
 
 // scan is Scan after the check on Q.
-//
-// hotpath: zero-alloc
 func (q QGramTokenizer) scan(text string, scratch []byte, yield func(tok []byte)) []byte {
 	pad := 0
 	if q.Pad {
@@ -346,8 +342,6 @@ func (q QGramTokenizer) scan(text string, scratch []byte, yield func(tok []byte)
 
 // runeWidth is the encoded length of the rune that lead, a lead byte of
 // valid UTF-8, starts.
-//
-// hotpath: zero-alloc
 func runeWidth(lead byte) int {
 	switch {
 	case lead < 0x80:

@@ -317,8 +317,8 @@ func (w *workerBolt) ExecuteBatch(ts []stream.Tuple, _ stream.Emitter) {
 // method value serves every record without a per-record closure
 // allocation. A sampled record's lineage ends at its verify spans.
 //
-// hotpath: zero-alloc — one call per result pair; a collecting worker's
-// pairs grow by amortized self-append only.
+// One call per result pair; a collecting worker's pairs grow by amortized
+// self-append only.
 func (w *workerBolt) emitMatch(m local.Match) {
 	if !w.strat.Emits(w.curRec, m.Rec, w.task, w.k) {
 		return
@@ -388,22 +388,22 @@ func (w *workerBolt) registerJoinerMetrics(reg *obs.Registry, task int) {
 	label := fmt.Sprintf("worker/%d", task)
 	reg.CounterVec("bundle_records_total",
 		"Records processed by a worker's bundle index.", "task").
-		SetFunc(label, func() float64 { return float64(ls.Records.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
+		SetFunc(label, func() float64 { return float64(ls.Records.Load()) })
 	reg.CounterVec("bundle_candidates_total",
 		"Candidate members examined by a worker's bundle index.", "task").
-		SetFunc(label, func() float64 { return float64(ls.Candidates.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
+		SetFunc(label, func() float64 { return float64(ls.Candidates.Load()) })
 	reg.CounterVec("bundle_verified_total",
 		"Candidates fully verified by a worker's bundle index.", "task").
-		SetFunc(label, func() float64 { return float64(ls.Verified.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
+		SetFunc(label, func() float64 { return float64(ls.Verified.Load()) })
 	reg.CounterVec("bundle_results_total",
 		"Matches found by a worker's bundle index, before the strategy's emit arbitration.", "task").
-		SetFunc(label, func() float64 { return float64(ls.Results.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
+		SetFunc(label, func() float64 { return float64(ls.Results.Load()) })
 	reg.GaugeVec("bundle_live_members",
 		"Records currently indexed by a worker's bundle index.", "task").
-		SetFunc(label, func() float64 { return float64(ls.Members.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
+		SetFunc(label, func() float64 { return float64(ls.Members.Load()) })
 	reg.GaugeVec("bundle_verify_hit_rate",
 		"Fraction of verified candidates that produced a result.", "task").
-		SetFunc(label, func() float64 { // obscheck: bounded — one series per worker task, capped by worker count
+		SetFunc(label, func() float64 {
 			v := ls.Verified.Load()
 			if v == 0 {
 				return 0
@@ -412,13 +412,13 @@ func (w *workerBolt) registerJoinerMetrics(reg *obs.Registry, task int) {
 		})
 	reg.CounterVec("verify_kernel_linear_total",
 		"Verification merges run by the linear intersection kernel.", "task").
-		SetFunc(label, func() float64 { return float64(ls.KernelLinear.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
+		SetFunc(label, func() float64 { return float64(ls.KernelLinear.Load()) })
 	reg.CounterVec("verify_kernel_gallop_total",
 		"Verification merges run by the galloping intersection kernel.", "task").
-		SetFunc(label, func() float64 { return float64(ls.KernelGallop.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
+		SetFunc(label, func() float64 { return float64(ls.KernelGallop.Load()) })
 	reg.CounterVec("verify_candidates_pruned_total",
 		"Candidates discarded by upper-bound checks before any kernel ran.", "task").
-		SetFunc(label, func() float64 { return float64(ls.Pruned.Load()) }) // obscheck: bounded — one series per worker task, capped by worker count
+		SetFunc(label, func() float64 { return float64(ls.Pruned.Load()) })
 }
 
 // registerPoolMetrics publishes the worker's verifier-pool counters to
@@ -440,24 +440,24 @@ func (w *workerBolt) registerPoolMetrics(reg *obs.Registry, task int) {
 	label := fmt.Sprintf("worker/%d", task)
 	reg.GaugeVec("verify_pool_size",
 		"Verifier pool parallelism of a worker task (helpers + caller).", "task").
-		SetFunc(label, func() float64 { return float64(pool.Size()) }) // obscheck: bounded — one series per worker task, capped by worker count
+		SetFunc(label, func() float64 { return float64(pool.Size()) })
 	reg.CounterVec("verify_pool_parallel_rounds_total",
 		"Probes whose candidate verification was fanned across the pool.", "task").
-		SetFunc(label, func() float64 { return float64(pool.Snapshot().RoundsParallel) }) // obscheck: bounded — one series per worker task, capped by worker count
+		SetFunc(label, func() float64 { return float64(pool.Snapshot().RoundsParallel) })
 	reg.CounterVec("verify_pool_serial_rounds_total",
 		"Probes kept on the calling goroutine (below the fanout cutoff).", "task").
-		SetFunc(label, func() float64 { return float64(pool.Snapshot().RoundsSerial) }) // obscheck: bounded — one series per worker task, capped by worker count
+		SetFunc(label, func() float64 { return float64(pool.Snapshot().RoundsSerial) })
 	reg.CounterVec("verify_pool_fanned_candidates_total",
 		"Candidate bundles verified in fanned rounds.", "task").
-		SetFunc(label, func() float64 { return float64(pool.Snapshot().Fanned) }) // obscheck: bounded — one series per worker task, capped by worker count
+		SetFunc(label, func() float64 { return float64(pool.Snapshot().Fanned) })
 	reg.CounterVec("verify_pool_idle_stints_total",
 		"Helper wakeups that found the candidate cursor already drained.", "task").
-		SetFunc(label, func() float64 { return float64(pool.Snapshot().IdleStints) }) // obscheck: bounded — one series per worker task, capped by worker count
+		SetFunc(label, func() float64 { return float64(pool.Snapshot().IdleStints) })
 	verified := reg.CounterVec("verify_pool_ctx_verified_total",
 		"Candidate bundles verified by one verifier context of a worker's pool.", "ctx")
 	for i := 0; i < pool.Size(); i++ {
 		i := i
-		verified.SetFunc(fmt.Sprintf("%s/ctx/%d", label, i), // obscheck: bounded — one series per verifier context, capped by pool size
+		verified.SetFunc(fmt.Sprintf("%s/ctx/%d", label, i),
 			func() float64 { return float64(pool.CtxVerified(i)) })
 	}
 }
@@ -585,7 +585,7 @@ func run(cfg Config, recs []*record.Record, right []bool, cur checkpoint.Cursor)
 			w.slat = &metrics.SyncLatency{}
 			cfg.Registry.HistogramVec("worker_record_seconds",
 				"Per-record latency observed at a worker: source enqueue to probe completion.", "task").
-				SetFunc(fmt.Sprintf("worker/%d", task), w.slat.Snapshot) // obscheck: bounded — one series per worker task, capped by worker count
+				SetFunc(fmt.Sprintf("worker/%d", task), w.slat.Snapshot)
 			w.registerJoinerMetrics(cfg.Registry, task)
 			w.registerPoolMetrics(cfg.Registry, task)
 		}

@@ -775,3 +775,21 @@ func TestLoadAwarePlanTracksRealizedLoad(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerEmitMatchAllocs: the worker's per-result callback allocates
+// nothing — it arbitrates, counts, and appends the pair to a slice that
+// grows only by amortised doubling, pre-grown here.
+func TestWorkerEmitMatchAllocs(t *testing.T) {
+	probe := &record.Record{ID: 9, Tokens: []tokens.Rank{1, 2, 3}}
+	partner := &record.Record{ID: 4, Tokens: []tokens.Rank{1, 2, 3}}
+	const runs = 1000
+	w := &workerBolt{k: 1, strat: dispatch.BroadcastBased{}, collect: true, pairs: make([]record.Pair, 0, runs+1)}
+	w.curRec = probe
+	m := local.Match{Rec: partner, ID: partner.ID, Overlap: 3, Sim: 1}
+	if n := testing.AllocsPerRun(runs, func() { w.emitMatch(m) }); n != 0 {
+		t.Fatalf("emitMatch allocates %v times per result", n)
+	}
+	if w.results != runs+1 || len(w.pairs) != runs+1 {
+		t.Fatalf("%d results, %d pairs kept after %d calls", w.results, len(w.pairs), runs+1)
+	}
+}

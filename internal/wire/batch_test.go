@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -242,7 +243,7 @@ func TestReaderNextGrowthIsAmortised(t *testing.T) {
 	var stream []byte
 	for n := 1; n <= frames; n++ {
 		stream = append(stream, TypeSnapshot)
-		stream = appendUvarint(stream, uint64(n))
+		stream = binary.AppendUvarint(stream, uint64(n))
 		stream = append(stream, make([]byte, n)...)
 	}
 	allocs := testing.AllocsPerRun(3, func() {

