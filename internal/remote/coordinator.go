@@ -31,8 +31,8 @@ type RunSummary struct {
 	// Opts.Snapshot, indexed by task.
 	Snapshots [][]byte
 	// Retries counts failed connection attempts, Reconnects successful
-	// recoveries, and ReplayedRecords the log entries re-sent during those
-	// recoveries (FT runs).
+	// recoveries, and ReplayedRecords the records re-sent to a worker after
+	// those recoveries (FT runs).
 	Retries, Reconnects, ReplayedRecords uint64
 }
 

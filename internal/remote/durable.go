@@ -19,6 +19,7 @@ package remote
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"path/filepath"
@@ -71,7 +72,7 @@ type durableState struct {
 	ingest  *wal.Log
 	results *wal.Log
 	// skip is the ingest position already persisted by a previous
-	// incarnation: dispatch skips appending record indices below it.
+	// incarnation: ingestRecords skips appending record indices below it.
 	skip uint64
 
 	// mu serialises the shared encode buffers. Lock order: mu, then the
@@ -112,13 +113,36 @@ func (ds *durableState) close() {
 	ds.results.Close()
 }
 
-// appendRecord persists record number idx of the ingest stream. Indices
-// below the resume skip point are already on disk (the records themselves
-// came from the log) and are not re-appended.
-func (ds *durableState) appendRecord(idx uint64, r *record.Record) error {
-	if ds == nil || idx < ds.skip {
+// ingestRecords appends recs to the ingest log in order and calls publish(n)
+// once the first n are in it, so no worker is sent a record the log lacks;
+// then it syncs the log, so a crash from there on can replay all of it.
+// Records below the resume skip point came from the log and are not
+// appended again. A nil ds publishes all of recs at once.
+func (ds *durableState) ingestRecords(ctx context.Context, recs []*record.Record, j *obs.Journal, publish func(n int)) error {
+	if ds == nil {
+		publish(len(recs))
 		return nil
 	}
+	for i, r := range recs {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("remote: %w", err)
+		}
+		if uint64(i) >= ds.skip {
+			if err := ds.appendRecord(r); err != nil {
+				return fmt.Errorf("remote: ingest log append: %w", err)
+			}
+		}
+		publish(i + 1)
+	}
+	if err := ds.ingest.Sync(); err != nil {
+		return fmt.Errorf("remote: ingest log sync: %w", err)
+	}
+	j.Append("ingest_sealed", "coordinator", fmt.Sprintf("ingest log sealed at %d records", ds.ingest.Next()))
+	return nil
+}
+
+// appendRecord appends one record to the ingest log as a Record frame.
+func (ds *durableState) appendRecord(r *record.Record) error {
 	ds.mu.Lock() // before the wal.Log lock Append takes; see mu
 	defer ds.mu.Unlock()
 	ds.buf.Reset()
@@ -151,19 +175,6 @@ func (ds *durableState) syncResults() error {
 		return nil
 	}
 	return ds.results.Sync()
-}
-
-// sealIngest syncs the ingest log once the record stream is complete, so
-// that a crash from here on can replay all of it.
-func (ds *durableState) sealIngest(j *obs.Journal) error {
-	if ds == nil {
-		return nil
-	}
-	if err := ds.ingest.Sync(); err != nil {
-		return fmt.Errorf("remote: ingest log sync: %w", err)
-	}
-	j.Append("ingest_sealed", "coordinator", fmt.Sprintf("ingest log sealed at %d records", ds.ingest.Next()))
-	return nil
 }
 
 // seedResults replays the results log into recv, each task's results —

@@ -5,10 +5,14 @@
 // from the worker's checkpoint cursor. A worker that exhausts the retry
 // budget is declared dead, and the run fails.
 //
-// Exactness: a resumed worker restores its window from the checkpoint and
-// replays the ID-ordered log tail after the cursor, so its window state is
-// identical to an uninterrupted run, and its duplicate filter drops the
-// replayed records it already processed. The checkpoint also holds every
+// Exactness: a resumed worker restores its window from the checkpoint, and
+// the coordinator re-routes the caller's records from the worker's cursor
+// (the plan is fixed for the run, so a task's records are the stream's
+// records its route includes), so the worker's window state is identical
+// to an uninterrupted run, and its duplicate filter drops the re-sent
+// records it already processed. The coordinator keeps no per-record
+// state: the IDs of recs must strictly increase, which is what lets a
+// cursor name a position in them. The checkpoint also holds every
 // result the coordinator had not acknowledged, which the worker re-sends,
 // so a result lost with a broken connection is never lost for good.
 //
@@ -17,7 +21,7 @@
 //
 //   - A self-join pair (A, B) is emitted while probing B = max(A, B); RunFT
 //     refuses bi sessions.
-//   - Restores are exact, so the task's record log fixes the pairs of every
+//   - Restores are exact, so the task's records fix the pairs of every
 //     probe, hence each probe's pair count and its frames. A probe is one
 //     Result frame or, past the frame cap, its pairs sorted by partner and
 //     cut at the cap (wire.Writer.WriteResults), whatever order the index
@@ -45,6 +49,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,12 +96,6 @@ type FT struct {
 	Durable *Durable
 }
 
-// ftEntry is one dispatched record in a worker's replay log.
-type ftEntry struct {
-	rec   *record.Record
-	store bool
-}
-
 // ftMetrics holds the coordinator-side fault instruments, the one count of
 // each fault event.
 type ftMetrics struct {
@@ -118,7 +117,7 @@ func newFTMetrics(reg *obs.Registry) ftMetrics {
 		reconnects: reg.Counter("coord_reconnects_total",
 			"Successful worker reconnections after a transport failure."),
 		replayed: reg.Counter("coord_replayed_records_total",
-			"Log entries re-sent to workers during recovery."),
+			"Records re-sent to workers during recovery."),
 		dupResults: reg.Counter("coord_duplicate_results_total",
 			"Result pairs received again and not collected: replays and transport duplicates."),
 		dead: reg.Gauge("coord_dead_workers",
@@ -131,17 +130,6 @@ func newFTMetrics(reg *obs.Registry) ftMetrics {
 // counts reads the retries, reconnects and replayed records counted so far.
 func (m ftMetrics) counts() [3]uint64 {
 	return [3]uint64{m.retries.Value(), m.reconnects.Value(), m.replayed.Value()}
-}
-
-// ftState is the shared run state managers and the dispatch loop mutate.
-type ftState struct {
-	mu       sync.Mutex
-	logs     [][]ftEntry  // guarded by mu
-	sentPos  []int        // guarded by mu
-	finished []bool       // guarded by mu
-	stats    []wire.Stats // guarded by mu
-	closed   bool         // guarded by mu
-	fatal    error        // guarded by mu
 }
 
 // ftRunner owns one RunFT invocation.
@@ -159,13 +147,22 @@ type ftRunner struct {
 	durable  *durableState
 	planHash uint64
 
-	st     ftState
-	notify []chan struct{} // per-worker wakeups, capacity 1
-	runCh  chan struct{}   // completion-watcher wakeup, capacity 1
+	// recs is the caller's record stream; ingested is how many of them
+	// dispatch has let the write loops send.
+	recs     []*record.Record
+	ingested atomic.Int64
+	notify   []chan struct{} // per-worker wakeups, capacity 1
 	// recv holds each task's results: its have counter and, when
-	// collecting, its pairs. Only the reader of the task's current attempt
-	// touches them, and an attempt waits for its reader before it returns.
-	recv []received
+	// collecting, its pairs; stats holds its worker's final Stats. Only the
+	// task's manager and the reader of its current attempt touch them, and
+	// an attempt waits for its reader before it returns.
+	recv  []received
+	stats []wire.Stats
+
+	// fatal is the first error that aborted the run. RunFT reads it after
+	// every manager has returned.
+	fatal     error
+	fatalOnce sync.Once
 
 	wg     sync.WaitGroup
 	tuples atomic.Uint64
@@ -180,29 +177,10 @@ func (f *ftRunner) kick(task int) {
 	}
 }
 
-func (f *ftRunner) kickAll() {
-	for i := range f.notify {
-		f.kick(i)
-	}
-}
-
-// kickRun wakes the completion watcher without blocking.
-func (f *ftRunner) kickRun() {
-	select {
-	case f.runCh <- struct{}{}:
-	default:
-	}
-}
-
 // abort fails the whole run with err; the first fatal error wins.
 func (f *ftRunner) abort(err error) {
-	f.st.mu.Lock()
-	if f.st.fatal == nil {
-		f.st.fatal = err
-	}
-	f.st.mu.Unlock()
+	f.fatalOnce.Do(func() { f.fatal = err })
 	f.cancel()
-	f.kickRun()
 }
 
 // RunFT executes a join session with fault tolerance: dial is invoked per
@@ -222,6 +200,11 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("remote: %w", err)
+	}
+	for i := 1; i < len(recs); i++ {
+		if recs[i].ID <= recs[i-1].ID {
+			return nil, fmt.Errorf("remote: record %d has id %d after id %d; ft runs need strictly increasing ids", i, recs[i].ID, recs[i-1].ID)
+		}
 	}
 	strat, err := sess.strategyFor(workers)
 	if err != nil {
@@ -249,14 +232,9 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		start:    time.Now(),
 		planHash: sess.PlanHash(workers),
 		cancel:   cancel,
+		recs:     recs,
 		notify:   make([]chan struct{}, workers),
-		runCh:    make(chan struct{}, 1),
 		recv:     make([]received, workers),
-	}
-	f.st = ftState{
-		logs:     make([][]ftEntry, workers),
-		sentPos:  make([]int, workers),
-		finished: make([]bool, workers),
 		stats:    make([]wire.Stats, workers),
 	}
 	for i := range f.notify {
@@ -297,28 +275,20 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		}(i)
 	}
 
-	err = f.dispatch(rctx, recs)
-	if err == nil {
-		err = f.await(rctx)
-	}
-	if err != nil {
-		// A fatal error cancels the run; report it, not the cancellation.
-		cancel()
-		f.wg.Wait()
-		f.st.mu.Lock()
-		fatal := f.st.fatal
-		f.st.mu.Unlock()
-		if fatal != nil {
-			return nil, fatal
-		}
-		return nil, err
+	// A manager returns once its task has finished, the run is cancelled,
+	// or the run has been aborted, which cancels it too.
+	if err := f.dispatch(rctx); err != nil {
+		f.abort(err)
 	}
 	f.wg.Wait()
+	if f.fatal != nil {
+		return nil, f.fatal
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("remote: %w", err)
+	}
 
-	sum := &RunSummary{Records: uint64(len(recs))}
-	f.st.mu.Lock()
-	sum.WorkerStats = f.st.stats
-	f.st.mu.Unlock()
+	sum := &RunSummary{Records: uint64(len(recs)), WorkerStats: f.stats}
 	for _, got := range f.recv {
 		sum.Results += got.results
 		sum.Pairs = append(sum.Pairs, got.pairs...)
@@ -331,40 +301,16 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 	return sum, nil
 }
 
-// dispatch routes every record into the per-worker replay logs. The
-// strategy is fixed for the run, so only the appends take the lock.
-func (f *ftRunner) dispatch(ctx context.Context, recs []*record.Record) error {
-	dsts := make([]int, 0, f.k)
-	stores := make([]bool, 0, f.k)
-	for i, r := range recs {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("remote: %w", err)
+// dispatch is the run's ingest: it lets the write loops send each record
+// once it is in the ingest log, all of them at once when the run is not
+// durable. Each task's write loop routes the records itself.
+func (f *ftRunner) dispatch(ctx context.Context) error {
+	return f.durable.ingestRecords(ctx, f.recs, f.journal, func(n int) {
+		f.ingested.Store(int64(n))
+		for i := range f.notify {
+			f.kick(i)
 		}
-		// Persist before routing: a record is only ever sent to a worker
-		// after it is in the ingest log, so a restart can always re-drive
-		// everything any worker might have partially processed.
-		if err := f.durable.appendRecord(uint64(i), r); err != nil {
-			return fmt.Errorf("remote: ingest log append: %w", err)
-		}
-		dsts = f.strat.Route(r, f.k, dsts[:0])
-		stores = stores[:0]
-		for _, dst := range dsts {
-			stores = append(stores, f.strat.Stores(r, dst, f.k))
-		}
-		f.st.mu.Lock()
-		for j, dst := range dsts {
-			f.st.logs[dst] = append(f.st.logs[dst], ftEntry{rec: r, store: stores[j]})
-		}
-		f.st.mu.Unlock()
-		for _, dst := range dsts {
-			f.kick(dst)
-		}
-	}
-	f.st.mu.Lock()
-	f.st.closed = true
-	f.st.mu.Unlock()
-	f.kickAll()
-	return f.durable.sealIngest(f.journal)
+	})
 }
 
 // saveManifest atomically writes the session manifest, once, at the start
@@ -388,37 +334,18 @@ func (f *ftRunner) saveManifest() error {
 	return checkpoint.SaveManifest(filepath.Join(f.durable.cfg.StateDir, checkpoint.ManifestPath), m)
 }
 
-// await blocks until every worker has finished its full log, or the run is
-// cancelled, which a fatal error does too.
-func (f *ftRunner) await(ctx context.Context) error {
-	for {
-		f.st.mu.Lock()
-		done := f.st.fatal == nil
-		for i := 0; done && i < f.k; i++ {
-			done = f.st.finished[i]
-		}
-		f.st.mu.Unlock()
-		if done {
-			return nil
-		}
-		select {
-		case <-f.runCh:
-		case <-ctx.Done():
-			return fmt.Errorf("remote: %w", ctx.Err())
-		}
-	}
-}
-
 // manage owns worker task for the whole run: it connects, streams, and on
 // failure retries under the policy until the worker finishes or is
 // declared dead. The consecutive-failure count resets on every successful
 // handshake. The task's first hello asks to resume only when resume is
-// set; every hello after a successful handshake asks.
+// set; every hello after a successful handshake asks. high is how far into
+// recs the task's records have been sent, so that a record below it that
+// goes out again counts as replayed.
 func (f *ftRunner) manage(ctx context.Context, task int, resume bool) {
-	failures := 0
+	failures, high := 0, 0
 	var failSince time.Time
 	for {
-		handshook, err := f.attempt(ctx, task, resume, failSince)
+		handshook, err := f.attempt(ctx, task, resume, failSince, &high)
 		if handshook {
 			failures, failSince, resume = 0, time.Time{}, true
 		}
@@ -443,11 +370,11 @@ func (f *ftRunner) manage(ctx context.Context, task int, resume bool) {
 }
 
 // attempt runs one connection's full lifecycle: dial, FT handshake with
-// resume ack, log replay/stream, EOF, stats. handshook reports whether the
-// handshake completed (resetting the manager's failure budget) regardless
-// of how the attempt ended. A zero failSince marks the task's first
+// resume ack, the task's records from the worker's cursor, EOF, stats.
+// handshook reports whether the handshake completed (resetting the
+// manager's failure budget) regardless of how the attempt ended. A zero failSince marks the task's first
 // connection or one after a finished attempt; any other is a reconnect.
-func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince time.Time) (handshook bool, err error) {
+func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince time.Time, high *int) (handshook bool, err error) {
 	conn, err := f.dial(ctx, task)
 	if err != nil {
 		return false, fmt.Errorf("remote: dialing worker %d: %w", task, err)
@@ -649,14 +576,9 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 		return false, fmt.Errorf("remote: %w", ctx.Err())
 	}
 
-	// Handshake complete: locate the replay position.
-	f.st.mu.Lock()
-	log := f.st.logs[task]
-	pos := sort.Search(len(log), func(i int) bool { return uint64(log[i].rec.ID) >= next })
-	if prev := f.st.sentPos[task]; prev > pos {
-		f.met.replayed.Add(uint64(prev - pos))
-	}
-	f.st.mu.Unlock()
+	// Handshake complete: resume at the first record the worker lacks.
+	recs := f.recs
+	pos := sort.Search(len(recs), func(i int) bool { return uint64(recs[i].ID) >= next })
 	if !failSince.IsZero() {
 		f.met.reconnects.Inc()
 		f.met.recovery.Observe(time.Since(failSince))
@@ -682,13 +604,8 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 	defer ping.Stop()
 	eofSent := false
 	var acked uint64 // results acknowledged on this connection
+	dsts := make([]int, 0, f.k)
 	for {
-		f.st.mu.Lock()
-		log = f.st.logs[task]
-		end := len(log)
-		closed := f.st.closed
-		f.st.mu.Unlock()
-
 		// Result acknowledgements flow before anything else — and crucially
 		// regardless of record credit, or a worker withholding credit could
 		// never drain its unacked buffer. A worker drops acknowledged
@@ -714,39 +631,37 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 			}
 		}
 
-		if pos < end {
-			// Credit-gated: send at most what the worker granted. Out of
-			// credit, park below until a Credit frame replenishes.
-			n := end - pos
-			if avail := recCredit.Load(); avail <= 0 {
-				n = 0
-			} else if int64(n) > avail {
-				n = int(avail)
-			}
-			if n > 0 {
-				for _, e := range log[pos : pos+n] {
-					if werr := w.WriteRecord(e.store, e.rec); werr != nil {
-						drainReader()
-						return true, fmt.Errorf("remote: record to worker %d: %w", task, werr)
-					}
+		// Route the ingested records from pos and send the task's, at most
+		// what the worker granted. Out of credit, park below until a Credit
+		// frame replenishes.
+		if end, avail := int(f.ingested.Load()), recCredit.Load(); pos < end && avail > 0 {
+			var sent, resent int64
+			for ; pos < end && sent < avail; pos++ {
+				r := recs[pos]
+				if dsts = f.strat.Route(r, f.k, dsts[:0]); !slices.Contains(dsts, task) {
+					continue
 				}
-				if werr := w.Flush(); werr != nil {
+				if werr := w.WriteRecord(f.strat.Stores(r, task, f.k), r); werr != nil {
 					drainReader()
-					return true, fmt.Errorf("remote: flush to worker %d: %w", task, werr)
+					return true, fmt.Errorf("remote: record to worker %d: %w", task, werr)
 				}
-				f.tuples.Add(uint64(n))
-				recCredit.Add(-int64(n))
-				pos += n
-				f.st.mu.Lock()
-				if pos > f.st.sentPos[task] {
-					f.st.sentPos[task] = pos
+				sent++
+				if pos < *high {
+					resent++
 				}
-				f.st.mu.Unlock()
-				continue
 			}
+			if werr := w.Flush(); werr != nil {
+				drainReader()
+				return true, fmt.Errorf("remote: flush to worker %d: %w", task, werr)
+			}
+			f.tuples.Add(uint64(sent))
+			f.met.replayed.Add(uint64(resent))
+			recCredit.Add(-sent)
+			*high = max(*high, pos)
+			continue
 		}
 
-		if closed && !eofSent && pos == end {
+		if !eofSent && pos == len(recs) {
 			// Flush while the watchdog still enforces the deadline, then
 			// relax it: post-EOF stats can legitimately take a while with
 			// nothing on the wire.
@@ -765,11 +680,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 		if eofSent {
 			select {
 			case st := <-statsCh:
-				f.st.mu.Lock()
-				f.st.stats[task] = st
-				f.st.finished[task] = true
-				f.st.mu.Unlock()
-				f.kickRun()
+				f.stats[task] = st
 				return true, nil
 			case rerr := <-readErrCh:
 				return true, rerr

@@ -313,13 +313,22 @@ func TestRunFTKilledWorkerRejoins(t *testing.T) {
 	}
 }
 
-// TestRunFTValidation covers the rejected configurations.
+// TestRunFTValidation covers the rejected configurations and inputs, each
+// refused before any worker is dialled.
 func TestRunFTValidation(t *testing.T) {
 	checkNoLeaks(t)
+	var dials atomic.Int64
 	dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
+		dials.Add(1)
 		return nil, errors.New("must not dial")
 	}
 	recs := []*record.Record{}
+	// Adjacent IDs swapped: a worker's replay filter would drop every
+	// record at or below the last ID it saw.
+	swapped := workload.NewGenerator(workload.UniformSmall(17)).Generate(400)
+	for i := 0; i+1 < len(swapped); i += 2 {
+		swapped[i].ID, swapped[i+1].ID = swapped[i+1].ID, swapped[i].ID
+	}
 	cases := []struct {
 		name string
 		run  func() error
@@ -342,11 +351,18 @@ func TestRunFTValidation(t *testing.T) {
 			_, err := RunFT(context.Background(), dial, 1, testSession(0.7, "nope", nil), recs, Opts{}, FT{})
 			return err
 		}},
+		{"ids not increasing", func() error {
+			_, err := RunFT(context.Background(), dial, 2, testSession(0.7, "broadcast", nil), swapped, Opts{}, FT{})
+			return err
+		}},
 	}
 	for _, tc := range cases {
 		if err := tc.run(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+	if n := dials.Load(); n != 0 {
+		t.Errorf("dialled %d times; every case must be refused before dialling", n)
 	}
 }
 

@@ -1,6 +1,8 @@
 package remote
 
 import (
+	"context"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -41,6 +43,21 @@ func checkNoLeaks(t *testing.T) {
 			t.Errorf("goroutine outlived the test:\n%s", stack)
 		}
 	})
+}
+
+// serveTestWorker runs ServeWorkerOpts on ln for the rest of the test:
+// the test's cleanup cancels the worker and waits for it to return, and
+// checkNoLeaks then checks that nothing it started outlives the test.
+func serveTestWorker(t *testing.T, ln net.Listener, o WorkerOpts) {
+	t.Helper()
+	checkNoLeaks(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ServeWorkerOpts(ctx, ln, o) //nolint:errcheck
+	}()
+	t.Cleanup(func() { cancel(); <-done })
 }
 
 // goroutines returns the stack of every live goroutine by its ID.

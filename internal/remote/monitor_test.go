@@ -19,7 +19,7 @@ func TestMonitorCountsSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go ServeWorkerOpts(context.Background(), ln, WorkerOpts{Logf: silentLogf, Mon: &mon}) //nolint:errcheck
+	serveTestWorker(t, ln, WorkerOpts{Logf: silentLogf, Mon: &mon})
 
 	recs := workload.NewGenerator(workload.UniformSmall(1)).Generate(150)
 	conn, err := net.Dial("tcp", ln.Addr().String())
@@ -90,11 +90,14 @@ func TestMonitorCountsFailedSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	checkNoLeaks(t)
+	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
-		ServeWorkerOpts(context.Background(), ln, WorkerOpts{Logf: func(string, ...interface{}) {}, Mon: &mon}) //nolint:errcheck
+		ServeWorkerOpts(ctx, ln, WorkerOpts{Logf: func(string, ...interface{}) {}, Mon: &mon}) //nolint:errcheck
 		close(done)
 	}()
+	t.Cleanup(func() { cancel(); <-done })
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {

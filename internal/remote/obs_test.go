@@ -39,12 +39,12 @@ func TestWorkerJournalSessionEvents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go ServeWorkerOpts(context.Background(), ln, WorkerOpts{Logf: silentLogf, Journal: journals[i]}) //nolint:errcheck
+		serveTestWorker(t, ln, WorkerOpts{Logf: silentLogf, Journal: journals[i]})
 		c, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { c.Close(); ln.Close() })
+		t.Cleanup(func() { c.Close() })
 		conns = append(conns, c)
 	}
 

@@ -34,7 +34,7 @@ func testSession(tau float64, strategy string, bounds []int) Session {
 func silentLogf(string, ...interface{}) {}
 
 // startWorkers launches n loopback TCP workers and returns dialed
-// connections plus a cleanup func.
+// connections; the test's cleanup closes them and stops the workers.
 func startWorkers(t *testing.T, n int) []net.Conn {
 	t.Helper()
 	var conns []net.Conn
@@ -43,12 +43,12 @@ func startWorkers(t *testing.T, n int) []net.Conn {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go ServeWorker(context.Background(), ln, silentLogf) //nolint:errcheck
+		serveTestWorker(t, ln, WorkerOpts{Logf: silentLogf})
 		c, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { c.Close(); ln.Close() })
+		t.Cleanup(func() { c.Close() })
 		conns = append(conns, c)
 	}
 	return conns
@@ -311,7 +311,7 @@ func TestWorkerServesConcurrentSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go ServeWorker(context.Background(), ln, silentLogf) //nolint:errcheck
+	serveTestWorker(t, ln, WorkerOpts{Logf: silentLogf})
 
 	const sessions = 4
 	errs := make(chan error, sessions)
@@ -453,7 +453,7 @@ func TestDialConnectsAndFailsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go ServeWorker(context.Background(), ln, silentLogf) //nolint:errcheck
+	serveTestWorker(t, ln, WorkerOpts{Logf: silentLogf})
 	conns, err := Dial(context.Background(), []string{ln.Addr().String()}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
