@@ -25,7 +25,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -56,7 +55,6 @@ func main() {
 		dist    = flag.String("dist", "length", "distribution: length, prefix, broadcast")
 		part    = flag.String("part", "load-aware", "length partitioner, in-process runs: load-aware, even-length, even-frequency (-remote plans load-aware)")
 		workers = flag.Int("workers", 4, "worker parallelism, in-process runs (-remote runs one worker per address)")
-		par     = flag.Int("parallel", runtime.GOMAXPROCS(0), "verifier goroutines per worker (bundle algorithm, in-process runs): candidate verification fans out across cores with deterministic output; 1 disables, 0 or less means the default")
 		win     = flag.Int64("window", 0, "count window (0 = unbounded)")
 		pairs   = flag.Bool("pairs", false, "print result pairs")
 		asJSON  = flag.Bool("json", false, "print the in-process run summary as JSON on stdout (not with -remote or -resume)")
@@ -77,10 +75,6 @@ func main() {
 	)
 	flag.Parse()
 
-	if *par <= 0 {
-		*par = runtime.GOMAXPROCS(0)
-	}
-
 	if *resume && *stateDir == "" {
 		fatal(errors.New("-resume requires -state-dir"))
 	}
@@ -96,7 +90,7 @@ func main() {
 	if *rmt != "" || *resume {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "part", "workers", "parallel":
+			case "part", "workers":
 				fatal(fmt.Errorf("-%s applies to in-process runs only, not -remote or -resume", f.Name))
 			}
 		})
@@ -158,11 +152,7 @@ func main() {
 		sets[i] = r.Tokens
 	}
 
-	cfg := ssjoin.DistributedConfig{
-		Workers:      *workers,
-		CollectPairs: *pairs,
-		Parallelism:  *par,
-	}
+	cfg := ssjoin.DistributedConfig{Workers: *workers, CollectPairs: *pairs}
 	cfg.Threshold = *tau
 	cfg.WindowRecords = *win
 	if cfg.Function, err = parseFunc(*fn); err != nil {
@@ -358,15 +348,22 @@ func runResume(stateDir, addrList string, pairs bool, ftCfg *remote.FT, httpAddr
 	return execRemote(addrs, sess, recs, pairs, ftCfg, httpAddr)
 }
 
-// execRemote is the shared tail of runRemote and runResume: dial, run,
-// report.
+// execRemote is the shared tail of runRemote and runResume: serve the
+// debug surface for the length of the run and coordinate it.
 func execRemote(addrs []string, sess remote.Session, recs []*record.Record, pairs bool, ftCfg *remote.FT, httpAddr string) error {
+	dbg, stopDebug := serveDebug(httpAddr)
+	defer stopDebug()
+	return coordinate(addrs, sess, recs, pairs, ftCfg, dbg)
+}
+
+// coordinate dials, runs and reports. The run's journal events and the FT
+// coordinator's fault series go to dbg, so /metrics serves the coord_*
+// counters.
+func coordinate(addrs []string, sess remote.Session, recs []*record.Record, pairs bool, ftCfg *remote.FT, dbg debugSinks) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	journal, stopDebug := serveDebug(httpAddr)
-	defer stopDebug()
 
-	opts := remote.Opts{CollectPairs: pairs, Journal: journal}
+	opts := remote.Opts{CollectPairs: pairs, Journal: dbg.journal}
 	var err error
 	var sum *remote.RunSummary
 	if ftCfg != nil {
@@ -374,7 +371,9 @@ func execRemote(addrs []string, sess remote.Session, recs []*record.Record, pair
 			var d net.Dialer
 			return d.DialContext(ctx, "tcp", addrs[task])
 		}
-		sum, err = remote.RunFT(ctx, dialer, len(addrs), sess, recs, opts, *ftCfg)
+		ft := *ftCfg
+		ft.Registry = dbg.reg
+		sum, err = remote.RunFT(ctx, dialer, len(addrs), sess, recs, opts, ft)
 	} else {
 		var conns []net.Conn
 		conns, err = remote.Dial(ctx, addrs, 5*time.Second)

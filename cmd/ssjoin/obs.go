@@ -1,5 +1,6 @@
-// The coordinator's -http surface for remote runs: /metrics (process and
-// journal counters), /debug/events (the coordinator's journal),
+// The coordinator's -http surface for remote runs: /metrics (process,
+// journal and, with -ft, coord_* fault counters), /debug/events (the
+// coordinator's journal),
 // /debug/traces, /debug/pprof and a plain /healthz, served for the length
 // of the run.
 package main
@@ -14,20 +15,26 @@ import (
 	"repro/internal/obs"
 )
 
+// debugSinks are what a remote run reports into: the registry /metrics
+// serves and the journal /debug/events reads. Both are nil without -http,
+// and a nil sink records nothing.
+type debugSinks struct {
+	reg     *obs.Registry
+	journal *obs.Journal
+}
+
 // serveDebug starts the coordinator's debug server on addr. It returns
-// the journal the run writes its lifecycle events to and a function that
-// shuts the server down. An empty addr serves nothing: the journal is nil
-// (a no-op sink) and stop returns at once.
-func serveDebug(addr string) (journal *obs.Journal, stop func()) {
+// the sinks the server reads and a function that shuts the server down.
+// An empty addr serves nothing: the sinks are nil and stop returns at once.
+func serveDebug(addr string) (dbg debugSinks, stop func()) {
 	if addr == "" {
-		return nil, func() {}
+		return debugSinks{}, func() {}
 	}
-	journal = obs.NewJournal(0)
-	reg := obs.NewRegistry()
-	obs.RegisterProcessMetrics(reg)
-	journal.RegisterMetrics(reg)
+	dbg = debugSinks{reg: obs.NewRegistry(), journal: obs.NewJournal(0)}
+	obs.RegisterProcessMetrics(dbg.reg)
+	dbg.journal.RegisterMetrics(dbg.reg)
 	mux := http.NewServeMux()
-	obs.AttachDebug(mux, obs.DebugOptions{Registry: reg, Journal: journal})
+	obs.AttachDebug(mux, obs.DebugOptions{Registry: dbg.reg, Journal: dbg.journal})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
@@ -39,7 +46,7 @@ func serveDebug(addr string) (journal *obs.Journal, stop func()) {
 			fmt.Fprintln(os.Stderr, "ssjoin: debug server:", err)
 		}
 	}()
-	return journal, func() {
+	return dbg, func() {
 		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
 		srv.Shutdown(sctx) //nolint:errcheck

@@ -43,24 +43,19 @@ type runRecord struct {
 	Metrics         []obs.MetricSnapshot `json:"metrics,omitempty"`
 }
 
-// jsonReport is the top-level -json document. GOMAXPROCS, NumCPU and
-// Parallel pin the machine's core budget and the verifier-pool setting
-// each run used, so BENCH_*.json entries stay comparable across machines.
-// DegenerateParallel marks runs that asked for a verifier pool the
-// machine cannot actually parallelize — their parallel numbers measure
-// pool overhead, not speedup, and must not be quoted as scaling results.
+// jsonReport is the top-level -json document. GOMAXPROCS and NumCPU pin
+// the machine's core budget each run used, so BENCH_*.json entries stay
+// comparable across machines.
 type jsonReport struct {
-	Records            int         `json:"records"`
-	Workers            int         `json:"workers"`
-	Seed               int64       `json:"seed"`
-	Batch              int         `json:"batch"`
-	GOMAXPROCS         int         `json:"gomaxprocs"`
-	NumCPU             int         `json:"num_cpu"`
-	Parallel           int         `json:"parallel"`
-	DegenerateParallel bool        `json:"degenerate_parallel"`
-	TraceEvery         int         `json:"trace_every,omitempty"`
-	TracesSampled      uint64      `json:"traces_sampled,omitempty"`
-	Experiments        []runRecord `json:"experiments"`
+	Records       int         `json:"records"`
+	Workers       int         `json:"workers"`
+	Seed          int64       `json:"seed"`
+	Batch         int         `json:"batch"`
+	GOMAXPROCS    int         `json:"gomaxprocs"`
+	NumCPU        int         `json:"num_cpu"`
+	TraceEvery    int         `json:"trace_every,omitempty"`
+	TracesSampled uint64      `json:"traces_sampled,omitempty"`
+	Experiments   []runRecord `json:"experiments"`
 }
 
 func main() {
@@ -70,7 +65,6 @@ func main() {
 		workers = flag.Int("workers", 0, "worker parallelism (default: experiment default)")
 		seed    = flag.Int64("seed", 0, "workload seed (default: experiment default)")
 		batch   = flag.Int("batch", 0, "transport batch size (0 = engine default, 1 = unbatched)")
-		par     = flag.Int("parallel", 1, "verifier goroutines per worker (bundle algorithm): >1 fans candidate verification across cores with deterministic results")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		format  = flag.String("format", "text", "output format: text or csv")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -115,24 +109,6 @@ func main() {
 	if *batch > 0 {
 		scale.Batch = *batch
 	}
-	if *par > 1 {
-		scale.Parallel = *par
-	}
-
-	// A verifier pool larger than the core budget cannot parallelize
-	// anything: every P>1 row degenerates to sequential throughput plus
-	// pool overhead. Run anyway (the parity columns are still meaningful)
-	// but say so loudly and stamp the JSON so downstream tooling never
-	// quotes these numbers as scaling results.
-	degenerate := *par > 1 && (runtime.GOMAXPROCS(0) == 1 || runtime.NumCPU() == 1)
-	if degenerate {
-		fmt.Fprintf(os.Stderr,
-			"ssjoinbench: WARNING: -parallel %d requested but GOMAXPROCS=%d NumCPU=%d — "+
-				"parallel rows will measure pool overhead, not speedup; "+
-				"results are marked \"degenerate_parallel\": true in -json output\n",
-			*par, runtime.GOMAXPROCS(0), runtime.NumCPU())
-	}
-
 	// Observability is opt-in: the registry (and the per-run instrumentation
 	// it switches on inside the engine) only exists when something will
 	// consume it, so plain benchmark runs keep the uninstrumented hot path.
@@ -177,16 +153,14 @@ func main() {
 	}
 
 	if *format == "text" {
-		fmt.Printf("scale: records=%d workers=%d seed=%d batch=%d parallel=%d gomaxprocs=%d\n\n",
-			scale.Records, scale.Workers, scale.Seed, scale.Batch, scale.ParallelOrOne(), runtime.GOMAXPROCS(0))
+		fmt.Printf("scale: records=%d workers=%d seed=%d batch=%d gomaxprocs=%d\n\n",
+			scale.Records, scale.Workers, scale.Seed, scale.Batch, runtime.GOMAXPROCS(0))
 	}
 	report := jsonReport{
 		Records: scale.Records, Workers: scale.Workers,
 		Seed: scale.Seed, Batch: scale.Batch,
-		GOMAXPROCS:         runtime.GOMAXPROCS(0),
-		NumCPU:             runtime.NumCPU(),
-		Parallel:           scale.ParallelOrOne(),
-		DegenerateParallel: degenerate,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
 	}
 	var ms runtime.MemStats
 	for _, e := range runs {

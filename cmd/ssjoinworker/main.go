@@ -22,7 +22,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -40,12 +39,8 @@ func run() int {
 		httpAddr = flag.String("http", "", "optional HTTP address serving /healthz, /stats, /metrics, /debug/traces, /debug/events, and /debug/pprof")
 		ckptDir  = flag.String("checkpoint-dir", "", "directory for fault-tolerant session checkpoints (empty disables persistence; FT sessions then resume from scratch)")
 		ckptIvl  = flag.Duration("checkpoint-interval", 0, "minimum spacing between periodic window checkpoints (0: checkpoint only on unclean session exit)")
-		par      = flag.Int("parallel", runtime.GOMAXPROCS(0), "verifier goroutines per session (bundle algorithm): candidate verification fans out across cores with deterministic output; 1 disables, 0 or less means the default")
 	)
 	flag.Parse()
-	if *par <= 0 {
-		*par = runtime.GOMAXPROCS(0)
-	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "ssjoinworker:", err)
@@ -101,7 +96,6 @@ func run() int {
 		Logf:               log.Printf,
 		CheckpointDir:      *ckptDir,
 		CheckpointInterval: *ckptIvl,
-		Parallelism:        *par,
 		Journal:            journal,
 	})
 	if err != nil {

@@ -91,12 +91,6 @@ type DistributedConfig struct {
 	// 0 uses the engine default, 1 ships every tuple individually (the
 	// pre-batching behaviour). Result pairs are identical at any value.
 	BatchSize int
-	// Parallelism sizes each worker's verifier pool: P-1 helper goroutines
-	// per worker fan candidate verification out across cores (Bundle
-	// algorithm only). Result pairs are identical at any value — the pool
-	// merges in deterministic order. 0 or 1 keeps workers single-threaded;
-	// the total goroutine budget is Workers × Parallelism.
-	Parallelism int
 }
 
 // DistributedResult summarizes a distributed run.
@@ -200,7 +194,6 @@ func RunDistributed(records [][]uint32, cfg DistributedConfig) (*DistributedResu
 		Bundle:       bcfg,
 		CollectPairs: cfg.CollectPairs,
 		BatchSize:    cfg.BatchSize,
-		Parallelism:  cfg.Parallelism,
 	})
 	if err != nil {
 		return nil, err
@@ -284,7 +277,6 @@ func RunDistributedBi(stream []SideSet, cfg DistributedConfig) (*DistributedResu
 		Bundle:       bcfg,
 		CollectPairs: cfg.CollectPairs,
 		BatchSize:    cfg.BatchSize,
-		Parallelism:  cfg.Parallelism,
 	})
 	if err != nil {
 		return nil, err

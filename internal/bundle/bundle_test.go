@@ -340,6 +340,50 @@ func bruteForce(stream []*record.Record, tau float64, win window.Policy) map[rec
 	return out
 }
 
+// emitted is one match flattened for ordered comparison: probe identity
+// plus everything the match carries.
+type emitted struct {
+	Probe   record.ID
+	Partner record.ID
+	Overlap int
+	Sim     float64
+}
+
+func runSequential(stream []*record.Record, tau float64, win window.Policy, cfg Config) ([]emitted, Stats) {
+	bx := New(params(tau), win, cfg)
+	var out []emitted
+	for _, r := range stream {
+		bx.Process(r, func(m Match) {
+			out = append(out, emitted{r.ID, m.Rec.ID, m.Overlap, m.Sim})
+		})
+	}
+	return out, bx.Stats()
+}
+
+func at(xs []emitted, i int) interface{} {
+	if i < len(xs) {
+		return xs[i]
+	}
+	return "<end of stream>"
+}
+
+// requireStreams asserts byte-identical ordered match streams and identical
+// work counters between a run and its reference.
+func requireStreams(t *testing.T, label string, got, want []emitted, gotStats, wantStats Stats) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("%s: match stream diverges at position %d: got %v want %v (lengths %d vs %d)",
+			label, i, at(got, i), at(want, i), len(got), len(want))
+	}
+	if gotStats != wantStats {
+		t.Fatalf("%s: stats diverge:\n got  %+v\n want %+v", label, gotStats, wantStats)
+	}
+}
+
 func TestBatchVerificationSavesSteps(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	stream := duplicateHeavyStream(rng, 600, 40)

@@ -127,11 +127,10 @@ type Index struct {
 	// candidate dedup (replaces a per-probe map); collectCandidates restarts
 	// it at 1 when it wraps.
 	probeSeq uint32
-	// The per-probe invariants, set once per probe by bindProbe in the
-	// single-writer phase and read-only during the — possibly fanned —
-	// verify phase: the compatible partner length range and the probe's
-	// signature at every width (valid when probeHasSig: the probe has at
-	// least sigMinLen tokens).
+	// The per-probe invariants, set once per probe by bindProbe before the
+	// verify phase reads them: the compatible partner length range and the
+	// probe's signature at every width (valid when probeHasSig: the probe
+	// has at least sigMinLen tokens).
 	probeLo, probeHi int
 	probeSig         probeSig
 	probeHasSig      bool
@@ -330,31 +329,21 @@ func (bx *Index) sweep() {
 // a deterministic function of index state, not sorted by anything — and
 // returns the best match's bundle together with the best similarity
 // (ok=false when there is no match). Verification is exact; emitted
-// overlaps are true intersection sizes. The match stream and the insertion
-// hint are identical for every pool size.
+// overlaps are true intersection sizes.
 func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok bool) {
-	best, ok = bx.verifySerial(r, bx.collectCandidates(r), emit)
-	bx.publish()
-	return best, ok
-}
-
-// verifySerial verifies cands on the calling goroutine, emitting straight
-// to the caller.
-//
-// Runs once per probe.
-func (bx *Index) verifySerial(r *record.Record, cands []*Bundle, emit func(Match)) (best Insertion, ok bool) {
-	for _, b := range cands {
-		if m, found := bx.probeBundle(r, b, &bx.stats, emit); found && (!ok || betterIns(m, best)) {
+	for _, b := range bx.collectCandidates(r) {
+		if m, found := bx.probeBundle(r, b, emit); found && (!ok || betterIns(m, best)) {
 			best, ok = m, true
 		}
 	}
+	bx.publish()
 	return best, ok
 }
 
 // bindProbe fixes the per-probe invariants every filter of this probe
 // reads: the compatible partner length range and — for a probe long enough
-// for the gate to pay — the signature. Every probe path calls it exactly
-// once, in its single-writer phase.
+// for the gate to pay — the signature. collectCandidates calls it once per
+// probe.
 //
 // Once per probe.
 func (bx *Index) bindProbe(r *record.Record) {
@@ -382,22 +371,19 @@ func (bx *Index) resetStamps() {
 // and returns the distinct candidate bundles that pass the bundle-level
 // length and signature filters, in that discovery order. Rarest-first is a
 // selectivity heuristic: the bundles sharing a rare token are the likeliest
-// (and typically heaviest) candidates, so they front-load the verify order
-// and hand the pool's work-stealing loop its biggest items first. A count
-// pass reads each prefix token's bucket once for the sort key; the order is
-// a deterministic function of index state (count, then prefix position), so
-// parallel and serial runs see identical candidate sequences. The walk reads,
-// per posting of the token, only the slot's hot entry: dead mark, dedup stamp
-// (seen vs probeSeq, an epoch instead of a per-probe map), the length band
-// against the bounds hoisted by bindProbe, then the signature bound against
-// the smallest overlap any member would need; the Bundle is addressed only
-// for a candidate or a dead posting. A saturated band errs towards keeping:
+// (and typically heaviest) candidates, so they front-load the verify order.
+// A count pass reads each prefix token's bucket once for the sort key; the
+// order is a deterministic function of index state (count, then prefix
+// position), so indexes fed the same records see identical candidate
+// sequences. The walk reads, per posting of the token, only the slot's hot
+// entry: dead mark, dedup stamp (seen vs probeSeq, an epoch instead of a
+// per-probe map), the length band against the bounds hoisted by bindProbe,
+// then the signature bound against the smallest overlap any member would
+// need; the Bundle is addressed only for a candidate or a dead posting. A saturated band errs towards keeping:
 // lenLo is clamped so a saturated hi never skips, and a saturated lo only
-// lowers the requirement. This is the single-writer half of the probe path:
-// every posting-table mutation and every counter these filters bump happen
-// here, so the verify phase that follows — serial in Probe, fanned out in
-// ProbePar — reads an index nobody is writing. The returned slice is scratch
-// owned by the index, valid until the next call.
+// lowers the requirement. Every posting-table mutation of a probe happens
+// here; the verify phase that follows only reads the index. The returned
+// slice is scratch owned by the index, valid until the next call.
 //
 // Runs once per probe.
 func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
@@ -485,8 +471,7 @@ func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 // Insertion names the bundle an incoming record should join. At is the
 // record ID of the best match backing the hint: the rule — maximum
 // similarity, ties to the smallest partner ID — makes the pick a pure
-// function of the match set, whatever order the matches were found in, so
-// every pool size drives the identical grouping evolution.
+// function of the match set, whatever order the matches were found in.
 type Insertion struct {
 	Bundle *Bundle
 	Sim    float64
@@ -502,18 +487,13 @@ func betterIns(a, b Insertion) bool {
 
 // probeBundle filters and verifies r against one candidate bundle that
 // passed collectCandidates' length and signature filters, emitting matches
-// and returning the best-match insertion hint. Work counters go to
-// st — &bx.stats on the serial path, a per-goroutine VerifyCtx on the pool
-// path — so concurrent verifiers never share a counter cache line.
-//
-// Runs on the verifier pool. It must only read the index (params,
-// cfg, postings, bundles): any index mutation belongs in collectCandidates
-// or the insert/evict path, which run strictly before and after the fanned
-// verify phase.
+// and returning the best-match insertion hint. It writes only work
+// counters: any index mutation belongs in collectCandidates or the
+// insert/evict path.
 //
 // Runs once per candidate bundle per probe; matches are emitted as value
 // structs through the emit callback.
-func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(Match)) (Insertion, bool) {
+func (bx *Index) probeBundle(r *record.Record, b *Bundle, emit func(Match)) (Insertion, bool) {
 	la := r.Len()
 	lo, hi := bx.probeLo, bx.probeHi
 	bmin, bmax := b.MinLen(), b.MaxLen()
@@ -531,17 +511,17 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 		if len(toks) != bmin {
 			toks = b.Members[0].Rec.Tokens
 		}
-		st.MemberChecks++
-		o, steps, ok := overlapKernelBounded(st, r.Tokens, toks, reqMin)
-		st.SingletonFast++
-		st.VerifySteps += uint64(steps)
-		st.Verified++
+		bx.stats.MemberChecks++
+		o, steps, ok := bx.overlapKernelBounded(r.Tokens, toks, reqMin)
+		bx.stats.SingletonFast++
+		bx.stats.VerifySteps += uint64(steps)
+		bx.stats.Verified++
 		if !ok {
 			return Insertion{}, false
 		}
 		m := b.Members[0]
 		sim := similarity.FromOverlap(bx.params.Func, o, la, bmin)
-		st.Results++
+		bx.stats.Results++
 		emit(Match{Rec: m.Rec, ID: m.id, Overlap: o, Sim: sim})
 		return Insertion{Bundle: b, Sim: sim, At: m.id}, true
 	}
@@ -559,18 +539,18 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 		quickUB = lu
 	}
 	if quickUB < reqMin {
-		st.BundleQuickSkip++
+		bx.stats.BundleQuickSkip++
 		return Insertion{}, false
 	}
 
 	// Bundle-level union upper bound: overlap(r, y) <= overlap(r, Union)
 	// for every member y. One early-terminating merge prunes the whole
 	// bundle; on success the overlap is exact and reused per member.
-	unionO, usteps, uok := overlapKernelBounded(st, r.Tokens, b.Union, reqMin)
-	st.UnionOverlaps++
-	st.UnionSteps += uint64(usteps)
+	unionO, usteps, uok := bx.overlapKernelBounded(r.Tokens, b.Union, reqMin)
+	bx.stats.UnionOverlaps++
+	bx.stats.UnionSteps += uint64(usteps)
 	if !uok {
-		st.BundleUBSkip++
+		bx.stats.BundleUBSkip++
 		return Insertion{}, false
 	}
 
@@ -589,7 +569,7 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 		if lb < lo || lb > hi {
 			continue
 		}
-		st.MemberChecks++
+		bx.stats.MemberChecks++
 		if lb != reqLen {
 			reqLen, req = lb, bx.params.RequiredOverlap(la, lb)
 		}
@@ -598,21 +578,21 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 			ub = lb
 		}
 		if ub < req {
-			st.MemberUBSkip++
+			bx.stats.MemberUBSkip++
 			continue
 		}
 		var o int
 		if bx.cfg.OneByOneVerify {
 			var steps int
-			o, steps = overlapKernel(st, r.Tokens, m.Rec.Tokens)
-			st.VerifySteps += uint64(steps)
+			o, steps = bx.overlapKernel(r.Tokens, m.Rec.Tokens)
+			bx.stats.VerifySteps += uint64(steps)
 		} else {
 			if !haveCore {
-				coreO, coreSteps = overlapKernel(st, r.Tokens, b.Core)
+				coreO, coreSteps = bx.overlapKernel(r.Tokens, b.Core)
 				haveCore = true
-				st.CoreOverlaps++
-				st.CoreSteps += uint64(coreSteps)
-				st.VerifySteps += uint64(coreSteps)
+				bx.stats.CoreOverlaps++
+				bx.stats.CoreSteps += uint64(coreSteps)
+				bx.stats.VerifySteps += uint64(coreSteps)
 			}
 			// Delta bound: overlap(r, y) = coreO + overlap(r, Delta), and
 			// overlap(r, Delta) <= min(|Delta|, la - coreO) because Delta
@@ -624,57 +604,32 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, st *Stats, emit func(M
 				dUB = rest
 			}
 			if coreO+dUB < req {
-				st.MemberDeltaSkip++
+				bx.stats.MemberDeltaSkip++
 				continue
 			}
 			// Bounded delta merge: when it fails the member cannot match
 			// (no emission, so the exact size is not needed); when it
 			// passes dO is exact and o below is the true overlap.
-			dO, dSteps, dok := overlapKernelBounded(st, r.Tokens, m.Delta, req-coreO)
-			st.VerifySteps += uint64(dSteps)
+			dO, dSteps, dok := bx.overlapKernelBounded(r.Tokens, m.Delta, req-coreO)
+			bx.stats.VerifySteps += uint64(dSteps)
 			if !dok {
-				st.Verified++
+				bx.stats.Verified++
 				continue
 			}
 			o = coreO + dO
 		}
-		st.Verified++
+		bx.stats.Verified++
 		if o < req {
 			continue
 		}
 		sim := similarity.FromOverlap(bx.params.Func, o, la, lb)
-		st.Results++
+		bx.stats.Results++
 		emit(Match{Rec: m.Rec, ID: m.id, Overlap: o, Sim: sim})
 		if !found || betterIns(Insertion{Sim: sim, At: m.id}, best) {
 			best, found = Insertion{Bundle: b, Sim: sim, At: m.id}, true
 		}
 	}
 	return best, found
-}
-
-// mergeVerify folds the verify-phase counters a VerifyCtx accumulated into
-// s. Only the counters probeBundle writes are listed:
-// everything else in Stats belongs to the single-writer
-// collect/insert/evict path and never appears in a per-goroutine context.
-// All listed counters are commutative sums, so the fold order across
-// contexts cannot change the totals — a parallel run reports exactly the
-// sequential numbers.
-func (s *Stats) mergeVerify(o *Stats) {
-	s.BundleUBSkip += o.BundleUBSkip
-	s.MemberChecks += o.MemberChecks
-	s.MemberUBSkip += o.MemberUBSkip
-	s.Verified += o.Verified
-	s.Results += o.Results
-	s.VerifySteps += o.VerifySteps
-	s.CoreSteps += o.CoreSteps
-	s.UnionOverlaps += o.UnionOverlaps
-	s.UnionSteps += o.UnionSteps
-	s.CoreOverlaps += o.CoreOverlaps
-	s.SingletonFast += o.SingletonFast
-	s.KernelLinear += o.KernelLinear
-	s.KernelGallop += o.KernelGallop
-	s.BundleQuickSkip += o.BundleQuickSkip
-	s.MemberDeltaSkip += o.MemberDeltaSkip
 }
 
 // Dump visits every live member record in arrival order; returning false

@@ -4,8 +4,7 @@
 // enough and the linear merge otherwise, and count the choice in Stats.
 // Both kernels compute exact intersection sizes, so the choice can never
 // change the emitted match stream — only the work profile and the Kernel*
-// counters. They read nothing but their operands, which keeps the fanned
-// ProbePar path lock-free.
+// counters.
 package bundle
 
 import (
@@ -18,15 +17,13 @@ import (
 // same Stats columns, so step counts of the two kernels add up but are not
 // the same unit.
 //
-// Runs on the verifier pool. All writes go to st.
-//
 // One call per verification merge.
-func overlapKernel(st *Stats, a, b []tokens.Rank) (o, steps int) {
+func (bx *Index) overlapKernel(a, b []tokens.Rank) (o, steps int) {
 	if similarity.Gallops(len(a), len(b)) {
-		st.KernelGallop++
+		bx.stats.KernelGallop++
 		return similarity.IntersectSizeGallop(a, b)
 	}
-	st.KernelLinear++
+	bx.stats.KernelLinear++
 	return overlapSteps(a, b)
 }
 
@@ -35,14 +32,12 @@ func overlapKernel(st *Stats, a, b []tokens.Rank) (o, steps int) {
 // exact when ok. The ok decision equals |a∩b| >= required for both
 // kernels.
 //
-// Runs on the verifier pool. All writes go to st.
-//
 // One call per verification merge.
-func overlapKernelBounded(st *Stats, a, b []tokens.Rank, required int) (o, steps int, ok bool) {
+func (bx *Index) overlapKernelBounded(a, b []tokens.Rank, required int) (o, steps int, ok bool) {
 	if similarity.Gallops(len(a), len(b)) {
-		st.KernelGallop++
+		bx.stats.KernelGallop++
 		return similarity.VerifyOverlapGallop(a, b, required)
 	}
-	st.KernelLinear++
+	bx.stats.KernelLinear++
 	return overlapStepsBounded(a, b, required)
 }

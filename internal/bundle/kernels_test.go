@@ -14,8 +14,7 @@ import (
 // linear reference pair by pair: every emitted overlap is the
 // similarity.IntersectSize of the two records, the emitted pairs are
 // exactly brute force's, and both kernels ran — so the galloping merges are
-// held to the linear merge's answers, not to their own. Pool parity at
-// every size is TestParallelParity*'s job.
+// held to the linear merge's answers, not to their own.
 func TestKernelParityMatchStream(t *testing.T) {
 	stream := duplicateHeavyStream(rand.New(rand.NewSource(71)), 500, 40)
 	kernelParity(t, stream, Config{}, false)

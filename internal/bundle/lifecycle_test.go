@@ -1,7 +1,6 @@
 package bundle
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -211,40 +210,35 @@ func lifecycleSmallWindow(t *testing.T, stream []*record.Record, wantSigSkip boo
 	if len(want) == 0 {
 		t.Fatal("degenerate workload: no matches")
 	}
-	for _, p := range []int{1, 3} {
-		label := fmt.Sprintf("P=%d", p)
-		bx := New(params(0.6), window.Count{N: win}, Config{})
-		pool := NewPool(p)
-		var got []emitted
-		var peak uint64 // bundles in use: live, plus dead ones awaiting their last posting
-		for _, r := range stream {
-			processPar(bx, pool, r, func(m Match) {
-				got = append(got, emitted{r.ID, m.Rec.ID, m.Overlap, m.Sim})
-			})
-			checkInvariants(t, bx)
-			if n := bx.stats.LiveBundles + bx.deadPosts; n > peak {
-				peak = n
-			}
+	bx := New(params(0.6), window.Count{N: win}, Config{})
+	var got []emitted
+	var peak uint64 // bundles in use: live, plus dead ones awaiting their last posting
+	for _, r := range stream {
+		bx.Process(r, func(m Match) {
+			got = append(got, emitted{r.ID, m.Rec.ID, m.Overlap, m.Sim})
+		})
+		checkInvariants(t, bx)
+		if n := bx.stats.LiveBundles + bx.deadPosts; n > peak {
+			peak = n
 		}
-		pool.Close()
-		requireStreams(t, label, got, want, Stats{}, Stats{})
+	}
+	requireStreams(t, "second index", got, want, Stats{}, Stats{})
 
-		// Inserts are served from the free lists: the slabs cover the
-		// most objects ever in use at once, not the stream.
-		st := bx.Stats()
-		if carved := uint64(len(bx.al.bchunks) * bundleChunk); bx.al.memberChunks != 1 || carved > peak+bundleChunk {
-			t.Fatalf("%s: %d member chunks; %d bundles carved, at most %d in use at once",
-				label, bx.al.memberChunks, carved, peak)
-		}
-		if st.LiveBundles == 0 || st.LiveBundles > win+1 || st.LiveBundles >= st.Bundles {
-			t.Fatalf("%s: LiveBundles=%d of %d ever created", label, st.LiveBundles, st.Bundles)
-		}
-		if wantSigSkip && st.BundleSigSkip == 0 {
-			t.Fatalf("%s: the signature bound never pruned anything", label)
-		}
-		if st.RebuildSweeps == 0 || st.DeadPostSkips == 0 {
-			t.Fatalf("%s: sweeps=%d dead postings dropped=%d", label, st.RebuildSweeps, st.DeadPostSkips)
-		}
+	// Inserts are served from the free lists: the slabs cover the
+	// most objects ever in use at once, not the stream.
+	st := bx.Stats()
+	if carved := uint64(len(bx.al.bchunks) * bundleChunk); bx.al.memberChunks != 1 || carved > peak+bundleChunk {
+		t.Fatalf("%d member chunks; %d bundles carved, at most %d in use at once",
+			bx.al.memberChunks, carved, peak)
+	}
+	if st.LiveBundles == 0 || st.LiveBundles > win+1 || st.LiveBundles >= st.Bundles {
+		t.Fatalf("LiveBundles=%d of %d ever created", st.LiveBundles, st.Bundles)
+	}
+	if wantSigSkip && st.BundleSigSkip == 0 {
+		t.Fatal("the signature bound never pruned anything")
+	}
+	if st.RebuildSweeps == 0 || st.DeadPostSkips == 0 {
+		t.Fatalf("sweeps=%d dead postings dropped=%d", st.RebuildSweeps, st.DeadPostSkips)
 	}
 }
 
@@ -293,20 +287,18 @@ func TestSweepAfterBurst(t *testing.T) {
 
 // TestEmitOrderIsDiscoveryOrder pins the emission contract: matches leave a
 // probe in the order verification finds them — candidate order, then member
-// order — which is a function of index state alone. So the serial probe and
-// the pooled one at every size emit the same sequence with the same counters,
-// a second index fed the same records emits it again, and per probe it is a
-// permutation of the brute-force partner set.
+// order — which is a function of index state alone. So a second index fed
+// the same records emits the same sequence with the same counters, and per
+// probe it is a permutation of the brute-force partner set.
 func TestEmitOrderIsDiscoveryOrder(t *testing.T) {
 	cases := []struct {
 		profile workload.Profile
 		n       int
 		tau     float64
 		win     window.Count
-		fans    bool // probes reach fanoutMin candidates
 	}{
-		{workload.AOLLike(42), 6000, 0.8, window.Count{N: 1500}, true},
-		{workload.EnronLike(42), 1200, 0.7, window.Count{N: 300}, false},
+		{workload.AOLLike(42), 6000, 0.8, window.Count{N: 1500}},
+		{workload.EnronLike(42), 1200, 0.7, window.Count{N: 300}},
 	}
 	unsorted := 0
 	for _, tc := range cases {
@@ -315,26 +307,18 @@ func TestEmitOrderIsDiscoveryOrder(t *testing.T) {
 		if wantStats.Evicted == 0 || wantStats.Appends == 0 {
 			t.Fatalf("%s: degenerate stream: %+v", tc.profile.Name, wantStats)
 		}
-		// P=1 is Probe itself on a second index: the determinism check.
-		for _, p := range []int{1, 2, 4} {
-			label := fmt.Sprintf("%s P=%d", tc.profile.Name, p)
-			bx := New(params(tc.tau), tc.win, Config{})
-			pool := NewPool(p)
-			var got []emitted
-			for _, r := range stream {
-				processPar(bx, pool, r, func(m Match) {
-					if m.ID != m.Rec.ID {
-						t.Fatalf("%s: match carries ID %d for record %d", label, m.ID, m.Rec.ID)
-					}
-					got = append(got, emitted{r.ID, m.Rec.ID, m.Overlap, m.Sim})
-				})
-			}
-			pool.Close()
-			requireStreams(t, label, got, want, bx.Stats(), wantStats)
-			if ps := pool.Snapshot(); p > 1 && tc.fans && ps.RoundsParallel == 0 {
-				t.Fatalf("%s: no probe was fanned out: %+v", label, ps)
-			}
+		// The same records through a second index: the determinism check.
+		bx := New(params(tc.tau), tc.win, Config{})
+		var got []emitted
+		for _, r := range stream {
+			bx.Process(r, func(m Match) {
+				if m.ID != m.Rec.ID {
+					t.Fatalf("%s: match carries ID %d for record %d", tc.profile.Name, m.ID, m.Rec.ID)
+				}
+				got = append(got, emitted{r.ID, m.Rec.ID, m.Overlap, m.Sim})
+			})
 		}
+		requireStreams(t, tc.profile.Name, got, want, bx.Stats(), wantStats)
 
 		// Per probe, the emitted partners are exactly the brute-force ones,
 		// each once.
@@ -431,24 +415,21 @@ func heapInuse() uint64 {
 // Every assertion but the last is on a deterministic count.
 func TestIndexStateBoundedByWindow(t *testing.T) {
 	cases := []struct {
-		pool    int
 		win     int
 		records int
 		profile workload.Profile
 	}{
-		{1, 2000, 200_000, workload.TweetLike(42)},
-		{3, 2000, 40_000, workload.TweetLike(42)},
-		{1, 100, 600, workload.EnronLike(42)}, // the one that founds wide signatures
+		{2000, 200_000, workload.TweetLike(42)},
+		{100, 600, workload.EnronLike(42)}, // the one that founds wide signatures
 	}
 	for _, tc := range cases {
-		label := fmt.Sprintf("%s P=%d", tc.profile.Name, tc.pool)
+		label := tc.profile.Name
 		p := params(0.8)
 		bx := New(p, window.Count{N: int64(tc.win)}, Config{})
-		pool := NewPool(tc.pool)
 		gen := workload.NewGenerator(tc.profile)
 		var peakLive, heapEarly uint64
 		for i := 0; i < tc.records; i++ {
-			processPar(bx, pool, gen.Next(), func(Match) {})
+			bx.Process(gen.Next(), func(Match) {})
 			if bx.stats.LiveBundles > peakLive {
 				peakLive = bx.stats.LiveBundles
 			}
@@ -456,7 +437,6 @@ func TestIndexStateBoundedByWindow(t *testing.T) {
 				heapEarly = heapInuse()
 			}
 		}
-		pool.Close()
 		heapEnd := heapInuse()
 
 		// The same window in an index that never saw the rest of the stream.

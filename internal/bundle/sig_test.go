@@ -348,13 +348,13 @@ func longRecs(win, tau byte, recs ...[]tokens.Rank) []byte {
 	return out
 }
 
-// FuzzIndexVsBruteForce checks the whole index, gate included, serial and
-// on a 3-goroutine pool, against the quadratic scan. Bit 7 of the threshold
-// byte selects the record shape: clear, long records (16–80 tokens) over a
-// one-byte universe with a count window of 0–63, where hash collisions and
-// saturated signatures are the rule; set, short records (1–12 tokens) over
-// 48 ranks with a count window of 0–255, which never reach the gate and
-// pile many members into few bundles.
+// FuzzIndexVsBruteForce checks the whole index, gate included, against the
+// quadratic scan. Bit 7 of the threshold byte selects the record shape:
+// clear, long records (16–80 tokens) over a one-byte universe with a count
+// window of 0–63, where hash collisions and saturated signatures are the
+// rule; set, short records (1–12 tokens) over 48 ranks with a count window
+// of 0–255, which never reach the gate and pile many members into few
+// bundles.
 func FuzzIndexVsBruteForce(f *testing.F) {
 	f.Add(longRecs(0, 4, span(0, 40), span(5, 40), span(100, 30), span(3, 42), span(101, 31)))
 	f.Add(longRecs(3, 0, span(0, 80), span(40, 80), span(80, 80), span(120, 80), span(160, 80)))
@@ -393,27 +393,23 @@ func FuzzIndexVsBruteForce(f *testing.F) {
 	})
 }
 
-// indexVsBruteForce runs stream through the index, serial and on a
-// 3-goroutine pool, and requires exactly the pairs of the quadratic scan.
+// indexVsBruteForce runs stream through the index and requires exactly the
+// pairs of the quadratic scan.
 func indexVsBruteForce(t *testing.T, stream []*record.Record, tau float64, win window.Policy) {
 	t.Helper()
 	want := bruteForce(stream, tau, win)
-	for _, p := range []int{1, 3} {
-		bx := New(params(tau), win, Config{})
-		pool := NewPool(p)
-		got := make(map[record.Pair]bool)
-		for _, r := range stream {
-			processPar(bx, pool, r, func(m Match) { got[record.NewPair(r.ID, m.Rec.ID, 0)] = true })
+	bx := New(params(tau), win, Config{})
+	got := make(map[record.Pair]bool)
+	for _, r := range stream {
+		bx.Process(r, func(m Match) { got[record.NewPair(r.ID, m.Rec.ID, 0)] = true })
+	}
+	for pr := range want {
+		if !got[pr] {
+			t.Fatalf("τ=%v win=%v: missing %v (%d of %d pairs found)", tau, win, pr, len(got), len(want))
 		}
-		pool.Close()
-		for pr := range want {
-			if !got[pr] {
-				t.Fatalf("τ=%v win=%v P=%d: missing %v (%d of %d pairs found)", tau, win, p, pr, len(got), len(want))
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("τ=%v win=%v P=%d: %d pairs, brute force finds %d", tau, win, p, len(got), len(want))
-		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("τ=%v win=%v: %d pairs, brute force finds %d", tau, win, len(got), len(want))
 	}
 }
 

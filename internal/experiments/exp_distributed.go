@@ -309,38 +309,3 @@ func E12(sc Scale) *Table {
 	}
 	return t
 }
-
-// E20 is the intra-worker core-scaling sweep: ONE worker, verifier pool
-// size P swept over {1,2,4,8}. A single worker makes P map one-to-one
-// onto cores (k workers would each demand P cores), and the Enron-like
-// profile (long records, τ=0.7) makes verification — the stage the pool
-// fans out — dominate the per-record cost, so added cores translate into
-// throughput instead of idling behind collection. The parallel probe
-// merges results in deterministic order, so the result count is identical
-// at every P — the table doubles as a parity check. Speedup is throughput
-// relative to P=1 and needs GOMAXPROCS >= P to materialize; on a
-// single-core box every P collapses to sequential throughput minus pool
-// overhead.
-func E20(sc Scale) *Table {
-	t := &Table{
-		ID:      "E20",
-		Title:   "Intra-worker parallel verify: throughput vs pool size (extension)",
-		Columns: []string{"parallel", "rec/s", "results", "speedup"},
-		Notes:   "bundle algorithm, Enron-like (verification-bound), τ=0.7, one worker so pool size maps 1:1 onto cores; results identical at every P (deterministic merge); speedup requires GOMAXPROCS >= P",
-	}
-	recs := genProfile(workload.EnronLike(sc.Seed), sc.Records)
-	p := jaccard(0.7)
-	strat := strategyFor("length", p, recs, 1)
-	var base float64
-	for _, par := range []int{1, 2, 4, 8} {
-		scp := sc
-		scp.Parallel = par
-		res := runTopology(scp, recs, strat, p, 1, local.Bundled, nil)
-		thr := res.Throughput().PerSecond()
-		if base == 0 {
-			base = thr
-		}
-		t.AddRow(par, thr, res.Results, thr/base)
-	}
-	return t
-}

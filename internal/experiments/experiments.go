@@ -28,10 +28,6 @@ type Scale struct {
 	// Batch is the transport batch size for distributed runs: 0 uses the
 	// engine default (stream.DefaultBatchSize), 1 disables batching.
 	Batch int
-	// Parallel sizes each worker's verifier pool for distributed runs
-	// (bundle algorithm): 0 or 1 keeps workers single-threaded. Results
-	// are identical at any value; only throughput changes.
-	Parallel int
 	// Registry, when set, receives live metrics from every topology run an
 	// experiment performs (ssjoinbench -http / -json).
 	Registry *obs.Registry
@@ -42,14 +38,6 @@ type Scale struct {
 
 // DefaultScale is the CLI default.
 func DefaultScale() Scale { return Scale{Records: 20000, Workers: 8, Seed: 42} }
-
-// ParallelOrOne reports the effective verifier-pool size (0 means 1).
-func (sc Scale) ParallelOrOne() int {
-	if sc.Parallel < 1 {
-		return 1
-	}
-	return sc.Parallel
-}
 
 // Experiment is a runnable paper artefact.
 type Experiment struct {
@@ -82,7 +70,6 @@ func All() []Experiment {
 		{"E17", "Exact prefix join vs MinHash-LSH (extension)", E17},
 		{"E18", "Dispatcher parallelism, one dispatcher per worker (extension)", E18},
 		{"E19", "Token-ordering refresh under vocabulary drift (extension)", E19},
-		{"E20", "Intra-worker parallel verification scaling (extension)", E20},
 	}
 }
 
@@ -134,15 +121,14 @@ var frameworkNames = []string{"length", "prefix", "broadcast"}
 // the topology config without widening every experiment's parameter list.
 func runTopology(sc Scale, recs []*record.Record, strat dispatch.Strategy, p filter.Params, k int, alg local.Algorithm, win window.Policy) *topology.Result {
 	res, err := topology.Run(recs, topology.Config{
-		Workers:     k,
-		Strategy:    strat,
-		Algorithm:   alg,
-		Params:      p,
-		Window:      win,
-		BatchSize:   sc.Batch,
-		Parallelism: sc.Parallel,
-		Registry:    sc.Registry,
-		Tracer:      sc.Tracer,
+		Workers:   k,
+		Strategy:  strat,
+		Algorithm: alg,
+		Params:    p,
+		Window:    win,
+		BatchSize: sc.Batch,
+		Registry:  sc.Registry,
+		Tracer:    sc.Tracer,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: topology run failed: %v", err))

@@ -31,7 +31,6 @@ var timedColumns = map[string][]string{
 	"E17": {"throughput rec/s"},
 	"E18": {"throughput rec/s"},
 	"E19": {"throughput rec/s"},
-	"E20": {"rec/s", "speedup"},
 }
 
 // TestAllExperimentsRunAndProduceTables runs every experiment twice at the

@@ -54,14 +54,6 @@ func (b *BiJoiner) evictOwn(j Joiner, r *record.Record) {
 	j.Step(&record.Record{ID: r.ID, Time: r.Time}, false, func(Match) {})
 }
 
-// Close releases any goroutines the side joiners own (verifier pools of
-// the Bundled algorithm); both sides keep working sequentially afterwards.
-func (b *BiJoiner) Close() error {
-	CloseJoiner(b.left)
-	CloseJoiner(b.right)
-	return nil
-}
-
 // SizeLeft and SizeRight report per-side stored counts.
 func (b *BiJoiner) SizeLeft() int { return b.left.Size() }
 

@@ -112,13 +112,6 @@ type Options struct {
 	// only). SuffixDepth bounds the recursion (default 2 when enabled).
 	SuffixFilter bool
 	SuffixDepth  int
-	// Parallelism sizes the verifier pool of the Bundled algorithm: P-1
-	// helper goroutines fan candidate verification out per record, with
-	// results merged back in deterministic order (see bundle.ProbePar).
-	// 0 or 1 keeps the joiner strictly single-threaded; other algorithms
-	// ignore it. A parallel joiner owns goroutines — close it with
-	// CloseJoiner (or an io.Closer assertion) when done.
-	Parallelism int
 }
 
 // New constructs the requested joiner.
@@ -327,17 +320,12 @@ func verifyFromSteps(a, b []uint32, i, j, acc, required int) (o, steps int) {
 type bundledJoiner struct {
 	params filter.Params
 	bx     *bundle.Index
-	pool   *bundle.Pool // nil when Parallelism <= 1
 	probes uint64
 	stored uint64
 }
 
 func newBundled(opt Options) *bundledJoiner {
-	b := &bundledJoiner{params: opt.Params, bx: bundle.New(opt.Params, opt.Window, opt.Bundle)}
-	if opt.Parallelism > 1 {
-		b.pool = bundle.NewPool(opt.Parallelism)
-	}
-	return b
+	return &bundledJoiner{params: opt.Params, bx: bundle.New(opt.Params, opt.Window, opt.Bundle)}
 }
 
 func (b *bundledJoiner) Name() string { return "bundle" }
@@ -379,32 +367,10 @@ func (b *bundledJoiner) Cost() Cost {
 func (b *bundledJoiner) Step(r *record.Record, store bool, emit func(Match)) {
 	b.probes++
 	b.bx.Evict(r.ID, r.Time)
-	best, _ := b.bx.ProbePar(b.pool, r, emit)
+	best, _ := b.bx.Probe(r, emit)
 	if store {
 		b.bx.Insert(r, best)
 		b.stored++
-	}
-}
-
-// VerifyPool exposes the verifier pool for metrics registration (nil when
-// the joiner runs sequentially); only present on the Bundled joiner.
-func (b *bundledJoiner) VerifyPool() *bundle.Pool { return b.pool }
-
-// Close releases the verifier pool's helper goroutines. The joiner keeps
-// working afterwards, falling back to the sequential probe path.
-func (b *bundledJoiner) Close() error {
-	if b.pool != nil {
-		b.pool.Close()
-		b.pool = nil
-	}
-	return nil
-}
-
-// CloseJoiner releases any goroutines j owns (the Bundled joiner's
-// verifier pool). Safe on every Joiner; a no-op for the sequential ones.
-func CloseJoiner(j Joiner) {
-	if c, ok := j.(interface{ Close() error }); ok {
-		c.Close()
 	}
 }
 

@@ -1,13 +1,6 @@
 package partition
 
-import (
-	"fmt"
-	"math"
-	"sync/atomic"
-
-	"repro/internal/filter"
-	"repro/internal/obs"
-)
+import "repro/internal/filter"
 
 // Tracker watches the stream's recent length distribution and decides when
 // the active partition has drifted out of balance — the adaptive
@@ -24,19 +17,7 @@ type Tracker struct {
 	next   int
 	filled bool
 	hist   Histogram
-	// liveCurrent/liveAchievable hold Float64bits of the most recent
-	// Evaluate outcome so a scrape goroutine can read the imbalance while
-	// the owning worker streams (the tracker itself stays single-writer).
-	liveCurrent    atomic.Uint64
-	liveAchievable atomic.Uint64
-	// journal, when set, receives a rebalance_advice event each time
-	// ShouldRepartition trips, so drift decisions land on the session
-	// timeline next to the checkpoint and retry events they interact with.
-	journal *obs.Journal
 }
-
-// SetJournal routes the tracker's repartition advice onto j (nil detaches).
-func (t *Tracker) SetJournal(j *obs.Journal) { t.journal = j }
 
 // NewTracker creates a tracker over a sliding window of windowSize record
 // lengths (minimum 16).
@@ -44,12 +25,10 @@ func NewTracker(params filter.Params, windowSize int) *Tracker {
 	if windowSize < 16 {
 		windowSize = 16
 	}
-	t := &Tracker{
+	return &Tracker{
 		model: CostModel{Params: params},
 		ring:  make([]int, windowSize),
 	}
-	t.storeLive(1, 1)
-	return t
 }
 
 // Observe records the next record length.
@@ -90,36 +69,9 @@ func (t *Tracker) Snapshot() *Histogram {
 func (t *Tracker) Evaluate(active Partition) (current, achievable float64) {
 	w := t.model.Weights(&t.hist)
 	if len(w) <= 1 {
-		t.storeLive(1, 1)
 		return 1, 1
 	}
-	current = Imbalance(active, w)
-	achievable = Imbalance(LoadAware(w, active.Workers()), w)
-	t.storeLive(current, achievable)
-	return current, achievable
-}
-
-func (t *Tracker) storeLive(current, achievable float64) {
-	t.liveCurrent.Store(math.Float64bits(current))
-	t.liveAchievable.Store(math.Float64bits(achievable))
-}
-
-// LiveImbalance returns the outcome of the most recent Evaluate (1, 1
-// before any evaluation). Safe to call from any goroutine.
-func (t *Tracker) LiveImbalance() (current, achievable float64) {
-	return math.Float64frombits(t.liveCurrent.Load()),
-		math.Float64frombits(t.liveAchievable.Load())
-}
-
-// RegisterMetrics binds the tracker's live imbalance readings to reg as
-// gauges, so the load-aware migration decision is visible while it streams.
-func (t *Tracker) RegisterMetrics(reg *obs.Registry) {
-	reg.GaugeFunc("partition_imbalance_current",
-		"Estimated load imbalance of the active partition on the sliding window.",
-		func() float64 { c, _ := t.LiveImbalance(); return c })
-	reg.GaugeFunc("partition_imbalance_achievable",
-		"Imbalance a freshly fitted load-aware partition would achieve on the same window.",
-		func() float64 { _, a := t.LiveImbalance(); return a })
+	return Imbalance(active, w), Imbalance(LoadAware(w, active.Workers()), w)
 }
 
 // ShouldRepartition reports whether the active partition's estimated
@@ -131,13 +83,7 @@ func (t *Tracker) ShouldRepartition(active Partition, factor float64) bool {
 		return false
 	}
 	current, achievable := t.Evaluate(active)
-	if current <= achievable*factor {
-		return false
-	}
-	t.journal.Append("rebalance_advice", "partition",
-		fmt.Sprintf("imbalance %.3f exceeds achievable %.3f by over %.2fx; refit advised",
-			current, achievable, factor))
-	return true
+	return current > achievable*factor
 }
 
 // Refit returns a load-aware partition fitted to the current window, for k

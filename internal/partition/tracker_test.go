@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/filter"
-	"repro/internal/obs"
 	"repro/internal/similarity"
 )
 
@@ -86,39 +85,5 @@ func TestTrackerEvaluateEmptyWindow(t *testing.T) {
 	cur, ach := tr.Evaluate(Partition{Bounds: []int{10}})
 	if cur != 1 || ach != 1 {
 		t.Fatalf("empty evaluate: %v %v", cur, ach)
-	}
-}
-
-// TestTrackerJournalsRebalanceAdvice pins the observability hook: a
-// tripping drift check lands a rebalance_advice event on the journal, a
-// quiet one stays silent, and a nil journal is safe.
-func TestTrackerJournalsRebalanceAdvice(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	tr := NewTracker(trackerParams(), 512)
-	j := obs.NewJournal(16)
-	tr.SetJournal(j)
-	for i := 0; i < 512; i++ {
-		tr.Observe(5 + rng.Intn(11))
-	}
-	active := tr.Refit(4)
-	if tr.ShouldRepartition(active, 1.3) {
-		t.Fatal("freshly fitted partition flagged")
-	}
-	if j.Appended() != 0 {
-		t.Fatalf("quiet check journaled %d events", j.Appended())
-	}
-	for i := 0; i < 512; i++ {
-		tr.Observe(80 + rng.Intn(121))
-	}
-	if !tr.ShouldRepartition(active, 1.3) {
-		t.Fatal("drift not detected")
-	}
-	evs := j.Recent(0)
-	if len(evs) != 1 || evs[0].Type != "rebalance_advice" || evs[0].Component != "partition" {
-		t.Fatalf("journal = %+v", evs)
-	}
-	tr.SetJournal(nil)
-	if !tr.ShouldRepartition(active, 1.3) {
-		t.Fatal("nil journal changed the decision")
 	}
 }

@@ -310,7 +310,6 @@ func TestWorkerRejectsPlanMismatch(t *testing.T) {
 		&checkpoint.SessionMeta{PlanHash: 0xAAAA}); err != nil {
 		t.Fatal(err)
 	}
-	local.CloseJoiner(j)
 
 	hello := func(planHash uint64) wire.Hello {
 		h, err := sess.hello(0, 1)

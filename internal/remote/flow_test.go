@@ -28,7 +28,6 @@ func flowWorkload(n int) (Session, []*record.Record, []int) {
 		recs[i] = &record.Record{ID: record.ID(i), Time: int64(i), Tokens: []tokens.Rank{1, 2, 3}}
 	}
 	j := local.New(sess.Algorithm, local.Options{Params: sess.Params, Window: sess.Window})
-	defer local.CloseJoiner(j)
 	per := make([]int, n)
 	for i, r := range recs {
 		j.Step(r, true, func(local.Match) { per[i]++ })
@@ -293,7 +292,6 @@ func TestResumeAtUnackedBoundGrantsNoCredit(t *testing.T) {
 			j := local.New(sess.Algorithm, local.Options{Params: sess.Params, Window: sess.Window})
 			err := writeCheckpointFile(checkpointPath(dir, h.SessionID, 0), checkpoint.Cursor{NextID: 10, NextTime: 10}, j,
 				&checkpoint.SessionMeta{PlanHash: h.PlanHash, Unacked: unacked})
-			local.CloseJoiner(j)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/filter"
 	"repro/internal/local"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/similarity"
 	"repro/internal/topology"
 	"repro/internal/window"
@@ -233,18 +232,18 @@ func TestMonitorSnapshotActiveNeverUnderflows(t *testing.T) {
 
 // TestEveryComponentRegistersItsMetrics puts the metrics of every
 // component on the registries the binaries build: the process, journal,
-// partition tracker, FT coordinator and an instrumented engine run with its
-// stream runtime share one, as in ssjoin and ssjoinbench; the worker
+// FT coordinator and an instrumented engine run with its stream runtime
+// share one, as in ssjoin and ssjoinbench; the worker
 // monitor gets the worker process's own, as in ssjoinworker. The two
 // cannot share one: both define worker_record_seconds, per task in the
 // engine and per process in the worker. Registration panics on a name
 // collision across kinds, a name that is not snake_case or an empty help
 // string; the scrape must also show non-blank help on every family. The
 // per-task and per-edge families are bound at wiring time, one child per
-// task, edge or verifier context: a k-worker run must leave exactly that
-// label set in each of them, never one child per record or per result.
+// task or edge: a k-worker run must leave exactly that label set in each of
+// them, never one child per record or per result.
 func TestEveryComponentRegistersItsMetrics(t *testing.T) {
-	const k, dispatchers, par = 3, 2, 2
+	const k, dispatchers = 3, 2
 	reg, workerReg := obs.NewRegistry(), obs.NewRegistry()
 	for _, r := range []*obs.Registry{reg, workerReg} {
 		obs.RegisterProcessMetrics(r)
@@ -252,13 +251,11 @@ func TestEveryComponentRegistersItsMetrics(t *testing.T) {
 	}
 	(&Monitor{}).RegisterMetrics(workerReg)
 	tau := filter.Params{Func: similarity.Jaccard, Threshold: 0.7}
-	partition.NewTracker(tau, 100).RegisterMetrics(reg)
 	newFTMetrics(reg)
 	recs := workload.NewGenerator(workload.AOLLike(9)).Generate(400)
 	res, err := topology.Run(recs, topology.Config{
 		Workers:     k,
 		Dispatchers: dispatchers,
-		Parallelism: par,
 		Strategy:    dispatch.PrefixBased{Params: tau},
 		Algorithm:   local.Bundled,
 		Params:      tau,
@@ -280,36 +277,26 @@ func TestEveryComponentRegistersItsMetrics(t *testing.T) {
 	}
 	workers := tasks("worker", k)
 	queued := append(tasks("dispatcher", dispatchers), workers...)
-	var contexts []string
-	for _, w := range workers {
-		contexts = append(contexts, tasks(w+"/ctx", par)...)
-	}
 	want := map[string][]string{
-		"stream_edge_tuples_total":            {"dispatcher->worker", "source->dispatcher"},
-		"stream_edge_bytes_total":             {"dispatcher->worker", "source->dispatcher"},
-		"stream_edge_batches_total":           {"dispatcher->worker", "source->dispatcher"},
-		"stream_edge_batch_occupancy":         {"dispatcher->worker", "source->dispatcher"},
-		"stream_task_executed_total":          append([]string{"source/0"}, queued...),
-		"stream_task_emitted_total":           append([]string{"source/0"}, queued...),
-		"stream_queue_depth_batches":          queued,
-		"stream_process_seconds":              queued,
-		"stream_queue_wait_seconds":           queued,
-		"worker_record_seconds":               workers,
-		"bundle_records_total":                workers,
-		"bundle_candidates_total":             workers,
-		"bundle_verified_total":               workers,
-		"bundle_results_total":                workers,
-		"bundle_live_members":                 workers,
-		"bundle_verify_hit_rate":              workers,
-		"verify_kernel_linear_total":          workers,
-		"verify_kernel_gallop_total":          workers,
-		"verify_candidates_pruned_total":      workers,
-		"verify_pool_size":                    workers,
-		"verify_pool_parallel_rounds_total":   workers,
-		"verify_pool_serial_rounds_total":     workers,
-		"verify_pool_fanned_candidates_total": workers,
-		"verify_pool_idle_stints_total":       workers,
-		"verify_pool_ctx_verified_total":      contexts,
+		"stream_edge_tuples_total":       {"dispatcher->worker", "source->dispatcher"},
+		"stream_edge_bytes_total":        {"dispatcher->worker", "source->dispatcher"},
+		"stream_edge_batches_total":      {"dispatcher->worker", "source->dispatcher"},
+		"stream_edge_batch_occupancy":    {"dispatcher->worker", "source->dispatcher"},
+		"stream_task_executed_total":     append([]string{"source/0"}, queued...),
+		"stream_task_emitted_total":      append([]string{"source/0"}, queued...),
+		"stream_queue_depth_batches":     queued,
+		"stream_process_seconds":         queued,
+		"stream_queue_wait_seconds":      queued,
+		"worker_record_seconds":          workers,
+		"bundle_records_total":           workers,
+		"bundle_candidates_total":        workers,
+		"bundle_verified_total":          workers,
+		"bundle_results_total":           workers,
+		"bundle_live_members":            workers,
+		"bundle_verify_hit_rate":         workers,
+		"verify_kernel_linear_total":     workers,
+		"verify_kernel_gallop_total":     workers,
+		"verify_candidates_pruned_total": workers,
 	}
 
 	snake := regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
@@ -335,7 +322,7 @@ func TestEveryComponentRegistersItsMetrics(t *testing.T) {
 		}
 		sort.Strings(wantLabels)
 		if !slices.Equal(got, wantLabels) {
-			t.Errorf("%s: children %q, want one per task, edge or context: %q", f.Desc.Name, got, wantLabels)
+			t.Errorf("%s: children %q, want one per task or edge: %q", f.Desc.Name, got, wantLabels)
 		}
 	}
 	for name := range want {

@@ -38,13 +38,6 @@ type WorkerOpts struct {
 	// checkpoints. Zero checkpoints only when a session ends uncleanly
 	// (connection break, cancellation) — the cheapest useful setting.
 	CheckpointInterval time.Duration
-	// Parallelism sizes each session joiner's verifier pool: P-1 helper
-	// goroutines fan candidate-bundle verification out across cores
-	// (bundle algorithm only), with results merged in deterministic order
-	// so the result stream is byte-identical to a sequential worker's.
-	// 0 or 1 keeps sessions single-threaded. Concurrent sessions each get
-	// their own pool.
-	Parallelism int
 	// Journal receives worker lifecycle events (session start/end,
 	// checkpoint, resume, duplicate summaries, kernel mix); nil disables.
 	Journal *obs.Journal
@@ -214,12 +207,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	comp := fmt.Sprintf("worker/%d", h.Task)
 	o.Journal.Append("session_start", comp,
 		fmt.Sprintf("session %016x task %d/%d ft=%v resume=%v", h.SessionID, h.Task, h.Workers, h.FT, h.Resume))
-	opts := local.Options{
-		Params:      sess.Params,
-		Window:      sess.Window,
-		Bundle:      sess.Bundle,
-		Parallelism: o.Parallelism,
-	}
+	opts := local.Options{Params: sess.Params, Window: sess.Window, Bundle: sess.Bundle}
 	var (
 		joiner local.Joiner
 		bi     *local.BiJoiner
@@ -229,16 +217,6 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	} else {
 		joiner = local.New(sess.Algorithm, opts)
 	}
-	// Parallel joiners own helper goroutines; release them however the
-	// session ends. The deferred read sees the latest joiner even after
-	// the torn-checkpoint replacement below.
-	defer func() {
-		if bi != nil {
-			bi.Close()
-		} else if joiner != nil {
-			local.CloseJoiner(joiner)
-		}
-	}()
 
 	// FT handshake: restore or discard the checkpoint, then ack the cursor.
 	ckptPath := ""
@@ -270,7 +248,6 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 					// A torn or stale file must not poison the session:
 					// drop the partially-loaded joiner and start fresh.
 					o.logf("remote worker: checkpoint %s unreadable, starting fresh: %v", ckptPath, why)
-					local.CloseJoiner(joiner)
 					joiner = local.New(sess.Algorithm, opts)
 				}
 				meta, body, herr := checkpoint.ReadSessionHeader(bytes.NewReader(blob))
@@ -323,10 +300,10 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	}
 
 	task, workers := h.Task, h.Workers
-	// emitted counts results written this session. Step merges
-	// parallel-verifier results on the calling goroutine, so neither it nor
-	// cur, the record being stepped, nor batch, its pairs so far, needs
-	// synchronization — which lets one emit closure serve the whole session.
+	// emitted counts results written this session. Step emits on the
+	// calling goroutine, so neither it nor cur, the record being stepped,
+	// nor batch, its pairs so far, needs synchronization — which lets one
+	// emit closure serve the whole session.
 	var (
 		emitted uint64
 		cur     *record.Record

@@ -145,8 +145,8 @@ func TestIntoAppendsAfterPrefix(t *testing.T) {
 }
 
 // TestScratchConcurrent hammers the pooled scratch from many goroutines —
-// run under -race this is the regression gate for the verifier pool's
-// per-goroutine scratch discipline: buffers from GetRanks are exclusively
+// run under -race this is the regression gate for the scratch discipline
+// of concurrent worker tasks: buffers from GetRanks are exclusively
 // owned between Get and Put, shared inputs are read-only, and results
 // computed into pooled scratch (including in-place over a private copy)
 // stay correct under interleaving.

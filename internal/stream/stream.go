@@ -60,8 +60,7 @@ type Flusher interface {
 
 // BatchBolt is an optional Bolt extension: the executor hands such a bolt
 // each transport batch whole instead of tuple by tuple, preserving tuple
-// order exactly. Bolts that amortize per-record setup across a batch —
-// the worker bolt keeps its verifier pool fed with back-to-back records —
+// order exactly. Bolts that amortize per-record work across a batch
 // implement it; Execute remains required and must behave identically for
 // a single tuple.
 type BatchBolt interface {

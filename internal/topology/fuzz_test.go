@@ -11,18 +11,18 @@ import (
 
 // FuzzTopologyVsBruteForce is the engine half of the whole-system oracle:
 // a drawn stream through Run under a drawn configuration — τ, window
-// (none, count or time), strategy, algorithm, workers, dispatchers, batch
-// size and verifier pool — must emit exactly the brute-force pair
-// multiset. The stream is UniformSmall with a quarter of its records
-// copying an earlier one, so every τ finds pairs, and with times that
-// repeat and skip, so a time window differs from a count window.
+// (none, count or time), strategy, algorithm, workers, dispatchers and
+// batch size — must emit exactly the brute-force pair multiset. The stream
+// is UniformSmall with a quarter of its records copying an earlier one, so
+// every τ finds pairs, and with times that repeat and skip, so a time
+// window differs from a count window.
 func FuzzTopologyVsBruteForce(f *testing.F) {
-	f.Add(int64(1), uint16(299), uint8(1), uint8(0), uint8(0), uint8(2), uint8(3), uint8(3), uint8(2), uint8(1))
-	f.Add(int64(7), uint16(199), uint8(3), uint8(1), uint8(1), uint8(1), uint8(2), uint8(1), uint8(1), uint8(0))
-	f.Add(int64(42), uint16(249), uint8(0), uint8(2), uint8(2), uint8(0), uint8(3), uint8(2), uint8(0), uint8(1))
-	f.Add(int64(3), uint16(119), uint8(4), uint8(2), uint8(0), uint8(2), uint8(1), uint8(3), uint8(1), uint8(1))
+	f.Add(int64(1), uint16(299), uint8(1), uint8(0), uint8(0), uint8(2), uint8(3), uint8(3), uint8(2))
+	f.Add(int64(7), uint16(199), uint8(3), uint8(1), uint8(1), uint8(1), uint8(2), uint8(1), uint8(1))
+	f.Add(int64(42), uint16(249), uint8(0), uint8(2), uint8(2), uint8(0), uint8(3), uint8(2), uint8(0))
+	f.Add(int64(3), uint16(119), uint8(4), uint8(2), uint8(0), uint8(2), uint8(1), uint8(3), uint8(1))
 	algs := []local.Algorithm{local.Naive, local.Prefix, local.Bundled}
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, tau, win, strat, alg, k, d, batch, par uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, tau, win, strat, alg, k, d, batch uint8) {
 		recs := genStream(1+int(n)%300, seed)
 		rng := rand.New(rand.NewSource(seed))
 		var now int64
@@ -50,15 +50,14 @@ func FuzzTopologyVsBruteForce(f *testing.F) {
 			Params:       p,
 			Window:       w,
 			BatchSize:    []int{1, 7, 64}[batch%3],
-			Parallelism:  1 + int(par)%2,
 			CollectPairs: true,
 		}
 		res, err := Run(recs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		label := fmt.Sprintf("n=%d τ=%.1f window=%v %s/%s k=%d d=%d batch=%d P=%d", len(recs), p.Threshold, w,
-			cfg.Strategy.Name(), cfg.Algorithm, workers, cfg.Dispatchers, cfg.BatchSize, cfg.Parallelism)
+		label := fmt.Sprintf("n=%d τ=%.1f window=%v %s/%s k=%d d=%d batch=%d", len(recs), p.Threshold, w,
+			cfg.Strategy.Name(), cfg.Algorithm, workers, cfg.Dispatchers, cfg.BatchSize)
 		checkPairs(t, label, res.Pairs, bruteCount(recs, p, w))
 	})
 }

@@ -88,14 +88,6 @@ type Config struct {
 	// channels skip. Zero (default) disables the simulation; see
 	// EXPERIMENTS.md E16 for calibration guidance.
 	WireNsPerByte int
-	// Parallelism sizes each worker's verifier pool: P-1 helper goroutines
-	// per worker task fan candidate-bundle verification out across cores,
-	// with results merged back in deterministic order so any P produces
-	// the byte-identical result stream of a sequential run (Bundled
-	// algorithm only; see bundle.ProbePar). 0 or 1 keeps workers strictly
-	// single-threaded. Note the total goroutine budget is
-	// Workers × Parallelism.
-	Parallelism int
 	// Dispatchers is the number of dispatcher tasks (default 1, at most
 	// Workers). Every dispatcher routes every record and ships it only to
 	// the workers it owns, w mod Dispatchers: the routing is repeated, only
@@ -301,10 +293,8 @@ func burn(d time.Duration) {
 func (w *workerBolt) Execute(t stream.Tuple, _ stream.Emitter) { w.step(t.(*RecTuple)) }
 
 // ExecuteBatch implements stream.BatchBolt: a whole transport batch of
-// records streams through the worker in one call, in order. This is the
-// engine→pool handoff: the verifier pool sees back-to-back records
-// without a per-tuple trip through the executor loop, so its helpers
-// stay warm across a batch.
+// records streams through the worker in one call, in order, without a
+// per-tuple trip through the executor loop.
 func (w *workerBolt) ExecuteBatch(ts []stream.Tuple, _ stream.Emitter) {
 	for _, t := range ts {
 		w.step(t.(*RecTuple))
@@ -421,47 +411,6 @@ func (w *workerBolt) registerJoinerMetrics(reg *obs.Registry, task int) {
 		SetFunc(label, func() float64 { return float64(ls.Pruned.Load()) })
 }
 
-// registerPoolMetrics publishes the worker's verifier-pool counters to
-// reg: pool size, fanned vs serial probe rounds, idle helper wakeups, and
-// per-context verified-candidate counts (the per-core work distribution).
-// Only present when the joiner runs a parallel verifier pool.
-func (w *workerBolt) registerPoolMetrics(reg *obs.Registry, task int) {
-	type pooled interface {
-		VerifyPool() *bundle.Pool
-	}
-	pj, ok := w.joiner.(pooled)
-	if !ok {
-		return
-	}
-	pool := pj.VerifyPool()
-	if pool == nil {
-		return
-	}
-	label := fmt.Sprintf("worker/%d", task)
-	reg.GaugeVec("verify_pool_size",
-		"Verifier pool parallelism of a worker task (helpers + caller).", "task").
-		SetFunc(label, func() float64 { return float64(pool.Size()) })
-	reg.CounterVec("verify_pool_parallel_rounds_total",
-		"Probes whose candidate verification was fanned across the pool.", "task").
-		SetFunc(label, func() float64 { return float64(pool.Snapshot().RoundsParallel) })
-	reg.CounterVec("verify_pool_serial_rounds_total",
-		"Probes kept on the calling goroutine (below the fanout cutoff).", "task").
-		SetFunc(label, func() float64 { return float64(pool.Snapshot().RoundsSerial) })
-	reg.CounterVec("verify_pool_fanned_candidates_total",
-		"Candidate bundles verified in fanned rounds.", "task").
-		SetFunc(label, func() float64 { return float64(pool.Snapshot().Fanned) })
-	reg.CounterVec("verify_pool_idle_stints_total",
-		"Helper wakeups that found the candidate cursor already drained.", "task").
-		SetFunc(label, func() float64 { return float64(pool.Snapshot().IdleStints) })
-	verified := reg.CounterVec("verify_pool_ctx_verified_total",
-		"Candidate bundles verified by one verifier context of a worker's pool.", "ctx")
-	for i := 0; i < pool.Size(); i++ {
-		i := i
-		verified.SetFunc(fmt.Sprintf("%s/ctx/%d", label, i),
-			func() float64 { return float64(pool.CtxVerified(i)) })
-	}
-}
-
 // Run executes one self-join over the record slice and returns the
 // summary.
 func Run(recs []*record.Record, cfg Config) (*Result, error) {
@@ -530,21 +479,7 @@ func run(cfg Config, recs []*record.Record, right []bool, cur checkpoint.Cursor)
 		return dispatcherBolt{task: task, traced: traced}
 	}, route.d).SubscribeTo("source", stream.Broadcast{})
 
-	jopts := local.Options{
-		Params:      cfg.Params,
-		Window:      cfg.Window,
-		Bundle:      cfg.Bundle,
-		Parallelism: cfg.Parallelism,
-	}
-	// Parallel joiners own helper goroutines; every joiner the run creates
-	// is released on the way out, error paths included. Bolt factories run
-	// serially during materialization, so the append needs no lock.
-	var owned []interface{ Close() error }
-	defer func() {
-		for _, c := range owned {
-			c.Close()
-		}
-	}()
+	jopts := local.Options{Params: cfg.Params, Window: cfg.Window, Bundle: cfg.Bundle}
 	// Restore happens before topology construction so a corrupt checkpoint
 	// fails the run cleanly instead of inside a bolt factory.
 	var restored []local.Joiner
@@ -555,9 +490,6 @@ func run(cfg Config, recs []*record.Record, right []bool, cur checkpoint.Cursor)
 		restored = make([]local.Joiner, k)
 		for i, b := range cfg.Restore {
 			j := local.New(cfg.Algorithm, jopts)
-			if c, ok := j.(interface{ Close() error }); ok {
-				owned = append(owned, c)
-			}
 			if len(b) > 0 {
 				if _, _, err := checkpoint.Read(bytes.NewReader(b), j); err != nil {
 					return nil, fmt.Errorf("topology: restoring worker %d: %w", i, err)
@@ -572,14 +504,10 @@ func run(cfg Config, recs []*record.Record, right []bool, cur checkpoint.Cursor)
 		switch {
 		case bi:
 			w.bi = local.NewBi(cfg.Algorithm, jopts)
-			owned = append(owned, w.bi)
 		case restored != nil:
 			w.joiner = restored[task]
 		default:
 			w.joiner = local.New(cfg.Algorithm, jopts)
-			if c, ok := w.joiner.(interface{ Close() error }); ok {
-				owned = append(owned, c)
-			}
 		}
 		if cfg.Registry != nil {
 			w.slat = &metrics.SyncLatency{}
@@ -587,7 +515,6 @@ func run(cfg Config, recs []*record.Record, right []bool, cur checkpoint.Cursor)
 				"Per-record latency observed at a worker: source enqueue to probe completion.", "task").
 				SetFunc(fmt.Sprintf("worker/%d", task), w.slat.Snapshot)
 			w.registerJoinerMetrics(cfg.Registry, task)
-			w.registerPoolMetrics(cfg.Registry, task)
 		}
 		return w
 	}, k).SubscribeTo("dispatcher", route)

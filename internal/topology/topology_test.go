@@ -566,14 +566,13 @@ func TestBatchSizeParity(t *testing.T) {
 // TestRunPairsInWorkerOrder: Result.Pairs is each worker's results in task
 // order, every share in the order its worker probed the records, so two
 // runs of one configuration return the same slice. Prefix routing sends a
-// ladder record to several workers and the verifier pools fan its probe
-// out; neither may reorder a worker's share.
+// ladder record to several workers; that may not reorder a worker's share.
 func TestRunPairsInWorkerOrder(t *testing.T) {
 	p := params(0.6)
 	recs := withMatchLadder(genStream(600, 23))
 	cfg := Config{
 		Workers: 4, Strategy: dispatch.PrefixBased{Params: p},
-		Algorithm: local.Bundled, Params: p, Parallelism: 2, CollectPairs: true,
+		Algorithm: local.Bundled, Params: p, CollectPairs: true,
 	}
 	first, err := Run(recs, cfg)
 	if err != nil {
