@@ -173,6 +173,33 @@ func TestMaxMembersCapsBundles(t *testing.T) {
 	}
 }
 
+// TestDuplicateOverflowFillsBundles streams 200 copies of one set through
+// bundles capped at 8 members. Every copy ties at similarity 1 with every
+// live copy, and ties go to the newest, whose bundle the last overflow
+// founded: the copies fill 25 bundles of 8 rather than leaving one full
+// bundle and a singleton per later copy. Every pair is emitted once.
+func TestDuplicateOverflowFillsBundles(t *testing.T) {
+	const copies = 200
+	bx := New(params(0.8), window.Unbounded{}, Config{MaxMembers: 8})
+	seen := make(map[record.Pair]bool)
+	for i := 0; i < copies; i++ {
+		bx.Process(rec(record.ID(i), 3, 7, 11), func(m Match) {
+			pr := record.NewPair(record.ID(i), m.Rec.ID, 0)
+			if seen[pr] || m.Sim != 1 {
+				t.Fatalf("match %v (sim %v) emitted twice or not exact", pr, m.Sim)
+			}
+			seen[pr] = true
+		})
+	}
+	checkInvariants(t, bx)
+	if len(seen) != copies*(copies-1)/2 {
+		t.Fatalf("%d pairs, want %d", len(seen), copies*(copies-1)/2)
+	}
+	if st := bx.Stats(); st.Bundles != copies/8 || st.MaxBundleSize != 8 {
+		t.Fatalf("copies built %d bundles (largest %d), want %d full ones: %+v", st.Bundles, st.MaxBundleSize, copies/8, st)
+	}
+}
+
 func TestMinCoreFracRejectsWeakGroups(t *testing.T) {
 	// Two records with sim exactly at τ but small intersection relative to
 	// their length would shrink the core too much with MinCoreFrac close

@@ -87,6 +87,7 @@ type Stats struct {
 	KernelBitset    uint64 // never written: the kernel is gone, bench/layers.go still reads the field
 	BundleQuickSkip uint64 // bundles skipped by the pre-merge size bound
 	MemberDeltaSkip uint64 // members skipped by the core+|delta| bound
+	DeltaFree       uint64 // members verified by the core overlap alone: empty Delta, no merge
 }
 
 // Pruned sums the candidates the signature and kernel-tier upper bounds
@@ -470,8 +471,13 @@ func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 
 // Insertion names the bundle an incoming record should join. At is the
 // record ID of the best match backing the hint: the rule — maximum
-// similarity, ties to the smallest partner ID — makes the pick a pure
-// function of the match set, whatever order the matches were found in.
+// similarity, ties to the newest (largest) partner ID — makes the pick a
+// pure function of the match set, whatever order the matches were found in.
+// Ties go to the newest partner because the newest copy of a set sits in
+// the bundle that most recently took one: once a bundle of exact
+// duplicates holds MaxMembers, the next copy founds a new bundle and every
+// later copy joins it, where ties to the oldest partner would keep picking
+// the full bundle and found one singleton per copy.
 type Insertion struct {
 	Bundle *Bundle
 	Sim    float64
@@ -482,7 +488,7 @@ type Insertion struct {
 // Similarities are computed from identical (overlap, length)
 // inputs on every path, so ties compare bitwise-equal floats.
 func betterIns(a, b Insertion) bool {
-	return a.Sim > b.Sim || (a.Sim == b.Sim && a.At < b.At)
+	return a.Sim > b.Sim || (a.Sim == b.Sim && a.At > b.At)
 }
 
 // probeBundle filters and verifies r against one candidate bundle that
@@ -563,6 +569,10 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, emit func(Match)) (Ins
 		// req is the overlap a member of reqLen tokens needs: float
 		// arithmetic a run of equal-length members pays once.
 		reqLen, req = -1, 0
+		// sim is the similarity at (simLen, simO), paid once per run of
+		// members with equal length and overlap.
+		simLen, simO = -1, -1
+		sim          float64
 	)
 	for _, m := range b.Members {
 		lb := m.ln
@@ -607,22 +617,28 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, emit func(Match)) (Ins
 				bx.stats.MemberDeltaSkip++
 				continue
 			}
-			// Bounded delta merge: when it fails the member cannot match
-			// (no emission, so the exact size is not needed); when it
-			// passes dO is exact and o below is the true overlap.
-			dO, dSteps, dok := bx.overlapKernelBounded(r.Tokens, m.Delta, req-coreO)
-			bx.stats.VerifySteps += uint64(dSteps)
-			if !dok {
-				bx.stats.Verified++
-				continue
+			// A member equal to the core (every exact duplicate of it)
+			// has overlap coreO + |r ∩ ∅| = coreO: verified without a
+			// merge. Otherwise a bounded delta merge: when it passes dO is
+			// exact and o is the true overlap; when it fails dO is below
+			// req-coreO, so o < req drops the member without the exact
+			// size.
+			o = coreO
+			if len(m.Delta) == 0 {
+				bx.stats.DeltaFree++
+			} else {
+				dO, dSteps, _ := bx.overlapKernelBounded(r.Tokens, m.Delta, req-coreO)
+				bx.stats.VerifySteps += uint64(dSteps)
+				o += dO
 			}
-			o = coreO + dO
 		}
 		bx.stats.Verified++
 		if o < req {
 			continue
 		}
-		sim := similarity.FromOverlap(bx.params.Func, o, la, lb)
+		if lb != simLen || o != simO {
+			simLen, simO, sim = lb, o, similarity.FromOverlap(bx.params.Func, o, la, lb)
+		}
 		bx.stats.Results++
 		emit(Match{Rec: m.Rec, ID: m.id, Overlap: o, Sim: sim})
 		if !found || betterIns(Insertion{Sim: sim, At: m.id}, best) {

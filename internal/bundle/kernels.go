@@ -29,8 +29,8 @@ func (bx *Index) overlapKernel(a, b []tokens.Rank) (o, steps int) {
 
 // overlapKernelBounded is overlapKernel with VerifyOverlap's early
 // termination contract: ok reports whether required was met, and o is
-// exact when ok. The ok decision equals |a∩b| >= required for both
-// kernels.
+// exact when ok and below required when not. The ok decision equals
+// |a∩b| >= required for both kernels.
 //
 // One call per verification merge.
 func (bx *Index) overlapKernelBounded(a, b []tokens.Rank, required int) (o, steps int, ok bool) {

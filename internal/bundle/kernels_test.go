@@ -69,22 +69,34 @@ func kernelParity(t *testing.T, stream []*record.Record, cfg Config, wantSigSkip
 	}
 }
 
-// TestKernelCountersFire runs an AOL-like stream — short records, the
-// workload with merges on both sides of the length rule — and checks that
-// both kernels ran, that every merge the probe made was counted by exactly
-// one of them, and that the prune counters move.
+// TestKernelCountersFire checks that every merge the probe made was
+// counted by exactly one kernel, and that the prune counters move, on two
+// streams: AOL-like — short records, where nearly every verified member is
+// an exact duplicate of its bundle's core and takes the merge-free path —
+// and Enron-like — long records whose few-token deltas and unions are
+// merged against ~100-token probes, so skewed merges are structural and
+// both kernels must run.
 func TestKernelCountersFire(t *testing.T) {
-	stream := workload.NewGenerator(workload.AOLLike(42)).Generate(8000)
-	_, st := runSequential(stream, 0.8, window.Count{N: 2000}, Config{})
-	if st.KernelGallop == 0 || st.KernelLinear == 0 {
-		t.Fatalf("a kernel never ran: %+v", st)
-	}
-	// A singleton probe and a delta merge each end in Verified++; a
-	// multi-member bundle adds its union and core merges.
-	if merges := st.Verified + st.UnionOverlaps + st.CoreOverlaps; st.KernelLinear+st.KernelGallop != merges {
-		t.Fatalf("linear %d + gallop %d != %d merges made: %+v", st.KernelLinear, st.KernelGallop, merges, st)
-	}
-	if st.Pruned() == 0 {
-		t.Fatalf("no candidate was ever pruned pre-verify: %+v", st)
+	for _, tc := range []struct {
+		prof workload.Profile
+		tau  float64
+	}{{workload.AOLLike(42), 0.8}, {workload.EnronLike(42), 0.7}} {
+		stream := workload.NewGenerator(tc.prof).Generate(8000)
+		_, st := runSequential(stream, tc.tau, window.Count{N: 2000}, Config{})
+		// A singleton probe and a delta merge each end in Verified++; a
+		// multi-member bundle adds its union and core merges; a delta-free
+		// member is verified without one.
+		if merges := st.Verified + st.UnionOverlaps + st.CoreOverlaps - st.DeltaFree; st.KernelLinear+st.KernelGallop != merges {
+			t.Fatalf("%s: linear %d + gallop %d != %d merges made: %+v", tc.prof.Name, st.KernelLinear, st.KernelGallop, merges, st)
+		}
+		if st.Pruned() == 0 {
+			t.Fatalf("%s: no candidate was ever pruned pre-verify: %+v", tc.prof.Name, st)
+		}
+		if st.DeltaFree == 0 {
+			t.Fatalf("%s: no member was verified without a merge: %+v", tc.prof.Name, st)
+		}
+		if tc.prof.Name == "ENRON-like" && (st.KernelGallop == 0 || st.KernelLinear == 0) {
+			t.Fatalf("%s: a kernel never ran: %+v", tc.prof.Name, st)
+		}
 	}
 }

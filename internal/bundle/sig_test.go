@@ -1,6 +1,7 @@
 package bundle
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -362,6 +363,9 @@ func FuzzIndexVsBruteForce(f *testing.F) {
 	f.Add([]byte{8, 0x80 | 6, 1, 2, 3, 4, 0, 3, 1, 2, 5, 0, 3, 2, 3, 4})
 	f.Add([]byte{40, 0x80 | 0, 9, 9, 9, 9, 9, 0})
 	f.Add([]byte{0, 0x80 | 8, 7, 1, 7, 3, 0, 4, 1, 3, 7, 9, 0, 2, 7, 1})
+	// One 3-token set 70 times, unbounded: copies past MaxMembers overflow
+	// into a second bundle.
+	f.Add(append([]byte{0, 0x80 | 6}, bytes.Repeat([]byte{2, 5, 9, 11}, 70)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 4096 {
 			t.Skip()
@@ -393,23 +397,32 @@ func FuzzIndexVsBruteForce(f *testing.F) {
 	})
 }
 
-// indexVsBruteForce runs stream through the index and requires exactly the
-// pairs of the quadratic scan.
+// indexVsBruteForce runs stream through the index, at the default bundle
+// cap and at MaxMembers 2 (where every third copy of a set overflows), and
+// requires exactly the pairs of the quadratic scan, each emitted once.
 func indexVsBruteForce(t *testing.T, stream []*record.Record, tau float64, win window.Policy) {
 	t.Helper()
 	want := bruteForce(stream, tau, win)
-	bx := New(params(tau), win, Config{})
-	got := make(map[record.Pair]bool)
-	for _, r := range stream {
-		bx.Process(r, func(m Match) { got[record.NewPair(r.ID, m.Rec.ID, 0)] = true })
-	}
-	for pr := range want {
-		if !got[pr] {
-			t.Fatalf("τ=%v win=%v: missing %v (%d of %d pairs found)", tau, win, pr, len(got), len(want))
+	for _, cfg := range []Config{{}, {MaxMembers: 2}} {
+		bx := New(params(tau), win, cfg)
+		got := make(map[record.Pair]bool)
+		for _, r := range stream {
+			bx.Process(r, func(m Match) {
+				pr := record.NewPair(r.ID, m.Rec.ID, 0)
+				if got[pr] {
+					t.Fatalf("τ=%v win=%v %+v: %v emitted twice", tau, win, cfg, pr)
+				}
+				got[pr] = true
+			})
 		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("τ=%v win=%v: %d pairs, brute force finds %d", tau, win, len(got), len(want))
+		for pr := range want {
+			if !got[pr] {
+				t.Fatalf("τ=%v win=%v %+v: missing %v (%d of %d pairs found)", tau, win, cfg, pr, len(got), len(want))
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("τ=%v win=%v %+v: %d pairs, brute force finds %d", tau, win, cfg, len(got), len(want))
+		}
 	}
 }
 
@@ -593,9 +606,10 @@ func TestFunnelConserved(t *testing.T) {
 		}
 		st := bx.Stats()
 		n := float64(st.Records)
-		t.Logf("%-10s per record: scanned %.1f → bundles %.1f → length-skipped %.1f, signature-skipped %.1f → singleton %.1f + union %.1f merges → verified %.2f → results %.2f",
+		t.Logf("%-10s per record: scanned %.1f → bundles %.1f → length-skipped %.1f, signature-skipped %.1f → singleton %.1f + union %.1f merges → verified %.2f (%.1f %% delta-free) → results %.2f",
 			prof.Name, float64(st.Scanned)/n, float64(st.BundleCands)/n, float64(st.BundleLenSkip)/n, float64(st.BundleSigSkip)/n,
-			float64(st.SingletonFast)/n, float64(st.UnionOverlaps)/n, float64(st.Verified)/n, float64(st.Results)/n)
+			float64(st.SingletonFast)/n, float64(st.UnionOverlaps)/n, float64(st.Verified)/n,
+			100*float64(st.DeltaFree)/float64(max(st.Verified, 1)), float64(st.Results)/n)
 		if out := st.BundleLenSkip + st.BundleSigSkip + st.SingletonFast + st.BundleQuickSkip + st.UnionOverlaps; st.BundleCands != out {
 			t.Errorf("%s: %d candidate bundles, %d accounted for: %+v", prof.Name, st.BundleCands, out, st)
 		}

@@ -471,6 +471,14 @@ func TestPlanHashProperties(t *testing.T) {
 	v = base
 	v.Window = window.Count{N: 64}
 	variants["window"] = v.PlanHash(3)
+	v = base
+	v.Bundle.GroupThreshold = 0.85
+	variants["group threshold 0.85"] = v.PlanHash(3)
+	v.Bundle.GroupThreshold = 0.9
+	variants["group threshold 0.9"] = v.PlanHash(3)
+	v = base
+	v.Bundle.MaxMembers = 32
+	variants["max members"] = v.PlanHash(3)
 	seen := map[uint64]string{base.PlanHash(3): "base"}
 	for name, h := range variants {
 		if prev, dup := seen[h]; dup {

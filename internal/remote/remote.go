@@ -130,7 +130,7 @@ func (s Session) PlanHash(workers int) uint64 {
 	default:
 		mix(^uint64(0))
 	}
-	mix(uint64(s.Bundle.GroupThreshold))
+	mix(math.Float64bits(s.Bundle.GroupThreshold))
 	mix(uint64(s.Bundle.MaxMembers))
 	if s.Bundle.OneByOneVerify {
 		mix(1)
