@@ -3,7 +3,6 @@
 //	ssjoinbench                 # run everything at default scale
 //	ssjoinbench -exp E1         # one experiment
 //	ssjoinbench -records 50000 -workers 8 -seed 7
-//	ssjoinbench -batch 1        # disable transport micro-batching
 //	ssjoinbench -json out.json  # machine-readable results
 //	ssjoinbench -http :8080     # live /metrics, /debug/traces, /debug/pprof
 //	ssjoinbench -trace 1024     # sample one tuple lineage per 1024 tuples
@@ -50,7 +49,6 @@ type jsonReport struct {
 	Records       int         `json:"records"`
 	Workers       int         `json:"workers"`
 	Seed          int64       `json:"seed"`
-	Batch         int         `json:"batch"`
 	GOMAXPROCS    int         `json:"gomaxprocs"`
 	NumCPU        int         `json:"num_cpu"`
 	TraceEvery    int         `json:"trace_every,omitempty"`
@@ -64,7 +62,6 @@ func main() {
 		records = flag.Int("records", 0, "records per run (default: experiment default)")
 		workers = flag.Int("workers", 0, "worker parallelism (default: experiment default)")
 		seed    = flag.Int64("seed", 0, "workload seed (default: experiment default)")
-		batch   = flag.Int("batch", 0, "transport batch size (0 = engine default, 1 = unbatched)")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		format  = flag.String("format", "text", "output format: text or csv")
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -105,9 +102,6 @@ func main() {
 	}
 	if *seed != 0 {
 		scale.Seed = *seed
-	}
-	if *batch > 0 {
-		scale.Batch = *batch
 	}
 	// Observability is opt-in: the registry (and the per-run instrumentation
 	// it switches on inside the engine) only exists when something will
@@ -153,12 +147,13 @@ func main() {
 	}
 
 	if *format == "text" {
-		fmt.Printf("scale: records=%d workers=%d seed=%d batch=%d gomaxprocs=%d\n\n",
-			scale.Records, scale.Workers, scale.Seed, scale.Batch, runtime.GOMAXPROCS(0))
+		fmt.Printf("scale: records=%d workers=%d seed=%d gomaxprocs=%d\n\n",
+			scale.Records, scale.Workers, scale.Seed, runtime.GOMAXPROCS(0))
 	}
 	report := jsonReport{
-		Records: scale.Records, Workers: scale.Workers,
-		Seed: scale.Seed, Batch: scale.Batch,
+		Records:    scale.Records,
+		Workers:    scale.Workers,
+		Seed:       scale.Seed,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 	}

@@ -82,15 +82,12 @@ type DistributedConfig struct {
 	// LengthBased (default LoadAware).
 	Partitioner Partitioner
 	// SampleSize bounds how many records bootstrap the length histogram
-	// for the partitioner (default 10000; the records are still joined).
+	// for the partitioner (default 10000, negative is an error; the records
+	// are still joined).
 	SampleSize int
 	// CollectPairs returns every result pair in the summary; leave false
 	// for large runs and read Results instead.
 	CollectPairs bool
-	// BatchSize is the transport micro-batch size between pipeline stages:
-	// 0 uses the engine default, 1 ships every tuple individually (the
-	// pre-batching behaviour). Result pairs are identical at any value.
-	BatchSize int
 }
 
 // DistributedResult summarizes a distributed run.
@@ -165,27 +162,27 @@ func buildStrategy(cfg DistributedConfig, params filter.Params, recs []*record.R
 	}
 }
 
-// RunDistributed joins the record slice on an in-process worker fleet and
-// returns the summary. Records are token multisets; IDs are positional.
-func RunDistributed(records [][]uint32, cfg DistributedConfig) (*DistributedResult, error) {
+// plan validates cfg and builds the engine configuration for recs, the
+// step RunDistributed and RunDistributedBi share.
+func (cfg DistributedConfig) plan(recs []*record.Record) (topology.Config, error) {
 	params, win, alg, bcfg, err := cfg.Config.build()
 	if err != nil {
-		return nil, err
+		return topology.Config{}, err
 	}
 	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("ssjoin: Workers must be >= 1, got %d", cfg.Workers)
+		return topology.Config{}, fmt.Errorf("ssjoin: Workers must be >= 1, got %d", cfg.Workers)
+	}
+	if cfg.SampleSize < 0 {
+		return topology.Config{}, fmt.Errorf("ssjoin: SampleSize must be >= 0, got %d", cfg.SampleSize)
 	}
 	if cfg.SampleSize == 0 {
 		cfg.SampleSize = 10000
 	}
-
-	recs := toRecords(records)
 	strat, err := buildStrategy(cfg, params, recs)
 	if err != nil {
-		return nil, err
+		return topology.Config{}, err
 	}
-
-	res, err := topology.Run(recs, topology.Config{
+	return topology.Config{
 		Workers:      cfg.Workers,
 		Strategy:     strat,
 		Algorithm:    alg,
@@ -193,12 +190,21 @@ func RunDistributed(records [][]uint32, cfg DistributedConfig) (*DistributedResu
 		Window:       win,
 		Bundle:       bcfg,
 		CollectPairs: cfg.CollectPairs,
-		BatchSize:    cfg.BatchSize,
-	})
+	}, nil
+}
+
+// RunDistributed joins the record slice on an in-process worker fleet and
+// returns the summary. Records are token multisets; IDs are positional.
+func RunDistributed(records [][]uint32, cfg DistributedConfig) (*DistributedResult, error) {
+	recs := toRecords(records)
+	tc, err := cfg.plan(recs)
 	if err != nil {
 		return nil, err
 	}
-
+	res, err := topology.Run(recs, tc)
+	if err != nil {
+		return nil, err
+	}
 	return summarize(res), nil
 }
 
@@ -248,36 +254,17 @@ type SideSet struct {
 // match only across sides) on an in-process worker fleet. The slice is the
 // interleaved arrival order; IDs in the result pairs are positions in it.
 func RunDistributedBi(stream []SideSet, cfg DistributedConfig) (*DistributedResult, error) {
-	params, win, alg, bcfg, err := cfg.Config.build()
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("ssjoin: Workers must be >= 1, got %d", cfg.Workers)
-	}
-	if cfg.SampleSize == 0 {
-		cfg.SampleSize = 10000
-	}
 	sets := make([][]uint32, len(stream))
 	right := make([]bool, len(stream))
 	for i, s := range stream {
 		sets[i], right[i] = s.Tokens, s.Right
 	}
 	recs := toRecords(sets)
-	strat, err := buildStrategy(cfg, params, recs)
+	tc, err := cfg.plan(recs)
 	if err != nil {
 		return nil, err
 	}
-	res, err := topology.RunBi(recs, right, topology.Config{
-		Workers:      cfg.Workers,
-		Strategy:     strat,
-		Algorithm:    alg,
-		Params:       params,
-		Window:       win,
-		Bundle:       bcfg,
-		CollectPairs: cfg.CollectPairs,
-		BatchSize:    cfg.BatchSize,
-	})
+	res, err := topology.RunBi(recs, right, tc)
 	if err != nil {
 		return nil, err
 	}

@@ -52,6 +52,13 @@ func TestRunDistributedValidation(t *testing.T) {
 	}); err == nil {
 		t.Fatal("expected partitioner validation error")
 	}
+	// A negative sample would plan the length partition from an empty
+	// histogram, leaving every record longer than one token to one worker.
+	if _, err := RunDistributed(sets, DistributedConfig{
+		Config: Config{Threshold: 0.8}, Workers: 2, SampleSize: -1,
+	}); err == nil {
+		t.Fatal("expected sample size validation error")
+	}
 }
 
 // TestDistributedMatchesSingleNode: all distributions and partitioners must
@@ -227,5 +234,8 @@ func TestRunDistributedBiValidation(t *testing.T) {
 	}
 	if _, err := RunDistributedBi(nil, DistributedConfig{Workers: 2}); err == nil {
 		t.Fatal("missing threshold accepted")
+	}
+	if _, err := RunDistributedBi(nil, DistributedConfig{Config: Config{Threshold: 0.8}, Workers: 2, SampleSize: -1}); err == nil {
+		t.Fatal("negative sample size accepted")
 	}
 }

@@ -31,7 +31,6 @@ func E18(sc Scale) *Table {
 			Strategy:    strat,
 			Algorithm:   local.Bundled,
 			Params:      p,
-			BatchSize:   sc.Batch,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("experiments: E18: %v", err))

@@ -32,7 +32,6 @@ func E16(sc Scale) *Table {
 				Algorithm:     local.Bundled,
 				Params:        p,
 				WireNsPerByte: nsPerB,
-				BatchSize:     sc.Batch,
 			})
 			if err != nil {
 				panic(fmt.Sprintf("experiments: E16: %v", err))

@@ -25,9 +25,6 @@ type Scale struct {
 	Workers int
 	// Seed for workload generation.
 	Seed int64
-	// Batch is the transport batch size for distributed runs: 0 uses the
-	// engine default (stream.DefaultBatchSize), 1 disables batching.
-	Batch int
 	// Registry, when set, receives live metrics from every topology run an
 	// experiment performs (ssjoinbench -http / -json).
 	Registry *obs.Registry
@@ -117,8 +114,8 @@ func strategyFor(name string, p filter.Params, recs []*record.Record, k int) dis
 var frameworkNames = []string{"length", "prefix", "broadcast"}
 
 // runTopology executes one distributed join and returns its result. The
-// Scale threads run-wide knobs (currently the transport batch size) into
-// the topology config without widening every experiment's parameter list.
+// Scale threads run-wide observability (registry and tracer) into the
+// topology config without widening every experiment's parameter list.
 func runTopology(sc Scale, recs []*record.Record, strat dispatch.Strategy, p filter.Params, k int, alg local.Algorithm, win window.Policy) *topology.Result {
 	res, err := topology.Run(recs, topology.Config{
 		Workers:   k,
@@ -126,7 +123,6 @@ func runTopology(sc Scale, recs []*record.Record, strat dispatch.Strategy, p fil
 		Algorithm: alg,
 		Params:    p,
 		Window:    win,
-		BatchSize: sc.Batch,
 		Registry:  sc.Registry,
 		Tracer:    sc.Tracer,
 	})

@@ -129,27 +129,6 @@ func TestBatchCountersAndOccupancy(t *testing.T) {
 	}
 }
 
-// TestWithQueueCapOption checks the option overrides the positional
-// argument and the topology still drains under a tiny queue.
-func TestWithQueueCapOption(t *testing.T) {
-	tp := New("qcap", 1024, WithQueueCap(1), WithBatchSize(4))
-	if tp.queueCap != 1 {
-		t.Fatalf("queueCap: got %d want 1", tp.queueCap)
-	}
-	tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: ints(5000)} }, 1)
-	tp.AddBolt("mid", func(int) Bolt { return doubleBolt{} }, 2).
-		SubscribeTo("src", Shuffle{})
-	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 1).
-		SubscribeTo("mid", Shuffle{})
-	rep, err := tp.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(rep.Bolts["sink"][0].(*collectBolt).got); got != 5000 {
-		t.Fatalf("sink: %d", got)
-	}
-}
-
 // TestLazySizeBytes checks the emit path only calls SizeBytes when a
 // subscribed edge selects at least one destination: emits to unsubscribed
 // streams must not pay for size accounting.

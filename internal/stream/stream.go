@@ -15,7 +15,7 @@
 // amortizing channel synchronization across the batch; an explicit flush on
 // task completion guarantees every tuple is delivered, and per-(producer,
 // destination) FIFO order is preserved because batches fill and ship in
-// emit order. Queue capacity (WithQueueCap) counts batches, so the tuples
+// emit order. Queue capacity (New's queueCap) counts batches, so the tuples
 // buffered per queue are roughly queueCap × batchSize.
 //
 // Per-edge tuple and byte counters model the cluster network: every tuple
@@ -199,16 +199,6 @@ func WithBatchSize(n int) Option {
 	}
 }
 
-// WithQueueCap sets the per-task input queue capacity in batches; values
-// <= 0 keep the default. It overrides the queueCap argument of New.
-func WithQueueCap(n int) Option {
-	return func(tp *Topology) {
-		if n > 0 {
-			tp.queueCap = n
-		}
-	}
-}
-
 type inputDecl struct {
 	from     string
 	stream   string
@@ -225,7 +215,7 @@ type component struct {
 
 // New returns an empty topology. queueCap is the per-task input queue
 // capacity in batches; zero selects the default of 1024. Options tune
-// batching and can override queueCap.
+// batching and observability.
 func New(name string, queueCap int, opts ...Option) *Topology {
 	if queueCap <= 0 {
 		queueCap = 1024

@@ -7,12 +7,10 @@
 package topology
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
 	"repro/internal/bundle"
-	"repro/internal/checkpoint"
 	"repro/internal/dispatch"
 	"repro/internal/filter"
 	"repro/internal/local"
@@ -104,16 +102,6 @@ type Config struct {
 	// Journal, when set, receives run lifecycle events from the stream
 	// engine (run_start/run_end). Nil keeps the run silent.
 	Journal *obs.Journal
-	// Checkpoint captures every worker's window state at stream end into
-	// Result.Checkpoints, one serialized checkpoint per task. Self-join
-	// runs only.
-	Checkpoint bool
-	// Restore seeds worker joiners from a prior run's Result.Checkpoints
-	// (one entry per task, in task order; empty entries start fresh). The
-	// restoring run must use the same Workers, Strategy, Algorithm, Params,
-	// Window and Bundle configuration, and its records must continue the
-	// ID/time sequence of the checkpointed stream. Self-join runs only.
-	Restore [][]byte
 }
 
 func (c Config) validate() error {
@@ -154,10 +142,6 @@ type Result struct {
 	Latency metrics.Latency
 	// Report is the raw engine report.
 	Report *stream.Report
-	// Checkpoints holds each worker's serialized window state when
-	// Config.Checkpoint was set (index = task). Feed it to a later run's
-	// Config.Restore to continue the stream where this run stopped.
-	Checkpoints [][]byte
 }
 
 // Throughput returns the end-to-end record rate.
@@ -414,13 +398,7 @@ func (w *workerBolt) registerJoinerMetrics(reg *obs.Registry, task int) {
 // Run executes one self-join over the record slice and returns the
 // summary.
 func Run(recs []*record.Record, cfg Config) (*Result, error) {
-	// The checkpoint cursor continues the stream's own stamping: the next
-	// run's records follow the last ID and tick this run consumed.
-	var cur checkpoint.Cursor
-	if n := len(recs); n > 0 {
-		cur = checkpoint.Cursor{NextID: uint64(recs[n-1].ID) + 1, NextTime: recs[n-1].Time + 1}
-	}
-	return run(cfg, recs, nil, cur)
+	return run(cfg, recs, nil)
 }
 
 // RunBi executes one two-stream (R⋈S) join: right[i] is the stream side of
@@ -434,18 +412,15 @@ func RunBi(recs []*record.Record, right []bool, cfg Config) (*Result, error) {
 	if right == nil {
 		right = []bool{} // non-nil marks the run two-sided
 	}
-	return run(cfg, recs, right, checkpoint.Cursor{})
+	return run(cfg, recs, right)
 }
 
 // run builds and executes the topology; right is nil on self-joins.
-func run(cfg Config, recs []*record.Record, right []bool, cur checkpoint.Cursor) (*Result, error) {
+func run(cfg Config, recs []*record.Record, right []bool) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	bi := right != nil
-	if bi && (cfg.Checkpoint || len(cfg.Restore) > 0) {
-		return nil, fmt.Errorf("topology: Checkpoint/Restore support self-join runs only")
-	}
 	if cfg.Window == nil {
 		cfg.Window = window.Unbounded{}
 	}
@@ -480,33 +455,12 @@ func run(cfg Config, recs []*record.Record, right []bool, cur checkpoint.Cursor)
 	}, route.d).SubscribeTo("source", stream.Broadcast{})
 
 	jopts := local.Options{Params: cfg.Params, Window: cfg.Window, Bundle: cfg.Bundle}
-	// Restore happens before topology construction so a corrupt checkpoint
-	// fails the run cleanly instead of inside a bolt factory.
-	var restored []local.Joiner
-	if len(cfg.Restore) > 0 {
-		if len(cfg.Restore) != k {
-			return nil, fmt.Errorf("topology: Restore has %d checkpoints for %d workers", len(cfg.Restore), k)
-		}
-		restored = make([]local.Joiner, k)
-		for i, b := range cfg.Restore {
-			j := local.New(cfg.Algorithm, jopts)
-			if len(b) > 0 {
-				if _, _, err := checkpoint.Read(bytes.NewReader(b), j); err != nil {
-					return nil, fmt.Errorf("topology: restoring worker %d: %w", i, err)
-				}
-			}
-			restored[i] = j
-		}
-	}
 	tp.AddBolt("worker", func(task int) stream.Bolt {
 		w := &workerBolt{task: task, k: k, strat: cfg.Strategy, wirePerB: cfg.WireNsPerByte, collect: cfg.CollectPairs}
 		w.emitFn = w.emitMatch
-		switch {
-		case bi:
+		if bi {
 			w.bi = local.NewBi(cfg.Algorithm, jopts)
-		case restored != nil:
-			w.joiner = restored[task]
-		default:
+		} else {
 			w.joiner = local.New(cfg.Algorithm, jopts)
 		}
 		if cfg.Registry != nil {
@@ -533,18 +487,8 @@ func run(cfg Config, recs []*record.Record, right []bool, cur checkpoint.Cursor)
 	if e, ok := rep.Edges[stream.EdgeKey{From: "dispatcher", To: "worker"}]; ok {
 		res.CommBytes = e.Bytes.Load()
 	}
-	if cfg.Checkpoint {
-		res.Checkpoints = make([][]byte, k)
-	}
-	for i, b := range rep.Bolts["worker"] {
+	for _, b := range rep.Bolts["worker"] {
 		w := b.(*workerBolt)
-		if cfg.Checkpoint {
-			var buf bytes.Buffer
-			if err := checkpoint.Write(&buf, cur, w.joiner); err != nil {
-				return nil, fmt.Errorf("topology: checkpointing worker %d: %w", i, err)
-			}
-			res.Checkpoints[i] = buf.Bytes()
-		}
 		if w.bi != nil {
 			res.WorkerCosts = append(res.WorkerCosts, w.bi.Cost())
 		} else {

@@ -638,93 +638,12 @@ func TestBatchedParallelDispatchersExact(t *testing.T) {
 	}
 }
 
-// TestCheckpointedSplitRunMatchesFullRun is the topology-level recovery
-// gate: run the first half of a stream with Checkpoint set, feed the
-// captured worker states into a Restore run over the second half, and the
-// union of pairs must equal one uninterrupted run — for every strategy and
-// algorithm, under a bounded window so eviction state is exercised too.
-func TestCheckpointedSplitRunMatchesFullRun(t *testing.T) {
-	p := params(0.6)
-	recs := genStream(600, 17)
-	const cut = 350
-	win := window.Count{N: 150}
-	for _, k := range []int{1, 3} {
-		for _, strat := range strategies(p, recs, k) {
-			for _, alg := range []local.Algorithm{local.Prefix, local.Bundled} {
-				base := Config{
-					Workers:      k,
-					Strategy:     strat,
-					Algorithm:    alg,
-					Params:       p,
-					Window:       win,
-					CollectPairs: true,
-				}
-				full, err := Run(recs, base)
-				if err != nil {
-					t.Fatalf("%s/%s k=%d: full run: %v", strat.Name(), alg, k, err)
-				}
-				want := make(map[record.Pair]bool)
-				for _, pr := range full.Pairs {
-					want[record.Pair{First: pr.First, Second: pr.Second}] = true
-				}
-
-				first := base
-				first.Checkpoint = true
-				r1, err := Run(recs[:cut], first)
-				if err != nil {
-					t.Fatalf("%s/%s k=%d: first half: %v", strat.Name(), alg, k, err)
-				}
-				if len(r1.Checkpoints) != k {
-					t.Fatalf("%s/%s k=%d: %d checkpoints for %d workers",
-						strat.Name(), alg, k, len(r1.Checkpoints), k)
-				}
-				second := base
-				second.Restore = r1.Checkpoints
-				r2, err := Run(recs[cut:], second)
-				if err != nil {
-					t.Fatalf("%s/%s k=%d: second half: %v", strat.Name(), alg, k, err)
-				}
-
-				got := make(map[record.Pair]bool)
-				for _, pr := range append(r1.Pairs, r2.Pairs...) {
-					got[record.Pair{First: pr.First, Second: pr.Second}] = true
-				}
-				if len(got) != len(want) {
-					t.Fatalf("%s/%s k=%d: split run got %d pairs, full run %d",
-						strat.Name(), alg, k, len(got), len(want))
-				}
-				for pr := range want {
-					if !got[pr] {
-						t.Fatalf("%s/%s k=%d: split run missing %v", strat.Name(), alg, k, pr)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestCheckpointRestoreValidation covers the config error paths.
-func TestCheckpointRestoreValidation(t *testing.T) {
+// TestRunBiValidation: a two-stream run needs one side per record.
+func TestRunBiValidation(t *testing.T) {
 	p := params(0.6)
 	recs := genStream(50, 3)
-	base := Config{Workers: 2, Strategy: strategies(p, recs, 2)[0], Params: p}
-
-	bad := base
-	bad.Restore = [][]byte{[]byte("junk")} // wrong count AND bad payload
-	if _, err := Run(recs, bad); err == nil {
-		t.Fatal("restore count mismatch accepted")
-	}
-	bad.Restore = [][]byte{[]byte("junk"), []byte("junk")}
-	if _, err := Run(recs, bad); err == nil {
-		t.Fatal("corrupt checkpoint accepted")
-	}
-
-	biCfg := base
-	biCfg.Checkpoint = true
-	if _, err := RunBi(recs, tagSides(len(recs)), biCfg); err == nil {
-		t.Fatal("bi checkpoint accepted")
-	}
-	if _, err := RunBi(recs, tagSides(len(recs)-1), base); err == nil {
+	cfg := Config{Workers: 2, Strategy: strategies(p, recs, 2)[0], Params: p}
+	if _, err := RunBi(recs, tagSides(len(recs)-1), cfg); err == nil {
 		t.Fatal("bi run with a side missing accepted")
 	}
 }
