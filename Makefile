@@ -67,12 +67,13 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzPostTableVsMap -fuzztime 15s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzParseExposition -fuzztime 15s ./internal/obs/
 	go test -run '^$$' -fuzz FuzzTopologyVsBruteForce -fuzztime 15s ./internal/topology/
+	go test -run '^$$' -fuzz FuzzHelloSession -fuzztime 15s ./internal/remote/
 
-# Fuzz sanity pass for CI: 17 targets at 2s each, ~60s in all on a 2-vCPU
+# Fuzz sanity pass for CI: 18 targets at 2s each, ~60s in all on a 2-vCPU
 # box with a warm build cache. The four bundle targets, the dictionary,
-# ordering, checkpoint, WAL, exposition and topology targets and the
-# result-batch target skip the package's unit tests (-run '^$$'), which the
-# test step has already run.
+# ordering, checkpoint, WAL, exposition, topology and Hello-session targets
+# and the result-batch target skip the package's unit tests (-run '^$$'),
+# which the test step has already run.
 fuzz-smoke:
 	go test -fuzz FuzzReaderNeverPanics -fuzztime 2s ./internal/wire/
 	go test -fuzz FuzzRecordRoundTrip -fuzztime 2s ./internal/wire/
@@ -91,6 +92,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzPostTableVsMap -fuzztime 2s ./internal/bundle/
 	go test -run '^$$' -fuzz FuzzParseExposition -fuzztime 2s ./internal/obs/
 	go test -run '^$$' -fuzz FuzzTopologyVsBruteForce -fuzztime 2s ./internal/topology/
+	go test -run '^$$' -fuzz FuzzHelloSession -fuzztime 2s ./internal/remote/
 
 clean:
 	rm -rf internal/*/testdata/fuzz

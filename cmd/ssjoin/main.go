@@ -263,11 +263,6 @@ func parsePart(s string) (ssjoin.Partitioner, error) {
 	return 0, fmt.Errorf("unknown partitioner %q", s)
 }
 
-// planSample is how many leading records the length plan of a remote run is
-// fitted to: DistributedConfig.SampleSize's default, so the in-process and
-// the remote runtime plan one input alike.
-const planSample = 10000
-
 // runRemote executes the join on external workers over TCP. Ctrl-C cancels
 // the run: dials abort and worker connections close. With ftCfg set the
 // run goes through the fault-tolerant coordinator: each worker is dialed
@@ -295,12 +290,9 @@ func runRemote(addrList string, recs []*record.Record, tau float64, fn, alg, dis
 		sess.Window = window.Count{N: win}
 	}
 	if dist == "length" {
-		var h partition.Histogram
-		for _, r := range recs[:min(len(recs), planSample)] {
-			h.Add(r.Len())
-		}
-		w := partition.CostModel{Params: params}.Weights(&h)
-		sess.Bounds = partition.LoadAware(w, len(addrs)).Bounds
+		// Fitted as DistributedConfig's default sample, so the in-process
+		// and the remote runtime plan one input alike.
+		sess.Bounds = partition.Fit(params, recs[:min(len(recs), partition.SampleSize)], len(addrs)).Bounds
 	}
 	return execRemote(addrs, sess, recs, pairs, ftCfg, httpAddr)
 }

@@ -131,35 +131,27 @@ func toRecords(records [][]uint32) []*record.Record {
 // buildStrategy materializes the configured distribution strategy,
 // bootstrapping the length partition from the first SampleSize records.
 func buildStrategy(cfg DistributedConfig, params filter.Params, recs []*record.Record) (dispatch.Strategy, error) {
-	switch cfg.Distribution {
-	case LengthBased:
-		var h partition.Histogram
-		for i, r := range recs {
-			if i >= cfg.SampleSize {
-				break
-			}
-			h.Add(r.Len())
-		}
-		var part partition.Partition
+	var part partition.Partition
+	if cfg.Distribution == LengthBased {
+		sample := recs[:min(len(recs), cfg.SampleSize)]
 		switch cfg.Partitioner {
 		case LoadAware:
-			w := partition.CostModel{Params: params}.Weights(&h)
-			part = partition.LoadAware(w, cfg.Workers)
-		case EvenLength:
-			part = partition.EvenLength(h.MaxLen(), cfg.Workers)
-		case EvenFrequency:
-			part = partition.EvenFrequency(&h, cfg.Workers)
+			part = partition.Fit(params, sample, cfg.Workers)
+		case EvenLength, EvenFrequency:
+			var h partition.Histogram
+			for _, r := range sample {
+				h.Add(r.Len())
+			}
+			if cfg.Partitioner == EvenLength {
+				part = partition.EvenLength(h.MaxLen(), cfg.Workers)
+			} else {
+				part = partition.EvenFrequency(&h, cfg.Workers)
+			}
 		default:
 			return nil, fmt.Errorf("ssjoin: unknown partitioner %d", int(cfg.Partitioner))
 		}
-		return dispatch.NewLengthBased(params, part), nil
-	case PrefixBased:
-		return dispatch.PrefixBased{Params: params}, nil
-	case BroadcastBased:
-		return dispatch.BroadcastBased{}, nil
-	default:
-		return nil, fmt.Errorf("ssjoin: unknown distribution %d", int(cfg.Distribution))
 	}
+	return dispatch.ParseStrategy(cfg.Distribution.String(), params, part)
 }
 
 // plan validates cfg and builds the engine configuration for recs, the
@@ -176,7 +168,7 @@ func (cfg DistributedConfig) plan(recs []*record.Record) (topology.Config, error
 		return topology.Config{}, fmt.Errorf("ssjoin: SampleSize must be >= 0, got %d", cfg.SampleSize)
 	}
 	if cfg.SampleSize == 0 {
-		cfg.SampleSize = 10000
+		cfg.SampleSize = partition.SampleSize
 	}
 	strat, err := buildStrategy(cfg, params, recs)
 	if err != nil {

@@ -54,15 +54,10 @@ func main() {
 	recs := workload.NewGenerator(workload.AOLLike(7)).Generate(n)
 
 	params := filter.Params{Func: similarity.Jaccard, Threshold: tau}
-	var h partition.Histogram
-	for _, r := range recs {
-		h.Add(r.Len())
-	}
-	weights := partition.CostModel{Params: params}.Weights(&h)
 	sess := remote.Session{
 		Params:   params,
 		Strategy: "length",
-		Bounds:   partition.LoadAware(weights, k).Bounds,
+		Bounds:   partition.Fit(params, recs, k).Bounds,
 	}
 
 	// Phase 1: first fleet processes half the stream, then hands back its

@@ -10,26 +10,27 @@ import (
 )
 
 // ManifestSchema is the current manifest format version. It also versions
-// the results log beside the manifest: schema 3 logs hold one entry per
+// what sits beside the manifest: the results log holds one entry per
 // received Result frame, its task then its wire version 9 payload (first
-// result number, probe ID, count, partner distances); schema 2 logs held
-// one unnumbered pair per entry and schema 1 logs (A, B) pair frames,
-// neither of which decodes any more.
-const ManifestSchema = 3
+// result number, probe ID, count, partner distances), and each worker's
+// checkpoint envelope holds the plan hash wire.Hello.PlanHash derives
+// (schema 4). Schema 3 stored a hand-mixed plan hash beside the Hello,
+// schema 2 logs held one unnumbered pair per entry and schema 1 logs (A, B)
+// pair frames; none of them resumes any more.
+const ManifestSchema = 4
 
 // Manifest is the coordinator's session checkpoint: what a fresh
 // coordinator process needs, beside the ingest and results logs, to re-run
-// the session — the full launch configuration (as the wire Hello it would
-// send, minus per-task fields) and the worker fleet. It is written once,
-// when the run starts; the plan hash it holds is the one every worker's
+// the session — the schema, the session ID, the launch configuration as
+// the wire Hello of task 0, and the worker fleet. It is written once, when
+// the run starts; the Hello's PlanHash is the hash every worker's
 // checkpoint must match to be resumed. Manifests of earlier releases carry
 // more fields; LoadManifest ignores them.
 type Manifest struct {
 	Schema    int    `json:"schema"`
 	SessionID uint64 `json:"session_id"`
-	PlanHash  uint64 `json:"plan_hash"`
-	// Hello carries the session configuration (Task/Workers fields are
-	// meaningless here and left zero).
+	// Hello carries the session configuration (Task is meaningless here
+	// and left zero).
 	Hello   wire.Hello `json:"hello"`
 	Workers []string   `json:"workers"`
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/bundle"
@@ -167,11 +168,10 @@ func TestManifestRoundTrip(t *testing.T) {
 	m := &Manifest{
 		Schema:    ManifestSchema,
 		SessionID: 0xBEEF,
-		PlanHash:  12345,
 		Hello: wire.Hello{
 			Version: wire.Version, Func: 1, Threshold: 0.7, Strategy: 0,
 			Bounds: []int{10, 20, 30}, FT: true,
-			SessionID: 0xBEEF, PlanHash: 12345,
+			SessionID: 0xBEEF,
 		},
 		Workers: []string{"a:1", "b:2", "c:3"},
 	}
@@ -197,12 +197,13 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestManifestLoadsEarlierFields: the fields schema-2 manifests of earlier
-// releases also carried — the current bounds, the log positions and
-// per-task send cursors, rewritten during the run — are ignored on load.
+// TestManifestLoadsEarlierFields: the fields manifests of earlier
+// releases also carried — the plan hash beside the Hello, the current
+// bounds, the log positions and per-task send cursors — are ignored on
+// load.
 func TestManifestLoadsEarlierFields(t *testing.T) {
 	path := filepath.Join(t.TempDir(), ManifestPath)
-	old := `{"schema": 3, "session_id": 48879, "plan_hash": 12345,
+	old := `{"schema": 4, "session_id": 48879, "plan_hash": 12345,
 		"hello": {"Version": 6, "Threshold": 0.7, "Bounds": [10, 20]},
 		"workers": ["a:1", "b:2"], "bounds": [10, 10],
 		"ingest_next": 500, "results_next": 77,
@@ -214,8 +215,15 @@ func TestManifestLoadsEarlierFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.SessionID != 48879 || m.PlanHash != 12345 || len(m.Workers) != 2 || len(m.Hello.Bounds) != 2 {
+	if m.SessionID != 48879 || len(m.Workers) != 2 || len(m.Hello.Bounds) != 2 {
 		t.Fatalf("earlier manifest loads as %+v", m)
+	}
+	// The same manifest under schema 3 is refused, naming its schema.
+	if err := os.WriteFile(path, []byte(strings.Replace(old, `"schema": 4`, `"schema": 3`, 1)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadManifest(path); err == nil || !strings.Contains(err.Error(), "schema 3") {
+		t.Fatalf("a schema-3 manifest loads with error %v", err)
 	}
 }
 

@@ -187,9 +187,10 @@ func (BroadcastBased) Stores(r *record.Record, task, k int) bool {
 // Emits implements Strategy: the stored partner exists on one worker only.
 func (BroadcastBased) Emits(r, s *record.Record, task, k int) bool { return true }
 
-// ParseStrategy builds a strategy by name; length-based strategies need the
-// partition, so this helper only resolves the two parameter-free baselines
-// and reports a helpful error otherwise.
+// ParseStrategy builds the strategy named name ("length", "prefix" or
+// "broadcast"); only "length" reads part. It is the one name→strategy
+// switch: the engine, the remote coordinator and every worker build theirs
+// through it.
 func ParseStrategy(name string, p filter.Params, part partition.Partition) (Strategy, error) {
 	switch name {
 	case "length":

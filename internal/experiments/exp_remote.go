@@ -34,16 +34,11 @@ func E14(sc Scale) *Table {
 		float64(res.CommBytes)/float64(len(recs)))
 
 	// TCP fleet on loopback.
-	var h partition.Histogram
-	for _, r := range recs {
-		h.Add(r.Len())
-	}
-	w := partition.CostModel{Params: p}.Weights(&h)
 	sess := remote.Session{
 		Params:    p,
 		Algorithm: local.Bundled,
 		Strategy:  "length",
-		Bounds:    partition.LoadAware(w, k).Bounds,
+		Bounds:    partition.Fit(p, recs, k).Bounds,
 	}
 	ctx := context.Background()
 	conns, cleanup, err := loopbackWorkers(ctx, k)

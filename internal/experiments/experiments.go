@@ -95,20 +95,18 @@ func histogramOf(recs []*record.Record) *partition.Histogram {
 	return &h
 }
 
-// strategyFor materializes a named strategy for the given stream.
+// strategyFor materializes a named strategy for the given stream; a length
+// plan is fitted to all of recs.
 func strategyFor(name string, p filter.Params, recs []*record.Record, k int) dispatch.Strategy {
-	switch name {
-	case "length":
-		h := histogramOf(recs)
-		w := partition.CostModel{Params: p}.Weights(h)
-		return dispatch.NewLengthBased(p, partition.LoadAware(w, k))
-	case "prefix":
-		return dispatch.PrefixBased{Params: p}
-	case "broadcast":
-		return dispatch.BroadcastBased{}
-	default:
-		panic("experiments: unknown strategy " + name)
+	var part partition.Partition
+	if name == "length" {
+		part = partition.Fit(p, recs, k)
 	}
+	s, err := dispatch.ParseStrategy(name, p, part)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return s
 }
 
 var frameworkNames = []string{"length", "prefix", "broadcast"}

@@ -11,7 +11,11 @@ import (
 	"sort"
 
 	"repro/internal/filter"
+	"repro/internal/record"
 )
+
+// SampleSize is how many leading records a length plan is fitted to.
+const SampleSize = 10000
 
 // Histogram counts records by set size. The zero value is ready to use.
 type Histogram struct {
@@ -169,6 +173,16 @@ func EvenFrequency(h *Histogram, k int) Partition {
 		bounds = append(bounds, maxLen)
 	}
 	return Partition{Bounds: bounds}
+}
+
+// Fit is the LoadAware plan for k workers under p, its weights the cost
+// model's over the length histogram of sample.
+func Fit(p filter.Params, sample []*record.Record, k int) Partition {
+	var h Histogram
+	for _, r := range sample {
+		h.Add(r.Len())
+	}
+	return LoadAware(CostModel{Params: p}.Weights(&h), k)
 }
 
 // LoadAware partitions the weight array (from CostModel.Weights) into k

@@ -161,7 +161,7 @@ func TestOneResultFramePerProbe(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.FT, h.SessionID, h.PlanHash = true, 0xBA7C4, 0xBA7C4
+		h.FT, h.SessionID = true, 0xBA7C4
 		// open starts an FT session over net.Pipe: the worker checkpoints
 		// after every record, which flushes its frames as it goes.
 		open := func(h wire.Hello) (net.Conn, *wire.Writer, <-chan []wire.Result, <-chan error) {

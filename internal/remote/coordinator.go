@@ -147,7 +147,7 @@ func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs [
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("remote: %w", err)
 	}
-	strat, err := sess.strategyFor(k)
+	h, strat, err := sess.plan(k)
 	if err != nil {
 		return nil, err
 	}
@@ -164,10 +164,7 @@ func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs [
 		fmt.Sprintf("dispatching %d records to %d workers", len(recs), k))
 	start := time.Now()
 	for i, w := range writers {
-		h, err := sess.hello(i, k)
-		if err != nil {
-			return nil, err
-		}
+		h.Task = i
 		if err := w.WriteHello(h); err != nil {
 			return nil, fmt.Errorf("remote: hello to worker %d: %w", i, err)
 		}

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/faultwire"
-	"repro/internal/local"
 	"repro/internal/record"
 	"repro/internal/wal"
 	"repro/internal/window"
@@ -99,8 +98,8 @@ func TestRunFTDurableRoundTrip(t *testing.T) {
 	if m.SessionID != ft.SessionID {
 		t.Errorf("manifest session id %016x, want %016x", m.SessionID, ft.SessionID)
 	}
-	if m.PlanHash != sess.PlanHash(k) {
-		t.Errorf("manifest plan hash %016x, want %016x", m.PlanHash, sess.PlanHash(k))
+	if m.Hello.PlanHash() != sess.PlanHash(k) {
+		t.Errorf("manifest plan hash %016x, want %016x", m.Hello.PlanHash(), sess.PlanHash(k))
 	}
 	if len(m.Workers) != k {
 		t.Fatalf("manifest workers %v, want %d addresses", m.Workers, k)
@@ -117,8 +116,8 @@ func TestRunFTDurableRoundTrip(t *testing.T) {
 	if sess2.Strategy != sess.Strategy || sess2.Params.Threshold != sess.Params.Threshold {
 		t.Errorf("manifest hello decodes to %+v, want %+v", sess2, sess)
 	}
-	if sess2.PlanHash(k) != m.PlanHash {
-		t.Errorf("round-tripped session plan hash %016x, manifest %016x", sess2.PlanHash(k), m.PlanHash)
+	if sess2.PlanHash(k) != m.Hello.PlanHash() {
+		t.Errorf("round-tripped session plan hash %016x, manifest %016x", sess2.PlanHash(k), m.Hello.PlanHash())
 	}
 }
 
@@ -293,36 +292,29 @@ func TestRunFTCoordinatorKillResume(t *testing.T) {
 	}
 }
 
-// TestWorkerRejectsPlanMismatch pins the stale-state guard: a resuming
-// hello whose plan hash disagrees with the checkpoint's must be refused
-// with checkpoint.ErrPlanMismatch instead of silently replaying
-// wrong-range records, while a matching hash resumes normally.
+// TestWorkerRejectsPlanMismatch pins the stale-state guard: a worker
+// checkpoints one session, and a resuming hello under the same session ID
+// but of another plan is refused with checkpoint.ErrPlanMismatch instead
+// of silently replaying wrong-range records, while the hello of the plan
+// that checkpointed resumes at its cursor.
 func TestWorkerRejectsPlanMismatch(t *testing.T) {
 	checkNoLeaks(t)
 	const sid = 0xBADB1A
 	sess := testSession(0.7, "broadcast", nil)
+	other := testSession(0.8, "broadcast", nil)
 	dir := t.TempDir()
 
-	// Fabricate a v2 checkpoint stamped with plan hash A.
-	j := local.New(local.Naive, local.Options{Params: sess.Params})
-	path := checkpointPath(dir, sid, 0)
-	if err := writeCheckpointFile(path, checkpoint.Cursor{NextID: 5, NextTime: 1}, j,
-		&checkpoint.SessionMeta{PlanHash: 0xAAAA}); err != nil {
-		t.Fatal(err)
-	}
-
-	hello := func(planHash uint64) wire.Hello {
-		h, err := sess.hello(0, 1)
+	hello := func(s Session, resume bool) wire.Hello {
+		h, err := s.hello(0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.FT = true
-		h.Resume = true
-		h.SessionID = sid
-		h.PlanHash = planHash
+		h.FT, h.Resume, h.SessionID = true, resume, sid
 		return h
 	}
-	handshake := func(h wire.Hello) (ackErr, sessErr error) {
+	// handshake sends h, waits for the resume ack, sends recs and hangs
+	// up; a worker that saw records checkpoints on the broken connection.
+	handshake := func(h wire.Hello, recs ...*record.Record) (next uint64, ackErr, sessErr error) {
 		srv, cli := net.Pipe()
 		defer srv.Close()
 		defer cli.Close()
@@ -350,7 +342,7 @@ func TestWorkerRejectsPlanMismatch(t *testing.T) {
 				ackDone <- errors.New("unexpected frame type")
 				return
 			}
-			_, _, err = rd.ReadResumeAck()
+			next, _, err = rd.ReadResumeAck()
 			ackDone <- err
 		}()
 		select {
@@ -358,25 +350,45 @@ func TestWorkerRejectsPlanMismatch(t *testing.T) {
 			// Rejected before the ack: unblock the pending read.
 			cli.Close()
 			<-ackDone
-			return nil, sessErr
+			return 0, nil, sessErr
 		case ackErr = <-ackDone:
-			// Handshake succeeded; hang up and collect the session error.
-			cli.Close()
-			return ackErr, <-errCh
 		}
+		for _, r := range recs {
+			if err := wr.WriteRecord(true, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := wr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		cli.Close()
+		return next, ackErr, <-errCh
 	}
 
-	// Mismatched hash: refused with the sentinel, before any ack.
-	if _, err := handshake(hello(0xBBBB)); !errors.Is(err, checkpoint.ErrPlanMismatch) {
-		t.Errorf("mismatched plan hash: got %v, want ErrPlanMismatch", err)
+	// Checkpoint the session: five records that match nothing, then a
+	// broken connection.
+	recs := make([]*record.Record, 5)
+	for i := range recs {
+		recs[i] = &record.Record{ID: record.ID(i), Time: int64(i), Tokens: []uint32{uint32(2 * i), uint32(2*i + 1)}}
 	}
-	// Matching hash: the resume ack arrives and no mismatch is reported.
-	ackErr, sessErr := handshake(hello(0xAAAA))
-	if ackErr != nil {
-		t.Errorf("matching plan hash: resume ack failed: %v", ackErr)
+	if _, ackErr, _ := handshake(hello(sess, false), recs...); ackErr != nil {
+		t.Fatal(ackErr)
+	}
+	if _, err := os.Stat(checkpointPath(dir, sid, 0)); err != nil {
+		t.Fatalf("no checkpoint after a broken session: %v", err)
+	}
+	// Another plan under the same session ID: refused with the sentinel,
+	// before any ack.
+	if _, _, err := handshake(hello(other, true)); !errors.Is(err, checkpoint.ErrPlanMismatch) {
+		t.Errorf("mismatched plan: got %v, want ErrPlanMismatch", err)
+	}
+	// The plan that checkpointed: the resume ack names the next record.
+	next, ackErr, sessErr := handshake(hello(sess, true))
+	if ackErr != nil || next != uint64(len(recs)) {
+		t.Errorf("matching plan: resume ack next %d, %v; want %d", next, ackErr, len(recs))
 	}
 	if errors.Is(sessErr, checkpoint.ErrPlanMismatch) {
-		t.Errorf("matching plan hash rejected: %v", sessErr)
+		t.Errorf("matching plan rejected: %v", sessErr)
 	}
 }
 
@@ -455,10 +467,12 @@ func TestPlanHashProperties(t *testing.T) {
 	if clone.PlanHash(3) != base.PlanHash(3) {
 		t.Error("plan hash differs between identical sessions")
 	}
-	variants := map[string]uint64{
-		"workers": base.PlanHash(4),
-	}
 	v := base
+	v.Bounds = []int{0, 10, 20, 30}
+	variants := map[string]uint64{
+		"workers": v.PlanHash(4),
+	}
+	v = base
 	v.Params.Threshold = 0.8
 	variants["threshold"] = v.PlanHash(3)
 	v = base
@@ -481,6 +495,9 @@ func TestPlanHashProperties(t *testing.T) {
 	variants["max members"] = v.PlanHash(3)
 	seen := map[uint64]string{base.PlanHash(3): "base"}
 	for name, h := range variants {
+		if h == 0 {
+			t.Errorf("variant %s does not encode", name)
+		}
 		if prev, dup := seen[h]; dup {
 			t.Errorf("plan hash collision: %s == %s (%016x)", name, prev, h)
 		}

@@ -127,7 +127,6 @@ func durableHello(t *testing.T, sess Session, resume bool) wire.Hello {
 	}
 	h.FT, h.Resume = true, resume
 	h.SessionID = 0xF10
-	h.PlanHash = sess.PlanHash(1)
 	return h
 }
 
@@ -291,7 +290,7 @@ func TestResumeAtUnackedBoundGrantsNoCredit(t *testing.T) {
 			}
 			j := local.New(sess.Algorithm, local.Options{Params: sess.Params, Window: sess.Window})
 			err := writeCheckpointFile(checkpointPath(dir, h.SessionID, 0), checkpoint.Cursor{NextID: 10, NextTime: 10}, j,
-				&checkpoint.SessionMeta{PlanHash: h.PlanHash, Unacked: unacked})
+				&checkpoint.SessionMeta{PlanHash: h.PlanHash(), Unacked: unacked})
 			if err != nil {
 				t.Fatal(err)
 			}

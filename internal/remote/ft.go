@@ -134,18 +134,19 @@ func (m ftMetrics) counts() [3]uint64 {
 
 // ftRunner owns one RunFT invocation.
 type ftRunner struct {
-	k        int
-	sess     Session
-	strat    dispatch.Strategy
-	ft       FT
-	dial     Dialer
-	met      ftMetrics
-	journal  *obs.Journal
-	collect  bool
-	start    time.Time
-	cancel   context.CancelFunc
-	durable  *durableState
-	planHash uint64
+	k int
+	// hello is the run's task-0 Hello, FT flag and session ID set; strat
+	// is the routing strategy built from it.
+	hello   wire.Hello
+	strat   dispatch.Strategy
+	ft      FT
+	dial    Dialer
+	met     ftMetrics
+	journal *obs.Journal
+	collect bool
+	start   time.Time
+	cancel  context.CancelFunc
+	durable *durableState
 
 	// recs is the caller's record stream; ingested is how many of them
 	// dispatch has let the write loops send.
@@ -206,10 +207,11 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 			return nil, fmt.Errorf("remote: record %d has id %d after id %d; ft runs need strictly increasing ids", i, recs[i].ID, recs[i-1].ID)
 		}
 	}
-	strat, err := sess.strategyFor(workers)
+	hello, strat, err := sess.plan(workers)
 	if err != nil {
 		return nil, err
 	}
+	hello.FT, hello.SessionID = true, ft.SessionID
 	if ft.HeartbeatInterval <= 0 {
 		ft.HeartbeatInterval = time.Second
 	}
@@ -221,21 +223,20 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 	defer cancel()
 
 	f := &ftRunner{
-		k:        workers,
-		sess:     sess,
-		strat:    strat,
-		ft:       ft,
-		dial:     dial,
-		met:      newFTMetrics(ft.Registry),
-		journal:  opts.Journal,
-		collect:  opts.CollectPairs,
-		start:    time.Now(),
-		planHash: sess.PlanHash(workers),
-		cancel:   cancel,
-		recs:     recs,
-		notify:   make([]chan struct{}, workers),
-		recv:     make([]received, workers),
-		stats:    make([]wire.Stats, workers),
+		k:       workers,
+		hello:   hello,
+		strat:   strat,
+		ft:      ft,
+		dial:    dial,
+		met:     newFTMetrics(ft.Registry),
+		journal: opts.Journal,
+		collect: opts.CollectPairs,
+		start:   time.Now(),
+		cancel:  cancel,
+		recs:    recs,
+		notify:  make([]chan struct{}, workers),
+		recv:    make([]received, workers),
+		stats:   make([]wire.Stats, workers),
 	}
 	for i := range f.notify {
 		f.notify[i] = make(chan struct{}, 1)
@@ -314,21 +315,13 @@ func (f *ftRunner) dispatch(ctx context.Context) error {
 }
 
 // saveManifest atomically writes the session manifest, once, at the start
-// of a durable run: the launch hello, plan hash and worker fleet a resume
-// reads. Everything else a resume needs is in the two logs.
+// of a durable run: the launch hello and worker fleet a resume reads.
+// Everything else a resume needs is in the two logs.
 func (f *ftRunner) saveManifest() error {
-	h, err := f.sess.hello(0, f.k)
-	if err != nil {
-		return err
-	}
-	h.FT = true
-	h.SessionID = f.ft.SessionID
-	h.PlanHash = f.planHash
 	m := &checkpoint.Manifest{
 		Schema:    checkpoint.ManifestSchema,
 		SessionID: f.ft.SessionID,
-		PlanHash:  f.planHash,
-		Hello:     h,
+		Hello:     f.hello,
 		Workers:   append([]string(nil), f.durable.cfg.Workers...),
 	}
 	return checkpoint.SaveManifest(filepath.Join(f.durable.cfg.StateDir, checkpoint.ManifestPath), m)
@@ -392,15 +385,8 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 	defer func() { f.bytes.Add(cw.n.Load()) }()
 	w := wire.NewWriter(cw)
 
-	h, err := f.sess.hello(task, f.k)
-	if err != nil {
-		conn.Close()
-		return false, err
-	}
-	h.FT = true
-	h.Resume = resume
-	h.SessionID = f.ft.SessionID
-	h.PlanHash = f.planHash
+	h := f.hello
+	h.Task, h.Resume = task, resume
 	if err := w.WriteHello(h); err != nil {
 		conn.Close()
 		return false, fmt.Errorf("remote: hello to worker %d: %w", task, err)

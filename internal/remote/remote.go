@@ -17,6 +17,7 @@ package remote
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bundle"
 	"repro/internal/dispatch"
@@ -43,15 +44,29 @@ type Session struct {
 	Bi bool
 }
 
-// hello encodes the session for worker task of workers.
+// strategyNames maps a Hello's strategy number to the dispatch strategy
+// name it stands for.
+var strategyNames = []string{"length", "prefix", "broadcast"}
+
+// hello encodes the session for worker task of workers, checked as the
+// worker will check it.
 func (s Session) hello(task, workers int) (wire.Hello, error) {
+	h, _, err := s.plan(workers)
+	h.Task = task
+	return h, err
+}
+
+// plan encodes the session as task 0's Hello for workers and builds the
+// routing strategy from that Hello, through the path a worker takes, so
+// the coordinator routes with the strategy every worker arbitrates with.
+func (s Session) plan(workers int) (wire.Hello, dispatch.Strategy, error) {
 	h := wire.Hello{
 		Version:        wire.Version,
-		Task:           task,
 		Workers:        workers,
 		Func:           int(s.Params.Func),
 		Threshold:      s.Params.Threshold,
 		Algorithm:      int(s.Algorithm),
+		Strategy:       slices.Index(strategyNames, s.Strategy),
 		Bounds:         s.Bounds,
 		GroupThreshold: s.Bundle.GroupThreshold,
 		MaxMembers:     s.Bundle.MaxMembers,
@@ -60,7 +75,6 @@ func (s Session) hello(task, workers int) (wire.Hello, error) {
 	}
 	switch w := s.Window.(type) {
 	case nil, window.Unbounded:
-		h.WindowKind = 0
 	case window.Count:
 		h.WindowKind = 1
 		h.WindowN = w.N
@@ -68,81 +82,23 @@ func (s Session) hello(task, workers int) (wire.Hello, error) {
 		h.WindowKind = 2
 		h.WindowN = w.Span
 	default:
-		return h, fmt.Errorf("remote: unsupported window %T", s.Window)
+		return h, nil, fmt.Errorf("remote: unsupported window %T", s.Window)
 	}
-	switch s.Strategy {
-	case "length":
-		h.Strategy = 0
-		if len(s.Bounds) != workers {
-			return h, fmt.Errorf("remote: length strategy needs %d bounds, got %d", workers, len(s.Bounds))
-		}
-	case "prefix":
-		h.Strategy = 1
-	case "broadcast":
-		h.Strategy = 2
-	default:
-		return h, fmt.Errorf("remote: unknown strategy %q", s.Strategy)
+	if h.Strategy < 0 {
+		return h, nil, fmt.Errorf("remote: unknown strategy %q", s.Strategy)
 	}
-	return h, nil
+	_, strat, err := sessionFromHello(h)
+	return h, strat, err
 }
 
-// PlanHash fingerprints the launch configuration: worker count, strategy,
-// partition bounds, similarity parameters, window, bundle knobs and
-// bi-stream mode. Coordinators stamp it into hellos and session
-// manifests; workers persist it in checkpoints so a resume against a
-// *different* plan (stale checkpoint directory, edited bounds) is rejected
-// instead of silently producing wrong results. FNV-1a over the canonical
-// field encoding — stable across runs of the same launch config.
+// PlanHash is the plan hash (wire.Hello.PlanHash) of the session's Hello
+// for workers, zero when the session does not encode.
 func (s Session) PlanHash(workers int) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
+	h, err := s.hello(0, workers)
+	if err != nil {
+		return 0
 	}
-	mix(uint64(workers))
-	mix(uint64(len(s.Strategy)))
-	for i := 0; i < len(s.Strategy); i++ {
-		mix(uint64(s.Strategy[i]))
-	}
-	mix(uint64(len(s.Bounds)))
-	for _, b := range s.Bounds {
-		mix(uint64(b))
-	}
-	mix(uint64(s.Params.Func))
-	mix(math.Float64bits(s.Params.Threshold))
-	mix(uint64(s.Algorithm))
-	switch w := s.Window.(type) {
-	case nil, window.Unbounded:
-		mix(0)
-	case window.Count:
-		mix(1)
-		mix(uint64(w.N))
-	case window.Time:
-		mix(2)
-		mix(uint64(w.Span))
-	default:
-		mix(^uint64(0))
-	}
-	mix(math.Float64bits(s.Bundle.GroupThreshold))
-	mix(uint64(s.Bundle.MaxMembers))
-	if s.Bundle.OneByOneVerify {
-		mix(1)
-	} else {
-		mix(0)
-	}
-	if s.Bi {
-		mix(1)
-	} else {
-		mix(0)
-	}
-	return h
+	return h.PlanHash()
 }
 
 // SessionFromHello reconstructs a Session from a wire hello — the resume
@@ -153,7 +109,9 @@ func SessionFromHello(h wire.Hello) (Session, error) {
 	return s, err
 }
 
-// sessionFromHello reconstructs the worker-side session.
+// sessionFromHello checks h and reconstructs the session and routing
+// strategy it describes. A Hello it accepts builds a joiner and routes
+// any record without a panic.
 func sessionFromHello(h wire.Hello) (Session, dispatch.Strategy, error) {
 	s := Session{
 		Params: filter.Params{
@@ -179,39 +137,22 @@ func sessionFromHello(h wire.Hello) (Session, dispatch.Strategy, error) {
 	default:
 		return s, nil, fmt.Errorf("remote: unknown window kind %d", h.WindowKind)
 	}
-	var strat dispatch.Strategy
-	switch h.Strategy {
-	case 0:
-		s.Strategy = "length"
-		strat = dispatch.NewLengthBased(s.Params, partition.Partition{Bounds: h.Bounds})
-	case 1:
-		s.Strategy = "prefix"
-		strat = dispatch.PrefixBased{Params: s.Params}
-	case 2:
-		s.Strategy = "broadcast"
-		strat = dispatch.BroadcastBased{}
-	default:
+	switch {
+	case h.Workers < 1 || h.Task < 0 || h.Task >= h.Workers:
+		return s, nil, fmt.Errorf("remote: task %d of %d workers", h.Task, h.Workers)
+	case h.Func < 0 || h.Func > int(similarity.Overlap):
+		return s, nil, fmt.Errorf("remote: unknown similarity function %d", h.Func)
+	case !(h.Threshold > 0) || h.Threshold > 1 && s.Params.Func != similarity.Overlap || math.IsInf(h.Threshold, 0):
+		return s, nil, fmt.Errorf("remote: %v threshold %v out of range", s.Params.Func, h.Threshold)
+	case h.Algorithm < 0 || h.Algorithm > int(local.Bundled):
+		return s, nil, fmt.Errorf("remote: unknown algorithm %d", h.Algorithm)
+	case h.Strategy < 0 || h.Strategy >= len(strategyNames):
 		return s, nil, fmt.Errorf("remote: unknown strategy %d", h.Strategy)
 	}
-	if s.Params.Threshold <= 0 {
-		return s, nil, fmt.Errorf("remote: non-positive threshold %v", s.Params.Threshold)
+	s.Strategy = strategyNames[h.Strategy]
+	if s.Strategy == "length" && (len(h.Bounds) != h.Workers || !slices.IsSorted(h.Bounds)) {
+		return s, nil, fmt.Errorf("remote: length strategy needs %d ascending bounds, got %v", h.Workers, h.Bounds)
 	}
-	return s, strat, nil
-}
-
-// strategyFor builds the coordinator-side routing strategy.
-func (s Session) strategyFor(workers int) (dispatch.Strategy, error) {
-	switch s.Strategy {
-	case "length":
-		if len(s.Bounds) != workers {
-			return nil, fmt.Errorf("remote: length strategy needs %d bounds, got %d", workers, len(s.Bounds))
-		}
-		return dispatch.NewLengthBased(s.Params, partition.Partition{Bounds: s.Bounds}), nil
-	case "prefix":
-		return dispatch.PrefixBased{Params: s.Params}, nil
-	case "broadcast":
-		return dispatch.BroadcastBased{}, nil
-	default:
-		return nil, fmt.Errorf("remote: unknown strategy %q", s.Strategy)
-	}
+	strat, err := dispatch.ParseStrategy(s.Strategy, s.Params, partition.Partition{Bounds: h.Bounds})
+	return s, strat, err
 }

@@ -2,9 +2,11 @@ package remote
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -299,6 +301,112 @@ func TestSessionHelloErrors(t *testing.T) {
 	s := testSession(0.8, "length", []int{1, 2})
 	if _, err := s.hello(0, 3); err == nil || !strings.Contains(err.Error(), "bounds") {
 		t.Fatalf("expected bounds error, got %v", err)
+	}
+}
+
+// TestWorkerRefusesInconsistentHello: a worker refuses, as a session
+// error, each Hello whose fields disagree with one another or name nothing
+// it knows, and the session already running on it completes.
+func TestWorkerRefusesInconsistentHello(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// One line per session the worker ends with an error; the buffer
+	// holds more than the five bad cases, so the worker never blocks.
+	logs := make(chan string, 16)
+	serveTestWorker(t, ln, WorkerOpts{Logf: func(format string, args ...interface{}) {
+		logs <- fmt.Sprintf(format, args...)
+	}})
+	open := func(h wire.Hello) (net.Conn, *wire.Writer) {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		w := wire.NewWriter(conn)
+		if err := w.WriteHello(h); err != nil {
+			t.Fatal(err)
+		}
+		return conn, w
+	}
+	valid := func() wire.Hello {
+		h, err := testSession(0.9, "broadcast", nil).hello(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+
+	// The running session: a hello and some records, no EOF yet.
+	recs := workload.NewGenerator(workload.UniformSmall(7)).Generate(200)
+	conn, w := open(valid())
+	for _, r := range recs {
+		if err := w.WriteRecord(true, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Each bad session sends two equal records and EOF after its hello,
+	// enough to reach Step, Stores and Emits.
+	twin := []*record.Record{{ID: 0, Tokens: []uint32{1, 2, 3}}, {ID: 1, Tokens: []uint32{1, 2, 3}}}
+	for _, tc := range []struct {
+		name string
+		edit func(h *wire.Hello)
+	}{
+		{"prefix over zero workers", func(h *wire.Hello) { h.Strategy, h.Workers = 1, 0 }},
+		{"algorithm 99", func(h *wire.Hello) { h.Algorithm = 99 }},
+		{"func 99", func(h *wire.Hello) { h.Func = 99 }},
+		{"task beyond the workers", func(h *wire.Hello) { h.Task = h.Workers }},
+		{"length without bounds", func(h *wire.Hello) { h.Strategy, h.Bounds = 0, nil }},
+	} {
+		h := valid()
+		tc.edit(&h)
+		bad, bw := open(h)
+		for _, r := range twin {
+			if err := bw.WriteRecord(true, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bw.WriteEOF(); err != nil {
+			t.Fatal(err)
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// The worker ends the session without a frame and closes.
+		bad.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := bad.Read(make([]byte, 1)); n > 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("%s: worker answered with %d bytes, %v", tc.name, n, err)
+		}
+		if msg := <-logs; !strings.Contains(msg, "session ended with error") {
+			t.Errorf("%s: worker logged %q", tc.name, msg)
+		}
+	}
+
+	if err := w.WriteEOF(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rd := wire.NewReader(conn)
+	for {
+		typ, err := rd.Next()
+		if err != nil {
+			t.Fatalf("running session: %v", err)
+		}
+		if typ == wire.TypeStats {
+			st, err := rd.ReadStats()
+			if err != nil || st.Probes != uint64(len(recs)) {
+				t.Fatalf("running session stats %+v, %v; want %d probes", st, err, len(recs))
+			}
+			return
+		}
 	}
 }
 

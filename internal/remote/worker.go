@@ -204,6 +204,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	if h.FT && sess.Bi {
 		return errors.New("remote: fault-tolerant bi sessions unsupported")
 	}
+	planHash := h.PlanHash()
 	comp := fmt.Sprintf("worker/%d", h.Task)
 	o.Journal.Append("session_start", comp,
 		fmt.Sprintf("session %016x task %d/%d ft=%v resume=%v", h.SessionID, h.Task, h.Workers, h.FT, h.Resume))
@@ -253,16 +254,16 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 				meta, body, herr := checkpoint.ReadSessionHeader(bytes.NewReader(blob))
 				if herr != nil {
 					startFresh(herr)
-				} else if meta.PlanHash != h.PlanHash {
+				} else if meta.PlanHash != planHash {
 					// The checkpoint belongs to a different launch plan —
 					// a stale state directory reused under the same session
 					// id. Resuming it would replay wrong-range records, so
 					// refuse loudly instead of degrading silently.
 					o.Journal.Append("resume_rejected", comp,
 						fmt.Sprintf("session %016x checkpoint plan %016x does not match hello plan %016x",
-							h.SessionID, meta.PlanHash, h.PlanHash))
+							h.SessionID, meta.PlanHash, planHash))
 					return fmt.Errorf("remote: session %016x task %d: checkpoint plan hash %016x, hello plan hash %016x: %w",
-						h.SessionID, h.Task, meta.PlanHash, h.PlanHash, checkpoint.ErrPlanMismatch)
+						h.SessionID, h.Task, meta.PlanHash, planHash, checkpoint.ErrPlanMismatch)
 				} else if cur, n, cerr := checkpoint.Read(body, joiner); cerr != nil {
 					startFresh(cerr)
 				} else {
@@ -387,7 +388,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		// broken connection it fails, and the checkpoint is saved anyway.
 		_ = wr.Flush()
 		cur := checkpoint.Cursor{NextID: lastID + 1, NextTime: lastTime + 1}
-		meta := &checkpoint.SessionMeta{PlanHash: h.PlanHash, Acked: acked, Unacked: unacked}
+		meta := &checkpoint.SessionMeta{PlanHash: planHash, Acked: acked, Unacked: unacked}
 		if err := writeCheckpointFile(ckptPath, cur, joiner, meta); err != nil {
 			o.logf("remote worker: checkpoint write failed: %v", err)
 			return

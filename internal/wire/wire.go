@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"slices"
@@ -79,17 +80,19 @@ const (
 
 // Version is the protocol version carried in Hello, and the only one a
 // peer accepts (ReadHello rejects any other). It covers the FT handshake
-// (session ID, FT/Resume flags, the partition-plan hash, the two-field
-// ResumeAck), the Ping/Pong/Credit frames, Result frames that carry every
-// pair of one probe (version 5), Record frames whose flags are the store
+// (session ID, FT/Resume flags, the two-field ResumeAck), the
+// Ping/Pong/Credit frames, Result frames that carry every pair of one
+// probe (version 5), Record frames whose flags are the store
 // and side bits alone (version 6: the trace annotation is gone, and a
 // decoder refuses any other bit), credit as the only flow control
 // (version 7: the Pause and Resume frames are gone), and one FT protocol
 // (version 8: every FT session acknowledges its results, the Durable flag
 // is gone, and a decoder refuses any Hello flag bit it does not know), and
 // numbered results (version 9: a Result frame carries the number of its
-// first pair in the session's result sequence).
-const Version = 9
+// first pair in the session's result sequence), and a Hello without a
+// plan-hash field (version 10: Hello.PlanHash derives it from the Hello's
+// own bytes, and a decoder refuses a byte after the session ID).
+const Version = 10
 
 // MaxFrame bounds a frame payload; larger frames indicate corruption.
 const MaxFrame = 1 << 24
@@ -129,12 +132,19 @@ type Hello struct {
 	// SessionID names the run across reconnects; FT checkpoints are keyed
 	// by it. Zero for non-FT sessions.
 	SessionID uint64
-	// PlanHash fingerprints the session's launch configuration (partition
-	// plan, strategy, similarity parameters). A resuming worker compares it
-	// against its checkpoint and rejects a mismatch — the checkpoint belongs
-	// to a different plan and would replay wrong-range records. Zero for
-	// non-FT sessions.
-	PlanHash uint64
+}
+
+// PlanHash fingerprints the join h configures: FNV-1a over the bytes
+// WriteHello encodes with the per-connection fields (Task, FT, Resume,
+// SessionID) cleared, so every other field on the wire is in it. A worker
+// refuses to resume a checkpoint saved under another plan hash.
+func (h Hello) PlanHash() uint64 {
+	h.Task, h.FT, h.Resume, h.SessionID = 0, false, false, 0
+	var w Writer
+	w.putHello(h)
+	f := fnv.New64a()
+	f.Write(w.buf)
+	return f.Sum64()
 }
 
 // The Hello flag bits; a decoder refuses any other. Bit 4 (16) was the
@@ -223,6 +233,12 @@ func (w *Writer) flushFrame(typ byte) error {
 
 // WriteHello sends the session handshake.
 func (w *Writer) WriteHello(h Hello) error {
+	w.putHello(h)
+	return w.flushFrame(TypeHello)
+}
+
+// putHello encodes h's payload into w.buf.
+func (w *Writer) putHello(h Hello) {
 	w.putUvarint(uint64(h.Version))
 	w.putUvarint(uint64(h.Task))
 	w.putUvarint(uint64(h.Workers))
@@ -253,8 +269,6 @@ func (w *Writer) WriteHello(h Hello) error {
 	}
 	w.buf = append(w.buf, flags)
 	w.putUvarint(h.SessionID)
-	w.putUvarint(h.PlanHash)
-	return w.flushFrame(TypeHello)
 }
 
 // WriteRecord sends one routed record copy. Tokens must be sorted
@@ -652,8 +666,8 @@ func (r *Reader) ReadHello() (Hello, error) {
 	if ob&^(helloOneByOne|helloBi|helloFT|helloResume) != 0 {
 		return h, fmt.Errorf("wire: hello flags %#02x set an unknown bit", ob)
 	}
-	if h.PlanHash, err = p.uvarint(); err != nil {
-		return h, err
+	if p.i != len(p.b) {
+		return h, fmt.Errorf("wire: %d bytes after the hello's session id", len(p.b)-p.i)
 	}
 	return h, nil
 }

@@ -152,7 +152,7 @@ func TestHelloVersionRejected(t *testing.T) {
 func TestHelloV4FieldsRoundTrip(t *testing.T) {
 	h := Hello{
 		Version: Version, Task: 2, Workers: 4, Threshold: 0.8, Bounds: []int{10, 20},
-		FT: true, SessionID: 42, PlanHash: 0xFEEDFACE12345678,
+		FT: true, SessionID: 42,
 	}
 	r := roundTripFrames(t, func(w *Writer) error { return w.WriteHello(h) })
 	if _, err := r.Next(); err != nil {
@@ -180,8 +180,8 @@ func TestHelloRejectsUnknownFlagBits(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := buf.Bytes()
-	// The flags byte precedes the one-byte session ID and plan hash.
-	flags := len(frame) - 3
+	// The flags byte precedes the one-byte session ID.
+	flags := len(frame) - 2
 	if frame[flags] != helloFT {
 		t.Fatalf("flags byte %#02x at %d, want the FT bit alone", frame[flags], flags)
 	}
@@ -194,6 +194,47 @@ func TestHelloRejectsUnknownFlagBits(t *testing.T) {
 		}
 		if h, err := r.ReadHello(); err == nil {
 			t.Errorf("hello with flag bit %d decoded as %+v", bit, h)
+		}
+	}
+}
+
+// TestPlanHashCoversEveryField: each Hello field that describes the join,
+// set alone to a non-zero value, survives a WriteHello/ReadHello round trip
+// and moves PlanHash; the per-connection fields leave it alone.
+func TestPlanHashCoversEveryField(t *testing.T) {
+	base := Hello{Version: Version, Bounds: []int{}} // ReadHello decodes no bounds as empty
+	perConn := map[string]bool{"Task": true, "FT": true, "Resume": true, "SessionID": true}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if name == "Version" {
+			continue // a Hello of another version does not decode
+		}
+		h := base
+		switch f := reflect.ValueOf(&h).Elem().Field(i); f.Kind() {
+		case reflect.Int, reflect.Int64:
+			f.SetInt(3)
+		case reflect.Uint64:
+			f.SetUint(3)
+		case reflect.Float64:
+			f.SetFloat(0.75)
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Slice:
+			f.Set(reflect.ValueOf([]int{3}))
+		default:
+			t.Fatalf("field %s: kind %v has no test value", name, f.Kind())
+		}
+		r := roundTripFrames(t, func(w *Writer) error { return w.WriteHello(h) })
+		if _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.ReadHello()
+		if err != nil || !reflect.DeepEqual(got, h) {
+			t.Errorf("field %s: decodes to %+v, %v; want %+v", name, got, err, h)
+		}
+		if moved := h.PlanHash() != base.PlanHash(); moved == perConn[name] {
+			t.Errorf("field %s: plan hash moved = %v, want %v", name, moved, !perConn[name])
 		}
 	}
 }
