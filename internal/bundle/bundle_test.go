@@ -174,7 +174,8 @@ func TestMaxMembersCapsBundles(t *testing.T) {
 }
 
 // TestDuplicateOverflowFillsBundles streams 200 copies of one set through
-// bundles capped at 8 members. Every copy ties at similarity 1 with every
+// bundles capped at 8 members. The set has 5 tokens: at τ 0.8 a set of up
+// to 3 is in the equality regime and never enters a bundle. Every copy ties at similarity 1 with every
 // live copy, and ties go to the newest, whose bundle the last overflow
 // founded: the copies fill 25 bundles of 8 rather than leaving one full
 // bundle and a singleton per later copy. Every pair is emitted once.
@@ -183,7 +184,7 @@ func TestDuplicateOverflowFillsBundles(t *testing.T) {
 	bx := New(params(0.8), window.Unbounded{}, Config{MaxMembers: 8})
 	seen := make(map[record.Pair]bool)
 	for i := 0; i < copies; i++ {
-		bx.Process(rec(record.ID(i), 3, 7, 11), func(m Match) {
+		bx.Process(rec(record.ID(i), 3, 7, 11, 13, 17), func(m Match) {
 			pr := record.NewPair(record.ID(i), m.Rec.ID, 0)
 			if seen[pr] || m.Sim != 1 {
 				t.Fatalf("match %v (sim %v) emitted twice or not exact", pr, m.Sim)
@@ -269,7 +270,7 @@ func matchesBruteForce(t *testing.T, next func() []*record.Record, wantSigSkip b
 						}
 					})
 				}
-				want := bruteForce(stream, tau, win)
+				want := bruteForce(stream, params(tau), win)
 				if len(got) != len(want) {
 					t.Fatalf("τ=%v win=%v cfg#%d: got %d pairs want %d",
 						tau, win, ci, len(got), len(want))
@@ -351,7 +352,9 @@ func longStream(rng *rand.Rand, n, span int) []*record.Record {
 	return stream
 }
 
-func bruteForce(stream []*record.Record, tau float64, win window.Policy) map[record.Pair]bool {
+// bruteForce is the quadratic scan: every pair of window-live records whose
+// similarity under p reaches p's threshold.
+func bruteForce(stream []*record.Record, p filter.Params, win window.Policy) map[record.Pair]bool {
 	out := make(map[record.Pair]bool)
 	for i, r := range stream {
 		for j := 0; j < i; j++ {
@@ -359,7 +362,7 @@ func bruteForce(stream []*record.Record, tau float64, win window.Policy) map[rec
 			if !win.Live(s.ID, s.Time, r.ID, r.Time) {
 				continue
 			}
-			if similarity.Of(similarity.Jaccard, r.Tokens, s.Tokens) >= tau-1e-12 {
+			if similarity.Of(p.Func, r.Tokens, s.Tokens) >= p.Threshold-1e-12 {
 				out[record.NewPair(r.ID, s.ID, 0)] = true
 			}
 		}

@@ -1,6 +1,8 @@
 package bundle
 
 import (
+	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/filter"
@@ -87,7 +89,8 @@ type Stats struct {
 	KernelBitset    uint64 // never written: the kernel is gone, bench/layers.go still reads the field
 	BundleQuickSkip uint64 // bundles skipped by the pre-merge size bound
 	MemberDeltaSkip uint64 // members skipped by the core+|delta| bound
-	DeltaFree       uint64 // members verified by the core overlap alone: empty Delta, no merge
+	TwinProbes      uint64 // probes the twin table answered (see equalityMax)
+	TwinMatches     uint64 // their matches, counted in MemberChecks, Verified and Results too
 }
 
 // Pruned sums the candidates the signature and kernel-tier upper bounds
@@ -96,6 +99,8 @@ func (s Stats) Pruned() uint64 {
 	return s.BundleSigSkip + s.BundleQuickSkip + s.MemberDeltaSkip
 }
 
+// fifoEntry is a live record's member and bundle, nil for a twin. It stays
+// 16 bytes: the fifo is copied down on every drain.
 type fifoEntry struct {
 	b *Bundle
 	m *Member
@@ -142,6 +147,9 @@ type Index struct {
 	trial []tokens.Rank
 	// al slab-allocates members, bundles and deltas on the insert path.
 	al alloc
+	// Records of 1..eqMax tokens live in twins, never in a bundle.
+	eqMax int
+	twins twinTable
 }
 
 // walkRef is one prefix token in the selectivity-ordered walk: pos is the
@@ -161,8 +169,32 @@ func New(p filter.Params, w window.Policy, cfg Config) *Index {
 		cfg:    cfg.withDefaults(p.Threshold),
 	}
 	bx.posts.rebuild(postMinBits)
+	bx.twins.rehash(16)
+	if bx.cfg.GroupThreshold <= 1 {
+		bx.eqMax = equalityMax(p)
+	}
 	return bx
 }
+
+// equalityMax returns the largest L ≤ 4 096 such that every length 1..L is
+// in the equality regime: its band is [l, l], two records of l tokens need
+// all l in common, and the bands of l-1 and l+1 (so of every other length)
+// exclude l. DESIGN.md § "Equality regime" has the proof.
+func equalityMax(p filter.Params) int {
+	l := 1
+	for ; l <= 1<<12; l++ {
+		lo, hi := p.LengthBounds(l)
+		_, below := p.LengthBounds(l - 1)
+		above, _ := p.LengthBounds(l + 1)
+		if lo != l || hi != l || below >= l || above <= l || p.RequiredOverlap(l, l) != l {
+			break
+		}
+	}
+	return l - 1
+}
+
+// twin reports whether a record of l tokens belongs in the twin table.
+func (bx *Index) twin(l int) bool { return 0 < l && l <= bx.eqMax }
 
 // Params returns the join parameters.
 func (bx *Index) Params() filter.Params { return bx.params }
@@ -224,12 +256,8 @@ func (bx *Index) publish() {
 // construction.
 func (bx *Index) Process(r *record.Record, emit func(Match)) {
 	bx.Evict(r.ID, r.Time)
-	best, ok := bx.Probe(r, emit)
-	if !ok {
-		bx.InsertSingleton(r)
-	} else {
-		bx.Insert(r, best)
-	}
+	best, _ := bx.Probe(r, emit)
+	bx.Insert(r, best)
 	bx.stats.Records++
 }
 
@@ -244,12 +272,18 @@ func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
 		if bx.win.Live(rec.ID, rec.Time, nowSeq, nowTime) {
 			break
 		}
-		fe.b.remove(&bx.al, fe.m)
-		bx.al.mirror(fe.b)
-		bx.al.freeMember(fe.m)
-		if len(fe.b.Members) == 0 {
-			bx.retire(fe.b)
+		if fe.b == nil {
+			if bx.twins.remove(fe.m) {
+				bx.stats.LiveBundles--
+			}
+		} else {
+			fe.b.remove(&bx.al, fe.m)
+			bx.al.mirror(fe.b)
+			if len(fe.b.Members) == 0 {
+				bx.retire(fe.b)
+			}
 		}
+		bx.al.freeMember(fe.m)
 		bx.fifo[bx.head] = fifoEntry{}
 		bx.head++
 		bx.stats.Evicted++
@@ -326,19 +360,45 @@ func (bx *Index) sweep() {
 }
 
 // Probe finds all live records similar to r, emits each as it is verified
-// — candidate bundles in collectCandidates' order, members in bundle order:
-// a deterministic function of index state, not sorted by anything — and
+// — candidate bundles in collectCandidates' order, members in bundle order,
+// twins oldest first: a function of index state, sorted by nothing — and
 // returns the best match's bundle together with the best similarity
 // (ok=false when there is no match). Verification is exact; emitted
 // overlaps are true intersection sizes.
 func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok bool) {
-	for _, b := range bx.collectCandidates(r) {
-		if m, found := bx.probeBundle(r, b, emit); found && (!ok || betterIns(m, best)) {
-			best, ok = m, true
+	if bx.twin(r.Len()) {
+		best, ok = bx.probeTwins(r, emit)
+	} else {
+		for _, b := range bx.collectCandidates(r) {
+			if m, found := bx.probeBundle(r, b, emit); found && (!ok || betterIns(m, best)) {
+				best, ok = m, true
+			}
 		}
 	}
 	bx.publish()
 	return best, ok
+}
+
+// probeTwins answers a probe of the equality regime by one lookup: its
+// matches are the live records of its token set, oldest first, each at
+// overlap |r|. Once per probe of a twin-length record.
+func (bx *Index) probeTwins(r *record.Record, emit func(Match)) (Insertion, bool) {
+	bx.stats.TwinProbes++
+	s := bx.twins.find(r.Tokens, twinHash(r.Tokens))
+	if s == nil {
+		return Insertion{}, false
+	}
+	l := r.Len()
+	sim := similarity.FromOverlap(bx.params.Func, l, l, l)
+	for _, m := range s.ms {
+		emit(Match{Rec: m.Rec, ID: m.id, Overlap: l, Sim: sim})
+	}
+	n := uint64(len(s.ms))
+	bx.stats.TwinMatches += n
+	bx.stats.MemberChecks += n
+	bx.stats.Verified += n
+	bx.stats.Results += n
+	return Insertion{Sim: sim, At: s.ms[n-1].id}, true
 }
 
 // bindProbe fixes the per-probe invariants every filter of this probe
@@ -617,20 +677,12 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, emit func(Match)) (Ins
 				bx.stats.MemberDeltaSkip++
 				continue
 			}
-			// A member equal to the core (every exact duplicate of it)
-			// has overlap coreO + |r ∩ ∅| = coreO: verified without a
-			// merge. Otherwise a bounded delta merge: when it passes dO is
-			// exact and o is the true overlap; when it fails dO is below
-			// req-coreO, so o < req drops the member without the exact
-			// size.
-			o = coreO
-			if len(m.Delta) == 0 {
-				bx.stats.DeltaFree++
-			} else {
-				dO, dSteps, _ := bx.overlapKernelBounded(r.Tokens, m.Delta, req-coreO)
-				bx.stats.VerifySteps += uint64(dSteps)
-				o += dO
-			}
+			// Bounded delta merge: when it passes dO is exact and o is the
+			// true overlap; when it fails dO is below req-coreO, so o < req
+			// drops the member without the exact size.
+			dO, dSteps, _ := bx.overlapKernelBounded(r.Tokens, m.Delta, req-coreO)
+			bx.stats.VerifySteps += uint64(dSteps)
+			o = coreO + dO
 		}
 		bx.stats.Verified++
 		if o < req {
@@ -673,17 +725,34 @@ func (bx *Index) minRequired(la, bmin, lo int) int {
 	return bx.params.RequiredOverlap(la, l)
 }
 
-// InsertSingleton places r into a fresh singleton bundle (the no-match
-// insertion path).
-func (bx *Index) InsertSingleton(r *record.Record) {
-	bx.Insert(r, Insertion{})
+// Insert places r into best's bundle when grouping conditions hold,
+// otherwise into a fresh singleton bundle; in the equality regime it joins
+// its twins instead. best must come from a Probe with no Evict in between:
+// eviction recycles bundles.
+func (bx *Index) Insert(r *record.Record, best Insertion) {
+	fe, n := fifoEntry{}, 0
+	if bx.twin(r.Len()) {
+		fe.m = bx.al.member()
+		fe.m.Rec, fe.m.id, fe.m.ln = r, r.ID, r.Len()
+		n = bx.twins.add(fe.m)
+	} else {
+		fe.b = bx.group(r, best)
+		n = len(fe.b.Members)
+		fe.m = fe.b.Members[n-1]
+	}
+	if n == 1 {
+		bx.stats.Bundles++
+		bx.stats.LiveBundles++
+	} else {
+		bx.stats.Appends++
+	}
+	bx.stats.MaxBundleSize = max(bx.stats.MaxBundleSize, uint64(n))
+	bx.fifo = append(bx.fifo, fe)
 }
 
-// Insert places r into best's bundle when grouping conditions hold,
-// otherwise into a fresh singleton bundle, and extends the posting table
-// with the record's unposted prefix tokens. best must come from a Probe
-// with no Evict in between: eviction recycles bundles.
-func (bx *Index) Insert(r *record.Record, best Insertion) {
+// group adds r to best's bundle or a fresh one and posts the bundle's new
+// prefix tokens.
+func (bx *Index) group(r *record.Record, best Insertion) *Bundle {
 	p := bx.params.PrefixLen(r.Len())
 	if p > r.Len() {
 		p = r.Len()
@@ -711,18 +780,99 @@ func (bx *Index) Insert(r *record.Record, best Insertion) {
 	}
 	if target == nil {
 		target = bx.al.bundle()
-		bx.stats.Bundles++
-		bx.stats.LiveBundles++
-	} else {
-		bx.stats.Appends++
 	}
 	for _, tok := range target.add(&bx.al, r, p, newCore) {
 		bx.posts.add(posting{tok, target.slot})
 	}
 	bx.al.mirror(target)
-	m := target.Members[len(target.Members)-1]
-	if n := uint64(len(target.Members)); n > bx.stats.MaxBundleSize {
-		bx.stats.MaxBundleSize = n
+	return target
+}
+
+// twinTable holds the records of the equality regime, one entry per live
+// token set, chained by hash: heads[hash>>shift] and next are 1 + an entry's
+// index (0: none). Entries are recycled with their queue's capacity, so at
+// the window's peak an insert or evict allocates nothing.
+type twinTable struct {
+	heads []int32
+	shift uint8
+	sets  []twinSet
+	free  []int32
+}
+
+// twinSet is the live records of one token set, oldest first: the fifo
+// evicts in arrival order, so always ms[0].
+type twinSet struct {
+	hash uint64
+	next int32
+	ms   []*Member
+}
+
+// twinHash hashes a token set; the table's buckets take its top bits.
+func twinHash(ts []tokens.Rank) uint64 {
+	h := uint64(len(ts))
+	for _, t := range ts {
+		h = (bits.RotateLeft64(h, 23) ^ uint64(t)) * 0x9E3779B97F4A7C15
 	}
-	bx.fifo = append(bx.fifo, fifoEntry{b: target, m: m})
+	return h
+}
+
+// find returns the entry of token set ts, whose hash is h, or nil.
+func (t *twinTable) find(ts []tokens.Rank, h uint64) *twinSet {
+	for i := t.heads[h>>t.shift]; i != 0; i = t.sets[i-1].next {
+		if s := &t.sets[i-1]; s.hash == h && slices.Equal(s.ms[0].Rec.Tokens, ts) {
+			return s
+		}
+	}
+	return nil
+}
+
+// add queues m on its token set's entry, founding the entry if the set has
+// no live record, and returns the set's live count.
+func (t *twinTable) add(m *Member) int {
+	h := twinHash(m.Rec.Tokens)
+	s := t.find(m.Rec.Tokens, h)
+	if s == nil {
+		if len(t.sets)-len(t.free) >= len(t.heads) {
+			t.rehash(2 * len(t.heads))
+		}
+		i := int32(len(t.sets) + 1)
+		if n := len(t.free); n > 0 {
+			i, t.free = t.free[n-1], t.free[:n-1]
+		} else {
+			t.sets = append(t.sets, twinSet{})
+		}
+		s = &t.sets[i-1]
+		head := &t.heads[h>>t.shift]
+		s.hash, s.next, *head = h, *head, i
+	}
+	s.ms = append(s.ms, m)
+	return len(s.ms)
+}
+
+// rehash relinks every live entry into n buckets, a power of two.
+func (t *twinTable) rehash(n int) {
+	t.heads, t.shift = make([]int32, n), uint8(64-bits.TrailingZeros(uint(n)))
+	for i := range t.sets {
+		if s := &t.sets[i]; len(s.ms) > 0 {
+			head := &t.heads[s.hash>>t.shift]
+			s.next, *head = *head, int32(i+1)
+		}
+	}
+}
+
+// remove dequeues m, the oldest live record of its set, and reports whether
+// that emptied the set, freeing its entry.
+func (t *twinTable) remove(m *Member) bool {
+	p := &t.heads[twinHash(m.Rec.Tokens)>>t.shift]
+	for t.sets[*p-1].ms[0] != m {
+		p = &t.sets[*p-1].next
+	}
+	s := &t.sets[*p-1]
+	n := copy(s.ms, s.ms[1:])
+	s.ms[n] = nil
+	if s.ms = s.ms[:n]; n == 0 {
+		t.free = append(t.free, *p)
+		*p, s.next = s.next, 0
+	}
+	return n == 0
 }

@@ -22,6 +22,7 @@ func checkInvariants(t *testing.T, bx *Index) {
 
 	liveB := make(map[*Bundle]bool)
 	liveM := make(map[*Member]bool)
+	twinM := make(map[*Member]bool) // queued with a nil bundle: in the twin table
 	for i, fe := range bx.fifo {
 		if i < bx.head {
 			if fe != (fifoEntry{}) {
@@ -32,8 +33,14 @@ func checkInvariants(t *testing.T, bx *Index) {
 		if liveM[fe.m] {
 			t.Fatalf("member %d queued twice", fe.m.Rec.ID)
 		}
-		liveM[fe.m], liveB[fe.b] = true, true
+		liveM[fe.m] = true
+		if fe.b == nil {
+			twinM[fe.m] = true
+		} else {
+			liveB[fe.b] = true
+		}
 	}
+	liveSets := checkTwins(t, bx, twinM)
 	members, wide := 0, 0
 	for b := range liveB {
 		checkBundle(t, b)
@@ -58,11 +65,11 @@ func checkInvariants(t *testing.T, bx *Index) {
 		}
 		members += len(b.Members)
 	}
-	if members != len(liveM) {
-		t.Fatalf("bundles hold %d members, window holds %d", members, len(liveM))
+	if members+len(twinM) != len(liveM) {
+		t.Fatalf("bundles hold %d members and the twin table %d, window holds %d", members, len(twinM), len(liveM))
 	}
-	if got := bx.stats.LiveBundles; got != uint64(len(liveB)) {
-		t.Fatalf("LiveBundles %d, recount %d", got, len(liveB))
+	if got := bx.stats.LiveBundles; got != uint64(len(liveB)+liveSets) {
+		t.Fatalf("LiveBundles %d, recount %d bundles and %d twin sets", got, len(liveB), liveSets)
 	}
 	// Wide cells: one per live wide bundle, every other one on a free list.
 	checkWidePool(t, &bx.al, wide)
@@ -147,6 +154,51 @@ func checkInvariants(t *testing.T, bx *Index) {
 			t.Fatalf("slot %d: hot band [%d,%d], bundle [%d,%d]", slot, lo, hi, b.MinLen(), b.MaxLen())
 		}
 	}
+}
+
+// checkTwins asserts the twin table against the twins the fifo queues:
+// every linked entry holds at least one of them, all of its token set and
+// length in the equality regime, oldest first, under the entry's hash and
+// bucket; together the entries hold each queued twin exactly once; and every
+// carved entry is linked or free, a free one empty and holding nothing. It
+// returns the number of linked entries.
+func checkTwins(t *testing.T, bx *Index, twinM map[*Member]bool) int {
+	t.Helper()
+	tt := &bx.twins
+	linked, held := 0, 0
+	for bkt, i := range tt.heads {
+		for ; i != 0; i = tt.sets[i-1].next {
+			s := &tt.sets[i-1]
+			live := s.ms
+			linked++
+			if len(live) == 0 || s.hash != twinHash(live[0].Rec.Tokens) || int(s.hash>>tt.shift) != bkt {
+				t.Fatalf("twin entry %d: %d live, hash %x in bucket %d", i-1, len(live), s.hash, bkt)
+			}
+			for k, m := range live {
+				if !twinM[m] || !bx.twin(m.Rec.Len()) || !slices.Equal(m.Rec.Tokens, live[0].Rec.Tokens) ||
+					(k > 0 && m.id <= live[k-1].id) || m.id != m.Rec.ID {
+					t.Fatalf("twin entry %d holds record %d %v out of place (queued %v)", i-1, m.Rec.ID, m.Rec.Tokens, twinM[m])
+				}
+			}
+			if slices.ContainsFunc(s.ms[len(s.ms):cap(s.ms)], func(m *Member) bool { return m != nil }) {
+				t.Fatalf("twin entry %d keeps a dequeued member", i-1)
+			}
+			held += len(live)
+		}
+	}
+	if held != len(twinM) {
+		t.Fatalf("twin table holds %d records, the fifo queues %d", held, len(twinM))
+	}
+	if linked+len(tt.free) != len(tt.sets) {
+		t.Fatalf("%d twin entries carved: %d linked, %d free", len(tt.sets), linked, len(tt.free))
+	}
+	for _, i := range tt.free {
+		s := &tt.sets[i-1]
+		if len(s.ms) != 0 || s.next != 0 || slices.ContainsFunc(s.ms[:cap(s.ms)], func(m *Member) bool { return m != nil }) {
+			t.Fatalf("free twin entry %d not reset: %+v", i-1, *s)
+		}
+	}
+	return linked
 }
 
 // wideStream is duplicateHeavyStream over a universe so wide that a probe
@@ -322,7 +374,7 @@ func TestEmitOrderIsDiscoveryOrder(t *testing.T) {
 
 		// Per probe, the emitted partners are exactly the brute-force ones,
 		// each once.
-		truth := bruteForce(stream, tc.tau, tc.win)
+		truth := bruteForce(stream, params(tc.tau), tc.win)
 		if len(want) != len(truth) {
 			t.Fatalf("%s: %d matches emitted, brute force finds %d", tc.profile.Name, len(want), len(truth))
 		}
@@ -359,7 +411,9 @@ func TestSingletonUnionIsMember(t *testing.T) {
 		bx.Evict(r.ID, r.Time)
 		live := make(map[*Bundle]bool)
 		for _, fe := range bx.fifo[bx.head:] {
-			live[fe.b] = true
+			if fe.b != nil {
+				live[fe.b] = true
+			}
 		}
 		for b := range grown {
 			if !live[b] {
@@ -420,7 +474,8 @@ func TestIndexStateBoundedByWindow(t *testing.T) {
 		profile workload.Profile
 	}{
 		{2000, 200_000, workload.TweetLike(42)},
-		{100, 600, workload.EnronLike(42)}, // the one that founds wide signatures
+		{100, 600, workload.EnronLike(42)},    // the one that founds wide signatures
+		{2000, 100_000, workload.AOLLike(42)}, // the one that fills the twin table
 	}
 	for _, tc := range cases {
 		label := tc.profile.Name
@@ -428,11 +483,13 @@ func TestIndexStateBoundedByWindow(t *testing.T) {
 		bx := New(p, window.Count{N: int64(tc.win)}, Config{})
 		gen := workload.NewGenerator(tc.profile)
 		var peakLive, heapEarly uint64
+		peakSets := 0 // twin entries linked at once
 		for i := 0; i < tc.records; i++ {
 			bx.Process(gen.Next(), func(Match) {})
 			if bx.stats.LiveBundles > peakLive {
 				peakLive = bx.stats.LiveBundles
 			}
+			peakSets = max(peakSets, len(bx.twins.sets)-len(bx.twins.free))
 			if i+1 == tc.records/4 {
 				heapEarly = heapInuse()
 			}
@@ -468,7 +525,7 @@ func TestIndexStateBoundedByWindow(t *testing.T) {
 		// at once — a cell is carved only when none of its size is free.
 		wide := make(map[*Bundle]bool)
 		for _, fe := range bx.fifo[bx.head:] {
-			if fe.b.wideSig {
+			if fe.b != nil && fe.b.wideSig {
 				wide[fe.b] = true
 			}
 		}
@@ -477,6 +534,13 @@ func TestIndexStateBoundedByWindow(t *testing.T) {
 		if uint64(cells) > peakLive || (tc.profile.Name == "ENRON-like") != (cells > 0) {
 			t.Errorf("%s: %d wide cells (%d held, %d free), peak live bundles %d", label,
 				cells, len(wide), len(bx.al.freeW), peakLive)
+		}
+		// Twin entries: carved only when none is free, so never more than
+		// were ever in use at once — and on AOL-like the table is in use.
+		if tt := &bx.twins; len(tt.sets) > peakSets || len(tt.heads) > max(16, 2*peakSets) ||
+			(tc.profile.Name == "AOL-like" && peakSets == 0) {
+			t.Errorf("%s: %d twin entries carved in %d buckets, %d linked at most, %d twin probes",
+				label, len(tt.sets), len(tt.heads), peakSets, st.TwinProbes)
 		}
 		if heapEnd*2 > heapEarly*3 {
 			t.Errorf("%s: heap in use %d KiB after %d records, %d KiB after %d",
@@ -553,8 +617,8 @@ func BenchmarkInsertEvictSteadyState(b *testing.B) {
 }
 
 // TestHotStructSizes pins the structs a probe walks: a slab of members or
-// bundles is cache lines per candidate and bytes per record, and a Match is
-// copied once per result.
+// bundles is cache lines per candidate and bytes per record, a Match is
+// copied once per result, and a fifo entry once per record and drain.
 func TestHotStructSizes(t *testing.T) {
 	m, b, r := unsafe.Sizeof(Member{}), unsafe.Sizeof(Bundle{}), unsafe.Sizeof(Match{})
 	if m != 48 || b > 120 || r > 32 {
@@ -577,5 +641,10 @@ func TestHotStructSizes(t *testing.T) {
 	// One cache line per prefix token, eight hot entries per line.
 	if pb, h := unsafe.Sizeof(pbucket{}), unsafe.Sizeof(hot{}); pb != 64 || h != 8 {
 		t.Fatalf("pbucket is %d B (want 64), hot %d B (want 8)", pb, h)
+	}
+	// The fifo is copied down on every drain: a wider entry showed as
+	// enron_verify's alloc_bytes_per_rec.
+	if fe := unsafe.Sizeof(fifoEntry{}); fe != 16 {
+		t.Fatalf("fifoEntry is %d B, want 16", fe)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/filter"
 	"repro/internal/record"
 	"repro/internal/similarity"
 	"repro/internal/tokens"
@@ -349,13 +350,15 @@ func longRecs(win, tau byte, recs ...[]tokens.Rank) []byte {
 	return out
 }
 
-// FuzzIndexVsBruteForce checks the whole index, gate included, against the
-// quadratic scan. Bit 7 of the threshold byte selects the record shape:
-// clear, long records (16–80 tokens) over a one-byte universe with a count
-// window of 0–63, where hash collisions and saturated signatures are the
-// rule; set, short records (1–12 tokens) over 48 ranks with a count window
-// of 0–255, which never reach the gate and pile many members into few
-// bundles.
+// FuzzIndexVsBruteForce checks the whole index, gate and twin table
+// included, against the quadratic scan. Bit 7 of the threshold byte selects
+// the record shape: clear, long records (16–80 tokens) over a one-byte
+// universe with a count window of 0–63, where hash collisions and saturated
+// signatures are the rule; set, short records (1–12 tokens) over 48 ranks
+// with a count window of 0–255, which never reach the gate and pile many
+// members into few bundles and twin sets. Its low seven bits b pick the
+// threshold, 0.5 + 0.05·(b%10), and the function: Jaccard below 32, then
+// Cosine, Dice and Overlap by 32s.
 func FuzzIndexVsBruteForce(f *testing.F) {
 	f.Add(longRecs(0, 4, span(0, 40), span(5, 40), span(100, 30), span(3, 42), span(101, 31)))
 	f.Add(longRecs(3, 0, span(0, 80), span(40, 80), span(80, 80), span(120, 80), span(160, 80)))
@@ -366,6 +369,12 @@ func FuzzIndexVsBruteForce(f *testing.F) {
 	// One 3-token set 70 times, unbounded: copies past MaxMembers overflow
 	// into a second bundle.
 	f.Add(append([]byte{0, 0x80 | 6}, bytes.Repeat([]byte{2, 5, 9, 11}, 70)...))
+	// Duplicates of 1 to 5 tokens, interleaved, through a count window of 7
+	// at Jaccard 0.8: the twin table founds, appends, evicts and frees sets.
+	f.Add(append([]byte{7, 0x80 | 6}, bytes.Repeat([]byte{0, 4, 1, 4, 9, 2, 4, 9, 1, 3, 4, 9, 1, 6, 4, 4, 9, 1, 6, 7}, 12)...))
+	// Cosine and Dice at 0.8, where only single tokens are twins.
+	f.Add(append([]byte{7, 0x80 | 36}, bytes.Repeat([]byte{0, 4, 0, 4, 1, 4, 9, 0, 9}, 12)...))
+	f.Add(append([]byte{5, 0x80 | 76}, bytes.Repeat([]byte{0, 4, 0, 4, 1, 4, 9, 0, 9}, 12)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 4096 {
 			t.Skip()
@@ -380,6 +389,7 @@ func FuzzIndexVsBruteForce(f *testing.F) {
 			win = window.Count{N: n}
 		}
 		tau := 0.5 + float64((data[1]&0x7f)%10)*0.05
+		fn := [4]similarity.Func{similarity.Jaccard, similarity.Cosine, similarity.Dice, similarity.Overlap}[data[1]&0x7f/32]
 		var stream []*record.Record
 		for i := 2; i < len(data); {
 			n := minLen + int(data[i])%lenSpan
@@ -393,18 +403,19 @@ func FuzzIndexVsBruteForce(f *testing.F) {
 				stream = append(stream, rec(record.ID(len(stream)), ranks...))
 			}
 		}
-		indexVsBruteForce(t, stream, tau, win)
+		indexVsBruteForce(t, stream, filter.Params{Func: fn, Threshold: tau}, win)
 	})
 }
 
 // indexVsBruteForce runs stream through the index, at the default bundle
 // cap and at MaxMembers 2 (where every third copy of a set overflows), and
 // requires exactly the pairs of the quadratic scan, each emitted once.
-func indexVsBruteForce(t *testing.T, stream []*record.Record, tau float64, win window.Policy) {
+func indexVsBruteForce(t *testing.T, stream []*record.Record, p filter.Params, win window.Policy) {
 	t.Helper()
-	want := bruteForce(stream, tau, win)
+	tau := p.Threshold
+	want := bruteForce(stream, p, win)
 	for _, cfg := range []Config{{}, {MaxMembers: 2}} {
-		bx := New(params(tau), win, cfg)
+		bx := New(p, win, cfg)
 		got := make(map[record.Pair]bool)
 		for _, r := range stream {
 			bx.Process(r, func(m Match) {
@@ -489,7 +500,7 @@ func FuzzWideSigVsBruteForce(f *testing.F) {
 		for i := 2; i+2 < len(data); i += 3 {
 			stream = append(stream, wideRec(record.ID(len(stream)), data[i], data[i+1], data[i+2]))
 		}
-		indexVsBruteForce(t, stream, tau, win)
+		indexVsBruteForce(t, stream, params(tau), win)
 	})
 }
 
@@ -558,7 +569,7 @@ func TestHotBandSaturation(t *testing.T) {
 			stream = append(stream, rec(record.ID(len(stream)), span(off, n)...))
 		}
 	}
-	want := bruteForce(stream, tau, window.Unbounded{})
+	want := bruteForce(stream, params(tau), window.Unbounded{})
 	bx := New(params(tau), window.Unbounded{}, Config{})
 	got := make(map[record.Pair]bool)
 	for _, r := range stream {
@@ -606,19 +617,79 @@ func TestFunnelConserved(t *testing.T) {
 		}
 		st := bx.Stats()
 		n := float64(st.Records)
-		t.Logf("%-10s per record: scanned %.1f → bundles %.1f → length-skipped %.1f, signature-skipped %.1f → singleton %.1f + union %.1f merges → verified %.2f (%.1f %% delta-free) → results %.2f",
-			prof.Name, float64(st.Scanned)/n, float64(st.BundleCands)/n, float64(st.BundleLenSkip)/n, float64(st.BundleSigSkip)/n,
+		t.Logf("%-10s per record: %.1f %% twin probes; scanned %.1f → bundles %.1f → length-skipped %.1f, signature-skipped %.1f → singleton %.1f + union %.1f merges → verified %.2f (%.1f %% twins) → results %.2f",
+			prof.Name, 100*float64(st.TwinProbes)/n, float64(st.Scanned)/n, float64(st.BundleCands)/n, float64(st.BundleLenSkip)/n, float64(st.BundleSigSkip)/n,
 			float64(st.SingletonFast)/n, float64(st.UnionOverlaps)/n, float64(st.Verified)/n,
-			100*float64(st.DeltaFree)/float64(max(st.Verified, 1)), float64(st.Results)/n)
+			100*float64(st.TwinMatches)/float64(max(st.Verified, 1)), float64(st.Results)/n)
 		if out := st.BundleLenSkip + st.BundleSigSkip + st.SingletonFast + st.BundleQuickSkip + st.UnionOverlaps; st.BundleCands != out {
 			t.Errorf("%s: %d candidate bundles, %d accounted for: %+v", prof.Name, st.BundleCands, out, st)
 		}
-		if st.UnionOverlaps < st.BundleUBSkip || st.Verified < st.Results || st.BundleCands == 0 {
+		if st.UnionOverlaps < st.BundleUBSkip || st.Verified < st.Results || st.BundleCands == 0 || st.TwinMatches > st.Verified {
 			t.Errorf("%s: funnel out of order: %+v", prof.Name, st)
+		}
+		// At τ 0.7 records of 1 and 2 tokens are twins: AOL-like has many,
+		// Enron-like none.
+		if (prof.Name == "AOL-like" && st.TwinProbes == 0) || (prof.Name == "ENRON-like" && st.TwinProbes != 0) {
+			t.Errorf("%s: %d twin probes", prof.Name, st.TwinProbes)
 		}
 		if prof.Name == "ENRON-like" && st.BundleSigSkip == 0 {
 			t.Errorf("%s: the signature gate never skipped a bundle", prof.Name)
 		}
+	}
+}
+
+// BenchmarkProbeAOLLike measures the short-record path at τ 0.8, where
+// records of up to 3 tokens — most of AOL-like — are answered by the twin
+// table: "probe" is the probe alone against a standing 50 000-record window,
+// "step" one eviction, probe and insert per op over a full window. The
+// records are generated before the clock starts and reused, re-stamped,
+// once the window has let go of them, so allocs/op is the index's own —
+// which CI holds at 0 for both.
+func BenchmarkProbeAOLLike(b *testing.B) {
+	const win = 50000
+	gen := workload.NewGenerator(workload.AOLLike(42))
+	bx := New(params(0.8), window.Count{N: win}, Config{})
+	ring := gen.Generate(2 * win)
+	for _, r := range ring[:win] {
+		bx.Process(r, func(Match) {})
+	}
+	results := 0
+	emit := func(Match) { results++ }
+	b.Run("probe", func(b *testing.B) {
+		probes := ring[win : win+1000]
+		for _, r := range probes { // warm the scratch buffers
+			bx.Probe(r, emit)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bx.Probe(probes[i%len(probes)], emit)
+		}
+	})
+	next := record.ID(win) // IDs keep rising across the runs b.Run makes
+	step := func() {
+		r := ring[int(next)%len(ring)]
+		r.ID, r.Time = next, int64(next)
+		bx.Process(r, emit)
+		next++
+	}
+	b.Run("step", func(b *testing.B) {
+		for i := 0; i < 2*win; i++ { // a full turn of the ring: every table and slab at its peak
+			step()
+		}
+		twins := bx.stats.TwinProbes
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			step()
+		}
+		b.StopTimer()
+		if bx.stats.TwinProbes == twins && b.N > 100 {
+			b.Fatal("no probe reached the twin table")
+		}
+	})
+	if results == 0 {
+		b.Fatal("probes matched nothing")
 	}
 }
 

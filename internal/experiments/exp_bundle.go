@@ -110,7 +110,7 @@ func E9b(sc Scale) *Table {
 		ID:      "E9b",
 		Title:   "Bundle MaxMembers sweep, AOL-like, τ=0.8, λ=τ",
 		Columns: []string{"max-members", "bundles", "appends", "postings", "verify-steps", "throughput rec/s"},
-		Notes:   "copies past the cap fill a fresh bundle (ties go to the newest partner), so caps past 32 save little verification; 64 bounds worst-case core-maintenance cost",
+		Notes:   "caps apply to bundles only: copies of a set of up to 3 tokens share one uncapped twin set; longer copies past the cap fill a fresh bundle (ties go to the newest partner), so caps past 32 save little verification; 64 bounds worst-case core-maintenance cost",
 	}
 	recs := genProfile(workload.AOLLike(sc.Seed), sc.Records)
 	p := jaccard(0.8)
