@@ -8,10 +8,11 @@ build:
 	go build ./...
 	go vet ./...
 
-# Repo-specific static analysis (docs/LINTING.md describes the analyzers).
-# Any finding fails the build.
+# go vet and gofmt; CI runs both as separate steps. docs/LINTING.md maps
+# each retired repo-specific analyzer to the test that holds its rule.
 lint:
-	go run ./cmd/repolint ./...
+	go vet ./...
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l lists files that are not gofmt-formatted:"; gofmt -l .; exit 1; }
 
 # The race detector is the default test path.
 test:

@@ -13,8 +13,7 @@ import (
 
 // The CLI's flag budget: definitions on the default FlagSet across every
 // cmd/*/main.go, and distinct flag names among them (a name several
-// commands share, like -seed, counts once). repolint's own FlagSet is a
-// developer tool's and is not counted.
+// commands share, like -seed, counts once).
 const (
 	maxFlagDefinitions = 45
 	maxFlagNames       = 37

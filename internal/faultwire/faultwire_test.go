@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/record"
@@ -230,5 +232,56 @@ func TestPartialWritesReassemble(t *testing.T) {
 	}
 	if !bytes.Equal(inner.out.Bytes(), raw.Bytes()) {
 		t.Fatal("byte-at-a-time writes corrupted the stream")
+	}
+}
+
+// TestCallsAreSerializedPerDirection: two goroutines writing whole frames
+// and two reading at once, each pair through the direction's own lock,
+// put every frame on the transport whole and drain every inbound byte
+// once.
+func TestCallsAreSerializedPerDirection(t *testing.T) {
+	const perWriter = 100
+	var frame, inbound bytes.Buffer
+	if err := writeRecords(&frame, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeRecords(&inbound, 2*perWriter); err != nil {
+		t.Fatal(err)
+	}
+	inner := &memConn{in: bytes.NewReader(inbound.Bytes())}
+	c := Wrap(inner, Config{})
+	var (
+		wg   sync.WaitGroup
+		read atomic.Int64
+	)
+	for i := 0; i < 2; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < perWriter; j++ {
+				if _, err := c.Write(frame.Bytes()); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 64)
+			for {
+				n, err := c.Read(buf)
+				read.Add(int64(n))
+				if err != nil {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := countFrames(t, inner.out.Bytes()); got[wire.TypeRecord] != 2*perWriter {
+		t.Fatalf("outbound frames = %v, want %d records", got, 2*perWriter)
+	}
+	if read.Load() != int64(inbound.Len()) {
+		t.Fatalf("read %d inbound bytes, want %d", read.Load(), inbound.Len())
 	}
 }

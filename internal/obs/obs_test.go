@@ -2,10 +2,12 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -226,5 +228,62 @@ func TestGaugeAdd(t *testing.T) {
 	}
 	if math.IsNaN(g.Value()) {
 		t.Fatal("NaN")
+	}
+}
+
+// TestRegistryAndJournalUnderConcurrentUse drives one registry and one
+// journal from several goroutines at once, as concurrent runs and scrapes
+// sharing them do: registration, get-or-create, labeled children, gathers
+// and appends interleave, and every count adds up afterwards.
+func TestRegistryAndJournalUnderConcurrentUse(t *testing.T) {
+	const workers, rounds = 4, 200
+	reg := NewRegistry()
+	j := NewJournal(64)
+	cv := reg.CounterVec("edge_tuples_total", "tuples per edge", "edge")
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := reg.Register(&Counter{desc: Desc{Name: fmt.Sprintf("own_%d_total", w), Help: "h"}}); err != nil {
+				t.Error(err)
+			}
+			for i := 0; i < rounds; i++ {
+				reg.Counter("shared_total", "shared").Inc()
+				cv.With(fmt.Sprint(i)).Inc()
+				j.Append("tick", "comp", "m")
+				if i%50 == 0 {
+					reg.Gather()
+					j.Recent(8)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	var shared, edges float64
+	for _, f := range reg.Gather() {
+		for _, s := range f.Samples {
+			switch f.Desc.Name {
+			case "shared_total":
+				shared += s.Value
+			case "edge_tuples_total":
+				edges += s.Value
+			}
+		}
+	}
+	if shared != workers*rounds || edges != workers*rounds {
+		t.Fatalf("shared_total %v, edge_tuples_total %v, want %d each", shared, edges, workers*rounds)
+	}
+	if got := j.Appended(); got != workers*rounds {
+		t.Fatalf("journal appended %d, want %d", got, workers*rounds)
+	}
+	events := j.Recent(64)
+	for i := 1; i < len(events); i++ {
+		if events[i].Seq != events[i-1].Seq+1 {
+			t.Fatalf("journal ring out of order: seq %d after %d", events[i].Seq, events[i-1].Seq)
+		}
+	}
+	if len(events) != 64 || events[63].Seq != workers*rounds {
+		t.Fatalf("journal kept %d events ending at seq %d", len(events), events[len(events)-1].Seq)
 	}
 }

@@ -219,7 +219,6 @@ func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs [
 					readErr <- fmt.Errorf("remote: worker %d read: %w", task, err)
 					return
 				}
-				// wire-dispatch: coordinator
 				switch typ {
 				case wire.TypeResult:
 					// A worker numbers its results from 0 without a gap.
@@ -254,7 +253,6 @@ func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs [
 						return
 					}
 					// The snapshot follows Stats outside the switch.
-					// wire-handled: coordinator TypeSnapshot
 					if typ != wire.TypeSnapshot {
 						readErr <- fmt.Errorf("remote: worker %d sent frame %d, want snapshot", task, typ)
 						return

@@ -1,10 +1,12 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -318,59 +320,112 @@ func TestResumeAtUnackedBoundGrantsNoCredit(t *testing.T) {
 	}
 }
 
-// TestRetiredFlowFramesFailTheSession: frame types 11 and 12, the Pause
-// and Resume of protocol version 6, are unknown to both roles.
+// TestRetiredFlowFramesFailTheSession: every frame type a role does not
+// consume fails its session with an error naming the type, on the worker
+// (as its first frame, carrying a valid Hello, and after its Hello), on
+// the plain coordinator (Run) and on the FT coordinator (RunFT): a frame
+// the peer never sends, types 11 and 12 (the Pause and Resume of protocol
+// version 6), and the unassigned bytes 0 and 255. A dispatch loop that
+// skipped an unknown frame would leave the session waiting, so each
+// session must fail within a bound.
 func TestRetiredFlowFramesFailTheSession(t *testing.T) {
 	sess := testSession(0.7, "broadcast", nil)
-	for _, typ := range []byte{11, 12} {
-		t.Run(fmt.Sprintf("worker/%d", typ), func(t *testing.T) {
-			srv, cli := net.Pipe()
-			defer cli.Close()
-			done := make(chan error, 1)
-			go func() {
-				done <- HandleSessionOpts(context.Background(), srv, srv, WorkerOpts{Logf: silentLogf})
-				srv.Close()
-			}()
-			go io.Copy(io.Discard, cli) //nolint:errcheck
-			w := wire.NewWriter(cli)
-			if err := w.WriteHello(durableHello(t, sess, false)); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			cli.Write([]byte{typ, 0}) //nolint:errcheck
-			if err := <-done; err == nil || !strings.Contains(err.Error(), fmt.Sprintf("frame type %d", typ)) {
-				t.Fatalf("worker session after a type-%d frame: %v", typ, err)
-			}
-		})
-		t.Run(fmt.Sprintf("coordinator/%d", typ), func(t *testing.T) {
-			dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
-				srv, cli := net.Pipe()
-				go func() {
-					defer srv.Close()
-					rd := wire.NewReader(srv)
-					if _, err := rd.Next(); err != nil {
-						return
-					}
-					w := wire.NewWriter(srv)
-					if w.WriteResumeAck(0, workerRecordWindow) != nil {
-						return
-					}
-					if _, err := srv.Write([]byte{typ, 0}); err != nil {
-						return
-					}
-					io.Copy(io.Discard, srv) //nolint:errcheck
-				}()
-				return cli, nil
-			}
-			ft := fastFT(0xF11)
-			ft.Retry.MaxAttempts = 0
-			recs := []*record.Record{{ID: 0, Tokens: []tokens.Rank{1, 2}}}
-			_, err := RunFT(context.Background(), dial, 1, sess, recs, Opts{}, ft)
-			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("frame type %d", typ)) {
-				t.Fatalf("coordinator after a type-%d frame: %v", typ, err)
-			}
+	recs := []*record.Record{{ID: 0, Tokens: []tokens.Rank{1, 2}}}
+	all := []byte{0, 255}
+	for typ := wire.TypeHello; typ <= wire.TypeCredit; typ++ {
+		all = append(all, typ)
+	}
+	// worker runs one FT worker session over a pipe that carries raw.
+	var hello bytes.Buffer
+	w := wire.NewWriter(&hello)
+	if err := w.WriteHello(durableHello(t, sess, false)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	worker := func(t *testing.T, raw []byte) error {
+		srv, cli := net.Pipe()
+		t.Cleanup(func() { cli.Close() })
+		go io.Copy(io.Discard, cli) //nolint:errcheck
+		go cli.Write(raw)           //nolint:errcheck
+		return returnsWithin(t, 5*time.Second, func() error {
+			defer srv.Close()
+			return HandleSessionOpts(context.Background(), srv, srv, WorkerOpts{Logf: silentLogf})
 		})
 	}
+	roles := []struct {
+		name     string
+		consumes []byte
+		session  func(t *testing.T, typ byte) error
+	}{
+		{"worker", []byte{wire.TypeRecord, wire.TypeEOF, wire.TypeSnapshot, wire.TypeSnapshotReq, wire.TypePing, wire.TypeCredit}, func(t *testing.T, typ byte) error {
+			return worker(t, append(slices.Clone(hello.Bytes()), typ, 0))
+		}},
+		// A session's first frame must be a Hello, whatever it carries.
+		{"handshake", []byte{wire.TypeHello}, func(t *testing.T, typ byte) error {
+			frame := slices.Clone(hello.Bytes())
+			frame[0] = typ
+			return worker(t, frame)
+		}},
+		{"run", []byte{wire.TypeResult, wire.TypeStats}, func(t *testing.T, typ byte) error {
+			conn := rogueWorker(t, typ)
+			return returnsWithin(t, 5*time.Second, func() error {
+				_, err := Run(context.Background(), []io.ReadWriter{conn}, sess, recs, false)
+				return err
+			})
+		}},
+		{"coordinator", []byte{wire.TypeResumeAck, wire.TypeResult, wire.TypeCredit, wire.TypePong, wire.TypeStats}, func(t *testing.T, typ byte) error {
+			dial := func(context.Context, int) (io.ReadWriteCloser, error) { return rogueWorker(t, typ), nil }
+			ft := fastFT(0xF11)
+			ft.Retry.MaxAttempts = 0
+			return returnsWithin(t, 5*time.Second, func() error {
+				_, err := RunFT(context.Background(), dial, 1, sess, recs, Opts{}, ft)
+				return err
+			})
+		}},
+	}
+	for _, role := range roles {
+		for _, typ := range all {
+			if slices.Contains(role.consumes, typ) {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/%d", role.name, typ), func(t *testing.T) {
+				checkNoLeaks(t)
+				if err := role.session(t, typ); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("frame type %d", typ)) {
+					t.Fatalf("%s session after a type-%d frame: %v", role.name, typ, err)
+				}
+			})
+		}
+	}
+}
+
+// rogueWorker is one connection, over net.Pipe, to a worker that answers
+// the hello (an FT one with a resume ack from scratch), sends one empty
+// frame of type typ, and then drops whatever the coordinator sends until
+// the test ends.
+func rogueWorker(t *testing.T, typ byte) io.ReadWriteCloser {
+	srv, cli := net.Pipe()
+	done := make(chan struct{})
+	t.Cleanup(func() { cli.Close(); <-done })
+	go func() {
+		defer close(done)
+		defer srv.Close()
+		rd := wire.NewReader(srv)
+		if typ, err := rd.Next(); err != nil || typ != wire.TypeHello {
+			return
+		}
+		h, err := rd.ReadHello()
+		if err != nil {
+			return
+		}
+		if h.FT && wire.NewWriter(srv).WriteResumeAck(0, workerRecordWindow) != nil {
+			return
+		}
+		if _, err := srv.Write([]byte{typ, 0}); err != nil {
+			return
+		}
+		io.Copy(io.Discard, rd.Rest()) //nolint:errcheck
+	}()
+	return cli
 }

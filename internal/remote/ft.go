@@ -429,7 +429,6 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 				return
 			}
 			lastIn.Store(int64(time.Since(f.start)))
-			// wire-dispatch: coordinator
 			switch typ {
 			case wire.TypeResumeAck:
 				next, credit, rerr := rd.ReadResumeAck()

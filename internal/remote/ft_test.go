@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/window"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -119,12 +121,14 @@ func TestRunFTMatchesSingleNode(t *testing.T) {
 		for i := range workers {
 			workers[i] = startFTWorker(t, t.TempDir(), time.Millisecond)
 		}
-		dial := tcpDialer(func(task int) string { return workers[task].addr })
+		var tr connTracker
+		dial := tr.dial(tcpDialer(func(task int) string { return workers[task].addr }))
 		sum, err := RunFT(context.Background(), dial, k, sess, recs,
 			Opts{CollectPairs: true}, fastFT(uint64(0xF00+si)))
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
+		tr.check(t, true)
 		requireParity(t, sum.Pairs, want, strat)
 		if sum.Retries != 0 || sum.Reconnects != 0 {
 			t.Errorf("%s: clean run reported retries=%d reconnects=%d",
@@ -132,6 +136,116 @@ func TestRunFTMatchesSingleNode(t *testing.T) {
 		}
 		if sum.Records != uint64(len(recs)) {
 			t.Errorf("%s: records = %d, want %d", strat, sum.Records, len(recs))
+		}
+	}
+}
+
+// TestRunFTCancelledMidSession cancels an FT run whose worker answered
+// the handshake and then went silent: RunFT must return the cancellation
+// within a bound, and only after every goroutine of the attempt is done
+// with the connection.
+func TestRunFTCancelledMidSession(t *testing.T) {
+	checkNoLeaks(t)
+	var tr connTracker
+	dial := tr.dial(func(context.Context, int) (io.ReadWriteCloser, error) {
+		return fakeWorker(func(*wire.Writer) {}, false), nil
+	})
+	recs := workload.NewGenerator(workload.UniformSmall(3)).Generate(50)
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(50*time.Millisecond, cancel)
+	err := returnsWithin(t, 5*time.Second, func() error {
+		_, err := RunFT(ctx, dial, 2, testSession(0.7, "broadcast", nil), recs, Opts{}, fastFT(0xCA7))
+		return err
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunFT = %v, want context.Canceled", err)
+	}
+	tr.check(t, false)
+}
+
+// connTracker records how a run uses the connections its dialer opens.
+type connTracker struct {
+	mu    sync.Mutex
+	conns []*trackedConn
+	ended atomic.Bool // set once the run has returned
+}
+
+// trackedConn counts a connection's closes and running reads, and notes
+// any call that starts after the run has returned. A read that fails once
+// the connection is closed lingers before it returns, so a reader nobody
+// waits for is still in it when the run returns.
+type trackedConn struct {
+	io.ReadWriteCloser
+	ended   *atomic.Bool
+	closes  atomic.Int32
+	reading atomic.Int32
+	late    atomic.Bool
+}
+
+func (c *trackedConn) touch() {
+	if c.ended.Load() {
+		c.late.Store(true)
+	}
+}
+
+func (c *trackedConn) Read(p []byte) (int, error) {
+	c.touch()
+	c.reading.Add(1)
+	defer c.reading.Add(-1)
+	n, err := c.ReadWriteCloser.Read(p)
+	if err != nil && c.closes.Load() > 0 {
+		time.Sleep(200 * time.Millisecond)
+	}
+	return n, err
+}
+
+func (c *trackedConn) Write(p []byte) (int, error) {
+	c.touch()
+	return c.ReadWriteCloser.Write(p)
+}
+
+func (c *trackedConn) Close() error {
+	c.touch()
+	c.closes.Add(1)
+	return c.ReadWriteCloser.Close()
+}
+
+// dial wraps d so that every connection it opens is tracked.
+func (tr *connTracker) dial(d Dialer) Dialer {
+	return func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
+		conn, err := d(ctx, task)
+		if err != nil {
+			return nil, err
+		}
+		c := &trackedConn{ReadWriteCloser: conn, ended: &tr.ended}
+		tr.mu.Lock()
+		tr.conns = append(tr.conns, c)
+		tr.mu.Unlock()
+		return c, nil
+	}
+}
+
+// check marks the run returned, then fails t if a read of a connection is
+// still running or, within the next 300 ms, anything calls a connection.
+// With closedOnce, every connection must also have been closed exactly
+// once.
+func (tr *connTracker) check(t *testing.T, closedOnce bool) {
+	t.Helper()
+	tr.ended.Store(true)
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	for i, c := range tr.conns {
+		if n := c.reading.Load(); n != 0 {
+			t.Errorf("connection %d: %d reads still running after the run returned", i, n)
+		}
+	}
+	time.Sleep(300 * time.Millisecond)
+	for i, c := range tr.conns {
+		if c.late.Load() {
+			t.Errorf("connection %d was used after the run returned", i)
+		}
+		if n := c.closes.Load(); closedOnce && n != 1 {
+			t.Errorf("connection %d closed %d times, want once", i, n)
 		}
 	}
 }

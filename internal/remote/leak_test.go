@@ -60,6 +60,21 @@ func serveTestWorker(t *testing.T, ln net.Listener, o WorkerOpts) {
 	t.Cleanup(func() { cancel(); <-done })
 }
 
+// returnsWithin runs f and returns its error, failing t if f has not
+// returned within d.
+func returnsWithin(t *testing.T, d time.Duration, f func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- f() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		t.Fatalf("still running %v after the call", d)
+		return nil
+	}
+}
+
 // goroutines returns the stack of every live goroutine by its ID.
 func goroutines() map[string]string {
 	buf := make([]byte, 1<<20)

@@ -8,6 +8,7 @@ import (
 	"net"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -573,6 +574,14 @@ func TestDialConnectsAndFailsCleanly(t *testing.T) {
 	if _, err := Dial(context.Background(), []string{ln.Addr().String(), "127.0.0.1:1"}, 200*time.Millisecond); err == nil {
 		t.Fatal("dial to dead address succeeded")
 	}
+	// A cancelled context stops Dial before it connects. A loopback dial
+	// completes before a cancel could land mid-call, so the context is
+	// cancelled up front.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if conns, err := Dial(ctx, []string{ln.Addr().String()}, 2*time.Second); !errors.Is(err, context.Canceled) || conns != nil {
+		t.Fatalf("Dial under a cancelled context = (%v, %v), want context canceled", conns, err)
+	}
 }
 
 // TestRemoteBiJoinMatchesLocal: the two-stream session over real sockets
@@ -655,8 +664,9 @@ func TestRunPreCancelledContext(t *testing.T) {
 	}
 }
 
-// TestRunCancelledMidSession points the coordinator at workers that accept
-// connections but never answer, so the run can only end via cancellation.
+// TestRunCancelledMidSession points each plain coordinator entry point at
+// a worker that accepts the connection but never answers, so the run can
+// only end via cancellation.
 func TestRunCancelledMidSession(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -673,41 +683,89 @@ func TestRunCancelledMidSession(t *testing.T) {
 		}
 	}()
 
+	recs := workload.NewGenerator(workload.AOLLike(3)).Generate(50)
+	biRecs := make([]BiRecord, len(recs))
+	for i, r := range recs {
+		biRecs[i] = BiRecord{Rec: r, Right: i%2 == 1}
+	}
+	sess := testSession(0.8, "broadcast", nil)
+	biSess := sess
+	biSess.Bi = true
+	for name, run := range map[string]func(ctx context.Context, conns []io.ReadWriter) error{
+		"Run": func(ctx context.Context, conns []io.ReadWriter) error {
+			_, err := Run(ctx, conns, sess, recs, false)
+			return err
+		},
+		"RunWithOpts": func(ctx context.Context, conns []io.ReadWriter) error {
+			_, err := RunWithOpts(ctx, conns, sess, recs, Opts{CollectPairs: true})
+			return err
+		},
+		"RunBi": func(ctx context.Context, conns []io.ReadWriter) error {
+			_, err := RunBi(ctx, conns, biSess, biRecs, Opts{})
+			return err
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			checkNoLeaks(t)
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(50*time.Millisecond, cancel)
+			err = returnsWithin(t, 5*time.Second, func() error { return run(ctx, []io.ReadWriter{conn}) })
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context canceled", err)
+			}
+		})
+	}
+}
+
+// TestServeWorkerStopsOnCancel cancels a worker in the middle of a
+// session whose coordinator still holds the connection open: the
+// cancellation must close the listener and end the session, and
+// ServeWorker must return nil within a bound and only after the
+// session's goroutine has finished, its last log line included.
+func TestServeWorkerStopsOnCancel(t *testing.T) {
+	checkNoLeaks(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The session goroutine logs its end last; a slow log makes a return
+	// that does not wait for it certain to be seen.
+	var logged atomic.Bool
+	logf := func(string, ...interface{}) {
+		time.Sleep(200 * time.Millisecond)
+		logged.Store(true)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- ServeWorker(ctx, ln, logf) }()
+
+	// A ping answered proves the session is in its frame loop.
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		recs := workload.NewGenerator(workload.AOLLike(3)).Generate(50)
-		_, err := Run(ctx, []io.ReadWriter{conn}, testSession(0.8, "broadcast", nil), recs, false)
-		done <- err
-	}()
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "context canceled") {
-			t.Fatalf("err = %v, want context canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not return after cancellation")
-	}
-}
-
-// TestServeWorkerStopsOnCancel checks the server side: cancelling the
-// context closes the listener and ServeWorker returns nil.
-func TestServeWorkerStopsOnCancel(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	h, err := testSession(0.8, "broadcast", nil).hello(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- ServeWorker(ctx, ln, silentLogf) }()
+	w := wire.NewWriter(conn)
+	if err := w.WriteHello(h); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WritePing(); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if typ, err := wire.NewReader(conn).Next(); err != nil || typ != wire.TypePong {
+		t.Fatalf("answer to a ping: type %d, %v", typ, err)
+	}
+
 	cancel()
 	select {
 	case err := <-done:
@@ -716,5 +774,50 @@ func TestServeWorkerStopsOnCancel(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("ServeWorker did not return after cancellation")
+	}
+	if !logged.Load() {
+		t.Fatal("ServeWorker returned before its session ended")
+	}
+}
+
+// TestHandleSessionStopsOnCancel: a session whose coordinator keeps
+// sending frames ends with the context's error once the context is
+// cancelled.
+func TestHandleSessionStopsOnCancel(t *testing.T) {
+	for name, handle := range map[string]func(ctx context.Context, r io.Reader, w io.Writer) error{
+		"HandleSession": HandleSession,
+		"HandleSessionOpts": func(ctx context.Context, r io.Reader, w io.Writer) error {
+			return HandleSessionOpts(ctx, r, w, WorkerOpts{Logf: silentLogf})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			checkNoLeaks(t)
+			h, err := testSession(0.8, "broadcast", nil).hello(0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, cli := net.Pipe()
+			defer cli.Close()
+			go io.Copy(io.Discard, cli) //nolint:errcheck
+			// Pings until the pipe closes: each one wakes the session loop.
+			go func() {
+				w := wire.NewWriter(cli)
+				if w.WriteHello(h) != nil {
+					return
+				}
+				for w.WritePing() == nil {
+					time.Sleep(time.Millisecond)
+				}
+			}()
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(50*time.Millisecond, cancel)
+			err = returnsWithin(t, 5*time.Second, func() error {
+				defer srv.Close()
+				return handle(ctx, srv, srv)
+			})
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("session = %v, want context canceled", err)
+			}
+		})
 	}
 }

@@ -189,7 +189,6 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		return fmt.Errorf("remote: reading hello: %w", err)
 	}
 	// The handshake frame is consumed before the dispatch loop starts.
-	// wire-handled: worker TypeHello
 	if typ != wire.TypeHello {
 		return fmt.Errorf("remote: expected hello, got frame type %d", typ)
 	}
@@ -413,7 +412,6 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 			if err != nil {
 				return fmt.Errorf("remote: reading frame: %w", err)
 			}
-			// wire-dispatch: worker
 			switch typ {
 			case wire.TypePing:
 				if err := wr.WritePong(); err != nil {

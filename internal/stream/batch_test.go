@@ -57,7 +57,7 @@ func TestBatchingPreservesPerProducerFIFO(t *testing.T) {
 		}, 3)
 		tp.AddBolt("sink", func(int) Bolt { return &orderBolt{} }, 2).
 			SubscribeTo("src", Shuffle{})
-		rep, err := tp.Run()
+		rep, err := runChecked(t, tp)
 		if err != nil {
 			t.Fatalf("batch %d: %v", bs, err)
 		}
@@ -92,7 +92,7 @@ func TestFlushOnCompletionDeliversEveryTuple(t *testing.T) {
 			SubscribeTo("src", Shuffle{})
 		tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 1).
 			SubscribeTo("sum", Shuffle{})
-		rep, err := tp.Run()
+		rep, err := runChecked(t, tp)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -113,7 +113,7 @@ func TestBatchCountersAndOccupancy(t *testing.T) {
 	tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: ints(n)} }, 1)
 	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 1).
 		SubscribeTo("src", Shuffle{})
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,13 +133,14 @@ func TestBatchCountersAndOccupancy(t *testing.T) {
 // subscribed edge selects at least one destination: emits to unsubscribed
 // streams must not pay for size accounting.
 func TestLazySizeBytes(t *testing.T) {
+	sizeCalls = atomicCounter{} // a package counter: -count=N reruns the test
 	tp := New("lazysize", 4)
 	tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: ints(10)} }, 1)
 	tp.AddBolt("split", func(int) Bolt { return sizeCountingBolt{} }, 1).
 		SubscribeTo("src", Shuffle{})
 	tp.AddBolt("sink", func(int) Bolt { return dropBolt{} }, 1).
 		SubscribeTo("split", Shuffle{})
-	if _, err := tp.Run(); err != nil {
+	if _, err := runChecked(t, tp); err != nil {
 		t.Fatal(err)
 	}
 	if got := sizeCalls.Load(); got != 10 {

@@ -44,7 +44,7 @@ func TestBatchBoltReceivesWholeBatches(t *testing.T) {
 		}, 2)
 		tp.AddBolt("sink", func(int) Bolt { return &batchRecBolt{} }, 1).
 			SubscribeTo("src", Shuffle{})
-		rep, err := tp.Run()
+		rep, err := runChecked(t, tp)
 		if err != nil {
 			t.Fatalf("batch %d: %v", bs, err)
 		}
@@ -99,7 +99,7 @@ func TestBatchBoltEmitsDownstream(t *testing.T) {
 		SubscribeTo("src", Shuffle{})
 	tp.AddBolt("sink", func(int) Bolt { return &orderBolt{} }, 1).
 		SubscribeTo("relay", Shuffle{})
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func TestProducerLocalCountersAreExact(t *testing.T) {
 				return fanBolt{seen: &seen, sent: &sent, sentBytes: &sentBytes}
 			}, producers).SubscribeTo("src", Shuffle{})
 			tp.AddBolt("sink", func(int) Bolt { return dropBolt{} }, 1).SubscribeTo("fan", Shuffle{})
-			rep, err := tp.Run()
+			rep, err := runChecked(t, tp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,7 +148,7 @@ func TestLiveCountersTrailByLessThanABatch(t *testing.T) {
 			return b
 		}, producers).SubscribeTo("src", Shuffle{})
 		tp.AddBolt("sink", func(int) Bolt { return dropBolt{} }, 1).SubscribeTo("fan", Shuffle{})
-		rep, err := tp.Run()
+		rep, err := runChecked(t, tp)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ func TestWithRegistryBindsRunMetrics(t *testing.T) {
 		SubscribeTo("src", Shuffle{})
 	tp.AddBolt("sink", func(int) Bolt { return sink }, 1).
 		SubscribeTo("dbl", Shuffle{})
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestUninstrumentedRunRegistersNothing(t *testing.T) {
 	tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: ints(10)} }, 1)
 	tp.AddBolt("sink", func(int) Bolt { return &collectBolt{} }, 1).
 		SubscribeTo("src", Shuffle{})
-	if _, err := tp.Run(); err != nil {
+	if _, err := runChecked(t, tp); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -107,7 +107,7 @@ func TestWithJournalRecordsRunLifecycle(t *testing.T) {
 	tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: ints(10)} }, 1)
 	tp.AddBolt("sink", func(int) Bolt { return &collectBolt{} }, 1).
 		SubscribeTo("src", Shuffle{})
-	if _, err := tp.Run(); err != nil {
+	if _, err := runChecked(t, tp); err != nil {
 		t.Fatal(err)
 	}
 	evs := j.Recent(0)

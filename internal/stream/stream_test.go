@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -67,7 +68,7 @@ func TestLinearPipeline(t *testing.T) {
 		SubscribeTo("src", Shuffle{})
 	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 1).
 		SubscribeTo("double", Shuffle{})
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestShuffleBalancesRoundRobin(t *testing.T) {
 	tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: ints(90)} }, 1)
 	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 3).
 		SubscribeTo("src", Shuffle{})
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestFieldsGroupingIsConsistent(t *testing.T) {
 	tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: vals} }, 1)
 	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 4).
 		SubscribeTo("src", Fields{Hash: func(t Tuple) uint64 { return uint64(t.(intTuple)) }})
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestBroadcastReplicates(t *testing.T) {
 	tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: ints(50)} }, 1)
 	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 5).
 		SubscribeTo("src", Broadcast{})
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestPartitionFuncMulticast(t *testing.T) {
 	tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: ints(10)} }, 1)
 	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 3).
 		SubscribeTo("src", pf)
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestProducerGroupingSeesProducerIndex(t *testing.T) {
 	tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: ints(100)} }, 1)
 	tp.AddBolt("relay", func(int) Bolt { return doubleBolt{} }, 3).SubscribeTo("src", Broadcast{})
 	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 3).SubscribeTo("relay", ownGrouping{})
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestFlusherRunsAfterDrain(t *testing.T) {
 		SubscribeTo("src", Shuffle{})
 	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 1).
 		SubscribeTo("sum", Shuffle{})
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +241,7 @@ func TestMultipleSpoutTasksAndFanIn(t *testing.T) {
 	}, 4)
 	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 1).
 		SubscribeTo("src", Shuffle{})
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestDiamondTopology(t *testing.T) {
 	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 1).
 		SubscribeTo("left", Shuffle{}).
 		SubscribeTo("right", Shuffle{})
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestBackpressureTinyQueues(t *testing.T) {
 		SubscribeTo("src", Shuffle{})
 	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 1).
 		SubscribeTo("mid", Shuffle{})
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func TestOverloadBlockPolicyIsLossless(t *testing.T) {
 	tp.AddBolt("sink", func(int) Bolt {
 		return &slowBolt{delay: 50 * time.Microsecond, seen: &seen}
 	}, 1).SubscribeTo("src", Shuffle{})
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +367,7 @@ func TestValidationErrors(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		if _, err := c.build().Run(); err == nil {
+		if _, err := runChecked(t, c.build()); err == nil {
 			t.Errorf("%s: expected validation error", c.name)
 		}
 	}
@@ -377,7 +378,7 @@ func TestTaskCounters(t *testing.T) {
 	tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: ints(25)} }, 1)
 	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 1).
 		SubscribeTo("src", Shuffle{})
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +409,7 @@ func TestLargeFanOutStress(t *testing.T) {
 		SubscribeTo("src", Shuffle{})
 	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 1).
 		SubscribeTo("work", Shuffle{})
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,26 +448,28 @@ func ExampleTopology() {
 	// Output: 12
 }
 
-// panicBolt explodes on a specific value.
+// panicBolt explodes on every value from on.
 type panicBolt struct{ on int }
 
 func (p panicBolt) Execute(t Tuple, em Emitter) {
-	if int(t.(intTuple)) == p.on {
+	if int(t.(intTuple)) >= p.on {
 		panic("boom")
 	}
 	em.Emit(t)
 }
 
+// TestBoltPanicIsIsolated: four bolt tasks panic at once; every panic is
+// recorded and the topology still drains.
 func TestBoltPanicIsIsolated(t *testing.T) {
-	tp := New("panic", 4)
+	tp := New("panic", 4, WithBatchSize(1))
 	tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: ints(100)} }, 1)
-	tp.AddBolt("mid", func(int) Bolt { return panicBolt{on: 10} }, 1).
+	tp.AddBolt("mid", func(int) Bolt { return panicBolt{on: 10} }, 4).
 		SubscribeTo("src", Shuffle{})
 	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 1).
 		SubscribeTo("mid", Shuffle{})
-	rep, err := tp.Run()
-	if err == nil {
-		t.Fatal("panic not reported")
+	rep, err := runChecked(t, tp)
+	if err == nil || !strings.Contains(err.Error(), "4 task(s) panicked") {
+		t.Fatalf("err = %v, want all 4 panics reported", err)
 	}
 	if rep == nil {
 		t.Fatal("report missing despite partial run")
@@ -479,7 +482,7 @@ func TestSpoutPanicIsIsolated(t *testing.T) {
 	tp.AddSpout("src", func(int) Spout { return panicSpout{} }, 1)
 	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 1).
 		SubscribeTo("src", Shuffle{})
-	if _, err := tp.Run(); err == nil {
+	if _, err := runChecked(t, tp); err == nil {
 		t.Fatal("spout panic not reported")
 	}
 }
@@ -508,7 +511,7 @@ func TestNamedStreams(t *testing.T) {
 		SubscribeTo("split", Shuffle{})
 	tp.AddBolt("odds", func(task int) Bolt { return &collectBolt{task: task} }, 1).
 		SubscribeToStream("split", "odds", Shuffle{})
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,7 +540,7 @@ func TestEmitToUnsubscribedStreamDrops(t *testing.T) {
 	tp.AddBolt("evens", func(task int) Bolt { return &collectBolt{task: task} }, 1).
 		SubscribeTo("split", Shuffle{})
 	// Nobody subscribes to "odds": the topology must still drain.
-	rep, err := tp.Run()
+	rep, err := runChecked(t, tp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,7 +569,7 @@ func TestRandomTopologyConservation(t *testing.T) {
 		}
 		tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 1).
 			SubscribeTo(prev, Shuffle{})
-		rep, err := tp.Run()
+		rep, err := runChecked(t, tp)
 		if err != nil {
 			t.Fatal(err)
 		}

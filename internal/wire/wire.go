@@ -30,51 +30,54 @@ import (
 	"repro/internal/tokens"
 )
 
-// Frame types. Each constant declares its consumer with a handled-by
-// marker; the wirestate analyzer verifies that every declared role has a
-// matching arm in an annotated dispatch switch (or a wire-handled site).
+// Frame types. Each comment names the role that consumes the frame; the
+// other role fails its session on it, as it does on any type not listed
+// here (TestRetiredFlowFramesFailTheSession in internal/remote).
 const (
-	TypeHello  byte = iota + 1 // handled-by: worker
-	TypeRecord                 // handled-by: worker
-	TypeResult                 // handled-by: coordinator
+	// TypeHello opens a session, coordinator→worker; the worker reads it
+	// before its dispatch loop starts.
+	TypeHello byte = iota + 1
+	// TypeRecord carries one record to the worker.
+	TypeRecord
+	// TypeResult carries one probe's result pairs to the coordinator.
+	TypeResult
 	// TypeEOF ends the coordinator's record stream; payload-free, the
-	// worker reacts to the frame type alone. handled-by: worker
+	// worker reacts to the frame type alone.
 	TypeEOF
-	TypeStats // handled-by: coordinator
+	// TypeStats carries the worker's final counters to the coordinator.
+	TypeStats
 	// TypeSnapshot carries an opaque checkpoint blob: coordinator→worker
 	// right after Hello to seed the window, or worker→coordinator after
 	// Stats when the coordinator ended the stream with TypeSnapshotReq.
-	// handled-by: coordinator,worker
+	// Both roles consume it.
 	TypeSnapshot
 	// TypeSnapshotReq replaces TypeEOF when the coordinator wants the
 	// worker's window state back; payload-free like TypeEOF.
-	// handled-by: worker
 	TypeSnapshotReq
 	// TypePing is a coordinator→worker liveness probe; payload-free and
 	// flushed immediately so it cannot sit in the write buffer.
-	// handled-by: worker
 	TypePing
 	// TypePong is the worker's payload-free answer to TypePing, likewise
-	// flushed immediately. handled-by: coordinator
+	// flushed immediately.
 	TypePong
-	// TypeResumeAck answers an FT Hello: the worker reports the stream
-	// cursor it restored from its checkpoint so the coordinator can replay
-	// only the tail, and grants its initial record credit. Payload is two
-	// uvarints — the next record ID the worker expects (0 = nothing
-	// restored, replay all) and the credit window. handled-by: coordinator
+	// TypeResumeAck answers an FT Hello, worker→coordinator: the worker
+	// reports the stream cursor it restored from its checkpoint so the
+	// coordinator can replay only the tail, and grants its initial record
+	// credit. Payload is two uvarints — the next record ID the worker
+	// expects (0 = nothing restored, replay all) and the credit window.
 	TypeResumeAck
 	// Values 11 and 12 were the Pause and Resume frames of protocol
 	// version 6, retired in version 7: record credit is the only flow
 	// control, and a peer that sends either fails the session.
 	_
 	_
-	// TypeCredit grants flow-control credit; payload is one uvarint
-	// delta. Worker→coordinator it means "I processed n more records; send
-	// n more". Coordinator→worker it acknowledges n more results as
-	// received (and, in a durable run, persisted to the results log),
-	// letting the worker drop them from its unacknowledged-result buffer.
-	// Credits are per-connection and reset at each handshake.
-	// handled-by: coordinator,worker
+	// TypeCredit grants flow-control credit, and both roles consume it;
+	// payload is one uvarint delta. Worker→coordinator it means "I
+	// processed n more records; send n more". Coordinator→worker it
+	// acknowledges n more results as received (and, in a durable run,
+	// persisted to the results log), letting the worker drop them from its
+	// unacknowledged-result buffer. Credits are per-connection and reset at
+	// each handshake.
 	TypeCredit
 )
 
