@@ -1,8 +1,7 @@
 // The coordinator's -http surface for remote runs: /metrics (process,
 // journal and, with -ft, coord_* fault counters), /debug/events (the
-// coordinator's journal),
-// /debug/traces, /debug/pprof and a plain /healthz, served for the length
-// of the run.
+// coordinator's journal), /debug/pprof and a plain /healthz, served for the
+// length of the run.
 package main
 
 import (

@@ -4,8 +4,6 @@
 //	ssjoinbench -exp E1         # one experiment
 //	ssjoinbench -records 50000 -workers 8 -seed 7
 //	ssjoinbench -json out.json  # machine-readable results
-//	ssjoinbench -http :8080     # live /metrics, /debug/traces, /debug/pprof
-//	ssjoinbench -trace 1024     # sample one tuple lineage per 1024 tuples
 //	ssjoinbench -list           # inventory
 //
 // Output is aligned text, one table per experiment, matching the
@@ -19,7 +17,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -46,14 +43,12 @@ type runRecord struct {
 // the machine's core budget each run used, so BENCH_*.json entries stay
 // comparable across machines.
 type jsonReport struct {
-	Records       int         `json:"records"`
-	Workers       int         `json:"workers"`
-	Seed          int64       `json:"seed"`
-	GOMAXPROCS    int         `json:"gomaxprocs"`
-	NumCPU        int         `json:"num_cpu"`
-	TraceEvery    int         `json:"trace_every,omitempty"`
-	TracesSampled uint64      `json:"traces_sampled,omitempty"`
-	Experiments   []runRecord `json:"experiments"`
+	Records     int         `json:"records"`
+	Workers     int         `json:"workers"`
+	Seed        int64       `json:"seed"`
+	GOMAXPROCS  int         `json:"gomaxprocs"`
+	NumCPU      int         `json:"num_cpu"`
+	Experiments []runRecord `json:"experiments"`
 }
 
 func main() {
@@ -67,8 +62,6 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file at exit")
 		jsonOut = flag.String("json", "", "also write machine-readable results to this file")
-		httpAd  = flag.String("http", "", "serve /metrics, /debug/traces, and /debug/pprof on this address during the run")
-		traceN  = flag.Int("trace", 0, "sample one tuple lineage every N tuples (0 = tracing off)")
 	)
 	flag.Parse()
 
@@ -104,34 +97,12 @@ func main() {
 		scale.Seed = *seed
 	}
 	// Observability is opt-in: the registry (and the per-run instrumentation
-	// it switches on inside the engine) only exists when something will
-	// consume it, so plain benchmark runs keep the uninstrumented hot path.
-	var (
-		reg    *obs.Registry
-		tracer *obs.Tracer
-	)
-	if *traceN > 0 {
-		tracer = obs.NewTracer(*traceN, 256)
-	}
-	if *jsonOut != "" || *httpAd != "" || tracer != nil {
+	// it switches on inside the engine) only exists when -json will snapshot
+	// it, so plain benchmark runs keep the uninstrumented hot path.
+	var reg *obs.Registry
+	if *jsonOut != "" {
 		reg = obs.NewRegistry()
-		obs.RegisterProcessMetrics(reg)
 		scale.Registry = reg
-		scale.Tracer = tracer
-	}
-	if *httpAd != "" {
-		journal := obs.NewJournal(0)
-		journal.RegisterMetrics(reg)
-		mux := http.NewServeMux()
-		obs.AttachDebug(mux, obs.DebugOptions{Registry: reg, Tracer: tracer, Journal: journal})
-		srv := &http.Server{Addr: *httpAd, Handler: mux}
-		go func() {
-			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "ssjoinbench: debug server:", err)
-			}
-		}()
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "ssjoinbench: serving /metrics, /debug/traces, /debug/events, /debug/pprof on %s\n", *httpAd)
 	}
 
 	var runs []experiments.Experiment
@@ -191,13 +162,6 @@ func main() {
 			rec.Metrics = reg.Snapshot()
 		}
 		report.Experiments = append(report.Experiments, rec)
-	}
-	if tracer != nil {
-		report.TraceEvery = *traceN
-		report.TracesSampled = tracer.Sampled()
-		if *format == "text" {
-			fmt.Printf("traces sampled: %d (1 per %d tuples)\n", tracer.Sampled(), *traceN)
-		}
 	}
 
 	if *jsonOut != "" {

@@ -36,7 +36,7 @@ func main() {
 func run() int {
 	var (
 		listen   = flag.String("listen", ":7401", "TCP address to listen on")
-		httpAddr = flag.String("http", "", "optional HTTP address serving /healthz, /stats, /metrics, /debug/traces, /debug/events, and /debug/pprof")
+		httpAddr = flag.String("http", "", "optional HTTP address serving /healthz, /stats, /metrics, /debug/events, and /debug/pprof")
 		ckptDir  = flag.String("checkpoint-dir", "", "directory for fault-tolerant session checkpoints (empty disables persistence; FT sessions then resume from scratch)")
 		ckptIvl  = flag.Duration("checkpoint-interval", 0, "minimum spacing between periodic window checkpoints (0: checkpoint only on unclean session exit)")
 	)

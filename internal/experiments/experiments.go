@@ -26,11 +26,8 @@ type Scale struct {
 	// Seed for workload generation.
 	Seed int64
 	// Registry, when set, receives live metrics from every topology run an
-	// experiment performs (ssjoinbench -http / -json).
+	// experiment performs (ssjoinbench -json).
 	Registry *obs.Registry
-	// Tracer, when set and enabled, samples tuple lineages during runs
-	// (ssjoinbench -trace N).
-	Tracer *obs.Tracer
 }
 
 // DefaultScale is the CLI default.
@@ -112,8 +109,8 @@ func strategyFor(name string, p filter.Params, recs []*record.Record, k int) dis
 var frameworkNames = []string{"length", "prefix", "broadcast"}
 
 // runTopology executes one distributed join and returns its result. The
-// Scale threads run-wide observability (registry and tracer) into the
-// topology config without widening every experiment's parameter list.
+// Scale threads the run-wide registry into the topology config without
+// widening every experiment's parameter list.
 func runTopology(sc Scale, recs []*record.Record, strat dispatch.Strategy, p filter.Params, k int, alg local.Algorithm, win window.Policy) *topology.Result {
 	res, err := topology.Run(recs, topology.Config{
 		Workers:   k,
@@ -122,7 +119,6 @@ func runTopology(sc Scale, recs []*record.Record, strat dispatch.Strategy, p fil
 		Params:    p,
 		Window:    win,
 		Registry:  sc.Registry,
-		Tracer:    sc.Tracer,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: topology run failed: %v", err))

@@ -6,6 +6,9 @@
 package filter
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/similarity"
 	"repro/internal/tokens"
 )
@@ -16,6 +19,16 @@ import (
 type Params struct {
 	Func      similarity.Func
 	Threshold float64
+}
+
+// Validate refuses a threshold no join runs with: it must be positive and
+// finite, and at most 1 unless Func is Overlap, whose threshold counts
+// shared tokens.
+func (p Params) Validate() error {
+	if !(p.Threshold > 0) || math.IsInf(p.Threshold, 0) || p.Threshold > 1 && p.Func != similarity.Overlap {
+		return fmt.Errorf("%v threshold %v out of range", p.Func, p.Threshold)
+	}
+	return nil
 }
 
 // LengthBounds returns the inclusive [lo, hi] partner-size range compatible

@@ -1,9 +1,8 @@
 // Live introspection endpoints. AttachDebug mounts the observability
 // surface onto any mux: /metrics (Prometheus text exposition),
-// /debug/traces (recent sampled tuple lineages as JSON), /debug/events
-// (the journal) and the standard net/http/pprof handlers under
-// /debug/pprof/. ssjoinworker, ssjoinbench and the ssjoin coordinator
-// serve this mux with -http.
+// /debug/events (the journal) and the standard net/http/pprof handlers
+// under /debug/pprof/. ssjoinworker and the ssjoin coordinator serve this
+// mux with -http.
 package obs
 
 import (
@@ -16,42 +15,21 @@ import (
 )
 
 // DebugOptions selects what AttachDebug mounts. Registry is mandatory;
-// Tracer and Journal are optional and nil-safe.
+// Journal is optional and nil-safe.
 type DebugOptions struct {
 	// Registry backs /metrics.
 	Registry *Registry
-	// Tracer backs /debug/traces.
-	Tracer *Tracer
 	// Journal backs /debug/events.
 	Journal *Journal
 }
 
-// TraceDoc is the /debug/traces JSON document.
-type TraceDoc struct {
-	Sampled uint64          `json:"sampled_total"`
-	Traces  []TraceSnapshot `json:"traces"`
-}
-
-// AttachDebug mounts /metrics, /debug/traces, /debug/events, and
-// /debug/pprof/* on mux according to o.
+// AttachDebug mounts /metrics, /debug/events, and /debug/pprof/* on mux
+// according to o.
 func AttachDebug(mux *http.ServeMux, o DebugOptions) {
-	reg, tracer := o.Registry, o.Tracer
+	reg := o.Registry
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", ExpositionContentType)
 		reg.WriteExposition(w) //nolint:errcheck — best effort over HTTP
-	})
-	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		doc := TraceDoc{Sampled: tracer.Sampled(), Traces: tracer.Recent()}
-		if n, _ := strconv.Atoi(req.URL.Query().Get("n")); n > 0 && n < len(doc.Traces) {
-			doc.Traces = doc.Traces[:n]
-		}
-		if doc.Traces == nil {
-			doc.Traces = []TraceSnapshot{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(doc) //nolint:errcheck — best effort over HTTP
 	})
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

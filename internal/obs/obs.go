@@ -1,9 +1,9 @@
 // Package obs is the runtime observability layer: a process-wide metrics
 // registry unifying counters, gauges, and the log-bucketed latency
 // histograms of internal/metrics behind one Collector interface with
-// name/help metadata, plus a sampling span tracer (trace.go) that records
-// tuple lineage end to end, and HTTP introspection endpoints (debug.go)
-// serving Prometheus text exposition, recent traces, and pprof.
+// name/help metadata, plus a bounded event journal (journal.go) and HTTP
+// introspection endpoints (debug.go) serving Prometheus text exposition,
+// the journal, and pprof.
 //
 // Design constraints, in order:
 //

@@ -19,7 +19,7 @@ var leakChecked sync.Map
 // later (which stop the test's workers), and gives such goroutines up to
 // five seconds to end. The test helpers that start workers or sessions
 // call it, so a test that uses them is checked without asking.
-func checkNoLeaks(t *testing.T) {
+func checkNoLeaks(t testing.TB) {
 	t.Helper()
 	if _, dup := leakChecked.LoadOrStore(t, true); dup {
 		return
@@ -48,7 +48,7 @@ func checkNoLeaks(t *testing.T) {
 // serveTestWorker runs ServeWorkerOpts on ln for the rest of the test:
 // the test's cleanup cancels the worker and waits for it to return, and
 // checkNoLeaks then checks that nothing it started outlives the test.
-func serveTestWorker(t *testing.T, ln net.Listener, o WorkerOpts) {
+func serveTestWorker(t testing.TB, ln net.Listener, o WorkerOpts) {
 	t.Helper()
 	checkNoLeaks(t)
 	ctx, cancel := context.WithCancel(context.Background())

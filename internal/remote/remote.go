@@ -16,7 +16,6 @@ package remote
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/bundle"
@@ -137,13 +136,14 @@ func sessionFromHello(h wire.Hello) (Session, dispatch.Strategy, error) {
 	default:
 		return s, nil, fmt.Errorf("remote: unknown window kind %d", h.WindowKind)
 	}
+	thresholdErr := s.Params.Validate()
 	switch {
 	case h.Workers < 1 || h.Task < 0 || h.Task >= h.Workers:
 		return s, nil, fmt.Errorf("remote: task %d of %d workers", h.Task, h.Workers)
 	case h.Func < 0 || h.Func > int(similarity.Overlap):
 		return s, nil, fmt.Errorf("remote: unknown similarity function %d", h.Func)
-	case !(h.Threshold > 0) || h.Threshold > 1 && s.Params.Func != similarity.Overlap || math.IsInf(h.Threshold, 0):
-		return s, nil, fmt.Errorf("remote: %v threshold %v out of range", s.Params.Func, h.Threshold)
+	case thresholdErr != nil:
+		return s, nil, fmt.Errorf("remote: %w", thresholdErr)
 	case h.Algorithm < 0 || h.Algorithm > int(local.Bundled):
 		return s, nil, fmt.Errorf("remote: unknown algorithm %d", h.Algorithm)
 	case h.Strategy < 0 || h.Strategy >= len(strategyNames):

@@ -24,13 +24,6 @@ func WithRegistry(reg *obs.Registry) Option {
 	return func(tp *Topology) { tp.reg = reg }
 }
 
-// WithJournal routes run lifecycle events (run_start, run_end with task
-// and error counts) onto j. Nil keeps the run silent; events cost nothing
-// on the per-tuple path either way.
-func WithJournal(j *obs.Journal) Option {
-	return func(tp *Topology) { tp.journal = j }
-}
-
 // taskObs holds the per-task latency histograms an instrumented run
 // maintains. Histograms are SyncLatency because scrapes snapshot them while
 // the executor goroutine observes.

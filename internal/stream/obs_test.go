@@ -97,27 +97,3 @@ func TestUninstrumentedRunRegistersNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestWithJournalRecordsRunLifecycle checks that a journaled run brackets
-// itself with run_start/run_end events naming the topology, and that an
-// unjournaled run stays silent (nil-safe Append).
-func TestWithJournalRecordsRunLifecycle(t *testing.T) {
-	j := obs.NewJournal(8)
-	tp := New("journaled", 8, WithJournal(j))
-	tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: ints(10)} }, 1)
-	tp.AddBolt("sink", func(int) Bolt { return &collectBolt{} }, 1).
-		SubscribeTo("src", Shuffle{})
-	if _, err := runChecked(t, tp); err != nil {
-		t.Fatal(err)
-	}
-	evs := j.Recent(0)
-	if len(evs) != 2 {
-		t.Fatalf("journal has %d events, want run_start + run_end: %+v", len(evs), evs)
-	}
-	if evs[0].Type != "run_start" || evs[1].Type != "run_end" {
-		t.Fatalf("event types = %s, %s", evs[0].Type, evs[1].Type)
-	}
-	if evs[0].Component != "stream/journaled" {
-		t.Fatalf("component = %q", evs[0].Component)
-	}
-}

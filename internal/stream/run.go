@@ -278,13 +278,6 @@ func (tp *Topology) Run() (*Report, error) {
 	if tp.reg != nil {
 		tp.registerMetrics(report, tasks)
 	}
-	taskCount := 0
-	for _, name := range tp.order {
-		taskCount += len(tasks[name])
-	}
-	tp.journal.Append("run_start", "stream/"+tp.name,
-		fmt.Sprintf("%d components, %d tasks", len(tp.order), taskCount))
-
 	start := time.Now()
 	var (
 		wg  sync.WaitGroup
@@ -303,13 +296,7 @@ func (tp *Topology) Run() (*Report, error) {
 	}
 	wg.Wait()
 	report.Elapsed = time.Since(start)
-	if err := rec.err(); err != nil {
-		tp.journal.Append("run_end", "stream/"+tp.name, "failed: "+err.Error())
-		return report, err
-	}
-	tp.journal.Append("run_end", "stream/"+tp.name,
-		fmt.Sprintf("clean after %v", report.Elapsed.Round(time.Millisecond)))
-	return report, nil
+	return report, rec.err()
 }
 
 // panicRecorder collects task-panic errors from concurrently failing

@@ -182,7 +182,6 @@ type Topology struct {
 	order     []string
 	err       error
 	reg       *obs.Registry
-	journal   *obs.Journal
 }
 
 // Option tunes a Topology at construction time.

@@ -29,9 +29,6 @@ type RecTuple struct {
 	Rec   *record.Record
 	Enq   time.Time
 	Right bool
-	// Trace is non-nil on the 1-in-N tuples the run's Tracer sampled; each
-	// stage appends its span to it. Nil on the unsampled fast path.
-	Trace *obs.Trace
 }
 
 // SizeBytes approximates the wire size: record header (id + time + length)
@@ -96,12 +93,6 @@ type Config struct {
 	// Registry, when set, receives the run's live metrics: engine edge and
 	// task series plus per-worker record latency and joiner statistics.
 	Registry *obs.Registry
-	// Tracer, when set and enabled, samples tuple lineages end to end
-	// (emit → dispatch → queue → process/verify).
-	Tracer *obs.Tracer
-	// Journal, when set, receives run lifecycle events from the stream
-	// engine (run_start/run_end). Nil keeps the run silent.
-	Journal *obs.Journal
 }
 
 func (c Config) validate() error {
@@ -111,8 +102,8 @@ func (c Config) validate() error {
 	if c.Strategy == nil {
 		return fmt.Errorf("topology: Strategy is required")
 	}
-	if c.Params.Threshold <= 0 {
-		return fmt.Errorf("topology: Params.Threshold must be positive")
+	if err := c.Params.Validate(); err != nil {
+		return fmt.Errorf("topology: %w", err)
 	}
 	return nil
 }
@@ -151,15 +142,11 @@ func (r *Result) Throughput() metrics.Throughput {
 
 // sourceSpout replays a slice of records, stamping ingestion time; right
 // holds each record's side on two-stream runs and is nil on self-joins.
-// When a tracer is attached it asks for a sample per record: the unsampled
-// path is one atomic add, the sampled one starts the tuple's lineage with
-// an emit span.
 type sourceSpout struct {
-	recs   []*record.Record
-	right  []bool
-	i      int
-	tracer *obs.Tracer
-	slab   recSlab
+	recs  []*record.Record
+	right []bool
+	i     int
+	slab  recSlab
 }
 
 // Next implements stream.Spout.
@@ -173,33 +160,16 @@ func (s *sourceSpout) Next() (stream.Tuple, bool) {
 		rt.Right = s.right[s.i]
 	}
 	s.i++
-	if tr := s.tracer.Sample(); tr != nil {
-		tr.Append("emit", "source", 0, -1, rt.Enq, rt.Enq)
-		rt.Trace = tr
-	}
 	return rt, true
 }
 
 // dispatcherBolt forwards records; routing happens in the grouping between
 // dispatcher and workers, mirroring how Storm topologies separate the
-// routing decision (grouping) from operator logic. traced gates the
-// per-tuple type assertion so untraced runs forward with zero overhead.
-type dispatcherBolt struct {
-	task   int
-	traced bool
-}
+// routing decision (grouping) from operator logic.
+type dispatcherBolt struct{}
 
-// Execute implements stream.Bolt. Every dispatcher sees every record; the
-// first to reach a sampled one records its dispatch span, and each records
-// or finds it before passing the tuple on, so it precedes every worker span.
-func (d dispatcherBolt) Execute(t stream.Tuple, em stream.Emitter) {
-	if d.traced {
-		if rt := t.(*RecTuple); rt.Trace != nil {
-			rt.Trace.AppendOnce("dispatch", "dispatcher", d.task, time.Now())
-		}
-	}
-	em.Emit(t)
-}
+// Execute implements stream.Bolt.
+func (dispatcherBolt) Execute(t stream.Tuple, em stream.Emitter) { em.Emit(t) }
 
 // ownedRoute is the dispatcher → worker grouping: the strategy's route,
 // kept to the workers w with w mod d equal to the producing dispatcher. A
@@ -248,13 +218,11 @@ type workerBolt struct {
 	// bi replaces joiner in two-stream runs.
 	bi *local.BiJoiner
 	// emitFn is the per-match callback handed to the joiner, bound once at
-	// construction; cur* carry the record under probe so the hot path does
+	// construction; curRec carries the record under probe so the hot path does
 	// not allocate a fresh closure per record. Bolts run single-threaded,
 	// so the fields need no locking.
-	emitFn       func(local.Match)
-	curRec       *record.Record
-	curTrace     *obs.Trace
-	curQueueSpan int
+	emitFn func(local.Match)
+	curRec *record.Record
 	// pairs keeps the worker's results in the order it found them when
 	// collect is set.
 	collect bool
@@ -287,9 +255,9 @@ func (w *workerBolt) ExecuteBatch(ts []stream.Tuple, _ stream.Emitter) {
 
 // emitMatch is the joiner's per-match callback: strategy arbitration, then
 // the worker counts the pair and, when collecting, keeps it. It reads the
-// record under probe from the cur* fields step binds, so the same bound
+// record under probe from the curRec field step binds, so the same bound
 // method value serves every record without a per-record closure
-// allocation. A sampled record's lineage ends at its verify spans.
+// allocation.
 //
 // One call per result pair; a collecting worker's pairs grow by amortized
 // self-append only.
@@ -300,10 +268,6 @@ func (w *workerBolt) emitMatch(m local.Match) {
 	w.results++
 	if w.collect {
 		w.pairs = append(w.pairs, record.NewPair(w.curRec.ID, m.ID, m.Sim))
-	}
-	if w.curTrace != nil {
-		now := time.Now()
-		w.curTrace.Append("verify", "worker", w.task, w.curQueueSpan, now, now)
 	}
 }
 
@@ -321,23 +285,11 @@ func (w *workerBolt) step(rt *RecTuple) {
 	if store {
 		w.stored++
 	}
-	// For a sampled tuple, close the queue span (source/dispatch emit to
-	// worker receipt) before the join so the verify spans can hang off it.
-	queueSpan := -1
-	var pstart time.Time
-	if rt.Trace != nil {
-		parent, prev := rt.Trace.Tail()
-		pstart = time.Now()
-		queueSpan = rt.Trace.Append("queue", "worker", w.task, parent, prev, pstart)
-	}
-	w.curRec, w.curTrace, w.curQueueSpan = r, rt.Trace, queueSpan
+	w.curRec = r
 	if w.bi != nil {
 		w.bi.StepSide(r, rt.Right, store, w.emitFn)
 	} else {
 		w.joiner.Step(r, store, w.emitFn)
-	}
-	if rt.Trace != nil {
-		rt.Trace.Append("process", "worker", w.task, queueSpan, pstart, time.Now())
 	}
 	if w.slat != nil {
 		w.slat.Observe(time.Since(rt.Enq))
@@ -442,17 +394,12 @@ func run(cfg Config, recs []*record.Record, right []bool) (*Result, error) {
 	if cfg.Registry != nil {
 		streamOpts = append(streamOpts, stream.WithRegistry(cfg.Registry))
 	}
-	if cfg.Journal != nil {
-		streamOpts = append(streamOpts, stream.WithJournal(cfg.Journal))
-	}
 	tp := stream.New("ssjoin-"+cfg.Strategy.Name(), queueCap, streamOpts...)
 	tp.AddSpout("source", func(int) stream.Spout {
-		return &sourceSpout{recs: recs, right: right, tracer: cfg.Tracer}
+		return &sourceSpout{recs: recs, right: right}
 	}, 1)
-	traced := cfg.Tracer.Enabled()
-	tp.AddBolt("dispatcher", func(task int) stream.Bolt {
-		return dispatcherBolt{task: task, traced: traced}
-	}, route.d).SubscribeTo("source", stream.Broadcast{})
+	tp.AddBolt("dispatcher", func(int) stream.Bolt { return dispatcherBolt{} }, route.d).
+		SubscribeTo("source", stream.Broadcast{})
 
 	jopts := local.Options{Params: cfg.Params, Window: cfg.Window, Bundle: cfg.Bundle}
 	tp.AddBolt("worker", func(task int) stream.Bolt {

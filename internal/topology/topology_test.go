@@ -264,6 +264,7 @@ func TestConfigValidation(t *testing.T) {
 		{Workers: 0, Strategy: dispatch.BroadcastBased{}, Params: p},
 		{Workers: 2, Strategy: nil, Params: p},
 		{Workers: 2, Strategy: dispatch.BroadcastBased{}},
+		{Workers: 2, Strategy: dispatch.BroadcastBased{}, Params: params(math.NaN())},
 	}
 	for i, cfg := range cases {
 		if _, err := Run(recs, cfg); err == nil {

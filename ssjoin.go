@@ -138,11 +138,9 @@ func (c Config) build() (filter.Params, window.Policy, local.Algorithm, bundle.C
 	if err != nil {
 		return filter.Params{}, nil, 0, bundle.Config{}, err
 	}
-	if c.Threshold <= 0 {
-		return filter.Params{}, nil, 0, bundle.Config{}, fmt.Errorf("ssjoin: Threshold must be positive, got %v", c.Threshold)
-	}
-	if f != similarity.Overlap && c.Threshold > 1 {
-		return filter.Params{}, nil, 0, bundle.Config{}, fmt.Errorf("ssjoin: %v threshold must be in (0,1], got %v", f, c.Threshold)
+	params := filter.Params{Func: f, Threshold: c.Threshold}
+	if err := params.Validate(); err != nil {
+		return filter.Params{}, nil, 0, bundle.Config{}, fmt.Errorf("ssjoin: %w", err)
 	}
 	if c.WindowRecords < 0 || c.WindowTicks < 0 {
 		return filter.Params{}, nil, 0, bundle.Config{}, fmt.Errorf("ssjoin: window sizes must be non-negative")
@@ -156,7 +154,6 @@ func (c Config) build() (filter.Params, window.Policy, local.Algorithm, bundle.C
 	} else if c.WindowTicks > 0 {
 		win = window.Time{Span: c.WindowTicks}
 	}
-	params := filter.Params{Func: f, Threshold: c.Threshold}
 	bcfg := bundle.Config{
 		GroupThreshold: c.GroupThreshold,
 		MaxMembers:     c.MaxBundle,

@@ -1,6 +1,7 @@
 package ssjoin
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -15,6 +16,8 @@ func TestNewStreamValidation(t *testing.T) {
 		{Threshold: 0.8, WindowRecords: 5, WindowTicks: 5}, // both windows
 		{Threshold: 0.8, Function: Similarity(99)},
 		{Threshold: 0.8, Algorithm: Algorithm(99)},
+		{Threshold: math.NaN()},                     // NaN
+		{Threshold: math.Inf(1), Function: Overlap}, // infinite overlap count
 	}
 	for i, cfg := range bad {
 		if _, err := NewStream(cfg); err == nil {
