@@ -1,6 +1,6 @@
 // Command promcheck validates Prometheus text exposition (format 0.0.4) as
-// served by the /metrics endpoints of ssjoinworker, ssjoinbench and the
-// ssjoin coordinator. It reads a file argument or stdin, parses it with
+// served by the /metrics endpoints of ssjoinworker and the ssjoin
+// coordinator. It reads a file argument or stdin, parses it with
 // obs.ParseExposition, and exits non-zero on malformed input. CI pipes a
 // live worker scrape through it to keep the exposition contract honest
 // without a Prometheus dependency.

@@ -286,7 +286,8 @@ func runRemote(addrList string, recs []*record.Record, tau float64, fn, alg, dis
 		Strategy:  dist,
 		Bundle:    bundle.Config{},
 	}
-	if win > 0 {
+	if win != 0 {
+		// A negative size reaches the session, whose Hello check refuses it.
 		sess.Window = window.Count{N: win}
 	}
 	if dist == "length" {

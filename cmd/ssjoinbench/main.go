@@ -96,14 +96,6 @@ func main() {
 	if *seed != 0 {
 		scale.Seed = *seed
 	}
-	// Observability is opt-in: the registry (and the per-run instrumentation
-	// it switches on inside the engine) only exists when -json will snapshot
-	// it, so plain benchmark runs keep the uninstrumented hot path.
-	var reg *obs.Registry
-	if *jsonOut != "" {
-		reg = obs.NewRegistry()
-		scale.Registry = reg
-	}
 
 	var runs []experiments.Experiment
 	if *expID != "" {
@@ -130,11 +122,14 @@ func main() {
 	}
 	var ms runtime.MemStats
 	for _, e := range runs {
-		if reg != nil {
-			// Fresh registry per experiment so each -json entry snapshots
-			// only its own run; process metrics are re-bound after the wipe.
-			reg.Reset()
-			obs.RegisterProcessMetrics(reg)
+		if *jsonOut != "" {
+			// Observability is opt-in: a registry (and the per-run
+			// instrumentation it switches on inside the engine) only exists
+			// when -json will snapshot it, so plain benchmark runs keep the
+			// uninstrumented hot path. A fresh one per experiment keeps
+			// each -json entry to its own run.
+			scale.Registry = obs.NewRegistry()
+			obs.RegisterProcessMetrics(scale.Registry)
 		}
 		runtime.ReadMemStats(&ms)
 		mallocsBefore := ms.Mallocs
@@ -158,8 +153,8 @@ func main() {
 			Rows:            tab.Rows,
 			Notes:           tab.Notes,
 		}
-		if reg != nil {
-			rec.Metrics = reg.Snapshot()
+		if scale.Registry != nil {
+			rec.Metrics = scale.Registry.Snapshot()
 		}
 		report.Experiments = append(report.Experiments, rec)
 	}

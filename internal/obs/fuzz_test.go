@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // FuzzParseExposition checks the exposition parser two ways. Arbitrary
@@ -99,15 +101,17 @@ func checkSeries(t *testing.T, pm ParsedMetrics, name string, fam Family, want f
 
 // fuzzRegistry reads data as a list of entries — a byte k, a label value
 // of k%16 bytes, 8 bytes of value — and records each one in every kind of
-// family: labelled by the entry's label value and unlabelled.
+// family: labelled by the entry's label value and unlabelled. The families
+// read the recipe's totals at scrape time.
 func fuzzRegistry(data []byte) *Registry {
-	reg := NewRegistry()
-	records := reg.Counter("fz_records_total", "entries read")
-	last := reg.Gauge("fz_last", "the last entry's value")
-	steps := reg.Histogram("fz_step_seconds", "every entry's duration")
-	edges := reg.CounterVec("fz_edge_total", "value per label", "edge")
-	levels := reg.GaugeVec("fz_level", "value per label, non-finite included", "edge")
-	tasks := reg.HistogramVec("fz_task_seconds", "durations per label", "task")
+	var (
+		records uint64
+		last    float64
+		steps   metrics.Latency
+		edges   = map[string]*uint64{}
+		levels  = map[string]*float64{}
+		tasks   = map[string]*metrics.Latency{}
+	)
 	for len(data) > 0 {
 		k := data[0]
 		data = data[1:]
@@ -127,12 +131,29 @@ func fuzzRegistry(data []byte) *Registry {
 			v = math.NaN()
 		}
 		d := time.Duration(bits % 1e10)
-		records.Inc()
-		last.Set(v)
+		records++
+		last = v
 		steps.Observe(d)
-		edges.With(label).Add(bits)
-		levels.With(label).Set(v)
-		tasks.With(label).Observe(d)
+		if edges[label] == nil {
+			edges[label], levels[label], tasks[label] = new(uint64), new(float64), new(metrics.Latency)
+		}
+		*edges[label] += bits
+		*levels[label] = v
+		tasks[label].Observe(d)
+	}
+
+	reg := NewRegistry()
+	reg.CounterFunc("fz_records_total", "entries read", func() float64 { return float64(records) })
+	reg.GaugeFunc("fz_last", "the last entry's value", func() float64 { return last })
+	reg.HistogramFunc("fz_step_seconds", "every entry's duration", func() metrics.Latency { return steps })
+	edgeVec := reg.CounterVec("fz_edge_total", "value per label", "edge")
+	levelVec := reg.GaugeVec("fz_level", "value per label, non-finite included", "edge")
+	taskVec := reg.HistogramVec("fz_task_seconds", "durations per label", "task")
+	for label, e := range edges {
+		l, tk := levels[label], tasks[label]
+		edgeVec.SetFunc(label, func() float64 { return float64(*e) })
+		levelVec.SetFunc(label, func() float64 { return *l })
+		taskVec.SetFunc(label, func() metrics.Latency { return *tk })
 	}
 	return reg
 }

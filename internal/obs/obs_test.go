@@ -3,55 +3,82 @@ package obs
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
+
+// mustPanic runs register and fails the test unless it panics.
+func mustPanic(t *testing.T, what string, register func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: registered without a panic", what)
+		}
+	}()
+	register()
+}
 
 func TestRegistryNamingRules(t *testing.T) {
 	reg := NewRegistry()
-	if err := reg.Register(&Counter{desc: Desc{Name: "BadName", Help: "x"}}); err == nil {
-		t.Fatal("camel-case name accepted")
-	}
-	if err := reg.Register(&Counter{desc: Desc{Name: "ok_name", Help: ""}}); err == nil {
-		t.Fatal("empty help accepted")
-	}
-	if err := reg.Register(&Counter{desc: Desc{Name: "ok_name", Help: "h"}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register(&Counter{desc: Desc{Name: "ok_name", Help: "h"}}); err == nil {
-		t.Fatal("duplicate accepted")
+	zero := func() float64 { return 0 }
+	mustPanic(t, "camel-case name", func() { reg.CounterFunc("BadName", "x", zero) })
+	mustPanic(t, "empty help", func() { reg.CounterFunc("ok_name", "", zero) })
+	reg.CounterFunc("ok_name", "h", zero)
+	mustPanic(t, "kind clash", func() { reg.GaugeFunc("ok_name", "h", zero) })
+	mustPanic(t, "label clash", func() { reg.CounterVec("ok_name", "h", "edge") })
+	reg.GaugeVec("per_edge", "h", "edge")
+	mustPanic(t, "label key clash", func() { reg.GaugeVec("per_edge", "h", "task") })
+	mustPanic(t, "unlabeled over labeled", func() { reg.GaugeFunc("per_edge", "h", zero) })
+	if fams := reg.Gather(); len(fams) != 2 {
+		t.Fatalf("a refused registration left a family: %+v", fams)
 	}
 }
 
+// TestGetOrCreateAndReplaceSemantics: registering a name again rebinds its
+// reader, and a *Vec constructor finds the family again with its children.
 func TestGetOrCreateAndReplaceSemantics(t *testing.T) {
 	reg := NewRegistry()
-	c1 := reg.Counter("requests_total", "requests")
-	c1.Add(3)
-	c2 := reg.Counter("requests_total", "requests")
-	if c1 != c2 || c2.Value() != 3 {
-		t.Fatalf("get-or-create returned a different counter")
-	}
+	var first, second atomic.Uint64
+	first.Store(3)
+	second.Store(5)
+	reg.CounterFunc("requests_total", "requests", func() float64 { return float64(first.Load()) })
+	reg.CounterFunc("requests_total", "requests", func() float64 { return float64(second.Load()) })
 	reg.GaugeFunc("depth", "queue depth", func() float64 { return 1 })
 	reg.GaugeFunc("depth", "queue depth", func() float64 { return 2 })
-	fams := reg.Gather()
-	for _, f := range fams {
-		if f.Desc.Name == "depth" && f.Samples[0].Value != 2 {
-			t.Fatalf("GaugeFunc did not rebind: %v", f.Samples[0].Value)
-		}
+	reg.GaugeVec("load", "per-task load", "task").SetFunc("0", func() float64 { return 1 })
+	reg.GaugeVec("load", "per-task load", "task").SetFunc("1", func() float64 { return 7 })
+	reg.GaugeVec("load", "per-task load", "task").SetFunc("0", func() float64 { return 4 })
+	got := map[string][]Sample{}
+	for _, f := range reg.Gather() {
+		got[f.Desc.Name] = f.Samples
+	}
+	if s := got["requests_total"]; len(s) != 1 || s[0].Value != 5 {
+		t.Fatalf("CounterFunc did not rebind: %+v", s)
+	}
+	if s := got["depth"]; len(s) != 1 || s[0].Value != 2 {
+		t.Fatalf("GaugeFunc did not rebind: %+v", s)
+	}
+	if s := got["load"]; len(s) != 2 || s[0].Value != 4 || s[1].Value != 7 {
+		t.Fatalf("GaugeVec children: %+v", s)
 	}
 }
 
 func TestVecLabels(t *testing.T) {
 	reg := NewRegistry()
+	var ab, bc atomic.Uint64
 	cv := reg.CounterVec("edge_tuples_total", "tuples per edge", "edge")
-	cv.With("a->b").Add(5)
-	cv.With("b->c").Add(7)
-	cv.With("a->b").Inc()
+	cv.SetFunc("b->c", func() float64 { return float64(bc.Load()) })
+	cv.SetFunc("a->b", func() float64 { return float64(ab.Load()) })
+	ab.Add(5)
+	bc.Add(7)
+	ab.Add(1)
 	fams := reg.Gather()
 	if len(fams) != 1 || len(fams[0].Samples) != 2 {
 		t.Fatalf("gather: %+v", fams)
@@ -65,16 +92,17 @@ func TestVecLabels(t *testing.T) {
 	}
 }
 
-// TestExpositionRoundTrip writes a registry with all collector kinds and
+// TestExpositionRoundTrip writes a registry with all family kinds and
 // parses it back, checking values, labels, and histogram series survive.
 func TestExpositionRoundTrip(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("tuples_total", "total tuples").Add(42)
-	reg.Gauge("queue_depth", "current depth").Set(3.5)
+	reg.CounterFunc("tuples_total", "total tuples", func() float64 { return 42 })
+	reg.GaugeFunc("queue_depth", "current depth", func() float64 { return 3.5 })
 	gv := reg.GaugeVec("load", "per-worker load", "task")
-	gv.With(`0`).Set(1.25)
-	gv.With(`with"quote`).Set(2)
-	h := reg.Histogram("process_seconds", "per-record latency")
+	gv.SetFunc(`0`, func() float64 { return 1.25 })
+	gv.SetFunc(`with"quote`, func() float64 { return 2 })
+	var h metrics.SyncLatency
+	reg.HistogramFunc("process_seconds", "per-record latency", h.Snapshot)
 	for _, d := range []time.Duration{time.Microsecond, 3 * time.Microsecond, time.Millisecond} {
 		h.Observe(d)
 	}
@@ -146,8 +174,12 @@ func TestParseExpositionRejectsGarbage(t *testing.T) {
 
 func TestSnapshotJSONShape(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("a_total", "a").Add(1)
-	reg.Histogram("b_seconds", "b").Observe(time.Millisecond)
+	var a atomic.Uint64
+	var b metrics.SyncLatency
+	reg.CounterFunc("a_total", "a", func() float64 { return float64(a.Load()) })
+	reg.HistogramFunc("b_seconds", "b", b.Snapshot)
+	a.Add(1)
+	b.Observe(time.Millisecond)
 	snap := reg.Snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("snapshot: %+v", snap)
@@ -163,7 +195,9 @@ func TestSnapshotJSONShape(t *testing.T) {
 
 func TestDebugMuxEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("hits_total", "hits").Inc()
+	var hits atomic.Uint64
+	reg.CounterFunc("hits_total", "hits", func() float64 { return float64(hits.Load()) })
+	hits.Add(1)
 	RegisterProcessMetrics(reg)
 
 	mux := http.NewServeMux()
@@ -200,38 +234,30 @@ func TestDebugMuxEndpoints(t *testing.T) {
 	}
 }
 
-func TestGaugeAdd(t *testing.T) {
-	var g Gauge
-	g.Set(1.5)
-	g.Add(2.5)
-	if g.Value() != 4 {
-		t.Fatalf("gauge = %v", g.Value())
-	}
-	if math.IsNaN(g.Value()) {
-		t.Fatal("NaN")
-	}
-}
-
 // TestRegistryAndJournalUnderConcurrentUse drives one registry and one
 // journal from several goroutines at once, as concurrent runs and scrapes
-// sharing them do: registration, get-or-create, labeled children, gathers
+// sharing them do: registrations, rebindings, labeled children, gathers
 // and appends interleave, and every count adds up afterwards.
 func TestRegistryAndJournalUnderConcurrentUse(t *testing.T) {
 	const workers, rounds = 4, 200
 	reg := NewRegistry()
 	j := NewJournal(64)
-	cv := reg.CounterVec("edge_tuples_total", "tuples per edge", "edge")
+	var shared atomic.Uint64
+	edges := make([]atomic.Uint64, rounds)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := reg.Register(&Counter{desc: Desc{Name: fmt.Sprintf("own_%d_total", w), Help: "h"}}); err != nil {
-				t.Error(err)
-			}
+			var own atomic.Uint64
+			reg.CounterFunc(fmt.Sprintf("own_%d_total", w), "h", func() float64 { return float64(own.Load()) })
 			for i := 0; i < rounds; i++ {
-				reg.Counter("shared_total", "shared").Inc()
-				cv.With(fmt.Sprint(i)).Inc()
+				reg.CounterFunc("shared_total", "shared", func() float64 { return float64(shared.Load()) })
+				reg.CounterVec("edge_tuples_total", "tuples per edge", "edge").
+					SetFunc(fmt.Sprint(i), func() float64 { return float64(edges[i].Load()) })
+				shared.Add(1)
+				edges[i].Add(1)
+				own.Add(1)
 				j.Append("tick", "comp", "m")
 				if i%50 == 0 {
 					reg.Gather()
@@ -241,19 +267,21 @@ func TestRegistryAndJournalUnderConcurrentUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	var shared, edges float64
+	var sharedN, edgeN, ownN float64
 	for _, f := range reg.Gather() {
 		for _, s := range f.Samples {
-			switch f.Desc.Name {
-			case "shared_total":
-				shared += s.Value
-			case "edge_tuples_total":
-				edges += s.Value
+			switch {
+			case f.Desc.Name == "shared_total":
+				sharedN += s.Value
+			case f.Desc.Name == "edge_tuples_total":
+				edgeN += s.Value
+			case strings.HasPrefix(f.Desc.Name, "own_"):
+				ownN += s.Value
 			}
 		}
 	}
-	if shared != workers*rounds || edges != workers*rounds {
-		t.Fatalf("shared_total %v, edge_tuples_total %v, want %d each", shared, edges, workers*rounds)
+	if sharedN != workers*rounds || edgeN != workers*rounds || ownN != workers*rounds {
+		t.Fatalf("shared_total %v, edge_tuples_total %v, own_*_total %v, want %d each", sharedN, edgeN, ownN, workers*rounds)
 	}
 	if got := j.Appended(); got != workers*rounds {
 		t.Fatalf("journal appended %d, want %d", got, workers*rounds)

@@ -304,8 +304,8 @@ func TestRunFTDuplicatedResultFramesCountOnce(t *testing.T) {
 		t.Fatalf("%d reconnects: the exact counts below assume one connection per worker", sum.Reconnects)
 	}
 	// Every pair arrived twice, so every pair was dropped as a duplicate once.
-	if dups := reg.Counter("coord_duplicate_results_total", "").Value(); dups != uint64(len(want)) {
-		t.Errorf("%d duplicate pairs dropped, want %d", dups, len(want))
+	if dups := gathered(reg, "coord_duplicate_results_total"); dups != float64(len(want)) {
+		t.Errorf("%v duplicate pairs dropped, want %d", dups, len(want))
 	}
 	logRes, err := ReadResultsLog(state)
 	if err != nil {

@@ -57,6 +57,7 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/dispatch"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/record"
 	"repro/internal/wire"
@@ -85,51 +86,14 @@ type FT struct {
 	// run left under the same ID. Runs sharing the workers at the same time
 	// need distinct IDs.
 	SessionID uint64
-	// Registry receives the coordinator's fault metrics; nil keeps them
-	// private to the run. The summary's Retries, Reconnects and
-	// ReplayedRecords are read from these counters, so runs sharing a
-	// registry at the same time report their combined counts.
+	// Registry, when set, publishes the run's fault counts as the coord_*
+	// series. A later run registered on it rebinds them, so the registry
+	// describes the most recent run.
 	Registry *obs.Registry
 	// Durable enables persistent session state (ingest/results logs plus a
 	// manifest under Durable.StateDir) making the run resumable after a
 	// coordinator crash. Requires a non-zero SessionID.
 	Durable *Durable
-}
-
-// ftMetrics holds the coordinator-side fault instruments, the one count of
-// each fault event.
-type ftMetrics struct {
-	retries    *obs.Counter
-	reconnects *obs.Counter
-	replayed   *obs.Counter
-	dupResults *obs.Counter
-	dead       *obs.Gauge
-	recovery   *obs.Histogram
-}
-
-func newFTMetrics(reg *obs.Registry) ftMetrics {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	return ftMetrics{
-		retries: reg.Counter("coord_retries_total",
-			"Failed worker connection attempts, including the first."),
-		reconnects: reg.Counter("coord_reconnects_total",
-			"Successful worker reconnections after a transport failure."),
-		replayed: reg.Counter("coord_replayed_records_total",
-			"Records re-sent to workers during recovery."),
-		dupResults: reg.Counter("coord_duplicate_results_total",
-			"Result pairs received again and not collected: replays and transport duplicates."),
-		dead: reg.Gauge("coord_dead_workers",
-			"Workers declared dead after exhausting the retry budget."),
-		recovery: reg.Histogram("coord_recovery_seconds",
-			"Time from first failure to successful reconnection."),
-	}
-}
-
-// counts reads the retries, reconnects and replayed records counted so far.
-func (m ftMetrics) counts() [3]uint64 {
-	return [3]uint64{m.retries.Value(), m.reconnects.Value(), m.replayed.Value()}
 }
 
 // ftRunner owns one RunFT invocation.
@@ -141,7 +105,6 @@ type ftRunner struct {
 	strat   dispatch.Strategy
 	ft      FT
 	dial    Dialer
-	met     ftMetrics
 	journal *obs.Journal
 	collect bool
 	start   time.Time
@@ -168,6 +131,33 @@ type ftRunner struct {
 	wg     sync.WaitGroup
 	tuples atomic.Uint64
 	bytes  atomic.Uint64
+
+	// The run's fault counts: failed connection attempts, reconnections,
+	// records re-sent, result pairs received again, workers declared dead,
+	// and the time from a worker's first failure to its reconnection.
+	retries, reconnects, replayed, dupResults, dead atomic.Uint64
+	recovery                                        metrics.SyncLatency
+}
+
+// publish binds reg's coord_* series to the run's fault counts.
+func (f *ftRunner) publish(reg *obs.Registry) {
+	counter := func(name, help string, c *atomic.Uint64) {
+		reg.CounterFunc(name, help, func() float64 { return float64(c.Load()) })
+	}
+	counter("coord_retries_total",
+		"Failed worker connection attempts, including the first.", &f.retries)
+	counter("coord_reconnects_total",
+		"Successful worker reconnections after a transport failure.", &f.reconnects)
+	counter("coord_replayed_records_total",
+		"Records re-sent to workers during recovery.", &f.replayed)
+	counter("coord_duplicate_results_total",
+		"Result pairs received again and not collected: replays and transport duplicates.", &f.dupResults)
+	reg.GaugeFunc("coord_dead_workers",
+		"Workers declared dead after exhausting the retry budget.",
+		func() float64 { return float64(f.dead.Load()) })
+	reg.HistogramFunc("coord_recovery_seconds",
+		"Time from first failure to successful reconnection.",
+		f.recovery.Snapshot)
 }
 
 // kick wakes worker task's manager without blocking.
@@ -228,7 +218,6 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		strat:   strat,
 		ft:      ft,
 		dial:    dial,
-		met:     newFTMetrics(ft.Registry),
 		journal: opts.Journal,
 		collect: opts.CollectPairs,
 		start:   time.Now(),
@@ -240,6 +229,9 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 	}
 	for i := range f.notify {
 		f.notify[i] = make(chan struct{}, 1)
+	}
+	if ft.Registry != nil {
+		f.publish(ft.Registry)
 	}
 
 	resume := ft.Durable != nil && ft.Durable.Resume
@@ -267,7 +259,6 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		}
 	}
 
-	base := f.met.counts()
 	for i := 0; i < workers; i++ {
 		f.wg.Add(1)
 		go func(task int) {
@@ -297,8 +288,7 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 	sum.Elapsed = time.Since(f.start)
 	sum.TuplesSent = f.tuples.Load()
 	sum.BytesSent = f.bytes.Load()
-	c := f.met.counts()
-	sum.Retries, sum.Reconnects, sum.ReplayedRecords = c[0]-base[0], c[1]-base[1], c[2]-base[2]
+	sum.Retries, sum.Reconnects, sum.ReplayedRecords = f.retries.Load(), f.reconnects.Load(), f.replayed.Load()
 	return sum, nil
 }
 
@@ -349,7 +339,7 @@ func (f *ftRunner) manage(ctx context.Context, task int, resume bool) {
 		if failSince.IsZero() {
 			failSince = time.Now()
 		}
-		f.met.retries.Inc()
+		f.retries.Add(1)
 		f.journal.Append("retry", "coordinator",
 			fmt.Sprintf("worker %d attempt %d failed: %v", task, failures, err))
 		if failures > f.ft.Retry.MaxAttempts {
@@ -453,13 +443,13 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 				switch {
 				case started && first+n <= expected:
 					// A duplicate of a frame this connection delivered.
-					f.met.dupResults.Add(n)
+					f.dupResults.Add(n)
 					continue
 				case started && first != expected:
 					rerr = fmt.Errorf("remote: worker %d sent results numbered from %d, want %d", task, first, expected)
 				case first+n <= got.results:
 					// A replay of collected results: acknowledged, not kept.
-					f.met.dupResults.Add(n)
+					f.dupResults.Add(n)
 				case first != got.results:
 					rerr = fmt.Errorf("remote: worker %d sent results %d to %d, %d collected", task, first, first+n, got.results)
 				default:
@@ -565,8 +555,8 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 	recs := f.recs
 	pos := sort.Search(len(recs), func(i int) bool { return uint64(recs[i].ID) >= next })
 	if !failSince.IsZero() {
-		f.met.reconnects.Inc()
-		f.met.recovery.Observe(time.Since(failSince))
+		f.reconnects.Add(1)
+		f.recovery.Observe(time.Since(failSince))
 		f.journal.Append("reconnect", "coordinator",
 			fmt.Sprintf("worker %d reconnected, resuming from id %d", task, next))
 	}
@@ -640,7 +630,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 				return true, fmt.Errorf("remote: flush to worker %d: %w", task, werr)
 			}
 			f.tuples.Add(uint64(sent))
-			f.met.replayed.Add(uint64(resent))
+			f.replayed.Add(uint64(resent))
 			recCredit.Add(-sent)
 			*high = max(*high, pos)
 			continue
@@ -691,7 +681,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 
 // declareDead fails the run: worker task ran out of its retry budget.
 func (f *ftRunner) declareDead(task, failures int, cause error) {
-	f.met.dead.Add(1)
+	f.dead.Add(1)
 	f.journal.Append("worker_dead", "coordinator",
 		fmt.Sprintf("worker %d declared dead after %d attempts: %v", task, failures, cause))
 	f.abort(fmt.Errorf("remote: worker %d dead after %d attempts: %w", task, failures, cause))

@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -477,6 +478,93 @@ func TestRunFTValidation(t *testing.T) {
 	}
 	if n := dials.Load(); n != 0 {
 		t.Errorf("dialled %d times; every case must be refused before dialling", n)
+	}
+}
+
+// TestNegativeWindowRefused: a session with a negative window size is
+// refused by the coordinator's own Hello check, plain and FT alike, before
+// any worker is dialled or written to.
+func TestNegativeWindowRefused(t *testing.T) {
+	checkNoLeaks(t)
+	recs := workload.NewGenerator(workload.UniformSmall(5)).Generate(50)
+	sess := testSession(0.7, "broadcast", nil)
+	sess.Window = window.Count{N: -5}
+	var sink bytes.Buffer
+	if _, err := RunWithOpts(context.Background(), []io.ReadWriter{&sink}, sess, recs, Opts{}); err == nil {
+		t.Error("RunWithOpts accepted a negative window")
+	}
+	if sink.Len() != 0 {
+		t.Errorf("RunWithOpts wrote %d bytes before refusing", sink.Len())
+	}
+	var dials atomic.Int64
+	dial := func(context.Context, int) (io.ReadWriteCloser, error) {
+		dials.Add(1)
+		return nil, errors.New("must not dial")
+	}
+	if _, err := RunFT(context.Background(), dial, 1, sess, recs, Opts{}, fastFT(0x5EF)); err == nil {
+		t.Error("RunFT accepted a negative window")
+	}
+	if n := dials.Load(); n != 0 {
+		t.Errorf("RunFT dialled %d times before refusing", n)
+	}
+}
+
+// gathered reads the unlabeled series name from reg, -1 when it is not
+// registered.
+func gathered(reg *obs.Registry, name string) float64 {
+	for _, f := range reg.Gather() {
+		if f.Desc.Name == name && len(f.Samples) == 1 {
+			return f.Samples[0].Value
+		}
+	}
+	return -1
+}
+
+// TestFTSeriesDescribeTheLatestRun runs RunFT twice on one registry: the
+// first run's dialer fails task 0's first attempt, the second run is
+// clean. The coord_* series follow the latest run, and each summary counts
+// its own run only.
+func TestFTSeriesDescribeTheLatestRun(t *testing.T) {
+	recs := workload.NewGenerator(workload.UniformSmall(11)).Generate(200)
+	sess := testSession(0.7, "broadcast", nil)
+	const k = 2
+	workers := make([]*ftWorker, k)
+	for i := range workers {
+		workers[i] = startFTWorker(t, t.TempDir(), time.Millisecond)
+	}
+	tcp := tcpDialer(func(task int) string { return workers[task].addr })
+	reg := obs.NewRegistry()
+
+	var failed atomic.Bool
+	flaky := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
+		if task == 0 && failed.CompareAndSwap(false, true) {
+			return nil, errors.New("injected: first attempt refused")
+		}
+		return tcp(ctx, task)
+	}
+	ft := fastFT(0x1A7E)
+	ft.Registry = reg
+	sum1, err := RunFT(context.Background(), flaky, k, sess, recs, Opts{}, ft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum1.Retries < 1 {
+		t.Fatalf("first run: %d retries, want at least 1", sum1.Retries)
+	}
+	if got := gathered(reg, "coord_retries_total"); got != float64(sum1.Retries) {
+		t.Errorf("first run: coord_retries_total = %v, summary %d", got, sum1.Retries)
+	}
+
+	ft.SessionID = 0x1A7F
+	sum2, err := RunFT(context.Background(), tcp, k, sess, recs, Opts{}, ft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum2.Retries != 0 {
+		t.Errorf("second run: %d retries, want 0", sum2.Retries)
+	}
+	if got := gathered(reg, "coord_retries_total"); got != 0 {
+		t.Errorf("second run: coord_retries_total = %v, want 0", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package remote
 import (
 	"encoding/json"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,32 +45,6 @@ type Monitor struct {
 	RecordLatency metrics.SyncLatency
 
 	lastCkptNs atomic.Int64 // unix ns of the newest checkpoint write
-
-	// rate state for Load: the reading of its previous call.
-	rateMu    sync.Mutex
-	lastCount uint64    // guarded by rateMu
-	lastTime  time.Time // guarded by rateMu
-}
-
-// Load returns the record throughput (records/second) since the previous
-// Load call — a scrape-to-scrape rate gauge. The first call primes the
-// window and returns 0.
-func (m *Monitor) Load() float64 {
-	m.rateMu.Lock()
-	defer m.rateMu.Unlock()
-	now := time.Now()
-	count := m.RecordsSeen.Load()
-	if m.lastTime.IsZero() {
-		m.lastTime, m.lastCount = now, count
-		return 0
-	}
-	dt := now.Sub(m.lastTime).Seconds()
-	if dt <= 0 {
-		return 0
-	}
-	rate := float64(count-m.lastCount) / dt
-	m.lastTime, m.lastCount = now, count
-	return rate
 }
 
 // MarkCheckpoint stamps the time of the newest checkpoint write; the
@@ -129,8 +102,8 @@ func (m *Monitor) Snapshot() map[string]uint64 {
 }
 
 // RegisterMetrics exposes the monitor through reg: the session/record
-// counters, the in-flight queue-depth gauge, the scrape-to-scrape load
-// gauge, and the session and record latency histograms.
+// counters, the in-flight queue-depth gauge, and the session and record
+// latency histograms. A record rate is rate(worker_records_total).
 func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("worker_sessions_started_total",
 		"Join sessions accepted by this worker.",
@@ -174,9 +147,6 @@ func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 			}
 			return float64(n)
 		})
-	reg.GaugeFunc("worker_load",
-		"Record throughput (records/second) since the previous scrape.",
-		m.Load)
 	reg.HistogramFunc("worker_session_seconds",
 		"Wall time per completed join session.",
 		m.SessionLatency.Snapshot)

@@ -181,20 +181,6 @@ func TestMonitorMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestMonitorLoadRate checks the scrape-to-scrape throughput gauge.
-func TestMonitorLoadRate(t *testing.T) {
-	var mon Monitor
-	if mon.Load() != 0 {
-		t.Fatal("first Load() should prime and return 0")
-	}
-	mon.RecordsSeen.Add(500)
-	time.Sleep(20 * time.Millisecond)
-	rate := mon.Load()
-	if rate <= 0 {
-		t.Fatalf("rate: %v", rate)
-	}
-}
-
 // TestMonitorSnapshotActiveNeverUnderflows races sessions that start and
 // end against Snapshot: sessions_active is started minus ended, and a
 // session that started and ended between two of Snapshot's loads must not
@@ -251,7 +237,7 @@ func TestEveryComponentRegistersItsMetrics(t *testing.T) {
 	}
 	(&Monitor{}).RegisterMetrics(workerReg)
 	tau := filter.Params{Func: similarity.Jaccard, Threshold: 0.7}
-	newFTMetrics(reg)
+	(&ftRunner{}).publish(reg)
 	recs := workload.NewGenerator(workload.AOLLike(9)).Generate(400)
 	res, err := topology.Run(recs, topology.Config{
 		Workers:     k,

@@ -138,6 +138,8 @@ func sessionFromHello(h wire.Hello) (Session, dispatch.Strategy, error) {
 	}
 	thresholdErr := s.Params.Validate()
 	switch {
+	case h.WindowN < 0:
+		return s, nil, fmt.Errorf("remote: negative window size %d", h.WindowN)
 	case h.Workers < 1 || h.Task < 0 || h.Task >= h.Workers:
 		return s, nil, fmt.Errorf("remote: task %d of %d workers", h.Task, h.Workers)
 	case h.Func < 0 || h.Func > int(similarity.Overlap):

@@ -315,7 +315,7 @@ func TestWorkerRefusesInconsistentHello(t *testing.T) {
 	}
 	defer ln.Close()
 	// One line per session the worker ends with an error; the buffer
-	// holds more than the five bad cases, so the worker never blocks.
+	// holds more than the six bad cases, so the worker never blocks.
 	logs := make(chan string, 16)
 	serveTestWorker(t, ln, WorkerOpts{Logf: func(format string, args ...interface{}) {
 		logs <- fmt.Sprintf(format, args...)
@@ -364,6 +364,7 @@ func TestWorkerRefusesInconsistentHello(t *testing.T) {
 		{"func 99", func(h *wire.Hello) { h.Func = 99 }},
 		{"task beyond the workers", func(h *wire.Hello) { h.Task = h.Workers }},
 		{"length without bounds", func(h *wire.Hello) { h.Strategy, h.Bounds = 0, nil }},
+		{"negative count window", func(h *wire.Hello) { h.WindowKind, h.WindowN = 1, -5 }},
 	} {
 		h := valid()
 		tc.edit(&h)
