@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/offline"
 	"repro/internal/record"
-	"repro/internal/tokens"
 )
 
 // JoinBatch computes all pairs with similarity >= the threshold within a
@@ -23,9 +22,7 @@ func JoinBatch(sets [][]uint32, cfg Config) ([]Pair, error) {
 	}
 	recs := make([]*record.Record, len(sets))
 	for i, set := range sets {
-		cp := make([]tokens.Rank, len(set))
-		copy(cp, set)
-		recs[i] = &record.Record{ID: record.ID(i), Tokens: tokens.Dedup(cp)}
+		recs[i] = &record.Record{ID: record.ID(i), Tokens: ownedSet(set)}
 	}
 	pairs, _ := offline.JoinAll(recs, params)
 	out := make([]Pair, len(pairs))

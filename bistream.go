@@ -6,7 +6,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/local"
 	"repro/internal/record"
-	"repro/internal/tokens"
 )
 
 // BiStream joins two record streams R and S online: each AddLeft reports
@@ -37,10 +36,7 @@ func NewBiStream(cfg Config) (*BiStream, error) {
 }
 
 func (b *BiStream) add(tokenSet []uint32, left bool) (uint64, []Match) {
-	set := make([]tokens.Rank, len(tokenSet))
-	copy(set, tokenSet)
-	r := &record.Record{ID: b.nextID, Time: b.tick, Tokens: tokens.Dedup(set)}
-	return b.addRecord(r, left)
+	return b.addRecord(&record.Record{ID: b.nextID, Time: b.tick, Tokens: ownedSet(tokenSet)}, left)
 }
 
 // addRecord joins r, which already carries the next ID and tick and a

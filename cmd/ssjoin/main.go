@@ -155,16 +155,16 @@ func main() {
 	cfg := ssjoin.DistributedConfig{Workers: *workers, CollectPairs: *pairs}
 	cfg.Threshold = *tau
 	cfg.WindowRecords = *win
-	if cfg.Function, err = parseFunc(*fn); err != nil {
+	if cfg.Function, err = parseEnum("similarity", *fn, ssjoin.Jaccard, ssjoin.Cosine, ssjoin.Dice, ssjoin.Overlap); err != nil {
 		fatal(err)
 	}
-	if cfg.Algorithm, err = parseAlg(*alg); err != nil {
+	if cfg.Algorithm, err = parseEnum("algorithm", *alg, ssjoin.Bundle, ssjoin.Prefix, ssjoin.Naive); err != nil {
 		fatal(err)
 	}
-	if cfg.Distribution, err = parseDist(*dist); err != nil {
+	if cfg.Distribution, err = parseEnum("distribution", *dist, ssjoin.LengthBased, ssjoin.PrefixBased, ssjoin.BroadcastBased); err != nil {
 		fatal(err)
 	}
-	if cfg.Partitioner, err = parsePart(*part); err != nil {
+	if cfg.Partitioner, err = parseEnum("partitioner", *part, ssjoin.LoadAware, ssjoin.EvenLength, ssjoin.EvenFrequency); err != nil {
 		fatal(err)
 	}
 
@@ -173,7 +173,7 @@ func main() {
 		fatal(err)
 	}
 
-	if *pairs {
+	if *pairs && !*asJSON {
 		for _, p := range res.Pairs {
 			fmt.Printf("%d %d %.4f\n", p.A, p.B, p.Similarity)
 		}
@@ -213,54 +213,16 @@ func loadRecords(path, profile string, n int, seed int64) ([]*record.Record, err
 	return workload.NewGenerator(prof).Generate(n), nil
 }
 
-func parseFunc(s string) (ssjoin.Similarity, error) {
-	switch s {
-	case "jaccard":
-		return ssjoin.Jaccard, nil
-	case "cosine":
-		return ssjoin.Cosine, nil
-	case "dice":
-		return ssjoin.Dice, nil
-	case "overlap":
-		return ssjoin.Overlap, nil
+// parseEnum returns the value among vals whose String() is s; what names the
+// flag's kind in the error.
+func parseEnum[T fmt.Stringer](what, s string, vals ...T) (T, error) {
+	for _, v := range vals {
+		if v.String() == s {
+			return v, nil
+		}
 	}
-	return 0, fmt.Errorf("unknown similarity %q", s)
-}
-
-func parseAlg(s string) (ssjoin.Algorithm, error) {
-	switch s {
-	case "bundle":
-		return ssjoin.Bundle, nil
-	case "prefix":
-		return ssjoin.Prefix, nil
-	case "naive":
-		return ssjoin.Naive, nil
-	}
-	return 0, fmt.Errorf("unknown algorithm %q", s)
-}
-
-func parseDist(s string) (ssjoin.Distribution, error) {
-	switch s {
-	case "length":
-		return ssjoin.LengthBased, nil
-	case "prefix":
-		return ssjoin.PrefixBased, nil
-	case "broadcast":
-		return ssjoin.BroadcastBased, nil
-	}
-	return 0, fmt.Errorf("unknown distribution %q", s)
-}
-
-func parsePart(s string) (ssjoin.Partitioner, error) {
-	switch s {
-	case "load-aware":
-		return ssjoin.LoadAware, nil
-	case "even-length":
-		return ssjoin.EvenLength, nil
-	case "even-frequency":
-		return ssjoin.EvenFrequency, nil
-	}
-	return 0, fmt.Errorf("unknown partitioner %q", s)
+	var zero T
+	return zero, fmt.Errorf("unknown %s %q", what, s)
 }
 
 // runRemote executes the join on external workers over TCP. Ctrl-C cancels

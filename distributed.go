@@ -6,9 +6,9 @@ import (
 
 	"repro/internal/dispatch"
 	"repro/internal/filter"
+	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/record"
-	"repro/internal/tokens"
 	"repro/internal/topology"
 )
 
@@ -121,9 +121,7 @@ type DistributedResult struct {
 func toRecords(records [][]uint32) []*record.Record {
 	recs := make([]*record.Record, len(records))
 	for i, set := range records {
-		cp := make([]tokens.Rank, len(set))
-		copy(cp, set)
-		recs[i] = &record.Record{ID: record.ID(i), Time: int64(i), Tokens: tokens.Dedup(cp)}
+		recs[i] = &record.Record{ID: record.ID(i), Time: int64(i), Tokens: ownedSet(set)}
 	}
 	return recs
 }
@@ -215,20 +213,9 @@ func summarize(res *topology.Result) *DistributedResult {
 	}
 	loads := make([]float64, len(res.WorkerCosts))
 	for i, c := range res.WorkerCosts {
-		loads[i] = float64(c.VerifySteps + c.Scanned)
+		loads[i] = float64(c.RealizedLoad())
 	}
-	var sum, max float64
-	for _, l := range loads {
-		sum += l
-		if l > max {
-			max = l
-		}
-	}
-	if sum > 0 {
-		out.LoadImbalance = max / (sum / float64(len(loads)))
-	} else {
-		out.LoadImbalance = 1
-	}
+	out.LoadImbalance = metrics.SummarizeLoads(loads).Imbalance
 	for _, p := range res.Pairs {
 		out.Pairs = append(out.Pairs, Pair{A: uint64(p.First), B: uint64(p.Second), Similarity: p.Sim})
 	}

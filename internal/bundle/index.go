@@ -3,7 +3,6 @@ package bundle
 import (
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/filter"
 	"repro/internal/record"
@@ -124,7 +123,6 @@ type Index struct {
 	deadPosts uint64
 
 	stats Stats
-	live  *LiveStats // optional atomic mirror, see PublishLive
 
 	// probe scratch
 	cands []*Bundle
@@ -208,45 +206,6 @@ func (bx *Index) Stats() Stats {
 	s.Postings = uint64(bx.posts.n)
 	s.LiveMembers = uint64(len(bx.fifo) - bx.head)
 	return s
-}
-
-// LiveStats mirrors the headline Stats counters in atomics so a scrape
-// goroutine can read them while the single-writer worker is mid-stream.
-// The Index publishes into it once per processed record — the full Stats
-// struct stays unsynchronized and is only safe to read after the run.
-type LiveStats struct {
-	Records    atomic.Uint64
-	Candidates atomic.Uint64
-	Verified   atomic.Uint64
-	Results    atomic.Uint64
-	Members    atomic.Uint64
-
-	// Per-kernel verification merges and pre-verify pruned candidates
-	// (verify_kernel_* / verify_candidates_pruned_total in /metrics).
-	KernelLinear atomic.Uint64
-	KernelGallop atomic.Uint64
-	Pruned       atomic.Uint64
-}
-
-// PublishLive makes the index mirror its counters into ls after every
-// processed record. Pass nil to stop publishing.
-func (bx *Index) PublishLive(ls *LiveStats) { bx.live = ls }
-
-// publish refreshes the live mirror (no-op unless PublishLive was called).
-// It runs once per probe — the one operation every per-record path (Step,
-// Process, Load) performs exactly once — so Records counts probes.
-func (bx *Index) publish() {
-	if bx.live == nil {
-		return
-	}
-	bx.live.Records.Add(1)
-	bx.live.Candidates.Store(bx.stats.MemberChecks)
-	bx.live.Verified.Store(bx.stats.Verified)
-	bx.live.Results.Store(bx.stats.Results)
-	bx.live.Members.Store(uint64(len(bx.fifo) - bx.head))
-	bx.live.KernelLinear.Store(bx.stats.KernelLinear)
-	bx.live.KernelGallop.Store(bx.stats.KernelGallop)
-	bx.live.Pruned.Store(bx.stats.Pruned())
 }
 
 // Process runs one full streaming step for r: evict expired members, probe
@@ -367,15 +326,13 @@ func (bx *Index) sweep() {
 // overlaps are true intersection sizes.
 func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok bool) {
 	if bx.twin(r.Len()) {
-		best, ok = bx.probeTwins(r, emit)
-	} else {
-		for _, b := range bx.collectCandidates(r) {
-			if m, found := bx.probeBundle(r, b, emit); found && (!ok || betterIns(m, best)) {
-				best, ok = m, true
-			}
+		return bx.probeTwins(r, emit)
+	}
+	for _, b := range bx.collectCandidates(r) {
+		if m, found := bx.probeBundle(r, b, emit); found && (!ok || betterIns(m, best)) {
+			best, ok = m, true
 		}
 	}
-	bx.publish()
 	return best, ok
 }
 

@@ -39,11 +39,7 @@ func E13(sc Scale) *Table {
 		strat := lengthWith(p, part)
 		res := runTopology(sc, recs, strat, p, k, local.Bundled, nil)
 		est := partition.Imbalance(part, weightsOf(recs))
-		loads := make([]float64, len(res.WorkerCosts))
-		for i, c := range res.WorkerCosts {
-			loads[i] = float64(c.VerifySteps + c.Scanned)
-		}
-		t.AddRow(name, phase, est, metrics.SummarizeLoads(loads).Imbalance,
+		t.AddRow(name, phase, est, metrics.SummarizeLoads(workerLoads(res)).Imbalance,
 			res.Throughput().PerSecond())
 	}
 

@@ -131,11 +131,12 @@ func genProfile(p workload.Profile, n int) []*record.Record {
 	return workload.NewGenerator(p).Generate(n)
 }
 
-// sumVerify sums per-worker verification work for load analysis.
+// workerLoads returns each worker's realized load (local.Cost.RealizedLoad)
+// for load analysis.
 func workerLoads(res *topology.Result) []float64 {
 	loads := make([]float64, len(res.WorkerCosts))
 	for i, c := range res.WorkerCosts {
-		loads[i] = float64(c.VerifySteps + c.Scanned)
+		loads[i] = float64(c.RealizedLoad())
 	}
 	return loads
 }

@@ -60,23 +60,8 @@ func (b *BiJoiner) SizeLeft() int { return b.left.Size() }
 // SizeRight reports the S-side stored count.
 func (b *BiJoiner) SizeRight() int { return b.right.Size() }
 
-// CostLeft and CostRight expose per-side work counters.
-func (b *BiJoiner) CostLeft() Cost { return b.left.Cost() }
-
-// CostRight exposes the S-side work counters.
-func (b *BiJoiner) CostRight() Cost { return b.right.Cost() }
-
 // Cost returns both sides' work counters summed.
-func (b *BiJoiner) Cost() Cost {
-	l, r := b.left.Cost(), b.right.Cost()
-	return Cost{
-		Probes: l.Probes + r.Probes, Stored: l.Stored + r.Stored,
-		Scanned: l.Scanned + r.Scanned, Candidates: l.Candidates + r.Candidates,
-		Verified: l.Verified + r.Verified, Results: l.Results + r.Results,
-		VerifySteps: l.VerifySteps + r.VerifySteps, Postings: l.Postings + r.Postings,
-		SuffixPruned: l.SuffixPruned + r.SuffixPruned,
-	}
-}
+func (b *BiJoiner) Cost() Cost { return b.left.Cost().Add(b.right.Cost()) }
 
 // LoadSide stores r on one side without probing — the restore path.
 func (b *BiJoiner) LoadSide(r *record.Record, right bool) {

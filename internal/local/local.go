@@ -42,6 +42,23 @@ type Cost struct {
 	SuffixPruned uint64 // candidates killed by the suffix filter
 }
 
+// Add returns the field-wise sum of c and o.
+func (c Cost) Add(o Cost) Cost {
+	return Cost{
+		Probes: c.Probes + o.Probes, Stored: c.Stored + o.Stored,
+		Scanned: c.Scanned + o.Scanned, Candidates: c.Candidates + o.Candidates,
+		Verified: c.Verified + o.Verified, Results: c.Results + o.Results,
+		VerifySteps: c.VerifySteps + o.VerifySteps, Postings: c.Postings + o.Postings,
+		SuffixPruned: c.SuffixPruned + o.SuffixPruned,
+	}
+}
+
+// RealizedLoad is the unit every realized-imbalance report divides: merge
+// steps spent verifying (union bounds included) plus postings or stored
+// records walked. It is a count, so it repeats exactly per input, and only
+// a proxy for time: a twin probe costs time but adds nothing to it.
+func (c Cost) RealizedLoad() uint64 { return c.VerifySteps + c.Scanned }
+
 // Joiner is a single-threaded streaming set-similarity self-join operator.
 type Joiner interface {
 	// Step advances the stream to r: expire out-of-window state, emit every
@@ -334,10 +351,6 @@ func (b *bundledJoiner) Size() int    { return int(b.bx.Stats().LiveMembers) }
 // BundleStats exposes the underlying bundle index counters for ablation
 // experiments; it is only present on the Bundled joiner.
 func (b *bundledJoiner) BundleStats() bundle.Stats { return b.bx.Stats() }
-
-// PublishLive makes the bundle index mirror its counters into ls after
-// every record, for live scraping; only present on the Bundled joiner.
-func (b *bundledJoiner) PublishLive(ls *bundle.LiveStats) { b.bx.PublishLive(ls) }
 
 // Dump implements Joiner.
 func (b *bundledJoiner) Dump(visit func(*record.Record) bool) { b.bx.Dump(visit) }

@@ -322,8 +322,8 @@ func TestBiJoinerDirect(t *testing.T) {
 	if bi.SizeLeft() != 2 || bi.SizeRight() != 1 {
 		t.Fatalf("sizes: %d/%d", bi.SizeLeft(), bi.SizeRight())
 	}
-	if bi.CostLeft().Stored != 2 || bi.CostRight().Stored != 1 {
-		t.Fatalf("costs: %+v %+v", bi.CostLeft(), bi.CostRight())
+	if bi.left.Cost().Stored != 2 || bi.right.Cost().Stored != 1 {
+		t.Fatalf("costs: %+v %+v", bi.left.Cost(), bi.right.Cost())
 	}
 }
 

@@ -1,17 +1,24 @@
 package topology
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/bundle"
 	"repro/internal/dispatch"
 	"repro/internal/local"
 	"repro/internal/obs"
+	"repro/internal/partition"
+	"repro/internal/stream"
+	"repro/internal/workload"
 )
 
 // TestRunWithObservability runs a bundled self-join with a registry and
-// checks the full surface: results are unchanged, worker latency histograms
-// carry one observation per record, and bundle live counters agree with the
-// harvested joiner costs.
+// checks the full surface: results are unchanged, and after the run every
+// worker series reads exactly what the run harvested — the bundle and
+// verify series each worker's Cost and BundleStats, worker_record_seconds
+// its latency histogram.
 func TestRunWithObservability(t *testing.T) {
 	p := params(0.6)
 	recs := withMatchLadder(genStream(800, 11))
@@ -40,32 +47,164 @@ func TestRunWithObservability(t *testing.T) {
 		t.Fatalf("results drifted under instrumentation: %d vs %d", res.Results, plain.Results)
 	}
 
-	byName := map[string]obs.MetricSnapshot{}
-	for _, ms := range reg.Snapshot() {
-		byName[ms.Name] = ms
+	scraped := map[string]map[string]obs.Sample{}
+	for _, f := range reg.Gather() {
+		scraped[f.Desc.Name] = map[string]obs.Sample{}
+		for _, s := range f.Samples {
+			scraped[f.Desc.Name][s.Label] = s
+		}
 	}
-	lat := byName["worker_record_seconds"]
+	if _, ok := scraped["stream_edge_tuples_total"]; !ok {
+		t.Fatal("engine metrics missing from registry")
+	}
+	checked := map[string]bool{}
 	var latCount uint64
-	for _, s := range lat.Samples {
-		latCount += s.Count
+	for i, b := range res.Report.Bolts["worker"] {
+		w := b.(*workerBolt)
+		label := fmt.Sprintf("worker/%d", w.task)
+		c := res.WorkerCosts[i]
+		st := w.joiner.(interface{ BundleStats() bundle.Stats }).BundleStats()
+		hit := 0.0
+		if st.Verified > 0 {
+			hit = float64(st.Results) / float64(st.Verified)
+		}
+		for name, want := range map[string]float64{
+			"bundle_records_total":           float64(c.Probes),
+			"bundle_candidates_total":        float64(c.Candidates),
+			"bundle_verified_total":          float64(c.Verified),
+			"bundle_results_total":           float64(c.Results),
+			"bundle_live_members":            float64(st.LiveMembers),
+			"bundle_verify_hit_rate":         hit,
+			"verify_kernel_linear_total":     float64(st.KernelLinear),
+			"verify_kernel_gallop_total":     float64(st.KernelGallop),
+			"verify_candidates_pruned_total": float64(st.Pruned()),
+		} {
+			checked[name] = true
+			s, ok := scraped[name][label]
+			if !ok {
+				t.Errorf("%s{task=%q} not scraped", name, label)
+			} else if s.Value != want {
+				t.Errorf("%s{task=%q} = %v, harvested %v", name, label, s.Value, want)
+			}
+		}
+		h := scraped["worker_record_seconds"][label].Hist
+		if h == nil || *h != w.lat {
+			t.Errorf("worker_record_seconds{task=%q} differs from the worker's latency histogram", label)
+		} else {
+			latCount += h.Count()
+		}
 	}
 	// PrefixBased multicasts, so each receiving worker observes the record;
 	// the scrape must agree with the harvested aggregate.
 	if latCount != res.Latency.Count() {
 		t.Fatalf("latency observations %d != harvested %d", latCount, res.Latency.Count())
 	}
-	var bundleResults float64
-	for _, s := range byName["bundle_results_total"].Samples {
-		bundleResults += s.Value
+	for name := range scraped {
+		if (strings.HasPrefix(name, "bundle_") || strings.HasPrefix(name, "verify_")) && !checked[name] {
+			t.Errorf("%s is scraped but not compared with the harvested counters", name)
+		}
 	}
-	var wantResults uint64
-	for _, c := range res.WorkerCosts {
-		wantResults += c.Results
+}
+
+// TestLiveScrapeIsConsistent scrapes the registry in a loop while an
+// AOL-like τ 0.8 join runs. Its short records take the twin path, which
+// leaves Verified == Results after every probe, so a hit rate read from
+// two instants can exceed 1. Every hit-rate sample must lie in [0, 1], and
+// no counter or histogram count may go backwards between scrapes.
+func TestLiveScrapeIsConsistent(t *testing.T) {
+	p := params(0.8)
+	n := 30000
+	if testing.Short() {
+		n = 10000
 	}
-	if uint64(bundleResults) != wantResults {
-		t.Fatalf("bundle live results %v != joiner costs %d", bundleResults, wantResults)
+	recs := workload.NewGenerator(workload.AOLLike(42)).Generate(n)
+	reg := obs.NewRegistry()
+	// firstSeen keeps each worker's smallest non-zero bundle_records_total.
+	done, scraped := make(chan struct{}), make(chan map[string]float64)
+	go func() {
+		prev, firstSeen := map[string]float64{}, map[string]float64{}
+		for {
+			select {
+			case <-done:
+				scraped <- firstSeen
+				return
+			default:
+			}
+			for _, f := range reg.Gather() {
+				for _, s := range f.Samples {
+					v := s.Value
+					if s.Hist != nil {
+						v = float64(s.Hist.Count())
+					}
+					key := f.Desc.Name + "{" + s.Label + "}"
+					if f.Desc.Name == "bundle_verify_hit_rate" && (v < 0 || v > 1) {
+						t.Errorf("%s = %v, outside [0, 1]", key, v)
+					}
+					if f.Kind != obs.KindGauge && v < prev[key] {
+						t.Errorf("%s went back from %v to %v", key, prev[key], v)
+					}
+					if _, ok := firstSeen[s.Label]; !ok && f.Desc.Name == "bundle_records_total" && v > 0 {
+						firstSeen[s.Label] = v
+					}
+					prev[key] = v
+				}
+			}
+		}
+	}()
+	res, err := Run(recs, Config{
+		Workers:   2,
+		Strategy:  dispatch.NewLengthBased(p, partition.Fit(p, recs[:partition.SampleSize], 2)),
+		Algorithm: local.Bundled,
+		Params:    p,
+		Registry:  reg,
+	})
+	close(done)
+	firstSeen := <-scraped
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := byName["stream_edge_tuples_total"]; !ok {
-		t.Fatal("engine metrics missing from registry")
+	var twins uint64
+	midRun := false
+	for _, b := range res.Report.Bolts["worker"] {
+		w := b.(*workerBolt)
+		twins += w.joiner.(interface{ BundleStats() bundle.Stats }).BundleStats().TwinProbes
+		if v, ok := firstSeen[fmt.Sprintf("worker/%d", w.task)]; ok && v < float64(w.joiner.Cost().Probes) {
+			midRun = true
+		}
+	}
+	if twins == 0 {
+		t.Fatal("no probe took the twin path")
+	}
+	if !midRun {
+		t.Fatal("no scrape landed while the run was going")
+	}
+}
+
+// TestInstrumentedExecuteBatchAllocs: a worker with a registry attached
+// steps a transport batch without allocating — the reader lock is a plain
+// mutex and the latency histogram the worker's own.
+func TestInstrumentedExecuteBatchAllocs(t *testing.T) {
+	p := params(0.8)
+	recs := workload.NewGenerator(workload.AOLLike(7)).Generate(2000)
+	// Worker 1 of two owns only lengths no record has, so it probes every
+	// record and stores none: the index, and the probe's scratch, stop growing.
+	strat := dispatch.NewLengthBased(p, partition.Partition{Bounds: []int{1 << 20, 1 << 21}})
+	w := &workerBolt{task: 1, k: 2, strat: strat,
+		joiner: local.New(local.Bundled, local.Options{Params: p})}
+	w.emitFn = w.emitMatch
+	w.registerMetrics(obs.NewRegistry())
+	for _, r := range recs[:1000] {
+		w.joiner.Load(r)
+	}
+	batch := make([]stream.Tuple, stream.DefaultBatchSize)
+	for i := range batch {
+		batch[i] = &RecTuple{Rec: recs[1000+i]}
+	}
+	w.ExecuteBatch(batch, nil)
+	if n := testing.AllocsPerRun(50, func() { w.ExecuteBatch(batch, nil) }); n != 0 {
+		t.Fatalf("instrumented ExecuteBatch allocates %v times per batch", n)
+	}
+	if w.results == 0 {
+		t.Fatal("the batch matched nothing; the emit path went unexercised")
 	}
 }

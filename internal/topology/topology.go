@@ -8,6 +8,7 @@ package topology
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/bundle"
@@ -203,14 +204,14 @@ func (g *ownedRoute) NewProducerSelector(j, ntasks int) stream.Selector {
 // arbitration, and keeps its own results: it emits nothing downstream, and
 // run reads its counts and pairs once the topology has finished.
 type workerBolt struct {
-	task   int
-	k      int
-	strat  dispatch.Strategy
-	joiner local.Joiner
-	lat    metrics.Latency
-	// slat replaces lat on instrumented runs so scrapes can snapshot the
-	// histogram while the worker goroutine observes.
-	slat      *metrics.SyncLatency
+	// mu is held for a whole transport batch, so a scrape reads the joiner's
+	// counters and lat between batches. Only scrapes contend for it.
+	mu        sync.Mutex
+	task      int
+	k         int
+	strat     dispatch.Strategy
+	joiner    local.Joiner
+	lat       metrics.Latency
 	stored    uint64
 	results   uint64
 	wirePerB  int
@@ -242,12 +243,16 @@ func burn(d time.Duration) {
 
 // Execute implements stream.Bolt for a lone tuple: a transport batch of
 // one record.
-func (w *workerBolt) Execute(t stream.Tuple, _ stream.Emitter) { w.step(t.(*RecTuple)) }
+func (w *workerBolt) Execute(t stream.Tuple, em stream.Emitter) {
+	w.ExecuteBatch([]stream.Tuple{t}, em)
+}
 
 // ExecuteBatch implements stream.BatchBolt: a whole transport batch of
 // records streams through the worker in one call, in order, without a
 // per-tuple trip through the executor loop.
 func (w *workerBolt) ExecuteBatch(ts []stream.Tuple, _ stream.Emitter) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	for _, t := range ts {
 		w.step(t.(*RecTuple))
 	}
@@ -291,60 +296,60 @@ func (w *workerBolt) step(rt *RecTuple) {
 	} else {
 		w.joiner.Step(r, store, w.emitFn)
 	}
-	if w.slat != nil {
-		w.slat.Observe(time.Since(rt.Enq))
-	} else {
-		w.lat.Observe(time.Since(rt.Enq))
-	}
+	w.lat.Observe(time.Since(rt.Enq))
 }
 
-// registerJoinerMetrics publishes the worker's joiner statistics to reg.
-// Only the Bundled joiner has live counters; other joiners are covered by
+// registerMetrics binds the worker's series to reg. Every reader takes mu
+// and reads the joiner's own counters or lat, so a value trails the worker
+// by less than one batch and the fields of one read are from one instant.
+// Only the Bundled joiner has bundle series; other joiners are covered by
 // the engine-level task series.
-func (w *workerBolt) registerJoinerMetrics(reg *obs.Registry, task int) {
-	type livePublisher interface {
-		PublishLive(*bundle.LiveStats)
-	}
-	lp, ok := w.joiner.(livePublisher)
+func (w *workerBolt) registerMetrics(reg *obs.Registry) {
+	label := fmt.Sprintf("worker/%d", w.task)
+	reg.HistogramVec("worker_record_seconds",
+		"Per-record latency observed at a worker: source enqueue to probe completion.", "task").
+		SetFunc(label, func() metrics.Latency {
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			return w.lat
+		})
+	bj, ok := w.joiner.(interface{ BundleStats() bundle.Stats })
 	if !ok {
 		return
 	}
-	ls := &bundle.LiveStats{}
-	lp.PublishLive(ls)
-	label := fmt.Sprintf("worker/%d", task)
-	reg.CounterVec("bundle_records_total",
-		"Records processed by a worker's bundle index.", "task").
-		SetFunc(label, func() float64 { return float64(ls.Records.Load()) })
-	reg.CounterVec("bundle_candidates_total",
-		"Candidate members examined by a worker's bundle index.", "task").
-		SetFunc(label, func() float64 { return float64(ls.Candidates.Load()) })
-	reg.CounterVec("bundle_verified_total",
-		"Candidates fully verified by a worker's bundle index.", "task").
-		SetFunc(label, func() float64 { return float64(ls.Verified.Load()) })
+	read := func() (bundle.Stats, local.Cost) {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return bj.BundleStats(), w.joiner.Cost()
+	}
+	reg.CounterVec("bundle_records_total", "Records processed by a worker's bundle index.", "task").
+		SetFunc(label, func() float64 { _, c := read(); return float64(c.Probes) })
+	reg.CounterVec("bundle_candidates_total", "Candidate members examined by a worker's bundle index.", "task").
+		SetFunc(label, func() float64 { s, _ := read(); return float64(s.MemberChecks) })
+	reg.CounterVec("bundle_verified_total", "Candidates fully verified by a worker's bundle index.", "task").
+		SetFunc(label, func() float64 { s, _ := read(); return float64(s.Verified) })
 	reg.CounterVec("bundle_results_total",
 		"Matches found by a worker's bundle index, before the strategy's emit arbitration.", "task").
-		SetFunc(label, func() float64 { return float64(ls.Results.Load()) })
-	reg.GaugeVec("bundle_live_members",
-		"Records currently indexed by a worker's bundle index.", "task").
-		SetFunc(label, func() float64 { return float64(ls.Members.Load()) })
-	reg.GaugeVec("bundle_verify_hit_rate",
-		"Fraction of verified candidates that produced a result.", "task").
+		SetFunc(label, func() float64 { s, _ := read(); return float64(s.Results) })
+	reg.GaugeVec("bundle_live_members", "Records currently indexed by a worker's bundle index.", "task").
+		SetFunc(label, func() float64 { s, _ := read(); return float64(s.LiveMembers) })
+	reg.GaugeVec("bundle_verify_hit_rate", "Fraction of verified candidates that produced a result.", "task").
 		SetFunc(label, func() float64 {
-			v := ls.Verified.Load()
-			if v == 0 {
+			s, _ := read()
+			if s.Verified == 0 {
 				return 0
 			}
-			return float64(ls.Results.Load()) / float64(v)
+			return float64(s.Results) / float64(s.Verified)
 		})
 	reg.CounterVec("verify_kernel_linear_total",
 		"Verification merges run by the linear intersection kernel.", "task").
-		SetFunc(label, func() float64 { return float64(ls.KernelLinear.Load()) })
+		SetFunc(label, func() float64 { s, _ := read(); return float64(s.KernelLinear) })
 	reg.CounterVec("verify_kernel_gallop_total",
 		"Verification merges run by the galloping intersection kernel.", "task").
-		SetFunc(label, func() float64 { return float64(ls.KernelGallop.Load()) })
+		SetFunc(label, func() float64 { s, _ := read(); return float64(s.KernelGallop) })
 	reg.CounterVec("verify_candidates_pruned_total",
 		"Candidates discarded by upper-bound checks before any kernel ran.", "task").
-		SetFunc(label, func() float64 { return float64(ls.Pruned.Load()) })
+		SetFunc(label, func() float64 { s, _ := read(); return float64(s.Pruned()) })
 }
 
 // Run executes one self-join over the record slice and returns the
@@ -411,11 +416,7 @@ func run(cfg Config, recs []*record.Record, right []bool) (*Result, error) {
 			w.joiner = local.New(cfg.Algorithm, jopts)
 		}
 		if cfg.Registry != nil {
-			w.slat = &metrics.SyncLatency{}
-			cfg.Registry.HistogramVec("worker_record_seconds",
-				"Per-record latency observed at a worker: source enqueue to probe completion.", "task").
-				SetFunc(fmt.Sprintf("worker/%d", task), w.slat.Snapshot)
-			w.registerJoinerMetrics(cfg.Registry, task)
+			w.registerMetrics(cfg.Registry)
 		}
 		return w
 	}, k).SubscribeTo("dispatcher", route)
@@ -444,12 +445,7 @@ func run(cfg Config, recs []*record.Record, right []bool) (*Result, error) {
 		res.StoredCopies += w.stored
 		res.Results += w.results
 		res.Pairs = append(res.Pairs, w.pairs...)
-		if w.slat != nil {
-			snap := w.slat.Snapshot()
-			res.Latency.Merge(&snap)
-		} else {
-			res.Latency.Merge(&w.lat)
-		}
+		res.Latency.Merge(&w.lat)
 	}
 	return res, nil
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/filter"
 	"repro/internal/local"
+	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/record"
 	"repro/internal/similarity"
@@ -677,12 +678,11 @@ func TestLoadAwarePlanTracksRealizedLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sum, max float64
-	for _, c := range res.WorkerCosts {
-		load := float64(c.VerifySteps + c.Scanned)
-		sum, max = sum+load, math.Max(max, load)
+	loads := make([]float64, len(res.WorkerCosts))
+	for i, c := range res.WorkerCosts {
+		loads[i] = float64(c.RealizedLoad())
 	}
-	if imb := max / (sum / 2); imb > 1.25 {
+	if imb := metrics.SummarizeLoads(loads).Imbalance; imb > 1.25 {
 		t.Errorf("plan %v: realized imbalance %.3f over %+v, want <= 1.25", part, imb, res.WorkerCosts)
 	} else {
 		t.Logf("plan %v: realized imbalance %.3f", part, imb)

@@ -201,7 +201,7 @@ type Stream struct {
 	scratch []Match
 	// base accumulates work counters from joiners retired by index
 	// rebuilds (ordering refresh), so Stats stays cumulative.
-	base Stats
+	base local.Cost
 }
 
 // NewStream validates cfg and returns an empty join stream.
@@ -220,10 +220,7 @@ func NewStream(cfg Config) (*Stream, error) {
 // retires the current one's counters into the cumulative base (the
 // ordering-refresh rebuild path).
 func (s *Stream) freshJoiner() local.Joiner {
-	c := s.joiner.Cost()
-	s.base.Results += c.Results
-	s.base.Candidates += c.Candidates
-	s.base.Verified += c.Verified
+	s.base = s.base.Add(s.joiner.Cost())
 	params, win, alg, bcfg, _ := s.cfg.build() // cfg was validated at construction
 	return local.New(alg, local.Options{Params: params, Window: win, Bundle: bcfg})
 }
@@ -234,10 +231,15 @@ func (s *Stream) freshJoiner() local.Joiner {
 // Add call; copy it if you keep it. The order of matches within one call is
 // unspecified; sort by ID if you need one.
 func (s *Stream) Add(tokenSet []uint32) (id uint64, matches []Match) {
-	set := make([]tokens.Rank, len(tokenSet))
-	copy(set, tokenSet)
-	r := &record.Record{ID: s.nextID, Time: s.tick, Tokens: tokens.Dedup(set)}
-	return s.addRecord(r)
+	return s.addRecord(&record.Record{ID: s.nextID, Time: s.tick, Tokens: ownedSet(tokenSet)})
+}
+
+// ownedSet returns a sorted, deduplicated copy of a caller's token multiset,
+// which the record it becomes owns.
+func ownedSet(set []uint32) []tokens.Rank {
+	cp := make([]tokens.Rank, len(set))
+	copy(cp, set)
+	return tokens.Dedup(cp)
 }
 
 // AddAt behaves like Add but stamps the record with an explicit logical
@@ -270,12 +272,12 @@ func (s *Stream) Size() int { return s.joiner.Size() }
 // Stats reports accumulated work counters (cumulative across ordering
 // refreshes).
 func (s *Stream) Stats() Stats {
-	c := s.joiner.Cost()
+	c := s.base.Add(s.joiner.Cost())
 	return Stats{
 		Records:    s.records,
 		Stored:     s.joiner.Size(),
-		Results:    s.base.Results + c.Results,
-		Candidates: s.base.Candidates + c.Candidates,
-		Verified:   s.base.Verified + c.Verified,
+		Results:    c.Results,
+		Candidates: c.Candidates,
+		Verified:   c.Verified,
 	}
 }

@@ -21,6 +21,17 @@ const (
 	QGrams
 )
 
+func (t Tokenization) tokenizer() (tokens.Tokenizer, error) {
+	switch t {
+	case Words:
+		return tokens.WordTokenizer{}, nil
+	case QGrams:
+		return tokens.QGramTokenizer{Q: 3, Pad: true}, nil
+	default:
+		return nil, fmt.Errorf("ssjoin: unknown tokenization %d", int(t))
+	}
+}
+
 // TextStream is a Stream over raw text: it tokenizes, interns tokens, and
 // maintains the global rarest-first token ordering that prefix filtering
 // requires. Bootstrap the ordering with a representative sample for best
@@ -39,14 +50,9 @@ func NewTextStream(cfg Config, tok Tokenization, sample []string) (*TextStream, 
 	if err != nil {
 		return nil, err
 	}
-	var tkz tokens.Tokenizer
-	switch tok {
-	case Words:
-		tkz = tokens.WordTokenizer{}
-	case QGrams:
-		tkz = tokens.QGramTokenizer{Q: 3, Pad: true}
-	default:
-		return nil, fmt.Errorf("ssjoin: unknown tokenization %d", int(tok))
+	tkz, err := tok.tokenizer()
+	if err != nil {
+		return nil, err
 	}
 	dict, order := record.BuildOrderingFromSample(tkz, sample)
 	return &TextStream{
@@ -104,14 +110,9 @@ func RestoreTextStream(r io.Reader, cfg Config, tok Tokenization) (*TextStream, 
 	if err != nil {
 		return nil, err
 	}
-	var tkz tokens.Tokenizer
-	switch tok {
-	case Words:
-		tkz = tokens.WordTokenizer{}
-	case QGrams:
-		tkz = tokens.QGramTokenizer{Q: 3, Pad: true}
-	default:
-		return nil, fmt.Errorf("ssjoin: unknown tokenization %d", int(tok))
+	tkz, err := tok.tokenizer()
+	if err != nil {
+		return nil, err
 	}
 	builder := record.NewBuilder(dict, order, tkz)
 	builder.SetCursor(stream.nextID, stream.tick)
@@ -192,14 +193,9 @@ func NewTextBiStream(cfg Config, tok Tokenization, sample []string) (*TextBiStre
 	if err != nil {
 		return nil, err
 	}
-	var tkz tokens.Tokenizer
-	switch tok {
-	case Words:
-		tkz = tokens.WordTokenizer{}
-	case QGrams:
-		tkz = tokens.QGramTokenizer{Q: 3, Pad: true}
-	default:
-		return nil, fmt.Errorf("ssjoin: unknown tokenization %d", int(tok))
+	tkz, err := tok.tokenizer()
+	if err != nil {
+		return nil, err
 	}
 	dict, order := record.BuildOrderingFromSample(tkz, sample)
 	return &TextBiStream{
