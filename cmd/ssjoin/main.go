@@ -265,11 +265,17 @@ func runRemote(addrList string, recs []*record.Record, tau float64, fn, alg, dis
 // the ingest log supplies the record stream, and the results log seeds
 // the coordinator's dedup so completed work is not re-reported. addrList,
 // when non-empty, overrides the manifest's worker addresses (a moved
-// fleet).
+// fleet). The launch's -pairs, which the manifest's Hello keeps as
+// CountOnly, decides whether the resumed run collects and prints pairs;
+// -pairs on a run launched without it is refused, as its results log
+// holds counts.
 func runResume(stateDir, addrList string, pairs bool, ftCfg *remote.FT, httpAddr, fsync string) error {
 	m, err := checkpoint.LoadManifest(filepath.Join(stateDir, checkpoint.ManifestPath))
 	if err != nil {
 		return err
+	}
+	if pairs && m.Hello.CountOnly {
+		return errors.New("resume: -pairs, but the run was launched without it: its results log holds counts, not pairs")
 	}
 	sess, err := remote.SessionFromHello(m.Hello)
 	if err != nil {
@@ -300,7 +306,7 @@ func runResume(stateDir, addrList string, pairs bool, ftCfg *remote.FT, httpAddr
 	}
 	fmt.Fprintf(os.Stderr, "remote: resuming session %016x: %d records in ingest log, %d workers\n",
 		m.SessionID, len(recs), len(addrs))
-	return execRemote(addrs, sess, recs, pairs, ftCfg, httpAddr)
+	return execRemote(addrs, sess, recs, !m.Hello.CountOnly, ftCfg, httpAddr)
 }
 
 // execRemote is the shared tail of runRemote and runResume: serve the

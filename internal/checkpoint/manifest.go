@@ -12,11 +12,13 @@ import (
 // ManifestSchema is the current manifest format version. It also versions
 // what sits beside the manifest: the results log holds one entry per
 // received Result frame, its task then its wire version 9 payload (first
-// result number, probe ID, count, partner distances), and each worker's
-// checkpoint envelope holds the plan hash wire.Hello.PlanHash derives
-// (schema 4). Schema 3 stored a hand-mixed plan hash beside the Hello,
-// schema 2 logs held one unnumbered pair per entry and schema 1 logs (A, B)
-// pair frames; none of them resumes any more.
+// result number, probe ID, count, partner distances), or, when the Hello
+// is CountOnly, one per frame that added results, its task then a Count
+// payload of the results it added; and each worker's checkpoint
+// envelope holds the plan hash wire.Hello.PlanHash derives (schema 4).
+// Schema 3 stored a hand-mixed plan hash beside the Hello, schema 2 logs
+// held one unnumbered pair per entry and schema 1 logs (A, B) pair frames;
+// none of them resumes any more.
 const ManifestSchema = 4
 
 // Manifest is the coordinator's session checkpoint: what a fresh

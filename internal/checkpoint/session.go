@@ -22,7 +22,10 @@ var magic2 = []byte("SSJCKPT\x04")
 // resuming against a checkpoint saved under a different partition plan)
 // and the results the worker had emitted but the coordinator had not yet
 // acknowledged when the checkpoint was taken, which are the session's
-// results numbered Acked onwards.
+// results numbered Acked onwards. A session that sends counts
+// (wire.Hello.CountOnly) holds no pairs: its envelope is the next result
+// number alone, Acked with no Unacked, and its worker re-sends a count of
+// every result below it.
 type SessionMeta struct {
 	PlanHash uint64
 	Acked    uint64
@@ -81,7 +84,7 @@ func ReadSessionHeader(r io.Reader) (meta SessionMeta, body io.Reader, err error
 		switch typ {
 		case wire.TypeResult:
 			n := uint64(len(meta.Unacked))
-			first, rs, err := rd.ReadNumberedResults(meta.Unacked)
+			first, rs, err := wire.DecodeResults(meta.Unacked, rd.Payload())
 			if err != nil {
 				return meta, nil, fmt.Errorf("checkpoint: decoding unacked results: %w", err)
 			}

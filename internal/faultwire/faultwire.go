@@ -39,7 +39,7 @@ type Config struct {
 	Seed uint64
 	// SeverPerMille severs the connection at a frame boundary.
 	SeverPerMille int
-	// DupPerMille duplicates record and result frames (other frame types
+	// DupPerMille duplicates record, result and count frames (other frame types
 	// are never duplicated: duplicating a handshake would be a protocol
 	// violation rather than a transport fault).
 	DupPerMille int
@@ -118,7 +118,7 @@ func (c *Conn) decide(dir uint64, n int, typ byte) action {
 	}
 	v -= c.cfg.SeverPerMille
 	if v < c.cfg.DupPerMille {
-		if typ == wire.TypeRecord || typ == wire.TypeResult {
+		if typ == wire.TypeRecord || typ == wire.TypeResult || typ == wire.TypeCount {
 			return actDup
 		}
 		return actPass

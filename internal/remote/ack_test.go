@@ -172,7 +172,7 @@ func TestRunFTFreshRunIgnoresStaleCheckpoint(t *testing.T) {
 			defer cancel()
 			done := make(chan error, 1)
 			go func() {
-				_, err := RunFT(ctx, slow, k, testSession(tau, "length", bounds), recs, Opts{}, fastFT(sid))
+				_, err := RunFT(ctx, slow, k, testSession(tau, "length", bounds), recs, Opts{CollectPairs: true}, fastFT(sid))
 				done <- err
 			}()
 			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {

@@ -35,7 +35,7 @@ func readResultFrames(t *testing.T, r io.Reader) <-chan []wire.Result {
 			if typ != wire.TypeResult {
 				continue
 			}
-			rs, err := rd.ReadResults(nil)
+			rs, err := readResults(rd, nil)
 			if err != nil {
 				t.Errorf("result frame: %v", err)
 				return

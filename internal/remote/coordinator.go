@@ -137,6 +137,27 @@ type received struct {
 	pairs   []record.Pair
 }
 
+// readNumbered decodes rd's staged Result or Count frame: its first result
+// number, its count, and a Result frame's pairs appended to dst.
+func readNumbered(rd *wire.Reader, typ byte, collect bool, dst []wire.Result) (first, n uint64, rs []wire.Result, err error) {
+	if typ == wire.TypeCount && collect {
+		return 0, 0, dst, fmt.Errorf("remote: a count frame in a session that collects pairs")
+	}
+	return decodeNumbered(typ == wire.TypeResult, rd.Payload(), dst)
+}
+
+// decodeNumbered decodes a Result payload when pairs is set, else a Count
+// payload: its first result number, its count, and its pairs appended to
+// dst.
+func decodeNumbered(pairs bool, body []byte, dst []wire.Result) (first, n uint64, rs []wire.Result, err error) {
+	if !pairs {
+		first, n, err = wire.DecodeCount(body)
+		return first, n, dst, err
+	}
+	first, rs, err = wire.DecodeResults(dst, body)
+	return first, uint64(len(rs) - len(dst)), rs, err
+}
+
 // runSession dispatches recs; right, when non-nil, holds each record's
 // side in a bi session.
 func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs []*record.Record, right []bool, opts Opts) (*RunSummary, error) {
@@ -151,6 +172,7 @@ func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs [
 	if err != nil {
 		return nil, err
 	}
+	h.CountOnly = !opts.CollectPairs
 
 	writers := make([]*wire.Writer, k)
 	counters := make([]*countingWriter, k)
@@ -220,10 +242,10 @@ func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs [
 					return
 				}
 				switch typ {
-				case wire.TypeResult:
+				case wire.TypeResult, wire.TypeCount:
 					// A worker numbers its results from 0 without a gap.
-					var first uint64
-					first, batch, err = rd.ReadNumberedResults(batch[:0])
+					var first, n uint64
+					first, n, batch, err = readNumbered(rd, typ, opts.CollectPairs, batch[:0])
 					if err == nil && first != got.results {
 						err = fmt.Errorf("remote: worker %d sent results numbered from %d, want %d", task, first, got.results)
 					}
@@ -231,7 +253,7 @@ func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs [
 						readErr <- err
 						return
 					}
-					got.results += uint64(len(batch))
+					got.results += n
 					if opts.CollectPairs {
 						for _, res := range batch {
 							got.pairs = append(got.pairs, record.Pair{First: res.A, Second: res.B, Sim: res.Sim})

@@ -18,8 +18,9 @@ import (
 	"repro/internal/workload"
 )
 
-// BenchmarkCoordinators drains the aol_fleet stream through plain Run and
-// through RunFT against the same two loopback workers: 200 000 AOL-like
+// BenchmarkCoordinators drains the aol_fleet stream through plain Run
+// (counting, and plain-pairs collecting every pair) and through RunFT
+// against the same two loopback workers: 200 000 AOL-like
 // records (seed 42), Jaccard 0.8, a 50 000-record count window and a
 // length plan fitted to the first 10 000 records. It reports records per
 // second and the bytes the whole process (coordinator and workers)
@@ -52,8 +53,8 @@ func BenchmarkCoordinators(b *testing.B) {
 	}
 	ctx := context.Background()
 
-	b.Run("plain", func(b *testing.B) {
-		drainPerRecord(b, n, want, func(int) (*RunSummary, error) {
+	plain := func(collectPairs bool) func(int) (*RunSummary, error) {
+		return func(int) (*RunSummary, error) {
 			conns, err := Dial(ctx, addrs, 5*time.Second)
 			if err != nil {
 				return nil, err
@@ -63,9 +64,11 @@ func BenchmarkCoordinators(b *testing.B) {
 					c.Close()
 				}
 			}()
-			return Run(ctx, asRW(conns), sess, recs, false)
-		})
-	})
+			return Run(ctx, asRW(conns), sess, recs, collectPairs)
+		}
+	}
+	b.Run("plain", func(b *testing.B) { drainPerRecord(b, n, want, plain(false)) })
+	b.Run("plain-pairs", func(b *testing.B) { drainPerRecord(b, n, want, plain(true)) })
 	b.Run("ft", func(b *testing.B) {
 		dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
 			var d net.Dialer

@@ -37,7 +37,9 @@ import (
 //	<StateDir>/manifest.json   session manifest (checkpoint.Manifest)
 //	<StateDir>/ingest/         WAL of dispatched records, one frame each
 //	<StateDir>/results/        WAL of collected results, one Result frame
-//	                           each: its task, then its payload
+//	                           each (in a CountOnly run, a Count of the
+//	                           results a frame added): its task, then its
+//	                           payload
 //
 // The manifest is written once, when the run starts; each WAL directory
 // holds the one file wal.FileName.
@@ -52,7 +54,8 @@ type Durable struct {
 	// Resume marks this run as a restart: the ingest log already holds the
 	// record stream (the caller re-read it from there), the results log
 	// holds each task's collected results, and each task's first hello asks
-	// its worker to resume, which a fresh run's never does.
+	// its worker to resume, which a fresh run's never does. RunFT refuses a
+	// resume whose Hello, Opts.CollectPairs included, is not the manifest's.
 	Resume bool
 	// Workers records the worker addresses in the manifest so a resuming
 	// process knows the fleet. Informational — dialing stays the caller's
@@ -156,7 +159,7 @@ func (ds *durableState) appendRecord(r *record.Record) error {
 	return err
 }
 
-// appendResults persists the payload of one Result frame task collected.
+// appendResults persists the payload of one frame of results task collected.
 func (ds *durableState) appendResults(task int, payload []byte) error {
 	if ds == nil {
 		return nil
@@ -178,27 +181,32 @@ func (ds *durableState) syncResults() error {
 }
 
 // seedResults replays the results log into recv, each task's results —
-// the restart path's have counters, and its pairs when collect is set.
-// Returns how many results were recovered.
+// the restart path's have counters, and its pairs when collect is set (a
+// run that does not collect logs Count payloads; RunFT has checked that
+// the launch's Hello agrees). Returns how many results were recovered.
 func (ds *durableState) seedResults(recv []received, collect bool) (uint64, error) {
 	var (
 		n     uint64
 		batch []wire.Result
 	)
 	err := wal.Replay(filepath.Join(ds.cfg.StateDir, resultsLogDir), func(entry []byte) error {
-		task, first, rs, err := decodeResultEntry(entry, batch[:0])
-		if err != nil {
-			return err
+		task, k := binary.Uvarint(entry)
+		if k <= 0 {
+			return fmt.Errorf("remote: results log entry: truncated task")
 		}
+		first, m, rs, err := decodeNumbered(collect, entry[k:], batch[:0])
 		batch = rs
+		if err != nil {
+			return fmt.Errorf("remote: results log entry: %w", err)
+		}
 		if task >= uint64(len(recv)) || first != recv[task].results {
 			return fmt.Errorf("remote: results log entry of task %d numbered from %d does not follow the log before it", task, first)
 		}
 		got := &recv[task]
-		got.results += uint64(len(rs))
-		n += uint64(len(rs))
+		got.results += m
+		n += m
 		if collect {
-			for _, res := range rs {
+			for _, res := range batch {
 				got.pairs = append(got.pairs, record.Pair{First: res.A, Second: res.B, Sim: res.Sim})
 			}
 		}
@@ -224,19 +232,6 @@ func decodeRecordFrame(entry []byte) (*record.Record, error) {
 	return rt.Rec, nil
 }
 
-// decodeResultEntry decodes one results log entry in place: its task, and
-// the number of its first result and its results, appended to dst.
-func decodeResultEntry(entry []byte, dst []wire.Result) (task, first uint64, rs []wire.Result, err error) {
-	task, k := binary.Uvarint(entry)
-	if k <= 0 {
-		return 0, 0, dst, fmt.Errorf("remote: results log entry: truncated task")
-	}
-	if first, rs, err = wire.DecodeResults(dst, entry[k:]); err != nil {
-		return 0, 0, rs, fmt.Errorf("remote: results log entry: %w", err)
-	}
-	return task, first, rs, nil
-}
-
 // ReadIngestLog replays the persisted record stream of a durable session
 // state directory — the input a resumed run feeds back into RunFT. It
 // changes nothing on disk, and a missing log is an error.
@@ -245,21 +240,6 @@ func ReadIngestLog(stateDir string) ([]*record.Record, error) {
 	err := wal.Replay(filepath.Join(stateDir, ingestLogDir), func(entry []byte) error {
 		r, err := decodeRecordFrame(entry)
 		out = append(out, r)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadResultsLog replays the persisted results of a durable session state
-// directory, in append order. Like ReadIngestLog it only reads.
-func ReadResultsLog(stateDir string) ([]wire.Result, error) {
-	var out []wire.Result
-	err := wal.Replay(filepath.Join(stateDir, resultsLogDir), func(entry []byte) error {
-		var err error
-		_, _, out, err = decodeResultEntry(entry, out)
 		return err
 	})
 	if err != nil {

@@ -43,7 +43,7 @@ type fakeCoord struct {
 	w       *wire.Writer
 	acks    chan [2]uint64 // ResumeAck: next ID, credit
 	grants  chan uint64    // each record-credit grant
-	results chan int       // the pair count of each Result frame
+	results chan int       // the result count of each Result or Count frame
 	stats   chan struct{}
 	session chan error // the worker session's return
 }
@@ -94,10 +94,16 @@ func startFlowSession(t *testing.T, h wire.Hello, o WorkerOpts) *fakeCoord {
 				}
 				c.grants <- n
 			case wire.TypeResult:
-				if batch, err = rd.ReadResults(batch[:0]); err != nil {
+				if batch, err = readResults(rd, batch[:0]); err != nil {
 					return
 				}
 				c.results <- len(batch)
+			case wire.TypeCount:
+				_, n, err := wire.DecodeCount(rd.Payload())
+				if err != nil {
+					return
+				}
+				c.results <- int(n)
 			case wire.TypeStats:
 				c.stats <- struct{}{}
 			}
@@ -145,7 +151,8 @@ func (c *fakeCoord) resumeAck(t *testing.T) (next, credit uint64) {
 	return 0, 0
 }
 
-// awaitResults adds up Result frames until want pairs have arrived.
+// awaitResults adds up Result and Count frames until want results have
+// arrived.
 func (c *fakeCoord) awaitResults(t *testing.T, got *int, want int, why string) {
 	t.Helper()
 	for *got < want {
@@ -190,8 +197,15 @@ func (c *fakeCoord) finish(t *testing.T) {
 // acknowledges a result. The worker must stop granting credit, consume at
 // most workerRecordWindow records once its buffer reaches unackedHigh, and
 // have flushed every result, so that one acknowledgement brings the
-// withheld window back without a heartbeat.
+// withheld window back without a heartbeat. A CountOnly session, whose
+// unacked state is a count, is held to the same bound.
 func TestUnackedBufferBound(t *testing.T) {
+	for _, countOnly := range []bool{false, true} {
+		t.Run(fmt.Sprintf("count-only=%v", countOnly), func(t *testing.T) { testUnackedBufferBound(t, countOnly) })
+	}
+}
+
+func testUnackedBufferBound(t *testing.T, countOnly bool) {
 	const limit = 40000
 	sess, recs, per := flowWorkload(limit)
 	cum := make([]int, limit+1) // cum[n]: results of the first n records
@@ -204,7 +218,9 @@ func TestUnackedBufferBound(t *testing.T) {
 		}
 	}
 	mon := &Monitor{}
-	c := startFlowSession(t, durableHello(t, sess, false), WorkerOpts{Mon: mon, Logf: silentLogf})
+	h := durableHello(t, sess, false)
+	h.CountOnly = countOnly
+	c := startFlowSession(t, h, WorkerOpts{Mon: mon, Logf: silentLogf})
 	_, credit := c.resumeAck(t)
 	if credit != workerRecordWindow {
 		t.Fatalf("fresh session granted %d records, want %d", credit, workerRecordWindow)
@@ -276,23 +292,34 @@ func TestUnackedBufferBound(t *testing.T) {
 // TestResumeAtUnackedBoundGrantsNoCredit: a session restored with
 // unackedHigh unacked results answers the resume with zero record credit,
 // flushes the re-sent results, and grants the window once they are
-// acknowledged; one result fewer gets the full window.
+// acknowledged; one result fewer gets the full window. A CountOnly
+// session's checkpoint holds its next result number alone, whose results
+// it re-sends as one Count, and is held to the same bound.
 func TestResumeAtUnackedBoundGrantsNoCredit(t *testing.T) {
 	sess, _, _ := flowWorkload(0)
 	for _, tc := range []struct {
-		unacked int
-		credit  uint64
-	}{{unackedHigh - 1, workerRecordWindow}, {unackedHigh, 0}} {
-		t.Run(fmt.Sprint(tc.unacked), func(t *testing.T) {
+		unacked   int
+		credit    uint64
+		countOnly bool
+	}{{unackedHigh - 1, workerRecordWindow, false}, {unackedHigh, 0, false},
+		{unackedHigh - 1, workerRecordWindow, true}, {unackedHigh, 0, true}} {
+		name := fmt.Sprint(tc.unacked)
+		if tc.countOnly {
+			name += "-count-only"
+		}
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			h := durableHello(t, sess, true)
-			unacked := make([]wire.Result, tc.unacked)
-			for i := range unacked {
-				unacked[i] = wire.Result{A: record.ID(i), B: record.ID(i + 1), Sim: 1}
+			h.CountOnly = tc.countOnly
+			meta := &checkpoint.SessionMeta{PlanHash: h.PlanHash(), Acked: uint64(tc.unacked)}
+			if !tc.countOnly {
+				meta.Acked, meta.Unacked = 0, make([]wire.Result, tc.unacked)
+				for i := range meta.Unacked {
+					meta.Unacked[i] = wire.Result{A: record.ID(i), B: record.ID(i + 1), Sim: 1}
+				}
 			}
 			j := local.New(sess.Algorithm, local.Options{Params: sess.Params, Window: sess.Window})
-			err := writeCheckpointFile(checkpointPath(dir, h.SessionID, 0), checkpoint.Cursor{NextID: 10, NextTime: 10}, j,
-				&checkpoint.SessionMeta{PlanHash: h.PlanHash(), Unacked: unacked})
+			err := writeCheckpointFile(checkpointPath(dir, h.SessionID, 0), checkpoint.Cursor{NextID: 10, NextTime: 10}, j, meta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,11 +332,17 @@ func TestResumeAtUnackedBoundGrantsNoCredit(t *testing.T) {
 			received := 0
 			if tc.credit == 0 {
 				c.awaitResults(t, &received, tc.unacked, "a session withholding credit must flush its re-sent results")
+				if n := mon.UnackedResults.Load(); n != int64(tc.unacked) {
+					t.Errorf("unacked gauge %d after the re-send, want %d", n, tc.unacked)
+				}
 				if err := c.w.WriteCredit(uint64(received)); err != nil {
 					t.Fatal(err)
 				}
 				if g, ok := c.awaitGrant(10 * time.Second); !ok || g != workerRecordWindow {
 					t.Fatalf("grant after acknowledging the re-sent results = %d (%v), want %d", g, ok, workerRecordWindow)
+				}
+				if n := mon.UnackedResults.Load(); n != 0 {
+					t.Errorf("unacked gauge %d after acknowledging the re-sent results", n)
 				}
 			}
 			c.finish(t)

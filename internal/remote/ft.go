@@ -42,6 +42,14 @@
 // one that starts at it is new. A frame that skips past expected, or that
 // straddles or skips past have, breaks the argument above and fails the
 // attempt.
+//
+// A run that does not collect pairs asks for counts (Hello.CountOnly): a
+// Count frame per probe stands for its Result frames in the same numbering,
+// and the argument holds but for one step. A count-only checkpoint keeps
+// only the next result number, which a restored worker re-sends as one
+// Count from 0, so frame boundaries do not survive: a Count that straddles
+// have replays its part below have and adds the rest. Skipping past
+// expected or have still fails the attempt.
 package remote
 
 import (
@@ -201,7 +209,7 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 	if err != nil {
 		return nil, err
 	}
-	hello.FT, hello.SessionID = true, ft.SessionID
+	hello.FT, hello.SessionID, hello.CountOnly = true, ft.SessionID, !opts.CollectPairs
 	if ft.HeartbeatInterval <= 0 {
 		ft.HeartbeatInterval = time.Second
 	}
@@ -238,6 +246,15 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 	if ft.Durable != nil {
 		if ft.SessionID == 0 {
 			return nil, fmt.Errorf("remote: durable runs need a non-zero session id")
+		}
+		if resume { // the launch's Hello decides what the results log holds
+			m, merr := checkpoint.LoadManifest(filepath.Join(ft.Durable.StateDir, checkpoint.ManifestPath))
+			if merr == nil && m.Hello.PlanHash() != hello.PlanHash() {
+				merr = fmt.Errorf("remote: resume's plan or Opts.CollectPairs differs from the launch's")
+			}
+			if merr != nil {
+				return nil, merr
+			}
 		}
 		ds, derr := openDurable(*ft.Durable)
 		if derr != nil {
@@ -408,6 +425,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 		// results, whose count is its have counter.
 		var (
 			batch    []wire.Result
+			count    []byte
 			expected uint64
 			started  bool
 			got      = &f.recv[task]
@@ -432,14 +450,13 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 				ackSeen = true
 				recCredit.Store(int64(credit))
 				ackCh <- next
-			case wire.TypeResult:
-				first, rs, rerr := rd.ReadNumberedResults(batch[:0])
+			case wire.TypeResult, wire.TypeCount:
+				first, n, rs, rerr := readNumbered(rd, typ, f.collect, batch[:0])
 				if rerr != nil {
 					readErrCh <- rerr
 					return
 				}
 				batch = rs
-				n := uint64(len(rs))
 				switch {
 				case started && first+n <= expected:
 					// A duplicate of a frame this connection delivered.
@@ -450,17 +467,26 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 				case first+n <= got.results:
 					// A replay of collected results: acknowledged, not kept.
 					f.dupResults.Add(n)
-				case first != got.results:
+				case first > got.results || typ == wire.TypeResult && first != got.results:
 					rerr = fmt.Errorf("remote: worker %d sent results %d to %d, %d collected", task, first, first+n, got.results)
 				default:
-					if aerr := f.durable.appendResults(task, rd.Payload()); aerr != nil {
+					if first < got.results { // a straddling Count replays its part below have
+						f.dupResults.Add(got.results - first)
+					}
+					payload := rd.Payload()
+					// A run that counts logs the count each frame adds.
+					if !f.collect {
+						count = wire.AppendCount(count[:0], got.results, first+n-got.results)
+						payload = count
+					}
+					if aerr := f.durable.appendResults(task, payload); aerr != nil {
 						// Fatal, not retried: a torn append may leave the log
 						// unfit for the next one.
 						rerr = fmt.Errorf("remote: results log append: %w", aerr)
 						f.abort(rerr)
 						break
 					}
-					got.results += n
+					got.results = first + n
 					if f.collect {
 						for _, res := range rs {
 							got.pairs = append(got.pairs, record.Pair{First: res.A, Second: res.B, Sim: res.Sim})

@@ -22,11 +22,12 @@ func FuzzHelloSession(f *testing.F) {
 	}
 	seeds[1].Window = window.Count{N: 2}
 	seeds[2].Algorithm = local.Bundled
-	for _, s := range seeds {
+	for i, s := range seeds {
 		h, err := s.hello(1, 2)
 		if err != nil {
 			f.Fatal(err)
 		}
+		h.CountOnly = i != 1 // the bit set and clear
 		var buf bytes.Buffer
 		w := wire.NewWriter(&buf)
 		if err := w.WriteHello(h); err != nil {

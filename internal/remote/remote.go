@@ -8,7 +8,7 @@
 // Protocol per connection (one join session):
 //
 //	coordinator → worker: Hello, Record*, EOF
-//	worker → coordinator: Result*, Stats, close
+//	worker → coordinator: Result* (Count* if pairs are not collected), Stats, close
 //
 // The coordinator runs one reader goroutine per worker so result
 // backpressure can never deadlock record dispatch.

@@ -167,7 +167,8 @@ func writeCheckpointFile(path string, cur checkpoint.Cursor, j local.Joiner, met
 //     the checkpoint keeps the number of the first unacknowledged one;
 //   - every result stays in an unacked buffer until a coordinator Credit
 //     frame acknowledges it, and the session withholds record credit
-//     while that buffer is at unackedHigh, which bounds it;
+//     while that buffer (a count in a CountOnly session) is at
+//     unackedHigh, which bounds it;
 //   - a hello with FT set but Resume clear discards any stale checkpoint
 //     for the session: the coordinator starts this worker's state from
 //     scratch (a fresh run) and a later resume must not revive older
@@ -231,15 +232,17 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		// acknowledged by a coordinator Credit frame, in emission order,
 		// which is the session's results numbered acked onwards. Restored
 		// from the checkpoint's envelope on resume and re-sent after the
-		// ack.
+		// ack. A CountOnly session counts them in counted instead.
 		acked   uint64
 		unacked []wire.Result
+		counted uint64
 		// withholding is set while the session keeps the record credit of
 		// consumed records back (unackedHigh); consumed counts the records
 		// whose credit is not yet returned.
 		withholding bool
 		consumed    uint64
 	)
+	held := func() uint64 { return uint64(len(unacked)) + counted }
 	if h.FT {
 		next := uint64(0)
 		if h.Resume && ckptPath != "" {
@@ -269,12 +272,15 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 					next = cur.NextID
 					lastTime = cur.NextTime - 1
 					acked, unacked = meta.Acked, meta.Unacked
+					if h.CountOnly { // the envelope is the next result number
+						acked, counted = 0, meta.Acked
+					}
 					if mon != nil {
 						mon.SessionsResumed.Add(1)
 					}
 					o.Journal.Append("resume", comp,
 						fmt.Sprintf("session %016x restored %d records from checkpoint, next id %d, %d unacked results",
-							h.SessionID, n, next, len(unacked)))
+							h.SessionID, n, next, held()))
 					o.logf("remote worker: resumed session %016x task %d from checkpoint (%d records, next id %d)",
 						h.SessionID, h.Task, n, next)
 				}
@@ -286,7 +292,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 			lastID, haveLast = next-1, true
 		}
 		credit := uint64(workerRecordWindow)
-		if len(unacked) >= unackedHigh {
+		if held() >= unackedHigh {
 			// A restored buffer at the bound: the whole window stays back
 			// until the re-sent tail is acknowledged.
 			credit, consumed, withholding = 0, workerRecordWindow, true
@@ -295,22 +301,27 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 			return fmt.Errorf("remote: writing resume ack: %w", err)
 		}
 	}
-	if mon != nil && len(unacked) > 0 {
-		mon.UnackedResults.Add(int64(len(unacked)))
+	if mon != nil && held() > 0 {
+		mon.UnackedResults.Add(int64(held()))
 	}
 
 	task, workers := h.Task, h.Workers
 	// emitted counts results written this session. Step emits on the
 	// calling goroutine, so neither it nor cur, the record being stepped,
-	// nor batch, its pairs so far, needs synchronization — which lets one
-	// emit closure serve the whole session.
+	// nor matched and batch, its results and pairs so far (a CountOnly
+	// session keeps no pairs), needs synchronization — which lets one emit
+	// closure serve the whole session.
 	var (
 		emitted uint64
 		cur     *record.Record
 		batch   []wire.Result
+		matched uint64
 	)
 	emit := func(m local.Match) {
 		if !strat.Emits(cur, m.Rec, task, workers) {
+			return
+		}
+		if matched++; h.CountOnly {
 			return
 		}
 		a, b := cur.ID, m.ID
@@ -319,31 +330,39 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		}
 		batch = append(batch, wire.Result{A: a, B: b, Sim: m.Sim})
 	}
-	// sendBatch writes the stepped record's pairs as one Result frame and,
-	// in an FT session, buffers them unacked pair by pair.
+	// sendBatch writes the stepped record's results as one Result (or
+	// Count) frame and, in an FT session, holds them unacked.
 	sendBatch := func() error {
-		n := len(batch)
-		emitted += uint64(n)
+		n := matched
+		emitted += n
 		if mon != nil {
-			mon.ResultsEmitted.Add(uint64(n))
+			mon.ResultsEmitted.Add(n)
 		}
-		err := wr.WriteResults(cur.ID, batch)
+		var err error
+		if h.CountOnly {
+			err = wr.WriteCount(n)
+		} else {
+			err = wr.WriteResults(cur.ID, batch)
+		}
 		if h.FT {
 			unacked = append(unacked, batch...)
+			if h.CountOnly {
+				counted += n
+			}
 			if mon != nil {
 				mon.UnackedResults.Add(int64(n))
 			}
 			// At the bound, withhold record credit. While withholding, flush
 			// every batch: the coordinator can only acknowledge results it
 			// has, and only acknowledgements end the withholding.
-			withholding = withholding || len(unacked) >= unackedHigh
+			withholding = withholding || held() >= unackedHigh
 			if withholding {
 				if ferr := wr.Flush(); ferr != nil && err == nil {
 					err = ferr
 				}
 			}
 		}
-		batch = batch[:0]
+		batch, matched = batch[:0], 0
 		return err
 	}
 
@@ -352,7 +371,11 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	// the previous coordinator died before persisting them; the new one
 	// skips any it already has and acknowledges all of them either way.
 	wr.SetResultNumber(acked)
-	if err := wr.WriteProbes(unacked); err != nil {
+	err = wr.WriteProbes(unacked)
+	if err == nil && counted > 0 {
+		err = wr.WriteCount(counted)
+	}
+	if err != nil {
 		return fmt.Errorf("remote: re-sending unacked result: %w", err)
 	}
 	if withholding {
@@ -387,7 +410,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		// broken connection it fails, and the checkpoint is saved anyway.
 		_ = wr.Flush()
 		cur := checkpoint.Cursor{NextID: lastID + 1, NextTime: lastTime + 1}
-		meta := &checkpoint.SessionMeta{PlanHash: planHash, Acked: acked, Unacked: unacked}
+		meta := &checkpoint.SessionMeta{PlanHash: planHash, Acked: acked + counted, Unacked: unacked}
 		if err := writeCheckpointFile(ckptPath, cur, joiner, meta); err != nil {
 			o.logf("remote worker: checkpoint write failed: %v", err)
 			return
@@ -464,7 +487,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 					// One frame per probe with matches, written before the cursor
 					// advances so a checkpoint never covers unsent results.
 					var writeErr error
-					if len(batch) > 0 {
+					if matched > 0 {
 						writeErr = sendBatch()
 					}
 					if mon != nil {
@@ -502,21 +525,18 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 				if cerr != nil {
 					return cerr
 				}
-				d := len(unacked)
-				if n < uint64(d) {
-					d = int(n)
-				}
-				if d > 0 {
-					acked += uint64(d)
-					unacked = unacked[d:]
-					if len(unacked) == 0 {
+				if d := min(n, held()); d > 0 {
+					acked += d
+					if h.CountOnly {
+						counted -= d
+					} else if unacked = unacked[d:]; len(unacked) == 0 {
 						unacked = nil // release the drained backing array
 					}
 					if mon != nil {
 						mon.UnackedResults.Add(-int64(d))
 					}
 				}
-				if withholding && len(unacked) <= unackedLow {
+				if withholding && held() <= unackedLow {
 					// Back under the bound: grant the withheld credit at once.
 					withholding = false
 					if consumed > 0 {
@@ -549,7 +569,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	if mon != nil {
 		// The session's live buffer is gone either way; what survives a
 		// crash lives in the checkpoint, not the gauge.
-		mon.UnackedResults.Add(-int64(len(unacked)))
+		mon.UnackedResults.Add(-int64(held()))
 	}
 	if ckptPath != "" {
 		if err != nil {

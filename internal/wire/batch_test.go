@@ -236,6 +236,95 @@ func TestResultBatchRejectsHostileBytes(t *testing.T) {
 	}
 }
 
+// TestCountFramesShareTheResultNumbers: Count and Result frames written by
+// one Writer number one result sequence, and a Count payload decodes to
+// the number of its first result and its count.
+func TestCountFramesShareTheResultNumbers(t *testing.T) {
+	r := roundTripFrames(t, func(w *Writer) error {
+		w.SetResultNumber(7)
+		if err := w.WriteCount(3); err != nil {
+			return err
+		}
+		if err := w.WriteResults(20, probePairs(20, 4, 9)); err != nil {
+			return err
+		}
+		return w.WriteCount(1 << 40)
+	})
+	want := []struct {
+		typ      byte
+		first, n uint64
+	}{{TypeCount, 7, 3}, {TypeResult, 10, 2}, {TypeCount, 12, 1 << 40}}
+	for i, w := range want {
+		typ, err := r.Next()
+		if err != nil || typ != w.typ {
+			t.Fatalf("frame %d: type %d, %v; want %d", i, typ, err, w.typ)
+		}
+		var first, n uint64
+		if typ == TypeCount {
+			first, n, err = DecodeCount(r.Payload())
+		} else {
+			var rs []Result
+			first, rs, err = r.ReadNumberedResults(nil)
+			n = uint64(len(rs))
+		}
+		if err != nil || first != w.first || n != w.n {
+			t.Errorf("frame %d: results %d numbered from %d, %v; want %d from %d", i, n, first, err, w.n, w.first)
+		}
+	}
+}
+
+// TestCountRejectsHostileBytes: a Count payload that is truncated, holds a
+// byte after its count, or numbers a result past 2^64 − 1 is refused.
+func TestCountRejectsHostileBytes(t *testing.T) {
+	for name, body := range hostileCountPayloads {
+		if first, n, err := DecodeCount(body); err == nil {
+			t.Errorf("%s: decoded to %d from %d", name, n, first)
+		}
+	}
+	if first, n, err := DecodeCount(AppendCount(nil, math.MaxUint64-5, 5)); err != nil || first != math.MaxUint64-5 || n != 5 {
+		t.Errorf("a count ending at 2^64 - 1 decoded to %d from %d, %v", n, first, err)
+	}
+}
+
+// hostileCountPayloads are Count payloads DecodeCount must refuse.
+var hostileCountPayloads = map[string][]byte{
+	"empty":               {},
+	"number only":         {4},
+	"trailing byte":       {4, 2, 0},
+	"numbers past 2^64-1": AppendCount(nil, math.MaxUint64-5, 6),
+	"overlong count":      {0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+}
+
+// TestReaderDropsALargeStagingBuffer: a run of 1 MiB frames reuses one
+// staging buffer, and the small frame after them leaves the Reader holding
+// at most 64 KiB of it.
+func TestReaderDropsALargeStagingBuffer(t *testing.T) {
+	r := roundTripFrames(t, func(w *Writer) error {
+		for i := 0; i < 2; i++ {
+			if err := w.WriteSnapshot(make([]byte, 1<<20)); err != nil {
+				return err
+			}
+		}
+		return w.WriteCount(1)
+	})
+	var big *byte
+	for i := 0; i < 2; i++ {
+		if _, err := r.Next(); err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 && &r.buf[0] != big {
+			t.Fatal("the second 1 MiB frame reallocated the staging buffer")
+		}
+		big = &r.buf[0]
+	}
+	if _, err := r.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(r.buf); c > 64<<10 {
+		t.Fatalf("after a 1 MiB frame and a small one the Reader stages %d bytes, want at most %d", c, 64<<10)
+	}
+}
+
 // TestReaderNextGrowthIsAmortised: frames of rising size reallocate the
 // staging buffer a logarithmic number of times, not once per new maximum.
 func TestReaderNextGrowthIsAmortised(t *testing.T) {
@@ -324,5 +413,37 @@ func BenchmarkResultBatch(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rs)), "ns/pair")
+	})
+	// The same probe in a CountOnly session: one Count frame of 24.
+	b.Run("count/encode", func(b *testing.B) {
+		w := NewWriter(io.Discard)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := w.WriteCount(uint64(len(rs))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("count/decode", func(b *testing.B) {
+		var frame bytes.Buffer
+		w := NewWriter(&frame)
+		w.SetResultNumber(1 << 20)
+		if err := w.WriteCount(uint64(len(rs))); err != nil {
+			b.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		r := NewReader(&repeatReader{b: frame.Bytes()})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := r.Next(); err != nil {
+				b.Fatal(err)
+			}
+			if _, n, err := DecodeCount(r.Payload()); err != nil || n != uint64(len(rs)) {
+				b.Fatalf("decoded a count of %d, %v", n, err)
+			}
+		}
 	})
 }

@@ -42,6 +42,17 @@ func FuzzReaderNeverPanics(f *testing.F) {
 	for _, body := range hostileRecordPayloads {
 		f.Add(append([]byte{TypeRecord, byte(len(body))}, body...))
 	}
+	// Count frames: a count between two Result frames, then every hostile
+	// payload as a frame.
+	buf.Reset()
+	_ = w.WriteCount(3)
+	_ = w.WriteResult(Result{A: 1, B: 2, Sim: 0.5})
+	_ = w.WriteCount(1 << 33)
+	_ = w.Flush()
+	f.Add(bytes.Clone(buf.Bytes()))
+	for _, body := range hostileCountPayloads {
+		f.Add(append([]byte{TypeCount, byte(len(body))}, body...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
@@ -63,6 +74,10 @@ func FuzzReaderNeverPanics(f *testing.F) {
 				}
 				if oneErr == nil && (err != nil || len(rs) != 1 || !sameResult(rs[0], one)) {
 					t.Fatalf("ReadResult %+v disagrees with ReadResults %+v, %v", one, rs, err)
+				}
+			case TypeCount:
+				if first, n, err := DecodeCount(r.buf); err == nil && n > math.MaxUint64-first {
+					t.Fatalf("a count of %d from %d numbers past 2^64 - 1", n, first)
 				}
 			case TypeStats:
 				_, _ = r.ReadStats()

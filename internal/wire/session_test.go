@@ -2,14 +2,18 @@ package wire_test
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"io"
 	"net"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/filter"
 	"repro/internal/record"
 	"repro/internal/remote"
 	"repro/internal/similarity"
+	"repro/internal/wal"
 	"repro/internal/wire"
 )
 
@@ -88,7 +92,7 @@ func TestSessionSplitsAProbeOverFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		check(t, sum)
-		logged, err := remote.ReadResultsLog(state)
+		logged, err := readResultsLog(state)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,4 +100,20 @@ func TestSessionSplitsAProbeOverFrames(t *testing.T) {
 			t.Fatalf("results log holds %d entries, want %d", len(logged), want)
 		}
 	})
+}
+
+// readResultsLog replays the pairs of a durable state directory's results
+// log, whose entries are a task and a Result payload each.
+func readResultsLog(stateDir string) ([]wire.Result, error) {
+	var out []wire.Result
+	err := wal.Replay(filepath.Join(stateDir, "results"), func(entry []byte) error {
+		_, k := binary.Uvarint(entry)
+		if k <= 0 {
+			return errors.New("truncated task")
+		}
+		var err error
+		_, out, err = wire.DecodeResults(out, entry[k:])
+		return err
+	})
+	return out, err
 }

@@ -9,10 +9,11 @@
 //
 // The protocol is request/response-free on the data path: the coordinator
 // streams Hello, Record... , EOF; the worker streams Result..., Stats, and
-// closes. Both sides therefore run one reader and one writer goroutine
-// with no locking. Fault-tolerant sessions (Hello flag FT) add control
-// frames outside the data path: Ping/Pong liveness probes, the ResumeAck
-// answer to the Hello, and the Credit flow-control frame.
+// closes (Count... for Result... when the Hello is CountOnly). Both sides
+// therefore run one reader and one writer goroutine with no locking.
+// Fault-tolerant sessions (Hello flag FT) add control frames outside the
+// data path: Ping/Pong liveness probes, the ResumeAck answer to the Hello,
+// and the Credit flow-control frame.
 package wire
 
 import (
@@ -79,6 +80,9 @@ const (
 	// unacknowledged-result buffer. Credits are per-connection and reset at
 	// each handshake.
 	TypeCredit
+	// TypeCount stands for one probe's Result frames in a CountOnly session,
+	// worker→coordinator: the number of its first result and their count.
+	TypeCount
 )
 
 // Version is the protocol version carried in Hello, and the only one a
@@ -94,8 +98,9 @@ const (
 // numbered results (version 9: a Result frame carries the number of its
 // first pair in the session's result sequence), and a Hello without a
 // plan-hash field (version 10: Hello.PlanHash derives it from the Hello's
-// own bytes, and a decoder refuses a byte after the session ID).
-const Version = 10
+// own bytes, and a decoder refuses a byte after the session ID), and
+// counted results (version 11: Hello.CountOnly and the Count frame).
+const Version = 11
 
 // MaxFrame bounds a frame payload; larger frames indicate corruption.
 const MaxFrame = 1 << 24
@@ -135,6 +140,9 @@ type Hello struct {
 	// SessionID names the run across reconnects; FT checkpoints are keyed
 	// by it. Zero for non-FT sessions.
 	SessionID uint64
+	// CountOnly asks the worker for one Count frame per probe with matches
+	// in place of its Result frames; the zero value sends pairs.
+	CountOnly bool
 }
 
 // PlanHash fingerprints the join h configures: FNV-1a over the bytes
@@ -151,12 +159,13 @@ func (h Hello) PlanHash() uint64 {
 }
 
 // The Hello flag bits; a decoder refuses any other. Bit 4 (16) was the
-// Durable flag of protocol version 7.
+// Durable flag of protocol version 7 and is CountOnly since version 11.
 const (
 	helloOneByOne byte = 1 << iota
 	helloBi
 	helloFT
 	helloResume
+	helloCountOnly
 )
 
 // Record is a routed record copy with its storage role and, for
@@ -270,6 +279,9 @@ func (w *Writer) putHello(h Hello) {
 	if h.Resume {
 		flags |= helloResume
 	}
+	if h.CountOnly {
+		flags |= helloCountOnly
+	}
 	w.buf = append(w.buf, flags)
 	w.putUvarint(h.SessionID)
 }
@@ -307,8 +319,8 @@ func (w *Writer) WriteResult(res Result) error {
 	return w.WriteResults(res.A, []Result{res})
 }
 
-// SetResultNumber sets the number WriteResults gives the next pair it
-// writes; a Writer starts at 0.
+// SetResultNumber sets the number WriteResults or WriteCount gives the
+// next result it writes; a Writer starts at 0.
 func (w *Writer) SetResultNumber(n uint64) { w.results = n }
 
 // WriteResults sends the pairs one probe produced as one Result frame, or
@@ -356,6 +368,35 @@ func (w *Writer) WriteProbes(rs []Result) error {
 	return nil
 }
 
+// WriteCount sends a Count frame of n results, numbered as Result frames
+// of n pairs would be.
+func (w *Writer) WriteCount(n uint64) error {
+	w.buf = AppendCount(w.buf, w.results, n)
+	w.results += n
+	return w.flushFrame(TypeCount)
+}
+
+// AppendCount appends a Count payload to b: first and n as uvarints.
+func AppendCount(b []byte, first, n uint64) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(b, first), n)
+}
+
+// DecodeCount decodes a Count payload. A count that numbers a result past
+// 2^64 − 1, or a byte after it, is an error.
+func DecodeCount(body []byte) (first, n uint64, err error) {
+	first, i := binary.Uvarint(body)
+	n, j := binary.Uvarint(body[max(i, 0):])
+	switch {
+	case i <= 0 || j <= 0:
+		return 0, 0, errResultTruncated
+	case i+j != len(body):
+		return 0, 0, errResultTrailing
+	case n > math.MaxUint64-first:
+		return 0, 0, errResultNumber
+	}
+	return first, n, nil
+}
+
 // partner is the ID r pairs with probe.
 func partner(r Result, probe record.ID) record.ID {
 	if r.B == probe {
@@ -369,7 +410,7 @@ func partner(r Result, probe record.ID) record.ID {
 var (
 	errResultTruncated = errors.New("wire: truncated result frame")
 	errResultCount     = errors.New("wire: result pair count exceeds the payload")
-	errResultTrailing  = errors.New("wire: bytes after the last result pair")
+	errResultTrailing  = errors.New("wire: bytes after the last result")
 	errResultNotOne    = errors.New("wire: result frame does not hold exactly one pair")
 	errResultNumber    = errors.New("wire: result numbers past 2^64-1")
 	errPartnerRange    = errors.New("wire: result partner ID outside the ID range")
@@ -535,8 +576,12 @@ func (r *Reader) Next() (byte, error) {
 	// A frame that fits takes one read and no allocation. A header that
 	// declares a large frame costs memory only for bytes the peer really
 	// sent, and frames of rising size (a probe's pairs) do not reallocate
-	// at every new largest frame.
-	r.buf = r.buf[:0]
+	// at every new largest frame. A buffer past 64 KiB is dropped before a
+	// frame that fits in 64 KiB, so that one large frame (a snapshot, a
+	// split probe) does not pin its size while a run of them reuses it.
+	if r.buf = r.buf[:0]; cap(r.buf) > 64<<10 && n <= 64<<10 {
+		r.buf = nil
+	}
 	for len(r.buf) < int(n) {
 		if len(r.buf) == cap(r.buf) {
 			r.buf = slices.Grow(r.buf, min(max(cap(r.buf), 4<<10), MaxFrame-len(r.buf)))
@@ -660,13 +705,14 @@ func (r *Reader) ReadHello() (Hello, error) {
 	h.Bi = ob&helloBi != 0
 	h.FT = ob&helloFT != 0
 	h.Resume = ob&helloResume != 0
+	h.CountOnly = ob&helloCountOnly != 0
 	if h.SessionID, err = p.uvarint(); err != nil {
 		return h, err
 	}
 	if h.Version != Version {
 		return h, fmt.Errorf("wire: protocol version %d, want %d", h.Version, Version)
 	}
-	if ob&^(helloOneByOne|helloBi|helloFT|helloResume) != 0 {
+	if ob&^(helloOneByOne|helloBi|helloFT|helloResume|helloCountOnly) != 0 {
 		return h, fmt.Errorf("wire: hello flags %#02x set an unknown bit", ob)
 	}
 	if p.i != len(p.b) {
@@ -775,18 +821,6 @@ func DecodeRecord(body []byte) (Record, error) {
 // ReadResult decodes a staged Result frame that holds exactly one pair.
 func (r *Reader) ReadResult() (Result, error) {
 	return DecodeResult(r.buf)
-}
-
-// ReadResults appends the pairs of a staged Result frame to dst.
-func (r *Reader) ReadResults(dst []Result) ([]Result, error) {
-	_, dst, err := DecodeResults(dst, r.buf)
-	return dst, err
-}
-
-// ReadNumberedResults appends the pairs of a staged Result frame to dst
-// and returns the number of its first pair too.
-func (r *Reader) ReadNumberedResults(dst []Result) (uint64, []Result, error) {
-	return DecodeResults(dst, r.buf)
 }
 
 // Payload returns the staged frame's payload. It is a view of the Reader's

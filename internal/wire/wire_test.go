@@ -167,9 +167,9 @@ func TestHelloV4FieldsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHelloRejectsUnknownFlagBits: bit 4, the Durable flag of version 7,
-// and every bit above it are refused, as DecodeRecord refuses unknown
-// record flags.
+// TestHelloRejectsUnknownFlagBits: every bit above bit 4 (CountOnly since
+// version 11, the Durable flag of version 7) is refused, as DecodeRecord
+// refuses unknown record flags.
 func TestHelloRejectsUnknownFlagBits(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -185,7 +185,8 @@ func TestHelloRejectsUnknownFlagBits(t *testing.T) {
 	if frame[flags] != helloFT {
 		t.Fatalf("flags byte %#02x at %d, want the FT bit alone", frame[flags], flags)
 	}
-	for bit := 4; bit < 8; bit++ {
+	// Bits 0–4 are OneByOne, Bi, FT, Resume and CountOnly.
+	for bit := 5; bit < 8; bit++ {
 		bad := bytes.Clone(frame)
 		bad[flags] |= 1 << bit
 		r := NewReader(bytes.NewReader(bad))
