@@ -174,30 +174,35 @@ func TestMaxMembersCapsBundles(t *testing.T) {
 }
 
 // TestDuplicateOverflowFillsBundles streams 200 copies of one set through
-// bundles capped at 8 members. The set has 5 tokens: at τ 0.8 a set of up
-// to 3 is in the equality regime and never enters a bundle. Every copy ties at similarity 1 with every
-// live copy, and ties go to the newest, whose bundle the last overflow
-// founded: the copies fill 25 bundles of 8 rather than leaving one full
-// bundle and a singleton per later copy. Every pair is emitted once.
+// groups capped at 8 members, for a set of 5 tokens and one of 9. At τ 0.8
+// the 5-token copies live in the containment regime's twin entries, which
+// the cap splits as it splits bundles: a copy joins the entry with room and
+// a further copy founds the next. The 9-token copies go through bundles:
+// every copy ties at similarity 1 with every live copy, and ties go to the
+// newest, whose bundle the last overflow founded. Either way the copies
+// fill 25 groups of 8 rather than leaving one full group and a singleton
+// per later copy. Every pair is emitted once.
 func TestDuplicateOverflowFillsBundles(t *testing.T) {
 	const copies = 200
-	bx := New(params(0.8), window.Unbounded{}, Config{MaxMembers: 8})
-	seen := make(map[record.Pair]bool)
-	for i := 0; i < copies; i++ {
-		bx.Process(rec(record.ID(i), 3, 7, 11, 13, 17), func(m Match) {
-			pr := record.NewPair(record.ID(i), m.Rec.ID, 0)
-			if seen[pr] || m.Sim != 1 {
-				t.Fatalf("match %v (sim %v) emitted twice or not exact", pr, m.Sim)
-			}
-			seen[pr] = true
-		})
-	}
-	checkInvariants(t, bx)
-	if len(seen) != copies*(copies-1)/2 {
-		t.Fatalf("%d pairs, want %d", len(seen), copies*(copies-1)/2)
-	}
-	if st := bx.Stats(); st.Bundles != copies/8 || st.MaxBundleSize != 8 {
-		t.Fatalf("copies built %d bundles (largest %d), want %d full ones: %+v", st.Bundles, st.MaxBundleSize, copies/8, st)
+	for _, set := range [][]tokens.Rank{{3, 7, 11, 13, 17}, {3, 7, 11, 13, 17, 19, 23, 29, 31}} {
+		bx := New(params(0.8), window.Unbounded{}, Config{MaxMembers: 8})
+		seen := make(map[record.Pair]bool)
+		for i := 0; i < copies; i++ {
+			bx.Process(rec(record.ID(i), set...), func(m Match) {
+				pr := record.NewPair(record.ID(i), m.Rec.ID, 0)
+				if seen[pr] || m.Sim != 1 {
+					t.Fatalf("match %v (sim %v) emitted twice or not exact", pr, m.Sim)
+				}
+				seen[pr] = true
+			})
+		}
+		checkInvariants(t, bx)
+		if len(seen) != copies*(copies-1)/2 {
+			t.Fatalf("%d tokens: %d pairs, want %d", len(set), len(seen), copies*(copies-1)/2)
+		}
+		if st := bx.Stats(); st.Bundles != copies/8 || st.MaxBundleSize != 8 || (len(set) > bx.cMax) != (st.Postings > 0) {
+			t.Fatalf("%d tokens: copies built %d groups (largest %d), want %d full ones: %+v", len(set), st.Bundles, st.MaxBundleSize, copies/8, st)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package bundle
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -88,8 +89,8 @@ type Stats struct {
 	KernelBitset    uint64 // never written: the kernel is gone, bench/layers.go still reads the field
 	BundleQuickSkip uint64 // bundles skipped by the pre-merge size bound
 	MemberDeltaSkip uint64 // members skipped by the core+|delta| bound
-	TwinProbes      uint64 // probes the twin table answered (see equalityMax)
-	TwinMatches     uint64 // their matches, counted in MemberChecks, Verified and Results too
+	TwinProbes      uint64 // probes that ran the containment regime's lookups (see containment)
+	TwinMatches     uint64 // identities and containments found by lookup, counted in MemberChecks, Verified and Results too
 }
 
 // Pruned sums the candidates the signature and kernel-tier upper bounds
@@ -98,7 +99,7 @@ func (s Stats) Pruned() uint64 {
 	return s.BundleSigSkip + s.BundleQuickSkip + s.MemberDeltaSkip
 }
 
-// fifoEntry is a live record's member and bundle, nil for a twin. It stays
+// fifoEntry is a live record's member and bundle, nil in the sets. It stays
 // 16 bytes: the fifo is copied down on every drain.
 type fifoEntry struct {
 	b *Bundle
@@ -145,9 +146,10 @@ type Index struct {
 	trial []tokens.Rank
 	// al slab-allocates members, bundles and deltas on the insert path.
 	al alloc
-	// Records of 1..eqMax tokens live in twins, never in a bundle.
-	eqMax int
-	twins twinTable
+	// Records of 1..cMax tokens live in sets, never a bundle (containment).
+	cMax        int
+	keys, looks [maxKeyed + 2][]uint16
+	sets        setTable
 }
 
 // walkRef is one prefix token in the selectivity-ordered walk: pos is the
@@ -167,32 +169,74 @@ func New(p filter.Params, w window.Policy, cfg Config) *Index {
 		cfg:    cfg.withDefaults(p.Threshold),
 	}
 	bx.posts.rebuild(postMinBits)
-	bx.twins.rehash(16)
+	bx.sets.rehash(16, 0)
 	if bx.cfg.GroupThreshold <= 1 {
-		bx.eqMax = equalityMax(p)
+		bx.cMax, bx.keys, bx.looks = containment(p)
 	}
 	return bx
 }
 
-// equalityMax returns the largest L ≤ 4 096 such that every length 1..L is
-// in the equality regime: its band is [l, l], two records of l tokens need
-// all l in common, and the bands of l-1 and l+1 (so of every other length)
-// exclude l. DESIGN.md § "Equality regime" has the proof.
-func equalityMax(p filter.Params) int {
-	l := 1
-	for ; l <= 1<<12; l++ {
-		lo, hi := p.LengthBounds(l)
-		_, below := p.LengthBounds(l - 1)
-		above, _ := p.LengthBounds(l + 1)
-		if lo != l || hi != l || below >= l || above <= l || p.RequiredOverlap(l, l) != l {
-			break
+// maxKeyed caps a length's subset keys, and lookups; a uint16 skip mask fits.
+const maxKeyed = 16
+
+// containment returns cMax, the largest L ≤ 4 096 such that every length l
+// in 1..L pairs with every length m, either way, only at overlap min(l, m)
+// and no length has over maxKeyed subset keys or lookups, and by length
+// their skip masks. docs/ALGORITHMS.md § Containment regime has the proof.
+func containment(p filter.Params) (cMax int, keys, looks [maxKeyed + 2][]uint16) {
+	need := func(a, b int) int { // past min(a, b) when b is outside a's band
+		if lo, hi := p.LengthBounds(a); b < lo || b > hi {
+			return math.MaxInt
 		}
+		return p.RequiredOverlap(a, b)
 	}
-	return l - 1
+	for l := 1; l <= 1<<12; l++ {
+		a, b := p.LengthBounds(l)
+		if b >= math.MaxInt32 {
+			break // unbounded: the band never closes
+		}
+		// Bands are monotone, so l's partners either way are [a, b].
+		for _, hi := p.LengthBounds(a - 1); a > 1 && hi >= l; _, hi = p.LengthBounds(a - 1) {
+			a--
+		}
+		for lo, _ := p.LengthBounds(b + 1); lo <= l; lo, _ = p.LengthBounds(b + 1) {
+			b++
+		}
+		nk, nl := keys, looks // l's masks, kept only if every length stays in budget
+		for m := a; m <= b; m++ {
+			if min(need(l, m), need(m, l)) < min(l, m) {
+				return cMax, keys, looks
+			}
+			key, look := m > l && need(l, m) <= l, m > l && need(m, l) <= l
+			if (key || look) && m > maxKeyed {
+				return cMax, keys, looks
+			}
+			for skip := uint32(1)<<max(m-l, 0) - 1; (key || look) && skip < 1<<m; skip = nextComb(skip) {
+				if key {
+					nk[m] = append(nk[m], uint16(skip))
+				}
+				if look {
+					nl[m] = append(nl[m], uint16(skip))
+				}
+				if len(nk[m]) > maxKeyed || len(nl[m]) > maxKeyed {
+					return cMax, keys, looks
+				}
+			}
+		}
+		cMax, keys, looks = l, nk, nl
+	}
+	return cMax, keys, looks
 }
 
-// twin reports whether a record of l tokens belongs in the twin table.
-func (bx *Index) twin(l int) bool { return 0 < l && l <= bx.eqMax }
+// nextComb is the next larger integer with as many set bits as x (Gosper).
+func nextComb(x uint32) uint32 {
+	c := x & -x
+	r := x + c
+	return (((r ^ x) >> 2) / c) | r
+}
+
+// inSets reports whether a record of l tokens lives in sets, not a bundle.
+func (bx *Index) inSets(l int) bool { return 0 < l && l <= bx.cMax }
 
 // Params returns the join parameters.
 func (bx *Index) Params() filter.Params { return bx.params }
@@ -232,7 +276,7 @@ func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
 			break
 		}
 		if fe.b == nil {
-			if bx.twins.remove(fe.m) {
+			if bx.sets.remove(fe.m, setHash(rec.Tokens)) {
 				bx.stats.LiveBundles--
 			}
 		} else {
@@ -250,6 +294,9 @@ func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
 	if bx.head > 64 && bx.head*2 > len(bx.fifo) {
 		bx.fifo = append(bx.fifo[:0], bx.fifo[bx.head:]...)
 		bx.head = 0
+	}
+	if k := bx.sets.keys; len(k) > 2*sweepFloor && k[len(k)/2].seq < bx.stats.Evicted {
+		bx.sets.rehash(len(bx.sets.heads), bx.stats.Evicted)
 	}
 	if bx.deadPosts > sweepFloor && bx.deadPosts*2 > uint64(bx.posts.n) {
 		bx.sweep()
@@ -319,14 +366,26 @@ func (bx *Index) sweep() {
 }
 
 // Probe finds all live records similar to r, emits each as it is verified
-// — candidate bundles in collectCandidates' order, members in bundle order,
-// twins oldest first: a function of index state, sorted by nothing — and
-// returns the best match's bundle together with the best similarity
-// (ok=false when there is no match). Verification is exact; emitted
-// overlaps are true intersection sizes.
+// — lookups in chain order, then candidate bundles in collectCandidates'
+// order, members in bundle order: a function of index state, sorted by
+// nothing — and returns the best bundle match together with its similarity
+// (ok=false if none: a lookup's match is never the hint). Verification is
+// exact; emitted overlaps are true intersection sizes.
 func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok bool) {
-	if bx.twin(r.Len()) {
-		return bx.probeTwins(r, emit)
+	l := r.Len()
+	if looks := bx.looks[min(l, maxKeyed+1)]; bx.inSets(l) || len(looks) > 0 {
+		// r's subsets among exact sets, then its own set among every key —
+		// its copies and the longer records keyed under it: each partner
+		// is stored under exactly one set looked up, so emitted once.
+		bx.stats.TwinProbes++
+		h := setHash(r.Tokens)
+		for _, skip := range looks {
+			bx.lookup(r, subHash(h, r.Tokens, skip), skip, emit)
+		}
+		if bx.inSets(l) {
+			bx.lookup(r, h, 0, emit)
+			return Insertion{}, false
+		}
 	}
 	for _, b := range bx.collectCandidates(r) {
 		if m, found := bx.probeBundle(r, b, emit); found && (!ok || betterIns(m, best)) {
@@ -336,26 +395,32 @@ func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok b
 	return best, ok
 }
 
-// probeTwins answers a probe of the equality regime by one lookup: its
-// matches are the live records of its token set, oldest first, each at
-// overlap |r|. Once per probe of a twin-length record.
-func (bx *Index) probeTwins(r *record.Record, emit func(Match)) (Insertion, bool) {
-	bx.stats.TwinProbes++
-	s := bx.twins.find(r.Tokens, twinHash(r.Tokens))
-	if s == nil {
-		return Insertion{}, false
+// lookup emits the live records stored under r's tokens less the positions
+// in skip, a set of k tokens whose hash is h: every copy of that exact set
+// at overlap k, and — for r's own set, skip 0 — every longer record keyed
+// under it, at overlap |r|.
+func (bx *Index) lookup(r *record.Record, h uint64, skip uint16, emit func(Match)) {
+	t, ev, n := &bx.sets, bx.stats.Evicted, uint64(0)
+	f, l, k := bx.params.Func, r.Len(), r.Len()-bits.OnesCount16(skip)
+	for i := t.heads[h>>t.shift][0]; i != 0; i = t.sets[i-1].next {
+		if s := &t.sets[i-1]; s.hash == h && equalSkip(r.Tokens, skip, s.ms[0].Rec.Tokens) {
+			sim := similarity.FromOverlap(f, k, l, k)
+			for _, m := range s.ms {
+				emit(Match{Rec: m.Rec, ID: m.id, Overlap: k, Sim: sim})
+			}
+			n += uint64(len(s.ms))
+		}
 	}
-	l := r.Len()
-	sim := similarity.FromOverlap(bx.params.Func, l, l, l)
-	for _, m := range s.ms {
-		emit(Match{Rec: m.Rec, ID: m.id, Overlap: l, Sim: sim})
+	for i := t.heads[h>>t.shift][1]; skip == 0 && i != 0; i = t.keys[i-1].next {
+		if e := &t.keys[i-1]; e.hash == h && e.seq >= ev {
+			if m := bx.fifo[bx.head+int(e.seq-ev)].m; equalSkip(m.Rec.Tokens, e.skip, r.Tokens) {
+				emit(Match{Rec: m.Rec, ID: m.id, Overlap: l, Sim: similarity.FromOverlap(f, l, l, m.ln)})
+				n++
+			}
+		}
 	}
-	n := uint64(len(s.ms))
-	bx.stats.TwinMatches += n
-	bx.stats.MemberChecks += n
-	bx.stats.Verified += n
-	bx.stats.Results += n
-	return Insertion{Sim: sim, At: s.ms[n-1].id}, true
+	st := &bx.stats
+	st.TwinMatches, st.MemberChecks, st.Verified, st.Results = st.TwinMatches+n, st.MemberChecks+n, st.Verified+n, st.Results+n
 }
 
 // bindProbe fixes the per-probe invariants every filter of this probe
@@ -683,19 +748,26 @@ func (bx *Index) minRequired(la, bmin, lo int) int {
 }
 
 // Insert places r into best's bundle when grouping conditions hold,
-// otherwise into a fresh singleton bundle; in the equality regime it joins
-// its twins instead. best must come from a Probe with no Evict in between:
-// eviction recycles bundles.
+// otherwise into a fresh singleton bundle, or among its copies in sets, and
+// under its length's subset keys. best must come from a Probe with no Evict
+// in between: eviction recycles bundles.
 func (bx *Index) Insert(r *record.Record, best Insertion) {
-	fe, n := fifoEntry{}, 0
-	if bx.twin(r.Len()) {
+	fe, n, h := fifoEntry{}, 0, uint64(0)
+	keys := bx.keys[min(r.Len(), maxKeyed+1)]
+	if len(keys) > 0 || bx.inSets(r.Len()) {
+		h = setHash(r.Tokens)
+	}
+	if bx.inSets(r.Len()) {
 		fe.m = bx.al.member()
 		fe.m.Rec, fe.m.id, fe.m.ln = r, r.ID, r.Len()
-		n = bx.twins.add(fe.m)
+		n = bx.sets.add(fe.m, h, bx.cfg.MaxMembers)
 	} else {
 		fe.b = bx.group(r, best)
 		n = len(fe.b.Members)
 		fe.m = fe.b.Members[n-1]
+	}
+	for _, skip := range keys { // r is the seq-th record inserted
+		bx.sets.addKey(bx.stats.Evicted+uint64(len(bx.fifo)-bx.head), subHash(h, r.Tokens, skip), skip)
 	}
 	if n == 1 {
 		bx.stats.Bundles++
@@ -704,7 +776,16 @@ func (bx *Index) Insert(r *record.Record, best Insertion) {
 		bx.stats.Appends++
 	}
 	bx.stats.MaxBundleSize = max(bx.stats.MaxBundleSize, uint64(n))
-	bx.fifo = append(bx.fifo, fe)
+	bx.fifo = push(bx.fifo, fe)
+}
+
+// push appends v to s, doubling a full s: past 256 elements append grows
+// by 1.25×, so a growing table allocates about five times its final size.
+func push[T any](s []T, v T) []T {
+	if len(s) == cap(s) {
+		s = append(make([]T, 0, max(16, 2*cap(s))), s...)
+	}
+	return append(s, v)
 }
 
 // group adds r to best's bundle or a fresh one and posts the bundle's new
@@ -745,91 +826,154 @@ func (bx *Index) group(r *record.Record, best Insertion) *Bundle {
 	return target
 }
 
-// twinTable holds the records of the equality regime, one entry per live
-// token set, chained by hash: heads[hash>>shift] and next are 1 + an entry's
-// index (0: none). Entries are recycled with their queue's capacity, so at
-// the window's peak an insert or evict allocates nothing.
-type twinTable struct {
-	heads []int32
-	shift uint8
-	sets  []twinSet
-	free  []int32
+// setTable stores the containment regime: twin entries (a free list keeps
+// their queues) and key entries, each kind chained per bucket by 1 + index
+// (0: none). Keys are appended in arrival order, and the seq-th record's
+// are live while seq ≥ the records evicted, so the dead keys are a prefix.
+type setTable struct {
+	heads    [][2]int32 // per bucket, the chains of twin and of key entries
+	shift    uint8
+	nsets    int // twin entries linked
+	sets     []twinSet
+	keys     []keyEntry
+	freeSets int32
 }
 
-// twinSet is the live records of one token set, oldest first: the fifo
-// evicts in arrival order, so always ms[0].
+// twinSet is up to MaxMembers live copies of one token set, oldest first:
+// the fifo evicts in arrival order, so always one entry's ms[0].
 type twinSet struct {
 	hash uint64
 	next int32
 	ms   []*Member
 }
 
-// twinHash hashes a token set; the table's buckets take its top bits.
-func twinHash(ts []tokens.Rank) uint64 {
-	h := uint64(len(ts))
+// keyEntry keys the seq-th record inserted under its subset less the
+// positions in skip, hashed hash: 24 bytes, no pointer.
+type keyEntry struct {
+	hash uint64
+	seq  uint64
+	next int32
+	skip uint16
+}
+
+// mix is one token's share of a set hash.
+func mix(t tokens.Rank) uint64 {
+	x := (uint64(t) + 1) * 0x9E3779B97F4A7C15
+	x = (x ^ x>>29) * 0xBF58476D1CE4E5B9
+	return x ^ x>>32
+}
+
+// setHash is the additive hash of a token set, so a subset's is the set's
+// less the dropped tokens' shares (subHash). Buckets take its top bits.
+func setHash(ts []tokens.Rank) (h uint64) {
 	for _, t := range ts {
-		h = (bits.RotateLeft64(h, 23) ^ uint64(t)) * 0x9E3779B97F4A7C15
+		h += mix(t)
 	}
 	return h
 }
 
-// find returns the entry of token set ts, whose hash is h, or nil.
-func (t *twinTable) find(ts []tokens.Rank, h uint64) *twinSet {
-	for i := t.heads[h>>t.shift]; i != 0; i = t.sets[i-1].next {
-		if s := &t.sets[i-1]; s.hash == h && slices.Equal(s.ms[0].Rec.Tokens, ts) {
-			return s
-		}
+// subHash is the hash of ts less the positions in skip, h being setHash(ts).
+func subHash(h uint64, ts []tokens.Rank, skip uint16) uint64 {
+	for ; skip != 0; skip &= skip - 1 {
+		h -= mix(ts[bits.TrailingZeros16(skip)])
 	}
-	return nil
+	return h
 }
 
-// add queues m on its token set's entry, founding the entry if the set has
-// no live record, and returns the set's live count.
-func (t *twinTable) add(m *Member) int {
-	h := twinHash(m.Rec.Tokens)
-	s := t.find(m.Rec.Tokens, h)
-	if s == nil {
-		if len(t.sets)-len(t.free) >= len(t.heads) {
-			t.rehash(2 * len(t.heads))
-		}
-		i := int32(len(t.sets) + 1)
-		if n := len(t.free); n > 0 {
-			i, t.free = t.free[n-1], t.free[:n-1]
-		} else {
-			t.sets = append(t.sets, twinSet{})
-		}
-		s = &t.sets[i-1]
-		head := &t.heads[h>>t.shift]
-		s.hash, s.next, *head = h, *head, i
+// equalSkip reports whether a less the positions in skip is b.
+func equalSkip(a []tokens.Rank, skip uint16, b []tokens.Rank) bool {
+	if len(a)-bits.OnesCount16(skip) != len(b) {
+		return false
 	}
-	s.ms = append(s.ms, m)
-	return len(s.ms)
+	for i, t := range a {
+		if skip>>i&1 == 0 {
+			if t != b[0] {
+				return false
+			}
+			b = b[1:]
+		}
+	}
+	return true
 }
 
-// rehash relinks every live entry into n buckets, a power of two.
-func (t *twinTable) rehash(n int) {
-	t.heads, t.shift = make([]int32, n), uint8(64-bits.TrailingZeros(uint(n)))
-	for i := range t.sets {
-		if s := &t.sets[i]; len(s.ms) > 0 {
-			head := &t.heads[s.hash>>t.shift]
-			s.next, *head = *head, int32(i+1)
-		}
+// hook links entry i of a kind (0 twin, 1 key), whose link is next, at
+// the head of hash h's chain of that kind, then doubles the buckets when
+// entries outnumber them — never within rehash, which has room for all.
+func (t *setTable) hook(kind int, i int32, next *int32, h uint64) {
+	head := &t.heads[h>>t.shift][kind]
+	if *next, *head = *head, i; t.nsets+len(t.keys) > len(t.heads) {
+		t.rehash(2*len(t.heads), 0)
 	}
 }
 
-// remove dequeues m, the oldest live record of its set, and reports whether
-// that emptied the set, freeing its entry.
-func (t *twinTable) remove(m *Member) bool {
-	p := &t.heads[twinHash(m.Rec.Tokens)>>t.shift]
-	for t.sets[*p-1].ms[0] != m {
+// add queues m, whose set hashes to h, on an entry of its set with room
+// under max copies, founding one if there is none, and returns that
+// entry's live count.
+func (t *setTable) add(m *Member, h uint64, max int) int {
+	for i := t.heads[h>>t.shift][0]; i != 0; i = t.sets[i-1].next {
+		if s := &t.sets[i-1]; s.hash == h && len(s.ms) < max && slices.Equal(s.ms[0].Rec.Tokens, m.Rec.Tokens) {
+			s.ms = append(s.ms, m)
+			return len(s.ms)
+		}
+	}
+	i := t.freeSets
+	if i != 0 {
+		t.freeSets = t.sets[i-1].next
+	} else {
+		t.sets = push(t.sets, twinSet{})
+		i = int32(len(t.sets))
+	}
+	s := &t.sets[i-1]
+	s.hash, s.ms = h, append(s.ms, m)
+	t.nsets++
+	t.hook(0, i, &s.next, h)
+	return 1
+}
+
+// remove dequeues m, the oldest live copy of its set, whose hash is h, and
+// reports whether that emptied its entry, freeing it.
+func (t *setTable) remove(m *Member, h uint64) bool {
+	p := &t.heads[h>>t.shift][0]
+	for t.sets[*p-1].hash != h || t.sets[*p-1].ms[0] != m {
 		p = &t.sets[*p-1].next
 	}
 	s := &t.sets[*p-1]
 	n := copy(s.ms, s.ms[1:])
 	s.ms[n] = nil
 	if s.ms = s.ms[:n]; n == 0 {
-		t.free = append(t.free, *p)
-		*p, s.next = s.next, 0
+		*p, s.next, t.freeSets = s.next, t.freeSets, *p
+		t.nsets--
 	}
 	return n == 0
+}
+
+// addKey stores the record numbered seq under its subset key skip, whose
+// hash is h.
+func (t *setTable) addKey(seq, h uint64, skip uint16) {
+	t.keys = push(t.keys, keyEntry{hash: h, seq: seq, skip: skip})
+	t.hook(1, int32(len(t.keys)), &t.keys[len(t.keys)-1].next, h)
+}
+
+// rehash relinks every entry into n buckets, a power of two, dropping keys
+// numbered below evicted: Evict calls it once they are half the keys, so
+// (like the posting sweep) it is amortised O(1) per key.
+func (t *setTable) rehash(n int, evicted uint64) {
+	if len(t.heads) != n {
+		t.heads, t.shift = make([][2]int32, n), uint8(64-bits.TrailingZeros(uint(n)))
+	} else {
+		clear(t.heads)
+	}
+	for i := range t.sets {
+		if s := &t.sets[i]; len(s.ms) > 0 {
+			t.hook(0, int32(i+1), &s.next, s.hash)
+		}
+	}
+	live := t.keys[:0]
+	for _, e := range t.keys {
+		if e.seq >= evicted {
+			live = append(live, e)
+			t.hook(1, int32(len(live)), &live[len(live)-1].next, e.hash)
+		}
+	}
+	t.keys = live
 }

@@ -71,16 +71,28 @@ func kernelParity(t *testing.T, stream []*record.Record, cfg Config, wantSigSkip
 
 // TestKernelCountersFire checks that every merge the probe made was
 // counted by exactly one kernel, and that the prune counters move, on two
-// streams: AOL-like — short records, most of whose matches the twin table
-// finds without any merge — and Enron-like — long records whose few-token deltas and unions are
+// streams: AOL-like records of cMax tokens and more — the 7-token ones live
+// in the containment regime's sets, and the longer ones probe bundles and
+// find their 7-token subsets without any merge — and Enron-like — long
+// records whose few-token deltas and unions are
 // merged against ~100-token probes, so skewed merges are structural and
 // both kernels must run.
 func TestKernelCountersFire(t *testing.T) {
 	for _, tc := range []struct {
 		prof workload.Profile
 		tau  float64
-	}{{workload.AOLLike(42), 0.8}, {workload.EnronLike(42), 0.7}} {
-		stream := workload.NewGenerator(tc.prof).Generate(8000)
+		n    int
+	}{{workload.AOLLike(42), 0.8, 40000}, {workload.EnronLike(42), 0.7, 8000}} {
+		// Records of cMax tokens and more: the longer ones reach bundles,
+		// and find their cMax-token subsets by lookup.
+		cMax := New(params(tc.tau), window.Unbounded{}, Config{}).cMax
+		var stream []*record.Record
+		for _, r := range workload.NewGenerator(tc.prof).Generate(tc.n) {
+			if r.Len() >= cMax {
+				r.ID, r.Time = record.ID(len(stream)), int64(len(stream))
+				stream = append(stream, r)
+			}
+		}
 		_, st := runSequential(stream, tc.tau, window.Count{N: 2000}, Config{})
 		// A singleton probe and a delta merge each end in Verified++; a
 		// multi-member bundle adds its union and core merges; a twin match

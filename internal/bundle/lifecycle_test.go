@@ -40,7 +40,7 @@ func checkInvariants(t *testing.T, bx *Index) {
 			liveB[fe.b] = true
 		}
 	}
-	liveSets := checkTwins(t, bx, twinM)
+	liveSets := checkTwins(t, bx, twinM, liveM)
 	members, wide := 0, 0
 	for b := range liveB {
 		checkBundle(t, b)
@@ -156,26 +156,54 @@ func checkInvariants(t *testing.T, bx *Index) {
 	}
 }
 
-// checkTwins asserts the twin table against the twins the fifo queues:
-// every linked entry holds at least one of them, all of its token set and
-// length in the equality regime, oldest first, under the entry's hash and
-// bucket; together the entries hold each queued twin exactly once; and every
-// carved entry is linked or free, a free one empty and holding nothing. It
-// returns the number of linked entries.
-func checkTwins(t *testing.T, bx *Index, twinM map[*Member]bool) int {
+// checkTwins asserts the containment regime's table against the fifo:
+// every linked twin entry holds 1..MaxMembers of the records queued with a
+// nil bundle, all of its token set and of a length in the regime, oldest
+// first, under the entry's hash and bucket, and together the entries hold
+// each such record exactly once; the twin count is the table's, and every
+// carved twin entry is linked or on the free list, a free one holding
+// nothing. Every key entry is linked once, in arrival order; a live one
+// stores a queued record under one of its length's subset keys, hashed and
+// bucketed as that subset, and each record's keys are all linked once; the
+// dead ones, of records that left the window, are a prefix that Evict keeps
+// to at most the live keys (beyond 2·sweepFloor). It returns the number of
+// linked twin entries.
+func checkTwins(t *testing.T, bx *Index, twinM, liveM map[*Member]bool) int {
 	t.Helper()
-	tt := &bx.twins
-	linked, held := 0, 0
-	for bkt, i := range tt.heads {
-		for ; i != 0; i = tt.sets[i-1].next {
+	tt := &bx.sets
+	linked, held, dead, chained := 0, 0, 0, make(map[int32]bool)
+	keyed := make(map[*Member]map[uint16]bool)
+	for bkt, hs := range tt.heads {
+		for i := hs[1]; i != 0; i = tt.keys[i-1].next {
+			e := &tt.keys[i-1]
+			if chained[i] {
+				t.Fatalf("key entry %d chained twice", i-1)
+			}
+			if chained[i] = true; e.seq < bx.stats.Evicted {
+				dead++ // its record left the window: dropped lazily
+				continue
+			}
+			m := bx.fifo[bx.head+int(e.seq-bx.stats.Evicted)].m
+			keys, _ := bx.masks(m.ln)
+			toks := m.Rec.Tokens
+			if !liveM[m] || !slices.Contains(keys, e.skip) || keyed[m][e.skip] ||
+				e.hash != subHash(setHash(toks), toks, e.skip) || int(e.hash>>tt.shift) != bkt {
+				t.Fatalf("key entry %d: record %d %v under %b, hash %x in bucket %d", i-1, m.Rec.ID, toks, e.skip, e.hash, bkt)
+			}
+			if keyed[m] == nil {
+				keyed[m] = make(map[uint16]bool)
+			}
+			keyed[m][e.skip] = true
+		}
+		for i := hs[0]; i != 0; i = tt.sets[i-1].next {
 			s := &tt.sets[i-1]
 			live := s.ms
 			linked++
-			if len(live) == 0 || s.hash != twinHash(live[0].Rec.Tokens) || int(s.hash>>tt.shift) != bkt {
+			if len(live) == 0 || len(live) > bx.cfg.MaxMembers || s.hash != setHash(live[0].Rec.Tokens) || int(s.hash>>tt.shift) != bkt {
 				t.Fatalf("twin entry %d: %d live, hash %x in bucket %d", i-1, len(live), s.hash, bkt)
 			}
 			for k, m := range live {
-				if !twinM[m] || !bx.twin(m.Rec.Len()) || !slices.Equal(m.Rec.Tokens, live[0].Rec.Tokens) ||
+				if !twinM[m] || !bx.inSets(m.Rec.Len()) || !slices.Equal(m.Rec.Tokens, live[0].Rec.Tokens) ||
 					(k > 0 && m.id <= live[k-1].id) || m.id != m.Rec.ID {
 					t.Fatalf("twin entry %d holds record %d %v out of place (queued %v)", i-1, m.Rec.ID, m.Rec.Tokens, twinM[m])
 				}
@@ -189,14 +217,32 @@ func checkTwins(t *testing.T, bx *Index, twinM map[*Member]bool) int {
 	if held != len(twinM) {
 		t.Fatalf("twin table holds %d records, the fifo queues %d", held, len(twinM))
 	}
-	if linked+len(tt.free) != len(tt.sets) {
-		t.Fatalf("%d twin entries carved: %d linked, %d free", len(tt.sets), linked, len(tt.free))
+	nkeys := 0
+	for m := range liveM {
+		keys, _ := bx.masks(m.ln)
+		if len(keyed[m]) != len(keys) {
+			t.Fatalf("record %d of %d tokens has %d of its %d subset keys linked", m.Rec.ID, m.ln, len(keyed[m]), len(keys))
+		}
+		nkeys += len(keys)
 	}
-	for _, i := range tt.free {
+	for i := range tt.keys {
+		if (i > 0 && tt.keys[i].seq < tt.keys[i-1].seq) || (i < dead) != (tt.keys[i].seq < bx.stats.Evicted) {
+			t.Fatalf("key entry %d of record %d out of arrival order (%d dead)", i, tt.keys[i].seq, dead)
+		}
+	}
+	if len(chained) != len(tt.keys) || nkeys+dead != len(tt.keys) || dead > max(nkeys, 2*sweepFloor) || linked != tt.nsets {
+		t.Fatalf("%d key entries: %d chained, %d live, %d dead; %d twin entries linked, the table counts %d",
+			len(tt.keys), len(chained), nkeys, dead, linked, tt.nsets)
+	}
+	freeSets := 0
+	for i := tt.freeSets; i != 0; i = tt.sets[i-1].next {
 		s := &tt.sets[i-1]
-		if len(s.ms) != 0 || s.next != 0 || slices.ContainsFunc(s.ms[:cap(s.ms)], func(m *Member) bool { return m != nil }) {
+		if freeSets++; len(s.ms) != 0 || slices.ContainsFunc(s.ms[:cap(s.ms)], func(m *Member) bool { return m != nil }) {
 			t.Fatalf("free twin entry %d not reset: %+v", i-1, *s)
 		}
+	}
+	if linked+freeSets != len(tt.sets) {
+		t.Fatalf("%d twin entries carved: %d linked, %d free", len(tt.sets), linked, freeSets)
 	}
 	return linked
 }
@@ -316,7 +362,7 @@ func TestSweepAfterBurst(t *testing.T) {
 	if st.RebuildSweeps != 0 || st.LiveMembers != burst || st.Postings < burst/2 || buckets*4 < burst/2 {
 		t.Fatalf("burst not resident: sweeps=%d members=%d postings=%d buckets=%d", st.RebuildSweeps, st.LiveMembers, st.Postings, buckets)
 	}
-	late := rec(burst, 1, 2, 3)
+	late := rec(burst, 1, 2, 3, 4) // above cMax (3 at τ 0.6): a bundle
 	late.Time = 1000
 	bx.Process(late, func(Match) {})
 	checkInvariants(t, bx)
@@ -483,13 +529,14 @@ func TestIndexStateBoundedByWindow(t *testing.T) {
 		bx := New(p, window.Count{N: int64(tc.win)}, Config{})
 		gen := workload.NewGenerator(tc.profile)
 		var peakLive, heapEarly uint64
-		peakSets := 0 // twin entries linked at once
+		peakSets, peakKeys, peakLinked := 0, 0, 0 // twin entries, key entries (dead ones too), both, linked at once
 		for i := 0; i < tc.records; i++ {
 			bx.Process(gen.Next(), func(Match) {})
 			if bx.stats.LiveBundles > peakLive {
 				peakLive = bx.stats.LiveBundles
 			}
-			peakSets = max(peakSets, len(bx.twins.sets)-len(bx.twins.free))
+			peakSets, peakKeys = max(peakSets, bx.sets.nsets), max(peakKeys, len(bx.sets.keys))
+			peakLinked = max(peakLinked, bx.sets.nsets+len(bx.sets.keys))
 			if i+1 == tc.records/4 {
 				heapEarly = heapInuse()
 			}
@@ -537,10 +584,17 @@ func TestIndexStateBoundedByWindow(t *testing.T) {
 		}
 		// Twin entries: carved only when none is free, so never more than
 		// were ever in use at once — and on AOL-like the table is in use.
-		if tt := &bx.twins; len(tt.sets) > peakSets || len(tt.heads) > max(16, 2*peakSets) ||
+		if tt := &bx.sets; len(tt.sets) > peakSets || len(tt.heads) > max(16, 2*peakLinked) ||
 			(tc.profile.Name == "AOL-like" && peakSets == 0) {
 			t.Errorf("%s: %d twin entries carved in %d buckets, %d linked at most, %d twin probes",
 				label, len(tt.sets), len(tt.heads), peakSets, st.TwinProbes)
+		}
+		// Key entries: an array grown by doubling, so at most twice its
+		// peak; the peak, dead keys included, is bounded by the window —
+		// Evict keeps the dead to the live (beyond 2·sweepFloor), each live
+		// record has at most maxKeyed keys, and one Insert adds maxKeyed.
+		if tt := &bx.sets; cap(tt.keys) > max(16, 2*peakKeys) || peakKeys > 2*maxKeyed*tc.win+2*sweepFloor+maxKeyed {
+			t.Errorf("%s: %d key entries carved, %d linked at most, for a window of %d", label, cap(tt.keys), peakKeys, tc.win)
 		}
 		if heapEnd*2 > heapEarly*3 {
 			t.Errorf("%s: heap in use %d KiB after %d records, %d KiB after %d",

@@ -226,7 +226,9 @@ func TestSweepAllocatesNothing(t *testing.T) {
 		// Just under the sweep trigger: kill bundles directly.
 		bx := New(params(0.6), window.Unbounded{}, Config{})
 		for _, r := range wideStream(int64(200+k), 2000) {
-			bx.Process(r, func(Match) {})
+			if r.Len() > bx.cMax { // records of up to cMax tokens never reach a bundle
+				bx.Process(r, func(Match) {})
+			}
 		}
 		for i, fe := range bx.fifo {
 			if i%2 == 0 {

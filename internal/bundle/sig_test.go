@@ -350,15 +350,18 @@ func longRecs(win, tau byte, recs ...[]tokens.Rank) []byte {
 	return out
 }
 
-// FuzzIndexVsBruteForce checks the whole index, gate and twin table
+// FuzzIndexVsBruteForce checks the whole index, gate and containment regime
 // included, against the quadratic scan. Bit 7 of the threshold byte selects
 // the record shape: clear, long records (16–80 tokens) over a one-byte
 // universe with a count window of 0–63, where hash collisions and saturated
 // signatures are the rule; set, short records (1–12 tokens) over 48 ranks
 // with a count window of 0–255, which never reach the gate and pile many
-// members into few bundles and twin sets. Its low seven bits b pick the
-// threshold, 0.5 + 0.05·(b%10), and the function: Jaccard below 32, then
-// Cosine, Dice and Overlap by 32s.
+// members into few bundles, twin entries and subset keys. Its low seven
+// bits b pick the function — Jaccard below 32, then Cosine, Dice and
+// Overlap by 32s — and the threshold: 0.5 + 0.05·(b%10) when b%32 < 20;
+// otherwise the next byte t draws it finely, 0.5 + t/512, so that a regime
+// edge (the τ where cMax or a length's keys change, such as Jaccard 3/4
+// and 4/5) is drawn on both sides.
 func FuzzIndexVsBruteForce(f *testing.F) {
 	f.Add(longRecs(0, 4, span(0, 40), span(5, 40), span(100, 30), span(3, 42), span(101, 31)))
 	f.Add(longRecs(3, 0, span(0, 80), span(40, 80), span(80, 80), span(120, 80), span(160, 80)))
@@ -375,6 +378,20 @@ func FuzzIndexVsBruteForce(f *testing.F) {
 	// Cosine and Dice at 0.8, where only single tokens are twins.
 	f.Add(append([]byte{7, 0x80 | 36}, bytes.Repeat([]byte{0, 4, 0, 4, 1, 4, 9, 0, 9}, 12)...))
 	f.Add(append([]byte{5, 0x80 | 76}, bytes.Repeat([]byte{0, 4, 0, 4, 1, 4, 9, 0, 9}, 12)...))
+	// Subset and superset chains of 2 to 9 tokens, through count windows,
+	// at Jaccard just below and just above 3/4 and 4/5, Cosine 0.8 and
+	// Dice 2/3: the fine threshold byte puts τ one step off each edge.
+	nested := []byte{}
+	for _, ts := range [][]byte{{1, 2, 3}, {1, 2, 3, 4}, {1, 2}, {1, 2, 3, 4, 5}, {2, 3, 4, 5}, {1, 2, 3, 4, 5, 6},
+		{1, 2, 3, 4, 5, 6, 7}, {1, 2, 3, 4, 6, 7}, {1, 2, 3, 4, 5, 6, 7, 8}, {1, 2, 4, 5, 6, 7, 8}, {1, 2, 3, 4, 5, 6, 7, 8, 9},
+		{1, 2, 3, 4}, {1, 3, 4}, {3, 4, 5, 6, 7, 8, 9}} {
+		nested = append(append(nested, byte(len(ts)-1)), ts...)
+	}
+	for _, sel := range [][2]byte{{0x80 | 20, 127}, {0x80 | 20, 129}, {0x80 | 20, 153}, {0x80 | 20, 154}, {0x80 | 52, 153}, {0x80 | 84, 85}, {0x80 | 84, 86}} {
+		for _, win := range []byte{0, 6} {
+			f.Add(append([]byte{win, sel[0], sel[1]}, bytes.Repeat(nested, 3)...))
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 || len(data) > 4096 {
 			t.Skip()
@@ -388,10 +405,13 @@ func FuzzIndexVsBruteForce(f *testing.F) {
 		if n := int64(int(data[0]) % maxWin); n > 0 {
 			win = window.Count{N: n}
 		}
-		tau := 0.5 + float64((data[1]&0x7f)%10)*0.05
+		tau, start := 0.5+float64((data[1]&0x7f)%10)*0.05, 2
+		if data[1]&0x7f%32 >= 20 {
+			tau, start = 0.5+float64(data[2])/512, 3
+		}
 		fn := [4]similarity.Func{similarity.Jaccard, similarity.Cosine, similarity.Dice, similarity.Overlap}[data[1]&0x7f/32]
 		var stream []*record.Record
-		for i := 2; i < len(data); {
+		for i := start; i < len(data); {
 			n := minLen + int(data[i])%lenSpan
 			i++
 			var ranks []tokens.Rank
@@ -639,12 +659,14 @@ func TestFunnelConserved(t *testing.T) {
 }
 
 // BenchmarkProbeAOLLike measures the short-record path at τ 0.8, where
-// records of up to 3 tokens — most of AOL-like — are answered by the twin
-// table: "probe" is the probe alone against a standing 50 000-record window,
-// "step" one eviction, probe and insert per op over a full window. The
-// records are generated before the clock starts and reused, re-stamped,
-// once the window has let go of them, so allocs/op is the index's own —
-// which CI holds at 0 for both.
+// records of up to 7 tokens — nearly all of AOL-like — are answered by the
+// containment regime's lookups: "probe" is the probe alone against a
+// standing 50 000-record window, "step" one eviction, probe and insert per
+// op over a full window. The records are generated before the clock starts
+// and reused, re-stamped, once the window has let go of them, so allocs/op
+// is the index's own — which CI holds at 0 for both. "step" fails unless
+// probes ran the lookups and one found, through a subset key, a longer
+// partner of a record no bundle holds.
 func BenchmarkProbeAOLLike(b *testing.B) {
 	const win = 50000
 	gen := workload.NewGenerator(workload.AOLLike(42))
@@ -653,31 +675,41 @@ func BenchmarkProbeAOLLike(b *testing.B) {
 	for _, r := range ring[:win] {
 		bx.Process(r, func(Match) {})
 	}
-	results := 0
-	emit := func(Match) { results++ }
+	var cur *record.Record // the record being probed
+	results, keyed := 0, 0
+	emit := func(m Match) {
+		results++
+		// A longer partner of a record that never reaches a bundle: only
+		// a subset key finds it. Read from the match, never loading m.Rec.
+		if m.Overlap == cur.Len() && m.Sim < 1 && cur.Len() <= bx.cMax {
+			keyed++
+		}
+	}
 	b.Run("probe", func(b *testing.B) {
 		probes := ring[win : win+1000]
 		for _, r := range probes { // warm the scratch buffers
+			cur = r
 			bx.Probe(r, emit)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			bx.Probe(probes[i%len(probes)], emit)
+			cur = probes[i%len(probes)]
+			bx.Probe(cur, emit)
 		}
 	})
 	next := record.ID(win) // IDs keep rising across the runs b.Run makes
 	step := func() {
-		r := ring[int(next)%len(ring)]
-		r.ID, r.Time = next, int64(next)
-		bx.Process(r, emit)
+		cur = ring[int(next)%len(ring)]
+		cur.ID, cur.Time = next, int64(next)
+		bx.Process(cur, emit)
 		next++
 	}
 	b.Run("step", func(b *testing.B) {
 		for i := 0; i < 2*win; i++ { // a full turn of the ring: every table and slab at its peak
 			step()
 		}
-		twins := bx.stats.TwinProbes
+		k0, twins := keyed, bx.stats.TwinProbes
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -685,7 +717,10 @@ func BenchmarkProbeAOLLike(b *testing.B) {
 		}
 		b.StopTimer()
 		if bx.stats.TwinProbes == twins && b.N > 100 {
-			b.Fatal("no probe reached the twin table")
+			b.Fatal("no probe ran the containment regime's lookups")
+		}
+		if keyed == k0 && b.N > 1000 {
+			b.Fatal("no probe found a partner through a subset key")
 		}
 	})
 	if results == 0 {

@@ -56,7 +56,8 @@ func (c Cost) Add(o Cost) Cost {
 // RealizedLoad is the unit every realized-imbalance report divides: merge
 // steps spent verifying (union bounds included) plus postings or stored
 // records walked. It is a count, so it repeats exactly per input, and only
-// a proxy for time: a twin probe costs time but adds nothing to it.
+// a proxy for time: a containment-regime lookup costs time but adds
+// nothing to it.
 func (c Cost) RealizedLoad() uint64 { return c.VerifySteps + c.Scanned }
 
 // Joiner is a single-threaded streaming set-similarity self-join operator.

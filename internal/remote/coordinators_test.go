@@ -80,9 +80,16 @@ func BenchmarkCoordinators(b *testing.B) {
 	})
 }
 
-// drainPerRecord times b.N drains of n records and reports rec/s and the
-// process's B/rec; every drain must find want results.
+// drainPerRecord times b.N drains of n records, after one untimed drain,
+// and reports rec/s and the process's B/rec; every drain must find want
+// results. The warm-up grows the heap, the workers' tables and the sockets'
+// buffers to their steady size: a process's first collecting drain reads
+// about a third slower than the next, and at b.N = 1 it would be the only
+// one timed. It passes i = b.N, so an FT drain's session ID is unique.
 func drainPerRecord(b *testing.B, n int, want uint64, drain func(i int) (*RunSummary, error)) {
+	if _, err := drain(b.N); err != nil {
+		b.Fatal(err)
+	}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
