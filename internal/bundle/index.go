@@ -244,6 +244,9 @@ func (bx *Index) Params() filter.Params { return bx.params }
 // Config returns the effective configuration after defaulting.
 func (bx *Index) Config() Config { return bx.cfg }
 
+// Results is Stats().Results, read without copying Stats.
+func (bx *Index) Results() uint64 { return bx.stats.Results }
+
 // Stats snapshots the work counters.
 func (bx *Index) Stats() Stats {
 	s := bx.stats
@@ -370,7 +373,8 @@ func (bx *Index) sweep() {
 // order, members in bundle order: a function of index state, sorted by
 // nothing — and returns the best bundle match together with its similarity
 // (ok=false if none: a lookup's match is never the hint). Verification is
-// exact; emitted overlaps are true intersection sizes.
+// exact; emitted overlaps are true intersection sizes. A nil emit only
+// counts: the hint and every counter are the same.
 func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok bool) {
 	l := r.Len()
 	if looks := bx.looks[min(l, maxKeyed+1)]; bx.inSets(l) || len(looks) > 0 {
@@ -387,6 +391,9 @@ func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok b
 			return Insertion{}, false
 		}
 	}
+	if emit == nil {
+		emit = discard // probeBundle counts every match it emits
+	}
 	for _, b := range bx.collectCandidates(r) {
 		if m, found := bx.probeBundle(r, b, emit); found && (!ok || betterIns(m, best)) {
 			best, ok = m, true
@@ -398,15 +405,17 @@ func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok b
 // lookup emits the live records stored under r's tokens less the positions
 // in skip, a set of k tokens whose hash is h: every copy of that exact set
 // at overlap k, and — for r's own set, skip 0 — every longer record keyed
-// under it, at overlap |r|.
+// under it, at overlap |r|. A nil emit counts a twin entry by its length.
 func (bx *Index) lookup(r *record.Record, h uint64, skip uint16, emit func(Match)) {
 	t, ev, n := &bx.sets, bx.stats.Evicted, uint64(0)
 	f, l, k := bx.params.Func, r.Len(), r.Len()-bits.OnesCount16(skip)
 	for i := t.heads[h>>t.shift][0]; i != 0; i = t.sets[i-1].next {
 		if s := &t.sets[i-1]; s.hash == h && equalSkip(r.Tokens, skip, s.ms[0].Rec.Tokens) {
-			sim := similarity.FromOverlap(f, k, l, k)
-			for _, m := range s.ms {
-				emit(Match{Rec: m.Rec, ID: m.id, Overlap: k, Sim: sim})
+			if emit != nil {
+				sim := similarity.FromOverlap(f, k, l, k)
+				for _, m := range s.ms {
+					emit(Match{Rec: m.Rec, ID: m.id, Overlap: k, Sim: sim})
+				}
 			}
 			n += uint64(len(s.ms))
 		}
@@ -414,7 +423,9 @@ func (bx *Index) lookup(r *record.Record, h uint64, skip uint16, emit func(Match
 	for i := t.heads[h>>t.shift][1]; skip == 0 && i != 0; i = t.keys[i-1].next {
 		if e := &t.keys[i-1]; e.hash == h && e.seq >= ev {
 			if m := bx.fifo[bx.head+int(e.seq-ev)].m; equalSkip(m.Rec.Tokens, e.skip, r.Tokens) {
-				emit(Match{Rec: m.Rec, ID: m.id, Overlap: l, Sim: similarity.FromOverlap(f, l, l, m.ln)})
+				if emit != nil {
+					emit(Match{Rec: m.Rec, ID: m.id, Overlap: l, Sim: similarity.FromOverlap(f, l, l, m.ln)})
+				}
 				n++
 			}
 		}
@@ -422,6 +433,9 @@ func (bx *Index) lookup(r *record.Record, h uint64, skip uint16, emit func(Match
 	st := &bx.stats
 	st.TwinMatches, st.MemberChecks, st.Verified, st.Results = st.TwinMatches+n, st.MemberChecks+n, st.Verified+n, st.Results+n
 }
+
+// discard is a nil emit on the bundle path: probeBundle never tests emit.
+func discard(Match) {}
 
 // bindProbe fixes the per-probe invariants every filter of this probe
 // reads: the compatible partner length range and — for a probe long enough

@@ -429,22 +429,42 @@ func FuzzIndexVsBruteForce(f *testing.F) {
 
 // indexVsBruteForce runs stream through the index, at the default bundle
 // cap and at MaxMembers 2 (where every third copy of a set overflows), and
-// requires exactly the pairs of the quadratic scan, each emitted once.
+// requires exactly the pairs of the quadratic scan, each emitted once. A
+// second index probes every record with a nil emit: after each step it
+// must hold the same Stats, have taken the same insertion hint and counted
+// as many matches as the first emitted.
 func indexVsBruteForce(t *testing.T, stream []*record.Record, p filter.Params, win window.Policy) {
 	t.Helper()
 	tau := p.Threshold
 	want := bruteForce(stream, p, win)
 	for _, cfg := range []Config{{}, {MaxMembers: 2}} {
-		bx := New(p, win, cfg)
+		bx, cx := New(p, win, cfg), New(p, win, cfg)
 		got := make(map[record.Pair]bool)
 		for _, r := range stream {
-			bx.Process(r, func(m Match) {
+			n := len(got)
+			bx.Evict(r.ID, r.Time)
+			best, ok := bx.Probe(r, func(m Match) {
 				pr := record.NewPair(r.ID, m.Rec.ID, 0)
 				if got[pr] {
 					t.Fatalf("τ=%v win=%v %+v: %v emitted twice", tau, win, cfg, pr)
 				}
 				got[pr] = true
 			})
+			bx.Insert(r, best)
+			cx.Evict(r.ID, r.Time)
+			before := cx.Results()
+			cbest, cok := cx.Probe(r, nil)
+			if c := cx.Results() - before; c != uint64(len(got)-n) {
+				t.Fatalf("τ=%v win=%v %+v record %d: counted %d matches, emitted %d", tau, win, cfg, r.ID, c, len(got)-n)
+			}
+			if cok != ok || cbest.Sim != best.Sim || cbest.At != best.At || (cbest.Bundle == nil) != (best.Bundle == nil) ||
+				best.Bundle != nil && cbest.Bundle.slot != best.Bundle.slot {
+				t.Fatalf("τ=%v win=%v %+v record %d: counting hint %+v %v, emitting %+v %v", tau, win, cfg, r.ID, cbest, cok, best, ok)
+			}
+			cx.Insert(r, cbest)
+			if bs, cs := bx.Stats(), cx.Stats(); bs != cs {
+				t.Fatalf("τ=%v win=%v %+v record %d: counting stats %+v, emitting %+v", tau, win, cfg, r.ID, cs, bs)
+			}
 		}
 		for pr := range want {
 			if !got[pr] {
@@ -661,12 +681,14 @@ func TestFunnelConserved(t *testing.T) {
 // BenchmarkProbeAOLLike measures the short-record path at τ 0.8, where
 // records of up to 7 tokens — nearly all of AOL-like — are answered by the
 // containment regime's lookups: "probe" is the probe alone against a
-// standing 50 000-record window, "step" one eviction, probe and insert per
-// op over a full window. The records are generated before the clock starts
-// and reused, re-stamped, once the window has let go of them, so allocs/op
-// is the index's own — which CI holds at 0 for both. "step" fails unless
-// probes ran the lookups and one found, through a subset key, a longer
-// partner of a record no bundle holds.
+// standing 50 000-record window, "count" the same probes with a nil emit,
+// "step" one eviction, probe and insert per op over a full window. The
+// records are generated before the clock starts and reused, re-stamped,
+// once the window has let go of them, so allocs/op is the index's own —
+// which CI holds at 0 for all three. "count" fails unless its probes ran
+// the lookups and counted what the emitting probes emit; "step" fails
+// unless probes ran the lookups and one found, through a subset key, a
+// longer partner of a record no bundle holds.
 func BenchmarkProbeAOLLike(b *testing.B) {
 	const win = 50000
 	gen := workload.NewGenerator(workload.AOLLike(42))
@@ -696,6 +718,30 @@ func BenchmarkProbeAOLLike(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cur = probes[i%len(probes)]
 			bx.Probe(cur, emit)
+		}
+	})
+	b.Run("count", func(b *testing.B) {
+		probes := ring[win : win+1000]
+		want := make([]uint64, len(probes)) // each probe's emitted matches
+		for i, r := range probes {
+			bx.Probe(r, func(Match) { want[i]++; results++ })
+		}
+		r0, twins := bx.stats.Results, bx.stats.TwinProbes
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			bx.Probe(probes[i%len(probes)], nil)
+		}
+		b.StopTimer()
+		sum := uint64(0)
+		for i := 0; i < b.N; i++ {
+			sum += want[i%len(probes)]
+		}
+		if bx.stats.TwinProbes == twins {
+			b.Fatal("no counting probe ran the containment regime's lookups")
+		}
+		if got := bx.stats.Results - r0; got != sum {
+			b.Fatalf("counting probes found %d matches, emitting ones %d", got, sum)
 		}
 	})
 	next := record.ID(win) // IDs keep rising across the runs b.Run makes

@@ -49,6 +49,16 @@ type Strategy interface {
 	Emits(r, s *record.Record, task, k int) bool
 }
 
+// EmitsAll reports whether s's Emits is always true (length, broadcast,
+// migrating), so a worker that keeps no pairs may count with a nil emit.
+func EmitsAll(s Strategy) bool {
+	switch s.(type) {
+	case LengthBased, BroadcastBased, Migrating:
+		return true
+	}
+	return false
+}
+
 // hash64 is splitmix64 — a cheap, well-distributed token/ID hash shared by
 // all strategies.
 func hash64(x uint64) uint64 {

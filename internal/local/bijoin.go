@@ -9,6 +9,8 @@ import "repro/internal/record"
 // opposite side's store and loads into its own side without probing.
 type BiJoiner struct {
 	left, right Joiner
+	// tick is the empty record evictOwn steps the storing side with.
+	tick record.Record
 }
 
 // NewBi builds a two-stream joiner; both sides share the algorithm and
@@ -30,17 +32,19 @@ func (b *BiJoiner) StepRight(r *record.Record, emit func(Match)) {
 
 // StepSide is the distributed-worker entry point: probe the opposite side
 // always, store on the record's own side only when store is true (the
-// length-based framework stores each record at one worker only).
-func (b *BiJoiner) StepSide(r *record.Record, right, store bool, emit func(Match)) {
+// length-based framework stores each record at one worker only). Like
+// Joiner.Step it returns the match count, and a nil emit only counts.
+func (b *BiJoiner) StepSide(r *record.Record, right, store bool, emit func(Match)) int {
 	own, opposite := b.left, b.right
 	if right {
 		own, opposite = b.right, b.left
 	}
-	opposite.Step(r, false, emit) // probe + evict the opposite side
+	n := opposite.Step(r, false, emit) // probe + evict the opposite side
 	if store {
 		own.Load(r)
 	}
 	b.evictOwn(own, r)
+	return n
 }
 
 // evictOwn advances the window of the side that just stored a record;
@@ -50,8 +54,9 @@ func (b *BiJoiner) evictOwn(j Joiner, r *record.Record) {
 	// Step with an impossible record would be wasteful; all three joiners
 	// expose eviction through Step's probe path, so the cheapest correct
 	// trigger is a probe with an empty record, which generates no
-	// candidates.
-	j.Step(&record.Record{ID: r.ID, Time: r.Time}, false, func(Match) {})
+	// candidates. The record is b's own, so the step allocates nothing.
+	b.tick.ID, b.tick.Time = r.ID, r.Time
+	j.Step(&b.tick, false, nil)
 }
 
 // SizeLeft and SizeRight report per-side stored counts.

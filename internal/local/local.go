@@ -36,7 +36,7 @@ type Cost struct {
 	Scanned      uint64 // postings / stored records visited
 	Candidates   uint64 // pairs surviving candidate-time filters
 	Verified     uint64 // pairs fully verified
-	Results      uint64 // matches emitted
+	Results      uint64 // matches found
 	VerifySteps  uint64 // merge iterations spent in verification
 	Postings     uint64 // live posting entries (index footprint)
 	SuffixPruned uint64 // candidates killed by the suffix filter
@@ -62,9 +62,12 @@ func (c Cost) RealizedLoad() uint64 { return c.VerifySteps + c.Scanned }
 
 // Joiner is a single-threaded streaming set-similarity self-join operator.
 type Joiner interface {
-	// Step advances the stream to r: expire out-of-window state, emit every
-	// stored match of r, and store r when store is true.
-	Step(r *record.Record, store bool, emit func(Match))
+	// Step advances the stream to r: expire out-of-window state, find every
+	// stored match of r, and store r when store is true. It hands each match
+	// to emit and returns how many it found. A nil emit only counts them:
+	// no Match is built, and the Bundled joiner counts a twin entry's
+	// copies by its length.
+	Step(r *record.Record, store bool, emit func(Match)) int
 	// Size reports the number of records currently stored.
 	Size() int
 	// Cost reports accumulated work counters.
@@ -182,8 +185,9 @@ func (n *naiveJoiner) Load(r *record.Record) {
 	n.cost.Stored++
 }
 
-func (n *naiveJoiner) Step(r *record.Record, store bool, emit func(Match)) {
+func (n *naiveJoiner) Step(r *record.Record, store bool, emit func(Match)) int {
 	n.cost.Probes++
+	found := n.cost.Results
 	for n.head < len(n.store) {
 		s := n.store[n.head]
 		if n.win.Live(s.ID, s.Time, r.ID, r.Time) {
@@ -208,14 +212,17 @@ func (n *naiveJoiner) Step(r *record.Record, store bool, emit func(Match)) {
 		n.cost.Verified++
 		if o >= req {
 			n.cost.Results++
-			emit(Match{Rec: s, ID: s.ID, Overlap: o,
-				Sim: similarity.FromOverlap(n.params.Func, o, r.Len(), s.Len())})
+			if emit != nil {
+				emit(Match{Rec: s, ID: s.ID, Overlap: o,
+					Sim: similarity.FromOverlap(n.params.Func, o, r.Len(), s.Len())})
+			}
 		}
 	}
 	if store {
 		n.store = append(n.store, r)
 		n.cost.Stored++
 	}
+	return int(n.cost.Results - found)
 }
 
 func overlapSteps(a, b []uint32) (o, steps int) {
@@ -279,8 +286,9 @@ func (p *prefixJoiner) Cost() Cost {
 	return c
 }
 
-func (p *prefixJoiner) Step(r *record.Record, store bool, emit func(Match)) {
+func (p *prefixJoiner) Step(r *record.Record, store bool, emit func(Match)) int {
 	p.cost.Probes++
+	found := p.cost.Results
 	p.ix.Evict(r.ID, r.Time)
 	la := r.Len()
 	p.ix.Probe(r, func(c index.Candidate) {
@@ -295,13 +303,16 @@ func (p *prefixJoiner) Step(r *record.Record, store bool, emit func(Match)) {
 		p.cost.Verified++
 		if o >= req {
 			p.cost.Results++
-			emit(Match{Rec: c.Rec, ID: c.Rec.ID, Overlap: o,
-				Sim: similarity.FromOverlap(p.params.Func, o, la, c.Rec.Len())})
+			if emit != nil {
+				emit(Match{Rec: c.Rec, ID: c.Rec.ID, Overlap: o,
+					Sim: similarity.FromOverlap(p.params.Func, o, la, c.Rec.Len())})
+			}
 		}
 	})
 	if store {
 		p.ix.Insert(r)
 	}
+	return int(p.cost.Results - found)
 }
 
 // verifyFromSteps resumes a merge at (i, j) with acc matches, counting
@@ -359,7 +370,7 @@ func (b *bundledJoiner) Dump(visit func(*record.Record) bool) { b.bx.Dump(visit)
 // Load implements Joiner: a silent probe rebuilds the bundle grouping the
 // record had (or better) without emitting matches.
 func (b *bundledJoiner) Load(r *record.Record) {
-	best, _ := b.bx.Probe(r, func(bundle.Match) {})
+	best, _ := b.bx.Probe(r, nil)
 	b.bx.Insert(r, best)
 	b.stored++
 }
@@ -378,14 +389,16 @@ func (b *bundledJoiner) Cost() Cost {
 	}
 }
 
-func (b *bundledJoiner) Step(r *record.Record, store bool, emit func(Match)) {
+func (b *bundledJoiner) Step(r *record.Record, store bool, emit func(Match)) int {
 	b.probes++
 	b.bx.Evict(r.ID, r.Time)
+	found := b.bx.Results()
 	best, _ := b.bx.Probe(r, emit)
 	if store {
 		b.bx.Insert(r, best)
 		b.stored++
 	}
+	return int(b.bx.Results() - found)
 }
 
 // Interface checks.

@@ -338,3 +338,53 @@ func TestBiJoinerOwnSideEviction(t *testing.T) {
 		t.Fatalf("left store not evicted: %d", bi.SizeLeft())
 	}
 }
+
+// TestCountingStepMatchesEmitting steps two joiners of each algorithm over
+// the same stream, one emitting and one with a nil emit: each Step must
+// return the number of matches emitted, and the counting joiner must do
+// exactly the emitting one's work.
+func TestCountingStepMatchesEmitting(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, tau := range []float64{0.5, 0.8} {
+		// Short records repeat, so τ 0.8 reaches the bundle index's twin
+		// entries and subset keys.
+		stream := randomStream(rng, 300, 12)
+		for _, a := range allAlgorithms() {
+			emitting, counting := New(a, opts(tau, window.Count{N: 40})), New(a, opts(tau, window.Count{N: 40}))
+			total := 0
+			for _, r := range stream {
+				n := 0
+				got := emitting.Step(r, true, func(Match) { n++ })
+				if c := counting.Step(r, true, nil); got != n || c != n {
+					t.Fatalf("τ=%v %v record %d: emitted %d, Step returned %d emitting and %d counting", tau, a, r.ID, n, got, c)
+				}
+				total += n
+			}
+			if e, c := emitting.Cost(), counting.Cost(); e != c {
+				t.Fatalf("τ=%v %v: emitting cost %+v, counting cost %+v", tau, a, e, c)
+			}
+			if total == 0 {
+				t.Fatalf("τ=%v %v: the stream matched nothing", tau, a)
+			}
+		}
+	}
+}
+
+// TestBiStepAllocs holds a two-stream step at 0 allocations once the
+// joiners' scratch is warm, so the storing side's eviction tick must not
+// allocate a record per step. The probe shares no token with the stored
+// records, so no joiner's candidate bookkeeping (the prefix index's
+// per-candidate state) enters the count.
+func TestBiStepAllocs(t *testing.T) {
+	for _, a := range allAlgorithms() {
+		bi := NewBi(a, opts(0.8, window.Unbounded{}))
+		for i := record.ID(0); i < 20; i++ {
+			bi.StepSide(rec(i, 1, 2, 3, tokens.Rank(4+i%3)), i%2 == 1, true, nil)
+		}
+		probe := rec(20, 50, 51, 52, 53)
+		bi.StepSide(probe, false, false, nil)
+		if n := testing.AllocsPerRun(100, func() { bi.StepSide(probe, false, false, nil) }); n != 0 {
+			t.Fatalf("%v: a bi step allocates %v times", a, n)
+		}
+	}
+}

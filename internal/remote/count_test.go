@@ -19,7 +19,8 @@ import (
 )
 
 // TestCountingMatchesCollecting drains one stream collecting pairs and
-// counting them (Hello.CountOnly), through plain Run, RunBi, RunFT, RunFT
+// counting them (Hello.CountOnly), through plain Run under each strategy,
+// RunBi, RunFT, RunFT
 // under seeded severs and duplicates with a worker killed and restarted
 // mid-run, and a durable RunFT killed and resumed from its state
 // directory. Every case must reach the results of a collecting plain Run.
@@ -48,12 +49,21 @@ func TestCountingMatchesCollecting(t *testing.T) {
 	modes := []bool{true, false}
 
 	t.Run("run", func(t *testing.T) {
-		for _, collect := range modes {
-			sum, err := Run(context.Background(), asRW(startWorkers(t, k)), sess, recs, collect)
-			if err != nil {
-				t.Fatal(err)
+		// Prefix routing replicates records and arbitrates each pair
+		// through Emits, so its counting workers keep an emit callback;
+		// length and broadcast workers count with a nil emit.
+		for _, strategy := range []string{"length", "prefix", "broadcast"} {
+			ss := sess
+			if ss.Strategy = strategy; strategy != "length" {
+				ss.Bounds = nil
 			}
-			check(t, sum, collect, want)
+			for _, collect := range modes {
+				sum, err := Run(context.Background(), asRW(startWorkers(t, k)), ss, recs, collect)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check(t, sum, collect, want)
+			}
 		}
 	})
 

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/bundle"
 	"repro/internal/checkpoint"
+	"repro/internal/dispatch"
 	"repro/internal/local"
 	"repro/internal/obs"
 	"repro/internal/record"
@@ -330,6 +331,11 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		}
 		batch = append(batch, wire.Result{A: a, B: b, Sim: m.Sim})
 	}
+	// Counting needs no emit when Emits suppresses nothing.
+	stepEmit := emit
+	if h.CountOnly && dispatch.EmitsAll(strat) {
+		stepEmit = nil
+	}
 	// sendBatch writes the stepped record's results as one Result (or
 	// Count) frame and, in an FT session, holds them unacked.
 	sendBatch := func() error {
@@ -476,10 +482,14 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 						mon.InFlightRecords.Add(1)
 					}
 					cur = rt.Rec
+					var n int
 					if bi != nil {
-						bi.StepSide(rt.Rec, rt.Right, rt.Store, emit)
+						n = bi.StepSide(rt.Rec, rt.Right, rt.Store, stepEmit)
 					} else {
-						joiner.Step(rt.Rec, rt.Store, emit)
+						n = joiner.Step(rt.Rec, rt.Store, stepEmit)
+					}
+					if stepEmit == nil {
+						matched = uint64(n)
 					}
 					if mon != nil {
 						mon.RecordLatency.Observe(time.Since(rstart))

@@ -12,7 +12,8 @@ import (
 // FuzzTopologyVsBruteForce is the engine half of the whole-system oracle:
 // a drawn stream through Run under a drawn configuration — τ, window
 // (none, count or time), strategy, algorithm, workers, dispatchers and
-// batch size — must emit exactly the brute-force pair multiset. The stream
+// batch size — must emit exactly the brute-force pair multiset, and the
+// same configuration with CollectPairs clear must count as many. The stream
 // is UniformSmall with a quarter of its records copying an earlier one, so
 // every τ finds pairs, and with times that repeat and skip, so a time
 // window differs from a count window.
@@ -58,6 +59,17 @@ func FuzzTopologyVsBruteForce(f *testing.F) {
 		}
 		label := fmt.Sprintf("n=%d τ=%.1f window=%v %s/%s k=%d d=%d batch=%d", len(recs), p.Threshold, w,
 			cfg.Strategy.Name(), cfg.Algorithm, workers, cfg.Dispatchers, cfg.BatchSize)
-		checkPairs(t, label, res.Pairs, bruteCount(recs, p, w))
+		want := bruteCount(recs, p, w)
+		checkPairs(t, label, res.Pairs, want)
+		// The same run keeping no pairs: under length and broadcast routing
+		// its workers step with a nil emit and only count.
+		cfg.CollectPairs = false
+		counted, err := Run(recs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if counted.Results != uint64(len(want)) || len(counted.Pairs) != 0 {
+			t.Fatalf("%s, counting: %d results and %d pairs, brute force finds %d", label, counted.Results, len(counted.Pairs), len(want))
+		}
 	})
 }

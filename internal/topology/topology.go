@@ -221,7 +221,7 @@ type workerBolt struct {
 	// emitFn is the per-match callback handed to the joiner, bound once at
 	// construction; curRec carries the record under probe so the hot path does
 	// not allocate a fresh closure per record. Bolts run single-threaded,
-	// so the fields need no locking.
+	// so the fields need no locking. It is nil when the joiner only counts.
 	emitFn func(local.Match)
 	curRec *record.Record
 	// pairs keeps the worker's results in the order it found them when
@@ -291,10 +291,14 @@ func (w *workerBolt) step(rt *RecTuple) {
 		w.stored++
 	}
 	w.curRec = r
+	var n int
 	if w.bi != nil {
-		w.bi.StepSide(r, rt.Right, store, w.emitFn)
+		n = w.bi.StepSide(r, rt.Right, store, w.emitFn)
 	} else {
-		w.joiner.Step(r, store, w.emitFn)
+		n = w.joiner.Step(r, store, w.emitFn)
+	}
+	if w.emitFn == nil {
+		w.results += uint64(n)
 	}
 	w.lat.Observe(time.Since(rt.Enq))
 }
@@ -409,7 +413,9 @@ func run(cfg Config, recs []*record.Record, right []bool) (*Result, error) {
 	jopts := local.Options{Params: cfg.Params, Window: cfg.Window, Bundle: cfg.Bundle}
 	tp.AddBolt("worker", func(task int) stream.Bolt {
 		w := &workerBolt{task: task, k: k, strat: cfg.Strategy, wirePerB: cfg.WireNsPerByte, collect: cfg.CollectPairs}
-		w.emitFn = w.emitMatch
+		if cfg.CollectPairs || !dispatch.EmitsAll(cfg.Strategy) {
+			w.emitFn = w.emitMatch
+		}
 		if bi {
 			w.bi = local.NewBi(cfg.Algorithm, jopts)
 		} else {
