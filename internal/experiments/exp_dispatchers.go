@@ -40,7 +40,7 @@ func E18(sc Scale) *Table {
 		} else if res.Results != want {
 			panic(fmt.Sprintf("experiments: E18: %d dispatchers found %d results, one found %d", d, res.Results, want))
 		}
-		t.AddRow(len(res.Report.Tasks["dispatcher"]), res.Throughput().PerSecond(), res.Results)
+		t.AddRow(min(d, sc.Workers), res.Throughput().PerSecond(), res.Results)
 	}
 	return t
 }

@@ -59,8 +59,10 @@ type Inverted struct {
 
 	stats Stats
 
-	// probe-local scratch, reused across calls
-	cand map[record.ID]*candState
+	// probe-local scratch, reused across calls: cands holds each distinct
+	// candidate's state in first-seen order, cand its index there.
+	cand  map[record.ID]int32
+	cands []candState
 }
 
 type candState struct {
@@ -79,7 +81,7 @@ func New(p filter.Params, w window.Policy) *Inverted {
 		posts:     make(map[tokens.Rank][]entry),
 		dead:      make(map[record.ID]struct{}),
 		remaining: make(map[record.ID]int32),
-		cand:      make(map[record.ID]*candState),
+		cand:      make(map[record.ID]int32),
 	}
 }
 
@@ -212,10 +214,11 @@ func (ix *Inverted) Probe(r *record.Record, emit func(Candidate)) {
 				ix.stats.LenPruned++
 				continue
 			}
-			st, seen := ix.cand[y.ID]
+			c, seen := ix.cand[y.ID]
 			if !seen {
-				st = &candState{rec: y}
-				ix.cand[y.ID] = st
+				ix.cand[y.ID] = int32(len(ix.cands))
+				ix.cands = append(ix.cands, candState{rec: y})
+				st := &ix.cands[len(ix.cands)-1]
 				if !ix.noPositionFilter && !ix.params.PositionOK(la, lb, i, int(e.pos), 1) {
 					st.pruned = true
 					ix.stats.PosPruned++
@@ -225,6 +228,7 @@ func (ix *Inverted) Probe(r *record.Record, emit func(Candidate)) {
 				st.pi, st.pj = i+1, int(e.pos)+1
 				continue
 			}
+			st := &ix.cands[c]
 			if st.pruned {
 				continue
 			}
@@ -241,13 +245,16 @@ func (ix *Inverted) Probe(r *record.Record, emit func(Candidate)) {
 			ix.posts[tok] = list[:w]
 		}
 	}
-	for id, st := range ix.cand {
+	for i := range ix.cands {
+		st := &ix.cands[i]
+		delete(ix.cand, st.rec.ID) // one delete per entry: clear would sweep the map's capacity
 		if !st.pruned {
 			ix.stats.Candidates++
 			emit(Candidate{Rec: st.rec, Overlap: st.overlap, ResumeA: st.pi, ResumeB: st.pj})
 		}
-		delete(ix.cand, id)
 	}
+	clear(ix.cands) // drop the record pointers
+	ix.cands = ix.cands[:0]
 }
 
 // PostingsLen reports the current live+dead length of the posting list for

@@ -372,16 +372,15 @@ func TestCountingStepMatchesEmitting(t *testing.T) {
 
 // TestBiStepAllocs holds a two-stream step at 0 allocations once the
 // joiners' scratch is warm, so the storing side's eviction tick must not
-// allocate a record per step. The probe shares no token with the stored
-// records, so no joiner's candidate bookkeeping (the prefix index's
-// per-candidate state) enters the count.
+// allocate a record per step, nor a joiner's candidate bookkeeping: the
+// probe shares tokens with every stored record of the other side.
 func TestBiStepAllocs(t *testing.T) {
 	for _, a := range allAlgorithms() {
 		bi := NewBi(a, opts(0.8, window.Unbounded{}))
 		for i := record.ID(0); i < 20; i++ {
 			bi.StepSide(rec(i, 1, 2, 3, tokens.Rank(4+i%3)), i%2 == 1, true, nil)
 		}
-		probe := rec(20, 50, 51, 52, 53)
+		probe := rec(20, 1, 2, 3, 9)
 		bi.StepSide(probe, false, false, nil)
 		if n := testing.AllocsPerRun(100, func() { bi.StepSide(probe, false, false, nil) }); n != 0 {
 			t.Fatalf("%v: a bi step allocates %v times", a, n)

@@ -39,6 +39,7 @@ func (splitStrategy) Emits(_, _ *record.Record, _, _ int) bool { return true }
 // to worker 0, record 11 first among them. Worker 0's one dispatcher sees
 // the whole stream instead and ships 10 before 11.
 func TestParallelDispatcherPartialBatchLosesNothing(t *testing.T) {
+	checkNoLeaks(t)
 	const n = 20000
 	recs := make([]*record.Record, n)
 	for i := range recs {
@@ -68,6 +69,7 @@ func TestParallelDispatcherPartialBatchLosesNothing(t *testing.T) {
 // AOL-like records, k = 8, length strategy, Bundled — over 20 seeds: two
 // and four dispatchers must emit exactly the pairs one dispatcher emits.
 func TestParallelDispatchersMatchOneDispatcherOverSeeds(t *testing.T) {
+	checkNoLeaks(t)
 	p := params(0.8)
 	for seed := int64(1); seed <= 20; seed++ {
 		recs := workload.NewGenerator(workload.AOLLike(seed)).Generate(5000)

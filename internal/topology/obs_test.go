@@ -10,7 +10,6 @@ import (
 	"repro/internal/local"
 	"repro/internal/obs"
 	"repro/internal/partition"
-	"repro/internal/stream"
 	"repro/internal/workload"
 )
 
@@ -59,8 +58,7 @@ func TestRunWithObservability(t *testing.T) {
 	}
 	checked := map[string]bool{}
 	var latCount uint64
-	for i, b := range res.Report.Bolts["worker"] {
-		w := b.(*workerBolt)
+	for i, w := range res.workers {
 		label := fmt.Sprintf("worker/%d", w.task)
 		c := res.WorkerCosts[i]
 		st := w.joiner.(interface{ BundleStats() bundle.Stats }).BundleStats()
@@ -165,8 +163,7 @@ func TestLiveScrapeIsConsistent(t *testing.T) {
 	}
 	var twins uint64
 	midRun := false
-	for _, b := range res.Report.Bolts["worker"] {
-		w := b.(*workerBolt)
+	for _, w := range res.workers {
 		twins += w.joiner.(interface{ BundleStats() bundle.Stats }).BundleStats().TwinProbes
 		if v, ok := firstSeen[fmt.Sprintf("worker/%d", w.task)]; ok && v < float64(w.joiner.Cost().Probes) {
 			midRun = true
@@ -189,20 +186,20 @@ func TestInstrumentedExecuteBatchAllocs(t *testing.T) {
 	// Worker 1 of two owns only lengths no record has, so it probes every
 	// record and stores none: the index, and the probe's scratch, stop growing.
 	strat := dispatch.NewLengthBased(p, partition.Partition{Bounds: []int{1 << 20, 1 << 21}})
-	w := &workerBolt{task: 1, k: 2, strat: strat,
+	w := &worker{task: 1, k: 2, strat: strat,
 		joiner: local.New(local.Bundled, local.Options{Params: p})}
 	w.emitFn = w.emitMatch
 	w.registerMetrics(obs.NewRegistry())
 	for _, r := range recs[:1000] {
 		w.joiner.Load(r)
 	}
-	batch := make([]stream.Tuple, stream.DefaultBatchSize)
+	batch := make([]*RecTuple, defaultBatchSize)
 	for i := range batch {
 		batch[i] = &RecTuple{Rec: recs[1000+i]}
 	}
-	w.ExecuteBatch(batch, nil)
-	if n := testing.AllocsPerRun(50, func() { w.ExecuteBatch(batch, nil) }); n != 0 {
-		t.Fatalf("instrumented ExecuteBatch allocates %v times per batch", n)
+	w.stepBatch(batch)
+	if n := testing.AllocsPerRun(50, func() { w.stepBatch(batch) }); n != 0 {
+		t.Fatalf("instrumented stepBatch allocates %v times per batch", n)
 	}
 	if w.results == 0 {
 		t.Fatal("the batch matched nothing; the emit path went unexercised")

@@ -1,14 +1,23 @@
-// Package topology assembles the distributed streaming set-similarity join:
-// a source spout replaying the record stream, a dispatcher bolt applying a
-// distribution strategy, and worker bolts hosting local joiners, each of
-// which keeps its own result pairs and latency. It is the glue between the
-// stream engine substrate and the join algorithms, and the unit the
-// experiment harness runs.
+// Package topology assembles the distributed streaming set-similarity join
+// and runs it on its own three-stage pipeline, the paper's Storm topology
+// with only the wiring the join uses: one source goroutine stamps each
+// record's ingestion time and sends chunks of BatchSize records to every
+// dispatcher; dispatcher j routes every record and ships pooled batches
+// only to the workers it owns (w mod d = j), when full and, at its end, the
+// tail; each worker steps whole batches through its local joiner and keeps
+// its own results and latency. A worker's one dispatcher sends over the
+// worker's one bounded FIFO channel, so the worker sees IDs in order; a
+// full channel blocks its sender, so the pipeline is lossless. Counts reach
+// shared atomics once per batch, never per tuple. A panic in a
+// stage becomes Run's error naming the stage; the stage still closes its
+// downstream and drains its input, so the run ends with no goroutine left.
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bundle"
@@ -18,7 +27,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/record"
-	"repro/internal/stream"
 	"repro/internal/window"
 )
 
@@ -36,24 +44,9 @@ type RecTuple struct {
 // plus 4 bytes per token.
 func (t *RecTuple) SizeBytes() int { return 24 + 4*len(t.Rec.Tokens) }
 
-// recSlab hands out RecTuples in chunks so spouts pay one allocation per
-// chunk instead of one interface-boxing allocation per record. Tuples are
-// never recycled — a chunk is garbage once its last tuple is processed —
-// so the slab needs no synchronization beyond the single spout goroutine.
-type recSlab struct {
-	chunk []RecTuple
-}
-
-const recSlabChunk = 256
-
-func (s *recSlab) get() *RecTuple {
-	if len(s.chunk) == 0 {
-		s.chunk = make([]RecTuple, recSlabChunk)
-	}
-	rt := &s.chunk[0]
-	s.chunk = s.chunk[1:]
-	return rt
-}
+// defaultBatchSize is the transport micro-batch size unless
+// Config.BatchSize sets one.
+const defaultBatchSize = 64
 
 // Config specifies one join topology run.
 type Config struct {
@@ -123,8 +116,9 @@ type Result struct {
 	// Elapsed is the topology wall time; Throughput derives from it.
 	Elapsed time.Duration
 	// CommTuples and CommBytes count dispatcher→worker traffic — the
-	// simulated network cost of the distribution strategy.
-	CommTuples, CommBytes uint64
+	// simulated network cost of the distribution strategy — and
+	// CommBatches the channel sends that carried it.
+	CommTuples, CommBytes, CommBatches uint64
 	// StoredCopies sums records indexed across workers (replication).
 	StoredCopies uint64
 	// WorkerCosts are per-worker join work counters, for load analysis.
@@ -132,8 +126,9 @@ type Result struct {
 	// Latency aggregates per-record processing latency across workers
 	// (enqueue at source to completion of the record's probe).
 	Latency metrics.Latency
-	// Report is the raw engine report.
-	Report *stream.Report
+
+	// workers are the run's workers in task order, for tests.
+	workers []*worker
 }
 
 // Throughput returns the end-to-end record rate.
@@ -141,69 +136,346 @@ func (r *Result) Throughput() metrics.Throughput {
 	return metrics.Throughput{Records: r.Records, Elapsed: r.Elapsed}
 }
 
-// sourceSpout replays a slice of records, stamping ingestion time; right
-// holds each record's side on two-stream runs and is nil on self-joins.
-type sourceSpout struct {
-	recs  []*record.Record
-	right []bool
-	i     int
-	slab  recSlab
+// batch is one dispatcher → worker transport unit, recycled through the
+// run's pool once its worker has stepped it.
+type batch struct {
+	items []*RecTuple
+	bytes uint64 // the items' SizeBytes, summed
+	// enq is the batch's creation time, stamped on instrumented runs only,
+	// so the worker can observe the batch's age at dequeue.
+	enq time.Time
 }
 
-// Next implements stream.Spout.
-func (s *sourceSpout) Next() (stream.Tuple, bool) {
-	if s.i >= len(s.recs) {
-		return nil, false
+// edge counts the traffic over one edge between stages, the simulated
+// network bill, as its producers send batches.
+type edge struct {
+	tuples, bytes, batches atomic.Uint64
+}
+
+// stage is one task's published work counts and, on an instrumented run,
+// the clocks of its input batches: processing time and age at dequeue.
+type stage struct {
+	executed, emitted atomic.Uint64
+	process, wait     metrics.SyncLatency
+}
+
+// pipeline is one run: the source's chunks go to every dispatcher, and
+// dispatcher j's batches to the workers w with w mod d = j.
+type pipeline struct {
+	recs      []*record.Record
+	right     []bool // each record's side on two-stream runs, nil on self-joins
+	strat     dispatch.Strategy
+	batchSize int       // the source's chunks and the dispatchers' batches
+	clocked   bool      // instrumented run: stamp batches, time every stage's input
+	pool      sync.Pool // of *batch, shared by every dispatcher and worker
+
+	source       stage
+	fed, shipped edge // source → dispatcher, dispatcher → worker
+	dispatchers  []*dispatcher
+	workers      []*worker
+
+	wg   sync.WaitGroup
+	mu   sync.Mutex
+	errs []error // guarded by mu: one per stage that panicked
+}
+
+// newPipeline wires a run of a valid cfg over recs; right is nil on self-joins.
+func newPipeline(cfg Config, recs []*record.Record, right []bool) *pipeline {
+	if cfg.Window == nil {
+		cfg.Window = window.Unbounded{}
 	}
-	rt := s.slab.get()
-	rt.Rec, rt.Enq = s.recs[s.i], time.Now()
-	if s.right != nil {
-		rt.Right = s.right[s.i]
+	k := cfg.Workers
+	d := min(max(cfg.Dispatchers, 1), k)
+	batchSize := cfg.BatchSize
+	if batchSize <= 0 {
+		batchSize = defaultBatchSize
 	}
-	s.i++
-	return rt, true
+	// Queue capacity counts batches; the default buffers ~1024 tuples.
+	queueCap := cfg.QueueCap
+	if queueCap <= 0 {
+		queueCap = max((1024+batchSize-1)/batchSize, 4)
+	}
+	p := &pipeline{recs: recs, right: right, strat: cfg.Strategy, batchSize: batchSize, clocked: cfg.Registry != nil}
+	p.pool.New = func() any { return &batch{items: make([]*RecTuple, 0, batchSize)} }
+	jopts := local.Options{Params: cfg.Params, Window: cfg.Window, Bundle: cfg.Bundle}
+	for task := 0; task < k; task++ {
+		w := &worker{task: task, k: k, strat: cfg.Strategy, wirePerB: cfg.WireNsPerByte,
+			collect: cfg.CollectPairs, in: make(chan *batch, queueCap)}
+		if cfg.CollectPairs || !dispatch.EmitsAll(cfg.Strategy) {
+			w.emitFn = w.emitMatch
+		}
+		if right != nil {
+			w.bi = local.NewBi(cfg.Algorithm, jopts)
+		} else {
+			w.joiner = local.New(cfg.Algorithm, jopts)
+		}
+		p.workers = append(p.workers, w)
+	}
+	for j := 0; j < d; j++ {
+		p.dispatchers = append(p.dispatchers, &dispatcher{p: p, j: j,
+			in: make(chan []RecTuple, queueCap), pending: make([]*batch, k)})
+	}
+	if cfg.Registry != nil {
+		p.registerMetrics(cfg.Registry)
+	}
+	return p
 }
 
-// dispatcherBolt forwards records; routing happens in the grouping between
-// dispatcher and workers, mirroring how Storm topologies separate the
-// routing decision (grouping) from operator logic.
-type dispatcherBolt struct{}
-
-// Execute implements stream.Bolt.
-func (dispatcherBolt) Execute(t stream.Tuple, em stream.Emitter) { em.Emit(t) }
-
-// ownedRoute is the dispatcher → worker grouping: the strategy's route,
-// kept to the workers w with w mod d equal to the producing dispatcher. A
-// worker's one dispatcher receives the whole stream in source order over a
-// FIFO edge and forwards it over another, so the worker sees IDs in order.
-// With d = 1 the filter keeps every destination.
-type ownedRoute struct {
-	strat dispatch.Strategy
-	d     int
+// feed is the source stage: it stamps each record's ingestion time and
+// sends chunks of batchSize records to every dispatcher.
+func (p *pipeline) feed() {
+	d := uint64(len(p.dispatchers))
+	var slab []RecTuple
+	for i := 0; i < len(p.recs); i += p.batchSize {
+		n := min(p.batchSize, len(p.recs)-i)
+		if len(slab) < n { // a slab is garbage once its last tuple is stepped
+			slab = make([]RecTuple, max(n, 256))
+		}
+		chunk := slab[:n:n]
+		slab = slab[n:]
+		var bytes uint64
+		for j := range chunk {
+			rt := &chunk[j]
+			rt.Rec, rt.Enq = p.recs[i+j], time.Now()
+			if p.right != nil {
+				rt.Right = p.right[i+j]
+			}
+			bytes += uint64(rt.SizeBytes())
+		}
+		p.source.executed.Add(uint64(n))
+		p.source.emitted.Add(uint64(n))
+		p.fed.tuples.Add(d * uint64(n))
+		p.fed.bytes.Add(d * bytes)
+		p.fed.batches.Add(d)
+		for _, dp := range p.dispatchers {
+			dp.in <- chunk
+		}
+	}
 }
 
-// NewSelector implements stream.Grouping: dispatcher 0's selector.
-func (g *ownedRoute) NewSelector(ntasks int) stream.Selector { return g.NewProducerSelector(0, ntasks) }
+// dispatcher is one routing task. pending holds the accumulating batch of
+// each worker it owns; its own goroutine is the only one to touch it.
+type dispatcher struct {
+	p       *pipeline
+	j       int
+	in      chan []RecTuple
+	pending []*batch
+	route   []int
+	stats   stage
+}
 
-// NewProducerSelector implements stream.ProducerGrouping.
-func (g *ownedRoute) NewProducerSelector(j, ntasks int) stream.Selector {
-	return stream.PartitionFunc(func(t stream.Tuple, n int, buf []int) []int {
-		start := len(buf)
-		buf = g.strat.Route(t.(*RecTuple).Rec, n, buf)
-		own := buf[:start]
-		for _, w := range buf[start:] {
-			if w%g.d == j {
-				own = append(own, w)
+// dispatch routes one chunk, appending each record to the pending batch of
+// every owned worker the strategy sends it to and shipping full batches.
+//
+// One append per (record, owned destination); batches come from the pool.
+func (dp *dispatcher) dispatch(chunk []RecTuple) {
+	p := dp.p
+	d := len(p.dispatchers)
+	for i := range chunk {
+		rt := &chunk[i]
+		dp.route = p.strat.Route(rt.Rec, len(p.workers), dp.route[:0])
+		for _, w := range dp.route {
+			if w%d != dp.j {
+				continue
+			}
+			b := dp.pending[w]
+			if b == nil {
+				b = p.pool.Get().(*batch)
+				if p.clocked {
+					b.enq = time.Now()
+				}
+				dp.pending[w] = b
+			}
+			b.items = append(b.items, rt)
+			b.bytes += uint64(rt.SizeBytes())
+			if len(b.items) == p.batchSize {
+				dp.ship(w)
 			}
 		}
-		return own
-	}).NewSelector(ntasks)
+	}
+	dp.stats.executed.Add(uint64(len(chunk)))
+	dp.stats.emitted.Add(uint64(len(chunk)))
 }
 
-// workerBolt hosts one local joiner, applies the strategy's store and emit
-// arbitration, and keeps its own results: it emits nothing downstream, and
-// run reads its counts and pairs once the topology has finished.
-type workerBolt struct {
+// ship sends worker w's pending batch. It counts the batch first, so the
+// edge's counts never trail what a worker has seen.
+func (dp *dispatcher) ship(w int) {
+	b := dp.pending[w]
+	dp.pending[w] = nil
+	dp.p.shipped.tuples.Add(uint64(len(b.items)))
+	dp.p.shipped.bytes.Add(b.bytes)
+	dp.p.shipped.batches.Add(1)
+	dp.p.workers[w].in <- b
+}
+
+// run drains the dispatcher's input, then ships every non-empty batch.
+func (dp *dispatcher) run() {
+	for chunk := range dp.in {
+		var start time.Time
+		if dp.p.clocked {
+			dp.stats.wait.Observe(time.Since(chunk[0].Enq))
+			start = time.Now()
+		}
+		dp.dispatch(chunk)
+		if dp.p.clocked {
+			dp.stats.process.Observe(time.Since(start))
+		}
+	}
+	for w, b := range dp.pending {
+		if b != nil {
+			dp.ship(w)
+		}
+	}
+}
+
+// consume steps one batch through w and recycles it.
+func (w *worker) consume(b *batch, p *pipeline) {
+	var start time.Time
+	if p.clocked {
+		w.stats.wait.Observe(time.Since(b.enq))
+		start = time.Now()
+	}
+	w.stepBatch(b.items)
+	w.stats.executed.Add(uint64(len(b.items)))
+	clear(b.items) // a pooled batch must not pin its records
+	b.items, b.bytes = b.items[:0], 0
+	p.pool.Put(b)
+	if p.clocked {
+		w.stats.process.Observe(time.Since(start))
+	}
+}
+
+// start runs body as one stage on a goroutine of its own. A panic in body
+// is recorded as the run's error, named by the stage; done runs either way,
+// closing the stage's downstream and draining its input so the neighbours
+// finish.
+func (p *pipeline) start(name string, i int, body, done func()) {
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		defer done()
+		defer func() {
+			if r := recover(); r != nil {
+				p.mu.Lock()
+				defer p.mu.Unlock()
+				p.errs = append(p.errs, fmt.Errorf("topology: %s %d panicked: %v", name, i, r))
+			}
+		}()
+		body()
+	}()
+}
+
+// run starts every stage, waits for the last to end, and sums the workers.
+func (p *pipeline) run() (*Result, error) {
+	start := time.Now()
+	p.start("source", 0, p.feed, func() {
+		for _, dp := range p.dispatchers {
+			close(dp.in)
+		}
+	})
+	for _, dp := range p.dispatchers {
+		p.start("dispatcher", dp.j, dp.run, func() {
+			for w := dp.j; w < len(p.workers); w += len(p.dispatchers) {
+				close(p.workers[w].in)
+			}
+			for range dp.in {
+			}
+		})
+	}
+	for _, w := range p.workers {
+		p.start("worker", w.task, func() {
+			for b := range w.in {
+				w.consume(b, p)
+			}
+		}, func() {
+			for range w.in {
+			}
+		})
+	}
+	p.wg.Wait()
+	if err := errors.Join(p.errs...); err != nil {
+		return nil, err
+	}
+	res := &Result{
+		Records:     uint64(len(p.recs)),
+		Elapsed:     time.Since(start),
+		CommTuples:  p.shipped.tuples.Load(),
+		CommBytes:   p.shipped.bytes.Load(),
+		CommBatches: p.shipped.batches.Load(),
+		workers:     p.workers,
+	}
+	for _, w := range p.workers {
+		if w.bi != nil {
+			res.WorkerCosts = append(res.WorkerCosts, w.bi.Cost())
+		} else {
+			res.WorkerCosts = append(res.WorkerCosts, w.joiner.Cost())
+		}
+		res.StoredCopies += w.stored
+		res.Results += w.results
+		res.Pairs = append(res.Pairs, w.pairs...)
+		res.Latency.Merge(&w.lat)
+	}
+	return res, nil
+}
+
+// registerMetrics binds the run's engine series to reg: per edge its
+// traffic, per task its work counts and, for dispatchers and workers, the
+// queue depth and batch clocks; then each worker's own series.
+func (p *pipeline) registerMetrics(reg *obs.Registry) {
+	tuples := reg.CounterVec("stream_edge_tuples_total",
+		"Tuples shipped over a topology edge.", "edge")
+	bytes := reg.CounterVec("stream_edge_bytes_total",
+		"Approximate wire bytes shipped over a topology edge.", "edge")
+	batches := reg.CounterVec("stream_edge_batches_total",
+		"Transport batches (channel sends) shipped over a topology edge.", "edge")
+	occ := reg.GaugeVec("stream_edge_batch_occupancy",
+		"Mean tuples per shipped batch on a topology edge.", "edge")
+	for label, e := range map[string]*edge{"source->dispatcher": &p.fed, "dispatcher->worker": &p.shipped} {
+		tuples.SetFunc(label, func() float64 { return float64(e.tuples.Load()) })
+		bytes.SetFunc(label, func() float64 { return float64(e.bytes.Load()) })
+		batches.SetFunc(label, func() float64 { return float64(e.batches.Load()) })
+		occ.SetFunc(label, func() float64 { // mean tuples per batch, 0 before the first
+			if b := e.batches.Load(); b > 0 {
+				return float64(e.tuples.Load()) / float64(b)
+			}
+			return 0
+		})
+	}
+
+	executed := reg.CounterVec("stream_task_executed_total",
+		"Tuples executed by a task instance.", "task")
+	emitted := reg.CounterVec("stream_task_emitted_total",
+		"Tuples emitted by a task instance.", "task")
+	depth := reg.GaugeVec("stream_queue_depth_batches",
+		"Input queue depth of a task instance, in transport batches.", "task")
+	procH := reg.HistogramVec("stream_process_seconds",
+		"Per-batch processing time of a task instance.", "task")
+	waitH := reg.HistogramVec("stream_queue_wait_seconds",
+		"Age of a transport batch at dequeue: fill time plus queue wait.", "task")
+	task := func(label string, s *stage, queued func() int) {
+		executed.SetFunc(label, func() float64 { return float64(s.executed.Load()) })
+		emitted.SetFunc(label, func() float64 { return float64(s.emitted.Load()) })
+		if queued == nil {
+			return
+		}
+		depth.SetFunc(label, func() float64 { return float64(queued()) })
+		procH.SetFunc(label, s.process.Snapshot)
+		waitH.SetFunc(label, s.wait.Snapshot)
+	}
+	task("source/0", &p.source, nil)
+	for _, dp := range p.dispatchers {
+		task(fmt.Sprintf("dispatcher/%d", dp.j), &dp.stats, func() int { return len(dp.in) })
+	}
+	for _, w := range p.workers {
+		task(fmt.Sprintf("worker/%d", w.task), &w.stats, func() int { return len(w.in) })
+		w.registerMetrics(reg)
+	}
+}
+
+// worker hosts one local joiner, applies the strategy's store and emit
+// arbitration, and keeps its own results; run reads its counts and pairs
+// once the pipeline has finished.
+type worker struct {
 	// mu is held for a whole transport batch, so a scrape reads the joiner's
 	// counters and lat between batches. Only scrapes contend for it.
 	mu        sync.Mutex
@@ -220,14 +492,18 @@ type workerBolt struct {
 	bi *local.BiJoiner
 	// emitFn is the per-match callback handed to the joiner, bound once at
 	// construction; curRec carries the record under probe so the hot path does
-	// not allocate a fresh closure per record. Bolts run single-threaded,
-	// so the fields need no locking. It is nil when the joiner only counts.
+	// not allocate a fresh closure per record. The worker's goroutine is the
+	// only caller, so the fields need no locking. It is nil when the joiner
+	// only counts.
 	emitFn func(local.Match)
 	curRec *record.Record
 	// pairs keeps the worker's results in the order it found them when
 	// collect is set.
 	collect bool
 	pairs   []record.Pair
+
+	in    chan *batch // from the worker's one dispatcher
+	stats stage
 }
 
 // burn spins the CPU for roughly d, standing in for per-tuple network and
@@ -241,20 +517,13 @@ func burn(d time.Duration) {
 	}
 }
 
-// Execute implements stream.Bolt for a lone tuple: a transport batch of
-// one record.
-func (w *workerBolt) Execute(t stream.Tuple, em stream.Emitter) {
-	w.ExecuteBatch([]stream.Tuple{t}, em)
-}
-
-// ExecuteBatch implements stream.BatchBolt: a whole transport batch of
-// records streams through the worker in one call, in order, without a
-// per-tuple trip through the executor loop.
-func (w *workerBolt) ExecuteBatch(ts []stream.Tuple, _ stream.Emitter) {
+// stepBatch streams a whole transport batch of records through the
+// worker, in order, under one hold of mu.
+func (w *worker) stepBatch(ts []*RecTuple) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for _, t := range ts {
-		w.step(t.(*RecTuple))
+		w.step(t)
 	}
 }
 
@@ -266,7 +535,7 @@ func (w *workerBolt) ExecuteBatch(ts []stream.Tuple, _ stream.Emitter) {
 //
 // One call per result pair; a collecting worker's pairs grow by amortized
 // self-append only.
-func (w *workerBolt) emitMatch(m local.Match) {
+func (w *worker) emitMatch(m local.Match) {
 	if !w.strat.Emits(w.curRec, m.Rec, w.task, w.k) {
 		return
 	}
@@ -279,7 +548,7 @@ func (w *workerBolt) emitMatch(m local.Match) {
 // step joins one record: probe (always), store when the strategy assigns
 // the record here, and count deduplicated results. The worker's one
 // dispatcher delivers records in ID order, as eviction and the probe need.
-func (w *workerBolt) step(rt *RecTuple) {
+func (w *worker) step(rt *RecTuple) {
 	if w.wirePerB > 0 {
 		d := time.Duration(w.wirePerB * rt.SizeBytes())
 		burn(d)
@@ -308,7 +577,7 @@ func (w *workerBolt) step(rt *RecTuple) {
 // by less than one batch and the fields of one read are from one instant.
 // Only the Bundled joiner has bundle series; other joiners are covered by
 // the engine-level task series.
-func (w *workerBolt) registerMetrics(reg *obs.Registry) {
+func (w *worker) registerMetrics(reg *obs.Registry) {
 	label := fmt.Sprintf("worker/%d", w.task)
 	reg.HistogramVec("worker_record_seconds",
 		"Per-record latency observed at a worker: source enqueue to probe completion.", "task").
@@ -376,82 +645,10 @@ func RunBi(recs []*record.Record, right []bool, cfg Config) (*Result, error) {
 	return run(cfg, recs, right)
 }
 
-// run builds and executes the topology; right is nil on self-joins.
+// run validates cfg and runs the pipeline; right is nil on self-joins.
 func run(cfg Config, recs []*record.Record, right []bool) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	bi := right != nil
-	if cfg.Window == nil {
-		cfg.Window = window.Unbounded{}
-	}
-
-	k := cfg.Workers
-	route := &ownedRoute{strat: cfg.Strategy, d: min(max(cfg.Dispatchers, 1), k)}
-	batchSize := cfg.BatchSize
-	if batchSize <= 0 {
-		batchSize = stream.DefaultBatchSize
-	}
-	// Queue capacity counts batches; the default keeps the buffered-tuple
-	// budget (~1024 per queue) of the unbatched engine.
-	queueCap := cfg.QueueCap
-	if queueCap <= 0 {
-		queueCap = max((1024+batchSize-1)/batchSize, 4)
-	}
-
-	streamOpts := []stream.Option{stream.WithBatchSize(batchSize)}
-	if cfg.Registry != nil {
-		streamOpts = append(streamOpts, stream.WithRegistry(cfg.Registry))
-	}
-	tp := stream.New("ssjoin-"+cfg.Strategy.Name(), queueCap, streamOpts...)
-	tp.AddSpout("source", func(int) stream.Spout {
-		return &sourceSpout{recs: recs, right: right}
-	}, 1)
-	tp.AddBolt("dispatcher", func(int) stream.Bolt { return dispatcherBolt{} }, route.d).
-		SubscribeTo("source", stream.Broadcast{})
-
-	jopts := local.Options{Params: cfg.Params, Window: cfg.Window, Bundle: cfg.Bundle}
-	tp.AddBolt("worker", func(task int) stream.Bolt {
-		w := &workerBolt{task: task, k: k, strat: cfg.Strategy, wirePerB: cfg.WireNsPerByte, collect: cfg.CollectPairs}
-		if cfg.CollectPairs || !dispatch.EmitsAll(cfg.Strategy) {
-			w.emitFn = w.emitMatch
-		}
-		if bi {
-			w.bi = local.NewBi(cfg.Algorithm, jopts)
-		} else {
-			w.joiner = local.New(cfg.Algorithm, jopts)
-		}
-		if cfg.Registry != nil {
-			w.registerMetrics(cfg.Registry)
-		}
-		return w
-	}, k).SubscribeTo("dispatcher", route)
-
-	rep, err := tp.Run()
-	if err != nil {
-		return nil, err
-	}
-
-	res := &Result{
-		Records: uint64(len(recs)),
-		Elapsed: rep.Elapsed,
-		Report:  rep,
-	}
-	res.CommTuples = rep.EdgeTuples("dispatcher", "worker")
-	if e, ok := rep.Edges[stream.EdgeKey{From: "dispatcher", To: "worker"}]; ok {
-		res.CommBytes = e.Bytes.Load()
-	}
-	for _, b := range rep.Bolts["worker"] {
-		w := b.(*workerBolt)
-		if w.bi != nil {
-			res.WorkerCosts = append(res.WorkerCosts, w.bi.Cost())
-		} else {
-			res.WorkerCosts = append(res.WorkerCosts, w.joiner.Cost())
-		}
-		res.StoredCopies += w.stored
-		res.Results += w.results
-		res.Pairs = append(res.Pairs, w.pairs...)
-		res.Latency.Merge(&w.lat)
-	}
-	return res, nil
+	return newPipeline(cfg, recs, right).run()
 }

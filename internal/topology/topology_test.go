@@ -380,8 +380,8 @@ func TestWireCostSlowsBroadcastMore(t *testing.T) {
 			}
 		}
 		var total uint64
-		for task, b := range res.Report.Bolts["worker"] {
-			if got, want := b.(*workerBolt).wireBurnt, time.Duration(cost*routed[task]); got != want {
+		for task, w := range res.workers {
+			if got, want := w.wireBurnt, time.Duration(cost*routed[task]); got != want {
 				t.Errorf("%s: worker %d burnt %v for %d bytes, want %v", strat.Name(), task, got, routed[task], want)
 			}
 			total += routed[task]
@@ -402,6 +402,7 @@ func TestWireCostSlowsBroadcastMore(t *testing.T) {
 // TestParallelDispatchersMatchBruteForce: with several dispatchers,
 // windowed results must still be exact.
 func TestParallelDispatchersMatchBruteForce(t *testing.T) {
+	checkNoLeaks(t)
 	p := params(0.7)
 	recs := genStream(3000, 71)
 	win := window.Count{N: 400}
@@ -542,8 +543,7 @@ func TestBatchSizeParity(t *testing.T) {
 			if res.Results != uint64(len(want)) {
 				t.Fatalf("%s: Results %d for %d pairs", label, res.Results, len(want))
 			}
-			batches := res.Report.EdgeBatches("dispatcher", "worker")
-			tuples := res.Report.EdgeTuples("dispatcher", "worker")
+			batches, tuples := res.CommBatches, res.CommTuples
 			if batches == 0 || batches > tuples {
 				t.Fatalf("%s: implausible batch count %d for %d tuples", label, batches, tuples)
 			}
@@ -594,8 +594,7 @@ func TestRunPairsInWorkerOrder(t *testing.T) {
 		}
 	}
 	share := first.Pairs
-	for _, b := range first.Report.Bolts["worker"] {
-		w := b.(*workerBolt)
+	for _, w := range first.workers {
 		mine := share[:w.results]
 		share = share[w.results:]
 		for i := 1; i < len(mine); i++ {
@@ -611,6 +610,7 @@ func TestRunPairsInWorkerOrder(t *testing.T) {
 // batching and tiny queues, where a partial batch waits longest in one
 // dispatcher: results must still be exact.
 func TestBatchedParallelDispatchersExact(t *testing.T) {
+	checkNoLeaks(t)
 	p := params(0.6)
 	recs := genStream(800, 5)
 	want := bruteCount(recs, p, nil)
@@ -702,7 +702,7 @@ func TestWorkerEmitMatchAllocs(t *testing.T) {
 	probe := &record.Record{ID: 9, Tokens: []tokens.Rank{1, 2, 3}}
 	partner := &record.Record{ID: 4, Tokens: []tokens.Rank{1, 2, 3}}
 	const runs = 1000
-	w := &workerBolt{k: 1, strat: dispatch.BroadcastBased{}, collect: true, pairs: make([]record.Pair, 0, runs+1)}
+	w := &worker{k: 1, strat: dispatch.BroadcastBased{}, collect: true, pairs: make([]record.Pair, 0, runs+1)}
 	w.curRec = probe
 	m := local.Match{Rec: partner, ID: partner.ID, Overlap: 3, Sim: 1}
 	if n := testing.AllocsPerRun(runs, func() { w.emitMatch(m) }); n != 0 {
