@@ -28,16 +28,10 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bundle"
 	"repro/internal/checkpoint"
-	"repro/internal/filter"
-	"repro/internal/local"
-	"repro/internal/partition"
 	"repro/internal/record"
 	"repro/internal/remote"
-	"repro/internal/similarity"
 	"repro/internal/wal"
-	"repro/internal/window"
 	"repro/internal/workload"
 
 	ssjoin "repro"
@@ -53,7 +47,7 @@ func main() {
 		fn      = flag.String("func", "jaccard", "similarity: jaccard, cosine, dice, overlap")
 		alg     = flag.String("alg", "bundle", "local algorithm: bundle, prefix, naive")
 		dist    = flag.String("dist", "length", "distribution: length, prefix, broadcast")
-		part    = flag.String("part", "load-aware", "length partitioner, in-process runs: load-aware, even-length, even-frequency (-remote plans load-aware)")
+		part    = flag.String("part", "load-aware", "length partitioner: load-aware, even-length, even-frequency (not with -resume, whose plan comes from the state directory)")
 		workers = flag.Int("workers", 4, "worker parallelism, in-process runs (-remote runs one worker per address)")
 		win     = flag.Int64("window", 0, "count window (0 = unbounded)")
 		pairs   = flag.Bool("pairs", false, "print result pairs")
@@ -89,60 +83,46 @@ func main() {
 	}
 	if *rmt != "" || *resume {
 		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "part", "workers":
-				fatal(fmt.Errorf("-%s applies to in-process runs only, not -remote or -resume", f.Name))
+			switch {
+			case f.Name == "workers":
+				fatal(errors.New("-workers applies to in-process runs only, not -remote or -resume"))
+			case f.Name == "part" && *resume:
+				fatal(errors.New("-part does not apply to -resume: the plan comes from the state directory"))
 			}
 		})
 	}
 
-	if *rmt != "" || *resume {
-		var ftCfg *remote.FT
-		if *ft || *stateDir != "" {
-			// A fresh run draws a random non-zero ID, which keys worker
-			// checkpoints no earlier run wrote; -resume replaces it with the
-			// manifest's.
-			var b [8]byte
-			for binary.LittleEndian.Uint64(b[:]) == 0 {
-				if _, err := rand.Read(b[:]); err != nil {
-					fatal(fmt.Errorf("drawing a session id: %w", err))
-				}
-			}
-			id := binary.LittleEndian.Uint64(b[:])
-			ftCfg = &remote.FT{
-				Retry:             remote.RetryPolicy{MaxAttempts: *retries, Base: *retryBase, Cap: *retryCap, Seed: id},
-				HeartbeatInterval: *hbIvl,
-				HeartbeatTimeout:  *hbTimeout,
-				SessionID:         id,
+	var ftCfg *remote.FT // -ft and -state-dir are refused above without -remote or -resume
+	if *ft || *stateDir != "" {
+		// A fresh run draws a random non-zero ID, which keys worker
+		// checkpoints no earlier run wrote; -resume replaces it with the
+		// manifest's.
+		var b [8]byte
+		for binary.LittleEndian.Uint64(b[:]) == 0 {
+			if _, err := rand.Read(b[:]); err != nil {
+				fatal(fmt.Errorf("drawing a session id: %w", err))
 			}
 		}
-		if *resume {
-			if err := runResume(*stateDir, *rmt, *pairs, ftCfg, *coordHTTP, *walFsync); err != nil {
-				fatal(err)
-			}
-			return
+		id := binary.LittleEndian.Uint64(b[:])
+		ftCfg = &remote.FT{
+			Retry:             remote.RetryPolicy{MaxAttempts: *retries, Base: *retryBase, Cap: *retryCap, Seed: id},
+			HeartbeatInterval: *hbIvl,
+			HeartbeatTimeout:  *hbTimeout,
+			SessionID:         id,
 		}
-		recs, err := loadRecords(*in, *profile, *n, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		if *stateDir != "" {
-			pol, err := wal.ParseSyncPolicy(*walFsync)
-			if err != nil {
-				fatal(err)
-			}
-			ftCfg.Durable = &remote.Durable{
-				StateDir: *stateDir,
-				Sync:     pol,
-				Workers:  strings.Split(*rmt, ","),
-			}
-		}
-		if err := runRemote(*rmt, recs, *tau, *fn, *alg, *dist, *win, *pairs, ftCfg, *coordHTTP); err != nil {
+	}
+	if *resume {
+		if err := runResume(*stateDir, *rmt, *pairs, ftCfg, *coordHTTP, *walFsync); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
+	cfg, err := joinConfig(*tau, *fn, *alg, *dist, *part, *win)
+	if err != nil {
+		fatal(err)
+	}
+	cfg.Workers, cfg.CollectPairs = *workers, *pairs
 	recs, err := loadRecords(*in, *profile, *n, *seed)
 	if err != nil {
 		fatal(err)
@@ -152,20 +132,24 @@ func main() {
 		sets[i] = r.Tokens
 	}
 
-	cfg := ssjoin.DistributedConfig{Workers: *workers, CollectPairs: *pairs}
-	cfg.Threshold = *tau
-	cfg.WindowRecords = *win
-	if cfg.Function, err = parseEnum("similarity", *fn, ssjoin.Jaccard, ssjoin.Cosine, ssjoin.Dice, ssjoin.Overlap); err != nil {
-		fatal(err)
-	}
-	if cfg.Algorithm, err = parseEnum("algorithm", *alg, ssjoin.Bundle, ssjoin.Prefix, ssjoin.Naive); err != nil {
-		fatal(err)
-	}
-	if cfg.Distribution, err = parseEnum("distribution", *dist, ssjoin.LengthBased, ssjoin.PrefixBased, ssjoin.BroadcastBased); err != nil {
-		fatal(err)
-	}
-	if cfg.Partitioner, err = parseEnum("partitioner", *part, ssjoin.LoadAware, ssjoin.EvenLength, ssjoin.EvenFrequency); err != nil {
-		fatal(err)
+	if *rmt != "" {
+		addrs := strings.Split(*rmt, ",")
+		cfg.Workers = len(addrs)
+		sess, err := cfg.Session(sets)
+		if err != nil {
+			fatal(err)
+		}
+		if *stateDir != "" {
+			pol, err := wal.ParseSyncPolicy(*walFsync)
+			if err != nil {
+				fatal(err)
+			}
+			ftCfg.Durable = &remote.Durable{StateDir: *stateDir, Sync: pol, Workers: addrs}
+		}
+		if err := execRemote(addrs, sess, recs, *pairs, ftCfg, *coordHTTP); err != nil {
+			fatal(err)
+		}
+		return
 	}
 
 	res, err := ssjoin.RunDistributed(sets, cfg)
@@ -213,6 +197,23 @@ func loadRecords(path, profile string, n int, seed int64) ([]*record.Record, err
 	return workload.NewGenerator(prof).Generate(n), nil
 }
 
+// joinConfig parses the join flags into the one spec both runtimes run: the
+// in-process engine as it is, a fleet through its Session.
+func joinConfig(tau float64, fn, alg, dist, part string, win int64) (cfg ssjoin.DistributedConfig, err error) {
+	cfg.Threshold, cfg.WindowRecords = tau, win
+	if cfg.Function, err = parseEnum("similarity", fn, ssjoin.Jaccard, ssjoin.Cosine, ssjoin.Dice, ssjoin.Overlap); err != nil {
+		return cfg, err
+	}
+	if cfg.Algorithm, err = parseEnum("algorithm", alg, ssjoin.Bundle, ssjoin.Prefix, ssjoin.Naive); err != nil {
+		return cfg, err
+	}
+	if cfg.Distribution, err = parseEnum("distribution", dist, ssjoin.LengthBased, ssjoin.PrefixBased, ssjoin.BroadcastBased); err != nil {
+		return cfg, err
+	}
+	cfg.Partitioner, err = parseEnum("partitioner", part, ssjoin.LoadAware, ssjoin.EvenLength, ssjoin.EvenFrequency)
+	return cfg, err
+}
+
 // parseEnum returns the value among vals whose String() is s; what names the
 // flag's kind in the error.
 func parseEnum[T fmt.Stringer](what, s string, vals ...T) (T, error) {
@@ -223,41 +224,6 @@ func parseEnum[T fmt.Stringer](what, s string, vals ...T) (T, error) {
 	}
 	var zero T
 	return zero, fmt.Errorf("unknown %s %q", what, s)
-}
-
-// runRemote executes the join on external workers over TCP. Ctrl-C cancels
-// the run: dials abort and worker connections close. With ftCfg set the
-// run goes through the fault-tolerant coordinator: each worker is dialed
-// (and re-dialed) on demand instead of up front. A non-empty httpAddr
-// serves the coordinator's debug endpoints during the run.
-func runRemote(addrList string, recs []*record.Record, tau float64, fn, alg, dist string, win int64, pairs bool, ftCfg *remote.FT, httpAddr string) error {
-	addrs := strings.Split(addrList, ",")
-
-	f, err := similarity.ParseFunc(fn)
-	if err != nil {
-		return err
-	}
-	a, err := local.ParseAlgorithm(alg)
-	if err != nil {
-		return err
-	}
-	params := filter.Params{Func: f, Threshold: tau}
-	sess := remote.Session{
-		Params:    params,
-		Algorithm: a,
-		Strategy:  dist,
-		Bundle:    bundle.Config{},
-	}
-	if win != 0 {
-		// A negative size reaches the session, whose Hello check refuses it.
-		sess.Window = window.Count{N: win}
-	}
-	if dist == "length" {
-		// Fitted as DistributedConfig's default sample, so the in-process
-		// and the remote runtime plan one input alike.
-		sess.Bounds = partition.Fit(params, recs[:min(len(recs), partition.SampleSize)], len(addrs)).Bounds
-	}
-	return execRemote(addrs, sess, recs, pairs, ftCfg, httpAddr)
 }
 
 // runResume relaunches a durable session purely from its state directory:
@@ -309,8 +275,11 @@ func runResume(stateDir, addrList string, pairs bool, ftCfg *remote.FT, httpAddr
 	return execRemote(addrs, sess, recs, !m.Hello.CountOnly, ftCfg, httpAddr)
 }
 
-// execRemote is the shared tail of runRemote and runResume: serve the
-// debug surface for the length of the run and coordinate it.
+// execRemote is the shared tail of a -remote run and runResume: serve the
+// debug surface for the length of the run and coordinate it. Ctrl-C
+// cancels the run: dials abort and worker connections close. With ftCfg
+// set, the fault-tolerant coordinator dials (and re-dials) each worker on
+// demand instead of up front.
 func execRemote(addrs []string, sess remote.Session, recs []*record.Record, pairs bool, ftCfg *remote.FT, httpAddr string) error {
 	dbg, stopDebug := serveDebug(httpAddr)
 	defer stopDebug()

@@ -5,10 +5,10 @@ import (
 	"time"
 
 	"repro/internal/dispatch"
-	"repro/internal/filter"
 	"repro/internal/metrics"
 	"repro/internal/partition"
 	"repro/internal/record"
+	"repro/internal/remote"
 	"repro/internal/topology"
 )
 
@@ -126,59 +126,72 @@ func toRecords(records [][]uint32) []*record.Record {
 	return recs
 }
 
-// buildStrategy materializes the configured distribution strategy,
-// bootstrapping the length partition from the first SampleSize records.
-func buildStrategy(cfg DistributedConfig, params filter.Params, recs []*record.Record) (dispatch.Strategy, error) {
-	var part partition.Partition
+// session is the one planning step of a distributed run, whichever
+// runtime executes it: it maps the public enums, checks Workers and
+// SampleSize, and runs the partitioner over the first SampleSize of recs.
+// The strategy is the session's own Plan, built from its Hello as every
+// fleet worker builds it.
+func (cfg DistributedConfig) session(recs []*record.Record) (remote.Session, dispatch.Strategy, error) {
+	params, win, alg, bcfg, err := cfg.Config.build()
+	switch {
+	case err != nil:
+		return remote.Session{}, nil, err
+	case cfg.Workers < 1:
+		return remote.Session{}, nil, fmt.Errorf("ssjoin: Workers must be >= 1, got %d", cfg.Workers)
+	case cfg.SampleSize < 0:
+		return remote.Session{}, nil, fmt.Errorf("ssjoin: SampleSize must be >= 0, got %d", cfg.SampleSize)
+	}
+	s := remote.Session{Params: params, Algorithm: alg, Window: win, Bundle: bcfg, Strategy: cfg.Distribution.String()}
 	if cfg.Distribution == LengthBased {
-		sample := recs[:min(len(recs), cfg.SampleSize)]
+		n := cfg.SampleSize
+		if n == 0 {
+			n = partition.SampleSize
+		}
+		sample := recs[:min(len(recs), n)]
+		var h partition.Histogram
+		for _, r := range sample {
+			h.Add(r.Len())
+		}
 		switch cfg.Partitioner {
 		case LoadAware:
-			part = partition.Fit(params, sample, cfg.Workers)
-		case EvenLength, EvenFrequency:
-			var h partition.Histogram
-			for _, r := range sample {
-				h.Add(r.Len())
-			}
-			if cfg.Partitioner == EvenLength {
-				part = partition.EvenLength(h.MaxLen(), cfg.Workers)
-			} else {
-				part = partition.EvenFrequency(&h, cfg.Workers)
-			}
+			s.Bounds = partition.Fit(params, sample, cfg.Workers).Bounds
+		case EvenLength:
+			s.Bounds = partition.EvenLength(h.MaxLen(), cfg.Workers).Bounds
+		case EvenFrequency:
+			s.Bounds = partition.EvenFrequency(&h, cfg.Workers).Bounds
 		default:
-			return nil, fmt.Errorf("ssjoin: unknown partitioner %d", int(cfg.Partitioner))
+			return s, nil, fmt.Errorf("ssjoin: unknown partitioner %d", int(cfg.Partitioner))
 		}
 	}
-	return dispatch.ParseStrategy(cfg.Distribution.String(), params, part)
+	_, strat, err := s.Plan(cfg.Workers)
+	return s, strat, err
+}
+
+// Session plans cfg over records as RunDistributed does and returns the
+// plan as the join spec of a worker fleet (remote.Run, remote.RunFT), one
+// worker per task of cfg.Workers.
+func (cfg DistributedConfig) Session(records [][]uint32) (remote.Session, error) {
+	// The planner reads at most the first SampleSize records (the default
+	// when unset), so only those are copied.
+	sample := records[:min(len(records), max(cfg.SampleSize, partition.SampleSize))]
+	s, _, err := cfg.session(toRecords(sample))
+	return s, err
 }
 
 // plan validates cfg and builds the engine configuration for recs, the
 // step RunDistributed and RunDistributedBi share.
 func (cfg DistributedConfig) plan(recs []*record.Record) (topology.Config, error) {
-	params, win, alg, bcfg, err := cfg.Config.build()
-	if err != nil {
-		return topology.Config{}, err
-	}
-	if cfg.Workers < 1 {
-		return topology.Config{}, fmt.Errorf("ssjoin: Workers must be >= 1, got %d", cfg.Workers)
-	}
-	if cfg.SampleSize < 0 {
-		return topology.Config{}, fmt.Errorf("ssjoin: SampleSize must be >= 0, got %d", cfg.SampleSize)
-	}
-	if cfg.SampleSize == 0 {
-		cfg.SampleSize = partition.SampleSize
-	}
-	strat, err := buildStrategy(cfg, params, recs)
+	s, strat, err := cfg.session(recs)
 	if err != nil {
 		return topology.Config{}, err
 	}
 	return topology.Config{
 		Workers:      cfg.Workers,
 		Strategy:     strat,
-		Algorithm:    alg,
-		Params:       params,
-		Window:       win,
-		Bundle:       bcfg,
+		Algorithm:    s.Algorithm,
+		Params:       s.Params,
+		Window:       s.Window,
+		Bundle:       s.Bundle,
 		CollectPairs: cfg.CollectPairs,
 	}, nil
 }

@@ -6,6 +6,8 @@ import (
 	"repro/internal/local"
 	"repro/internal/topology"
 	"repro/internal/workload"
+
+	ssjoin "repro"
 )
 
 // E18 sweeps dispatcher parallelism: every dispatcher sees the whole stream
@@ -22,7 +24,7 @@ func E18(sc Scale) *Table {
 	}
 	recs := genProfile(workload.AOLLike(sc.Seed), sc.Records)
 	p := jaccard(0.8)
-	strat := strategyFor("length", p, recs, sc.Workers)
+	strat := strategyFor(ssjoin.LengthBased, p, recs, sc.Workers)
 	var want uint64
 	for _, d := range []int{1, 2, 4} {
 		res, err := topology.Run(recs, topology.Config{

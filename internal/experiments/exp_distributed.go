@@ -12,6 +12,8 @@ import (
 	"repro/internal/similarity"
 	"repro/internal/window"
 	"repro/internal/workload"
+
+	ssjoin "repro"
 )
 
 var thresholds = []float64{0.6, 0.7, 0.8, 0.9}
@@ -70,8 +72,9 @@ func E1(sc Scale) *Table {
 	for _, tau := range thresholds {
 		p := jaccard(tau)
 		rates := map[string]float64{}
-		for _, name := range frameworkNames {
-			res := runTopology(sc, recs, strategyFor(name, p, recs, sc.Workers), p, sc.Workers, local.Bundled, nil)
+		for _, dist := range frameworks {
+			name := dist.String()
+			res := runTopology(sc, recs, strategyFor(dist, p, recs, sc.Workers), p, sc.Workers, local.Bundled, nil)
 			rates[name] = res.Throughput().PerSecond()
 		}
 		t.AddRow(tau, rates["length"], rates["prefix"], rates["broadcast"],
@@ -99,8 +102,8 @@ func E2(sc Scale) *Table {
 	p := jaccard(0.8)
 	for _, k := range workerSweep(sc.Workers) {
 		row := []interface{}{k}
-		for _, name := range frameworkNames {
-			res := runTopology(sc, recs, strategyFor(name, p, recs, k), p, k, local.Bundled, nil)
+		for _, dist := range frameworks {
+			res := runTopology(sc, recs, strategyFor(dist, p, recs, k), p, k, local.Bundled, nil)
 			row = append(row, res.Throughput().PerSecond())
 		}
 		t.AddRow(row...)
@@ -137,8 +140,9 @@ func E3(sc Scale) *Table {
 		p := jaccard(tau)
 		tup := map[string]float64{}
 		byt := map[string]float64{}
-		for _, name := range frameworkNames {
-			res := runTopology(sc, recs, strategyFor(name, p, recs, sc.Workers), p, sc.Workers, local.Prefix, nil)
+		for _, dist := range frameworks {
+			name := dist.String()
+			res := runTopology(sc, recs, strategyFor(dist, p, recs, sc.Workers), p, sc.Workers, local.Prefix, nil)
 			tup[name] = float64(res.CommTuples) / n
 			byt[name] = float64(res.CommBytes) / n
 		}
@@ -159,8 +163,9 @@ func E4(sc Scale) *Table {
 	p := jaccard(0.8)
 	for _, prof := range []workload.Profile{workload.AOLLike(sc.Seed), workload.TweetLike(sc.Seed)} {
 		recs := genProfile(prof, sc.Records)
-		for _, name := range frameworkNames {
-			res := runTopology(sc, recs, strategyFor(name, p, recs, sc.Workers), p, sc.Workers, local.Prefix, nil)
+		for _, dist := range frameworks {
+			name := dist.String()
+			res := runTopology(sc, recs, strategyFor(dist, p, recs, sc.Workers), p, sc.Workers, local.Prefix, nil)
 			var postings uint64
 			for _, c := range res.WorkerCosts {
 				postings += c.Postings
@@ -182,8 +187,9 @@ func E10(sc Scale) *Table {
 	}
 	recs := genProfile(workload.AOLLike(sc.Seed), sc.Records)
 	p := jaccard(0.8)
-	for _, name := range frameworkNames {
-		res := runTopology(sc, recs, strategyFor(name, p, recs, sc.Workers), p, sc.Workers, local.Bundled, nil)
+	for _, dist := range frameworks {
+		name := dist.String()
+		res := runTopology(sc, recs, strategyFor(dist, p, recs, sc.Workers), p, sc.Workers, local.Bundled, nil)
 		l := &res.Latency
 		t.AddRow(name,
 			l.Mean().Round(time.Microsecond).String(),
@@ -211,7 +217,7 @@ func E11(sc Scale) *Table {
 		window.Unbounded{},
 	}
 	for _, win := range wins {
-		strat := strategyFor("length", p, recs, sc.Workers)
+		strat := strategyFor(ssjoin.LengthBased, p, recs, sc.Workers)
 		res := runTopology(sc, recs, strat, p, sc.Workers, local.Bundled, win)
 		var postings uint64
 		for _, c := range res.WorkerCosts {
@@ -302,7 +308,7 @@ func E12(sc Scale) *Table {
 	recs := genProfile(workload.AOLLike(sc.Seed), sc.Records)
 	for _, f := range []similarity.Func{similarity.Jaccard, similarity.Cosine, similarity.Dice} {
 		p := filter.Params{Func: f, Threshold: 0.8}
-		strat := strategyFor("length", p, recs, sc.Workers)
+		strat := strategyFor(ssjoin.LengthBased, p, recs, sc.Workers)
 		res := runTopology(sc, recs, strat, p, sc.Workers, local.Bundled, nil)
 		t.AddRow(f.String(), res.Results, res.Throughput().PerSecond(),
 			float64(res.CommTuples)/float64(len(recs)))

@@ -7,9 +7,10 @@ import (
 	"net"
 
 	"repro/internal/local"
-	"repro/internal/partition"
 	"repro/internal/remote"
 	"repro/internal/workload"
+
+	ssjoin "repro"
 )
 
 // E14 compares the in-process engine against the multi-process TCP runtime
@@ -27,19 +28,18 @@ func E14(sc Scale) *Table {
 	p := jaccard(0.8)
 	k := sc.Workers
 
-	// In-process engine.
-	strat := strategyFor("length", p, recs, k)
+	// Both rows run one plan: the engine routes with the session's own
+	// strategy, and the fleet gets the session.
+	sess := sessionFor(ssjoin.LengthBased, p, recs, k)
+	_, strat, err := sess.Plan(k)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
 	res := runTopology(sc, recs, strat, p, k, local.Bundled, nil)
 	t.AddRow("in-process", res.Throughput().PerSecond(), res.Results,
 		float64(res.CommBytes)/float64(len(recs)))
 
 	// TCP fleet on loopback.
-	sess := remote.Session{
-		Params:    p,
-		Algorithm: local.Bundled,
-		Strategy:  "length",
-		Bounds:    partition.Fit(p, recs, k).Bounds,
-	}
 	ctx := context.Background()
 	conns, cleanup, err := loopbackWorkers(ctx, k)
 	if err != nil {

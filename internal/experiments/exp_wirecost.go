@@ -24,8 +24,9 @@ func E16(sc Scale) *Table {
 	p := jaccard(0.8)
 	for _, nsPerB := range []int{0, 20, 50, 100, 200} {
 		rates := map[string]float64{}
-		for _, name := range frameworkNames {
-			strat := strategyFor(name, p, recs, sc.Workers)
+		for _, dist := range frameworks {
+			name := dist.String()
+			strat := strategyFor(dist, p, recs, sc.Workers)
 			res, err := topology.Run(recs, topology.Config{
 				Workers:       sc.Workers,
 				Strategy:      strat,

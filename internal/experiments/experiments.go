@@ -10,10 +10,13 @@ import (
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/record"
+	"repro/internal/remote"
 	"repro/internal/similarity"
 	"repro/internal/topology"
 	"repro/internal/window"
 	"repro/internal/workload"
+
+	ssjoin "repro"
 )
 
 // Scale sizes an experiment run. The defaults (via DefaultScale) regenerate
@@ -92,21 +95,38 @@ func histogramOf(recs []*record.Record) *partition.Histogram {
 	return &h
 }
 
-// strategyFor materializes a named strategy for the given stream; a length
-// plan is fitted to all of recs.
-func strategyFor(name string, p filter.Params, recs []*record.Record, k int) dispatch.Strategy {
-	var part partition.Partition
-	if name == "length" {
-		part = partition.Fit(p, recs, k)
+// sessionFor plans dist for k workers over recs through the library's own
+// planning step, the one RunDistributed and the CLI take; a length plan is
+// fitted to all of recs. ssjoin.Similarity numbers the functions as
+// similarity.Func does.
+func sessionFor(dist ssjoin.Distribution, p filter.Params, recs []*record.Record, k int) remote.Session {
+	sets := make([][]uint32, len(recs))
+	for i, r := range recs {
+		sets[i] = r.Tokens
 	}
-	s, err := dispatch.ParseStrategy(name, p, part)
+	s, err := ssjoin.DistributedConfig{
+		Config:       ssjoin.Config{Threshold: p.Threshold, Function: ssjoin.Similarity(p.Func)},
+		Workers:      k,
+		Distribution: dist,
+		SampleSize:   len(recs),
+	}.Session(sets)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
 	return s
 }
 
-var frameworkNames = []string{"length", "prefix", "broadcast"}
+// strategyFor is the routing strategy of sessionFor's plan, built from its
+// Hello as a fleet worker builds it.
+func strategyFor(dist ssjoin.Distribution, p filter.Params, recs []*record.Record, k int) dispatch.Strategy {
+	_, s, err := sessionFor(dist, p, recs, k).Plan(k)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return s
+}
+
+var frameworks = []ssjoin.Distribution{ssjoin.LengthBased, ssjoin.PrefixBased, ssjoin.BroadcastBased}
 
 // runTopology executes one distributed join and returns its result. The
 // Scale threads the run-wide registry into the topology config without

@@ -168,7 +168,7 @@ func runSession(ctx context.Context, conns []io.ReadWriter, sess Session, recs [
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("remote: %w", err)
 	}
-	h, strat, err := sess.plan(k)
+	h, strat, err := sess.Plan(k)
 	if err != nil {
 		return nil, err
 	}

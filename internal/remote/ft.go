@@ -205,7 +205,7 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 			return nil, fmt.Errorf("remote: record %d has id %d after id %d; ft runs need strictly increasing ids", i, recs[i].ID, recs[i-1].ID)
 		}
 	}
-	hello, strat, err := sess.plan(workers)
+	hello, strat, err := sess.Plan(workers)
 	if err != nil {
 		return nil, err
 	}

@@ -269,7 +269,7 @@ func TestEveryComponentRegistersItsMetrics(t *testing.T) {
 		"stream_edge_batches_total":      {"dispatcher->worker", "source->dispatcher"},
 		"stream_edge_batch_occupancy":    {"dispatcher->worker", "source->dispatcher"},
 		"stream_task_executed_total":     append([]string{"source/0"}, queued...),
-		"stream_task_emitted_total":      append([]string{"source/0"}, queued...),
+		"stream_task_emitted_total":      append([]string{"source/0"}, tasks("dispatcher", dispatchers)...),
 		"stream_queue_depth_batches":     queued,
 		"stream_process_seconds":         queued,
 		"stream_queue_wait_seconds":      queued,

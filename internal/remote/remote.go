@@ -50,15 +50,16 @@ var strategyNames = []string{"length", "prefix", "broadcast"}
 // hello encodes the session for worker task of workers, checked as the
 // worker will check it.
 func (s Session) hello(task, workers int) (wire.Hello, error) {
-	h, _, err := s.plan(workers)
+	h, _, err := s.Plan(workers)
 	h.Task = task
 	return h, err
 }
 
-// plan encodes the session as task 0's Hello for workers and builds the
+// Plan encodes the session as task 0's Hello for workers and builds the
 // routing strategy from that Hello, through the path a worker takes, so
-// the coordinator routes with the strategy every worker arbitrates with.
-func (s Session) plan(workers int) (wire.Hello, dispatch.Strategy, error) {
+// the coordinator — and the in-process engine — route with the strategy
+// every worker arbitrates with.
+func (s Session) Plan(workers int) (wire.Hello, dispatch.Strategy, error) {
 	h := wire.Hello{
 		Version:        wire.Version,
 		Workers:        workers,

@@ -16,10 +16,6 @@ import (
 // nothing.
 type batch struct {
 	items []Tuple
-	// enq is the batch's creation time, stamped only on instrumented runs
-	// (edgeOut.stamp) so the consumer can observe the batch's age at
-	// dequeue. Zero on uninstrumented runs.
-	enq time.Time
 }
 
 // taskRun is one executor: a task instance with its input queue and output
@@ -40,7 +36,6 @@ type taskRun struct {
 	counters *TaskCounters
 	bolt     Bolt
 	spout    Spout
-	obs      *taskObs // nil unless the run has a registry attached
 }
 
 // edgeOut is one producer task's view of a downstream subscription. It owns
@@ -54,7 +49,6 @@ type edgeOut struct {
 	dests     []*taskRun
 	counters  *EdgeCounters
 	batchSize int
-	stamp     bool     // instrumented run: stamp batch creation time
 	pending   []*batch // one accumulating batch per destination, nil when empty
 	// tuples and bytes count what this producer sent on the edge since it
 	// last folded them into counters: plain fields, so the per-tuple path
@@ -72,9 +66,6 @@ func (o *edgeOut) send(d int, t Tuple, pool *sync.Pool) {
 	b := o.pending[d]
 	if b == nil {
 		b = pool.Get().(*batch)
-		if o.stamp {
-			b.enq = time.Now()
-		}
 		o.pending[d] = b
 	}
 	b.items = append(b.items, t)
@@ -162,7 +153,7 @@ func (e *emitter) EmitTo(stream string, t Tuple) {
 }
 
 // fold publishes the task's and its edges' producer-local counts. The
-// executor calls it once per input batch, so a live scrape trails the truth
+// executor calls it once per input batch, so a live read trails the truth
 // by less than one batch per producer.
 func (e *emitter) fold() {
 	e.counters.Executed.Add(e.executed)
@@ -236,8 +227,7 @@ func (tp *Topology) Run() (*Report, error) {
 	}
 
 	// Wire edges: for each consumer input, every producer task gets an
-	// edgeOut with its own selector (a ProducerGrouping's, given the
-	// producer's index); consumers count their producers.
+	// edgeOut with its own selector; consumers count their producers.
 	for _, name := range tp.order {
 		c := tp.comps[name]
 		for _, in := range c.inputs {
@@ -252,17 +242,10 @@ func (tp *Topology) Run() (*Report, error) {
 			if streamName == "" {
 				streamName = DefaultStream
 			}
-			pg, perProducer := in.grouping.(ProducerGrouping)
-			for j, prod := range tasks[in.from] {
-				var sel Selector
-				if perProducer {
-					sel = pg.NewProducerSelector(j, len(dests))
-				} else {
-					sel = in.grouping.NewSelector(len(dests))
-				}
+			for _, prod := range tasks[in.from] {
 				prod.outs = append(prod.outs, &edgeOut{
 					stream:    streamName,
-					sel:       sel,
+					sel:       in.grouping.NewSelector(len(dests)),
 					dests:     dests,
 					counters:  ec,
 					batchSize: batchSize,
@@ -275,9 +258,6 @@ func (tp *Topology) Run() (*Report, error) {
 		}
 	}
 
-	if tp.reg != nil {
-		tp.registerMetrics(report, tasks)
-	}
 	start := time.Now()
 	var (
 		wg  sync.WaitGroup
@@ -376,34 +356,15 @@ func (t *taskRun) loop() {
 			}
 		}
 	} else {
-		bb, batched := t.bolt.(BatchBolt)
 		for b := range t.in {
-			var pstart time.Time
-			if t.obs != nil {
-				if !b.enq.IsZero() {
-					t.obs.wait.Observe(time.Since(b.enq))
-					b.enq = time.Time{}
-				}
-				pstart = time.Now()
-			}
 			em.executed += uint64(len(b.items))
-			if batched {
-				bb.ExecuteBatch(b.items, em)
-				for i := range b.items {
-					b.items[i] = nil // drop refs so pooled batches don't pin tuples
-				}
-			} else {
-				for i, tu := range b.items {
-					b.items[i] = nil // drop the ref so pooled batches don't pin tuples
-					t.bolt.Execute(tu, em)
-				}
+			for i, tu := range b.items {
+				b.items[i] = nil // drop the ref so pooled batches don't pin tuples
+				t.bolt.Execute(tu, em)
 			}
 			b.items = b.items[:0]
 			t.pool.Put(b)
 			em.fold()
-			if t.obs != nil {
-				t.obs.process.Observe(time.Since(pstart))
-			}
 		}
 		if f, ok := t.bolt.(Flusher); ok {
 			f.Flush(em)

@@ -28,8 +28,6 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Tuple is anything that can flow along an edge. SizeBytes approximates the
@@ -58,16 +56,6 @@ type Flusher interface {
 	Flush(em Emitter)
 }
 
-// BatchBolt is an optional Bolt extension: the executor hands such a bolt
-// each transport batch whole instead of tuple by tuple, preserving tuple
-// order exactly. Bolts that amortize per-record work across a batch
-// implement it; Execute remains required and must behave identically for
-// a single tuple.
-type BatchBolt interface {
-	Bolt
-	ExecuteBatch(ts []Tuple, em Emitter)
-}
-
 // Emitter sends tuples downstream. Emit targets the default stream;
 // EmitTo targets a named stream, reaching only subscribers of that stream
 // (Storm's multi-stream declaration). Emitting to a stream nobody
@@ -85,14 +73,6 @@ const DefaultStream = "default"
 // producer task so selectors need no synchronization.
 type Grouping interface {
 	NewSelector(ntasks int) Selector
-}
-
-// ProducerGrouping is an optional Grouping extension for routing that
-// depends on which producer task a selector serves; Run prefers it when it
-// wires an edge.
-type ProducerGrouping interface {
-	Grouping
-	NewProducerSelector(producer, ntasks int) Selector
 }
 
 // Selector routes one tuple to zero or more of the ntasks downstream
@@ -181,7 +161,6 @@ type Topology struct {
 	comps     map[string]*component
 	order     []string
 	err       error
-	reg       *obs.Registry
 }
 
 // Option tunes a Topology at construction time.
@@ -214,7 +193,7 @@ type component struct {
 
 // New returns an empty topology. queueCap is the per-task input queue
 // capacity in batches; zero selects the default of 1024. Options tune
-// batching and observability.
+// batching.
 func New(name string, queueCap int, opts ...Option) *Topology {
 	if queueCap <= 0 {
 		queueCap = 1024

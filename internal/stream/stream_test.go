@@ -181,42 +181,6 @@ func TestPartitionFuncMulticast(t *testing.T) {
 	}
 }
 
-// ownGrouping sends everything producer j emits to task j alone.
-type ownGrouping struct{}
-
-func (ownGrouping) NewSelector(int) Selector { panic("Run used NewSelector on a ProducerGrouping") }
-
-func (ownGrouping) NewProducerSelector(j, _ int) Selector { return ownSel(j) }
-
-type ownSel int
-
-func (s ownSel) Select(_ Tuple, buf []int) []int { return append(buf, int(s)) }
-
-// TestProducerGroupingSeesProducerIndex: Run hands a ProducerGrouping each
-// producer's index, so a consumer fed by one producer of a broadcast stage
-// receives the whole stream from that producer alone, in emit order.
-func TestProducerGroupingSeesProducerIndex(t *testing.T) {
-	tp := New("owned", 2, WithBatchSize(7))
-	tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: ints(100)} }, 1)
-	tp.AddBolt("relay", func(int) Bolt { return doubleBolt{} }, 3).SubscribeTo("src", Broadcast{})
-	tp.AddBolt("sink", func(task int) Bolt { return &collectBolt{task: task} }, 3).SubscribeTo("relay", ownGrouping{})
-	rep, err := runChecked(t, tp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for task, b := range rep.Bolts["sink"] {
-		got := b.(*collectBolt).got
-		if len(got) != 100 {
-			t.Fatalf("task %d got %d tuples, want 100", task, len(got))
-		}
-		for i, v := range got {
-			if v != 2*i {
-				t.Fatalf("task %d: tuple %d is %d, want %d", task, i, v, 2*i)
-			}
-		}
-	}
-}
-
 func TestFlusherRunsAfterDrain(t *testing.T) {
 	tp := New("flush", 8)
 	tp.AddSpout("src", func(int) Spout { return &sliceSpout{vals: ints(10)} }, 1)

@@ -155,7 +155,7 @@ type edge struct {
 // stage is one task's published work counts and, on an instrumented run,
 // the clocks of its input batches: processing time and age at dequeue.
 type stage struct {
-	executed, emitted atomic.Uint64
+	executed, emitted atomic.Uint64 // a worker emits nothing
 	process, wait     metrics.SyncLatency
 }
 
@@ -454,7 +454,6 @@ func (p *pipeline) registerMetrics(reg *obs.Registry) {
 		"Age of a transport batch at dequeue: fill time plus queue wait.", "task")
 	task := func(label string, s *stage, queued func() int) {
 		executed.SetFunc(label, func() float64 { return float64(s.executed.Load()) })
-		emitted.SetFunc(label, func() float64 { return float64(s.emitted.Load()) })
 		if queued == nil {
 			return
 		}
@@ -462,9 +461,14 @@ func (p *pipeline) registerMetrics(reg *obs.Registry) {
 		procH.SetFunc(label, s.process.Snapshot)
 		waitH.SetFunc(label, s.wait.Snapshot)
 	}
-	task("source/0", &p.source, nil)
+	// Workers keep their results: only the source and the dispatchers emit.
+	sender := func(label string, s *stage, queued func() int) {
+		task(label, s, queued)
+		emitted.SetFunc(label, func() float64 { return float64(s.emitted.Load()) })
+	}
+	sender("source/0", &p.source, nil)
 	for _, dp := range p.dispatchers {
-		task(fmt.Sprintf("dispatcher/%d", dp.j), &dp.stats, func() int { return len(dp.in) })
+		sender(fmt.Sprintf("dispatcher/%d", dp.j), &dp.stats, func() int { return len(dp.in) })
 	}
 	for _, w := range p.workers {
 		task(fmt.Sprintf("worker/%d", w.task), &w.stats, func() int { return len(w.in) })
