@@ -341,6 +341,12 @@ func coordinate(addrs []string, sess remote.Session, recs []*record.Record, pair
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ssjoin:", err)
+	fmt.Fprintln(os.Stderr, fatalLine(err))
 	os.Exit(1)
+}
+
+// fatalLine is the line fatal prints: err behind one "ssjoin:", whether or
+// not the library already put it there.
+func fatalLine(err error) string {
+	return "ssjoin: " + strings.TrimPrefix(err.Error(), "ssjoin: ")
 }

@@ -29,13 +29,14 @@ type alloc struct {
 	used    int
 
 	// bchunks is the bundle chunk directory, indexed by slot >> bundleShift;
-	// hots (see hot), sigs and wide run parallel to it. sigs holds the
+	// sigs and wide run parallel to it, and hots (see hot) is indexed by the
+	// slot itself, so a posting's hot entry is one load. sigs holds the
 	// base-width signatures of a chunk's bundles and wide, for a bundle with a
 	// wider one (Bundle.wideSig), the reference of its cell in wslab; each is
 	// nil until a bundle of the chunk needs it (see Bundle.add), so an index
 	// of short records pays neither the 32 B nor the 4 B per bundle.
 	bchunks []*[bundleChunk]Bundle
-	hots    []*[bundleChunk]hot
+	hots    []hot
 	sigs    []*[bundleChunk]sigBlock
 	wide    []*[bundleChunk]uint32
 
@@ -115,7 +116,9 @@ func (al *alloc) bundle() *Bundle {
 	if len(al.bundles) == 0 {
 		c := new([bundleChunk]Bundle)
 		al.bchunks = append(al.bchunks, c)
-		al.hots = append(al.hots, new([bundleChunk]hot))
+		for range bundleChunk {
+			al.hots = push(al.hots, hot{})
+		}
 		al.sigs = append(al.sigs, nil)
 		al.wide = append(al.wide, nil)
 		al.bundles = c[:]
@@ -137,7 +140,7 @@ func (al *alloc) at(slot uint32) *Bundle {
 //
 // Once per posting scanned.
 func (al *alloc) hotAt(slot uint32) *hot {
-	return &al.hots[slot>>bundleShift][slot&(bundleChunk-1)]
+	return &al.hots[slot]
 }
 
 // mirror brings b's hot entry up to date after Bundle.add or remove; death

@@ -127,7 +127,9 @@ type Index struct {
 
 	// probe scratch
 	cands []*Bundle
-	walk  []walkRef
+	// touch sums what collectCandidates' touch pass loads, so the compiler
+	// keeps the loads.
+	touch uint32
 	// probeSeq is the probe counter stamped into hot.seen for per-probe
 	// candidate dedup (replaces a per-probe map); collectCandidates restarts
 	// it at 1 when it wraps.
@@ -151,11 +153,6 @@ type Index struct {
 	keys, looks [maxKeyed + 2][]uint16
 	sets        setTable
 }
-
-// walkRef is one prefix token in the selectivity-ordered walk: pos is the
-// token's prefix position, n its posting count as the count pass read it
-// (the sort key).
-type walkRef struct{ pos, n int }
 
 // sweepFloor is the dead-posting count below which no sweep runs, so a
 // near-empty index does not sweep on every other eviction.
@@ -368,13 +365,14 @@ func (bx *Index) sweep() {
 	}
 }
 
-// Probe finds all live records similar to r, emits each as it is verified
-// — lookups in chain order, then candidate bundles in collectCandidates'
-// order, members in bundle order: a function of index state, sorted by
-// nothing — and returns the best bundle match together with its similarity
-// (ok=false if none: a lookup's match is never the hint). Verification is
-// exact; emitted overlaps are true intersection sizes. A nil emit only
-// counts: the hint and every counter are the same.
+// Probe finds all live records similar to r, emits each as it is verified —
+// lookups in chain order, then candidate bundles in the order
+// collectCandidates finds them walking r's prefix, members in bundle order:
+// a function of index state, sorted by nothing — and returns the best bundle
+// match together with its similarity (ok=false if none: a lookup's match is
+// never the hint). Verification is exact; emitted overlaps are true
+// intersection sizes. A nil emit only counts: the hint and every counter are
+// the same.
 func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok bool) {
 	l := r.Len()
 	if looks := bx.looks[min(l, maxKeyed+1)]; bx.inSets(l) || len(looks) > 0 {
@@ -455,32 +453,31 @@ func (bx *Index) bindProbe(r *record.Record) {
 // at 1: without it, a bundle last visited exactly 2^32 probes ago would look
 // already seen.
 func (bx *Index) resetStamps() {
-	for _, c := range bx.al.hots {
-		for i := range c {
-			c[i].seen = 0
-		}
+	for i := range bx.al.hots {
+		bx.al.hots[i].seen = 0
 	}
 	bx.probeSeq = 1
 }
 
-// collectCandidates walks the postings of r's prefix tokens in ascending
-// posting-count order (rarest token first), compacts dead postings in place,
+// collectCandidates walks the postings of r's prefix tokens in prefix order
+// — global rank order, so rarest first — compacts dead postings in place,
 // and returns the distinct candidate bundles that pass the bundle-level
-// length and signature filters, in that discovery order. Rarest-first is a
-// selectivity heuristic: the bundles sharing a rare token are the likeliest
-// (and typically heaviest) candidates, so they front-load the verify order.
-// A count pass reads each prefix token's bucket once for the sort key; the
-// order is a deterministic function of index state (count, then prefix
-// position), so indexes fed the same records see identical candidate
-// sequences. The walk reads, per posting of the token, only the slot's hot
-// entry: dead mark, dedup stamp (seen vs probeSeq, an epoch instead of a
-// per-probe map), the length band against the bounds hoisted by bindProbe,
-// then the signature bound against the smallest overlap any member would
-// need; the Bundle is addressed only for a candidate or a dead posting. A saturated band errs towards keeping:
-// lenLo is clamped so a saturated hi never skips, and a saturated lo only
-// lowers the requirement. Every posting-table mutation of a probe happens
-// here; the verify phase that follows only reads the index. The returned
-// slice is scratch owned by the index, valid until the next call.
+// length and signature filters, in that discovery order. A touch pass first
+// loads every prefix token's bucket header, and the first overflow posting
+// of a bucket that has overflowed, back to back, so the walk finds its lines
+// on their way in. The order changes no counter and no result: each
+// candidate is examined once per probe, every filter is per bundle, and the
+// insertion hint is a pure function of the match set (betterIns). The walk
+// reads, per posting of the token, only the slot's hot entry: dead mark,
+// dedup stamp (seen vs probeSeq, an epoch instead of a per-probe map), the
+// length band against the bounds hoisted by bindProbe, then the signature
+// bound against the smallest overlap any member would need; the Bundle is
+// addressed only for a candidate or a dead posting. A saturated band errs
+// towards keeping: lenLo is clamped so a saturated hi never skips, and a
+// saturated lo only lowers the requirement. Every posting-table mutation of
+// a probe happens here; the verify phase that follows only reads the index.
+// The returned slice is scratch owned by the index, valid until the next
+// call.
 //
 // Runs once per probe.
 func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
@@ -494,25 +491,22 @@ func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 	la := r.Len()
 	lo, hi := bx.probeLo, bx.probeHi
 	lenLo := min(lo, hotLenMax)
-	walk := bx.walk[:0]
-	for i, tok := range r.Tokens[:bx.params.PrefixLen(la)] {
-		if n := bx.posts.count(tok); n > 0 {
-			walk = append(walk, walkRef{pos: i, n: n})
+	prefix, t := r.Tokens[:bx.params.PrefixLen(la)], &bx.posts
+	// The touch pass: each bucket's header, and an overflowed bucket's first
+	// listed posting, loaded back to back; the loads are independent, so
+	// their misses overlap, and the sum is kept so none is dropped.
+	touch := bx.touch
+	for _, tok := range prefix {
+		b := t.bucket(tok)
+		touch += b.n
+		if b.n > bucketInline {
+			touch += t.over[b.ovf-1][0].slot
 		}
 	}
-	// Insertion sort by (count, prefix position): prefixes are short and
-	// mostly sorted run-to-run, so this beats sort.Slice and allocates
-	// nothing.
-	for i := 1; i < len(walk); i++ {
-		for j := i; j > 0 && (walk[j].n < walk[j-1].n ||
-			(walk[j].n == walk[j-1].n && walk[j].pos < walk[j-1].pos)); j-- {
-			walk[j], walk[j-1] = walk[j-1], walk[j]
-		}
-	}
-	for _, wr := range walk {
-		tok := r.Tokens[wr.pos]
-		b := bx.posts.bucket(tok)
-		ov, n, w := bx.posts.overflow(b), b.n, uint32(0)
+	bx.touch = touch
+	for _, tok := range prefix {
+		b := t.bucket(tok)
+		ov, n, w := t.overflow(b), b.n, uint32(0)
 		for i := uint32(0); i < n; i++ {
 			p := b.at(ov, i)
 			var h *hot
@@ -558,9 +552,8 @@ func (bx *Index) collectCandidates(r *record.Record) []*Bundle {
 			}
 			cands = append(cands, bx.al.at(p.slot))
 		}
-		bx.posts.truncate(b, ov, w)
+		t.truncate(b, ov, w)
 	}
-	bx.walk = walk[:0]
 	bx.cands = cands
 	return cands
 }

@@ -702,3 +702,57 @@ func TestHotStructSizes(t *testing.T) {
 		t.Fatalf("fifoEntry is %d B, want 16", fe)
 	}
 }
+
+// TestWalkOrderKeepsTheFunnel pins every work counter of one index over
+// shortened seed-42 AOL-, Enron- and Tweet-like streams (at the bench's τ).
+// Each candidate bundle is examined once per probe and every filter is per
+// bundle, so the order in which the prefix's buckets are walked changes no
+// counter — a walk sorted by posting count reads these same constants —
+// while a walk that missed a prefix token, or examined a bundle twice,
+// moves them.
+func TestWalkOrderKeepsTheFunnel(t *testing.T) {
+	cases := []struct {
+		profile workload.Profile
+		n       int
+		tau     float64
+		win     window.Count
+		want    Stats
+	}{
+		{workload.AOLLike(42), 40000, 0.8, window.Count{N: 10000}, Stats{
+			Records: 40000, Bundles: 29100, Appends: 10900, Postings: 708, Scanned: 516,
+			BundleCands: 373, BundleLenSkip: 12, BundleSigSkip: 5, BundleUBSkip: 22,
+			MemberChecks: 187571, Verified: 187570, Results: 187281, VerifySteps: 1310, CoreSteps: 78,
+			Evicted: 29999, LiveBundles: 7606, LiveMembers: 10001, MaxBundleSize: 64,
+			UnionOverlaps: 30, UnionSteps: 151, CoreOverlaps: 8, SingletonFast: 326, RebuildSweeps: 2,
+			DeadPostSkips: 1011, KernelLinear: 364, KernelGallop: 16, MemberDeltaSkip: 1,
+			TwinProbes: 39616, TwinMatches: 187228,
+		}},
+		{workload.EnronLike(42), 8000, 0.7, window.Count{N: 2500}, Stats{
+			Records: 8000, Bundles: 6405, Appends: 1595, Postings: 95878, Scanned: 207657,
+			BundleCands: 163712, BundleLenSkip: 110649, BundleSigSkip: 51199, BundleUBSkip: 98,
+			MemberChecks: 2596, MemberUBSkip: 1, Verified: 2595, Results: 2130, VerifySteps: 263173,
+			CoreSteps: 54674, Evicted: 5499, LiveBundles: 2041, LiveMembers: 2501, MaxBundleSize: 9,
+			UnionOverlaps: 613, UnionSteps: 69257, CoreOverlaps: 515, SingletonFast: 1251,
+			RebuildSweeps: 1, DeadPostSkips: 107501, GroupRejectLen: 2, KernelLinear: 3070,
+			KernelGallop: 653,
+		}},
+		{workload.TweetLike(42), 20000, 0.8, window.Count{N: 2000}, Stats{
+			Records: 20000, Bundles: 15844, Appends: 4156, Postings: 7004, Scanned: 33092,
+			BundleCands: 19661, BundleLenSkip: 3563, BundleSigSkip: 1536, BundleUBSkip: 2555,
+			MemberChecks: 16262, MemberUBSkip: 319, Verified: 15711, Results: 6093, VerifySteps: 87830,
+			CoreSteps: 15831, Evicted: 17999, LiveBundles: 1670, LiveMembers: 2001, MaxBundleSize: 12,
+			UnionOverlaps: 3837, UnionSteps: 30452, CoreOverlaps: 1282, SingletonFast: 10725,
+			RebuildSweeps: 7, DeadPostSkips: 29236, GroupRejectLen: 5, KernelLinear: 17107,
+			KernelGallop: 1894, MemberDeltaSkip: 232, TwinProbes: 7307, TwinMatches: 1829,
+		}},
+	}
+	for _, tc := range cases {
+		bx := New(params(tc.tau), tc.win, Config{})
+		for _, r := range workload.NewGenerator(tc.profile).Generate(tc.n) {
+			bx.Process(r, nil)
+		}
+		if got := bx.Stats(); got != tc.want {
+			t.Errorf("%s: the funnel moved:\n got  %+v\n want %+v", tc.profile.Name, got, tc.want)
+		}
+	}
+}

@@ -79,21 +79,6 @@ func (t *postTable) truncate(b *pbucket, ov []posting, w uint32) {
 	}
 }
 
-// count returns the number of postings under tok, dead ones included.
-//
-// The count pass of collectCandidates: the loads of successive tokens are
-// independent, so their misses overlap.
-func (t *postTable) count(tok tokens.Rank) (c int) {
-	b := t.bucket(tok)
-	ov := t.overflow(b)
-	for i := uint32(0); i < b.n; i++ {
-		if b.at(ov, i).tok == tok {
-			c++
-		}
-	}
-	return c
-}
-
 // add appends a posting, doubling the table first at a mean of 4 a bucket.
 func (t *postTable) add(p posting) {
 	if t.n >= 4*len(t.buckets) {

@@ -45,6 +45,19 @@ func tableCensus(t testing.TB, tbl *postTable) []posting {
 	return all
 }
 
+// count returns the number of postings under tok, dead ones included, read
+// through the bucket accessors the probe uses.
+func (t *postTable) count(tok tokens.Rank) (c int) {
+	b := t.bucket(tok)
+	ov := t.overflow(b)
+	for i := uint32(0); i < b.n; i++ {
+		if b.at(ov, i).tok == tok {
+			c++
+		}
+	}
+	return c
+}
+
 // walkDrop walks tok's postings the way collectCandidates does — the whole
 // bucket, compacting in place, neighbours kept — dropping those drop names, and
 // returns the slots it saw under tok, in order.

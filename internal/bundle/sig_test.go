@@ -586,7 +586,7 @@ func TestProbeStampWrap(t *testing.T) {
 	if near.probeSeq != 3 {
 		t.Fatalf("probe counter at %d after wrapping, want 3", near.probeSeq)
 	}
-	for slot := uint32(0); int(slot) < len(near.al.hots)*bundleChunk; slot++ {
+	for slot := uint32(0); int(slot) < len(near.al.hots); slot++ {
 		if seen := near.al.hotAt(slot).seen; seen > 3 {
 			t.Fatalf("slot %d still stamped %d: a stamp from before the wrap survived the reset", slot, seen)
 		}
