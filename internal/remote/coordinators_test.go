@@ -19,12 +19,12 @@ import (
 )
 
 // BenchmarkCoordinators drains the aol_fleet stream through plain Run
-// (counting, and plain-pairs collecting every pair) and through RunFT
-// against the same two loopback workers: 200 000 AOL-like
-// records (seed 42), Jaccard 0.8, a 50 000-record count window and a
-// length plan fitted to the first 10 000 records. It reports records per
-// second and the bytes the whole process (coordinator and workers)
-// allocates per record.
+// and through RunFT, each counting (plain, ft) and collecting every pair
+// (plain-pairs, ft-pairs), against the same two loopback workers:
+// 200 000 AOL-like records (seed 42), Jaccard 0.8, a 50 000-record count
+// window and a length plan fitted to the first 10 000 records. It reports
+// records per second and the bytes the whole process (coordinator and
+// workers) allocates per record.
 //
 //	go test -run '^$' -bench Coordinators -count 10 ./internal/remote/
 func BenchmarkCoordinators(b *testing.B) {
@@ -69,15 +69,17 @@ func BenchmarkCoordinators(b *testing.B) {
 	}
 	b.Run("plain", func(b *testing.B) { drainPerRecord(b, n, want, plain(false)) })
 	b.Run("plain-pairs", func(b *testing.B) { drainPerRecord(b, n, want, plain(true)) })
-	b.Run("ft", func(b *testing.B) {
+	ft := func(collectPairs bool) func(int) (*RunSummary, error) {
 		dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
 			var d net.Dialer
 			return d.DialContext(ctx, "tcp", addrs[task])
 		}
-		drainPerRecord(b, n, want, func(i int) (*RunSummary, error) {
-			return RunFT(ctx, dial, k, sess, recs, Opts{}, FT{SessionID: uint64(i + 1)})
-		})
-	})
+		return func(i int) (*RunSummary, error) {
+			return RunFT(ctx, dial, k, sess, recs, Opts{CollectPairs: collectPairs}, FT{SessionID: uint64(i + 1)})
+		}
+	}
+	b.Run("ft", func(b *testing.B) { drainPerRecord(b, n, want, ft(false)) })
+	b.Run("ft-pairs", func(b *testing.B) { drainPerRecord(b, n, want, ft(true)) })
 }
 
 // drainPerRecord times b.N drains of n records, after one untimed drain,

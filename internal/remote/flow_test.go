@@ -44,6 +44,7 @@ type fakeCoord struct {
 	acks    chan [2]uint64 // ResumeAck: next ID, credit
 	grants  chan uint64    // each record-credit grant
 	results chan int       // the result count of each Result or Count frame
+	counts  chan uint64    // the first result number of each Count frame
 	stats   chan struct{}
 	session chan error // the worker session's return
 }
@@ -56,12 +57,14 @@ func startFlowSession(t *testing.T, h wire.Hello, o WorkerOpts) *fakeCoord {
 	srv, cli := net.Pipe()
 	// The reader must never block on the test: a blocked reader stops the
 	// pipe, and with it the worker. The tests send at most 40 000 records,
-	// so there are fewer grants than 1<<10 and Result frames than 1<<16.
+	// so there are fewer grants than 1<<10 and Result or Count frames than
+	// 1<<16.
 	c := &fakeCoord{
 		w:       wire.NewWriter(cli),
 		acks:    make(chan [2]uint64, 1),
 		grants:  make(chan uint64, 1<<10),
 		results: make(chan int, 1<<16),
+		counts:  make(chan uint64, 1<<16),
 		stats:   make(chan struct{}, 1),
 		session: make(chan error, 1),
 	}
@@ -99,10 +102,11 @@ func startFlowSession(t *testing.T, h wire.Hello, o WorkerOpts) *fakeCoord {
 				}
 				c.results <- len(batch)
 			case wire.TypeCount:
-				_, n, err := wire.DecodeCount(rd.Payload())
+				first, n, err := wire.DecodeCount(rd.Payload())
 				if err != nil {
 					return
 				}
+				c.counts <- first
 				c.results <- int(n)
 			case wire.TypeStats:
 				c.stats <- struct{}{}
@@ -198,14 +202,13 @@ func (c *fakeCoord) finish(t *testing.T) {
 // most workerRecordWindow records once its buffer reaches unackedHigh, and
 // have flushed every result, so that one acknowledgement brings the
 // withheld window back without a heartbeat. A CountOnly session, whose
-// unacked state is a count, is held to the same bound.
+// results are one number, buffers nothing and is never held back.
 func TestUnackedBufferBound(t *testing.T) {
-	for _, countOnly := range []bool{false, true} {
-		t.Run(fmt.Sprintf("count-only=%v", countOnly), func(t *testing.T) { testUnackedBufferBound(t, countOnly) })
-	}
+	t.Run("count-only=false", testUnackedBufferBound)
+	t.Run("count-only=true", testCountingNeverWithholds)
 }
 
-func testUnackedBufferBound(t *testing.T, countOnly bool) {
+func testUnackedBufferBound(t *testing.T) {
 	const limit = 40000
 	sess, recs, per := flowWorkload(limit)
 	cum := make([]int, limit+1) // cum[n]: results of the first n records
@@ -219,7 +222,6 @@ func testUnackedBufferBound(t *testing.T, countOnly bool) {
 	}
 	mon := &Monitor{}
 	h := durableHello(t, sess, false)
-	h.CountOnly = countOnly
 	c := startFlowSession(t, h, WorkerOpts{Mon: mon, Logf: silentLogf})
 	_, credit := c.resumeAck(t)
 	if credit != workerRecordWindow {
@@ -289,12 +291,67 @@ func testUnackedBufferBound(t *testing.T, countOnly bool) {
 	c.finish(t)
 }
 
+// testCountingNeverWithholds sends a counting session 40 000 records, far
+// past unackedHigh results, and acknowledges none of them: the worker must
+// return the credit of every half window, keep its unacked gauge at 0,
+// and count every result.
+func testCountingNeverWithholds(t *testing.T) {
+	const limit = 40000
+	sess, recs, per := flowWorkload(limit)
+	want := 0
+	for _, n := range per {
+		want += n
+	}
+	mon := &Monitor{}
+	h := durableHello(t, sess, false)
+	h.CountOnly = true
+	c := startFlowSession(t, h, WorkerOpts{Mon: mon, Logf: silentLogf})
+	_, credit := c.resumeAck(t)
+	if credit != workerRecordWindow {
+		t.Fatalf("fresh session granted %d records, want %d", credit, workerRecordWindow)
+	}
+	for sent := 0; sent < limit; {
+		if credit == 0 {
+			g, ok := c.awaitGrant(10 * time.Second)
+			if !ok {
+				t.Fatalf("the worker withheld credit after %d records, no result acknowledged", sent)
+			}
+			credit += g
+			continue
+		}
+		n := min(int(credit), limit-sent)
+		for _, r := range recs[sent : sent+n] {
+			if err := c.w.WriteRecord(true, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		credit -= uint64(n)
+		sent += n
+		if g := mon.UnackedResults.Load(); g != 0 {
+			t.Fatalf("unacked gauge %d after %d records of a counting session", g, sent)
+		}
+	}
+	c.finish(t)
+	received := 0
+	c.awaitResults(t, &received, want, "a finished session must have sent every count")
+	if received != want {
+		t.Errorf("%d results counted, want %d", received, want)
+	}
+	if g := mon.UnackedResults.Load(); g != 0 {
+		t.Errorf("unacked gauge %d after a counting session", g)
+	}
+}
+
 // TestResumeAtUnackedBoundGrantsNoCredit: a session restored with
 // unackedHigh unacked results answers the resume with zero record credit,
 // flushes the re-sent results, and grants the window once they are
 // acknowledged; one result fewer gets the full window. A CountOnly
 // session's checkpoint holds its next result number alone, whose results
-// it re-sends as one Count, and is held to the same bound.
+// it re-sends as one Count from 0, and it gets the full window however
+// large that number is.
 func TestResumeAtUnackedBoundGrantsNoCredit(t *testing.T) {
 	sess, _, _ := flowWorkload(0)
 	for _, tc := range []struct {
@@ -302,7 +359,7 @@ func TestResumeAtUnackedBoundGrantsNoCredit(t *testing.T) {
 		credit    uint64
 		countOnly bool
 	}{{unackedHigh - 1, workerRecordWindow, false}, {unackedHigh, 0, false},
-		{unackedHigh - 1, workerRecordWindow, true}, {unackedHigh, 0, true}} {
+		{unackedHigh - 1, workerRecordWindow, true}, {unackedHigh, workerRecordWindow, true}} {
 		name := fmt.Sprint(tc.unacked)
 		if tc.countOnly {
 			name += "-count-only"
@@ -346,6 +403,18 @@ func TestResumeAtUnackedBoundGrantsNoCredit(t *testing.T) {
 				}
 			}
 			c.finish(t)
+			if tc.countOnly {
+				// No record was sent, so the re-sent Count is the only one.
+				if len(c.counts) != 1 {
+					t.Fatalf("%d Count frames from a resumed counting session, want 1", len(c.counts))
+				}
+				if first, n := <-c.counts, <-c.results; first != 0 || n != tc.unacked {
+					t.Errorf("re-sent Count of %d results from %d, want %d from 0", n, first, tc.unacked)
+				}
+				if n := mon.UnackedResults.Load(); n != 0 {
+					t.Errorf("unacked gauge %d in a resumed counting session", n)
+				}
+			}
 			if mon.SessionsResumed.Load() != 1 {
 				t.Error("the session did not resume from the checkpoint")
 			}

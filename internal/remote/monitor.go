@@ -32,10 +32,11 @@ type Monitor struct {
 	// DuplicateRecords counts records dropped by the FT replay/duplicate
 	// filter (ID at or below the resume cursor).
 	DuplicateRecords atomic.Uint64
-	// UnackedResults gauges results buffered by FT sessions awaiting a
-	// coordinator acknowledgement — the worker-side backpressure signal. A session at 8192 or more withholds record credit, so one
-	// session's buffer stays within 8192 + 4096 × (the most results one
-	// record emits), even if the coordinator stops acking.
+	// UnackedResults gauges result pairs buffered by collecting FT
+	// sessions awaiting a coordinator acknowledgement — the worker-side
+	// backpressure signal. A session at 8192 or more withholds record
+	// credit, so one session's buffer stays within 8192 + 4096 × (the
+	// most pairs one record emits), even if the coordinator stops acking.
 	UnackedResults atomic.Int64
 	// SessionLatency tracks wall time per completed session (failures
 	// included).
@@ -139,7 +140,7 @@ func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 		"Records dropped by the FT replay/duplicate filter.",
 		func() float64 { return float64(m.DuplicateRecords.Load()) })
 	reg.GaugeFunc("worker_unacked_results",
-		"Results buffered by FT sessions awaiting coordinator acknowledgement.",
+		"Result pairs buffered by collecting FT sessions awaiting coordinator acknowledgement.",
 		func() float64 {
 			n := m.UnackedResults.Load()
 			if n < 0 {

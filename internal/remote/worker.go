@@ -122,13 +122,13 @@ const (
 	// workerRecordWindow is the per-connection record credit granted in the
 	// resume ack; half of it is the replenishment batch.
 	workerRecordWindow = 4096
-	// An FT session withholds record credit while its unacked buffer
-	// holds unackedHigh results or more, and grants what it withheld once
-	// acknowledgements bring the buffer to unackedLow or below. The
+	// An FT session withholds record credit while its unacked pair
+	// buffer holds unackedHigh pairs or more, and grants what it withheld
+	// once acknowledgements bring the buffer to unackedLow or below. The
 	// coordinator can send at most workerRecordWindow records past the
 	// crossing, so the buffer holds at most unackedHigh +
-	// workerRecordWindow × (the most results one record emits), across
-	// reconnects too.
+	// workerRecordWindow × (the most pairs one record emits), across
+	// reconnects too. A CountOnly session buffers none and never withholds.
 	unackedHigh = 8192
 	unackedLow  = 4096
 )
@@ -166,10 +166,10 @@ func writeCheckpointFile(path string, cur checkpoint.Cursor, j local.Joiner, met
 //     credit, replenished with Credit frames as records are consumed;
 //   - results are numbered per session ID and task, across connections:
 //     the checkpoint keeps the number of the first unacknowledged one;
-//   - every result stays in an unacked buffer until a coordinator Credit
-//     frame acknowledges it, and the session withholds record credit
-//     while that buffer (a count in a CountOnly session) is at
-//     unackedHigh, which bounds it;
+//   - every result pair stays in an unacked buffer until a coordinator
+//     Credit frame acknowledges it, and the session withholds record
+//     credit while that buffer is at unackedHigh, which bounds it; a
+//     CountOnly session's results are one number, never withheld on;
 //   - a hello with FT set but Resume clear discards any stale checkpoint
 //     for the session: the coordinator starts this worker's state from
 //     scratch (a fresh run) and a later resume must not revive older
@@ -229,21 +229,19 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		lastID   uint64
 		lastTime int64
 		haveLast bool
-		// unacked is the FT result buffer: everything emitted but not yet
+		// unacked is the FT result buffer: every pair emitted but not yet
 		// acknowledged by a coordinator Credit frame, in emission order,
 		// which is the session's results numbered acked onwards. Restored
 		// from the checkpoint's envelope on resume and re-sent after the
-		// ack. A CountOnly session counts them in counted instead.
+		// ack; a CountOnly session's is empty, and acked counts its results.
 		acked   uint64
 		unacked []wire.Result
-		counted uint64
 		// withholding is set while the session keeps the record credit of
 		// consumed records back (unackedHigh); consumed counts the records
 		// whose credit is not yet returned.
 		withholding bool
 		consumed    uint64
 	)
-	held := func() uint64 { return uint64(len(unacked)) + counted }
 	if h.FT {
 		next := uint64(0)
 		if h.Resume && ckptPath != "" {
@@ -273,15 +271,12 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 					next = cur.NextID
 					lastTime = cur.NextTime - 1
 					acked, unacked = meta.Acked, meta.Unacked
-					if h.CountOnly { // the envelope is the next result number
-						acked, counted = 0, meta.Acked
-					}
 					if mon != nil {
 						mon.SessionsResumed.Add(1)
 					}
 					o.Journal.Append("resume", comp,
 						fmt.Sprintf("session %016x restored %d records from checkpoint, next id %d, %d unacked results",
-							h.SessionID, n, next, held()))
+							h.SessionID, n, next, len(unacked)))
 					o.logf("remote worker: resumed session %016x task %d from checkpoint (%d records, next id %d)",
 						h.SessionID, h.Task, n, next)
 				}
@@ -293,7 +288,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 			lastID, haveLast = next-1, true
 		}
 		credit := uint64(workerRecordWindow)
-		if held() >= unackedHigh {
+		if len(unacked) >= unackedHigh {
 			// A restored buffer at the bound: the whole window stays back
 			// until the re-sent tail is acknowledged.
 			credit, consumed, withholding = 0, workerRecordWindow, true
@@ -302,8 +297,8 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 			return fmt.Errorf("remote: writing resume ack: %w", err)
 		}
 	}
-	if mon != nil && held() > 0 {
-		mon.UnackedResults.Add(int64(held()))
+	if mon != nil && len(unacked) > 0 {
+		mon.UnackedResults.Add(int64(len(unacked)))
 	}
 
 	task, workers := h.Task, h.Workers
@@ -337,7 +332,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		stepEmit = nil
 	}
 	// sendBatch writes the stepped record's results as one Result (or
-	// Count) frame and, in an FT session, holds them unacked.
+	// Count) frame and, in an FT session, holds its pairs unacked.
 	sendBatch := func() error {
 		n := matched
 		emitted += n
@@ -347,21 +342,19 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		var err error
 		if h.CountOnly {
 			err = wr.WriteCount(n)
+			acked += n
 		} else {
 			err = wr.WriteResults(cur.ID, batch)
 		}
-		if h.FT {
+		if h.FT && len(batch) > 0 {
 			unacked = append(unacked, batch...)
-			if h.CountOnly {
-				counted += n
-			}
 			if mon != nil {
-				mon.UnackedResults.Add(int64(n))
+				mon.UnackedResults.Add(int64(len(batch)))
 			}
 			// At the bound, withhold record credit. While withholding, flush
 			// every batch: the coordinator can only acknowledge results it
 			// has, and only acknowledgements end the withholding.
-			withholding = withholding || held() >= unackedHigh
+			withholding = withholding || len(unacked) >= unackedHigh
 			if withholding {
 				if ferr := wr.Flush(); ferr != nil && err == nil {
 					err = ferr
@@ -373,13 +366,15 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	}
 
 	// Re-send the restored unacked tail, numbered from acked and framed as
-	// it was first sent: the previous connection may have lost these, or
-	// the previous coordinator died before persisting them; the new one
-	// skips any it already has and acknowledges all of them either way.
-	wr.SetResultNumber(acked)
-	err = wr.WriteProbes(unacked)
-	if err == nil && counted > 0 {
-		err = wr.WriteCount(counted)
+	// it was first sent, or a counting session's results as one Count from
+	// 0: the previous connection may have lost these, or the previous
+	// coordinator died before persisting them; the new one skips any it
+	// already has and acknowledges all of them either way.
+	if h.CountOnly && acked > 0 {
+		err = wr.WriteCount(acked) // numbered from 0, where wr starts
+	} else {
+		wr.SetResultNumber(acked)
+		err = wr.WriteProbes(unacked)
 	}
 	if err != nil {
 		return fmt.Errorf("remote: re-sending unacked result: %w", err)
@@ -409,14 +404,15 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		if ckptPath == "" || !haveLast {
 			return
 		}
-		// The envelope's unacked buffer holds every result of a record the
-		// cursor covers that the coordinator has not acknowledged, so the
-		// checkpoint is sound whether or not those results reached it. The
-		// flush only lets the coordinator acknowledge them sooner; on a
-		// broken connection it fails, and the checkpoint is saved anyway.
+		// The envelope holds every result of a record the cursor covers
+		// that the coordinator has not acknowledged (a counting session's
+		// acked counts them all), so the checkpoint is sound whether or
+		// not those results reached it. The flush only lets the
+		// coordinator acknowledge them sooner; on a broken connection it
+		// fails, and the checkpoint is saved anyway.
 		_ = wr.Flush()
 		cur := checkpoint.Cursor{NextID: lastID + 1, NextTime: lastTime + 1}
-		meta := &checkpoint.SessionMeta{PlanHash: planHash, Acked: acked + counted, Unacked: unacked}
+		meta := &checkpoint.SessionMeta{PlanHash: planHash, Acked: acked, Unacked: unacked}
 		if err := writeCheckpointFile(ckptPath, cur, joiner, meta); err != nil {
 			o.logf("remote worker: checkpoint write failed: %v", err)
 			return
@@ -432,10 +428,13 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	lastCkpt := time.Now()
 	first := true
 	var dups uint64
+	done := ctx.Done() // a receive, unlike ctx.Err(), takes no lock
 	loop := func() error {
 		for {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("remote: session cancelled: %w", err)
+			select {
+			case <-done:
+				return fmt.Errorf("remote: session cancelled: %w", ctx.Err())
+			default:
 			}
 			typ, err := rd.Next()
 			if err != nil {
@@ -530,23 +529,21 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 				// Coordinator acknowledgement: it holds the first n results
 				// of the unacked buffer (in a durable run, in its results
 				// log). Clamp n — counts are advisory, the buffer is the
-				// truth.
+				// truth, and a counting session's is empty.
 				n, cerr := rd.ReadCredit()
 				if cerr != nil {
 					return cerr
 				}
-				if d := min(n, held()); d > 0 {
+				if d := min(n, uint64(len(unacked))); d > 0 {
 					acked += d
-					if h.CountOnly {
-						counted -= d
-					} else if unacked = unacked[d:]; len(unacked) == 0 {
+					if unacked = unacked[d:]; len(unacked) == 0 {
 						unacked = nil // release the drained backing array
 					}
 					if mon != nil {
 						mon.UnackedResults.Add(-int64(d))
 					}
 				}
-				if withholding && held() <= unackedLow {
+				if withholding && len(unacked) <= unackedLow {
 					// Back under the bound: grant the withheld credit at once.
 					withholding = false
 					if consumed > 0 {
@@ -579,7 +576,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	if mon != nil {
 		// The session's live buffer is gone either way; what survives a
 		// crash lives in the checkpoint, not the gauge.
-		mon.UnackedResults.Add(-int64(held()))
+		mon.UnackedResults.Add(-int64(len(unacked)))
 	}
 	if ckptPath != "" {
 		if err != nil {
