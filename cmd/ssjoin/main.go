@@ -56,14 +56,13 @@ func main() {
 
 		coordHTTP = flag.String("http", "", "with -remote: coordinator HTTP address serving /metrics, /debug/events, /debug/pprof, and /healthz for the length of the run")
 
-		ft        = flag.Bool("ft", false, "fault-tolerant remote run: heartbeats, retry with backoff, checkpointed resume (requires -remote)")
-		retries   = flag.Int("retries", 4, "FT: consecutive failed reconnect attempts before a worker is declared dead and the run fails")
-		retryBase = flag.Duration("retry-base", 50*time.Millisecond, "FT: first-retry backoff delay")
-		retryCap  = flag.Duration("retry-cap", 2*time.Second, "FT: backoff delay ceiling")
-		hbIvl     = flag.Duration("hb-interval", time.Second, "FT: heartbeat ping interval on idle connections")
-		hbTimeout = flag.Duration("hb-timeout", 0, "FT: silence span declaring a connection hung (0: 5x interval)")
+		retries   = flag.Int("retries", 4, "remote: consecutive failed reconnect attempts before a worker is declared dead and the run fails (0: the first failure fails the run)")
+		retryBase = flag.Duration("retry-base", 50*time.Millisecond, "remote: first-retry backoff delay")
+		retryCap  = flag.Duration("retry-cap", 2*time.Second, "remote: backoff delay ceiling")
+		hbIvl     = flag.Duration("hb-interval", time.Second, "remote: heartbeat ping interval on idle connections")
+		hbTimeout = flag.Duration("hb-timeout", 0, "remote: silence span declaring a connection hung (0: 5x interval)")
 
-		stateDir = flag.String("state-dir", "", "durable session state directory (manifest + ingest/results logs) making the run resumable with -resume after a coordinator crash; implies -ft, requires -remote")
+		stateDir = flag.String("state-dir", "", "durable session state directory (manifest + ingest/results logs) making the run resumable with -resume after a coordinator crash; requires -remote")
 		resume   = flag.Bool("resume", false, "relaunch a killed durable run from -state-dir: session configuration, input stream, and completed results all come from the state directory (-in/-profile are ignored)")
 		walFsync = flag.String("wal-fsync", "interval", "with -state-dir: WAL fsync policy: always, interval, never (acknowledged results are synced before each ack regardless)")
 	)
@@ -74,9 +73,6 @@ func main() {
 	}
 	if *stateDir != "" && *rmt == "" && !*resume {
 		fatal(errors.New("-state-dir requires -remote"))
-	}
-	if *ft && *rmt == "" && !*resume {
-		fatal(errors.New("-ft requires -remote"))
 	}
 	if *asJSON && (*rmt != "" || *resume) {
 		fatal(errors.New("-json applies to in-process runs only, not -remote or -resume"))
@@ -92,8 +88,8 @@ func main() {
 		})
 	}
 
-	var ftCfg *remote.FT // -ft and -state-dir are refused above without -remote or -resume
-	if *ft || *stateDir != "" {
+	var ftCfg *remote.FT // the configuration of every -remote or -resume run
+	if *rmt != "" || *resume {
 		// A fresh run draws a random non-zero ID, which keys worker
 		// checkpoints no earlier run wrote; -resume replaces it with the
 		// manifest's.
@@ -277,50 +273,29 @@ func runResume(stateDir, addrList string, pairs bool, ftCfg *remote.FT, httpAddr
 
 // execRemote is the shared tail of a -remote run and runResume: serve the
 // debug surface for the length of the run and coordinate it. Ctrl-C
-// cancels the run: dials abort and worker connections close. With ftCfg
-// set, the fault-tolerant coordinator dials (and re-dials) each worker on
-// demand instead of up front.
+// cancels the run: dials abort and worker connections close. The
+// coordinator dials (and re-dials) each worker on demand.
 func execRemote(addrs []string, sess remote.Session, recs []*record.Record, pairs bool, ftCfg *remote.FT, httpAddr string) error {
 	dbg, stopDebug := serveDebug(httpAddr)
 	defer stopDebug()
 	return coordinate(addrs, sess, recs, pairs, ftCfg, dbg)
 }
 
-// coordinate dials, runs and reports. The run's journal events and the FT
-// coordinator's fault series go to dbg, so /metrics serves the coord_*
-// counters.
+// coordinate runs the session under ftCfg and reports. The run's journal
+// events and the coordinator's fault series go to dbg, so /metrics serves
+// the coord_* counters.
 func coordinate(addrs []string, sess remote.Session, recs []*record.Record, pairs bool, ftCfg *remote.FT, dbg debugSinks) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	opts := remote.Opts{CollectPairs: pairs, Journal: dbg.journal}
-	var err error
-	var sum *remote.RunSummary
-	if ftCfg != nil {
-		dialer := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", addrs[task])
-		}
-		ft := *ftCfg
-		ft.Registry = dbg.reg
-		sum, err = remote.RunFT(ctx, dialer, len(addrs), sess, recs, opts, ft)
-	} else {
-		var conns []net.Conn
-		conns, err = remote.Dial(ctx, addrs, 5*time.Second)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			for _, c := range conns {
-				c.Close()
-			}
-		}()
-		rws := make([]io.ReadWriter, len(conns))
-		for i, c := range conns {
-			rws[i] = c
-		}
-		sum, err = remote.RunWithOpts(ctx, rws, sess, recs, opts)
+	dialer := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", addrs[task])
 	}
+	ft := *ftCfg
+	ft.Registry = dbg.reg
+	sum, err := remote.RunFT(ctx, dialer, len(addrs), sess, recs, opts, ft)
 	if err != nil {
 		return err
 	}
@@ -333,7 +308,7 @@ func coordinate(addrs []string, sess remote.Session, recs []*record.Record, pair
 		"remote: workers=%d records=%d results=%d elapsed=%v throughput=%.0f rec/s sent=%d tuples (%d bytes)\n",
 		len(addrs), sum.Records, sum.Results, sum.Elapsed,
 		float64(sum.Records)/sum.Elapsed.Seconds(), sum.TuplesSent, sum.BytesSent)
-	if ftCfg != nil && (sum.Retries > 0 || sum.Reconnects > 0) {
+	if sum.Retries > 0 || sum.Reconnects > 0 {
 		fmt.Fprintf(os.Stderr, "remote: ft: retries=%d reconnects=%d replayed=%d\n",
 			sum.Retries, sum.Reconnects, sum.ReplayedRecords)
 	}

@@ -1,5 +1,5 @@
 // The coordinator's -http surface for remote runs: /metrics (process,
-// journal and, with -ft, coord_* fault counters), /debug/events (the
+// journal and coord_* fault counters), /debug/events (the
 // coordinator's journal), /debug/pprof and a plain /healthz, served for the
 // length of the run.
 package main

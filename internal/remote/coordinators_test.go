@@ -18,9 +18,11 @@ import (
 	"repro/internal/workload"
 )
 
-// BenchmarkCoordinators drains the aol_fleet stream through plain Run
-// and through RunFT, each counting (plain, ft) and collecting every pair
-// (plain-pairs, ft-pairs), against the same two loopback workers:
+// BenchmarkCoordinators drains the aol_fleet stream through Run, counting
+// (count) and collecting every pair (pairs), and through RunFT with a
+// retry budget, collecting, against workers that checkpoint only when a
+// session ends uncleanly (ckpt-pairs): the one configuration whose workers
+// keep an unacked pair buffer. Each runs against two loopback workers:
 // 200 000 AOL-like records (seed 42), Jaccard 0.8, a 50 000-record count
 // window and a length plan fitted to the first 10 000 records. It reports
 // records per second and the bytes the whole process (coordinator and
@@ -42,44 +44,45 @@ func BenchmarkCoordinators(b *testing.B) {
 		Strategy:  "length",
 		Bounds:    partition.Fit(p, recs[:10_000], k).Bounds,
 	}
-	addrs := make([]string, k)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
+	fleet := func(o WorkerOpts) []string {
+		addrs := make([]string, k)
+		for i := range addrs {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			serveTestWorker(b, ln, o)
+			addrs[i] = ln.Addr().String()
 		}
-		serveTestWorker(b, ln, WorkerOpts{Logf: silentLogf})
-		addrs[i] = ln.Addr().String()
+		return addrs
 	}
+	addrs := fleet(WorkerOpts{Logf: silentLogf})
 	ctx := context.Background()
 
-	plain := func(collectPairs bool) func(int) (*RunSummary, error) {
+	run := func(collectPairs bool) func(int) (*RunSummary, error) {
 		return func(int) (*RunSummary, error) {
 			conns, err := Dial(ctx, addrs, 5*time.Second)
 			if err != nil {
 				return nil, err
 			}
-			defer func() {
-				for _, c := range conns {
-					c.Close()
-				}
-			}()
 			return Run(ctx, asRW(conns), sess, recs, collectPairs)
 		}
 	}
-	b.Run("plain", func(b *testing.B) { drainPerRecord(b, n, want, plain(false)) })
-	b.Run("plain-pairs", func(b *testing.B) { drainPerRecord(b, n, want, plain(true)) })
-	ft := func(collectPairs bool) func(int) (*RunSummary, error) {
-		dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
-			var d net.Dialer
-			return d.DialContext(ctx, "tcp", addrs[task])
-		}
-		return func(i int) (*RunSummary, error) {
-			return RunFT(ctx, dial, k, sess, recs, Opts{CollectPairs: collectPairs}, FT{SessionID: uint64(i + 1)})
-		}
+	b.Run("count", func(b *testing.B) { drainPerRecord(b, n, want, run(false)) })
+	b.Run("pairs", func(b *testing.B) { drainPerRecord(b, n, want, run(true)) })
+
+	ckptAddrs := fleet(WorkerOpts{Logf: silentLogf, CheckpointDir: b.TempDir()})
+	dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "tcp", ckptAddrs[task])
 	}
-	b.Run("ft", func(b *testing.B) { drainPerRecord(b, n, want, ft(false)) })
-	b.Run("ft-pairs", func(b *testing.B) { drainPerRecord(b, n, want, ft(true)) })
+	ft := FT{Retry: RetryPolicy{MaxAttempts: 4, Base: 50 * time.Millisecond}}
+	b.Run("ckpt-pairs", func(b *testing.B) {
+		drainPerRecord(b, n, want, func(i int) (*RunSummary, error) {
+			ft.SessionID = uint64(i + 1)
+			return RunFT(ctx, dial, k, sess, recs, Opts{CollectPairs: true}, ft)
+		})
+	})
 }
 
 // drainPerRecord times b.N drains of n records, after one untimed drain,

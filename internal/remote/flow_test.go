@@ -222,7 +222,7 @@ func testUnackedBufferBound(t *testing.T) {
 	}
 	mon := &Monitor{}
 	h := durableHello(t, sess, false)
-	c := startFlowSession(t, h, WorkerOpts{Mon: mon, Logf: silentLogf})
+	c := startFlowSession(t, h, WorkerOpts{Mon: mon, Logf: silentLogf, CheckpointDir: t.TempDir()})
 	_, credit := c.resumeAck(t)
 	if credit != workerRecordWindow {
 		t.Fatalf("fresh session granted %d records, want %d", credit, workerRecordWindow)
@@ -295,7 +295,20 @@ func testUnackedBufferBound(t *testing.T) {
 // past unackedHigh results, and acknowledges none of them: the worker must
 // return the credit of every half window, keep its unacked gauge at 0,
 // and count every result.
-func testCountingNeverWithholds(t *testing.T) {
+func testCountingNeverWithholds(t *testing.T) { neverWithholds(t, true) }
+
+// TestCollectingWithoutCheckpointNeverWithholds: a collecting FT session
+// on a worker without a CheckpointDir writes no checkpoint, so a reconnect
+// restarts it from its first record and the coordinator drops every
+// replayed result by its number. It buffers no pair and never withholds
+// credit, however many results go unacknowledged.
+func TestCollectingWithoutCheckpointNeverWithholds(t *testing.T) { neverWithholds(t, false) }
+
+// neverWithholds sends 40 000 records, far past unackedHigh results, to a
+// session on a worker without a CheckpointDir, counting or collecting, and
+// acknowledges none of its results: the worker must return the credit of
+// every half window, keep its unacked gauge at 0, and send every result.
+func neverWithholds(t *testing.T, countOnly bool) {
 	const limit = 40000
 	sess, recs, per := flowWorkload(limit)
 	want := 0
@@ -304,7 +317,7 @@ func testCountingNeverWithholds(t *testing.T) {
 	}
 	mon := &Monitor{}
 	h := durableHello(t, sess, false)
-	h.CountOnly = true
+	h.CountOnly = countOnly
 	c := startFlowSession(t, h, WorkerOpts{Mon: mon, Logf: silentLogf})
 	_, credit := c.resumeAck(t)
 	if credit != workerRecordWindow {
@@ -331,17 +344,17 @@ func testCountingNeverWithholds(t *testing.T) {
 		credit -= uint64(n)
 		sent += n
 		if g := mon.UnackedResults.Load(); g != 0 {
-			t.Fatalf("unacked gauge %d after %d records of a counting session", g, sent)
+			t.Fatalf("unacked gauge %d after %d records (count-only %v)", g, sent, countOnly)
 		}
 	}
 	c.finish(t)
 	received := 0
-	c.awaitResults(t, &received, want, "a finished session must have sent every count")
+	c.awaitResults(t, &received, want, "a finished session must have sent every result")
 	if received != want {
-		t.Errorf("%d results counted, want %d", received, want)
+		t.Errorf("%d results received, want %d", received, want)
 	}
 	if g := mon.UnackedResults.Load(); g != 0 {
-		t.Errorf("unacked gauge %d after a counting session", g)
+		t.Errorf("unacked gauge %d after the session (count-only %v)", g, countOnly)
 	}
 }
 

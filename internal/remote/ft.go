@@ -1,9 +1,10 @@
-// Fault-tolerant coordinator: RunFT drives a join like Run, but survives
-// worker crashes, hangs and flaky transports. Each worker gets a manager
-// goroutine owning its connection lifecycle: heartbeat-based failure
-// detection, bounded reconnection with exponential backoff, and resume
-// from the worker's checkpoint cursor. A worker that exhausts the retry
-// budget is declared dead, and the run fails.
+// The coordinator: Run, RunWithOpts, RunBi and RunFT drive one session
+// loop (ftRunner.attempt), which survives worker crashes, hangs and flaky
+// transports. Each worker gets a manager goroutine owning its connection
+// lifecycle: heartbeat-based failure detection, bounded reconnection with
+// exponential backoff, and resume from the worker's checkpoint cursor. A
+// worker that exhausts the retry budget (none for the three that take
+// connections) is declared dead, and the run fails.
 //
 // Exactness: a resumed worker restores its window from the checkpoint, and
 // the coordinator re-routes the caller's records from the worker's cursor
@@ -14,13 +15,15 @@
 // state: the IDs of recs must strictly increase, which is what lets a
 // cursor name a position in them. The checkpoint also holds every
 // result the coordinator had not acknowledged, which the worker re-sends,
-// so a result lost with a broken connection is never lost for good.
+// so a result lost with a broken connection is never lost for good. A
+// worker without a checkpoint (no CheckpointDir, or a bi session) resumes
+// at cursor 0: its window restarts empty and every result is replayed.
 //
 // Result dedup is one counter per task, because a task's results are one
 // fixed sequence however often its worker is interrupted:
 //
-//   - A self-join pair (A, B) is emitted while probing B = max(A, B); RunFT
-//     refuses bi sessions.
+//   - A pair (A, B), a bi session's too, is emitted while probing
+//     B = max(A, B).
 //   - Restores are exact, so the task's records fix the pairs of every
 //     probe, hence each probe's pair count and its frames. A probe is one
 //     Result frame or, past the frame cap, its pairs sorted by partner and
@@ -104,7 +107,7 @@ type FT struct {
 	Durable *Durable
 }
 
-// ftRunner owns one RunFT invocation.
+// ftRunner owns one run of the coordinator.
 type ftRunner struct {
 	k int
 	// hello is the run's task-0 Hello, FT flag and session ID set; strat
@@ -119,11 +122,16 @@ type ftRunner struct {
 	cancel  context.CancelFunc
 	durable *durableState
 
-	// recs is the caller's record stream; ingested is how many of them
-	// dispatch has let the write loops send.
+	// recs is the caller's record stream, right each record's side in a bi
+	// session (nil otherwise); ingested is how many of them the write
+	// loops may send.
 	recs     []*record.Record
+	right    []bool
 	ingested atomic.Int64
-	notify   []chan struct{} // per-worker wakeups, capacity 1
+	// seed holds each task's window snapshot, sent after the ResumeAck;
+	// snaps, when the caller asked for them, each worker's, after Stats.
+	seed, snaps [][]byte
+	notify      []chan struct{} // per-worker wakeups, capacity 1
 	// recv holds each task's results: its have counter and, when
 	// collecting, its pairs; stats holds its worker's final Stats. Only the
 	// task's manager and the reader of its current attempt touch them, and
@@ -188,21 +196,27 @@ func (f *ftRunner) abort(err error) {
 // workers resume from their checkpoint cursor. Bi sessions and snapshot
 // options are not supported.
 func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*record.Record, opts Opts, ft FT) (*RunSummary, error) {
-	if workers <= 0 {
-		return nil, fmt.Errorf("remote: no workers")
-	}
 	if sess.Bi {
 		return nil, fmt.Errorf("remote: RunFT does not support bi sessions")
 	}
 	if opts.Snapshot || len(opts.Seed) > 0 {
 		return nil, fmt.Errorf("remote: snapshot options unsupported for ft runs")
 	}
+	return runFT(ctx, dial, workers, sess, recs, nil, opts, ft)
+}
+
+// runFT is the one coordinator of Run, RunWithOpts, RunBi and RunFT; right,
+// when non-nil, holds each record's side in a bi session.
+func runFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*record.Record, right []bool, opts Opts, ft FT) (*RunSummary, error) {
+	if workers <= 0 {
+		return nil, fmt.Errorf("remote: no workers")
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("remote: %w", err)
 	}
 	for i := 1; i < len(recs); i++ {
 		if recs[i].ID <= recs[i-1].ID {
-			return nil, fmt.Errorf("remote: record %d has id %d after id %d; ft runs need strictly increasing ids", i, recs[i].ID, recs[i-1].ID)
+			return nil, fmt.Errorf("remote: record %d has id %d after id %d; remote runs need strictly increasing ids", i, recs[i].ID, recs[i-1].ID)
 		}
 	}
 	hello, strat, err := sess.Plan(workers)
@@ -231,9 +245,14 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		start:   time.Now(),
 		cancel:  cancel,
 		recs:    recs,
+		right:   right,
+		seed:    opts.Seed,
 		notify:  make([]chan struct{}, workers),
 		recv:    make([]received, workers),
 		stats:   make([]wire.Stats, workers),
+	}
+	if opts.Snapshot {
+		f.snaps = make([][]byte, workers)
 	}
 	for i := range f.notify {
 		f.notify[i] = make(chan struct{}, 1)
@@ -276,6 +295,8 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		}
 	}
 
+	f.journal.Append("session_start", "coordinator",
+		fmt.Sprintf("dispatching %d records to %d workers", len(recs), workers))
 	for i := 0; i < workers; i++ {
 		f.wg.Add(1)
 		go func(task int) {
@@ -284,9 +305,16 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		}(i)
 	}
 
-	// A manager returns once its task has finished, the run is cancelled,
-	// or the run has been aborted, which cancels it too.
-	if err := f.dispatch(rctx); err != nil {
+	// A write loop may send a record once it is in the ingest log (all at
+	// once in a run that is not durable) and routes it itself. A manager
+	// returns once its task has finished or the run is cancelled or aborted.
+	err = f.durable.ingestRecords(rctx, recs, f.journal, func(n int) {
+		f.ingested.Store(int64(n))
+		for i := range f.notify {
+			f.kick(i)
+		}
+	})
+	if err != nil {
 		f.abort(err)
 	}
 	f.wg.Wait()
@@ -297,7 +325,7 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		return nil, fmt.Errorf("remote: %w", err)
 	}
 
-	sum := &RunSummary{Records: uint64(len(recs)), WorkerStats: f.stats}
+	sum := &RunSummary{Records: uint64(len(recs)), WorkerStats: f.stats, Snapshots: f.snaps}
 	for _, got := range f.recv {
 		sum.Results += got.results
 		sum.Pairs = append(sum.Pairs, got.pairs...)
@@ -306,19 +334,9 @@ func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 	sum.TuplesSent = f.tuples.Load()
 	sum.BytesSent = f.bytes.Load()
 	sum.Retries, sum.Reconnects, sum.ReplayedRecords = f.retries.Load(), f.reconnects.Load(), f.replayed.Load()
+	f.journal.Append("session_end", "coordinator",
+		fmt.Sprintf("%d records dispatched, %d results in %v", sum.Records, sum.Results, sum.Elapsed.Round(time.Millisecond)))
 	return sum, nil
-}
-
-// dispatch is the run's ingest: it lets the write loops send each record
-// once it is in the ingest log, all of them at once when the run is not
-// durable. Each task's write loop routes the records itself.
-func (f *ftRunner) dispatch(ctx context.Context) error {
-	return f.durable.ingestRecords(ctx, f.recs, f.journal, func(n int) {
-		f.ingested.Store(int64(n))
-		for i := range f.notify {
-			f.kick(i)
-		}
-	})
 }
 
 // saveManifest atomically writes the session manifest, once, at the start
@@ -370,7 +388,8 @@ func (f *ftRunner) manage(ctx context.Context, task int, resume bool) {
 }
 
 // attempt runs one connection's full lifecycle: dial, FT handshake with
-// resume ack, the task's records from the worker's cursor, EOF, stats.
+// resume ack, the seed snapshot if any, the task's records from the
+// worker's cursor, EOF (or a SnapshotReq), stats (and the snapshot).
 // handshook reports whether the handshake completed (resetting the
 // manager's failure budget) regardless of how the attempt ended. A zero failSince marks the task's first
 // connection or one after a finished attempt; any other is a reconnect.
@@ -409,6 +428,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 	var (
 		recCredit   atomic.Int64  // records the worker will currently accept
 		resReceived atomic.Uint64 // results received in order on this connection
+		pings       atomic.Int64  // pings sent and not yet answered
 	)
 
 	ackCh := make(chan uint64, 1) // the worker's resume cursor
@@ -439,19 +459,24 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 			lastIn.Store(int64(time.Since(f.start)))
 			switch typ {
 			case wire.TypeResumeAck:
+				if ackSeen {
+					readErrCh <- fmt.Errorf("remote: worker %d sent frame type %d twice", task, typ)
+					return
+				}
 				next, credit, rerr := rd.ReadResumeAck()
 				if rerr != nil {
 					readErrCh <- rerr
 					return
 				}
-				if ackSeen {
-					continue // duplicate ack frame (fault injection); drop
-				}
 				ackSeen = true
 				recCredit.Store(int64(credit))
 				ackCh <- next
 			case wire.TypeResult, wire.TypeCount:
-				first, n, rs, rerr := readNumbered(rd, typ, f.collect, batch[:0])
+				if typ == wire.TypeCount && f.collect {
+					readErrCh <- fmt.Errorf("remote: worker %d sent a count frame in a session that collects pairs", task)
+					return
+				}
+				first, n, rs, rerr := decodeNumbered(typ == wire.TypeResult, rd.Payload(), batch[:0])
 				if rerr != nil {
 					readErrCh <- rerr
 					return
@@ -505,15 +530,21 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 			case wire.TypeCredit:
 				n, rerr := rd.ReadCredit()
 				if rerr != nil {
-					readErrCh <- rerr
+					readErrCh <- fmt.Errorf("remote: worker %d sent frame type %d: %w", task, typ, rerr)
 					return
 				}
 				recCredit.Add(int64(n))
 				f.kick(task)
-			case wire.TypePong:
-				// Stamp above is the whole point.
+			case wire.TypePong: // the stamp above is the point; one per ping
+				if pings.Add(-1) < 0 {
+					readErrCh <- fmt.Errorf("remote: worker %d sent frame type %d unasked", task, typ)
+					return
+				}
 			case wire.TypeStats:
 				st, rerr := rd.ReadStats()
+				if rerr == nil && f.snaps != nil {
+					rerr = f.readSnapshot(rd, task)
+				}
 				if rerr != nil {
 					readErrCh <- rerr
 					return
@@ -601,6 +632,13 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 		}
 	}
 
+	if task < len(f.seed) && len(f.seed[task]) > 0 {
+		if werr := w.WriteSnapshot(f.seed[task]); werr != nil {
+			drainReader()
+			return true, fmt.Errorf("remote: seeding worker %d: %w", task, werr)
+		}
+	}
+
 	ping := time.NewTicker(f.ft.HeartbeatInterval)
 	defer ping.Stop()
 	eofSent := false
@@ -642,7 +680,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 				if dsts = f.strat.Route(r, f.k, dsts[:0]); !slices.Contains(dsts, task) {
 					continue
 				}
-				if werr := w.WriteRecord(f.strat.Stores(r, task, f.k), r); werr != nil {
+				if werr := w.WriteRecordSide(f.strat.Stores(r, task, f.k), f.right != nil && f.right[pos], r); werr != nil {
 					drainReader()
 					return true, fmt.Errorf("remote: record to worker %d: %w", task, werr)
 				}
@@ -671,7 +709,13 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 				return true, fmt.Errorf("remote: flush to worker %d: %w", task, werr)
 			}
 			eofDrained.Store(true)
-			if werr := w.WriteEOF(); werr != nil {
+			var werr error
+			if f.snaps != nil {
+				werr = w.WriteSnapshotReq()
+			} else {
+				werr = w.WriteEOF()
+			}
+			if werr != nil {
 				drainReader()
 				return true, fmt.Errorf("remote: eof to worker %d: %w", task, werr)
 			}
@@ -695,6 +739,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 		case rerr := <-readErrCh:
 			return true, rerr
 		case <-ping.C:
+			pings.Add(1)
 			if werr := w.WritePing(); werr != nil {
 				drainReader()
 				return true, fmt.Errorf("remote: ping to worker %d: %w", task, werr)
@@ -703,6 +748,20 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 			return true, fmt.Errorf("remote: %w", ctx.Err())
 		}
 	}
+}
+
+// readSnapshot reads the Snapshot frame a worker sends after its Stats
+// when the stream ended with a SnapshotReq.
+func (f *ftRunner) readSnapshot(rd *wire.Reader, task int) error {
+	typ, err := rd.Next()
+	if err != nil {
+		return fmt.Errorf("remote: worker %d snapshot: %w", task, err)
+	}
+	if typ != wire.TypeSnapshot {
+		return fmt.Errorf("remote: worker %d sent frame type %d, want snapshot", task, typ)
+	}
+	f.snaps[task] = rd.ReadSnapshot()
+	return nil
 }
 
 // declareDead fails the run: worker task ran out of its retry budget.

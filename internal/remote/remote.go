@@ -5,10 +5,10 @@
 // windows, but with serialization and sockets on the path — the deployment
 // shape the paper's Storm cluster has.
 //
-// Protocol per connection (one join session):
+// Protocol per connection (one join session; ft.go has the coordinator):
 //
-//	coordinator → worker: Hello, Record*, EOF
-//	worker → coordinator: Result* (Count* if pairs are not collected), Stats, close
+//	coordinator → worker: Hello, Snapshot?, (Record | Credit | Ping)*, EOF or SnapshotReq
+//	worker → coordinator: ResumeAck, (Result | Count | Credit | Pong)*, Stats, Snapshot?
 //
 // The coordinator runs one reader goroutine per worker so result
 // backpressure can never deadlock record dispatch.

@@ -202,6 +202,55 @@ func TestRemoteRunValidation(t *testing.T) {
 	if _, err := Run(context.Background(), asRW(conns), testSession(0.8, "bogus", nil), nil, false); err == nil {
 		t.Fatal("expected unknown strategy error")
 	}
+	// A worker drops a record ID at or below its last one as a replay.
+	same := []*record.Record{{ID: 3, Tokens: []uint32{1}}, {ID: 3, Time: 1, Tokens: []uint32{1}}}
+	if _, err := Run(context.Background(), asRW(conns), testSession(0.8, "broadcast", nil), same, false); err == nil ||
+		!strings.Contains(err.Error(), "strictly increasing") {
+		t.Fatalf("repeated record id: %v, want the strictly increasing ids error", err)
+	}
+}
+
+// TestRunClosesItsConns: Run closes every connection it was given, after a
+// finished session and after refusing its arguments alike.
+func TestRunClosesItsConns(t *testing.T) {
+	recs := workload.NewGenerator(workload.UniformSmall(4)).Generate(100)
+	for _, tc := range []struct {
+		name string
+		sess Session
+	}{{"finished", testSession(0.7, "broadcast", nil)}, {"refused", testSession(0.7, "bogus", nil)}} {
+		conns := startWorkers(t, 2)
+		_, err := Run(context.Background(), asRW(conns), tc.sess, recs, false)
+		if (err == nil) != (tc.name == "finished") {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, c := range conns {
+			if _, err := c.Write([]byte{0}); !errors.Is(err, net.ErrClosed) {
+				t.Errorf("%s: connection %d still open after Run: write returned %v", tc.name, i, err)
+			}
+		}
+	}
+}
+
+// TestRunSeversASilentWorker: a worker that reads the hello and never
+// answers is severed once the default HeartbeatTimeout (five seconds)
+// passes, and Run fails without a cancellation.
+func TestRunSeversASilentWorker(t *testing.T) {
+	checkNoLeaks(t)
+	srv, cli := net.Pipe()
+	t.Cleanup(func() { srv.Close() })
+	go io.Copy(io.Discard, srv) //nolint:errcheck
+	recs := workload.NewGenerator(workload.UniformSmall(4)).Generate(10)
+	start := time.Now()
+	err := returnsWithin(t, 15*time.Second, func() error {
+		_, err := Run(context.Background(), []io.ReadWriter{cli}, testSession(0.7, "broadcast", nil), recs, false)
+		return err
+	})
+	if err == nil || errors.Is(err, context.Canceled) {
+		t.Fatalf("Run against a silent worker: %v, want a failed attempt", err)
+	}
+	if d := time.Since(start); d < 5*time.Second {
+		t.Errorf("Run gave up on a silent worker after %v, before the heartbeat timeout", d)
+	}
 }
 
 func TestWorkerRejectsBadHandshake(t *testing.T) {

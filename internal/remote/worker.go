@@ -122,13 +122,14 @@ const (
 	// workerRecordWindow is the per-connection record credit granted in the
 	// resume ack; half of it is the replenishment batch.
 	workerRecordWindow = 4096
-	// An FT session withholds record credit while its unacked pair
-	// buffer holds unackedHigh pairs or more, and grants what it withheld
-	// once acknowledgements bring the buffer to unackedLow or below. The
-	// coordinator can send at most workerRecordWindow records past the
-	// crossing, so the buffer holds at most unackedHigh +
+	// An FT session that checkpoints withholds record credit while its
+	// unacked pair buffer holds unackedHigh pairs or more, and grants what
+	// it withheld once acknowledgements bring the buffer to unackedLow or
+	// below. The coordinator can send at most workerRecordWindow records
+	// past the crossing, so the buffer holds at most unackedHigh +
 	// workerRecordWindow × (the most pairs one record emits), across
-	// reconnects too. A CountOnly session buffers none and never withholds.
+	// reconnects too. A CountOnly session, or one that writes no
+	// checkpoint, buffers none and never withholds.
 	unackedHigh = 8192
 	unackedLow  = 4096
 )
@@ -166,10 +167,12 @@ func writeCheckpointFile(path string, cur checkpoint.Cursor, j local.Joiner, met
 //     credit, replenished with Credit frames as records are consumed;
 //   - results are numbered per session ID and task, across connections:
 //     the checkpoint keeps the number of the first unacknowledged one;
-//   - every result pair stays in an unacked buffer until a coordinator
-//     Credit frame acknowledges it, and the session withholds record
-//     credit while that buffer is at unackedHigh, which bounds it; a
-//     CountOnly session's results are one number, never withheld on;
+//   - in a session that writes checkpoints, every result pair stays in an
+//     unacked buffer until a coordinator Credit frame acknowledges it, and
+//     the session withholds record credit while that buffer is at
+//     unackedHigh, which bounds it; a CountOnly session's results are one
+//     number, never withheld on, and a session without a checkpoint (no
+//     CheckpointDir, or a bi session) buffers nothing;
 //   - a hello with FT set but Resume clear discards any stale checkpoint
 //     for the session: the coordinator starts this worker's state from
 //     scratch (a fresh run) and a later resume must not revive older
@@ -202,9 +205,6 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	if err != nil {
 		return err
 	}
-	if h.FT && sess.Bi {
-		return errors.New("remote: fault-tolerant bi sessions unsupported")
-	}
 	planHash := h.PlanHash()
 	comp := fmt.Sprintf("worker/%d", h.Task)
 	o.Journal.Append("session_start", comp,
@@ -221,19 +221,22 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	}
 
 	// FT handshake: restore or discard the checkpoint, then ack the cursor.
+	// A bi session writes no checkpoint, so it restarts at cursor 0.
 	ckptPath := ""
-	if h.FT && o.CheckpointDir != "" {
+	if h.FT && !sess.Bi && o.CheckpointDir != "" {
 		ckptPath = checkpointPath(o.CheckpointDir, h.SessionID, h.Task)
 	}
 	var (
+		next     uint64 // the resume cursor: the first record ID not restored
 		lastID   uint64
 		lastTime int64
 		haveLast bool
-		// unacked is the FT result buffer: every pair emitted but not yet
-		// acknowledged by a coordinator Credit frame, in emission order,
-		// which is the session's results numbered acked onwards. Restored
-		// from the checkpoint's envelope on resume and re-sent after the
-		// ack; a CountOnly session's is empty, and acked counts its results.
+		// unacked is the result buffer of a session that checkpoints: every
+		// pair emitted but not yet acknowledged by a coordinator Credit
+		// frame, in emission order: the session's results numbered acked
+		// onwards, restored from the checkpoint's envelope on resume and
+		// re-sent after the ack. A CountOnly session's is empty (acked
+		// counts its results), and so is one without a checkpoint.
 		acked   uint64
 		unacked []wire.Result
 		// withholding is set while the session keeps the record credit of
@@ -243,7 +246,6 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		consumed    uint64
 	)
 	if h.FT {
-		next := uint64(0)
 		if h.Resume && ckptPath != "" {
 			if blob, rerr := os.ReadFile(ckptPath); rerr == nil {
 				startFresh := func(why error) {
@@ -346,7 +348,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		} else {
 			err = wr.WriteResults(cur.ID, batch)
 		}
-		if h.FT && len(batch) > 0 {
+		if ckptPath != "" && len(batch) > 0 {
 			unacked = append(unacked, batch...)
 			if mon != nil {
 				mon.UnackedResults.Add(int64(len(batch)))
@@ -426,7 +428,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	}
 
 	lastCkpt := time.Now()
-	first := true
+	first := next == 0 // a restored checkpoint holds records already
 	var dups uint64
 	done := ctx.Done() // a receive, unlike ctx.Err(), takes no lock
 	loop := func() error {
@@ -451,9 +453,6 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 				}
 				if bi != nil {
 					return errors.New("remote: snapshots unsupported for bi sessions")
-				}
-				if h.FT {
-					return errors.New("remote: snapshot seeding unsupported for ft sessions")
 				}
 				blob := rd.ReadSnapshot()
 				if _, _, err := checkpoint.Read(bytes.NewReader(blob), joiner); err != nil {
