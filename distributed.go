@@ -113,7 +113,11 @@ type DistributedResult struct {
 	// the Enron-like benchmark stream the cut that balances the two workers'
 	// time read 1.45 in this unit before the signature widths were scaled).
 	LoadImbalance float64
-	// LatencyMeanNs / LatencyP99Ns summarize per-record processing latency.
+	// LatencyMeanNs / LatencyP99Ns summarize per-record processing latency
+	// as topology.Result.Latency measures it: from the stamp of the source
+	// chunk a record's worker batch opened in to the end of that batch's
+	// step, an upper bound of the record's enqueue-to-probe time (larger by
+	// at most the batch's fill time plus its step time).
 	LatencyMeanNs, LatencyP99Ns int64
 }
 

@@ -33,13 +33,20 @@ func bucketOf(d time.Duration) int {
 }
 
 // Observe records one duration (negative durations are clamped to zero).
-func (l *Latency) Observe(d time.Duration) {
+func (l *Latency) Observe(d time.Duration) { l.ObserveN(d, 1) }
+
+// ObserveN records n observations of one duration, exactly as n calls to
+// Observe would; n = 0 records nothing.
+func (l *Latency) ObserveN(d time.Duration, n uint64) {
+	if n == 0 {
+		return
+	}
 	if d < 0 {
 		d = 0
 	}
-	l.buckets[bucketOf(d)]++
-	l.count++
-	l.sum += d
+	l.buckets[bucketOf(d)] += n
+	l.count += n
+	l.sum += d * time.Duration(n)
 	if d > l.max {
 		l.max = d
 	}

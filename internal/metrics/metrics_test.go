@@ -226,3 +226,49 @@ func TestBucketsSaturatingBound(t *testing.T) {
 		t.Fatalf("top bucket: %+v", bs)
 	}
 }
+
+// TestObserveNMatchesRepeatedObserve: one ObserveN(d, n) leaves the
+// histogram as n calls to Observe(d) do, negative durations and n = 0
+// included.
+func TestObserveNMatchesRepeatedObserve(t *testing.T) {
+	cases := []struct {
+		d time.Duration
+		n uint64
+	}{
+		{0, 1}, {1, 3}, {-5, 4}, {time.Microsecond, 64}, {3 * time.Millisecond, 0},
+		{-time.Second, 0}, {150 * time.Microsecond, 17}, {time.Hour, 2}, {999, 1000},
+	}
+	var weighted, repeated Latency
+	for i, c := range cases {
+		weighted.ObserveN(c.d, c.n)
+		for range c.n {
+			repeated.Observe(c.d)
+		}
+		if weighted != repeated {
+			t.Fatalf("after case %d (ObserveN(%v, %d)) the histograms differ", i, c.d, c.n)
+		}
+		if weighted.Count() != repeated.Count() || weighted.Sum() != repeated.Sum() || weighted.Max() != repeated.Max() {
+			t.Fatalf("case %d: count/sum/max %d/%v/%v, want %d/%v/%v", i,
+				weighted.Count(), weighted.Sum(), weighted.Max(), repeated.Count(), repeated.Sum(), repeated.Max())
+		}
+		wb, rb := weighted.Buckets(), repeated.Buckets()
+		if len(wb) != len(rb) {
+			t.Fatalf("case %d: %d buckets, want %d", i, len(wb), len(rb))
+		}
+		for j := range wb {
+			if wb[j] != rb[j] {
+				t.Fatalf("case %d: bucket %d is %+v, want %+v", i, j, wb[j], rb[j])
+			}
+		}
+		for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.99, 1} {
+			if w, r := weighted.Quantile(q), repeated.Quantile(q); w != r {
+				t.Fatalf("case %d: quantile %v is %v, want %v", i, q, w, r)
+			}
+		}
+	}
+	var empty Latency
+	empty.ObserveN(time.Second, 0)
+	if empty != (Latency{}) {
+		t.Fatal("ObserveN with n = 0 changed an empty histogram")
+	}
+}

@@ -67,6 +67,23 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// stampingReader stores, after each read that returned bytes, the read's
+// offset from base in stamp: the inbound half of the liveness signal, one
+// clock read per read of the connection rather than per frame.
+type stampingReader struct {
+	r     io.Reader
+	stamp *atomic.Int64
+	base  time.Time
+}
+
+func (s *stampingReader) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if n > 0 {
+		s.stamp.Store(int64(time.Since(s.base)))
+	}
+	return n, err
+}
+
 // Dial connects to every worker address. Cancelling ctx aborts in-flight
 // dials; timeout bounds each individual dial on top of that.
 func Dial(ctx context.Context, addrs []string, timeout time.Duration) ([]net.Conn, error) {

@@ -400,7 +400,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 	}
 
 	// Liveness stamps: nanoseconds since run start of the last inbound
-	// frame and the last completed outbound write. Progress on either
+	// read and the last completed outbound write. Progress on either
 	// direction keeps the watchdog calm; blocked writes during a backlog
 	// still stamp per flushed chunk.
 	var lastIn, lastOut atomic.Int64
@@ -438,7 +438,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 	aw.Add(1)
 	go func() {
 		defer aw.Done()
-		rd := wire.NewReader(conn)
+		rd := wire.NewReader(&stampingReader{r: conn, stamp: &lastIn, base: f.start})
 		ackSeen := false
 		// expected is the number of the result this connection delivers
 		// next, set by its first Result frame (started); got is the task's
@@ -456,7 +456,6 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 				readErrCh <- fmt.Errorf("remote: worker %d read: %w", task, rerr)
 				return
 			}
-			lastIn.Store(int64(time.Since(f.start)))
 			switch typ {
 			case wire.TypeResumeAck:
 				if ackSeen {

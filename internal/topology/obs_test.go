@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bundle"
 	"repro/internal/dispatch"
@@ -197,8 +198,9 @@ func TestInstrumentedExecuteBatchAllocs(t *testing.T) {
 	for i := range batch {
 		batch[i] = &RecTuple{Rec: recs[1000+i]}
 	}
-	w.stepBatch(batch)
-	if n := testing.AllocsPerRun(50, func() { w.stepBatch(batch) }); n != 0 {
+	stamp := time.Now()
+	w.stepBatch(batch, stamp)
+	if n := testing.AllocsPerRun(50, func() { w.stepBatch(batch, stamp) }); n != 0 {
 		t.Fatalf("instrumented stepBatch allocates %v times per batch", n)
 	}
 	if w.results == 0 {

@@ -4,7 +4,6 @@ package topology
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/local"
 	"repro/internal/record"
@@ -30,7 +29,7 @@ func TestDispatchToWorkerAllocs(t *testing.T) {
 		Params: params(0.8), BatchSize: len(recs)}, recs, nil)
 	chunk := make([]RecTuple, len(recs))
 	for i, r := range recs {
-		chunk[i] = RecTuple{Rec: r, Enq: time.Now()}
+		chunk[i] = RecTuple{Rec: r}
 	}
 	dp, w := pl.dispatchers[0], pl.workers[0]
 	hop := func() {

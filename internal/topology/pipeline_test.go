@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -159,7 +160,7 @@ func TestUninstrumentedRunStampsNoBatchClock(t *testing.T) {
 	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
 		cfg.Registry = reg
 		pl := newPipeline(cfg, recs, nil)
-		pl.dispatchers[0].dispatch([]RecTuple{{Rec: recs[0], Enq: time.Now()}})
+		pl.dispatchers[0].dispatch([]RecTuple{{Rec: recs[0]}})
 		pl.dispatchers[0].ship(0)
 		if b := <-pl.workers[0].in; b.enq.IsZero() != (reg == nil) {
 			t.Fatalf("registry %v: a batch's creation time reads %v", reg != nil, b.enq)
@@ -186,5 +187,34 @@ func TestUninstrumentedRunStampsNoBatchClock(t *testing.T) {
 				t.Errorf("instrumented %s observed no batch clock", name)
 			}
 		}
+	}
+}
+
+// TestUninstrumentedRunReadsNoClockPerRecord: without a registry the engine
+// reads the clock once per source chunk and once per shipped batch, plus a
+// few reads for the run's own clock, never once per record. It swaps the
+// package clock, so it must not run in parallel.
+func TestUninstrumentedRunReadsNoClockPerRecord(t *testing.T) {
+	checkNoLeaks(t)
+	var reads atomic.Uint64
+	defer func(clock func() time.Time) { now = clock }(now)
+	now = func() time.Time {
+		reads.Add(1)
+		return time.Now()
+	}
+	const n = 10_000
+	recs := genStream(n, 19)
+	p := params(0.8)
+	res, err := Run(recs, Config{Workers: 2, Strategy: strategies(p, recs, 2)[0], Algorithm: local.Bundled, Params: p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunks := uint64((n + defaultBatchSize - 1) / defaultBatchSize)
+	if got, limit := reads.Load(), chunks+res.CommBatches+4; got > limit {
+		t.Fatalf("%d records read the clock %d times; want at most %d (%d chunks, %d batches)",
+			n, got, limit, chunks, res.CommBatches)
+	}
+	if res.Latency.Count() != res.CommTuples {
+		t.Fatalf("the workers observed %d latencies, want one per delivered tuple (%d)", res.Latency.Count(), res.CommTuples)
 	}
 }

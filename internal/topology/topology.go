@@ -1,16 +1,18 @@
 // Package topology assembles the distributed streaming set-similarity join
 // and runs it on its own three-stage pipeline, the paper's Storm topology
-// with only the wiring the join uses: one source goroutine stamps each
-// record's ingestion time and sends chunks of BatchSize records to every
-// dispatcher; dispatcher j routes every record and ships pooled batches
-// only to the workers it owns (w mod d = j), when full and, at its end, the
-// tail; each worker steps whole batches through its local joiner and keeps
-// its own results and latency. A worker's one dispatcher sends over the
-// worker's one bounded FIFO channel, so the worker sees IDs in order; a
-// full channel blocks its sender, so the pipeline is lossless. Counts reach
-// shared atomics once per batch, never per tuple. A panic in a
-// stage becomes Run's error naming the stage; the stage still closes its
-// downstream and drains its input, so the run ends with no goroutine left.
+// with only the wiring the join uses: one source goroutine sends chunks of
+// BatchSize records to every dispatcher, each chunk stamped with one clock
+// read; dispatcher j routes every record and ships pooled batches only to
+// the workers it owns (w mod d = j), when full and, at its end, the tail; a
+// batch carries the stamp of the chunk it opened in. Each worker steps
+// whole batches through its local joiner, reads the clock once per batch
+// and keeps its own results and latency: no clock is read per record. A
+// worker's one dispatcher sends over the worker's one bounded FIFO
+// channel, so the worker sees IDs in order; a full channel blocks its
+// sender, so the pipeline is lossless. Counts reach shared atomics once
+// per batch, never per tuple. A panic in a stage becomes Run's error
+// naming the stage; the stage still closes its downstream and drains its
+// input, so the run ends with no goroutine left.
 package topology
 
 import (
@@ -31,14 +33,24 @@ import (
 )
 
 // RecTuple carries one record from source through dispatcher to workers.
-// Enq is the ingestion wall-clock time used for latency measurement; Right
-// marks the record's stream side in two-stream (R⋈S) runs and is always
-// false for self-joins.
+// Right marks the record's stream side in two-stream (R⋈S) runs and is
+// always false for self-joins. The ingestion stamp is the chunk's, not the
+// tuple's.
 type RecTuple struct {
 	Rec   *record.Record
-	Enq   time.Time
 	Right bool
 }
+
+// chunk is one source → dispatcher transport unit: up to BatchSize tuples
+// and the one clock read the source took before filling them.
+type chunk struct {
+	tuples []RecTuple
+	enq    time.Time
+}
+
+// now is the package's one clock. Every clock read of the engine goes
+// through it, so a test can count them.
+var now = time.Now
 
 // SizeBytes approximates the wire size: record header (id + time + length)
 // plus 4 bytes per token.
@@ -123,8 +135,13 @@ type Result struct {
 	StoredCopies uint64
 	// WorkerCosts are per-worker join work counters, for load analysis.
 	WorkerCosts []local.Cost
-	// Latency aggregates per-record processing latency across workers
-	// (enqueue at source to completion of the record's probe).
+	// Latency aggregates per-record processing latency across workers,
+	// one observation per record a worker steps. A record's value is its
+	// batch's: from the stamp of the source chunk the batch opened in to
+	// the end of the worker's step of the whole batch. That bounds the
+	// record's own enqueue-to-probe time from above, by at most the
+	// batch's fill time (the stamps of its newest chunk minus its oldest)
+	// plus its step time.
 	Latency metrics.Latency
 
 	// workers are the run's workers in task order, for tests.
@@ -141,6 +158,9 @@ func (r *Result) Throughput() metrics.Throughput {
 type batch struct {
 	items []*RecTuple
 	bytes uint64 // the items' SizeBytes, summed
+	// stamp is the source stamp of the chunk the batch opened in, its
+	// oldest: copied, not read from a clock.
+	stamp time.Time
 	// enq is the batch's creation time, stamped on instrumented runs only,
 	// so the worker can observe the batch's age at dequeue.
 	enq time.Time
@@ -213,7 +233,7 @@ func newPipeline(cfg Config, recs []*record.Record, right []bool) *pipeline {
 	}
 	for j := 0; j < d; j++ {
 		p.dispatchers = append(p.dispatchers, &dispatcher{p: p, j: j,
-			in: make(chan []RecTuple, queueCap), pending: make([]*batch, k)})
+			in: make(chan chunk, queueCap), pending: make([]*batch, k)})
 	}
 	if cfg.Registry != nil {
 		p.registerMetrics(cfg.Registry)
@@ -221,8 +241,8 @@ func newPipeline(cfg Config, recs []*record.Record, right []bool) *pipeline {
 	return p
 }
 
-// feed is the source stage: it stamps each record's ingestion time and
-// sends chunks of batchSize records to every dispatcher.
+// feed is the source stage: it sends chunks of batchSize records to every
+// dispatcher, each stamped once, before its records are filled in.
 func (p *pipeline) feed() {
 	d := uint64(len(p.dispatchers))
 	var slab []RecTuple
@@ -231,12 +251,12 @@ func (p *pipeline) feed() {
 		if len(slab) < n { // a slab is garbage once its last tuple is stepped
 			slab = make([]RecTuple, max(n, 256))
 		}
-		chunk := slab[:n:n]
+		c := chunk{tuples: slab[:n:n], enq: now()}
 		slab = slab[n:]
 		var bytes uint64
-		for j := range chunk {
-			rt := &chunk[j]
-			rt.Rec, rt.Enq = p.recs[i+j], time.Now()
+		for j := range c.tuples {
+			rt := &c.tuples[j]
+			rt.Rec = p.recs[i+j]
 			if p.right != nil {
 				rt.Right = p.right[i+j]
 			}
@@ -248,31 +268,34 @@ func (p *pipeline) feed() {
 		p.fed.bytes.Add(d * bytes)
 		p.fed.batches.Add(d)
 		for _, dp := range p.dispatchers {
-			dp.in <- chunk
+			dp.in <- c
 		}
 	}
 }
 
 // dispatcher is one routing task. pending holds the accumulating batch of
-// each worker it owns; its own goroutine is the only one to touch it.
+// each worker it owns and enq the stamp of the chunk under dispatch; its
+// own goroutine is the only one to touch them.
 type dispatcher struct {
 	p       *pipeline
 	j       int
-	in      chan []RecTuple
+	in      chan chunk
+	enq     time.Time
 	pending []*batch
 	route   []int
 	stats   stage
 }
 
-// dispatch routes one chunk, appending each record to the pending batch of
-// every owned worker the strategy sends it to and shipping full batches.
+// dispatch routes one chunk's tuples, appending each record to the pending
+// batch of every owned worker the strategy sends it to and shipping full
+// batches. A batch it opens takes the chunk's stamp, dp.enq.
 //
 // One append per (record, owned destination); batches come from the pool.
-func (dp *dispatcher) dispatch(chunk []RecTuple) {
+func (dp *dispatcher) dispatch(tuples []RecTuple) {
 	p := dp.p
 	d := len(p.dispatchers)
-	for i := range chunk {
-		rt := &chunk[i]
+	for i := range tuples {
+		rt := &tuples[i]
 		dp.route = p.strat.Route(rt.Rec, len(p.workers), dp.route[:0])
 		for _, w := range dp.route {
 			if w%d != dp.j {
@@ -281,8 +304,9 @@ func (dp *dispatcher) dispatch(chunk []RecTuple) {
 			b := dp.pending[w]
 			if b == nil {
 				b = p.pool.Get().(*batch)
+				b.stamp = dp.enq
 				if p.clocked {
-					b.enq = time.Now()
+					b.enq = now()
 				}
 				dp.pending[w] = b
 			}
@@ -293,8 +317,8 @@ func (dp *dispatcher) dispatch(chunk []RecTuple) {
 			}
 		}
 	}
-	dp.stats.executed.Add(uint64(len(chunk)))
-	dp.stats.emitted.Add(uint64(len(chunk)))
+	dp.stats.executed.Add(uint64(len(tuples)))
+	dp.stats.emitted.Add(uint64(len(tuples)))
 }
 
 // ship sends worker w's pending batch. It counts the batch first, so the
@@ -310,15 +334,16 @@ func (dp *dispatcher) ship(w int) {
 
 // run drains the dispatcher's input, then ships every non-empty batch.
 func (dp *dispatcher) run() {
-	for chunk := range dp.in {
+	for c := range dp.in {
 		var start time.Time
 		if dp.p.clocked {
-			dp.stats.wait.Observe(time.Since(chunk[0].Enq))
-			start = time.Now()
+			start = now()
+			dp.stats.wait.Observe(start.Sub(c.enq))
 		}
-		dp.dispatch(chunk)
+		dp.enq = c.enq
+		dp.dispatch(c.tuples)
 		if dp.p.clocked {
-			dp.stats.process.Observe(time.Since(start))
+			dp.stats.process.Observe(now().Sub(start))
 		}
 	}
 	for w, b := range dp.pending {
@@ -332,16 +357,16 @@ func (dp *dispatcher) run() {
 func (w *worker) consume(b *batch, p *pipeline) {
 	var start time.Time
 	if p.clocked {
-		w.stats.wait.Observe(time.Since(b.enq))
-		start = time.Now()
+		start = now()
+		w.stats.wait.Observe(start.Sub(b.enq))
 	}
-	w.stepBatch(b.items)
+	end := w.stepBatch(b.items, b.stamp)
 	w.stats.executed.Add(uint64(len(b.items)))
 	clear(b.items) // a pooled batch must not pin its records
 	b.items, b.bytes = b.items[:0], 0
 	p.pool.Put(b)
 	if p.clocked {
-		w.stats.process.Observe(time.Since(start))
+		w.stats.process.Observe(end.Sub(start))
 	}
 }
 
@@ -367,7 +392,7 @@ func (p *pipeline) start(name string, i int, body, done func()) {
 
 // run starts every stage, waits for the last to end, and sums the workers.
 func (p *pipeline) run() (*Result, error) {
-	start := time.Now()
+	start := now()
 	p.start("source", 0, p.feed, func() {
 		for _, dp := range p.dispatchers {
 			close(dp.in)
@@ -398,7 +423,7 @@ func (p *pipeline) run() (*Result, error) {
 	}
 	res := &Result{
 		Records:     uint64(len(p.recs)),
-		Elapsed:     time.Since(start),
+		Elapsed:     now().Sub(start),
 		CommTuples:  p.shipped.tuples.Load(),
 		CommBytes:   p.shipped.bytes.Load(),
 		CommBatches: p.shipped.batches.Load(),
@@ -516,19 +541,24 @@ func burn(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	end := time.Now().Add(d)
-	for time.Now().Before(end) {
+	end := now().Add(d)
+	for now().Before(end) {
 	}
 }
 
 // stepBatch streams a whole transport batch of records through the
-// worker, in order, under one hold of mu.
-func (w *worker) stepBatch(ts []*RecTuple) {
+// worker, in order, under one hold of mu. It then reads the clock once and
+// observes end − stamp for every record of the batch, stamp being the
+// batch's source stamp; it returns end.
+func (w *worker) stepBatch(ts []*RecTuple, stamp time.Time) (end time.Time) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for _, t := range ts {
 		w.step(t)
 	}
+	end = now()
+	w.lat.ObserveN(end.Sub(stamp), uint64(len(ts)))
+	return end
 }
 
 // emitMatch is the joiner's per-match callback: strategy arbitration, then
@@ -573,7 +603,6 @@ func (w *worker) step(rt *RecTuple) {
 	if w.emitFn == nil {
 		w.results += uint64(n)
 	}
-	w.lat.Observe(time.Since(rt.Enq))
 }
 
 // registerMetrics binds the worker's series to reg. Every reader takes mu
@@ -584,7 +613,7 @@ func (w *worker) step(rt *RecTuple) {
 func (w *worker) registerMetrics(reg *obs.Registry) {
 	label := fmt.Sprintf("worker/%d", w.task)
 	reg.HistogramVec("worker_record_seconds",
-		"Per-record latency observed at a worker: source enqueue to probe completion.", "task").
+		"Per-record latency observed at a worker, one observation per record of a batch: from the stamp of the source chunk the batch opened in to the end of the batch's step (an upper bound of enqueue to probe).", "task").
 		SetFunc(label, func() metrics.Latency {
 			w.mu.Lock()
 			defer w.mu.Unlock()
