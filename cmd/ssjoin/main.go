@@ -90,9 +90,9 @@ func main() {
 
 	var ftCfg *remote.FT // the configuration of every -remote or -resume run
 	if *rmt != "" || *resume {
-		// A fresh run draws a random non-zero ID, which keys worker
-		// checkpoints no earlier run wrote; -resume replaces it with the
-		// manifest's.
+		// A fresh run draws a random non-zero ID, which names it in the
+		// workers' journals and in its manifest; -resume replaces it with
+		// the manifest's.
 		var b [8]byte
 		for binary.LittleEndian.Uint64(b[:]) == 0 {
 			if _, err := rand.Read(b[:]); err != nil {

@@ -30,7 +30,7 @@ func TestResumeFollowsTheLaunchPairsChoice(t *testing.T) {
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
-		remote.ServeWorkerOpts(ctx, ln, remote.WorkerOpts{Mon: mon, Logf: t.Logf, CheckpointDir: t.TempDir()}) //nolint:errcheck
+		remote.ServeWorkerOpts(ctx, ln, remote.WorkerOpts{Mon: mon, Logf: t.Logf}) //nolint:errcheck
 	}()
 	t.Cleanup(func() {
 		cancel()

@@ -7,7 +7,8 @@
 //
 // Each coordinator connection is one self-contained join session carrying
 // its own configuration, so a worker can serve many sessions concurrently
-// and needs no local configuration at all.
+// and needs no local configuration at all. A worker keeps no state between
+// connections: after a reconnect the coordinator replays the window.
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener closes, in-flight
 // sessions drain, and the monitor server (if any) shuts down cleanly.
@@ -37,16 +38,8 @@ func run() int {
 	var (
 		listen   = flag.String("listen", ":7401", "TCP address to listen on")
 		httpAddr = flag.String("http", "", "optional HTTP address serving /healthz, /stats, /metrics, /debug/events, and /debug/pprof")
-		ckptDir  = flag.String("checkpoint-dir", "", "directory for fault-tolerant session checkpoints (empty disables persistence; FT sessions then resume from scratch)")
-		ckptIvl  = flag.Duration("checkpoint-interval", 0, "minimum spacing between periodic window checkpoints (0: checkpoint only on unclean session exit)")
 	)
 	flag.Parse()
-	if *ckptDir != "" {
-		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "ssjoinworker:", err)
-			return 1
-		}
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -88,15 +81,10 @@ func run() int {
 	}
 
 	log.Printf("ssjoinworker: listening on %s", ln.Addr())
-	if *ckptDir != "" {
-		log.Printf("ssjoinworker: checkpointing to %s (interval %s)", *ckptDir, *ckptIvl)
-	}
 	err = remote.ServeWorkerOpts(ctx, ln, remote.WorkerOpts{
-		Mon:                &mon,
-		Logf:               log.Printf,
-		CheckpointDir:      *ckptDir,
-		CheckpointInterval: *ckptIvl,
-		Journal:            journal,
+		Mon:     &mon,
+		Logf:    log.Printf,
+		Journal: journal,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ssjoinworker:", err)

@@ -15,8 +15,8 @@ import (
 // cmd/*/main.go, and distinct flag names among them (a name several
 // commands share, like -seed, counts once).
 const (
-	maxFlagDefinitions = 42
-	maxFlagNames       = 35
+	maxFlagDefinitions = 40
+	maxFlagNames       = 33
 )
 
 // TestCLIFlagBudget fails when a command grows the CLI past the budget, so

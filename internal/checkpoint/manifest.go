@@ -11,23 +11,26 @@ import (
 
 // ManifestSchema is the current manifest format version. It also versions
 // what sits beside the manifest: the results log holds one entry per
-// received Result frame, its task then its wire version 9 payload (first
-// result number, probe ID, count, partner distances), or, when the Hello
-// is CountOnly, one per frame that added results, its task then a Count
-// payload of the results it added; and each worker's checkpoint
-// envelope holds the plan hash wire.Hello.PlanHash derives (schema 4).
-// Schema 3 stored a hand-mixed plan hash beside the Hello, schema 2 logs
-// held one unnumbered pair per entry and schema 1 logs (A, B) pair frames;
-// none of them resumes any more.
-const ManifestSchema = 4
+// received Result frame, its task, the frame type and its wire version 9
+// payload (first result number, probe ID, count, partner distances), or,
+// when the Hello is CountOnly, one per frame that added results, its task,
+// the Count frame type and a Count payload of the results it added; and,
+// after the results each covers, the task's recovery marks, its task, the
+// Credit frame type, the ID after the last probed record and the results
+// numbered below it (schema 5). Schema 4 logs held no frame type and no
+// marks beside workers that checkpointed, schema 3 stored a hand-mixed
+// plan hash beside the Hello, schema 2 logs held one unnumbered pair per
+// entry and schema 1 logs (A, B) pair frames; none of them resumes any
+// more.
+const ManifestSchema = 5
 
 // Manifest is the coordinator's session checkpoint: what a fresh
 // coordinator process needs, beside the ingest and results logs, to re-run
 // the session — the schema, the session ID, the launch configuration as
 // the wire Hello of task 0, and the worker fleet. It is written once, when
-// the run starts; the Hello's PlanHash is the hash every worker's
-// checkpoint must match to be resumed. Manifests of earlier releases carry
-// more fields; LoadManifest ignores them.
+// the run starts; a resume must plan a Hello of the same PlanHash.
+// Manifests of earlier releases carry more fields; LoadManifest ignores
+// them.
 type Manifest struct {
 	Schema    int    `json:"schema"`
 	SessionID uint64 `json:"session_id"`

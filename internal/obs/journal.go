@@ -1,6 +1,6 @@
 // A bounded structured event log for lifecycle events: session start and
-// end, checkpoints, resumes, retries, dead workers, rebalance advice and
-// kernel-mix shifts. Events are cheap fixed-shape structs in a ring
+// end, retries, reconnects and window replays, dead workers, rebalance
+// advice and kernel-mix shifts. Events are cheap fixed-shape structs in a ring
 // buffer — the journal never allocates per Append beyond the ring. Each
 // process serves its own journal at /debug/events.
 package obs
@@ -17,8 +17,8 @@ type Event struct {
 	Seq uint64 `json:"seq"`
 	// UnixNs is the wall-clock stamp.
 	UnixNs int64 `json:"unix_ns"`
-	// Type is the lifecycle event kind: checkpoint, resume, retry,
-	// reconnect, worker_dead, rebalance_advice, kernel_mix, session_start,
+	// Type is the lifecycle event kind: retry, reconnect, replay,
+	// worker_dead, rebalance_advice, kernel_mix, session_start,
 	// session_end, ...
 	Type string `json:"type"`
 	// Component locates the emitter (e.g. "worker/2", "coordinator").

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net"
-	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,25 +22,27 @@ import (
 var errTailDropped = errors.New("tail dropped")
 
 // tailDrop sits on the coordinator side of one connection. It passes the
-// inbound frames up to the k-th Result frame, then drops every inbound
-// frame until the worker's checkpoint count has risen past its value when
-// the dropping began, and then closes the connection: the frames a worker
-// transmitted but the coordinator never read, which a TCP reset loses.
+// inbound frames up to the k-th Result (or Count) frame, then drops every
+// inbound frame until, after a dropped result (or at once, with atCredit),
+// it has dropped a Credit frame, the worker's mark past it, or a Pong,
+// which a worker that has run out of record credit answers, and then
+// closes the connection: the frames a worker transmitted but the
+// coordinator never read, which a TCP reset loses.
 type tailDrop struct {
 	io.ReadWriteCloser
-	k     int
-	ckpts *atomic.Uint64 // the worker's Monitor.CheckpointsWritten
+	k        int
+	atCredit bool
 
 	in, out  []byte // inbound bytes not yet split into frames; frames passed up
-	results  int    // Result frames passed up
+	results  int    // Result or Count frames passed up
 	dropping bool
-	base     uint64 // *ckpts when the dropping began
-	dropped  int    // Result frames dropped
+	dropped  int  // Result or Count frames dropped
+	marked   bool // a Credit or Pong frame was dropped after a result
 }
 
 func (c *tailDrop) Read(p []byte) (int, error) {
 	for len(c.out) == 0 {
-		if c.dropping && c.ckpts.Load() > c.base {
+		if c.marked {
 			c.Close()
 			return 0, errTailDropped
 		}
@@ -61,14 +62,17 @@ func (c *tailDrop) Read(p []byte) (int, error) {
 			typ := c.in[0]
 			switch {
 			case c.dropping:
-				if typ == wire.TypeResult {
+				switch typ {
+				case wire.TypeResult, wire.TypeCount:
 					c.dropped++
+				case wire.TypeCredit, wire.TypePong:
+					c.marked = c.marked || c.dropped > 0 || c.atCredit
 				}
 			default:
 				c.out = append(c.out, c.in[:size]...)
-				if typ == wire.TypeResult {
+				if typ == wire.TypeResult || typ == wire.TypeCount {
 					if c.results++; c.results == c.k {
-						c.dropping, c.base = true, c.ckpts.Load()
+						c.dropping = true
 					}
 				}
 			}
@@ -86,11 +90,12 @@ func (c *tailDrop) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestRunFTTailLossRecovered: results a worker wrote before a checkpoint
+// TestRunFTTailLossRecovered: results a worker wrote before a Credit frame
 // that the coordinator never read, lost with the connection, must still
-// reach the result set. The checkpoint holds them as unacknowledged and
-// the resumed worker re-sends them.
+// reach the result set. The coordinator's mark stays before them, and the
+// reconnected worker probes their records again.
 func TestRunFTTailLossRecovered(t *testing.T) {
+	setRecordWindow(t, 16)
 	recs := workload.NewGenerator(workload.UniformSmall(23)).Generate(1500)
 	const tau = 0.6
 	want := singleNodePairs(recs, tau, window.Unbounded{})
@@ -98,7 +103,7 @@ func TestRunFTTailLossRecovered(t *testing.T) {
 	sess := testSession(tau, "length", boundsFor(recs, tau, k))
 	workers := make([]*ftWorker, k)
 	for i := range workers {
-		workers[i] = startFTWorker(t, t.TempDir(), time.Millisecond)
+		workers[i] = startFTWorker(t)
 	}
 	var (
 		attempts [2]atomic.Int64
@@ -111,10 +116,10 @@ func TestRunFTTailLossRecovered(t *testing.T) {
 			return nil, err
 		}
 		// Throttle the stream so the worker keeps stepping records, and
-		// checkpointing, while its frames are dropped.
+		// granting credit, while its frames are dropped.
 		conn := faultwire.Wrap(c, faultwire.Config{DelayPerMille: 1000, Delay: 50 * time.Microsecond})
 		if task == 0 && attempts[task].Add(1) == 1 {
-			tail = &tailDrop{ReadWriteCloser: conn, k: 10, ckpts: &workers[0].mon.CheckpointsWritten}
+			tail = &tailDrop{ReadWriteCloser: conn, k: 10}
 			return tail, nil
 		}
 		return conn, nil
@@ -123,107 +128,15 @@ func TestRunFTTailLossRecovered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tail == nil || !tail.dropping || tail.dropped == 0 {
-		t.Fatalf("no Result frame was dropped (%+v): the run did not exercise a lost tail", tail)
+	if tail == nil || !tail.marked || tail.dropped == 0 {
+		t.Fatalf("no Result frame and Credit after it were dropped (%+v): the run did not exercise a lost tail", tail)
 	}
 	t.Logf("%d Result frames dropped after the %d-th; %d reconnects", tail.dropped, tail.k, sum.Reconnects)
 	requireParity(t, sum.Pairs, want, "tail loss")
 }
 
-// TestRunFTFreshRunIgnoresStaleCheckpoint: a fresh run under the session
-// ID of an earlier, cancelled run on the same workers must not restore
-// that run's checkpoints, whether its plan is the same or not.
-func TestRunFTFreshRunIgnoresStaleCheckpoint(t *testing.T) {
-	recs := workload.NewGenerator(workload.UniformSmall(37)).Generate(1500)
-	const tau = 0.7
-	want := singleNodePairs(recs, tau, window.Unbounded{})
-	const k = 2
-	bounds := boundsFor(recs, tau, k)
-	other := append([]int(nil), bounds...)
-	if other[0] < other[1] {
-		other[0]++
-	} else {
-		other[0]--
-	}
-	for _, tc := range []struct {
-		name   string
-		bounds []int
-	}{{"same plan", bounds}, {"other bounds", other}} {
-		t.Run(tc.name, func(t *testing.T) {
-			const sid = 0x57A1E
-			dirs := make([]string, k)
-			workers := make([]*ftWorker, k)
-			for i := range workers {
-				dirs[i] = t.TempDir()
-				workers[i] = startFTWorker(t, dirs[i], time.Millisecond)
-			}
-			addr := func(task int) string { return workers[task].addr }
-
-			// Run 1, throttled, is cancelled once every worker has stepped
-			// 300 records and checkpointed.
-			slow := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
-				c, err := tcpDialer(addr)(ctx, task)
-				if err != nil {
-					return nil, err
-				}
-				return faultwire.Wrap(c, faultwire.Config{DelayPerMille: 1000, Delay: 100 * time.Microsecond}), nil
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			done := make(chan error, 1)
-			go func() {
-				_, err := RunFT(ctx, slow, k, testSession(tau, "length", bounds), recs, Opts{CollectPairs: true}, fastFT(sid))
-				done <- err
-			}()
-			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-				ready := true
-				for _, w := range workers {
-					ready = ready && w.mon.RecordsSeen.Load() >= 300 && w.mon.CheckpointsWritten.Load() > 0
-				}
-				if ready {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatal("run 1's workers never checkpointed")
-				}
-			}
-			cancel()
-			if err := <-done; err == nil {
-				t.Fatal("run 1 finished before it was cancelled")
-			}
-			// Run 1's sessions save their checkpoints as they end.
-			for i, w := range workers {
-				for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-					if w.mon.SessionsStarted.Load() == w.mon.SessionsFinished.Load()+w.mon.SessionsFailed.Load() {
-						break
-					}
-					if time.Now().After(deadline) {
-						t.Fatalf("worker %d: run 1's session never ended", i)
-					}
-				}
-				if _, err := os.Stat(checkpointPath(dirs[i], sid, i)); err != nil {
-					t.Fatalf("worker %d holds no checkpoint of run 1: %v", i, err)
-				}
-			}
-
-			// Run 2 is fresh and fault-free.
-			sum, err := RunFT(context.Background(), tcpDialer(addr), k, testSession(tau, "length", tc.bounds), recs,
-				Opts{CollectPairs: true}, fastFT(sid))
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireParity(t, sum.Pairs, want, tc.name)
-			for i, w := range workers {
-				if n := w.mon.SessionsResumed.Load(); n != 0 {
-					t.Errorf("worker %d resumed %d sessions from a checkpoint", i, n)
-				}
-			}
-		})
-	}
-}
-
 // fakeWorker is one connection, over net.Pipe, to a worker that answers
-// the hello (an FT one with a resume ack from scratch), writes the Result
+// the hello (an FT one with a resume ack), writes the Result
 // frames send writes, and then hangs up if hangUp is set, or else drops
 // whatever the coordinator sends until the coordinator hangs up.
 func fakeWorker(send func(w *wire.Writer), hangUp bool) io.ReadWriteCloser {
@@ -241,11 +154,11 @@ func fakeWorker(send func(w *wire.Writer), hangUp bool) io.ReadWriteCloser {
 		drained := make(chan struct{})
 		go func() {
 			defer close(drained)
-			io.Copy(io.Discard, rd.Rest()) //nolint:errcheck
+			io.Copy(io.Discard, srv) //nolint:errcheck
 		}()
 		w := wire.NewWriter(srv)
 		if h.FT {
-			w.WriteResumeAck(0, workerRecordWindow) //nolint:errcheck
+			w.WriteResumeAck(workerRecordWindow) //nolint:errcheck
 		}
 		send(w)
 		if w.Flush() == nil && !hangUp {
@@ -296,6 +209,8 @@ func TestResultNumberGapFailsTheSession(t *testing.T) {
 // TestResultStraddlingHaveFailsTheAttempt: a reconnected worker's frame
 // that starts below the results its task has collected and ends above them
 // cannot come from the task's one result sequence, and fails the attempt.
+// With no Credit read, the task's mark is at its start, so the second
+// connection's numbers count from result 0.
 func TestResultStraddlingHaveFailsTheAttempt(t *testing.T) {
 	checkNoLeaks(t)
 	var attempts atomic.Int64
@@ -303,8 +218,8 @@ func TestResultStraddlingHaveFailsTheAttempt(t *testing.T) {
 		switch attempts.Add(1) {
 		case 1: // results 0 and 1, then the connection breaks
 			return fakeWorker(func(w *wire.Writer) { probeResults(w, 0, 2, 0, 1) }, true), nil
-		case 2: // results 1 to 3: one collected, two not
-			return fakeWorker(func(w *wire.Writer) { probeResults(w, 1, 3, 0, 1) }, false), nil
+		case 2: // results 0 to 3: two collected, one not
+			return fakeWorker(func(w *wire.Writer) { probeResults(w, 0, 3, 0, 1, 2) }, false), nil
 		}
 		return nil, errors.New("injected: worker gone")
 	}
@@ -322,7 +237,7 @@ func TestResultStraddlingHaveFailsTheAttempt(t *testing.T) {
 	if _, err := RunFT(ctx, dial, 1, testSession(0.7, "broadcast", nil), recs, Opts{Journal: journal}, ft); err == nil {
 		t.Fatal("the run finished")
 	}
-	const want = "sent results 1 to 3, 2 collected"
+	const want = "sent results 0 to 3, 2 collected"
 	var retries []string
 	for _, ev := range journal.Recent(64) {
 		if ev.Type == "retry" {

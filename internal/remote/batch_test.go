@@ -2,10 +2,8 @@ package remote
 
 import (
 	"context"
-	"encoding/binary"
 	"io"
 	"net"
-	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -75,9 +73,9 @@ var (
 
 // TestOneResultFramePerProbe pins the worker's result framing: a record
 // with k partners yields exactly one Result frame holding k pairs, a
-// record with no match yields none, and a durable session re-sends its
-// restored unacked pairs, in the frames they first went out in, before the
-// next record's frame.
+// record with no match yields none, and so does a loaded record, so that a
+// reconnected FT session that loads its window re-sends the frames its
+// records first went out in.
 func TestOneResultFramePerProbe(t *testing.T) {
 	// session runs one worker session over io.Pipe: it sends h, the
 	// records (through send) and EOF, and returns every Result frame.
@@ -155,110 +153,70 @@ func TestOneResultFramePerProbe(t *testing.T) {
 		checkFrame(t, got[1], 4, 0, 1)
 	})
 
-	t.Run("durable unacked tail", func(t *testing.T) {
-		dir := t.TempDir()
+	t.Run("replayed window", func(t *testing.T) {
 		h, err := testSession(0.9, "broadcast", nil).hello(0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		h.FT, h.SessionID = true, 0xBA7C4
-		// open starts an FT session over net.Pipe: the worker checkpoints
-		// after every record, which flushes its frames as it goes.
-		open := func(h wire.Hello) (net.Conn, *wire.Writer, <-chan []wire.Result, <-chan error) {
-			srv, cli := net.Pipe()
-			done := make(chan error, 1)
-			go func() {
-				defer srv.Close()
-				done <- HandleSessionOpts(context.Background(), srv, srv,
-					WorkerOpts{Logf: silentLogf, CheckpointDir: dir, CheckpointInterval: time.Nanosecond})
-			}()
-			frames := readResultFrames(t, cli)
-			w := wire.NewWriter(cli)
-			if err := w.WriteHello(h); err != nil {
-				t.Fatal(err)
-			}
-			return cli, w, frames, done
+		rec := func(id record.ID) *record.Record {
+			return &record.Record{ID: id, Time: int64(id), Tokens: matchToks}
 		}
-		send := func(w *wire.Writer, ids ...record.ID) {
-			for _, id := range ids {
-				if err := w.WriteRecord(true, &record.Record{ID: id, Time: int64(id), Tokens: matchToks}); err != nil {
-					t.Fatal(err)
+		first := session(t, h, func(w *wire.Writer) error {
+			for id := record.ID(0); id < 3; id++ {
+				if err := w.WriteRecord(true, rec(id)); err != nil {
+					return err
 				}
 			}
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
+			return nil
+		})
+		// A reconnect at the mark after record 0: record 0 loaded, records
+		// 1 to 3 probed. The load yields no frame, and records 1 and 2 yield
+		// the frames the first connection sent.
+		got := session(t, h, func(w *wire.Writer) error {
+			if err := w.WriteLoad(false, rec(0)); err != nil {
+				return err
 			}
+			for id := record.ID(1); id < 4; id++ {
+				if err := w.WriteRecord(true, rec(id)); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if len(first) != 2 || len(got) != 3 {
+			t.Fatalf("%d and %d result frames (%v, %v), want 2 and 3", len(first), len(got), first, got)
 		}
-
-		// First connection: three records, two frames, no credit; then the
-		// coordinator vanishes and all three pairs stay unacked.
-		cli, w, frames, done := open(h)
-		send(w, 0, 1, 2)
-		checkFrame(t, <-frames, 1, 0)
-		checkFrame(t, <-frames, 2, 0, 1)
-		cli.Close()
-		if err := <-done; err == nil {
-			t.Fatal("a severed session ended cleanly")
+		for _, frames := range [][][]wire.Result{first, got} {
+			checkFrame(t, frames[0], 1, 0)
+			checkFrame(t, frames[1], 2, 0, 1)
 		}
-		if fr, ok := <-frames; ok {
-			t.Fatalf("an extra frame %v on the severed connection", fr)
-		}
-		if _, err := os.Stat(checkpointPath(dir, h.SessionID, 0)); err != nil {
-			t.Fatalf("no checkpoint after the unclean end: %v", err)
-		}
-
-		// Resume: the three unacked pairs come back first, then record 3's
-		// frame.
-		h.Resume = true
-		cli, w, frames, done = open(h)
-		defer cli.Close()
-		send(w, 3)
-		if err := w.WriteEOF(); err != nil {
-			t.Fatal(err)
-		}
-		var got [][]wire.Result
-		for fr := range frames {
-			got = append(got, fr)
-		}
-		if err := <-done; err != nil {
-			t.Fatalf("resumed session: %v", err)
-		}
-		// The unacked pairs come back framed as they were first sent, one
-		// probe's pairs to a frame.
-		if len(got) != 3 {
-			t.Fatalf("%d result frames %v after the resume, want 3", len(got), got)
-		}
-		checkFrame(t, got[0], 1, 0)
-		checkFrame(t, got[1], 2, 0, 1)
 		checkFrame(t, got[2], 3, 0, 1, 2)
 	})
 }
 
-// creditTap counts the result credit a coordinator grants over conn.
-// faultwire writes it one whole frame at a time and never duplicates a
-// Credit frame.
+// creditTap counts the Credit frames a coordinator writes over conn, a
+// direction retired with result acknowledgements. faultwire writes one
+// whole frame at a time and never duplicates a Credit frame.
 type creditTap struct {
 	net.Conn
 	credit *atomic.Uint64
 }
 
 func (c creditTap) Write(p []byte) (int, error) {
-	if typ, body, err := wire.Frame(p); err == nil && typ == wire.TypeCredit {
-		if n, k := binary.Uvarint(body); k > 0 {
-			c.credit.Add(n)
-		}
+	if typ, _, err := wire.Frame(p); err == nil && typ == wire.TypeCredit {
+		c.credit.Add(1)
 	}
 	return c.Conn.Write(p)
 }
 
 // TestRunFTDuplicatedResultFramesCountOnce: with every Result frame
-// duplicated in transit, a durable FT run counts each pair once, logs it
-// once and credits it at most once — a pair credited twice would let a
-// worker drop an unacked result the coordinator never persisted.
+// duplicated in transit, a durable FT run counts each pair once and logs
+// it once, and it acknowledges none: no Credit frame goes to a worker.
 func TestRunFTDuplicatedResultFramesCountOnce(t *testing.T) {
 	// More records per worker than its 4 096-record credit window, so the
-	// coordinator waits for record credit mid-stream and grants result
-	// credit while it does.
+	// coordinator waits for record credit mid-stream, and the workers'
+	// Credit frames move the marks while it does.
 	recs := workload.NewGenerator(workload.UniformSmall(61)).Generate(10_000)
 	const tau = 0.7
 	k := 2
@@ -272,7 +230,7 @@ func TestRunFTDuplicatedResultFramesCountOnce(t *testing.T) {
 
 	workers := make([]*ftWorker, k)
 	for i := range workers {
-		workers[i] = startFTWorker(t, t.TempDir(), 0)
+		workers[i] = startFTWorker(t)
 	}
 	var credit atomic.Uint64
 	dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
@@ -314,10 +272,7 @@ func TestRunFTDuplicatedResultFramesCountOnce(t *testing.T) {
 	if len(logRes) != len(want) {
 		t.Errorf("results log holds %d entries, want %d", len(logRes), len(want))
 	}
-	// Credit trails the last frames of a connection, so it may fall short
-	// of the pairs; it may never exceed them.
-	t.Logf("%d pairs, %d credited", len(want), credit.Load())
-	if c := credit.Load(); c == 0 || c > uint64(len(want)) {
-		t.Errorf("%d pairs credited for %d distinct pairs", c, len(want))
+	if c := credit.Load(); c != 0 {
+		t.Errorf("the coordinator wrote %d Credit frames to its workers", c)
 	}
 }

@@ -21,8 +21,9 @@ type RunSummary struct {
 	Pairs []record.Pair
 	// Elapsed covers dispatch through the last worker's stats frame.
 	Elapsed time.Duration
-	// TuplesSent counts the records sent to workers, BytesSent every byte
-	// the coordinator wrote (records, and hello, credit and ping frames).
+	// TuplesSent counts the records sent to workers, loaded ones included,
+	// BytesSent every byte the coordinator wrote (records, and hello and
+	// ping frames).
 	TuplesSent, BytesSent uint64
 	// WorkerStats are the per-worker final counters, indexed by task.
 	WorkerStats []wire.Stats
@@ -30,8 +31,9 @@ type RunSummary struct {
 	// Opts.Snapshot, indexed by task.
 	Snapshots [][]byte
 	// Retries counts failed connection attempts, Reconnects successful
-	// recoveries, and ReplayedRecords the records re-sent to a worker after
-	// those recoveries.
+	// recoveries, and ReplayedRecords the records sent to a worker again
+	// after those recoveries: its window's, to load, and those it probes
+	// again.
 	Retries, Reconnects, ReplayedRecords uint64
 }
 
@@ -168,12 +170,19 @@ type nopCloser struct{ io.ReadWriter }
 
 func (nopCloser) Close() error { return nil }
 
-// received is one task's share of the result traffic; the shares are
-// summed once every task has finished, so no lock is taken per frame.
+// received is one task's share of the result traffic, and its recovery
+// mark; the shares are summed once every task has finished, so no lock is
+// taken per frame.
 type received struct {
 	results uint64
+	mark    taskMark
 	pairs   []record.Pair
 }
+
+// taskMark is a task's recovery mark: every task record with an ID below
+// next has been probed, and the task's results numbered below results are
+// exactly those probes' results.
+type taskMark struct{ next, results uint64 }
 
 // decodeNumbered decodes a Result payload when pairs is set, else a Count
 // payload: its first result number, its count, and its pairs appended to

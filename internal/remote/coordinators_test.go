@@ -20,9 +20,10 @@ import (
 
 // BenchmarkCoordinators drains the aol_fleet stream through Run, counting
 // (count) and collecting every pair (pairs), and through RunFT with a
-// retry budget, collecting, against workers that checkpoint only when a
-// session ends uncleanly (ckpt-pairs): the one configuration whose workers
-// keep an unacked pair buffer. Each runs against two loopback workers:
+// retry budget, collecting (ft-pairs): the configuration that, before
+// recovery replayed the window from the coordinator, made its workers
+// checkpoint and buffer every unacknowledged pair. Each runs against two
+// loopback workers:
 // 200 000 AOL-like records (seed 42), Jaccard 0.8, a 50 000-record count
 // window and a length plan fitted to the first 10 000 records. It reports
 // records per second and the bytes the whole process (coordinator and
@@ -44,19 +45,15 @@ func BenchmarkCoordinators(b *testing.B) {
 		Strategy:  "length",
 		Bounds:    partition.Fit(p, recs[:10_000], k).Bounds,
 	}
-	fleet := func(o WorkerOpts) []string {
-		addrs := make([]string, k)
-		for i := range addrs {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				b.Fatal(err)
-			}
-			serveTestWorker(b, ln, o)
-			addrs[i] = ln.Addr().String()
+	addrs := make([]string, k)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
 		}
-		return addrs
+		serveTestWorker(b, ln, WorkerOpts{Logf: silentLogf})
+		addrs[i] = ln.Addr().String()
 	}
-	addrs := fleet(WorkerOpts{Logf: silentLogf})
 	ctx := context.Background()
 
 	run := func(collectPairs bool) func(int) (*RunSummary, error) {
@@ -71,13 +68,12 @@ func BenchmarkCoordinators(b *testing.B) {
 	b.Run("count", func(b *testing.B) { drainPerRecord(b, n, want, run(false)) })
 	b.Run("pairs", func(b *testing.B) { drainPerRecord(b, n, want, run(true)) })
 
-	ckptAddrs := fleet(WorkerOpts{Logf: silentLogf, CheckpointDir: b.TempDir()})
 	dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
 		var d net.Dialer
-		return d.DialContext(ctx, "tcp", ckptAddrs[task])
+		return d.DialContext(ctx, "tcp", addrs[task])
 	}
 	ft := FT{Retry: RetryPolicy{MaxAttempts: 4, Base: 50 * time.Millisecond}}
-	b.Run("ckpt-pairs", func(b *testing.B) {
+	b.Run("ft-pairs", func(b *testing.B) {
 		drainPerRecord(b, n, want, func(i int) (*RunSummary, error) {
 			ft.SessionID = uint64(i + 1)
 			return RunFT(ctx, dial, k, sess, recs, Opts{CollectPairs: true}, ft)

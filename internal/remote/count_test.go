@@ -24,7 +24,9 @@ import (
 // under seeded severs and duplicates with a worker killed and restarted
 // mid-run, and a durable RunFT killed and resumed from its state
 // directory. Every case must reach the results of a collecting plain Run.
+// A small record window moves the marks, so the recoveries replay windows.
 func TestCountingMatchesCollecting(t *testing.T) {
+	setRecordWindow(t, 32)
 	recs := workload.NewGenerator(workload.UniformSmall(83)).Generate(1200)
 	const (
 		tau = 0.7
@@ -92,7 +94,7 @@ func TestCountingMatchesCollecting(t *testing.T) {
 		for i, collect := range modes {
 			workers := make([]*ftWorker, k)
 			for w := range workers {
-				workers[w] = startFTWorker(t, t.TempDir(), 2*time.Millisecond)
+				workers[w] = startFTWorker(t)
 			}
 			dial := tcpDialer(func(task int) string { return workers[task].addr })
 			sum, err := RunFT(context.Background(), dial, k, sess, recs, Opts{CollectPairs: collect}, fastFT(0xC0+uint64(i)))
@@ -106,12 +108,10 @@ func TestCountingMatchesCollecting(t *testing.T) {
 	t.Run("ft-faults", func(t *testing.T) {
 		for i, collect := range modes {
 			sid := 0xFA17 + uint64(i)
-			dirs := make([]string, k)
 			var addrs [k]atomic.Value
 			workers := make([]*ftWorker, k)
 			for w := range workers {
-				dirs[w] = t.TempDir()
-				workers[w] = startFTWorker(t, dirs[w], 2*time.Millisecond)
+				workers[w] = startFTWorker(t)
 				addrs[w].Store(workers[w].addr)
 			}
 			var attempts [k]atomic.Int64
@@ -144,25 +144,21 @@ func TestCountingMatchesCollecting(t *testing.T) {
 				done <- err
 			}()
 			// Kill worker 1 once it has stepped a third of its records, and
-			// restart it over the same checkpoint directory.
+			// start a fresh one in its place.
 			for deadline := time.Now().Add(10 * time.Second); workers[1].mon.RecordsSeen.Load() < 150; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Fatal("worker 1 made no progress")
 				}
 			}
 			workers[1].kill()
-			workers[1] = startFTWorker(t, dirs[1], 2*time.Millisecond)
+			workers[1] = startFTWorker(t)
 			addrs[1].Store(workers[1].addr)
 			if err := <-done; err != nil {
 				t.Fatal(err)
 			}
 			check(t, sum, collect, want)
-			var resumed uint64
-			for _, w := range workers {
-				resumed += w.mon.SessionsResumed.Load()
-			}
-			if sum.Reconnects < k || resumed == 0 {
-				t.Errorf("collect=%v: %d reconnects, %d sessions resumed: the faults did not bite", collect, sum.Reconnects, resumed)
+			if resumed := loaded(workers); sum.Reconnects < k || resumed == 0 {
+				t.Errorf("collect=%v: %d reconnects, %d sessions loaded a window: the faults did not bite", collect, sum.Reconnects, resumed)
 			}
 		}
 	})
@@ -172,7 +168,7 @@ func TestCountingMatchesCollecting(t *testing.T) {
 			workers := make([]*ftWorker, k)
 			addrs := make([]string, k)
 			for w := range workers {
-				workers[w] = startFTWorker(t, t.TempDir(), 2*time.Millisecond)
+				workers[w] = startFTWorker(t)
 				addrs[w] = workers[w].addr
 			}
 			state := t.TempDir()
@@ -205,7 +201,6 @@ func TestCountingMatchesCollecting(t *testing.T) {
 			}
 			kill()
 			<-done
-			time.Sleep(150 * time.Millisecond) // the severed sessions checkpoint
 
 			logRecs, err := ReadIngestLog(state)
 			if err != nil {
@@ -221,19 +216,15 @@ func TestCountingMatchesCollecting(t *testing.T) {
 			if _, logged, err := readResultsLog(state); err != nil || logged != sum.Results {
 				t.Errorf("collect=%v: the results log numbers %d results, %v; the run found %d", collect, logged, err, sum.Results)
 			}
-			var resumed uint64
-			for _, w := range workers {
-				resumed += w.mon.SessionsResumed.Load()
-			}
-			if resumed == 0 {
-				t.Errorf("collect=%v: no worker restored a checkpoint across the coordinator restart", collect)
+			if loaded(workers) == 0 {
+				t.Errorf("collect=%v: no worker loaded a window replayed across the coordinator restart", collect)
 			}
 		}
 	})
 }
 
 // countWorker is one connection, over net.Pipe, to a CountOnly worker
-// that answers the hello (an FT one with a resume ack from scratch), runs
+// that answers the hello (an FT one with a resume ack), runs
 // send, and then hangs up if hangUp is set, or else drops records until
 // the coordinator's EOF and answers it with Stats.
 func countWorker(send func(w *wire.Writer), hangUp bool) io.ReadWriteCloser {
@@ -250,7 +241,7 @@ func countWorker(send func(w *wire.Writer), hangUp bool) io.ReadWriteCloser {
 		}
 		w := wire.NewWriter(srv)
 		if h.FT {
-			w.WriteResumeAck(0, workerRecordWindow) //nolint:errcheck
+			w.WriteResumeAck(workerRecordWindow) //nolint:errcheck
 		}
 		send(w)
 		if w.Flush() != nil || hangUp {
@@ -278,8 +269,8 @@ func counts(w *wire.Writer, first, n uint64) {
 
 // TestCountSkippingAheadFailsTheSession: a Count frame numbered past the
 // results the coordinator has fails plain Run, and fails an FT attempt
-// whether it skips past its connection's last frame or, on a connection's
-// first frame, past the task's results.
+// whether it skips past its connection's last frame or is a connection's
+// first frame and not numbered 0.
 func TestCountSkippingAheadFailsTheSession(t *testing.T) {
 	checkNoLeaks(t)
 	sess := testSession(0.7, "broadcast", nil)
@@ -301,7 +292,7 @@ func TestCountSkippingAheadFailsTheSession(t *testing.T) {
 		want string
 	}{
 		"ft":             {gap, want},
-		"ft-first-frame": {func(w *wire.Writer) { counts(w, 3, 2) }, "sent results 3 to 5, 0 collected"},
+		"ft-first-frame": {func(w *wire.Writer) { counts(w, 3, 2) }, "numbered from 3, want 0"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dial := func(context.Context, int) (io.ReadWriteCloser, error) { return countWorker(tc.send, false), nil }
@@ -314,22 +305,19 @@ func TestCountSkippingAheadFailsTheSession(t *testing.T) {
 	}
 }
 
-// TestCountStraddlingHaveIsAReplay: a reconnected worker's Count that
-// starts below the results its task has and ends above them, as a
-// restored CountOnly worker's re-sent Count does, adds only its part past
-// them, and a durable run logs only that part.
-func TestCountStraddlingHaveIsAReplay(t *testing.T) {
+// TestCountStraddlingHaveFailsTheAttempt: a reconnected worker's Count
+// that starts below the results its task has and ends above them cannot
+// come from the task's one result sequence, whose frames a replay repeats,
+// and fails the attempt; a durable run logs none of it.
+func TestCountStraddlingHaveFailsTheAttempt(t *testing.T) {
 	checkNoLeaks(t)
 	var attempts atomic.Int64
 	dial := func(context.Context, int) (io.ReadWriteCloser, error) {
 		switch attempts.Add(1) {
 		case 1: // results 0 and 1, then the connection breaks
 			return countWorker(func(w *wire.Writer) { counts(w, 0, 2) }, true), nil
-		case 2: // results 0 to 4 re-sent as one count, then result 5
-			return countWorker(func(w *wire.Writer) {
-				counts(w, 0, 5)
-				counts(w, 5, 1)
-			}, false), nil
+		case 2: // results 0 to 4 as one count: two collected, three not
+			return countWorker(func(w *wire.Writer) { counts(w, 0, 5) }, false), nil
 		}
 		return nil, errors.New("injected: worker gone")
 	}
@@ -338,23 +326,27 @@ func TestCountStraddlingHaveIsAReplay(t *testing.T) {
 		recs[i] = &record.Record{ID: record.ID(i), Time: int64(i), Tokens: []uint32{1, 2}}
 	}
 	state := t.TempDir()
-	reg := obs.NewRegistry()
+	journal := obs.NewJournal(64)
 	ft := fastFT(0x57AD)
 	ft.Retry.MaxAttempts = 1
-	ft.Registry = reg
 	ft.Durable = &Durable{StateDir: state}
-	sum, err := RunFT(context.Background(), dial, 1, testSession(0.7, "broadcast", nil), recs, Opts{}, ft)
-	if err != nil {
-		t.Fatal(err)
+	// Bounded: a coordinator that took the frame would wait for Stats from
+	// attempt 2's worker forever.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := RunFT(ctx, dial, 1, testSession(0.7, "broadcast", nil), recs, Opts{Journal: journal}, ft); err == nil {
+		t.Fatal("the run finished")
 	}
-	if sum.Results != 6 || sum.Reconnects != 1 {
-		t.Errorf("%d results over %d reconnects, want 6 over 1", sum.Results, sum.Reconnects)
+	const want = "sent results 0 to 5, 2 collected"
+	failed := false
+	for _, ev := range journal.Recent(64) {
+		failed = failed || ev.Type == "retry" && strings.Contains(ev.Msg, want)
 	}
-	if dups := gathered(reg, "coord_duplicate_results_total"); dups != 2 {
-		t.Errorf("%v results replayed, want 2", dups)
+	if !failed {
+		t.Errorf("no attempt failed with %q", want)
 	}
-	if _, logged, err := readResultsLog(state); err != nil || logged != 6 {
-		t.Errorf("the results log numbers %d results, %v; want 6", logged, err)
+	if _, logged, err := readResultsLog(state); err != nil || logged != 2 {
+		t.Errorf("the results log numbers %d results, %v; want 2", logged, err)
 	}
 }
 

@@ -1,20 +1,19 @@
 // Durable session state for fault-tolerant runs: a persistent ingest log
-// (every dispatched record), a persistent results log (every Result frame
-// a task collected, appended before it is acknowledged to the worker), and
-// the session manifest tying them to the launch configuration. Together
-// they make the *coordinator* restartable: a fresh process loads the
-// manifest, re-reads the ingest log, rebuilds each task's have counter
-// from the results log, and re-drives the session — workers resume from
-// their own checkpoints and re-send their unacknowledged result tails, so
-// the final result set is exactly the uninterrupted run's.
+// (every dispatched record), a persistent results log (every frame of
+// results a task collected, and each of its recovery marks after the
+// results it covers), and the session manifest tying them to the launch
+// configuration. Together they make the *coordinator* restartable: a fresh
+// process loads the manifest, re-reads the ingest log, rebuilds each
+// task's have counter and mark from the results log, and re-drives the
+// session. Each task restarts from its last logged mark, by the window
+// replay every reconnect uses (ftRunner.attempt), so the final result set
+// is exactly the uninterrupted run's.
 //
-// Every FT run acknowledges results (wire Credit frames, coordinator →
-// worker; see ftRunner.attempt); a durable run adds the results log to
-// that protocol: a new frame is appended before it counts as received,
-// and the write loop syncs the log before it grants the count, so every
-// acknowledged result is on disk. A nil *durableState is the sink of a run
-// without a state directory, and its methods do nothing: this file is the
-// only code that knows whether a run is durable.
+// A mark needs no fsync of its own: the results log is one append-only
+// WAL, so any prefix of it that holds a mark holds every result the mark
+// covers. A nil *durableState is the sink of a run without a state
+// directory, and its methods do nothing: this file is the only code that
+// knows whether a run is durable.
 package remote
 
 import (
@@ -36,10 +35,13 @@ import (
 //
 //	<StateDir>/manifest.json   session manifest (checkpoint.Manifest)
 //	<StateDir>/ingest/         WAL of dispatched records, one frame each
-//	<StateDir>/results/        WAL of collected results, one Result frame
-//	                           each (in a CountOnly run, a Count of the
-//	                           results a frame added): its task, then its
-//	                           payload
+//	<StateDir>/results/        WAL of collected results and marks: its
+//	                           task, then a frame type and a payload: a
+//	                           Result frame numbered on the task's count
+//	                           (in a CountOnly run, a Count of the results
+//	                           a frame added), or Credit for a mark, the ID
+//	                           after its last probed record and the results
+//	                           below it
 //
 // The manifest is written once, when the run starts; each WAL directory
 // holds the one file wal.FileName.
@@ -47,15 +49,14 @@ type Durable struct {
 	// StateDir roots the session's persistent state. Created if missing.
 	StateDir string
 	// Sync is the WAL fsync policy for both logs (wal.SyncInterval when
-	// zero). Result acknowledgements sync explicitly before each credit
-	// grant regardless, so the durability of *acknowledged* results never
-	// depends on this knob.
+	// zero). It bounds what a crash of the machine, not of the process, can
+	// lose; a resume restarts each task from the last mark that survived.
 	Sync wal.SyncPolicy
 	// Resume marks this run as a restart: the ingest log already holds the
 	// record stream (the caller re-read it from there), the results log
-	// holds each task's collected results, and each task's first hello asks
-	// its worker to resume, which a fresh run's never does. RunFT refuses a
-	// resume whose Hello, Opts.CollectPairs included, is not the manifest's.
+	// holds each task's collected results and marks, and each task restarts
+	// from its last logged mark. RunFT refuses a resume whose Hello,
+	// Opts.CollectPairs included, is not the manifest's.
 	Resume bool
 	// Workers records the worker addresses in the manifest so a resuming
 	// process knows the fleet. Informational — dialing stays the caller's
@@ -159,31 +160,30 @@ func (ds *durableState) appendRecord(r *record.Record) error {
 	return err
 }
 
-// appendResults persists the payload of one frame of results task collected.
-func (ds *durableState) appendResults(task int, payload []byte) error {
+// appendResults persists one frame of results task collected, of type
+// typ: first, the task's number of its first result, then body, the rest
+// of its payload.
+func (ds *durableState) appendResults(task int, typ byte, first uint64, body []byte) error {
 	if ds == nil {
 		return nil
 	}
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
-	ds.entry = append(binary.AppendUvarint(ds.entry[:0], uint64(task)), payload...)
-	_, err := ds.results.Append(ds.entry)
+	ds.entry = binary.AppendUvarint(append(binary.AppendUvarint(ds.entry[:0], uint64(task)), typ), first)
+	_, err := ds.results.Append(append(ds.entry, body...))
 	return err
 }
 
-// syncResults makes every appended result durable before it is
-// acknowledged, whatever the sync policy says.
-func (ds *durableState) syncResults() error {
-	if ds == nil {
-		return nil
-	}
-	return ds.results.Sync()
+// appendMark persists task's mark m, after the results it covers.
+func (ds *durableState) appendMark(task int, m taskMark) error {
+	return ds.appendResults(task, wire.TypeCredit, m.next, binary.AppendUvarint(nil, m.results))
 }
 
-// seedResults replays the results log into recv, each task's results —
-// the restart path's have counters, and its pairs when collect is set (a
-// run that does not collect logs Count payloads; RunFT has checked that
-// the launch's Hello agrees). Returns how many results were recovered.
+// seedResults replays the results log into recv, each task's results and
+// last mark — the restart path's have counters and marks, and its pairs
+// when collect is set (a run that does not collect logs Count payloads;
+// RunFT has checked that the launch's Hello agrees). Returns how many
+// results were recovered.
 func (ds *durableState) seedResults(recv []received, collect bool) (uint64, error) {
 	var (
 		n     uint64
@@ -191,18 +191,28 @@ func (ds *durableState) seedResults(recv []received, collect bool) (uint64, erro
 	)
 	err := wal.Replay(filepath.Join(ds.cfg.StateDir, resultsLogDir), func(entry []byte) error {
 		task, k := binary.Uvarint(entry)
-		if k <= 0 {
-			return fmt.Errorf("remote: results log entry: truncated task")
+		if k <= 0 || k == len(entry) || task >= uint64(len(recv)) {
+			return fmt.Errorf("remote: results log entry: no task of the run")
 		}
-		first, m, rs, err := decodeNumbered(collect, entry[k:], batch[:0])
+		got := &recv[task]
+		if typ := entry[k]; typ == wire.TypeCredit {
+			next, results, err := wire.DecodeCount(entry[k+1:])
+			if err != nil || next < got.mark.next || results > got.results {
+				return fmt.Errorf("remote: results log mark of task %d does not follow the log before it", task)
+			}
+			got.mark = taskMark{next: next, results: results}
+			return nil
+		} else if typ != wire.TypeResult && typ != wire.TypeCount {
+			return fmt.Errorf("remote: results log entry of frame type %d", typ)
+		}
+		first, m, rs, err := decodeNumbered(collect, entry[k+1:], batch[:0])
 		batch = rs
 		if err != nil {
 			return fmt.Errorf("remote: results log entry: %w", err)
 		}
-		if task >= uint64(len(recv)) || first != recv[task].results {
+		if first != got.results {
 			return fmt.Errorf("remote: results log entry of task %d numbered from %d does not follow the log before it", task, first)
 		}
-		got := &recv[task]
 		got.results += m
 		n += m
 		if collect {

@@ -2,61 +2,55 @@
 // loop (ftRunner.attempt), which survives worker crashes, hangs and flaky
 // transports. Each worker gets a manager goroutine owning its connection
 // lifecycle: heartbeat-based failure detection, bounded reconnection with
-// exponential backoff, and resume from the worker's checkpoint cursor. A
-// worker that exhausts the retry budget (none for the three that take
-// connections) is declared dead, and the run fails.
+// exponential backoff, and recovery by window replay. A worker that
+// exhausts the retry budget (none for the three that take connections) is
+// declared dead, and the run fails.
 //
-// Exactness: a resumed worker restores its window from the checkpoint, and
-// the coordinator re-routes the caller's records from the worker's cursor
-// (the plan is fixed for the run, so a task's records are the stream's
-// records its route includes), so the worker's window state is identical
-// to an uninterrupted run, and its duplicate filter drops the re-sent
-// records it already processed. The coordinator keeps no per-record
-// state: the IDs of recs must strictly increase, which is what lets a
-// cursor name a position in them. The checkpoint also holds every
-// result the coordinator had not acknowledged, which the worker re-sends,
-// so a result lost with a broken connection is never lost for good. A
-// worker without a checkpoint (no CheckpointDir, or a bi session) resumes
-// at cursor 0: its window restarts empty and every result is replayed.
+// Recovery keeps nothing on the worker. For each task the coordinator
+// keeps a mark (next, base): every task record with an ID below next has
+// been probed, and the task's results numbered below base are exactly
+// those probes' results. A worker's Credit frame names the ID after the
+// last record it probed, written after that record's results on the same
+// ordered connection, so when the coordinator reads it the mark becomes
+// (that ID, base + the results the connection has delivered). A Credit
+// written while the worker is still loading names no probe and leaves the
+// mark alone: a mark never moves backwards. A reconnect
 //
-// Result dedup is one counter per task, because a task's results are one
-// fixed sequence however often its worker is interrupted:
+//   - sends, flagged load, the task's stored records below next that are
+//     live at the stream's first record from next on. A task's join state
+//     before a record is a function of the records routed to it and stored
+//     there that are live at that record, and the window policies are
+//     monotone in ID and time (which is why IDs must strictly increase and
+//     times must not decrease), so the worker, loading them without
+//     probing, meets each later record with the uninterrupted run's window;
+//   - then sends the task's records from next on, to probe;
+//   - and reads the connection's result numbers, which start at 0, as
+//     offsets from base.
+//
+// Result dedup is one counter per task (have, the results collected),
+// because a task's results are one fixed sequence however often its
+// worker is interrupted:
 //
 //   - A pair (A, B), a bi session's too, is emitted while probing
 //     B = max(A, B).
-//   - Restores are exact, so the task's records fix the pairs of every
-//     probe, hence each probe's pair count and its frames. A probe is one
-//     Result frame or, past the frame cap, its pairs sorted by partner and
-//     cut at the cap (wire.Writer.WriteResults), whatever order the index
-//     found them in.
-//   - The worker numbers its pairs 0, 1, 2, … per session ID and task, in
-//     emission order and across connections; a frame carries the number of
-//     its first pair.
-//   - The coordinator acknowledges whole frames, so the worker's acked count
-//     always falls on a frame boundary, and its unacked tail, re-sent and
-//     checkpointed one probe's pairs to a frame (wire.Writer.WriteProbes),
-//     splits into the frames first sent.
+//   - A probe meets the uninterrupted run's window, so the task's records
+//     fix the pairs of every probe, hence each probe's pair count and its
+//     frames: a probe is one Result (or Count) frame or, past the frame
+//     cap, its pairs sorted by partner and cut at the cap
+//     (wire.Writer.WriteResults), whatever order the index found them in.
+//   - base and have both sum whole probes' frames, so have falls on a frame
+//     boundary of the re-probed sequence.
 //
-// So a connection's first frame is numbered at the worker's acked count,
-// and sets the connection's expected counter, which every later frame must
-// match; a frame wholly below it is a duplicate the transport injected and
-// is dropped. The task's have counter counts the pairs collected: an
-// in-order frame below it is a replay, acknowledged but not collected, and
-// one that starts at it is new. A frame that skips past expected, or that
-// straddles or skips past have, breaks the argument above and fails the
-// attempt.
-//
-// A run that does not collect pairs asks for counts (Hello.CountOnly): a
-// Count frame per probe stands for its Result frames in the same numbering,
-// and the argument holds but for one step. A count-only checkpoint keeps
-// only the next result number, which a restored worker re-sends as one
-// Count from 0, so frame boundaries do not survive: a Count that straddles
-// have replays its part below have and adds the rest. Skipping past
-// expected or have still fails the attempt.
+// So a connection's frames must be numbered 0, 1, 2, … without a gap, and
+// a frame wholly below the connection's next number is a duplicate the
+// transport injected and is dropped. An in-order frame wholly below have
+// is a replay, not collected, and one that starts at have is new. A frame
+// that straddles have breaks the argument above and fails the attempt.
 package remote
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"path/filepath"
@@ -71,6 +65,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/record"
+	"repro/internal/window"
 	"repro/internal/wire"
 )
 
@@ -91,11 +86,8 @@ type FT struct {
 	// considered hung and severed (progress on either direction counts as
 	// life). Zero defaults to five heartbeat intervals.
 	HeartbeatTimeout time.Duration
-	// SessionID keys worker-side checkpoints. Reconnects within the run
-	// resume from them; a task's first hello asks to resume only under
-	// Durable.Resume, so a fresh run never restores a checkpoint an earlier
-	// run left under the same ID. Runs sharing the workers at the same time
-	// need distinct IDs.
+	// SessionID names the run in every Hello, for the workers' journals,
+	// and in a durable run's manifest.
 	SessionID uint64
 	// Registry, when set, publishes the run's fault counts as the coord_*
 	// series. A later run registered on it rebinds them, so the registry
@@ -114,6 +106,7 @@ type ftRunner struct {
 	// is the routing strategy built from it.
 	hello   wire.Hello
 	strat   dispatch.Strategy
+	win     window.Policy
 	ft      FT
 	dial    Dialer
 	journal *obs.Journal
@@ -132,10 +125,10 @@ type ftRunner struct {
 	// snaps, when the caller asked for them, each worker's, after Stats.
 	seed, snaps [][]byte
 	notify      []chan struct{} // per-worker wakeups, capacity 1
-	// recv holds each task's results: its have counter and, when
-	// collecting, its pairs; stats holds its worker's final Stats. Only the
-	// task's manager and the reader of its current attempt touch them, and
-	// an attempt waits for its reader before it returns.
+	// recv holds each task's results: its have counter, its mark and,
+	// when collecting, its pairs; stats holds its worker's final Stats.
+	// Only the task's manager and the reader of its current attempt touch
+	// them, and an attempt waits for its reader before it returns.
 	recv  []received
 	stats []wire.Stats
 
@@ -149,8 +142,9 @@ type ftRunner struct {
 	bytes  atomic.Uint64
 
 	// The run's fault counts: failed connection attempts, reconnections,
-	// records re-sent, result pairs received again, workers declared dead,
-	// and the time from a worker's first failure to its reconnection.
+	// records sent again (loaded or re-probed), result pairs received
+	// again, workers declared dead, and the time from a worker's first
+	// failure to its reconnection.
 	retries, reconnects, replayed, dupResults, dead atomic.Uint64
 	recovery                                        metrics.SyncLatency
 }
@@ -165,7 +159,7 @@ func (f *ftRunner) publish(reg *obs.Registry) {
 	counter("coord_reconnects_total",
 		"Successful worker reconnections after a transport failure.", &f.reconnects)
 	counter("coord_replayed_records_total",
-		"Records re-sent to workers during recovery.", &f.replayed)
+		"Records sent again to workers during recovery, loaded or re-probed.", &f.replayed)
 	counter("coord_duplicate_results_total",
 		"Result pairs received again and not collected: replays and transport duplicates.", &f.dupResults)
 	reg.GaugeFunc("coord_dead_workers",
@@ -192,9 +186,9 @@ func (f *ftRunner) abort(err error) {
 
 // RunFT executes a join session with fault tolerance: dial is invoked per
 // connection attempt, failures are retried under ft.Retry, hung
-// connections are severed by the heartbeat watchdog, and reconnected
-// workers resume from their checkpoint cursor. Bi sessions and snapshot
-// options are not supported.
+// connections are severed by the heartbeat watchdog, and a reconnected
+// worker gets its window replayed and resumes at its task's mark. Bi
+// sessions and snapshot options are not supported.
 func RunFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*record.Record, opts Opts, ft FT) (*RunSummary, error) {
 	if sess.Bi {
 		return nil, fmt.Errorf("remote: RunFT does not support bi sessions")
@@ -218,6 +212,9 @@ func runFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		if recs[i].ID <= recs[i-1].ID {
 			return nil, fmt.Errorf("remote: record %d has id %d after id %d; remote runs need strictly increasing ids", i, recs[i].ID, recs[i-1].ID)
 		}
+		if recs[i].Time < recs[i-1].Time {
+			return nil, fmt.Errorf("remote: record %d has time %d after time %d; remote runs need non-decreasing times", i, recs[i].Time, recs[i-1].Time)
+		}
 	}
 	hello, strat, err := sess.Plan(workers)
 	if err != nil {
@@ -238,6 +235,7 @@ func runFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		k:       workers,
 		hello:   hello,
 		strat:   strat,
+		win:     sess.Window,
 		ft:      ft,
 		dial:    dial,
 		journal: opts.Journal,
@@ -261,8 +259,11 @@ func runFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		f.publish(ft.Registry)
 	}
 
-	resume := ft.Durable != nil && ft.Durable.Resume
+	if f.win == nil {
+		f.win = window.Unbounded{}
+	}
 	if ft.Durable != nil {
+		resume := ft.Durable.Resume
 		if ft.SessionID == 0 {
 			return nil, fmt.Errorf("remote: durable runs need a non-zero session id")
 		}
@@ -301,7 +302,7 @@ func runFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		f.wg.Add(1)
 		go func(task int) {
 			defer f.wg.Done()
-			f.manage(rctx, task, resume)
+			f.manage(rctx, task)
 		}(i)
 	}
 
@@ -355,17 +356,15 @@ func (f *ftRunner) saveManifest() error {
 // manage owns worker task for the whole run: it connects, streams, and on
 // failure retries under the policy until the worker finishes or is
 // declared dead. The consecutive-failure count resets on every successful
-// handshake. The task's first hello asks to resume only when resume is
-// set; every hello after a successful handshake asks. high is how far into
-// recs the task's records have been sent, so that a record below it that
-// goes out again counts as replayed.
-func (f *ftRunner) manage(ctx context.Context, task int, resume bool) {
+// handshake. high is how far into recs the task's records have been sent,
+// so that a record below it that goes out again counts as replayed.
+func (f *ftRunner) manage(ctx context.Context, task int) {
 	failures, high := 0, 0
 	var failSince time.Time
 	for {
-		handshook, err := f.attempt(ctx, task, resume, failSince, &high)
+		handshook, err := f.attempt(ctx, task, failSince, &high)
 		if handshook {
-			failures, failSince, resume = 0, time.Time{}, true
+			failures, failSince = 0, time.Time{}
 		}
 		if err == nil || ctx.Err() != nil {
 			return
@@ -387,13 +386,14 @@ func (f *ftRunner) manage(ctx context.Context, task int, resume bool) {
 	}
 }
 
-// attempt runs one connection's full lifecycle: dial, FT handshake with
-// resume ack, the seed snapshot if any, the task's records from the
-// worker's cursor, EOF (or a SnapshotReq), stats (and the snapshot).
+// attempt runs one connection's full lifecycle: dial, FT handshake, the
+// seed snapshot if any, the task's window replay from its mark, its records
+// from the mark on, EOF (or a SnapshotReq), stats (and the snapshot).
 // handshook reports whether the handshake completed (resetting the
-// manager's failure budget) regardless of how the attempt ended. A zero failSince marks the task's first
-// connection or one after a finished attempt; any other is a reconnect.
-func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince time.Time, high *int) (handshook bool, err error) {
+// manager's failure budget) regardless of how the attempt ended. A zero
+// failSince marks the task's first connection or one after a finished
+// attempt; any other is a reconnect.
+func (f *ftRunner) attempt(ctx context.Context, task int, failSince time.Time, high *int) (handshook bool, err error) {
 	conn, err := f.dial(ctx, task)
 	if err != nil {
 		return false, fmt.Errorf("remote: dialing worker %d: %w", task, err)
@@ -412,7 +412,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 	w := wire.NewWriter(cw)
 
 	h := f.hello
-	h.Task, h.Resume = task, resume
+	h.Task = task
 	if err := w.WriteHello(h); err != nil {
 		conn.Close()
 		return false, fmt.Errorf("remote: hello to worker %d: %w", task, err)
@@ -426,12 +426,15 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 	// and the write loop. Credits are per-connection by design:
 	// every handshake resets them, so nothing here survives the attempt.
 	var (
-		recCredit   atomic.Int64  // records the worker will currently accept
-		resReceived atomic.Uint64 // results received in order on this connection
-		pings       atomic.Int64  // pings sent and not yet answered
+		recCredit atomic.Int64 // records the worker will currently accept
+		pings     atomic.Int64 // pings sent and not yet answered
 	)
 
-	ackCh := make(chan uint64, 1) // the worker's resume cursor
+	// got is the task's results; mark is where this connection starts, read
+	// before the reader that moves the task's mark on.
+	got := &f.recv[task]
+	mark := got.mark
+	ackCh := make(chan struct{}, 1)
 	statsCh := make(chan wire.Stats, 1)
 	readErrCh := make(chan error, 1)
 	var aw sync.WaitGroup
@@ -441,14 +444,11 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 		rd := wire.NewReader(&stampingReader{r: conn, stamp: &lastIn, base: f.start})
 		ackSeen := false
 		// expected is the number of the result this connection delivers
-		// next, set by its first Result frame (started); got is the task's
-		// results, whose count is its have counter.
+		// next, on the connection's own count from 0.
 		var (
 			batch    []wire.Result
 			count    []byte
 			expected uint64
-			started  bool
-			got      = &f.recv[task]
 		)
 		for {
 			typ, rerr := rd.Next()
@@ -462,55 +462,56 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 					readErrCh <- fmt.Errorf("remote: worker %d sent frame type %d twice", task, typ)
 					return
 				}
-				next, credit, rerr := rd.ReadResumeAck()
+				credit, rerr := rd.ReadResumeAck()
 				if rerr != nil {
 					readErrCh <- rerr
 					return
 				}
 				ackSeen = true
 				recCredit.Store(int64(credit))
-				ackCh <- next
+				ackCh <- struct{}{}
 			case wire.TypeResult, wire.TypeCount:
 				if typ == wire.TypeCount && f.collect {
 					readErrCh <- fmt.Errorf("remote: worker %d sent a count frame in a session that collects pairs", task)
 					return
 				}
-				first, n, rs, rerr := decodeNumbered(typ == wire.TypeResult, rd.Payload(), batch[:0])
+				payload := rd.Payload()
+				first, n, rs, rerr := decodeNumbered(typ == wire.TypeResult, payload, batch[:0])
 				if rerr != nil {
 					readErrCh <- rerr
 					return
 				}
 				batch = rs
+				at := mark.results + first // the task's number of the frame's first result
 				switch {
-				case started && first+n <= expected:
+				case first+n <= expected:
 					// A duplicate of a frame this connection delivered.
 					f.dupResults.Add(n)
 					continue
-				case started && first != expected:
+				case first != expected:
 					rerr = fmt.Errorf("remote: worker %d sent results numbered from %d, want %d", task, first, expected)
-				case first+n <= got.results:
-					// A replay of collected results: acknowledged, not kept.
+				case at+n <= got.results:
+					// A replay of collected results.
 					f.dupResults.Add(n)
-				case first > got.results || typ == wire.TypeResult && first != got.results:
-					rerr = fmt.Errorf("remote: worker %d sent results %d to %d, %d collected", task, first, first+n, got.results)
+				case at != got.results:
+					rerr = fmt.Errorf("remote: worker %d sent results %d to %d, %d collected", task, at, at+n, got.results)
 				default:
-					if first < got.results { // a straddling Count replays its part below have
-						f.dupResults.Add(got.results - first)
-					}
-					payload := rd.Payload()
-					// A run that counts logs the count each frame adds.
+					// The log holds each frame numbered on the task's count:
+					// a run that counts logs a Count payload.
+					_, k := binary.Uvarint(payload)
+					body := payload[k:]
 					if !f.collect {
-						count = wire.AppendCount(count[:0], got.results, first+n-got.results)
-						payload = count
+						typ, body = wire.TypeCount, binary.AppendUvarint(count[:0], n)
+						count = body
 					}
-					if aerr := f.durable.appendResults(task, payload); aerr != nil {
+					if aerr := f.durable.appendResults(task, typ, at, body); aerr != nil {
 						// Fatal, not retried: a torn append may leave the log
 						// unfit for the next one.
 						rerr = fmt.Errorf("remote: results log append: %w", aerr)
 						f.abort(rerr)
 						break
 					}
-					got.results = first + n
+					got.results = at + n
 					if f.collect {
 						for _, res := range rs {
 							got.pairs = append(got.pairs, record.Pair{First: res.A, Second: res.B, Sim: res.Sim})
@@ -521,16 +522,23 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 					readErrCh <- rerr
 					return
 				}
-				// In order, a new frame (collected and, in a durable run,
-				// logged) or a replay is acknowledgeable.
-				started, expected = true, first+n
-				resReceived.Add(n)
-				f.kick(task)
+				expected = first + n
 			case wire.TypeCredit:
-				n, rerr := rd.ReadCredit()
+				n, next, rerr := rd.ReadCredit()
 				if rerr != nil {
 					readErrCh <- fmt.Errorf("remote: worker %d sent frame type %d: %w", task, typ, rerr)
 					return
+				}
+				if next > got.mark.next {
+					// The results before this frame are its probes' results:
+					// the mark moves on, and a durable run logs it after them.
+					got.mark = taskMark{next: next, results: mark.results + expected}
+					if aerr := f.durable.appendMark(task, got.mark); aerr != nil {
+						rerr = fmt.Errorf("remote: results log append: %w", aerr)
+						f.abort(rerr)
+						readErrCh <- rerr
+						return
+					}
 				}
 				recCredit.Add(int64(n))
 				f.kick(task)
@@ -561,7 +569,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 	// past the timeout, or on cancellation. Closing the conn unblocks any
 	// blocked read or write above and below.
 	hbStop := make(chan struct{})
-	var eofDrained atomic.Bool
+	var eofSent atomic.Bool
 	aw.Add(1)
 	go func() {
 		defer aw.Done()
@@ -575,7 +583,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 				conn.Close()
 				return
 			case <-t.C:
-				if eofDrained.Load() {
+				if eofSent.Load() {
 					// Post-EOF the worker stops answering pings while it
 					// drains and computes stats; only cancellation or a
 					// transport error ends the wait from here.
@@ -592,122 +600,101 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 			}
 		}
 	}()
+	// A failed write returns at once: the results still in flight are the
+	// next connection's to replay, so none is waited for.
 	defer func() {
 		close(hbStop)
 		conn.Close()
 		aw.Wait()
 	}()
 
-	var next uint64
 	select {
-	case next = <-ackCh:
+	case <-ackCh:
 	case rerr := <-readErrCh:
 		return false, rerr
 	case <-ctx.Done():
 		return false, fmt.Errorf("remote: %w", ctx.Err())
 	}
 
-	// Handshake complete: resume at the first record the worker lacks.
+	// Handshake complete. The task's records from p on are probed; those
+	// from pos to p that it stored are loaded, pos being the first record
+	// live at recs[p]. With nothing left to probe, nothing is loaded.
 	recs := f.recs
-	pos := sort.Search(len(recs), func(i int) bool { return uint64(recs[i].ID) >= next })
+	p := sort.Search(len(recs), func(i int) bool { return uint64(recs[i].ID) >= mark.next })
+	pos := p
+	if p > 0 && p < len(recs) {
+		at := recs[p]
+		pos = sort.Search(p, func(i int) bool { return f.win.Live(recs[i].ID, recs[i].Time, at.ID, at.Time) })
+		f.journal.Append("replay", "coordinator",
+			fmt.Sprintf("worker %d: loading the window from record %d, probing from record %d, results from %d", task, pos, p, mark.results))
+	}
 	if !failSince.IsZero() {
 		f.reconnects.Add(1)
 		f.recovery.Observe(time.Since(failSince))
 		f.journal.Append("reconnect", "coordinator",
-			fmt.Sprintf("worker %d reconnected, resuming from id %d", task, next))
-	}
-
-	// drainReader parks until the reader goroutine is done after a write
-	// failure: the worker may still be flushing results it has already
-	// checkpointed as delivered, and abandoning them would break replay
-	// exactness. The wait is bounded — the watchdog severs a silent
-	// connection, which errors the reader out.
-	drainReader := func() {
-		eofDrained.Store(false) // rearm the watchdog to bound the wait
-		select {
-		case <-readErrCh:
-		case <-statsCh:
-		case <-ctx.Done():
-		}
+			fmt.Sprintf("worker %d reconnected, resuming at id %d", task, mark.next))
 	}
 
 	if task < len(f.seed) && len(f.seed[task]) > 0 {
 		if werr := w.WriteSnapshot(f.seed[task]); werr != nil {
-			drainReader()
 			return true, fmt.Errorf("remote: seeding worker %d: %w", task, werr)
 		}
 	}
 
 	ping := time.NewTicker(f.ft.HeartbeatInterval)
 	defer ping.Stop()
-	eofSent := false
-	var acked uint64 // results acknowledged on this connection
 	dsts := make([]int, 0, f.k)
 	for {
-		// Result acknowledgements flow before anything else — and crucially
-		// regardless of record credit, or a worker withholding credit could
-		// never drain its unacked buffer. A worker drops acknowledged
-		// results from the front of its unacked buffer: sound because a
-		// connection delivers frames in order with only tail loss, so the
-		// results counted here are that front. In a durable run the sync
-		// makes every acknowledged result durable whatever the WAL's
-		// background fsync policy says. None flow after EOF: the worker
-		// answers it with Stats and closes without reading further, so a
-		// late credit would hit a closed connection and fail an attempt
-		// that has in fact finished.
-		if !eofSent {
-			if d := resReceived.Load(); d > acked {
-				if serr := f.durable.syncResults(); serr != nil {
-					drainReader()
-					return true, fmt.Errorf("remote: results log sync: %w", serr)
-				}
-				if werr := w.WriteCredit(d - acked); werr != nil {
-					drainReader()
-					return true, fmt.Errorf("remote: credit to worker %d: %w", task, werr)
-				}
-				acked = d
-			}
-		}
-
 		// Route the ingested records from pos and send the task's, at most
 		// what the worker granted. Out of credit, park below until a Credit
 		// frame replenishes.
 		if end, avail := int(f.ingested.Load()), recCredit.Load(); pos < end && avail > 0 {
-			var sent, resent int64
-			for ; pos < end && sent < avail; pos++ {
+			var (
+				sent, resent int64
+				werr         error
+			)
+			for ; pos < end && sent < avail && werr == nil; pos++ {
 				r := recs[pos]
 				if dsts = f.strat.Route(r, f.k, dsts[:0]); !slices.Contains(dsts, task) {
 					continue
 				}
-				if werr := w.WriteRecordSide(f.strat.Stores(r, task, f.k), f.right != nil && f.right[pos], r); werr != nil {
-					drainReader()
-					return true, fmt.Errorf("remote: record to worker %d: %w", task, werr)
+				store, right := f.strat.Stores(r, task, f.k), f.right != nil && f.right[pos]
+				switch {
+				case pos >= p:
+					werr = w.WriteRecordSide(store, right, r)
+				case store:
+					werr = w.WriteLoad(right, r)
+				default:
+					continue
 				}
 				sent++
 				if pos < *high {
 					resent++
 				}
 			}
-			if werr := w.Flush(); werr != nil {
-				drainReader()
-				return true, fmt.Errorf("remote: flush to worker %d: %w", task, werr)
+			if werr == nil {
+				werr = w.Flush()
 			}
+			// A failed write counts as sent, so that the next connection
+			// counts it as replayed.
 			f.tuples.Add(uint64(sent))
 			f.replayed.Add(uint64(resent))
 			recCredit.Add(-sent)
 			*high = max(*high, pos)
+			if werr != nil {
+				return true, fmt.Errorf("remote: record to worker %d: %w", task, werr)
+			}
 			continue
 		}
 
-		if !eofSent && pos == len(recs) {
+		if pos == len(recs) {
 			// Flush while the watchdog still enforces the deadline, then
 			// relax it: post-EOF stats can legitimately take a while with
 			// nothing on the wire.
 			if werr := w.Flush(); werr != nil {
-				drainReader()
 				return true, fmt.Errorf("remote: flush to worker %d: %w", task, werr)
 			}
-			eofDrained.Store(true)
+			eofSent.Store(true)
 			var werr error
 			if f.snaps != nil {
 				werr = w.WriteSnapshotReq()
@@ -715,13 +702,8 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 				werr = w.WriteEOF()
 			}
 			if werr != nil {
-				drainReader()
 				return true, fmt.Errorf("remote: eof to worker %d: %w", task, werr)
 			}
-			eofSent = true
-		}
-
-		if eofSent {
 			select {
 			case st := <-statsCh:
 				f.stats[task] = st
@@ -740,7 +722,6 @@ func (f *ftRunner) attempt(ctx context.Context, task int, resume bool, failSince
 		case <-ping.C:
 			pings.Add(1)
 			if werr := w.WritePing(); werr != nil {
-				drainReader()
 				return true, fmt.Errorf("remote: ping to worker %d: %w", task, werr)
 			}
 		case <-ctx.Done():

@@ -22,7 +22,7 @@ func discardWorker(conn net.Conn, n uint64) {
 	if _, err := rd.Next(); err != nil { // the Hello
 		return
 	}
-	if w.WriteResumeAck(0, n) != nil || w.Flush() != nil {
+	if w.WriteResumeAck(n) != nil || w.Flush() != nil {
 		return
 	}
 	for {

@@ -32,6 +32,15 @@ func fastFT(sessionID uint64) FT {
 	}
 }
 
+// setRecordWindow lowers the workers' record credit window to n for the
+// rest of the test, so that Credit frames move a task's mark every n/2
+// records. Call it before starting any worker.
+func setRecordWindow(t *testing.T, n uint64) {
+	old := workerRecordWindow
+	workerRecordWindow = n
+	t.Cleanup(func() { workerRecordWindow = old })
+}
+
 // ftWorker is a restartable FT worker over loopback TCP.
 type ftWorker struct {
 	addr string
@@ -40,7 +49,16 @@ type ftWorker struct {
 	done chan struct{}
 }
 
-func startFTWorker(t *testing.T, dir string, interval time.Duration) *ftWorker {
+// loaded sums the sessions of workers that loaded a replayed window.
+func loaded(workers []*ftWorker) uint64 {
+	var n uint64
+	for _, w := range workers {
+		n += w.mon.SessionsResumed.Load()
+	}
+	return n
+}
+
+func startFTWorker(t *testing.T) *ftWorker {
 	t.Helper()
 	checkNoLeaks(t)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -51,18 +69,13 @@ func startFTWorker(t *testing.T, dir string, interval time.Duration) *ftWorker {
 	w := &ftWorker{addr: ln.Addr().String(), mon: &Monitor{}, stop: cancel, done: make(chan struct{})}
 	go func() {
 		defer close(w.done)
-		ServeWorkerOpts(ctx, ln, WorkerOpts{ //nolint:errcheck
-			Logf:               silentLogf,
-			Mon:                w.mon,
-			CheckpointDir:      dir,
-			CheckpointInterval: interval,
-		})
+		ServeWorkerOpts(ctx, ln, WorkerOpts{Logf: silentLogf, Mon: w.mon}) //nolint:errcheck
 	}()
 	t.Cleanup(func() { cancel(); <-w.done })
 	return w
 }
 
-// kill stops the worker and waits for its drain (checkpoint included).
+// kill stops the worker and waits for its sessions to end.
 func (w *ftWorker) kill() {
 	w.stop()
 	<-w.done
@@ -120,7 +133,7 @@ func TestRunFTMatchesSingleNode(t *testing.T) {
 		}
 		workers := make([]*ftWorker, k)
 		for i := range workers {
-			workers[i] = startFTWorker(t, t.TempDir(), time.Millisecond)
+			workers[i] = startFTWorker(t)
 		}
 		var tr connTracker
 		dial := tr.dial(tcpDialer(func(task int) string { return workers[task].addr }))
@@ -252,9 +265,10 @@ func (tr *connTracker) check(t *testing.T, closedOnce bool) {
 }
 
 // TestRunFTReconnectResume severs each worker's first connection
-// mid-stream; the coordinator must reconnect, resume from the worker's
-// checkpoint, and still produce the exact result set.
+// mid-stream; the coordinator must reconnect, replay the worker's window
+// from its mark, and still produce the exact result set.
 func TestRunFTReconnectResume(t *testing.T) {
+	setRecordWindow(t, 16)
 	recs := workload.NewGenerator(workload.UniformSmall(23)).Generate(600)
 	const tau = 0.7
 	want := make(map[record.Pair]bool)
@@ -265,7 +279,7 @@ func TestRunFTReconnectResume(t *testing.T) {
 	sess := testSession(tau, "length", boundsFor(recs, tau, k))
 	workers := make([]*ftWorker, k)
 	for i := range workers {
-		workers[i] = startFTWorker(t, t.TempDir(), time.Millisecond)
+		workers[i] = startFTWorker(t)
 	}
 	var attempts [3]atomic.Int64
 	dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
@@ -289,12 +303,8 @@ func TestRunFTReconnectResume(t *testing.T) {
 	if sum.Reconnects != uint64(k) {
 		t.Errorf("reconnects = %d, want %d (one per worker)", sum.Reconnects, k)
 	}
-	var resumed uint64
-	for _, w := range workers {
-		resumed += w.mon.SessionsResumed.Load()
-	}
-	if resumed == 0 {
-		t.Error("no worker session resumed from a checkpoint")
+	if loaded(workers) == 0 {
+		t.Error("no worker session loaded a replayed window")
 	}
 }
 
@@ -360,19 +370,19 @@ func TestRunFTDeadWorkerWithoutDegradedFails(t *testing.T) {
 	}
 }
 
-// TestRunFTKilledWorkerRejoins is the checkpoint-recovery acceptance
-// test: a worker process is stopped mid-run and a fresh process restarted
-// over the same checkpoint directory must rejoin, resume, and the run
-// finish exactly.
+// TestRunFTKilledWorkerRejoins is the recovery acceptance test: a worker
+// process is stopped mid-run, and a fresh process, which holds nothing of
+// the first, must rejoin, load its window from the coordinator's replay,
+// and the run finish exactly.
 func TestRunFTKilledWorkerRejoins(t *testing.T) {
+	setRecordWindow(t, 64)
 	recs := workload.NewGenerator(workload.UniformSmall(41)).Generate(3000)
 	const tau = 0.75
 	want := make(map[record.Pair]bool)
 	for p := range singleNodePairs(recs, tau, window.Unbounded{}) {
 		want[record.Pair{First: p.First, Second: p.Second}] = true
 	}
-	dir := t.TempDir()
-	first := startFTWorker(t, dir, time.Millisecond)
+	first := startFTWorker(t)
 
 	var addr atomic.Value
 	addr.Store(first.addr)
@@ -408,7 +418,7 @@ func TestRunFTKilledWorkerRejoins(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	first.kill()
-	second := startFTWorker(t, dir, time.Millisecond)
+	second := startFTWorker(t)
 	addr.Store(second.addr)
 
 	res := <-done
@@ -420,10 +430,10 @@ func TestRunFTKilledWorkerRejoins(t *testing.T) {
 		t.Error("no reconnect recorded")
 	}
 	if second.mon.SessionsResumed.Load() == 0 {
-		t.Error("restarted worker did not resume from the checkpoint")
+		t.Error("restarted worker loaded no replayed window")
 	}
 	if res.sum.ReplayedRecords >= uint64(len(recs)) {
-		t.Errorf("replayed %d of %d records — checkpoint did not shorten the replay",
+		t.Errorf("replayed %d of %d records — the mark did not shorten the replay",
 			res.sum.ReplayedRecords, len(recs))
 	}
 }
@@ -439,10 +449,13 @@ func TestRunFTValidation(t *testing.T) {
 	}
 	recs := []*record.Record{}
 	// Adjacent IDs swapped: a worker's replay filter would drop every
-	// record at or below the last ID it saw.
+	// record at or below the last ID it saw. Adjacent times swapped: a
+	// window replay would miss a record live at its mark.
 	swapped := workload.NewGenerator(workload.UniformSmall(17)).Generate(400)
+	backwards := workload.NewGenerator(workload.UniformSmall(17)).Generate(400)
 	for i := 0; i+1 < len(swapped); i += 2 {
 		swapped[i].ID, swapped[i+1].ID = swapped[i+1].ID, swapped[i].ID
+		backwards[i].Time, backwards[i+1].Time = backwards[i+1].Time, backwards[i].Time
 	}
 	cases := []struct {
 		name string
@@ -468,6 +481,10 @@ func TestRunFTValidation(t *testing.T) {
 		}},
 		{"ids not increasing", func() error {
 			_, err := RunFT(context.Background(), dial, 2, testSession(0.7, "broadcast", nil), swapped, Opts{}, FT{})
+			return err
+		}},
+		{"times decreasing", func() error {
+			_, err := RunFT(context.Background(), dial, 2, testSession(0.7, "broadcast", nil), backwards, Opts{}, FT{})
 			return err
 		}},
 	}
@@ -530,7 +547,7 @@ func TestFTSeriesDescribeTheLatestRun(t *testing.T) {
 	const k = 2
 	workers := make([]*ftWorker, k)
 	for i := range workers {
-		workers[i] = startFTWorker(t, t.TempDir(), time.Millisecond)
+		workers[i] = startFTWorker(t)
 	}
 	tcp := tcpDialer(func(task int) string { return workers[task].addr })
 	reg := obs.NewRegistry()

@@ -7,7 +7,7 @@
 //
 // Protocol per connection (one join session; ft.go has the coordinator):
 //
-//	coordinator → worker: Hello, Snapshot?, (Record | Credit | Ping)*, EOF or SnapshotReq
+//	coordinator → worker: Hello, Snapshot?, (Record | Ping)*, EOF or SnapshotReq
 //	worker → coordinator: ResumeAck, (Result | Count | Credit | Pong)*, Stats, Snapshot?
 //
 // The coordinator runs one reader goroutine per worker so result

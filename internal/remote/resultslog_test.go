@@ -17,15 +17,15 @@ func readResults(rd *wire.Reader, dst []wire.Result) ([]wire.Result, error) {
 	return dst, err
 }
 
-// decodeResultEntry decodes one results log entry of a run that collects
-// pairs, in place: its task, and the number of its first result and its
-// pairs, appended to dst.
+// decodeResultEntry decodes one Result entry of the results log of a run
+// that collects pairs, in place: its task, and the number of its first
+// result and its pairs, appended to dst.
 func decodeResultEntry(entry []byte, dst []wire.Result) (task, first uint64, rs []wire.Result, err error) {
 	task, k := binary.Uvarint(entry)
-	if k <= 0 {
-		return 0, 0, dst, errors.New("remote: results log entry: truncated task")
+	if k <= 0 || k == len(entry) || entry[k] != wire.TypeResult {
+		return 0, 0, dst, errors.New("remote: results log entry: truncated task or not a Result")
 	}
-	if first, rs, err = wire.DecodeResults(dst, entry[k:]); err != nil {
+	if first, rs, err = wire.DecodeResults(dst, entry[k+1:]); err != nil {
 		return 0, 0, rs, fmt.Errorf("remote: results log entry: %w", err)
 	}
 	return task, first, rs, nil
@@ -41,24 +41,26 @@ func ReadResultsLog(stateDir string) ([]wire.Result, error) {
 // readResultsLog replays a durable state directory's results log as its
 // manifest's Hello wrote it: the pairs of its Result entries, or none
 // when the Hello is CountOnly and its entries are Count payloads, and how
-// many results the entries number either way.
+// many results the entries number either way. Mark entries hold none.
 func readResultsLog(stateDir string) (rs []wire.Result, n uint64, err error) {
 	m, err := checkpoint.LoadManifest(filepath.Join(stateDir, checkpoint.ManifestPath))
 	if err != nil {
 		return nil, 0, err
 	}
 	err = wal.Replay(filepath.Join(stateDir, resultsLogDir), func(entry []byte) error {
-		if !m.Hello.CountOnly {
+		_, k := binary.Uvarint(entry)
+		switch {
+		case k <= 0 || k == len(entry):
+			return errors.New("remote: results log entry: truncated task")
+		case entry[k] == wire.TypeCredit:
+			return nil
+		case !m.Hello.CountOnly:
 			var err error
 			_, _, rs, err = decodeResultEntry(entry, rs)
 			n = uint64(len(rs))
 			return err
 		}
-		_, k := binary.Uvarint(entry)
-		if k <= 0 {
-			return errors.New("remote: results log entry: truncated task")
-		}
-		_, c, err := wire.DecodeCount(entry[k:])
+		_, c, err := wire.DecodeCount(entry[k+1:])
 		n += c
 		return err
 	})

@@ -26,11 +26,17 @@ func FuzzReaderNeverPanics(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{TypeRecord, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Add([]byte{})
-	// Flow-control frames: a two-field ack, a cursor-only ack (must fail to
-	// decode) and a credit grant.
-	f.Add([]byte{TypeResumeAck, 3, 0x80, 0x01, 0x10})
-	f.Add([]byte{TypeResumeAck, 1, 0x2A})
+	// Flow-control frames: an ack, an empty ack (must fail to decode), a
+	// credit grant with its mark, one marking no probe, and one without a
+	// mark (must fail to decode).
+	f.Add([]byte{TypeResumeAck, 2, 0x80, 0x20})
+	f.Add([]byte{TypeResumeAck, 0})
+	f.Add([]byte{TypeCredit, 3, 0x80, 0x10, 0x2A})
+	f.Add([]byte{TypeCredit, 2, 0x80, 0x10, 0})
 	f.Add([]byte{TypeCredit, 2, 0x80, 0x20})
+	// Load records of either side.
+	f.Add([]byte{TypeRecord, 5, 0x05, 7, 2, 1, 4})
+	f.Add([]byte{TypeRecord, 5, 0x07, 7, 2, 1, 4})
 	// Result frames: a probe's batch, then every hostile payload as a frame.
 	buf.Reset()
 	_ = w.WriteResults(100, []Result{{A: 99, B: 100, Sim: 0.9}, {A: 40, B: 100, Sim: 0.8}, {A: 100, B: 101, Sim: 1}})
@@ -82,9 +88,9 @@ func FuzzReaderNeverPanics(f *testing.F) {
 			case TypeStats:
 				_, _ = r.ReadStats()
 			case TypeResumeAck:
-				_, _, _ = r.ReadResumeAck()
+				_, _ = r.ReadResumeAck()
 			case TypeCredit:
-				_, _ = r.ReadCredit()
+				_, _, _ = r.ReadCredit()
 			case TypeEOF:
 				return
 			default:

@@ -39,11 +39,12 @@ func TestUntracedEncodingUnchanged(t *testing.T) {
 }
 
 // hostileRecordPayloads are Record payloads no writer produces: a flag
-// bit beyond store and side, and bytes after the last token.
+// bit beyond store, side and load, and bytes after the last token.
 var hostileRecordPayloads = map[string][]byte{
-	// A version 5 traced record: bit 2, then trace id 9 and parent span 1
-	// after the tokens.
+	// A version 5 traced record: bit 2 (the load flag since version 12),
+	// then trace id 9 and parent span 1 after the tokens.
 	"flags 0x04":        {0x04, 7, 2, 1, 4, 9, 2},
+	"flags 0x08":        {0x09, 7, 2, 1, 4},
 	"flags 0x80":        {0x81, 7, 2, 1, 4},
 	"one trailing byte": {0x01, 7, 2, 1, 4, 0},
 }

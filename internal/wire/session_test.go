@@ -75,7 +75,7 @@ func TestSessionSplitsAProbeOverFrames(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		served := make(chan error, 1)
-		opts := remote.WorkerOpts{Logf: func(string, ...interface{}) {}, CheckpointDir: t.TempDir()}
+		opts := remote.WorkerOpts{Logf: func(string, ...interface{}) {}}
 		go func() { served <- remote.ServeWorkerOpts(ctx, ln, opts) }()
 		defer func() {
 			cancel()
@@ -103,16 +103,20 @@ func TestSessionSplitsAProbeOverFrames(t *testing.T) {
 }
 
 // readResultsLog replays the pairs of a durable state directory's results
-// log, whose entries are a task and a Result payload each.
+// log, whose entries are a task, a frame type and its payload each: a
+// Result payload, or a recovery mark, which holds no pairs.
 func readResultsLog(stateDir string) ([]wire.Result, error) {
 	var out []wire.Result
 	err := wal.Replay(filepath.Join(stateDir, "results"), func(entry []byte) error {
 		_, k := binary.Uvarint(entry)
-		if k <= 0 {
+		if k <= 0 || k == len(entry) {
 			return errors.New("truncated task")
 		}
+		if entry[k] == wire.TypeCredit {
+			return nil
+		}
 		var err error
-		_, out, err = wire.DecodeResults(out, entry[k:])
+		_, out, err = wire.DecodeResults(out, entry[k+1:])
 		return err
 	})
 	return out, err

@@ -13,7 +13,8 @@
 // therefore run one reader and one writer goroutine with no locking.
 // Fault-tolerant sessions (Hello flag FT) add control frames outside the
 // data path: Ping/Pong liveness probes, the ResumeAck answer to the Hello,
-// and the Credit flow-control frame.
+// and the worker's Credit frames, which return record credit and name the
+// last record it probed.
 package wire
 
 import (
@@ -38,7 +39,9 @@ const (
 	// TypeHello opens a session, coordinator→worker; the worker reads it
 	// before its dispatch loop starts.
 	TypeHello byte = iota + 1
-	// TypeRecord carries one record to the worker.
+	// TypeRecord carries one record to the worker: a routed copy to probe
+	// (and maybe store), or, flagged load, a stored record the worker loads
+	// without probing to rebuild its window after a reconnect.
 	TypeRecord
 	// TypeResult carries one probe's result pairs to the coordinator.
 	TypeResult
@@ -61,24 +64,20 @@ const (
 	// TypePong is the worker's payload-free answer to TypePing, likewise
 	// flushed immediately.
 	TypePong
-	// TypeResumeAck answers an FT Hello, worker→coordinator: the worker
-	// reports the stream cursor it restored from its checkpoint so the
-	// coordinator can replay only the tail, and grants its initial record
-	// credit. Payload is two uvarints — the next record ID the worker
-	// expects (0 = nothing restored, replay all) and the credit window.
+	// TypeResumeAck answers an FT Hello, worker→coordinator, and grants the
+	// initial record credit: its payload is one uvarint, the credit window.
 	TypeResumeAck
 	// Values 11 and 12 were the Pause and Resume frames of protocol
 	// version 6, retired in version 7: record credit is the only flow
 	// control, and a peer that sends either fails the session.
 	_
 	_
-	// TypeCredit grants flow-control credit, and both roles consume it;
-	// payload is one uvarint delta. Worker→coordinator it means "I
-	// processed n more records; send n more". Coordinator→worker it
-	// acknowledges n more results as received (and, in a durable run,
-	// persisted to the results log), letting the worker drop them from its
-	// unacknowledged-result buffer. Credits are per-connection and reset at
-	// each handshake.
+	// TypeCredit grants record credit, worker→coordinator: "I processed n
+	// more records; send n more". Its payload is two uvarints, n and the
+	// ID after the last record the worker probed on this connection (0
+	// when it has probed none, only loaded), written after that probe's
+	// results: the coordinator's recovery mark. Credits are per-connection
+	// and reset at each handshake.
 	TypeCredit
 	// TypeCount stands for one probe's Result frames in a CountOnly session,
 	// worker→coordinator: the number of its first result and their count.
@@ -99,8 +98,15 @@ const (
 // first pair in the session's result sequence), and a Hello without a
 // plan-hash field (version 10: Hello.PlanHash derives it from the Hello's
 // own bytes, and a decoder refuses a byte after the session ID), and
-// counted results (version 11: Hello.CountOnly and the Count frame).
-const Version = 11
+// counted results (version 11: Hello.CountOnly and the Count frame), and
+// recovery by window replay (version 12: a worker keeps no checkpoint, so
+// the Hello's Resume flag and the ResumeAck's cursor are gone; the
+// coordinator rebuilds a reconnected worker's window from its own records
+// with load-flagged Record frames; result acknowledgements, the
+// coordinator→worker Credit, are gone with the worker's unacked buffer;
+// and a Credit names the worker's last probed record, which marks where
+// a reconnect resumes).
+const Version = 12
 
 // MaxFrame bounds a frame payload; larger frames indicate corruption.
 const MaxFrame = 1 << 24
@@ -132,13 +138,10 @@ type Hello struct {
 	Bi bool
 	// FT marks a fault-tolerant session: the coordinator may ping, record
 	// IDs are strictly increasing per connection (so the worker can drop
-	// duplicates), and the worker checkpoints its window for recovery.
+	// duplicates), and the worker grants record credit and reports the
+	// last record it probed.
 	FT bool
-	// Resume asks the worker to restore the checkpoint saved under
-	// SessionID/Task before answering with a ResumeAck frame.
-	Resume bool
-	// SessionID names the run across reconnects; FT checkpoints are keyed
-	// by it. Zero for non-FT sessions.
+	// SessionID names the run across reconnects in the worker's journal.
 	SessionID uint64
 	// CountOnly asks the worker for one Count frame per probe with matches
 	// in place of its Result frames; the zero value sends pairs.
@@ -146,11 +149,11 @@ type Hello struct {
 }
 
 // PlanHash fingerprints the join h configures: FNV-1a over the bytes
-// WriteHello encodes with the per-connection fields (Task, FT, Resume,
-// SessionID) cleared, so every other field on the wire is in it. A worker
-// refuses to resume a checkpoint saved under another plan hash.
+// WriteHello encodes with the per-connection fields (Task, FT, SessionID)
+// cleared, so every other field on the wire is in it. A durable run refuses
+// to resume a state directory written under another plan hash.
 func (h Hello) PlanHash() uint64 {
-	h.Task, h.FT, h.Resume, h.SessionID = 0, false, false, 0
+	h.Task, h.FT, h.SessionID = 0, false, 0
 	var w Writer
 	w.putHello(h)
 	f := fnv.New64a()
@@ -158,21 +161,24 @@ func (h Hello) PlanHash() uint64 {
 	return f.Sum64()
 }
 
-// The Hello flag bits; a decoder refuses any other. Bit 4 (16) was the
-// Durable flag of protocol version 7 and is CountOnly since version 11.
+// The Hello flag bits; a decoder refuses any other. Bit 3 (8) was the
+// Resume flag until protocol version 12. Bit 4 (16) was the Durable flag
+// of protocol version 7 and is CountOnly since version 11.
 const (
 	helloOneByOne byte = 1 << iota
 	helloBi
 	helloFT
-	helloResume
+	_
 	helloCountOnly
 )
 
 // Record is a routed record copy with its storage role and, for
-// two-stream sessions, its side.
+// two-stream sessions, its side. Load marks a stored record the worker
+// loads into its window without probing it.
 type Record struct {
 	Store bool
 	Right bool
+	Load  bool
 	Rec   *record.Record
 }
 
@@ -180,6 +186,7 @@ type Record struct {
 const (
 	recordStore byte = 1 << iota
 	recordRight
+	recordLoad
 )
 
 // Result is one verified pair. A Result frame carries the pairs of one
@@ -276,9 +283,6 @@ func (w *Writer) putHello(h Hello) {
 	if h.FT {
 		flags |= helloFT
 	}
-	if h.Resume {
-		flags |= helloResume
-	}
 	if h.CountOnly {
 		flags |= helloCountOnly
 	}
@@ -294,13 +298,27 @@ func (w *Writer) WriteRecord(store bool, r *record.Record) error {
 
 // WriteRecordSide is WriteRecord with the two-stream side flag.
 func (w *Writer) WriteRecordSide(store, right bool, r *record.Record) error {
+	return w.writeRecord(Record{Store: store, Right: right, Rec: r})
+}
+
+// WriteLoad sends a stored record for the worker to load without probing,
+// with its side in a two-stream session.
+func (w *Writer) WriteLoad(right bool, r *record.Record) error {
+	return w.writeRecord(Record{Store: true, Right: right, Load: true, Rec: r})
+}
+
+func (w *Writer) writeRecord(rt Record) error {
 	var flags byte
-	if store {
+	if rt.Store {
 		flags |= recordStore
 	}
-	if right {
+	if rt.Right {
 		flags |= recordRight
 	}
+	if rt.Load {
+		flags |= recordLoad
+	}
+	r := rt.Rec
 	w.buf = append(w.buf, flags)
 	w.putUvarint(uint64(r.ID))
 	w.putVarint(r.Time)
@@ -349,23 +367,6 @@ func (w *Writer) WriteResults(probe record.ID, rs []Result) error {
 			return nil
 		}
 	}
-}
-
-// WriteProbes sends rs, the pairs of successive probes of a self-join, as
-// WriteResults sends each probe's: a probe's pairs are a run of pairs with
-// the same B, since a pair is found while probing its later record.
-func (w *Writer) WriteProbes(rs []Result) error {
-	for len(rs) > 0 {
-		n := 1
-		for n < len(rs) && rs[n].B == rs[0].B {
-			n++
-		}
-		if err := w.WriteResults(rs[0].B, rs[:n]); err != nil {
-			return err
-		}
-		rs = rs[n:]
-	}
-	return nil
 }
 
 // WriteCount sends a Count frame of n results, numbered as Result frames
@@ -519,12 +520,10 @@ func (w *Writer) WritePong() error {
 	return w.Flush()
 }
 
-// WriteResumeAck answers an FT Hello: nextID is the first record ID the
-// worker has NOT yet seen (0 when no checkpoint was restored) and credit
-// the initial record-credit window. Flushed so the coordinator can start
-// its replay without waiting for buffer pressure.
-func (w *Writer) WriteResumeAck(nextID, credit uint64) error {
-	w.putUvarint(nextID)
+// WriteResumeAck answers an FT Hello with the initial record-credit
+// window. Flushed so the coordinator can start without waiting for buffer
+// pressure.
+func (w *Writer) WriteResumeAck(credit uint64) error {
 	w.putUvarint(credit)
 	if err := w.flushFrame(TypeResumeAck); err != nil {
 		return err
@@ -532,10 +531,12 @@ func (w *Writer) WriteResumeAck(nextID, credit uint64) error {
 	return w.Flush()
 }
 
-// WriteCredit grants delta units of flow-control credit; flushed so the
-// peer can act on it immediately.
-func (w *Writer) WriteCredit(delta uint64) error {
+// WriteCredit grants delta records of credit and marks next, the ID after
+// the last record probed on the connection (0: none); flushed so the
+// coordinator can act on it immediately.
+func (w *Writer) WriteCredit(delta, next uint64) error {
 	w.putUvarint(delta)
+	w.putUvarint(next)
 	if err := w.flushFrame(TypeCredit); err != nil {
 		return err
 	}
@@ -594,11 +595,6 @@ func (r *Reader) Next() (byte, error) {
 	}
 	return typ, nil
 }
-
-// Rest returns the stream after the last frame Next read: the bytes the
-// Reader buffered ahead, then the rest of the source. It lets frames
-// prefix a stream that another decoder reads on.
-func (r *Reader) Rest() io.Reader { return r.r }
 
 // frameErr converts an EOF mid-frame into ErrUnexpectedEOF so that callers
 // can distinguish clean stream end (io.EOF from Next's first byte) from a
@@ -704,7 +700,6 @@ func (r *Reader) ReadHello() (Hello, error) {
 	h.OneByOne = ob&helloOneByOne != 0
 	h.Bi = ob&helloBi != 0
 	h.FT = ob&helloFT != 0
-	h.Resume = ob&helloResume != 0
 	h.CountOnly = ob&helloCountOnly != 0
 	if h.SessionID, err = p.uvarint(); err != nil {
 		return h, err
@@ -712,7 +707,7 @@ func (r *Reader) ReadHello() (Hello, error) {
 	if h.Version != Version {
 		return h, fmt.Errorf("wire: protocol version %d, want %d", h.Version, Version)
 	}
-	if ob&^(helloOneByOne|helloBi|helloFT|helloResume|helloCountOnly) != 0 {
+	if ob&^(helloOneByOne|helloBi|helloFT|helloCountOnly) != 0 {
 		return h, fmt.Errorf("wire: hello flags %#02x set an unknown bit", ob)
 	}
 	if p.i != len(p.b) {
@@ -721,24 +716,20 @@ func (r *Reader) ReadHello() (Hello, error) {
 	return h, nil
 }
 
-// ReadResumeAck decodes a staged ResumeAck frame into the worker's next
-// expected record ID and its initial record credit. A payload missing
-// either field is a decode error.
-func (r *Reader) ReadResumeAck() (nextID, credit uint64, err error) {
-	p := payload{b: r.buf}
-	if nextID, err = p.uvarint(); err != nil {
-		return 0, 0, err
-	}
-	if credit, err = p.uvarint(); err != nil {
-		return 0, 0, err
-	}
-	return nextID, credit, nil
-}
-
-// ReadCredit decodes a staged Credit frame's delta.
-func (r *Reader) ReadCredit() (uint64, error) {
+// ReadResumeAck decodes a staged ResumeAck frame's initial record credit.
+func (r *Reader) ReadResumeAck() (credit uint64, err error) {
 	p := payload{b: r.buf}
 	return p.uvarint()
+}
+
+// ReadCredit decodes a staged Credit frame: its delta and the ID after the
+// last probed record (0: none). A payload missing either is an error.
+func (r *Reader) ReadCredit() (delta, next uint64, err error) {
+	p := payload{b: r.buf}
+	if delta, err = p.uvarint(); err == nil {
+		next, err = p.uvarint()
+	}
+	return delta, next, err
 }
 
 // Frame splits one whole frame held in memory, as a Writer framed it, into
@@ -768,14 +759,14 @@ func (r *Reader) ReadRecord() (Record, error) {
 }
 
 // DecodeRecord decodes the payload of a Record frame. Flag bits other
-// than store and side, and bytes after the last token, are errors.
+// than store, side and load, and bytes after the last token, are errors.
 func DecodeRecord(body []byte) (Record, error) {
 	p := payload{b: body}
 	st, err := p.byte()
 	if err != nil {
 		return Record{}, err
 	}
-	if st&^(recordStore|recordRight) != 0 {
+	if st&^(recordStore|recordRight|recordLoad) != 0 {
 		return Record{}, fmt.Errorf("wire: record flags %#02x set an unknown bit", st)
 	}
 	id, err := p.uvarint()
@@ -814,6 +805,7 @@ func DecodeRecord(body []byte) (Record, error) {
 	return Record{
 		Store: st&recordStore != 0,
 		Right: st&recordRight != 0,
+		Load:  st&recordLoad != 0,
 		Rec:   &record.Record{ID: record.ID(id), Time: t, Tokens: toks},
 	}, nil
 }

@@ -54,7 +54,7 @@ func TestHelloFTRoundTrip(t *testing.T) {
 	h := Hello{
 		Version: Version, Task: 1, Workers: 4, Func: 0, Threshold: 0.7,
 		Strategy: 2, Bounds: []int{},
-		FT: true, Resume: true, SessionID: 0xDEADBEEFCAFE,
+		FT: true, SessionID: 0xDEADBEEFCAFE,
 	}
 	r := roundTripFrames(t, func(w *Writer) error { return w.WriteHello(h) })
 	if _, err := r.Next(); err != nil {
@@ -77,11 +77,10 @@ func TestControlFramesRoundTrip(t *testing.T) {
 		if err := w.WritePong(); err != nil {
 			return err
 		}
-		if err := w.WriteResumeAck(123456789, 4096); err != nil {
+		if err := w.WriteResumeAck(4096); err != nil {
 			return err
 		}
-		// A cursor-only ack: the credit field is mandatory.
-		w.putUvarint(77)
+		// An empty ack: the credit field is mandatory.
 		return w.flushFrame(TypeResumeAck)
 	})
 	for _, want := range []byte{TypePing, TypePong} {
@@ -94,16 +93,16 @@ func TestControlFramesRoundTrip(t *testing.T) {
 	if err != nil || typ != TypeResumeAck {
 		t.Fatalf("resume-ack frame: %v %v", typ, err)
 	}
-	next, credit, err := r.ReadResumeAck()
-	if err != nil || next != 123456789 || credit != 4096 {
-		t.Fatalf("resume-ack decoded as (%d, %d, %v)", next, credit, err)
+	credit, err := r.ReadResumeAck()
+	if err != nil || credit != 4096 {
+		t.Fatalf("resume-ack decoded as (%d, %v)", credit, err)
 	}
 	typ, err = r.Next()
 	if err != nil || typ != TypeResumeAck {
-		t.Fatalf("cursor-only resume-ack frame: %v %v", typ, err)
+		t.Fatalf("empty resume-ack frame: %v %v", typ, err)
 	}
-	if next, credit, err := r.ReadResumeAck(); err == nil {
-		t.Fatalf("cursor-only resume-ack decoded as (%d, %d)", next, credit)
+	if credit, err := r.ReadResumeAck(); err == nil {
+		t.Fatalf("empty resume-ack decoded as %d", credit)
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("want clean EOF, got %v", err)
@@ -111,27 +110,17 @@ func TestControlFramesRoundTrip(t *testing.T) {
 }
 
 func TestResumeAckCreditForms(t *testing.T) {
-	// A zero credit is a closed window, not "flow control off": it is a
-	// two-field ack like any other, and the extremes of both fields survive.
-	for _, c := range []struct{ next, credit uint64 }{
-		{77, 0}, {0, 512}, {math.MaxUint64, math.MaxUint64},
-	} {
-		r := roundTripFrames(t, func(w *Writer) error { return w.WriteResumeAck(c.next, c.credit) })
+	// A zero credit is a closed window, not "flow control off": it is an
+	// ack like any other, and the extremes of the field survive.
+	for _, c := range []uint64{0, 512, math.MaxUint64} {
+		r := roundTripFrames(t, func(w *Writer) error { return w.WriteResumeAck(c) })
 		if _, err := r.Next(); err != nil {
 			t.Fatal(err)
 		}
-		next, credit, err := r.ReadResumeAck()
-		if err != nil || next != c.next || credit != c.credit {
-			t.Fatalf("ack (%d, %d) decoded as (%d, %d, %v)", c.next, c.credit, next, credit, err)
+		credit, err := r.ReadResumeAck()
+		if err != nil || credit != c {
+			t.Fatalf("ack %d decoded as (%d, %v)", c, credit, err)
 		}
-	}
-	// An empty payload carries neither field.
-	r := roundTripFrames(t, func(w *Writer) error { return w.flushFrame(TypeResumeAck) })
-	if _, err := r.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if next, credit, err := r.ReadResumeAck(); err == nil {
-		t.Fatalf("empty resume-ack decoded as (%d, %d)", next, credit)
 	}
 }
 
@@ -185,8 +174,9 @@ func TestHelloRejectsUnknownFlagBits(t *testing.T) {
 	if frame[flags] != helloFT {
 		t.Fatalf("flags byte %#02x at %d, want the FT bit alone", frame[flags], flags)
 	}
-	// Bits 0–4 are OneByOne, Bi, FT, Resume and CountOnly.
-	for bit := 5; bit < 8; bit++ {
+	// Bits 0–2 and 4 are OneByOne, Bi, FT and CountOnly; bit 3 was the
+	// Resume flag until version 12.
+	for _, bit := range []int{3, 5, 6, 7} {
 		bad := bytes.Clone(frame)
 		bad[flags] |= 1 << bit
 		r := NewReader(bytes.NewReader(bad))
@@ -204,7 +194,7 @@ func TestHelloRejectsUnknownFlagBits(t *testing.T) {
 // and moves PlanHash; the per-connection fields leave it alone.
 func TestPlanHashCoversEveryField(t *testing.T) {
 	base := Hello{Version: Version, Bounds: []int{}} // ReadHello decodes no bounds as empty
-	perConn := map[string]bool{"Task": true, "FT": true, "Resume": true, "SessionID": true}
+	perConn := map[string]bool{"Task": true, "FT": true, "SessionID": true}
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
@@ -246,16 +236,33 @@ func TestFlowControlFramesRoundTrip(t *testing.T) {
 	if TypeCredit != 13 {
 		t.Fatalf("TypeCredit = %d, want 13", TypeCredit)
 	}
+	// A Credit carries its delta and the mark, the ID after the last probed
+	// record: 0 while the worker has only loaded, and either field at its
+	// extreme; a payload without the mark is refused.
+	marks := [][2]uint64{{4096, 0}, {2048, 12345}, {0, math.MaxUint64}, {math.MaxUint64, 1}}
 	r := roundTripFrames(t, func(w *Writer) error {
-		return w.WriteCredit(4096)
+		for _, m := range marks {
+			if err := w.WriteCredit(m[0], m[1]); err != nil {
+				return err
+			}
+		}
+		w.putUvarint(4096)
+		return w.flushFrame(TypeCredit)
 	})
-	typ, err := r.Next()
-	if err != nil || typ != TypeCredit {
-		t.Fatalf("credit frame: %v %v", typ, err)
+	for _, m := range marks {
+		typ, err := r.Next()
+		if err != nil || typ != TypeCredit {
+			t.Fatalf("credit frame: %v %v", typ, err)
+		}
+		if delta, next, err := r.ReadCredit(); err != nil || delta != m[0] || next != m[1] {
+			t.Fatalf("credit %v decoded as (%d, %d, %v)", m, delta, next, err)
+		}
 	}
-	delta, err := r.ReadCredit()
-	if err != nil || delta != 4096 {
-		t.Fatalf("credit delta: %d %v", delta, err)
+	if typ, err := r.Next(); err != nil || typ != TypeCredit {
+		t.Fatalf("delta-only credit frame: %v %v", typ, err)
+	}
+	if delta, next, err := r.ReadCredit(); err == nil {
+		t.Fatalf("a credit without its mark decoded as (%d, %d)", delta, next)
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("want clean EOF, got %v", err)
@@ -264,20 +271,29 @@ func TestFlowControlFramesRoundTrip(t *testing.T) {
 
 func TestRecordRoundTrip(t *testing.T) {
 	rec := &record.Record{ID: 12345, Time: -7, Tokens: []tokens.Rank{1, 5, 9, 4_000_000_000}}
-	r := roundTripFrames(t, func(w *Writer) error { return w.WriteRecord(true, rec) })
-	typ, err := r.Next()
-	if err != nil || typ != TypeRecord {
-		t.Fatalf("next: %v %v", typ, err)
-	}
-	got, err := r.ReadRecord()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Store || got.Rec.ID != rec.ID || got.Rec.Time != rec.Time {
-		t.Fatalf("record header mismatch: %+v", got)
-	}
-	if !reflect.DeepEqual(got.Rec.Tokens, rec.Tokens) {
-		t.Fatalf("tokens: %v vs %v", got.Rec.Tokens, rec.Tokens)
+	// A record to probe, and loaded ones of either side, which are stored.
+	want := []Record{{Store: true, Rec: rec}, {Store: true, Load: true, Rec: rec}, {Store: true, Right: true, Load: true, Rec: rec}}
+	r := roundTripFrames(t, func(w *Writer) error {
+		if err := w.WriteRecord(true, rec); err != nil {
+			return err
+		}
+		if err := w.WriteLoad(false, rec); err != nil {
+			return err
+		}
+		return w.WriteLoad(true, rec)
+	})
+	for _, rt := range want {
+		typ, err := r.Next()
+		if err != nil || typ != TypeRecord {
+			t.Fatalf("next: %v %v", typ, err)
+		}
+		got, err := r.ReadRecord()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, rt) {
+			t.Fatalf("record decoded as %+v, want %+v", got, rt)
+		}
 	}
 }
 
