@@ -34,7 +34,10 @@ type Member struct {
 	// id and ln copy Rec.ID and Rec.Len() (records are immutable), so the
 	// verify loop filters, bounds and pairs a member without loading Rec.
 	id record.ID
-	ln int
+	ln int32
+	// set is the twin entry (see setTable) a record of the containment
+	// regime is queued on, so eviction goes straight to it; 0 in a bundle.
+	set int32
 }
 
 // Bundle groups records that joined with one another. Invariants:
@@ -361,8 +364,8 @@ func (b *Bundle) unionAdd(t []tokens.Rank) {
 // result aliases b.posted and is valid until the next add.
 func (b *Bundle) add(al *alloc, r *record.Record, prefixLen int, newCore []tokens.Rank) (newPostings []tokens.Rank) {
 	m := al.member()
-	m.Rec, m.id, m.ln = r, r.ID, r.Len()
-	ln := int32(m.ln)
+	m.Rec, m.id, m.ln = r, r.ID, int32(r.Len())
+	ln := m.ln
 	if len(b.Members) == 0 {
 		// Records are immutable, so a singleton bundle can alias the
 		// record's token slice; every later mutation path copies before
@@ -435,7 +438,7 @@ func (b *Bundle) remove(al *alloc, m *Member) {
 		}
 		b.Members[w] = o
 		w++
-		ln := int32(o.ln)
+		ln := o.ln
 		if b.minLen == 0 || ln < b.minLen {
 			b.minLen = ln
 		}

@@ -60,7 +60,7 @@ func checkBundle(t *testing.T, b *Bundle) {
 		if l := m.Rec.Len(); l > hi {
 			hi = l
 		}
-		if m.id != m.Rec.ID || m.ln != m.Rec.Len() {
+		if m.id != m.Rec.ID || int(m.ln) != m.Rec.Len() {
 			t.Fatalf("member %d of %d tokens carries id %d, length %d", m.Rec.ID, m.Rec.Len(), m.id, m.ln)
 		}
 		// Core ⊆ member tokens.

@@ -276,7 +276,7 @@ func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
 			break
 		}
 		if fe.b == nil {
-			if bx.sets.remove(fe.m, setHash(rec.Tokens)) {
+			if bx.sets.remove(fe.m) {
 				bx.stats.LiveBundles--
 			}
 		} else {
@@ -407,12 +407,12 @@ func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok b
 func (bx *Index) lookup(r *record.Record, h uint64, skip uint16, emit func(Match)) {
 	t, ev, n := &bx.sets, bx.stats.Evicted, uint64(0)
 	f, l, k := bx.params.Func, r.Len(), r.Len()-bits.OnesCount16(skip)
-	for i := t.heads[h>>t.shift][0]; i != 0; i = t.sets[i-1].next {
-		if s := &t.sets[i-1]; s.hash == h && equalSkip(r.Tokens, skip, s.ms[0].Rec.Tokens) {
+	for i := t.heads[h>>t.shift][0]; i != 0; i = t.at(i).next {
+		if s := t.at(i); s.hash == h && equalSkip(r.Tokens, skip, s.toks) {
 			if emit != nil {
 				sim := similarity.FromOverlap(f, k, l, k)
-				for _, m := range s.ms {
-					emit(Match{Rec: m.Rec, ID: m.id, Overlap: k, Sim: sim})
+				for _, c := range s.ms {
+					emit(Match{Rec: c.rec, ID: c.id, Overlap: k, Sim: sim})
 				}
 			}
 			n += uint64(len(s.ms))
@@ -422,7 +422,7 @@ func (bx *Index) lookup(r *record.Record, h uint64, skip uint16, emit func(Match
 		if e := &t.keys[i-1]; e.hash == h && e.seq >= ev {
 			if m := bx.fifo[bx.head+int(e.seq-ev)].m; equalSkip(m.Rec.Tokens, e.skip, r.Tokens) {
 				if emit != nil {
-					emit(Match{Rec: m.Rec, ID: m.id, Overlap: l, Sim: similarity.FromOverlap(f, l, l, m.ln)})
+					emit(Match{Rec: m.Rec, ID: m.id, Overlap: l, Sim: similarity.FromOverlap(f, l, l, int(m.ln))})
 				}
 				n++
 			}
@@ -664,7 +664,7 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, emit func(Match)) (Ins
 		sim          float64
 	)
 	for _, m := range b.Members {
-		lb := m.ln
+		lb := int(m.ln)
 		if lb < lo || lb > hi {
 			continue
 		}
@@ -766,7 +766,7 @@ func (bx *Index) Insert(r *record.Record, best Insertion) {
 	}
 	if bx.inSets(r.Len()) {
 		fe.m = bx.al.member()
-		fe.m.Rec, fe.m.id, fe.m.ln = r, r.ID, r.Len()
+		fe.m.Rec, fe.m.id, fe.m.ln = r, r.ID, int32(r.Len())
 		n = bx.sets.add(fe.m, h, bx.cfg.MaxMembers)
 	} else {
 		fe.b = bx.group(r, best)
@@ -833,25 +833,38 @@ func (bx *Index) group(r *record.Record, best Insertion) *Bundle {
 	return target
 }
 
-// setTable stores the containment regime: twin entries (a free list keeps
-// their queues) and key entries, each kind chained per bucket by 1 + index
-// (0: none). Keys are appended in arrival order, and the seq-th record's
-// are live while seq ≥ the records evicted, so the dead keys are a prefix.
+// setTable stores the containment regime: twin entries, carved from fixed
+// chunks on first use (a free list keeps their queues), and key entries,
+// each kind chained per bucket by 1 + index (0: none). Keys are appended in
+// arrival order, and the seq-th record's are live while seq ≥ the records
+// evicted, so the dead keys are a prefix.
 type setTable struct {
 	heads    [][2]int32 // per bucket, the chains of twin and of key entries
 	shift    uint8
 	nsets    int // twin entries linked
-	sets     []twinSet
+	chunks   []*[setChunk]twinSet
+	carved   int32 // twin entries carved: 1..carved are in chunks
 	keys     []keyEntry
 	freeSets int32
 }
 
+const setChunk = 256 // twin entries per chunk: 16 KiB
+
 // twinSet is up to MaxMembers live copies of one token set, oldest first:
-// the fifo evicts in arrival order, so always one entry's ms[0].
+// the fifo evicts in arrival order, so always one entry's ms[0]. toks is
+// the newest copy's tokens, which leave the entry last. A lookup that hits
+// reads one 64-byte entry, toks and, to emit, ms: never a Member.
 type twinSet struct {
 	hash uint64
+	toks []tokens.Rank
 	next int32
-	ms   []*Member
+	ms   []twinCopy
+}
+
+// twinCopy is one queued copy, paired as a Match pairs it.
+type twinCopy struct {
+	rec *record.Record
+	id  record.ID
 }
 
 // keyEntry keys the seq-th record inserted under its subset less the
@@ -913,45 +926,57 @@ func (t *setTable) hook(kind int, i int32, next *int32, h uint64) {
 	}
 }
 
+// at resolves twin entry i (from 1).
+func (t *setTable) at(i int32) *twinSet {
+	u := uint32(i - 1)
+	return &t.chunks[u/setChunk][u%setChunk]
+}
+
 // add queues m, whose set hashes to h, on an entry of its set with room
 // under max copies, founding one if there is none, and returns that
 // entry's live count.
 func (t *setTable) add(m *Member, h uint64, max int) int {
-	for i := t.heads[h>>t.shift][0]; i != 0; i = t.sets[i-1].next {
-		if s := &t.sets[i-1]; s.hash == h && len(s.ms) < max && slices.Equal(s.ms[0].Rec.Tokens, m.Rec.Tokens) {
-			s.ms = append(s.ms, m)
-			return len(s.ms)
+	i := t.heads[h>>t.shift][0]
+	for ; i != 0; i = t.at(i).next {
+		if s := t.at(i); s.hash == h && len(s.ms) < max && slices.Equal(s.toks, m.Rec.Tokens) {
+			break
 		}
 	}
-	i := t.freeSets
-	if i != 0 {
-		t.freeSets = t.sets[i-1].next
-	} else {
-		t.sets = push(t.sets, twinSet{})
-		i = int32(len(t.sets))
+	founds := i == 0
+	if founds && t.freeSets != 0 {
+		i, t.freeSets = t.freeSets, t.at(t.freeSets).next
+	} else if founds {
+		if t.carved%setChunk == 0 {
+			t.chunks = append(t.chunks, new([setChunk]twinSet))
+		}
+		t.carved++
+		i = t.carved
 	}
-	s := &t.sets[i-1]
-	s.hash, s.ms = h, append(s.ms, m)
-	t.nsets++
-	t.hook(0, i, &s.next, h)
-	return 1
+	s := t.at(i)
+	s.hash, s.toks, s.ms, m.set = h, m.Rec.Tokens, append(s.ms, twinCopy{m.Rec, m.id}), i
+	if founds {
+		t.nsets++
+		t.hook(0, i, &s.next, h)
+	}
+	return len(s.ms)
 }
 
-// remove dequeues m, the oldest live copy of its set, whose hash is h, and
-// reports whether that emptied its entry, freeing it.
-func (t *setTable) remove(m *Member, h uint64) bool {
-	p := &t.heads[h>>t.shift][0]
-	for t.sets[*p-1].hash != h || t.sets[*p-1].ms[0] != m {
-		p = &t.sets[*p-1].next
-	}
-	s := &t.sets[*p-1]
+// remove dequeues m, the oldest live copy of the entry it names, and
+// reports whether that emptied the entry, unlinking and freeing it.
+func (t *setTable) remove(m *Member) bool {
+	s := t.at(m.set)
 	n := copy(s.ms, s.ms[1:])
-	s.ms[n] = nil
-	if s.ms = s.ms[:n]; n == 0 {
-		*p, s.next, t.freeSets = s.next, t.freeSets, *p
-		t.nsets--
+	s.ms[n] = twinCopy{}
+	if s.ms = s.ms[:n]; n > 0 {
+		return false
 	}
-	return n == 0
+	p := &t.heads[s.hash>>t.shift][0]
+	for *p != m.set {
+		p = &t.at(*p).next
+	}
+	*p, s.next, s.toks, t.freeSets = s.next, t.freeSets, nil, m.set
+	t.nsets--
+	return true
 }
 
 // addKey stores the record numbered seq under its subset key skip, whose
@@ -970,9 +995,9 @@ func (t *setTable) rehash(n int, evicted uint64) {
 	} else {
 		clear(t.heads)
 	}
-	for i := range t.sets {
-		if s := &t.sets[i]; len(s.ms) > 0 {
-			t.hook(0, int32(i+1), &s.next, s.hash)
+	for i := int32(1); i <= t.carved; i++ {
+		if s := t.at(i); len(s.ms) > 0 {
+			t.hook(0, i, &s.next, s.hash)
 		}
 	}
 	live := t.keys[:0]

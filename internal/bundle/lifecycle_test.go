@@ -113,7 +113,7 @@ func checkInvariants(t *testing.T, bx *Index) {
 
 	// Free lists: zero apart from retained capacity, unreachable.
 	for _, m := range bx.al.freeM {
-		if m.Rec != nil || m.Delta != nil {
+		if m.Rec != nil || m.Delta != nil || m.id != 0 || m.ln != 0 || m.set != 0 {
 			t.Fatalf("recycled member not reset: %+v", *m)
 		}
 		if liveM[m] {
@@ -160,9 +160,11 @@ func checkInvariants(t *testing.T, bx *Index) {
 // every linked twin entry holds 1..MaxMembers of the records queued with a
 // nil bundle, all of its token set and of a length in the regime, oldest
 // first, under the entry's hash and bucket, and together the entries hold
-// each such record exactly once; the twin count is the table's, and every
-// carved twin entry is linked or on the free list, a free one holding
-// nothing. Every key entry is linked once, in arrival order; a live one
+// each such record exactly once. An entry's tokens are its newest copy's
+// own slice, and each copy inline is the record and ID of a queued Member
+// that names the entry (a bundle's member names none). The twin count is
+// the table's, and every carved twin entry is linked or on the free list,
+// a free one holding no tokens and no copies. Every key entry is linked once, in arrival order; a live one
 // stores a queued record under one of its length's subset keys, hashed and
 // bucketed as that subset, and each record's keys are all linked once; the
 // dead ones, of records that left the window, are a prefix that Evict keeps
@@ -173,6 +175,17 @@ func checkTwins(t *testing.T, bx *Index, twinM, liveM map[*Member]bool) int {
 	tt := &bx.sets
 	linked, held, dead, chained := 0, 0, 0, make(map[int32]bool)
 	keyed := make(map[*Member]map[uint16]bool)
+	queued := make(map[*record.Record]*Member)
+	for m := range liveM {
+		if twinM[m] {
+			queued[m.Rec] = m
+		} else if m.set != 0 {
+			t.Fatalf("bundle member %d names twin entry %d", m.id, m.set)
+		}
+	}
+	spare := func(cs []twinCopy) bool {
+		return slices.ContainsFunc(cs, func(c twinCopy) bool { return c != twinCopy{} })
+	}
 	for bkt, hs := range tt.heads {
 		for i := hs[1]; i != 0; i = tt.keys[i-1].next {
 			e := &tt.keys[i-1]
@@ -184,7 +197,7 @@ func checkTwins(t *testing.T, bx *Index, twinM, liveM map[*Member]bool) int {
 				continue
 			}
 			m := bx.fifo[bx.head+int(e.seq-bx.stats.Evicted)].m
-			keys, _ := bx.masks(m.ln)
+			keys, _ := bx.masks(int(m.ln))
 			toks := m.Rec.Tokens
 			if !liveM[m] || !slices.Contains(keys, e.skip) || keyed[m][e.skip] ||
 				e.hash != subHash(setHash(toks), toks, e.skip) || int(e.hash>>tt.shift) != bkt {
@@ -195,21 +208,25 @@ func checkTwins(t *testing.T, bx *Index, twinM, liveM map[*Member]bool) int {
 			}
 			keyed[m][e.skip] = true
 		}
-		for i := hs[0]; i != 0; i = tt.sets[i-1].next {
-			s := &tt.sets[i-1]
+		for i := hs[0]; i != 0; i = tt.at(i).next {
+			s := tt.at(i)
 			live := s.ms
 			linked++
-			if len(live) == 0 || len(live) > bx.cfg.MaxMembers || s.hash != setHash(live[0].Rec.Tokens) || int(s.hash>>tt.shift) != bkt {
-				t.Fatalf("twin entry %d: %d live, hash %x in bucket %d", i-1, len(live), s.hash, bkt)
+			if len(live) == 0 || len(live) > bx.cfg.MaxMembers || s.hash != setHash(s.toks) || int(s.hash>>tt.shift) != bkt {
+				t.Fatalf("twin entry %d: %d live, hash %x in bucket %d", i, len(live), s.hash, bkt)
 			}
-			for k, m := range live {
-				if !twinM[m] || !bx.inSets(m.Rec.Len()) || !slices.Equal(m.Rec.Tokens, live[0].Rec.Tokens) ||
-					(k > 0 && m.id <= live[k-1].id) || m.id != m.Rec.ID {
-					t.Fatalf("twin entry %d holds record %d %v out of place (queued %v)", i-1, m.Rec.ID, m.Rec.Tokens, twinM[m])
+			if newest := live[len(live)-1].rec.Tokens; unsafe.SliceData(s.toks) != unsafe.SliceData(newest) || len(s.toks) != len(newest) {
+				t.Fatalf("twin entry %d: tokens %v are not its newest copy's (record %d)", i, s.toks, live[len(live)-1].id)
+			}
+			for k, c := range live {
+				m := queued[c.rec]
+				if m == nil || m.id != c.id || m.set != i || c.id != c.rec.ID || !bx.inSets(c.rec.Len()) ||
+					!slices.Equal(c.rec.Tokens, s.toks) || (k > 0 && c.id <= live[k-1].id) {
+					t.Fatalf("twin entry %d holds record %d %v out of place (queued %v)", i, c.rec.ID, c.rec.Tokens, m != nil)
 				}
 			}
-			if slices.ContainsFunc(s.ms[len(s.ms):cap(s.ms)], func(m *Member) bool { return m != nil }) {
-				t.Fatalf("twin entry %d keeps a dequeued member", i-1)
+			if spare(s.ms[len(s.ms):cap(s.ms)]) {
+				t.Fatalf("twin entry %d keeps a dequeued copy", i)
 			}
 			held += len(live)
 		}
@@ -219,7 +236,7 @@ func checkTwins(t *testing.T, bx *Index, twinM, liveM map[*Member]bool) int {
 	}
 	nkeys := 0
 	for m := range liveM {
-		keys, _ := bx.masks(m.ln)
+		keys, _ := bx.masks(int(m.ln))
 		if len(keyed[m]) != len(keys) {
 			t.Fatalf("record %d of %d tokens has %d of its %d subset keys linked", m.Rec.ID, m.ln, len(keyed[m]), len(keys))
 		}
@@ -235,14 +252,14 @@ func checkTwins(t *testing.T, bx *Index, twinM, liveM map[*Member]bool) int {
 			len(tt.keys), len(chained), nkeys, dead, linked, tt.nsets)
 	}
 	freeSets := 0
-	for i := tt.freeSets; i != 0; i = tt.sets[i-1].next {
-		s := &tt.sets[i-1]
-		if freeSets++; len(s.ms) != 0 || slices.ContainsFunc(s.ms[:cap(s.ms)], func(m *Member) bool { return m != nil }) {
-			t.Fatalf("free twin entry %d not reset: %+v", i-1, *s)
+	for i := tt.freeSets; i != 0; i = tt.at(i).next {
+		s := tt.at(i)
+		if freeSets++; len(s.ms) != 0 || s.toks != nil || spare(s.ms[:cap(s.ms)]) {
+			t.Fatalf("free twin entry %d not reset: %+v", i, *s)
 		}
 	}
-	if linked+freeSets != len(tt.sets) {
-		t.Fatalf("%d twin entries carved: %d linked, %d free", len(tt.sets), linked, freeSets)
+	if linked+freeSets != int(tt.carved) || len(tt.chunks) != (int(tt.carved)+setChunk-1)/setChunk {
+		t.Fatalf("%d twin entries carved in %d chunks: %d linked, %d free", tt.carved, len(tt.chunks), linked, freeSets)
 	}
 	return linked
 }
@@ -583,11 +600,12 @@ func TestIndexStateBoundedByWindow(t *testing.T) {
 				cells, len(wide), len(bx.al.freeW), peakLive)
 		}
 		// Twin entries: carved only when none is free, so never more than
-		// were ever in use at once — and on AOL-like the table is in use.
-		if tt := &bx.sets; len(tt.sets) > peakSets || len(tt.heads) > max(16, 2*peakLinked) ||
-			(tc.profile.Name == "AOL-like" && peakSets == 0) {
-			t.Errorf("%s: %d twin entries carved in %d buckets, %d linked at most, %d twin probes",
-				label, len(tt.sets), len(tt.heads), peakSets, st.TwinProbes)
+		// were ever in use at once, and no chunk before the first — and on
+		// AOL-like the table is in use.
+		if tt := &bx.sets; int(tt.carved) > peakSets || len(tt.heads) > max(16, 2*peakLinked) ||
+			(peakSets == 0) != (len(tt.chunks) == 0) || (tc.profile.Name == "AOL-like" && peakSets == 0) {
+			t.Errorf("%s: %d twin entries carved (%d chunks) in %d buckets, %d linked at most, %d twin probes",
+				label, tt.carved, len(tt.chunks), len(tt.heads), peakSets, st.TwinProbes)
 		}
 		// Key entries: an array grown by doubling, so at most twice its
 		// peak; the peak, dead keys included, is bounded by the window —
@@ -672,7 +690,8 @@ func BenchmarkInsertEvictSteadyState(b *testing.B) {
 
 // TestHotStructSizes pins the structs a probe walks: a slab of members or
 // bundles is cache lines per candidate and bytes per record, a Match is
-// copied once per result, and a fifo entry once per record and drain.
+// copied once per result, a fifo entry once per record and drain, and a
+// twin entry is read whole by every lookup that reaches it.
 func TestHotStructSizes(t *testing.T) {
 	m, b, r := unsafe.Sizeof(Member{}), unsafe.Sizeof(Bundle{}), unsafe.Sizeof(Match{})
 	if m != 48 || b > 120 || r > 32 {
@@ -700,6 +719,11 @@ func TestHotStructSizes(t *testing.T) {
 	// enron_verify's alloc_bytes_per_rec.
 	if fe := unsafe.Sizeof(fifoEntry{}); fe != 16 {
 		t.Fatalf("fifoEntry is %d B, want 16", fe)
+	}
+	// A twin lookup that hits reads one line of entry (carved 64-B aligned:
+	// a chunk is a multiple of the line) besides its bucket and tokens.
+	if ts, c := unsafe.Sizeof(twinSet{}), unsafe.Sizeof([setChunk]twinSet{}); ts != 64 || c%64 != 0 {
+		t.Fatalf("twinSet is %d B (want 64), a chunk %d B", ts, c)
 	}
 }
 

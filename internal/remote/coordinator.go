@@ -109,7 +109,8 @@ func Dial(ctx context.Context, addrs []string, timeout time.Duration) ([]net.Con
 // (sending the store flag to the record's home copy), signals EOF, and
 // collects results and final stats. It drives RunFT's session loop with
 // FT{}: no retries, so the first transport failure fails the run, and a
-// connection silent past the default HeartbeatTimeout is severed. Record
+// connection that leaves a ping unanswered, or falls silent, past the
+// default HeartbeatTimeout is severed. Record
 // IDs must strictly increase. Run closes every connection it was given
 // before it returns; cancelling ctx aborts the run.
 func Run(ctx context.Context, conns []io.ReadWriter, sess Session, recs []*record.Record, collectPairs bool) (*RunSummary, error) {

@@ -82,9 +82,10 @@ type FT struct {
 	// HeartbeatInterval paces coordinator pings on idle connections and
 	// watchdog checks. Zero defaults to one second.
 	HeartbeatInterval time.Duration
-	// HeartbeatTimeout is the silence span after which a connection is
-	// considered hung and severed (progress on either direction counts as
-	// life). Zero defaults to five heartbeat intervals.
+	// HeartbeatTimeout is how long a Ping may go unanswered with nothing
+	// read, and how long both directions may stay silent, before a
+	// connection is considered hung and severed. Zero defaults to five
+	// heartbeat intervals.
 	HeartbeatTimeout time.Duration
 	// SessionID names the run in every Hello, for the workers' journals,
 	// and in a durable run's manifest.
@@ -401,8 +402,8 @@ func (f *ftRunner) attempt(ctx context.Context, task int, failSince time.Time, h
 
 	// Liveness stamps: nanoseconds since run start of the last inbound
 	// read and the last completed outbound write. Progress on either
-	// direction keeps the watchdog calm; blocked writes during a backlog
-	// still stamp per flushed chunk.
+	// direction breaks a silence, but only a read answers for an owed
+	// ping; blocked writes during a backlog still stamp per flushed chunk.
 	var lastIn, lastOut atomic.Int64
 	now := func() int64 { return int64(time.Since(f.start)) }
 	lastIn.Store(now())
@@ -427,7 +428,10 @@ func (f *ftRunner) attempt(ctx context.Context, task int, failSince time.Time, h
 	// every handshake resets them, so nothing here survives the attempt.
 	var (
 		recCredit atomic.Int64 // records the worker will currently accept
-		pings     atomic.Int64 // pings sent and not yet answered
+		// owed holds the send stamps of the pings not yet answered, oldest
+		// first: a worker answers them in order.
+		owedMu sync.Mutex
+		owed   []int64
 	)
 
 	// got is the task's results; mark is where this connection starts, read
@@ -542,8 +546,14 @@ func (f *ftRunner) attempt(ctx context.Context, task int, failSince time.Time, h
 				}
 				recCredit.Add(int64(n))
 				f.kick(task)
-			case wire.TypePong: // the stamp above is the point; one per ping
-				if pings.Add(-1) < 0 {
+			case wire.TypePong: // answers the oldest ping owed
+				owedMu.Lock()
+				n := len(owed)
+				if n > 0 {
+					owed = owed[:copy(owed, owed[1:])]
+				}
+				owedMu.Unlock()
+				if n == 0 {
 					readErrCh <- fmt.Errorf("remote: worker %d sent frame type %d unasked", task, typ)
 					return
 				}
@@ -565,9 +575,15 @@ func (f *ftRunner) attempt(ctx context.Context, task int, failSince time.Time, h
 		}
 	}()
 
-	// Watchdog: sever the connection when both directions have been silent
-	// past the timeout, or on cancellation. Closing the conn unblocks any
-	// blocked read or write above and below.
+	// Watchdog: sever the connection, or on cancellation close it, when
+	// its last sign of life is older than the timeout. While a ping is
+	// owed that sign is the oldest owed ping's send or a later read:
+	// writes do not count, for pings write, so a dead inbound side would
+	// never fall silent; a read does, for a worker still sending Credits
+	// or results is alive while its Pong waits behind up to a credit
+	// window of records. With no ping owed it is progress either way,
+	// which covers a Hello left unanswered and a write that blocks.
+	// Closing the conn unblocks any blocked read or write above and below.
 	hbStop := make(chan struct{})
 	var eofSent atomic.Bool
 	aw.Add(1)
@@ -589,10 +605,12 @@ func (f *ftRunner) attempt(ctx context.Context, task int, failSince time.Time, h
 					// transport error ends the wait from here.
 					continue
 				}
-				last := lastIn.Load()
-				if o := lastOut.Load(); o > last {
-					last = o
+				last := max(lastIn.Load(), lastOut.Load())
+				owedMu.Lock()
+				if len(owed) > 0 {
+					last = max(lastIn.Load(), owed[0])
 				}
+				owedMu.Unlock()
 				if time.Duration(now()-last) > f.ft.HeartbeatTimeout {
 					conn.Close()
 					return
@@ -720,7 +738,9 @@ func (f *ftRunner) attempt(ctx context.Context, task int, failSince time.Time, h
 		case rerr := <-readErrCh:
 			return true, rerr
 		case <-ping.C:
-			pings.Add(1)
+			owedMu.Lock()
+			owed = append(owed, now())
+			owedMu.Unlock()
 			if werr := w.WritePing(); werr != nil {
 				return true, fmt.Errorf("remote: ping to worker %d: %w", task, werr)
 			}

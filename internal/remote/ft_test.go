@@ -350,6 +350,70 @@ func TestRunFTHeartbeatDetectsHang(t *testing.T) {
 	}
 }
 
+// deadInbound passes a connection through until the coordinator writes
+// after its Hello, which it does only once the ResumeAck is in, and from
+// then on blocks every read until Close while writes still go through.
+type deadInbound struct {
+	net.Conn
+	writes atomic.Int32
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (c *deadInbound) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func (c *deadInbound) Read(p []byte) (int, error) {
+	if c.writes.Load() < 2 {
+		return c.Conn.Read(p)
+	}
+	<-c.closed
+	return 0, net.ErrClosed
+}
+
+func (c *deadInbound) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestRunFTSeversDeadInbound: after the handshake, a connection whose
+// inbound side is dead while its writes, pings included, still succeed
+// is severed once a ping has gone unanswered past the timeout. The stream
+// outruns the worker's credit, so the coordinator parks and pings before
+// EOF, where the deadline would be disarmed.
+func TestRunFTSeversDeadInbound(t *testing.T) {
+	setRecordWindow(t, 64)
+	w := startFTWorker(t)
+	recs := workload.NewGenerator(workload.UniformSmall(5)).Generate(500)
+	sess := testSession(0.7, "broadcast", nil)
+	ft := FT{
+		Retry:             RetryPolicy{MaxAttempts: 0},
+		HeartbeatInterval: 10 * time.Millisecond,
+		HeartbeatTimeout:  80 * time.Millisecond,
+		SessionID:         0xDEAD1,
+	}
+	tcp := tcpDialer(func(int) string { return w.addr })
+	dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
+		c, err := tcp(ctx, task)
+		if err != nil {
+			return nil, err
+		}
+		return &deadInbound{Conn: c.(net.Conn), closed: make(chan struct{})}, nil
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err := RunFT(ctx, dial, 1, sess, recs, Opts{}, ft)
+	if err == nil || !strings.Contains(err.Error(), "dead after 1 attempts") {
+		t.Fatalf("error = %v, want the worker dead after its one attempt", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("severing the dead inbound side took %v", elapsed)
+	}
+}
+
 // TestRunFTDeadWorkerWithoutDegradedFails: a worker that stays
 // unreachable past its retry budget fails the run, which names it dead.
 func TestRunFTDeadWorkerWithoutDegradedFails(t *testing.T) {
