@@ -64,7 +64,7 @@ func main() {
 
 		stateDir = flag.String("state-dir", "", "durable session state directory (manifest + ingest/results logs) making the run resumable with -resume after a coordinator crash; requires -remote")
 		resume   = flag.Bool("resume", false, "relaunch a killed durable run from -state-dir: session configuration, input stream, and completed results all come from the state directory (-in/-profile are ignored)")
-		walFsync = flag.String("wal-fsync", "interval", "with -state-dir: WAL fsync policy: always, interval, never (acknowledged results are synced before each ack regardless)")
+		walFsync = flag.String("wal-fsync", "interval", "with -state-dir: fsync policy of the ingest and results logs, bounding what a machine crash can lose of each: always (nothing: every record, result frame and mark is synced as it is appended), interval (at most the last 256 appends), never (what the OS has not flushed); the ingest log is synced once the input is all in it, and both logs when the run ends")
 	)
 	flag.Parse()
 

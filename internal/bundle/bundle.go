@@ -218,119 +218,6 @@ func (b *Bundle) MinLen() int { return int(b.minLen) }
 // MaxLen returns the largest live member length.
 func (b *Bundle) MaxLen() int { return int(b.maxLen) }
 
-// intersect returns a ∩ b (both ascending).
-func intersect(a, b []tokens.Rank) []tokens.Rank {
-	out := make([]tokens.Rank, 0, min(len(a), len(b)))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return out
-}
-
-// subtract returns a \ b (both ascending).
-func subtract(a, b []tokens.Rank) []tokens.Rank {
-	out := make([]tokens.Rank, 0, len(a))
-	i, j := 0, 0
-	for i < len(a) {
-		for j < len(b) && b[j] < a[i] {
-			j++
-		}
-		if j < len(b) && b[j] == a[i] {
-			i++
-			j++
-			continue
-		}
-		out = append(out, a[i])
-		i++
-	}
-	return out
-}
-
-// overlapSteps computes |a∩b| and the number of merge iterations spent, the
-// unit the experiment harness uses to compare batch and one-by-one
-// verification cost.
-func overlapSteps(a, b []tokens.Rank) (o, steps int) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		steps++
-		switch {
-		case a[i] == b[j]:
-			o++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return o, steps
-}
-
-// overlapStepsBounded behaves like overlapSteps but aborts once required
-// becomes unreachable. ok=false means the requirement failed and o is a
-// lower bound; ok=true means o is the exact intersection size.
-func overlapStepsBounded(a, b []tokens.Rank, required int) (o, steps int, ok bool) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		rest := len(a) - i
-		if lb := len(b) - j; lb < rest {
-			rest = lb
-		}
-		if o+rest < required {
-			return o, steps, false
-		}
-		steps++
-		switch {
-		case a[i] == b[j]:
-			o++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return o, steps, o >= required
-}
-
-// unionInto merges a ∪ b (both ascending) onto dst, appending after dst's
-// existing elements, and returns the extended slice. When dst has spare
-// capacity the merge is allocation-free; dst may share its backing array
-// with a as long as a sits at or beyond the write region (the in-place
-// idiom unionAdd uses), because every element of a is read in the same
-// iteration that can first overwrite it.
-func unionInto(dst, a, b []tokens.Rank) []tokens.Rank {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			dst = append(dst, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		default:
-			dst = append(dst, b[j])
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
-}
-
 // unionAdd grows Union by t's tokens in place when the bundle owns the
 // backing array and it has room; otherwise it reallocates with headroom
 // (so per-insert union growth is amortized allocation-free). The in-place
@@ -341,7 +228,7 @@ func (b *Bundle) unionAdd(t []tokens.Rank) {
 	need := len(b.Union) + len(t)
 	if !b.unionOwned || cap(b.Union) < need {
 		buf := make([]tokens.Rank, 0, need*2)
-		b.Union = unionInto(buf, b.Union, t)
+		b.Union = similarity.UnionInto(buf, b.Union, t)
 		b.unionOwned = true
 		return
 	}
@@ -349,7 +236,7 @@ func (b *Bundle) unionAdd(t []tokens.Rank) {
 	buf := u[:need]
 	shifted := buf[need-len(u):]
 	copy(shifted, u)
-	b.Union = unionInto(buf[:0], shifted, t)
+	b.Union = similarity.UnionInto(buf[:0], shifted, t)
 }
 
 // add appends r as a member: the core shrinks to core ∩ r, existing deltas
@@ -385,7 +272,7 @@ func (b *Bundle) add(al *alloc, r *record.Record, prefixLen int, newCore []token
 			*released = similarity.SubtractInto(*released, b.Core, newCore)
 			for _, o := range b.Members {
 				buf := al.grab(len(o.Delta) + len(*released))
-				o.Delta = unionInto(buf, o.Delta, *released)
+				o.Delta = similarity.UnionInto(buf, o.Delta, *released)
 				al.commit(len(o.Delta))
 			}
 			b.Core = append(make([]tokens.Rank, 0, len(newCore)), newCore...)
@@ -473,7 +360,7 @@ func (b *Bundle) rebuildUnion(al *alloc) {
 		acc, next := similarity.GetRanks(), similarity.GetRanks()
 		*acc = append(*acc, b.Members[0].Rec.Tokens...)
 		for _, o := range b.Members[1:] {
-			*next = unionInto((*next)[:0], *acc, o.Rec.Tokens)
+			*next = similarity.UnionInto((*next)[:0], *acc, o.Rec.Tokens)
 			acc, next = next, acc
 		}
 		b.Union = append(make([]tokens.Rank, 0, len(*acc)), *acc...)

@@ -24,22 +24,22 @@ func rec(id record.ID, ranks ...tokens.Rank) *record.Record {
 func TestSetOps(t *testing.T) {
 	a := []tokens.Rank{1, 3, 5, 7}
 	b := []tokens.Rank{3, 4, 5}
-	if got := intersect(a, b); !reflect.DeepEqual(got, []tokens.Rank{3, 5}) {
+	if got := similarity.IntersectInto(nil, a, b); !reflect.DeepEqual(got, []tokens.Rank{3, 5}) {
 		t.Fatalf("intersect: %v", got)
 	}
-	if got := subtract(a, b); !reflect.DeepEqual(got, []tokens.Rank{1, 7}) {
+	if got := similarity.SubtractInto(nil, a, b); !reflect.DeepEqual(got, []tokens.Rank{1, 7}) {
 		t.Fatalf("subtract: %v", got)
 	}
-	if got := unionInto(nil, a, b); !reflect.DeepEqual(got, []tokens.Rank{1, 3, 4, 5, 7}) {
+	if got := similarity.UnionInto(nil, a, b); !reflect.DeepEqual(got, []tokens.Rank{1, 3, 4, 5, 7}) {
 		t.Fatalf("union: %v", got)
 	}
-	if got := unionInto(nil, nil, b); !reflect.DeepEqual(got, b) {
+	if got := similarity.UnionInto(nil, nil, b); !reflect.DeepEqual(got, b) {
 		t.Fatalf("union nil: %v", got)
 	}
 }
 
 func TestOverlapSteps(t *testing.T) {
-	o, steps := overlapSteps([]tokens.Rank{1, 2, 3}, []tokens.Rank{2, 3, 4})
+	o, steps := similarity.IntersectSizeLinear([]tokens.Rank{1, 2, 3}, []tokens.Rank{2, 3, 4})
 	if o != 2 {
 		t.Fatalf("overlap: %d", o)
 	}
@@ -69,7 +69,7 @@ func checkBundle(t *testing.T, b *Bundle) {
 				m.Rec.ID, b.Core, m.Rec.Tokens)
 		}
 		// Core ∪ Delta == member tokens exactly.
-		if recon := unionInto(nil, b.Core, m.Delta); !slices.Equal(recon, m.Rec.Tokens) {
+		if recon := similarity.UnionInto(nil, b.Core, m.Delta); !slices.Equal(recon, m.Rec.Tokens) {
 			t.Fatalf("core+delta != tokens for member %d: %v vs %v",
 				m.Rec.ID, recon, m.Rec.Tokens)
 		}
@@ -92,7 +92,7 @@ func checkBundle(t *testing.T, b *Bundle) {
 func addRec(b *Bundle, r *record.Record, prefixLen int) []tokens.Rank {
 	var newCore []tokens.Rank
 	if b.Live() > 0 {
-		newCore = intersect(b.Core, r.Tokens)
+		newCore = similarity.IntersectInto(nil, b.Core, r.Tokens)
 	}
 	var al alloc
 	return b.add(&al, r, prefixLen, newCore)

@@ -1,7 +1,9 @@
 // Kernel dispatch for the verify phase: every intersection in probeBundle
-// funnels through overlapKernel/overlapKernelBounded, which run the
-// galloping merge when similarity.Gallops says the two lengths are skewed
-// enough and the linear merge otherwise, and count the choice in Stats.
+// funnels through overlapKernel/overlapKernelBounded, which run
+// similarity's galloping merge when similarity.Gallops says the two lengths
+// are skewed enough and its step-counting linear merge otherwise, and count
+// the choice in Stats. The package merges no rank slices of its own: the
+// kernels and the core/delta/union set operations are all in similarity.
 // Both kernels compute exact intersection sizes, so the choice can never
 // change the emitted match stream — only the work profile and the Kernel*
 // counters.
@@ -24,7 +26,7 @@ func (bx *Index) overlapKernel(a, b []tokens.Rank) (o, steps int) {
 		return similarity.IntersectSizeGallop(a, b)
 	}
 	bx.stats.KernelLinear++
-	return overlapSteps(a, b)
+	return similarity.IntersectSizeLinear(a, b)
 }
 
 // overlapKernelBounded is overlapKernel with VerifyOverlap's early
@@ -39,5 +41,5 @@ func (bx *Index) overlapKernelBounded(a, b []tokens.Rank, required int) (o, step
 		return similarity.VerifyOverlapGallop(a, b, required)
 	}
 	bx.stats.KernelLinear++
-	return overlapStepsBounded(a, b, required)
+	return similarity.VerifyOverlapLinear(a, b, 0, 0, 0, required)
 }

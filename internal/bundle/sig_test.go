@@ -207,7 +207,7 @@ func FuzzSigBoundSound(f *testing.F) {
 				if len(b.Members) == 0 {
 					firstLen, rebuilt = len(ts), true
 				} else {
-					core = intersect(b.Core, ts)
+					core = similarity.IntersectInto(nil, b.Core, ts)
 				}
 				b.add(&al, &record.Record{ID: id, Tokens: ts}, 1, core)
 			}

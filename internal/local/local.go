@@ -207,7 +207,7 @@ func (n *naiveJoiner) Step(r *record.Record, store bool, emit func(Match)) int {
 		}
 		n.cost.Candidates++
 		req := n.params.RequiredOverlap(r.Len(), s.Len())
-		o, steps := overlapSteps(r.Tokens, s.Tokens)
+		o, steps := similarity.IntersectSizeLinear(r.Tokens, s.Tokens)
 		n.cost.VerifySteps += uint64(steps)
 		n.cost.Verified++
 		if o >= req {
@@ -223,24 +223,6 @@ func (n *naiveJoiner) Step(r *record.Record, store bool, emit func(Match)) int {
 		n.cost.Stored++
 	}
 	return int(n.cost.Results - found)
-}
-
-func overlapSteps(a, b []uint32) (o, steps int) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		steps++
-		switch {
-		case a[i] == b[j]:
-			o++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return o, steps
 }
 
 // --------------------------------------------------------------- prefix --
@@ -298,10 +280,10 @@ func (p *prefixJoiner) Step(r *record.Record, store bool, emit func(Match)) int 
 			p.cost.SuffixPruned++
 			return
 		}
-		o, steps := verifyFromSteps(r.Tokens, c.Rec.Tokens, c.ResumeA, c.ResumeB, c.Overlap, req)
+		o, steps, ok := similarity.VerifyOverlapLinear(r.Tokens, c.Rec.Tokens, c.ResumeA, c.ResumeB, c.Overlap, req)
 		p.cost.VerifySteps += uint64(steps)
 		p.cost.Verified++
-		if o >= req {
+		if ok {
 			p.cost.Results++
 			if emit != nil {
 				emit(Match{Rec: c.Rec, ID: c.Rec.ID, Overlap: o,
@@ -313,35 +295,6 @@ func (p *prefixJoiner) Step(r *record.Record, store bool, emit func(Match)) int 
 		p.ix.Insert(r)
 	}
 	return int(p.cost.Results - found)
-}
-
-// verifyFromSteps resumes a merge at (i, j) with acc matches, counting
-// iterations and aborting when the requirement becomes unreachable. When it
-// aborts, the returned overlap is strictly below required, which is all the
-// caller needs.
-func verifyFromSteps(a, b []uint32, i, j, acc, required int) (o, steps int) {
-	o = acc
-	for i < len(a) && j < len(b) {
-		rest := len(a) - i
-		if lb := len(b) - j; lb < rest {
-			rest = lb
-		}
-		if o+rest < required {
-			return o, steps
-		}
-		steps++
-		switch {
-		case a[i] == b[j]:
-			o++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return o, steps
 }
 
 // --------------------------------------------------------------- bundle --

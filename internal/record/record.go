@@ -6,6 +6,7 @@ package record
 import (
 	"fmt"
 
+	"repro/internal/similarity"
 	"repro/internal/tokens"
 )
 
@@ -35,20 +36,7 @@ func (r *Record) String() string {
 // Overlap returns the size of the intersection of the two records' token
 // sets using a linear merge; both must be in ascending rank order.
 func (r *Record) Overlap(s *Record) int {
-	a, b := r.Tokens, s.Tokens
-	i, j, o := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			o++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
+	o, _ := similarity.IntersectSizeLinear(r.Tokens, s.Tokens)
 	return o
 }
 

@@ -1,14 +1,17 @@
-// Verification kernels: two set-intersection routines and the rule that
-// picks between them. The linear merge in similarity.go is the reference;
-// this file adds a galloping (exponential-search) merge for skewed length
-// ratios, where the short side drives binary probes into the long side,
-// and Gallops, which chooses per merge from the two lengths alone. Both
-// kernels compute the exact intersection size, so the join's emitted
+// Verification kernels: the step-counting set-intersection routines and
+// the rule that picks between them. The linear merge counts in merge
+// iterations and is the reference; the galloping (exponential-search) merge
+// is for skewed length ratios, where the short side drives binary probes
+// into the long side; Gallops chooses per merge from the two lengths alone.
+// Both kernels compute the exact intersection size, so the join's emitted
 // matches do not depend on the choice — only the work profile does. The
 // bounded variants share VerifyOverlap's contract: ok reports whether the
 // requirement was met, and the returned overlap is exact when ok and a
-// meaningless lower bound when !ok. DESIGN.md § "Why there is no bitset
-// kernel" has the trial that retired the third, word-packed kernel.
+// meaningless lower bound when !ok. These two linear merges and the set
+// operations in scratch.go are the join's merges of two ascending rank
+// slices; only dispatch's search for a first shared rank walks two on its
+// own. DESIGN.md § "Why there is no bitset kernel" has the trial that
+// retired the third, word-packed kernel.
 package similarity
 
 import "repro/internal/tokens"
@@ -29,6 +32,62 @@ func Gallops(la, lb int) bool {
 		short, long = long, short
 	}
 	return long >= short*gallopMinRatio
+}
+
+// IntersectSizeLinear computes |a∩b| by linear merge of ascending rank
+// slices. steps counts merge iterations, the unit of the joiners'
+// VerifySteps (and of the bundle's step counters for linear merges).
+//
+// Verification inner loop.
+func IntersectSizeLinear(a, b []tokens.Rank) (o, steps int) {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		steps++
+		switch {
+		case a[i] == b[j]:
+			o++
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return o, steps
+}
+
+// VerifyOverlapLinear decides |a∩b| >= required by linear merge with early
+// termination, resuming at positions (i, j) with o matches already counted
+// before them ((0, 0, 0) merges from the start). The scan aborts as soon as
+// the remaining elements cannot reach the requirement: ok=false then, and
+// the returned overlap is below required; ok=true means it is exact. steps
+// counts the iterations run from (i, j), so a merge split at any state it
+// passes through costs the same steps as the unsplit merge.
+//
+// Verification inner loop.
+func VerifyOverlapLinear(a, b []tokens.Rank, i, j, o, required int) (overlap, steps int, ok bool) {
+	for i < len(a) && j < len(b) {
+		rest := len(a) - i
+		if lb := len(b) - j; lb < rest {
+			rest = lb
+		}
+		if o+rest < required {
+			return o, steps, false
+		}
+		steps++
+		switch {
+		case a[i] == b[j]:
+			o++
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return o, steps, o >= required
 }
 
 // gallopTo returns the smallest index i >= from with b[i] >= x, probing

@@ -25,9 +25,99 @@ func genSorted(rng *rand.Rand, n, universe int) []tokens.Rank {
 	return out
 }
 
+// refOverlap counts |a∩b| by set membership, independent of any merge.
+func refOverlap(a, b []tokens.Rank) int {
+	in := make(map[tokens.Rank]bool, len(a))
+	for _, x := range a {
+		in[x] = true
+	}
+	o := 0
+	for _, x := range b {
+		if in[x] {
+			o++
+		}
+	}
+	return o
+}
+
+// mergeIters is the number of iterations a two-pointer merge of a and b
+// runs, the unit VerifySteps counts: one per distinct rank of a∪b up to
+// the smaller of the two last ranks, where the first side runs out.
+func mergeIters(a, b []tokens.Rank) int {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	end := min(a[len(a)-1], b[len(b)-1])
+	seen := make(map[tokens.Rank]bool)
+	for _, s := range [][]tokens.Rank{a, b} {
+		for _, x := range s {
+			if x <= end {
+				seen[x] = true
+			}
+		}
+	}
+	return len(seen)
+}
+
+// mergeState is the merge's state (i, j, o) after its first k iterations.
+func mergeState(a, b []tokens.Rank, k int) (i, j, o int) {
+	for ; k > 0 && i < len(a) && j < len(b); k-- {
+		switch {
+		case a[i] == b[j]:
+			o++
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return i, j, o
+}
+
+// checkLinearKernels holds the two step-counting linear kernels, the ones
+// the bundle probe and the naive and prefix joiners run, to their
+// contracts on one input: the exact overlap in the merge's iterations;
+// ok exactly when |a∩b| >= req, with the overlap exact when ok; and a
+// merge resumed at the (i, j, o) it reached after k of its steps (k taken
+// modulo its steps + 1) ending with the unsplit merge's overlap and ok,
+// the two calls' steps adding up to the unsplit merge's. It also checks
+// UnionInto under the in-place aliasing the bundle's union growth uses.
+func checkLinearKernels(t *testing.T, a, b []tokens.Rank, req, k int) {
+	t.Helper()
+	want, iters := refOverlap(a, b), mergeIters(a, b)
+	if o, steps := IntersectSizeLinear(a, b); o != want || steps != iters {
+		t.Fatalf("IntersectSizeLinear(%v, %v) = (%d, %d steps), want (%d, %d)", a, b, o, steps, want, iters)
+	}
+	o, steps, ok := VerifyOverlapLinear(a, b, 0, 0, 0, req)
+	if ok != (want >= req) || (ok && (o != want || steps != iters)) || (!ok && o >= req) {
+		t.Fatalf("VerifyOverlapLinear(%v, %v, req %d) = (%d, %d steps, %v), want ok=%v and (%d, %d steps) when ok",
+			a, b, req, o, steps, ok, want >= req, want, iters)
+	}
+	k %= steps + 1
+	i, j, o0 := mergeState(a, b, k)
+	if o2, steps2, ok2 := VerifyOverlapLinear(a, b, i, j, o0, req); o2 != o || ok2 != ok || k+steps2 != steps {
+		t.Fatalf("resumed at (%d, %d, %d) after %d steps, req %d: (%d, %d steps, %v), want (%d, %d steps, %v)",
+			i, j, o0, k, req, o2, k+steps2, ok2, o, steps, ok)
+	}
+
+	need := len(a) + len(b)
+	buf := make([]tokens.Rank, need)
+	shifted := buf[need-len(a):]
+	copy(shifted, a)
+	got := UnionInto(buf[:0], shifted, b)
+	wantU := append(append([]tokens.Rank(nil), a...), SubtractInto(nil, b, a)...)
+	sortRanks(wantU)
+	if !sameRanks(got, wantU) {
+		t.Fatalf("in-place UnionInto(%v, %v) = %v, want %v", a, b, got, wantU)
+	}
+}
+
 // TestKernelsAgreeRandomized drives the galloping kernel against the
-// linear reference across random set shapes, including heavy skew (the
-// gallop target) and clustered ranks.
+// linear reference, and the step-counting linear kernels against their
+// contracts (checkLinearKernels), across random set shapes, including
+// heavy skew (the gallop target) and clustered ranks.
 func TestKernelsAgreeRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 2000; i++ {
@@ -52,6 +142,7 @@ func TestKernelsAgreeRandomized(t *testing.T) {
 			if o, _, ok := VerifyOverlapGallop(a, b, req); ok != wantOK || (ok && o != want) {
 				t.Fatalf("iter %d req %d: gallop verify (%d,%v) want (%d,%v)", i, req, o, ok, want, wantOK)
 			}
+			checkLinearKernels(t, a, b, req, rng.Intn(la+lb+1))
 		}
 	}
 }
@@ -123,12 +214,14 @@ func fuzzRanks(data []byte) []tokens.Rank {
 
 // FuzzIntersectKernels differentially tests the galloping kernel (and the
 // scratch Into ops under the documented dst = a[:0] aliasing contract)
-// against the linear-merge reference.
+// against the linear-merge reference, and holds the step-counting linear
+// kernels and UnionInto to their contracts (checkLinearKernels), resuming
+// after kByte steps.
 func FuzzIntersectKernels(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4}, uint8(2))
-	f.Add([]byte{}, []byte{5}, uint8(0))
-	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1}, []byte{4, 4}, uint8(3))
-	f.Fuzz(func(t *testing.T, rawA, rawB []byte, reqByte uint8) {
+	f.Add([]byte{1, 2, 3}, []byte{2, 3, 4}, uint8(2), uint8(2))
+	f.Add([]byte{}, []byte{5}, uint8(0), uint8(0))
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1}, []byte{4, 4}, uint8(3), uint8(5))
+	f.Fuzz(func(t *testing.T, rawA, rawB []byte, reqByte, kByte uint8) {
 		a := fuzzRanks(rawA)
 		b := fuzzRanks(rawB)
 		want := IntersectSize(a, b)
@@ -151,6 +244,7 @@ func FuzzIntersectKernels(f *testing.F) {
 		if got := SubtractInto(ac[:0], ac, b); len(got) != len(a)-want {
 			t.Fatalf("in-place SubtractInto len=%d want %d", len(got), len(a)-want)
 		}
+		checkLinearKernels(t, a, b, req, int(kByte))
 	})
 }
 
@@ -179,16 +273,17 @@ func benchSets(short, long int) (a, b []tokens.Rank) {
 	return a, b
 }
 
-// The BenchmarkIntersect* family measures each kernel, plain and bounded,
-// across the size ratios that drive dispatch (1:1, 1:16, 1:256). CI asserts
-// 0 allocs/op on all of them.
+// The BenchmarkIntersect* family measures each kernel the bundle probe
+// dispatches to, plain and bounded, across the size ratios that drive
+// dispatch (1:1, 1:16, 1:256), and UnionInto into a preallocated dst. CI
+// asserts 0 allocs/op on all of them.
 func benchmarkKernels(b *testing.B, short, long int) {
 	sa, sb := benchSets(short, long)
 	req := short / 2
 	b.Run("linear", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sink = IntersectSize(sa, sb)
+			sink, _ = IntersectSizeLinear(sa, sb)
 		}
 	})
 	b.Run("gallop", func(b *testing.B) {
@@ -200,7 +295,7 @@ func benchmarkKernels(b *testing.B, short, long int) {
 	b.Run("linear-verify", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			sink, _ = VerifyOverlap(sa, sb, req)
+			sink, _, _ = VerifyOverlapLinear(sa, sb, 0, 0, 0, req)
 		}
 	})
 	b.Run("gallop-verify", func(b *testing.B) {
@@ -208,6 +303,14 @@ func benchmarkKernels(b *testing.B, short, long int) {
 		for i := 0; i < b.N; i++ {
 			sink, _, _ = VerifyOverlapGallop(sa, sb, req)
 		}
+	})
+	b.Run("union", func(b *testing.B) {
+		dst := make([]tokens.Rank, 0, len(sa)+len(sb))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			dst = UnionInto(dst[:0], sa, sb)
+		}
+		sink = len(dst)
 	})
 }
 

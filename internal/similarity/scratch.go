@@ -72,3 +72,30 @@ func SubtractInto(dst, a, b []tokens.Rank) []tokens.Rank {
 	}
 	return dst
 }
+
+// UnionInto merges a ∪ b (both ascending) onto dst, appending after dst's
+// existing elements, and returns the extended slice. When dst has spare
+// capacity the merge is allocation-free; dst may share its backing array
+// with a as long as a sits at or beyond the write region (the in-place
+// idiom the bundle's union growth uses: copy a to the tail of the buffer,
+// merge into its front), because every element of a is read in the same
+// iteration that can first overwrite it. dst must never alias b.
+func UnionInto(dst, a, b []tokens.Rank) []tokens.Rank {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			dst = append(dst, a[i])
+			i++
+			j++
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
+			i++
+		default:
+			dst = append(dst, b[j])
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}

@@ -176,19 +176,7 @@ func PrefixLen(f Func, t float64, l int) int {
 
 // IntersectSize computes |a∩b| by linear merge of ascending rank slices.
 func IntersectSize(a, b []tokens.Rank) int {
-	i, j, o := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			o++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
+	o, _ := IntersectSizeLinear(a, b)
 	return o
 }
 
@@ -198,30 +186,8 @@ func IntersectSize(a, b []tokens.Rank) int {
 // is met (ok=true); when ok=false the returned overlap is a lower bound
 // seen before aborting and must not be used as the true intersection size.
 func VerifyOverlap(a, b []tokens.Rank, required int) (overlap int, ok bool) {
-	if required <= 0 {
-		return IntersectSize(a, b), true
-	}
-	i, j, o := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		rest := len(a) - i
-		if lb := len(b) - j; lb < rest {
-			rest = lb
-		}
-		if o+rest < required {
-			return o, false
-		}
-		switch {
-		case a[i] == b[j]:
-			o++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return o, o >= required
+	overlap, _, ok = VerifyOverlapLinear(a, b, 0, 0, 0, required)
+	return overlap, ok
 }
 
 // VerifyOverlapFrom behaves like VerifyOverlap but starts the merge at
@@ -229,24 +195,6 @@ func VerifyOverlap(a, b []tokens.Rank, required int) (overlap int, ok bool) {
 // joiners use it to avoid re-scanning the prefix portion they already
 // compared during candidate generation.
 func VerifyOverlapFrom(a, b []tokens.Rank, i, j, o, required int) (overlap int, ok bool) {
-	for i < len(a) && j < len(b) {
-		rest := len(a) - i
-		if lb := len(b) - j; lb < rest {
-			rest = lb
-		}
-		if o+rest < required {
-			return o, false
-		}
-		switch {
-		case a[i] == b[j]:
-			o++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return o, o >= required
+	overlap, _, ok = VerifyOverlapLinear(a, b, i, j, o, required)
+	return overlap, ok
 }
