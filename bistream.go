@@ -44,19 +44,7 @@ func (b *BiStream) add(tokenSet []uint32, left bool) (uint64, []Match) {
 func (b *BiStream) addRecord(r *record.Record, left bool) (uint64, []Match) {
 	b.nextID++
 	b.tick++
-	b.scratch = b.scratch[:0]
-	emit := func(m local.Match) {
-		b.scratch = append(b.scratch, Match{
-			ID:         uint64(m.ID),
-			Overlap:    m.Overlap,
-			Similarity: m.Sim,
-		})
-	}
-	if left {
-		b.bi.StepLeft(r, emit)
-	} else {
-		b.bi.StepRight(r, emit)
-	}
+	b.scratch = b.bi.StepHits(r, !left, b.scratch[:0])
 	return uint64(r.ID), b.scratch
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 
 	"repro/internal/filter"
 	"repro/internal/record"
@@ -53,6 +54,18 @@ type Match struct {
 	ID      record.ID
 	Overlap int
 	Sim     float64
+}
+
+// Hit is a verified join result without its partner record, what the
+// single-node streams return (ssjoin.Match is this type): a buffer of them
+// holds no pointer, so the probe's loops append to it with no write barrier.
+type Hit struct {
+	// ID identifies the earlier record the new record matched.
+	ID uint64
+	// Overlap is the exact intersection size.
+	Overlap int
+	// Similarity is the exact similarity value.
+	Similarity float64
 }
 
 // Stats counts the work the bundle index performed.
@@ -166,7 +179,7 @@ func New(p filter.Params, w window.Policy, cfg Config) *Index {
 		cfg:    cfg.withDefaults(p.Threshold),
 	}
 	bx.posts.rebuild(postMinBits)
-	bx.sets.rehash(16, 0)
+	bx.sets.rehash(16)
 	if bx.cfg.GroupThreshold <= 1 {
 		bx.cMax, bx.keys, bx.looks = containment(p)
 	}
@@ -296,7 +309,7 @@ func (bx *Index) Evict(nowSeq record.ID, nowTime int64) {
 		bx.head = 0
 	}
 	if k := bx.sets.keys; len(k) > 2*sweepFloor && k[len(k)/2].seq < bx.stats.Evicted {
-		bx.sets.rehash(len(bx.sets.heads), bx.stats.Evicted)
+		bx.sets.dropKeys(bx.stats.Evicted)
 	}
 	if bx.deadPosts > sweepFloor && bx.deadPosts*2 > uint64(bx.posts.n) {
 		bx.sweep()
@@ -373,7 +386,19 @@ func (bx *Index) sweep() {
 // never the hint). Verification is exact; emitted overlaps are true
 // intersection sizes. A nil emit only counts: the hint and every counter are
 // the same.
-func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok bool) {
+func (bx *Index) Probe(r *record.Record, emit func(Match)) (Insertion, bool) {
+	return bx.probe(r, emit, nil)
+}
+
+// ProbeHits is Probe appending each match to *hits as a Hit, in the same
+// order, where Probe would call emit.
+func (bx *Index) ProbeHits(r *record.Record, hits *[]Hit) (Insertion, bool) {
+	return bx.probe(r, nil, hits)
+}
+
+// probe is Probe and ProbeHits: each match goes to hits when it is set, else
+// to emit, else is only counted.
+func (bx *Index) probe(r *record.Record, emit func(Match), hits *[]Hit) (best Insertion, ok bool) {
 	l := r.Len()
 	if looks := bx.looks[min(l, maxKeyed+1)]; bx.inSets(l) || len(looks) > 0 {
 		// r's subsets among exact sets, then its own set among every key —
@@ -382,10 +407,10 @@ func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok b
 		bx.stats.TwinProbes++
 		h := setHash(r.Tokens)
 		for _, skip := range looks {
-			bx.lookup(r, subHash(h, r.Tokens, skip), skip, emit)
+			bx.lookup(r, subHash(h, r.Tokens, skip), skip, emit, hits)
 		}
 		if bx.inSets(l) {
-			bx.lookup(r, h, 0, emit)
+			bx.lookup(r, h, 0, emit, hits)
 			return Insertion{}, false
 		}
 	}
@@ -393,7 +418,7 @@ func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok b
 		emit = discard // probeBundle counts every match it emits
 	}
 	for _, b := range bx.collectCandidates(r) {
-		if m, found := bx.probeBundle(r, b, emit); found && (!ok || betterIns(m, best)) {
+		if m, found := bx.probeBundle(r, b, emit, hits); found && (!ok || betterIns(m, best)) {
 			best, ok = m, true
 		}
 	}
@@ -403,13 +428,20 @@ func (bx *Index) Probe(r *record.Record, emit func(Match)) (best Insertion, ok b
 // lookup emits the live records stored under r's tokens less the positions
 // in skip, a set of k tokens whose hash is h: every copy of that exact set
 // at overlap k, and — for r's own set, skip 0 — every longer record keyed
-// under it, at overlap |r|. A nil emit counts a twin entry by its length.
-func (bx *Index) lookup(r *record.Record, h uint64, skip uint16, emit func(Match)) {
+// under it, at overlap |r|. With no hits and a nil emit it counts a twin
+// entry by its length.
+func (bx *Index) lookup(r *record.Record, h uint64, skip uint16, emit func(Match), hits *[]Hit) {
 	t, ev, n := &bx.sets, bx.stats.Evicted, uint64(0)
 	f, l, k := bx.params.Func, r.Len(), r.Len()-bits.OnesCount16(skip)
 	for i := t.heads[h>>t.shift][0]; i != 0; i = t.at(i).next {
 		if s := t.at(i); s.hash == h && equalSkip(r.Tokens, skip, s.toks) {
-			if emit != nil {
+			if hits != nil {
+				sim, hs := similarity.FromOverlap(f, k, l, k), *hits
+				for _, c := range s.ms {
+					hs = append(hs, Hit{ID: uint64(c.id), Overlap: k, Similarity: sim})
+				}
+				*hits = hs
+			} else if emit != nil {
 				sim := similarity.FromOverlap(f, k, l, k)
 				for _, c := range s.ms {
 					emit(Match{Rec: c.rec, ID: c.id, Overlap: k, Sim: sim})
@@ -418,15 +450,22 @@ func (bx *Index) lookup(r *record.Record, h uint64, skip uint16, emit func(Match
 			n += uint64(len(s.ms))
 		}
 	}
-	for i := t.heads[h>>t.shift][1]; skip == 0 && i != 0; i = t.keys[i-1].next {
-		if e := &t.keys[i-1]; e.hash == h && e.seq >= ev {
-			if m := bx.fifo[bx.head+int(e.seq-ev)].m; equalSkip(m.Rec.Tokens, e.skip, r.Tokens) {
-				if emit != nil {
-					emit(Match{Rec: m.Rec, ID: m.id, Overlap: l, Sim: similarity.FromOverlap(f, l, l, int(m.ln))})
-				}
-				n++
-			}
+	// A key chain runs newest first, so past its first dead key every key is
+	// dead, and those numbered up to base are dropped: the walk stops there.
+	for i := t.heads[h>>t.shift][1]; skip == 0 && i > t.base; {
+		e := &t.keys[i-1-t.base]
+		if e.seq < ev {
+			break
 		}
+		if m := bx.fifo[bx.head+int(e.seq-ev)].m; e.hash == h && equalSkip(m.Rec.Tokens, e.skip, r.Tokens) {
+			if hits != nil {
+				*hits = append(*hits, Hit{ID: uint64(m.id), Overlap: l, Similarity: similarity.FromOverlap(f, l, l, int(m.ln))})
+			} else if emit != nil {
+				emit(Match{Rec: m.Rec, ID: m.id, Overlap: l, Sim: similarity.FromOverlap(f, l, l, int(m.ln))})
+			}
+			n++
+		}
+		i = e.next
 	}
 	st := &bx.stats
 	st.TwinMatches, st.MemberChecks, st.Verified, st.Results = st.TwinMatches+n, st.MemberChecks+n, st.Verified+n, st.Results+n
@@ -586,9 +625,9 @@ func betterIns(a, b Insertion) bool {
 // counters: any index mutation belongs in collectCandidates or the
 // insert/evict path.
 //
-// Runs once per candidate bundle per probe; matches are emitted as value
-// structs through the emit callback.
-func (bx *Index) probeBundle(r *record.Record, b *Bundle, emit func(Match)) (Insertion, bool) {
+// Runs once per candidate bundle per probe; matches are appended to hits
+// when it is set, else emitted as value structs through the emit callback.
+func (bx *Index) probeBundle(r *record.Record, b *Bundle, emit func(Match), hits *[]Hit) (Insertion, bool) {
 	la := r.Len()
 	lo, hi := bx.probeLo, bx.probeHi
 	bmin, bmax := b.MinLen(), b.MaxLen()
@@ -617,7 +656,11 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, emit func(Match)) (Ins
 		m := b.Members[0]
 		sim := similarity.FromOverlap(bx.params.Func, o, la, bmin)
 		bx.stats.Results++
-		emit(Match{Rec: m.Rec, ID: m.id, Overlap: o, Sim: sim})
+		if hits != nil {
+			*hits = append(*hits, Hit{ID: uint64(m.id), Overlap: o, Similarity: sim})
+		} else {
+			emit(Match{Rec: m.Rec, ID: m.id, Overlap: o, Sim: sim})
+		}
 		return Insertion{Bundle: b, Sim: sim, At: m.id}, true
 	}
 
@@ -721,7 +764,11 @@ func (bx *Index) probeBundle(r *record.Record, b *Bundle, emit func(Match)) (Ins
 			simLen, simO, sim = lb, o, similarity.FromOverlap(bx.params.Func, o, la, lb)
 		}
 		bx.stats.Results++
-		emit(Match{Rec: m.Rec, ID: m.id, Overlap: o, Sim: sim})
+		if hits != nil {
+			*hits = append(*hits, Hit{ID: uint64(m.id), Overlap: o, Similarity: sim})
+		} else {
+			emit(Match{Rec: m.Rec, ID: m.id, Overlap: o, Sim: sim})
+		}
 		if !found || betterIns(Insertion{Sim: sim, At: m.id}, best) {
 			best, found = Insertion{Bundle: b, Sim: sim, At: m.id}, true
 		}
@@ -835,9 +882,11 @@ func (bx *Index) group(r *record.Record, best Insertion) *Bundle {
 
 // setTable stores the containment regime: twin entries, carved from fixed
 // chunks on first use (a free list keeps their queues), and key entries,
-// each kind chained per bucket by 1 + index (0: none). Keys are appended in
-// arrival order, and the seq-th record's are live while seq ≥ the records
-// evicted, so the dead keys are a prefix.
+// each kind chained per bucket, twins by 1 + index (0: none) and keys by
+// number, keys[i] being number base + 1 + i (base or below: none). Keys are
+// appended in arrival order and hooked at their chain's head, so a chain
+// runs newest first; the seq-th record's are live while seq ≥ the records
+// evicted, so the dead keys are a prefix of keys and a tail of each chain.
 type setTable struct {
 	heads    [][2]int32 // per bucket, the chains of twin and of key entries
 	shift    uint8
@@ -845,6 +894,7 @@ type setTable struct {
 	chunks   []*[setChunk]twinSet
 	carved   int32 // twin entries carved: 1..carved are in chunks
 	keys     []keyEntry
+	base     int32 // keys dropped since the last rehash numbered them
 	freeSets int32
 }
 
@@ -922,7 +972,7 @@ func equalSkip(a []tokens.Rank, skip uint16, b []tokens.Rank) bool {
 func (t *setTable) hook(kind int, i int32, next *int32, h uint64) {
 	head := &t.heads[h>>t.shift][kind]
 	if *next, *head = *head, i; t.nsets+len(t.keys) > len(t.heads) {
-		t.rehash(2*len(t.heads), 0)
+		t.rehash(2 * len(t.heads))
 	}
 }
 
@@ -983,13 +1033,25 @@ func (t *setTable) remove(m *Member) bool {
 // hash is h.
 func (t *setTable) addKey(seq, h uint64, skip uint16) {
 	t.keys = push(t.keys, keyEntry{hash: h, seq: seq, skip: skip})
-	t.hook(1, int32(len(t.keys)), &t.keys[len(t.keys)-1].next, h)
+	t.hook(1, t.base+int32(len(t.keys)), &t.keys[len(t.keys)-1].next, h)
 }
 
-// rehash relinks every entry into n buckets, a power of two, dropping keys
-// numbered below evicted: Evict calls it once they are half the keys, so
-// (like the posting sweep) it is amortised O(1) per key.
-func (t *setTable) rehash(n int, evicted uint64) {
+// dropKeys drops the keys of records numbered below evicted, a prefix, by
+// advancing base past them. No link changes: a walk stops at a chain's first
+// dead key, so it never follows a link to a dropped one. Evict calls it once
+// they are half the keys, so (like the posting sweep) it is amortised O(1)
+// per key.
+func (t *setTable) dropKeys(evicted uint64) {
+	d := sort.Search(len(t.keys), func(i int) bool { return t.keys[i].seq >= evicted })
+	t.keys = t.keys[:copy(t.keys, t.keys[d:])]
+	if t.base += int32(d); t.base > 1<<30 {
+		t.rehash(len(t.heads)) // renumber long before int32 wraps
+	}
+}
+
+// rehash relinks every entry into n buckets, a power of two, numbering the
+// keys from 1 again, oldest first so that each chain runs newest first.
+func (t *setTable) rehash(n int) {
 	if len(t.heads) != n {
 		t.heads, t.shift = make([][2]int32, n), uint8(64-bits.TrailingZeros(uint(n)))
 	} else {
@@ -1000,12 +1062,8 @@ func (t *setTable) rehash(n int, evicted uint64) {
 			t.hook(0, i, &s.next, s.hash)
 		}
 	}
-	live := t.keys[:0]
-	for _, e := range t.keys {
-		if e.seq >= evicted {
-			live = append(live, e)
-			t.hook(1, int32(len(live)), &live[len(live)-1].next, e.hash)
-		}
+	t.base = 0
+	for i := range t.keys {
+		t.hook(1, int32(i+1), &t.keys[i].next, t.keys[i].hash)
 	}
-	t.keys = live
 }

@@ -1,6 +1,7 @@
 package bundle
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -168,8 +169,9 @@ func checkInvariants(t *testing.T, bx *Index) {
 // stores a queued record under one of its length's subset keys, hashed and
 // bucketed as that subset, and each record's keys are all linked once; the
 // dead ones, of records that left the window, are a prefix that Evict keeps
-// to at most the live keys (beyond 2·sweepFloor). It returns the number of
-// linked twin entries.
+// to at most the live keys (beyond 2·sweepFloor). Each key chain runs newest
+// first, numbers falling, so its dead keys are its tail, which a lookup's walk
+// never passes. It returns the number of linked twin entries.
 func checkTwins(t *testing.T, bx *Index, twinM, liveM map[*Member]bool) int {
 	t.Helper()
 	tt := &bx.sets
@@ -187,11 +189,12 @@ func checkTwins(t *testing.T, bx *Index, twinM, liveM map[*Member]bool) int {
 		return slices.ContainsFunc(cs, func(c twinCopy) bool { return c != twinCopy{} })
 	}
 	for bkt, hs := range tt.heads {
-		for i := hs[1]; i != 0; i = tt.keys[i-1].next {
-			e := &tt.keys[i-1]
-			if chained[i] {
-				t.Fatalf("key entry %d chained twice", i-1)
+		for i, prev := hs[1], int32(math.MaxInt32); i > tt.base; i = tt.keys[i-1-tt.base].next {
+			e := &tt.keys[i-1-tt.base]
+			if chained[i] || i >= prev {
+				t.Fatalf("key entry %d chained twice or after %d", i-1-tt.base, prev-1-tt.base)
 			}
+			prev = i
 			if chained[i] = true; e.seq < bx.stats.Evicted {
 				dead++ // its record left the window: dropped lazily
 				continue
@@ -201,7 +204,7 @@ func checkTwins(t *testing.T, bx *Index, twinM, liveM map[*Member]bool) int {
 			toks := m.Rec.Tokens
 			if !liveM[m] || !slices.Contains(keys, e.skip) || keyed[m][e.skip] ||
 				e.hash != subHash(setHash(toks), toks, e.skip) || int(e.hash>>tt.shift) != bkt {
-				t.Fatalf("key entry %d: record %d %v under %b, hash %x in bucket %d", i-1, m.Rec.ID, toks, e.skip, e.hash, bkt)
+				t.Fatalf("key entry %d: record %d %v under %b, hash %x in bucket %d", i-1-tt.base, m.Rec.ID, toks, e.skip, e.hash, bkt)
 			}
 			if keyed[m] == nil {
 				keyed[m] = make(map[uint16]bool)
@@ -778,5 +781,53 @@ func TestWalkOrderKeepsTheFunnel(t *testing.T) {
 		if got := bx.Stats(); got != tc.want {
 			t.Errorf("%s: the funnel moved:\n got  %+v\n want %+v", tc.profile.Name, got, tc.want)
 		}
+	}
+}
+
+// TestKeyNumbersRenumber moves an AOL-like index's key numbers up to the
+// renumbering mark, as 2^30 keys dropped would: the next drop of dead keys
+// must number them from 1 again, and the index must go on collecting what an
+// index that was never moved collects, with the same Stats.
+func TestKeyNumbersRenumber(t *testing.T) {
+	p, win := params(0.8), window.Count{N: 500}
+	bx, ref := New(p, win, Config{}), New(p, win, Config{})
+	gen := workload.NewGenerator(workload.AOLLike(42))
+	var got, want []Hit
+	renumbered := false
+	for i := range 20_000 {
+		r := gen.Next()
+		if i == 5_000 {
+			tt := &bx.sets
+			if len(tt.keys) == 0 {
+				t.Fatal("no key entries to renumber")
+			}
+			d := 1<<30 - tt.base
+			for b := range tt.heads {
+				tt.heads[b][1] += d
+			}
+			for k := range tt.keys {
+				tt.keys[k].next += d
+			}
+			tt.base += d
+			checkInvariants(t, bx)
+		}
+		base := bx.sets.base
+		got, want = got[:0], want[:0]
+		for _, x := range []struct {
+			bx   *Index
+			hits *[]Hit
+		}{{bx, &got}, {ref, &want}} {
+			x.bx.Evict(r.ID, r.Time)
+			best, _ := x.bx.ProbeHits(r, x.hits)
+			x.bx.Insert(r, best)
+		}
+		if !slices.Equal(got, want) || bx.Stats() != ref.Stats() {
+			t.Fatalf("record %d: collected %v, the unmoved index %v", r.ID, got, want)
+		}
+		renumbered = renumbered || bx.sets.base < base
+	}
+	checkInvariants(t, bx)
+	if !renumbered {
+		t.Fatal("the key numbers were never renumbered")
 	}
 }

@@ -432,25 +432,37 @@ func FuzzIndexVsBruteForce(f *testing.F) {
 // requires exactly the pairs of the quadratic scan, each emitted once. A
 // second index probes every record with a nil emit: after each step it
 // must hold the same Stats, have taken the same insertion hint and counted
-// as many matches as the first emitted.
+// as many matches as the first emitted. A third probes with ProbeHits and
+// must collect what the first emitted, in the same order, with the same hint
+// and Stats.
 func indexVsBruteForce(t *testing.T, stream []*record.Record, p filter.Params, win window.Policy) {
 	t.Helper()
 	tau := p.Threshold
 	want := bruteForce(stream, p, win)
 	for _, cfg := range []Config{{}, {MaxMembers: 2}} {
-		bx, cx := New(p, win, cfg), New(p, win, cfg)
+		bx, cx, hx := New(p, win, cfg), New(p, win, cfg), New(p, win, cfg)
 		got := make(map[record.Pair]bool)
+		var emitted, hits []Hit
 		for _, r := range stream {
 			n := len(got)
 			bx.Evict(r.ID, r.Time)
+			emitted = emitted[:0]
 			best, ok := bx.Probe(r, func(m Match) {
 				pr := record.NewPair(r.ID, m.Rec.ID, 0)
-				if got[pr] {
-					t.Fatalf("τ=%v win=%v %+v: %v emitted twice", tau, win, cfg, pr)
+				if got[pr] || m.ID != m.Rec.ID {
+					t.Fatalf("τ=%v win=%v %+v: %v emitted twice or as ID %d", tau, win, cfg, pr, m.ID)
 				}
 				got[pr] = true
+				emitted = append(emitted, Hit{ID: uint64(m.ID), Overlap: m.Overlap, Similarity: m.Sim})
 			})
 			bx.Insert(r, best)
+			hx.Evict(r.ID, r.Time)
+			hits = hits[:0]
+			hbest, hok := hx.ProbeHits(r, &hits)
+			if !slices.Equal(hits, emitted) || hok != ok || hbest.Sim != best.Sim || hbest.At != best.At {
+				t.Fatalf("τ=%v win=%v %+v record %d: collected %v (hint %+v %v), emitted %v (hint %+v %v)", tau, win, cfg, r.ID, hits, hbest, hok, emitted, best, ok)
+			}
+			hx.Insert(r, hbest)
 			cx.Evict(r.ID, r.Time)
 			before := cx.Results()
 			cbest, cok := cx.Probe(r, nil)
@@ -462,8 +474,8 @@ func indexVsBruteForce(t *testing.T, stream []*record.Record, p filter.Params, w
 				t.Fatalf("τ=%v win=%v %+v record %d: counting hint %+v %v, emitting %+v %v", tau, win, cfg, r.ID, cbest, cok, best, ok)
 			}
 			cx.Insert(r, cbest)
-			if bs, cs := bx.Stats(), cx.Stats(); bs != cs {
-				t.Fatalf("τ=%v win=%v %+v record %d: counting stats %+v, emitting %+v", tau, win, cfg, r.ID, cs, bs)
+			if bs, cs, hs := bx.Stats(), cx.Stats(), hx.Stats(); bs != cs || bs != hs {
+				t.Fatalf("τ=%v win=%v %+v record %d: counting stats %+v, collecting %+v, emitting %+v", tau, win, cfg, r.ID, cs, hs, bs)
 			}
 		}
 		for pr := range want {

@@ -35,16 +35,32 @@ func (b *BiJoiner) StepRight(r *record.Record, emit func(Match)) {
 // length-based framework stores each record at one worker only). Like
 // Joiner.Step it returns the match count, and a nil emit only counts.
 func (b *BiJoiner) StepSide(r *record.Record, right, store bool, emit func(Match)) int {
-	own, opposite := b.left, b.right
-	if right {
-		own, opposite = b.right, b.left
-	}
+	own, opposite := b.sides(right)
 	n := opposite.Step(r, false, emit) // probe + evict the opposite side
 	if store {
 		own.Load(r)
 	}
 	b.evictOwn(own, r)
 	return n
+}
+
+// StepHits is StepRight (right) or StepLeft collecting through
+// Joiner.StepHits: it appends r's matches to hits and returns the slice.
+func (b *BiJoiner) StepHits(r *record.Record, right bool, hits []Hit) []Hit {
+	own, opposite := b.sides(right)
+	hits = opposite.StepHits(r, false, hits)
+	own.Load(r)
+	b.evictOwn(own, r)
+	return hits
+}
+
+// sides returns r's own side and the opposite one, r being on the right
+// side when right is set.
+func (b *BiJoiner) sides(right bool) (own, opposite Joiner) {
+	if right {
+		return b.right, b.left
+	}
+	return b.left, b.right
 }
 
 // evictOwn advances the window of the side that just stored a record;

@@ -27,6 +27,10 @@ import (
 // and leaves the partner record alone.
 type Match = bundle.Match
 
+// Hit is a match as the single-node streams return it: the partner's ID,
+// overlap and similarity, no record.
+type Hit = bundle.Hit
+
 // Cost summarizes the work a joiner performed, in comparable units across
 // algorithms. The load-aware partitioner and the experiment harness consume
 // it.
@@ -68,6 +72,10 @@ type Joiner interface {
 	// no Match is built, and the Bundled joiner counts a twin entry's
 	// copies by its length.
 	Step(r *record.Record, store bool, emit func(Match)) int
+	// StepHits is Step appending each match to hits as a Hit; it returns
+	// the grown slice. The Bundled joiner writes each hit once, from the
+	// probe's own loops.
+	StepHits(r *record.Record, store bool, hits []Hit) []Hit
 	// Size reports the number of records currently stored.
 	Size() int
 	// Cost reports accumulated work counters.
@@ -170,6 +178,19 @@ func (n *naiveJoiner) Name() string { return "naive" }
 func (n *naiveJoiner) Size() int    { return len(n.store) - n.head }
 func (n *naiveJoiner) Cost() Cost   { return n.cost }
 
+// StepHits implements Joiner.
+func (n *naiveJoiner) StepHits(r *record.Record, store bool, hits []Hit) []Hit {
+	return stepHits(n, r, store, hits)
+}
+
+// stepHits is StepHits for the joiners that collect through Step's emit.
+func stepHits(j Joiner, r *record.Record, store bool, hits []Hit) []Hit {
+	j.Step(r, store, func(m Match) {
+		hits = append(hits, Hit{ID: uint64(m.ID), Overlap: m.Overlap, Similarity: m.Sim})
+	})
+	return hits
+}
+
 // Dump implements Joiner.
 func (n *naiveJoiner) Dump(visit func(*record.Record) bool) {
 	for _, r := range n.store[n.head:] {
@@ -251,6 +272,11 @@ func newPrefix(opt Options) *prefixJoiner {
 
 func (p *prefixJoiner) Name() string { return "prefix" }
 func (p *prefixJoiner) Size() int    { return p.ix.Size() }
+
+// StepHits implements Joiner.
+func (p *prefixJoiner) StepHits(r *record.Record, store bool, hits []Hit) []Hit {
+	return stepHits(p, r, store, hits)
+}
 
 // Dump implements Joiner.
 func (p *prefixJoiner) Dump(visit func(*record.Record) bool) { p.ix.Dump(visit) }
@@ -352,6 +378,18 @@ func (b *bundledJoiner) Step(r *record.Record, store bool, emit func(Match)) int
 		b.stored++
 	}
 	return int(b.bx.Results() - found)
+}
+
+// StepHits implements Joiner: the probe appends each hit as it verifies it.
+func (b *bundledJoiner) StepHits(r *record.Record, store bool, hits []Hit) []Hit {
+	b.probes++
+	b.bx.Evict(r.ID, r.Time)
+	best, _ := b.bx.ProbeHits(r, &hits)
+	if store {
+		b.bx.Insert(r, best)
+		b.stored++
+	}
+	return hits
 }
 
 // Interface checks.

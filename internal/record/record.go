@@ -5,6 +5,7 @@ package record
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/similarity"
 	"repro/internal/tokens"
@@ -127,9 +128,11 @@ func (b *Builder) token(tok []byte) {
 // reference to text.
 func (b *Builder) FromText(text string) Record {
 	b.scan(text)
-	ranks := tokens.Dedup(b.ranks)
-	r := Record{ID: b.nextID, Time: b.nextTime, Tokens: make([]tokens.Rank, len(ranks))}
-	copy(r.Tokens, ranks)
+	// scan ranked each distinct token once (the epoch stamp), and ranks are
+	// one per token id, so sorting alone leaves a set.
+	slices.Sort(b.ranks)
+	r := Record{ID: b.nextID, Time: b.nextTime, Tokens: make([]tokens.Rank, len(b.ranks))}
+	copy(r.Tokens, b.ranks)
 	b.nextID++
 	b.nextTime++
 	return r

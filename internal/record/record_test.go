@@ -1,6 +1,8 @@
 package record
 
 import (
+	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -120,5 +122,32 @@ func TestFromTextDedupsAcrossEpochWrap(t *testing.T) {
 	}
 	if f := b.Dict.Frequency(b.Dict.Intern("a")); f != 1+1+2 {
 		t.Fatalf("freq(a) = %d, want 4 (sample, then three texts)", f)
+	}
+}
+
+// TestFromTextTokensStrictlyIncrease feeds texts that repeat words, known to
+// the sample or not, in any order: FromText only sorts the ranks its scan
+// collected, so each record must still come out a set, strictly increasing,
+// of exactly the text's distinct words.
+func TestFromTextTokensStrictlyIncrease(t *testing.T) {
+	b := buildTestBuilder([]string{"w0 w1 w2", "w1 w2 w3", "w2 w4"})
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 2_000; i++ {
+		words, distinct := make([]string, 1+rng.Intn(12)), make(map[string]bool)
+		for k := range words {
+			words[k] = fmt.Sprintf("w%d", rng.Intn(10+i/100)) // past w4: unseen, ranked post-frozen
+			distinct[words[k]] = true
+		}
+		text := fmt.Sprint(words)
+		text = text[1 : len(text)-1]
+		r := b.FromText(text)
+		if len(r.Tokens) != len(distinct) {
+			t.Fatalf("%q: %d tokens %v, want %d", text, len(r.Tokens), r.Tokens, len(distinct))
+		}
+		for k := 1; k < len(r.Tokens); k++ {
+			if r.Tokens[k] <= r.Tokens[k-1] {
+				t.Fatalf("%q: tokens %v do not strictly increase", text, r.Tokens)
+			}
+		}
 	}
 }

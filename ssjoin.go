@@ -161,15 +161,11 @@ func (c Config) build() (filter.Params, window.Policy, local.Algorithm, bundle.C
 	return params, win, alg, bcfg, nil
 }
 
-// Match is one verified join result.
-type Match struct {
-	// ID identifies the earlier record the new record matched.
-	ID uint64
-	// Overlap is the exact intersection size.
-	Overlap int
-	// Similarity is the exact similarity value.
-	Similarity float64
-}
+// Match is one verified join result: ID identifies the earlier record the
+// new record matched, Overlap is the exact intersection size and Similarity
+// the exact similarity value. It is the bundle index's own result type, so
+// the index writes each match straight into the slice Add returns.
+type Match = bundle.Hit
 
 // Pair is a symmetric result pair as reported by distributed runs.
 type Pair struct {
@@ -252,14 +248,7 @@ func (s *Stream) AddAt(tokenSet []uint32, at int64) (id uint64, matches []Match)
 }
 
 func (s *Stream) addRecord(r *record.Record) (uint64, []Match) {
-	s.scratch = s.scratch[:0]
-	s.joiner.Step(r, true, func(m local.Match) {
-		s.scratch = append(s.scratch, Match{
-			ID:         uint64(m.ID),
-			Overlap:    m.Overlap,
-			Similarity: m.Sim,
-		})
-	})
+	s.scratch = s.joiner.StepHits(r, true, s.scratch[:0])
 	s.nextID++
 	s.tick++
 	s.records++
