@@ -85,8 +85,8 @@ func TestRemotePlanMatchesTheHandBuiltSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The Hello's protocol version is in the hash: the hand-built session
-	// hashed 0x1ad4c63e927a5641 at version 11.
-	if got := sess.PlanHash(k); got != 0x70ef78cac0c8f5da {
-		t.Fatalf("default flags: plan hash %#x, bounds %v; the hand-built session hashed 0x70ef78cac0c8f5da with bounds [16 24] at protocol version 12", got, sess.Bounds)
+	// hashed 0x1ad4c63e927a5641 at version 11 and 0x70ef78cac0c8f5da at 12.
+	if got := sess.PlanHash(k); got != 0xf98c39ed30616997 {
+		t.Fatalf("default flags: plan hash %#x, bounds %v; the hand-built session hashed 0xf98c39ed30616997 with bounds [16 24] at protocol version 13", got, sess.Bounds)
 	}
 }

@@ -1,9 +1,10 @@
 // Remote fleet: the deployment shape — a coordinator driving worker
 // processes over TCP with the binary wire protocol, including a mid-stream
-// "failover": the first session is stopped with a snapshot request, a new
-// fleet is seeded from the snapshots, and the stream resumes with no
-// results lost. (Workers run in-process on loopback here; in production
-// each would be its own `ssjoinworker` process.)
+// "failover": the first session ends with a snapshot of each task's window,
+// which the coordinator writes from its own records, a new fleet is seeded
+// from the snapshots, and the stream resumes with no results lost. The
+// process fails if any are. (Workers run in-process on loopback here; in
+// production each would be its own `ssjoinworker` process.)
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"net"
 
 	"repro/internal/filter"
+	"repro/internal/local"
 	"repro/internal/partition"
 	"repro/internal/remote"
 	"repro/internal/similarity"
@@ -55,13 +57,14 @@ func main() {
 
 	params := filter.Params{Func: similarity.Jaccard, Threshold: tau}
 	sess := remote.Session{
-		Params:   params,
-		Strategy: "length",
-		Bounds:   partition.Fit(params, recs, k).Bounds,
+		Params:    params,
+		Algorithm: local.Bundled,
+		Strategy:  "length",
+		Bounds:    partition.Fit(params, recs, k).Bounds,
 	}
 
-	// Phase 1: first fleet processes half the stream, then hands back its
-	// window state.
+	// Phase 1: the first fleet processes half the stream, and the
+	// coordinator snapshots each task's window.
 	fleet1, stop1 := startFleet(ctx, k)
 	sum1, err := remote.RunWithOpts(ctx, fleet1, sess, recs[:cut], remote.Opts{Snapshot: true})
 	if err != nil {
@@ -92,14 +95,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("uninterrupted: %d results; split total %d — %s\n",
-		full.Results, sum1.Results+sum2.Results,
-		verdict(full.Results == sum1.Results+sum2.Results))
-}
-
-func verdict(ok bool) string {
-	if ok {
-		return "no results lost across failover"
+	split := sum1.Results + sum2.Results
+	if split != full.Results {
+		log.Fatalf("uninterrupted: %d results; split total %d — the failover lost or duplicated results", full.Results, split)
 	}
-	return "MISMATCH"
+	fmt.Printf("uninterrupted: %d results; split total %d — no results lost across failover\n", full.Results, split)
 }

@@ -30,8 +30,11 @@ type Cursor struct {
 	NextTime int64
 }
 
-// Write serializes the cursor and the joiner's live records to w.
-func Write(w io.Writer, cur Cursor, j local.Joiner) error {
+// Write serializes the cursor and the records j dumps (a joiner's live
+// records) to w.
+func Write(w io.Writer, cur Cursor, j interface {
+	Dump(func(*record.Record) bool)
+}) error {
 	return write(w, cur, func(visit func(*record.Record, bool) bool) {
 		j.Dump(func(r *record.Record) bool { return visit(r, false) })
 	})
@@ -81,10 +84,10 @@ func (b byteReaderAdapter) ReadByte() (byte, error) {
 	return one[0], err
 }
 
-// Read restores a checkpoint into j (which must be freshly constructed
-// with the same join configuration) and returns the saved cursor and the
-// number of records loaded.
-func Read(r io.Reader, j local.Joiner) (Cursor, int, error) {
+// Read restores a checkpoint into j (a joiner freshly constructed with the
+// same join configuration) and returns the saved cursor and the number of
+// records loaded.
+func Read(r io.Reader, j interface{ Load(*record.Record) }) (Cursor, int, error) {
 	return read(r, func(rec *record.Record, _ bool) { j.Load(rec) })
 }
 

@@ -59,15 +59,6 @@ func EmitsAll(s Strategy) bool {
 	return false
 }
 
-// hash64 is splitmix64 — a cheap, well-distributed token/ID hash shared by
-// all strategies.
-func hash64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // ------------------------------------------------------------- length --
 
 // LengthBased is the paper's length-based distribution framework.
@@ -118,7 +109,7 @@ type PrefixBased struct {
 func (PrefixBased) Name() string { return "prefix" }
 
 func tokenWorker(t tokens.Rank, k int) int {
-	return int(hash64(uint64(t)) % uint64(k))
+	return int(tokens.SplitMix64(uint64(t)) % uint64(k))
 }
 
 // Route implements Strategy: one copy per distinct prefix-token worker.
@@ -191,7 +182,7 @@ func (BroadcastBased) Route(r *record.Record, k int, buf []int) []int {
 
 // Stores implements Strategy.
 func (BroadcastBased) Stores(r *record.Record, task, k int) bool {
-	return int(hash64(uint64(r.ID))%uint64(k)) == task
+	return int(tokens.SplitMix64(uint64(r.ID))%uint64(k)) == task
 }
 
 // Emits implements Strategy: the stored partner exists on one worker only.

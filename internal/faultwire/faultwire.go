@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/tokens"
 	"repro/internal/wire"
 )
 
@@ -92,14 +93,6 @@ func Wrap(conn io.ReadWriteCloser, cfg Config) *Conn {
 	return &Conn{inner: conn, cfg: cfg}
 }
 
-// splitmix is splitmix64, the per-frame decision PRNG.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // decide picks the fault for frame n of type typ in the direction salted
 // by dir. Severs only fire on the write path; dropping frames the peer
 // already flushed, as a TCP reset does, is left to a test wrapper in
@@ -108,7 +101,7 @@ func (c *Conn) decide(dir uint64, n int, typ byte) action {
 	if dir == saltWrite && c.cfg.SeverAfterFrames > 0 && n+1 >= c.cfg.SeverAfterFrames {
 		return actSever
 	}
-	r := splitmix(c.cfg.Seed ^ dir<<32 ^ uint64(n)<<8 ^ uint64(typ))
+	r := tokens.SplitMix64(c.cfg.Seed ^ dir<<32 ^ uint64(n)<<8 ^ uint64(typ))
 	v := int(r % 1000)
 	if v < c.cfg.SeverPerMille {
 		if dir == saltWrite {

@@ -19,15 +19,6 @@ import (
 	"repro/internal/window"
 )
 
-// splitmix64 provides the per-row hash family: row i hashes token t as
-// splitmix64(seed_i ^ t).
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Params sizes the signature.
 type Params struct {
 	// Bands and Rows define the banding; the signature has Bands*Rows
@@ -56,11 +47,12 @@ func (p Params) Signature(set []tokens.Rank, sig []uint64) []uint64 {
 		sig = make([]uint64, n)
 	}
 	sig = sig[:n]
+	// Row i hashes token t as SplitMix64(seed_i ^ t).
 	for i := range sig {
-		rowSeed := splitmix64(p.Seed + uint64(i)*0x9e3779b97f4a7c15)
+		rowSeed := tokens.SplitMix64(p.Seed + uint64(i)*0x9e3779b97f4a7c15)
 		min := ^uint64(0)
 		for _, t := range set {
-			if h := splitmix64(rowSeed ^ uint64(t)); h < min {
+			if h := tokens.SplitMix64(rowSeed ^ uint64(t)); h < min {
 				min = h
 			}
 		}

@@ -27,7 +27,7 @@ type RunSummary struct {
 	TuplesSent, BytesSent uint64
 	// WorkerStats are the per-worker final counters, indexed by task.
 	WorkerStats []wire.Stats
-	// Snapshots holds each worker's window checkpoint when requested via
+	// Snapshots holds each task's window checkpoint when requested via
 	// Opts.Snapshot, indexed by task.
 	Snapshots [][]byte
 	// Retries counts failed connection attempts, Reconnects successful
@@ -41,12 +41,12 @@ type RunSummary struct {
 type Opts struct {
 	// CollectPairs returns every result pair in the summary.
 	CollectPairs bool
-	// Seed restores worker windows from per-task snapshot blobs before the
-	// record stream (nil entries start empty). Produce blobs with a prior
-	// run's Opts.Snapshot.
+	// Seed holds each task's window before the stream, a prior run's
+	// Snapshots (nil entries start empty). Its IDs must strictly increase
+	// and stay below the stream's first, and its times not pass its first.
 	Seed [][]byte
-	// Snapshot asks every worker to return its window state after the
-	// stream; the blobs land in RunSummary.Snapshots.
+	// Snapshot returns each task's window after the stream, written by the
+	// coordinator from its own records, in RunSummary.Snapshots.
 	Snapshot bool
 	// Journal receives coordinator lifecycle events; nil disables.
 	Journal *obs.Journal

@@ -147,7 +147,7 @@ func TestRetiredFlowFramesFailTheSession(t *testing.T) {
 		consumes []byte
 		session  func(t *testing.T, typ byte) error
 	}{
-		{"worker", []byte{wire.TypeRecord, wire.TypeEOF, wire.TypeSnapshot, wire.TypeSnapshotReq, wire.TypePing}, func(t *testing.T, typ byte) error {
+		{"worker", []byte{wire.TypeRecord, wire.TypeEOF, wire.TypePing}, func(t *testing.T, typ byte) error {
 			return worker(t, append(slices.Clone(hello.Bytes()), typ, 0))
 		}},
 		// A session's first frame must be a Hello, whatever it carries.

@@ -49,6 +49,7 @@
 package remote
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -118,14 +119,13 @@ type ftRunner struct {
 
 	// recs is the caller's record stream, right each record's side in a bi
 	// session (nil otherwise); ingested is how many of them the write
-	// loops may send.
+	// loops may send. seed holds each task's records before the stream,
+	// decoded from Opts.Seed (nil when it has none).
 	recs     []*record.Record
 	right    []bool
 	ingested atomic.Int64
-	// seed holds each task's window snapshot, sent after the ResumeAck;
-	// snaps, when the caller asked for them, each worker's, after Stats.
-	seed, snaps [][]byte
-	notify      []chan struct{} // per-worker wakeups, capacity 1
+	seed     []records
+	notify   []chan struct{} // per-worker wakeups, capacity 1
 	// recv holds each task's results: its have counter, its mark and,
 	// when collecting, its pairs; stats holds its worker's final Stats.
 	// Only the task's manager and the reader of its current attempt touch
@@ -209,13 +209,12 @@ func runFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("remote: %w", err)
 	}
-	for i := 1; i < len(recs); i++ {
-		if recs[i].ID <= recs[i-1].ID {
-			return nil, fmt.Errorf("remote: record %d has id %d after id %d; remote runs need strictly increasing ids", i, recs[i].ID, recs[i-1].ID)
-		}
-		if recs[i].Time < recs[i-1].Time {
-			return nil, fmt.Errorf("remote: record %d has time %d after time %d; remote runs need non-decreasing times", i, recs[i].Time, recs[i-1].Time)
-		}
+	if err := ordered(recs); err != nil {
+		return nil, fmt.Errorf("remote: %w", err)
+	}
+	seed, err := decodeSeed(opts.Seed, workers, recs)
+	if err != nil {
+		return nil, err
 	}
 	hello, strat, err := sess.Plan(workers)
 	if err != nil {
@@ -245,13 +244,10 @@ func runFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		cancel:  cancel,
 		recs:    recs,
 		right:   right,
-		seed:    opts.Seed,
+		seed:    seed,
 		notify:  make([]chan struct{}, workers),
 		recv:    make([]received, workers),
 		stats:   make([]wire.Stats, workers),
-	}
-	if opts.Snapshot {
-		f.snaps = make([][]byte, workers)
 	}
 	for i := range f.notify {
 		f.notify[i] = make(chan struct{}, 1)
@@ -327,7 +323,10 @@ func runFT(ctx context.Context, dial Dialer, workers int, sess Session, recs []*
 		return nil, fmt.Errorf("remote: %w", err)
 	}
 
-	sum := &RunSummary{Records: uint64(len(recs)), WorkerStats: f.stats, Snapshots: f.snaps}
+	sum := &RunSummary{Records: uint64(len(recs)), WorkerStats: f.stats}
+	if opts.Snapshot {
+		sum.Snapshots = f.snapshots()
+	}
 	for _, got := range f.recv {
 		sum.Results += got.results
 		sum.Pairs = append(sum.Pairs, got.pairs...)
@@ -388,8 +387,8 @@ func (f *ftRunner) manage(ctx context.Context, task int) {
 }
 
 // attempt runs one connection's full lifecycle: dial, FT handshake, the
-// seed snapshot if any, the task's window replay from its mark, its records
-// from the mark on, EOF (or a SnapshotReq), stats (and the snapshot).
+// task's window at its mark (seed records included), its records from the
+// mark on, EOF and stats.
 // handshook reports whether the handshake completed (resetting the
 // manager's failure budget) regardless of how the attempt ended. A zero
 // failSince marks the task's first connection or one after a finished
@@ -559,9 +558,6 @@ func (f *ftRunner) attempt(ctx context.Context, task int, failSince time.Time, h
 				}
 			case wire.TypeStats:
 				st, rerr := rd.ReadStats()
-				if rerr == nil && f.snaps != nil {
-					rerr = f.readSnapshot(rd, task)
-				}
 				if rerr != nil {
 					readErrCh <- rerr
 					return
@@ -634,15 +630,16 @@ func (f *ftRunner) attempt(ctx context.Context, task int, failSince time.Time, h
 		return false, fmt.Errorf("remote: %w", ctx.Err())
 	}
 
-	// Handshake complete. The task's records from p on are probed; those
-	// from pos to p that it stored are loaded, pos being the first record
-	// live at recs[p]. With nothing left to probe, nothing is loaded.
-	recs := f.recs
+	// Handshake complete. The task's window at recs[p] is loaded (windowAt),
+	// then its records from p on are probed. With nothing left to probe,
+	// nothing is loaded.
+	recs, seed := f.recs, f.seed[task]
 	p := sort.Search(len(recs), func(i int) bool { return uint64(recs[i].ID) >= mark.next })
-	pos := p
+	sp, pos := len(seed), p
+	if p < len(recs) {
+		sp, pos = f.windowAt(task, p, p)
+	}
 	if p > 0 && p < len(recs) {
-		at := recs[p]
-		pos = sort.Search(p, func(i int) bool { return f.win.Live(recs[i].ID, recs[i].Time, at.ID, at.Time) })
 		f.journal.Append("replay", "coordinator",
 			fmt.Sprintf("worker %d: loading the window from record %d, probing from record %d, results from %d", task, pos, p, mark.results))
 	}
@@ -653,24 +650,23 @@ func (f *ftRunner) attempt(ctx context.Context, task int, failSince time.Time, h
 			fmt.Sprintf("worker %d reconnected, resuming at id %d", task, mark.next))
 	}
 
-	if task < len(f.seed) && len(f.seed[task]) > 0 {
-		if werr := w.WriteSnapshot(f.seed[task]); werr != nil {
-			return true, fmt.Errorf("remote: seeding worker %d: %w", task, werr)
-		}
-	}
-
 	ping := time.NewTicker(f.ft.HeartbeatInterval)
 	defer ping.Stop()
 	dsts := make([]int, 0, f.k)
 	for {
-		// Route the ingested records from pos and send the task's, at most
-		// what the worker granted. Out of credit, park below until a Credit
-		// frame replenishes.
-		if end, avail := int(f.ingested.Load()), recCredit.Load(); pos < end && avail > 0 {
+		// Load the seed's records (never replays: a seeded run retries
+		// nothing), then route the ingested records from pos and send the
+		// task's, at most what the worker granted. Out of credit, park below
+		// until a Credit frame replenishes.
+		if end, avail := int(f.ingested.Load()), recCredit.Load(); (sp < len(seed) || pos < end) && avail > 0 {
 			var (
 				sent, resent int64
 				werr         error
 			)
+			for ; sp < len(seed) && sent < avail && werr == nil; sp++ {
+				werr = w.WriteLoad(false, seed[sp])
+				sent++
+			}
 			for ; pos < end && sent < avail && werr == nil; pos++ {
 				r := recs[pos]
 				if dsts = f.strat.Route(r, f.k, dsts[:0]); !slices.Contains(dsts, task) {
@@ -713,13 +709,7 @@ func (f *ftRunner) attempt(ctx context.Context, task int, failSince time.Time, h
 				return true, fmt.Errorf("remote: flush to worker %d: %w", task, werr)
 			}
 			eofSent.Store(true)
-			var werr error
-			if f.snaps != nil {
-				werr = w.WriteSnapshotReq()
-			} else {
-				werr = w.WriteEOF()
-			}
-			if werr != nil {
+			if werr := w.WriteEOF(); werr != nil {
 				return true, fmt.Errorf("remote: eof to worker %d: %w", task, werr)
 			}
 			select {
@@ -750,24 +740,91 @@ func (f *ftRunner) attempt(ctx context.Context, task int, failSince time.Time, h
 	}
 }
 
-// readSnapshot reads the Snapshot frame a worker sends after its Stats
-// when the stream ended with a SnapshotReq.
-func (f *ftRunner) readSnapshot(rd *wire.Reader, task int) error {
-	typ, err := rd.Next()
-	if err != nil {
-		return fmt.Errorf("remote: worker %d snapshot: %w", task, err)
-	}
-	if typ != wire.TypeSnapshot {
-		return fmt.Errorf("remote: worker %d sent frame type %d, want snapshot", task, typ)
-	}
-	f.snaps[task] = rd.ReadSnapshot()
-	return nil
-}
-
 // declareDead fails the run: worker task ran out of its retry budget.
 func (f *ftRunner) declareDead(task, failures int, cause error) {
 	f.dead.Add(1)
 	f.journal.Append("worker_dead", "coordinator",
 		fmt.Sprintf("worker %d declared dead after %d attempts: %v", task, failures, cause))
 	f.abort(fmt.Errorf("remote: worker %d dead after %d attempts: %w", task, failures, cause))
+}
+
+// ordered checks what window replay assumes of a task's records (package
+// comment): IDs strictly increase and times do not decrease.
+func ordered(rs []*record.Record) error {
+	for i := 1; i < len(rs); i++ {
+		if a, b := rs[i-1], rs[i]; b.ID <= a.ID || b.Time < a.Time {
+			return fmt.Errorf("record %d (id %d, time %d) follows id %d, time %d; remote runs need strictly increasing ids and non-decreasing times", i, b.ID, b.Time, a.ID, a.Time)
+		}
+	}
+	return nil
+}
+
+// records is a task's window in arrival order: checkpoint.Read loads a
+// seed into it, and checkpoint.Write dumps a snapshot from it.
+type records []*record.Record
+
+func (rs *records) Load(r *record.Record) { *rs = append(*rs, r) }
+
+func (rs records) Dump(visit func(*record.Record) bool) {
+	for _, r := range rs {
+		if !visit(r) {
+			return
+		}
+	}
+}
+
+// decodeSeed decodes each task's Opts.Seed blob (an empty one starts the
+// task empty). A seed and then recs must be ordered as one stream: window
+// replay takes a seed's records for the task's first stored ones.
+func decodeSeed(blobs [][]byte, workers int, recs []*record.Record) ([]records, error) {
+	if len(blobs) > workers {
+		return nil, fmt.Errorf("remote: %d seeds for %d workers", len(blobs), workers)
+	}
+	seed := make([]records, workers)
+	for task, blob := range blobs {
+		if len(blob) == 0 {
+			continue
+		}
+		if _, _, err := checkpoint.Read(bytes.NewReader(blob), &seed[task]); err != nil {
+			return nil, fmt.Errorf("remote: seed for task %d: %w", task, err)
+		}
+		if err := ordered(append(slices.Clip(seed[task]), recs[:min(1, len(recs))]...)); err != nil {
+			return nil, fmt.Errorf("remote: seed for task %d, then the stream: %w", task, err)
+		}
+	}
+	return seed, nil
+}
+
+// windowAt returns where task's window at recs[at] (all of it when at is
+// -1) starts: its seed's records from sp, then those of recs[pos:end] routed
+// to the task and stored there. The window is the task's join state (package
+// comment): a connection loads it at its first probe, a snapshot is its end.
+func (f *ftRunner) windowAt(task, end, at int) (sp, pos int) {
+	if at < 0 {
+		return 0, 0
+	}
+	x, seed := f.recs[at], f.seed[task]
+	live := func(r *record.Record) bool { return f.win.Live(r.ID, r.Time, x.ID, x.Time) }
+	return sort.Search(len(seed), func(i int) bool { return live(seed[i]) }),
+		sort.Search(end, func(i int) bool { return live(f.recs[i]) })
+}
+
+// snapshots writes each task's window after the stream's last record as a
+// checkpoint with a zero cursor, what a later run's Opts.Seed takes.
+func (f *ftRunner) snapshots() [][]byte {
+	blobs := make([][]byte, f.k)
+	dsts := make([]int, 0, f.k)
+	for task := range blobs {
+		sp, pos := f.windowAt(task, len(f.recs), len(f.recs)-1)
+		win := slices.Clone(f.seed[task][sp:])
+		for _, r := range f.recs[pos:] {
+			if dsts = f.strat.Route(r, f.k, dsts[:0]); slices.Contains(dsts, task) && f.strat.Stores(r, task, f.k) {
+				win = append(win, r)
+			}
+		}
+		var buf bytes.Buffer
+		checkpoint.Write(&buf, checkpoint.Cursor{}, win) //nolint:errcheck — a bytes.Buffer does not fail
+		blobs[task] = buf.Bytes()
+	}
+	return blobs
 }

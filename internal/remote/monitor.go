@@ -23,7 +23,7 @@ type Monitor struct {
 	// sessions — the worker's instantaneous queue depth.
 	InFlightRecords atomic.Int64
 	// SessionsResumed counts FT sessions that loaded at least one record
-	// of a window the coordinator replayed after a reconnect.
+	// of a window the coordinator replayed after a reconnect or seeded.
 	SessionsResumed atomic.Uint64
 	// DuplicateRecords counts records dropped by the FT duplicate filter
 	// (ID at or below the last record the session loaded or probed).
@@ -97,7 +97,7 @@ func (m *Monitor) RegisterMetrics(reg *obs.Registry) {
 			return float64(n)
 		})
 	reg.CounterFunc("worker_sessions_resumed_total",
-		"FT sessions that loaded a window the coordinator replayed after a reconnect.",
+		"FT sessions that loaded a window the coordinator replayed after a reconnect or seeded.",
 		func() float64 { return float64(m.SessionsResumed.Load()) })
 	reg.CounterFunc("worker_duplicate_records_total",
 		"Records dropped by the FT duplicate filter.",

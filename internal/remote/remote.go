@@ -5,10 +5,11 @@
 // windows, but with serialization and sockets on the path — the deployment
 // shape the paper's Storm cluster has.
 //
-// Protocol per connection (one join session; ft.go has the coordinator):
+// Protocol per connection (one join session; ft.go has the coordinator,
+// whose Hello sets FT: without it a worker sends no ResumeAck or Credit):
 //
-//	coordinator → worker: Hello, Snapshot?, (Record | Ping)*, EOF or SnapshotReq
-//	worker → coordinator: ResumeAck, (Result | Count | Credit | Pong)*, Stats, Snapshot?
+//	coordinator → worker: Hello, Record(load)*, (Record | Ping)*, EOF
+//	worker → coordinator: ResumeAck?, (Result | Count | Credit | Pong)*, Stats
 //
 // The coordinator runs one reader goroutine per worker so result
 // backpressure can never deadlock record dispatch.
@@ -31,8 +32,8 @@ import (
 // Session is the join configuration shared by coordinator and workers.
 type Session struct {
 	Params    filter.Params
-	Algorithm local.Algorithm
-	Window    window.Policy // nil = unbounded
+	Algorithm local.Algorithm // the zero value is local.Naive, the brute-force scan
+	Window    window.Policy   // nil = unbounded
 	Bundle    bundle.Config
 	// Strategy kind and, for the length strategy, the partition bounds.
 	Strategy string // "length", "prefix", "broadcast"

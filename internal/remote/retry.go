@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"time"
+
+	"repro/internal/tokens"
 )
 
 // RetryPolicy bounds and paces reconnection attempts after a transport
@@ -22,15 +24,6 @@ type RetryPolicy struct {
 	// Seed drives the deterministic jitter so retry storms decorrelate
 	// without nondeterminism in tests. Zero is a valid seed.
 	Seed uint64
-}
-
-// splitmix is splitmix64 — the jitter PRNG. Deterministic in (seed,
-// sequence), so a fixed-seed chaos run reproduces its exact schedule.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }
 
 // backoff returns the pause before retry attempt (1-based) in sequence
@@ -57,7 +50,7 @@ func (p RetryPolicy) backoff(attempt int, seq uint64) time.Duration {
 	if half <= 0 {
 		return d
 	}
-	j := splitmix(p.Seed ^ (uint64(attempt) << 32) ^ seq)
+	j := tokens.SplitMix64(p.Seed ^ (uint64(attempt) << 32) ^ seq)
 	return half + time.Duration(j%uint64(half))
 }
 

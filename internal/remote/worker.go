@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -12,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/bundle"
-	"repro/internal/checkpoint"
 	"repro/internal/dispatch"
 	"repro/internal/local"
 	"repro/internal/obs"
@@ -114,10 +112,10 @@ var workerRecordWindow uint64 = 4096
 //     also names the last record probed on the connection, after that
 //     probe's results, which is where the coordinator resumes the task
 //     should the connection break;
-//   - before its first record to probe, a reconnected session receives the
-//     stored records of its window flagged load, and loads them without
-//     probing: the worker keeps no state between connections, and numbers
-//     its results from 0 on each;
+//   - before its first record to probe, a reconnected or seeded session
+//     receives the stored records of its window flagged load, and loads
+//     them without probing: the worker keeps no state between
+//     connections, and numbers its results from 0 on each;
 //   - Ping frames are answered with a flushed Pong;
 //   - a record (loaded or probed) whose ID is not above the last one is
 //     dropped as a duplicate (the fault-injection harness can duplicate
@@ -210,26 +208,11 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 		return err
 	}
 
-	sendStats := func() error {
-		var c local.Cost
-		if bi != nil {
-			c = bi.Cost()
-		} else {
-			c = joiner.Cost()
-		}
-		return wr.WriteStats(wire.Stats{
-			Probes: c.Probes, Stored: c.Stored, Scanned: c.Scanned,
-			Candidates: c.Candidates, Verified: c.Verified,
-			Results: c.Results, VerifySteps: c.VerifySteps,
-			Postings: c.Postings,
-		})
-	}
-
-	// first holds until the session's first record. probed is the ID
-	// after the last record it probed, 0 while it has probed none: the
-	// mark its Credit frames carry. lastID, once seen, is the last record
-	// it loaded or probed; a record at or below it is a duplicate.
-	first, seen := true, false
+	// probed is the ID after the last record the session probed, 0 while
+	// it has probed none: the mark its Credit frames carry. lastID, once
+	// seen, is the last record it loaded or probed; a record at or below
+	// it is a duplicate.
+	seen := false
 	var probed, lastID, loaded, dups, consumed uint64
 	done := ctx.Done() // a receive, unlike ctx.Err(), takes no lock
 	loop := func() error {
@@ -248,20 +231,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 				if err := wr.WritePong(); err != nil {
 					return fmt.Errorf("remote: writing pong: %w", err)
 				}
-			case wire.TypeSnapshot:
-				if !first {
-					return errors.New("remote: snapshot frame after records")
-				}
-				if bi != nil {
-					return errors.New("remote: snapshots unsupported for bi sessions")
-				}
-				blob := rd.ReadSnapshot()
-				if _, _, err := checkpoint.Read(bytes.NewReader(blob), joiner); err != nil {
-					return fmt.Errorf("remote: restoring snapshot: %w", err)
-				}
-				first = false
 			case wire.TypeRecord:
-				first = false
 				rt, err := rd.ReadRecord()
 				if err != nil {
 					return err
@@ -334,19 +304,18 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 					}
 				}
 			case wire.TypeEOF:
-				return sendStats()
-			case wire.TypeSnapshotReq:
+				var c local.Cost
 				if bi != nil {
-					return errors.New("remote: snapshots unsupported for bi sessions")
+					c = bi.Cost()
+				} else {
+					c = joiner.Cost()
 				}
-				if err := sendStats(); err != nil {
-					return err
-				}
-				var blob bytes.Buffer
-				if err := checkpoint.Write(&blob, checkpoint.Cursor{}, joiner); err != nil {
-					return fmt.Errorf("remote: snapshotting: %w", err)
-				}
-				return wr.WriteSnapshot(blob.Bytes())
+				return wr.WriteStats(wire.Stats{
+					Probes: c.Probes, Stored: c.Stored, Scanned: c.Scanned,
+					Candidates: c.Candidates, Verified: c.Verified,
+					Results: c.Results, VerifySteps: c.VerifySteps,
+					Postings: c.Postings,
+				})
 			default:
 				return fmt.Errorf("remote: unexpected frame type %d", typ)
 			}

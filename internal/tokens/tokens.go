@@ -371,3 +371,14 @@ func Dedup(ranks []Rank) []Rank {
 	}
 	return ranks[:w]
 }
+
+// SplitMix64 is the splitmix64 mixer: a cheap, well-distributed hash of x,
+// and a PRNG over a counter. Routing hashes tokens and IDs with it, the
+// min-hash family its rows, fault injection its per-frame decisions and
+// the retry policy its jitter, so a fixed seed reproduces each of them.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}

@@ -66,7 +66,8 @@ type Config struct {
 	Workers int
 	// Strategy distributes records to workers (required).
 	Strategy dispatch.Strategy
-	// Algorithm selects the local joiner (default Prefix).
+	// Algorithm selects the local joiner; the zero value is local.Naive, the
+	// brute-force scan (newPipeline does not default it).
 	Algorithm local.Algorithm
 	// Params are the join function and threshold (required).
 	Params filter.Params

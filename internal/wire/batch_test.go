@@ -299,9 +299,14 @@ var hostileCountPayloads = map[string][]byte{
 // staging buffer, and the small frame after them leaves the Reader holding
 // at most 64 KiB of it.
 func TestReaderDropsALargeStagingBuffer(t *testing.T) {
+	// Dense tokens take a byte each: a 1 MiB Record frame.
+	toks := make([]uint32, 1<<20)
+	for i := range toks {
+		toks[i] = uint32(i)
+	}
 	r := roundTripFrames(t, func(w *Writer) error {
 		for i := 0; i < 2; i++ {
-			if err := w.WriteSnapshot(make([]byte, 1<<20)); err != nil {
+			if err := w.WriteRecord(false, &record.Record{ID: 1, Tokens: toks}); err != nil {
 				return err
 			}
 		}
@@ -331,7 +336,7 @@ func TestReaderNextGrowthIsAmortised(t *testing.T) {
 	const frames = 2048
 	var stream []byte
 	for n := 1; n <= frames; n++ {
-		stream = append(stream, TypeSnapshot)
+		stream = append(stream, TypeRecord)
 		stream = binary.AppendUvarint(stream, uint64(n))
 		stream = append(stream, make([]byte, n)...)
 	}

@@ -50,14 +50,10 @@ const (
 	TypeEOF
 	// TypeStats carries the worker's final counters to the coordinator.
 	TypeStats
-	// TypeSnapshot carries an opaque checkpoint blob: coordinator→worker
-	// right after Hello to seed the window, or worker→coordinator after
-	// Stats when the coordinator ended the stream with TypeSnapshotReq.
-	// Both roles consume it.
-	TypeSnapshot
-	// TypeSnapshotReq replaces TypeEOF when the coordinator wants the
-	// worker's window state back; payload-free like TypeEOF.
-	TypeSnapshotReq
+	// Values 6 and 7 were the Snapshot and SnapshotReq frames, retired in
+	// version 13 (Version); a peer that sends either fails the session.
+	_
+	_
 	// TypePing is a coordinator→worker liveness probe; payload-free and
 	// flushed immediately so it cannot sit in the write buffer.
 	TypePing
@@ -85,28 +81,11 @@ const (
 )
 
 // Version is the protocol version carried in Hello, and the only one a
-// peer accepts (ReadHello rejects any other). It covers the FT handshake
-// (session ID, FT/Resume flags, the two-field ResumeAck), the
-// Ping/Pong/Credit frames, Result frames that carry every pair of one
-// probe (version 5), Record frames whose flags are the store
-// and side bits alone (version 6: the trace annotation is gone, and a
-// decoder refuses any other bit), credit as the only flow control
-// (version 7: the Pause and Resume frames are gone), and one FT protocol
-// (version 8: every FT session acknowledges its results, the Durable flag
-// is gone, and a decoder refuses any Hello flag bit it does not know), and
-// numbered results (version 9: a Result frame carries the number of its
-// first pair in the session's result sequence), and a Hello without a
-// plan-hash field (version 10: Hello.PlanHash derives it from the Hello's
-// own bytes, and a decoder refuses a byte after the session ID), and
-// counted results (version 11: Hello.CountOnly and the Count frame), and
-// recovery by window replay (version 12: a worker keeps no checkpoint, so
-// the Hello's Resume flag and the ResumeAck's cursor are gone; the
-// coordinator rebuilds a reconnected worker's window from its own records
-// with load-flagged Record frames; result acknowledgements, the
-// coordinator→worker Credit, are gone with the worker's unacked buffer;
-// and a Credit names the worker's last probed record, which marks where
-// a reconnect resumes).
-const Version = 12
+// peer accepts (ReadHello rejects any other). docs/PROTOCOL.md keeps what
+// each version changed; version 13 retired the Snapshot and SnapshotReq
+// frames, because the coordinator seeds and snapshots a worker's window
+// from its own records, as load-flagged Record frames.
+const Version = 13
 
 // MaxFrame bounds a frame payload; larger frames indicate corruption.
 const MaxFrame = 1 << 24
@@ -485,24 +464,6 @@ func (w *Writer) WriteStats(s Stats) error {
 	return w.Flush()
 }
 
-// WriteSnapshot sends an opaque checkpoint blob.
-func (w *Writer) WriteSnapshot(blob []byte) error {
-	w.buf = append(w.buf, blob...)
-	if err := w.flushFrame(TypeSnapshot); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// WriteSnapshotReq ends the record stream like WriteEOF but asks the
-// worker to append its window snapshot after the stats frame.
-func (w *Writer) WriteSnapshotReq() error {
-	if err := w.flushFrame(TypeSnapshotReq); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
 // WritePing sends a liveness probe and flushes it to the connection so the
 // peer sees it immediately.
 func (w *Writer) WritePing() error {
@@ -578,8 +539,7 @@ func (r *Reader) Next() (byte, error) {
 	// declares a large frame costs memory only for bytes the peer really
 	// sent, and frames of rising size (a probe's pairs) do not reallocate
 	// at every new largest frame. A buffer past 64 KiB is dropped before a
-	// frame that fits in 64 KiB, so that one large frame (a snapshot, a
-	// split probe) does not pin its size while a run of them reuses it.
+	// frame that fits in 64 KiB, so that one large frame (a split probe) does not pin its size while a run of them reuses it.
 	if r.buf = r.buf[:0]; cap(r.buf) > 64<<10 && n <= 64<<10 {
 		r.buf = nil
 	}
@@ -907,11 +867,6 @@ func resultPair(body []byte, i int, probe uint64) (Result, int, error) {
 		a, b = b, a
 	}
 	return Result{A: record.ID(a), B: record.ID(b), Sim: math.Float64frombits(u)}, i + 8, nil
-}
-
-// ReadSnapshot returns a copy of a staged Snapshot frame's blob.
-func (r *Reader) ReadSnapshot() []byte {
-	return append([]byte(nil), r.buf...)
 }
 
 // ReadStats decodes a staged Stats frame.

@@ -522,7 +522,7 @@ func TestHostileCountsAreRejectedUnallocated(t *testing.T) {
 // for the length it claimed.
 func TestHostileFrameLengthIsNotPreallocated(t *testing.T) {
 	for _, sent := range []int{0, 100 << 10} {
-		stream := binary.AppendUvarint([]byte{TypeSnapshot}, MaxFrame)
+		stream := binary.AppendUvarint([]byte{TypeRecord}, MaxFrame)
 		stream = append(stream, make([]byte, sent)...)
 		var err error
 		n := allocBytes(func() { _, err = NewReader(bytes.NewReader(stream)).Next() })
@@ -551,47 +551,5 @@ func TestDeltaEncodingIsCompact(t *testing.T) {
 	}
 	if buf.Len() > 1100 {
 		t.Fatalf("delta encoding not compact: %d bytes for 1000 dense tokens", buf.Len())
-	}
-}
-
-func TestSnapshotFramesRoundTrip(t *testing.T) {
-	blob := []byte("opaque checkpoint bytes \x00\x01\x02")
-	r := roundTripFrames(t, func(w *Writer) error {
-		if err := w.WriteSnapshot(blob); err != nil {
-			return err
-		}
-		return w.WriteSnapshotReq()
-	})
-	typ, err := r.Next()
-	if err != nil || typ != TypeSnapshot {
-		t.Fatalf("snapshot frame: %v %v", typ, err)
-	}
-	got := r.ReadSnapshot()
-	if !bytes.Equal(got, blob) {
-		t.Fatalf("blob mismatch: %q", got)
-	}
-	typ, err = r.Next()
-	if err != nil || typ != TypeSnapshotReq {
-		t.Fatalf("snapshot-req frame: %v %v", typ, err)
-	}
-}
-
-func TestReadSnapshotReturnsCopy(t *testing.T) {
-	r := roundTripFrames(t, func(w *Writer) error {
-		if err := w.WriteSnapshot([]byte("aaa")); err != nil {
-			return err
-		}
-		return w.WriteSnapshot([]byte("bbb"))
-	})
-	if _, err := r.Next(); err != nil {
-		t.Fatal(err)
-	}
-	first := r.ReadSnapshot()
-	if _, err := r.Next(); err != nil {
-		t.Fatal(err)
-	}
-	second := r.ReadSnapshot()
-	if string(first) != "aaa" || string(second) != "bbb" {
-		t.Fatalf("staging buffer aliased: %q %q", first, second)
 	}
 }
