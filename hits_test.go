@@ -132,10 +132,10 @@ func TestStreamHitsMatchJoinerStep(t *testing.T) {
 
 				if i%2 == 0 {
 					_, got = bs.AddLeft(r.Tokens)
-					want = viaEmit(func(emit func(local.Match)) { bj.StepLeft(at, emit) })
+					want = viaEmit(func(emit func(local.Match)) { bj.StepSide(at, false, true, emit) })
 				} else {
 					_, got = bs.AddRight(r.Tokens)
-					want = viaEmit(func(emit func(local.Match)) { bj.StepRight(at, emit) })
+					want = viaEmit(func(emit func(local.Match)) { bj.StepSide(at, true, true, emit) })
 				}
 				if !sameHits(got, want) {
 					t.Fatalf("%s: BiStream call for record %d returned %v, Step emits %v", name, i, sortedHits(got), sortedHits(want))

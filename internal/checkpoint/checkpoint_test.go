@@ -300,9 +300,9 @@ func TestBiCheckpointRoundTrip(t *testing.T) {
 	recs := workload.NewGenerator(workload.UniformSmall(33)).Generate(200)
 	for i, r := range recs {
 		if i%2 == 0 {
-			src.StepLeft(r, func(local.Match) {})
+			src.StepSide(r, false, true, func(local.Match) {})
 		} else {
-			src.StepRight(r, func(local.Match) {})
+			src.StepSide(r, true, true, func(local.Match) {})
 		}
 	}
 	var buf bytes.Buffer
@@ -359,7 +359,7 @@ func TestBiCheckpointRejectsGarbage(t *testing.T) {
 
 func TestBiWriteFailurePropagates(t *testing.T) {
 	bi := local.NewBi(local.Naive, opts(0.8, nil))
-	bi.StepLeft(&record.Record{ID: 0, Tokens: []uint32{1, 2, 3}}, func(local.Match) {})
+	bi.StepSide(&record.Record{ID: 0, Tokens: []uint32{1, 2, 3}}, false, true, func(local.Match) {})
 	if err := WriteBi(failWriter{}, Cursor{}, bi); err == nil {
 		t.Fatal("write error swallowed")
 	}

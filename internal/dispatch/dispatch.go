@@ -16,8 +16,9 @@
 //   - BroadcastBased — the naive baseline: every record probes every
 //     worker and is stored at one chosen by hashing its ID.
 //
-// All strategies share the same worker protocol: every delivered record
-// probes; Stores decides local indexing; Emits deduplicates results. This
+// All strategies share the same worker protocol, which Task applies for
+// both runtimes: every delivered record probes; Stores decides local
+// indexing; Emits deduplicates results. This
 // keeps completeness proofs local: a strategy is correct iff for every
 // similar pair (r, s) with s stored somewhere r reaches s's worker, and
 // exactly one worker emits.
@@ -47,16 +48,6 @@ type Strategy interface {
 	// Emits reports whether worker task owns the result pair (r, s) —
 	// false suppresses duplicates on replicating strategies.
 	Emits(r, s *record.Record, task, k int) bool
-}
-
-// EmitsAll reports whether s's Emits is always true (length, broadcast,
-// migrating), so a worker that keeps no pairs may count with a nil emit.
-func EmitsAll(s Strategy) bool {
-	switch s.(type) {
-	case LengthBased, BroadcastBased, Migrating:
-		return true
-	}
-	return false
 }
 
 // ------------------------------------------------------------- length --
@@ -204,10 +195,3 @@ func ParseStrategy(name string, p filter.Params, part partition.Partition) (Stra
 		return nil, fmt.Errorf("dispatch: unknown strategy %q", name)
 	}
 }
-
-// Interface checks.
-var (
-	_ Strategy = LengthBased{}
-	_ Strategy = PrefixBased{}
-	_ Strategy = BroadcastBased{}
-)

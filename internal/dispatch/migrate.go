@@ -91,6 +91,3 @@ func PlanMigration(params filter.Params, old, new partition.Partition, switchSeq
 		switchSeq, windowN,
 	)
 }
-
-// Interface check.
-var _ Strategy = Migrating{}

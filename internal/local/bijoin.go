@@ -9,8 +9,6 @@ import "repro/internal/record"
 // opposite side's store and loads into its own side without probing.
 type BiJoiner struct {
 	left, right Joiner
-	// tick is the empty record evictOwn steps the storing side with.
-	tick record.Record
 }
 
 // NewBi builds a two-stream joiner; both sides share the algorithm and
@@ -19,38 +17,28 @@ func NewBi(a Algorithm, opt Options) *BiJoiner {
 	return &BiJoiner{left: New(a, opt), right: New(a, opt)}
 }
 
-// StepLeft processes the next R-record: emits its matches among stored
-// S-records, then stores it on the R side.
-func (b *BiJoiner) StepLeft(r *record.Record, emit func(Match)) {
-	b.StepSide(r, false, true, emit)
-}
-
-// StepRight processes the next S-record symmetrically.
-func (b *BiJoiner) StepRight(r *record.Record, emit func(Match)) {
-	b.StepSide(r, true, true, emit)
-}
-
-// StepSide is the distributed-worker entry point: probe the opposite side
-// always, store on the record's own side only when store is true (the
-// length-based framework stores each record at one worker only). Like
-// Joiner.Step it returns the match count, and a nil emit only counts.
+// StepSide processes the next record, an S-record when right is set: probe
+// the opposite side always, store on the record's own side only when store
+// is true (the length-based framework stores each record at one worker
+// only). Like Joiner.Step it returns the match count, and a nil emit only
+// counts.
 func (b *BiJoiner) StepSide(r *record.Record, right, store bool, emit func(Match)) int {
 	own, opposite := b.sides(right)
 	n := opposite.Step(r, false, emit) // probe + evict the opposite side
 	if store {
 		own.Load(r)
 	}
-	b.evictOwn(own, r)
+	own.Evict(r.ID, r.Time) // the own side ages with the stream, not only when probed
 	return n
 }
 
-// StepHits is StepRight (right) or StepLeft collecting through
+// StepHits is StepSide storing r and collecting through
 // Joiner.StepHits: it appends r's matches to hits and returns the slice.
 func (b *BiJoiner) StepHits(r *record.Record, right bool, hits []Hit) []Hit {
 	own, opposite := b.sides(right)
 	hits = opposite.StepHits(r, false, hits)
 	own.Load(r)
-	b.evictOwn(own, r)
+	own.Evict(r.ID, r.Time)
 	return hits
 }
 
@@ -61,18 +49,6 @@ func (b *BiJoiner) sides(right bool) (own, opposite Joiner) {
 		return b.right, b.left
 	}
 	return b.left, b.right
-}
-
-// evictOwn advances the window of the side that just stored a record;
-// Step already evicts the probed side, but the storing side would
-// otherwise only age when probed by the opposite stream.
-func (b *BiJoiner) evictOwn(j Joiner, r *record.Record) {
-	// Step with an impossible record would be wasteful; all three joiners
-	// expose eviction through Step's probe path, so the cheapest correct
-	// trigger is a probe with an empty record, which generates no
-	// candidates. The record is b's own, so the step allocates nothing.
-	b.tick.ID, b.tick.Time = r.ID, r.Time
-	j.Step(&b.tick, false, nil)
 }
 
 // SizeLeft and SizeRight report per-side stored counts.

@@ -88,6 +88,10 @@ type Joiner interface {
 	// Load stores r without emitting matches — the restore path. Records
 	// must be loaded in their original arrival order.
 	Load(r *record.Record)
+	// Evict drops the stored records that are out of the window at the
+	// stream position (id, time), as Step does before it probes; it probes
+	// nothing and counts no probe.
+	Evict(id record.ID, time int64)
 }
 
 // Algorithm selects a Joiner implementation.
@@ -206,12 +210,11 @@ func (n *naiveJoiner) Load(r *record.Record) {
 	n.cost.Stored++
 }
 
-func (n *naiveJoiner) Step(r *record.Record, store bool, emit func(Match)) int {
-	n.cost.Probes++
-	found := n.cost.Results
+// Evict implements Joiner.
+func (n *naiveJoiner) Evict(id record.ID, time int64) {
 	for n.head < len(n.store) {
 		s := n.store[n.head]
-		if n.win.Live(s.ID, s.Time, r.ID, r.Time) {
+		if n.win.Live(s.ID, s.Time, id, time) {
 			break
 		}
 		n.store[n.head] = nil
@@ -221,6 +224,12 @@ func (n *naiveJoiner) Step(r *record.Record, store bool, emit func(Match)) int {
 		n.store = append(n.store[:0], n.store[n.head:]...)
 		n.head = 0
 	}
+}
+
+func (n *naiveJoiner) Step(r *record.Record, store bool, emit func(Match)) int {
+	n.cost.Probes++
+	found := n.cost.Results
+	n.Evict(r.ID, r.Time)
 	for _, s := range n.store[n.head:] {
 		n.cost.Scanned++
 		if s.ID == r.ID || !n.params.LengthCompatible(r.Len(), s.Len()) {
@@ -284,6 +293,9 @@ func (p *prefixJoiner) Dump(visit func(*record.Record) bool) { p.ix.Dump(visit) 
 // Load implements Joiner.
 func (p *prefixJoiner) Load(r *record.Record) { p.ix.Insert(r) }
 
+// Evict implements Joiner.
+func (p *prefixJoiner) Evict(id record.ID, time int64) { p.ix.Evict(id, time) }
+
 func (p *prefixJoiner) Cost() Cost {
 	st := p.ix.Stats()
 	c := p.cost
@@ -346,6 +358,9 @@ func (b *bundledJoiner) BundleStats() bundle.Stats { return b.bx.Stats() }
 // Dump implements Joiner.
 func (b *bundledJoiner) Dump(visit func(*record.Record) bool) { b.bx.Dump(visit) }
 
+// Evict implements Joiner.
+func (b *bundledJoiner) Evict(id record.ID, time int64) { b.bx.Evict(id, time) }
+
 // Load implements Joiner: a silent probe rebuilds the bundle grouping the
 // record had (or better) without emitting matches.
 func (b *bundledJoiner) Load(r *record.Record) {
@@ -391,10 +406,3 @@ func (b *bundledJoiner) StepHits(r *record.Record, store bool, hits []Hit) []Hit
 	}
 	return hits
 }
-
-// Interface checks.
-var (
-	_ Joiner = (*naiveJoiner)(nil)
-	_ Joiner = (*prefixJoiner)(nil)
-	_ Joiner = (*bundledJoiner)(nil)
-)

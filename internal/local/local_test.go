@@ -308,14 +308,14 @@ func TestDumpAndLoadRoundTripPerJoiner(t *testing.T) {
 func TestBiJoinerDirect(t *testing.T) {
 	bi := NewBi(Prefix, opts(0.8, window.Count{N: 100}))
 	got := 0
-	bi.StepLeft(rec(0, 1, 2, 3, 4), func(Match) { got++ })
-	bi.StepRight(rec(1, 1, 2, 3, 4), func(m Match) {
+	bi.StepSide(rec(0, 1, 2, 3, 4), false, true, func(Match) { got++ })
+	bi.StepSide(rec(1, 1, 2, 3, 4), true, true, func(m Match) {
 		got++
 		if m.Rec.ID != 0 {
 			t.Fatalf("wrong partner %d", m.Rec.ID)
 		}
 	})
-	bi.StepLeft(rec(2, 1, 2, 3, 4), func(m Match) { got++ }) // matches right record 1
+	bi.StepSide(rec(2, 1, 2, 3, 4), false, true, func(m Match) { got++ }) // matches right record 1
 	if got != 2 {
 		t.Fatalf("matches: %d", got)
 	}
@@ -331,9 +331,9 @@ func TestBiJoinerOwnSideEviction(t *testing.T) {
 	// A left record must expire from the left store even if no right
 	// record probes it for a while.
 	bi := NewBi(Naive, opts(0.9, window.Count{N: 2}))
-	bi.StepLeft(rec(0, 1, 2, 3), func(Match) {})
-	bi.StepLeft(rec(5, 7, 8, 9), func(Match) {})
-	bi.StepLeft(rec(10, 11, 12, 13), func(Match) {})
+	bi.StepSide(rec(0, 1, 2, 3), false, true, func(Match) {})
+	bi.StepSide(rec(5, 7, 8, 9), false, true, func(Match) {})
+	bi.StepSide(rec(10, 11, 12, 13), false, true, func(Match) {})
 	if bi.SizeLeft() > 2 {
 		t.Fatalf("left store not evicted: %d", bi.SizeLeft())
 	}
@@ -384,6 +384,58 @@ func TestBiStepAllocs(t *testing.T) {
 		bi.StepSide(probe, false, false, nil)
 		if n := testing.AllocsPerRun(100, func() { bi.StepSide(probe, false, false, nil) }); n != 0 {
 			t.Fatalf("%v: a bi step allocates %v times", a, n)
+		}
+	}
+}
+
+// TestBiOwnSideEvictionIsNotAProbe: a two-stream step probes the opposite
+// side once and only evicts its own side, so Cost().Probes counts the
+// steps and the Naive joiner scans only the opposite side's records, under
+// Jaccard and under Overlap (where every length is compatible, so a probe
+// of the storing side would verify its whole store). A one-sided stream
+// under a count window keeps on its side what a self-join keeps.
+func TestBiOwnSideEvictionIsNotAProbe(t *testing.T) {
+	const steps = 200
+	for _, p := range []filter.Params{
+		{Func: similarity.Jaccard, Threshold: 0.6},
+		{Func: similarity.Overlap, Threshold: 3},
+	} {
+		for _, a := range allAlgorithms() {
+			bi := NewBi(a, Options{Params: p})
+			var scans uint64
+			sizes := [2]uint64{}
+			for i := record.ID(0); i < steps; i++ {
+				right := i%2 == 1
+				if right {
+					scans += sizes[0]
+				} else {
+					scans += sizes[1]
+				}
+				bi.StepSide(rec(i, 1, 2, 3, tokens.Rank(4+i)), right, true, nil)
+				if right {
+					sizes[1]++
+				} else {
+					sizes[0]++
+				}
+			}
+			c := bi.Cost()
+			if c.Probes != steps {
+				t.Errorf("%v %v: %d probes over %d steps", p.Func, a, c.Probes, steps)
+			}
+			if a == Naive && (c.Scanned != scans || c.Verified > scans) {
+				t.Errorf("%v naive: scanned %d, verified %d; the opposite sides held %d", p.Func, c.Scanned, c.Verified, scans)
+			}
+		}
+	}
+	for _, a := range allAlgorithms() {
+		bi, single := NewBi(a, opts(0.9, window.Count{N: 10})), New(a, opts(0.9, window.Count{N: 10}))
+		for i := record.ID(0); i < 100; i++ {
+			r := rec(i, tokens.Rank(i), tokens.Rank(i+1000))
+			bi.StepSide(r, false, true, nil)
+			single.Step(r, true, nil)
+			if bi.SizeLeft() != single.Size() || bi.SizeRight() != 0 {
+				t.Fatalf("%v: after record %d the sides hold %d/%d, a self-join %d", a, i, bi.SizeLeft(), bi.SizeRight(), single.Size())
+			}
 		}
 	}
 }

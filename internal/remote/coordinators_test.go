@@ -19,7 +19,9 @@ import (
 )
 
 // BenchmarkCoordinators drains the aol_fleet stream through Run, counting
-// (count) and collecting every pair (pairs), and through RunFT with a
+// (count) and collecting every pair (pairs), counting against two workers
+// that carry a Monitor as ssjoinworker's always do (count-mon), and
+// through RunFT with a
 // retry budget, collecting (ft-pairs): the configuration that, before
 // recovery replayed the window from the coordinator, made its workers
 // checkpoint and buffer every unacknowledged pair. Each runs against two
@@ -45,18 +47,23 @@ func BenchmarkCoordinators(b *testing.B) {
 		Strategy:  "length",
 		Bounds:    partition.Fit(p, recs[:10_000], k).Bounds,
 	}
-	addrs := make([]string, k)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
+	fleet := func(o WorkerOpts) []string {
+		addrs := make([]string, k)
+		for i := range addrs {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			serveTestWorker(b, ln, o)
+			addrs[i] = ln.Addr().String()
 		}
-		serveTestWorker(b, ln, WorkerOpts{Logf: silentLogf})
-		addrs[i] = ln.Addr().String()
+		return addrs
 	}
+	addrs := fleet(WorkerOpts{Logf: silentLogf})
+	monitored := fleet(WorkerOpts{Logf: silentLogf, Mon: new(Monitor)})
 	ctx := context.Background()
 
-	run := func(collectPairs bool) func(int) (*RunSummary, error) {
+	run := func(addrs []string, collectPairs bool) func(int) (*RunSummary, error) {
 		return func(int) (*RunSummary, error) {
 			conns, err := Dial(ctx, addrs, 5*time.Second)
 			if err != nil {
@@ -65,8 +72,9 @@ func BenchmarkCoordinators(b *testing.B) {
 			return Run(ctx, asRW(conns), sess, recs, collectPairs)
 		}
 	}
-	b.Run("count", func(b *testing.B) { drainPerRecord(b, n, want, run(false)) })
-	b.Run("pairs", func(b *testing.B) { drainPerRecord(b, n, want, run(true)) })
+	b.Run("count", func(b *testing.B) { drainPerRecord(b, n, want, run(addrs, false)) })
+	b.Run("count-mon", func(b *testing.B) { drainPerRecord(b, n, want, run(monitored, false)) })
+	b.Run("pairs", func(b *testing.B) { drainPerRecord(b, n, want, run(addrs, true)) })
 
 	dial := func(ctx context.Context, task int) (io.ReadWriteCloser, error) {
 		var d net.Dialer

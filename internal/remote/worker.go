@@ -10,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bundle"
 	"repro/internal/dispatch"
 	"repro/internal/local"
 	"repro/internal/obs"
@@ -144,68 +143,29 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 	comp := fmt.Sprintf("worker/%d", h.Task)
 	o.Journal.Append("session_start", comp,
 		fmt.Sprintf("session %016x task %d/%d ft=%v", h.SessionID, h.Task, h.Workers, h.FT))
-	opts := local.Options{Params: sess.Params, Window: sess.Window, Bundle: sess.Bundle}
-	var (
-		joiner local.Joiner
-		bi     *local.BiJoiner
-	)
-	if sess.Bi {
-		bi = local.NewBi(sess.Algorithm, opts)
-	} else {
-		joiner = local.New(sess.Algorithm, opts)
-	}
+	t := dispatch.NewTask(strat, h.Task, h.Workers, sess.Algorithm,
+		local.Options{Params: sess.Params, Window: sess.Window, Bundle: sess.Bundle}, sess.Bi, !h.CountOnly)
 	if h.FT {
 		if err := wr.WriteResumeAck(workerRecordWindow); err != nil {
 			return fmt.Errorf("remote: writing resume ack: %w", err)
 		}
 	}
 
-	task, workers := h.Task, h.Workers
-	// emitted counts results written this session. Step emits on the
-	// calling goroutine, so neither it nor cur, the record being stepped,
-	// nor matched and batch, its results and pairs so far (a CountOnly
-	// session keeps no pairs), needs synchronization — which lets one emit
-	// closure serve the whole session.
-	var (
-		emitted uint64
-		cur     *record.Record
-		batch   []wire.Result
-		matched uint64
-	)
-	emit := func(m local.Match) {
-		if !strat.Emits(cur, m.Rec, task, workers) {
-			return
-		}
-		if matched++; h.CountOnly {
-			return
-		}
-		a, b := cur.ID, m.ID
-		if a > b {
-			a, b = b, a
-		}
-		batch = append(batch, wire.Result{A: a, B: b, Sim: m.Sim})
-	}
-	// Counting needs no emit when Emits suppresses nothing.
-	stepEmit := emit
-	if h.CountOnly && dispatch.EmitsAll(strat) {
-		stepEmit = nil
-	}
-	// sendBatch writes the stepped record's results as one Result (or
-	// Count) frame.
-	sendBatch := func() error {
-		n := matched
-		emitted += n
+	// send writes the n results of the probe of id as one Count frame, or
+	// as one Result frame of the step's pairs, built in the reused batch.
+	var batch []wire.Result
+	send := func(id record.ID, n int) error {
 		if mon != nil {
-			mon.ResultsEmitted.Add(n)
+			mon.ResultsEmitted.Add(uint64(n))
 		}
-		var err error
 		if h.CountOnly {
-			err = wr.WriteCount(n)
-		} else {
-			err = wr.WriteResults(cur.ID, batch)
+			return wr.WriteCount(uint64(n))
 		}
-		batch, matched = batch[:0], 0
-		return err
+		batch = batch[:0]
+		for _, p := range t.TakePairs() {
+			batch = append(batch, wire.Result{A: p.First, B: p.Second, Sim: p.Sim})
+		}
+		return wr.WriteResults(id, batch)
 	}
 
 	// probed is the ID after the last record the session probed, 0 while
@@ -248,11 +208,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 					}
 					dups++
 				case rt.Load:
-					if bi != nil {
-						bi.LoadSide(rt.Rec, rt.Right)
-					} else {
-						joiner.Load(rt.Rec)
-					}
+					t.Load(rt.Rec, rt.Right)
 					if loaded++; loaded == 1 && mon != nil {
 						mon.SessionsResumed.Add(1)
 					}
@@ -264,16 +220,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 						mon.RecordsSeen.Add(1)
 						mon.InFlightRecords.Add(1)
 					}
-					cur = rt.Rec
-					var n int
-					if bi != nil {
-						n = bi.StepSide(rt.Rec, rt.Right, rt.Store, stepEmit)
-					} else {
-						n = joiner.Step(rt.Rec, rt.Store, stepEmit)
-					}
-					if stepEmit == nil {
-						matched = uint64(n)
-					}
+					n := t.Step(rt.Rec, rt.Right, rt.Store)
 					if mon != nil {
 						mon.RecordLatency.Observe(time.Since(rstart))
 					}
@@ -281,8 +228,8 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 					// record becomes the mark, so that a mark never covers
 					// unsent results.
 					var writeErr error
-					if matched > 0 {
-						writeErr = sendBatch()
+					if n > 0 {
+						writeErr = send(rt.Rec.ID, n)
 					}
 					if mon != nil {
 						mon.InFlightRecords.Add(-1)
@@ -304,12 +251,7 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 					}
 				}
 			case wire.TypeEOF:
-				var c local.Cost
-				if bi != nil {
-					c = bi.Cost()
-				} else {
-					c = joiner.Cost()
-				}
+				c := t.Cost()
 				return wr.WriteStats(wire.Stats{
 					Probes: c.Probes, Stored: c.Stored, Scanned: c.Scanned,
 					Candidates: c.Candidates, Verified: c.Verified,
@@ -327,20 +269,17 @@ func HandleSessionOpts(ctx context.Context, r io.Reader, w io.Writer, o WorkerOp
 			o.Journal.Append("duplicates", comp,
 				fmt.Sprintf("session %016x dropped %d duplicate records via the replay filter", h.SessionID, dups))
 		}
-		if bs, ok := joiner.(interface{ BundleStats() bundle.Stats }); ok && joiner != nil {
-			st := bs.BundleStats()
-			if st.KernelLinear+st.KernelGallop > 0 {
-				o.Journal.Append("kernel_mix", comp,
-					fmt.Sprintf("session %016x verify kernels: linear=%d gallop=%d",
-						h.SessionID, st.KernelLinear, st.KernelGallop))
-			}
+		if st, ok := t.BundleStats(); ok && st.KernelLinear+st.KernelGallop > 0 {
+			o.Journal.Append("kernel_mix", comp,
+				fmt.Sprintf("session %016x verify kernels: linear=%d gallop=%d",
+					h.SessionID, st.KernelLinear, st.KernelGallop))
 		}
 		status := "clean"
 		if err != nil {
 			status = "error: " + err.Error()
 		}
 		o.Journal.Append("session_end", comp,
-			fmt.Sprintf("session %016x ended (%s), %d records loaded, %d results", h.SessionID, status, loaded, emitted))
+			fmt.Sprintf("session %016x ended (%s), %d records loaded, %d results", h.SessionID, status, loaded, t.Results()))
 	}
 	return err
 }

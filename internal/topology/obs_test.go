@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bundle"
 	"repro/internal/dispatch"
 	"repro/internal/local"
 	"repro/internal/obs"
@@ -62,7 +61,7 @@ func TestRunWithObservability(t *testing.T) {
 	for i, w := range res.workers {
 		label := fmt.Sprintf("worker/%d", w.task)
 		c := res.WorkerCosts[i]
-		st := w.joiner.(interface{ BundleStats() bundle.Stats }).BundleStats()
+		st, _ := w.t.BundleStats()
 		hit := 0.0
 		if st.Verified > 0 {
 			hit = float64(st.Results) / float64(st.Verified)
@@ -165,8 +164,9 @@ func TestLiveScrapeIsConsistent(t *testing.T) {
 	var twins uint64
 	midRun := false
 	for _, w := range res.workers {
-		twins += w.joiner.(interface{ BundleStats() bundle.Stats }).BundleStats().TwinProbes
-		if v, ok := firstSeen[fmt.Sprintf("worker/%d", w.task)]; ok && v < float64(w.joiner.Cost().Probes) {
+		st, _ := w.t.BundleStats()
+		twins += st.TwinProbes
+		if v, ok := firstSeen[fmt.Sprintf("worker/%d", w.task)]; ok && v < float64(w.t.Cost().Probes) {
 			midRun = true
 		}
 	}
@@ -187,12 +187,10 @@ func TestInstrumentedExecuteBatchAllocs(t *testing.T) {
 	// Worker 1 of two owns only lengths no record has, so it probes every
 	// record and stores none: the index, and the probe's scratch, stop growing.
 	strat := dispatch.NewLengthBased(p, partition.Partition{Bounds: []int{1 << 20, 1 << 21}})
-	w := &worker{task: 1, k: 2, strat: strat,
-		joiner: local.New(local.Bundled, local.Options{Params: p})}
-	w.emitFn = w.emitMatch
+	w := &worker{task: 1, t: dispatch.NewTask(strat, 1, 2, local.Bundled, local.Options{Params: p}, false, false)}
 	w.registerMetrics(obs.NewRegistry())
 	for _, r := range recs[:1000] {
-		w.joiner.Load(r)
+		w.t.Load(r, false)
 	}
 	batch := make([]*RecTuple, defaultBatchSize)
 	for i := range batch {
@@ -203,7 +201,7 @@ func TestInstrumentedExecuteBatchAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { w.stepBatch(batch, stamp) }); n != 0 {
 		t.Fatalf("instrumented stepBatch allocates %v times per batch", n)
 	}
-	if w.results == 0 {
+	if w.t.Results() == 0 {
 		t.Fatal("the batch matched nothing; the emit path went unexercised")
 	}
 }

@@ -40,7 +40,7 @@ func TestDispatchToWorkerAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, hop); n != 0 {
 		t.Fatalf("a dispatcher → worker batch costs %v allocations", n)
 	}
-	if got, want := w.joiner.Cost().Probes, uint64(102*len(recs)); got != want {
+	if got, want := w.t.Cost().Probes, uint64(102*len(recs)); got != want {
 		t.Fatalf("the worker probed %d records, want %d", got, want)
 	}
 }

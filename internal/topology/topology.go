@@ -220,17 +220,9 @@ func newPipeline(cfg Config, recs []*record.Record, right []bool) *pipeline {
 	p.pool.New = func() any { return &batch{items: make([]*RecTuple, 0, batchSize)} }
 	jopts := local.Options{Params: cfg.Params, Window: cfg.Window, Bundle: cfg.Bundle}
 	for task := 0; task < k; task++ {
-		w := &worker{task: task, k: k, strat: cfg.Strategy, wirePerB: cfg.WireNsPerByte,
-			collect: cfg.CollectPairs, in: make(chan *batch, queueCap)}
-		if cfg.CollectPairs || !dispatch.EmitsAll(cfg.Strategy) {
-			w.emitFn = w.emitMatch
-		}
-		if right != nil {
-			w.bi = local.NewBi(cfg.Algorithm, jopts)
-		} else {
-			w.joiner = local.New(cfg.Algorithm, jopts)
-		}
-		p.workers = append(p.workers, w)
+		p.workers = append(p.workers, &worker{task: task, wirePerB: cfg.WireNsPerByte,
+			t:  dispatch.NewTask(cfg.Strategy, task, k, cfg.Algorithm, jopts, right != nil, cfg.CollectPairs),
+			in: make(chan *batch, queueCap)})
 	}
 	for j := 0; j < d; j++ {
 		p.dispatchers = append(p.dispatchers, &dispatcher{p: p, j: j,
@@ -431,14 +423,11 @@ func (p *pipeline) run() (*Result, error) {
 		workers:     p.workers,
 	}
 	for _, w := range p.workers {
-		if w.bi != nil {
-			res.WorkerCosts = append(res.WorkerCosts, w.bi.Cost())
-		} else {
-			res.WorkerCosts = append(res.WorkerCosts, w.joiner.Cost())
-		}
-		res.StoredCopies += w.stored
-		res.Results += w.results
-		res.Pairs = append(res.Pairs, w.pairs...)
+		c := w.t.Cost()
+		res.WorkerCosts = append(res.WorkerCosts, c)
+		res.StoredCopies += c.Stored
+		res.Results += w.t.Results()
+		res.Pairs = append(res.Pairs, w.t.TakePairs()...)
 		res.Latency.Merge(&w.lat)
 	}
 	return res, nil
@@ -502,35 +491,18 @@ func (p *pipeline) registerMetrics(reg *obs.Registry) {
 	}
 }
 
-// worker hosts one local joiner, applies the strategy's store and emit
-// arbitration, and keeps its own results; run reads its counts and pairs
+// worker steps its batches through its dispatch.Task, which stores, probes,
+// arbitrates and keeps the results; run reads the task's counts and pairs
 // once the pipeline has finished.
 type worker struct {
-	// mu is held for a whole transport batch, so a scrape reads the joiner's
+	// mu is held for a whole transport batch, so a scrape reads the task's
 	// counters and lat between batches. Only scrapes contend for it.
 	mu        sync.Mutex
 	task      int
-	k         int
-	strat     dispatch.Strategy
-	joiner    local.Joiner
+	t         *dispatch.Task
 	lat       metrics.Latency
-	stored    uint64
-	results   uint64
 	wirePerB  int
 	wireBurnt time.Duration
-	// bi replaces joiner in two-stream runs.
-	bi *local.BiJoiner
-	// emitFn is the per-match callback handed to the joiner, bound once at
-	// construction; curRec carries the record under probe so the hot path does
-	// not allocate a fresh closure per record. The worker's goroutine is the
-	// only caller, so the fields need no locking. It is nil when the joiner
-	// only counts.
-	emitFn func(local.Match)
-	curRec *record.Record
-	// pairs keeps the worker's results in the order it found them when
-	// collect is set.
-	collect bool
-	pairs   []record.Pair
 
 	in    chan *batch // from the worker's one dispatcher
 	stats stage
@@ -562,55 +534,23 @@ func (w *worker) stepBatch(ts []*RecTuple, stamp time.Time) (end time.Time) {
 	return end
 }
 
-// emitMatch is the joiner's per-match callback: strategy arbitration, then
-// the worker counts the pair and, when collecting, keeps it. It reads the
-// record under probe from the curRec field step binds, so the same bound
-// method value serves every record without a per-record closure
-// allocation.
-//
-// One call per result pair; a collecting worker's pairs grow by amortized
-// self-append only.
-func (w *worker) emitMatch(m local.Match) {
-	if !w.strat.Emits(w.curRec, m.Rec, w.task, w.k) {
-		return
-	}
-	w.results++
-	if w.collect {
-		w.pairs = append(w.pairs, record.NewPair(w.curRec.ID, m.ID, m.Sim))
-	}
-}
-
-// step joins one record: probe (always), store when the strategy assigns
-// the record here, and count deduplicated results. The worker's one
-// dispatcher delivers records in ID order, as eviction and the probe need.
+// step joins one record through the task: probe (always), store when the
+// strategy assigns the record here. The worker's one dispatcher delivers
+// records in ID order, as eviction and the probe need.
 func (w *worker) step(rt *RecTuple) {
 	if w.wirePerB > 0 {
 		d := time.Duration(w.wirePerB * rt.SizeBytes())
 		burn(d)
 		w.wireBurnt += d
 	}
-	r := rt.Rec
-	store := w.strat.Stores(r, w.task, w.k)
-	if store {
-		w.stored++
-	}
-	w.curRec = r
-	var n int
-	if w.bi != nil {
-		n = w.bi.StepSide(r, rt.Right, store, w.emitFn)
-	} else {
-		n = w.joiner.Step(r, store, w.emitFn)
-	}
-	if w.emitFn == nil {
-		w.results += uint64(n)
-	}
+	w.t.Step(rt.Rec, rt.Right, w.t.Stores(rt.Rec))
 }
 
 // registerMetrics binds the worker's series to reg. Every reader takes mu
-// and reads the joiner's own counters or lat, so a value trails the worker
+// and reads the task's own counters or lat, so a value trails the worker
 // by less than one batch and the fields of one read are from one instant.
-// Only the Bundled joiner has bundle series; other joiners are covered by
-// the engine-level task series.
+// Only a self-join's Bundled joiner has bundle series; other joiners are
+// covered by the engine-level task series.
 func (w *worker) registerMetrics(reg *obs.Registry) {
 	label := fmt.Sprintf("worker/%d", w.task)
 	reg.HistogramVec("worker_record_seconds",
@@ -620,14 +560,14 @@ func (w *worker) registerMetrics(reg *obs.Registry) {
 			defer w.mu.Unlock()
 			return w.lat
 		})
-	bj, ok := w.joiner.(interface{ BundleStats() bundle.Stats })
-	if !ok {
+	if _, ok := w.t.BundleStats(); !ok {
 		return
 	}
 	read := func() (bundle.Stats, local.Cost) {
 		w.mu.Lock()
 		defer w.mu.Unlock()
-		return bj.BundleStats(), w.joiner.Cost()
+		st, _ := w.t.BundleStats()
+		return st, w.t.Cost()
 	}
 	reg.CounterVec("bundle_records_total", "Records processed by a worker's bundle index.", "task").
 		SetFunc(label, func() float64 { _, c := read(); return float64(c.Probes) })

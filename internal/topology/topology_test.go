@@ -472,9 +472,9 @@ func TestDistributedBiJoinMatchesLocal(t *testing.T) {
 			want[record.NewPair(r.ID, m.Rec.ID, 0)] = true
 		}
 		if right[i] {
-			bi.StepRight(r, emit)
+			bi.StepSide(r, true, true, emit)
 		} else {
-			bi.StepLeft(r, emit)
+			bi.StepSide(r, false, true, emit)
 		}
 	}
 	for _, k := range []int{1, 4} {
@@ -595,8 +595,8 @@ func TestRunPairsInWorkerOrder(t *testing.T) {
 	}
 	share := first.Pairs
 	for _, w := range first.workers {
-		mine := share[:w.results]
-		share = share[w.results:]
+		mine := share[:w.t.Results()]
+		share = share[w.t.Results():]
 		for i := 1; i < len(mine); i++ {
 			// The probe is the later record of a pair: its Second.
 			if mine[i].Second < mine[i-1].Second {
@@ -692,23 +692,5 @@ func TestLoadAwarePlanTracksRealizedLoad(t *testing.T) {
 		if got := plan(aol, 2); got.Bounds[0] != 3 {
 			t.Errorf("AOL-like(%d) plan %v, want worker 0 to own (0,3]", seed, got)
 		}
-	}
-}
-
-// TestWorkerEmitMatchAllocs: the worker's per-result callback allocates
-// nothing — it arbitrates, counts, and appends the pair to a slice that
-// grows only by amortised doubling, pre-grown here.
-func TestWorkerEmitMatchAllocs(t *testing.T) {
-	probe := &record.Record{ID: 9, Tokens: []tokens.Rank{1, 2, 3}}
-	partner := &record.Record{ID: 4, Tokens: []tokens.Rank{1, 2, 3}}
-	const runs = 1000
-	w := &worker{k: 1, strat: dispatch.BroadcastBased{}, collect: true, pairs: make([]record.Pair, 0, runs+1)}
-	w.curRec = probe
-	m := local.Match{Rec: partner, ID: partner.ID, Overlap: 3, Sim: 1}
-	if n := testing.AllocsPerRun(runs, func() { w.emitMatch(m) }); n != 0 {
-		t.Fatalf("emitMatch allocates %v times per result", n)
-	}
-	if w.results != runs+1 || len(w.pairs) != runs+1 {
-		t.Fatalf("%d results, %d pairs kept after %d calls", w.results, len(w.pairs), runs+1)
 	}
 }
